@@ -50,49 +50,35 @@ impl Alignment {
     /// Compute identity / similarity statistics against the original
     /// residue strings (internal codes).
     pub fn stats(&self, x: &[u8], y: &[u8], matrix: &SubstMatrix) -> AlignStats {
-        let mut xi = self.x_range.0;
-        let mut yi = self.y_range.0;
-        let mut matches = 0usize;
-        let mut positives = 0usize;
-        let mut gap_cols = 0usize;
+        let (mut xi, mut yi) = (self.x_range.0, self.y_range.0);
+        let mut st = AlignStats::default();
         for &op in &self.ops {
             match op {
                 AlignOp::Subst => {
-                    let (a, b) = (x[xi], y[yi]);
-                    if a == b && a != pfam_seq::ALPHABET_SIZE as u8 - 1 {
-                        matches += 1;
-                        positives += 1;
-                    } else if matrix.is_positive(a, b) {
-                        positives += 1;
-                    }
+                    st.push_subst(x[xi], y[yi], matrix);
                     xi += 1;
                     yi += 1;
                 }
                 AlignOp::InsertY => {
-                    gap_cols += 1;
+                    st.push_gap();
                     yi += 1;
                 }
                 AlignOp::InsertX => {
-                    gap_cols += 1;
+                    st.push_gap();
                     xi += 1;
                 }
             }
         }
         debug_assert_eq!(xi, self.x_range.1, "ops inconsistent with x_range");
         debug_assert_eq!(yi, self.y_range.1, "ops inconsistent with y_range");
-        AlignStats {
-            columns: self.ops.len(),
-            matches,
-            positives,
-            gap_cols,
-            x_span: self.x_span(),
-            y_span: self.y_span(),
-        }
+        st.x_span = self.x_span();
+        st.y_span = self.y_span();
+        st
     }
 }
 
 /// Derived per-alignment counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AlignStats {
     /// Total alignment columns.
     pub columns: usize,
@@ -109,6 +95,26 @@ pub struct AlignStats {
 }
 
 impl AlignStats {
+    /// Count one substitution column aligning residue codes `a` and `b`.
+    /// The spans are the caller's to set.
+    #[inline]
+    pub(crate) fn push_subst(&mut self, a: u8, b: u8, matrix: &SubstMatrix) {
+        self.columns += 1;
+        if a == b && a != pfam_seq::ALPHABET_SIZE as u8 - 1 {
+            self.matches += 1;
+            self.positives += 1;
+        } else if matrix.is_positive(a, b) {
+            self.positives += 1;
+        }
+    }
+
+    /// Count one gapped column.
+    #[inline]
+    pub(crate) fn push_gap(&mut self) {
+        self.columns += 1;
+        self.gap_cols += 1;
+    }
+
     /// Fraction of columns that are exact matches, in `[0, 1]`.
     pub fn identity(&self) -> f64 {
         if self.columns == 0 {

@@ -1,19 +1,20 @@
 //! Predicted DP-cell cost per pair — the scheduler's unit of account.
 //!
-//! Verification cost varies by orders of magnitude across pairs: the full
-//! rectangle is `m·n`, but the tiered engine ([`crate::engine`]) resolves
-//! most pairs in a screen or the score-only kernel and only *escapes* to
-//! the expensive subrectangle traceback on a small fraction. A scheduler
-//! that packs work by pair count therefore routinely puts ten rounds of
-//! work in one batch and none in the next.
+//! Verification cost varies by orders of magnitude across pairs: the
+//! one-pass fill of [`crate::engine`] costs the full rectangle `m·n`, a
+//! pair the length screen rejects costs nothing. A scheduler that packs
+//! work by pair count therefore routinely puts ten rounds of work in one
+//! batch and none in the next.
 //!
 //! [`CostModel`] predicts the cells a pair will actually cost as
-//! `m·n × escape_rate`, where the escape rate is estimated *online* from
-//! the engine's own `cells_computed` counters: every absorbed verdict
-//! feeds `observe`, and `predict` scales the rectangle by the running
-//! ratio `Σ cells_computed / Σ m·n`. Uncalibrated, the rate is 1 — the
-//! prediction degrades to the full rectangle, which still orders pairs
-//! correctly by length product.
+//! `m·n × escape_rate`, where the rate — the share of rectangle cells that
+//! escape the screen into the fill — is estimated *online* from the engine's own
+//! `cells_computed` counters (`m·n` for every pair that reaches the fill,
+//! 0 for a screen reject): every absorbed verdict feeds `observe`, and
+//! `predict` scales the rectangle by the running ratio
+//! `Σ cells_computed / Σ m·n`. Uncalibrated, the rate is 1 — the
+//! prediction is the full rectangle, which orders pairs correctly by
+//! length product.
 //!
 //! The model is deliberately *scheduling-only*: predictions decide how
 //! work is chunked and leased, never what a verdict is, so a stale or
@@ -24,13 +25,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cells a pair is predicted to cost even when the screens resolve it:
-/// probe overhead, cache misses, dispatch. Keeps predictions nonzero so
-/// chunk packing never treats a pair as free.
+/// Cells a pair is predicted to cost even when the screen resolves it:
+/// cache misses, dispatch. Keeps predictions nonzero so chunk packing
+/// never treats a pair as free.
 const FLOOR_CELLS: u64 = 64;
 
-/// The escape rate never drops below this: even a workload the screens
-/// fully resolve pays the per-pair floor, and a zero rate would collapse
+/// The escape rate never drops below this: even a workload the screen
+/// fully resolves pays the per-pair floor, and a zero rate would collapse
 /// every prediction onto the floor and erase the length ordering.
 const MIN_RATE: f64 = 1.0 / 1024.0;
 
@@ -65,8 +66,8 @@ impl CostModel {
         self.observed_full.load(Ordering::Relaxed)
     }
 
-    /// The running tier-escape estimate: the fraction of the full
-    /// rectangle the engine actually computes, in `[MIN_RATE, 1]`.
+    /// The running escape-rate estimate: the fraction of rectangle cells
+    /// the engine actually computes, in `[MIN_RATE, 1]`.
     /// `1.0` until the first observation arrives.
     pub fn escape_rate(&self) -> f64 {
         let full = self.observed_full.load(Ordering::Relaxed);
@@ -108,7 +109,7 @@ mod tests {
     #[test]
     fn predictions_never_go_below_the_floor() {
         let m = CostModel::new();
-        m.observe(1_000_000, 0); // screens resolved everything
+        m.observe(1_000_000, 0); // the screen resolved everything
         assert_eq!(m.escape_rate(), MIN_RATE);
         assert_eq!(m.predict(2, 2), FLOOR_CELLS);
     }
@@ -116,8 +117,8 @@ mod tests {
     #[test]
     fn rate_is_clamped_to_one() {
         let m = CostModel::new();
-        // cells_computed can exceed m·n on anchor-probe double work;
-        // the rate must not extrapolate beyond the rectangle.
+        // The engine never reports more than m·n per pair, but a foreign
+        // or stale counter must not extrapolate beyond the rectangle.
         m.observe(100, 150);
         assert_eq!(m.escape_rate(), 1.0);
     }

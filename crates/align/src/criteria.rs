@@ -13,6 +13,7 @@
 
 use pfam_seq::ScoringScheme;
 
+use crate::alignment::AlignStats;
 use crate::local::local_affine;
 
 /// Parameters for the Definition-1 containment test.
@@ -31,6 +32,15 @@ impl Default for ContainmentParams {
     }
 }
 
+impl ContainmentParams {
+    /// Definition 1 over the statistics of the optimal local alignment of
+    /// an `x` of length `x_len` (the candidate) against its container.
+    pub fn accepts(&self, st: &AlignStats, x_len: usize) -> bool {
+        st.similarity() >= self.min_similarity
+            && st.coverage_of(st.x_span, x_len) >= self.min_coverage
+    }
+}
+
 /// Parameters for the Definition-2 overlap test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapParams {
@@ -43,6 +53,18 @@ pub struct OverlapParams {
 impl Default for OverlapParams {
     fn default() -> Self {
         OverlapParams { min_similarity: 0.30, min_longer_coverage: 0.80 }
+    }
+}
+
+impl OverlapParams {
+    /// Definition 2 over the statistics of the optimal local alignment of
+    /// sequences of lengths `x_len` and `y_len`; coverage is measured on
+    /// the longer one (`x` on a tie).
+    pub fn accepts(&self, st: &AlignStats, x_len: usize, y_len: usize) -> bool {
+        let (long_span, long_len) =
+            if x_len >= y_len { (st.x_span, x_len) } else { (st.y_span, y_len) };
+        st.similarity() >= self.min_similarity
+            && st.coverage_of(long_span, long_len) >= self.min_longer_coverage
     }
 }
 
@@ -60,8 +82,7 @@ pub fn is_contained(x: &[u8], y: &[u8], scheme: &ScoringScheme, p: &ContainmentP
     if aln.is_empty() {
         return false;
     }
-    let st = aln.stats(x, y, &scheme.matrix);
-    st.similarity() >= p.min_similarity && st.coverage_of(st.x_span, x.len()) >= p.min_coverage
+    p.accepts(&aln.stats(x, y, &scheme.matrix), x.len())
 }
 
 /// Definition 2: do `x` and `y` overlap?
@@ -76,11 +97,7 @@ pub fn overlaps(x: &[u8], y: &[u8], scheme: &ScoringScheme, p: &OverlapParams) -
     if aln.is_empty() {
         return false;
     }
-    let st = aln.stats(x, y, &scheme.matrix);
-    let (long_span, long_len) =
-        if x.len() >= y.len() { (st.x_span, x.len()) } else { (st.y_span, y.len()) };
-    st.similarity() >= p.min_similarity
-        && st.coverage_of(long_span, long_len) >= p.min_longer_coverage
+    p.accepts(&aln.stats(x, y, &scheme.matrix), x.len(), y.len())
 }
 
 #[cfg(test)]

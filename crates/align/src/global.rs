@@ -8,7 +8,7 @@
 use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::engine::AlignScratch;
+use crate::scratch::AlignScratch;
 
 /// Sentinel for "unreachable" DP states; far enough from `i32::MIN` that
 /// subtracting a gap penalty cannot overflow.

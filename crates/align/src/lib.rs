@@ -16,13 +16,14 @@
 //!   (Def. 1: ≥95 % similarity over the overlap, ≥95 % of the shorter
 //!   sequence covered) and `overlaps` (Def. 2: ≥30 % similarity covering
 //!   ≥80 % of the longer sequence).
-//! * [`engine`] — the tiered, vectorized alignment engine the clustering
-//!   hot path goes through: length screens, a SWAR/SSE2/AVX2 score-only
-//!   kernel, anchor-seeded banded probes, and a subrectangle traceback —
-//!   verdict-identical to [`criteria`] by construction.
+//! * [`engine`] — the alignment engine the clustering hot path goes
+//!   through: length screen → one fill → score reject → direction
+//!   traceback, verdict-identical to [`criteria`] by construction.
+//! * [`onepass`] — that fill: one row-major Smith–Waterman pass (AVX2 with
+//!   a scalar twin) producing score, argmax and a direction byte per cell.
 //! * [`cost`] — the online per-pair cost predictor (`m·n` scaled by the
-//!   engine's observed tier-escape rate) that cost-aware schedulers pack
-//!   and steal by.
+//!   share of rectangles the engine's screen lets through) that cost-aware
+//!   schedulers pack and steal by.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
@@ -36,14 +37,16 @@ pub mod global;
 pub mod hirschberg;
 pub mod local;
 pub mod msa;
+pub mod onepass;
 pub mod render;
+mod scratch;
 pub mod semiglobal;
 
 pub use alignment::{AlignOp, AlignStats, Alignment};
 pub use banded::banded_global_affine;
 pub use cost::CostModel;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
-pub use engine::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, EngineVerdict};
+pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict};
 pub use extend::{xdrop_extend, Extension};
 pub use global::{
     global_affine, global_affine_with, global_linear, global_score, global_score_with,
@@ -51,5 +54,7 @@ pub use global::{
 pub use hirschberg::hirschberg;
 pub use local::{local_affine, local_affine_with, local_score, local_score_with};
 pub use msa::{star_alignment, StarAlignment};
+pub use onepass::OnePassFill;
 pub use render::render_alignment;
+pub use scratch::AlignScratch;
 pub use semiglobal::semiglobal_affine;

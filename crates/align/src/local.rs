@@ -7,8 +7,8 @@
 use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::engine::AlignScratch;
 use crate::global::NEG_INF;
+use crate::scratch::AlignScratch;
 
 /// Optimal local alignment (affine gaps) with full traceback.
 ///
@@ -74,12 +74,11 @@ pub fn local_affine_with(
     traceback_local(x, y, scheme, &scratch.mat, best, best_at)
 }
 
-/// Traceback of a filled local-alignment matrix set, from `best_at` back
-/// to the first zero cell in layer H. `mat` must hold the exact H/E/F
-/// values of the reference fill for every cell `(≤ best_at.0, ≤
-/// best_at.1)` (any fill producing those values may share this — it is
-/// what makes the vectorized engine fill reference-identical).
-pub(crate) fn traceback_local(
+/// Traceback of the filled matrices, from `best_at` back to the first zero
+/// cell in layer H. The order of its tests — zero, diagonal, `E`, else `F`;
+/// stay in a gap layer before re-opening — is the precedence the one-pass
+/// fill's direction bytes ([`crate::onepass`]) record.
+fn traceback_local(
     x: &[u8],
     y: &[u8],
     scheme: &ScoringScheme,

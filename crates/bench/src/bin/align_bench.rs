@@ -1,7 +1,8 @@
-//! Alignment-engine benchmark: reference full-matrix verdicts vs the
-//! tiered engine on the RR (containment) and CCD (overlap) candidate
-//! streams of a paper-like workload, emitting a machine-readable
-//! `BENCH_align.json` — the alignment twin of `BENCH_index.json`.
+//! Alignment-engine benchmark: the reference three-matrix fill against the
+//! engine's one-pass fill — scalar twin and AVX2 — on the RR (containment)
+//! and CCD (overlap) candidate streams of a paper-like workload, at 1 and 2
+//! threads, emitting a machine-readable `BENCH_align.json` — the alignment
+//! twin of `BENCH_index.json`.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin align_bench [scale]
@@ -10,11 +11,11 @@
 //!
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
-//! that both engines return identical verdicts on every candidate.
+//! that every engine returns identical verdicts on every candidate.
 
 use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor};
 use pfam_bench::{
-    claim_f64, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
+    claim_f64, cores_field, dataset_160k_like, emit, thread_sweep, time_min, BenchArgs,
 };
 use pfam_cluster::ClusterConfig;
 use pfam_seq::{SeqId, SequenceSet};
@@ -36,31 +37,39 @@ fn orient(set: &SequenceSet, p: &MatchPair) -> (SeqId, SeqId, Anchor) {
     }
 }
 
-/// Run every task through `engine`, returning `(verdicts, tier_hits,
-/// cells_computed, cells_skipped)`.
-fn run_tasks(
-    engine: &AlignEngine,
-    set: &SequenceSet,
-    tasks: &[Task],
-) -> (Vec<bool>, [u64; 4], u64, u64) {
-    let mut scratch = AlignScratch::new();
-    let mut verdicts = Vec::with_capacity(tasks.len());
-    let mut tiers = [0u64; 4];
-    let (mut computed, mut skipped) = (0u64, 0u64);
-    for &(a, b, anchor, containment) in tasks {
-        let x = set.codes(a);
-        let y = set.codes(b);
-        let v = if containment {
-            engine.contained_with(x, y, Some(anchor), &mut scratch)
-        } else {
-            engine.overlaps_with(x, y, Some(anchor), &mut scratch)
-        };
-        verdicts.push(v.accept);
-        tiers[(v.tier as usize).min(3)] += 1;
-        computed += v.cells_computed;
-        skipped += v.cells_skipped;
+/// What one pass over the task list returns: verdicts in task order,
+/// outcome counts by `EngineVerdict::tier`, cells computed and skipped.
+type Outcome = (Vec<bool>, [u64; 4], u64, u64);
+
+/// Run every task through `engine` on `threads` workers (task `k` goes to
+/// worker `k mod threads`, each with its own scratch arena).
+fn run_tasks(engine: &AlignEngine, set: &SequenceSet, tasks: &[Task], threads: usize) -> Outcome {
+    let worker = |t: usize| {
+        let mut scratch = AlignScratch::new();
+        let mut verdicts = Vec::with_capacity(tasks.len() / threads + 1);
+        for &(a, b, anchor, containment) in tasks.iter().skip(t).step_by(threads) {
+            let (x, y) = (set.codes(a), set.codes(b));
+            verdicts.push(if containment {
+                engine.contained_with(x, y, Some(anchor), &mut scratch)
+            } else {
+                engine.overlaps_with(x, y, Some(anchor), &mut scratch)
+            });
+        }
+        verdicts
+    };
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
+        handles.into_iter().map(|h| h.join().expect("align worker panicked")).collect()
+    });
+    let mut out: Outcome = (Vec::with_capacity(tasks.len()), [0; 4], 0, 0);
+    for k in 0..tasks.len() {
+        let v = per_worker[k % threads][k / threads];
+        out.0.push(v.accept);
+        out.1[v.tier as usize] += 1;
+        out.2 += v.cells_computed;
+        out.3 += v.cells_skipped;
     }
-    (verdicts, tiers, computed, skipped)
+    out
 }
 
 fn main() {
@@ -113,30 +122,48 @@ fn main() {
         total_cells
     );
 
-    let reference = AlignEngine::new(
-        AlignEngineKind::Reference,
-        config.scheme.clone(),
-        config.containment,
-        config.overlap,
-    );
-    let tiered = AlignEngine::new(
-        AlignEngineKind::Tiered,
-        config.scheme.clone(),
-        config.containment,
-        config.overlap,
-    );
+    let engine =
+        |kind| AlignEngine::new(kind, config.scheme.clone(), config.containment, config.overlap);
+    let tiered = engine(AlignEngineKind::Tiered);
+    // The same task list through the reference 3-matrix fill, the scalar
+    // one-pass fill and (where detected) the AVX2 one-pass fill.
+    let mut engines = vec![
+        ("reference_3matrix", engine(AlignEngineKind::Reference)),
+        ("onepass_scalar", engine(AlignEngineKind::Tiered).with_scalar_fill()),
+    ];
+    if tiered.kernel_label() != "scalar" {
+        engines.push(("onepass_avx2", engine(AlignEngineKind::Tiered)));
+    }
 
-    let (ref_s, (ref_verdicts, _, ref_computed, _)) =
-        time_min(reps, || run_tasks(&reference, set, &tasks));
-    let (tier_s, (tier_verdicts, tiers, tier_computed, tier_skipped)) =
-        time_min(reps, || run_tasks(&tiered, set, &tasks));
-
-    // Bit-identity of verdicts — the whole point of the tier design.
-    let identical = ref_verdicts == tier_verdicts;
-    assert!(identical, "tiered verdicts diverged from reference — this is a bug");
+    let sweep = thread_sweep(2, args.smoke);
+    let gcells = |seconds: f64| total_cells as f64 / 1e9 / seconds;
+    let mut identical = true;
+    let mut runs = Vec::new();
+    let mut seconds = Vec::new(); // [engine][thread count]
+    let (mut tiers, mut computed, mut skipped) = ([0u64; 4], 0, 0);
+    let mut expected: Option<Vec<bool>> = None;
+    for (label, engine) in &engines {
+        let mut per_threads = Vec::new();
+        for &threads in &sweep.counts {
+            let (secs, outcome) = time_min(reps, || run_tasks(engine, set, &tasks, threads));
+            // Bit-identity of verdicts — the whole point of the design.
+            identical &= *expected.get_or_insert_with(|| outcome.0.clone()) == outcome.0;
+            // Reported for the last engine, the one that ships.
+            (tiers, computed, skipped) = (outcome.1, outcome.2, outcome.3);
+            runs.push(format!(
+                "    {{ \"engine\": \"{label}\", \"threads\": {threads}, \"seconds\": {secs:.6}, \"gcells_per_s\": {:.4} }}",
+                gcells(secs)
+            ));
+            per_threads.push(secs);
+        }
+        seconds.push(per_threads);
+    }
+    assert!(identical, "engine verdicts diverged from reference — this is a bug");
 
     let n = tasks.len() as f64;
-    let cores = detected_cores();
+    let last = seconds.len() - 1;
+    // 1 → 2 threads of the shipped engine; refused on a 1-core host.
+    let thread_speedup = seconds[last][0] / seconds[last][sweep.counts.len() - 1];
     let json = format!(
         concat!(
             "{{\n",
@@ -151,9 +178,11 @@ fn main() {
             "  \"kernel\": \"{kernel}\",\n",
             "  \"total_cells\": {cells},\n",
             "  \"outputs_identical\": {identical},\n",
-            "  \"reference\": {{ \"seconds\": {rs:.6}, \"cells_per_sec\": {rcps:.0}, \"cells_computed\": {rcc} }},\n",
-            "  \"tiered\": {{ \"seconds\": {ts:.6}, \"cells_per_sec\": {tcps:.0}, \"cells_computed\": {tcc}, \"cells_skipped\": {tsk} }},\n",
-            "  \"tier_hit_rates\": {{ \"screen\": {t0:.4}, \"kernel_reject\": {t1:.4}, \"probe_accept\": {t2:.4}, \"full_dp\": {t3:.4} }},\n",
+            "  \"tiered\": {{ \"cells_computed\": {tcc}, \"cells_skipped\": {tsk} }},\n",
+            "  \"tier_hit_rates\": {{ \"screen\": {t0:.4}, \"score_reject\": {t1:.4}, \"traced\": {t3:.4} }},\n",
+            "  \"runs\": [\n{runs}\n  ],\n",
+            "  \"onepass_vs_reference_1t\": {vs_ref:.3},\n",
+            "  \"onepass_vs_scalar_1t\": {vs_scalar:.3},\n",
             "  {speedup}\n",
             "}}\n"
         ),
@@ -163,29 +192,26 @@ fn main() {
         n_rr = n_rr,
         n_ccd = tasks.len() - n_rr,
         reps = reps,
-        cores_field = cores_field(cores),
+        cores_field = cores_field(sweep.cores),
         kernel = tiered.kernel_label(),
         cells = total_cells,
         identical = identical,
-        rs = ref_s,
-        rcps = total_cells as f64 / ref_s,
-        rcc = ref_computed,
-        ts = tier_s,
-        tcps = total_cells as f64 / tier_s,
-        tcc = tier_computed,
-        tsk = tier_skipped,
+        tcc = computed,
+        tsk = skipped,
         t0 = tiers[0] as f64 / n,
         t1 = tiers[1] as f64 / n,
-        t2 = tiers[2] as f64 / n,
         t3 = tiers[3] as f64 / n,
-        // The raw seconds above stay; only the comparative label is
-        // gated — a "speedup" from a 1-core box is not a measurement.
-        speedup = claim_f64(cores, "speedup", ref_s / tier_s),
+        runs = runs.join(",\n"),
+        // Same thread count, same host: kernel ratios, not scaling claims.
+        vs_ref = seconds[0][0] / seconds[last][0],
+        vs_scalar = seconds[1][0] / seconds[last][0],
+        speedup = claim_f64(sweep.cores, "speedup_1_to_2_threads", thread_speedup),
     );
 
     eprintln!(
-        "align_bench: {:.2}x cells/sec vs reference, kernel {}",
-        ref_s / tier_s,
+        "align_bench: {:.2} Gcells/s on one thread ({:.2}x the reference fill), kernel {}",
+        gcells(seconds[last][0]),
+        seconds[0][0] / seconds[last][0],
         tiered.kernel_label()
     );
     emit("align", &json, args.smoke);

@@ -43,8 +43,8 @@ pub struct ClusterConfig {
     /// turn off to pin the serial code path (e.g. for ablation timing).
     pub parallel_index: bool,
     /// Which alignment engine the verification alignments run through.
-    /// `Tiered` (default) screens/kernels/subrectangles; `Reference` pins
-    /// the full-matrix baseline. Verdicts — and therefore components and
+    /// `Tiered` (default) is length screen → one-pass fill → direction
+    /// traceback; `Reference` pins the full-matrix baseline. Verdicts — and therefore components and
     /// `families.tsv` — are bit-identical for both.
     pub align_engine: AlignEngineKind,
     /// Cost-model-driven work-stealing knobs for the

@@ -57,15 +57,14 @@ pub enum CorePhase {
 /// *oriented* the pair so `a` is the candidate-to-remove and `b` its
 /// potential container. The maximal-match anchor rides along when the
 /// execution substrate preserves it (in-process drivers); candidates that
-/// crossed a wire carry `None` and the engine probes from scratch —
-/// verdicts are identical either way.
+/// crossed a wire carry `None`. The engine ignores it either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// First sequence (CCD: lower id of the pair; RR: removal candidate).
     pub a: SeqId,
     /// Second sequence (CCD: higher id; RR: potential container).
     pub b: SeqId,
-    /// Maximal-match seed for the alignment probe, if it survived.
+    /// Maximal-match seed of the pair, if it survived (unused by the engine).
     pub anchor: Option<Anchor>,
 }
 

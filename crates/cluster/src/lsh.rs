@@ -24,7 +24,7 @@
 //! Both sources drop into every `ClusterCore` driver, shard router, and
 //! steal/lease policy unchanged: candidate generation is the pluggable
 //! axis, and verdicts still come from the same alignment engine (anchors
-//! are heuristic-only, so a sketch pair's fabricated anchor can never
+//! are ignored by it, so a sketch pair's fabricated anchor can never
 //! change a verdict). For a fixed [`SketchParams`] the candidate stream
 //! is a deterministic function of the store — never of thread count,
 //! batch size, driver, or shard count.

@@ -65,9 +65,9 @@ pub fn run_ccd_master_worker(
     config: &ClusterConfig,
     n_workers: usize,
 ) -> Result<(CcdResult, MwStats), MwError> {
-    // Streamed tasks carry no anchors, so the engine probes from scratch
-    // (anchor `None`); the engine is `Sync` and shared across workers,
-    // each using its own thread-local scratch arena.
+    // Streamed tasks carry no anchors (the engine ignores them anyway);
+    // the engine is `Sync` and shared across workers, each using its own
+    // thread-local scratch arena.
     let engine = config.engine();
     run_ccd_master_worker_with(set, config, n_workers, &move |x, y| {
         engine.overlaps(x, y, None).accept
@@ -101,7 +101,7 @@ where
     // not in the mining.
     with_mined_source(set, config, config.psi_ccd, 1, |source| {
         let mut core = ClusterCore::new_ccd(set);
-        // The injectable verify closure reports no per-tier counters, so
+        // The injectable verify closure reports no cell counters, so
         // the model stays uncalibrated here: predictions are the full
         // m·n rectangle, i.e. pure length-product ordering.
         let cost = CostModel::new();

@@ -510,7 +510,7 @@ where
                                     accept,
                                     cells,
                                     // The injectable verify closure returns
-                                    // only a verdict, so per-tier engine
+                                    // only a verdict, so the engine's cell
                                     // counters cannot be recorded here.
                                     cells_computed: 0,
                                     cells_skipped: 0,
@@ -1155,7 +1155,7 @@ where
     }
 }
 
-/// Verify a wire-form candidate batch (anchor-free probes) sequentially.
+/// Verify a wire-form candidate batch (no anchors) sequentially.
 fn verify_wire(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
     candidates
         .iter()

@@ -36,10 +36,11 @@ pub struct BatchRecord {
     /// work the simulator schedules. Always the full `m·n` rectangle, so
     /// simulator replays are engine-independent.
     pub task_cells: Vec<u64>,
-    /// DP cells the alignment engine actually evaluated (all tiers).
+    /// DP cells the alignment engine actually evaluated: `m·n` for every
+    /// pair that reached the fill.
     pub cells_computed: u64,
-    /// Full-matrix DP cells the engine avoided (tier screens and
-    /// subrectangle traceback); zero under the reference engine.
+    /// `m·n` of every pair the engine's length screen or score threshold
+    /// rejected before any traceback; zero under the reference engine.
     pub cells_skipped: u64,
     /// Work chunks a cost-aware scheduler packed and dispatched this
     /// round (0 for per-pair and fixed-batch drivers).

@@ -20,10 +20,9 @@
 //!   plus per-worker addressed queues so the push and pull policies run
 //!   fully in-process (the driver-equivalence matrix tests).
 //!
-//! Candidates are sent *without* their maximal-match anchors: a batch
-//! that crossed a wire is verified by an anchor-free probe, which keeps
-//! verdicts — and therefore components — identical to the in-process
-//! drivers while keeping the protocol payload minimal.
+//! Candidates are sent *without* their maximal-match anchors: the engine
+//! ignores anchors, so verdicts — and therefore components — are those of
+//! the in-process drivers and the protocol payload stays minimal.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

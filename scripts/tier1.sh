@@ -12,7 +12,9 @@
 # communication or supervision/retry paths; no UnionFind mutation outside
 # ClusterCore; no mutex-guarded queues in policy hot loops; no whole-file
 # sequence reads outside pfam-seq's SeqStore; no raw k-mer hashing
-# outside pfam-shingle's sketch wrappers), and CLI
+# outside pfam-shingle's sketch wrappers; no three-matrix fill on the
+# alignment engine's hot path), the pfam-align suites in release mode, the
+# benchmark package's own tests, and CLI
 # checkpoint/resume + sharded-cluster smokes.
 # Run from anywhere inside the repo.
 set -euo pipefail
@@ -91,6 +93,18 @@ if grep -rn "std::fs::read\b\|std::fs::read_to_string" \
     exit 1
 fi
 
+echo "== tier1: the engine hot path stays off the three-matrix fill =="
+# One-pass contract: the engine and its fill trace back over direction
+# bytes. The Gotoh matrices and `local_affine_with` belong to the oracle
+# (`AlignEngineKind::Reference` goes through `criteria`, which names
+# neither) and to the files' `#[cfg(test)]` modules.
+for f in crates/align/src/engine.rs crates/align/src/onepass.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "AffineMatrices\|local_affine_with"; then
+        echo "tier1 FAIL: $f names the three-matrix fill outside its tests" >&2
+        exit 1
+    fi
+done
+
 echo "== tier1: cargo test -q (root package) =="
 cargo test -q
 
@@ -120,6 +134,9 @@ echo "== tier1: alignment-engine identity suites =="
 # criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
 cargo test -q -p pfam-align --test engine_props
 cargo test -q --test align_engine
+# Unsafe loads/stores and saturating/wrapping lane arithmetic: the debug
+# profile's overflow checks and debug_asserts are not what ships.
+cargo test --release -q -p pfam-align
 
 echo "== tier1: index_bench --test (smoke + identity check) =="
 cargo run --release -p pfam-bench --bin index_bench -- --test
@@ -190,6 +207,9 @@ echo "$FT_SMOKE" | grep -q '"components_identical": true' || {
     echo "tier1 FAIL: ft_bench smoke did not report identical components" >&2
     exit 1
 }
+
+echo "== tier1: the benchmark package's own tests (unit + smoke pass) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== tier1: CLI kill/resume smoke (byte-identical families.tsv) =="
 SMOKE=$(mktemp -d)
