@@ -14,9 +14,8 @@ use pfam_graph::{CsrGraph, UnionFind};
 use pfam_seq::{ScoringScheme, SequenceSet, SequenceSetBuilder};
 use pfam_shingle::{shingle_set, HashFamily};
 use pfam_suffix::{
-    lcp::lcp_array, lcp_array_parallel, maximal::all_pairs, parallel_pairs, suffix_array,
-    suffix_array_parallel, ukkonen::UkkonenTree, GeneralizedSuffixArray, MaximalMatchConfig,
-    SuffixTree,
+    bucket_sort_index, lcp::lcp_array, lcp_array_parallel, maximal::all_pairs, parallel_pairs,
+    suffix_array, ukkonen::UkkonenTree, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree,
 };
 
 fn random_set(n_seqs: usize, len: usize, seed: u64) -> SequenceSet {
@@ -38,8 +37,8 @@ fn bench_suffix(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sais", n), &text, |b, text| {
             b.iter(|| black_box(suffix_array(black_box(text), 22)))
         });
-        group.bench_with_input(BenchmarkId::new("sa_parallel", n), &text, |b, text| {
-            b.iter(|| black_box(suffix_array_parallel(black_box(text), 22, 0)))
+        group.bench_with_input(BenchmarkId::new("sa_lcp_bucket_sort", n), &text, |b, text| {
+            b.iter(|| black_box(bucket_sort_index(black_box(text), 1, 0)))
         });
         let sa = suffix_array(&text, 22);
         group.bench_with_input(BenchmarkId::new("kasai_lcp", n), &(), |b, _| {

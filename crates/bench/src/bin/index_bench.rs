@@ -1,136 +1,236 @@
-//! Index hot-path benchmark: serial vs parallel GSA construction and
-//! maximal-match pair generation on the 40K-like workload, emitting a
-//! machine-readable `BENCH_index.json`.
+//! Index benchmark: the suffix index stage by stage — SA-IS + Kasai (the
+//! serial oracle) against the residue-packed bucket sort at each thread
+//! count, the interval tree at ψ = 0 / 10 / 15, and pair mining — on two
+//! corpora, emitting a machine-readable `BENCH_index.json`.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin index_bench [scale] [max_threads]
 //! cargo run --release -p pfam-bench --bin index_bench -- --test   # smoke
 //! ```
 //!
-//! The parallel path is measured at every power-of-two thread count up to
-//! `max_threads` (default 8), so the JSON carries a scaling table rather
-//! than a single point. `--test` runs a tiny single-rep smoke pass and
-//! prints the JSON to stdout instead of writing the file (so CI smoke
-//! runs never clobber a real measurement).
+//! * `sparse` — the metagenomic long tail: a few families drowned in
+//!   unrelated ORFs; 25 k reads and 3.1 M residues at scale 1.
+//! * `short_reads` — 70 k reads of 20–40 residues at scale 1, a few with
+//!   `X`: more sequences than a 16-bit sentinel range holds.
+//! * `repeats` — two 20 000-residue homopolymers among 50 noise reads (at
+//!   any scale): the bucket sort gives up and SA-IS indexes it. Index
+//!   rows only — mining its 20 000 nested nodes takes seconds and is not
+//!   what the corpus is here for.
+//!
+//! Every parallel build is asserted bit-identical to the oracle, and every
+//! pruned tree is asserted to mine the full tree's pairs in the full
+//! tree's order. `--test` runs a tiny single-rep pass and prints the JSON
+//! instead of writing the file.
 
-use pfam_bench::{cores_field, dataset_160k_like, emit, thread_sweep, time_min, BenchArgs};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use pfam_bench::{cores_field, emit, thread_sweep, time_min, BenchArgs};
+use pfam_datagen::{random_peptide, DatasetConfig, SyntheticDataset};
+use pfam_seq::{SequenceSet, SequenceSetBuilder};
 use pfam_suffix::{
-    maximal::all_pairs, parallel_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree,
+    bucket_sort_index_staged, lcp::lcp_array, maximal::all_pairs, parallel_pairs, suffix_array,
+    GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree,
 };
+
+/// ψ of redundancy removal and of component detection (`ClusterConfig`
+/// defaults): the two depths the pipeline prunes its trees at.
+const PSI_RR: u32 = 15;
+const PSI_CCD: u32 = 10;
+
+fn sparse_corpus(scale: f64) -> SequenceSet {
+    let config = DatasetConfig {
+        n_families: 100,
+        n_members: 2000,
+        size_skew: 0.0,
+        ancestor_len: 120..220,
+        fragment_prob: 0.25,
+        redundancy_frac: 0.14,
+        n_noise: 100_000,
+        seed: 0x1D,
+        ..DatasetConfig::default()
+    }
+    .scaled(scale * 0.25);
+    SyntheticDataset::generate(&config).set
+}
+
+fn short_read_corpus(scale: f64) -> SequenceSet {
+    const X_CODE: u8 = (pfam_seq::ALPHABET_SIZE - 1) as u8;
+    let mut rng = StdRng::seed_from_u64(0x5EAD);
+    let n = ((70_000.0 * scale) as usize).max(50);
+    let mut b = SequenceSetBuilder::new();
+    for i in 0..n {
+        let len = rng.gen_range(20..40);
+        let mut codes = random_peptide(&mut rng, len);
+        if i % 50 == 0 {
+            codes[len / 2] = X_CODE;
+        }
+        b.push_codes(format!("r{i}"), codes).expect("non-empty");
+    }
+    b.finish()
+}
+
+fn repeat_corpus() -> SequenceSet {
+    let mut rng = StdRng::seed_from_u64(0x4E9);
+    let mut b = SequenceSetBuilder::new();
+    for i in 0..52 {
+        let codes = if i % 26 == 10 { vec![7; 20_000] } else { random_peptide(&mut rng, 120) };
+        b.push_codes(format!("r{i}"), codes).expect("non-empty");
+    }
+    b.finish()
+}
+
+fn match_config(psi: u32) -> MaximalMatchConfig {
+    MaximalMatchConfig { min_len: psi, max_pairs_per_node: 100_000, dedup: true }
+}
+
+/// One corpus, every stage (`mine`: tree and mining rows too): returns its
+/// JSON object.
+fn bench_corpus(
+    name: &str,
+    set: &SequenceSet,
+    mine: bool,
+    threads: &[usize],
+    reps: usize,
+) -> String {
+    eprintln!("index_bench: {name}: {} reads, {} residues", set.len(), set.total_residues());
+
+    // The oracle, whole and by stage.
+    let (sais_total_s, oracle) = time_min(reps, || GeneralizedSuffixArray::build(set));
+    let (text, k) = (oracle.text(), oracle.alphabet_size());
+    let (sais_sa_s, _) = time_min(reps, || suffix_array(text, k));
+    let (sais_lcp_s, _) = time_min(reps, || lcp_array(text, oracle.sa()));
+
+    // The bucket sort at each thread count, whole and by stage.
+    let mut sort_rows = Vec::new();
+    for &t in threads {
+        let (index_s, gsa) = time_min(reps, || GeneralizedSuffixArray::build_parallel(set, t));
+        assert!(
+            gsa.sa() == oracle.sa() && gsa.lcp() == oracle.lcp(),
+            "{name}: build_parallel diverged from SA-IS at {t} threads"
+        );
+        let mut best = (f64::INFINITY, Default::default());
+        let mut fell_back = false;
+        for _ in 0..reps {
+            let (index, stages) = bucket_sort_index_staged(text, oracle.n_seqs(), t);
+            fell_back = index.is_none();
+            let total = stages.count_s + stages.scatter_s + stages.sort_lcp_s + stages.extract_s;
+            if total < best.0 {
+                best = (total, stages);
+            }
+        }
+        let (sort_s, st) = best;
+        eprintln!(
+            "index_bench: {name}: {t} thread(s): index {index_s:.3}s (SA-IS {sais_total_s:.3}s)"
+        );
+        sort_rows.push(format!(
+            concat!(
+                "      {{ \"threads\": {t}, \"index_s\": {index:.6}, ",
+                "\"fell_back_to_sais\": {fb}, \"sa_lcp_s\": {sort:.6}, ",
+                "\"keys_count_s\": {c:.6}, \"keys_scatter_s\": {s:.6}, ",
+                "\"bucket_sort_lcp_s\": {b:.6}, \"boundary_lcp_extract_s\": {e:.6}, ",
+                "\"vs_sais\": {r:.3} }}"
+            ),
+            t = t,
+            index = index_s,
+            fb = fell_back,
+            sort = sort_s,
+            c = st.count_s,
+            s = st.scatter_s,
+            b = st.sort_lcp_s,
+            e = st.extract_s,
+            r = sais_total_s / index_s,
+        ));
+    }
+
+    // The tree at each cut, and mining over it.
+    let full = SuffixTree::build(&oracle);
+    let mut tree_rows = Vec::new();
+    let mut mine_rows = Vec::new();
+    for psi in [0, PSI_CCD, PSI_RR].into_iter().filter(|_| mine) {
+        let (tree_s, tree) = time_min(reps, || SuffixTree::build_pruned(&oracle, psi));
+        tree_rows.push(format!(
+            "      {{ \"psi\": {psi}, \"nodes\": {}, \"tree_s\": {tree_s:.6} }}",
+            tree.n_nodes()
+        ));
+        if psi == 0 {
+            continue;
+        }
+        let (serial_s, pairs) = time_min(reps, || all_pairs(&tree, match_config(psi)));
+        assert!(
+            pairs == all_pairs(&full, match_config(psi)),
+            "{name}: pruned tree mined differently"
+        );
+        let par: Vec<String> = threads
+            .iter()
+            .map(|&t| {
+                let (s, (p, _)) = time_min(reps, || parallel_pairs(&tree, match_config(psi), t));
+                assert!(p == pairs, "{name}: parallel mining diverged at {t} threads");
+                format!("\"mine_{t}t_s\": {s:.6}")
+            })
+            .collect();
+        mine_rows.push(format!(
+            "      {{ \"psi\": {psi}, \"pairs\": {}, \"mine_serial_s\": {serial_s:.6}, {} }}",
+            pairs.len(),
+            par.join(", ")
+        ));
+    }
+
+    format!(
+        concat!(
+            "  \"{name}\": {{\n",
+            "    \"n_seqs\": {n_seqs},\n",
+            "    \"total_residues\": {residues},\n",
+            "    \"sais\": {{ \"index_s\": {total:.6}, \"sa_s\": {sa:.6}, \"kasai_lcp_s\": {lcp:.6} }},\n",
+            "    \"bucket_sort\": [\n{sort}\n    ],\n",
+            "    \"tree\": [\n{tree}\n    ],\n",
+            "    \"mining\": [\n{mine}\n    ]\n",
+            "  }}"
+        ),
+        name = name,
+        n_seqs = set.len(),
+        residues = set.total_residues(),
+        total = sais_total_s,
+        sa = sais_sa_s,
+        lcp = sais_lcp_s,
+        sort = sort_rows.join(",\n"),
+        tree = tree_rows.join(",\n"),
+        mine = mine_rows.join(",\n"),
+    )
+}
 
 fn main() {
     let args = BenchArgs::parse();
-    let scale = args.scale(0.05, 1.0);
+    let scale = args.scale(0.02, 1.0);
     let max_threads = args.positional(1).map_or(8usize, |t| (t as usize).max(1));
     let reps = args.reps();
     let sweep = thread_sweep(max_threads, args.smoke);
 
-    // The paper's 40K performance point is a quarter of its 160K set.
-    let data = dataset_160k_like(scale * 0.25, 0x40);
-    let set = &data.set;
-    eprintln!(
-        "index_bench: {} ({} reads, {} residues), threads {:?}, {} rep(s)",
-        data.label,
-        set.len(),
-        set.total_residues(),
-        sweep.counts,
-        reps
-    );
+    let corpora = [
+        ("sparse", sparse_corpus(scale), true),
+        ("short_reads", short_read_corpus(scale), true),
+        ("repeats", repeat_corpus(), false),
+    ];
+    let blocks: Vec<String> = corpora
+        .iter()
+        .map(|(name, set, mine)| bench_corpus(name, set, *mine, &sweep.counts, reps))
+        .collect();
 
-    let pair_config = MaximalMatchConfig {
-        min_len: 15, // RR's ψ — the expensive pair-generation regime
-        max_pairs_per_node: 100_000,
-        dedup: true,
-    };
-
-    // Serial reference.
-    let (serial_index_s, gsa_serial) = time_min(reps, || GeneralizedSuffixArray::build(set));
-    let tree_serial = SuffixTree::build(&gsa_serial);
-    let (serial_pairgen_s, pairs_serial) = time_min(reps, || all_pairs(&tree_serial, pair_config));
-
-    // Downstream alignment work the generated pairs represent: the sum of
-    // full DP rectangles `|a|·|b|`. Cells/sec rates pair generation by the
-    // verification work it feeds, making runs at different scales (and the
-    // align bench) comparable on one axis.
-    let total_cells: u64 =
-        pairs_serial.iter().map(|p| set.seq_len(p.a) as u64 * set.seq_len(p.b) as u64).sum();
-    let serial_total = serial_index_s + serial_pairgen_s;
-
-    // Parallel path at each thread count; every point must be bit-identical
-    // to the serial reference — the whole point of the design.
-    let mut rows = Vec::new();
-    for &threads in &sweep.counts {
-        let (par_index_s, gsa_par) =
-            time_min(reps, || GeneralizedSuffixArray::build_parallel(set, threads));
-        let tree_par = SuffixTree::build(&gsa_par);
-        let (par_pairgen_s, (pairs_par, _stats)) =
-            time_min(reps, || parallel_pairs(&tree_par, pair_config, threads));
-        let identical = gsa_par.sa() == gsa_serial.sa()
-            && gsa_par.lcp() == gsa_serial.lcp()
-            && pairs_par == pairs_serial;
-        assert!(identical, "parallel output diverged from serial at {threads} threads");
-        let par_total = par_index_s + par_pairgen_s;
-        rows.push(format!(
-            concat!(
-                "    {{ \"threads\": {t}, \"index_s\": {pi:.6}, \"pairgen_s\": {pp:.6}, ",
-                "\"total_s\": {pt:.6}, \"cells_per_sec\": {cps:.0}, ",
-                "\"speedup\": {{ \"index\": {sx:.3}, \"pairgen\": {px:.3}, \"total\": {tx:.3} }} }}"
-            ),
-            t = threads,
-            pi = par_index_s,
-            pp = par_pairgen_s,
-            pt = par_total,
-            cps = total_cells as f64 / par_pairgen_s,
-            sx = serial_index_s / par_index_s,
-            px = serial_pairgen_s / par_pairgen_s,
-            tx = serial_total / par_total,
-        ));
-        eprintln!(
-            "index_bench: {threads} thread(s): total {par_total:.3}s ({:.2}x vs serial)",
-            serial_total / par_total
-        );
-    }
-
-    let caveat = sweep.caveat();
-    // The honesty guard: the per-thread timing table (with its embedded
-    // speedup ratios) is a scaling claim, so on a 1-core host the whole
-    // array is refused and replaced by the sentinel.
-    let scaling = sweep.scaling_field(&rows);
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"index\",\n",
-            "  \"dataset\": \"{label}\",\n",
-            "  \"n_seqs\": {n_seqs},\n",
-            "  \"total_residues\": {residues},\n",
             "  {cores_field},\n",
             "  \"core_caveat\": \"{caveat}\",\n",
             "  \"reps\": {reps},\n",
-            "  \"n_pairs\": {n_pairs},\n",
-            "  \"total_cells\": {cells},\n",
             "  \"outputs_identical\": true,\n",
-            "  \"serial\": {{ \"index_s\": {si:.6}, \"pairgen_s\": {sp:.6}, ",
-            "\"total_s\": {st:.6}, \"cells_per_sec\": {scps:.0} }},\n",
-            "  {scaling}\n",
+            "{blocks}\n",
             "}}\n"
         ),
-        label = data.label,
-        n_seqs = set.len(),
-        residues = set.total_residues(),
         cores_field = cores_field(sweep.cores),
-        caveat = caveat,
+        caveat = sweep.caveat(),
         reps = reps,
-        n_pairs = pairs_serial.len(),
-        cells = total_cells,
-        si = serial_index_s,
-        sp = serial_pairgen_s,
-        st = serial_total,
-        scps = total_cells as f64 / serial_pairgen_s,
-        scaling = scaling,
+        blocks = blocks.join(",\n"),
     );
-
-    if sweep.cores < max_threads {
-        eprintln!("index_bench: NOTE — {caveat}");
-    }
     emit("index", &json, args.smoke);
 }

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 use pfam_align::Anchor;
 use pfam_graph::CsrGraph;
 use pfam_seq::{materialize_subset, SeqId, SeqStore};
-use pfam_suffix::{maximal::all_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{maximal::all_pairs, with_match_tree};
 
 use crate::config::ClusterConfig;
 use crate::core::{Candidate, CorePhase, Verifier};
@@ -108,16 +108,8 @@ pub fn component_graph_with(
             pfam_suffix::estimated_index_bytes(subset.total_residues(), subset.len()),
         )
         .ok();
-    let gsa = GeneralizedSuffixArray::build(&subset);
-    let tree = SuffixTree::build(&gsa);
-    let pairs = all_pairs(
-        &tree,
-        MaximalMatchConfig {
-            min_len: config.psi_ccd,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        },
-    );
+    // One thread: components already run side by side in the back half.
+    let pairs = with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, all_pairs);
     let n_generated = pairs.len();
     // Pairs and codes both live in the subset's id space, so the
     // maximal-match anchor coordinates are valid as-is.

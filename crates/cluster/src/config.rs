@@ -38,9 +38,10 @@ pub struct ClusterConfig {
     /// path, `n` uses exactly `n` workers. Outputs are bit-identical for
     /// every value.
     pub threads: usize,
-    /// Whether to use the parallel index builders at all. On by default —
-    /// safe because parallel construction is output-identical to serial;
-    /// turn off to pin the serial code path (e.g. for ablation timing).
+    /// Whether index construction and mining may use more than one
+    /// worker. On by default — safe because the output is identical at
+    /// every thread count; turn off to run them on the calling thread
+    /// (e.g. for ablation timing).
     pub parallel_index: bool,
     /// Which alignment engine the verification alignments run through.
     /// `Tiered` (default) is length screen → one-pass fill → direction
@@ -300,8 +301,8 @@ impl ClusterConfig {
         ClusterConfig { psi_rr: 8, psi_ccd: 5, ..Default::default() }
     }
 
-    /// Effective thread count for index construction: `1` (serial) when
-    /// the parallel path is disabled, otherwise the `threads` knob as-is
+    /// Effective thread count for index construction: `1` when
+    /// `parallel_index` is off, otherwise the `threads` knob as-is
     /// (`0` still means "all cores"; resolution happens downstream).
     pub fn index_threads(&self) -> usize {
         if self.parallel_index {
@@ -344,6 +345,6 @@ mod tests {
         c.threads = 4;
         assert_eq!(c.index_threads(), 4);
         c.parallel_index = false;
-        assert_eq!(c.index_threads(), 1); // toggle pins the serial path
+        assert_eq!(c.index_threads(), 1); // toggle pins one worker
     }
 }

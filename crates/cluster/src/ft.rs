@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use pfam_mpi::{run_spmd_faulty, run_spmd_supervised, FaultInjector, RankOutcome, RespawnOptions};
 use pfam_seq::SequenceSet;
-use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
@@ -124,10 +124,24 @@ pub fn run_ccd_ft_supervised(
     // is the pre-failure collective phase, covered by checkpoint/restart
     // rather than in-job recovery.
     let index_set = crate::mask::index_view(set, &config.mask);
-    let threads = config.index_threads();
-    let gsa = GeneralizedSuffixArray::build_parallel(&index_set, threads);
-    let tree = SuffixTree::build(&gsa);
+    with_match_tree(
+        &index_set,
+        config.psi_ccd,
+        config.max_pairs_per_node,
+        config.index_threads(),
+        |tree, matches| run_ft_world(set, config, n_ranks, injector, tree, matches),
+    )
+}
 
+/// The SPMD world of [`run_ccd_ft_supervised`], over a finished index.
+fn run_ft_world(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    n_ranks: usize,
+    injector: Arc<dyn FaultInjector>,
+    tree: &SuffixTree<'_>,
+    matches: MaximalMatchConfig,
+) -> Result<(CcdResult, HealthReport), FtError> {
     let recovery = &config.recovery;
     let retry_policy = RetryPolicy {
         budget: recovery.retry_budget,
@@ -151,15 +165,7 @@ pub fn run_ccd_ft_supervised(
     type MasterResult = Result<(CcdResult, HealthReport), FtError>;
     let body = |comm: &mut pfam_mpi::Communicator| -> Option<MasterResult> {
         if comm.rank() == 0 {
-            let mut source = MinedSource::new(
-                &tree,
-                MaximalMatchConfig {
-                    min_len: config.psi_ccd,
-                    max_pairs_per_node: config.max_pairs_per_node,
-                    dedup: true,
-                },
-                threads,
-            );
+            let mut source = MinedSource::new(tree, matches, config.index_threads());
             let mut core = ClusterCore::new_ccd(set);
             let mut transport = MpiTransport::master(comm);
             let mut retry = Retry::new(&mut transport, retry_policy);

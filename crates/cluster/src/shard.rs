@@ -444,19 +444,29 @@ pub fn run_ccd_sharded_spmd(set: &SequenceSet, config: &ClusterConfig) -> CcdRes
     if set.is_empty() {
         return CcdResult::empty();
     }
-    let route_batch = config.shard.resolved_route_batch(config.batch_size);
     // Shared read-only state, built once (in MPI this would be the
     // distributed construction): the router mines the global stream from
     // the same masked index view every in-process driver uses.
     let index_set = crate::mask::index_view(set, &config.mask);
-    let gsa = pfam_suffix::GeneralizedSuffixArray::build(&index_set);
-    let tree = pfam_suffix::SuffixTree::build(&gsa);
-    let match_config = pfam_suffix::MaximalMatchConfig {
-        min_len: config.psi_ccd,
-        max_pairs_per_node: config.max_pairs_per_node,
-        dedup: true,
-    };
+    pfam_suffix::with_match_tree(
+        &index_set,
+        config.psi_ccd,
+        config.max_pairs_per_node,
+        config.index_threads(),
+        |tree, match_config| run_sharded_world(set, config, k, w, tree, match_config),
+    )
+}
 
+/// The SPMD world of [`run_ccd_sharded_spmd`], over a finished index.
+fn run_sharded_world(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    k: usize,
+    w: usize,
+    tree: &pfam_suffix::SuffixTree<'_>,
+    match_config: pfam_suffix::MaximalMatchConfig,
+) -> CcdResult {
+    let route_batch = config.shard.resolved_route_batch(config.batch_size);
     let n_ranks = 1 + k + k * w;
     let results = pfam_mpi::run_spmd(n_ranks, |comm| -> Option<CcdResult> {
         let rank = comm.rank();
@@ -464,7 +474,7 @@ pub fn run_ccd_sharded_spmd(set: &SequenceSet, config: &ClusterConfig) -> CcdRes
             // The router is alone in its split color (every rank must
             // join the collective), then routes and relays on the world.
             let _solo = comm.split(k, 0).expect("split on a healthy world cannot fail");
-            let mut source = crate::source::MinedSource::new(&tree, match_config, 1);
+            let mut source = crate::source::MinedSource::new(tree, match_config, 1);
             let mut transport = MpiTransport::master(comm);
             route_pairs(&mut transport, &mut source, k, route_batch);
             relay_merges(&mut transport, k);

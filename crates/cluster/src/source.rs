@@ -30,7 +30,7 @@ use std::ops::Range;
 
 use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore, SequenceSet};
 use pfam_suffix::{
-    estimated_index_bytes, promising_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
+    estimated_index_bytes, promising_pairs, with_match_tree, ChunkPlan, MatchPair,
     MaximalMatchConfig, MaximalMatchGenerator, PartitionedMiner, SuffixTree,
 };
 
@@ -275,11 +275,11 @@ impl<I: Iterator<Item = MatchPair>> PairSource for IterSource<I> {
     }
 }
 
-/// Build the suffix index for `set` (masked view, GSA, tree), open a
+/// Build the suffix index for `set` (masked view, GSA, ψ-pruned tree), open a
 /// [`MinedSource`] over it with match cutoff `psi`, and lend it to `f`.
 ///
-/// `threads` controls both index construction and mining (`1` pins the
-/// serial reference path, `0` uses all cores); every value is
+/// `threads` controls both index construction and mining (`1` runs them
+/// on the calling thread, `0` uses all cores); every value is
 /// output-identical.
 pub fn with_mined_source<R>(
     set: &SequenceSet,
@@ -289,18 +289,9 @@ pub fn with_mined_source<R>(
     f: impl FnOnce(&mut MinedSource<'_>) -> R,
 ) -> R {
     let index_set = crate::mask::index_view(set, &config.mask);
-    let gsa = GeneralizedSuffixArray::build_parallel(&index_set, threads);
-    let tree = SuffixTree::build(&gsa);
-    let mut source = MinedSource::new(
-        &tree,
-        MaximalMatchConfig {
-            min_len: psi,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        },
-        threads,
-    );
-    f(&mut source)
+    with_match_tree(&index_set, psi, config.max_pairs_per_node, threads, |tree, matches| {
+        f(&mut MinedSource::new(tree, matches, threads))
+    })
 }
 
 /// The budget-aware front door every in-process driver routes through:

@@ -23,7 +23,7 @@
 use pfam_mpi::run_spmd;
 use pfam_seq::SequenceSet;
 use pfam_suffix::distributed::PartitionedSuffixSpace;
-use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
@@ -53,10 +53,26 @@ fn run_push_spmd(
     // Shared read-only state, built once (in MPI this would be the
     // distributed construction; the partition assigns subtree ownership).
     let index_set = crate::mask::index_view(set, &config.mask);
-    let gsa = GeneralizedSuffixArray::build(&index_set);
-    let tree = SuffixTree::build(&gsa);
-    let partition = PartitionedSuffixSpace::new(&gsa, n_ranks - 1, PREFIX_LEN);
-    let nodes_per_worker = partition.nodes_per_rank(&tree, psi);
+    with_match_tree(
+        &index_set,
+        psi,
+        config.max_pairs_per_node,
+        config.index_threads(),
+        |tree, matches| run_push_world(set, config, n_ranks, phase, tree, matches),
+    )
+}
+
+/// The SPMD world of [`run_push_spmd`], over a finished index.
+fn run_push_world(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    n_ranks: usize,
+    phase: CorePhase,
+    tree: &SuffixTree<'_>,
+    matches: MaximalMatchConfig,
+) -> ClusterCoreOutcome {
+    let partition = PartitionedSuffixSpace::new(tree.gsa(), n_ranks - 1, PREFIX_LEN);
+    let nodes_per_worker = partition.nodes_per_rank(tree, matches.min_len);
 
     let results = run_spmd(n_ranks, |comm| -> Option<ClusterCoreOutcome> {
         if comm.rank() == 0 {
@@ -73,15 +89,8 @@ fn run_push_spmd(
                 CorePhase::Rr => ClusterCoreOutcome::Rr(RrResult::from_core(core)),
             })
         } else {
-            let mut source = MinedSource::partitioned(
-                &tree,
-                MaximalMatchConfig {
-                    min_len: psi,
-                    max_pairs_per_node: config.max_pairs_per_node,
-                    dedup: true,
-                },
-                nodes_per_worker[comm.rank() - 1].clone(),
-            );
+            let mut source =
+                MinedSource::partitioned(tree, matches, nodes_per_worker[comm.rank() - 1].clone());
             let verifier = Verifier::new(config, phase);
             let mut port = MpiWorkerPort::new(comm);
             serve_push_worker(&mut port, &mut source, &verifier, set, config.batch_size);

@@ -19,7 +19,7 @@
 use pfam_seq::{BudgetError, MemoryBudget, Reservation, SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
-use crate::parallel::{lcp_array_parallel, resolve_threads, suffix_array_parallel};
+use crate::parallel::{bucket_sort_index, lcp_array_parallel, resolve_threads};
 use crate::sais::suffix_array;
 
 /// Estimated resident bytes of a [`GeneralizedSuffixArray`] over
@@ -28,7 +28,8 @@ use crate::sais::suffix_array;
 /// plus one sentinel per sequence), plus the per-sequence start table.
 ///
 /// This is the figure the chunk planner and [`MemoryBudget`] account
-/// with; construction scratch (SA-IS recursion) is transient and not
+/// with; construction scratch (the bucket sort's 16-byte entry per text
+/// position, freed before the index is returned) is transient and not
 /// counted.
 pub fn estimated_index_bytes(n_residues: usize, n_seqs: usize) -> u64 {
     let text_len = n_residues as u64 + n_seqs as u64;
@@ -132,19 +133,20 @@ impl GeneralizedSuffixArray {
     /// Bit-identical to [`build`](Self::build) for every input — the
     /// suffixes of the encoded text are all distinct (unique sentinels,
     /// unique `X` characters), so the suffix order is unique and both
-    /// construction strategies must produce it. `threads == 1` *is* the
-    /// serial path.
+    /// construction strategies must produce it. Every thread count,
+    /// `1` included, runs [`bucket_sort_index`]; a text too repetitive
+    /// for it is indexed by SA-IS as in [`build`](Self::build).
     pub fn build_parallel(set: &SequenceSet, threads: usize) -> GeneralizedSuffixArray {
         assert!(!set.is_empty(), "cannot index an empty sequence set");
         let threads = resolve_threads(threads);
-        if threads <= 1 {
-            return GeneralizedSuffixArray::build(set);
-        }
         let n_seqs = set.len() as u32;
         let EncodedText { text, seq_of, starts, n_unknown } = encode_text(set);
-        let k = (n_seqs + ALPHABET_SIZE as u32 + n_unknown.max(1)) as usize;
-        let sa = suffix_array_parallel(&text, k, threads);
-        let lcp = lcp_array_parallel(&text, &sa, threads);
+        let (sa, lcp) = bucket_sort_index(&text, n_seqs, threads).unwrap_or_else(|| {
+            let k = (n_seqs + ALPHABET_SIZE as u32 + n_unknown.max(1)) as usize;
+            let sa = suffix_array(&text, k);
+            let lcp = lcp_array_parallel(&text, &sa, threads);
+            (sa, lcp)
+        });
         GeneralizedSuffixArray { text, sa, lcp, seq_of, starts, n_seqs, n_unknown }
     }
 

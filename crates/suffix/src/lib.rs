@@ -22,8 +22,9 @@
 //!   suffix space across `p` ranks (the PaCE distributed-GST scheme),
 //!   with per-rank size accounting for the performance model.
 //! * [`parallel`] — shared-memory parallel construction of the whole hot
-//!   path (suffix array, LCP, pair generation), bit-identical to the
-//!   serial reference for any thread count.
+//!   path (suffix array and LCP by residue-packed bucket sort, pair
+//!   generation), bit-identical to the serial reference for any thread
+//!   count, and [`with_match_tree`], the one index-and-mine entry.
 
 pub mod distributed;
 pub mod gsa;
@@ -41,8 +42,8 @@ pub mod ukkonen;
 pub use gsa::{estimated_index_bytes, GeneralizedSuffixArray};
 pub use maximal::{MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
 pub use parallel::{
-    lcp_array_parallel, parallel_pairs, promising_pairs, resolve_threads, suffix_array_parallel,
-    PairSource,
+    bucket_sort_index, bucket_sort_index_staged, lcp_array_parallel, parallel_pairs,
+    promising_pairs, resolve_threads, with_match_tree, PairSource, SortStages,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
 pub use probe::longest_common_match;

@@ -245,6 +245,7 @@ impl<'a> MaximalMatchGenerator<'a> {
         config: MaximalMatchConfig,
         nodes: Vec<NodeId>,
     ) -> Self {
+        assert!(tree.min_depth() <= config.min_len, "tree is pruned above the mining cut-off");
         debug_assert!(nodes.windows(2).all(|w| tree.depth(w[0]) >= tree.depth(w[1])));
         debug_assert!(nodes.iter().all(|&n| tree.depth(n) >= config.min_len));
         MaximalMatchGenerator {

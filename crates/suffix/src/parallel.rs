@@ -4,11 +4,15 @@
 //! Every routine here is **bit-identical** to its serial counterpart —
 //! parallelism changes wall-clock time, never output:
 //!
-//! * [`suffix_array_parallel`] sorts `(packed k-symbol prefix, position)`
-//!   pairs with a parallel merge sort. All suffixes of the indexed text
+//! * [`bucket_sort_index`] packs the leading twelve residues of every
+//!   suffix into one integer key, scatters the suffixes into 2¹⁵ buckets
+//!   by their leading three, and sorts each bucket independently; the LCP
+//!   array falls out of adjacent keys. All suffixes of the indexed text
 //!   are distinct (each sequence carries a unique sentinel), so the sorted
-//!   order is *unique* and must equal what SA-IS produces.
-//! * [`lcp_array_parallel`] uses the Φ-array (PLCP) formulation: the PLCP
+//!   order is *unique* and must equal what SA-IS produces. Texts whose
+//!   key ties run too deep (long exact repeats) are handed back to SA-IS.
+//! * [`lcp_array_parallel`] — the LCP pass of that SA-IS fallback — uses
+//!   the Φ-array (PLCP) formulation: the PLCP
 //!   recurrence runs over text positions, and restarting its `h` counter
 //!   at a chunk boundary only discards an acceleration bound, never
 //!   changes a value — so chunks fill independently and exactly.
@@ -20,22 +24,27 @@
 //!   depth, the concatenation *is* the decreasing-length merge; the
 //!   stream-level dedup filter then runs over it in that same order,
 //!   making every dedup decision identical to the serial walk's.
+//! * [`with_match_tree`] is the one place an index is built for mining:
+//!   GSA, then the interval tree pruned at ψ, lent to the caller.
 //!
 //! Threading is explicit (scoped OS threads with an atomic work cursor)
 //! rather than delegated to a global pool, so the `threads` knob in
 //! `ClusterConfig` bounds worker count deterministically; `threads == 0`
-//! means "all available cores" and `threads == 1` falls back to the
-//! serial reference implementations.
+//! means "all available cores" and `threads == 1` runs the same code on
+//! the calling thread.
 
-use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
+use std::time::Instant;
 
+use pfam_seq::{SequenceSet, ALPHABET_SIZE};
+
+use crate::gsa::GeneralizedSuffixArray;
 use crate::lcp::{lcp_array, phi_array, plcp_fill};
 use crate::maximal::{
     collect_node_pairs, GenerationStats, MatchPair, MaximalMatchConfig, MaximalMatchGenerator,
 };
-use crate::sais;
 use crate::tree::{NodeId, SuffixTree};
 
 /// Resolve a thread-count knob: `0` means every available core.
@@ -59,301 +68,428 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = threads.min(jobs);
+    let mut out: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
+    run_jobs(out.iter_mut().enumerate().collect(), threads, |(i, slot)| *slot = Some(f(i)));
+    out.into_iter().map(|r| r.expect("every job produced a result")).collect()
+}
+
+/// Run `f(job)` for every job on up to `threads` workers. Each job is
+/// claimed exactly once through the atomic cursor, so jobs may own
+/// disjoint `&mut` slices and need no further synchronisation.
+fn run_jobs<J, F>(jobs: Vec<J>, threads: usize, f: F)
+where
+    J: Send,
+    F: Fn(J) + Sync,
+{
+    let workers = threads.min(jobs.len());
     if workers <= 1 {
-        return (0..jobs).map(f).collect();
+        jobs.into_iter().for_each(f);
+        return;
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let cursor = AtomicUsize::new(0);
-    {
-        let f = &f;
-        let slots = &slots;
-        let cursor = &cursor;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    *slots[i].lock().expect("job slot poisoned") = Some(f(i));
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("job slot poisoned").expect("every job produced a result"))
-        .collect()
+    let (f, slots, cursor) = (&f, &slots, &cursor);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(move || {
+                while let Some(slot) = slots.get(cursor.fetch_add(1, AtomicOrdering::Relaxed)) {
+                    let job = slot
+                        .lock()
+                        .expect("job slot poisoned")
+                        .take()
+                        .expect("each job is claimed exactly once");
+                    f(job);
+                }
+            });
+        }
+    });
 }
 
 /// Split `data` into chunks of `chunk_size` and run `f(offset, chunk)` on
-/// up to `threads` workers. Chunks are disjoint `&mut` slices, so no
-/// synchronisation beyond the work cursor is needed.
-/// A one-shot work item: the offset of a chunk plus the chunk itself,
-/// claimed exactly once through the mutex.
-type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-
+/// up to `threads` workers.
 fn for_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_size = chunk_size.max(1);
-    let chunks: Vec<ChunkSlot<'_, T>> = data
-        .chunks_mut(chunk_size)
-        .enumerate()
-        .map(|(i, c)| Mutex::new(Some((i * chunk_size, c))))
-        .collect();
-    let jobs = chunks.len();
-    let workers = threads.min(jobs);
-    if workers <= 1 {
-        for slot in chunks {
-            let (off, chunk) = slot.into_inner().expect("chunk slot poisoned").expect("filled");
-            f(off, chunk);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let chunks = &chunks;
-    let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let (off, chunk) = chunks[i]
-                    .lock()
-                    .expect("chunk slot poisoned")
-                    .take()
-                    .expect("each chunk is taken exactly once");
-                f(off, chunk);
-            });
-        }
-    });
+    let jobs: Vec<(usize, &mut [T])> =
+        data.chunks_mut(chunk_size).enumerate().map(|(i, c)| (i * chunk_size, c)).collect();
+    run_jobs(jobs, threads, |(off, chunk)| f(off, chunk));
 }
 
 // ---------------------------------------------------------------------------
-// Parallel suffix array
+// Suffix array + LCP by residue-packed bucket sort
 // ---------------------------------------------------------------------------
 
-/// Pack the leading symbols of each suffix into a radix key plus the
-/// parameters needed to reason about ties.
-struct KeyScheme {
-    /// Bits per packed symbol.
-    bits: u32,
-    /// Symbols per key.
-    k: usize,
-    /// `true` when every text symbol fits in `bits` unmodified, so equal
-    /// keys imply the first `k` symbols are equal and tie-breaking may
-    /// skip them.
-    exact: bool,
+/// Symbols packed into one sort key.
+const KEY_SYMBOLS: usize = 12;
+/// Bits per packed symbol class.
+const CLASS_BITS: u32 = 5;
+/// Leading key symbols the counting scatter buckets on.
+const BUCKET_SYMBOLS: u32 = 3;
+const BUCKET_BITS: u32 = BUCKET_SYMBOLS * CLASS_BITS;
+const N_BUCKETS: usize = 1 << BUCKET_BITS;
+/// Low key bits holding the count of residues before the key's terminator.
+const LEN_BITS: u32 = 4;
+/// Symbol class of a unique-`X` character. Class 0 is a sentinel and
+/// residue code `c` is class `c + 1`, so class order is text order.
+const X_CLASS: u64 = ALPHABET_SIZE as u64 + 1;
+/// Key-tied suffixes are re-keyed [`KEY_SYMBOLS`] deeper, level by level.
+/// A text may spend this many re-keyed symbols per position; past that the
+/// ties are long repeats whose resolution is quadratic, and the bucket
+/// sort is abandoned for SA-IS. A re-keyed symbol costs about 2 ns and
+/// SA-IS with its LCP pass 120–180 ns per position, so giving up at 32
+/// wastes at most about half of what the fallback then costs; the
+/// benchmark's most redundant input (14 % contained copies) spends 17.
+const TIE_BUDGET_PER_POSITION: usize = 32;
+
+/// One suffix in the sort: its packed key, then its text position. The
+/// derived order is key-major, which is all the bucket sort needs.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    key: u64,
+    pos: u32,
 }
 
-impl KeyScheme {
-    fn for_alphabet(alphabet_size: usize) -> KeyScheme {
-        let distinct = alphabet_size.max(2);
-        let need = usize::BITS - (distinct - 1).leading_zeros();
-        let bits = need.clamp(1, 16);
-        KeyScheme { bits, k: (64 / bits) as usize, exact: need <= 16 }
-    }
+#[inline]
+fn bucket_of(key: u64) -> usize {
+    (key >> (u64::BITS - BUCKET_BITS)) as usize
+}
 
-    /// Packed key of the suffix starting at `i`.
-    ///
-    /// Positions past the end of the text pad with `0`. Padding cannot
-    /// cause a false tie in `exact` mode: a suffix shorter than `k`
-    /// symbols contains its sequence's *unique* sentinel, which no other
-    /// suffix can match symbol-for-symbol.
-    ///
-    /// In capped mode (alphabet wider than 2¹⁶), the first saturated
-    /// symbol freezes the remainder of the key at the cap value. This
-    /// keeps the key order consistent with true suffix order: two keys
-    /// can only differ at a position where both symbols are below the
-    /// cap — i.e. faithful — because a saturated position forces the
-    /// rest of both keys to the same frozen tail, turning the pair into
-    /// a tie resolved by full comparison.
+/// Residues before the terminator within the key ([`KEY_SYMBOLS`] when the
+/// key holds no terminator).
+#[inline]
+fn key_len(key: u64) -> usize {
+    (key & ((1 << LEN_BITS) - 1)) as usize
+}
+
+/// Leading symbols two *different* keys share. A terminator ends its key,
+/// so the first differing symbol differs in the text too and this is the
+/// exact common-prefix length of the two suffixes.
+#[inline]
+fn common_symbols(a: u64, b: u64) -> u32 {
+    (a ^ b).leading_zeros() / CLASS_BITS
+}
+
+/// A GSA-encoded text (see [`crate::gsa`]) viewed as 5-bit symbol classes:
+/// sentinels (`< n_seqs`) are class 0, residue code `c` is class `c + 1`,
+/// every unique-`X` character is [`X_CLASS`]. Sentinels and `X`s are
+/// *terminators*: each occurs once in the text, so a key stops at the
+/// first one and two suffixes with equal keys ending in a terminator are
+/// ordered by that one text character.
+struct KeyedText<'a> {
+    text: &'a [u32],
+    n_seqs: u32,
+}
+
+impl KeyedText<'_> {
     #[inline]
-    fn key(&self, text: &[u32], i: usize) -> u64 {
-        let n = text.len();
-        let mut key = 0u64;
-        if self.exact {
-            for j in 0..self.k {
-                let sym = if i + j < n { text[i + j] as u64 } else { 0 };
-                key = (key << self.bits) | sym;
-            }
-        } else {
-            let cap = (1u64 << self.bits) - 1;
-            let mut saturated = false;
-            for j in 0..self.k {
-                let sym = if saturated {
-                    cap
-                } else if i + j < n {
-                    (text[i + j] as u64).min(cap)
-                } else {
-                    0
-                };
-                saturated |= sym == cap;
-                key = (key << self.bits) | sym;
-            }
-        }
-        key
-    }
-
-    /// Text offset at which tie-breaking between equal keys must start.
-    fn tie_break_skip(&self) -> usize {
-        if self.exact {
-            self.k
-        } else {
+    fn class(&self, v: u32) -> u64 {
+        if v < self.n_seqs {
             0
-        }
-    }
-}
-
-/// Merge two runs already ordered by `cmp` into `dst`.
-fn merge_runs<T: Copy>(
-    a: &[T],
-    b: &[T],
-    dst: &mut [T],
-    cmp: &(impl Fn(&T, &T) -> Ordering + Sync),
-) {
-    debug_assert_eq!(a.len() + b.len(), dst.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in dst.iter_mut() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => cmp(x, y) != Ordering::Greater,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_a {
-            *slot = a[i];
-            i += 1;
         } else {
-            *slot = b[j];
-            j += 1;
+            ((v - self.n_seqs) as u64 + 1).min(X_CLASS)
+        }
+    }
+
+    #[inline]
+    fn is_terminator(class: u64) -> bool {
+        class == 0 || class == X_CLASS
+    }
+
+    /// Key of the suffix at `i`: up to [`KEY_SYMBOLS`] classes from the
+    /// top bit down, zero-padded after a terminator, then the residue
+    /// count in the low [`LEN_BITS`]. Never reads past the text: its last
+    /// character is a sentinel.
+    fn key_at(&self, i: usize) -> u64 {
+        let mut key = 0u64;
+        for j in 0..KEY_SYMBOLS {
+            let class = self.class(self.text[i + j]);
+            key |= class << (u64::BITS - CLASS_BITS * (j as u32 + 1));
+            if Self::is_terminator(class) {
+                return key | j as u64;
+            }
+        }
+        key | KEY_SYMBOLS as u64
+    }
+
+    /// Call `f(i, key_at(i))` for every `i` in `range`, high to low, in
+    /// O(1) per position: the key at `i` is its own class followed by the
+    /// first eleven symbols of the key at `i + 1`.
+    fn scan_keys(&self, range: Range<usize>, mut f: impl FnMut(usize, u64)) {
+        let mut key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
+        for i in range.rev() {
+            let class = self.class(self.text[i]);
+            let top = class << (u64::BITS - CLASS_BITS);
+            key = if Self::is_terminator(class) {
+                top
+            } else {
+                let symbols = (key >> (LEN_BITS + CLASS_BITS)) << LEN_BITS;
+                top | symbols | (key_len(key) + 1).min(KEY_SYMBOLS) as u64
+            };
+            f(i, key);
         }
     }
 }
 
-/// Parallel merge sort: sort `threads` contiguous runs concurrently, then
-/// merge adjacent runs pairwise round by round. Deterministic for any
-/// thread count (the comparator is a total order here — all suffixes are
-/// distinct — so stability is moot).
-fn parallel_sort<T>(v: &mut Vec<T>, threads: usize, cmp: impl Fn(&T, &T) -> Ordering + Sync)
-where
-    T: Copy + Send + Sync,
-{
-    let n = v.len();
-    if threads <= 1 || n < 2 {
-        v.sort_unstable_by(&cmp);
-        return;
-    }
-    let run_len = n.div_ceil(threads);
-    for_chunks_mut(v, run_len, threads, |_, chunk| chunk.sort_unstable_by(&cmp));
-
-    // Run boundaries: [0, run_len, 2·run_len, …, n].
-    let mut bounds: Vec<usize> = (0..n).step_by(run_len).collect();
-    bounds.push(n);
-
-    let mut src: Vec<T> = std::mem::take(v);
-    let mut dst: Vec<T> = src.clone();
-    while bounds.len() > 2 {
-        let n_pairs = (bounds.len() - 1) / 2;
-        {
-            // Carve dst into one disjoint slice per merge pair (plus the
-            // odd tail run, copied verbatim).
-            let mut rest: &mut [T] = &mut dst;
-            let mut taken = 0usize;
-            let mut pair_slices = Vec::with_capacity(n_pairs + 1);
-            for p in 0..n_pairs {
-                let (lo, mid, hi) = (bounds[2 * p], bounds[2 * p + 1], bounds[2 * p + 2]);
-                let (head, tail) = rest.split_at_mut(hi - taken);
-                pair_slices.push((lo, mid, hi, head));
-                rest = tail;
-                taken = hi;
-            }
-            if taken < n {
-                rest.copy_from_slice(&src[taken..]);
-            }
-            let src_ref = &src;
-            let cmp_ref = &cmp;
-            // `(lo, mid, hi, out)` merge jobs, claimed once each.
-            type MergeSlot<'a, T> = Mutex<Option<(usize, usize, usize, &'a mut [T])>>;
-            let tasks: Vec<MergeSlot<'_, T>> =
-                pair_slices.into_iter().map(|t| Mutex::new(Some(t))).collect();
-            let cursor = AtomicUsize::new(0);
-            let tasks_ref = &tasks;
-            let cursor_ref = &cursor;
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n_pairs) {
-                    scope.spawn(move || loop {
-                        let i = cursor_ref.fetch_add(1, AtomicOrdering::Relaxed);
-                        if i >= n_pairs {
-                            break;
-                        }
-                        let (lo, mid, hi, out) = tasks_ref[i]
-                            .lock()
-                            .expect("merge task poisoned")
-                            .take()
-                            .expect("each merge task runs once");
-                        merge_runs(&src_ref[lo..mid], &src_ref[mid..hi], out, cmp_ref);
-                    });
-                }
-            });
+/// Contiguous bucket ranges holding roughly `1 / parts` of the entries
+/// each; together they cover every bucket. `starts[b]` is the first rank
+/// of bucket `b`.
+fn bucket_groups(starts: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let n = starts[N_BUCKETS];
+    let mut groups = Vec::with_capacity(parts);
+    let mut lo = 0;
+    for g in 1..=parts {
+        let hi = if g == parts {
+            N_BUCKETS
+        } else {
+            starts.partition_point(|&s| s < n * g / parts).clamp(lo, N_BUCKETS)
+        };
+        if hi > lo {
+            groups.push(lo..hi);
+            lo = hi;
         }
-        std::mem::swap(&mut src, &mut dst);
-        bounds = bounds.iter().copied().step_by(2).chain(std::iter::once(n)).collect();
-        bounds.dedup();
     }
-    *v = src;
+    groups
 }
 
-/// Build the suffix array of `text` with up to `threads` workers.
-///
-/// Same contract as [`sais::suffix_array`] (non-empty text ending in a
-/// unique smallest sentinel, all values `< alphabet_size`) and the same
-/// output — the suffix order of a text whose suffixes are all distinct
-/// is unique, so this is checked, not hoped for, by the property tests.
-pub fn suffix_array_parallel(text: &[u32], alphabet_size: usize, threads: usize) -> Vec<u32> {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return sais::suffix_array(text, alphabet_size);
-    }
-    let n = text.len();
-    assert!(!text.is_empty(), "suffix array input must be non-empty");
-    let last = *text.last().expect("non-empty");
-    assert!(
-        text[..n - 1].iter().all(|&c| c > last),
-        "input must end with a unique smallest sentinel"
-    );
-
-    let scheme = KeyScheme::for_alphabet(alphabet_size);
-    let mut entries: Vec<(u64, u32)> = vec![(0, 0); n];
-    for_chunks_mut(&mut entries, n.div_ceil(threads * 4), threads, |off, chunk| {
-        for (d, e) in chunk.iter_mut().enumerate() {
-            let i = off + d;
-            *e = (scheme.key(text, i), i as u32);
-        }
-    });
-
-    let skip = scheme.tie_break_skip();
-    let cmp = |a: &(u64, u32), b: &(u64, u32)| -> Ordering {
-        a.0.cmp(&b.0).then_with(|| {
-            let (pa, pb) = (a.1 as usize + skip, b.1 as usize + skip);
-            text[pa.min(n)..].cmp(&text[pb.min(n)..])
+/// Cut `data` (one element per rank) into the rank ranges of `groups`.
+fn carve<'a, T>(
+    mut data: &'a mut [T],
+    starts: &[usize],
+    groups: &[Range<usize>],
+) -> Vec<&'a mut [T]> {
+    groups
+        .iter()
+        .map(|g| {
+            let (head, tail) =
+                std::mem::take(&mut data).split_at_mut(starts[g.end] - starts[g.start]);
+            data = tail;
+            head
         })
+        .collect()
+}
+
+/// A worker's scratch across the buckets of its jobs.
+#[derive(Default)]
+struct TieWork {
+    /// `(lo, hi, depth)`: entries `lo..hi` of the current bucket agree on
+    /// their first `depth` symbols and still need ordering from there on.
+    pending: Vec<(usize, usize, usize)>,
+    /// Re-keyed symbols not yet added to [`BucketSorter::spent`].
+    uncharged: usize,
+}
+
+/// Shared state of the sort jobs.
+struct BucketSorter<'a> {
+    keyed: KeyedText<'a>,
+    /// Re-keyed symbols spent resolving ties, over all workers. Relaxed:
+    /// it publishes nothing, and the verdict is read after the workers
+    /// join.
+    spent: AtomicUsize,
+    limit: usize,
+}
+
+impl BucketSorter<'_> {
+    /// Workers add to `spent` in batches of this many symbols: one
+    /// contended atomic per tied pair would cost more than re-keying it.
+    const CHARGE_BATCH: usize = 1 << 14;
+
+    fn over_budget(&self) -> bool {
+        self.spent.load(AtomicOrdering::Relaxed) > self.limit
+    }
+
+    fn charge(&self, work: &mut TieWork) {
+        self.spent.fetch_add(std::mem::take(&mut work.uncharged), AtomicOrdering::Relaxed);
+    }
+
+    /// Sort one bucket's entries into suffix order and write the LCP of
+    /// every rank but the bucket's first (that one spans two buckets).
+    /// Returns `false` once the tie budget is spent.
+    fn sort_bucket(&self, bucket: &mut [Entry], lcp: &mut [u32], work: &mut TieWork) -> bool {
+        let text = self.keyed.text;
+        work.pending.push((0, bucket.len(), 0));
+        while let Some((lo, hi, depth)) = work.pending.pop() {
+            let part = &mut bucket[lo..hi];
+            if depth > 0 {
+                work.uncharged += part.len() * KEY_SYMBOLS;
+                if work.uncharged >= Self::CHARGE_BATCH {
+                    self.charge(work);
+                    if self.over_budget() {
+                        work.pending.clear();
+                        return false;
+                    }
+                }
+                for e in part.iter_mut() {
+                    e.key = self.keyed.key_at(e.pos as usize + depth);
+                }
+            }
+            part.sort_unstable();
+            let mut a = 0;
+            while a < part.len() {
+                let key = part[a].key;
+                let b = a + part[a..].iter().take_while(|e| e.key == key).count();
+                if a > 0 {
+                    lcp[lo + a] = depth as u32 + common_symbols(part[a - 1].key, key);
+                }
+                if b - a > 1 {
+                    let len = key_len(key);
+                    if len < KEY_SYMBOLS {
+                        // Equal up to a terminator, which is unique.
+                        part[a..b].sort_unstable_by_key(|e| text[e.pos as usize + depth + len]);
+                        lcp[lo + a + 1..lo + b].fill((depth + len) as u32);
+                    } else {
+                        work.pending.push((lo + a, lo + b, depth + KEY_SYMBOLS));
+                    }
+                }
+                a = b;
+            }
+        }
+        true
+    }
+}
+
+/// A suffix array and its LCP array, both indexed by rank.
+pub type SaLcp = (Vec<u32>, Vec<u32>);
+
+/// Suffix array and LCP array of a GSA-encoded `text` over `n_seqs`
+/// sequences, with up to `threads` workers, or `None` when the text is so
+/// repetitive that resolving key ties would cost more than
+/// [`TIE_BUDGET_PER_POSITION`] symbols per position — the caller then
+/// runs SA-IS, whose worst case is linear.
+///
+/// Every suffix gets a 12-symbol key ([`KeyedText`]); a counting scatter
+/// on the leading three symbols places it in one of 2¹⁵ buckets, and each
+/// bucket is sorted on its own, handed out through the work cursor. Keys
+/// order suffixes exactly up to their first difference, so the LCP of two
+/// neighbours with different keys is read off the keys; only neighbours
+/// tied on all twelve symbols are re-keyed deeper. The suffixes of the
+/// text are all distinct, so the result is the one SA-IS produces.
+///
+/// `text` must be what [`crate::gsa`] encodes: sentinels `< n_seqs` (each
+/// once, the last character being one), residues `n_seqs..n_seqs + 20`,
+/// and above that characters that occur once each.
+pub fn bucket_sort_index(text: &[u32], n_seqs: u32, threads: usize) -> Option<SaLcp> {
+    bucket_sort_index_staged(text, n_seqs, threads).0
+}
+
+/// Wall-clock seconds of the passes of [`bucket_sort_index`], in order:
+/// keys + bucket counts, keys + scatter, per-bucket sort with LCP, and
+/// bucket-boundary LCP + suffix-array extraction (`index_bench` rows).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SortStages {
+    /// Rolling keys over text chunks into per-chunk bucket histograms.
+    pub count_s: f64,
+    /// Rolling keys again, each worker placing its own buckets' entries.
+    pub scatter_s: f64,
+    /// Independent bucket sorts, tie resolution and in-bucket LCP.
+    pub sort_lcp_s: f64,
+    /// Bucket-boundary LCP values and the copy of positions into the SA.
+    pub extract_s: f64,
+}
+
+/// [`bucket_sort_index`] plus how long each pass took.
+pub fn bucket_sort_index_staged(
+    text: &[u32],
+    n_seqs: u32,
+    threads: usize,
+) -> (Option<SaLcp>, SortStages) {
+    let mut stages = SortStages::default();
+    let mut clock = Instant::now();
+    let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
+    let threads = resolve_threads(threads);
+    let n = text.len();
+    assert!(text.last().is_some_and(|&c| c < n_seqs), "text must end with a sentinel");
+    assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
+    let sorter = BucketSorter {
+        keyed: KeyedText { text, n_seqs },
+        spent: AtomicUsize::new(0),
+        limit: n.saturating_mul(TIE_BUDGET_PER_POSITION),
     };
-    parallel_sort(&mut entries, threads, cmp);
+    let keyed = &sorter.keyed;
+
+    // Bucket sizes, counted per text chunk.
+    let chunk = n.div_ceil(threads * 4);
+    let n_chunks = n.div_ceil(chunk);
+    let counts = parallel_jobs(n_chunks, threads, |c| {
+        let mut counts = vec![0u32; N_BUCKETS];
+        keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| counts[bucket_of(key)] += 1);
+        counts
+    });
+    let mut starts = vec![0usize; N_BUCKETS + 1];
+    for b in 0..N_BUCKETS {
+        starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
+    }
+    let starts = &starts;
+    stages.count_s = lap();
+
+    // Scatter: every worker owns a contiguous run of buckets — a disjoint
+    // slice of `entries` — and picks its suffixes out of one pass over
+    // the text, so no two workers ever write the same slot.
+    let mut entries = vec![Entry::default(); n];
+    let groups = bucket_groups(starts, threads);
+    let jobs: Vec<_> = groups.iter().cloned().zip(carve(&mut entries, starts, &groups)).collect();
+    run_jobs(jobs, threads, |(group, slots)| {
+        let base = starts[group.start];
+        let mut next: Vec<usize> = starts[group.clone()].iter().map(|&s| s - base).collect();
+        keyed.scan_keys(0..n, |i, key| {
+            if let Some(slot) =
+                bucket_of(key).checked_sub(group.start).and_then(|b| next.get_mut(b))
+            {
+                slots[*slot] = Entry { key, pos: i as u32 };
+                *slot += 1;
+            }
+        });
+    });
+    stages.scatter_s = lap();
+
+    // Sort each bucket on its own; LCP values inside a bucket fall out of
+    // the sort.
+    let mut lcp = vec![0u32; n];
+    let groups = bucket_groups(starts, threads * 16);
+    let jobs: Vec<_> = groups
+        .iter()
+        .cloned()
+        .zip(carve(&mut entries, starts, &groups).into_iter().zip(carve(&mut lcp, starts, &groups)))
+        .collect();
+    run_jobs(jobs, threads, |(group, (entries, lcp))| {
+        let base = starts[group.start];
+        let mut work = TieWork::default();
+        for b in group {
+            let ranks = starts[b] - base..starts[b + 1] - base;
+            if sorter.over_budget()
+                || !sorter.sort_bucket(&mut entries[ranks.clone()], &mut lcp[ranks], &mut work)
+            {
+                break;
+            }
+        }
+        sorter.charge(&mut work);
+    });
+    stages.sort_lcp_s = lap();
+    if sorter.over_budget() {
+        return (None, stages);
+    }
+
+    // The first rank of a bucket against the last of the previous one:
+    // their leading three symbols differ, and those are the bucket ids.
+    let mut occupied = (0..N_BUCKETS).filter(|&b| starts[b + 1] > starts[b]);
+    if let Some(mut prev) = occupied.next() {
+        for b in occupied {
+            let shift = u64::BITS - BUCKET_BITS;
+            lcp[starts[b]] = common_symbols((prev as u64) << shift, (b as u64) << shift);
+            prev = b;
+        }
+    }
 
     let mut sa = vec![0u32; n];
     for_chunks_mut(&mut sa, n.div_ceil(threads), threads, |off, chunk| {
-        for (d, s) in chunk.iter_mut().enumerate() {
-            *s = entries[off + d].1;
+        for (s, e) in chunk.iter_mut().zip(&entries[off..]) {
+            *s = e.pos;
         }
     });
-    sa
+    stages.extract_s = lap();
+    (Some((sa, lcp)), stages)
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +538,7 @@ pub fn parallel_pairs(
     config: MaximalMatchConfig,
     threads: usize,
 ) -> (Vec<MatchPair>, GenerationStats) {
+    assert!(tree.min_depth() <= config.min_len, "tree is pruned above the mining cut-off");
     let threads = resolve_threads(threads);
     let queue: Vec<NodeId> = tree
         .nodes_by_depth_desc()
@@ -494,12 +631,29 @@ pub fn promising_pairs<'a>(
     }
 }
 
+/// Index `set` for mining at cut-off `psi` and lend the result to `f`:
+/// the generalized suffix array on up to `threads` workers, the interval
+/// tree pruned at `psi` (no miner visits a shallower node), and the
+/// generator configuration that goes with them. Every production miner
+/// builds its index here.
+pub fn with_match_tree<R>(
+    set: &SequenceSet,
+    psi: u32,
+    max_pairs_per_node: usize,
+    threads: usize,
+    f: impl FnOnce(&SuffixTree<'_>, MaximalMatchConfig) -> R,
+) -> R {
+    let gsa = GeneralizedSuffixArray::build_parallel(set, threads);
+    let tree = SuffixTree::build_pruned(&gsa, psi);
+    f(&tree, MaximalMatchConfig { min_len: psi, max_pairs_per_node, dedup: true })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gsa::GeneralizedSuffixArray;
     use crate::maximal::all_pairs;
-    use pfam_seq::{SequenceSet, SequenceSetBuilder};
+    use crate::sais;
+    use pfam_seq::SequenceSetBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -515,44 +669,59 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..sigma) + 1).chain(std::iter::once(0)).collect()
     }
 
+    /// SA-IS + Kasai over the same text: the oracle.
+    fn reference_index(text: &[u32]) -> SaLcp {
+        let k = *text.iter().max().expect("non-empty") as usize + 1;
+        let sa = sais::suffix_array(text, k);
+        let lcp = lcp_array(text, &sa);
+        (sa, lcp)
+    }
+
     #[test]
-    fn parallel_sa_matches_sais_on_random_texts() {
+    fn bucket_sort_matches_sais_on_random_texts() {
+        // One sequence, residues 1..=sigma, sentinel 0.
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..25 {
             let n = rng.gen_range(1..400);
-            let sigma = rng.gen_range(1..8u32);
+            let sigma = rng.gen_range(2..8u32);
             let text = random_text(&mut rng, n, sigma);
-            let k = sigma as usize + 2;
-            let expect = sais::suffix_array(&text, k);
-            for threads in [2, 3, 8] {
-                assert_eq!(suffix_array_parallel(&text, k, threads), expect);
+            let expect = reference_index(&text);
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(bucket_sort_index(&text, 1, threads), Some(expect.clone()));
             }
         }
     }
 
     #[test]
-    fn parallel_sa_handles_degenerate_texts() {
-        // All-equal symbols: every key collides, the tie-break does all
-        // the work.
+    fn bucket_sort_handles_degenerate_texts() {
+        // All-equal symbols, short enough to stay inside the tie budget:
+        // every key collides and the deeper levels do all the work.
         let mut text = vec![3u32; 64];
         text.push(0);
-        assert_eq!(suffix_array_parallel(&text, 5, 4), sais::suffix_array(&text, 5));
+        assert_eq!(bucket_sort_index(&text, 1, 4), Some(reference_index(&text)));
         // Tiny texts.
         for text in [vec![0u32], vec![1, 0], vec![2, 1, 0]] {
-            assert_eq!(suffix_array_parallel(&text, 3, 4), sais::suffix_array(&text, 3));
+            assert_eq!(bucket_sort_index(&text, 1, 4), Some(reference_index(&text)));
         }
     }
 
     #[test]
-    fn capped_keys_stay_consistent_with_suffix_order() {
-        // Alphabet wider than 2^16 forces the saturating key path.
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..10 {
-            let n = rng.gen_range(2..200);
-            let mut text: Vec<u32> = (0..n).map(|_| rng.gen_range(0..200_000u32) + 1).collect();
-            text.push(0);
-            let k = 200_002usize;
-            assert_eq!(suffix_array_parallel(&text, k, 4), sais::suffix_array(&text, k));
+    fn long_repeats_are_handed_back() {
+        let mut text = vec![3u32; 5_000];
+        text.push(0);
+        assert_eq!(bucket_sort_index(&text, 1, 2), None);
+    }
+
+    #[test]
+    fn rolling_keys_equal_direct_keys() {
+        let set = set_of(&["MKVLWAAKNDCQEGHMKVLW", "A", "WXXWMKVXW", "MKVLWAAKNDCQEGHMKVLW"]);
+        let gsa = GeneralizedSuffixArray::build(&set);
+        let keyed = KeyedText { text: gsa.text(), n_seqs: gsa.n_seqs() };
+        for range in [0..gsa.text_len(), 3..17, 20..21] {
+            let mut seen = Vec::new();
+            keyed.scan_keys(range.clone(), |i, key| seen.push((i, key)));
+            let direct: Vec<_> = range.rev().map(|i| (i, keyed.key_at(i))).collect();
+            assert_eq!(seen, direct);
         }
     }
 

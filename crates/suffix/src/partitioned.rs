@@ -43,10 +43,9 @@ use std::ops::Range;
 
 use pfam_seq::{BudgetError, MemoryBudget, Reservation, SeqId, SequenceSet, SequenceSetBuilder};
 
-use crate::gsa::{estimated_index_bytes, GeneralizedSuffixArray};
+use crate::gsa::estimated_index_bytes;
 use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig};
-use crate::parallel::promising_pairs;
-use crate::tree::SuffixTree;
+use crate::parallel::{promising_pairs, with_match_tree};
 
 /// Ceiling on one chunk's text length (residues + sentinels): half the
 /// `u32` position space minus margin, so the *union* text of any two
@@ -301,11 +300,21 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
             return;
         }
         let n_i = self.plan.chunk_len(i);
-        let gsa = GeneralizedSuffixArray::build_parallel(&union, self.threads);
-        let tree = SuffixTree::build(&gsa);
-        let mut source = promising_pairs(&tree, self.config, self.threads);
         debug_assert!(self.buffer.is_empty());
-        for p in source.by_ref() {
+        // Mined under the miner's own config: its `dedup` is the caller's.
+        let (config, threads) = (self.config, self.threads);
+        let (pairs, task_stats) = with_match_tree(
+            &union,
+            config.min_len,
+            config.max_pairs_per_node,
+            threads,
+            |tree, _| {
+                let mut source = promising_pairs(tree, config, threads);
+                let pairs: Vec<MatchPair> = source.by_ref().collect();
+                (pairs, source.stats())
+            },
+        );
+        for p in pairs {
             // Cross-chunk tasks keep only cross-chunk pairs: intra-chunk
             // pairs belong to (and are emitted by) the diagonal tasks.
             if i != j && (p.a.0 < n_i) == (p.b.0 < n_i) {
@@ -320,7 +329,6 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
             ));
         }
         self.stats.pairs_emitted += self.buffer.len();
-        let task_stats = source.stats();
         self.stats.nodes_visited += task_stats.nodes_visited;
         self.stats.pairs_deduped += task_stats.pairs_deduped;
         self.stats.pairs_capped += task_stats.pairs_capped;
@@ -365,6 +373,7 @@ fn concat_sets(a: &SequenceSet, b: &SequenceSet) -> SequenceSet {
 mod tests {
     use super::*;
     use crate::maximal::all_pairs;
+    use crate::{GeneralizedSuffixArray, SuffixTree};
     use pfam_seq::SequenceSetBuilder;
     use std::collections::HashSet;
 

@@ -18,109 +18,121 @@ pub type NodeId = u32;
 #[derive(Debug)]
 pub struct SuffixTree<'a> {
     gsa: &'a GeneralizedSuffixArray,
+    /// Nodes shallower than this (other than the root) are not held.
+    min_depth: u32,
     /// String depth of each internal node.
     depths: Vec<u32>,
     /// SA rank range `[l, r)` of each internal node.
     ranges: Vec<(u32, u32)>,
-    /// Internal-node children of each internal node.
-    children: Vec<Vec<NodeId>>,
+    /// Internal-node children of every node, one run per node.
+    child_ids: Vec<NodeId>,
+    /// Where in `child_ids` each node's children lie.
+    child_runs: Vec<(u32, u32)>,
     /// Parent of each internal node (root's parent is itself).
     parents: Vec<NodeId>,
 }
 
 impl<'a> SuffixTree<'a> {
     /// Build the lcp-interval tree of `gsa`.
-    #[allow(clippy::needless_range_loop)] // lcp[i] pairs with boundary index i
     pub fn build(gsa: &'a GeneralizedSuffixArray) -> SuffixTree<'a> {
+        SuffixTree::build_pruned(gsa, 0)
+    }
+
+    /// Build the lcp-interval tree of `gsa` without the intervals shallower
+    /// than `min_depth`: the root, then exactly the nodes of depth
+    /// ≥ `min_depth` the full tree has — same ranges, same children, same
+    /// relative order in [`nodes_by_depth_desc`](Self::nodes_by_depth_desc)
+    /// — each hanging off its nearest kept ancestor. Mining at ψ visits no
+    /// other node, and on metagenomic input they are a few per cent of the
+    /// tree. `min_depth == 0` is the full tree.
+    #[allow(clippy::needless_range_loop)] // lcp[i] pairs with boundary index i
+    pub fn build_pruned(gsa: &'a GeneralizedSuffixArray, min_depth: u32) -> SuffixTree<'a> {
         let lcp = gsa.lcp();
         let n = gsa.sa().len();
 
+        /// An interval still open on the stack; its children so far are
+        /// `kids[first_kid..]`, above those of the intervals beneath it.
         struct Open {
             depth: u32,
             lb: u32,
-            children: Vec<NodeId>,
+            first_kid: usize,
         }
-        let mut nodes_depth: Vec<u32> = Vec::new();
-        let mut nodes_range: Vec<(u32, u32)> = Vec::new();
-        let mut nodes_children: Vec<Vec<NodeId>> = Vec::new();
-        let mut stack: Vec<Open> = vec![Open { depth: 0, lb: 0, children: Vec::new() }];
-
-        let close = |open: Open,
-                     rb: u32,
-                     nodes_depth: &mut Vec<u32>,
-                     nodes_range: &mut Vec<(u32, u32)>,
-                     nodes_children: &mut Vec<Vec<NodeId>>|
-         -> NodeId {
-            let id = nodes_depth.len() as NodeId;
-            nodes_depth.push(open.depth);
-            nodes_range.push((open.lb, rb));
-            nodes_children.push(open.children);
-            id
-        };
+        // Node 0 is the root; the others are numbered as their intervals
+        // close.
+        let mut depths: Vec<u32> = vec![0];
+        let mut ranges: Vec<(u32, u32)> = vec![(0, n as u32)];
+        let mut child_runs: Vec<(u32, u32)> = vec![(0, 0)];
+        let mut child_ids: Vec<NodeId> = Vec::new();
+        let mut kids: Vec<NodeId> = Vec::new();
+        let mut stack: Vec<Open> = vec![Open { depth: 0, lb: 0, first_kid: 0 }];
+        // Depth of the first interval the unpruned scan closes: the LCP
+        // value before the array's first descent.
+        let mut first_closed_depth: Option<u32> = None;
+        let mut prev_lcp = 0;
 
         for i in 1..=n {
-            let l = if i < n { lcp[i] } else { 0 };
+            let full = if i < n { lcp[i] } else { 0 };
+            if first_closed_depth.is_none() && full < prev_lcp {
+                first_closed_depth = Some(prev_lcp);
+            }
+            prev_lcp = full;
+            // A boundary below the cut separates top-level kept intervals
+            // exactly as a boundary at the root's depth does.
+            let l = if full >= min_depth { full } else { 0 };
             // A newly opened interval always includes the previous rank.
             let mut lb = (i - 1) as u32;
-            let mut pending: Option<NodeId> = None;
+            let mut first_kid = kids.len();
             while l < stack.last().expect("root never popped").depth {
                 let top = stack.pop().expect("checked non-empty");
                 lb = top.lb;
-                let id =
-                    close(top, i as u32, &mut nodes_depth, &mut nodes_range, &mut nodes_children);
-                let parent_depth = stack.last().expect("root remains").depth;
-                if l <= parent_depth {
-                    stack.last_mut().expect("root remains").children.push(id);
-                } else {
-                    pending = Some(id);
-                }
+                let id = depths.len() as NodeId;
+                depths.push(top.depth);
+                ranges.push((top.lb, i as u32));
+                child_runs.push((child_ids.len() as u32, (kids.len() - top.first_kid) as u32));
+                child_ids.extend(kids.drain(top.first_kid..));
+                // The closed node is a child of the interval beneath it, or
+                // the first child of the one about to open around it.
+                first_kid = kids.len();
+                kids.push(id);
             }
             if l > stack.last().expect("root remains").depth {
-                let children = pending.take().into_iter().collect();
-                stack.push(Open { depth: l, lb, children });
+                stack.push(Open { depth: l, lb, first_kid });
             }
-            debug_assert!(pending.is_none(), "pending child must have been attached");
         }
-        // Close the root over the full rank range.
         debug_assert_eq!(stack.len(), 1);
-        let root_open = stack.pop().expect("root");
-        debug_assert_eq!(root_open.depth, 0);
-        let root_children = root_open.children;
-        // Re-number so the root is node 0: append it, then swap into place.
-        let root_id = nodes_depth.len() as NodeId;
-        nodes_depth.push(0);
-        nodes_range.push((0, n as u32));
-        nodes_children.push(root_children);
-        // Swap root to index 0, fixing child references.
-        if root_id != 0 {
-            nodes_depth.swap(0, root_id as usize);
-            nodes_range.swap(0, root_id as usize);
-            nodes_children.swap(0, root_id as usize);
-            for kids in nodes_children.iter_mut() {
-                for k in kids.iter_mut() {
-                    if *k == 0 {
-                        *k = root_id;
-                    } else if *k == root_id {
-                        *k = 0;
-                    }
-                }
+        child_runs[0] = (child_ids.len() as u32, kids.len() as u32);
+        child_ids.append(&mut kids);
+
+        // Pair order is pipeline output (redundancy removal is order-
+        // sensitive) and depth ties in `nodes_by_depth_desc` fall to the
+        // id, so ids must rank the kept nodes the same way at every
+        // `min_depth`: in closing order, except that the first interval
+        // the unpruned scan closes carries the last id. When that interval
+        // is kept it is node 1 here; move it to the end.
+        let last = depths.len() - 1;
+        if last > 1 && first_closed_depth.is_some_and(|d| d >= min_depth) {
+            depths[1..].rotate_left(1);
+            ranges[1..].rotate_left(1);
+            child_runs[1..].rotate_left(1);
+            for k in child_ids.iter_mut() {
+                *k = if *k == 1 { last as NodeId } else { *k - 1 };
             }
         }
 
-        let mut parents = vec![0 as NodeId; nodes_depth.len()];
-        for (id, kids) in nodes_children.iter().enumerate() {
-            for &k in kids {
+        let mut parents = vec![0 as NodeId; depths.len()];
+        for (id, &(start, len)) in child_runs.iter().enumerate() {
+            for &k in &child_ids[start as usize..(start + len) as usize] {
                 parents[k as usize] = id as NodeId;
             }
         }
 
-        SuffixTree {
-            gsa,
-            depths: nodes_depth,
-            ranges: nodes_range,
-            children: nodes_children,
-            parents,
-        }
+        SuffixTree { gsa, min_depth, depths, ranges, child_ids, child_runs, parents }
+    }
+
+    /// Depth below which this tree holds no node but the root (`0` for
+    /// the full tree).
+    pub fn min_depth(&self) -> u32 {
+        self.min_depth
     }
 
     /// The underlying generalized suffix array.
@@ -148,7 +160,8 @@ impl<'a> SuffixTree<'a> {
     /// Internal-node children of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.children[node as usize]
+        let (start, len) = self.child_runs[node as usize];
+        &self.child_ids[start as usize..(start + len) as usize]
     }
 
     /// Parent of `node` (the root is its own parent).
@@ -197,8 +210,10 @@ impl<'a> SuffixTree<'a> {
     }
 
     /// Locate all occurrences of `pattern` (residue codes) by tree descent,
-    /// returning `(sequence, offset)` pairs sorted ascending.
+    /// returning `(sequence, offset)` pairs sorted ascending. Needs the
+    /// full tree.
     pub fn find(&self, pattern: &[u8]) -> Vec<(SeqId, u32)> {
+        assert_eq!(self.min_depth, 0, "pattern search descends from the root of the full tree");
         if pattern.is_empty() {
             return Vec::new();
         }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, rustfmt check, lint wall, root-package
-# tests, workspace tests, the driver-equivalence matrix, the seeded
+# Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
+# index tests under a timeout, root-package tests, workspace tests, the driver-equivalence matrix, the seeded
 # work-stealing identity suites, the shard-plane identity suite,
 # index-bench, align-bench, bgg-dsd-bench, steal-bench and shard-bench
 # smoke passes (bit-identity checks on tiny workloads), the
@@ -104,6 +104,14 @@ for f in crates/align/src/engine.rs crates/align/src/onepass.rs; do
         exit 1
     fi
 done
+
+echo "== tier1: repeat-corpus index tests under a timeout =="
+# Homopolymers, identical reads, a 10^5-long tandem repeat: inputs on
+# which resolving suffix-key ties by comparison is quadratic. The bucket
+# sort must give up on them and SA-IS finish in seconds; a return of the
+# quadratic path fails here instead of hanging the suites below.
+cargo test -q -p pfam-suffix --test parallel_props --no-run
+timeout 120 cargo test -q -p pfam-suffix --test parallel_props repeat_corpus
 
 echo "== tier1: cargo test -q (root package) =="
 cargo test -q
