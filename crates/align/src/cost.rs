@@ -2,9 +2,8 @@
 //!
 //! Verification cost varies by orders of magnitude across pairs: the
 //! one-pass fill of [`crate::engine`] costs the full rectangle `m·n`, a
-//! pair the length screen rejects costs nothing. A scheduler that packs
-//! work by pair count therefore routinely puts ten rounds of work in one
-//! batch and none in the next.
+//! pair the length screen rejects costs nothing. A lease's expected
+//! service time therefore cannot be read off its pair count.
 //!
 //! [`CostModel`] predicts the cells a pair will actually cost as
 //! `m·n × escape_rate`, where the rate — the share of rectangle cells that
@@ -17,17 +16,17 @@
 //! length product.
 //!
 //! The model is deliberately *scheduling-only*: predictions decide how
-//! work is chunked and leased, never what a verdict is, so a stale or
-//! even wildly wrong estimate can cost wall-clock but cannot change
-//! components. That is what makes lock-free sharing (two atomics, relaxed
-//! ordering) safe — readers may see the totals mid-update and the worst
-//! case is a slightly off chunk boundary.
+//! a lease is re-issued speculatively, never what a verdict is, so a
+//! stale or even wildly wrong estimate can cost wall-clock but cannot
+//! change components. That is what makes lock-free sharing (two atomics,
+//! relaxed ordering) safe — readers may see the totals mid-update and the
+//! worst case is a slightly off deadline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cells a pair is predicted to cost even when the screen resolves it:
-/// cache misses, dispatch. Keeps predictions nonzero so chunk packing
-/// never treats a pair as free.
+/// cache misses, dispatch. Keeps predictions nonzero so no lease is
+/// ever predicted free.
 const FLOOR_CELLS: u64 = 64;
 
 /// The escape rate never drops below this: even a workload the screen

@@ -22,8 +22,8 @@
 //! * [`onepass`] — that fill: one row-major Smith–Waterman pass (AVX2 with
 //!   a scalar twin) producing score, argmax and a direction byte per cell.
 //! * [`cost`] — the online per-pair cost predictor (`m·n` scaled by the
-//!   share of rectangles the engine's screen lets through) that cost-aware
-//!   schedulers pack and steal by.
+//!   share of rectangles the engine's screen lets through) behind the
+//!   pull scheduler's speculation deadlines.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
@@ -32,11 +32,8 @@ pub mod banded;
 pub mod cost;
 pub mod criteria;
 pub mod engine;
-pub mod extend;
 pub mod global;
-pub mod hirschberg;
 pub mod local;
-pub mod msa;
 pub mod onepass;
 pub mod render;
 mod scratch;
@@ -47,13 +44,10 @@ pub use banded::banded_global_affine;
 pub use cost::CostModel;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
 pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict};
-pub use extend::{xdrop_extend, Extension};
 pub use global::{
     global_affine, global_affine_with, global_linear, global_score, global_score_with,
 };
-pub use hirschberg::hirschberg;
 pub use local::{local_affine, local_affine_with, local_score, local_score_with};
-pub use msa::{star_alignment, StarAlignment};
 pub use onepass::OnePassFill;
 pub use render::render_alignment;
 pub use scratch::AlignScratch;

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use pfam_align::{
-    banded_global_affine, global_affine, global_linear, global_score, hirschberg, local_affine,
-    local_score, semiglobal_affine, xdrop_extend,
+    banded_global_affine, global_affine, global_linear, global_score, local_affine, local_score,
+    semiglobal_affine,
 };
 use pfam_seq::{ScoringScheme, SubstMatrix};
 
@@ -36,18 +36,6 @@ proptest! {
         prop_assert_eq!(
             global_linear(&x, &y, gap, &s).score,
             global_affine(&x, &y, &s).score
-        );
-    }
-
-    #[test]
-    fn hirschberg_equals_full_linear_dp(x in residues(40), y in residues(40), gap in 1i32..5) {
-        if x.is_empty() && y.is_empty() {
-            return Ok(());
-        }
-        let s = ScoringScheme::linear(SubstMatrix::blosum62().clone(), -gap);
-        prop_assert_eq!(
-            hirschberg(&x, &y, gap, &s).score,
-            global_linear(&x, &y, gap, &s).score
         );
     }
 
@@ -106,30 +94,5 @@ proptest! {
         prop_assert!(st.positives + st.gap_cols <= st.columns);
         prop_assert!(st.x_span <= x.len());
         prop_assert!(st.y_span <= y.len());
-    }
-
-    #[test]
-    fn xdrop_extension_contains_its_seed(
-        seed in prop::collection::vec(0u8..20, 3..8),
-        left in residues(10),
-        right in residues(10),
-        other_left in residues(10),
-        other_right in residues(10),
-    ) {
-        let x: Vec<u8> = [left.clone(), seed.clone(), right.clone()].concat();
-        let y: Vec<u8> = [other_left.clone(), seed.clone(), other_right.clone()].concat();
-        let ext = xdrop_extend(
-            &x,
-            &y,
-            left.len(),
-            other_left.len(),
-            seed.len(),
-            SubstMatrix::blosum62(),
-            10,
-        );
-        prop_assert!(ext.x_range.0 <= left.len());
-        prop_assert!(ext.x_range.1 >= left.len() + seed.len());
-        prop_assert_eq!(ext.x_range.1 - ext.x_range.0, ext.y_range.1 - ext.y_range.0);
-        prop_assert!(ext.matches >= seed.iter().filter(|&&c| c != 20).count());
     }
 }

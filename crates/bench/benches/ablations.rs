@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pfam_bench::dataset_160k_like;
-use pfam_cluster::{run_ccd, run_ccd_master_worker, ClusterConfig};
+use pfam_cluster::{run_ccd, ClusterConfig};
 use pfam_graph::{greedy_dense_decomposition, BipartiteGraph};
 use pfam_seq::complexity::MaskParams;
 use pfam_shingle::{
@@ -34,11 +34,6 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("batched_rayon", |b| {
         b.iter(|| black_box(run_ccd(black_box(&data.set), &config)))
     });
-    for workers in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("master_worker", workers), &workers, |b, &w| {
-            b.iter(|| black_box(run_ccd_master_worker(black_box(&data.set), &config, w)))
-        });
-    }
     for ranks in [3usize, 5] {
         group.bench_with_input(BenchmarkId::new("spmd", ranks), &ranks, |b, &r| {
             b.iter(|| black_box(pfam_cluster::run_ccd_spmd(black_box(&data.set), &config, r)))

@@ -146,52 +146,6 @@ fn bench_shingle(c: &mut Criterion) {
 fn bench_extensions(c: &mut Criterion) {
     let mut group = c.benchmark_group("extensions");
     let mut rng = StdRng::seed_from_u64(9);
-    // Hirschberg on long near-identical pairs.
-    let x = random_peptide(&mut rng, 2_000);
-    let mut y = x.clone();
-    for _ in 0..20 {
-        let at = rng.gen_range(0..y.len());
-        y[at] = rng.gen_range(0..20u8);
-    }
-    let lin = pfam_seq::ScoringScheme::linear(pfam_seq::SubstMatrix::blosum62().clone(), -4);
-    group.bench_function("hirschberg_2k", |b| {
-        b.iter(|| black_box(pfam_align::hirschberg(black_box(&x), black_box(&y), 4, &lin)))
-    });
-    // X-drop extension along the whole pair.
-    group.bench_function("xdrop_extend_2k", |b| {
-        b.iter(|| {
-            black_box(pfam_align::xdrop_extend(
-                black_box(&x),
-                black_box(&y),
-                1_000,
-                1_000,
-                10,
-                pfam_seq::SubstMatrix::blosum62(),
-                20,
-            ))
-        })
-    });
-    // Minimizer selection over a long read.
-    let long = random_peptide(&mut rng, 20_000);
-    group.bench_function("minimizers_w10_k5_20k", |b| {
-        b.iter(|| black_box(pfam_seq::minimizers(black_box(&long), 10, 5)))
-    });
-    // Star MSA of a 12-member family.
-    let family: Vec<Vec<u8>> = (0..12)
-        .map(|_| {
-            let mut m = x[..200].to_vec();
-            for _ in 0..10 {
-                let at = rng.gen_range(0..m.len());
-                m[at] = rng.gen_range(0..20u8);
-            }
-            m
-        })
-        .collect();
-    let refs: Vec<&[u8]> = family.iter().map(Vec::as_slice).collect();
-    let scheme = ScoringScheme::blosum62_default();
-    group.bench_function("star_msa_12x200", |b| {
-        b.iter(|| black_box(pfam_align::star_alignment(black_box(&refs), &scheme)))
-    });
     // k-core + peeling on a random graph.
     let n = 5_000u32;
     let edges: Vec<(u32, u32)> =

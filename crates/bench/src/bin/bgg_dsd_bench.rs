@@ -1,8 +1,8 @@
 //! BGG→DSD back-half benchmark: the barrier data flow (all component
 //! graphs, then all dense-subgraph detection) vs the fused streaming
-//! executor, plus the scalar vs batched min-wise rank kernel on the same
-//! component population — emitting a machine-readable `BENCH_bgg_dsd.json`
-//! alongside `BENCH_index.json` and `BENCH_align.json`.
+//! executor on the same component population — emitting a
+//! machine-readable `BENCH_bgg_dsd.json` alongside `BENCH_index.json` and
+//! `BENCH_align.json`.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin bgg_dsd_bench [scale]
@@ -11,24 +11,13 @@
 //!
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
-//! that streaming and barrier outputs are identical, and that the scalar
-//! and batched kernels produce identical dense subgraphs.
-//!
-//! Caveat recorded in the JSON: on a single-core host the streaming
-//! executor cannot overlap components across workers, so its edge there
-//! comes only from arena reuse and the shared rank tables; the
-//! barrier-elimination win needs real parallel hardware.
+//! that streaming and barrier outputs are identical.
 
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
 };
 use pfam_core::{barrier_components, stream_components, ComponentOutput, PipelineConfig};
-use pfam_graph::BipartiteGraph;
 use pfam_seq::SeqId;
-use pfam_shingle::{
-    detect_dense_subgraphs_with, DenseSubgraphConfig, RankKernel, ReductionMode, ShingleArena,
-    ShingleStats,
-};
 
 fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput]) -> bool {
     a.len() == b.len()
@@ -39,25 +28,6 @@ fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput]) -> bool {
                 && x.subgraphs == y.subgraphs
                 && x.stats == y.stats
         })
-}
-
-/// Run DSD serially over every `Bd` graph with a pinned kernel, returning
-/// the subgraphs plus total shingle work.
-fn dsd_all(
-    outputs: &[ComponentOutput],
-    dsd: &DenseSubgraphConfig,
-    kernel: RankKernel,
-) -> (Vec<Vec<Vec<u32>>>, ShingleStats) {
-    let mut arena = ShingleArena::with_kernel(kernel);
-    let mut all = Vec::with_capacity(outputs.len());
-    let mut stats = ShingleStats::default();
-    for out in outputs {
-        let bd = BipartiteGraph::duplicate_from(&out.graph.graph);
-        let (subgraphs, s) = detect_dense_subgraphs_with(&bd, dsd, &mut arena);
-        stats.absorb(&s);
-        all.push(subgraphs);
-    }
-    (all, stats)
 }
 
 fn main() {
@@ -91,26 +61,9 @@ fn main() {
     // ---- Barrier vs streaming executor. ----
     let (barrier_s, barrier_out) = time_min(reps, || barrier_components(set, &config, &queue));
     let (stream_s, stream_out) = time_min(reps, || stream_components(set, &config, &queue));
-    let exec_identical = outputs_identical(&stream_out, &barrier_out);
-    assert!(exec_identical, "streaming outputs diverged from barrier — this is a bug");
+    let identical = outputs_identical(&stream_out, &barrier_out);
+    assert!(identical, "streaming outputs diverged from barrier — this is a bug");
 
-    // ---- Scalar vs batched rank kernel, same component population. ----
-    let dsd = DenseSubgraphConfig {
-        params: config.shingle,
-        mode: ReductionMode::GlobalSimilarity { tau: 0.5 },
-        min_size: config.min_subgraph_size,
-        disjoint: true,
-    };
-    let batched_kernel = RankKernel::detect();
-    let (scalar_s, (scalar_subs, scalar_stats)) =
-        time_min(reps, || dsd_all(&barrier_out, &dsd, RankKernel::Scalar));
-    let (batched_s, (batched_subs, _)) =
-        time_min(reps, || dsd_all(&barrier_out, &dsd, batched_kernel));
-    let kernel_identical = scalar_subs == batched_subs;
-    assert!(kernel_identical, "batched kernel diverged from scalar — this is a bug");
-    let shingles = (scalar_stats.pass1_shingles + scalar_stats.pass2_shingles) as f64;
-
-    let identical = exec_identical && kernel_identical;
     let n_components = queue.len() as f64;
     let cores = detected_cores();
     let json = format!(
@@ -125,13 +78,7 @@ fn main() {
             "  \"outputs_identical\": {identical},\n",
             "  \"barrier\": {{ \"seconds\": {bs:.6}, \"components_per_sec\": {bcps:.1} }},\n",
             "  \"streaming\": {{ \"seconds\": {ss:.6}, \"components_per_sec\": {scps:.1} }},\n",
-            "  {streaming_speedup},\n",
-            "  \"rank_kernel\": {{\n",
-            "    \"scalar\": {{ \"seconds\": {ks:.6}, \"shingles_per_sec\": {ksps:.0} }},\n",
-            "    \"batched\": {{ \"label\": \"{kl}\", \"seconds\": {kb:.6}, \"shingles_per_sec\": {kbps:.0} }},\n",
-            "    {kernel_speedup}\n",
-            "  }},\n",
-            "  \"note\": \"single-core hosts see no cross-worker overlap; streaming gains there are arena reuse + largest-first order only\"\n",
+            "  {streaming_speedup}\n",
             "}}\n"
         ),
         label = data.label,
@@ -145,19 +92,8 @@ fn main() {
         ss = stream_s,
         scps = n_components / stream_s,
         streaming_speedup = claim_f64(cores, "streaming_speedup", barrier_s / stream_s),
-        ks = scalar_s,
-        ksps = shingles / scalar_s,
-        kl = batched_kernel.label(),
-        kb = batched_s,
-        kbps = shingles / batched_s,
-        kernel_speedup = claim_f64(cores, "speedup", scalar_s / batched_s),
     );
 
-    eprintln!(
-        "bgg_dsd_bench: {:.2}x streaming vs barrier, {:.2}x {} vs scalar",
-        barrier_s / stream_s,
-        scalar_s / batched_s,
-        batched_kernel.label()
-    );
+    eprintln!("bgg_dsd_bench: {:.2}x streaming vs barrier", barrier_s / stream_s);
     emit("bgg_dsd", &json, args.smoke);
 }

@@ -15,9 +15,7 @@
 use std::sync::Arc;
 
 use pfam_bench::{cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs};
-use pfam_cluster::{
-    run_ccd, run_ccd_from_pairs, run_ccd_master_worker, run_ccd_spmd, CcdResult, ClusterConfig,
-};
+use pfam_cluster::{run_ccd, run_ccd_from_pairs, run_ccd_spmd, CcdResult, ClusterConfig};
 use pfam_mpi::NoFaults;
 use pfam_seq::SequenceSet;
 use pfam_suffix::{
@@ -69,13 +67,10 @@ fn main() {
     push("batched", s, r);
     let (s, r) = time_min(reps, || run_ccd_from_pairs(set, pairs.clone(), &config));
     push("from_pairs", s, r);
-    let (s, r) =
-        time_min(reps, || run_ccd_master_worker(set, &config, 2).expect("no injected faults").0);
-    push("master_worker", s, r);
     let (s, r) = time_min(reps, || run_ccd_spmd(set, &config, 3));
     push("spmd", s, r);
     let (s, r) = time_min(reps, || {
-        pfam_cluster::run_ccd_ft(set, &config, 3, Arc::new(NoFaults)).expect("fault-free world")
+        pfam_cluster::run_ccd_ft(set, &config, 3, Arc::new(NoFaults)).expect("fault-free world").0
     });
     push("ft", s, r);
 

@@ -7,8 +7,7 @@
 
 use pfam_bench::{dataset_160k_like, scaled_members};
 use pfam_cluster::{
-    run_ccd, run_ccd_sharded_detailed, run_redundancy_removal, ClusterConfig, PhaseTrace,
-    ShardParams,
+    run_ccd, run_ccd_sharded, run_redundancy_removal, ClusterConfig, PhaseTrace, ShardParams,
 };
 use pfam_sim::{simulate_phase, simulate_sharded, speedup_sweep, MachineModel};
 
@@ -78,7 +77,7 @@ fn main() {
                 shard: ShardParams { shards: k, ..Default::default() },
                 ..config.clone()
             };
-            let run = run_ccd_sharded_detailed(&nr, &cfg);
+            let run = run_ccd_sharded(&nr, &cfg);
             let traces: Vec<&PhaseTrace> = run.shard_traces.iter().collect();
             simulate_sharded(&traces, &machine, p, nr.len()).seconds
         };

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pfam_bench::{claim, cores_field, detected_cores, emit, time_min, BenchArgs};
-use pfam_cluster::{run_ccd, run_ccd_ft_supervised, ClusterConfig, HealthReport, RecoveryParams};
+use pfam_cluster::{run_ccd, run_ccd_ft, ClusterConfig, HealthReport, RecoveryParams};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_mpi::NoFaults;
 use pfam_seq::SequenceSet;
@@ -96,7 +96,7 @@ fn main() {
                     Arc::new(FaultSchedule::new().with(FaultEvent::KillRank { rank: 1, event: 8 }))
                 }
             };
-            run_ccd_ft_supervised(&set, &config, n_ranks, injector)
+            run_ccd_ft(&set, &config, n_ranks, injector)
                 .expect("the supervised engine recovers from a single worker kill")
         });
         assert_eq!(

@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use pfam_bench::{claim, cores_field, dataset_160k_like, detected_cores, emit, BenchArgs};
-use pfam_cluster::{run_ccd, run_ccd_sharded_detailed, ClusterConfig, PhaseTrace, ShardParams};
+use pfam_cluster::{run_ccd, run_ccd_sharded, ClusterConfig, PhaseTrace, ShardParams};
 use pfam_sim::{simulate_phase, simulate_sharded, MachineModel};
 
 /// One rung of the simulated p-sweep.
@@ -61,7 +61,7 @@ fn main() {
             ..config.clone()
         };
         let t0 = Instant::now();
-        let run = run_ccd_sharded_detailed(set, &cfg);
+        let run = run_ccd_sharded(set, &cfg);
         let wall = t0.elapsed().as_secs_f64();
         if k == 4 {
             sharded_wall = wall;

@@ -10,7 +10,6 @@
 
 use rayon::prelude::*;
 
-use pfam_align::Anchor;
 use pfam_graph::CsrGraph;
 use pfam_seq::{materialize_subset, SeqId, SeqStore};
 use pfam_suffix::{maximal::all_pairs, with_match_tree};
@@ -111,14 +110,8 @@ pub fn component_graph_with(
     // One thread: components already run side by side in the back half.
     let pairs = with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, all_pairs);
     let n_generated = pairs.len();
-    // Pairs and codes both live in the subset's id space, so the
-    // maximal-match anchor coordinates are valid as-is.
     scratch.candidates.clear();
-    scratch.candidates.extend(pairs.iter().map(|p| Candidate {
-        a: p.a,
-        b: p.b,
-        anchor: Some(Anchor { x_pos: p.a_pos, y_pos: p.b_pos, len: p.len }),
-    }));
+    scratch.candidates.extend(pairs.iter().map(|p| Candidate { a: p.a, b: p.b }));
     let verifier = Verifier::new(config, CorePhase::Ccd);
     let verdicts = verifier.verify_par(&subset, &scratch.candidates);
     scratch.edges.clear();

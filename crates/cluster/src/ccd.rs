@@ -19,10 +19,9 @@ pub use crate::core::CcdCursor;
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
-use crate::policy::{BatchedPush, StealingPush, WorkPolicy};
-use crate::source::{with_source, with_source_pinned, IterSource};
+use crate::policy::{BatchedPush, WorkPolicy};
+use crate::source::{with_source_pinned, IterSource};
 use crate::trace::PhaseTrace;
-use pfam_align::CostModel;
 
 /// Outcome of the CCD phase.
 #[derive(Debug, Clone)]
@@ -61,47 +60,9 @@ impl CcdResult {
 /// ```
 pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
     if config.shard.enabled() {
-        return crate::shard::run_ccd_sharded(set, config);
-    }
-    if config.steal.enabled {
-        return run_ccd_stealing(set, config);
+        return crate::shard::run_ccd_sharded(set, config).result;
     }
     run_ccd_resumable(set, config, None, 0, &mut |_| {})
-}
-
-/// [`run_ccd`] driven by the cost-model work-stealing scheduler
-/// ([`crate::policy::StealingPush`]): candidates are packed into
-/// roughly-equal predicted-cells chunks and idle workers steal the heavy
-/// tail. Components are bit-identical to [`run_ccd`]'s batched reference
-/// for every knob in [`crate::config::StealParams`] — the driver matrix
-/// and the steal property suites assert this. Checkpoint emission stays
-/// with the batched policy (`run_ccd_resumable`), whose cursor semantics
-/// the resume suites pin.
-pub fn run_ccd_stealing(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
-    if set.is_empty() {
-        return CcdResult::empty();
-    }
-    with_source(set, config, config.psi_ccd, config.index_threads(), |source| {
-        let mut core = ClusterCore::new_ccd(set);
-        let verifier = Verifier::new(config, CorePhase::Ccd);
-        let cost = CostModel::new();
-        StealingPush {
-            source: &mut *source,
-            verifier: &verifier,
-            cost: &cost,
-            n_workers: config.steal.resolved_workers(),
-            round_pairs: config.steal.resolved_round_pairs(config.batch_size),
-            chunks_per_worker: config.steal.chunks_per_worker.max(1),
-            steal_seed: config.steal.seed,
-            stealing: true,
-            deal: crate::policy::DealPlan::Lpt,
-            steals_by_worker: Vec::new(),
-        }
-        .drive(&mut core)
-        .expect("the stealing in-process policy cannot fail");
-        core.set_nodes_visited(source.nodes_visited());
-        CcdResult::from_core(core)
-    })
 }
 
 /// [`run_ccd`] with checkpoint/restart hooks: optionally resume from a
@@ -158,6 +119,7 @@ pub fn run_ccd_resumable(
 /// Run the CCD master loop over an explicit pair stream — the ablation
 /// hook: feeding the same pairs in a different order shows how much the
 /// longest-match-first discipline contributes to the filter's savings.
+/// Sharded when `config.shard` says so, like [`run_ccd`].
 pub fn run_ccd_from_pairs(
     set: &dyn SeqStore,
     pairs: Vec<pfam_suffix::MatchPair>,
@@ -167,6 +129,9 @@ pub fn run_ccd_from_pairs(
         return CcdResult::empty();
     }
     let mut source = IterSource::new(pairs.into_iter());
+    if config.shard.enabled() {
+        return crate::shard::shard_plane(set, config, &mut source).result;
+    }
     let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd);
     BatchedPush {
@@ -328,26 +293,6 @@ mod tests {
             assert_eq!(resumed.edges, full.edges);
             assert_eq!(resumed.n_merges, full.n_merges);
             assert_eq!(resumed.trace, full.trace, "trace must replay exactly");
-        }
-    }
-
-    #[test]
-    fn stealing_driver_matches_batched_reference() {
-        use pfam_datagen::{DatasetConfig, SyntheticDataset};
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(21));
-        let cfg = ClusterConfig::default();
-        let reference = run_ccd(&d.set, &cfg);
-        for workers in [1usize, 2, 4] {
-            let steal_cfg = ClusterConfig {
-                steal: crate::config::StealParams { enabled: true, workers, ..Default::default() },
-                ..cfg.clone()
-            };
-            // `run_ccd` routes through `run_ccd_stealing` when enabled.
-            let r = run_ccd(&d.set, &steal_cfg);
-            assert_eq!(r.components, reference.components, "{workers} workers");
-            assert_eq!(r.n_merges, reference.n_merges, "{workers} workers");
-            assert_eq!(r.trace.total_generated(), reference.trace.total_generated());
-            assert!(r.trace.total_chunks() > 0, "steal counters must be recorded");
         }
     }
 

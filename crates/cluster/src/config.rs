@@ -48,18 +48,13 @@ pub struct ClusterConfig {
     /// traceback; `Reference` pins the full-matrix baseline. Verdicts — and therefore components and
     /// `families.tsv` — are bit-identical for both.
     pub align_engine: AlignEngineKind,
-    /// Cost-model-driven work-stealing knobs for the
-    /// [`crate::policy::StealingPush`] driver. Components are
-    /// bit-identical for every setting; only wall-clock changes.
-    pub steal: StealParams,
     /// Supervision/recovery-plane knobs for the fault-tolerant drivers
     /// (lease timeouts, transient retry, respawn, speculation).
     /// Components are bit-identical for every setting.
     pub recovery: RecoveryParams,
     /// Sharded clustering-plane knobs ([`crate::shard`]): how many master
-    /// shards the sequence universe partitions across and how each shard
-    /// drives its intra-shard CCD. Components are bit-identical for every
-    /// setting (the merge tree is a transitive closure of the same
+    /// shards the sequence universe partitions across. Components are
+    /// bit-identical for every setting (the merge tree is a transitive closure of the same
     /// accepted edges); only the scaling shape changes.
     pub shard: ShardParams,
     /// Memory-budget knobs for the out-of-core index plane
@@ -107,33 +102,19 @@ impl MemParams {
     }
 }
 
-/// Which [`crate::policy::WorkPolicy`] drives each shard's intra-shard
-/// CCD loop in the sharded plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardDriver {
-    /// [`crate::policy::BatchedPush`] — the deterministic reference loop.
-    Batched,
-    /// [`crate::policy::StealingPush`] — cost-packed stealing deques.
-    Stealing,
-    /// [`crate::policy::LeasedPull`] — per-shard pull workers over the
-    /// local channel transport.
-    Pull,
-}
-
 /// Knobs for the sharded clustering plane ([`crate::shard`]). Sequence
 /// ownership is a stable hash of the sequence id, cross-shard pairs route
 /// to a deterministic owner shard, and shard forests merge up a binary
 /// tree — so components are bit-identical to the single-master run for
-/// every shard count and driver (the driver matrix pins this).
+/// every shard count (the driver matrix pins this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardParams {
     /// Master shard count K. `0` or `1` disables the plane and routes
     /// through the single-master drivers.
     pub shards: usize,
-    /// The intra-shard CCD driver.
-    pub driver: ShardDriver,
-    /// Verification workers per shard for the [`ShardDriver::Stealing`]
-    /// and [`ShardDriver::Pull`] drivers.
+    /// Worker ranks per shard master in the SPMD rendering
+    /// ([`crate::shard::run_ccd_sharded_spmd`]); the in-process plane
+    /// verifies on the shared rayon pool and ignores it.
     pub workers_per_shard: usize,
     /// Routed pairs buffered per shard before a batch goes on the wire
     /// (`0` = auto: the engine's `batch_size`).
@@ -142,12 +123,7 @@ pub struct ShardParams {
 
 impl Default for ShardParams {
     fn default() -> Self {
-        ShardParams {
-            shards: 1,
-            driver: ShardDriver::Batched,
-            workers_per_shard: 2,
-            route_batch: 0,
-        }
+        ShardParams { shards: 1, workers_per_shard: 2, route_batch: 0 }
     }
 }
 
@@ -169,7 +145,7 @@ impl ShardParams {
 }
 
 /// Knobs for the supervision and recovery plane
-/// ([`crate::ft::run_ccd_ft_supervised`]). Everything here changes *when*
+/// ([`crate::ft::run_ccd_ft`]). Everything here changes *when*
 /// work is (re)issued and over *which* link, never what a verdict says —
 /// the stale-discard lease protocol keeps components bit-identical under
 /// every combination.
@@ -219,55 +195,6 @@ impl Default for RecoveryParams {
     }
 }
 
-/// Knobs for the cost-aware stealing scheduler
-/// ([`crate::policy::StealingPush`]). All of them affect scheduling only:
-/// predictions and steal schedules can never change a verdict, so
-/// components are bit-identical for every combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StealParams {
-    /// Route the CCD phase through [`crate::policy::StealingPush`]
-    /// instead of the batched reference loop.
-    pub enabled: bool,
-    /// Verification worker threads (`0` = all available cores).
-    pub workers: usize,
-    /// Chunk oversubscription: chunks packed per worker per round. More
-    /// chunks mean finer stealing granularity at higher dispatch cost.
-    pub chunks_per_worker: usize,
-    /// Pairs admitted per scheduling round (`0` = auto:
-    /// `batch_size × workers × chunks_per_worker`, so each chunk carries
-    /// roughly one reference batch's worth of pairs).
-    pub round_pairs: usize,
-    /// Seed for each worker's victim ordering — the injectable steal
-    /// schedule the identity suites sweep.
-    pub seed: u64,
-}
-
-impl Default for StealParams {
-    fn default() -> Self {
-        StealParams { enabled: false, workers: 0, chunks_per_worker: 4, round_pairs: 0, seed: 0 }
-    }
-}
-
-impl StealParams {
-    /// The worker count with `0` resolved to the machine's parallelism.
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    /// The per-round pair budget with `0` resolved against `batch_size`.
-    pub fn resolved_round_pairs(&self, batch_size: usize) -> usize {
-        if self.round_pairs > 0 {
-            self.round_pairs
-        } else {
-            batch_size.max(1) * self.resolved_workers() * self.chunks_per_worker.max(1)
-        }
-    }
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -286,7 +213,6 @@ impl Default for ClusterConfig {
             threads: 0,
             parallel_index: true,
             align_engine: AlignEngineKind::default(),
-            steal: StealParams::default(),
             recovery: RecoveryParams::default(),
             shard: ShardParams::default(),
             mem: MemParams::default(),

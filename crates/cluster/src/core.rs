@@ -14,9 +14,9 @@
 //! * the **clustering state** — a union-find forest (CCD) or the
 //!   redundancy marks (RR); no other module in this crate mutates a
 //!   [`UnionFind`] (`scripts/tier1.sh` greps for violations);
-//! * the **pair filter** — [`ClusterCore::admit_batch`] /
-//!   [`ClusterCore::admit_one`] apply the transitive-closure (CCD) or
-//!   redundancy (RR) filter and record the generated/filtered counts;
+//! * the **pair filter** — [`ClusterCore::admit_batch`] applies the
+//!   transitive-closure (CCD) or redundancy (RR) filter and records the
+//!   generated/filtered counts;
 //! * the **accept/reject bookkeeping** — [`ClusterCore::absorb`] applies
 //!   verdicts (merges, redundancy marks, accepted edges) and the per-batch
 //!   work trace in one place;
@@ -31,7 +31,6 @@
 //! public `run_*` entry point is a thin composition of those pieces; a new
 //! execution mode is one new trait impl, not a new driver.
 
-use pfam_align::Anchor;
 use pfam_graph::UnionFind;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -55,17 +54,13 @@ pub enum CorePhase {
 ///
 /// In CCD mode `a`/`b` are the pair as generated; in RR mode the core has
 /// *oriented* the pair so `a` is the candidate-to-remove and `b` its
-/// potential container. The maximal-match anchor rides along when the
-/// execution substrate preserves it (in-process drivers); candidates that
-/// crossed a wire carry `None`. The engine ignores it either way.
+/// potential container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// First sequence (CCD: lower id of the pair; RR: removal candidate).
     pub a: SeqId,
     /// Second sequence (CCD: higher id; RR: potential container).
     pub b: SeqId,
-    /// Maximal-match seed of the pair, if it survived (unused by the engine).
-    pub anchor: Option<Anchor>,
 }
 
 /// The outcome of verifying one [`Candidate`].
@@ -256,27 +251,20 @@ impl<'s> ClusterCore<'s> {
                 if uf.same(p.a.0, p.b.0) {
                     None
                 } else {
-                    Some(Candidate {
-                        a: p.a,
-                        b: p.b,
-                        anchor: Some(Anchor { x_pos: p.a_pos, y_pos: p.b_pos, len: p.len }),
-                    })
+                    Some(Candidate { a: p.a, b: p.b })
                 }
             }
             ModeState::Rr { redundant, .. } => {
                 // Orient: the containment candidate is the shorter sequence,
                 // ties toward the higher id so results do not depend on
-                // generation order; the anchor offsets swap in tandem.
+                // generation order.
                 let (la, lb) = (set.seq_len(p.a), set.seq_len(p.b));
-                let (cand, container, anchor) = if la < lb || (la == lb && p.a.0 > p.b.0) {
-                    (p.a, p.b, Anchor { x_pos: p.a_pos, y_pos: p.b_pos, len: p.len })
-                } else {
-                    (p.b, p.a, Anchor { x_pos: p.b_pos, y_pos: p.a_pos, len: p.len })
-                };
+                let (cand, container) =
+                    if la < lb || (la == lb && p.a.0 > p.b.0) { (p.a, p.b) } else { (p.b, p.a) };
                 if redundant[cand.index()].is_some() || redundant[container.index()].is_some() {
                     None
                 } else {
-                    Some(Candidate { a: cand, b: container, anchor: Some(anchor) })
+                    Some(Candidate { a: cand, b: container })
                 }
             }
         }
@@ -295,26 +283,6 @@ impl<'s> ClusterCore<'s> {
             ..BatchRecord::default()
         });
         candidates
-    }
-
-    /// Open one accumulating trace record for a streaming driver that
-    /// admits pairs one at a time ([`ClusterCore::admit_one`]).
-    pub fn open_stream(&mut self) {
-        self.trace.batches.push(BatchRecord::default());
-    }
-
-    /// Admit a single pair into the open stream record (see
-    /// [`ClusterCore::open_stream`]).
-    pub fn admit_one(&mut self, p: &MatchPair) -> Option<Candidate> {
-        self.pairs_consumed += 1;
-        let candidate = Self::filter(&mut self.state, self.set, p);
-        if let Some(last) = self.trace.batches.last_mut() {
-            last.n_generated += 1;
-            if candidate.is_none() {
-                last.n_filtered += 1;
-            }
-        }
-        candidate
     }
 
     /// Fold a verdict set into the state: record the alignment work on the
@@ -420,16 +388,6 @@ impl<'s> ClusterCore<'s> {
     /// Record the suffix-tree nodes the pair supply visited.
     pub fn set_nodes_visited(&mut self, n: u64) {
         self.trace.nodes_visited = n;
-    }
-
-    /// Record a cost-aware scheduler's dispatch counters on the most
-    /// recent trace record: chunks packed this round and how many of them
-    /// were executed by a worker other than the one they were packed for.
-    pub fn note_dispatch(&mut self, n_chunks: usize, n_steals: usize) {
-        if let Some(last) = self.trace.batches.last_mut() {
-            last.n_chunks += n_chunks;
-            last.n_steals += n_steals;
-        }
     }
 
     /// Record recovery-plane activity on the most recent trace record:
@@ -543,8 +501,8 @@ impl Verifier {
         let y = set.codes_cow(c.b);
         let cells = (x.len() as u64) * (y.len() as u64);
         let v = match self.phase {
-            CorePhase::Ccd => self.engine.overlaps(&x, &y, c.anchor),
-            CorePhase::Rr => self.engine.contained(&x, &y, c.anchor),
+            CorePhase::Ccd => self.engine.overlaps(&x, &y, None),
+            CorePhase::Rr => self.engine.contained(&x, &y, None),
         };
         Verdict {
             a: c.a.0,
@@ -561,11 +519,6 @@ impl Verifier {
     pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
         use rayon::prelude::*;
         candidates.par_iter().map(|c| self.verdict(set, c)).collect()
-    }
-
-    /// Verify a candidate batch sequentially (worker ranks).
-    pub fn verify_seq(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
-        candidates.iter().map(|c| self.verdict(set, c)).collect()
     }
 }
 
@@ -692,19 +645,5 @@ mod tests {
         let mut core = ClusterCore::new_ccd(&set);
         let forest = ClusterCore::new_ccd(&small).export_forest();
         core.merge_forest(&forest);
-    }
-
-    #[test]
-    fn stream_mode_accumulates_one_record() {
-        let set = set_of(&["MKVLW", "MKVLW", "MKVLW"]);
-        let mut core = ClusterCore::new_ccd(&set);
-        core.open_stream();
-        assert!(core.admit_one(&pair(0, 1)).is_some());
-        core.absorb(vec![accept(0, 1)]);
-        assert!(core.admit_one(&pair(0, 1)).is_none(), "filtered after the merge");
-        let r = CcdResult::from_core(core);
-        assert_eq!(r.trace.batches.len(), 1);
-        assert_eq!(r.trace.total_generated(), 2);
-        assert_eq!(r.trace.total_filtered(), 1);
     }
 }

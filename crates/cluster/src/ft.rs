@@ -24,8 +24,8 @@
 //!   master re-sends shutdown until every surviving worker acknowledges.
 //!
 //! Because the overlap test is a pure function and cluster merges are
-//! order-independent (see `crate::master_worker`), re-executing a lease
-//! on a different worker cannot change the final components: under *any*
+//! order-independent (see `crate::spmd`), re-executing a lease on a
+//! different worker cannot change the final components: under *any*
 //! injected kill/drop/delay schedule that leaves the master and at least
 //! one worker alive, the clustering is identical to the batched
 //! reference — the fault-tolerance property test sweeps seeded schedules
@@ -46,9 +46,7 @@ use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
-use crate::policy::{
-    serve_pull_worker_with, DriveError, LeaseKnobs, LeaseSizing, LeasedPull, WorkPolicy,
-};
+use crate::policy::{serve_pull_worker_with, DriveError, LeaseKnobs, LeasedPull, WorkPolicy};
 use crate::retry::{Retry, RetryPolicy, RetryPort};
 use crate::source::{MinedSource, PairSource};
 use crate::supervise::HealthReport;
@@ -79,21 +77,8 @@ impl std::fmt::Display for FtError {
 impl std::error::Error for FtError {}
 
 /// Run CCD on `n_ranks` ranks (1 master + workers) under `injector`,
-/// recovering from worker failures. Returns the clustering — identical
-/// components to [`crate::ccd::run_ccd`] — as long as the master and at
-/// least one worker survive. Thin wrapper over
-/// [`run_ccd_ft_supervised`] that discards the health report.
-pub fn run_ccd_ft(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    n_ranks: usize,
-    injector: Arc<dyn FaultInjector>,
-) -> Result<CcdResult, FtError> {
-    run_ccd_ft_supervised(set, config, n_ranks, injector).map(|(result, _)| result)
-}
-
-/// The full supervision-plane entry point: [`run_ccd_ft`] plus the
-/// recovery machinery configured by `config.recovery` —
+/// recovering from worker failures with the machinery configured by
+/// `config.recovery` —
 ///
 /// * transient sends are retried with seeded backoff and a per-peer
 ///   budget; an exhausted budget quarantines the peer onto the liveness
@@ -106,10 +91,10 @@ pub fn run_ccd_ft(
 ///   deadline are duplicated onto idle workers — first verdict wins.
 ///
 /// Returns the clustering plus the per-worker [`HealthReport`]: what
-/// recovery *cost*, for a run whose components are bit-identical to the
-/// batched reference under every injected schedule that leaves the master
-/// and at least one worker (original or respawned) alive.
-pub fn run_ccd_ft_supervised(
+/// recovery *cost*, for a run whose components are bit-identical to
+/// [`crate::ccd::run_ccd`] under every injected schedule that leaves the
+/// master and at least one worker (original or respawned) alive.
+pub fn run_ccd_ft(
     set: &SequenceSet,
     config: &ClusterConfig,
     n_ranks: usize,
@@ -133,7 +118,7 @@ pub fn run_ccd_ft_supervised(
     )
 }
 
-/// The SPMD world of [`run_ccd_ft_supervised`], over a finished index.
+/// The SPMD world of [`run_ccd_ft`], over a finished index.
 fn run_ft_world(
     set: &SequenceSet,
     config: &ClusterConfig,
@@ -169,27 +154,11 @@ fn run_ft_world(
             let mut core = ClusterCore::new_ccd(set);
             let mut transport = MpiTransport::master(comm);
             let mut retry = Retry::new(&mut transport, retry_policy);
-            // Cost-balanced leases ride the same opt-in knob as the
-            // stealing driver: a lease targets roughly what a
-            // pair-count lease of average-length sequences would
-            // cost, so lease *count* stays comparable while lease
-            // *work* evens out. Sizing is scheduling-only — the
-            // components are identical either way.
             let cost = CostModel::new();
-            let mean_len = (set.total_residues() / set.len().max(1)).max(1) as u64;
-            let sizing = if config.steal.enabled {
-                LeaseSizing::Cells {
-                    model: &cost,
-                    target: (config.batch_size.max(1) as u64) * mean_len * mean_len,
-                }
-            } else {
-                LeaseSizing::Pairs
-            };
             let mut policy = LeasedPull {
                 transport: &mut retry,
                 source: &mut source,
                 batch_size: config.batch_size,
-                sizing,
                 cost: &cost,
                 knobs,
                 health: HealthReport::new(n_ranks - 1),
@@ -293,7 +262,8 @@ mod tests {
         let config = ClusterConfig::default();
         let reference = run_ccd(&d.set, &config);
         for ranks in [2usize, 4] {
-            let ft = run_ccd_ft(&d.set, &config, ranks, Arc::new(NoFaults)).expect("healthy world");
+            let (ft, _) =
+                run_ccd_ft(&d.set, &config, ranks, Arc::new(NoFaults)).expect("healthy world");
             assert_eq!(ft.components, reference.components, "{ranks} ranks");
             assert_eq!(ft.n_merges, reference.n_merges);
         }
@@ -306,7 +276,7 @@ mod tests {
         let reference = run_ccd(&d.set, &config);
         // Kill worker 1 early and worker 3 later; 2 survives.
         let script = Arc::new(Script { kills: vec![(1, 4), (3, 30)], drops: Vec::new() });
-        let ft = run_ccd_ft(&d.set, &config, 4, script).expect("a worker survives");
+        let (ft, _) = run_ccd_ft(&d.set, &config, 4, script).expect("a worker survives");
         assert_eq!(ft.components, reference.components);
     }
 
@@ -320,7 +290,7 @@ mod tests {
             kills: Vec::new(),
             drops: vec![(1, 0, 0), (1, 0, 2), (0, 1, 1), (0, 1, 3)],
         });
-        let ft = run_ccd_ft(&d.set, &config, 3, script).expect("drops are recovered");
+        let (ft, _) = run_ccd_ft(&d.set, &config, 3, script).expect("drops are recovered");
         assert_eq!(ft.components, reference.components);
     }
 
@@ -337,8 +307,9 @@ mod tests {
 
     #[test]
     fn empty_set_short_circuits() {
-        let r = run_ccd_ft(&SequenceSet::new(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
-            .expect("empty set");
+        let (r, _) =
+            run_ccd_ft(&SequenceSet::new(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
+                .expect("empty set");
         assert!(r.components.is_empty());
     }
 }

@@ -42,7 +42,6 @@ pub mod core;
 pub mod ft;
 pub mod lsh;
 pub(crate) mod mask;
-pub mod master_worker;
 pub mod policy;
 pub mod retry;
 pub mod rr;
@@ -58,27 +57,22 @@ pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{
     all_component_graphs, component_graph, component_graph_with, BggScratch, ComponentGraph,
 };
-pub use ccd::{
-    run_ccd, run_ccd_from_pairs, run_ccd_resumable, run_ccd_stealing, CcdCursor, CcdResult,
-};
-pub use config::{ClusterConfig, MemParams, RecoveryParams, ShardDriver, ShardParams, StealParams};
-pub use ft::{run_ccd_ft, run_ccd_ft_supervised, FtError};
+pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
+pub use config::{ClusterConfig, MemParams, RecoveryParams, ShardParams};
+pub use ft::{run_ccd_ft, FtError};
 pub use lsh::{
     check_sketch_params, HybridSource, HybridStats, SketchBanding, SketchMode, SketchParamError,
     SketchParams, SketchSource, SketchStats,
 };
-pub use master_worker::{run_ccd_master_worker, run_ccd_master_worker_with, MwError, MwStats};
 pub use pfam_align::{AlignEngine, AlignEngineKind, CostModel};
 pub use policy::{
-    serve_pull_worker, serve_pull_worker_with, serve_push_worker, BatchedPush, DealPlan,
-    DriveError, LeaseKnobs, LeaseSizing, LeasedPull, MwDispatch, SpmdPush, StealingPush,
-    WorkPolicy,
+    serve_pull_worker, serve_pull_worker_with, serve_push_worker, BatchedPush, DriveError,
+    LeaseKnobs, LeasedPull, SpmdPush, WorkPolicy,
 };
 pub use retry::{Retry, RetryPolicy, RetryPort};
 pub use rr::{run_redundancy_removal, RrResult};
 pub use shard::{
-    owner_shard, run_ccd_sharded, run_ccd_sharded_detailed, run_ccd_sharded_from_pairs,
-    run_ccd_sharded_spmd, shard_of, PortSource, ShardRun,
+    owner_shard, run_ccd_sharded, run_ccd_sharded_spmd, shard_of, PortSource, ShardRun,
 };
 pub use source::{
     check_index_budget, with_mined_source, with_source, with_source_pinned, IterSource,

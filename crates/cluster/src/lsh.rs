@@ -22,10 +22,10 @@
 //!   and `lsh_bench` assert.
 //!
 //! Both sources drop into every `ClusterCore` driver, shard router, and
-//! steal/lease policy unchanged: candidate generation is the pluggable
-//! axis, and verdicts still come from the same alignment engine (anchors
-//! are ignored by it, so a sketch pair's fabricated anchor can never
-//! change a verdict). For a fixed [`SketchParams`] the candidate stream
+//! lease policy unchanged: candidate generation is the pluggable
+//! axis, and verdicts still come from the same alignment engine (a
+//! candidate is the two ids alone, so a sketch pair's fabricated match
+//! positions can never change a verdict). For a fixed [`SketchParams`] the candidate stream
 //! is a deterministic function of the store — never of thread count,
 //! batch size, driver, or shard count.
 

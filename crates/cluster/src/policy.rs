@@ -4,37 +4,29 @@
 //! A [`WorkPolicy`] owns the control flow of one phase run: it pulls from
 //! a [`PairSource`], routes candidates through the core's filter, gets
 //! them verified (locally or across a [`Transport`]), and folds verdicts
-//! back into the core. Five policies cover every driver in this crate:
+//! back into the core. Three policies cover every driver in this crate:
 //!
-//! * [`BatchedPush`] — the deterministic reference loop: batch, filter,
-//!   verify across the rayon pool, absorb; optional checkpoint cursor
-//!   emission at batch boundaries.
-//! * [`StealingPush`] — the cost-model scheduler: candidates are packed
-//!   into roughly-equal predicted-cells chunks, dealt to per-worker
-//!   lock-free deques, and idle workers steal the cost-heaviest chunks
-//!   from busy ones; verdicts are absorbed in chunk order, so components
-//!   *and edges* are bit-identical under any steal schedule.
-//! * [`MwDispatch`] — the streaming threaded master–worker engine: a
-//!   bounded shared task queue with back-pressure, cost-ordered dispatch
-//!   within a lookahead window, panic containment on the workers.
+//! * [`BatchedPush`] — the in-process loop, the only one `pfam` runs:
+//!   batch, filter, verify across the rayon pool (candidates are handed
+//!   out one at a time through an atomic cursor, so the pool schedules
+//!   itself), absorb; optional checkpoint cursor emission at batch
+//!   boundaries.
 //! * [`SpmdPush`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
 //!   worker for alignment.
 //! * [`LeasedPull`] — the fault-tolerant scheduler: the master owns the
-//!   source, workers pull leases sized by pair count or by predicted
-//!   cells; leases held by dead or silent workers are re-enqueued, stale
-//!   verdicts are discarded by lease id.
+//!   source, workers pull one admitted batch per lease; leases held by
+//!   dead or silent workers are re-enqueued, stale verdicts are discarded
+//!   by lease id.
 //!
 //! The worker halves of the distributed policies are free functions
 //! ([`serve_push_worker`], [`serve_pull_worker`]) run on worker ranks or
 //! threads against any [`WorkerPort`].
 
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use pfam_align::CostModel;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -57,7 +49,7 @@ pub const REQUEST_TIMEOUT: Duration = Duration::from_millis(25);
 pub const BYE_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Timing knobs for [`LeasedPull`] — the constants above surfaced as
-/// configuration (via `ClusterConfig::recovery` and the CLI), plus the
+/// configuration (via `ClusterConfig::recovery`), plus the
 /// supervision-plane extensions. Every default reproduces the pre-knob
 /// behaviour exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +90,6 @@ impl Default for LeaseKnobs {
 pub enum DriveError {
     /// Every worker died while leased or queued work remained.
     NoWorkersLeft,
-    /// A worker thread panicked while verifying a pair.
-    WorkerPanicked(String),
     /// The transport failed fatally (own rank killed, world torn down).
     Transport(String),
 }
@@ -110,7 +100,6 @@ impl std::fmt::Display for DriveError {
             DriveError::NoWorkersLeft => {
                 write!(f, "all workers died with work still outstanding")
             }
-            DriveError::WorkerPanicked(msg) => write!(f, "worker thread panicked: {msg}"),
             DriveError::Transport(msg) => write!(f, "transport failed: {msg}"),
         }
     }
@@ -166,459 +155,8 @@ impl<S: PairSource + ?Sized> WorkPolicy for BatchedPush<'_, S> {
     }
 }
 
-/// One packed unit of stealable work: a contiguous (in admission order)
-/// run of candidates whose predicted costs sum to roughly one chunk
-/// target. The id is the chunk's admission rank — the master absorbs
-/// results in id order, which is what makes any steal schedule
-/// output-identical.
-struct CostChunk {
-    id: usize,
-    candidates: Vec<Candidate>,
-}
-
-/// A deterministic victim ordering for worker `me`: a Fisher–Yates
-/// shuffle of the other workers driven by a splitmix64 stream keyed on
-/// `(seed, me)`. Different seeds give genuinely different steal
-/// schedules — the identity suites sweep them.
-fn victim_order(n_workers: usize, me: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n_workers).filter(|&v| v != me).collect();
-    let mut s = seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut next = || {
-        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..order.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
-    order
-}
-
-/// How [`StealingPush`] deals packed chunks onto the per-worker deques.
-/// Dealing is scheduling-only — verdicts are absorbed in chunk-id order
-/// whoever executes them — so components and edges are identical under
-/// every plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DealPlan {
-    /// Longest-processing-time-first onto the least-loaded worker — the
-    /// balanced production deal.
-    #[default]
-    Lpt,
-    /// Pile every chunk onto worker 0 and stall that worker before its
-    /// first pop — the adversarial deal that exercises the steal path on
-    /// purpose: every other worker starts idle and can only contribute
-    /// by stealing from the pile. `steal_bench` uses it to demonstrate
-    /// that steals actually occur and land in the counters.
-    SkewWorstCase {
-        /// How long worker 0 sleeps before draining its pile (gives the
-        /// thieves a deterministic head start).
-        stall: Duration,
-    },
-}
-
-/// The cost-model work-stealing scheduler. Each round it admits a window
-/// of pairs, packs the surviving candidates into chunks of roughly equal
-/// *predicted* DP cells ([`CostModel::predict`]), deals the chunks to
-/// per-worker lock-free deques (heaviest at the steal end), and lets idle
-/// workers steal from busy ones. Verdict sets come back tagged with their
-/// chunk id and are absorbed in id order — i.e. exactly admission order —
-/// so components *and* accepted-edge order are bit-identical to
-/// [`BatchedPush`] with `batch_size == round_pairs`, under any steal
-/// schedule, any worker count, and stealing on or off. Observed verdicts
-/// recalibrate the cost model online for the next round's packing.
-pub struct StealingPush<'a, S: PairSource + ?Sized> {
-    /// Where pairs come from.
-    pub source: &'a mut S,
-    /// Verdict computation for this phase.
-    pub verifier: &'a Verifier,
-    /// The shared cost predictor (observed on every absorbed verdict).
-    pub cost: &'a CostModel,
-    /// Worker thread count (must be ≥ 1; resolve 0 before constructing).
-    pub n_workers: usize,
-    /// Pairs admitted per scheduling round (must be ≥ 1).
-    pub round_pairs: usize,
-    /// Chunks packed per worker per round (oversubscription, ≥ 1).
-    pub chunks_per_worker: usize,
-    /// Victim-order seed — the injectable steal schedule.
-    pub steal_seed: u64,
-    /// `false` pins the cost-packed-only ablation: workers run their own
-    /// deques dry and idle instead of stealing.
-    pub stealing: bool,
-    /// How chunks are dealt onto the deques (scheduling-only).
-    pub deal: DealPlan,
-    /// Out-parameter: chunks executed by a worker other than their owner,
-    /// indexed by the *executing* worker (reset and filled in during the
-    /// drive; read it back out after [`WorkPolicy::drive`] returns).
-    pub steals_by_worker: Vec<usize>,
-}
-
-impl<S: PairSource + ?Sized> StealingPush<'_, S> {
-    /// Pack `candidates` (admission order) into contiguous chunks whose
-    /// predicted cells sum to roughly `total / (workers × oversub)`. A
-    /// single over-budget pair gets a chunk of its own.
-    fn pack(&self, set: &dyn SeqStore, candidates: Vec<Candidate>) -> Vec<CostChunk> {
-        let costs: Vec<u64> = candidates
-            .iter()
-            .map(|c| self.cost.predict(set.seq_len(c.a), set.seq_len(c.b)))
-            .collect();
-        let total: u64 = costs.iter().sum();
-        let want = (self.n_workers * self.chunks_per_worker).max(1) as u64;
-        let target = (total / want).max(1);
-        let mut chunks: Vec<CostChunk> = Vec::new();
-        let mut cur: Vec<Candidate> = Vec::new();
-        let mut cur_cost = 0u64;
-        for (cand, &cost) in candidates.iter().zip(&costs) {
-            cur.push(*cand);
-            cur_cost += cost;
-            if cur_cost >= target {
-                chunks.push(CostChunk { id: chunks.len(), candidates: std::mem::take(&mut cur) });
-                cur_cost = 0;
-            }
-        }
-        if !cur.is_empty() {
-            chunks.push(CostChunk { id: chunks.len(), candidates: cur });
-        }
-        chunks
-    }
-
-    /// Predicted cells of one chunk (for the LPT deal).
-    fn chunk_cost(&self, set: &dyn SeqStore, chunk: &CostChunk) -> u64 {
-        chunk.candidates.iter().map(|c| self.cost.predict(set.seq_len(c.a), set.seq_len(c.b))).sum()
-    }
-
-    /// Execute one round: deal `chunks` to per-worker deques
-    /// ([`DealPlan::Lpt`]: longest-processing-time-first, heaviest chunk
-    /// at the steal end), run the scoped worker pool with stealing, and
-    /// return the verdict sets indexed by chunk id plus the stolen-chunk
-    /// counts indexed by executing worker.
-    fn run_round(
-        &self,
-        set: &dyn SeqStore,
-        chunks: Vec<CostChunk>,
-    ) -> (Vec<Vec<Verdict>>, Vec<usize>) {
-        let n_chunks = chunks.len();
-        let mut owner_of: Vec<usize> = vec![0; n_chunks];
-        let mut by_worker: Vec<Vec<CostChunk>> = (0..self.n_workers).map(|_| Vec::new()).collect();
-        let mut load = vec![0u64; self.n_workers];
-        let mut deal: Vec<(u64, CostChunk)> =
-            chunks.into_iter().map(|c| (self.chunk_cost(set, &c), c)).collect();
-        deal.sort_by(|x, y| (y.0, x.1.id).cmp(&(x.0, y.1.id)));
-        for (cost, chunk) in deal {
-            // LPT deal: heaviest chunk first, always onto the least-loaded
-            // worker (ties toward the lower worker index — deterministic).
-            // The worst-case plan piles everything onto worker 0 instead.
-            let w = match self.deal {
-                DealPlan::Lpt => (0..self.n_workers).min_by_key(|&w| (load[w], w)).unwrap_or(0),
-                DealPlan::SkewWorstCase { .. } => 0,
-            };
-            load[w] += cost;
-            owner_of[chunk.id] = w;
-            by_worker[w].push(chunk);
-        }
-        let stall = match self.deal {
-            DealPlan::SkewWorstCase { stall } => stall,
-            DealPlan::Lpt => Duration::ZERO,
-        };
-
-        let verifier = self.verifier;
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, Vec<Verdict>)>();
-        let mut results: Vec<Vec<Verdict>> = (0..n_chunks).map(|_| Vec::new()).collect();
-        let mut steals_by: Vec<usize> = vec![0; self.n_workers];
-        let mut stealers: Vec<Stealer<CostChunk>> = Vec::with_capacity(self.n_workers);
-        let mut deques: Vec<Deque<CostChunk>> = Vec::with_capacity(self.n_workers);
-        for own in by_worker {
-            let deque = Deque::new_lifo();
-            // Each worker's chunks arrive heaviest-first (the LPT deal
-            // order), so pushing in order leaves the heaviest at the
-            // top — exactly where thieves take from. The owner pops its
-            // *lightest* chunks first and cedes the heavy tail to
-            // whoever goes idle.
-            for chunk in own {
-                deque.push(chunk);
-            }
-            stealers.push(deque.stealer());
-            deques.push(deque);
-        }
-        let stealers = &stealers;
-        std::thread::scope(|scope| {
-            for (me, own) in deques.into_iter().enumerate() {
-                let tx = tx.clone();
-                let victims = victim_order(self.n_workers, me, self.steal_seed);
-                let stealing = self.stealing;
-                scope.spawn(move || {
-                    if me == 0 && !stall.is_zero() {
-                        // Worst-case deal: the pile owner stalls so the
-                        // idle workers' steal passes land first.
-                        std::thread::sleep(stall);
-                    }
-                    loop {
-                        // Drain the own deque first (LIFO, light end).
-                        while let Some(chunk) = own.pop() {
-                            let verdicts = verifier.verify_seq(set, &chunk.candidates);
-                            if tx.send((chunk.id, me, verdicts)).is_err() {
-                                return;
-                            }
-                        }
-                        if !stealing {
-                            return;
-                        }
-                        // Steal pass over the seeded victim order. A
-                        // Retry anywhere means work may still appear.
-                        let mut contended = false;
-                        let mut stolen = None;
-                        for &v in &victims {
-                            match stealers[v].steal() {
-                                Steal::Success(chunk) => {
-                                    stolen = Some(chunk);
-                                    break;
-                                }
-                                Steal::Retry => contended = true,
-                                Steal::Empty => {}
-                            }
-                        }
-                        match stolen {
-                            Some(chunk) => {
-                                let verdicts = verifier.verify_seq(set, &chunk.candidates);
-                                if tx.send((chunk.id, me, verdicts)).is_err() {
-                                    return;
-                                }
-                            }
-                            None if contended => std::thread::yield_now(),
-                            // Every deque observed empty: the round is
-                            // drained (chunks in flight are someone
-                            // else's to finish).
-                            None => return,
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (id, executor, verdicts) in rx.iter() {
-                if executor != owner_of[id] {
-                    steals_by[executor] += 1;
-                }
-                results[id] = verdicts;
-            }
-        });
-        (results, steals_by)
-    }
-}
-
-impl<S: PairSource + ?Sized> WorkPolicy for StealingPush<'_, S> {
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
-        assert!(self.n_workers >= 1, "resolve a zero worker count before constructing");
-        assert!(self.round_pairs >= 1 && self.chunks_per_worker >= 1);
-        self.steals_by_worker = vec![0; self.n_workers];
-        let set = core.set();
-        loop {
-            let batch = self.source.next_batch(self.round_pairs);
-            if batch.is_empty() {
-                break;
-            }
-            let candidates = core.admit_batch(&batch);
-            if candidates.is_empty() {
-                continue;
-            }
-            let chunks = self.pack(set, candidates);
-            let n_chunks = chunks.len();
-            let (results, steals_by) = self.run_round(set, chunks);
-            core.note_dispatch(n_chunks, steals_by.iter().sum());
-            for (w, s) in steals_by.into_iter().enumerate() {
-                self.steals_by_worker[w] += s;
-            }
-            // Absorb in chunk-id order — admission order — regardless of
-            // which worker finished what when: this is the determinism
-            // seam. Observations feed next round's packing; they cannot
-            // affect any verdict.
-            for verdicts in results {
-                for v in &verdicts {
-                    self.cost.observe(v.cells, v.cells_computed);
-                }
-                core.absorb(verdicts);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The streaming threaded master–worker engine: `n_workers` scoped
-/// threads pull single-pair tasks from a bounded shared queue (bound
-/// `4 × n_workers` — back-pressure on the master), verdicts stream back
-/// asynchronously, and a panic inside `verify` is caught on the worker
-/// and surfaced as [`DriveError::WorkerPanicked`] instead of deadlocking
-/// the pool.
-///
-/// Dispatch is cost-ordered within a lookahead window: the master admits
-/// up to `4 × n_workers` pairs ahead (same depth as the queue bound, so
-/// the window never outruns back-pressure by more than one refill) and
-/// drains the surviving candidates heaviest-predicted-cost first. Long
-/// alignments enter the pool early instead of languishing at the FIFO
-/// tail, which trims the end-of-stream straggler wait. Ordering is
-/// scheduling-only: admission (and therefore the stream trace) stays in
-/// generation order, and verdicts are pure, so components are unchanged.
-pub struct MwDispatch<'a, S: PairSource + ?Sized, V: Fn(&[u8], &[u8]) -> bool + Sync> {
-    /// Where pairs come from (consumed one at a time).
-    pub source: &'a mut S,
-    /// The verification function (injectable for fault tests).
-    pub verify: &'a V,
-    /// Predicts per-pair DP cells; orders the drain of each window.
-    pub cost: &'a CostModel,
-    /// Worker thread count (must be ≥ 1; resolve 0 before constructing).
-    pub n_workers: usize,
-    /// Out-parameter: maximum tasks in flight at once.
-    pub peak_in_flight: usize,
-}
-
-impl<S, V> WorkPolicy for MwDispatch<'_, S, V>
-where
-    S: PairSource + ?Sized,
-    V: Fn(&[u8], &[u8]) -> bool + Sync,
-{
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
-        let set = core.set();
-        let verify = self.verify;
-        let (mut transport, ports) =
-            crate::transport::LocalTransport::new(self.n_workers, 4 * self.n_workers);
-        core.open_stream();
-        let mut failure: Option<String> = None;
-        let mut peak = 0usize;
-
-        std::thread::scope(|scope| {
-            for mut port in ports {
-                scope.spawn(move || {
-                    while let Some(MasterMsg::Task { candidates, .. }) = port.recv_shared() {
-                        let (a, b) = candidates[0];
-                        // Contain panics on the worker: report and exit
-                        // the thread cleanly instead of unwinding through
-                        // the scope (which would lose the in-flight task
-                        // and abort every other worker's progress).
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let x = set.codes_cow(SeqId(a));
-                            let y = set.codes_cow(SeqId(b));
-                            let cells = (x.len() as u64) * (y.len() as u64);
-                            (verify(&x, &y), cells)
-                        }));
-                        let msg = match outcome {
-                            Ok((accept, cells)) => WorkerMsg::Verdicts {
-                                lease: 0,
-                                verdicts: vec![Verdict {
-                                    a,
-                                    b,
-                                    accept,
-                                    cells,
-                                    // The injectable verify closure returns
-                                    // only a verdict, so the engine's cell
-                                    // counters cannot be recorded here.
-                                    cells_computed: 0,
-                                    cells_skipped: 0,
-                                }],
-                            },
-                            Err(payload) => {
-                                let _ = WorkerPort::send(
-                                    &mut port,
-                                    WorkerMsg::Failed(panic_message(payload.as_ref())),
-                                );
-                                break;
-                            }
-                        };
-                        if WorkerPort::send(&mut port, msg).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-
-            let mut in_flight = 0usize;
-            let apply = |msg: WorkerMsg,
-                         core: &mut ClusterCore<'_>,
-                         failure: &mut Option<String>| {
-                match msg {
-                    WorkerMsg::Verdicts { verdicts, .. } => core.absorb(verdicts),
-                    WorkerMsg::Failed(msg) => {
-                        failure.get_or_insert(msg);
-                    }
-                    _ => {}
-                }
-            };
-            let window = 4 * self.n_workers;
-            let mut exhausted = false;
-            // The lookahead window's survivors, sorted ascending by
-            // predicted cells so `pop` dispatches the heaviest first.
-            let mut ready: Vec<(u64, (u32, u32))> = Vec::new();
-            loop {
-                // Absorb finished results first — they sharpen the filter.
-                while let Ok(Some((_, msg))) = transport.try_recv() {
-                    in_flight -= 1;
-                    apply(msg, core, &mut failure);
-                }
-                if failure.is_some() {
-                    break; // stop feeding a failing pool
-                }
-                if ready.is_empty() {
-                    if exhausted {
-                        break;
-                    }
-                    // Refill: admit one window of pairs in generation
-                    // order (stream-trace semantics are untouched), then
-                    // rank the survivors by predicted cost.
-                    for _ in 0..window {
-                        let pair = match self.source.next_batch(1).pop() {
-                            Some(p) => p,
-                            None => {
-                                exhausted = true;
-                                break;
-                            }
-                        };
-                        if let Some(c) = core.admit_one(&pair) {
-                            let cells = self.cost.predict(set.seq_len(c.a), set.seq_len(c.b));
-                            ready.push((cells, (c.a.0, c.b.0)));
-                        }
-                    }
-                    ready.sort_by_key(|&(cells, _)| cells);
-                    continue; // re-drain verdicts before dispatching
-                }
-                let (_, (a, b)) = ready.pop().expect("checked non-empty");
-                if transport
-                    .send_shared(MasterMsg::Task { lease: 0, candidates: vec![(a, b)] })
-                    .is_err()
-                {
-                    // Every worker has exited — possible only after a
-                    // panic; the drain below picks up the failure message.
-                    break;
-                }
-                in_flight += 1;
-                peak = peak.max(in_flight);
-            }
-            transport.close_shared();
-            while let Some((_, msg)) = transport.recv_blocking() {
-                apply(msg, core, &mut failure);
-            }
-        });
-
-        self.peak_in_flight = peak;
-        match failure {
-            Some(msg) => Err(DriveError::WorkerPanicked(msg)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Reconstruct filterable pairs from their wire form (anchors do not
-/// cross the wire; match lengths are not needed by the filter).
+/// Reconstruct filterable pairs from their wire form (match lengths are
+/// not needed by the filter).
 pub(crate) fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
     pairs.iter().map(|&(a, b)| MatchPair::new(SeqId(a), SeqId(b), 0)).collect()
 }
@@ -765,27 +303,6 @@ struct Ticket {
     issues: HashMap<u64, Issue>,
 }
 
-/// How [`LeasedPull`] sizes a fresh lease.
-///
-/// Sizing is scheduling-only: either way the master admits the same
-/// source batches through the same filter, so the trace records one entry
-/// per pulled batch and the final components are identical.
-pub enum LeaseSizing<'a> {
-    /// Classic fixed-width leases: one admitted source batch per lease.
-    Pairs,
-    /// Cost-balanced leases: keep admitting source batches into the lease
-    /// until the survivors' predicted DP cells reach `target`. Leases then
-    /// carry roughly equal *work* instead of equal pair counts, so one
-    /// lease of long sequences no longer pins a worker while its peers
-    /// idle on short ones.
-    Cells {
-        /// Predicts per-pair cells from the two sequence lengths.
-        model: &'a CostModel,
-        /// Predicted cells per lease (must be ≥ 1).
-        target: u64,
-    },
-}
-
 /// The fault-tolerant pull scheduler: the master owns the pair source and
 /// all work state; workers are stateless verification servers that pull
 /// leases. A lease is recovered — re-enqueued for any surviving worker —
@@ -805,12 +322,11 @@ pub struct LeasedPull<'a, T: Transport + ?Sized, S: PairSource + ?Sized> {
     pub transport: &'a mut T,
     /// The master-owned pair supply.
     pub source: &'a mut S,
-    /// Pairs pulled from the source per admitted batch.
+    /// Pairs pulled from the source per admitted batch; a lease is one
+    /// admitted batch's survivors.
     pub batch_size: usize,
-    /// How many of those batches make up one lease.
-    pub sizing: LeaseSizing<'a>,
     /// Predicts per-lease DP cells for the speculation deadline
-    /// (scheduling-only; independent of [`LeaseSizing::Cells`]'s model).
+    /// (scheduling-only).
     pub cost: &'a CostModel,
     /// Timeout / speculation / grace knobs.
     pub knobs: LeaseKnobs,
@@ -824,19 +340,15 @@ where
     T: Transport + ?Sized,
     S: PairSource + ?Sized,
 {
-    /// Pull pairs from the source until the next lease is full (or the
+    /// Pull batches from the source until one leaves survivors (or the
     /// source runs dry). Each pulled batch is admitted — and therefore
     /// recorded in the trace — exactly once, whether or not any candidate
-    /// survives; [`LeaseSizing::Cells`] only changes how many admitted
-    /// batches are folded into one lease.
+    /// survives.
     fn next_fresh_batch(
         &mut self,
         core: &mut ClusterCore<'_>,
         exhausted: &mut bool,
     ) -> Option<Vec<(u32, u32)>> {
-        let set = core.set();
-        let mut lease: Vec<(u32, u32)> = Vec::new();
-        let mut predicted = 0u64;
         while !*exhausted {
             let batch = self.source.next_batch(self.batch_size);
             if batch.len() < self.batch_size {
@@ -846,28 +358,11 @@ where
                 break;
             }
             let candidates = core.admit_batch(&batch);
-            match self.sizing {
-                LeaseSizing::Pairs => {
-                    if !candidates.is_empty() {
-                        return Some(wire_candidates(&candidates));
-                    }
-                }
-                LeaseSizing::Cells { model, target } => {
-                    for c in &candidates {
-                        predicted += model.predict(set.seq_len(c.a), set.seq_len(c.b));
-                    }
-                    lease.extend(wire_candidates(&candidates));
-                    if predicted >= target.max(1) {
-                        return Some(lease);
-                    }
-                }
+            if !candidates.is_empty() {
+                return Some(wire_candidates(&candidates));
             }
         }
-        if lease.is_empty() {
-            None
-        } else {
-            Some(lease)
-        }
+        None
     }
 
     /// Tell every surviving worker to exit and wait for acknowledgements,
@@ -1155,11 +650,11 @@ where
     }
 }
 
-/// Verify a wire-form candidate batch (no anchors) sequentially.
+/// Verify a wire-form candidate batch sequentially.
 fn verify_wire(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
     candidates
         .iter()
-        .map(|&(a, b)| verifier.verdict(set, &Candidate { a: SeqId(a), b: SeqId(b), anchor: None }))
+        .map(|&(a, b)| verifier.verdict(set, &Candidate { a: SeqId(a), b: SeqId(b) }))
         .collect()
 }
 

@@ -16,8 +16,8 @@
 //!    [`crate::transport`] wire protocol ([`MasterMsg::ShardPairs`]).
 //! 3. **Intra-shard CCD** — each shard runs an ordinary
 //!    [`ClusterCore`] over its routed subsequence of the stream, driven
-//!    by any of the existing [`crate::policy`] drivers
-//!    ([`crate::config::ShardDriver`]).
+//!    by [`BatchedPush`] in process (by [`LeasedPull`] over a rank group
+//!    in the SPMD rendering).
 //! 4. **Merge tree** — shard forests combine up a binary tree
 //!    ([`MasterMsg::Merge`] / [`WorkerMsg::Forest`], relayed by the
 //!    router): ⌈log₂ K⌉ rounds instead of K serial merges. Shard 0 ends
@@ -32,29 +32,28 @@
 //! [`ClusterCore::merge_forest`] then takes the closure across shards,
 //! and `n_merges` agrees too: every successful union shrinks the set
 //! count by exactly one from the same `n` singletons, so both paths end
-//! at `n − C`. The driver matrix pins this for every source × driver ×
-//! K combination.
+//! at `n − C`. The driver matrix pins this for every source × K
+//! combination.
 
 use pfam_align::CostModel;
 use pfam_seq::{SeqStore, SequenceSet};
 use pfam_suffix::MatchPair;
 
-use crate::ccd::{run_ccd_from_pairs, CcdResult};
-use crate::config::{ClusterConfig, ShardDriver, ShardParams};
+use crate::ccd::CcdResult;
+use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, ShardForest, Verifier};
 use crate::policy::{
-    serve_pull_worker, wire_pairs, BatchedPush, DealPlan, LeaseKnobs, LeaseSizing, LeasedPull,
-    StealingPush, WorkPolicy,
+    serve_pull_worker, wire_pairs, BatchedPush, LeaseKnobs, LeasedPull, WorkPolicy,
 };
-use crate::source::{with_source, IterSource, PairSource};
+use crate::source::{with_source, PairSource};
 use crate::supervise::HealthReport;
 use crate::trace::PhaseTrace;
 use crate::transport::{
     LocalTransport, MasterMsg, MpiTransport, MpiWorkerPort, Transport, WorkerMsg, WorkerPort,
 };
 
-/// The splitmix64 mixer — the same stable stream the steal scheduler's
-/// victim ordering uses, so shard ownership is reproducible everywhere.
+/// The splitmix64 mixer: a stable stream, so shard ownership is
+/// reproducible across runs and processes.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -219,72 +218,10 @@ fn wait_merge<P: WorkerPort + ?Sized>(port: &mut P) -> ShardForest {
     }
 }
 
-/// Drive one shard's intra-shard CCD over its routed stream with the
-/// configured [`ShardDriver`]. Every driver is output-identical (the
-/// policies' own identity suites pin that), so the choice is
-/// scheduling-only here too.
-fn drive_intra_shard<P: WorkerPort + ?Sized>(
-    set: &dyn SeqStore,
-    config: &ClusterConfig,
-    verifier: &Verifier,
-    core: &mut ClusterCore<'_>,
-    port: &mut P,
-) {
-    let mut source = PortSource::new(port);
-    let workers = config.shard.workers_per_shard.max(1);
-    match config.shard.driver {
-        ShardDriver::Batched => BatchedPush {
-            source: &mut source,
-            verifier,
-            batch_size: config.batch_size,
-            checkpoint_every: 0,
-            on_checkpoint: &mut |_| {},
-        }
-        .drive(core)
-        .expect("the batched in-process policy cannot fail"),
-        ShardDriver::Stealing => {
-            let cost = CostModel::new();
-            StealingPush {
-                source: &mut source,
-                verifier,
-                cost: &cost,
-                n_workers: workers,
-                round_pairs: config.batch_size.max(1) * workers * 2,
-                chunks_per_worker: 2,
-                steal_seed: config.steal.seed,
-                stealing: true,
-                deal: DealPlan::Lpt,
-                steals_by_worker: Vec::new(),
-            }
-            .drive(core)
-            .expect("the stealing in-process policy cannot fail")
-        }
-        ShardDriver::Pull => {
-            let cost = CostModel::new();
-            let (mut inner, inner_ports) = LocalTransport::new(workers, 4 * workers);
-            std::thread::scope(|scope| {
-                for mut p in inner_ports {
-                    scope.spawn(move || serve_pull_worker(&mut p, verifier, set));
-                }
-                LeasedPull {
-                    transport: &mut inner,
-                    source: &mut source,
-                    batch_size: config.batch_size,
-                    sizing: LeaseSizing::Pairs,
-                    cost: &cost,
-                    knobs: LeaseKnobs::default(),
-                    health: HealthReport::default(),
-                }
-                .drive(core)
-                .expect("an in-process pull pool cannot run out of workers")
-            });
-        }
-    }
-}
-
-/// One shard's whole life: intra-shard CCD over the routed stream, then
-/// the merge-tree exchange. Returns the shard's work trace and — on
-/// shard 0 only — the merged global result.
+/// One shard's whole life: intra-shard CCD over the routed stream
+/// ([`BatchedPush`], like the single master), then the merge-tree
+/// exchange. Returns the shard's work trace and — on shard 0 only — the
+/// merged global result.
 fn run_shard<P: WorkerPort + ?Sized>(
     set: &dyn SeqStore,
     config: &ClusterConfig,
@@ -294,7 +231,15 @@ fn run_shard<P: WorkerPort + ?Sized>(
 ) -> (PhaseTrace, Option<CcdResult>) {
     let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd);
-    drive_intra_shard(set, config, &verifier, &mut core, port);
+    BatchedPush {
+        source: &mut PortSource::new(port),
+        verifier: &verifier,
+        batch_size: config.batch_size,
+        checkpoint_every: 0,
+        on_checkpoint: &mut |_| {},
+    }
+    .drive(&mut core)
+    .expect("the batched in-process policy cannot fail");
     // The shard's own trace, pre-merge-tree (merging touches no trace
     // state): the plane concatenates these into the global trace and the
     // simulator replays them as parallel per-shard stages.
@@ -340,14 +285,14 @@ pub struct ShardRun {
 
 /// The in-process sharded plane: K shard threads around a router thread
 /// (this one), all over [`LocalTransport`]'s addressed queues.
-fn shard_plane(
+pub(crate) fn shard_plane(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     source: &mut dyn PairSource,
 ) -> ShardRun {
     let k = config.shard.shards;
     let route_batch = config.shard.resolved_route_batch(config.batch_size);
-    let (mut transport, ports) = LocalTransport::new(k, 1);
+    let (mut transport, ports) = LocalTransport::new(k);
     let outcomes: Vec<(PhaseTrace, Option<CcdResult>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = ports
             .into_iter()
@@ -375,14 +320,13 @@ fn shard_plane(
     ShardRun { result, shard_traces }
 }
 
-/// Run CCD through the sharded plane with the per-shard breakdown. With
-/// `shards ≤ 1` this delegates to the single-master entry points (the
-/// plane with one shard *is* the single master plus a routing hop).
-pub fn run_ccd_sharded_detailed(set: &dyn SeqStore, config: &ClusterConfig) -> ShardRun {
-    if config.shard.shards <= 1 {
-        let single =
-            ClusterConfig { shard: ShardParams { shards: 1, ..config.shard }, ..config.clone() };
-        let result = crate::ccd::run_ccd(set, &single);
+/// Run CCD through the sharded plane (see the module docs), keeping the
+/// per-shard breakdown. Components — and `n_merges` — are bit-identical to
+/// the single master for every shard count. With `shards ≤ 1` this *is*
+/// the single master ([`crate::ccd::run_ccd`]): one shard, one trace.
+pub fn run_ccd_sharded(set: &dyn SeqStore, config: &ClusterConfig) -> ShardRun {
+    if !config.shard.enabled() {
+        let result = crate::ccd::run_ccd(set, config);
         let shard_traces = vec![result.trace.clone()];
         return ShardRun { result, shard_traces };
     }
@@ -395,31 +339,6 @@ pub fn run_ccd_sharded_detailed(set: &dyn SeqStore, config: &ClusterConfig) -> S
     with_source(set, config, config.psi_ccd, config.index_threads(), |source| {
         shard_plane(set, config, source)
     })
-}
-
-/// Run CCD through the sharded plane (see the module docs). Components —
-/// and `n_merges` — are bit-identical to [`crate::ccd::run_ccd`] with the
-/// plane disabled, for every shard count and [`ShardDriver`].
-pub fn run_ccd_sharded(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
-    run_ccd_sharded_detailed(set, config).result
-}
-
-/// The sharded plane over an explicit pair stream — the sharded
-/// counterpart of [`crate::ccd::run_ccd_from_pairs`], used by the
-/// driver-equivalence matrix's pre-collected sources.
-pub fn run_ccd_sharded_from_pairs(
-    set: &dyn SeqStore,
-    pairs: Vec<MatchPair>,
-    config: &ClusterConfig,
-) -> CcdResult {
-    if config.shard.shards <= 1 {
-        return run_ccd_from_pairs(set, pairs, config);
-    }
-    if set.is_empty() {
-        return CcdResult::empty();
-    }
-    let mut source = IterSource::new(pairs.into_iter());
-    shard_plane(set, config, &mut source).result
 }
 
 /// The sharded plane as a real SPMD program over `pfam-mpi`: rank 0 is
@@ -437,7 +356,7 @@ pub fn run_ccd_sharded_from_pairs(
 /// Components are bit-identical to [`crate::ccd::run_ccd`], like every
 /// other path through the plane. The returned trace is shard 0's own
 /// share of the work — per-shard trace collection is an in-process-plane
-/// feature ([`run_ccd_sharded_detailed`]).
+/// feature ([`run_ccd_sharded`]).
 pub fn run_ccd_sharded_spmd(set: &SequenceSet, config: &ClusterConfig) -> CcdResult {
     let k = config.shard.shards.max(1);
     let w = config.shard.workers_per_shard.max(1);
@@ -493,7 +412,6 @@ fn run_sharded_world(
                     transport: &mut intra,
                     source: &mut source,
                     batch_size: config.batch_size,
-                    sizing: LeaseSizing::Pairs,
                     cost: &cost,
                     knobs: LeaseKnobs::default(),
                     health: HealthReport::default(),
@@ -520,6 +438,7 @@ fn run_sharded_world(
 mod tests {
     use super::*;
     use crate::ccd::run_ccd;
+    use crate::config::ShardParams;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
 
     #[test]
@@ -589,15 +508,13 @@ mod tests {
         let config = ClusterConfig::default();
         let reference = run_ccd(&d.set, &config);
         for k in [2usize, 3, 8, d.set.len() + 7] {
-            for driver in [ShardDriver::Batched, ShardDriver::Stealing, ShardDriver::Pull] {
-                let cfg = ClusterConfig {
-                    shard: ShardParams { shards: k, driver, ..Default::default() },
-                    ..config.clone()
-                };
-                let r = run_ccd_sharded(&d.set, &cfg);
-                assert_eq!(r.components, reference.components, "K={k} {driver:?}");
-                assert_eq!(r.n_merges, reference.n_merges, "K={k} {driver:?}");
-            }
+            let cfg = ClusterConfig {
+                shard: ShardParams { shards: k, ..Default::default() },
+                ..config.clone()
+            };
+            let r = run_ccd_sharded(&d.set, &cfg).result;
+            assert_eq!(r.components, reference.components, "K={k}");
+            assert_eq!(r.n_merges, reference.n_merges, "K={k}");
         }
     }
 
@@ -623,7 +540,7 @@ mod tests {
             shard: ShardParams { shards: 3, ..Default::default() },
             ..ClusterConfig::default()
         };
-        let run = run_ccd_sharded_detailed(&d.set, &cfg);
+        let run = run_ccd_sharded(&d.set, &cfg);
         assert_eq!(run.shard_traces.len(), 3);
         let per_shard: usize = run.shard_traces.iter().map(|t| t.total_generated()).sum();
         assert_eq!(per_shard, run.result.trace.total_generated(), "routing loses no pairs");
@@ -637,12 +554,12 @@ mod tests {
             shard: ShardParams { shards: 4, ..Default::default() },
             ..ClusterConfig::default()
         };
-        let r = run_ccd_sharded(&SequenceSet::new(), &cfg);
+        let r = run_ccd_sharded(&SequenceSet::new(), &cfg).result;
         assert!(r.components.is_empty());
         let mut b = pfam_seq::SequenceSetBuilder::new();
         b.push_letters("a".into(), b"MKVLWAAKNDCQEGHILKMFPSTWYV").unwrap();
         let one = b.finish();
-        let r = run_ccd_sharded(&one, &cfg);
+        let r = run_ccd_sharded(&one, &cfg).result;
         assert_eq!(r.components.len(), 1);
     }
 
@@ -676,7 +593,7 @@ mod tests {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(34));
         let config = ClusterConfig::default();
         let reference = run_ccd(&d.set, &config);
-        let r = run_ccd_sharded(&d.set, &config);
+        let r = run_ccd_sharded(&d.set, &config).result;
         assert_eq!(r.components, reference.components);
         assert_eq!(r.edges, reference.edges, "K=1 is literally the reference path");
         assert_eq!(r.trace, reference.trace);

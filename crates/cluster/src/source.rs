@@ -301,7 +301,7 @@ pub fn with_mined_source<R>(
 /// Routing: sketch modes first — [`crate::config::ClusterConfig::sketch`]
 /// in `Approx`/`Hybrid` mode routes to the LSH sources ([`SketchSource`]
 /// / [`HybridSource`]), which is how every driver, shard router, and
-/// steal/lease policy picks up the sketch plane without changing.
+/// lease policy picks up the sketch plane without changing.
 /// Otherwise the exact miner: the monolithic [`MinedSource`] when the
 /// store is in-memory, no chunk size is forced, and the whole index fits
 /// the budget (reserving its footprint for the duration of `f`); else the

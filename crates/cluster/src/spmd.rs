@@ -16,9 +16,10 @@
 //! seam; this module only assembles the topology: the partitioned pair
 //! sources, the rank-0 master core, and the result plumbing.
 //!
-//! The final components are identical to the shared-memory engines' (the
-//! clustering is order-independent; see `crate::master_worker`), which the
-//! tests assert.
+//! The final components are identical to the shared-memory engine's (a
+//! pair is only skipped when its endpoints are already connected, and a
+//! verdict is a pure function of the two sequences, so the clustering is
+//! order-independent), which the tests assert.
 
 use pfam_mpi::run_spmd;
 use pfam_seq::SequenceSet;

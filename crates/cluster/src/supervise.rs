@@ -34,7 +34,7 @@ pub struct WorkerHealth {
 }
 
 /// Per-worker recovery counters plus aggregates; returned by
-/// [`crate::ft::run_ccd_ft_supervised`].
+/// [`crate::ft::run_ccd_ft`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// One slot per worker, indexed by worker id.

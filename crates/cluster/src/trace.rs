@@ -42,12 +42,6 @@ pub struct BatchRecord {
     /// `m·n` of every pair the engine's length screen or score threshold
     /// rejected before any traceback; zero under the reference engine.
     pub cells_skipped: u64,
-    /// Work chunks a cost-aware scheduler packed and dispatched this
-    /// round (0 for per-pair and fixed-batch drivers).
-    pub n_chunks: usize,
-    /// Chunks executed by a worker other than the one they were packed
-    /// for — the stealing/imbalance signal (0 without stealing).
-    pub n_steals: usize,
     /// Leases requeued by timeout/death recovery this round (0 outside
     /// the fault-tolerant driver).
     pub n_requeued: usize,
@@ -101,16 +95,6 @@ impl PhaseTrace {
         self.batches.iter().map(|b| b.cells_skipped).sum()
     }
 
-    /// Total work chunks dispatched by cost-aware schedulers.
-    pub fn total_chunks(&self) -> usize {
-        self.batches.iter().map(|b| b.n_chunks).sum()
-    }
-
-    /// Total chunks that were stolen by a non-owner worker.
-    pub fn total_steals(&self) -> usize {
-        self.batches.iter().map(|b| b.n_steals).sum()
-    }
-
     /// Total leases requeued by recovery (timeouts and worker deaths).
     pub fn total_requeued(&self) -> usize {
         self.batches.iter().map(|b| b.n_requeued).sum()
@@ -153,20 +137,18 @@ impl PhaseTrace {
             self.index_residues, self.nodes_visited
         );
         out.push_str(
-            "#n_generated\tn_filtered\tn_aligned\ttask_cells\tcells_computed\tcells_skipped\tn_chunks\tn_steals\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\n",
+            "#n_generated\tn_filtered\tn_aligned\ttask_cells\tcells_computed\tcells_skipped\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\n",
         );
         for b in &self.batches {
             let cells: Vec<String> = b.task_cells.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 b.n_generated,
                 b.n_filtered,
                 b.n_aligned,
                 cells.join(","),
                 b.cells_computed,
                 b.cells_skipped,
-                b.n_chunks,
-                b.n_steals,
                 b.n_requeued,
                 b.n_retries,
                 b.n_spec_issued,
@@ -194,6 +176,7 @@ impl PhaseTrace {
         }
         let mut batches = Vec::new();
         for line in lines.filter(|l| !l.starts_with('#') && !l.is_empty()) {
+            let n_cols = line.split('\t').count();
             let mut cols = line.split('\t');
             let mut next_num = |name: &str| -> Result<usize, String> {
                 cols.next()
@@ -220,9 +203,9 @@ impl PhaseTrace {
                     task_cells.len()
                 ));
             }
-            // Engine and scheduler counters: absent in traces written
-            // before the tiered engine / cost-aware schedulers existed —
-            // default to 0 for backward compatibility.
+            // Engine and recovery counters: absent in traces written
+            // before the tiered engine / recovery plane existed — default
+            // to 0 for backward compatibility.
             let mut next_u64 = |name: &str| -> Result<u64, String> {
                 match cols.next() {
                     None => Ok(0),
@@ -231,8 +214,13 @@ impl PhaseTrace {
             };
             let cells_computed = next_u64("cells_computed")?;
             let cells_skipped = next_u64("cells_skipped")?;
-            let n_chunks = next_u64("n_chunks")? as usize;
-            let n_steals = next_u64("n_steals")? as usize;
+            // Traces written while the stealing scheduler existed carry
+            // `n_chunks` and `n_steals` here (8 or 12 columns in all):
+            // read past them.
+            if matches!(n_cols, 8 | 12) {
+                next_u64("n_chunks")?;
+                next_u64("n_steals")?;
+            }
             let n_requeued = next_u64("n_requeued")? as usize;
             let n_retries = next_u64("n_retries")?;
             let n_spec_issued = next_u64("n_spec_issued")? as usize;
@@ -245,8 +233,6 @@ impl PhaseTrace {
                 task_cells,
                 cells_computed,
                 cells_skipped,
-                n_chunks,
-                n_steals,
                 n_requeued,
                 n_retries,
                 n_spec_issued,
@@ -301,8 +287,6 @@ mod tests {
             nodes_visited: 67,
             batches: vec![batch(10, 7, &[100, 200, 300]), batch(4, 4, &[])],
         };
-        trace.batches[0].n_chunks = 4;
-        trace.batches[0].n_steals = 2;
         trace.batches[0].n_requeued = 3;
         trace.batches[0].n_retries = 6;
         trace.batches[1].n_spec_issued = 2;
@@ -312,8 +296,6 @@ mod tests {
         assert_eq!(back.index_residues, trace.index_residues);
         assert_eq!(back.nodes_visited, trace.nodes_visited);
         assert_eq!(back.batches, trace.batches);
-        assert_eq!(back.total_chunks(), 4);
-        assert_eq!(back.total_steals(), 2);
         assert_eq!(back.total_requeued(), 3);
         assert_eq!(back.total_retries(), 6);
         assert_eq!(back.total_speculated(), 2);
@@ -321,16 +303,26 @@ mod tests {
     }
 
     #[test]
-    fn tsv_without_scheduler_columns_defaults_to_zero() {
-        // A trace written before the cost-aware schedulers existed.
+    fn tsv_without_recovery_columns_defaults_to_zero() {
+        // A trace written before the recovery plane existed.
         let old = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\n";
         let trace = PhaseTrace::from_tsv(old).expect("old traces still parse");
-        assert_eq!(trace.batches[0].n_chunks, 0);
-        assert_eq!(trace.batches[0].n_steals, 0);
         assert_eq!(trace.batches[0].n_requeued, 0);
         assert_eq!(trace.batches[0].n_retries, 0);
         assert_eq!(trace.batches[0].n_spec_issued, 0);
         assert_eq!(trace.batches[0].n_spec_wins, 0);
+    }
+
+    #[test]
+    fn tsv_with_retired_scheduler_columns_still_parses() {
+        // Traces written while `n_chunks`/`n_steals` existed: the two
+        // columns are read past, the ones after them land where they belong.
+        let pr7 = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\t4\t2\t3\t6\t2\t1\n";
+        let b = &PhaseTrace::from_tsv(pr7).expect("12-column traces parse").batches[0];
+        assert_eq!((b.n_requeued, b.n_retries, b.n_spec_issued, b.n_spec_wins), (3, 6, 2, 1));
+        let pr6 = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\t4\t2\n";
+        let b = &PhaseTrace::from_tsv(pr6).expect("8-column traces parse").batches[0];
+        assert_eq!((b.cells_computed, b.n_requeued), (50, 0));
     }
 
     #[test]

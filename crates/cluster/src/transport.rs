@@ -6,23 +6,19 @@
 //! liveness board. A [`WorkerPort`] is one worker's view of the master.
 //! The messages ([`MasterMsg`], [`WorkerMsg`]) are the complete protocol
 //! vocabulary shared by every distributed driver — push (SPMD), pull
-//! (leased fault-tolerant), and streaming (threaded master–worker) all
-//! speak the same types, so a [`crate::policy::WorkPolicy`] composes with
-//! any transport.
+//! (leased fault-tolerant) and the shard plane's routing all speak the
+//! same types, so a [`crate::policy::WorkPolicy`] composes with any
+//! transport.
 //!
 //! Two transports exist:
 //!
 //! * [`MpiTransport`] / [`MpiWorkerPort`] — adapters over the fallible
 //!   `pfam-mpi` communicator (message loss, rank death, the liveness
 //!   board, fault injection all live below this seam);
-//! * [`LocalTransport`] / [`LocalPort`] — in-process channels: a bounded
-//!   shared task queue with back-pressure for the streaming dispatcher,
-//!   plus per-worker addressed queues so the push and pull policies run
-//!   fully in-process (the driver-equivalence matrix tests).
-//!
-//! Candidates are sent *without* their maximal-match anchors: the engine
-//! ignores anchors, so verdicts — and therefore components — are those of
-//! the in-process drivers and the protocol payload stays minimal.
+//! * [`LocalTransport`] / [`LocalPort`] — in-process channels: one
+//!   addressed queue per worker, so the shard plane's router and the push
+//!   and pull policies run fully in-process (the driver-equivalence
+//!   matrix tests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,8 +67,8 @@ impl std::error::Error for TransportError {}
 /// Master → worker protocol messages.
 #[derive(Debug, Clone)]
 pub enum MasterMsg {
-    /// A leased candidate batch to verify: `(a, b)` sequence-id pairs,
-    /// anchors stripped. Push-mode drivers use a single dummy lease id.
+    /// A leased candidate batch to verify: `(a, b)` sequence-id pairs.
+    /// Push-mode drivers use a single dummy lease id.
     Task {
         /// Lease id echoed back with the verdicts (stale-verdict filter).
         lease: u64,
@@ -91,7 +87,7 @@ pub enum MasterMsg {
     /// in global generation order (the router preserves the mined
     /// stream's order within every shard's subsequence).
     ShardPairs {
-        /// `(a, b)` sequence-id pairs, anchors stripped at the wire.
+        /// `(a, b)` sequence-id pairs.
         pairs: Vec<(u32, u32)>,
     },
     /// Shard plane merge tree: a peer shard's exported clustering state,
@@ -124,8 +120,6 @@ pub enum WorkerMsg {
     Request,
     /// Pull protocol: shutdown acknowledged, worker exiting.
     Bye,
-    /// Streaming dispatcher: the worker died mid-task (panic payload).
-    Failed(String),
     /// Shard plane merge tree: this shard's exported clustering state,
     /// to be relayed by the router to shard `to` as a
     /// [`MasterMsg::Merge`].
@@ -255,20 +249,11 @@ impl WorkerPort for MpiWorkerPort<'_> {
     }
 }
 
-/// In-process transport over crossbeam channels.
-///
-/// Two delivery modes coexist:
-///
-/// * **addressed** — one unbounded queue per worker ([`Transport::send`]),
-///   used by the push and pull policies;
-/// * **shared** — one bounded queue every worker pulls from
-///   ([`LocalTransport::send_shared`]), the streaming dispatcher's
-///   back-pressured task channel; closing it
-///   ([`LocalTransport::close_shared`]) is the workers' exit signal.
+/// In-process transport over crossbeam channels: one unbounded addressed
+/// queue per worker ([`Transport::send`]) and one merged result queue.
 pub struct LocalTransport {
     results_rx: Receiver<(usize, WorkerMsg)>,
     addressed: Vec<Sender<MasterMsg>>,
-    shared_tx: Option<Sender<MasterMsg>>,
     alive: Vec<Arc<AtomicBool>>,
 }
 
@@ -277,16 +262,13 @@ pub struct LocalPort {
     index: usize,
     results_tx: Sender<(usize, WorkerMsg)>,
     inbox: Receiver<MasterMsg>,
-    shared_rx: Receiver<MasterMsg>,
     alive: Arc<AtomicBool>,
 }
 
 impl LocalTransport {
-    /// Build a pool of `n_workers` in-process endpoints; the shared task
-    /// queue is bounded at `shared_cap` (back-pressure on the master).
-    pub fn new(n_workers: usize, shared_cap: usize) -> (LocalTransport, Vec<LocalPort>) {
+    /// Build a pool of `n_workers` in-process endpoints.
+    pub fn new(n_workers: usize) -> (LocalTransport, Vec<LocalPort>) {
         let (results_tx, results_rx) = channel::unbounded();
-        let (shared_tx, shared_rx) = channel::bounded(shared_cap);
         let mut addressed = Vec::with_capacity(n_workers);
         let mut alive = Vec::with_capacity(n_workers);
         let mut ports = Vec::with_capacity(n_workers);
@@ -295,36 +277,9 @@ impl LocalTransport {
             let flag = Arc::new(AtomicBool::new(true));
             addressed.push(tx);
             alive.push(flag.clone());
-            ports.push(LocalPort {
-                index,
-                results_tx: results_tx.clone(),
-                inbox: rx,
-                shared_rx: shared_rx.clone(),
-                alive: flag,
-            });
+            ports.push(LocalPort { index, results_tx: results_tx.clone(), inbox: rx, alive: flag });
         }
-        (LocalTransport { results_rx, addressed, shared_tx: Some(shared_tx), alive }, ports)
-    }
-
-    /// Send a task into the shared queue, blocking while it is at
-    /// capacity. Fails once every worker has exited.
-    pub fn send_shared(&self, msg: MasterMsg) -> Result<(), TransportError> {
-        match &self.shared_tx {
-            Some(tx) => tx.send(msg).map_err(|_| TransportError::PeerGone),
-            None => Err(TransportError::Fatal("shared queue already closed".into())),
-        }
-    }
-
-    /// Close the shared queue: workers blocked on
-    /// [`LocalPort::recv_shared`] observe the disconnect and exit.
-    pub fn close_shared(&mut self) {
-        self.shared_tx = None;
-    }
-
-    /// Blocking receive of the next worker message; `None` once every
-    /// worker endpoint has been dropped and the queue is drained.
-    pub fn recv_blocking(&self) -> Option<(usize, WorkerMsg)> {
-        self.results_rx.recv().ok()
+        (LocalTransport { results_rx, addressed, alive }, ports)
     }
 }
 
@@ -352,14 +307,6 @@ impl Transport for LocalTransport {
         // Worker threads are joined by the scope that spawned them; the
         // in-process transport needs no rendezvous of its own.
         Ok(())
-    }
-}
-
-impl LocalPort {
-    /// Blocking pull from the shared task queue; `None` once the master
-    /// closed it ([`LocalTransport::close_shared`]).
-    pub fn recv_shared(&self) -> Option<MasterMsg> {
-        self.shared_rx.recv().ok()
     }
 }
 
@@ -398,7 +345,7 @@ mod tests {
 
     #[test]
     fn local_addressed_round_trip() {
-        let (mut master, mut ports) = LocalTransport::new(2, 4);
+        let (mut master, mut ports) = LocalTransport::new(2);
         master.send(1, MasterMsg::Shutdown).unwrap();
         assert!(matches!(ports[1].try_recv().unwrap(), Some(MasterMsg::Shutdown)));
         assert!(ports[0].try_recv().unwrap().is_none(), "addressed: only worker 1 sees it");
@@ -411,19 +358,10 @@ mod tests {
 
     #[test]
     fn local_liveness_flips_on_drop() {
-        let (master, mut ports) = LocalTransport::new(2, 4);
+        let (master, mut ports) = LocalTransport::new(2);
         assert!(master.worker_alive(0) && master.worker_alive(1));
         drop(ports.remove(0));
         assert!(!master.worker_alive(0));
         assert!(master.worker_alive(1));
-    }
-
-    #[test]
-    fn shared_queue_closes_cleanly() {
-        let (mut master, ports) = LocalTransport::new(1, 2);
-        master.send_shared(MasterMsg::Task { lease: 0, candidates: vec![(0, 1)] }).unwrap();
-        master.close_shared();
-        assert!(matches!(ports[0].recv_shared(), Some(MasterMsg::Task { .. })));
-        assert!(ports[0].recv_shared().is_none(), "closed queue drains then ends");
     }
 }

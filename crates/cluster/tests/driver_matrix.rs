@@ -10,11 +10,10 @@
 //! the same axes the public `run_*` drivers are built from.
 
 use pfam_cluster::{
-    run_ccd, run_ccd_sharded, run_ccd_sharded_from_pairs, serve_pull_worker, serve_push_worker,
-    BatchedPush, ClusterConfig, ClusterCore, CorePhase, CostModel, DealPlan, HealthReport,
-    HybridSource, IterSource, LeaseKnobs, LeaseSizing, LeasedPull, LocalTransport, MinedSource,
-    MwDispatch, PairSource, PartitionedMinedSource, ShardDriver, ShardParams, SketchBanding,
-    SketchMode, SketchParams, SketchSource, SpmdPush, StealingPush, Verifier, WorkPolicy,
+    run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
+    ClusterCore, CorePhase, CostModel, HealthReport, HybridSource, IterSource, LeaseKnobs,
+    LeasedPull, LocalTransport, MinedSource, PairSource, PartitionedMinedSource, ShardParams,
+    SketchBanding, SketchMode, SketchParams, SketchSource, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -36,21 +35,15 @@ enum SourceKind {
 }
 
 /// The scheduling axis (the transport is implied: rayon in-process for
-/// `Batched`, the local channel transport for the other three).
+/// `Batched`, the local channel transport for the other two).
 #[derive(Clone, Copy, Debug)]
 enum PolicyKind {
     /// [`BatchedPush`] — the deterministic reference loop.
     Batched,
-    /// [`MwDispatch`] — streaming threaded master–worker.
-    Streaming,
     /// [`SpmdPush`] — workers own source slices and push pair batches.
     Push,
     /// [`LeasedPull`] — master owns the source, workers pull leases.
     Pull,
-    /// [`LeasedPull`] with cost-balanced ([`LeaseSizing::Cells`]) leases.
-    PullCells,
-    /// [`StealingPush`] — cost-packed chunks on work-stealing deques.
-    Stealing,
 }
 
 const SOURCES: [SourceKind; 4] = [
@@ -59,14 +52,7 @@ const SOURCES: [SourceKind; 4] = [
     SourceKind::Collected,
     SourceKind::Partitioned,
 ];
-const POLICIES: [PolicyKind; 6] = [
-    PolicyKind::Batched,
-    PolicyKind::Streaming,
-    PolicyKind::Push,
-    PolicyKind::Pull,
-    PolicyKind::PullCells,
-    PolicyKind::Stealing,
-];
+const POLICIES: [PolicyKind; 3] = [PolicyKind::Batched, PolicyKind::Push, PolicyKind::Pull];
 
 fn mining_threads(kind: SourceKind) -> usize {
     match kind {
@@ -185,21 +171,9 @@ fn drive_master_side(
             .drive(&mut core)
             .expect("the in-process loop cannot fail");
         }
-        PolicyKind::Streaming => {
-            let engine = config.engine();
-            let verify = move |x: &[u8], y: &[u8]| engine.overlaps(x, y, None).accept;
+        PolicyKind::Pull => {
             let cost = CostModel::new();
-            MwDispatch { source, verify: &verify, cost: &cost, n_workers: 2, peak_in_flight: 0 }
-                .drive(&mut core)
-                .expect("no injected panics");
-        }
-        PolicyKind::Pull | PolicyKind::PullCells => {
-            let cost = CostModel::new();
-            let sizing = match policy {
-                PolicyKind::PullCells => LeaseSizing::Cells { model: &cost, target: 50_000 },
-                _ => LeaseSizing::Pairs,
-            };
-            let (mut transport, ports) = LocalTransport::new(2, 8);
+            let (mut transport, ports) = LocalTransport::new(2);
             std::thread::scope(|scope| {
                 for mut port in ports {
                     let verifier = &verifier;
@@ -209,7 +183,6 @@ fn drive_master_side(
                     transport: &mut transport,
                     source,
                     batch_size: config.batch_size,
-                    sizing,
                     cost: &cost,
                     knobs: LeaseKnobs::default(),
                     health: HealthReport::default(),
@@ -217,23 +190,6 @@ fn drive_master_side(
                 .drive(&mut core)
                 .expect("healthy local world");
             });
-        }
-        PolicyKind::Stealing => {
-            let cost = CostModel::new();
-            StealingPush {
-                source,
-                verifier: &verifier,
-                cost: &cost,
-                n_workers: 2,
-                round_pairs: config.batch_size.max(1) * 4,
-                chunks_per_worker: 2,
-                steal_seed: 7,
-                stealing: true,
-                deal: DealPlan::Lpt,
-                steals_by_worker: Vec::new(),
-            }
-            .drive(&mut core)
-            .expect("the in-process loop cannot fail");
         }
         PolicyKind::Push => unreachable!("push sources live on the workers"),
     }
@@ -247,7 +203,7 @@ fn drive_push(
     worker_pairs: Vec<Vec<MatchPair>>,
 ) -> Vec<Vec<SeqId>> {
     let n = worker_pairs.len();
-    let (mut transport, ports) = LocalTransport::new(n, 2 * n);
+    let (mut transport, ports) = LocalTransport::new(n);
     let mut core = ClusterCore::new_ccd(set);
     std::thread::scope(|scope| {
         for (port, pairs) in ports.into_iter().zip(worker_pairs) {
@@ -277,45 +233,34 @@ fn assert_matrix_agrees(set: &SequenceSet, config: &ClusterConfig) {
     }
 }
 
-/// The shard axis: every shard count × intra-shard driver × pair supply
-/// must reproduce the single-master components (and merge count — both
-/// paths start from the same singletons, so `n_merges = n − C` agrees).
-const SHARD_DRIVERS: [ShardDriver; 3] =
-    [ShardDriver::Batched, ShardDriver::Stealing, ShardDriver::Pull];
-
-fn shard_config(config: &ClusterConfig, k: usize, driver: ShardDriver) -> ClusterConfig {
-    ClusterConfig {
-        shard: ShardParams { shards: k, driver, ..Default::default() },
-        ..config.clone()
-    }
+/// The shard axis: every shard count × pair supply must reproduce the
+/// single-master components (and merge count — both paths start from the
+/// same singletons, so `n_merges = n − C` agrees).
+fn shard_config(config: &ClusterConfig, k: usize) -> ClusterConfig {
+    ClusterConfig { shard: ShardParams { shards: k, ..Default::default() }, ..config.clone() }
 }
 
 /// Cross the shard axis against every pair supply. `full` runs the whole
-/// K × driver × source cube; otherwise a reduced diagonal (every driver,
-/// extreme shard counts, mined supply only).
+/// K × source square; otherwise the extreme shard counts on the mined
+/// supply only.
 fn assert_shard_matrix_agrees(set: &SequenceSet, config: &ClusterConfig, full: bool) {
     let reference = run_ccd(set, config);
     let counts: Vec<usize> =
         if full { vec![1, 2, 3, 8, set.len() + 7] } else { vec![2, set.len() + 7] };
     for &k in &counts {
-        for driver in SHARD_DRIVERS {
-            let cfg = shard_config(config, k, driver);
-            // The plane's own mined supply.
-            let got = run_ccd_sharded(set, &cfg);
-            assert_eq!(got.components, reference.components, "K={k} {driver:?} mined");
-            assert_eq!(got.n_merges, reference.n_merges, "K={k} {driver:?} mined");
-            if !full {
-                continue;
-            }
-            // Pre-collected supplies, serial and parallel mining.
-            for threads in [1usize, 2] {
-                let pairs = collect_pairs(set, config, threads);
-                let got = run_ccd_sharded_from_pairs(set, pairs, &cfg);
-                assert_eq!(
-                    got.components, reference.components,
-                    "K={k} {driver:?} collected (threads={threads})"
-                );
-            }
+        let cfg = shard_config(config, k);
+        // The plane's own mined supply.
+        let got = run_ccd(set, &cfg);
+        assert_eq!(got.components, reference.components, "K={k} mined");
+        assert_eq!(got.n_merges, reference.n_merges, "K={k} mined");
+        if !full {
+            continue;
+        }
+        // Pre-collected supplies, serial and parallel mining.
+        for threads in [1usize, 2] {
+            let pairs = collect_pairs(set, config, threads);
+            let got = run_ccd_from_pairs(set, pairs, &cfg);
+            assert_eq!(got.components, reference.components, "K={k} collected (threads={threads})");
         }
     }
 }
@@ -413,14 +358,11 @@ fn assert_sketch_axis_agrees(set: &SequenceSet, config: &ClusterConfig) {
         assert_eq!(got, reference, "Sketch × {policy:?} diverged from the reference components");
     }
     for k in [1usize, 2, 8] {
-        for driver in SHARD_DRIVERS {
-            let cfg = shard_config(config, k, driver);
-            let got = run_ccd_sharded(set, &cfg);
-            assert_eq!(
-                got.components, reference,
-                "Sketch × shards K={k} × {driver:?} diverged from the reference components"
-            );
-        }
+        let got = run_ccd(set, &shard_config(config, k));
+        assert_eq!(
+            got.components, reference,
+            "Sketch × shards K={k} diverged from the reference components"
+        );
     }
 }
 

@@ -11,15 +11,15 @@
 //! across shards.
 
 use pfam_cluster::{
-    run_ccd, run_ccd_resumable, run_ccd_sharded, run_ccd_sharded_detailed, run_ccd_sharded_spmd,
-    CcdCursor, ClusterConfig, ShardDriver, ShardParams,
+    run_ccd, run_ccd_resumable, run_ccd_sharded, run_ccd_sharded_spmd, CcdCursor, ClusterConfig,
+    ShardParams,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{SequenceSet, SequenceSetBuilder};
 
-fn sharded_config(k: usize, driver: ShardDriver) -> ClusterConfig {
+fn sharded_config(k: usize) -> ClusterConfig {
     ClusterConfig {
-        shard: ShardParams { shards: k, driver, ..Default::default() },
+        shard: ShardParams { shards: k, ..Default::default() },
         ..ClusterConfig::default()
     }
 }
@@ -31,21 +31,10 @@ fn routed_stream_accounts_for_every_generated_pair() {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny(21));
     let reference = run_ccd(&d.set, &ClusterConfig::default());
     for k in [2usize, 3, 8] {
-        let run = run_ccd_sharded_detailed(&d.set, &sharded_config(k, ShardDriver::Batched));
+        let run = run_ccd_sharded(&d.set, &sharded_config(k));
         let routed: usize = run.shard_traces.iter().map(|t| t.total_generated()).sum();
         assert_eq!(routed, reference.trace.total_generated(), "K={k}");
         assert_eq!(run.shard_traces.len(), k);
-    }
-}
-
-#[test]
-fn every_intra_shard_driver_is_identical() {
-    let d = SyntheticDataset::generate(&DatasetConfig::tiny(22));
-    let reference = run_ccd(&d.set, &ClusterConfig::default());
-    for driver in [ShardDriver::Batched, ShardDriver::Stealing, ShardDriver::Pull] {
-        let got = run_ccd_sharded(&d.set, &sharded_config(3, driver));
-        assert_eq!(got.components, reference.components, "{driver:?}");
-        assert_eq!(got.n_merges, reference.n_merges, "{driver:?}");
     }
 }
 
@@ -65,7 +54,7 @@ fn sharded_matches_a_checkpointed_and_resumed_run() {
     let resumed = run_ccd_resumable(&d.set, &config, Some(cursor), 0, &mut |_| {});
     assert_eq!(resumed.components, uninterrupted.components, "resume is deterministic");
     for k in [2usize, 5] {
-        let sharded = run_ccd_sharded(
+        let sharded = run_ccd(
             &d.set,
             &ClusterConfig {
                 shard: ShardParams { shards: k, ..Default::default() },
@@ -85,7 +74,7 @@ fn spmd_rank_groups_match_the_in_process_plane() {
         shard: ShardParams { shards: 2, workers_per_shard: 2, ..Default::default() },
         ..ClusterConfig::default()
     };
-    let in_process = run_ccd_sharded(&d.set, &cfg);
+    let in_process = run_ccd(&d.set, &cfg);
     let spmd = run_ccd_sharded_spmd(&d.set, &cfg);
     assert_eq!(in_process.components, reference.components);
     assert_eq!(spmd.components, reference.components);
@@ -95,12 +84,12 @@ fn spmd_rank_groups_match_the_in_process_plane() {
 #[test]
 fn degenerate_inputs_survive_any_shard_count() {
     for k in [1usize, 2, 7, 100] {
-        let cfg = sharded_config(k, ShardDriver::Batched);
-        assert!(run_ccd_sharded(&SequenceSet::new(), &cfg).components.is_empty(), "empty, K={k}");
+        let cfg = sharded_config(k);
+        assert!(run_ccd(&SequenceSet::new(), &cfg).components.is_empty(), "empty, K={k}");
         let mut b = SequenceSetBuilder::new();
         b.push_letters("only".into(), b"MKVLWAAKNDCQEGHILKMFPSTWYV").unwrap();
         let one = b.finish();
-        let r = run_ccd_sharded(&one, &cfg);
+        let r = run_ccd(&one, &cfg);
         assert_eq!(r.components.len(), 1, "singleton, K={k}");
         assert_eq!(r.n_merges, 0, "nothing to merge, K={k}");
     }
@@ -120,7 +109,7 @@ fn more_shards_than_sequences_is_exact_not_approximate() {
         shard: ShardParams { shards: set.len() * 3, ..Default::default() },
         ..config.clone()
     };
-    let got = run_ccd_sharded(&set, &cfg);
+    let got = run_ccd(&set, &cfg);
     assert_eq!(got.components, reference.components);
     assert_eq!(got.components.len(), 1, "one identical family, one cluster");
 }

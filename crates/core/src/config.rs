@@ -77,15 +77,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Route the CCD phase through the cost-model work-stealing scheduler
-    /// ([`pfam_cluster::StealingPush`]) with the given knobs. Components —
-    /// and therefore `families.tsv` — are bit-identical to the batched
-    /// reference for every setting; only wall-clock time changes.
-    pub fn with_stealing(mut self, steal: pfam_cluster::StealParams) -> PipelineConfig {
-        self.cluster.steal = steal;
-        self
-    }
-
     /// Cap the index plane's working memory at `bytes`: the GSA goes
     /// partitioned when the monolithic index would not fit, and the
     /// shingle rank tables fall back to per-set hashing when refused.
@@ -145,16 +136,6 @@ mod tests {
         let c = PipelineConfig::for_tests().with_threads(3);
         assert_eq!(c.cluster.threads, 3);
         assert_eq!(c.cluster.index_threads(), 3);
-    }
-
-    #[test]
-    fn with_stealing_reaches_the_cluster_layer() {
-        use pfam_cluster::StealParams;
-        let c = PipelineConfig::for_tests();
-        assert!(!c.cluster.steal.enabled, "stealing is opt-in");
-        let c = c.with_stealing(StealParams { enabled: true, workers: 2, ..Default::default() });
-        assert!(c.cluster.steal.enabled);
-        assert_eq!(c.cluster.steal.resolved_workers(), 2);
     }
 
     #[test]

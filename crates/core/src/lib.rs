@@ -46,8 +46,8 @@ pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
 pub use executor::{barrier_components, stream_components, ComponentOutput};
 pub use pipeline::{
-    run_pipeline, run_pipeline_barrier, run_pipeline_budgeted, run_pipeline_checkpointed,
-    CheckpointConfig, DenseSubgraph, PipelineResult,
+    run_pipeline, run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig,
+    DenseSubgraph, PipelineResult,
 };
 pub use quality::{evaluate, QualityReport};
 pub use report::TableOneRow;

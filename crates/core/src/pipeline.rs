@@ -3,8 +3,9 @@
 //!
 //! Phases 3 and 4 run fused: the component queue flows through the
 //! streaming executor ([`crate::executor`]) with no barrier between graph
-//! construction and dense-subgraph detection. [`run_pipeline_barrier`]
-//! keeps the old phase-at-a-time data flow as the identity reference.
+//! construction and dense-subgraph detection
+//! ([`crate::executor::barrier_components`] keeps the phase-at-a-time
+//! data flow as the identity reference).
 
 use std::path::PathBuf;
 
@@ -20,7 +21,7 @@ use crate::checkpoint::{
     read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState, Phase, RrState,
 };
 use crate::config::PipelineConfig;
-use crate::executor::{barrier_components, stream_components};
+use crate::executor::stream_components;
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -70,13 +71,6 @@ impl PipelineResult {
     }
 }
 
-/// Run the full pipeline on `input` — the BGG→DSD back half goes through
-/// the fused streaming executor. `input` is any [`SeqStore`]: an
-/// in-memory [`pfam_seq::SequenceSet`] or a paged on-disk store.
-pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineResult {
-    run_pipeline_inner(input, config, true)
-}
-
 /// [`run_pipeline`] behind the memory-budget pre-flight check: refuses to
 /// start — with a typed error, never an abort — when even the smallest
 /// partitioned index task (one chunk per sequence) cannot fit
@@ -88,21 +82,13 @@ pub fn run_pipeline_budgeted(
     config: &PipelineConfig,
 ) -> Result<PipelineResult, BudgetError> {
     check_index_budget(input, &config.cluster.mem.budget)?;
-    Ok(run_pipeline_inner(input, config, true))
+    Ok(run_pipeline(input, config))
 }
 
-/// [`run_pipeline`] with the pre-streaming barrier data flow in the back
-/// half (all component graphs built before any dense-subgraph work).
-/// Bit-identical output; retained for identity tests and the bench.
-pub fn run_pipeline_barrier(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineResult {
-    run_pipeline_inner(input, config, false)
-}
-
-fn run_pipeline_inner(
-    input: &dyn SeqStore,
-    config: &PipelineConfig,
-    streaming: bool,
-) -> PipelineResult {
+/// Run the full pipeline on `input` — the BGG→DSD back half goes through
+/// the fused streaming executor. `input` is any [`SeqStore`]: an
+/// in-memory [`pfam_seq::SequenceSet`] or a paged on-disk store.
+pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineResult {
     // ---- Phase 1: redundancy removal. ----
     let rr = run_redundancy_removal(input, &config.cluster);
 
@@ -126,11 +112,7 @@ fn run_pipeline_inner(
         .filter(|c| c.len() >= config.min_component_size)
         .map(|c| c.as_slice())
         .collect();
-    let outputs = if streaming {
-        stream_components(input, config, &selected)
-    } else {
-        barrier_components(input, config, &selected)
-    };
+    let outputs = stream_components(input, config, &selected);
 
     let mut bgg_trace = PhaseTrace {
         index_residues: selected
@@ -490,18 +472,6 @@ mod tests {
         let r = run_pipeline(&SequenceSet::new(), &PipelineConfig::for_tests());
         assert_eq!(r.n_input, 0);
         assert!(r.dense_subgraphs.is_empty());
-    }
-
-    #[test]
-    fn streaming_matches_barrier_pipeline() {
-        let d = small_dataset(27);
-        let config = PipelineConfig::for_tests();
-        let a = run_pipeline(&d.set, &config);
-        let b = run_pipeline_barrier(&d.set, &config);
-        assert_eq!(a.dense_subgraphs, b.dense_subgraphs);
-        assert_eq!(a.shingle_stats, b.shingle_stats);
-        assert_eq!(a.components, b.components);
-        assert_eq!(a.traces.2.batches, b.traces.2.batches);
     }
 
     #[test]

@@ -11,13 +11,11 @@
 //!   dense-subgraph size distribution).
 
 pub mod confusion;
-pub mod external;
 pub mod fmeasure;
 pub mod histogram;
 pub mod measures;
 
 pub use confusion::{labels_from_clusters, pair_confusion, PairConfusion};
-pub use external::{adjusted_rand_index, normalized_mutual_information, variation_of_information};
 pub use fmeasure::{set_measures, SetMeasures};
 pub use histogram::Histogram;
 pub use measures::QualityMeasures;

@@ -3,8 +3,7 @@
 //!
 //! The lowest layer of the `pfam` workspace: amino-acid alphabet handling,
 //! compact arena-backed sequence storage, FASTA parsing/writing, substitution
-//! scoring matrices (BLOSUM/PAM), k-mer iteration and six-frame ORF
-//! extraction from nucleotide fragments.
+//! scoring matrices (BLOSUM/PAM) and k-mer iteration.
 //!
 //! Everything above (suffix indexes, alignment, clustering, the pipeline)
 //! consumes the [`SequenceSet`] type defined here, which stores all residues
@@ -21,8 +20,6 @@ pub mod composition;
 pub mod error;
 pub mod fasta;
 pub mod kmer;
-pub mod minimizer;
-pub mod orf;
 pub mod scoring;
 pub mod sequence;
 pub mod stats;
@@ -33,7 +30,6 @@ pub use budget::{BudgetError, MemoryBudget, Reservation};
 pub use composition::Composition;
 pub use error::SeqError;
 pub use kmer::KmerIter;
-pub use minimizer::{minimizers, Minimizer};
 pub use scoring::{ScoringScheme, SubstMatrix};
 pub use sequence::{SeqId, Sequence, SequenceSet, SequenceSetBuilder};
 pub use stats::LengthStats;

@@ -6,8 +6,6 @@ use pfam_seq::alphabet::{decode, encode};
 use pfam_seq::complexity::{mask_low_complexity, window_entropy, MaskParams};
 use pfam_seq::fasta::{read_fasta_str, to_fasta_string};
 use pfam_seq::kmer::{pack_word, unpack_word, KmerIter};
-use pfam_seq::minimizer::minimizers;
-use pfam_seq::orf::{find_orfs, parse_dna, reverse_complement, OrfMode};
 use pfam_seq::{Composition, LengthStats, SequenceSetBuilder};
 
 fn residue_string() -> impl Strategy<Value = String> {
@@ -48,19 +46,6 @@ proptest! {
     }
 
     #[test]
-    fn minimizers_are_a_subset_of_kmers(
-        codes in prop::collection::vec(0u8..21, 0..80),
-        w in 1usize..6,
-        k in 2usize..5,
-    ) {
-        let all: std::collections::HashSet<(usize, u64)> =
-            KmerIter::new(&codes, k).collect();
-        for m in minimizers(&codes, w, k) {
-            prop_assert!(all.contains(&(m.position as usize, m.kmer)));
-        }
-    }
-
-    #[test]
     fn masking_preserves_length_and_only_masks(codes in prop::collection::vec(0u8..20, 0..80)) {
         let masked = mask_low_complexity(&codes, &MaskParams::default());
         prop_assert_eq!(masked.len(), codes.len());
@@ -88,25 +73,5 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9);
         let stats = LengthStats::of(&set);
         prop_assert_eq!(stats.total as u64, comp.total());
-    }
-
-    #[test]
-    fn revcomp_involution_and_orf_symmetry(dna in "[ACGT]{3,90}") {
-        let d = parse_dna(dna.as_bytes()).unwrap();
-        prop_assert_eq!(reverse_complement(&reverse_complement(&d)), d.clone());
-        // ORFs of the reverse complement are the reverse-strand ORFs of the
-        // original, frame-swapped: counts must match.
-        let fwd = find_orfs(&d, OrfMode::StopToStop, 1);
-        let rc = reverse_complement(&d);
-        let bwd = find_orfs(&rc, OrfMode::StopToStop, 1);
-        let fwd_peptides: Vec<Vec<u8>> =
-            fwd.iter().map(|o| o.peptide.clone()).collect();
-        let bwd_peptides: Vec<Vec<u8>> =
-            bwd.iter().map(|o| o.peptide.clone()).collect();
-        let mut a = fwd_peptides;
-        let mut b = bwd_peptides;
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b, "six-frame ORFs are strand-symmetric");
     }
 }

@@ -19,7 +19,6 @@ use rayon::prelude::*;
 use pfam_graph::{BipartiteGraph, UnionFind};
 use pfam_seq::{MemoryBudget, Reservation};
 
-use crate::kernel::RankKernel;
 use crate::minwise::{
     shingle_set_from_table, shingle_set_with, HashFamily, RankTable, Shingle, ShingleScratch,
 };
@@ -118,7 +117,6 @@ thread_local! {
 /// one rank table per pass, all grow-only.
 #[derive(Debug)]
 pub struct ShingleArena {
-    kernel: RankKernel,
     budget: MemoryBudget,
     scratch: ShingleScratch,
     table1: RankTable,
@@ -126,15 +124,9 @@ pub struct ShingleArena {
 }
 
 impl ShingleArena {
-    /// Arena dispatching to the fastest rank kernel on this host.
+    /// Empty arena with an unlimited budget.
     pub fn new() -> ShingleArena {
-        ShingleArena::with_kernel(RankKernel::detect())
-    }
-
-    /// Arena pinned to a specific kernel (identity tests, benches).
-    pub fn with_kernel(kernel: RankKernel) -> ShingleArena {
         ShingleArena {
-            kernel,
             budget: MemoryBudget::unlimited(),
             scratch: ShingleScratch::new(),
             table1: RankTable::new(),
@@ -156,11 +148,6 @@ impl ShingleArena {
     /// pipeline's budget (a cheap handle clone; the accounting is shared).
     pub fn set_budget(&mut self, budget: MemoryBudget) {
         self.budget = budget;
-    }
-
-    /// The rank kernel this arena dispatches to.
-    pub fn kernel(&self) -> RankKernel {
-        self.kernel
     }
 
     /// The budget the rank tables register against.
@@ -253,8 +240,7 @@ fn report_clusters(
 /// Run the two-pass Shingle algorithm on `graph`.
 ///
 /// Returns clusters with `|A| ≥ 1` and `|B| ≥ 1`, ordered by decreasing
-/// `|B|`, plus work counters. Both passes rank through the batched kernel
-/// ([`RankKernel::detect`]); when the `c × universe` rank table fits the
+/// `|B|`, plus work counters. When the `c × universe` rank table fits the
 /// memory ceiling each `(permutation, element)` pair is hashed once per
 /// pass and gathered thereafter.
 pub fn shingle_clusters(
@@ -275,14 +261,13 @@ pub fn shingle_clusters_budgeted(
     budget: &MemoryBudget,
 ) -> (Vec<BipartiteCluster>, ShingleStats) {
     let mut stats = ShingleStats::default();
-    let kernel = RankKernel::detect();
 
     // ---- Pass I (parallel over left vertices). ----
     let fam1 = HashFamily::new(params.c1, params.seed);
     let per_vertex: Vec<Vec<Shingle>> =
         if let Some(_held) = try_table(budget, params.c1, graph.n_right()) {
             let mut table = RankTable::new();
-            table.rebuild(&fam1, graph.n_right(), kernel);
+            table.rebuild(&fam1, graph.n_right());
             let table = &table;
             (0..graph.n_left() as u32)
                 .into_par_iter()
@@ -302,13 +287,7 @@ pub fn shingle_clusters_budgeted(
                 .into_par_iter()
                 .map(|v| {
                     SCRATCH.with(|s| {
-                        shingle_set_with(
-                            graph.out_links(v),
-                            &fam1,
-                            params.s1,
-                            kernel,
-                            &mut s.borrow_mut(),
-                        )
+                        shingle_set_with(graph.out_links(v), &fam1, params.s1, &mut s.borrow_mut())
                     })
                 })
                 .collect()
@@ -317,29 +296,28 @@ pub fn shingle_clusters_budgeted(
 
     // ---- Pass II over first-level shingles (elements are left vertices). ----
     let fam2 = HashFamily::new(params.c2, params.seed ^ PASS2_SEED_XOR);
-    let second: Vec<Vec<Shingle>> =
-        if let Some(_held) = try_table(budget, params.c2, graph.n_left()) {
-            let mut table = RankTable::new();
-            table.rebuild(&fam2, graph.n_left(), kernel);
-            let table = &table;
-            s1_list
-                .par_iter()
-                .map(|(_, _, vertices)| {
-                    SCRATCH.with(|s| {
-                        shingle_set_from_table(vertices, table, params.s2, &mut s.borrow_mut())
-                    })
+    let second: Vec<Vec<Shingle>> = if let Some(_held) =
+        try_table(budget, params.c2, graph.n_left())
+    {
+        let mut table = RankTable::new();
+        table.rebuild(&fam2, graph.n_left());
+        let table = &table;
+        s1_list
+            .par_iter()
+            .map(|(_, _, vertices)| {
+                SCRATCH.with(|s| {
+                    shingle_set_from_table(vertices, table, params.s2, &mut s.borrow_mut())
                 })
-                .collect()
-        } else {
-            s1_list
-                .par_iter()
-                .map(|(_, _, vertices)| {
-                    SCRATCH.with(|s| {
-                        shingle_set_with(vertices, &fam2, params.s2, kernel, &mut s.borrow_mut())
-                    })
-                })
-                .collect()
-        };
+            })
+            .collect()
+    } else {
+        s1_list
+            .par_iter()
+            .map(|(_, _, vertices)| {
+                SCRATCH.with(|s| shingle_set_with(vertices, &fam2, params.s2, &mut s.borrow_mut()))
+            })
+            .collect()
+    };
 
     let clusters = report_clusters(&s1_list, &second, &mut stats);
     (clusters, stats)
@@ -357,8 +335,7 @@ pub fn shingle_clusters_with(
     arena: &mut ShingleArena,
 ) -> (Vec<BipartiteCluster>, ShingleStats) {
     let mut stats = ShingleStats::default();
-    let ShingleArena { kernel, budget, scratch, table1, table2 } = arena;
-    let kernel = *kernel;
+    let ShingleArena { budget, scratch, table1, table2 } = arena;
 
     // Each pass reserves its table's bytes while the table is in use; the
     // arena's grow-only capacity after the run is bounded by the largest
@@ -367,13 +344,13 @@ pub fn shingle_clusters_with(
     let fam1 = HashFamily::new(params.c1, params.seed);
     let per_vertex: Vec<Vec<Shingle>> =
         if let Some(_held) = try_table(budget, params.c1, graph.n_right()) {
-            table1.rebuild(&fam1, graph.n_right(), kernel);
+            table1.rebuild(&fam1, graph.n_right());
             (0..graph.n_left() as u32)
                 .map(|v| shingle_set_from_table(graph.out_links(v), table1, params.s1, scratch))
                 .collect()
         } else {
             (0..graph.n_left() as u32)
-                .map(|v| shingle_set_with(graph.out_links(v), &fam1, params.s1, kernel, scratch))
+                .map(|v| shingle_set_with(graph.out_links(v), &fam1, params.s1, scratch))
                 .collect()
         };
     let s1_list = group_pass1(per_vertex, &mut stats);
@@ -383,7 +360,7 @@ pub fn shingle_clusters_with(
     let second: Vec<Vec<Shingle>> = if let Some(_held) =
         try_table(budget, params.c2, graph.n_left())
     {
-        table2.rebuild(&fam2, graph.n_left(), kernel);
+        table2.rebuild(&fam2, graph.n_left());
         s1_list
             .iter()
             .map(|(_, _, vertices)| shingle_set_from_table(vertices, table2, params.s2, scratch))
@@ -391,7 +368,7 @@ pub fn shingle_clusters_with(
     } else {
         s1_list
             .iter()
-            .map(|(_, _, vertices)| shingle_set_with(vertices, &fam2, params.s2, kernel, scratch))
+            .map(|(_, _, vertices)| shingle_set_with(vertices, &fam2, params.s2, scratch))
             .collect()
     };
 
@@ -515,17 +492,15 @@ mod tests {
             clique_graph(&[0..5], 10),
             BipartiteGraph::from_edges(0, 0, &[]),
         ];
-        for kernel in RankKernel::supported() {
-            let mut arena = ShingleArena::with_kernel(kernel);
-            for g in &graphs {
-                let (want_clusters, want_stats) = shingle_clusters(g, &p);
-                // Run twice through the same arena: reuse must not leak
-                // state between components.
-                for _ in 0..2 {
-                    let (got_clusters, got_stats) = shingle_clusters_with(g, &p, &mut arena);
-                    assert_eq!(got_clusters, want_clusters, "kernel {}", kernel.label());
-                    assert_eq!(got_stats, want_stats, "kernel {}", kernel.label());
-                }
+        let mut arena = ShingleArena::new();
+        for g in &graphs {
+            let (want_clusters, want_stats) = shingle_clusters(g, &p);
+            // Run twice through the same arena: reuse must not leak
+            // state between components.
+            for _ in 0..2 {
+                let (got_clusters, got_stats) = shingle_clusters_with(g, &p, &mut arena);
+                assert_eq!(got_clusters, want_clusters);
+                assert_eq!(got_stats, want_stats);
             }
         }
     }

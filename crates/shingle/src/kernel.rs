@@ -1,263 +1,34 @@
-//! Batched min-wise rank kernel — the DSD analogue of the tier-1 kernel
-//! dispatch in `pfam-align::engine`.
+//! Block-at-a-time min-wise ranks.
 //!
 //! [`HashFamily::rank`] is one 64-bit wrapping multiply-add per
-//! (permutation, element) pair; the scalar Shingle loop evaluates it one
-//! element at a time. This module fills a whole block of ranks per call in
-//! a structure-of-arrays layout (elements in one slice, ranks in another),
-//! dispatching at runtime to the widest implementation the host supports —
-//! exactly the pattern the alignment engine established.
-//!
-//! Every implementation is **provably bit-identical** to
-//! `HashFamily::rank`. The vector paths rest on two exact identities over
-//! `u64` arithmetic (all mod 2⁶⁴, with `x < 2³²` an element id and
-//! `m = mhi·2³² + mlo` the permutation multiplier):
-//!
-//! ```text
-//! rank(x) = m·(x+1) + a  =  m·x + (m + a)
-//! m·x     = mlo·x + ((mhi·x mod 2³²) << 32)
-//! ```
-//!
-//! The first folds the `+1` into the additive constant; the second splits
-//! the 64×32 multiply into two 32×32 products — precisely what SSE2's
-//! `mul_epu32` (and its AVX2 widening) computes. The low product `mlo·x`
-//! is exact in 64 bits (both factors < 2³²); the high product only ever
-//! contributes its low 32 bits after the shift, so truncation loses
-//! nothing. No implementation can round, saturate, or overflow
-//! differently from the scalar reference.
-//!
-//! * **Scalar** — the literal `HashFamily::rank` loop; the identity
-//!   baseline everything else is tested against.
-//! * **SWAR** — the same decomposition in portable `u64` arithmetic,
-//!   unrolled four elements per iteration so the three independent
-//!   multiply chains overlap (instruction-level parallelism on any
-//!   target); the guaranteed-available batched path off x86_64.
-//! * **SSE2** — four elements per iteration in `__m128i` lanes (baseline
-//!   on x86_64, architecturally guaranteed).
-//! * **AVX2** — eight elements per iteration in `__m256i` lanes,
-//!   runtime-detected.
+//! (permutation, element) pair. The Shingle passes and the rank-table
+//! builder want a whole block of ranks per call in a structure-of-arrays
+//! layout (elements in one slice, ranks in another); this module is that
+//! loop. It is the plain scalar loop on purpose: SWAR, SSE2 and AVX2
+//! renderings of the same multiply-add measured 0.97–1.07× it on the DSD
+//! workload (`BENCH_bgg_dsd.json` history, ROADMAP "Rank-kernel verdict")
+//! and were removed.
 
 use crate::minwise::HashFamily;
 
-/// Which batched rank implementation a caller dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(dead_code)] // which variants are constructed depends on the target
-pub enum RankKernel {
-    /// Literal `HashFamily::rank` loop — the identity reference.
-    Scalar,
-    /// Portable decomposed multiply, four elements per iteration.
-    Swar,
-    #[cfg(target_arch = "x86_64")]
-    /// SSE2 `std::arch` pass (two u64 lanes) — baseline on x86_64.
-    Sse2,
-    #[cfg(target_arch = "x86_64")]
-    /// AVX2 `std::arch` pass (four u64 lanes), runtime-detected.
-    Avx2,
-}
-
-impl RankKernel {
-    /// The fastest kernel available on this host.
-    pub fn detect() -> RankKernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                RankKernel::Avx2
-            } else {
-                // SSE2 is architecturally guaranteed on x86_64.
-                RankKernel::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        RankKernel::Swar
-    }
-
-    /// Every kernel runnable on this host (for identity suites and the
-    /// scalar-vs-batched bench).
-    pub fn supported() -> Vec<RankKernel> {
-        #[allow(unused_mut)]
-        let mut v = vec![RankKernel::Scalar, RankKernel::Swar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            v.push(RankKernel::Sse2);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(RankKernel::Avx2);
-            }
-        }
-        v
-    }
-
-    /// Stable lowercase label (`scalar` / `swar` / `sse2` / `avx2`) for
-    /// configs and JSON reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RankKernel::Scalar => "scalar",
-            RankKernel::Swar => "swar",
-            #[cfg(target_arch = "x86_64")]
-            RankKernel::Sse2 => "sse2",
-            #[cfg(target_arch = "x86_64")]
-            RankKernel::Avx2 => "avx2",
-        }
-    }
-}
-
 /// Fill `out[j]` with the rank of `xs[j]` under permutation `i` of
-/// `family` — bit-identical to `family.rank(i, xs[j])` for every kernel.
+/// `family` — `family.rank(i, xs[j])`.
 ///
 /// `out` is cleared and resized to `xs.len()`.
-pub fn fill_ranks(
-    kernel: RankKernel,
-    family: &HashFamily,
-    i: usize,
-    xs: &[u32],
-    out: &mut Vec<u64>,
-) {
+pub fn fill_ranks(family: &HashFamily, i: usize, xs: &[u32], out: &mut Vec<u64>) {
     out.clear();
     out.resize(xs.len(), 0);
     let (mult, add) = family.coeffs(i);
-    fill_ranks_into(kernel, mult, add, xs, out);
+    fill_ranks_into(mult, add, xs, out);
 }
 
 /// [`fill_ranks`] on raw coefficients into a pre-sized slice
 /// (`out.len() == xs.len()`); the entry point the rank-table builder uses
 /// to fill table rows in place.
-pub fn fill_ranks_into(kernel: RankKernel, mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
+pub fn fill_ranks_into(mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
     assert_eq!(xs.len(), out.len(), "rank output block must match the element block");
-    match kernel {
-        RankKernel::Scalar => fill_scalar(mult, add, xs, out),
-        RankKernel::Swar => fill_swar(mult, add, xs, out),
-        #[cfg(target_arch = "x86_64")]
-        // SSE2 is architecturally guaranteed on x86_64.
-        RankKernel::Sse2 => unsafe { x86::fill_sse2(mult, add, xs, out) },
-        #[cfg(target_arch = "x86_64")]
-        RankKernel::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "AVX2 rank kernel on a non-AVX2 host"
-            );
-            unsafe { x86::fill_avx2(mult, add, xs, out) }
-        }
-    }
-}
-
-/// The reference loop: exactly `HashFamily::rank`, element by element.
-fn fill_scalar(mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = mult.wrapping_mul(x as u64 + 1).wrapping_add(add);
-    }
-}
-
-/// Portable batched path: the decomposed multiply-add of the module docs,
-/// unrolled 4-wide so the independent product chains overlap.
-fn fill_swar(mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
-    let aprime = mult.wrapping_add(add);
-    let mlo = mult & 0xFFFF_FFFF;
-    let mhi = mult >> 32;
-    #[inline(always)]
-    fn one(mlo: u64, mhi: u64, aprime: u64, x: u32) -> u64 {
-        // mlo·x is exact in u64 (both factors < 2³²); the high product
-        // only contributes its low 32 bits after the shift.
-        let lo = mlo * x as u64;
-        let hi = mhi.wrapping_mul(x as u64) << 32;
-        lo.wrapping_add(hi).wrapping_add(aprime)
-    }
-    let mut blocks = xs.chunks_exact(4);
-    let mut outs = out.chunks_exact_mut(4);
-    for (b, o) in (&mut blocks).zip(&mut outs) {
-        o[0] = one(mlo, mhi, aprime, b[0]);
-        o[1] = one(mlo, mhi, aprime, b[1]);
-        o[2] = one(mlo, mhi, aprime, b[2]);
-        o[3] = one(mlo, mhi, aprime, b[3]);
-    }
-    for (o, &x) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
-        *o = one(mlo, mhi, aprime, x);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! `std::arch` rank passes. Both follow the same lane plan: load a
-    //! block of u32 elements, form the even-lane (`x0 x2 …`) and odd-lane
-    //! (`x1 x3 …`) views, run `mul_epu32` against the multiplier's two
-    //! 32-bit halves, recombine `lo + (hi << 32) + (m + a)` with 64-bit
-    //! adds, and interleave the even/odd results back into element order.
-
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// SSE2 is architecturally guaranteed on x86_64.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn fill_sse2(mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
-        let aprime = mult.wrapping_add(add);
-        let vmlo = _mm_set1_epi64x((mult & 0xFFFF_FFFF) as i64);
-        let vmhi = _mm_set1_epi64x((mult >> 32) as i64);
-        let vap = _mm_set1_epi64x(aprime as i64);
-        let n = xs.len();
-        let mut j = 0;
-        while j + 4 <= n {
-            let xv = _mm_loadu_si128(xs.as_ptr().add(j) as *const __m128i);
-            let xe = xv; // x0 _ x2 _  (mul_epu32 reads even 32-bit lanes)
-            let xo = _mm_srli_epi64::<32>(xv); // x1 _ x3 _
-            let re = _mm_add_epi64(
-                _mm_add_epi64(
-                    _mm_mul_epu32(xe, vmlo),
-                    _mm_slli_epi64::<32>(_mm_mul_epu32(xe, vmhi)),
-                ),
-                vap,
-            ); // r0 r2
-            let ro = _mm_add_epi64(
-                _mm_add_epi64(
-                    _mm_mul_epu32(xo, vmlo),
-                    _mm_slli_epi64::<32>(_mm_mul_epu32(xo, vmhi)),
-                ),
-                vap,
-            ); // r1 r3
-            let lo = _mm_unpacklo_epi64(re, ro); // r0 r1
-            let hi = _mm_unpackhi_epi64(re, ro); // r2 r3
-            _mm_storeu_si128(out.as_mut_ptr().add(j) as *mut __m128i, lo);
-            _mm_storeu_si128(out.as_mut_ptr().add(j + 2) as *mut __m128i, hi);
-            j += 4;
-        }
-        super::fill_scalar(mult, add, &xs[j..], &mut out[j..]);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx2")`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fill_avx2(mult: u64, add: u64, xs: &[u32], out: &mut [u64]) {
-        let aprime = mult.wrapping_add(add);
-        let vmlo = _mm256_set1_epi64x((mult & 0xFFFF_FFFF) as i64);
-        let vmhi = _mm256_set1_epi64x((mult >> 32) as i64);
-        let vap = _mm256_set1_epi64x(aprime as i64);
-        let n = xs.len();
-        let mut j = 0;
-        while j + 8 <= n {
-            let xv = _mm256_loadu_si256(xs.as_ptr().add(j) as *const __m256i);
-            let xe = xv; // x0 _ x2 _ x4 _ x6 _
-            let xo = _mm256_srli_epi64::<32>(xv); // x1 _ x3 _ x5 _ x7 _
-            let re = _mm256_add_epi64(
-                _mm256_add_epi64(
-                    _mm256_mul_epu32(xe, vmlo),
-                    _mm256_slli_epi64::<32>(_mm256_mul_epu32(xe, vmhi)),
-                ),
-                vap,
-            ); // r0 r2 r4 r6
-            let ro = _mm256_add_epi64(
-                _mm256_add_epi64(
-                    _mm256_mul_epu32(xo, vmlo),
-                    _mm256_slli_epi64::<32>(_mm256_mul_epu32(xo, vmhi)),
-                ),
-                vap,
-            ); // r1 r3 r5 r7
-            let ilo = _mm256_unpacklo_epi64(re, ro); // r0 r1 r4 r5
-            let ihi = _mm256_unpackhi_epi64(re, ro); // r2 r3 r6 r7
-            let a = _mm256_permute2x128_si256::<0x20>(ilo, ihi); // r0 r1 r2 r3
-            let b = _mm256_permute2x128_si256::<0x31>(ilo, ihi); // r4 r5 r6 r7
-            _mm256_storeu_si256(out.as_mut_ptr().add(j) as *mut __m256i, a);
-            _mm256_storeu_si256(out.as_mut_ptr().add(j + 4) as *mut __m256i, b);
-            j += 8;
-        }
-        super::fill_scalar(mult, add, &xs[j..], &mut out[j..]);
     }
 }
 
@@ -265,62 +36,18 @@ mod x86 {
 mod tests {
     use super::*;
 
-    fn check(kernel: RankKernel, family: &HashFamily, xs: &[u32]) {
-        let mut out = Vec::new();
-        for i in 0..family.len() {
-            fill_ranks(kernel, family, i, xs, &mut out);
-            assert_eq!(out.len(), xs.len());
-            for (j, &x) in xs.iter().enumerate() {
-                assert_eq!(
-                    out[j],
-                    family.rank(i, x),
-                    "kernel {} diverges at perm {i}, x = {x}",
-                    kernel.label()
-                );
-            }
-        }
-    }
-
     #[test]
-    fn all_kernels_match_rank_on_edge_values() {
+    fn blocks_match_rank_on_edge_values() {
         let family = HashFamily::new(7, 0xfeed);
         let xs: Vec<u32> =
             vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 100, 1000, u32::MAX, u32::MAX - 1, 1 << 31, 12345];
-        for kernel in RankKernel::supported() {
-            check(kernel, &family, &xs);
-            check(kernel, &family, &[]); // empty block
-            check(kernel, &family, &[u32::MAX]); // single element, x+1 needs bit 32
-            check(kernel, &family, &xs[..3]); // sub-vector-width remainder
-        }
-    }
-
-    #[test]
-    fn all_kernels_match_rank_on_dense_blocks() {
-        // Blocks long enough to exercise full vector iterations plus every
-        // possible remainder length.
-        let family = HashFamily::new(3, 99);
-        for len in 0..40usize {
-            let xs: Vec<u32> = (0..len as u32).map(|v| v.wrapping_mul(2_654_435_761)).collect();
-            for kernel in RankKernel::supported() {
-                check(kernel, &family, &xs);
+        let mut out = Vec::new();
+        for block in [&xs[..], &[], &[u32::MAX], &xs[..3]] {
+            for i in 0..family.len() {
+                fill_ranks(&family, i, block, &mut out);
+                let want: Vec<u64> = block.iter().map(|&x| family.rank(i, x)).collect();
+                assert_eq!(out, want, "perm {i}");
             }
         }
-    }
-
-    #[test]
-    fn detect_is_supported() {
-        let k = RankKernel::detect();
-        assert!(RankKernel::supported().contains(&k));
-        assert!(!k.label().is_empty());
-    }
-
-    #[test]
-    fn zero_permutations_are_fine() {
-        let family = HashFamily::new(0, 1);
-        assert!(family.is_empty());
-        // No rows to fill — nothing to check beyond "does not panic".
-        let mut out = vec![1u64; 4];
-        fill_ranks_into(RankKernel::Swar, 3, 4, &[1, 2, 3, 4], &mut out);
-        assert_eq!(out[0], 3u64.wrapping_mul(2).wrapping_add(4));
     }
 }

@@ -9,15 +9,14 @@
 //! * [`minwise`] — min-wise independent permutations and (s, c)-shingle
 //!   sets (Broder et al.), plus the reusable [`minwise::RankTable`] /
 //!   [`minwise::ShingleScratch`] arena pieces.
-//! * [`kernel`] — the batched rank kernel: all `c` permutation ranks for a
-//!   block of elements in one pass, SWAR baseline with runtime-dispatched
-//!   SSE2/AVX2 passes, bit-identical to [`HashFamily::rank`].
+//! * [`kernel`] — the block rank loop: one permutation's ranks for a whole
+//!   block of elements per call, equal to [`HashFamily::rank`].
 //! * [`algorithm`] — the two passes plus the union-find reporting step,
 //!   parallelised over vertices with rayon; [`ShingleArena`] for serial
 //!   allocation-free reruns.
 //! * [`sketch`] — banded min-hash sketches over per-sequence k-mer sets:
 //!   the hashing substrate of the front-half LSH candidate generator
-//!   (`pfam_cluster::lsh`), built on the same kernel/family machinery.
+//!   (`pfam_cluster::lsh`), built on the same family machinery.
 //! * [`dense`] — the paper's reporting rules on top: the `Bd` mode with
 //!   the `|A∩B| / |A∪B| ≥ τ` post-filter, the `Bm` mode reporting `B`,
 //!   minimum-size filtering, and disjoint-ification.
@@ -38,7 +37,7 @@ pub use dense::{
     dense_subgraphs_of, detect_dense_subgraphs, detect_dense_subgraphs_with, jaccard,
     DenseSubgraphConfig, ReductionMode,
 };
-pub use kernel::{fill_ranks, fill_ranks_into, RankKernel};
+pub use kernel::{fill_ranks, fill_ranks_into};
 pub use minwise::{
     shingle_set, shingle_set_from_table, shingle_set_with, HashFamily, RankTable, Shingle,
     ShingleScratch,

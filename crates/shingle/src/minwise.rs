@@ -48,7 +48,7 @@ impl HashFamily {
     }
 
     /// The `(multiplier, addend)` pair of permutation `i` — what the
-    /// batched rank kernel needs to evaluate a whole block at once.
+    /// block rank loop needs to evaluate a whole block at once.
     #[inline]
     pub fn coeffs(&self, i: usize) -> (u64, u64) {
         (self.mults[i], self.adds[i])
@@ -147,13 +147,12 @@ fn push_min_wise(scratch: &mut ShingleScratch, s: usize, out: &mut Vec<Shingle>)
     }
 }
 
-/// [`shingle_set`] with a batched rank kernel and caller-owned scratch —
+/// [`shingle_set`] ranking a block at a time into caller-owned scratch —
 /// bit-identical output, no per-call buffer allocation.
 pub fn shingle_set_with(
     links: &[u32],
     family: &HashFamily,
     s: usize,
-    kernel: crate::kernel::RankKernel,
     scratch: &mut ShingleScratch,
 ) -> Vec<Shingle> {
     assert!(s >= 1, "shingle size must be positive");
@@ -168,7 +167,7 @@ pub fn shingle_set_with(
     }
     let mut out: Vec<Shingle> = Vec::with_capacity(family.len());
     for i in 0..family.len() {
-        crate::kernel::fill_ranks(kernel, family, i, links, &mut scratch.ranks);
+        crate::kernel::fill_ranks(family, i, links, &mut scratch.ranks);
         scratch.sel.clear();
         scratch.sel.extend(scratch.ranks.iter().zip(links).map(|(&r, &x)| (r, x)));
         push_min_wise(scratch, s, &mut out);
@@ -198,8 +197,8 @@ impl RankTable {
     }
 
     /// Recompute the table for `family` over universe `0..n`, filling each
-    /// permutation's row with one batched kernel pass.
-    pub fn rebuild(&mut self, family: &HashFamily, n: usize, kernel: crate::kernel::RankKernel) {
+    /// permutation's row with one block pass.
+    pub fn rebuild(&mut self, family: &HashFamily, n: usize) {
         self.c = family.len();
         self.n = n;
         if self.iota.len() < n {
@@ -210,7 +209,6 @@ impl RankTable {
         for i in 0..self.c {
             let (mult, add) = family.coeffs(i);
             crate::kernel::fill_ranks_into(
-                kernel,
                 mult,
                 add,
                 &self.iota[..n],
@@ -385,7 +383,6 @@ mod tests {
 
     #[test]
     fn batched_paths_match_scalar_shingle_set() {
-        use crate::kernel::RankKernel;
         let fam = HashFamily::new(25, 0xabc);
         let cases: Vec<Vec<u32>> = vec![
             vec![],
@@ -400,74 +397,63 @@ mod tests {
         for links in &cases {
             for s in [1usize, 2, 3, 10, 100] {
                 let want = shingle_set(links, &fam, s);
-                for kernel in RankKernel::supported() {
-                    let got = shingle_set_with(links, &fam, s, kernel, &mut scratch);
-                    assert_eq!(got, want, "kernel {} s {s} links {links:?}", kernel.label());
-                }
+                let got = shingle_set_with(links, &fam, s, &mut scratch);
+                assert_eq!(got, want, "s {s} links {links:?}");
             }
         }
     }
 
     #[test]
     fn table_path_matches_scalar_shingle_set() {
-        use crate::kernel::RankKernel;
         let fam = HashFamily::new(25, 0xdef);
         let n = 64usize;
         let mut table = RankTable::new();
         let mut scratch = ShingleScratch::new();
-        for kernel in RankKernel::supported() {
-            table.rebuild(&fam, n, kernel);
-            assert_eq!(table.c(), 25);
-            assert_eq!(table.universe(), n);
-            for i in 0..fam.len() {
-                for x in 0..n as u32 {
-                    assert_eq!(table.rank(i, x), fam.rank(i, x));
-                }
+        table.rebuild(&fam, n);
+        assert_eq!(table.c(), 25);
+        assert_eq!(table.universe(), n);
+        for i in 0..fam.len() {
+            for x in 0..n as u32 {
+                assert_eq!(table.rank(i, x), fam.rank(i, x));
             }
-            for links in [vec![], vec![5], vec![1, 2], (0..n as u32).collect::<Vec<_>>()] {
-                for s in [1usize, 3, 200] {
-                    assert_eq!(
-                        shingle_set_from_table(&links, &table, s, &mut scratch),
-                        shingle_set(&links, &fam, s),
-                        "kernel {} links {links:?} s {s}",
-                        kernel.label()
-                    );
-                }
+        }
+        for links in [vec![], vec![5], vec![1, 2], (0..n as u32).collect::<Vec<_>>()] {
+            for s in [1usize, 3, 200] {
+                assert_eq!(
+                    shingle_set_from_table(&links, &table, s, &mut scratch),
+                    shingle_set(&links, &fam, s),
+                    "links {links:?} s {s}"
+                );
             }
         }
     }
 
     #[test]
     fn rank_table_rebuild_reuses_and_resizes() {
-        use crate::kernel::RankKernel;
-        let k = RankKernel::detect();
         let mut table = RankTable::new();
         let big = HashFamily::new(8, 1);
-        table.rebuild(&big, 100, k);
+        table.rebuild(&big, 100);
         assert_eq!(table.rank(3, 99), big.rank(3, 99));
         // Shrink, then regrow — contents must always match the new family.
         let small = HashFamily::new(2, 2);
-        table.rebuild(&small, 10, k);
+        table.rebuild(&small, 10);
         assert_eq!(table.c(), 2);
         assert_eq!(table.universe(), 10);
         assert_eq!(table.rank(1, 9), small.rank(1, 9));
-        table.rebuild(&big, 200, k);
+        table.rebuild(&big, 200);
         assert_eq!(table.rank(7, 199), big.rank(7, 199));
     }
 
     #[test]
     fn zero_permutation_family_yields_no_shingles_on_large_sets() {
-        use crate::kernel::RankKernel;
         let fam = HashFamily::new(0, 3);
         let links: Vec<u32> = (0..20).collect();
         assert!(shingle_set(&links, &fam, 2).is_empty());
         let mut scratch = ShingleScratch::new();
         let mut table = RankTable::new();
-        for kernel in RankKernel::supported() {
-            assert!(shingle_set_with(&links, &fam, 2, kernel, &mut scratch).is_empty());
-            table.rebuild(&fam, 32, kernel);
-            assert!(shingle_set_from_table(&links, &table, 2, &mut scratch).is_empty());
-        }
+        assert!(shingle_set_with(&links, &fam, 2, &mut scratch).is_empty());
+        table.rebuild(&fam, 32);
+        assert!(shingle_set_from_table(&links, &table, 2, &mut scratch).is_empty());
         // Whole-set branch is independent of c.
         assert_eq!(shingle_set(&[4, 2], &fam, 5).len(), 1);
     }

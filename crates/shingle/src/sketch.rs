@@ -4,24 +4,22 @@
 //! A sequence is viewed as its set of base-21-packed k-mers (X-free
 //! windows only, so index-side masking transparently removes masked
 //! regions from the sketch). Each of the `width` min-wise permutations —
-//! the same [`HashFamily`] / [`RankKernel`] machinery the Shingle passes
-//! use — maps the set to its minimum rank; `rows` consecutive minima fold
+//! the same [`HashFamily`] machinery the Shingle passes use — maps the set to its minimum rank; `rows` consecutive minima fold
 //! into one SplitMix64 band key. Two sequences collide in a band exactly
 //! when all `rows` minima agree, which happens with probability `j^rows`
 //! for Jaccard similarity `j` — the classic `1 − (1 − j^r)^b` banding
 //! curve.
 //!
-//! All hashing runs through [`crate::kernel::fill_ranks`], so every SIMD
-//! path is bit-identical to the scalar reference and the sketch is a
-//! deterministic function of `(k, width, rows, seed)` alone — never of
-//! thread count, batch size, or kernel choice.
+//! All hashing runs through [`crate::kernel::fill_ranks`], so the sketch
+//! is a deterministic function of `(k, width, rows, seed)` alone — never
+//! of thread count or batch size.
 
 use pfam_seq::kmer::KmerIter;
 
-use crate::kernel::{fill_ranks, RankKernel};
+use crate::kernel::fill_ranks;
 use crate::minwise::HashFamily;
 
-/// Largest sketch k-mer length: the rank kernel hashes `u32` elements,
+/// Largest sketch k-mer length: the rank loop hashes `u32` elements,
 /// and base-21 packing stays below 2³² only through 21⁷.
 pub const MAX_SKETCH_K: usize = 7;
 
@@ -55,35 +53,23 @@ impl SketchScratch {
 #[derive(Debug, Clone)]
 pub struct Sketcher {
     family: HashFamily,
-    kernel: RankKernel,
     k: usize,
     rows: usize,
 }
 
 impl Sketcher {
-    /// Build a sketcher with the host's fastest rank kernel.
+    /// Build a sketcher.
     ///
     /// Panics if `k` is outside `1..=`[`MAX_SKETCH_K`] or `rows == 0`;
     /// callers validate/clamp upstream (`pfam_cluster::lsh` surfaces the
     /// typed `SketchParamError` at config time).
     pub fn new(k: usize, width: usize, rows: usize, seed: u64) -> Sketcher {
-        Sketcher::with_kernel(k, width, rows, seed, RankKernel::detect())
-    }
-
-    /// [`Sketcher::new`] with an explicit kernel (identity suites).
-    pub fn with_kernel(
-        k: usize,
-        width: usize,
-        rows: usize,
-        seed: u64,
-        kernel: RankKernel,
-    ) -> Sketcher {
         assert!(
             (1..=MAX_SKETCH_K).contains(&k),
             "sketch k {k} outside 1..={MAX_SKETCH_K} (u32 packing limit)"
         );
         assert!(rows >= 1, "rows per band must be positive");
-        Sketcher { family: HashFamily::new(width, seed), kernel, k, rows }
+        Sketcher { family: HashFamily::new(width, seed), k, rows }
     }
 
     /// Sketch k-mer length.
@@ -135,13 +121,7 @@ impl Sketcher {
         for (slot, band) in out.iter_mut().zip(bands) {
             let mut h = splitmix64(band as u64);
             for row in 0..self.rows {
-                fill_ranks(
-                    self.kernel,
-                    &self.family,
-                    band * self.rows + row,
-                    &kmers,
-                    &mut scratch.ranks,
-                );
+                fill_ranks(&self.family, band * self.rows + row, &kmers, &mut scratch.ranks);
                 let min = scratch.ranks.iter().copied().min().expect("kmers is non-empty");
                 h = splitmix64(h ^ min);
             }
@@ -183,24 +163,17 @@ mod tests {
     }
 
     #[test]
-    fn band_keys_deterministic_and_kernel_invariant() {
+    fn band_keys_deterministic() {
         let c = codes("MKVLWAARNDCQEGHILKMFPSTWYVMKVLW");
-        let mut want: Option<Vec<u64>> = None;
-        for kernel in RankKernel::supported() {
-            let sk = Sketcher::with_kernel(4, 16, 2, 0xFEED, kernel);
-            assert_eq!(sk.bands(), 8);
-            let mut scratch = SketchScratch::new();
-            let mut out = vec![0u64; 8];
-            assert!(sk.band_keys(&c, 0..8, &mut scratch, &mut out));
-            match &want {
-                None => want = Some(out.clone()),
-                Some(w) => assert_eq!(&out, w, "kernel {} diverged", kernel.label()),
-            }
-            // A second call over the same scratch is identical.
-            let mut again = vec![0u64; 8];
-            assert!(sk.band_keys(&c, 0..8, &mut scratch, &mut again));
-            assert_eq!(again, *want.as_ref().unwrap());
-        }
+        let sk = Sketcher::new(4, 16, 2, 0xFEED);
+        assert_eq!(sk.bands(), 8);
+        let mut scratch = SketchScratch::new();
+        let mut out = vec![0u64; 8];
+        assert!(sk.band_keys(&c, 0..8, &mut scratch, &mut out));
+        // A second call over the same scratch is identical.
+        let mut again = vec![0u64; 8];
+        assert!(sk.band_keys(&c, 0..8, &mut scratch, &mut again));
+        assert_eq!(again, out);
     }
 
     #[test]

@@ -29,7 +29,6 @@ use pfam_graph::{BipartiteGraph, UnionFind};
 use pfam_mpi::{run_spmd_faulty, CommError, FaultClass, FaultInjector, NoFaults};
 
 use crate::algorithm::{shingle_clusters, BipartiteCluster, ShingleParams};
-use crate::kernel::RankKernel;
 use crate::minwise::{shingle_set_with, HashFamily, Shingle, ShingleScratch};
 
 /// Pass-I tuple: (shingle id, elements, producing vertex).
@@ -85,8 +84,6 @@ fn try_spmd(
     let p = n_ranks;
     let owner = |id: u64| (id % p as u64) as usize;
 
-    let kernel = RankKernel::detect();
-
     type RankReturn = Result<Option<Vec<BipartiteCluster>>, CommError>;
     let results = run_spmd_faulty(p, injector, |comm| -> RankReturn {
         let rank = comm.rank();
@@ -98,8 +95,7 @@ fn try_spmd(
         let mut outgoing: Vec<Vec<Tuple>> = vec![Vec::new(); p];
         let mut v = rank as u32;
         while (v as usize) < graph.n_left() {
-            let shingles =
-                shingle_set_with(graph.out_links(v), &fam1, params.s1, kernel, &mut scratch);
+            let shingles = shingle_set_with(graph.out_links(v), &fam1, params.s1, &mut scratch);
             for Shingle { id, elements } in shingles {
                 outgoing[owner(id)].push((id, elements, v));
             }
@@ -129,7 +125,7 @@ fn try_spmd(
         let fam2 = HashFamily::new(params.c2, params.seed ^ 0xABCD_EF01_2345_6789);
         let mut second_out: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
         for (id, _, vs) in &shingles {
-            for sh in shingle_set_with(vs, &fam2, params.s2, kernel, &mut scratch) {
+            for sh in shingle_set_with(vs, &fam2, params.s2, &mut scratch) {
                 second_out[owner(sh.id)].push((sh.id, *id));
             }
         }

@@ -4,8 +4,9 @@ use proptest::prelude::*;
 
 use pfam_graph::{BipartiteGraph, CsrGraph};
 use pfam_shingle::{
-    jaccard, shingle_clusters, shingle_clusters_distributed, DenseSubgraphConfig, ReductionMode,
-    ShingleParams,
+    jaccard, shingle_clusters, shingle_clusters_distributed, shingle_set, shingle_set_from_table,
+    shingle_set_with, DenseSubgraphConfig, HashFamily, RankTable, ReductionMode, ShingleParams,
+    ShingleScratch,
 };
 
 fn bipartite(n_left: usize, n_right: usize) -> impl Strategy<Value = BipartiteGraph> {
@@ -19,6 +20,28 @@ fn params() -> ShingleParams {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scratch-reusing and rank-table paths return the reference
+    /// shingle set for random adjacency lists across the (c, s, seed)
+    /// parameter space — `c = 0`, empty sets and `s > |set|` included.
+    #[test]
+    fn block_and_table_shingle_sets_equal_reference(
+        links in prop::collection::vec(0u32..400, 0..48),
+        c in 0usize..8,
+        s in 1usize..6,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut links = links;
+        links.sort_unstable();
+        links.dedup();
+        let family = HashFamily::new(c, seed);
+        let reference = shingle_set(&links, &family, s);
+        let mut scratch = ShingleScratch::new();
+        prop_assert_eq!(&shingle_set_with(&links, &family, s, &mut scratch), &reference);
+        let mut table = RankTable::new();
+        table.rebuild(&family, 400);
+        prop_assert_eq!(&shingle_set_from_table(&links, &table, s, &mut scratch), &reference);
+    }
 
     #[test]
     fn clusters_reference_only_real_vertices(g in bipartite(20, 20)) {

@@ -19,14 +19,12 @@
 
 pub mod faults;
 pub mod machine;
-pub mod memory;
 pub mod replay;
 pub mod scheduler;
 pub mod topology;
 
 pub use faults::{FaultEvent, FaultSchedule};
 pub use machine::MachineModel;
-pub use memory::{MemoryModel, PhaseMemory};
 pub use replay::{
     simulate_phase, simulate_phases, simulate_sharded, speedup_sweep, SimBreakdown, SimReport,
 };

@@ -138,7 +138,7 @@ const FOREST_BYTES_PER_SEQ: f64 = 5.0;
 
 /// Simulate the *sharded* clustering plane: `shard_traces[s]` is shard
 /// `s`'s own recorded work (from
-/// `pfam_cluster::run_ccd_sharded_detailed`), each shard gets `p / K`
+/// `pfam_cluster::run_ccd_sharded`), each shard gets `p / K`
 /// ranks, and the shard stages run concurrently — wall-clock is the
 /// slowest shard plus ⌈log₂ K⌉ merge-tree rounds (forest transfer +
 /// serial fold of `n_seqs` union-find slots per round).

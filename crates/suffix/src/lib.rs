@@ -33,8 +33,6 @@ pub mod maximal;
 pub mod parallel;
 pub mod partitioned;
 pub mod probe;
-pub mod repeats;
-pub mod rmq;
 pub mod sais;
 pub mod tree;
 pub mod ukkonen;
@@ -47,7 +45,5 @@ pub use parallel::{
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
 pub use probe::longest_common_match;
-pub use repeats::{longest_repeat, supermaximal_repeats, Repeat};
-pub use rmq::{LcpOracle, SparseRmq};
 pub use sais::suffix_array;
 pub use tree::SuffixTree;

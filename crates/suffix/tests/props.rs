@@ -7,7 +7,7 @@ use pfam_suffix::distributed::PartitionedSuffixSpace;
 use pfam_suffix::maximal::{all_pairs, MatchPair};
 use pfam_suffix::tree::SuffixTree;
 use pfam_suffix::ukkonen::UkkonenTree;
-use pfam_suffix::{GeneralizedSuffixArray, LcpOracle, MaximalMatchConfig};
+use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig};
 
 fn seq_set(max_seqs: usize, max_len: usize) -> impl Strategy<Value = SequenceSet> {
     prop::collection::vec(prop::collection::vec(0u8..6, 1..max_len), 1..max_seqs).prop_map(|seqs| {
@@ -61,24 +61,6 @@ proptest! {
                 .windows(len as usize)
                 .any(|w| y.windows(len as usize).any(|v| v == w));
             prop_assert!(shared, "pair ({a}, {b}) claims a length-{len} match");
-        }
-    }
-
-    #[test]
-    fn lcp_oracle_consistent_with_text(set in seq_set(5, 20)) {
-        let g = GeneralizedSuffixArray::build(&set);
-        let oracle = LcpOracle::new(g.sa(), g.lcp());
-        let text = g.text();
-        // Sample some position pairs.
-        for a in (0..text.len()).step_by(3) {
-            for b in (0..text.len()).step_by(7) {
-                let expect = text[a..]
-                    .iter()
-                    .zip(&text[b..])
-                    .take_while(|(x, y)| x == y)
-                    .count() as u32;
-                prop_assert_eq!(oracle.lcp(a, b), expect, "positions {} {}", a, b);
-            }
         }
     }
 

@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
-# index tests under a timeout, root-package tests, workspace tests, the driver-equivalence matrix, the seeded
-# work-stealing identity suites, the shard-plane identity suite,
-# index-bench, align-bench, bgg-dsd-bench, steal-bench and shard-bench
+# index tests under a timeout, root-package tests, workspace tests, the
+# driver-equivalence matrix, the shard-plane identity suite,
+# index-bench, align-bench, bgg-dsd-bench and shard-bench
 # smoke passes (bit-identity checks on tiny workloads), the
-# alignment-engine, min-wise-kernel and streaming-executor identity
+# alignment-engine and streaming-executor identity
 # suites, the fault-injection + chaos-soak + supervision suites, the
 # ft-bench recovery smoke, the out-of-core partitioned-identity suite +
 # index_oc_bench smoke, the sketch-plane driver-matrix suite +
 # lsh_bench smoke, grep gates (no unwrap on inter-rank
 # communication or supervision/retry paths; no UnionFind mutation outside
-# ClusterCore; no mutex-guarded queues in policy hot loops; no whole-file
-# sequence reads outside pfam-seq's SeqStore; no raw k-mer hashing
-# outside pfam-shingle's sketch wrappers; no three-matrix fill on the
-# alignment engine's hot path), the pfam-align suites in release mode, the
-# benchmark package's own tests, and CLI
-# checkpoint/resume + sharded-cluster smokes.
+# ClusterCore; none of the retired schedulers or rank kernels by name; no
+# whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
+# hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
+# the alignment engine's hot path), the pfam-align suites in release mode,
+# the benchmark package's own tests, and CLI checkpoint/resume,
+# sharded-cluster and removed-flag smokes.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,9 +43,9 @@ if grep -rn "UnionFind" crates/cluster/src crates/core/src/pipeline.rs \
 fi
 
 echo "== tier1: no unwrap/expect on inter-rank communication paths =="
-# Fault tolerance contract: crates/mpi and the threaded master-worker must
-# propagate CommError/MwError, never panic on a peer's failure.
-if grep -rn "unwrap(\|expect(" crates/mpi/src crates/cluster/src/master_worker.rs; then
+# Fault tolerance contract: crates/mpi must propagate CommError, never
+# panic on a peer's failure.
+if grep -rn "unwrap(\|expect(" crates/mpi/src; then
     echo "tier1 FAIL: unwrap/expect found on a communication path" >&2
     exit 1
 fi
@@ -58,20 +58,22 @@ if grep -rn "unwrap(\|expect(" crates/cluster/src/retry.rs crates/cluster/src/su
     exit 1
 fi
 
-echo "== tier1: no mutex-guarded queues in policy hot loops =="
-# Scheduler contract: work distribution in the policies goes through the
-# lock-free deques (vendor/crossbeam::deque) or the channel transport —
-# never a std::sync::Mutex-wrapped queue, which would serialise the very
-# contention work stealing exists to remove.
-if grep -n "std::sync::Mutex\|sync::Mutex" crates/cluster/src/policy.rs; then
-    echo "tier1 FAIL: std::sync::Mutex queue in policy.rs hot loops" >&2
+echo "== tier1: the retired schedulers and rank kernels stay retired =="
+# One in-process CCD loop (BatchedPush), one rank loop (scalar): the
+# stealing scheduler, the threaded master-worker, the shard-driver switch
+# and the SIMD rank kernels measured no gain and were deleted (ROADMAP,
+# "Scheduler verdict" / "Rank-kernel verdict"). A new scheduler or kernel
+# comes back with a number, not under an old name.
+if grep -rn "StealingPush\|MwDispatch\|StealParams\|ShardDriver\|RankKernel\|crossbeam::deque" \
+    crates src tests examples vendor; then
+    echo "tier1 FAIL: a retired scheduler / rank kernel is named in the tree" >&2
     exit 1
 fi
 
 echo "== tier1: raw k-mer hashing stays behind pfam-shingle's sketch plane =="
 # Sketch contract: the clustering and pipeline layers reach k-mer
 # signatures only through pfam_shingle::sketch (Sketcher / kmer_postings)
-# so every sketch goes through the batched rank kernels; re-rolling
+# so every sketch goes through the one rank loop; re-rolling
 # KmerIter / pack_word / HashFamily in a data-plane crate would fork the
 # hashing and silently break cross-mode identity.
 if grep -rn "KmerIter\|pack_word\|HashFamily" crates/cluster/src crates/core/src; then
@@ -128,9 +130,6 @@ cargo test -q --test chaos_soak
 echo "== tier1: driver-equivalence matrix (PairSource x WorkPolicy) =="
 cargo test -q -p pfam-cluster --test driver_matrix
 
-echo "== tier1: work-stealing identity suites (seeded schedules) =="
-cargo test -q -p pfam-cluster --test steal_props
-
 echo "== tier1: shard-plane identity suite (sharded == single master) =="
 cargo test -q -p pfam-cluster --test shard_identity
 
@@ -156,23 +155,15 @@ echo "$ALIGN_SMOKE" | grep -q '"outputs_identical": true' || {
     exit 1
 }
 
-echo "== tier1: min-wise kernel + streaming-executor identity suites =="
-# The batched rank kernels must be bit-identical to HashFamily::rank, and
-# the fused streaming BGG->DSD executor bit-identical to the barrier path.
-cargo test -q -p pfam-shingle --test kernel_props
+echo "== tier1: streaming-executor identity suite =="
+# The fused streaming BGG->DSD executor must be bit-identical to the
+# barrier path.
 cargo test -q --test streaming_executor
 
-echo "== tier1: bgg_dsd_bench --test (smoke + executor/kernel identity) =="
+echo "== tier1: bgg_dsd_bench --test (smoke + executor identity) =="
 BGG_SMOKE=$(cargo run --release -p pfam-bench --bin bgg_dsd_bench -- --test)
 echo "$BGG_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: bgg_dsd_bench smoke did not report identical outputs" >&2
-    exit 1
-}
-
-echo "== tier1: steal_bench --test (smoke + schedule-identity check) =="
-STEAL_SMOKE=$(cargo run --release -p pfam-bench --bin steal_bench -- --test)
-echo "$STEAL_SMOKE" | grep -q '"components_identical": true' || {
-    echo "tier1 FAIL: steal_bench smoke did not report identical components" >&2
     exit 1
 }
 
@@ -234,5 +225,16 @@ echo "== tier1: CLI sharded-cluster smoke (byte-identical families.tsv) =="
 ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --shards 3 \
     --out "$SMOKE/sharded.tsv"
 diff "$SMOKE/sharded.tsv" "$SMOKE/straight.tsv"
+
+echo "== tier1: CLI removed-flag smoke (--steal is an error, not a no-op) =="
+if ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --steal \
+    --out "$SMOKE/steal.tsv" 2>"$SMOKE/steal.err"; then
+    echo "tier1 FAIL: pfam cluster accepted the removed --steal flag" >&2
+    exit 1
+fi
+grep -q "^error: .*--steal" "$SMOKE/steal.err" || {
+    echo "tier1 FAIL: --steal was refused without naming the flag" >&2
+    exit 1
+}
 
 echo "== tier1: OK =="

@@ -8,25 +8,26 @@
 //!               [--sketch-mode exact|approx|hybrid] [--sketch-k N]
 //!               [--sketch-bands N] [--sketch-rows N] [--sketch-width N]
 //!               [--sketch-seed N] [--sketch-banding minhash|exhaustive]
-//!               [--steal]
-//!               [--steal-workers N] [--steal-chunks N] [--steal-round N]
-//!               [--steal-seed N] [--lease-timeout-ms N] [--poll-ms N]
-//!               [--retry-budget N] [--max-respawns N] [--speculate]
-//!               [--spec-slack F] [--shards K] [--shard-driver batched|stealing|pull]
-//!               [--shard-workers N]
+//!               [--shards K]
+//! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
+//!               [--checkpoint-every N] [--checkpoint-every-components N]
+//!               [--stop-after rr|ccd|dsd] [+ `cluster` flags except --shards]
 //! pfam simulate <input.fasta> [--procs 32,64,128,512] [--save-trace PREFIX]
 //! pfam replay   <trace.tsv> [--procs 32,64,128,512]
 //! pfam align    <input.fasta> <i> <j>
 //! pfam stats    <input.fasta>
 //! ```
+//!
+//! A flag the subcommand does not take (see [`FLAGS`]) is an error, not a
+//! silent no-op.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use pfam::cluster::{
-    run_ccd, run_redundancy_removal, ClusterConfig, RecoveryParams, ShardDriver, ShardParams,
-    SketchBanding, SketchMode, SketchParams, StealParams,
+    run_ccd, run_redundancy_removal, ClusterConfig, ShardParams, SketchBanding, SketchMode,
+    SketchParams,
 };
 use pfam::core::{
     run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig, Phase, PipelineConfig,
@@ -40,21 +41,7 @@ use pfam::sim::{simulate_phase, MachineModel};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("cluster") => cmd_cluster(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("align") => cmd_align(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command: {other}")),
-    };
-    match result {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -64,39 +51,109 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
-        "pfam — parallel protein family identification\n\
-         (reproduction of Wu & Kalyanaraman, SC 2008)\n\n\
-         USAGE:\n\
-         \x20 pfam generate --out <fasta> [--families N] [--members N] [--seed N]\n\
-         \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F] [--domain W]\n\
-         \x20               [--min-size N] [--mask] [--psi N]\n\
-         \x20               [--mem-budget BYTES[K|M|G]] (cap index-plane memory)\n\
-         \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
-         \x20               partitioned-index chunk size; 0 = from the budget)\n\
-         \x20               [--sketch-mode exact|approx|hybrid] (LSH candidate\n\
-         \x20               generation: approx = banded min-hash buckets,\n\
-         \x20               hybrid = LSH prefilter + suffix confirmation)\n\
-         \x20               [--sketch-k N] [--sketch-bands N] [--sketch-rows N]\n\
-         \x20               [--sketch-width N] [--sketch-seed N]\n\
-         \x20               [--sketch-banding minhash|exhaustive]\n\
-         \x20               [--steal] [--steal-workers N] [--steal-chunks N]\n\
-         \x20               [--steal-round N] [--steal-seed N]\n\
-         \x20               [--lease-timeout-ms N] [--poll-ms N] [--retry-budget N]\n\
-         \x20               [--max-respawns N] [--speculate] [--spec-slack F]\n\
-         \x20               [--shards K] [--shard-driver batched|stealing|pull]\n\
-         \x20               [--shard-workers N]   (sharded clustering plane)\n\
-         \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
-         \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
-         \x20               [--stop-after rr|ccd|dsd]\n\
-         \x20               [+ all `cluster` flags]   (fault-tolerant cluster)\n\
-         \x20 pfam simulate <input.fasta> [--procs 32,64,128,512]\n\
-         \x20               [--save-trace PREFIX]\n\
-         \x20 pfam replay   <trace.tsv> [--procs 32,64,128,512]\n\
-         \x20 pfam align    <input.fasta> <i> <j>   (pairwise local alignment)\n\
-         \x20 pfam stats    <input.fasta>"
-    );
+fn dispatch(args: &[String]) -> Result<(), String> {
+    let handler: fn(&[String]) -> Result<(), String> = match args.first().map(String::as_str) {
+        Some("generate") => cmd_generate,
+        Some("cluster") => cmd_cluster,
+        Some("run") => cmd_run,
+        Some("simulate") => cmd_simulate,
+        Some("replay") => cmd_replay,
+        Some("align") => cmd_align,
+        Some("stats") => cmd_stats,
+        Some("--help") | Some("-h") | None => {
+            print!("{USAGE}");
+            return Ok(());
+        }
+        Some(other) => return Err(format!("unknown command: {other}")),
+    };
+    check_flags(&args[0], &args[1..])?;
+    handler(&args[1..])
+}
+
+const USAGE: &str = "pfam — parallel protein family identification\n\
+    (reproduction of Wu & Kalyanaraman, SC 2008)\n\n\
+    USAGE:\n\
+    \x20 pfam generate --out <fasta> [--families N] [--members N] [--seed N]\n\
+    \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F] [--domain W]\n\
+    \x20               [--min-size N] [--mask] [--psi N]\n\
+    \x20               [--mem-budget BYTES[K|M|G]] (cap index-plane memory)\n\
+    \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
+    \x20               partitioned-index chunk size; 0 = from the budget)\n\
+    \x20               [--sketch-mode exact|approx|hybrid] (LSH candidate\n\
+    \x20               generation: approx = banded min-hash buckets,\n\
+    \x20               hybrid = LSH prefilter + suffix confirmation)\n\
+    \x20               [--sketch-k N] [--sketch-bands N] [--sketch-rows N]\n\
+    \x20               [--sketch-width N] [--sketch-seed N]\n\
+    \x20               [--sketch-banding minhash|exhaustive]\n\
+    \x20               [--shards K]   (sharded clustering plane)\n\
+    \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
+    \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
+    \x20               [--stop-after rr|ccd|dsd]\n\
+    \x20               [+ `cluster` flags except --shards: checkpointed CCD\n\
+    \x20               is single-master]   (fault-tolerant cluster)\n\
+    \x20 pfam simulate <input.fasta> [--procs 32,64,128,512]\n\
+    \x20               [--save-trace PREFIX]\n\
+    \x20 pfam replay   <trace.tsv> [--procs 32,64,128,512]\n\
+    \x20 pfam align    <input.fasta> <i> <j>   (pairwise local alignment)\n\
+    \x20 pfam stats    <input.fasta>\n";
+
+const CLUSTER: &[&str] = &["cluster", "run"];
+
+/// Every flag `pfam` knows: name, whether it takes a value, and the
+/// subcommands that read it. Anything else starting with `--` is an error.
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    ("--out", true, &["generate", "cluster", "run"]),
+    ("--families", true, &["generate"]),
+    ("--members", true, &["generate"]),
+    ("--seed", true, &["generate"]),
+    ("--tau", true, CLUSTER),
+    ("--domain", true, CLUSTER),
+    ("--min-size", true, CLUSTER),
+    ("--mask", false, CLUSTER),
+    ("--psi", true, CLUSTER),
+    ("--mem-budget", true, CLUSTER),
+    ("--index-chunk-bytes", true, CLUSTER),
+    ("--sketch-mode", true, CLUSTER),
+    ("--sketch-k", true, CLUSTER),
+    ("--sketch-bands", true, CLUSTER),
+    ("--sketch-rows", true, CLUSTER),
+    ("--sketch-width", true, CLUSTER),
+    ("--sketch-seed", true, CLUSTER),
+    ("--sketch-banding", true, CLUSTER),
+    // `run` drives the resumable single-master loop, which has no
+    // sharded rendering.
+    ("--shards", true, &["cluster"]),
+    ("--checkpoint-dir", true, &["run"]),
+    ("--resume", false, &["run"]),
+    ("--checkpoint-every", true, &["run"]),
+    ("--checkpoint-every-components", true, &["run"]),
+    ("--stop-after", true, &["run"]),
+    ("--procs", true, &["simulate", "replay"]),
+    ("--save-trace", true, &["simulate"]),
+];
+
+fn takes_value(flag: &str) -> bool {
+    FLAGS.iter().any(|&(name, value, _)| name == flag && value)
+}
+
+/// Reject every `--flag` that `cmd` does not read, and every value flag
+/// left without its value.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        let Some(&(_, value, _)) =
+            FLAGS.iter().find(|&&(name, _, cmds)| name == a && cmds.contains(&cmd))
+        else {
+            return Err(format!("`{cmd}` does not take {a}"));
+        };
+        if value && args.next().is_none() {
+            return Err(format!("{a} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 /// Pull `--flag value` out of an argument list.
@@ -133,50 +190,13 @@ fn parse_bytes(args: &[String], flag: &str, default: u64) -> Result<u64, String>
 
 /// First free-standing argument: not a flag, and not the value of one.
 fn positional(args: &[String]) -> Option<&String> {
-    const VALUE_FLAGS: [&str; 35] = [
-        "--out",
-        "--sketch-mode",
-        "--sketch-k",
-        "--sketch-bands",
-        "--sketch-rows",
-        "--sketch-width",
-        "--sketch-seed",
-        "--sketch-banding",
-        "--mem-budget",
-        "--index-chunk-bytes",
-        "--tau",
-        "--min-size",
-        "--domain",
-        "--psi",
-        "--procs",
-        "--families",
-        "--members",
-        "--seed",
-        "--save-trace",
-        "--checkpoint-dir",
-        "--checkpoint-every",
-        "--checkpoint-every-components",
-        "--stop-after",
-        "--steal-workers",
-        "--steal-chunks",
-        "--steal-round",
-        "--steal-seed",
-        "--lease-timeout-ms",
-        "--poll-ms",
-        "--retry-budget",
-        "--max-respawns",
-        "--spec-slack",
-        "--shards",
-        "--shard-driver",
-        "--shard-workers",
-    ];
     let mut skip_next = false;
     for a in args {
         if skip_next {
             skip_next = false;
             continue;
         }
-        if VALUE_FLAGS.contains(&a.as_str()) {
+        if takes_value(a) {
             skip_next = true;
             continue;
         }
@@ -264,47 +284,8 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
         },
         ..default_sketch
     };
-    let default_steal = StealParams::default();
-    cluster.steal = StealParams {
-        enabled: flag_present(args, "--steal"),
-        workers: parse(args, "--steal-workers", default_steal.workers)?,
-        chunks_per_worker: parse(args, "--steal-chunks", default_steal.chunks_per_worker)?,
-        round_pairs: parse(args, "--steal-round", default_steal.round_pairs)?,
-        seed: parse(args, "--steal-seed", default_steal.seed)?,
-    };
-    let default_recovery = RecoveryParams::default();
-    cluster.recovery = RecoveryParams {
-        lease_timeout: std::time::Duration::from_millis(parse(
-            args,
-            "--lease-timeout-ms",
-            default_recovery.lease_timeout.as_millis() as u64,
-        )?),
-        poll_interval: std::time::Duration::from_millis(parse(
-            args,
-            "--poll-ms",
-            default_recovery.poll_interval.as_millis() as u64,
-        )?),
-        retry_budget: parse(args, "--retry-budget", default_recovery.retry_budget)?,
-        max_respawns: parse(args, "--max-respawns", default_recovery.max_respawns)?,
-        speculate: flag_present(args, "--speculate"),
-        spec_slack: parse(args, "--spec-slack", default_recovery.spec_slack)?,
-        ..default_recovery
-    };
-    let default_shard = ShardParams::default();
-    cluster.shard = ShardParams {
-        shards: parse(args, "--shards", default_shard.shards)?,
-        driver: match flag_value(args, "--shard-driver").as_deref() {
-            None => default_shard.driver,
-            Some("batched") => ShardDriver::Batched,
-            Some("stealing") => ShardDriver::Stealing,
-            Some("pull") => ShardDriver::Pull,
-            Some(other) => {
-                return Err(format!("invalid --shard-driver: {other} (batched|stealing|pull)"))
-            }
-        },
-        workers_per_shard: parse(args, "--shard-workers", default_shard.workers_per_shard)?,
-        ..default_shard
-    };
+    cluster.shard =
+        ShardParams { shards: parse(args, "--shards", 1usize)?, ..ShardParams::default() };
     let config = PipelineConfig {
         cluster,
         reduction: match domain_w {
@@ -497,4 +478,75 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         comp.unknown_fraction() * 100.0
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn misspelt_flag_is_an_error() {
+        let err = check_flags("cluster", &argv("in.fasta --stael")).unwrap_err();
+        assert!(err.contains("--stael"), "{err}");
+        assert!(check_flags("cluster", &argv("in.fasta --no-such-flag 7")).is_err());
+    }
+
+    #[test]
+    fn removed_flags_are_errors_not_no_ops() {
+        for gone in ["--steal", "--steal-workers", "--shard-driver", "--speculate", "--poll-ms"] {
+            let err = check_flags("cluster", &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
+            assert!(err.contains(gone), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_refuses_shards_and_cluster_takes_it() {
+        let line = argv("in.fasta --checkpoint-dir ck --shards 3");
+        assert!(check_flags("run", &line).unwrap_err().contains("--shards"));
+        let line = argv("in.fasta --shards 3");
+        check_flags("cluster", &line).unwrap();
+        assert_eq!(pipeline_config(&line).unwrap().0.cluster.shard.shards, 3);
+    }
+
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        assert!(check_flags("cluster", &argv("in.fasta --psi")).unwrap_err().contains("--psi"));
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted_and_nothing_else_is_known() {
+        // The usage text is the documentation: each `--flag` in it must be
+        // in the table, and the table must hold nothing the text omits.
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
+        known.sort_unstable();
+        assert_eq!(documented, known);
+        assert!(known.len() <= 26, "{} flags", known.len());
+
+        // One command line per subcommand carrying every flag it is
+        // documented with.
+        let cluster = "in.fasta --out f.tsv --tau 0.4 --domain 10 --min-size 3 --mask --psi 8 \
+                       --mem-budget 64M --index-chunk-bytes 4K --sketch-mode approx --sketch-k 5 \
+                       --sketch-bands 8 --sketch-rows 2 --sketch-width 16 --sketch-seed 7 \
+                       --sketch-banding minhash";
+        check_flags("cluster", &argv(&format!("{cluster} --shards 2"))).unwrap();
+        pipeline_config(&argv(cluster)).unwrap();
+        let run = format!(
+            "{cluster} --checkpoint-dir ck --resume --checkpoint-every 4 \
+             --checkpoint-every-components 2 --stop-after ccd"
+        );
+        check_flags("run", &argv(&run)).unwrap();
+        check_flags("generate", &argv("--out r.fasta --families 3 --members 9 --seed 1")).unwrap();
+        check_flags("simulate", &argv("in.fasta --procs 32,64 --save-trace t")).unwrap();
+        check_flags("replay", &argv("t.tsv --procs 32")).unwrap();
+    }
 }

@@ -9,9 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pfam::cluster::{
-    run_ccd, run_ccd_ft_supervised, run_ccd_stealing, ClusterConfig, RecoveryParams,
-};
+use pfam::cluster::{run_ccd, run_ccd_ft, ClusterConfig, RecoveryParams};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::sim::{FaultEvent, FaultSchedule};
 
@@ -55,8 +53,7 @@ fn respawned_worker_completes_leases() {
     // Until the supervisor respawns it, the pool is fully dead — only the
     // grace window keeps the master from giving up.
     let schedule = Arc::new(FaultSchedule::new().with(FaultEvent::KillRank { rank: 1, event: 6 }));
-    let (r, health) =
-        run_ccd_ft_supervised(&d.set, &config, 2, schedule).expect("respawn restores the pool");
+    let (r, health) = run_ccd_ft(&d.set, &config, 2, schedule).expect("respawn restores the pool");
     assert_eq!(r.components, reference.components);
     assert_eq!(r.n_merges, reference.n_merges);
     assert!(
@@ -105,8 +102,8 @@ fn speculative_duplicate_wins_a_straggler_race() {
             to_event: 100_000,
             per_op: Duration::from_millis(20),
         }));
-        let (r, health) = run_ccd_ft_supervised(&d.set, &config, 3, schedule)
-            .expect("straggler worlds still finish");
+        let (r, health) =
+            run_ccd_ft(&d.set, &config, 3, schedule).expect("straggler worlds still finish");
         assert_eq!(r.components, reference.components, "attempt {attempt}");
         assert_eq!(r.n_merges, reference.n_merges, "attempt {attempt}");
         if health.total_spec_wins() >= 1 {
@@ -140,8 +137,7 @@ fn exhausted_retry_budget_quarantines_the_flaky_worker() {
         start_seq: 0,
         count: 50,
     }));
-    let (r, health) =
-        run_ccd_ft_supervised(&d.set, &config, 3, schedule).expect("worker 2 carries the run");
+    let (r, health) = run_ccd_ft(&d.set, &config, 3, schedule).expect("worker 2 carries the run");
     assert_eq!(r.components, reference.components);
     assert_eq!(r.n_merges, reference.n_merges);
     assert!(health.workers[0].quarantined, "worker 1 must be quarantined:\n{}", health.render());
@@ -151,59 +147,39 @@ fn exhausted_retry_budget_quarantines_the_flaky_worker() {
 }
 
 /// The soak itself: seeded chaos schedules (kills + drops + delays +
-/// transient flakes + straggler windows + respawn-then-die-again) swept
-/// over both lease-sizing modes with speculation and respawn enabled.
-/// Components and merge counts must be bit-identical to the reference on
+/// transient flakes + straggler windows + respawn-then-die-again) with
+/// speculation and respawn enabled. Components and merge counts must be bit-identical to the reference on
 /// every seed, and every run must finish within a sane wall-clock bound.
 #[test]
 fn seeded_chaos_schedules_preserve_components() {
     let d = dataset(904);
-    for cost_leases in [false, true] {
-        let mut config = config();
-        config.steal.enabled = cost_leases; // Cells sizing in the ft driver
-        config.recovery = RecoveryParams {
-            retry_budget: 8, // above any seeded flake window
-            speculate: true,
-            spec_min_wait: Duration::from_millis(20),
-            max_respawns: 2,
-            respawn_grace: Duration::from_secs(5),
-            ..RecoveryParams::default()
-        };
-        let reference = run_ccd(&d.set, &config);
-        for seed in 0..10u64 {
-            let schedule = Arc::new(FaultSchedule::seeded_chaos(seed, 4));
-            let killed = schedule.killed_ranks();
-            let started = Instant::now();
-            let (r, health) = run_ccd_ft_supervised(&d.set, &config, 4, schedule)
-                .unwrap_or_else(|e| panic!("seed {seed} (killed {killed:?}): {e}"));
-            let elapsed = started.elapsed();
-            assert_eq!(
-                r.components,
-                reference.components,
-                "seed {seed} (cost_leases {cost_leases}, killed {killed:?}, health:\n{})",
-                health.render()
-            );
-            assert_eq!(r.n_merges, reference.n_merges, "seed {seed} merge count");
-            assert!(
-                elapsed < Duration::from_secs(30),
-                "seed {seed} took {elapsed:?} — recovery must stay bounded"
-            );
-        }
-    }
-}
-
-/// The in-process stealing driver rides the same ClusterCore and must
-/// agree with both the reference and the chaos-swept ft driver — the
-/// cross-check that the recovery plane changed nothing for healthy
-/// shared-memory runs either.
-#[test]
-fn stealing_driver_agrees_with_the_chaos_swept_reference() {
-    let d = dataset(905);
     let mut config = config();
-    config.steal.enabled = true;
-    config.steal.workers = 2;
+    config.recovery = RecoveryParams {
+        retry_budget: 8, // above any seeded flake window
+        speculate: true,
+        spec_min_wait: Duration::from_millis(20),
+        max_respawns: 2,
+        respawn_grace: Duration::from_secs(5),
+        ..RecoveryParams::default()
+    };
     let reference = run_ccd(&d.set, &config);
-    let stolen = run_ccd_stealing(&d.set, &config);
-    assert_eq!(stolen.components, reference.components);
-    assert_eq!(stolen.n_merges, reference.n_merges);
+    for seed in 0..10u64 {
+        let schedule = Arc::new(FaultSchedule::seeded_chaos(seed, 4));
+        let killed = schedule.killed_ranks();
+        let started = Instant::now();
+        let (r, health) = run_ccd_ft(&d.set, &config, 4, schedule)
+            .unwrap_or_else(|e| panic!("seed {seed} (killed {killed:?}): {e}"));
+        let elapsed = started.elapsed();
+        assert_eq!(
+            r.components,
+            reference.components,
+            "seed {seed} (killed {killed:?}, health:\n{})",
+            health.render()
+        );
+        assert_eq!(r.n_merges, reference.n_merges, "seed {seed} merge count");
+        assert!(
+            elapsed < Duration::from_secs(30),
+            "seed {seed} took {elapsed:?} — recovery must stay bounded"
+        );
+    }
 }

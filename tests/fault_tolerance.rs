@@ -41,7 +41,7 @@ fn components_survive_any_seeded_schedule() {
     for seed in 0..16u64 {
         let schedule = Arc::new(FaultSchedule::seeded(seed, 4, 2));
         let killed = schedule.killed_ranks();
-        let r = run_ccd_ft(&d.set, &config, 4, schedule)
+        let (r, _) = run_ccd_ft(&d.set, &config, 4, schedule)
             .unwrap_or_else(|e| panic!("seed {seed} (killed {killed:?}): {e}"));
         assert_eq!(
             r.components, reference.components,
@@ -56,7 +56,7 @@ fn fault_free_ft_engine_matches_reference_exactly() {
     let d = dataset(815);
     let config = config();
     let reference = run_ccd(&d.set, &config);
-    let r =
+    let (r, _) =
         run_ccd_ft(&d.set, &config, 3, Arc::new(FaultSchedule::new())).expect("fault-free world");
     assert_eq!(r.components, reference.components);
     assert_eq!(r.n_merges, reference.n_merges);
@@ -69,7 +69,7 @@ fn heavier_kill_budget_with_more_workers_still_converges() {
     let reference = run_ccd(&d.set, &config);
     for seed in [3u64, 11, 27] {
         let schedule = Arc::new(FaultSchedule::seeded(seed, 6, 4));
-        let r = run_ccd_ft(&d.set, &config, 6, schedule).expect("≥1 worker survives");
+        let (r, _) = run_ccd_ft(&d.set, &config, 6, schedule).expect("≥1 worker survives");
         assert_eq!(r.components, reference.components, "seed {seed}");
     }
 }

@@ -1,10 +1,13 @@
-//! All three CCD engines — batched rayon, threaded master–worker, and the
-//! SPMD message-passing rendering — must agree on the clustering, and the
-//! `pfam-mpi` runtime must behave like MPI where the engines rely on it.
+//! All three CCD engines — batched rayon, the SPMD push protocol and the
+//! leased pull protocol, one per `WorkPolicy` — must agree on the
+//! clustering, and the `pfam-mpi` runtime must behave like MPI where the
+//! engines rely on it.
 
-use pfam::cluster::{run_ccd, run_ccd_master_worker, run_ccd_spmd, ClusterConfig};
+use std::sync::Arc;
+
+use pfam::cluster::{run_ccd, run_ccd_ft, run_ccd_spmd, ClusterConfig};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::mpi::{run_spmd, ANY_SOURCE};
+use pfam::mpi::{run_spmd, NoFaults, ANY_SOURCE};
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -28,9 +31,9 @@ fn three_engines_one_clustering() {
     let d = dataset(501);
     let config = ClusterConfig::default();
     let batched = run_ccd(&d.set, &config);
-    let (threaded, _) = run_ccd_master_worker(&d.set, &config, 3).expect("no worker panics");
+    let (leased, _) = run_ccd_ft(&d.set, &config, 4, Arc::new(NoFaults)).expect("healthy world");
     let spmd = run_ccd_spmd(&d.set, &config, 4);
-    assert_eq!(batched.components, threaded.components);
+    assert_eq!(batched.components, leased.components);
     assert_eq!(batched.components, spmd.components);
     assert_eq!(batched.n_merges, spmd.n_merges, "merges = n − #components");
 }

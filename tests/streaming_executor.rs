@@ -2,15 +2,16 @@
 //! synthetic datasets, the streaming path must reproduce the barrier
 //! reference exactly — component graphs, alignment records, dense
 //! subgraphs, and shingle counters — for both bipartite reductions, at
-//! the executor level and through the full pipeline.
+//! the executor level and through the full pipeline (whose back half is
+//! held against the barrier reference over the same component queue).
 
 use pfam::cluster::run_ccd;
 use pfam::core::{
-    barrier_components, run_pipeline, run_pipeline_barrier, stream_components, ComponentOutput,
-    PipelineConfig, Reduction,
+    barrier_components, run_pipeline, stream_components, ComponentOutput, PipelineConfig, Reduction,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::seq::SeqId;
+use pfam::shingle::ShingleStats;
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -76,16 +77,31 @@ fn executor_identity_domain_based() {
 fn pipeline_identity(config: &PipelineConfig, seed: u64) {
     let d = dataset(seed);
     let streamed = run_pipeline(&d.set, config);
-    let barrier = run_pipeline_barrier(&d.set, config);
-    assert_eq!(streamed.non_redundant, barrier.non_redundant);
-    assert_eq!(streamed.components, barrier.components);
-    assert_eq!(streamed.dense_subgraphs, barrier.dense_subgraphs);
-    assert_eq!(streamed.shingle_stats, barrier.shingle_stats);
-    assert_eq!(streamed.traces.2, barrier.traces.2, "BGG trace");
-    for (s, b) in streamed.component_graphs.iter().zip(&barrier.component_graphs) {
-        assert_eq!(s.members, b.members);
-        assert_eq!(s.graph, b.graph);
+    let queue: Vec<&[SeqId]> = streamed
+        .components
+        .iter()
+        .filter(|c| c.len() >= config.min_component_size)
+        .map(|c| c.as_slice())
+        .collect();
+    let barrier = barrier_components(&d.set, config, &queue);
+    assert_eq!(streamed.component_graphs.len(), barrier.len());
+    let mut stats = ShingleStats::default();
+    let mut families: Vec<Vec<SeqId>> = Vec::new();
+    for ((s, record), b) in
+        streamed.component_graphs.iter().zip(&streamed.traces.2.batches).zip(&barrier)
+    {
+        assert_eq!(s.members, b.graph.members);
+        assert_eq!(s.graph, b.graph.graph);
+        assert_eq!(record, &b.record, "BGG trace");
+        stats.absorb(&b.stats);
+        for local in &b.subgraphs {
+            families.push(local.iter().map(|&l| b.graph.original_id(l)).collect());
+        }
     }
+    assert_eq!(streamed.shingle_stats, stats);
+    families.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
+    let reported: Vec<&Vec<SeqId>> = streamed.dense_subgraphs.iter().map(|d| &d.members).collect();
+    assert_eq!(reported, families.iter().collect::<Vec<_>>());
 }
 
 #[test]
