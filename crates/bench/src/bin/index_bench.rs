@@ -1,7 +1,9 @@
 //! Index benchmark: the suffix index stage by stage — SA-IS + Kasai (the
 //! serial oracle) against the residue-packed bucket sort at each thread
 //! count, the interval tree at ψ = 0 / 10 / 15, and pair mining — on two
-//! corpora, emitting a machine-readable `BENCH_index.json`.
+//! corpora, plus the pair generation of the pipeline's front half (RR at
+//! ψ = 15, CCD at ψ = 10 over RR's survivors) from two indexes and from
+//! one, emitting a machine-readable `BENCH_index.json`.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin index_bench [scale] [max_threads]
@@ -9,7 +11,12 @@
 //! ```
 //!
 //! * `sparse` — the metagenomic long tail: a few families drowned in
-//!   unrelated ORFs; 25 k reads and 3.1 M residues at scale 1.
+//!   unrelated ORFs; 25 k reads and 3.1 M residues at scale 1. Its
+//!   `front_half` rows take the reads the generator made redundant as
+//!   RR's removals (mining needs a keep-set, not alignments): "two
+//!   builds" indexes the input, copies the survivors and indexes the
+//!   copy; "one build" indexes the input once, prunes the tree for both
+//!   cut-offs and mines CCD's pairs through a mask.
 //! * `short_reads` — 70 k reads of 20–40 residues at scale 1, a few with
 //!   `X`: more sequences than a 16-bit sentinel range holds.
 //! * `repeats` — two 20 000-residue homopolymers among 50 noise reads (at
@@ -17,9 +24,10 @@
 //!   rows only — mining its 20 000 nested nodes takes seconds and is not
 //!   what the corpus is here for.
 //!
-//! Every parallel build is asserted bit-identical to the oracle, and every
+//! Every parallel build is asserted bit-identical to the oracle, every
 //! pruned tree is asserted to mine the full tree's pairs in the full
-//! tree's order. `--test` runs a tiny single-rep pass and prints the JSON
+//! tree's order, and the masked stream is asserted equal to the stream of
+//! the survivors' own index, anchors and statistics included. `--test` runs a tiny single-rep pass and prints the JSON
 //! instead of writing the file.
 
 use rand::rngs::StdRng;
@@ -27,10 +35,11 @@ use rand::{Rng, SeedableRng};
 
 use pfam_bench::{cores_field, emit, thread_sweep, time_min, BenchArgs};
 use pfam_datagen::{random_peptide, DatasetConfig, SyntheticDataset};
-use pfam_seq::{SequenceSet, SequenceSetBuilder};
+use pfam_seq::{materialize_subset, SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_suffix::maximal::{all_pairs, GenerationStats};
 use pfam_suffix::{
-    bucket_sort_index_staged, lcp::lcp_array, maximal::all_pairs, parallel_pairs, suffix_array,
-    GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree,
+    bucket_sort_index_staged, lcp::lcp_array, parallel_pairs, parallel_pairs_masked, suffix_array,
+    GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// ψ of redundancy removal and of component detection (`ClusterConfig`
@@ -38,7 +47,9 @@ use pfam_suffix::{
 const PSI_RR: u32 = 15;
 const PSI_CCD: u32 = 10;
 
-fn sparse_corpus(scale: f64) -> SequenceSet {
+/// The `sparse` reads, and the ids of those the generator did not make
+/// redundant — the keep-set of the `front_half` rows.
+fn sparse_corpus(scale: f64) -> (SequenceSet, Vec<SeqId>) {
     let config = DatasetConfig {
         n_families: 100,
         n_members: 2000,
@@ -51,7 +62,10 @@ fn sparse_corpus(scale: f64) -> SequenceSet {
         ..DatasetConfig::default()
     }
     .scaled(scale * 0.25);
-    SyntheticDataset::generate(&config).set
+    let dataset = SyntheticDataset::generate(&config);
+    let redundant = dataset.redundant_ids();
+    let kept = dataset.set.ids().filter(|id| redundant.binary_search(id).is_err()).collect();
+    (dataset.set, kept)
 }
 
 fn short_read_corpus(scale: f64) -> SequenceSet {
@@ -84,12 +98,81 @@ fn match_config(psi: u32) -> MaximalMatchConfig {
     MaximalMatchConfig { min_len: psi, max_pairs_per_node: 100_000, dedup: true }
 }
 
-/// One corpus, every stage (`mine`: tree and mining rows too): returns its
-/// JSON object.
+/// A mined stream: the pairs and the generator's statistics.
+type Mined = (Vec<MatchPair>, GenerationStats);
+
+/// Whether two mined streams agree in everything that must repeat —
+/// `MatchPair` equality ignores the anchors, this does not.
+fn same_stream(a: &Mined, b: &Mined) -> bool {
+    let anchored = |p: &MatchPair| (p.a, p.b, p.len, p.a_pos, p.b_pos);
+    a.1 == b.1 && a.0.iter().map(anchored).eq(b.0.iter().map(anchored))
+}
+
+/// Pair generation of RR (ψ = 15 over `set`) and CCD (ψ = 10 over the
+/// reads `kept`) at `t` threads, from two indexes and from one: one JSON
+/// row, stage by stage.
+fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> String {
+    // Two builds: RR's index, a copy of the survivors, CCD's index.
+    let (gsa_rr_s, gsa) = time_min(reps, || GeneralizedSuffixArray::build_parallel(set, t));
+    let (tree_rr_s, tree) = time_min(reps, || SuffixTree::build_pruned(&gsa, PSI_RR));
+    let (mine_rr_s, rr_two) = time_min(reps, || parallel_pairs(&tree, match_config(PSI_RR), t));
+    let (copy_s, survivors) = time_min(reps, || materialize_subset(set, kept));
+    let (gsa_ccd_s, sub_gsa) =
+        time_min(reps, || GeneralizedSuffixArray::build_parallel(&survivors, t));
+    let (tree_ccd_s, sub_tree) = time_min(reps, || SuffixTree::build_pruned(&sub_gsa, PSI_CCD));
+    let (mine_ccd_s, ccd_two) =
+        time_min(reps, || parallel_pairs(&sub_tree, match_config(PSI_CCD), t));
+    let two_s = gsa_rr_s + tree_rr_s + mine_rr_s + copy_s + gsa_ccd_s + tree_ccd_s + mine_ccd_s;
+
+    // One build: the tree pruned for both cut-offs, CCD through a mask.
+    let (tree_s, tree) = time_min(reps, || SuffixTree::build_pruned(&gsa, PSI_CCD.min(PSI_RR)));
+    let (mine_rr_one_s, rr_one) = time_min(reps, || parallel_pairs(&tree, match_config(PSI_RR), t));
+    let (mask_s, mask) = time_min(reps, || KeepMask::new(&gsa, kept));
+    let (mine_masked_s, ccd_one) =
+        time_min(reps, || parallel_pairs_masked(&tree, match_config(PSI_CCD), t, Some(&mask)));
+    let one_s = gsa_rr_s + tree_s + mine_rr_one_s + mask_s + mine_masked_s;
+
+    assert!(same_stream(&rr_one, &rr_two), "RR streams differ at {t} threads");
+    assert!(same_stream(&ccd_one, &ccd_two), "CCD streams differ at {t} threads");
+    eprintln!("index_bench: front half, {t} thread(s): two builds {two_s:.3}s, one {one_s:.3}s");
+    format!(
+        concat!(
+            "      {{ \"threads\": {t}, \"pairs_rr\": {prr}, \"pairs_ccd\": {pccd},\n",
+            "        \"two_builds\": {{ \"total_s\": {two:.6}, \"gsa_rr_s\": {g1:.6}, ",
+            "\"tree_rr_s\": {t1:.6}, \"mine_rr_s\": {m1:.6}, \"copy_survivors_s\": {c:.6}, ",
+            "\"gsa_ccd_s\": {g2:.6}, \"tree_ccd_s\": {t2:.6}, \"mine_ccd_s\": {m2:.6} }},\n",
+            "        \"one_build_masked\": {{ \"total_s\": {one:.6}, \"gsa_s\": {g1:.6}, ",
+            "\"tree_s\": {t3:.6}, \"mine_rr_s\": {m3:.6}, \"keep_mask_s\": {k:.6}, ",
+            "\"mine_ccd_masked_s\": {m4:.6} }},\n",
+            "        \"two_over_one\": {r:.3} }}"
+        ),
+        t = t,
+        prr = rr_one.0.len(),
+        pccd = ccd_one.0.len(),
+        two = two_s,
+        g1 = gsa_rr_s,
+        t1 = tree_rr_s,
+        m1 = mine_rr_s,
+        c = copy_s,
+        g2 = gsa_ccd_s,
+        t2 = tree_ccd_s,
+        m2 = mine_ccd_s,
+        one = one_s,
+        t3 = tree_s,
+        m3 = mine_rr_one_s,
+        k = mask_s,
+        m4 = mine_masked_s,
+        r = two_s / one_s,
+    )
+}
+
+/// One corpus, every stage (`mine`: tree and mining rows too; `kept`: the
+/// front-half rows too): returns its JSON object.
 fn bench_corpus(
     name: &str,
     set: &SequenceSet,
     mine: bool,
+    kept: Option<&[SeqId]>,
     threads: &[usize],
     reps: usize,
 ) -> String {
@@ -176,6 +259,16 @@ fn bench_corpus(
         ));
     }
 
+    let front_half = kept.map_or(String::new(), |kept| {
+        let rows: Vec<String> =
+            threads.iter().map(|&t| front_half_row(set, kept, t, reps)).collect();
+        format!(
+            ",\n    \"front_half_reads_kept\": {},\n    \"front_half\": [\n{}\n    ]",
+            kept.len(),
+            rows.join(",\n")
+        )
+    });
+
     format!(
         concat!(
             "  \"{name}\": {{\n",
@@ -184,7 +277,7 @@ fn bench_corpus(
             "    \"sais\": {{ \"index_s\": {total:.6}, \"sa_s\": {sa:.6}, \"kasai_lcp_s\": {lcp:.6} }},\n",
             "    \"bucket_sort\": [\n{sort}\n    ],\n",
             "    \"tree\": [\n{tree}\n    ],\n",
-            "    \"mining\": [\n{mine}\n    ]\n",
+            "    \"mining\": [\n{mine}\n    ]{front_half}\n",
             "  }}"
         ),
         name = name,
@@ -196,6 +289,7 @@ fn bench_corpus(
         sort = sort_rows.join(",\n"),
         tree = tree_rows.join(",\n"),
         mine = mine_rows.join(",\n"),
+        front_half = front_half,
     )
 }
 
@@ -206,14 +300,15 @@ fn main() {
     let reps = args.reps();
     let sweep = thread_sweep(max_threads, args.smoke);
 
+    let (sparse, sparse_kept) = sparse_corpus(scale);
     let corpora = [
-        ("sparse", sparse_corpus(scale), true),
-        ("short_reads", short_read_corpus(scale), true),
-        ("repeats", repeat_corpus(), false),
+        ("sparse", sparse, true, Some(sparse_kept.as_slice())),
+        ("short_reads", short_read_corpus(scale), true, None),
+        ("repeats", repeat_corpus(), false, None),
     ];
     let blocks: Vec<String> = corpora
         .iter()
-        .map(|(name, set, mine)| bench_corpus(name, set, *mine, &sweep.counts, reps))
+        .map(|(name, set, mine, kept)| bench_corpus(name, set, *mine, *kept, &sweep.counts, reps))
         .collect();
 
     let json = format!(

@@ -20,7 +20,7 @@ pub use crate::core::CcdCursor;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{with_source_pinned, IterSource};
+use crate::source::{with_source_pinned, IterSource, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the CCD phase.
@@ -77,6 +77,19 @@ pub fn run_ccd_resumable(
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&CcdCursor),
 ) -> CcdResult {
+    ccd_over(set, config, None, resume, checkpoint_every, on_checkpoint)
+}
+
+/// [`run_ccd_resumable`], mining `shared` when the run holds an index of
+/// the in-memory set `set` is a view of.
+pub(crate) fn ccd_over(
+    set: &dyn SeqStore,
+    config: &ClusterConfig,
+    shared: Option<&SharedIndex<'_>>,
+    resume: Option<CcdCursor>,
+    checkpoint_every: usize,
+    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+) -> CcdResult {
     if set.is_empty() {
         return CcdResult::empty();
     }
@@ -84,7 +97,8 @@ pub fn run_ccd_resumable(
     // the skip below lands on the same pair prefix even if this run's
     // MemParams (budget, chunk size) differ from the original run's.
     let pin = resume.as_ref().map(|c| c.gen_chunk_bytes);
-    with_source_pinned(set, config, config.psi_ccd, config.index_threads(), pin, |source, plan| {
+    let threads = config.index_threads();
+    with_source_pinned(set, config, config.psi_ccd, threads, pin, shared, |source, plan| {
         let mut core = match resume {
             Some(cursor) => {
                 // Deterministic replay: advance the generator past the

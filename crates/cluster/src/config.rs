@@ -58,7 +58,7 @@ pub struct ClusterConfig {
     /// accepted edges); only the scaling shape changes.
     pub shard: ShardParams,
     /// Memory-budget knobs for the out-of-core index plane
-    /// ([`crate::source::with_source`]): the shared accounting budget the
+    /// ([`crate::source::with_source_pinned`]): the shared accounting budget the
     /// index builders reserve against, and the per-chunk index target for
     /// partitioned GSA construction. Pair *sets* (and therefore
     /// components) are bit-identical for every setting.

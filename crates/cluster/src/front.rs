@@ -1,0 +1,77 @@
+//! Phases 1–2 over one suffix index — the front half of the pipeline.
+//!
+//! RR and CCD differ in the match cut-off ψ and in the acceptance test,
+//! not in the index: the paper builds its generalized suffix tree once and
+//! draws promising pairs from it on demand. [`with_front_half`] builds
+//! the index of the input once ([`crate::source::with_shared_index`]);
+//! RR mines its nodes ≥ ψ_rr, CCD its nodes ≥ ψ_ccd through a mask that
+//! drops the suffixes of the reads RR removed. When one monolithic index
+//! cannot serve the run (paged store, budget, forced chunk size, sketch
+//! mode) each phase routes on its own, exactly as
+//! [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do.
+
+use pfam_seq::{SeqId, SeqStore, SubsetStore};
+
+use crate::ccd::{ccd_over, CcdCursor, CcdResult};
+use crate::config::ClusterConfig;
+use crate::rr::{rr_over, RrResult};
+use crate::shard::sharded_over;
+use crate::source::{with_shared_index, SharedIndex};
+
+/// The two clustering phases of one run over `input`, holding the index
+/// they share for as long as this value is lent.
+pub struct FrontHalf<'a> {
+    input: &'a dyn SeqStore,
+    config: &'a ClusterConfig,
+    shared: Option<&'a SharedIndex<'a>>,
+}
+
+/// Index `input` for both phases and lend them to `f`; the index and its
+/// budget reservation are dropped when `f` returns.
+pub fn with_front_half<R>(
+    input: &dyn SeqStore,
+    config: &ClusterConfig,
+    f: impl FnOnce(&FrontHalf<'_>) -> R,
+) -> R {
+    with_shared_index(input, config, |shared| f(&FrontHalf { input, config, shared }))
+}
+
+impl FrontHalf<'_> {
+    /// Phase 1: redundancy removal over the input.
+    pub fn rr(&self) -> RrResult {
+        rr_over(self.input, self.config, self.shared)
+    }
+
+    /// Phase 2: connected components of the reads `kept` (ascending input
+    /// ids), reported under their dense ids `0..kept.len()` — sharded when
+    /// the configuration says so, like [`crate::run_ccd`].
+    pub fn ccd(&self, kept: &[SeqId]) -> CcdResult {
+        if self.config.shard.enabled() {
+            let nr_store = SubsetStore::new(self.input, kept.to_vec());
+            return sharded_over(&nr_store, self.config, self.shared).result;
+        }
+        self.ccd_resumable(kept, None, 0, &mut |_| {})
+    }
+
+    /// Phase 2 with the checkpoint hooks of [`crate::run_ccd_resumable`].
+    pub fn ccd_resumable(
+        &self,
+        kept: &[SeqId],
+        resume: Option<CcdCursor>,
+        checkpoint_every: usize,
+        on_checkpoint: &mut dyn FnMut(&CcdCursor),
+    ) -> CcdResult {
+        let nr_store = SubsetStore::new(self.input, kept.to_vec());
+        ccd_over(&nr_store, self.config, self.shared, resume, checkpoint_every, on_checkpoint)
+    }
+}
+
+/// RR, then CCD over its survivors (dense ids; `rr.kept[i]` is the input
+/// id of dense id `i`) — the front half as `pfam cluster` runs it.
+pub fn run_front_half(input: &dyn SeqStore, config: &ClusterConfig) -> (RrResult, CcdResult) {
+    with_front_half(input, config, |front| {
+        let rr = front.rr();
+        let ccd = front.ccd(&rr.kept);
+        (rr, ccd)
+    })
+}

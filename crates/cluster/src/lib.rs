@@ -21,6 +21,8 @@
 //! * [`ccd`] — connected-component detection: the master–worker clustering
 //!   loop with the transitive-closure filter that skips alignments between
 //!   already-co-clustered pairs (the paper's 99 %+ work reduction).
+//! * [`front`] — those two phases over one suffix index, built once per
+//!   run and mined at each phase's cut-off.
 //! * [`bgg`] — per-component bipartite-input generation: the full
 //!   similarity graph of each component, with the maximal-match heuristic
 //!   but *without* the closure filter.
@@ -39,6 +41,7 @@ pub mod bgg;
 pub mod ccd;
 pub mod config;
 pub mod core;
+pub mod front;
 pub mod ft;
 pub mod lsh;
 pub(crate) mod mask;
@@ -59,6 +62,7 @@ pub use bgg::{
 };
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
 pub use config::{ClusterConfig, MemParams, RecoveryParams, ShardParams};
+pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
 pub use lsh::{
     check_sketch_params, HybridSource, HybridStats, SketchBanding, SketchMode, SketchParamError,
@@ -75,8 +79,9 @@ pub use shard::{
     owner_shard, run_ccd_sharded, run_ccd_sharded_spmd, shard_of, PortSource, ShardRun,
 };
 pub use source::{
-    check_index_budget, with_mined_source, with_source, with_source_pinned, IterSource,
-    MinedSource, PairSource, PartitionedMinedSource, PIN_SKETCH_APPROX, PIN_SKETCH_HYBRID,
+    check_index_budget, with_mined_source, with_shared_index, with_source_pinned, IterSource,
+    MinedSource, PairSource, PartitionedMinedSource, SharedIndex, PIN_SKETCH_APPROX,
+    PIN_SKETCH_HYBRID,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use supervise::{HealthReport, WorkerHealth};

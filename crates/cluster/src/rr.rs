@@ -19,7 +19,7 @@ use pfam_seq::{SeqId, SeqStore};
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::with_source;
+use crate::source::{with_source_pinned, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the RR phase.
@@ -42,10 +42,21 @@ impl RrResult {
 
 /// Run redundancy removal over `set`.
 pub fn run_redundancy_removal(set: &dyn SeqStore, config: &ClusterConfig) -> RrResult {
+    rr_over(set, config, None)
+}
+
+/// [`run_redundancy_removal`], mining `shared` when the run holds an
+/// index of `set`.
+pub(crate) fn rr_over(
+    set: &dyn SeqStore,
+    config: &ClusterConfig,
+    shared: Option<&SharedIndex<'_>>,
+) -> RrResult {
     if set.is_empty() {
         return RrResult::empty();
     }
-    with_source(set, config, config.psi_rr, config.index_threads(), |source| {
+    let threads = config.index_threads();
+    with_source_pinned(set, config, config.psi_rr, threads, None, shared, |source, _| {
         let mut core = ClusterCore::new_rr(set);
         let verifier = Verifier::new(config, CorePhase::Rr);
         BatchedPush {

@@ -45,7 +45,7 @@ use crate::core::{ClusterCore, CorePhase, ShardForest, Verifier};
 use crate::policy::{
     serve_pull_worker, wire_pairs, BatchedPush, LeaseKnobs, LeasedPull, WorkPolicy,
 };
-use crate::source::{with_source, PairSource};
+use crate::source::{with_source_pinned, PairSource, SharedIndex};
 use crate::supervise::HealthReport;
 use crate::trace::PhaseTrace;
 use crate::transport::{
@@ -325,8 +325,18 @@ pub(crate) fn shard_plane(
 /// the single master for every shard count. With `shards ≤ 1` this *is*
 /// the single master ([`crate::ccd::run_ccd`]): one shard, one trace.
 pub fn run_ccd_sharded(set: &dyn SeqStore, config: &ClusterConfig) -> ShardRun {
+    sharded_over(set, config, None)
+}
+
+/// [`run_ccd_sharded`], mining `shared` when the run holds an index of
+/// the in-memory set `set` is a view of.
+pub(crate) fn sharded_over(
+    set: &dyn SeqStore,
+    config: &ClusterConfig,
+    shared: Option<&SharedIndex<'_>>,
+) -> ShardRun {
     if !config.shard.enabled() {
-        let result = crate::ccd::run_ccd(set, config);
+        let result = crate::ccd::ccd_over(set, config, shared, None, 0, &mut |_| {});
         let shard_traces = vec![result.trace.clone()];
         return ShardRun { result, shard_traces };
     }
@@ -336,7 +346,8 @@ pub fn run_ccd_sharded(set: &dyn SeqStore, config: &ClusterConfig) -> ShardRun {
             shard_traces: vec![PhaseTrace::default(); config.shard.shards],
         };
     }
-    with_source(set, config, config.psi_ccd, config.index_threads(), |source| {
+    let threads = config.index_threads();
+    with_source_pinned(set, config, config.psi_ccd, threads, None, shared, |source, _| {
         shard_plane(set, config, source)
     })
 }

@@ -8,8 +8,10 @@
 //!
 //! * [`MinedSource`] — the suffix-index generator: serial when
 //!   `threads == 1` (the reference path), eagerly mined across threads
-//!   otherwise, with identical output either way. The rank-partitioned
-//!   SPMD variant is [`MinedSource::partitioned`].
+//!   otherwise, with identical output either way; through a
+//!   [`pfam_suffix::KeepMask`] it mines an index of a whole input on
+//!   behalf of a subset view of it. The rank-partitioned SPMD variant is
+//!   [`MinedSource::partitioned`].
 //! * [`IterSource`] — any explicit pair stream; the ablation hook
 //!   (`run_ccd_from_pairs`) and the pre-collected sources in the
 //!   driver-equivalence matrix tests.
@@ -20,17 +22,18 @@
 //!
 //! The suffix index borrows the sequence set transitively (set → GSA →
 //! tree → generator), so [`with_mined_source`] owns that borrow chain and
-//! lends the finished source to a closure. [`with_source`] is the
+//! lends the finished source to a closure. [`with_source_pinned`] is the
 //! budget-aware front door every driver routes through: it picks the
 //! monolithic or partitioned generator from the [`crate::config::MemParams`]
 //! knobs and the store's residency, degrading to smaller chunks instead
-//! of aborting when the budget binds.
+//! of aborting when the budget binds. [`with_shared_index`] builds the
+//! monolithic index once for a run whose phases all mine it.
 
 use std::ops::Range;
 
 use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore, SequenceSet};
 use pfam_suffix::{
-    estimated_index_bytes, promising_pairs, with_match_tree, ChunkPlan, MatchPair,
+    estimated_index_bytes, promising_pairs_masked, with_match_tree, ChunkPlan, KeepMask, MatchPair,
     MaximalMatchConfig, MaximalMatchGenerator, PartitionedMiner, SuffixTree,
 };
 
@@ -83,7 +86,19 @@ impl<'a> MinedSource<'a> {
     /// parallel mining otherwise (`0` = all cores); output order and
     /// content are identical in both modes.
     pub fn new(tree: &'a SuffixTree<'a>, config: MaximalMatchConfig, threads: usize) -> Self {
-        MinedSource { inner: promising_pairs(tree, config, threads) }
+        MinedSource::masked(tree, config, threads, None)
+    }
+
+    /// Mine the tree for the reads `keep` keeps (`None`: all), under
+    /// their dense ids — the stream of an index built over those reads
+    /// alone, whatever else `tree` indexes.
+    pub fn masked(
+        tree: &'a SuffixTree<'a>,
+        config: MaximalMatchConfig,
+        threads: usize,
+        keep: Option<&'a KeepMask>,
+    ) -> Self {
+        MinedSource { inner: promising_pairs_masked(tree, config, threads, keep) }
     }
 
     /// Mine only `nodes` — one rank's slice of a prefix-partitioned
@@ -129,8 +144,15 @@ fn chunk_loader<'a>(
     })
 }
 
-/// Default per-chunk index target when partitioning is forced (paged
-/// store) but neither a chunk size nor a budget limit is configured.
+/// The miner's configuration at cut-off `psi`: the config's per-node cap,
+/// each pair reported once at its longest match.
+fn match_config(config: &ClusterConfig, psi: u32) -> MaximalMatchConfig {
+    MaximalMatchConfig { min_len: psi, max_pairs_per_node: config.max_pairs_per_node, dedup: true }
+}
+
+/// Default per-chunk index target when partitioning is forced (a store
+/// that is no view of an in-memory set) but neither a chunk size nor a
+/// budget limit is configured.
 const DEFAULT_CHUNK_INDEX_BYTES: u64 = 256 << 20;
 
 /// Pairs mined from per-chunk suffix indexes — the out-of-core
@@ -158,11 +180,7 @@ impl<'a> PartitionedMinedSource<'a> {
         psi: u32,
         threads: usize,
     ) -> PartitionedMinedSource<'a> {
-        let mm = MaximalMatchConfig {
-            min_len: psi,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        };
+        let mm = match_config(config, psi);
         let budget = &config.mem.budget;
         let lens: Vec<u32> =
             (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
@@ -214,11 +232,7 @@ impl<'a> PartitionedMinedSource<'a> {
         threads: usize,
         target: u64,
     ) -> PartitionedMinedSource<'a> {
-        let mm = MaximalMatchConfig {
-            min_len: psi,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        };
+        let mm = match_config(config, psi);
         let lens: Vec<u32> =
             (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
         let plan = ChunkPlan::plan(&lens, target.max(1));
@@ -294,33 +308,110 @@ pub fn with_mined_source<R>(
     })
 }
 
-/// The budget-aware front door every in-process driver routes through:
-/// build a pair source for `store` honouring [`crate::config::MemParams`]
-/// and lend it to `f`.
-///
-/// Routing: sketch modes first — [`crate::config::ClusterConfig::sketch`]
-/// in `Approx`/`Hybrid` mode routes to the LSH sources ([`SketchSource`]
-/// / [`HybridSource`]), which is how every driver, shard router, and
-/// lease policy picks up the sketch plane without changing.
-/// Otherwise the exact miner: the monolithic [`MinedSource`] when the
-/// store is in-memory, no chunk size is forced, and the whole index fits
-/// the budget (reserving its footprint for the duration of `f`); else the
-/// [`PartitionedMinedSource`], whose chunk plan degrades under the budget
-/// instead of aborting. The exact variants yield the same pair *set*, and
-/// every consumer is order-invariant, so components are identical either
-/// way; `Approx` changes the pair set per the banding curve.
-pub fn with_source<R>(
-    store: &dyn SeqStore,
+/// The monolithic suffix index of an in-memory set, built once for every
+/// phase of a run that mines the set or a subset view of it
+/// ([`with_shared_index`]).
+pub struct SharedIndex<'t> {
+    base: &'t SequenceSet,
+    tree: &'t SuffixTree<'t>,
+}
+
+/// Index `input` once for both clustering phases — masked view, GSA, tree
+/// pruned at `min(psi_rr, psi_ccd)` — and lend the index to `f`, holding
+/// its `gsa-index` reservation until `f` returns. `f` gets `None`, and
+/// every phase routes on its own as [`with_source_pinned`] does, when one
+/// monolithic index cannot serve the run: `input` is not an in-memory
+/// set, a chunk size is forced, the index does not fit the budget, or a
+/// sketch mode generates the pairs.
+pub fn with_shared_index<R>(
+    input: &dyn SeqStore,
+    config: &ClusterConfig,
+    f: impl FnOnce(Option<&SharedIndex<'_>>) -> R,
+) -> R {
+    let base = match input.as_sequence_set() {
+        Some(set)
+            if !set.is_empty()
+                && config.sketch.mode == SketchMode::Exact
+                && config.mem.index_chunk_bytes == 0 =>
+        {
+            set
+        }
+        _ => return f(None),
+    };
+    let estimate = estimated_index_bytes(base.total_residues(), base.len());
+    let Ok(_held) = config.mem.budget.try_reserve("gsa-index", estimate) else {
+        return f(None);
+    };
+    let index_set = crate::mask::index_view(base, &config.mask);
+    with_match_tree(
+        &index_set,
+        config.psi_rr.min(config.psi_ccd),
+        config.max_pairs_per_node,
+        config.index_threads(),
+        |tree, _| f(Some(&SharedIndex { base, tree })),
+    )
+}
+
+/// `store` as a monolithic index sees it: the in-memory set it is, or is
+/// a subset view of, and the ids the view keeps. A view that reorders its
+/// base is none — sentinel order, hence suffix order, follows read order.
+fn in_memory_view(store: &dyn SeqStore) -> Option<(&SequenceSet, Option<&[SeqId]>)> {
+    if let Some(set) = store.as_sequence_set() {
+        return Some((set, None));
+    }
+    let (base, keep) = store.as_subset_view()?;
+    keep.windows(2).all(|w| w[0] < w[1]).then_some((base, Some(keep)))
+}
+
+/// Open the monolithic source over `base` — mined through a mask when the
+/// store `keep`s only some of its reads — on `tree` when the run already
+/// holds the index of `base`, else on one built here for cut-off `psi`.
+/// Plan pin `0`.
+fn with_monolithic_source<R>(
+    (base, keep): (&SequenceSet, Option<&[SeqId]>),
     config: &ClusterConfig,
     psi: u32,
     threads: usize,
-    f: impl FnOnce(&mut dyn PairSource) -> R,
+    tree: Option<&SuffixTree<'_>>,
+    f: impl FnOnce(&mut dyn PairSource, u64) -> R,
 ) -> R {
-    with_source_pinned(store, config, psi, threads, None, |source, _| f(source))
+    let mine = |tree: &SuffixTree<'_>| {
+        let matches = match_config(config, psi);
+        let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
+        f(&mut MinedSource::masked(tree, matches, threads, keep.as_ref()), 0)
+    };
+    match tree {
+        Some(tree) => mine(tree),
+        None => {
+            let index_set = crate::mask::index_view(base, &config.mask);
+            with_match_tree(&index_set, psi, config.max_pairs_per_node, threads, |tree, _| {
+                mine(tree)
+            })
+        }
+    }
 }
 
-/// [`with_source`] with an explicit generation-plan pin — the
-/// checkpoint-resume seam.
+/// The budget-aware front door every in-process driver routes through:
+/// build a pair source for `store` honouring [`crate::config::MemParams`]
+/// and lend it to `f`, with the plan pin it settled on. `pin` is the
+/// checkpoint-resume seam (`None` on a fresh run), and `shared` the
+/// [`SharedIndex`] to mine instead of building another, when the run
+/// holds one.
+///
+/// Routing of a fresh run: sketch modes first —
+/// [`crate::config::ClusterConfig::sketch`] in `Approx`/`Hybrid` mode
+/// routes to the LSH sources ([`SketchSource`] / [`HybridSource`]), which
+/// is how every driver, shard router, and lease policy picks up the
+/// sketch plane without changing. Otherwise the exact miner: the
+/// monolithic [`MinedSource`] when the store is an in-memory set or a
+/// subset view of one (the view is mined through a mask over the index of
+/// its base — no copy of the kept reads), no chunk size is forced, and
+/// the whole index fits the budget (reserving its footprint for the
+/// duration of `f`); else the [`PartitionedMinedSource`], whose chunk plan
+/// degrades under the budget instead of aborting. The exact variants
+/// yield the same pair *set*, and every consumer is order-invariant, so
+/// components are identical either way; `Approx` changes the pair set per
+/// the banding curve.
 ///
 /// `pairs_consumed` in a [`crate::core::CcdCursor`] is a position in one
 /// specific generation order, and the partitioned generator's order is a
@@ -333,6 +424,12 @@ pub fn with_source<R>(
 /// different chunk size (or none at all). The closure receives the
 /// settled pin so fresh runs can stamp it into the cursors they emit.
 ///
+/// Pin `0` names one order however the index came about: mined through a
+/// mask from the index of the store's in-memory base (shared with the
+/// previous phase, or rebuilt on resume) or from an index of a copy of
+/// the store's reads, the stream is the same
+/// ([`pfam_suffix::KeepMask`]).
+///
 /// A pinned plan overrides budget *routing* but not budget *accounting*:
 /// the reservation is still attempted, and when the pinned plan no longer
 /// fits the generator runs accounting-only — changing the order would
@@ -344,8 +441,14 @@ pub fn with_source_pinned<R>(
     psi: u32,
     threads: usize,
     pin: Option<u64>,
+    shared: Option<&SharedIndex<'_>>,
     f: impl FnOnce(&mut dyn PairSource, u64) -> R,
 ) -> R {
+    let index_bytes = |base: &SequenceSet| estimated_index_bytes(base.total_residues(), base.len());
+    // The run's index, if it is the index of the set `store` is a view of.
+    let shared_tree = |base: &SequenceSet| {
+        shared.filter(|shared| std::ptr::eq(shared.base, base)).map(|shared| shared.tree)
+    };
     match pin {
         // Pinned sketch modes: rebuild the same deterministic sketch
         // stream (a pure function of the store and SketchParams, so the
@@ -361,16 +464,20 @@ pub fn with_source_pinned<R>(
         // Pinned monolithic: the checkpointed run mined one big index.
         Some(0) => {
             let owned;
-            let set: &SequenceSet = match store.as_sequence_set() {
-                Some(set) => set,
+            let view = match in_memory_view(store) {
+                Some(view) => view,
                 None => {
                     owned = store.load_range(0..store.len() as u32);
-                    &owned
+                    (&owned, None)
                 }
             };
-            let estimate = estimated_index_bytes(set.total_residues(), set.len());
-            let _held = config.mem.budget.try_reserve("gsa-index", estimate).ok();
-            with_mined_source(set, config, psi, threads, |source| f(source, 0))
+            // A shared index is already accounted for by its builder.
+            let tree = shared_tree(view.0);
+            let _held = match tree {
+                Some(_) => None,
+                None => config.mem.budget.try_reserve("gsa-index", index_bytes(view.0)).ok(),
+            };
+            with_monolithic_source(view, config, psi, threads, tree, f)
         }
         // Pinned partitioned: rebuild the exact chunk plan.
         Some(target) => {
@@ -392,11 +499,15 @@ pub fn with_source_pinned<R>(
                 }
                 SketchMode::Exact => {}
             }
-            if config.mem.index_chunk_bytes == 0 {
-                if let Some(set) = store.as_sequence_set() {
-                    let estimate = estimated_index_bytes(set.total_residues(), set.len());
-                    if let Ok(_held) = config.mem.budget.try_reserve("gsa-index", estimate) {
-                        return with_mined_source(set, config, psi, threads, |source| f(source, 0));
+            if let Some(view) = in_memory_view(store) {
+                if let Some(tree) = shared_tree(view.0) {
+                    return with_monolithic_source(view, config, psi, threads, Some(tree), f);
+                }
+                if config.mem.index_chunk_bytes == 0 {
+                    if let Ok(_held) =
+                        config.mem.budget.try_reserve("gsa-index", index_bytes(view.0))
+                    {
+                        return with_monolithic_source(view, config, psi, threads, None, f);
                     }
                 }
             }

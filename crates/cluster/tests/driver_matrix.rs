@@ -336,7 +336,7 @@ fn sketch_pairs(set: &SequenceSet, config: &ClusterConfig, threads: usize) -> Ve
 }
 
 fn assert_sketch_axis_agrees(set: &SequenceSet, config: &ClusterConfig) {
-    // The reference cell: `run_ccd` routes through `with_source`, which
+    // The reference cell: `run_ccd` routes through `with_source_pinned`, which
     // in Approx mode builds the SketchSource for the batched driver.
     let reference = run_ccd(set, config).components;
     for policy in POLICIES {

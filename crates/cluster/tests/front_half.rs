@@ -1,0 +1,167 @@
+//! The front half over one index against the composition it replaced:
+//! RR over the input, CCD over a copy of the survivors with an index of
+//! its own. Results, work traces and checkpoint cursors must not tell the
+//! two apart, and the runs one monolithic index cannot serve must keep
+//! the routes they had.
+
+use pfam_cluster::{
+    run_ccd, run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
+    CcdResult, ClusterConfig, RrResult, ShardParams,
+};
+use pfam_datagen::{DatasetConfig, SyntheticDataset};
+use pfam_seq::complexity::MaskParams;
+use pfam_seq::{materialize_subset, PagedSeqStore, SequenceSet, SubsetStore};
+use pfam_suffix::estimated_index_bytes;
+
+/// Small batches, so a run crosses many cursor boundaries.
+fn config() -> ClusterConfig {
+    ClusterConfig { batch_size: 32, ..ClusterConfig::default() }
+}
+
+fn dataset(seed: u64) -> SequenceSet {
+    SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set
+}
+
+/// RR over `set`, then CCD over a materialised copy of the survivors.
+fn two_builds(set: &SequenceSet, config: &ClusterConfig) -> (RrResult, CcdResult) {
+    let rr = run_redundancy_removal(set, config);
+    let ccd = run_ccd(&materialize_subset(set, &rr.kept), config);
+    (rr, ccd)
+}
+
+fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
+    assert_eq!(got.components, want.components, "{what}: components");
+    assert_eq!(got.edges, want.edges, "{what}: edges");
+    assert_eq!(got.n_merges, want.n_merges, "{what}: merges");
+    assert_eq!(got.trace, want.trace, "{what}: trace");
+}
+
+/// Every cursor a resumable CCD run emits.
+fn cursors_of(run: impl FnOnce(&mut dyn FnMut(&CcdCursor)) -> CcdResult) -> Vec<CcdCursor> {
+    let mut cursors = Vec::new();
+    run(&mut |c| cursors.push(c.clone()));
+    cursors
+}
+
+#[test]
+fn one_build_equals_two_builds() {
+    for (seed, mask) in [(3u64, None), (7, None), (21, Some(MaskParams::default()))] {
+        let set = dataset(seed);
+        let config = ClusterConfig { mask, ..config() };
+        let (rr_want, ccd_want) = two_builds(&set, &config);
+        assert!(rr_want.kept.len() < set.len(), "seed {seed}: RR must remove something");
+
+        let (rr, ccd) = run_front_half(&set, &config);
+        assert_eq!(rr.kept, rr_want.kept, "seed {seed}");
+        assert_eq!(rr.removed, rr_want.removed, "seed {seed}");
+        assert_eq!(rr.trace, rr_want.trace, "seed {seed}");
+        assert_same_ccd(&ccd, &ccd_want, "shared index");
+
+        // A view of the survivors on its own, as the benchmark's traced
+        // pass composes it: an index of the base, mined through the mask.
+        let view = SubsetStore::new(&set, rr.kept.clone());
+        assert_same_ccd(&run_ccd(&view, &config), &ccd_want, "subset view");
+    }
+}
+
+#[test]
+fn unbudgeted_in_memory_runs_pin_plan_zero() {
+    let set = dataset(5);
+    let config = config();
+    let kept = run_redundancy_removal(&set, &config).kept;
+    let shared = cursors_of(|on_cursor| {
+        with_front_half(&set, &config, |front| front.ccd_resumable(&kept, None, 1, on_cursor))
+    });
+    let view = SubsetStore::new(&set, kept.clone());
+    let alone = cursors_of(|on_cursor| run_ccd_resumable(&view, &config, None, 1, on_cursor));
+    assert!(shared.len() >= 3, "want several boundaries, got {}", shared.len());
+    assert_eq!(shared, alone, "whoever built the index, the cursors agree");
+    assert!(shared.iter().all(|c| c.gen_chunk_bytes == 0), "one monolithic index: pin 0");
+}
+
+#[test]
+fn a_pin_zero_cursor_resumes_on_any_monolithic_index() {
+    let set = dataset(9);
+    let config = config();
+    let (rr, want) = two_builds(&set, &config);
+    let cursors = cursors_of(|on_cursor| {
+        with_front_half(&set, &config, |front| front.ccd_resumable(&rr.kept, None, 1, on_cursor))
+    });
+    let cursor = cursors[cursors.len() / 2].clone();
+    assert!(cursor.pairs_consumed > 0 && cursor.gen_chunk_bytes == 0);
+
+    // The base's index rebuilt and masked; an index of a copy; a copy
+    // loaded back from a paged store.
+    let view = SubsetStore::new(&set, rr.kept.clone());
+    let copy = materialize_subset(&set, &rr.kept);
+    let path = std::env::temp_dir().join(format!("pfam-front-half-{}.pfss", std::process::id()));
+    PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
+    let paged = PagedSeqStore::open(&path).expect("open paged store");
+    let paged_view = SubsetStore::new(&paged, rr.kept.clone());
+    for (what, store) in [
+        ("rebuilt, masked", &view as &dyn pfam_seq::SeqStore),
+        ("index of a copy", &copy),
+        ("paged copy", &paged_view),
+    ] {
+        let resumed = run_ccd_resumable(store, &config, Some(cursor.clone()), 0, &mut |_| {});
+        assert_same_ccd(&resumed, &want, what);
+    }
+    let resumed = with_front_half(&set, &config, |front| {
+        front.ccd_resumable(&rr.kept, Some(cursor.clone()), 0, &mut |_| {})
+    });
+    assert_same_ccd(&resumed, &want, "shared index");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_partitioned_pin_still_resumes_under_the_shared_index() {
+    // What an unbudgeted in-memory run pinned before views of an
+    // in-memory set were mined monolithically: the 256 MiB default target.
+    const OLD_DEFAULT: u64 = 256 << 20;
+    let set = dataset(13);
+    let config = config();
+    let kept = run_redundancy_removal(&set, &config).kept;
+    let view = SubsetStore::new(&set, kept.clone());
+    let mut forced = config.clone();
+    forced.mem.index_chunk_bytes = OLD_DEFAULT;
+    let want = run_ccd(&view, &forced);
+    let cursors = cursors_of(|on_cursor| run_ccd_resumable(&view, &forced, None, 1, on_cursor));
+    assert!(cursors.iter().all(|c| c.gen_chunk_bytes == OLD_DEFAULT));
+    let cursor = cursors[cursors.len() / 2].clone();
+
+    let resumed = with_front_half(&set, &config, |front| {
+        front.ccd_resumable(&kept, Some(cursor), 0, &mut |_| {})
+    });
+    assert_same_ccd(&resumed, &want, "pinned plan");
+}
+
+#[test]
+fn runs_one_index_cannot_serve_keep_their_routes() {
+    let set = dataset(17);
+    let config = config();
+    let (rr_want, ccd_want) = two_builds(&set, &config);
+    let estimate = estimated_index_bytes(set.total_residues(), set.len());
+
+    let mut budgeted = config.clone();
+    budgeted.mem.budget = pfam_seq::MemoryBudget::limited(estimate / 4);
+    let mut chunked = config.clone();
+    chunked.mem.index_chunk_bytes = 4096;
+    for (what, cfg) in [("budget", &budgeted), ("chunk size", &chunked)] {
+        let (rr, ccd) = run_front_half(&set, cfg);
+        assert_eq!(rr.kept, rr_want.kept, "{what}");
+        assert_eq!(ccd.components, ccd_want.components, "{what}");
+        let pins = cursors_of(|on_cursor| {
+            with_front_half(&set, cfg, |front| front.ccd_resumable(&rr.kept, None, 1, on_cursor))
+        });
+        assert!(pins.iter().all(|c| c.gen_chunk_bytes != 0), "{what}: partitioned in CCD");
+        assert_eq!(cfg.mem.budget.used(), 0, "{what}: reservations released");
+    }
+
+    // Sharded CCD mines the shared index too.
+    let sharded =
+        ClusterConfig { shard: ShardParams { shards: 3, ..ShardParams::default() }, ..config };
+    let (rr, ccd) = run_front_half(&set, &sharded);
+    assert_eq!(rr.kept, rr_want.kept);
+    assert_eq!(ccd.components, ccd_want.components);
+    assert_eq!(ccd.n_merges, ccd_want.n_merges);
+}

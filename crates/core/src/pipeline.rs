@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use pfam_cluster::{
-    check_index_budget, run_ccd, run_ccd_resumable, run_redundancy_removal, CcdCursor, CcdResult,
+    check_index_budget, run_ccd_resumable, run_front_half, with_front_half, CcdCursor, CcdResult,
     ComponentGraph, PhaseTrace,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
@@ -89,16 +89,12 @@ pub fn run_pipeline_budgeted(
 /// the fused streaming executor. `input` is any [`SeqStore`]: an
 /// in-memory [`pfam_seq::SequenceSet`] or a paged on-disk store.
 pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineResult {
-    // ---- Phase 1: redundancy removal. ----
-    let rr = run_redundancy_removal(input, &config.cluster);
-
-    // View the non-redundant sequences through the store (no re-pack —
-    // a paged input stays on disk); local id `i` maps back to original id
-    // `rr.kept[i]`.
-    let nr_store = SubsetStore::new(input, rr.kept.clone());
-
-    // ---- Phase 2: connected-component detection. ----
-    let ccd = run_ccd(&nr_store, &config.cluster);
+    // ---- Phases 1+2: redundancy removal, then connected components of
+    // the survivors, over one suffix index; it is dropped before the back
+    // half starts. CCD sees the survivors through the store (no re-pack —
+    // a paged input stays on disk); its local id `i` maps back to original
+    // id `rr.kept[i]`. ----
+    let (rr, ccd) = run_front_half(input, &config.cluster);
     let mapping = &rr.kept;
     let components: Vec<Vec<SeqId>> = ccd
         .components
@@ -181,6 +177,47 @@ fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
     edges
 }
 
+/// Phase 2 of the checkpointed pipeline over `n_kept` reads: the stored
+/// result when `prior` (the decoded `ccd.ckpt`) holds a completed phase,
+/// else `run` — from the stored cursor, if any — with every cursor it
+/// emits written to `ccd.ckpt`, and the final state at the end.
+fn ccd_checkpointed(
+    prior: Option<CcdState>,
+    n_kept: usize,
+    ckpt: &CheckpointConfig,
+    run: impl FnOnce(Option<CcdCursor>, &mut dyn FnMut(&CcdCursor)) -> CcdResult,
+) -> Result<CcdResult, CkptError> {
+    if prior.as_ref().is_some_and(|state| state.cursor.uf_parent.len() != n_kept) {
+        return Err(CkptError::Corrupt("ccd checkpoint is for a different input"));
+    }
+    let cursor = match prior {
+        // Phase already finished: rebuild the result from the stored
+        // forest — no index rebuild, no realignment.
+        Some(state) if state.complete => return Ok(CcdResult::from_cursor(state.cursor)),
+        prior => prior.map(|state| state.cursor),
+    };
+    let ccd_path = Phase::Ccd.path_in(&ckpt.dir);
+    let mut ckpt_err: Option<CkptError> = None;
+    let mut on_cursor = |cursor: &CcdCursor| {
+        if ckpt_err.is_some() {
+            return;
+        }
+        let state = CcdState { complete: false, cursor: cursor.clone() };
+        if let Err(e) = write_checkpoint(&ccd_path, Phase::Ccd, &state.encode()) {
+            ckpt_err = Some(e);
+        }
+    };
+    let result = run(cursor, &mut on_cursor);
+    if let Some(e) = ckpt_err {
+        return Err(e);
+    }
+    // Final snapshot: the forest rebuilt from the accepted edges yields
+    // the same partition the master loop ended with.
+    let state = CcdState { complete: true, cursor: CcdCursor::from_result(&result, n_kept) };
+    write_checkpoint(&ccd_path, Phase::Ccd, &state.encode())?;
+    Ok(result)
+}
+
 /// [`run_pipeline`] with checkpoint/restart (DESIGN.md §robustness).
 ///
 /// State is snapshotted to `ckpt.dir` at phase boundaries (plus every
@@ -215,77 +252,53 @@ pub fn run_pipeline_checkpointed(
         Ok(Some(payload))
     };
 
-    // ---- Phase 1: redundancy removal (checkpointed when complete). ----
-    let rr = match load(Phase::Rr)? {
-        Some(payload) => RrState::decode(&payload)?,
-        None => {
-            let r = run_redundancy_removal(input, &config.cluster);
-            let state = RrState {
-                kept: r.kept.iter().map(|id| id.0).collect(),
-                removed: r.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
-                trace: r.trace,
-            };
-            write_checkpoint(&Phase::Rr.path_in(&ckpt.dir), Phase::Rr, &state.encode())?;
-            state
-        }
+    // ---- Phases 1+2: redundancy removal (checkpointed when complete),
+    // then CCD (cursor every N batches, final state at the end). A run
+    // that starts at RR holds one suffix index across both; it is dropped
+    // before the back half starts. ----
+    let prior_ccd = || -> Result<Option<CcdState>, CkptError> {
+        load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()
     };
-    if stop_after == Some(Phase::Rr) {
-        return Ok(None);
-    }
-
-    let kept_ids: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
-    let nr_store = SubsetStore::new(input, kept_ids.clone());
-    let mapping = &kept_ids;
-
-    // ---- Phase 2: CCD (cursor every N batches, final state at the end). ----
-    let ccd_path = Phase::Ccd.path_in(&ckpt.dir);
-    let prior = match load(Phase::Ccd)? {
-        Some(payload) => Some(CcdState::decode(&payload)?),
-        None => None,
-    };
-    if let Some(state) = &prior {
-        if state.cursor.uf_parent.len() != nr_store.len() {
-            return Err(CkptError::Corrupt("ccd checkpoint is for a different input"));
-        }
-    }
-    let ccd: CcdResult = match prior {
-        Some(state) if state.complete => {
-            // Phase already finished: rebuild the result from the stored
-            // forest — no index rebuild, no realignment.
-            CcdResult::from_cursor(state.cursor)
-        }
-        prior => {
-            let cursor = prior.map(|s| s.cursor);
-            let mut ckpt_err: Option<CkptError> = None;
-            let mut on_checkpoint = |cursor: &CcdCursor| {
-                if ckpt_err.is_some() {
-                    return;
-                }
-                let state = CcdState { complete: false, cursor: cursor.clone() };
-                if let Err(e) = write_checkpoint(&ccd_path, Phase::Ccd, &state.encode()) {
-                    ckpt_err = Some(e);
-                }
-            };
-            let result = run_ccd_resumable(
-                &nr_store,
-                &config.cluster,
-                cursor,
-                ckpt.every_batches,
-                &mut on_checkpoint,
-            );
-            if let Some(e) = ckpt_err {
-                return Err(e);
+    let (rr, ccd) = match load(Phase::Rr)? {
+        Some(payload) => {
+            let rr = RrState::decode(&payload)?;
+            if stop_after == Some(Phase::Rr) {
+                return Ok(None);
             }
-            // Final snapshot: the forest rebuilt from the accepted edges
-            // yields the same partition the master loop ended with.
-            let state = CcdState {
-                complete: true,
-                cursor: CcdCursor::from_result(&result, nr_store.len()),
-            };
-            write_checkpoint(&ccd_path, Phase::Ccd, &state.encode())?;
-            result
+            // No index is held: a completed CCD needs none, an interrupted
+            // one rebuilds what its cursor pins.
+            let nr_store = SubsetStore::new(input, rr.kept.iter().map(|&i| SeqId(i)).collect());
+            let ccd = ccd_checkpointed(prior_ccd()?, nr_store.len(), ckpt, |cursor, on_cursor| {
+                run_ccd_resumable(&nr_store, &config.cluster, cursor, ckpt.every_batches, on_cursor)
+            })?;
+            (rr, ccd)
+        }
+        None => {
+            let fresh = with_front_half(input, &config.cluster, |front| {
+                let r = front.rr();
+                let rr = RrState {
+                    kept: r.kept.iter().map(|id| id.0).collect(),
+                    removed: r.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                    trace: r.trace,
+                };
+                write_checkpoint(&Phase::Rr.path_in(&ckpt.dir), Phase::Rr, &rr.encode())?;
+                if stop_after == Some(Phase::Rr) {
+                    return Ok(None);
+                }
+                let ccd =
+                    ccd_checkpointed(prior_ccd()?, r.kept.len(), ckpt, |cursor, on_cursor| {
+                        front.ccd_resumable(&r.kept, cursor, ckpt.every_batches, on_cursor)
+                    })?;
+                Ok(Some((rr, ccd)))
+            })?;
+            match fresh {
+                Some(phases) => phases,
+                None => return Ok(None),
+            }
         }
     };
+    let kept_ids: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
+    let mapping = &kept_ids;
     if stop_after == Some(Phase::Ccd) {
         return Ok(None);
     }

@@ -15,7 +15,9 @@
 //!
 //! A [`SubsetStore`] view re-numbers a kept subset densely without
 //! materialising it — the non-redundant set of a store-backed pipeline
-//! run stays on disk.
+//! run stays on disk, and over an in-memory set the view says so
+//! ([`SeqStore::as_subset_view`]), which lets the index of that set serve
+//! the view through a mask.
 //!
 //! ## The `mmap` feature
 //!
@@ -76,6 +78,14 @@ pub trait SeqStore: Send + Sync {
     /// lets monolithic index construction borrow the arena instead of
     /// copying. Paged stores return `None`.
     fn as_sequence_set(&self) -> Option<&SequenceSet> {
+        None
+    }
+
+    /// The in-memory [`SequenceSet`] this store is a subset view of, and
+    /// the ids it keeps of it in dense order — lets an index built over
+    /// that set serve this store through a mask instead of a copy of the
+    /// kept reads. `None` for every store that is not such a view.
+    fn as_subset_view(&self) -> Option<(&SequenceSet, &[SeqId])> {
         None
     }
 
@@ -212,6 +222,10 @@ impl SeqStore for SubsetStore<'_> {
             .expect("a valid store holds no empty sequences");
         }
         b.finish()
+    }
+
+    fn as_subset_view(&self) -> Option<(&SequenceSet, &[SeqId])> {
+        self.base.as_sequence_set().map(|set| (set, self.keep.as_slice()))
     }
 }
 
@@ -778,6 +792,13 @@ mod tests {
             assert_eq!(sub.seq_len(id), set.seq_len(orig));
             assert_eq!(sub.header_owned(id), set.header(orig));
         }
+        // It says what it is a view of; a plain set and a view of a view
+        // are not views of an in-memory set.
+        let (base, kept) = sub.as_subset_view().expect("in-memory base");
+        assert!(std::ptr::eq(base, &set));
+        assert_eq!(kept, keep.as_slice());
+        assert!(set.as_subset_view().is_none());
+        assert!(SubsetStore::new(&sub, vec![SeqId(1)]).as_subset_view().is_none());
         // The materialised view equals SequenceSet::subset.
         let via_store = materialize_subset(&sub, &[SeqId(0), SeqId(1), SeqId(2)]);
         let (via_set, _) = set.subset(&keep);

@@ -215,6 +215,13 @@ impl GeneralizedSuffixArray {
         pos as u32 - self.starts[self.seq_of[pos] as usize]
     }
 
+    /// Text positions of the residues of sequence `id`; its sentinel is
+    /// the position after them.
+    pub fn seq_span(&self, id: SeqId) -> std::ops::Range<usize> {
+        let end = self.starts.get(id.index() + 1).map_or(self.text.len(), |&next| next as usize);
+        self.starts[id.index()] as usize..end - 1
+    }
+
     /// Whether text position `pos` holds a sentinel.
     #[inline]
     pub fn is_sentinel(&self, pos: usize) -> bool {

@@ -38,10 +38,11 @@ pub mod tree;
 pub mod ukkonen;
 
 pub use gsa::{estimated_index_bytes, GeneralizedSuffixArray};
-pub use maximal::{MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
+pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
 pub use parallel::{
     bucket_sort_index, bucket_sort_index_staged, lcp_array_parallel, parallel_pairs,
-    promising_pairs, resolve_threads, with_match_tree, PairSource, SortStages,
+    parallel_pairs_masked, promising_pairs, promising_pairs_masked, resolve_threads,
+    with_match_tree, PairSource, SortStages,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
 pub use probe::longest_common_match;

@@ -19,6 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use pfam_seq::SeqId;
 
+use crate::gsa::GeneralizedSuffixArray;
 use crate::tree::{NodeId, SuffixTree};
 
 /// Hasher for packed [`MatchPair::key`] values: a single 64-bit
@@ -147,10 +148,89 @@ pub struct GenerationStats {
     pub pairs_capped: usize,
 }
 
+/// The reads of an index a miner keeps, renumbered densely — what lets one
+/// index over a whole input serve a phase that sees only a subset of it.
+///
+/// Mining a tree through a mask yields, pair for pair and in order, the
+/// stream of an index built over the kept reads alone, statistics
+/// included. A maximal match is a property of two residue strings, and
+/// deleting other reads leaves the kept suffixes in their relative rank
+/// order, under the same child groups; masked-out suffixes are dropped
+/// before anything else sees them, so the per-node cap and the saturation
+/// break count what that index would count. The two places a smaller
+/// index orders things by *its own* shape — its last read's sentinel and
+/// the first interval it closes — are re-enacted here and in
+/// [`mining_queue`].
+#[derive(Debug, Clone)]
+pub struct KeepMask {
+    /// Dense id of every indexed read; [`KeepMask::DROPPED`] if not kept.
+    dense: Vec<u32>,
+    /// Rank runs `(first, last)` to rotate right by one, ascending and
+    /// disjoint. An index gives its last read the *smallest* sentinel
+    /// (see [`crate::gsa`]). When the last kept read is not this index's
+    /// last read, each of its suffixes ranks after the suffixes equal to
+    /// it up to the sentinel here — `last` after `first..last` — and
+    /// before them in an index of the kept reads alone.
+    moved: Vec<(u32, u32)>,
+}
+
+impl KeepMask {
+    const DROPPED: u32 = u32::MAX;
+
+    /// Keep the reads `keep` of `gsa` — strictly ascending ids — as dense
+    /// ids `0..keep.len()`.
+    pub fn new(gsa: &GeneralizedSuffixArray, keep: &[SeqId]) -> KeepMask {
+        assert!(keep.windows(2).all(|w| w[0] < w[1]), "kept ids must be strictly ascending");
+        let mut dense = vec![Self::DROPPED; gsa.n_seqs() as usize];
+        for (i, id) in keep.iter().enumerate() {
+            dense[id.index()] = i as u32;
+        }
+        let mut moved = Vec::new();
+        if let Some(last) = keep.last().filter(|id| id.0 + 1 != gsa.n_seqs()) {
+            let (text, sa, lcp) = (gsa.text(), gsa.sa(), gsa.lcp());
+            let residues = gsa.seq_span(*last);
+            let sentinel = residues.end;
+            for pos in residues {
+                // Suffixes are distinct, so the search lands on `pos`.
+                let rank = sa.partition_point(|&p| text[p as usize..] < text[pos..]);
+                let len = (sentinel - pos) as u32;
+                let mut first = rank;
+                while lcp[first] >= len {
+                    first -= 1;
+                }
+                if first < rank {
+                    moved.push((first as u32, rank as u32));
+                }
+            }
+            moved.sort_unstable();
+        }
+        KeepMask { dense, moved }
+    }
+
+    /// Dense id of `seq`, or `None` when the read is masked out.
+    #[inline]
+    fn dense_id(&self, seq: SeqId) -> Option<SeqId> {
+        let d = self.dense[seq.index()];
+        (d != Self::DROPPED).then_some(SeqId(d))
+    }
+
+    /// The runs to rotate among the ranks `l..r` of one node. Suffixes
+    /// equal up to a sentinel lie under the same nodes, so a run is inside
+    /// the range or disjoint from it.
+    fn moved_within(&self, (l, r): (u32, u32)) -> &[(u32, u32)] {
+        let lo = self.moved.partition_point(|&(first, _)| first < l);
+        let hi = self.moved.partition_point(|&(first, _)| first < r);
+        &self.moved[lo..hi]
+    }
+}
+
 /// Enumerate the maximal-match candidate pairs of one tree node, appending
 /// them to `out` in generation order (no dedup — that is a stream-level
 /// concern applied by the caller in node order). Returns the number of
-/// candidates dropped by `max_pairs_per_node`.
+/// candidates dropped by `max_pairs_per_node`, and whether the node
+/// branches at all: under a mask, a node whose kept suffixes share one
+/// child group is no node of the kept reads' index and must not count as
+/// visited.
 ///
 /// This function is deliberately free of generator state: both the serial
 /// [`MaximalMatchGenerator`] and the parallel path in [`crate::parallel`]
@@ -159,60 +239,160 @@ pub(crate) fn collect_node_pairs(
     tree: &SuffixTree<'_>,
     node: NodeId,
     max_pairs_per_node: usize,
+    keep: Option<&KeepMask>,
     out: &mut Vec<MatchPair>,
-) -> usize {
+) -> (usize, bool) {
+    let groups = tree.child_groups(node);
+    // Every rank of the node with the index of its child group.
+    let ranks =
+        groups.iter().enumerate().flat_map(|(g, &(gl, gr))| (gl..gr).map(move |rank| (rank, g)));
+    let range = tree.range(node);
+    match keep.map_or(&[][..], |keep| keep.moved_within(range)) {
+        [] => scan_node(tree, node, max_pairs_per_node, keep, ranks, out),
+        moved => {
+            // A run stays inside one group, or spans singleton groups:
+            // either way groups remain contiguous in the rotated order.
+            let mut ranks: Vec<(u32, usize)> = ranks.collect();
+            for &(first, last) in moved {
+                ranks[(first - range.0) as usize..=(last - range.0) as usize].rotate_right(1);
+            }
+            scan_node(tree, node, max_pairs_per_node, keep, ranks.into_iter(), out)
+        }
+    }
+}
+
+/// [`collect_node_pairs`] over the node's `(rank, child group)` sequence.
+fn scan_node(
+    tree: &SuffixTree<'_>,
+    node: NodeId,
+    max_pairs_per_node: usize,
+    keep: Option<&KeepMask>,
+    ranks: impl Iterator<Item = (u32, usize)>,
+    out: &mut Vec<MatchPair>,
+) -> (usize, bool) {
     let gsa = tree.gsa();
     let sa = gsa.sa();
     let depth = tree.depth(node);
 
-    let groups = tree.child_groups(node);
-    // Entries seen in earlier groups: (sequence, left residue or None,
-    // occurrence offset within the sequence — the alignment anchor).
+    // Entries seen so far: (sequence, left residue or None, occurrence
+    // offset within the sequence — the alignment anchor). Those of earlier
+    // groups are `prev[..group_start]`.
     let mut prev: Vec<(SeqId, Option<u8>, u32)> = Vec::new();
+    let mut group_start = 0usize;
+    let mut group = usize::MAX;
+    let mut groups_here = 0usize;
     let mut candidates_here = 0usize;
     let mut capped = 0usize;
-    'groups: for (gl, gr) in groups {
-        let group_start = prev.len();
-        for rank in gl..gr {
-            let pos = sa[rank as usize] as usize;
-            let seq = gsa.seq_at(pos);
-            let left = gsa.left_residue(pos);
-            let off = gsa.offset_at(pos);
-            // Pair with all entries from previous groups.
-            for &(pseq, pleft, poff) in &prev[..group_start] {
-                if pseq == seq {
-                    continue; // self-match within one sequence
-                }
-                // Left-maximality: preceding residues differ, or either
-                // occurrence starts its sequence.
-                let left_maximal = match (pleft, left) {
-                    (Some(x), Some(y)) => x != y,
-                    _ => true,
-                };
-                if !left_maximal {
-                    continue;
-                }
-                if candidates_here >= max_pairs_per_node {
-                    capped += 1;
-                    continue;
-                }
-                candidates_here += 1;
-                out.push(MatchPair::with_anchor(pseq, seq, depth, poff, off));
+    for (rank, g) in ranks {
+        if g != group {
+            if candidates_here >= max_pairs_per_node && capped > 0 && prev.len() > 4096 {
+                // Node is saturated and very large: stop scanning it.
+                break;
             }
-            prev.push((seq, left, off));
+            groups_here += usize::from(prev.len() > group_start);
+            group = g;
+            group_start = prev.len();
         }
-        if candidates_here >= max_pairs_per_node && capped > 0 && prev.len() > 4096 {
-            // Node is saturated and very large: stop scanning it.
-            break 'groups;
+        let pos = sa[rank as usize] as usize;
+        let seq = match keep {
+            None => gsa.seq_at(pos),
+            Some(keep) => match keep.dense_id(gsa.seq_at(pos)) {
+                Some(seq) => seq,
+                None => continue,
+            },
+        };
+        let left = gsa.left_residue(pos);
+        let off = gsa.offset_at(pos);
+        // Pair with all entries from previous groups.
+        for &(pseq, pleft, poff) in &prev[..group_start] {
+            if pseq == seq {
+                continue; // self-match within one sequence
+            }
+            // Left-maximality: preceding residues differ, or either
+            // occurrence starts its sequence.
+            let left_maximal = match (pleft, left) {
+                (Some(x), Some(y)) => x != y,
+                _ => true,
+            };
+            if !left_maximal {
+                continue;
+            }
+            if candidates_here >= max_pairs_per_node {
+                capped += 1;
+                continue;
+            }
+            candidates_here += 1;
+            out.push(MatchPair::with_anchor(pseq, seq, depth, poff, off));
         }
+        prev.push((seq, left, off));
     }
-    capped
+    groups_here += usize::from(prev.len() > group_start);
+    (capped, groups_here >= 2)
+}
+
+/// The first interval the lcp scan of an index over the kept reads alone
+/// would close: its depth, and the rank (in this index) of its last
+/// suffix. `None` when the kept suffixes share no prefix at all.
+fn first_closed_kept(tree: &SuffixTree<'_>, keep: &KeepMask) -> Option<(u32, u32)> {
+    let gsa = tree.gsa();
+    // (rank, lcp with the kept suffix before it) of the last kept suffix.
+    let mut prev: Option<(u32, u32)> = None;
+    // Smallest lcp value since that suffix: the lcp of the next kept one.
+    let mut gap_lcp = u32::MAX;
+    for (rank, (&pos, &lcp)) in gsa.sa().iter().zip(gsa.lcp()).enumerate() {
+        gap_lcp = gap_lcp.min(lcp);
+        if keep.dense_id(gsa.seq_at(pos as usize)).is_none() {
+            continue;
+        }
+        let lcp = if prev.is_some() { gap_lcp } else { 0 };
+        if let Some((prev_rank, prev_lcp)) = prev.filter(|&(_, prev_lcp)| lcp < prev_lcp) {
+            return Some((prev_lcp, prev_rank));
+        }
+        prev = Some((rank as u32, lcp));
+        gap_lcp = u32::MAX;
+    }
+    prev.filter(|&(_, lcp)| lcp > 0).map(|(rank, lcp)| (lcp, rank))
+}
+
+/// The nodes a miner at cut-off `min_len` visits, deepest first.
+///
+/// Equal depths fall to the tree's node numbering, which puts the first
+/// interval its lcp scan closed last ([`SuffixTree::build_pruned`]). An
+/// index over the kept reads alone closes *its* first interval — in
+/// general another node of this tree — and every other node it shares
+/// with this one closes in the same relative order, so under a mask that
+/// node is moved to the end of its depth class.
+pub(crate) fn mining_queue(
+    tree: &SuffixTree<'_>,
+    min_len: u32,
+    keep: Option<&KeepMask>,
+) -> Vec<NodeId> {
+    assert!(tree.min_depth() <= min_len, "tree is pruned above the mining cut-off");
+    let mut queue: Vec<NodeId> =
+        tree.nodes_by_depth_desc().into_iter().take_while(|&n| tree.depth(n) >= min_len).collect();
+    let first_closed = keep.and_then(|keep| first_closed_kept(tree, keep));
+    if let Some((depth, rank)) = first_closed.filter(|&(depth, _)| depth >= min_len) {
+        let class_start = queue.partition_point(|&n| tree.depth(n) > depth);
+        let class_end = queue.partition_point(|&n| tree.depth(n) >= depth);
+        let holds_rank = |&n: &NodeId| {
+            let (l, r) = tree.range(n);
+            (l..r).contains(&rank)
+        };
+        let at = queue[class_start..class_end]
+            .iter()
+            .position(holds_rank)
+            .expect("kept suffixes sharing a prefix lie under a node of that depth");
+        queue[class_start + at..class_end].rotate_left(1);
+    }
+    queue
 }
 
 /// Streaming generator of promising pairs in decreasing match length.
 pub struct MaximalMatchGenerator<'a> {
     tree: &'a SuffixTree<'a>,
     config: MaximalMatchConfig,
+    /// The reads mined, when not all of the index's.
+    keep: Option<&'a KeepMask>,
     /// Nodes of depth ≥ ψ, deepest first.
     queue: Vec<NodeId>,
     /// Next index into `queue`.
@@ -228,12 +408,19 @@ pub struct MaximalMatchGenerator<'a> {
 impl<'a> MaximalMatchGenerator<'a> {
     /// Create a generator over `tree`.
     pub fn new(tree: &'a SuffixTree<'a>, config: MaximalMatchConfig) -> Self {
-        let queue: Vec<NodeId> = tree
-            .nodes_by_depth_desc()
-            .into_iter()
-            .take_while(|&n| tree.depth(n) >= config.min_len)
-            .collect();
-        Self::with_nodes(tree, config, queue)
+        Self::masked(tree, config, None)
+    }
+
+    /// Create a generator over the reads of `tree` that `keep` keeps
+    /// (`None`: all of them), reporting their dense ids — the stream of
+    /// an index built over those reads alone (see [`KeepMask`]).
+    pub fn masked(
+        tree: &'a SuffixTree<'a>,
+        config: MaximalMatchConfig,
+        keep: Option<&'a KeepMask>,
+    ) -> Self {
+        let queue = mining_queue(tree, config.min_len, keep);
+        MaximalMatchGenerator { keep, ..Self::with_nodes(tree, config, queue) }
     }
 
     /// Create a generator restricted to an explicit node set (already in
@@ -251,6 +438,7 @@ impl<'a> MaximalMatchGenerator<'a> {
         MaximalMatchGenerator {
             tree,
             config,
+            keep: None,
             queue: nodes,
             next_node: 0,
             buffer: Vec::new(),
@@ -267,10 +455,16 @@ impl<'a> MaximalMatchGenerator<'a> {
 
     /// Process one tree node, pushing its surviving pairs into `buffer`.
     fn process_node(&mut self, node: NodeId) {
-        self.stats.nodes_visited += 1;
         self.scratch.clear();
-        self.stats.pairs_capped +=
-            collect_node_pairs(self.tree, node, self.config.max_pairs_per_node, &mut self.scratch);
+        let (capped, branches) = collect_node_pairs(
+            self.tree,
+            node,
+            self.config.max_pairs_per_node,
+            self.keep,
+            &mut self.scratch,
+        );
+        self.stats.nodes_visited += usize::from(branches);
+        self.stats.pairs_capped += capped;
         for &pair in &self.scratch {
             if self.config.dedup && !self.seen.insert(pair.key()) {
                 self.stats.pairs_deduped += 1;

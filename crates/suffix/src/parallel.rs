@@ -43,7 +43,8 @@ use pfam_seq::{SequenceSet, ALPHABET_SIZE};
 use crate::gsa::GeneralizedSuffixArray;
 use crate::lcp::{lcp_array, phi_array, plcp_fill};
 use crate::maximal::{
-    collect_node_pairs, GenerationStats, MatchPair, MaximalMatchConfig, MaximalMatchGenerator,
+    collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
+    MaximalMatchGenerator,
 };
 use crate::tree::{NodeId, SuffixTree};
 
@@ -538,34 +539,44 @@ pub fn parallel_pairs(
     config: MaximalMatchConfig,
     threads: usize,
 ) -> (Vec<MatchPair>, GenerationStats) {
-    assert!(tree.min_depth() <= config.min_len, "tree is pruned above the mining cut-off");
+    parallel_pairs_masked(tree, config, threads, None)
+}
+
+/// [`parallel_pairs`] over the reads `keep` keeps (`None`: all of them) —
+/// the order and statistics of [`MaximalMatchGenerator::masked`].
+pub fn parallel_pairs_masked(
+    tree: &SuffixTree<'_>,
+    config: MaximalMatchConfig,
+    threads: usize,
+    keep: Option<&KeepMask>,
+) -> (Vec<MatchPair>, GenerationStats) {
     let threads = resolve_threads(threads);
-    let queue: Vec<NodeId> = tree
-        .nodes_by_depth_desc()
-        .into_iter()
-        .take_while(|&node| tree.depth(node) >= config.min_len)
-        .collect();
+    let queue = mining_queue(tree, config.min_len, keep);
 
     // Contiguous chunks of the depth-sorted node list → per-thread emit
     // buffers that concatenate back in node order.
     let n_chunks = (threads * 8).min(queue.len().max(1));
     let chunk_size = queue.len().div_ceil(n_chunks).max(1);
     let chunks: Vec<&[NodeId]> = queue.chunks(chunk_size).collect();
-    let mined: Vec<(Vec<MatchPair>, usize)> = parallel_jobs(chunks.len(), threads, |ci| {
+    let mined: Vec<(Vec<MatchPair>, usize, usize)> = parallel_jobs(chunks.len(), threads, |ci| {
         let mut pairs = Vec::new();
-        let mut capped = 0usize;
+        let (mut capped, mut visited) = (0usize, 0usize);
         for &node in chunks[ci] {
-            capped += collect_node_pairs(tree, node, config.max_pairs_per_node, &mut pairs);
+            let (node_capped, branches) =
+                collect_node_pairs(tree, node, config.max_pairs_per_node, keep, &mut pairs);
+            capped += node_capped;
+            visited += usize::from(branches);
         }
-        (pairs, capped)
+        (pairs, capped, visited)
     });
 
-    let mut stats = GenerationStats { nodes_visited: queue.len(), ..Default::default() };
-    let total: usize = mined.iter().map(|(p, _)| p.len()).sum();
+    let mut stats = GenerationStats::default();
+    let total: usize = mined.iter().map(|(p, ..)| p.len()).sum();
     let mut out = Vec::with_capacity(total);
     let mut seen = crate::maximal::PairKeySet::default();
-    for (pairs, capped) in mined {
+    for (pairs, capped, visited) in mined {
         stats.pairs_capped += capped;
+        stats.nodes_visited += visited;
         for pair in pairs {
             if config.dedup && !seen.insert(pair.key()) {
                 stats.pairs_deduped += 1;
@@ -623,10 +634,22 @@ pub fn promising_pairs<'a>(
     config: MaximalMatchConfig,
     threads: usize,
 ) -> PairSource<'a> {
+    promising_pairs_masked(tree, config, threads, None)
+}
+
+/// [`promising_pairs`] over the reads `keep` keeps (`None`: all of them),
+/// under their dense ids: the stream an index of those reads alone would
+/// yield (see [`KeepMask`]).
+pub fn promising_pairs_masked<'a>(
+    tree: &'a SuffixTree<'a>,
+    config: MaximalMatchConfig,
+    threads: usize,
+    keep: Option<&'a KeepMask>,
+) -> PairSource<'a> {
     if resolve_threads(threads) <= 1 {
-        PairSource::Serial(MaximalMatchGenerator::new(tree, config))
+        PairSource::Serial(MaximalMatchGenerator::masked(tree, config, keep))
     } else {
-        let (pairs, stats) = parallel_pairs(tree, config, threads);
+        let (pairs, stats) = parallel_pairs_masked(tree, config, threads, keep);
         PairSource::Eager { pairs: pairs.into_iter(), stats }
     }
 }
@@ -635,7 +658,8 @@ pub fn promising_pairs<'a>(
 /// the generalized suffix array on up to `threads` workers, the interval
 /// tree pruned at `psi` (no miner visits a shallower node), and the
 /// generator configuration that goes with them. Every production miner
-/// builds its index here.
+/// builds its index here; one that mines at two cut-offs passes the
+/// smaller and raises `min_len` for the other.
 pub fn with_match_tree<R>(
     set: &SequenceSet,
     psi: u32,

@@ -275,26 +275,19 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
         self.stats
     }
 
-    /// Load chunk `i`, reusing the row cache when it already holds it.
-    fn chunk_set(&mut self, i: usize) -> SequenceSet {
-        if let Some((c, _)) = &self.row_cache {
-            if *c == i {
-                return self.row_cache.as_ref().expect("checked above").1.clone();
-            }
-        }
-        let set = (self.loader)(self.plan.chunk_range(i));
-        self.row_cache = Some((i, set.clone()));
-        set
-    }
-
     /// Mine one task into `buffer` (reversed for back-pop draining).
     fn mine_task(&mut self, i: usize, j: usize) {
+        // Chunk `i` is loaded once per task row and lent from the cache.
+        if self.row_cache.as_ref().is_none_or(|(cached, _)| *cached != i) {
+            self.row_cache = Some((i, (self.loader)(self.plan.chunk_range(i))));
+        }
+        let row = &self.row_cache.as_ref().expect("filled above").1;
+        let joined;
         let union = if i == j {
-            self.chunk_set(i)
+            row
         } else {
-            let a = self.chunk_set(i);
-            let b = (self.loader)(self.plan.chunk_range(j));
-            concat_sets(&a, &b)
+            joined = concat_sets(row, &(self.loader)(self.plan.chunk_range(j)));
+            &joined
         };
         if union.is_empty() {
             return;
@@ -304,7 +297,7 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
         // Mined under the miner's own config: its `dedup` is the caller's.
         let (config, threads) = (self.config, self.threads);
         let (pairs, task_stats) = with_match_tree(
-            &union,
+            union,
             config.min_len,
             config.max_pairs_per_node,
             threads,
@@ -354,7 +347,9 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> Iterator for PartitionedMiner<F> {
     }
 }
 
-/// Concatenate two dense sequence sets (ids of `b` shifted past `a`).
+/// Concatenate the residues of two dense sequence sets (ids of `b`
+/// shifted past `a`). The union is only ever indexed, so it carries no
+/// headers.
 fn concat_sets(a: &SequenceSet, b: &SequenceSet) -> SequenceSet {
     let mut out = SequenceSetBuilder::with_capacity(
         a.len() + b.len(),
@@ -362,7 +357,7 @@ fn concat_sets(a: &SequenceSet, b: &SequenceSet) -> SequenceSet {
     );
     for set in [a, b] {
         for seq in set.iter() {
-            out.push_codes(seq.header.to_owned(), seq.codes.to_vec())
+            out.push_codes(String::new(), seq.codes.to_vec())
                 .expect("a valid set holds no empty sequences");
         }
     }

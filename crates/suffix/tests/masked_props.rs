@@ -1,0 +1,128 @@
+//! Property tests for mining one index on behalf of a subset of its reads:
+//! the masked stream over the full index must equal — pair for pair, in
+//! order, anchors and statistics included — the stream of an index built
+//! over the materialised subset, and a tree pruned for the shallower of
+//! two cut-offs must serve the deeper one unchanged.
+
+use proptest::prelude::*;
+
+use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_suffix::maximal::GenerationStats;
+use pfam_suffix::{
+    promising_pairs, promising_pairs_masked, GeneralizedSuffixArray, KeepMask, MatchPair,
+    MaximalMatchConfig, SuffixTree,
+};
+
+/// The ambiguity residue.
+const X: u8 = 20;
+
+fn build_set(seqs: Vec<Vec<u8>>) -> SequenceSet {
+    let mut b = SequenceSetBuilder::new();
+    for (i, s) in seqs.into_iter().enumerate() {
+        b.push_codes(format!("s{i}"), s).expect("non-empty by construction");
+    }
+    b.finish()
+}
+
+/// Reads of up to 20 three-letter motifs — long shared words, `X` runs
+/// between them, words that end reads (so sentinel order decides ranks) —
+/// plus an exact duplicate of the first read and two length-1 reads.
+fn mining_set(max_seqs: usize) -> impl Strategy<Value = SequenceSet> {
+    let read = prop::collection::vec(0u8..5, 1..20).prop_map(|motifs| {
+        motifs
+            .into_iter()
+            .flat_map(|m| match m {
+                0 | 1 => [0u8, 1, 2],
+                2 => [3, 4, 0],
+                3 => [X, X, X],
+                _ => [2, 2, 5],
+            })
+            .collect::<Vec<u8>>()
+    });
+    prop::collection::vec(read, 2..max_seqs).prop_map(|mut reads| {
+        reads.push(reads[0].clone());
+        reads.push(vec![0]);
+        reads.push(vec![X]);
+        build_set(reads)
+    })
+}
+
+/// `MatchPair` equality ignores the anchor; the mined stream must not.
+fn with_anchors(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
+    pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect()
+}
+
+type Stream = (Vec<(u32, u32, u32, u32, u32)>, GenerationStats);
+
+fn drain(mut source: pfam_suffix::PairSource<'_>) -> Stream {
+    let pairs: Vec<MatchPair> = source.by_ref().collect();
+    (with_anchors(&pairs), source.stats())
+}
+
+/// Keep-masks over `n` reads, from keep-all to keep-two: everything, all
+/// but the last read, all but the first, a draw of about two thirds, and
+/// two reads.
+fn keep_masks(n: usize, draws: &[u32]) -> Vec<Vec<SeqId>> {
+    let ids = |keep: &dyn Fn(usize) -> bool| -> Vec<SeqId> {
+        (0..n).filter(|&i| keep(i)).map(|i| SeqId(i as u32)).collect()
+    };
+    let (a, b) = (draws[0] as usize % n, draws[1] as usize % n);
+    let b = if a == b { (a + 1) % n } else { b };
+    vec![
+        ids(&|_| true),
+        ids(&|i| i + 1 != n),
+        ids(&|i| i != 0),
+        ids(&|i| !draws[i % draws.len()].is_multiple_of(3) || i == a || i == b),
+        ids(&|i| i == a || i == b),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn masked_mining_equals_mining_the_subset(
+        set in mining_set(9),
+        draws in prop::collection::vec(0u32..1000, 12..13),
+    ) {
+        // One index for every cut-off, as the pipeline holds it.
+        let gsa = GeneralizedSuffixArray::build_parallel(&set, 2);
+        let tree = SuffixTree::build_pruned(&gsa, 5);
+        for keep in keep_masks(set.len(), &draws) {
+            let mask = KeepMask::new(&gsa, &keep);
+            let subset = set.subset(&keep).0;
+            let sub_gsa = GeneralizedSuffixArray::build_parallel(&subset, 2);
+            for psi in [5u32, 10, 15] {
+                let sub_tree = SuffixTree::build_pruned(&sub_gsa, psi);
+                // 2 binds on these corpora; the default never does.
+                for (dedup, cap) in [(true, 100_000), (false, 100_000), (true, 2)] {
+                    let config =
+                        MaximalMatchConfig { min_len: psi, max_pairs_per_node: cap, dedup };
+                    for threads in [1usize, 2, 3] {
+                        let expect = drain(promising_pairs(&sub_tree, config, threads));
+                        let got =
+                            drain(promising_pairs_masked(&tree, config, threads, Some(&mask)));
+                        prop_assert_eq!(
+                            got, expect,
+                            "keep={:?} psi={} cap={} dedup={} threads={}",
+                            keep, psi, cap, dedup, threads
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tree_pruned_for_ccd_serves_rr(set in mining_set(9)) {
+        let gsa = GeneralizedSuffixArray::build_parallel(&set, 2);
+        let (shallow, deep) = (SuffixTree::build_pruned(&gsa, 10), SuffixTree::build_pruned(&gsa, 15));
+        let config = MaximalMatchConfig { min_len: 15, ..Default::default() };
+        for threads in [1usize, 2, 3] {
+            prop_assert_eq!(
+                drain(promising_pairs(&shallow, config, threads)),
+                drain(promising_pairs(&deep, config, threads))
+            );
+        }
+    }
+}

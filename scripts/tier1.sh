@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
 # index tests under a timeout, root-package tests, workspace tests, the
-# driver-equivalence matrix, the shard-plane identity suite,
-# index-bench, align-bench, bgg-dsd-bench and shard-bench
+# driver-equivalence matrix, the shard-plane identity suite, the
+# one-index suites (masked mining == the subset's own index; front half ==
+# the two-build composition), index-bench, align-bench, bgg-dsd-bench and shard-bench
 # smoke passes (bit-identity checks on tiny workloads), the
 # alignment-engine and streaming-executor identity
 # suites, the fault-injection + chaos-soak + supervision suites, the
@@ -136,6 +137,14 @@ cargo test -q -p pfam-cluster --test shard_identity
 echo "== tier1: out-of-core identity suite (partitioned == monolithic) =="
 cargo test -q -p pfam-cluster --test partitioned_identity
 
+echo "== tier1: one-index suites (masked mining == subset index; front half == two builds) =="
+# CCD mines RR's index through a mask over the removed reads. The masked
+# stream must be the stream of an index built over the survivors alone —
+# order, anchors and statistics — or pin-0 checkpoint cursors stop
+# meaning one thing.
+cargo test -q -p pfam-suffix --test masked_props
+cargo test -q -p pfam-cluster --test front_half
+
 echo "== tier1: alignment-engine identity suites =="
 # The tiered engine must be verdict- and output-identical to the reference
 # criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
@@ -145,8 +154,12 @@ cargo test -q --test align_engine
 # profile's overflow checks and debug_asserts are not what ships.
 cargo test --release -q -p pfam-align
 
-echo "== tier1: index_bench --test (smoke + identity check) =="
-cargo run --release -p pfam-bench --bin index_bench -- --test
+echo "== tier1: index_bench --test (smoke + identity checks, front half included) =="
+INDEX_SMOKE=$(cargo run --release -p pfam-bench --bin index_bench -- --test)
+echo "$INDEX_SMOKE" | grep -q '"one_build_masked"' || {
+    echo "tier1 FAIL: index_bench smoke did not run its front_half rows" >&2
+    exit 1
+}
 
 echo "== tier1: align_bench --test (smoke + verdict-identity check) =="
 ALIGN_SMOKE=$(cargo run --release -p pfam-bench --bin align_bench -- --test)

@@ -26,8 +26,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use pfam::cluster::{
-    run_ccd, run_redundancy_removal, ClusterConfig, ShardParams, SketchBanding, SketchMode,
-    SketchParams,
+    run_front_half, ClusterConfig, ShardParams, SketchBanding, SketchMode, SketchParams,
 };
 use pfam::core::{
     run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig, Phase, PipelineConfig,
@@ -378,11 +377,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .map(|s| s.trim().parse().map_err(|_| format!("invalid processor count: {s}")))
         .collect::<Result<_, _>>()?;
     let config = ClusterConfig::default();
-    eprintln!("tracing RR…");
-    let rr = run_redundancy_removal(&set, &config);
-    let (nr, _) = set.subset(&rr.kept);
-    eprintln!("tracing CCD…");
-    let ccd = run_ccd(&nr, &config);
+    eprintln!("tracing RR and CCD…");
+    let (rr, ccd) = run_front_half(&set, &config);
     let machine = MachineModel::bluegene_l();
     println!("phase\t{}", procs.iter().map(|p| format!("p={p}")).collect::<Vec<_>>().join("\t"));
     for (name, trace) in [("RR", &rr.trace), ("CCD", &ccd.trace)] {

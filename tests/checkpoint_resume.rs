@@ -1,7 +1,9 @@
 //! Kill/resume integration tests: stop the checkpointed pipeline after
 //! every phase boundary (and mid-CCD), resume from disk, and require the
 //! final clustering — down to the rendered families.tsv text — to be
-//! identical to the uninterrupted run.
+//! identical to the uninterrupted run. A run that starts at RR mines one
+//! suffix index in both clustering phases; a resumed run rebuilds what
+//! the CCD cursor pins, so the cursors here come from either.
 
 use std::path::PathBuf;
 
@@ -89,38 +91,98 @@ fn kill_after_each_phase_then_resume_is_identical() {
     }
 }
 
+/// Complete RR under `ckpt`, then plant a genuine mid-CCD cursor — the
+/// one in the middle of those `run` emits over RR's survivors — as
+/// `ccd.ckpt`, and return its plan pin.
+fn kill_mid_ccd(
+    d: &SyntheticDataset,
+    config: &PipelineConfig,
+    ckpt: &CheckpointConfig,
+    run: impl FnOnce(&[pfam::seq::SeqId], &mut dyn FnMut(&pfam::cluster::CcdCursor)),
+) -> u64 {
+    run_pipeline_checkpointed(&d.set, config, ckpt, false, Some(Phase::Rr)).expect("rr-only run");
+    let (_, payload) = read_checkpoint(&Phase::Rr.path_in(&ckpt.dir)).expect("rr.ckpt");
+    let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
+    let kept: Vec<pfam::seq::SeqId> = rr.kept.iter().map(|&i| pfam::seq::SeqId(i)).collect();
+    let mut cursors = Vec::new();
+    run(&kept, &mut |c| cursors.push(c.clone()));
+    let cursor = cursors.swap_remove(cursors.len() / 2);
+    assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
+    let pin = cursor.gen_chunk_bytes;
+    let state = CcdState { complete: false, cursor };
+    write_checkpoint(&Phase::Ccd.path_in(&ckpt.dir), Phase::Ccd, &state.encode())
+        .expect("plant partial ccd.ckpt");
+    pin
+}
+
 #[test]
 fn resume_from_partial_ccd_cursor_is_identical() {
     // Simulate a crash *mid-CCD*: complete RR, then plant a genuine
     // partial cursor (complete = false) as ccd.ckpt and resume from it.
+    // This one is cut over a copy of the survivors with its own index.
     let d = dataset(4871);
     let config = PipelineConfig::for_tests();
     let straight = run_pipeline(&d.set, &config);
-
     let ckpt =
         CheckpointConfig { dir: scratch_dir("mid-ccd"), every_batches: 1, every_components: 1 };
-    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Rr)).expect("rr-only run");
-
-    // Replay CCD on the survivor set and capture its first cursor.
-    let (_, payload) = read_checkpoint(&Phase::Rr.path_in(&ckpt.dir)).expect("rr.ckpt");
-    let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
-    let kept: Vec<pfam::seq::SeqId> = rr.kept.iter().map(|&i| pfam::seq::SeqId(i)).collect();
-    let (nr_set, _) = d.set.subset(&kept);
-    let mut first_cursor = None;
-    pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, None, 1, &mut |c| {
-        if first_cursor.is_none() {
-            first_cursor = Some(c.clone());
-        }
+    kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+        let (nr_set, _) = d.set.subset(kept);
+        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, None, 1, on_cursor);
     });
-    let cursor = first_cursor.expect("at least one CCD batch");
-    assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
-    let state = CcdState { complete: false, cursor };
-    write_checkpoint(&Phase::Ccd.path_in(&ckpt.dir), Phase::Ccd, &state.encode())
-        .expect("plant partial ccd.ckpt");
-
     let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
         .expect("resume from partial cursor")
         .expect("completes");
+    assert_same_result(&d.set, &resumed, &straight);
+    let _ = std::fs::remove_dir_all(&ckpt.dir);
+}
+
+#[test]
+fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
+    // The cursor is cut while CCD mines the index RR built (what a run
+    // killed mid-CCD leaves behind); the resumed run has no such index
+    // and rebuilds one from the pin.
+    let d = dataset(4876);
+    let config = PipelineConfig::for_tests();
+    let straight = run_pipeline(&d.set, &config);
+    let ckpt = CheckpointConfig {
+        dir: scratch_dir("mid-ccd-shared"),
+        every_batches: 1,
+        every_components: 1,
+    };
+    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+        pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
+            front.ccd_resumable(kept, None, 1, on_cursor);
+        })
+    });
+    assert_eq!(pin, 0, "an unbudgeted in-memory run mines one monolithic index");
+    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
+        .expect("resume from partial cursor")
+        .expect("completes");
+    assert_same_result(&d.set, &resumed, &straight);
+    let _ = std::fs::remove_dir_all(&ckpt.dir);
+}
+
+#[test]
+fn partitioned_pin_of_an_older_checkpoint_still_resumes() {
+    // Before a view of an in-memory set was mined monolithically, an
+    // unbudgeted run pinned the partitioned default (256 MiB per chunk)
+    // into its CCD cursors. Such a checkpoint must still resume.
+    const OLD_DEFAULT: u64 = 256 << 20;
+    let d = dataset(4877);
+    let config = PipelineConfig::for_tests();
+    let straight = run_pipeline(&d.set, &config);
+    let ckpt =
+        CheckpointConfig { dir: scratch_dir("old-pin"), every_batches: 1, every_components: 1 };
+    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+        let view = pfam::seq::SubsetStore::new(&d.set, kept.to_vec());
+        let forced = config.clone().with_index_chunk_bytes(OLD_DEFAULT);
+        pfam::cluster::run_ccd_resumable(&view, &forced.cluster, None, 1, on_cursor);
+    });
+    assert_eq!(pin, OLD_DEFAULT);
+    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
+        .expect("resume from the pinned plan")
+        .expect("completes");
+    // One chunk holds this input, so the pinned order is the monolithic one.
     assert_same_result(&d.set, &resumed, &straight);
     let _ = std::fs::remove_dir_all(&ckpt.dir);
 }

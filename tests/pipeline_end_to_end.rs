@@ -2,9 +2,13 @@
 
 use std::collections::HashSet;
 
-use pfam::core::{evaluate, run_pipeline, PipelineConfig, Reduction, TableOneRow};
+use pfam::cluster::{run_ccd, run_redundancy_removal};
+use pfam::core::{
+    evaluate, run_pipeline, stream_components, PipelineConfig, Reduction, TableOneRow,
+};
 use pfam::datagen::{DatasetConfig, MutationModel, Provenance, SyntheticDataset};
-use pfam::seq::SeqId;
+use pfam::seq::{materialize_subset, SeqId};
+use pfam::shingle::ShingleStats;
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -133,4 +137,51 @@ fn fasta_round_trip_preserves_pipeline_output() {
     let a = run_pipeline(&d.set, &config);
     let b = run_pipeline(&reparsed, &config);
     assert_eq!(a.dense_subgraphs, b.dense_subgraphs);
+}
+
+#[test]
+fn pipeline_equals_the_hand_composition() {
+    // The pipeline mines one suffix index in both clustering phases; the
+    // composition it replaced — RR over the input, CCD over a copy of the
+    // survivors with an index of its own, then the back half — must give
+    // the same families through the same work.
+    let d = dataset(110);
+    let config = PipelineConfig::for_tests();
+    let got = run_pipeline(&d.set, &config);
+
+    let rr = run_redundancy_removal(&d.set, &config.cluster);
+    let ccd = run_ccd(&materialize_subset(&d.set, &rr.kept), &config.cluster);
+    let components: Vec<Vec<SeqId>> = ccd
+        .components
+        .iter()
+        .map(|c| c.iter().map(|&local| rr.kept[local.index()]).collect())
+        .collect();
+    let selected: Vec<&[SeqId]> = components
+        .iter()
+        .filter(|c| c.len() >= config.min_component_size)
+        .map(|c| c.as_slice())
+        .collect();
+    let mut shingle_stats = ShingleStats::default();
+    let mut families: Vec<Vec<SeqId>> = Vec::new();
+    for out in stream_components(&d.set, &config, &selected) {
+        shingle_stats.absorb(&out.stats);
+        for local in &out.subgraphs {
+            families.push(local.iter().map(|&l| out.graph.original_id(l)).collect());
+        }
+    }
+    families.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
+
+    assert!(rr.kept.len() < d.set.len(), "RR must remove something for the mask to matter");
+    assert_eq!(got.non_redundant, rr.kept);
+    assert_eq!(got.components, components);
+    let got_families: Vec<Vec<SeqId>> =
+        got.dense_subgraphs.iter().map(|ds| ds.members.clone()).collect();
+    assert_eq!(got_families, families);
+    assert_eq!(got.shingle_stats, shingle_stats);
+    for (what, got, want) in [("RR", &got.traces.0, &rr.trace), ("CCD", &got.traces.1, &ccd.trace)]
+    {
+        assert_eq!(got.total_generated(), want.total_generated(), "{what} generated");
+        assert_eq!(got.total_filtered(), want.total_filtered(), "{what} filtered");
+        assert_eq!(got.total_aligned(), want.total_aligned(), "{what} aligned");
+    }
 }
