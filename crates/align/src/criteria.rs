@@ -36,8 +36,19 @@ impl ContainmentParams {
     /// Definition 1 over the statistics of the optimal local alignment of
     /// an `x` of length `x_len` (the candidate) against its container.
     pub fn accepts(&self, st: &AlignStats, x_len: usize) -> bool {
-        st.similarity() >= self.min_similarity
-            && st.coverage_of(st.x_span, x_len) >= self.min_coverage
+        self.accepts_span(st, st.x_span, x_len)
+    }
+
+    /// Definition 1 for the *second* sequence of the same alignment: is
+    /// the `y` of length `y_len` contained in `x`? Read off the statistics
+    /// of `(x, y)` as aligned — not of the transposed pair, whose optimal
+    /// alignment may break ties differently.
+    pub fn accepts_y(&self, st: &AlignStats, y_len: usize) -> bool {
+        self.accepts_span(st, st.y_span, y_len)
+    }
+
+    fn accepts_span(&self, st: &AlignStats, span: usize, len: usize) -> bool {
+        st.similarity() >= self.min_similarity && st.coverage_of(span, len) >= self.min_coverage
     }
 }
 
@@ -75,14 +86,18 @@ impl OverlapParams {
 /// of the shorter in the longer is the biologically meaningful direction,
 /// but the function itself imposes no length ordering.
 pub fn is_contained(x: &[u8], y: &[u8], scheme: &ScoringScheme, p: &ContainmentParams) -> bool {
-    if x.is_empty() {
-        return false;
+    local_stats(x, y, scheme).is_some_and(|st| p.accepts(&st, x.len()))
+}
+
+/// Statistics of the optimal local alignment of `x` against `y` — what
+/// every criterion of the pair is read off. `None` when either sequence is
+/// empty or nothing aligns.
+pub(crate) fn local_stats(x: &[u8], y: &[u8], scheme: &ScoringScheme) -> Option<AlignStats> {
+    if x.is_empty() || y.is_empty() {
+        return None;
     }
     let aln = local_affine(x, y, scheme);
-    if aln.is_empty() {
-        return false;
-    }
-    p.accepts(&aln.stats(x, y, &scheme.matrix), x.len())
+    (!aln.is_empty()).then(|| aln.stats(x, y, &scheme.matrix))
 }
 
 /// Definition 2: do `x` and `y` overlap?
@@ -90,14 +105,7 @@ pub fn is_contained(x: &[u8], y: &[u8], scheme: &ScoringScheme, p: &ContainmentP
 /// Symmetric: the coverage condition is evaluated against the longer of the
 /// two sequences.
 pub fn overlaps(x: &[u8], y: &[u8], scheme: &ScoringScheme, p: &OverlapParams) -> bool {
-    if x.is_empty() || y.is_empty() {
-        return false;
-    }
-    let aln = local_affine(x, y, scheme);
-    if aln.is_empty() {
-        return false;
-    }
-    p.accepts(&aln.stats(x, y, &scheme.matrix), x.len(), y.len())
+    local_stats(x, y, scheme).is_some_and(|st| p.accepts(&st, x.len(), y.len()))
 }
 
 #[cfg(test)]

@@ -3,28 +3,35 @@
 //! Every alignment consumer (redundancy-removal containment, CCD overlap,
 //! the fault-tolerant leased CCD path, the SPMD workers and bipartite graph
 //! generation) goes through [`AlignEngine`] instead of calling
-//! [`crate::local_affine`] directly. The engine resolves each candidate pair
-//! in three steps and is **verdict-identical to the reference criteria by
+//! [`crate::local_affine`] directly. One evaluation ([`AlignEngine::judge`])
+//! answers any subset of the paper's criteria for a pair — containment of
+//! either side, overlap — off **one** fill and **one** traceback, in three
+//! steps, and is **verdict-identical to the reference criteria by
 //! construction** — every reject is a proven bound, never a heuristic:
 //!
-//! 1. **Length screen** (`tier` 0). A passing containment needs
-//!    `positives ≥ min_similarity · min_coverage · |x|` and positive columns
-//!    are at most `min(|x|, |y|)`, so short partners reject with zero DP
-//!    cells. The overlap analogue bounds `min(|x|,|y|)` against
-//!    `min_similarity · min_longer_coverage · max(|x|,|y|)`.
+//! 1. **Length screen** (`tier` 0), per criterion. A passing containment
+//!    needs `positives ≥ min_similarity · min_coverage · L` with `L` the
+//!    contained side's length, and positive columns are at most
+//!    `min(|x|, |y|)`, so short partners reject with zero DP cells. The
+//!    overlap analogue takes `L = max(|x|,|y|)`.
 //! 2. **One fill** ([`crate::onepass`]): a single row-major pass — AVX2
 //!    where detected and exact, its scalar twin otherwise — yields the
 //!    Smith–Waterman optimum `S*`, the reference's argmax cell and a
 //!    direction byte per cell. `S* = 0` rejects (the reference returns an
-//!    empty alignment), and when the scheme admits a positive screen
+//!    empty alignment), and when a criterion admits a positive screen
 //!    constant `κ = ms·p_min − (1−ms)·q_max` (with `p_min` the smallest
 //!    positive matrix entry and `q_max` the largest per-column penalty) any
-//!    accepted pair has `S* ≥ κ·mc·L`, so lower scores reject before any
-//!    traceback (`tier` 1).
-//! 3. **Direction traceback** (`tier` 3) from the argmax cell, accumulating
-//!    the alignment statistics in line, then the paper's criteria. The
-//!    bytes encode the reference traceback's own decisions, so the columns
-//!    are the reference alignment's, bit for bit.
+//!    pair it accepts has `S* ≥ κ·mc·L`, so lower scores reject it before
+//!    any traceback (`tier` 1).
+//! 3. **Direction traceback** (`tier` 3) from the argmax cell when any
+//!    requested criterion is still open, accumulating the alignment
+//!    statistics in line, then the paper's criteria. The bytes encode the
+//!    reference traceback's own decisions, so the columns are the reference
+//!    alignment's, bit for bit.
+//!
+//! The traceback's tie-breaks are not transposition-invariant, so a caller
+//! that wants one verdict per *pair* must fix which sequence is `x` — the
+//! clustering phases always pass the lower sequence id first.
 //!
 //! All steps share a per-worker [`AlignScratch`] arena (thread-local in the
 //! convenience API), so the verdict path performs no per-pair allocation.
@@ -34,7 +41,7 @@ use std::cell::RefCell;
 use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, AlignStats};
-use crate::criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
+use crate::criteria::{local_stats, ContainmentParams, OverlapParams};
 use crate::onepass::OnePassFill;
 use crate::scratch::AlignScratch;
 
@@ -88,6 +95,60 @@ pub struct EngineVerdict {
     /// `m·n` when a screen or the score threshold rejected the pair
     /// before any traceback, 0 otherwise.
     pub cells_skipped: u64,
+}
+
+/// Which of the paper's criteria one [`AlignEngine::judge`] call answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PairQuery {
+    /// Definition 1: is `x` contained in `y`?
+    pub x_in_y: bool,
+    /// Definition 1 for the other side: is `y` contained in `x`?
+    pub y_in_x: bool,
+    /// Definition 2: do `x` and `y` overlap?
+    pub overlap: bool,
+}
+
+impl PairQuery {
+    /// Containment of the first sequence only.
+    pub const X_IN_Y: PairQuery = PairQuery { x_in_y: true, y_in_x: false, overlap: false };
+    /// Containment of the second sequence only.
+    pub const Y_IN_X: PairQuery = PairQuery { x_in_y: false, y_in_x: true, overlap: false };
+    /// Overlap only.
+    pub const OVERLAP: PairQuery = PairQuery { x_in_y: false, y_in_x: false, overlap: true };
+    /// Every criterion.
+    pub const ALL: PairQuery = PairQuery { x_in_y: true, y_in_x: true, overlap: true };
+}
+
+/// Outcome of one [`AlignEngine::judge`] call: an answer per requested
+/// criterion (`false` for the ones not asked), all off the same alignment
+/// of `x` against `y`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairVerdict {
+    /// `x` is contained in `y`.
+    pub x_in_y: bool,
+    /// `y` is contained in `x`, by the statistics of `(x, y)` as aligned.
+    pub y_in_x: bool,
+    /// `x` and `y` overlap.
+    pub overlap: bool,
+    /// Step that settled the last open criterion (as
+    /// [`EngineVerdict::tier`]).
+    pub tier: u8,
+    /// DP cells evaluated: one `m·n` rectangle if the pair reached the
+    /// fill, however many criteria were asked.
+    pub cells_computed: u64,
+    /// `m·n` when no traceback ran, 0 otherwise.
+    pub cells_skipped: u64,
+}
+
+impl PairVerdict {
+    fn single(self, accept: bool) -> EngineVerdict {
+        EngineVerdict {
+            accept,
+            tier: self.tier,
+            cells_computed: self.cells_computed,
+            cells_skipped: self.cells_skipped,
+        }
+    }
 }
 
 thread_local! {
@@ -149,103 +210,92 @@ impl AlignEngine {
 
     /// Definition-1 containment: is `x` redundant with respect to `y`?
     /// Uses a thread-local scratch arena. `anchor` is ignored.
-    pub fn contained(&self, x: &[u8], y: &[u8], anchor: Option<Anchor>) -> EngineVerdict {
-        SCRATCH.with(|s| self.contained_with(x, y, anchor, &mut s.borrow_mut()))
+    pub fn contained(&self, x: &[u8], y: &[u8], _anchor: Option<Anchor>) -> EngineVerdict {
+        let v = self.judge(x, y, PairQuery::X_IN_Y);
+        v.single(v.x_in_y)
     }
 
     /// Definition-2 overlap between `x` and `y`. Uses a thread-local
     /// scratch arena. `anchor` is ignored.
-    pub fn overlaps(&self, x: &[u8], y: &[u8], anchor: Option<Anchor>) -> EngineVerdict {
-        SCRATCH.with(|s| self.overlaps_with(x, y, anchor, &mut s.borrow_mut()))
+    pub fn overlaps(&self, x: &[u8], y: &[u8], _anchor: Option<Anchor>) -> EngineVerdict {
+        let v = self.judge(x, y, PairQuery::OVERLAP);
+        v.single(v.overlap)
     }
 
-    /// [`Self::contained`] with an explicit scratch arena.
-    pub fn contained_with(
+    /// Answer every criterion in `ask` off one fill of `x` against `y`.
+    /// Uses a thread-local scratch arena.
+    pub fn judge(&self, x: &[u8], y: &[u8], ask: PairQuery) -> PairVerdict {
+        SCRATCH.with(|s| self.judge_with(x, y, ask, &mut s.borrow_mut()))
+    }
+
+    /// [`Self::judge`] with an explicit scratch arena.
+    pub fn judge_with(
         &self,
         x: &[u8],
         y: &[u8],
-        _anchor: Option<Anchor>,
+        ask: PairQuery,
         scratch: &mut AlignScratch,
-    ) -> EngineVerdict {
-        self.run(x, y, scratch, Mode::Containment)
-    }
-
-    /// [`Self::overlaps`] with an explicit scratch arena.
-    pub fn overlaps_with(
-        &self,
-        x: &[u8],
-        y: &[u8],
-        _anchor: Option<Anchor>,
-        scratch: &mut AlignScratch,
-    ) -> EngineVerdict {
-        self.run(x, y, scratch, Mode::Overlap)
-    }
-
-    fn run(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch, mode: Mode) -> EngineVerdict {
+    ) -> PairVerdict {
         let (m, n) = (x.len(), y.len());
         let full = m as u64 * n as u64;
         let scheme = self.fill.scheme();
-        if self.kind == AlignEngineKind::Reference {
-            let accept = match mode {
-                Mode::Containment => is_contained(x, y, scheme, &self.containment),
-                Mode::Overlap => overlaps(x, y, scheme, &self.overlap),
+        let (cp, op) = (&self.containment, &self.overlap);
+        let answer =
+            |open: [bool; 3], st: &AlignStats, tier, cells_computed, cells_skipped| PairVerdict {
+                x_in_y: open[0] && cp.accepts(st, m),
+                y_in_x: open[1] && cp.accepts_y(st, n),
+                overlap: open[2] && op.accepts(st, m, n),
+                tier,
+                cells_computed,
+                cells_skipped,
             };
-            return EngineVerdict { accept, tier: 3, cells_computed: full, cells_skipped: 0 };
+        let mut open = [ask.x_in_y, ask.y_in_x, ask.overlap];
+        if self.kind == AlignEngineKind::Reference {
+            let st = local_stats(x, y, scheme);
+            open = open.map(|asked| asked && st.is_some());
+            return answer(open, &st.unwrap_or_default(), 3, full, 0);
         }
 
-        // Step 1: proven length screen (and the criteria's empty-input
+        // Each criterion as (similarity, coverage, covered length L).
+        let bounds = [
+            (cp.min_similarity, cp.min_coverage, m),
+            (cp.min_similarity, cp.min_coverage, n),
+            (op.min_similarity, op.min_longer_coverage, m.max(n)),
+        ];
+        let none = AlignStats::default();
+
+        // Step 1: proven length screens (and the criteria's empty-input
         // rejections, which they apply before any DP). Accept ⇒ positives
         // ≥ ms·mc·L, and positives ≤ min(m, n).
-        let (ms, mc, l) = match mode {
-            Mode::Containment => {
-                (self.containment.min_similarity, self.containment.min_coverage, m)
-            }
-            Mode::Overlap => {
-                (self.overlap.min_similarity, self.overlap.min_longer_coverage, m.max(n))
-            }
-        };
-        if full == 0 || (m.min(n) as f64) + 1e-9 < ms * mc * l as f64 {
-            return EngineVerdict {
-                accept: false,
-                tier: 0,
-                cells_computed: 0,
-                cells_skipped: full,
-            };
+        for (open, (ms, mc, l)) in open.iter_mut().zip(bounds) {
+            *open &= full != 0 && (m.min(n) as f64) + 1e-9 >= ms * mc * l as f64;
+        }
+        if open == [false; 3] {
+            return answer(open, &none, 0, 0, full);
         }
 
-        // Step 2: one fill; reject on S* = 0 (the reference returns the
-        // empty alignment) or S* below the κ·mc·L every accepted pair clears.
+        // Step 2: one fill; a criterion is closed on S* = 0 (the reference
+        // returns the empty alignment) or S* below the κ·mc·L every pair
+        // it accepts clears.
         let (score, end) = self.fill.fill(x, y, scratch);
-        let kappa = self.p_min.map_or(0.0, |p| ms * p as f64 - (1.0 - ms) * self.q_max as f64);
-        if score == 0 || (kappa > 0.0 && (score as f64) + 1e-9 < kappa * mc * l as f64) {
-            return EngineVerdict {
-                accept: false,
-                tier: 1,
-                cells_computed: full,
-                cells_skipped: full,
-            };
+        for (open, (ms, mc, l)) in open.iter_mut().zip(bounds) {
+            let kappa = self.p_min.map_or(0.0, |p| ms * p as f64 - (1.0 - ms) * self.q_max as f64);
+            *open &= score != 0 && !(kappa > 0.0 && (score as f64) + 1e-9 < kappa * mc * l as f64);
+        }
+        if open == [false; 3] {
+            return answer(open, &none, 1, full, full);
         }
 
         // Step 3: direction traceback, statistics in line, then the criteria.
         let mut st = AlignStats::default();
-        let start = scratch.onepass.trace(end, |op, i, j| match op {
+        let start = scratch.onepass.trace(end, |step, i, j| match step {
             AlignOp::Subst => st.push_subst(x[i - 1], y[j - 1], &scheme.matrix),
             AlignOp::InsertY | AlignOp::InsertX => st.push_gap(),
         });
         st.x_span = end.0 - start.0;
         st.y_span = end.1 - start.1;
-        let accept = match mode {
-            Mode::Containment => self.containment.accepts(&st, m),
-            Mode::Overlap => self.overlap.accepts(&st, m, n),
-        };
-        EngineVerdict { accept, tier: 3, cells_computed: full, cells_skipped: 0 }
+        answer(open, &st, 3, full, 0)
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Containment,
-    Overlap,
 }
 
 #[cfg(test)]

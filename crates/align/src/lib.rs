@@ -43,7 +43,7 @@ pub use alignment::{AlignOp, AlignStats, Alignment};
 pub use banded::banded_global_affine;
 pub use cost::CostModel;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
-pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict};
+pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict, PairQuery, PairVerdict};
 pub use global::{
     global_affine, global_affine_with, global_linear, global_score, global_score_with,
 };

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use pfam_align::{
     is_contained, local_affine, overlaps, AlignEngine, AlignEngineKind, AlignScratch, Anchor,
-    ContainmentParams, OnePassFill, OverlapParams,
+    ContainmentParams, OnePassFill, OverlapParams, PairQuery,
 };
 use pfam_datagen::{random_peptide, MutationModel};
 use pfam_seq::{ScoringScheme, SubstMatrix};
@@ -244,8 +244,103 @@ fn counters_follow_the_outcome_on_the_corpus() {
     assert!(tiers[0] > 0 && tiers[1] > 0 && tiers[3] > 0, "outcomes seen: {tiers:?}");
 }
 
+/// Pairs whose optimal alignment is far from unique — where the
+/// traceback's tie-breaks decide the spans: homopolymers, tandem repeats
+/// out of phase, equal lengths.
+fn tie_heavy() -> Vec<Pair> {
+    let tandem = |unit: &[u8], len: usize, phase: usize| -> Vec<u8> {
+        (0..len).map(|i| unit[(i + phase) % unit.len()]).collect()
+    };
+    let mut pairs = vec![
+        (vec![1; 40], vec![1; 40]),
+        (vec![1; 50], vec![1; 37]),
+        (vec![1; 37], vec![1; 50]),
+        (vec![9; 64], vec![9; 61]),
+    ];
+    for (unit, len) in [(&[0u8, 3, 7][..], 45usize), (&[2, 2, 11, 5][..], 64), (&[4, 15][..], 33)] {
+        for phase in 0..unit.len() {
+            pairs.push((tandem(unit, len, 0), tandem(unit, len, phase)));
+            pairs.push((tandem(unit, len, phase), tandem(unit, len - 3, 0)));
+            pairs.push((tandem(unit, len - 2, 1), tandem(unit, len, phase)));
+        }
+    }
+    // Equal-length homologs: overlap coverage is measured on `x` on a tie.
+    for seed in 0..6u64 {
+        let (a, b) = mutated_pair(500 + seed, 80, 0.04 * seed as f64, 0.0);
+        let n = a.len().min(b.len());
+        pairs.push((a[..n].to_vec(), b[..n].to_vec()));
+    }
+    pairs
+}
+
+/// The combined entry on one pair: the `x`-in-`y` and overlap answers are
+/// the single-criterion ones, the `y`-in-`x` answer is Definition 1 read
+/// off `local_affine(x, y)`'s own statistics, every subset of the query
+/// gives the same answers, and the fill is one rectangle however many
+/// criteria were asked.
+fn assert_judge_is_consistent(engines: &[AlignEngine], s: &ScoringScheme, x: &[u8], y: &[u8]) {
+    let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
+    let full = (x.len() as u64) * (y.len() as u64);
+    let aln = local_affine(x, y, s);
+    let y_in_x = !aln.is_empty() && !y.is_empty() && {
+        let st = aln.stats(x, y, &s.matrix);
+        st.similarity() >= cp.min_similarity
+            && st.coverage_of(st.y_span, y.len()) >= cp.min_coverage
+    };
+    let want = (is_contained(x, y, s, &cp), y_in_x, overlaps(x, y, s, &op));
+    for e in engines {
+        let what = format!("{:?}/{} {}x{}", e.kind(), e.kernel_label(), x.len(), y.len());
+        let all = e.judge(x, y, PairQuery::ALL);
+        assert_eq!((all.x_in_y, all.y_in_x, all.overlap), want, "{what}");
+        assert_eq!(e.contained(x, y, None).accept, want.0, "{what}: contained wrapper");
+        assert_eq!(e.overlaps(x, y, None).accept, want.2, "{what}: overlaps wrapper");
+        assert!(all.cells_computed == 0 || all.cells_computed == full, "{what}: one rectangle");
+        for bits in 0..8u8 {
+            let ask =
+                PairQuery { x_in_y: bits & 1 != 0, y_in_x: bits & 2 != 0, overlap: bits & 4 != 0 };
+            let v = e.judge(x, y, ask);
+            let got = (v.x_in_y, v.y_in_x, v.overlap);
+            let masked = (ask.x_in_y && want.0, ask.y_in_x && want.1, ask.overlap && want.2);
+            assert_eq!(got, masked, "{what}: {ask:?}");
+            assert!(v.cells_computed <= all.cells_computed, "{what}: {ask:?} filled more");
+        }
+    }
+}
+
+fn judge_engines(s: &ScoringScheme) -> [AlignEngine; 3] {
+    let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
+    [
+        AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op),
+        AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op),
+        AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_scalar_fill(),
+    ]
+}
+
+#[test]
+fn judge_answers_every_criterion_off_one_fill() {
+    let mut pairs = corpus();
+    pairs.extend(tie_heavy());
+    let mut n_y_in_x = 0usize;
+    for s in [scheme(11, 1), scheme(4, 1)] {
+        let engines = judge_engines(&s);
+        for (x, y) in &pairs {
+            assert_judge_is_consistent(&engines, &s, x, y);
+            n_y_in_x += usize::from(engines[1].judge(x, y, PairQuery::Y_IN_X).y_in_x);
+        }
+    }
+    assert!(n_y_in_x > 5, "only {n_y_in_x} second-side containments — the corpus is vacuous");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The combined entry agrees with the single criteria on arbitrary
+    /// residue strings, on every engine.
+    #[test]
+    fn judge_is_consistent_on_random(x in residues(50), y in residues(50)) {
+        let s = scheme(11, 1);
+        assert_judge_is_consistent(&judge_engines(&s), &s, &x, &y);
+    }
 
     /// Both fills reproduce the reference `Alignment` bit-for-bit on
     /// arbitrary residue strings (all 21 codes, `X` included).

@@ -13,7 +13,7 @@
 //! stdout instead of writing the file. The bench asserts — and records —
 //! that every engine returns identical verdicts on every candidate.
 
-use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor};
+use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, PairQuery};
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, emit, thread_sweep, time_min, BenchArgs,
 };
@@ -47,13 +47,10 @@ fn run_tasks(engine: &AlignEngine, set: &SequenceSet, tasks: &[Task], threads: u
     let worker = |t: usize| {
         let mut scratch = AlignScratch::new();
         let mut verdicts = Vec::with_capacity(tasks.len() / threads + 1);
-        for &(a, b, anchor, containment) in tasks.iter().skip(t).step_by(threads) {
+        for &(a, b, _, containment) in tasks.iter().skip(t).step_by(threads) {
             let (x, y) = (set.codes(a), set.codes(b));
-            verdicts.push(if containment {
-                engine.contained_with(x, y, Some(anchor), &mut scratch)
-            } else {
-                engine.overlaps_with(x, y, Some(anchor), &mut scratch)
-            });
+            let ask = if containment { PairQuery::X_IN_Y } else { PairQuery::OVERLAP };
+            verdicts.push(engine.judge_with(x, y, ask, &mut scratch));
         }
         verdicts
     };
@@ -64,7 +61,7 @@ fn run_tasks(engine: &AlignEngine, set: &SequenceSet, tasks: &[Task], threads: u
     let mut out: Outcome = (Vec::with_capacity(tasks.len()), [0; 4], 0, 0);
     for k in 0..tasks.len() {
         let v = per_worker[k % threads][k / threads];
-        out.0.push(v.accept);
+        out.0.push(v.x_in_y || v.overlap);
         out.1[v.tier as usize] += 1;
         out.2 += v.cells_computed;
         out.3 += v.cells_skipped;

@@ -1,8 +1,14 @@
-//! BGG→DSD back-half benchmark: the barrier data flow (all component
-//! graphs, then all dense-subgraph detection) vs the fused streaming
-//! executor on the same component population — emitting a
-//! machine-readable `BENCH_bgg_dsd.json` alongside `BENCH_index.json` and
-//! `BENCH_align.json`.
+//! BGG→DSD back-half benchmark on one component population (a front
+//! half's output), emitting a machine-readable `BENCH_bgg_dsd.json`
+//! alongside `BENCH_index.json` and `BENCH_align.json`:
+//!
+//! * the barrier data flow (all component graphs, then all dense-subgraph
+//!   detection) vs the fused streaming executor, both mining each
+//!   component's own suffix index;
+//! * the streaming executor under its two pair supplies — mined per
+//!   component vs built from what the front half already knows (CCD's
+//!   edges and deferred pairs, RR's pair ledger) — with the fills and DP
+//!   cells each costs.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin bgg_dsd_bench [scale]
@@ -11,23 +17,39 @@
 //!
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
-//! that streaming and barrier outputs are identical.
+//! that all three produce identical graphs and families.
 
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
 };
-use pfam_core::{barrier_components, stream_components, ComponentOutput, PipelineConfig};
+use pfam_cluster::{run_front_half, KnownPairs};
+use pfam_core::{
+    barrier_components, stream_components, stream_graphs, ComponentOutput, PipelineConfig,
+};
 use pfam_seq::SeqId;
 
-fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput]) -> bool {
+/// Same graphs, families and shingle counters — and, when both sides got
+/// their pairs the same way, the same alignment work.
+fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput], same_supply: bool) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.graph.members == y.graph.members
                 && x.graph.graph == y.graph.graph
-                && x.record == y.record
+                && (!same_supply || x.record == y.record)
                 && x.subgraphs == y.subgraphs
                 && x.stats == y.stats
         })
+}
+
+/// `"seconds": .., "fills": .., "ledger_hits": .., "cells": ..` of one supply.
+fn supply_fields(seconds: f64, out: &[ComponentOutput]) -> String {
+    let sum = |f: fn(&ComponentOutput) -> u64| out.iter().map(f).sum::<u64>();
+    format!(
+        "\"seconds\": {seconds:.6}, \"fills\": {}, \"ledger_hits\": {}, \"cells\": {}",
+        sum(|o| o.record.n_aligned as u64),
+        sum(|o| o.record.n_ledger_hits as u64),
+        sum(|o| o.record.cells_computed),
+    )
 }
 
 fn main() {
@@ -47,22 +69,48 @@ fn main() {
         reps
     );
 
-    // The component queue, straight from CCD (the executor's real input).
-    let ccd = pfam_cluster::run_ccd(set, &config.cluster);
-    let queue: Vec<&[SeqId]> = ccd
-        .components
-        .iter()
-        .filter(|c| c.len() >= config.min_component_size)
-        .map(|c| c.as_slice())
+    // The component queue, straight from the front half (the executor's
+    // real input), under input ids.
+    let (rr, ccd) = run_front_half(set, &config.cluster);
+    let selected: Vec<usize> = (0..ccd.components.len())
+        .filter(|&c| ccd.components[c].len() >= config.min_component_size)
         .collect();
+    let members: Vec<Vec<SeqId>> = selected
+        .iter()
+        .map(|&c| ccd.components[c].iter().map(|id| rr.kept[id.index()]).collect())
+        .collect();
+    let queue: Vec<&[SeqId]> = members.iter().map(Vec::as_slice).collect();
     assert!(!queue.is_empty(), "dataset produced no components to stream");
     eprintln!("bgg_dsd_bench: {} components queued", queue.len());
 
-    // ---- Barrier vs streaming executor. ----
+    // ---- Barrier vs streaming executor, both mining per component. ----
     let (barrier_s, barrier_out) = time_min(reps, || barrier_components(set, &config, &queue));
     let (stream_s, stream_out) = time_min(reps, || stream_components(set, &config, &queue));
-    let identical = outputs_identical(&stream_out, &barrier_out);
-    assert!(identical, "streaming outputs diverged from barrier — this is a bug");
+
+    // ---- The streaming executor on what the front half already knows
+    // (grouping CCD's pairs by component is part of the bill). ----
+    let (known_s, known_out) = time_min(reps, || {
+        let (cluster, deferred) = (&config.cluster, ccd.deferred.clone());
+        let known = KnownPairs::new(
+            set,
+            cluster,
+            &rr.kept,
+            &rr.ledger,
+            &ccd.components,
+            &ccd.edges,
+            deferred,
+        );
+        stream_graphs(
+            set,
+            &config,
+            selected.len(),
+            |i| known.n_deferred(selected[i]),
+            |i, scratch| known.component_graph(selected[i], scratch),
+        )
+    });
+    let identical = outputs_identical(&stream_out, &barrier_out, true)
+        && outputs_identical(&known_out, &stream_out, false);
+    assert!(identical, "the back half's outputs depend on how it ran — this is a bug");
 
     let n_components = queue.len() as f64;
     let cores = detected_cores();
@@ -78,7 +126,10 @@ fn main() {
             "  \"outputs_identical\": {identical},\n",
             "  \"barrier\": {{ \"seconds\": {bs:.6}, \"components_per_sec\": {bcps:.1} }},\n",
             "  \"streaming\": {{ \"seconds\": {ss:.6}, \"components_per_sec\": {scps:.1} }},\n",
-            "  {streaming_speedup}\n",
+            "  {streaming_speedup},\n",
+            "  \"supply_mined\": {{ {mined} }},\n",
+            "  \"supply_known\": {{ {known} }},\n",
+            "  {known_speedup}\n",
             "}}\n"
         ),
         label = data.label,
@@ -92,8 +143,15 @@ fn main() {
         ss = stream_s,
         scps = n_components / stream_s,
         streaming_speedup = claim_f64(cores, "streaming_speedup", barrier_s / stream_s),
+        mined = supply_fields(stream_s, &stream_out),
+        known = supply_fields(known_s, &known_out),
+        known_speedup = claim_f64(cores, "known_supply_speedup", stream_s / known_s),
     );
 
-    eprintln!("bgg_dsd_bench: {:.2}x streaming vs barrier", barrier_s / stream_s);
+    eprintln!(
+        "bgg_dsd_bench: {:.2}x streaming vs barrier, {:.2}x known vs mined supply",
+        barrier_s / stream_s,
+        stream_s / known_s
+    );
     emit("bgg_dsd", &json, args.smoke);
 }

@@ -1,22 +1,40 @@
 //! Phase 3 — bipartite graph generation (Section IV-C).
 //!
-//! For each connected component the dense-subgraph stage needs the *full*
-//! similarity graph among its members — the CCD phase stops aligning a
-//! pair as soon as its endpoints are co-clustered, so its edge list is a
-//! spanning subset, not the whole graph. As in the paper, this phase runs
-//! a modified PaCE pass per component that applies only the maximal-match
-//! heuristic (no transitive-closure skipping) and verifies every promising
-//! pair.
+//! The dense-subgraph stage needs the *full* similarity graph among a
+//! component's members, and CCD stops aligning a pair once its ends are
+//! co-clustered. But CCD sees every ψ_ccd pair of the run and leaves each
+//! as exactly one of an *edge* (aligned, accepted), *rejected* (aligned,
+//! refused) or *deferred* (dropped by the closure filter unaligned — both
+//! ends in one final component). So for a component C
+//!
+//! ```text
+//! edges(C) = CCD's edges inside C  ∪  { p ∈ deferred(C) : verdict(p) }
+//! ```
+//!
+//! and [`KnownPairs`] builds the graphs from exactly that: only deferred
+//! pairs are verified, by the run's pair ledger where RR already filled
+//! them and by one fill otherwise. A caller with no CCD bookkeeping — a
+//! bare member list, or a sketch-mode run whose CCD stream is not the
+//! ψ_ccd set — gets its pairs from a suffix index of the component alone
+//! ([`component_graph`]), every promising pair verified. Both supplies
+//! feed one loop that verifies in fixed slices.
+
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
 use pfam_graph::CsrGraph;
-use pfam_seq::{materialize_subset, SeqId, SeqStore};
-use pfam_suffix::{maximal::all_pairs, with_match_tree};
+use pfam_seq::{materialize_subset, SeqId, SeqStore, SubsetStore};
+use pfam_suffix::{estimated_index_bytes, with_match_tree, MaximalMatchGenerator};
 
 use crate::config::ClusterConfig;
-use crate::core::{Candidate, CorePhase, Verifier};
+use crate::core::{CorePhase, Verifier};
+use crate::ledger::PairLedger;
 use crate::trace::{BatchRecord, PhaseTrace};
+
+/// Pairs verified at a time: what sits between a pair supply and the
+/// edge list is this much, whatever the component's size.
+const VERIFY_SLICE: usize = 4096;
 
 /// The similarity graph of one connected component.
 #[derive(Debug, Clone)]
@@ -34,35 +52,53 @@ impl ComponentGraph {
     }
 }
 
-/// Reusable per-worker buffers for repeated [`component_graph_with`]
-/// calls: candidate pairs, accepted edges, and the CSR pair staging area.
-/// Grow-only, so a worker processing components largest-first allocates
-/// only on its first (largest) component.
+/// Reusable per-worker buffers for repeated graph builds: the slice being
+/// verified, accepted edges, and the CSR pair staging area. Grow-only, so
+/// a worker processing components largest-first allocates only on its
+/// first (largest) component.
 #[derive(Debug, Default)]
 pub struct BggScratch {
-    candidates: Vec<Candidate>,
+    slice: Vec<(u32, u32)>,
     edges: Vec<(u32, u32)>,
     csr_pairs: Vec<(u32, u32)>,
 }
 
 impl BggScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> BggScratch {
-        BggScratch::default()
+    /// Verify `pairs` over `set` slice by slice: each slice's work is
+    /// folded into `record` and its accepted pairs — as the `local` index
+    /// of each end — into the edge list before the next slice is drawn.
+    fn verify(
+        &mut self,
+        verifier: &Verifier,
+        set: &dyn SeqStore,
+        pairs: &mut impl Iterator<Item = (u32, u32)>,
+        local: impl Fn(u32) -> u32,
+        record: &mut BatchRecord,
+    ) {
+        loop {
+            self.slice.clear();
+            self.slice.extend(pairs.by_ref().take(VERIFY_SLICE));
+            if self.slice.is_empty() {
+                return;
+            }
+            record.n_generated += self.slice.len();
+            for v in verifier.verify_par(set, &self.slice) {
+                record.note_verdict(&v);
+                if v.accept {
+                    self.edges.push((local(v.a), local(v.b)));
+                }
+            }
+        }
     }
 
-    /// Bytes currently held by the grow-only buffers — what this scratch
-    /// contributes when an executor registers its arenas against a
-    /// [`pfam_seq::MemoryBudget`]. Capacity, not length: the arena keeps
-    /// its high-water allocation across components.
-    pub fn footprint_bytes(&self) -> u64 {
-        (self.candidates.capacity() * std::mem::size_of::<Candidate>()) as u64
-            + (self.edges.capacity() * std::mem::size_of::<(u32, u32)>()) as u64
-            + (self.csr_pairs.capacity() * std::mem::size_of::<(u32, u32)>()) as u64
+    /// The graph of the edges gathered over `members`.
+    fn finish(&mut self, members: Vec<SeqId>) -> ComponentGraph {
+        let graph = CsrGraph::from_edges_reusing(members.len(), &self.edges, &mut self.csr_pairs);
+        ComponentGraph { graph, members }
     }
 }
 
-/// Build the similarity graph of one component.
+/// Build the similarity graph of one component from its members alone.
 ///
 /// Returns the graph plus the alignment work performed (for the trace).
 pub fn component_graph(
@@ -70,13 +106,16 @@ pub fn component_graph(
     members: &[SeqId],
     config: &ClusterConfig,
 ) -> (ComponentGraph, BatchRecord) {
-    component_graph_with(set, members, config, &mut BggScratch::new())
+    component_graph_with(set, members, config, &mut BggScratch::default())
 }
 
 /// [`component_graph`] through a worker's [`BggScratch`] — identical
-/// output, no per-component buffer allocation at steady state. (The
-/// suffix index itself is rebuilt per component: its arrays are sized by
-/// the component's residues and owned by the `GeneralizedSuffixArray`.)
+/// output, no per-component buffer allocation at steady state. The
+/// members are indexed on their own (local ids `0..k`, materialized
+/// through the store trait so a paged store reads just this component's
+/// pages; a refused `bgg-gsa` reservation degrades to accounting-only) and
+/// every ψ_ccd pair of that index is verified: a modified PaCE pass with
+/// the maximal-match heuristic and no closure filter, as in the paper.
 pub fn component_graph_with(
     set: &dyn SeqStore,
     members: &[SeqId],
@@ -85,62 +124,125 @@ pub fn component_graph_with(
 ) -> (ComponentGraph, BatchRecord) {
     let mut sorted: Vec<SeqId> = members.to_vec();
     sorted.sort_unstable();
-    if sorted.len() <= 1 {
-        return (
-            ComponentGraph { graph: CsrGraph::from_edges(sorted.len(), &[]), members: sorted },
-            BatchRecord::default(),
-        );
-    }
-    // Index only the component members (local ids 0..k): materialized
-    // through the store trait, so a paged store reads just this
-    // component's pages. The per-component GSA registers against the
-    // budget; components are small relative to the index plane's chunks,
-    // so a refused reservation degrades to accounting-only (BGG never
-    // aborts mid-pipeline — the budgeted entry's feasibility check is the
-    // fallible surface).
-    let subset = materialize_subset(set, &sorted);
-    let _gsa_held = config
-        .mem
-        .budget
-        .try_reserve(
-            "bgg-gsa",
-            pfam_suffix::estimated_index_bytes(subset.total_residues(), subset.len()),
-        )
-        .ok();
-    // One thread: components already run side by side in the back half.
-    let pairs = with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, all_pairs);
-    let n_generated = pairs.len();
-    scratch.candidates.clear();
-    scratch.candidates.extend(pairs.iter().map(|p| Candidate { a: p.a, b: p.b }));
-    let verifier = Verifier::new(config, CorePhase::Ccd);
-    let verdicts = verifier.verify_par(&subset, &scratch.candidates);
+    let mut record = BatchRecord::default();
     scratch.edges.clear();
-    let mut task_cells = Vec::with_capacity(verdicts.len());
-    let (mut cells_computed, mut cells_skipped) = (0u64, 0u64);
-    for v in verdicts {
-        task_cells.push(v.cells);
-        cells_computed += v.cells_computed;
-        cells_skipped += v.cells_skipped;
-        if v.accept {
-            scratch.edges.push((v.a, v.b));
-        }
+    if sorted.len() > 1 {
+        let subset = materialize_subset(set, &sorted);
+        let index_bytes = estimated_index_bytes(subset.total_residues(), subset.len());
+        let _gsa_held = config.mem.budget.try_reserve("bgg-gsa", index_bytes).ok();
+        let verifier = Verifier::new(config, CorePhase::Ccd);
+        // One thread: components already run side by side in the back half.
+        with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, |tree, matches| {
+            let mut pairs = MaximalMatchGenerator::new(tree, matches).map(|p| (p.a.0, p.b.0));
+            scratch.verify(&verifier, &subset, &mut pairs, |local| local, &mut record)
+        });
     }
-    let record = BatchRecord {
-        n_generated,
-        n_aligned: task_cells.len(),
-        align_cells: task_cells.iter().sum(),
-        task_cells,
-        cells_computed,
-        cells_skipped,
-        ..BatchRecord::default()
-    };
-    let graph = CsrGraph::from_edges_reusing(sorted.len(), &scratch.edges, &mut scratch.csr_pairs);
-    (ComponentGraph { graph, members: sorted }, record)
+    (scratch.finish(sorted), record)
 }
 
-/// Build similarity graphs for every component with ≥ `min_size` members,
-/// in parallel across components. Returns the graphs plus a combined
-/// trace.
+/// What a finished front half knows about the ψ_ccd pairs inside its
+/// components — the back half's pair supply when CCD mined the exact
+/// stream. Ids are CCD's: position `i` of RR's kept list.
+pub struct KnownPairs<'a> {
+    /// RR's survivors under those ids.
+    store: SubsetStore<'a>,
+    /// CCD's criterion, answered from RR's ledger where it can be.
+    verifier: Verifier,
+    components: &'a [Vec<SeqId>],
+    /// Id → rank among its component's members.
+    local_of: Vec<u32>,
+    /// CCD's accepted edges and the pairs it deferred.
+    edges: ByComponent,
+    deferred: ByComponent,
+}
+
+/// Pairs sorted by the component their ends share: component `c` owns
+/// `pairs[ends[c - 1]..ends[c]]`.
+struct ByComponent {
+    pairs: Vec<(u32, u32)>,
+    ends: Vec<usize>,
+}
+
+impl ByComponent {
+    /// Group `pairs` over `n` components, dropping repeats (and any pair a
+    /// damaged checkpoint put across two components).
+    fn new(mut pairs: Vec<(u32, u32)>, comp_of: &[u32], n: usize) -> ByComponent {
+        pairs.retain(|&(a, b)| comp_of[a as usize] == comp_of[b as usize]);
+        pairs.sort_unstable_by_key(|&(a, b)| (comp_of[a as usize], a, b));
+        pairs.dedup();
+        let mut ends = vec![0usize; n];
+        for &(a, _) in &pairs {
+            ends[comp_of[a as usize] as usize] += 1;
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            total += *end;
+            *end = total;
+        }
+        ByComponent { pairs, ends }
+    }
+
+    fn of(&self, c: usize) -> &[(u32, u32)] {
+        &self.pairs[c.checked_sub(1).map_or(0, |prev| self.ends[prev])..self.ends[c]]
+    }
+}
+
+impl<'a> KnownPairs<'a> {
+    /// Gather what CCD left over the reads `kept` of `input`: its
+    /// `components` and accepted `edges`, and the `deferred` pairs it never
+    /// aligned. `ledger` is RR's, over the same ids.
+    pub fn new(
+        input: &'a dyn SeqStore,
+        config: &ClusterConfig,
+        kept: &[SeqId],
+        ledger: &Arc<PairLedger>,
+        components: &'a [Vec<SeqId>],
+        edges: &[(SeqId, SeqId)],
+        deferred: Vec<(u32, u32)>,
+    ) -> KnownPairs<'a> {
+        let (mut comp_of, mut local_of) = (vec![0u32; kept.len()], vec![0u32; kept.len()]);
+        for (c, members) in components.iter().enumerate() {
+            for (local, id) in members.iter().enumerate() {
+                comp_of[id.index()] = c as u32;
+                local_of[id.index()] = local as u32;
+            }
+        }
+        let edges = edges.iter().map(|&(a, b)| (a.0, b.0)).collect();
+        KnownPairs {
+            store: SubsetStore::new(input, kept.to_vec()),
+            verifier: Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone()),
+            components,
+            local_of,
+            edges: ByComponent::new(edges, &comp_of, components.len()),
+            deferred: ByComponent::new(deferred, &comp_of, components.len()),
+        }
+    }
+
+    /// Deferred pairs inside component `c` — the work its graph costs.
+    pub fn n_deferred(&self, c: usize) -> usize {
+        self.deferred.of(c).len()
+    }
+
+    /// The similarity graph of component `c` (members as `input` ids):
+    /// CCD's edges inside it plus its deferred pairs that verify.
+    pub fn component_graph(
+        &self,
+        c: usize,
+        scratch: &mut BggScratch,
+    ) -> (ComponentGraph, BatchRecord) {
+        let local = |id: u32| self.local_of[id as usize];
+        scratch.edges.clear();
+        scratch.edges.extend(self.edges.of(c).iter().map(|&(a, b)| (local(a), local(b))));
+        let mut record = BatchRecord::default();
+        let mut pairs = self.deferred.of(c).iter().copied();
+        scratch.verify(&self.verifier, &self.store, &mut pairs, local, &mut record);
+        let members = self.components[c].iter().map(|&id| self.store.original_id(id)).collect();
+        (scratch.finish(members), record)
+    }
+}
+
+/// [`component_graph`] for every component with ≥ `min_size` members, in
+/// parallel across components: the graphs plus a combined trace.
 pub fn all_component_graphs(
     set: &dyn SeqStore,
     components: &[Vec<SeqId>],
@@ -148,22 +250,12 @@ pub fn all_component_graphs(
     config: &ClusterConfig,
 ) -> (Vec<ComponentGraph>, PhaseTrace) {
     let selected: Vec<&Vec<SeqId>> = components.iter().filter(|c| c.len() >= min_size).collect();
-    let results: Vec<(ComponentGraph, BatchRecord)> =
+    let built: Vec<_> =
         selected.par_iter().map(|members| component_graph(set, members, config)).collect();
-    let mut graphs = Vec::with_capacity(results.len());
-    let mut trace = PhaseTrace {
-        index_residues: selected
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|&id| set.seq_len(id) as u64)
-            .sum(),
-        ..PhaseTrace::default()
-    };
-    for (g, record) in results {
-        graphs.push(g);
-        trace.batches.push(record);
-    }
-    (graphs, trace)
+    let (graphs, batches) = built.into_iter().unzip();
+    let index_residues =
+        selected.iter().flat_map(|c| c.iter()).map(|&id| set.seq_len(id) as u64).sum();
+    (graphs, PhaseTrace { index_residues, batches, ..PhaseTrace::default() })
 }
 
 #[cfg(test)]
@@ -186,41 +278,24 @@ mod tests {
     const FAM: &str = "MKVLWAAKNDCQEGHILKMFPSTWYV";
 
     #[test]
-    fn clique_for_identical_members() {
-        let set = set_of(&[FAM, FAM, FAM, FAM]);
-        let members: Vec<SeqId> = set.ids().collect();
-        let (cg, record) = component_graph(&set, &members, &config());
-        assert_eq!(cg.graph.n_vertices(), 4);
-        assert_eq!(cg.graph.n_edges(), 6, "identical members form a clique");
-        assert!(record.n_aligned >= 6);
-    }
-
-    #[test]
     fn full_edge_set_exceeds_ccd_spanning_edges() {
         // CCD stops aligning once merged; BGG must find *all* edges.
-        let seqs = vec![FAM; 8];
-        let set = set_of(&seqs);
+        let set = set_of(&[FAM; 8]);
         let ccd = crate::ccd::run_ccd(&set, &crate::ClusterConfig { batch_size: 4, ..config() });
         assert_eq!(ccd.components.len(), 1);
-        let (cg, _) = component_graph(&set, &ccd.components[0], &config());
+        let (cg, record) = component_graph(&set, &ccd.components[0], &config());
         assert_eq!(cg.graph.n_edges(), 28, "all C(8,2) edges");
         assert!(ccd.edges.len() < 28, "CCD found only spanning edges");
+        assert_eq!((record.n_generated, record.n_aligned), (28, 28));
     }
 
     #[test]
-    fn singleton_component() {
-        let set = set_of(&[FAM]);
-        let (cg, record) = component_graph(&set, &[SeqId(0)], &config());
-        assert_eq!(cg.graph.n_vertices(), 1);
-        assert_eq!(cg.graph.n_edges(), 0);
-        assert_eq!(record.n_aligned, 0);
-    }
-
-    #[test]
-    fn local_ids_map_back() {
+    fn singletons_and_unsorted_members() {
         let set = set_of(&["WWWWHHHHGGGGCCCC", FAM, FAM]);
-        let (cg, _) = component_graph(&set, &[SeqId(1), SeqId(2)], &config());
-        assert_eq!(cg.original_id(0), SeqId(1));
+        let (cg, record) = component_graph(&set, &[SeqId(0)], &config());
+        assert_eq!((cg.graph.n_vertices(), cg.graph.n_edges(), record.n_aligned), (1, 0, 0));
+        let (cg, _) = component_graph(&set, &[SeqId(2), SeqId(1)], &config());
+        assert_eq!(cg.members, vec![SeqId(1), SeqId(2)], "sorted whatever the input order");
         assert_eq!(cg.original_id(1), SeqId(2));
         assert!(cg.graph.has_edge(0, 1));
     }
@@ -232,30 +307,5 @@ mod tests {
         let (graphs, trace) = all_component_graphs(&set, &components, 2, &config());
         assert_eq!(graphs.len(), 1);
         assert_eq!(trace.batches.len(), 1);
-    }
-
-    #[test]
-    fn members_sorted_regardless_of_input_order() {
-        let set = set_of(&[FAM, FAM]);
-        let (cg, _) = component_graph(&set, &[SeqId(1), SeqId(0)], &config());
-        assert_eq!(cg.members, vec![SeqId(0), SeqId(1)]);
-    }
-
-    #[test]
-    fn scratch_reuse_is_identical_across_components() {
-        let set = set_of(&[FAM, FAM, FAM, FAM, "WWWWHHHHGGGGCCCC", FAM, FAM]);
-        let comps: Vec<Vec<SeqId>> = vec![
-            vec![SeqId(0), SeqId(1), SeqId(2), SeqId(3)],
-            vec![SeqId(5), SeqId(6)],
-            vec![SeqId(4)],
-        ];
-        let mut scratch = BggScratch::new();
-        for members in &comps {
-            let (want_cg, want_rec) = component_graph(&set, members, &config());
-            let (got_cg, got_rec) = component_graph_with(&set, members, &config(), &mut scratch);
-            assert_eq!(got_cg.members, want_cg.members);
-            assert_eq!(got_cg.graph, want_cg.graph);
-            assert_eq!(got_rec, want_rec);
-        }
     }
 }

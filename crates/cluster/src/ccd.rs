@@ -13,12 +13,15 @@
 //! [`crate::policy::BatchedPush`]; the entry points here are thin
 //! compositions of core + [`crate::source::PairSource`] + policy.
 
+use std::sync::Arc;
+
 use pfam_seq::{SeqId, SeqStore};
 
 pub use crate::core::CcdCursor;
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
+use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
 use crate::source::{with_source_pinned, IterSource, SharedIndex};
 use crate::trace::PhaseTrace;
@@ -31,6 +34,11 @@ pub struct CcdResult {
     pub components: Vec<Vec<SeqId>>,
     /// Edges whose overlap test passed, in verification order.
     pub edges: Vec<(SeqId, SeqId)>,
+    /// Pairs the closure filter dropped without a verdict, in arrival
+    /// order: both ends lie in one component, whether they overlap is
+    /// open. With `edges` and the pairs aligned and refused, these
+    /// partition the generated stream.
+    pub deferred: Vec<(u32, u32)>,
     /// Cluster merges performed (≤ `edges.len()`).
     pub n_merges: usize,
     /// Work trace for the performance model.
@@ -62,7 +70,7 @@ pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
     if config.shard.enabled() {
         return crate::shard::run_ccd_sharded(set, config).result;
     }
-    run_ccd_resumable(set, config, None, 0, &mut |_| {})
+    run_ccd_resumable(set, config, &Arc::default(), None, 0, &mut |_| {})
 }
 
 /// [`run_ccd`] with checkpoint/restart hooks: optionally resume from a
@@ -70,14 +78,17 @@ pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
 /// `checkpoint_every` batches (0 disables emission). The final result is
 /// identical to the uninterrupted [`run_ccd`] — the checkpoint/resume
 /// integration tests assert this batch boundary by batch boundary.
+/// Candidates `ledger` answers (RR's, over this `set`'s ids; the empty
+/// ledger answers none) are not aligned again.
 pub fn run_ccd_resumable(
     set: &dyn SeqStore,
     config: &ClusterConfig,
+    ledger: &Arc<PairLedger>,
     resume: Option<CcdCursor>,
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&CcdCursor),
 ) -> CcdResult {
-    ccd_over(set, config, None, resume, checkpoint_every, on_checkpoint)
+    ccd_over(set, config, None, ledger, resume, checkpoint_every, on_checkpoint)
 }
 
 /// [`run_ccd_resumable`], mining `shared` when the run holds an index of
@@ -86,6 +97,7 @@ pub(crate) fn ccd_over(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     shared: Option<&SharedIndex<'_>>,
+    ledger: &Arc<PairLedger>,
     resume: Option<CcdCursor>,
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&CcdCursor),
@@ -108,7 +120,7 @@ pub(crate) fn ccd_over(
             }
             None => ClusterCore::new_ccd(set),
         };
-        let verifier = Verifier::new(config, CorePhase::Ccd);
+        let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
         // Stamp the settled plan into every emitted cursor — the other
         // half of the pin.
         let mut stamped = |cursor: &CcdCursor| {
@@ -144,7 +156,7 @@ pub fn run_ccd_from_pairs(
     }
     let mut source = IterSource::new(pairs.into_iter());
     if config.shard.enabled() {
-        return crate::shard::shard_plane(set, config, &mut source).result;
+        return crate::shard::shard_plane(set, config, &Arc::default(), &mut source).result;
     }
     let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd);
@@ -293,7 +305,9 @@ mod tests {
 
         // Capture a cursor at every batch boundary.
         let mut cursors = Vec::new();
-        let observed = run_ccd_resumable(&d.set, &cfg, None, 1, &mut |c| cursors.push(c.clone()));
+        let observed = run_ccd_resumable(&d.set, &cfg, &Arc::default(), None, 1, &mut |c| {
+            cursors.push(c.clone())
+        });
         assert_eq!(observed.components, full.components);
         assert_eq!(observed.edges, full.edges);
         assert_eq!(observed.trace, full.trace);
@@ -302,7 +316,8 @@ mod tests {
         // Resuming from any of them must replay to the identical result.
         let step = (cursors.len() / 4).max(1);
         for cursor in cursors.into_iter().step_by(step) {
-            let resumed = run_ccd_resumable(&d.set, &cfg, Some(cursor), 0, &mut |_| {});
+            let resumed =
+                run_ccd_resumable(&d.set, &cfg, &Arc::default(), Some(cursor), 0, &mut |_| {});
             assert_eq!(resumed.components, full.components);
             assert_eq!(resumed.edges, full.edges);
             assert_eq!(resumed.n_merges, full.n_merges);

@@ -15,11 +15,13 @@
 //!   redundancy marks (RR); no other module in this crate mutates a
 //!   [`UnionFind`] (`scripts/tier1.sh` greps for violations);
 //! * the **pair filter** — [`ClusterCore::admit_batch`] applies the
-//!   transitive-closure (CCD) or redundancy (RR) filter and records the
-//!   generated/filtered counts;
+//!   transitive-closure (CCD) or redundancy (RR) filter, records the
+//!   generated/filtered counts, and keeps the pairs the closure filter
+//!   drops (*deferred*: never aligned, both ends in one final component);
 //! * the **accept/reject bookkeeping** — [`ClusterCore::absorb`] applies
-//!   verdicts (merges, redundancy marks, accepted edges) and the per-batch
-//!   work trace in one place;
+//!   verdicts (merges, redundancy marks, accepted edges, RR's
+//!   [`PairLedger`] of overlap answers) and the per-batch work trace in
+//!   one place;
 //! * the **checkpoint cursor** — [`ClusterCore::cursor`] snapshots the
 //!   exact mid-phase state that [`CcdCursor`] serializes, and
 //!   [`ClusterCore::resume_ccd`] restores it for deterministic replay.
@@ -31,12 +33,16 @@
 //! public `run_*` entry point is a thin composition of those pieces; a new
 //! execution mode is one new trait impl, not a new driver.
 
+use std::sync::Arc;
+
+use pfam_align::PairQuery;
 use pfam_graph::UnionFind;
-use pfam_seq::{SeqId, SeqStore};
+use pfam_seq::{MemoryBudget, SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
+use crate::ledger::PairLedger;
 use crate::rr::RrResult;
 use crate::trace::{BatchRecord, PhaseTrace};
 
@@ -50,20 +56,10 @@ pub enum CorePhase {
     Ccd,
 }
 
-/// A pair that survived the filter and awaits verification.
-///
-/// In CCD mode `a`/`b` are the pair as generated; in RR mode the core has
-/// *oriented* the pair so `a` is the candidate-to-remove and `b` its
-/// potential container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// First sequence (CCD: lower id of the pair; RR: removal candidate).
-    pub a: SeqId,
-    /// Second sequence (CCD: higher id; RR: potential container).
-    pub b: SeqId,
-}
-
-/// The outcome of verifying one [`Candidate`].
+/// The outcome of verifying one candidate — a pair that survived the
+/// filter, as the transports carry it: `(a, b)` sequence ids, in CCD the
+/// pair as generated (`a < b`), in RR *oriented* so `a` is the
+/// candidate-to-remove and `b` its potential container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verdict {
     /// First sequence id (matches the candidate's `a`).
@@ -72,6 +68,12 @@ pub struct Verdict {
     pub b: u32,
     /// Whether the phase's acceptance criterion passed.
     pub accept: bool,
+    /// The pair's Definition-2 answer off the same fill (in CCD this is
+    /// `accept`; in RR it is what the ledger keeps).
+    pub overlap: bool,
+    /// Answered by the [`PairLedger`]: nothing was filled and the cell
+    /// counts below are zero.
+    pub ledger_hit: bool,
     /// Full `m·n` DP rectangle of the pair (the simulator's work unit).
     pub cells: u64,
     /// DP cells the alignment engine actually evaluated.
@@ -84,8 +86,8 @@ pub struct Verdict {
 /// and all mutation goes through [`ClusterCore`].
 #[derive(Debug)]
 enum ModeState {
-    Ccd { uf: UnionFind, edges: Vec<(SeqId, SeqId)>, n_merges: usize },
-    Rr { redundant: Vec<Option<SeqId>>, removed: Vec<(SeqId, SeqId)> },
+    Ccd { uf: UnionFind, edges: Vec<(SeqId, SeqId)>, deferred: Vec<(u32, u32)>, n_merges: usize },
+    Rr { redundant: Vec<Option<SeqId>>, removed: Vec<(SeqId, SeqId)>, ledger: Option<PairLedger> },
 }
 
 /// Mid-phase CCD state at a batch boundary: everything the clustering loop
@@ -115,6 +117,8 @@ pub struct CcdCursor {
     pub uf_rank: Vec<u8>,
     /// Accepted edges so far, in verification order.
     pub edges: Vec<(u32, u32)>,
+    /// Pairs the closure filter dropped so far, in arrival order.
+    pub deferred: Vec<(u32, u32)>,
     /// Merges so far.
     pub n_merges: usize,
     /// Work trace accumulated so far.
@@ -138,6 +142,7 @@ impl CcdCursor {
             uf_parent: parent.to_vec(),
             uf_rank: rank.to_vec(),
             edges: result.edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+            deferred: result.deferred.clone(),
             n_merges: result.n_merges,
             trace: result.trace.clone(),
         }
@@ -148,8 +153,8 @@ impl CcdCursor {
 /// tree of the sharded plane (`crate::shard`).
 ///
 /// The forest travels as the [`UnionFind::parts`] arrays plus the
-/// shard's accepted edges. Folding one forest into another unions every
-/// element with its exported parent — each union either merges two sets
+/// shard's accepted edges and deferred pairs. Folding one forest into
+/// another unions every element with its exported parent — each union either merges two sets
 /// or is a no-op, so the final partition is the transitive closure of
 /// all accepted edges regardless of merge order or tree shape. That is
 /// the bit-identity argument the driver matrix pins.
@@ -161,6 +166,8 @@ pub struct ShardForest {
     pub rank: Vec<u8>,
     /// Accepted edges, in this shard's verification order.
     pub edges: Vec<(u32, u32)>,
+    /// Pairs this shard's closure filter dropped, in arrival order.
+    pub deferred: Vec<(u32, u32)>,
 }
 
 /// The clustering state machine. See the module docs for the contract.
@@ -187,7 +194,12 @@ impl<'s> ClusterCore<'s> {
     pub fn new_ccd(set: &'s dyn SeqStore) -> ClusterCore<'s> {
         ClusterCore {
             set,
-            state: ModeState::Ccd { uf: UnionFind::new(set.len()), edges: Vec::new(), n_merges: 0 },
+            state: ModeState::Ccd {
+                uf: UnionFind::new(set.len()),
+                edges: Vec::new(),
+                deferred: Vec::new(),
+                n_merges: 0,
+            },
             trace: PhaseTrace {
                 index_residues: set.total_residues() as u64,
                 ..PhaseTrace::default()
@@ -196,11 +208,16 @@ impl<'s> ClusterCore<'s> {
         }
     }
 
-    /// Fresh RR state: no sequence marked redundant.
+    /// Fresh RR state: no sequence marked redundant, no overlap answer
+    /// kept (see [`ClusterCore::record_ledger`]).
     pub fn new_rr(set: &'s dyn SeqStore) -> ClusterCore<'s> {
         ClusterCore {
             set,
-            state: ModeState::Rr { redundant: vec![None; set.len()], removed: Vec::new() },
+            state: ModeState::Rr {
+                redundant: vec![None; set.len()],
+                removed: Vec::new(),
+                ledger: None,
+            },
             trace: PhaseTrace {
                 index_residues: set.total_residues() as u64,
                 ..PhaseTrace::default()
@@ -218,10 +235,20 @@ impl<'s> ClusterCore<'s> {
             state: ModeState::Ccd {
                 uf: UnionFind::from_parts(cursor.uf_parent, cursor.uf_rank),
                 edges: cursor.edges.iter().map(|&(a, b)| (SeqId(a), SeqId(b))).collect(),
+                deferred: cursor.deferred,
                 n_merges: cursor.n_merges,
             },
             trace: cursor.trace,
             pairs_consumed: cursor.pairs_consumed,
+        }
+    }
+
+    /// Keep the overlap answer of every pair this RR core absorbs, in a
+    /// [`PairLedger`] reserved on `budget` (RR only — panics on a CCD core).
+    pub fn record_ledger(&mut self, budget: &MemoryBudget) {
+        match &mut self.state {
+            ModeState::Rr { ledger, .. } => *ledger = Some(PairLedger::recording(budget)),
+            ModeState::Ccd { .. } => panic!("pair ledgers are recorded by the RR phase"),
         }
     }
 
@@ -243,40 +270,39 @@ impl<'s> ClusterCore<'s> {
         self.pairs_consumed
     }
 
-    /// Filter one pair against the current state, without recording
-    /// anything. `None` means the pair is already resolved.
-    fn filter(state: &mut ModeState, set: &dyn SeqStore, p: &MatchPair) -> Option<Candidate> {
-        match state {
-            ModeState::Ccd { uf, .. } => {
-                if uf.same(p.a.0, p.b.0) {
-                    None
-                } else {
-                    Some(Candidate { a: p.a, b: p.b })
+    /// Admit a generated batch: open a new trace record with the
+    /// generated/filtered counts and return the candidates that survive
+    /// the filter. CCD drops — and keeps as *deferred* — every pair whose
+    /// ends are already co-clustered; RR orients each pair
+    /// `(candidate, container)` and drops it when either is marked.
+    pub fn admit_batch(&mut self, pairs: &[MatchPair]) -> Vec<(u32, u32)> {
+        self.pairs_consumed += pairs.len() as u64;
+        let mut candidates = Vec::new();
+        match &mut self.state {
+            ModeState::Ccd { uf, deferred, .. } => {
+                for p in pairs {
+                    let pair = (p.a.0, p.b.0);
+                    if uf.same(pair.0, pair.1) { &mut *deferred } else { &mut candidates }
+                        .push(pair);
                 }
             }
             ModeState::Rr { redundant, .. } => {
-                // Orient: the containment candidate is the shorter sequence,
-                // ties toward the higher id so results do not depend on
-                // generation order.
-                let (la, lb) = (set.seq_len(p.a), set.seq_len(p.b));
-                let (cand, container) =
-                    if la < lb || (la == lb && p.a.0 > p.b.0) { (p.a, p.b) } else { (p.b, p.a) };
-                if redundant[cand.index()].is_some() || redundant[container.index()].is_some() {
-                    None
-                } else {
-                    Some(Candidate { a: cand, b: container })
+                for p in pairs {
+                    // The containment candidate is the shorter sequence,
+                    // ties toward the higher id so results do not depend on
+                    // generation order.
+                    let (la, lb) = (self.set.seq_len(p.a), self.set.seq_len(p.b));
+                    let (cand, container) = if la < lb || (la == lb && p.a.0 > p.b.0) {
+                        (p.a, p.b)
+                    } else {
+                        (p.b, p.a)
+                    };
+                    if redundant[cand.index()].is_none() && redundant[container.index()].is_none() {
+                        candidates.push((cand.0, container.0));
+                    }
                 }
             }
         }
-    }
-
-    /// Admit a generated batch: open a new trace record with the
-    /// generated/filtered counts and return the candidates that survive
-    /// the filter (orientation included, in RR mode).
-    pub fn admit_batch(&mut self, pairs: &[MatchPair]) -> Vec<Candidate> {
-        self.pairs_consumed += pairs.len() as u64;
-        let candidates: Vec<Candidate> =
-            pairs.iter().filter_map(|p| Self::filter(&mut self.state, self.set, p)).collect();
         self.trace.batches.push(BatchRecord {
             n_generated: pairs.len(),
             n_filtered: pairs.len() - candidates.len(),
@@ -289,44 +315,43 @@ impl<'s> ClusterCore<'s> {
     /// most recent trace record, and apply every accepted verdict (cluster
     /// merge in CCD, redundancy mark in RR).
     pub fn absorb(&mut self, verdicts: impl IntoIterator<Item = Verdict>) {
-        let mut task_cells = Vec::new();
-        let (mut computed, mut skipped) = (0u64, 0u64);
+        let mut last = self.trace.batches.last_mut();
+        let mut answers = Vec::new();
         for v in verdicts {
-            task_cells.push(v.cells);
-            computed += v.cells_computed;
-            skipped += v.cells_skipped;
-            if v.accept {
-                match &mut self.state {
-                    ModeState::Ccd { uf, edges, n_merges } => {
+            if let Some(last) = last.as_deref_mut() {
+                last.note_verdict(&v);
+            }
+            match &mut self.state {
+                ModeState::Ccd { uf, edges, n_merges, .. } => {
+                    if v.accept {
                         edges.push((SeqId(v.a), SeqId(v.b)));
                         if uf.union(v.a, v.b) {
                             *n_merges += 1;
                         }
                     }
-                    ModeState::Rr { redundant, removed } => {
-                        // First containment wins; later verdicts against an
-                        // already-removed candidate are no-ops.
-                        if redundant[v.a as usize].is_none() {
-                            redundant[v.a as usize] = Some(SeqId(v.b));
-                            removed.push((SeqId(v.a), SeqId(v.b)));
-                        }
+                }
+                ModeState::Rr { redundant, removed, ledger } => {
+                    if ledger.is_some() {
+                        answers.push((v.a, v.b, v.overlap));
+                    }
+                    // First containment wins; later verdicts against an
+                    // already-removed candidate are no-ops.
+                    if v.accept && redundant[v.a as usize].is_none() {
+                        redundant[v.a as usize] = Some(SeqId(v.b));
+                        removed.push((SeqId(v.a), SeqId(v.b)));
                     }
                 }
             }
         }
-        if let Some(last) = self.trace.batches.last_mut() {
-            last.n_aligned += task_cells.len();
-            last.align_cells += task_cells.iter().sum::<u64>();
-            last.task_cells.extend(task_cells);
-            last.cells_computed += computed;
-            last.cells_skipped += skipped;
+        if let ModeState::Rr { ledger: Some(ledger), .. } = &mut self.state {
+            ledger.record(&answers);
         }
     }
 
     /// Snapshot the mid-phase state as a checkpoint cursor (CCD only).
     pub fn cursor(&self) -> CcdCursor {
         match &self.state {
-            ModeState::Ccd { uf, edges, n_merges } => {
+            ModeState::Ccd { uf, edges, deferred, n_merges } => {
                 let (parent, rank) = uf.parts();
                 CcdCursor {
                     pairs_consumed: self.pairs_consumed,
@@ -334,6 +359,7 @@ impl<'s> ClusterCore<'s> {
                     uf_parent: parent.to_vec(),
                     uf_rank: rank.to_vec(),
                     edges: edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                    deferred: deferred.clone(),
                     n_merges: *n_merges,
                     trace: self.trace.clone(),
                 }
@@ -347,12 +373,13 @@ impl<'s> ClusterCore<'s> {
     /// [`ClusterCore::cursor`]).
     pub fn export_forest(&self) -> ShardForest {
         match &self.state {
-            ModeState::Ccd { uf, edges, .. } => {
+            ModeState::Ccd { uf, edges, deferred, .. } => {
                 let (parent, rank) = uf.parts();
                 ShardForest {
                     parent: parent.to_vec(),
                     rank: rank.to_vec(),
                     edges: edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                    deferred: deferred.clone(),
                 }
             }
             ModeState::Rr { .. } => panic!("shard forests exist only for the CCD phase"),
@@ -361,14 +388,14 @@ impl<'s> ClusterCore<'s> {
 
     /// Fold a peer shard's exported forest into this core (CCD only):
     /// union every element with its exported parent and append the
-    /// peer's accepted edges. Successful unions count toward `n_merges`,
-    /// so after a full merge tree the counter equals the single-master
+    /// peer's accepted edges and deferred pairs. Successful unions count
+    /// toward `n_merges`, so after a full merge tree the counter equals the single-master
     /// value — both are `n − final component count`, because every
     /// successful union shrinks the set count by exactly one from the
     /// same `n` singletons.
     pub fn merge_forest(&mut self, peer: &ShardForest) {
         match &mut self.state {
-            ModeState::Ccd { uf, edges, n_merges } => {
+            ModeState::Ccd { uf, edges, deferred, n_merges } => {
                 assert_eq!(
                     peer.parent.len(),
                     uf.len(),
@@ -380,6 +407,7 @@ impl<'s> ClusterCore<'s> {
                     }
                 }
                 edges.extend(peer.edges.iter().map(|&(a, b)| (SeqId(a), SeqId(b))));
+                deferred.extend_from_slice(&peer.deferred);
             }
             ModeState::Rr { .. } => panic!("shard forests exist only for the CCD phase"),
         }
@@ -416,6 +444,7 @@ impl CcdResult {
         CcdResult {
             components: Vec::new(),
             edges: Vec::new(),
+            deferred: Vec::new(),
             n_merges: 0,
             trace: PhaseTrace::default(),
         }
@@ -425,13 +454,14 @@ impl CcdResult {
     /// constructor every CCD driver funnels through.
     pub fn from_core(core: ClusterCore<'_>) -> CcdResult {
         match core.state {
-            ModeState::Ccd { mut uf, edges, n_merges } => CcdResult {
+            ModeState::Ccd { mut uf, edges, deferred, n_merges } => CcdResult {
                 components: uf
                     .groups()
                     .into_iter()
                     .map(|g| g.into_iter().map(SeqId).collect())
                     .collect(),
                 edges,
+                deferred,
                 n_merges,
                 trace: core.trace,
             },
@@ -450,6 +480,7 @@ impl CcdResult {
                 .map(|g| g.into_iter().map(SeqId).collect())
                 .collect(),
             edges: cursor.edges.iter().map(|&(a, b)| (SeqId(a), SeqId(b))).collect(),
+            deferred: cursor.deferred,
             n_merges: cursor.n_merges,
             trace: cursor.trace,
         }
@@ -459,56 +490,103 @@ impl CcdResult {
 impl RrResult {
     /// The empty RR outcome (empty input short-circuit).
     pub fn empty() -> RrResult {
-        RrResult { kept: Vec::new(), removed: Vec::new(), trace: PhaseTrace::default() }
+        RrResult {
+            kept: Vec::new(),
+            removed: Vec::new(),
+            ledger: Arc::default(),
+            trace: PhaseTrace::default(),
+        }
     }
 
-    /// Assemble the phase result from a finished core.
+    /// Assemble the phase result from a finished core; the ledger keeps
+    /// the pairs between two survivors, under their dense ids.
     pub fn from_core(core: ClusterCore<'_>) -> RrResult {
         match core.state {
-            ModeState::Rr { redundant, removed } => RrResult {
-                kept: (0..core.set.len() as u32)
-                    .map(SeqId)
-                    .filter(|id| redundant[id.index()].is_none())
-                    .collect(),
-                removed,
-                trace: core.trace,
-            },
+            ModeState::Rr { redundant, removed, ledger } => {
+                let mut kept = Vec::new();
+                let dense_of: Vec<u32> = redundant
+                    .iter()
+                    .enumerate()
+                    .map(|(id, container)| match container {
+                        Some(_) => u32::MAX,
+                        None => {
+                            kept.push(SeqId(id as u32));
+                            kept.len() as u32 - 1
+                        }
+                    })
+                    .collect();
+                let ledger = ledger.map(|l| l.sealed(&dense_of)).unwrap_or_default();
+                RrResult { kept, removed, ledger: Arc::new(ledger), trace: core.trace }
+            }
             ModeState::Ccd { .. } => panic!("RrResult::from_core on a CCD core"),
         }
     }
 }
 
 /// Verdict computation for one phase: the single place the alignment
-/// engine is consulted. `Sync`, so policies may share it across worker
-/// threads; each thread uses its own scratch arena inside the engine.
+/// engine — and, before it, the run's [`PairLedger`] — is consulted.
+/// `Sync`, so policies may share it across worker threads; each thread
+/// uses its own scratch arena inside the engine.
 pub struct Verifier {
     engine: pfam_align::AlignEngine,
     phase: CorePhase,
+    ledger: Arc<PairLedger>,
 }
 
 impl Verifier {
-    /// Build the verifier `config` selects for `phase`.
+    /// Build the verifier `config` selects for `phase`, knowing no answer
+    /// in advance.
     pub fn new(config: &ClusterConfig, phase: CorePhase) -> Verifier {
-        Verifier { engine: config.engine(), phase }
+        Verifier { engine: config.engine(), phase, ledger: Arc::default() }
     }
 
-    /// Verify one candidate. The residues come through
-    /// [`SeqStore::codes_cow`], so a paged store fetches exactly the two
-    /// sequences an alignment touches (the batch-fetch seam of the
-    /// out-of-core plane); the in-memory store borrows from its arena.
-    pub fn verdict(&self, set: &dyn SeqStore, c: &Candidate) -> Verdict {
-        let x = set.codes_cow(c.a);
-        let y = set.codes_cow(c.b);
-        let cells = (x.len() as u64) * (y.len() as u64);
-        let v = match self.phase {
-            CorePhase::Ccd => self.engine.overlaps(&x, &y, None),
-            CorePhase::Rr => self.engine.contained(&x, &y, None),
+    /// Answer from `ledger` what it holds (CCD's criterion only: the
+    /// ledger keeps overlap answers).
+    pub fn with_ledger(self, ledger: Arc<PairLedger>) -> Verifier {
+        Verifier { ledger, ..self }
+    }
+
+    /// Verify one candidate `(a, b)`. Every fill of a run aligns the lower
+    /// id as `x` — the traceback's tie-breaks are not
+    /// transposition-invariant, and a pair must mean one alignment
+    /// whichever phase fills it — so RR reads the containment of whichever
+    /// side its candidate `a` is, plus the overlap answer for the ledger.
+    /// The residues come through [`SeqStore::codes_cow`], so a paged store
+    /// fetches exactly the two sequences an alignment touches; the
+    /// in-memory store borrows from its arena.
+    pub fn verdict(&self, set: &dyn SeqStore, (a, b): (u32, u32)) -> Verdict {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if self.phase == CorePhase::Ccd {
+            if let Some(overlap) = self.ledger.lookup(lo, hi) {
+                return Verdict {
+                    a,
+                    b,
+                    accept: overlap,
+                    overlap,
+                    ledger_hit: true,
+                    cells: 0,
+                    cells_computed: 0,
+                    cells_skipped: 0,
+                };
+            }
+        }
+        let x = set.codes_cow(SeqId(lo));
+        let y = set.codes_cow(SeqId(hi));
+        let ask = match self.phase {
+            CorePhase::Ccd => PairQuery::OVERLAP,
+            CorePhase::Rr => PairQuery { x_in_y: a == lo, y_in_x: a != lo, overlap: true },
         };
+        let v = self.engine.judge(&x, &y, ask);
         Verdict {
-            a: c.a.0,
-            b: c.b.0,
-            accept: v.accept,
-            cells,
+            a,
+            b,
+            accept: match self.phase {
+                CorePhase::Ccd => v.overlap,
+                CorePhase::Rr => v.x_in_y || v.y_in_x,
+            },
+            overlap: v.overlap,
+            ledger_hit: false,
+            cells: (x.len() as u64) * (y.len() as u64),
             cells_computed: v.cells_computed,
             cells_skipped: v.cells_skipped,
         }
@@ -516,9 +594,9 @@ impl Verifier {
 
     /// Verify a candidate batch across the rayon pool (dispatch order is
     /// preserved in the output).
-    pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[Candidate]) -> Vec<Verdict> {
+    pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
         use rayon::prelude::*;
-        candidates.par_iter().map(|c| self.verdict(set, c)).collect()
+        candidates.par_iter().map(|&c| self.verdict(set, c)).collect()
     }
 }
 
@@ -540,7 +618,16 @@ mod tests {
     }
 
     fn accept(a: u32, b: u32) -> Verdict {
-        Verdict { a, b, accept: true, cells: 4, cells_computed: 4, cells_skipped: 0 }
+        Verdict {
+            a,
+            b,
+            accept: true,
+            overlap: true,
+            ledger_hit: false,
+            cells: 4,
+            cells_computed: 4,
+            cells_skipped: 0,
+        }
     }
 
     #[test]
@@ -552,13 +639,12 @@ mod tests {
         core.absorb(vec![accept(0, 1)]);
         // 0 and 1 are now co-clustered: the pair is filtered, 0–2 is not.
         let c = core.admit_batch(&[pair(0, 1), pair(0, 2)]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].a, SeqId(0));
-        assert_eq!(c[0].b, SeqId(2));
+        assert_eq!(c, vec![(0, 2)]);
         let r = CcdResult::from_core(core);
         assert_eq!(r.trace.total_generated(), 3);
         assert_eq!(r.trace.total_filtered(), 1);
         assert_eq!(r.n_merges, 1);
+        assert_eq!(r.deferred, vec![(0, 1)], "the filtered pair is kept, not forgotten");
     }
 
     #[test]
@@ -566,9 +652,7 @@ mod tests {
         let set = set_of(&["MKVLWAAKND", "MKVLW"]);
         let mut core = ClusterCore::new_rr(&set);
         let c = core.admit_batch(&[pair(0, 1)]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].a, SeqId(1), "shorter sequence is the removal candidate");
-        assert_eq!(c[0].b, SeqId(0));
+        assert_eq!(c, vec![(1, 0)], "shorter sequence is the removal candidate");
         core.absorb(vec![accept(1, 0)]);
         let r = RrResult::from_core(core);
         assert_eq!(r.kept, vec![SeqId(0)]);

@@ -5,15 +5,19 @@
 //! draws promising pairs from it on demand. [`with_front_half`] builds
 //! the index of the input once ([`crate::source::with_shared_index`]);
 //! RR mines its nodes ≥ ψ_rr, CCD its nodes ≥ ψ_ccd through a mask that
-//! drops the suffixes of the reads RR removed. When one monolithic index
+//! drops the suffixes of the reads RR removed — and does not align again
+//! the pairs RR's [`PairLedger`] already answers. When one monolithic index
 //! cannot serve the run (paged store, budget, forced chunk size, sketch
 //! mode) each phase routes on its own, exactly as
 //! [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do.
+
+use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore, SubsetStore};
 
 use crate::ccd::{ccd_over, CcdCursor, CcdResult};
 use crate::config::ClusterConfig;
+use crate::ledger::PairLedger;
 use crate::rr::{rr_over, RrResult};
 use crate::shard::sharded_over;
 use crate::source::{with_shared_index, SharedIndex};
@@ -42,27 +46,30 @@ impl FrontHalf<'_> {
         rr_over(self.input, self.config, self.shared)
     }
 
-    /// Phase 2: connected components of the reads `kept` (ascending input
-    /// ids), reported under their dense ids `0..kept.len()` — sharded when
-    /// the configuration says so, like [`crate::run_ccd`].
-    pub fn ccd(&self, kept: &[SeqId]) -> CcdResult {
+    /// Phase 2: connected components of the reads `rr` kept, reported
+    /// under their dense ids `0..rr.kept.len()` — sharded when the
+    /// configuration says so, like [`crate::run_ccd`].
+    pub fn ccd(&self, rr: &RrResult) -> CcdResult {
         if self.config.shard.enabled() {
-            let nr_store = SubsetStore::new(self.input, kept.to_vec());
-            return sharded_over(&nr_store, self.config, self.shared).result;
+            let nr_store = SubsetStore::new(self.input, rr.kept.clone());
+            return sharded_over(&nr_store, self.config, self.shared, &rr.ledger).result;
         }
-        self.ccd_resumable(kept, None, 0, &mut |_| {})
+        self.ccd_resumable(&rr.kept, &rr.ledger, None, 0, &mut |_| {})
     }
 
-    /// Phase 2 with the checkpoint hooks of [`crate::run_ccd_resumable`].
+    /// Phase 2 over the reads `kept` (ascending input ids) with the ledger
+    /// and checkpoint hooks of [`crate::run_ccd_resumable`].
     pub fn ccd_resumable(
         &self,
         kept: &[SeqId],
+        ledger: &Arc<PairLedger>,
         resume: Option<CcdCursor>,
         checkpoint_every: usize,
         on_checkpoint: &mut dyn FnMut(&CcdCursor),
     ) -> CcdResult {
         let nr_store = SubsetStore::new(self.input, kept.to_vec());
-        ccd_over(&nr_store, self.config, self.shared, resume, checkpoint_every, on_checkpoint)
+        let (config, shared) = (self.config, self.shared);
+        ccd_over(&nr_store, config, shared, ledger, resume, checkpoint_every, on_checkpoint)
     }
 }
 
@@ -71,7 +78,7 @@ impl FrontHalf<'_> {
 pub fn run_front_half(input: &dyn SeqStore, config: &ClusterConfig) -> (RrResult, CcdResult) {
     with_front_half(input, config, |front| {
         let rr = front.rr();
-        let ccd = front.ccd(&rr.kept);
+        let ccd = front.ccd(&rr);
         (rr, ccd)
     })
 }

@@ -23,9 +23,12 @@
 //!   already-co-clustered pairs (the paper's 99 %+ work reduction).
 //! * [`front`] — those two phases over one suffix index, built once per
 //!   run and mined at each phase's cut-off.
+//! * [`ledger`] — the overlap answers RR's fills leave behind, so no
+//!   later phase aligns those pairs again.
 //! * [`bgg`] — per-component bipartite-input generation: the full
-//!   similarity graph of each component, with the maximal-match heuristic
-//!   but *without* the closure filter.
+//!   similarity graph of each component — CCD's edges plus the verdicts of
+//!   the pairs its closure filter deferred, or, for callers without that
+//!   bookkeeping, a maximal-match pass over the component alone.
 //! * [`baseline`] — the GOS-style all-versus-all baseline plus its
 //!   core-set (shared-k-neighbors) grouping heuristic, the comparison
 //!   point for the work-reduction experiments.
@@ -43,6 +46,7 @@ pub mod config;
 pub mod core;
 pub mod front;
 pub mod ft;
+pub mod ledger;
 pub mod lsh;
 pub(crate) mod mask;
 pub mod policy;
@@ -55,15 +59,17 @@ pub mod supervise;
 pub mod trace;
 pub mod transport;
 
-pub use crate::core::{Candidate, ClusterCore, CorePhase, ShardForest, Verdict, Verifier};
+pub use crate::core::{ClusterCore, CorePhase, ShardForest, Verdict, Verifier};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{
     all_component_graphs, component_graph, component_graph_with, BggScratch, ComponentGraph,
+    KnownPairs,
 };
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
 pub use config::{ClusterConfig, MemParams, RecoveryParams, ShardParams};
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
+pub use ledger::PairLedger;
 pub use lsh::{
     check_sketch_params, HybridSource, HybridStats, SketchBanding, SketchMode, SketchParamError,
     SketchParams, SketchSource, SketchStats,

@@ -31,7 +31,7 @@ use pfam_align::CostModel;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
-use crate::core::{Candidate, CcdCursor, ClusterCore, Verdict, Verifier};
+use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier};
 use crate::source::PairSource;
 use crate::supervise::HealthReport;
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
@@ -161,11 +161,6 @@ pub(crate) fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
     pairs.iter().map(|&(a, b)| MatchPair::new(SeqId(a), SeqId(b), 0)).collect()
 }
 
-/// Strip candidates to their wire form.
-fn wire_candidates(candidates: &[Candidate]) -> Vec<(u32, u32)> {
-    candidates.iter().map(|c| (c.a.0, c.b.0)).collect()
-}
-
 /// The master half of the paper's push protocol: workers mine their own
 /// slice of the suffix space and push pair batches; the master filters
 /// each batch against the live clustering and returns the survivors to
@@ -196,11 +191,7 @@ impl<T: Transport + ?Sized> WorkPolicy for SpmdPush<'_, T> {
                     let candidates = core.admit_batch(&wire_pairs(&pairs));
                     if !candidates.is_empty() {
                         outstanding[w] += 1;
-                        t.send(
-                            w,
-                            MasterMsg::Task { lease: 0, candidates: wire_candidates(&candidates) },
-                        )
-                        .map_err(fatal)?;
+                        t.send(w, MasterMsg::Task { lease: 0, candidates }).map_err(fatal)?;
                     }
                     if exhausted {
                         workers_done += 1;
@@ -240,7 +231,7 @@ pub fn serve_push_worker<P, S>(
         }
     }
     let answer = |port: &mut P, candidates: Vec<(u32, u32)>| {
-        let verdicts = verify_wire(verifier, set, &candidates);
+        let verdicts = verify_seq(verifier, set, &candidates);
         healthy(port.send(WorkerMsg::Verdicts { lease: 0, verdicts }));
     };
 
@@ -359,7 +350,7 @@ where
             }
             let candidates = core.admit_batch(&batch);
             if !candidates.is_empty() {
-                return Some(wire_candidates(&candidates));
+                return Some(candidates);
             }
         }
         None
@@ -650,12 +641,9 @@ where
     }
 }
 
-/// Verify a wire-form candidate batch sequentially.
-fn verify_wire(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
-    candidates
-        .iter()
-        .map(|&(a, b)| verifier.verdict(set, &Candidate { a: SeqId(a), b: SeqId(b) }))
-        .collect()
+/// Verify a leased batch on the worker's own thread, in task order.
+fn verify_seq(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
+    candidates.iter().map(|&c| verifier.verdict(set, c)).collect()
 }
 
 /// The worker half of the pull protocol with the default request
@@ -696,7 +684,7 @@ pub fn serve_pull_worker_with<P: WorkerPort + ?Sized>(
                     return;
                 }
                 Ok(Some(MasterMsg::Task { lease, candidates })) => {
-                    let verdicts = verify_wire(verifier, set, &candidates);
+                    let verdicts = verify_seq(verifier, set, &candidates);
                     match port.send(WorkerMsg::Verdicts { lease, verdicts }) {
                         // A transiently-refused verdict is simply lost:
                         // the master recovers the lease by timeout, like

@@ -12,12 +12,17 @@
 //! Pair orientation (shorter sequence is the removal candidate, ties to
 //! the higher id) and the already-redundant filter live in
 //! [`crate::core::ClusterCore`]'s RR mode; this entry point is the
-//! batched in-process composition around it.
+//! batched in-process composition around it. Each fill also answers the
+//! pair's overlap test, and the answers between survivors leave the phase
+//! as its [`PairLedger`].
+
+use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore};
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
+use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
 use crate::source::{with_source_pinned, SharedIndex};
 use crate::trace::PhaseTrace;
@@ -29,6 +34,9 @@ pub struct RrResult {
     pub kept: Vec<SeqId>,
     /// `(redundant, container)` pairs in removal order.
     pub removed: Vec<(SeqId, SeqId)>,
+    /// The overlap answer of every pair the phase filled between two kept
+    /// reads, keyed by their positions in `kept`.
+    pub ledger: Arc<PairLedger>,
     /// Work trace for the performance model.
     pub trace: PhaseTrace,
 }
@@ -58,6 +66,7 @@ pub(crate) fn rr_over(
     let threads = config.index_threads();
     with_source_pinned(set, config, config.psi_rr, threads, None, shared, |source, _| {
         let mut core = ClusterCore::new_rr(set);
+        core.record_ledger(&config.mem.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);
         BatchedPush {
             source: &mut *source,

@@ -35,6 +35,8 @@
 //! at `n − C`. The driver matrix pins this for every source × K
 //! combination.
 
+use std::sync::Arc;
+
 use pfam_align::CostModel;
 use pfam_seq::{SeqStore, SequenceSet};
 use pfam_suffix::MatchPair;
@@ -42,6 +44,7 @@ use pfam_suffix::MatchPair;
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, ShardForest, Verifier};
+use crate::ledger::PairLedger;
 use crate::policy::{
     serve_pull_worker, wire_pairs, BatchedPush, LeaseKnobs, LeasedPull, WorkPolicy,
 };
@@ -224,17 +227,17 @@ fn wait_merge<P: WorkerPort + ?Sized>(port: &mut P) -> ShardForest {
 /// merged global result.
 fn run_shard<P: WorkerPort + ?Sized>(
     set: &dyn SeqStore,
-    config: &ClusterConfig,
+    verifier: &Verifier,
+    batch_size: usize,
     me: usize,
     k: usize,
     port: &mut P,
 ) -> (PhaseTrace, Option<CcdResult>) {
     let mut core = ClusterCore::new_ccd(set);
-    let verifier = Verifier::new(config, CorePhase::Ccd);
     BatchedPush {
         source: &mut PortSource::new(port),
-        verifier: &verifier,
-        batch_size: config.batch_size,
+        verifier,
+        batch_size,
         checkpoint_every: 0,
         on_checkpoint: &mut |_| {},
     }
@@ -288,16 +291,20 @@ pub struct ShardRun {
 pub(crate) fn shard_plane(
     set: &dyn SeqStore,
     config: &ClusterConfig,
+    ledger: &Arc<PairLedger>,
     source: &mut dyn PairSource,
 ) -> ShardRun {
     let k = config.shard.shards;
     let route_batch = config.shard.resolved_route_batch(config.batch_size);
+    let verifier = &Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
     let (mut transport, ports) = LocalTransport::new(k);
     let outcomes: Vec<(PhaseTrace, Option<CcdResult>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = ports
             .into_iter()
             .enumerate()
-            .map(|(me, mut port)| scope.spawn(move || run_shard(set, config, me, k, &mut port)))
+            .map(|(me, mut port)| {
+                scope.spawn(move || run_shard(set, verifier, config.batch_size, me, k, &mut port))
+            })
             .collect();
         route_pairs(&mut transport, source, k, route_batch);
         relay_merges(&mut transport, k);
@@ -325,18 +332,19 @@ pub(crate) fn shard_plane(
 /// the single master for every shard count. With `shards ≤ 1` this *is*
 /// the single master ([`crate::ccd::run_ccd`]): one shard, one trace.
 pub fn run_ccd_sharded(set: &dyn SeqStore, config: &ClusterConfig) -> ShardRun {
-    sharded_over(set, config, None)
+    sharded_over(set, config, None, &Arc::default())
 }
 
 /// [`run_ccd_sharded`], mining `shared` when the run holds an index of
-/// the in-memory set `set` is a view of.
+/// the in-memory set `set` is a view of, and answering from `ledger`.
 pub(crate) fn sharded_over(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     shared: Option<&SharedIndex<'_>>,
+    ledger: &Arc<PairLedger>,
 ) -> ShardRun {
     if !config.shard.enabled() {
-        let result = crate::ccd::ccd_over(set, config, shared, None, 0, &mut |_| {});
+        let result = crate::ccd::ccd_over(set, config, shared, ledger, None, 0, &mut |_| {});
         let shard_traces = vec![result.trace.clone()];
         return ShardRun { result, shard_traces };
     }
@@ -348,7 +356,7 @@ pub(crate) fn sharded_over(
     }
     let threads = config.index_threads();
     with_source_pinned(set, config, config.psi_ccd, threads, None, shared, |source, _| {
-        shard_plane(set, config, source)
+        shard_plane(set, config, ledger, source)
     })
 }
 

@@ -28,7 +28,9 @@ pub struct BatchRecord {
     /// Pairs the master filtered out (already co-clustered / already
     /// marked redundant).
     pub n_filtered: usize,
-    /// Alignment tasks dispatched to workers.
+    /// Alignment tasks dispatched to workers — candidates the engine was
+    /// asked about. Candidates the pair ledger answered are
+    /// [`n_ledger_hits`](Self::n_ledger_hits), not these.
     pub n_aligned: usize,
     /// Total DP-cell cost of the dispatched alignments.
     pub align_cells: u64,
@@ -51,6 +53,24 @@ pub struct BatchRecord {
     pub n_spec_issued: usize,
     /// Speculative races won by a duplicate this round.
     pub n_spec_wins: usize,
+    /// Candidates answered by the run's pair ledger instead of a fill.
+    pub n_ledger_hits: usize,
+}
+
+impl BatchRecord {
+    /// Account for one verdict's work: a ledger hit, or an alignment task
+    /// and its cells.
+    pub(crate) fn note_verdict(&mut self, v: &crate::core::Verdict) {
+        if v.ledger_hit {
+            self.n_ledger_hits += 1;
+        } else {
+            self.n_aligned += 1;
+            self.align_cells += v.cells;
+            self.task_cells.push(v.cells);
+            self.cells_computed += v.cells_computed;
+            self.cells_skipped += v.cells_skipped;
+        }
+    }
 }
 
 /// Complete trace of one phase run.
@@ -78,6 +98,11 @@ impl PhaseTrace {
     /// Total alignments executed.
     pub fn total_aligned(&self) -> usize {
         self.batches.iter().map(|b| b.n_aligned).sum()
+    }
+
+    /// Total candidates the pair ledger answered without a fill.
+    pub fn total_ledger_hits(&self) -> usize {
+        self.batches.iter().map(|b| b.n_ledger_hits).sum()
     }
 
     /// Total alignment DP cells.
@@ -137,12 +162,12 @@ impl PhaseTrace {
             self.index_residues, self.nodes_visited
         );
         out.push_str(
-            "#n_generated\tn_filtered\tn_aligned\ttask_cells\tcells_computed\tcells_skipped\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\n",
+            "#n_generated\tn_filtered\tn_aligned\ttask_cells\tcells_computed\tcells_skipped\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\tn_ledger_hits\n",
         );
         for b in &self.batches {
             let cells: Vec<String> = b.task_cells.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 b.n_generated,
                 b.n_filtered,
                 b.n_aligned,
@@ -152,7 +177,8 @@ impl PhaseTrace {
                 b.n_requeued,
                 b.n_retries,
                 b.n_spec_issued,
-                b.n_spec_wins
+                b.n_spec_wins,
+                b.n_ledger_hits
             ));
         }
         out
@@ -203,9 +229,9 @@ impl PhaseTrace {
                     task_cells.len()
                 ));
             }
-            // Engine and recovery counters: absent in traces written
-            // before the tiered engine / recovery plane existed — default
-            // to 0 for backward compatibility.
+            // Engine, recovery and ledger counters: absent in traces
+            // written before the tiered engine / recovery plane / pair
+            // ledger existed — default to 0 for backward compatibility.
             let mut next_u64 = |name: &str| -> Result<u64, String> {
                 match cols.next() {
                     None => Ok(0),
@@ -225,6 +251,7 @@ impl PhaseTrace {
             let n_retries = next_u64("n_retries")?;
             let n_spec_issued = next_u64("n_spec_issued")? as usize;
             let n_spec_wins = next_u64("n_spec_wins")? as usize;
+            let n_ledger_hits = next_u64("n_ledger_hits")? as usize;
             batches.push(BatchRecord {
                 n_generated,
                 n_filtered,
@@ -237,6 +264,7 @@ impl PhaseTrace {
                 n_retries,
                 n_spec_issued,
                 n_spec_wins,
+                n_ledger_hits,
             });
         }
         Ok(PhaseTrace { index_residues, nodes_visited, batches })
@@ -291,6 +319,7 @@ mod tests {
         trace.batches[0].n_retries = 6;
         trace.batches[1].n_spec_issued = 2;
         trace.batches[1].n_spec_wins = 1;
+        trace.batches[1].n_ledger_hits = 5;
         let text = trace.to_tsv();
         let back = PhaseTrace::from_tsv(&text).expect("own output parses");
         assert_eq!(back.index_residues, trace.index_residues);
@@ -300,6 +329,7 @@ mod tests {
         assert_eq!(back.total_retries(), 6);
         assert_eq!(back.total_speculated(), 2);
         assert_eq!(back.total_spec_wins(), 1);
+        assert_eq!(back.total_ledger_hits(), 5);
     }
 
     #[test]

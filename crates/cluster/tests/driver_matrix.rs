@@ -7,8 +7,17 @@
 //! already connected (so verifying it could not change reachability), and
 //! every verified verdict is a pure function of the two sequences. The
 //! matrix below pins that invariant across the real composition space —
-//! the same axes the public `run_*` drivers are built from.
+//! the same axes the public `run_*` drivers are built from. Every cell of
+//! the exact-mode matrix also leaves bookkeeping the back half can build
+//! on: its edges, refused and deferred pairs partition what it generated,
+//! and the component graphs built from them equal the mined ones (which
+//! pairs a cell defers depends on its arrival order; the graphs do not).
 
+mod common;
+
+use std::sync::Arc;
+
+use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
     ClusterCore, CorePhase, CostModel, HealthReport, HybridSource, IterSource, LeaseKnobs,
@@ -103,13 +112,13 @@ fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair
     source.next_batch(usize::MAX)
 }
 
-/// Drive one (source, policy) cell and return its components.
+/// Drive one (source, policy) cell.
 fn run_cell(
     set: &SequenceSet,
     config: &ClusterConfig,
     source: SourceKind,
     policy: PolicyKind,
-) -> Vec<Vec<SeqId>> {
+) -> CcdResult {
     let threads = mining_threads(source);
     // The push protocol's sources live on the workers, not the master.
     if matches!(policy, PolicyKind::Push) {
@@ -155,7 +164,7 @@ fn drive_master_side(
     config: &ClusterConfig,
     source: &mut dyn PairSource,
     policy: PolicyKind,
-) -> Vec<Vec<SeqId>> {
+) -> CcdResult {
     let verifier = Verifier::new(config, CorePhase::Ccd);
     let mut core = ClusterCore::new_ccd(set);
     match policy {
@@ -193,7 +202,7 @@ fn drive_master_side(
         }
         PolicyKind::Push => unreachable!("push sources live on the workers"),
     }
-    CcdResult::from_core(core).components
+    CcdResult::from_core(core)
 }
 
 /// Run the push protocol with one [`IterSource`] slice per worker.
@@ -201,7 +210,7 @@ fn drive_push(
     set: &SequenceSet,
     config: &ClusterConfig,
     worker_pairs: Vec<Vec<MatchPair>>,
-) -> Vec<Vec<SeqId>> {
+) -> CcdResult {
     let n = worker_pairs.len();
     let (mut transport, ports) = LocalTransport::new(n);
     let mut core = ClusterCore::new_ccd(set);
@@ -216,19 +225,32 @@ fn drive_push(
         }
         SpmdPush { transport: &mut transport }.drive(&mut core).expect("healthy local world");
     });
-    CcdResult::from_core(core).components
+    CcdResult::from_core(core)
 }
 
-/// Assert every matrix cell reproduces the reference components.
+/// (c) and (a) of `pair_ledger.rs` for one exact-mode CCD result over the
+/// whole of `set`.
+fn assert_bookkeeping_holds(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    ccd: &CcdResult,
+    what: &str,
+) {
+    assert_partition(ccd, what);
+    let all: Vec<SeqId> = set.ids().collect();
+    assert_known_graphs_equal_mined(set, config, &all, &Arc::default(), ccd, what);
+}
+
+/// Assert every matrix cell reproduces the reference components, with
+/// bookkeeping that holds.
 fn assert_matrix_agrees(set: &SequenceSet, config: &ClusterConfig) {
     let reference = run_ccd(set, config).components;
     for source in SOURCES {
         for policy in POLICIES {
+            let what = format!("{source:?} × {policy:?}");
             let got = run_cell(set, config, source, policy);
-            assert_eq!(
-                got, reference,
-                "{source:?} × {policy:?} diverged from the reference components"
-            );
+            assert_eq!(got.components, reference, "{what} diverged from the reference components");
+            assert_bookkeeping_holds(set, config, &got, &what);
         }
     }
 }
@@ -253,6 +275,7 @@ fn assert_shard_matrix_agrees(set: &SequenceSet, config: &ClusterConfig, full: b
         let got = run_ccd(set, &cfg);
         assert_eq!(got.components, reference.components, "K={k} mined");
         assert_eq!(got.n_merges, reference.n_merges, "K={k} mined");
+        assert_bookkeeping_holds(set, config, &got, &format!("K={k} mined"));
         if !full {
             continue;
         }
@@ -261,6 +284,7 @@ fn assert_shard_matrix_agrees(set: &SequenceSet, config: &ClusterConfig, full: b
             let pairs = collect_pairs(set, config, threads);
             let got = run_ccd_from_pairs(set, pairs, &cfg);
             assert_eq!(got.components, reference.components, "K={k} collected (threads={threads})");
+            assert_partition(&got, &format!("K={k} collected (threads={threads})"));
         }
     }
 }
@@ -315,20 +339,6 @@ fn approx_config(seed: u64) -> ClusterConfig {
     }
 }
 
-/// Drain a source to exhaustion (sketch sources fill their buffer band
-/// by band, so a single `next_batch(usize::MAX)` is only one band's
-/// worth — the contract is that only an *empty* batch means exhausted).
-fn drain(source: &mut dyn PairSource) -> Vec<MatchPair> {
-    let mut out = Vec::new();
-    loop {
-        let batch = source.next_batch(usize::MAX);
-        if batch.is_empty() {
-            return out;
-        }
-        out.extend(batch);
-    }
-}
-
 /// Drain the full sketch candidate stream.
 fn sketch_pairs(set: &SequenceSet, config: &ClusterConfig, threads: usize) -> Vec<MatchPair> {
     let mut src = SketchSource::new(set, config, config.psi_ccd, threads);
@@ -345,14 +355,14 @@ fn assert_sketch_axis_agrees(set: &SequenceSet, config: &ClusterConfig) {
                 let pairs = sketch_pairs(set, config, 1);
                 let mid = pairs.len() / 2;
                 let (left, right) = (pairs[..mid].to_vec(), pairs[mid..].to_vec());
-                drive_push(set, config, vec![left, right])
+                drive_push(set, config, vec![left, right]).components
             }
             _ => {
                 // Alternate thread counts across cells: the stream is
                 // thread-count invariant, so this is pure extra coverage.
                 let threads = 1 + (policy as usize) % 2;
                 let mut src = SketchSource::new(set, config, config.psi_ccd, threads);
-                drive_master_side(set, config, &mut src, policy)
+                drive_master_side(set, config, &mut src, policy).components
             }
         };
         assert_eq!(got, reference, "Sketch × {policy:?} diverged from the reference components");

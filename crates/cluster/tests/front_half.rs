@@ -2,11 +2,14 @@
 //! RR over the input, CCD over a copy of the survivors with an index of
 //! its own. Results, work traces and checkpoint cursors must not tell the
 //! two apart, and the runs one monolithic index cannot serve must keep
-//! the routes they had.
+//! the routes they had. (What RR's pair ledger changes — and does not —
+//! is `pair_ledger.rs`.)
+
+use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd, run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
-    CcdResult, ClusterConfig, RrResult, ShardParams,
+    run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
+    CcdResult, ClusterConfig, PairLedger, RrResult, ShardParams,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -22,16 +25,32 @@ fn dataset(seed: u64) -> SequenceSet {
     SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set
 }
 
-/// RR over `set`, then CCD over a materialised copy of the survivors.
+/// CCD over `store`, answered by `ledger` where it can be.
+fn ccd_with(
+    store: &dyn pfam_seq::SeqStore,
+    config: &ClusterConfig,
+    ledger: &Arc<PairLedger>,
+) -> CcdResult {
+    run_ccd_resumable(store, config, ledger, None, 0, &mut |_| {})
+}
+
+/// RR over `set`, then CCD over a materialised copy of the survivors
+/// (knowing what RR's fills answered, as the front half does).
 fn two_builds(set: &SequenceSet, config: &ClusterConfig) -> (RrResult, CcdResult) {
     let rr = run_redundancy_removal(set, config);
-    let ccd = run_ccd(&materialize_subset(set, &rr.kept), config);
+    let ccd = ccd_with(&materialize_subset(set, &rr.kept), config, &rr.ledger);
     (rr, ccd)
+}
+
+/// The ledger that answers nothing.
+fn no_ledger() -> Arc<PairLedger> {
+    Arc::default()
 }
 
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
     assert_eq!(got.components, want.components, "{what}: components");
     assert_eq!(got.edges, want.edges, "{what}: edges");
+    assert_eq!(got.deferred, want.deferred, "{what}: deferred");
     assert_eq!(got.n_merges, want.n_merges, "{what}: merges");
     assert_eq!(got.trace, want.trace, "{what}: trace");
 }
@@ -54,13 +73,14 @@ fn one_build_equals_two_builds() {
         let (rr, ccd) = run_front_half(&set, &config);
         assert_eq!(rr.kept, rr_want.kept, "seed {seed}");
         assert_eq!(rr.removed, rr_want.removed, "seed {seed}");
+        assert_eq!(rr.ledger, rr_want.ledger, "seed {seed}");
         assert_eq!(rr.trace, rr_want.trace, "seed {seed}");
         assert_same_ccd(&ccd, &ccd_want, "shared index");
 
         // A view of the survivors on its own, as the benchmark's traced
         // pass composes it: an index of the base, mined through the mask.
         let view = SubsetStore::new(&set, rr.kept.clone());
-        assert_same_ccd(&run_ccd(&view, &config), &ccd_want, "subset view");
+        assert_same_ccd(&ccd_with(&view, &config, &rr.ledger), &ccd_want, "subset view");
     }
 }
 
@@ -70,10 +90,13 @@ fn unbudgeted_in_memory_runs_pin_plan_zero() {
     let config = config();
     let kept = run_redundancy_removal(&set, &config).kept;
     let shared = cursors_of(|on_cursor| {
-        with_front_half(&set, &config, |front| front.ccd_resumable(&kept, None, 1, on_cursor))
+        with_front_half(&set, &config, |front| {
+            front.ccd_resumable(&kept, &no_ledger(), None, 1, on_cursor)
+        })
     });
     let view = SubsetStore::new(&set, kept.clone());
-    let alone = cursors_of(|on_cursor| run_ccd_resumable(&view, &config, None, 1, on_cursor));
+    let alone =
+        cursors_of(|on_cursor| run_ccd_resumable(&view, &config, &no_ledger(), None, 1, on_cursor));
     assert!(shared.len() >= 3, "want several boundaries, got {}", shared.len());
     assert_eq!(shared, alone, "whoever built the index, the cursors agree");
     assert!(shared.iter().all(|c| c.gen_chunk_bytes == 0), "one monolithic index: pin 0");
@@ -85,7 +108,9 @@ fn a_pin_zero_cursor_resumes_on_any_monolithic_index() {
     let config = config();
     let (rr, want) = two_builds(&set, &config);
     let cursors = cursors_of(|on_cursor| {
-        with_front_half(&set, &config, |front| front.ccd_resumable(&rr.kept, None, 1, on_cursor))
+        with_front_half(&set, &config, |front| {
+            front.ccd_resumable(&rr.kept, &rr.ledger, None, 1, on_cursor)
+        })
     });
     let cursor = cursors[cursors.len() / 2].clone();
     assert!(cursor.pairs_consumed > 0 && cursor.gen_chunk_bytes == 0);
@@ -103,11 +128,12 @@ fn a_pin_zero_cursor_resumes_on_any_monolithic_index() {
         ("index of a copy", &copy),
         ("paged copy", &paged_view),
     ] {
-        let resumed = run_ccd_resumable(store, &config, Some(cursor.clone()), 0, &mut |_| {});
+        let resumed =
+            run_ccd_resumable(store, &config, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {});
         assert_same_ccd(&resumed, &want, what);
     }
     let resumed = with_front_half(&set, &config, |front| {
-        front.ccd_resumable(&rr.kept, Some(cursor.clone()), 0, &mut |_| {})
+        front.ccd_resumable(&rr.kept, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {})
     });
     assert_same_ccd(&resumed, &want, "shared index");
     let _ = std::fs::remove_file(&path);
@@ -124,13 +150,14 @@ fn a_partitioned_pin_still_resumes_under_the_shared_index() {
     let view = SubsetStore::new(&set, kept.clone());
     let mut forced = config.clone();
     forced.mem.index_chunk_bytes = OLD_DEFAULT;
-    let want = run_ccd(&view, &forced);
-    let cursors = cursors_of(|on_cursor| run_ccd_resumable(&view, &forced, None, 1, on_cursor));
+    let want = ccd_with(&view, &forced, &no_ledger());
+    let cursors =
+        cursors_of(|on_cursor| run_ccd_resumable(&view, &forced, &no_ledger(), None, 1, on_cursor));
     assert!(cursors.iter().all(|c| c.gen_chunk_bytes == OLD_DEFAULT));
     let cursor = cursors[cursors.len() / 2].clone();
 
     let resumed = with_front_half(&set, &config, |front| {
-        front.ccd_resumable(&kept, Some(cursor), 0, &mut |_| {})
+        front.ccd_resumable(&kept, &no_ledger(), Some(cursor), 0, &mut |_| {})
     });
     assert_same_ccd(&resumed, &want, "pinned plan");
 }
@@ -144,16 +171,23 @@ fn runs_one_index_cannot_serve_keep_their_routes() {
 
     let mut budgeted = config.clone();
     budgeted.mem.budget = pfam_seq::MemoryBudget::limited(estimate / 4);
+    // A budget of its own: clones share the accounting, and `rr_want`
+    // still holds its ledger on `config`'s.
     let mut chunked = config.clone();
-    chunked.mem.index_chunk_bytes = 4096;
+    chunked.mem = pfam_cluster::MemParams { index_chunk_bytes: 4096, ..Default::default() };
     for (what, cfg) in [("budget", &budgeted), ("chunk size", &chunked)] {
         let (rr, ccd) = run_front_half(&set, cfg);
         assert_eq!(rr.kept, rr_want.kept, "{what}");
         assert_eq!(ccd.components, ccd_want.components, "{what}");
         let pins = cursors_of(|on_cursor| {
-            with_front_half(&set, cfg, |front| front.ccd_resumable(&rr.kept, None, 1, on_cursor))
+            with_front_half(&set, cfg, |front| {
+                front.ccd_resumable(&rr.kept, &rr.ledger, None, 1, on_cursor)
+            })
         });
         assert!(pins.iter().all(|c| c.gen_chunk_bytes != 0), "{what}: partitioned in CCD");
+        // What is still held is the ledger, and it goes with RR's result.
+        assert_eq!(cfg.mem.budget.used(), 8 * rr.ledger.len() as u64, "{what}: index released");
+        drop(rr);
         assert_eq!(cfg.mem.budget.used(), 0, "{what}: reservations released");
     }
 

@@ -1,0 +1,246 @@
+//! One alignment per pair per run: what RR's pair ledger and CCD's deferred
+//! list change — the work — and what they must not — any result.
+//!
+//! Over random family corpora, for every driver of the CCD loop
+//! ([`BatchedPush`], [`SpmdPush`], [`LeasedPull`]), K ∈ {1, 3} shards, and
+//! the ledger present, absent, and cut short by its budget:
+//!
+//! (a) the component graphs built from CCD's edges and deferred pairs
+//!     ([`KnownPairs`]) equal the graphs mined from each component's own
+//!     suffix index, as [`pfam_graph::CsrGraph`]s;
+//! (b) RR keeps and removes the same reads, and CCD finds the same
+//!     components — and, where the driver is deterministic, the same edges
+//!     and generated / filtered counts — whatever the ledger answers;
+//! (c) CCD's accepted edges, the pairs it aligned and refused, and the
+//!     pairs it deferred partition the pairs it generated.
+//!
+//! *Which* pairs the closure filter defers depends on arrival order, so
+//! deferred lists are compared per run against (a) and (c), never across
+//! drivers.
+
+mod common;
+
+use std::sync::Arc;
+
+use common::{
+    assert_disjoint_and_inside, assert_known_graphs_equal_mined, assert_partition, drain,
+};
+use pfam_cluster::{
+    run_ccd_resumable, run_ccd_sharded_spmd, run_redundancy_removal, serve_pull_worker,
+    serve_push_worker, with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase,
+    CostModel, HealthReport, IterSource, LeaseKnobs, LeasedPull, LocalTransport, MemParams,
+    PairLedger, PartitionedMinedSource, RrResult, ShardParams, SpmdPush, Verifier, WorkPolicy,
+};
+use pfam_datagen::{DatasetConfig, SyntheticDataset};
+use pfam_seq::{materialize_subset, MemoryBudget, SeqStore, SequenceSet, SubsetStore};
+use pfam_suffix::{estimated_index_bytes, MatchPair};
+
+fn corpus(seed: u64) -> SequenceSet {
+    let config = DatasetConfig { n_families: 5, n_members: 70, ..DatasetConfig::tiny(seed) };
+    SyntheticDataset::generate(&config).set
+}
+
+fn config() -> ClusterConfig {
+    ClusterConfig { batch_size: 16, ..ClusterConfig::default() }
+}
+
+/// A ledger holding every `step`-th entry of `full` — what is left when
+/// recording stopped early, or a checkpoint lost some.
+fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
+    Arc::new(PairLedger::from_entries(full.entries().step_by(step), &MemoryBudget::unlimited()))
+}
+
+/// The ψ_ccd stream over `store`, in the partitioned miner's order.
+fn pair_stream(store: &dyn SeqStore, cfg: &ClusterConfig) -> Vec<MatchPair> {
+    let mut chunked = cfg.clone();
+    chunked.mem = MemParams { index_chunk_bytes: 1 << 14, ..MemParams::default() };
+    drain(&mut PartitionedMinedSource::new(store, &chunked, cfg.psi_ccd, 1))
+}
+
+/// CCD over `store` with the push protocol: two workers, half the stream each.
+fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger>) -> CcdResult {
+    let pairs = pair_stream(store, cfg);
+    let halves = [pairs[..pairs.len() / 2].to_vec(), pairs[pairs.len() / 2..].to_vec()];
+    let (mut transport, ports) = LocalTransport::new(2);
+    let mut core = ClusterCore::new_ccd(store);
+    std::thread::scope(|scope| {
+        for (mut port, pairs) in ports.into_iter().zip(halves) {
+            scope.spawn(move || {
+                let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
+                let mut source = IterSource::new(pairs.into_iter());
+                serve_push_worker(&mut port, &mut source, &verifier, store, cfg.batch_size);
+            });
+        }
+        SpmdPush { transport: &mut transport }.drive(&mut core).expect("healthy local world");
+    });
+    CcdResult::from_core(core)
+}
+
+/// CCD over `store` with the pull protocol: two lease workers.
+fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger>) -> CcdResult {
+    let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
+    let mut source = IterSource::new(pair_stream(store, cfg).into_iter());
+    let (mut transport, ports) = LocalTransport::new(2);
+    let mut core = ClusterCore::new_ccd(store);
+    std::thread::scope(|scope| {
+        for mut port in ports {
+            let verifier = &verifier;
+            scope.spawn(move || serve_pull_worker(&mut port, verifier, store));
+        }
+        LeasedPull {
+            transport: &mut transport,
+            source: &mut source,
+            batch_size: cfg.batch_size,
+            cost: &CostModel::new(),
+            knobs: LeaseKnobs::default(),
+            health: HealthReport::default(),
+        }
+        .drive(&mut core)
+        .expect("healthy local world");
+    });
+    CcdResult::from_core(core)
+}
+
+/// CCD as the front half runs it — [`BatchedPush`] on RR's index, through
+/// the shard plane when K > 1 — answered by `ledger`.
+fn drive_batched(
+    set: &SequenceSet,
+    cfg: &ClusterConfig,
+    rr: &RrResult,
+    ledger: &Arc<PairLedger>,
+    k: usize,
+) -> CcdResult {
+    let cfg =
+        ClusterConfig { shard: ShardParams { shards: k, ..Default::default() }, ..cfg.clone() };
+    let rr = RrResult { ledger: ledger.clone(), ..rr.clone() };
+    with_front_half(set, &cfg, |front| front.ccd(&rr))
+}
+
+fn sorted<T: Ord + Clone>(items: &[T]) -> Vec<T> {
+    let mut items = items.to_vec();
+    items.sort_unstable();
+    items
+}
+
+#[test]
+fn the_ledger_changes_the_work_and_no_result() {
+    for seed in [41u64, 42, 43] {
+        let set = corpus(seed);
+        let cfg = config();
+        let rr = run_redundancy_removal(&set, &cfg);
+        assert!(rr.kept.len() < set.len(), "seed {seed}: RR must remove something");
+        assert!(rr.ledger.len() > 20, "seed {seed}: RR must leave answers behind");
+        assert_eq!(rr.ledger.dropped(), 0);
+        let ledgers = [
+            ("full", rr.ledger.clone()),
+            ("none", Arc::<PairLedger>::default()),
+            ("every 3rd", thinned(&rr.ledger, 3)),
+        ];
+        let nr_store = SubsetStore::new(&set, rr.kept.clone());
+        let kept = rr.kept.as_slice();
+
+        // The reference: one master, no ledger.
+        let reference = drive_batched(&set, &cfg, &rr, &ledgers[1].1, 1);
+        assert_partition(&reference, "reference");
+        let (mined_fills, _) =
+            assert_known_graphs_equal_mined(&set, &cfg, kept, &ledgers[1].1, &reference, "");
+        let mut hits_seen = 0;
+        for (name, ledger) in &ledgers {
+            for k in [1usize, 3] {
+                let what = format!("seed {seed}, BatchedPush, K={k}, ledger {name}");
+                let ccd = drive_batched(&set, &cfg, &rr, ledger, k);
+                assert_partition(&ccd, &what);
+                assert_eq!(ccd.components, reference.components, "{what}");
+                assert_eq!(ccd.n_merges, reference.n_merges, "{what}");
+                assert_eq!(ccd.trace.total_generated(), reference.trace.total_generated());
+                if k == 1 {
+                    // The union-find saw the same verdicts in the same order.
+                    assert_eq!(ccd.edges, reference.edges, "{what}");
+                    assert_eq!(ccd.deferred, reference.deferred, "{what}");
+                    assert_eq!(ccd.trace.total_filtered(), reference.trace.total_filtered());
+                } else {
+                    // Shard forests fold in arrival order; the shards' own
+                    // streams — hence their verdicts — do not depend on it.
+                    let plain = drive_batched(&set, &cfg, &rr, &ledgers[1].1, k);
+                    assert_eq!(sorted(&ccd.edges), sorted(&plain.edges), "{what}");
+                    assert_eq!(sorted(&ccd.deferred), sorted(&plain.deferred), "{what}");
+                }
+                let (fills, hits) =
+                    assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
+                assert_eq!(hits == 0, ledger.is_empty(), "{what}");
+                hits_seen += hits + ccd.trace.total_ledger_hits();
+                if k == 1 {
+                    assert_eq!(fills + hits, mined_fills, "{what}: same deferred pairs");
+                }
+            }
+            for (policy, ccd) in [
+                ("SpmdPush", drive_push(&nr_store, &cfg, ledger)),
+                ("LeasedPull", drive_pull(&nr_store, &cfg, ledger)),
+            ] {
+                let what = format!("seed {seed}, {policy}, ledger {name}");
+                assert_partition(&ccd, &what);
+                assert_eq!(ccd.components, reference.components, "{what}");
+                assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
+            }
+        }
+        assert!(hits_seen > 0, "seed {seed}: the ledger never answered");
+
+        // LeasedPull inside K = 3 rank groups (the SPMD shard plane takes no
+        // ledger and returns shard 0's trace only): the deferred pairs its
+        // merge tree gathers still give the mined graphs.
+        let spmd_cfg = ClusterConfig {
+            shard: ShardParams { shards: 3, workers_per_shard: 2, ..Default::default() },
+            ..cfg.clone()
+        };
+        let ccd = run_ccd_sharded_spmd(&materialize_subset(&set, &rr.kept), &spmd_cfg);
+        let what = format!("seed {seed}, LeasedPull in rank groups, K=3");
+        assert_eq!(ccd.components, reference.components, "{what}");
+        assert_disjoint_and_inside(&ccd, &what);
+        assert_known_graphs_equal_mined(&set, &cfg, kept, &ledgers[1].1, &ccd, &what);
+    }
+}
+
+#[test]
+fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
+    for (seed, room) in [(44u64, 9usize), (45, 40)] {
+        let set = corpus(seed);
+        let cfg = config();
+        let want = run_redundancy_removal(&set, &cfg);
+        let want_ccd = run_ccd_resumable(
+            &SubsetStore::new(&set, want.kept.clone()),
+            &cfg,
+            &want.ledger,
+            None,
+            0,
+            &mut |_| {},
+        );
+
+        // Room for the index and `room` ledger entries: the index stays
+        // monolithic (RR sees the same order), recording stops early.
+        let index = estimated_index_bytes(set.total_residues(), set.len());
+        let tight = ClusterConfig { mem: MemParams::limited(index + 8 * room as u64), ..cfg };
+        let rr = run_redundancy_removal(&set, &tight);
+        assert_eq!((&rr.kept, &rr.removed), (&want.kept, &want.removed), "seed {seed}");
+        assert_eq!(rr.trace, want.trace, "seed {seed}: RR does not read its ledger");
+        assert!(rr.ledger.dropped() > 0 && rr.ledger.len() <= room, "seed {seed}");
+        assert!(rr.ledger.entries().all(|(a, b, yes)| want.ledger.lookup(a, b) == Some(yes)));
+        assert_eq!(tight.mem.budget.used(), 8 * rr.ledger.len() as u64, "held while it lives");
+
+        let nr_store = SubsetStore::new(&set, rr.kept.clone());
+        let ccd = run_ccd_resumable(&nr_store, &tight, &rr.ledger, None, 0, &mut |_| {});
+        assert_eq!(ccd.components, want_ccd.components, "seed {seed}");
+        assert_eq!(ccd.edges, want_ccd.edges, "seed {seed}");
+        assert_eq!(ccd.deferred, want_ccd.deferred, "seed {seed}");
+        let (t, w) = (&ccd.trace, &want_ccd.trace);
+        assert_eq!(t.total_generated(), w.total_generated());
+        assert_eq!(t.total_filtered(), w.total_filtered());
+        assert_eq!(
+            t.total_aligned() + t.total_ledger_hits(),
+            w.total_aligned() + w.total_ledger_hits()
+        );
+        assert!(t.total_ledger_hits() < w.total_ledger_hits(), "seed {seed}: misses are fills");
+        assert_known_graphs_equal_mined(&set, &tight, &rr.kept, &rr.ledger, &ccd, "tight");
+        drop(rr);
+        assert_eq!(tight.mem.budget.used(), 0, "seed {seed}: the ledger's bytes go with it");
+    }
+}

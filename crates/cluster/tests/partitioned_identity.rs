@@ -4,6 +4,8 @@
 //! run is configured with a different chunk size (the cursor pins the
 //! generation plan it was cut under).
 
+use std::sync::Arc;
+
 use pfam_cluster::{
     run_ccd, run_ccd_resumable, with_mined_source, ClusterConfig, PairSource,
     PartitionedMinedSource,
@@ -139,7 +141,9 @@ fn resume_with_a_different_chunk_size_is_byte_identical() {
     let full = run_ccd(&d.set, &cfg_a);
 
     let mut cursors = Vec::new();
-    let observed = run_ccd_resumable(&d.set, &cfg_a, None, 1, &mut |c| cursors.push(c.clone()));
+    let observed = run_ccd_resumable(&d.set, &cfg_a, &Arc::default(), None, 1, &mut |c| {
+        cursors.push(c.clone())
+    });
     assert_eq!(observed.components, full.components);
     assert_eq!(observed.trace, full.trace);
     assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
@@ -157,7 +161,14 @@ fn resume_with_a_different_chunk_size_is_byte_identical() {
         for resumed_chunk in [0u64, 512] {
             let mut cfg_b = cfg_a.clone();
             cfg_b.mem.index_chunk_bytes = resumed_chunk;
-            let resumed = run_ccd_resumable(&d.set, &cfg_b, Some(cursor.clone()), 0, &mut |_| {});
+            let resumed = run_ccd_resumable(
+                &d.set,
+                &cfg_b,
+                &Arc::default(),
+                Some(cursor.clone()),
+                0,
+                &mut |_| {},
+            );
             assert_eq!(resumed.components, full.components, "resumed chunk {resumed_chunk}");
             assert_eq!(resumed.edges, full.edges, "resumed chunk {resumed_chunk}");
             assert_eq!(resumed.n_merges, full.n_merges, "resumed chunk {resumed_chunk}");
@@ -177,7 +188,9 @@ fn monolithic_checkpoint_resumes_under_a_chunked_config() {
     let full = run_ccd(&d.set, &cfg_mono);
 
     let mut cursors = Vec::new();
-    let observed = run_ccd_resumable(&d.set, &cfg_mono, None, 1, &mut |c| cursors.push(c.clone()));
+    let observed = run_ccd_resumable(&d.set, &cfg_mono, &Arc::default(), None, 1, &mut |c| {
+        cursors.push(c.clone())
+    });
     assert_eq!(observed.components, full.components);
     assert!(cursors.iter().all(|c| c.gen_chunk_bytes == 0), "monolithic runs pin plan 0");
     assert!(cursors.len() >= 2, "want several boundaries, got {}", cursors.len());
@@ -187,7 +200,8 @@ fn monolithic_checkpoint_resumes_under_a_chunked_config() {
     let cursor = cursors.swap_remove(cursors.len() / 2);
     let mut cfg_chunked = cfg_mono.clone();
     cfg_chunked.mem.index_chunk_bytes = 1024;
-    let resumed = run_ccd_resumable(&d.set, &cfg_chunked, Some(cursor), 0, &mut |_| {});
+    let resumed =
+        run_ccd_resumable(&d.set, &cfg_chunked, &Arc::default(), Some(cursor), 0, &mut |_| {});
     assert_eq!(resumed.components, full.components);
     assert_eq!(resumed.edges, full.edges);
     assert_eq!(resumed.trace, full.trace);

@@ -1,7 +1,8 @@
 //! Shard-plane identity suite: the sharded clustering plane must be
 //! observationally equivalent to the single master everywhere the two can
-//! be compared — components, merge counts, pair accounting, the
-//! checkpoint/resume path, and the SPMD rendering over real rank groups.
+//! be compared — components, merge counts, pair accounting (the deferred
+//! pairs the merge tree gathers included), the checkpoint/resume path, and
+//! the SPMD rendering over real rank groups.
 //!
 //! The equivalence argument (see `shard.rs` module docs): components are
 //! the transitive closure of accepted edges, verdicts are pure functions
@@ -10,6 +11,11 @@
 //! never change reachability. The merge tree then takes the closure
 //! across shards.
 
+mod common;
+
+use std::sync::Arc;
+
+use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
     run_ccd, run_ccd_resumable, run_ccd_sharded, run_ccd_sharded_spmd, CcdCursor, ClusterConfig,
     ShardParams,
@@ -35,6 +41,12 @@ fn routed_stream_accounts_for_every_generated_pair() {
         let routed: usize = run.shard_traces.iter().map(|t| t.total_generated()).sum();
         assert_eq!(routed, reference.trace.total_generated(), "K={k}");
         assert_eq!(run.shard_traces.len(), k);
+        // Each pair met one shard's filter: edge, refused or deferred, and
+        // the merged lists build the graphs a per-component miner would.
+        assert_partition(&run.result, &format!("K={k}"));
+        let all: Vec<_> = d.set.ids().collect();
+        let (config, ledger) = (ClusterConfig::default(), Arc::default());
+        assert_known_graphs_equal_mined(&d.set, &config, &all, &ledger, &run.result, "sharded");
     }
 }
 
@@ -45,13 +57,13 @@ fn sharded_matches_a_checkpointed_and_resumed_run() {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny(23));
     let config = ClusterConfig { batch_size: 8, ..ClusterConfig::default() };
     let mut first: Option<CcdCursor> = None;
-    let uninterrupted = run_ccd_resumable(&d.set, &config, None, 2, &mut |c| {
+    let uninterrupted = run_ccd_resumable(&d.set, &config, &Arc::default(), None, 2, &mut |c| {
         if first.is_none() {
             first = Some(c.clone());
         }
     });
     let cursor = first.expect("a checkpoint fired");
-    let resumed = run_ccd_resumable(&d.set, &config, Some(cursor), 0, &mut |_| {});
+    let resumed = run_ccd_resumable(&d.set, &config, &Arc::default(), Some(cursor), 0, &mut |_| {});
     assert_eq!(resumed.components, uninterrupted.components, "resume is deterministic");
     for k in [2usize, 5] {
         let sharded = run_ccd(

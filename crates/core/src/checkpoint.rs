@@ -5,10 +5,12 @@
 //! killed job can resume and reach a final clustering *identical* to the
 //! uninterrupted run:
 //!
-//! * after redundancy removal — the survivor set ([`RrState`]);
-//! * during/after CCD — the union-find forest, accepted edges and the
-//!   pair-generator cursor at a batch boundary ([`CcdState`], wrapping
-//!   [`pfam_cluster::CcdCursor`]), written every N batches;
+//! * after redundancy removal — the survivor set and the pair ledger
+//!   ([`RrState`]);
+//! * during/after CCD — the union-find forest, accepted edges, deferred
+//!   pairs and the pair-generator cursor at a batch boundary
+//!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written every N
+//!   batches;
 //! * during/after BGG+DSD — the component queue position plus every
 //!   finished component's graph and dense subgraphs ([`DsdState`]).
 //!
@@ -32,8 +34,12 @@ use pfam_shingle::ShingleStats;
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PFCK";
 /// Current format version. v2 added the generation-plan pin
-/// (`CcdCursor::gen_chunk_bytes`) to the CCD payload.
-pub const VERSION: u32 = 2;
+/// (`CcdCursor::gen_chunk_bytes`) to the CCD payload; v3 the pair ledger
+/// to the RR payload and the deferred pairs to the CCD payload — what a
+/// resumed run needs to align exactly what an uninterrupted one does. An
+/// older file is [`CkptError::BadVersion`]: there is no compatibility
+/// path.
+pub const VERSION: u32 = 3;
 
 /// Which phase a checkpoint belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,13 +346,19 @@ fn decode_trace(d: &mut Dec<'_>) -> Result<PhaseTrace, CkptError> {
 
 // ----------------------------------------------------------- phase state
 
-/// Redundancy removal, complete: the survivor set and what was removed.
+/// Redundancy removal, complete: the survivor set, what was removed, and
+/// the overlap answers its fills left behind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RrState {
     /// Kept (non-redundant) sequence ids, ascending.
     pub kept: Vec<u32>,
     /// `(removed, container)` pairs, in removal order.
     pub removed: Vec<(u32, u32)>,
+    /// The pair ledger's `(a, b, overlap)` entries, ids as positions in
+    /// `kept` ([`pfam_cluster::PairLedger::entries`]).
+    pub ledger: Vec<(u32, u32, bool)>,
+    /// Fills the ledger could not record ([`pfam_cluster::PairLedger::dropped`]).
+    pub ledger_dropped: u64,
     /// RR work trace.
     pub trace: PhaseTrace,
 }
@@ -357,6 +369,11 @@ impl RrState {
         let mut e = Enc::new();
         e.u32s(&self.kept);
         e.pairs(&self.removed);
+        for answer in [true, false] {
+            let pairs = self.ledger.iter().filter(|l| l.2 == answer).map(|&(a, b, _)| (a, b));
+            e.pairs(&pairs.collect::<Vec<_>>());
+        }
+        e.u64(self.ledger_dropped);
         encode_trace(&mut e, &self.trace);
         e.finish()
     }
@@ -366,9 +383,17 @@ impl RrState {
         let mut d = Dec::new(payload);
         let kept = d.u32s()?;
         let removed = d.pairs()?;
+        let mut ledger = Vec::new();
+        for answer in [true, false] {
+            ledger.extend(d.pairs()?.into_iter().map(|(a, b)| (a, b, answer)));
+        }
+        if ledger.iter().any(|&(a, b, _)| a.max(b) as usize >= kept.len()) {
+            return Err(CkptError::Corrupt("ledger pair outside the survivor set"));
+        }
+        let ledger_dropped = d.u64()?;
         let trace = decode_trace(&mut d)?;
         d.done()?;
-        Ok(RrState { kept, removed, trace })
+        Ok(RrState { kept, removed, ledger, ledger_dropped, trace })
     }
 }
 
@@ -392,6 +417,7 @@ impl CcdState {
         e.u32s(&self.cursor.uf_parent);
         e.bytes(&self.cursor.uf_rank);
         e.pairs(&self.cursor.edges);
+        e.pairs(&self.cursor.deferred);
         e.u64(self.cursor.n_merges as u64);
         encode_trace(&mut e, &self.cursor.trace);
         e.finish()
@@ -409,6 +435,10 @@ impl CcdState {
             return Err(CkptError::Corrupt("union-find parent/rank length mismatch"));
         }
         let edges = d.pairs()?;
+        let deferred = d.pairs()?;
+        if edges.iter().chain(&deferred).any(|&(a, b)| a.max(b) as usize >= uf_parent.len()) {
+            return Err(CkptError::Corrupt("pair outside the clustered set"));
+        }
         let n_merges = d.u64()? as usize;
         let trace = decode_trace(&mut d)?;
         d.done()?;
@@ -420,6 +450,7 @@ impl CcdState {
                 uf_parent,
                 uf_rank,
                 edges,
+                deferred,
                 n_merges,
                 trace,
             },
@@ -567,9 +598,13 @@ mod tests {
         let s = RrState {
             kept: vec![0, 2, 5, 9],
             removed: vec![(1, 0), (3, 2)],
+            ledger: vec![(0, 2, true), (1, 3, true), (0, 1, false)],
+            ledger_dropped: 7,
             trace: sample_trace(),
         };
         assert_eq!(RrState::decode(&s.encode()).expect("decode"), s);
+        let outside = RrState { ledger: vec![(0, 4, true)], ..s };
+        assert!(matches!(RrState::decode(&outside.encode()), Err(CkptError::Corrupt(_))));
     }
 
     #[test]
@@ -582,6 +617,7 @@ mod tests {
                 uf_parent: vec![0, 0, 2, 2],
                 uf_rank: vec![1, 0, 1, 0],
                 edges: vec![(0, 1), (2, 3)],
+                deferred: vec![(0, 1), (1, 3)],
                 n_merges: 2,
                 trace: sample_trace(),
             },
@@ -613,7 +649,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_payloads() {
-        let s = RrState { kept: vec![1, 2], removed: vec![], trace: sample_trace() };
+        let s = RrState {
+            kept: vec![1, 2],
+            removed: vec![],
+            ledger: vec![],
+            ledger_dropped: 0,
+            trace: sample_trace(),
+        };
         let bytes = s.encode();
         for cut in [0, 1, 7, bytes.len() - 1] {
             assert!(RrState::decode(&bytes[..cut]).is_err(), "cut at {cut}");

@@ -1,31 +1,30 @@
 //! The fused, streaming BGG→DSD executor (phases 3 + 4).
 //!
-//! The paper's back half dominated runtime on its 24-node cluster, and the
-//! original data flow here mirrored it: phase 3 built **all** component
-//! graphs behind a barrier before any dense-subgraph work began. This
-//! module removes the barrier: each component flows from CCD output
-//! through similarity-graph construction straight into dense-subgraph
-//! detection as one unit of work, so DSD on early components overlaps BGG
-//! on later ones and no worker idles at a phase boundary.
+//! Each component flows from CCD output through similarity-graph
+//! construction straight into dense-subgraph detection as one unit of
+//! work — no barrier between the phases, so DSD on early components
+//! overlaps BGG on later ones. Two further levers on the straggler tail
+//! and the allocator:
 //!
-//! Two further levers on the straggler tail and the allocator:
-//!
-//! * **Largest-first scheduling** — component costs are wildly skewed
+//! * **Heaviest-first scheduling** — component costs are wildly skewed
 //!   (one giant component plus a long tail of small ones is the norm), so
-//!   the queue is ordered by descending member count before being handed
-//!   to the workers; the biggest job starts first instead of landing last
-//!   on an otherwise-drained pool.
+//!   the queue is handed to the workers in descending weight; the biggest
+//!   job starts first instead of landing last on an otherwise-drained pool.
 //! * **Per-worker arenas** — each worker owns one [`ExecArena`]: the BGG
-//!   candidate/edge/CSR-pair buffers, the `Bd` pair staging buffer, and
-//!   the Shingle rank tables + selection scratch. All grow-only, so
+//!   slice/edge/CSR-pair buffers, the `Bd` pair staging buffer, and the
+//!   Shingle rank tables + selection scratch. All grow-only, so
 //!   steady-state component processing performs no buffer allocation.
 //!
-//! Outputs are scattered back to **queue order**, and every per-component
-//! function is the `_with` (arena) variant of the barrier path's — the
-//! streaming executor is bit-identical to [`barrier_components`], which is
-//! retained as the reference for identity tests and the bench.
+//! Where a component's graph comes from is the caller's closure
+//! ([`stream_graphs`]): the pipeline builds it from what CCD already knows
+//! ([`pfam_cluster::KnownPairs`]); [`stream_components`] mines each member
+//! list's own suffix index. Outputs come back in **queue order**, and the
+//! arena functions equal the allocating ones, so the streaming executor is
+//! bit-identical to [`barrier_components`], the phase-at-a-time reference
+//! of the identity tests and the bench.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 
 use rayon::prelude::*;
 
@@ -35,8 +34,7 @@ use pfam_cluster::{
 use pfam_graph::BipartiteGraph;
 use pfam_seq::{materialize_subset, SeqId, SeqStore};
 use pfam_shingle::{
-    detect_dense_subgraphs, detect_dense_subgraphs_with, DenseSubgraphConfig, ReductionMode,
-    ShingleArena, ShingleStats,
+    detect_dense_subgraphs_with, DenseSubgraphConfig, ReductionMode, ShingleArena, ShingleStats,
 };
 
 use crate::config::{PipelineConfig, Reduction};
@@ -58,7 +56,7 @@ pub struct ComponentOutput {
 /// One worker's reusable buffers for the whole fused path.
 #[derive(Default)]
 struct ExecArena {
-    /// BGG candidate pairs, accepted edges, CSR staging.
+    /// BGG verify slice, accepted edges, CSR staging.
     bgg: BggScratch,
     /// `Bd` duplication pair staging.
     bd_pairs: Vec<(u32, u32)>,
@@ -72,116 +70,97 @@ thread_local! {
     static ARENA: RefCell<ExecArena> = RefCell::new(ExecArena::default());
 }
 
-/// Map the pipeline-level reduction/size settings to the DSD layer's.
-pub(crate) fn dsd_config_of(config: &PipelineConfig) -> DenseSubgraphConfig {
-    DenseSubgraphConfig {
-        params: config.shingle,
-        mode: match config.reduction {
-            Reduction::GlobalSimilarity { tau } => ReductionMode::GlobalSimilarity { tau },
-            Reduction::DomainBased { .. } => ReductionMode::DomainBased,
-        },
-        min_size: config.min_subgraph_size,
-        disjoint: true,
-    }
-}
-
-/// The fused unit of work: similarity graph, bipartite reduction, and
-/// dense-subgraph detection for one component, all through `arena`.
-fn process_component(
+/// Phase 4 for one component: bipartite reduction of `graph` and
+/// dense-subgraph detection, through `arena`.
+fn dense_subgraphs(
     input: &dyn SeqStore,
     config: &PipelineConfig,
-    dsd_config: &DenseSubgraphConfig,
-    members: &[SeqId],
+    graph: &ComponentGraph,
     arena: &mut ExecArena,
-) -> ComponentOutput {
+) -> (Vec<Vec<u32>>, ShingleStats) {
     // Point this worker's rank tables at the pipeline's budget (a shared
     // handle — cloning only bumps a refcount).
     arena.shingle.set_budget(config.cluster.mem.budget.clone());
-    let (graph, record) = component_graph_with(input, members, &config.cluster, &mut arena.bgg);
-    let (subgraphs, stats) = match config.reduction {
-        Reduction::GlobalSimilarity { .. } => {
-            let bd = BipartiteGraph::duplicate_from_with(&graph.graph, &mut arena.bd_pairs);
-            detect_dense_subgraphs_with(&bd, dsd_config, &mut arena.shingle)
-        }
-        Reduction::DomainBased { w } => {
-            let subset = materialize_subset(input, &graph.members);
-            let bm = BipartiteGraph::word_based(&subset, None, w);
-            detect_dense_subgraphs_with(&bm, dsd_config, &mut arena.shingle)
-        }
+    let (mode, bipartite) = match config.reduction {
+        Reduction::GlobalSimilarity { tau } => (
+            ReductionMode::GlobalSimilarity { tau },
+            BipartiteGraph::duplicate_from_with(&graph.graph, &mut arena.bd_pairs),
+        ),
+        Reduction::DomainBased { w } => (
+            ReductionMode::DomainBased,
+            BipartiteGraph::word_based(&materialize_subset(input, &graph.members), None, w),
+        ),
     };
-    ComponentOutput { graph, record, subgraphs, stats }
+    let dsd_config = DenseSubgraphConfig {
+        params: config.shingle,
+        mode,
+        min_size: config.min_subgraph_size,
+        disjoint: true,
+    };
+    detect_dense_subgraphs_with(&bipartite, &dsd_config, &mut arena.shingle)
 }
 
-/// Stream `queue` through the fused BGG→DSD path: components are
-/// dispatched largest-first across the workers, each flows through graph
-/// construction straight into dense-subgraph detection on one worker's
-/// arena, and the outputs come back in **queue order** — bit-identical to
-/// [`barrier_components`].
+/// Stream `n` components through the fused BGG→DSD path: `build(i, ..)`
+/// makes component `i`'s similarity graph on the worker's scratch and the
+/// graph flows straight into dense-subgraph detection on the same arena.
+/// Components are dispatched in descending `weight(i)`; the outputs come
+/// back in index order whatever the scheduling.
+pub fn stream_graphs(
+    input: &dyn SeqStore,
+    config: &PipelineConfig,
+    n: usize,
+    weight: impl Fn(usize) -> usize,
+    build: impl Fn(usize, &mut BggScratch) -> (ComponentGraph, BatchRecord) + Sync,
+) -> Vec<ComponentOutput> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (Reverse(weight(i)), i));
+    let mut processed: Vec<(usize, ComponentOutput)> = order
+        .into_par_iter()
+        .map(|i| {
+            ARENA.with(|arena| {
+                let arena = &mut *arena.borrow_mut();
+                let (graph, record) = build(i, &mut arena.bgg);
+                let (subgraphs, stats) = dense_subgraphs(input, config, &graph, arena);
+                (i, ComponentOutput { graph, record, subgraphs, stats })
+            })
+        })
+        .collect();
+    processed.sort_unstable_by_key(|&(i, _)| i);
+    processed.into_iter().map(|(_, out)| out).collect()
+}
+
+/// [`stream_graphs`] over bare member lists, largest first: each
+/// component's graph is mined from a suffix index of its own
+/// ([`component_graph_with`]).
 pub fn stream_components(
     input: &dyn SeqStore,
     config: &PipelineConfig,
     queue: &[&[SeqId]],
 ) -> Vec<ComponentOutput> {
-    let dsd_config = dsd_config_of(config);
-    // Largest-first kills the straggler tail: the work counter hands out
-    // jobs in this order, so the most expensive component starts first.
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by(|&a, &b| queue[b].len().cmp(&queue[a].len()).then(a.cmp(&b)));
-    let processed: Vec<(usize, ComponentOutput)> = order
-        .into_par_iter()
-        .map(|qi| {
-            let out = ARENA.with(|arena| {
-                process_component(input, config, &dsd_config, queue[qi], &mut arena.borrow_mut())
-            });
-            (qi, out)
-        })
-        .collect();
-    // Scatter back to queue order: the caller sees the same sequence the
-    // barrier path produces regardless of scheduling.
-    let mut outputs: Vec<Option<ComponentOutput>> = (0..queue.len()).map(|_| None).collect();
-    for (qi, out) in processed {
-        outputs[qi] = Some(out);
-    }
-    outputs.into_iter().map(|o| o.expect("every queued component is processed")).collect()
+    let build = |i: usize, scratch: &mut BggScratch| {
+        component_graph_with(input, queue[i], &config.cluster, scratch)
+    };
+    stream_graphs(input, config, queue.len(), |i| queue[i].len(), build)
 }
 
 /// The pre-streaming reference data flow: build **all** component graphs
-/// behind a barrier, then run DSD over them — no arenas, no reordering.
-/// Retained for the executor-identity suites and `bgg_dsd_bench`.
+/// behind a barrier, then run DSD over them — fresh buffers for every
+/// component, no reordering. Retained for the executor-identity suites
+/// and `bgg_dsd_bench`.
 pub fn barrier_components(
     input: &dyn SeqStore,
     config: &PipelineConfig,
     queue: &[&[SeqId]],
 ) -> Vec<ComponentOutput> {
-    // ---- Phase 3 (barrier): every similarity graph, then nothing else. ----
     let built: Vec<(ComponentGraph, BatchRecord)> =
         queue.par_iter().map(|members| component_graph(input, members, &config.cluster)).collect();
-    // ---- Phase 4: dense subgraphs over the finished graphs. ----
-    let dsd_config = dsd_config_of(config);
     let detected: Vec<(Vec<Vec<u32>>, ShingleStats)> = built
         .par_iter()
-        .map(|(cg, _)| match config.reduction {
-            Reduction::GlobalSimilarity { .. } => {
-                let bd = BipartiteGraph::duplicate_from(&cg.graph);
-                detect_dense_subgraphs(&bd, &dsd_config)
-            }
-            Reduction::DomainBased { w } => {
-                let subset = materialize_subset(input, &cg.members);
-                let bm = BipartiteGraph::word_based(&subset, None, w);
-                detect_dense_subgraphs(&bm, &dsd_config)
-            }
-        })
+        .map(|(graph, _)| dense_subgraphs(input, config, graph, &mut ExecArena::default()))
         .collect();
-    built
-        .into_iter()
-        .zip(detected)
-        .map(|((graph, record), (subgraphs, stats))| ComponentOutput {
-            graph,
-            record,
-            subgraphs,
-            stats,
-        })
-        .collect()
+    let output =
+        |((graph, record), (subgraphs, stats))| ComponentOutput { graph, record, subgraphs, stats };
+    built.into_iter().zip(detected).map(output).collect()
 }
 
 #[cfg(test)]
@@ -189,52 +168,12 @@ mod tests {
     use super::*;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
 
-    fn queue_of(components: &[Vec<SeqId>], min: usize) -> Vec<&[SeqId]> {
-        components.iter().filter(|c| c.len() >= min).map(|c| c.as_slice()).collect()
-    }
-
-    fn dataset(seed: u64) -> SyntheticDataset {
-        SyntheticDataset::generate(&DatasetConfig::tiny(seed))
-    }
-
-    fn assert_outputs_equal(a: &[ComponentOutput], b: &[ComponentOutput]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.graph.members, y.graph.members);
-            assert_eq!(x.graph.graph, y.graph.graph);
-            assert_eq!(x.record, y.record);
-            assert_eq!(x.subgraphs, y.subgraphs);
-            assert_eq!(x.stats, y.stats);
-        }
-    }
-
-    #[test]
-    fn streaming_equals_barrier_on_ccd_components() {
-        let d = dataset(7);
-        let config = PipelineConfig::for_tests();
-        let ccd = pfam_cluster::run_ccd(&d.set, &config.cluster);
-        let queue = queue_of(&ccd.components, config.min_component_size);
-        assert!(!queue.is_empty());
-        let streamed = stream_components(&d.set, &config, &queue);
-        let barrier = barrier_components(&d.set, &config, &queue);
-        assert_outputs_equal(&streamed, &barrier);
-    }
-
-    #[test]
-    fn streaming_equals_barrier_for_domain_reduction() {
-        let d = dataset(8);
-        let mut config = PipelineConfig::for_tests();
-        config.reduction = Reduction::DomainBased { w: 10 };
-        let ccd = pfam_cluster::run_ccd(&d.set, &config.cluster);
-        let queue = queue_of(&ccd.components, config.min_component_size);
-        let streamed = stream_components(&d.set, &config, &queue);
-        let barrier = barrier_components(&d.set, &config, &queue);
-        assert_outputs_equal(&streamed, &barrier);
-    }
+    // Streaming == barrier on real CCD output, under both reductions, is
+    // `tests/streaming_executor.rs`.
 
     #[test]
     fn empty_queue() {
-        let d = dataset(9);
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny(9));
         let config = PipelineConfig::for_tests();
         assert!(stream_components(&d.set, &config, &[]).is_empty());
         assert!(barrier_components(&d.set, &config, &[]).is_empty());
@@ -243,18 +182,25 @@ mod tests {
     #[test]
     fn outputs_come_back_in_queue_order() {
         // Queue deliberately ordered smallest-first: scheduling reorders,
-        // scattering must restore.
-        let d = dataset(10);
+        // the executor must restore.
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny(10));
         let config = PipelineConfig::for_tests();
-        let ccd = pfam_cluster::run_ccd(&d.set, &config.cluster);
-        let mut components = ccd.components.clone();
+        let mut components = pfam_cluster::run_ccd(&d.set, &config.cluster).components;
         components.sort_by_key(|c| c.len());
-        let queue = queue_of(&components, 1);
+        let queue: Vec<&[SeqId]> = components.iter().map(|c| c.as_slice()).collect();
         let outs = stream_components(&d.set, &config, &queue);
-        for (q, out) in queue.iter().zip(&outs) {
+        assert_eq!(outs.len(), queue.len());
+        for ((q, out), reference) in
+            queue.iter().zip(&outs).zip(barrier_components(&d.set, &config, &queue))
+        {
             let mut sorted = q.to_vec();
             sorted.sort_unstable();
             assert_eq!(out.graph.members, sorted);
+            assert_eq!(
+                (&out.graph.graph, &out.record),
+                (&reference.graph.graph, &reference.record)
+            );
+            assert_eq!((&out.subgraphs, &out.stats), (&reference.subgraphs, &reference.stats));
         }
     }
 }

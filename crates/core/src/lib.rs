@@ -44,11 +44,11 @@ pub mod validate;
 
 pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
-pub use executor::{barrier_components, stream_components, ComponentOutput};
+pub use executor::{barrier_components, stream_components, stream_graphs, ComponentOutput};
 pub use pipeline::{
     run_pipeline, run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig,
     DenseSubgraph, PipelineResult,
 };
 pub use quality::{evaluate, QualityReport};
-pub use report::TableOneRow;
+pub use report::{FillReport, TableOneRow};
 pub use validate::{validate, ConfigError};

@@ -6,12 +6,20 @@
 //! construction and dense-subgraph detection
 //! ([`crate::executor::barrier_components`] keeps the phase-at-a-time
 //! data flow as the identity reference).
+//!
+//! A pair's verdict is a fact of the run, not of a phase: RR's fills leave
+//! the overlap answers in a [`PairLedger`], CCD keeps the pairs its closure
+//! filter drops, and in exact mode the back half builds each component's
+//! graph from CCD's edges plus the verdicts of those deferred pairs — the
+//! ledger's, or one fill ([`KnownPairs`]). No pair is aligned twice and no
+//! per-component suffix index is built.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use pfam_cluster::{
     check_index_budget, run_ccd_resumable, run_front_half, with_front_half, CcdCursor, CcdResult,
-    ComponentGraph, PhaseTrace,
+    ComponentGraph, KnownPairs, PairLedger, PhaseTrace, SketchMode,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
 use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
@@ -21,7 +29,7 @@ use crate::checkpoint::{
     read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState, Phase, RrState,
 };
 use crate::config::PipelineConfig;
-use crate::executor::stream_components;
+use crate::executor::{stream_components, stream_graphs, ComponentOutput};
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +60,10 @@ pub struct PipelineResult {
     pub traces: (PhaseTrace, PhaseTrace, PhaseTrace),
     /// Aggregated shingle work counters.
     pub shingle_stats: ShingleStats,
+    /// RR fills the pair ledger could not hold (its budget reservation was
+    /// refused): each may have been filled once more by a later phase.
+    /// Zero means no pair of the run was aligned twice.
+    pub ledger_dropped: u64,
 }
 
 impl PipelineResult {
@@ -85,6 +97,71 @@ pub fn run_pipeline_budgeted(
     Ok(run_pipeline(input, config))
 }
 
+/// A finished front half as the back half consumes it: the components
+/// under `input` ids and, when CCD's stream was the exact ψ_ccd pair set,
+/// what it knows of the pairs inside them. Sketch modes have no such
+/// stream, so their back half mines each component's own index instead.
+struct BackHalf<'a> {
+    components: Vec<Vec<SeqId>>,
+    known: Option<KnownPairs<'a>>,
+}
+
+impl<'a> BackHalf<'a> {
+    fn new(
+        input: &'a dyn SeqStore,
+        config: &PipelineConfig,
+        kept: &[SeqId],
+        ledger: &Arc<PairLedger>,
+        ccd: &'a mut CcdResult,
+    ) -> BackHalf<'a> {
+        let deferred = std::mem::take(&mut ccd.deferred);
+        let components = ccd
+            .components
+            .iter()
+            .map(|c| c.iter().map(|&local| kept[local.index()]).collect())
+            .collect();
+        let known = (config.cluster.sketch.mode == SketchMode::Exact).then(|| {
+            let (components, edges) = (&ccd.components, &ccd.edges);
+            KnownPairs::new(input, &config.cluster, kept, ledger, components, edges, deferred)
+        });
+        BackHalf { components, known }
+    }
+
+    /// Indices of the components large enough for the dense-subgraph stage.
+    fn selected(&self, config: &PipelineConfig) -> Vec<usize> {
+        let large = |&c: &usize| self.components[c].len() >= config.min_component_size;
+        (0..self.components.len()).filter(large).collect()
+    }
+
+    /// Fused BGG→DSD over the components `queue` indexes.
+    fn stream(
+        &self,
+        input: &dyn SeqStore,
+        config: &PipelineConfig,
+        queue: &[usize],
+    ) -> Vec<ComponentOutput> {
+        match &self.known {
+            Some(known) => stream_graphs(
+                input,
+                config,
+                queue.len(),
+                |i| known.n_deferred(queue[i]),
+                |i, scratch| known.component_graph(queue[i], scratch),
+            ),
+            None => {
+                let members: Vec<&[SeqId]> =
+                    queue.iter().map(|&c| self.components[c].as_slice()).collect();
+                stream_components(input, config, &members)
+            }
+        }
+    }
+
+    /// Residues of the components `queue` indexes (the BGG trace's volume).
+    fn residues(&self, input: &dyn SeqStore, queue: &[usize]) -> u64 {
+        queue.iter().flat_map(|&c| &self.components[c]).map(|&id| input.seq_len(id) as u64).sum()
+    }
+}
+
 /// Run the full pipeline on `input` — the BGG→DSD back half goes through
 /// the fused streaming executor. `input` is any [`SeqStore`]: an
 /// in-memory [`pfam_seq::SequenceSet`] or a paged on-disk store.
@@ -94,30 +171,16 @@ pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineRe
     // half starts. CCD sees the survivors through the store (no re-pack —
     // a paged input stays on disk); its local id `i` maps back to original
     // id `rr.kept[i]`. ----
-    let (rr, ccd) = run_front_half(input, &config.cluster);
-    let mapping = &rr.kept;
-    let components: Vec<Vec<SeqId>> = ccd
-        .components
-        .iter()
-        .map(|c| c.iter().map(|&local| mapping[local.index()]).collect())
-        .collect();
+    let (rr, mut ccd) = run_front_half(input, &config.cluster);
+    let ccd_trace = std::mem::take(&mut ccd.trace);
 
     // ---- Phases 3+4: fused BGG→DSD over the large components. ----
-    let selected: Vec<&[SeqId]> = components
-        .iter()
-        .filter(|c| c.len() >= config.min_component_size)
-        .map(|c| c.as_slice())
-        .collect();
-    let outputs = stream_components(input, config, &selected);
+    let back = BackHalf::new(input, config, &rr.kept, &rr.ledger, &mut ccd);
+    let selected = back.selected(config);
+    let outputs = back.stream(input, config, &selected);
 
-    let mut bgg_trace = PhaseTrace {
-        index_residues: selected
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|&id| input.seq_len(id) as u64)
-            .sum(),
-        ..PhaseTrace::default()
-    };
+    let mut bgg_trace =
+        PhaseTrace { index_residues: back.residues(input, &selected), ..PhaseTrace::default() };
     let mut graphs = Vec::with_capacity(outputs.len());
     let mut dense_subgraphs = Vec::new();
     let mut shingle_stats = ShingleStats::default();
@@ -139,11 +202,12 @@ pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineRe
     PipelineResult {
         n_input: input.len(),
         non_redundant: rr.kept.clone(),
-        components,
+        components: back.components,
         component_graphs: graphs,
         dense_subgraphs,
-        traces: (rr.trace, ccd.trace, bgg_trace),
+        traces: (rr.trace, ccd_trace, bgg_trace),
         shingle_stats,
+        ledger_dropped: rr.ledger.dropped(),
     }
 }
 
@@ -259,37 +323,46 @@ pub fn run_pipeline_checkpointed(
     let prior_ccd = || -> Result<Option<CcdState>, CkptError> {
         load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()
     };
-    let (rr, ccd) = match load(Phase::Rr)? {
+    let budget = &config.cluster.mem.budget;
+    let (rr, ledger, mut ccd) = match load(Phase::Rr)? {
         Some(payload) => {
-            let rr = RrState::decode(&payload)?;
+            let mut rr = RrState::decode(&payload)?;
             if stop_after == Some(Phase::Rr) {
                 return Ok(None);
             }
+            let entries = std::mem::take(&mut rr.ledger);
+            let ledger = Arc::new(PairLedger::from_entries(entries, budget));
             // No index is held: a completed CCD needs none, an interrupted
             // one rebuilds what its cursor pins.
             let nr_store = SubsetStore::new(input, rr.kept.iter().map(|&i| SeqId(i)).collect());
             let ccd = ccd_checkpointed(prior_ccd()?, nr_store.len(), ckpt, |cursor, on_cursor| {
-                run_ccd_resumable(&nr_store, &config.cluster, cursor, ckpt.every_batches, on_cursor)
+                let every = ckpt.every_batches;
+                run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, every, on_cursor)
             })?;
-            (rr, ccd)
+            (rr, ledger, ccd)
         }
         None => {
             let fresh = with_front_half(input, &config.cluster, |front| {
                 let r = front.rr();
-                let rr = RrState {
+                let mut rr = RrState {
                     kept: r.kept.iter().map(|id| id.0).collect(),
                     removed: r.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                    ledger: r.ledger.entries().collect(),
+                    ledger_dropped: r.ledger.dropped(),
                     trace: r.trace,
                 };
                 write_checkpoint(&Phase::Rr.path_in(&ckpt.dir), Phase::Rr, &rr.encode())?;
                 if stop_after == Some(Phase::Rr) {
                     return Ok(None);
                 }
+                // The ledger itself answers from here on.
+                rr.ledger = Vec::new();
                 let ccd =
                     ccd_checkpointed(prior_ccd()?, r.kept.len(), ckpt, |cursor, on_cursor| {
-                        front.ccd_resumable(&r.kept, cursor, ckpt.every_batches, on_cursor)
+                        let every = ckpt.every_batches;
+                        front.ccd_resumable(&r.kept, &r.ledger, cursor, every, on_cursor)
                     })?;
-                Ok(Some((rr, ccd)))
+                Ok(Some((rr, r.ledger, ccd)))
             })?;
             match fresh {
                 Some(phases) => phases,
@@ -297,24 +370,19 @@ pub fn run_pipeline_checkpointed(
             }
         }
     };
+    let ledger_dropped = rr.ledger_dropped + ledger.dropped();
     let kept_ids: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
-    let mapping = &kept_ids;
     if stop_after == Some(Phase::Ccd) {
         return Ok(None);
     }
-
-    let components: Vec<Vec<SeqId>> = ccd
-        .components
-        .iter()
-        .map(|c| c.iter().map(|&local| mapping[local.index()]).collect())
-        .collect();
+    let ccd_trace = std::mem::take(&mut ccd.trace);
+    let back = BackHalf::new(input, config, &kept_ids, &ledger, &mut ccd);
 
     // ---- Phases 3+4: fused BGG→DSD over the component queue in
     // checkpoint-bounded batches: each batch streams through the executor
     // in parallel, then one snapshot covers it. ----
     let dsd_path = Phase::Dsd.path_in(&ckpt.dir);
-    let selected: Vec<&Vec<SeqId>> =
-        components.iter().filter(|c| c.len() >= config.min_component_size).collect();
+    let selected = back.selected(config);
     let mut state = match load(Phase::Dsd)? {
         Some(payload) => DsdState::decode(&payload)?,
         None => DsdState::default(),
@@ -322,20 +390,17 @@ pub fn run_pipeline_checkpointed(
     if state.done.len() > selected.len() {
         return Err(CkptError::Corrupt("dsd checkpoint is for a different input"));
     }
-    for (c, comp) in state.done.iter().zip(&selected) {
-        let members: Vec<u32> = comp.iter().map(|id| id.0).collect();
-        if c.members != members {
+    for (done, &c) in state.done.iter().zip(&selected) {
+        if !done.members.iter().copied().eq(back.components[c].iter().map(|id| id.0)) {
             return Err(CkptError::Corrupt("dsd checkpoint is for a different input"));
         }
     }
-    state.trace.index_residues =
-        selected.iter().flat_map(|c| c.iter()).map(|&id| input.seq_len(id) as u64).sum();
+    state.trace.index_residues = back.residues(input, &selected);
     let every = ckpt.every_components.max(1);
     let mut cursor = state.done.len();
     while cursor < selected.len() {
         let end = (cursor + every).min(selected.len());
-        let queue: Vec<&[SeqId]> = selected[cursor..end].iter().map(|c| c.as_slice()).collect();
-        for out in stream_components(input, config, &queue) {
+        for out in back.stream(input, config, &selected[cursor..end]) {
             state.done.push(DsdComponent {
                 members: out.graph.members.iter().map(|id| id.0).collect(),
                 edges: csr_edge_list(&out.graph.graph),
@@ -378,12 +443,13 @@ pub fn run_pipeline_checkpointed(
 
     Ok(Some(PipelineResult {
         n_input: input.len(),
+        components: back.components,
         non_redundant: kept_ids,
-        components,
         component_graphs: graphs,
         dense_subgraphs,
-        traces: (rr.trace, ccd.trace, state.trace),
+        traces: (rr.trace, ccd_trace, state.trace),
         shingle_stats: state.shingle,
+        ledger_dropped,
     }))
 }
 
@@ -463,7 +529,10 @@ mod tests {
         let (rr, ccd, bgg) = &r.traces;
         assert!(rr.index_residues > 0);
         assert!(ccd.total_generated() > 0);
-        assert!(bgg.total_aligned() > 0);
+        // Every deferred pair of a selected component got its verdict:
+        // from RR's ledger, or from one fill.
+        assert!(bgg.total_generated() > 0);
+        assert_eq!(bgg.total_aligned() + bgg.total_ledger_hits(), bgg.total_generated());
     }
 
     #[test]

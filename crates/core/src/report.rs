@@ -80,6 +80,50 @@ impl std::fmt::Display for TableOneRow {
     }
 }
 
+/// Where the run's alignments went: per phase (RR, CCD, BGG) the pairs the
+/// engine filled, the cells of those fills, and the candidates the pair
+/// ledger answered instead — one stderr line of `pfam cluster|run`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillReport {
+    /// `(fills, cells computed, ledger hits)` of RR, CCD and BGG.
+    pub phases: [(usize, u64, usize); 3],
+    /// RR fills the ledger could not record; each may have been filled a
+    /// second time ([`PipelineResult::ledger_dropped`]).
+    pub ledger_dropped: u64,
+}
+
+impl FillReport {
+    /// Read the counts off `result`'s phase traces.
+    pub fn from_result(result: &PipelineResult) -> FillReport {
+        let (rr, ccd, bgg) = &result.traces;
+        let phases = [rr, ccd, bgg]
+            .map(|t| (t.total_aligned(), t.total_cells_computed(), t.total_ledger_hits()));
+        FillReport { phases, ledger_dropped: result.ledger_dropped }
+    }
+
+    /// Pairs filled over the whole run. With nothing dropped from the
+    /// ledger these are distinct pairs: no pair was aligned twice.
+    pub fn total_fills(&self) -> usize {
+        self.phases.iter().map(|p| p.0).sum()
+    }
+}
+
+impl std::fmt::Display for FillReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fills:")?;
+        for (name, (fills, cells, hits)) in ["rr", "ccd", "bgg"].into_iter().zip(self.phases) {
+            let mcells = cells as f64 / 1e6;
+            write!(f, " {name} {fills} pairs / {mcells:.1} Mcells (+{hits} ledger hits),")?;
+        }
+        let mcells = self.phases.iter().map(|p| p.1).sum::<u64>() as f64 / 1e6;
+        write!(f, " total {} pairs / {mcells:.1} Mcells", self.total_fills())?;
+        match self.ledger_dropped {
+            0 => write!(f, ", each filled once"),
+            n => write!(f, ", up to {n} filled twice (the ledger's reservation was refused)"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +141,19 @@ mod tests {
         assert_eq!(row.n_dense_subgraphs, r.dense_subgraphs.len());
         assert!(row.mean_density >= 0.0 && row.mean_density <= 1.0);
         assert!(row.largest <= row.n_seq_in_subgraphs);
+    }
+
+    #[test]
+    fn fill_report_reads_the_traces() {
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny(34));
+        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let report = FillReport::from_result(&r);
+        assert_eq!(report.phases[0].2, 0, "RR fills, it never looks up");
+        assert!(report.phases[2].2 > 0, "BGG is answered by RR's fills");
+        assert_eq!(report.total_fills(), report.phases.iter().map(|p| p.0).sum::<usize>());
+        let line = report.to_string();
+        assert!(line.starts_with("fills: rr ") && line.ends_with("each filled once"), "{line}");
+        assert!(!line.contains('\n'));
     }
 
     #[test]

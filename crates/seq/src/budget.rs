@@ -15,7 +15,7 @@
 //! every consumer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A reservation request that would exceed the configured limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +48,8 @@ struct BudgetInner {
     limit: u64,
     used: AtomicU64,
     peak: AtomicU64,
+    /// Granted reservations per `what` label.
+    granted: Mutex<Vec<(&'static str, u64)>>,
 }
 
 /// Shared, thread-safe byte accounting with an optional hard limit.
@@ -95,6 +97,13 @@ impl MemoryBudget {
         self.inner.peak.load(Ordering::Relaxed)
     }
 
+    /// How many reservations labelled `what` have been granted so far —
+    /// which structures a run actually built, whatever it released since.
+    pub fn granted(&self, what: &str) -> u64 {
+        let granted = self.inner.granted.lock().unwrap_or_else(|e| e.into_inner());
+        granted.iter().find(|(label, _)| *label == what).map_or(0, |&(_, n)| n)
+    }
+
     /// Bytes still available (`u64::MAX` when unlimited).
     pub fn remaining(&self) -> u64 {
         if self.inner.limit == 0 {
@@ -129,6 +138,11 @@ impl MemoryBudget {
             {
                 Ok(_) => {
                     inner.peak.fetch_max(new, Ordering::Relaxed);
+                    let mut granted = inner.granted.lock().unwrap_or_else(|e| e.into_inner());
+                    match granted.iter_mut().find(|(label, _)| *label == what) {
+                        Some((_, n)) => *n += 1,
+                        None => granted.push((what, 1)),
+                    }
                     return Ok(Reservation { budget: self.clone(), bytes });
                 }
                 Err(actual) => used = actual,
@@ -170,12 +184,20 @@ impl Reservation {
 
     /// Shrink the reservation to `bytes` (useful once the real size of a
     /// structure is known and smaller than the estimate). Growing is not
-    /// allowed — take a second reservation instead.
+    /// allowed — take a second reservation and [`merge`](Self::merge) it.
     pub fn shrink_to(&mut self, bytes: u64) {
         if bytes < self.bytes {
             self.budget.release(self.bytes - bytes);
             self.bytes = bytes;
         }
+    }
+
+    /// Fold `other` — a reservation on the same budget — into this one, so
+    /// a structure that grows in steps holds a single guard.
+    pub fn merge(&mut self, mut other: Reservation) {
+        debug_assert!(Arc::ptr_eq(&self.budget.inner, &other.budget.inner));
+        // `other` drops holding nothing.
+        self.bytes += std::mem::take(&mut other.bytes);
     }
 }
 
@@ -213,6 +235,11 @@ mod tests {
         assert!(err.to_string().contains("memory budget exceeded"));
         drop(r);
         assert!(b.try_reserve("b", 50).is_ok(), "release frees the bytes");
+        assert_eq!(
+            (b.granted("a"), b.granted("b"), b.granted("c")),
+            (1, 1, 0),
+            "refusals excluded"
+        );
     }
 
     #[test]
@@ -234,6 +261,16 @@ mod tests {
         // Growing is a no-op.
         r.shrink_to(50);
         assert_eq!(b.used(), 30);
+        drop(r);
+        assert_eq!(b.used(), 0);
+    }
+
+    #[test]
+    fn merge_moves_the_bytes_under_one_guard() {
+        let b = MemoryBudget::limited(100);
+        let mut r = b.try_reserve("x", 30).unwrap();
+        r.merge(b.try_reserve("x", 20).unwrap());
+        assert_eq!((b.used(), r.bytes()), (50, 50));
         drop(r);
         assert_eq!(b.used(), 0);
     }

@@ -3,7 +3,9 @@
 # index tests under a timeout, root-package tests, workspace tests, the
 # driver-equivalence matrix, the shard-plane identity suite, the
 # one-index suites (masked mining == the subset's own index; front half ==
-# the two-build composition), index-bench, align-bench, bgg-dsd-bench and shard-bench
+# the two-build composition), the one-alignment-per-pair suite (ledger and
+# deferred pairs change the work, no result), index-bench, align-bench,
+# bgg-dsd-bench and shard-bench
 # smoke passes (bit-identity checks on tiny workloads), the
 # alignment-engine and streaming-executor identity
 # suites, the fault-injection + chaos-soak + supervision suites, the
@@ -14,7 +16,8 @@
 # ClusterCore; none of the retired schedulers or rank kernels by name; no
 # whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
 # hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
-# the alignment engine's hot path), the pfam-align suites in release mode,
+# the alignment engine's hot path; no per-component suffix index on the
+# pipeline's exact path), the pfam-align suites in release mode,
 # the benchmark package's own tests, and CLI checkpoint/resume,
 # sharded-cluster and removed-flag smokes.
 # Run from anywhere inside the repo.
@@ -108,6 +111,19 @@ for f in crates/align/src/engine.rs crates/align/src/onepass.rs; do
     fi
 done
 
+echo "== tier1: one suffix index per exact-mode run =="
+# One-alignment contract: the pipeline builds each component's graph from
+# CCD's edges and deferred pairs (pfam_cluster::KnownPairs). The
+# per-component index survives in bgg.rs as the supply of callers with no
+# such bookkeeping — one `with_match_tree` call there, none in the
+# pipeline or the executor.
+if [ "$(grep -c "with_match_tree(" crates/cluster/src/bgg.rs)" != 1 ] \
+    || grep -n "with_match_tree\|materialize_subset" crates/core/src/pipeline.rs \
+    || grep -n "with_match_tree" crates/core/src/executor.rs; then
+    echo "tier1 FAIL: a second per-component index path (see crates/cluster/src/bgg.rs)" >&2
+    exit 1
+fi
+
 echo "== tier1: repeat-corpus index tests under a timeout =="
 # Homopolymers, identical reads, a 10^5-long tandem repeat: inputs on
 # which resolving suffix-key ties by comparison is quadratic. The bucket
@@ -145,6 +161,12 @@ echo "== tier1: one-index suites (masked mining == subset index; front half == t
 cargo test -q -p pfam-suffix --test masked_props
 cargo test -q -p pfam-cluster --test front_half
 
+echo "== tier1: one-alignment-per-pair suite (ledger / deferred pairs: same results, less work) =="
+# RR's pair ledger and CCD's deferred list may change how many pairs are
+# filled, never a component, an edge set or a component graph — for every
+# driver, shard count and ledger state (full, absent, cut short).
+cargo test -q -p pfam-cluster --test pair_ledger
+
 echo "== tier1: alignment-engine identity suites =="
 # The tiered engine must be verdict- and output-identical to the reference
 # criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
@@ -177,6 +199,10 @@ echo "== tier1: bgg_dsd_bench --test (smoke + executor identity) =="
 BGG_SMOKE=$(cargo run --release -p pfam-bench --bin bgg_dsd_bench -- --test)
 echo "$BGG_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: bgg_dsd_bench smoke did not report identical outputs" >&2
+    exit 1
+}
+echo "$BGG_SMOKE" | grep -q '"supply_known"' || {
+    echo "tier1 FAIL: bgg_dsd_bench smoke did not time the known-pairs supply" >&2
     exit 1
 }
 
@@ -231,8 +257,15 @@ trap 'rm -rf "$SMOKE"' EXIT
     --stop-after ccd --min-size 3 --out "$SMOKE/ignored.tsv"
 ./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
     --resume --min-size 3 --out "$SMOKE/resumed.tsv"
-./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --out "$SMOKE/straight.tsv"
+./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --out "$SMOKE/straight.tsv" \
+    2>"$SMOKE/straight.err"
 diff "$SMOKE/resumed.tsv" "$SMOKE/straight.tsv"
+# The fills-per-phase line (stderr): the ledger answered, nothing twice.
+grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || {
+    echo "tier1 FAIL: pfam cluster did not print its fills / ledger-hits line" >&2
+    cat "$SMOKE/straight.err" >&2
+    exit 1
+}
 
 echo "== tier1: CLI sharded-cluster smoke (byte-identical families.tsv) =="
 ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --shards 3 \

@@ -29,8 +29,8 @@ use pfam::cluster::{
     run_front_half, ClusterConfig, ShardParams, SketchBanding, SketchMode, SketchParams,
 };
 use pfam::core::{
-    run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig, Phase, PipelineConfig,
-    PipelineResult, Reduction, TableOneRow,
+    run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig, FillReport, Phase,
+    PipelineConfig, PipelineResult, Reduction, TableOneRow,
 };
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::complexity::{masked_fraction, MaskParams};
@@ -304,7 +304,8 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     Ok((config, min_size))
 }
 
-/// Print the Table-I row and write `families.tsv`.
+/// Print the Table-I row (stdout) and where the alignments went (stderr),
+/// and write `families.tsv`.
 fn report_families(
     set: &SequenceSet,
     result: &PipelineResult,
@@ -313,6 +314,7 @@ fn report_families(
 ) -> Result<(), String> {
     println!("{}", TableOneRow::header());
     println!("{}", TableOneRow::from_result(result, min_size));
+    eprintln!("{}", FillReport::from_result(result));
 
     let out = flag_value(args, "--out").unwrap_or_else(|| "families.tsv".to_owned());
     let mut w =

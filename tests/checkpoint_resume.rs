@@ -1,13 +1,20 @@
 //! Kill/resume integration tests: stop the checkpointed pipeline after
-//! every phase boundary (and mid-CCD), resume from disk, and require the
-//! final clustering — down to the rendered families.tsv text — to be
-//! identical to the uninterrupted run. A run that starts at RR mines one
-//! suffix index in both clustering phases; a resumed run rebuilds what
-//! the CCD cursor pins, so the cursors here come from either.
+//! every phase boundary (and mid-CCD, and mid-DSD), resume from disk, and
+//! require the final clustering — down to the rendered families.tsv text
+//! — and all three work traces to be identical to the uninterrupted run:
+//! `rr.ckpt` carries the pair ledger and `ccd.ckpt` the deferred pairs, so
+//! a resumed run aligns exactly what an uninterrupted one does. A run that
+//! starts at RR mines one suffix index in both clustering phases; a
+//! resumed run rebuilds what the CCD cursor pins, so the cursors here come
+//! from either.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use pfam::core::checkpoint::{read_checkpoint, write_checkpoint, CcdState};
+use pfam::cluster::PairLedger;
+use pfam::core::checkpoint::{
+    read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, MAGIC,
+};
 use pfam::core::{
     run_pipeline, run_pipeline_checkpointed, CheckpointConfig, Phase, PipelineConfig,
     PipelineResult,
@@ -92,20 +99,22 @@ fn kill_after_each_phase_then_resume_is_identical() {
 }
 
 /// Complete RR under `ckpt`, then plant a genuine mid-CCD cursor — the
-/// one in the middle of those `run` emits over RR's survivors — as
-/// `ccd.ckpt`, and return its plan pin.
+/// one in the middle of those `run` emits over RR's survivors, answered by
+/// RR's ledger — as `ccd.ckpt`, and return its plan pin.
 fn kill_mid_ccd(
     d: &SyntheticDataset,
     config: &PipelineConfig,
     ckpt: &CheckpointConfig,
-    run: impl FnOnce(&[pfam::seq::SeqId], &mut dyn FnMut(&pfam::cluster::CcdCursor)),
+    run: impl FnOnce(&[pfam::seq::SeqId], &Arc<PairLedger>, &mut dyn FnMut(&pfam::cluster::CcdCursor)),
 ) -> u64 {
     run_pipeline_checkpointed(&d.set, config, ckpt, false, Some(Phase::Rr)).expect("rr-only run");
     let (_, payload) = read_checkpoint(&Phase::Rr.path_in(&ckpt.dir)).expect("rr.ckpt");
     let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
     let kept: Vec<pfam::seq::SeqId> = rr.kept.iter().map(|&i| pfam::seq::SeqId(i)).collect();
+    assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
+    let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.mem.budget));
     let mut cursors = Vec::new();
-    run(&kept, &mut |c| cursors.push(c.clone()));
+    run(&kept, &ledger, &mut |c| cursors.push(c.clone()));
     let cursor = cursors.swap_remove(cursors.len() / 2);
     assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
     let pin = cursor.gen_chunk_bytes;
@@ -125,9 +134,9 @@ fn resume_from_partial_ccd_cursor_is_identical() {
     let straight = run_pipeline(&d.set, &config);
     let ckpt =
         CheckpointConfig { dir: scratch_dir("mid-ccd"), every_batches: 1, every_components: 1 };
-    kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+    kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
         let (nr_set, _) = d.set.subset(kept);
-        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, None, 1, on_cursor);
+        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, ledger, None, 1, on_cursor);
     });
     let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
         .expect("resume from partial cursor")
@@ -149,9 +158,9 @@ fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
         every_batches: 1,
         every_components: 1,
     };
-    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
         pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
-            front.ccd_resumable(kept, None, 1, on_cursor);
+            front.ccd_resumable(kept, ledger, None, 1, on_cursor);
         })
     });
     assert_eq!(pin, 0, "an unbudgeted in-memory run mines one monolithic index");
@@ -173,10 +182,10 @@ fn partitioned_pin_of_an_older_checkpoint_still_resumes() {
     let straight = run_pipeline(&d.set, &config);
     let ckpt =
         CheckpointConfig { dir: scratch_dir("old-pin"), every_batches: 1, every_components: 1 };
-    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, on_cursor| {
+    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
         let view = pfam::seq::SubsetStore::new(&d.set, kept.to_vec());
         let forced = config.clone().with_index_chunk_bytes(OLD_DEFAULT);
-        pfam::cluster::run_ccd_resumable(&view, &forced.cluster, None, 1, on_cursor);
+        pfam::cluster::run_ccd_resumable(&view, &forced.cluster, ledger, None, 1, on_cursor);
     });
     assert_eq!(pin, OLD_DEFAULT);
     let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
@@ -210,6 +219,67 @@ fn batched_dsd_checkpointing_resumes_identically() {
         assert_same_result(&d.set, &resumed, &straight);
         let _ = std::fs::remove_dir_all(&ckpt.dir);
     }
+}
+
+#[test]
+fn kill_mid_dsd_resumes_identically() {
+    // What a run killed between two DSD snapshots leaves behind: complete
+    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding a prefix of the queue.
+    // The resumed run must build the remaining graphs from the stored
+    // ledger and deferred pairs — same fills, same ledger hits.
+    use pfam::graph::{BipartiteGraph, CsrGraph};
+    use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
+    let d = dataset(4878);
+    let config = PipelineConfig::for_tests();
+    let straight = run_pipeline(&d.set, &config);
+    let ckpt =
+        CheckpointConfig { dir: scratch_dir("mid-dsd"), every_batches: 4, every_components: 1 };
+    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Dsd)).expect("full run");
+    let dsd_path = Phase::Dsd.path_in(&ckpt.dir);
+    let mut state = DsdState::decode(&read_checkpoint(&dsd_path).expect("dsd.ckpt").1).unwrap();
+    assert!(state.done.len() >= 2, "need a queue to cut");
+    state.done.truncate(1);
+    state.trace.batches.truncate(1);
+    let pfam::core::Reduction::GlobalSimilarity { tau } = config.reduction else { unreachable!() };
+    let dsd_config = DenseSubgraphConfig {
+        params: config.shingle,
+        mode: ReductionMode::GlobalSimilarity { tau },
+        min_size: config.min_subgraph_size,
+        disjoint: true,
+    };
+    state.shingle = ShingleStats::default();
+    for c in &state.done {
+        let graph = CsrGraph::from_edges(c.members.len(), &c.edges);
+        let (_, stats) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&graph), &dsd_config);
+        state.shingle.absorb(&stats);
+    }
+    write_checkpoint(&dsd_path, Phase::Dsd, &state.encode()).expect("plant partial dsd.ckpt");
+    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
+        .expect("resume mid-DSD")
+        .expect("completes");
+    assert!(resumed.traces.2.total_ledger_hits() > 0, "the stored ledger must answer");
+    assert_same_result(&d.set, &resumed, &straight);
+    let _ = std::fs::remove_dir_all(&ckpt.dir);
+}
+
+#[test]
+fn a_version_2_checkpoint_is_refused() {
+    // v2 files hold neither ledger nor deferred pairs; there is no
+    // compatibility path — the resume stops with the version it found.
+    let d = dataset(4879);
+    let config = PipelineConfig::for_tests();
+    let ckpt = CheckpointConfig { dir: scratch_dir("v2"), every_batches: 0, every_components: 1 };
+    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Ccd)).expect("ccd run");
+    let path = Phase::Ccd.path_in(&ckpt.dir);
+    let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
+    assert_eq!(&bytes[..4], MAGIC);
+    assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "this build writes version 3");
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite as v2");
+    let err = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None).unwrap_err();
+    assert!(matches!(err, CkptError::BadVersion(2)), "{err}");
+    let _ = std::fs::remove_dir_all(&ckpt.dir);
 }
 
 #[test]

@@ -178,10 +178,78 @@ fn pipeline_equals_the_hand_composition() {
         got.dense_subgraphs.iter().map(|ds| ds.members.clone()).collect();
     assert_eq!(got_families, families);
     assert_eq!(got.shingle_stats, shingle_stats);
+    // ... through the same candidates: the pipeline's CCD answers from RR's
+    // ledger what the composition's fills again.
     for (what, got, want) in [("RR", &got.traces.0, &rr.trace), ("CCD", &got.traces.1, &ccd.trace)]
     {
         assert_eq!(got.total_generated(), want.total_generated(), "{what} generated");
         assert_eq!(got.total_filtered(), want.total_filtered(), "{what} filtered");
-        assert_eq!(got.total_aligned(), want.total_aligned(), "{what} aligned");
+        assert_eq!(
+            got.total_aligned() + got.total_ledger_hits(),
+            want.total_aligned(),
+            "{what} verified"
+        );
     }
+    assert_eq!(got.traces.0.total_ledger_hits(), 0, "RR fills; it has no ledger to ask");
+
+    // The back half verifies the deferred pairs of the selected components
+    // and nothing else — each by a ledger hit or by one fill.
+    let size_of: std::collections::HashMap<SeqId, usize> =
+        ccd.components.iter().flat_map(|c| c.iter().map(move |&id| (id, c.len()))).collect();
+    let deferred_selected = ccd
+        .deferred
+        .iter()
+        .filter(|&&(a, _)| size_of[&SeqId(a)] >= config.min_component_size)
+        .count();
+    let bgg = &got.traces.2;
+    assert!(deferred_selected > 0 && bgg.total_ledger_hits() > 0);
+    assert_eq!(bgg.total_aligned() + bgg.total_ledger_hits(), deferred_selected);
+    assert_eq!(got.ledger_dropped, 0);
+}
+
+#[test]
+fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
+    // One suffix index for the whole run: the shared `gsa-index`, and no
+    // per-component `bgg-gsa` — which the member-list supply does build.
+    let d = dataset(111);
+    let config = PipelineConfig::for_tests();
+    let budget = &config.cluster.mem.budget;
+    let got = run_pipeline(&d.set, &config);
+    assert_eq!((budget.granted("gsa-index"), budget.granted("partitioned-gsa")), (1, 0));
+    assert_eq!(budget.granted("bgg-gsa"), 0, "the exact back half indexes no component");
+    assert!(budget.granted("pair-ledger") > 0);
+    assert_eq!(budget.used(), 0, "and everything is released, ledger included");
+    let queue: Vec<&[SeqId]> = got.components.iter().map(|c| c.as_slice()).collect();
+    stream_components(&d.set, &config, &queue);
+    assert!(
+        budget.granted("bgg-gsa") > 0,
+        "the probe sees a per-component index when one is built"
+    );
+
+    // No pair is filled twice. The phases fill disjoint sets of pairs by
+    // construction — CCD `stream ∖ deferred ∖ ledger`, the back half
+    // `deferred ∖ ledger` — so it suffices that the counts are those sets'
+    // sizes: stream without repeats, ledger complete.
+    let (rr, ccd) = pfam::cluster::run_front_half(&d.set, &config.cluster);
+    let (rr_t, ccd_t, bgg_t) = &got.traces;
+    assert_eq!((rr.ledger.dropped(), got.ledger_dropped), (0, 0));
+    let edges = ccd.edges.iter().map(|&(a, b)| (a.0, b.0));
+    let mut seen = HashSet::new();
+    assert!(
+        edges.chain(ccd.deferred.iter().copied()).all(|p| seen.insert(p)),
+        "an edge is never deferred, nothing is deferred twice"
+    );
+    let deferred_hits =
+        ccd.deferred.iter().filter(|&&(a, b)| rr.ledger.lookup(a, b).is_some()).count();
+    assert_eq!(
+        ccd_t.total_aligned() + ccd_t.total_ledger_hits() + ccd.deferred.len(),
+        ccd_t.total_generated()
+    );
+    assert_eq!(
+        ccd_t.total_ledger_hits() + deferred_hits,
+        rr.ledger.len(),
+        "every pair RR filled between survivors comes back exactly once: ψ_rr pairs ⊂ ψ_ccd pairs"
+    );
+    assert!(bgg_t.total_ledger_hits() <= deferred_hits);
+    assert!(rr_t.total_aligned() >= rr.ledger.len());
 }

@@ -2,8 +2,10 @@
 //! synthetic datasets, the streaming path must reproduce the barrier
 //! reference exactly — component graphs, alignment records, dense
 //! subgraphs, and shingle counters — for both bipartite reductions, at
-//! the executor level and through the full pipeline (whose back half is
-//! held against the barrier reference over the same component queue).
+//! the executor level and through the full pipeline. The pipeline's back
+//! half builds its graphs from what CCD already knows instead of mining
+//! each component; it is held against the barrier reference over the same
+//! component queue — same graphs, same families, a share of the work.
 
 use pfam::cluster::run_ccd;
 use pfam::core::{
@@ -92,7 +94,12 @@ fn pipeline_identity(config: &PipelineConfig, seed: u64) {
     {
         assert_eq!(s.members, b.graph.members);
         assert_eq!(s.graph, b.graph.graph);
-        assert_eq!(record, &b.record, "BGG trace");
+        // The pipeline verifies only the pairs CCD deferred — by RR's
+        // ledger or by one fill — where the reference aligns every
+        // promising pair of the component.
+        assert_eq!(record.n_aligned + record.n_ledger_hits, record.n_generated, "BGG trace");
+        assert!(record.n_generated <= b.record.n_generated, "deferred ⊂ the component's pairs");
+        assert!(record.n_aligned <= b.record.n_aligned);
         stats.absorb(&b.stats);
         for local in &b.subgraphs {
             families.push(local.iter().map(|&l| b.graph.original_id(l)).collect());
