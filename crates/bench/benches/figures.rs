@@ -14,7 +14,7 @@ use pfam_bench::{dataset_160k_like, dataset_22k_like, scaled_members};
 use pfam_cluster::{
     all_component_graphs, run_ccd, run_redundancy_removal, ClusterConfig, PhaseTrace,
 };
-use pfam_core::{run_pipeline, PipelineConfig};
+use pfam_core::PipelineConfig;
 use pfam_graph::BipartiteGraph;
 use pfam_metrics::Histogram;
 use pfam_shingle::{shingle_clusters, ShingleParams};
@@ -38,7 +38,7 @@ fn bench_fig5(c: &mut Criterion) {
     let config = PipelineConfig::default();
     group.bench_function("size_histogram", |b| {
         b.iter(|| {
-            let result = run_pipeline(black_box(&data.set), &config);
+            let result = config.run(black_box(&data.set));
             black_box(Histogram::new(5, result.dense_subgraphs.iter().map(|d| d.members.len())))
         })
     });

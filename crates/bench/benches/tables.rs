@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use pfam_bench::{dataset_160k_like, dataset_22k_like};
 use pfam_cluster::{run_all_pairs_baseline, run_ccd, run_redundancy_removal, ClusterConfig};
-use pfam_core::{evaluate, run_pipeline, PipelineConfig, TableOneRow};
+use pfam_core::{evaluate, PipelineConfig, TableOneRow};
 use pfam_sim::{simulate_phase, MachineModel};
 
 /// Bench-friendly scale: big enough for real structure, small enough for
@@ -27,7 +27,7 @@ fn bench_table1(c: &mut Criterion) {
         let name = if data.label.starts_with("160K") { "160k_like" } else { "22k_like" };
         group.bench_function(name, |b| {
             b.iter(|| {
-                let result = run_pipeline(black_box(&data.set), &config);
+                let result = config.run(black_box(&data.set));
                 black_box(TableOneRow::from_result(&result, config.min_component_size))
             })
         });
@@ -74,7 +74,7 @@ fn bench_quality(c: &mut Criterion) {
     group.sample_size(10);
     let data = dataset_160k_like(SCALE, 0x160);
     let config = PipelineConfig::default();
-    let result = run_pipeline(&data.set, &config);
+    let result = config.run(&data.set);
     group.bench_function("pr_se_oq_cc", |b| {
         b.iter(|| black_box(evaluate(black_box(&result), &data.benchmark)))
     });

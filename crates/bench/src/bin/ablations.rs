@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use pfam_bench::dataset_160k_like;
 use pfam_cluster::{run_all_pairs_baseline, run_ccd, run_ccd_from_pairs, ClusterConfig};
-use pfam_core::{evaluate, run_pipeline, PipelineConfig, Reduction};
+use pfam_core::{evaluate, PipelineConfig, Reduction};
 use pfam_seq::complexity::MaskParams;
 use pfam_shingle::ShingleParams;
 use pfam_suffix::{maximal::all_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
@@ -70,7 +70,7 @@ fn main() {
             shingle: ShingleParams { s1, c1, s2: 2, c2: 40, seed: 0xab },
             ..PipelineConfig::default()
         };
-        let r = run_pipeline(&data.set, &pc);
+        let r = pc.run(&data.set);
         let q = evaluate(&r, &data.benchmark);
         println!(
             "{s1}\t{c1}\t{}\t{:.2}\t{:.2}",
@@ -88,7 +88,7 @@ fn main() {
             reduction: Reduction::GlobalSimilarity { tau },
             ..PipelineConfig::default()
         };
-        let r = run_pipeline(&data.set, &pc);
+        let r = pc.run(&data.set);
         let q = evaluate(&r, &data.benchmark);
         println!(
             "{tau}\t{}\t{}\t{:.2}",
@@ -119,7 +119,7 @@ fn main() {
 
     // ---------- 7. Shingle vs greedy densest-subgraph peeling ----------
     println!("\n== 7. Shingle detection vs Charikar peeling (per component) ==");
-    let r = run_pipeline(&data.set, &PipelineConfig::default());
+    let r = PipelineConfig::default().run(&data.set);
     let shingle_count = r.dense_subgraphs.len();
     let shingle_covered = r.sequences_in_subgraphs();
     let mut peel_count = 0usize;

@@ -7,14 +7,14 @@
 //! ```
 
 use pfam_bench::dataset_22k_like;
-use pfam_core::{run_pipeline, PipelineConfig};
+use pfam_core::PipelineConfig;
 use pfam_metrics::Histogram;
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
     let data = dataset_22k_like(scale, 0x22);
     println!("running pipeline on {}…", data.label);
-    let result = run_pipeline(&data.set, &PipelineConfig::default());
+    let result = PipelineConfig::default().run(&data.set);
 
     let sizes: Vec<usize> = result.dense_subgraphs.iter().map(|d| d.members.len()).collect();
     let largest = sizes.iter().copied().max().unwrap_or(0);

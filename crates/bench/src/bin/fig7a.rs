@@ -6,10 +6,8 @@
 //! ```
 
 use pfam_bench::{dataset_160k_like, scaled_members};
-use pfam_cluster::{
-    run_ccd, run_ccd_sharded, run_redundancy_removal, ClusterConfig, PhaseTrace, ShardParams,
-};
-use pfam_sim::{simulate_phase, simulate_sharded, speedup_sweep, MachineModel};
+use pfam_cluster::{run_ccd, run_redundancy_removal, ClusterConfig};
+use pfam_sim::{speedup_sweep, MachineModel};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
@@ -26,7 +24,6 @@ fn main() {
     }
     println!();
     let mut final_speedups = Vec::new();
-    let mut largest_rung = None;
     for (i, (members, label)) in ladder.iter().enumerate() {
         let frac = *members as f64 / 1600.0;
         let data = dataset_160k_like(scale * frac * 2.0, 0x7A + i as u64);
@@ -40,7 +37,6 @@ fn main() {
         }
         println!();
         final_speedups.push((label.to_string(), sweep.last().expect("non-empty").2));
-        largest_rung = Some((nr, ccd));
     }
 
     println!(
@@ -55,40 +51,6 @@ fn main() {
             w[1].0,
             w[1].1,
             w[0].1 <= w[1].1 + 0.5
-        );
-    }
-
-    // Overlay: the same CCD phase (largest rung) with the master shard
-    // plane replacing the single master — K grows with p, so the serial
-    // filter stage shrinks instead of saturating the curve.
-    let (nr, ccd) = largest_rung.expect("the ladder has at least one rung");
-    println!(
-        "\n== Overlay: largest-rung CCD speedup vs p=32, single master vs sharded (K = p/32) =="
-    );
-    println!("p\tK\tsingle\tsharded");
-    let base_single = simulate_phase(&ccd.trace, &machine, ps[0]).seconds;
-    let mut base_sharded = base_single;
-    for (i, &p) in ps.iter().enumerate() {
-        let k = (p / ps[0]).max(1);
-        let sharded_seconds = if k == 1 {
-            simulate_phase(&ccd.trace, &machine, p).seconds
-        } else {
-            let cfg = ClusterConfig {
-                shard: ShardParams { shards: k, ..Default::default() },
-                ..config.clone()
-            };
-            let run = run_ccd_sharded(&nr, &cfg);
-            let traces: Vec<&PhaseTrace> = run.shard_traces.iter().collect();
-            simulate_sharded(&traces, &machine, p, nr.len()).seconds
-        };
-        if i == 0 {
-            base_sharded = sharded_seconds;
-        }
-        let single_seconds = simulate_phase(&ccd.trace, &machine, p).seconds;
-        println!(
-            "{p}\t{k}\t{:.2}\t{:.2}",
-            base_single / single_seconds,
-            base_sharded / sharded_seconds
         );
     }
 }

@@ -20,9 +20,9 @@
 //!   the partitioned plan and refuses the monolithic reservation. The
 //!   pair sets are asserted identical; peak allocation per side comes
 //!   from this binary's counting `#[global_allocator]`.
-//! * `pipeline` — the full budgeted pipeline (`run_pipeline_budgeted`)
-//!   over the paged store, under a budget smaller than the monolithic
-//!   index's estimated footprint.
+//! * `pipeline` — the full pipeline (`run_pipeline`) over the paged
+//!   store, under a budget smaller than the monolithic index's estimated
+//!   footprint.
 //!
 //! The comparison section is capped at 20 K reads (the monolithic side
 //! must stay feasible on the measurement host); the pipeline section runs
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
-use pfam_core::{run_pipeline_budgeted, PipelineConfig};
+use pfam_core::PipelineConfig;
 use pfam_datagen::{generate_to_store, DatasetConfig};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
 use pfam_suffix::{
@@ -208,8 +208,7 @@ fn main() {
     peak_reset();
     let live0 = LIVE.load(Ordering::Relaxed);
     let t0 = Instant::now();
-    let result =
-        run_pipeline_budgeted(&store, &pipe_config).expect("the chunked plan fits the budget");
+    let result = pipe_config.run(&store);
     let pipeline_s = t0.elapsed().as_secs_f64();
     let pipeline_peak = peak_since(live0);
     let budget_peak = pipe_config.cluster.mem.budget.peak();

@@ -7,7 +7,7 @@
 //! cargo run --release -p pfam-bench --bin lsh_bench -- --test  # smoke
 //! ```
 //!
-//! Four sections per record:
+//! Three sections per record:
 //!
 //! * `sketch_at_scale` — a [`SketchSource`] streams candidates over the
 //!   full paged store (default 1 000 000 ORFs). Its peak allocation must
@@ -23,9 +23,6 @@
 //!   precision/sensitivity vs datagen ground truth (the same
 //!   `pfam_metrics` harness the quality bench uses). The full run asserts
 //!   some swept point reaches recall ≥ 0.95.
-//! * `hybrid` — `HybridSource` under recall-1.0 settings (exhaustive
-//!   banding, k ≤ ψ): the confirmed pair set is asserted identical —
-//!   `(a, b, len)` for every pair — to the exact miner's.
 //!
 //! Core counts go through the honesty guard; the comparative
 //! speedup claim is refused on a 1-core host. Raw per-side seconds are
@@ -37,10 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pfam_bench::{claim_f64, cores_field, detected_cores, emit_append, BenchArgs};
-use pfam_cluster::{
-    run_ccd, ClusterConfig, HybridSource, PairSource, SketchBanding, SketchMode, SketchParams,
-    SketchSource,
-};
+use pfam_cluster::{run_ccd, ClusterConfig, PairSource, SketchMode, SketchParams, SketchSource};
 use pfam_datagen::{generate_to_store, DatasetConfig, SyntheticDataset};
 use pfam_metrics::{labels_from_clusters, pair_confusion, QualityMeasures};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
@@ -128,19 +122,6 @@ fn drain_keys(src: &mut dyn PairSource) -> HashSet<u64> {
     }
 }
 
-/// Drain a pair source keeping every pair (hybrid-vs-exact comparison).
-fn drain_pairs(src: &mut dyn PairSource) -> Vec<MatchPair> {
-    let mut out = Vec::new();
-    loop {
-        let batch = src.next_batch(65_536);
-        let short = batch.len() < 65_536;
-        out.extend(batch);
-        if short {
-            return out;
-        }
-    }
-}
-
 /// Exact promising-pair set for `set` at the config's ψ — the reference
 /// every recall figure is computed against.
 fn exact_pairs(set: &pfam_seq::SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
@@ -166,17 +147,10 @@ fn recall_of(candidates: &HashSet<u64>, exact: &[MatchPair]) -> f64 {
     hit as f64 / exact.len() as f64
 }
 
-/// Canonical `(a, b, len)` sort key for pair-set identity checks.
-fn canonical(pairs: &[MatchPair]) -> Vec<(u32, u32, u32)> {
-    let mut keys: Vec<_> = pairs.iter().map(|p| (p.a.0, p.b.0, p.len)).collect();
-    keys.sort_unstable();
-    keys
-}
-
 /// The approximate-mode cluster config a sweep point runs under.
-fn sketch_config(bands: usize, rows: usize, mode: SketchMode) -> ClusterConfig {
+fn sketch_config(bands: usize, rows: usize) -> ClusterConfig {
     ClusterConfig {
-        sketch: SketchParams { mode, bands, rows, ..SketchParams::default() },
+        sketch: SketchParams { mode: SketchMode::Approx, bands, rows, ..SketchParams::default() },
         ..ClusterConfig::default()
     }
 }
@@ -214,7 +188,7 @@ fn main() {
     );
 
     // ---- Sketch source over the full store: the memory claim. ----
-    let scale_config = sketch_config(16, 2, SketchMode::Approx);
+    let scale_config = sketch_config(16, 2);
     peak_reset();
     let live0 = LIVE.load(Ordering::Relaxed);
     let t0 = Instant::now();
@@ -329,7 +303,7 @@ fn main() {
     let mut best_recall = 0.0f64;
     let mut sweep_rows = Vec::new();
     for (bands, rows) in grid {
-        let config = sketch_config(bands, rows, SketchMode::Approx);
+        let config = sketch_config(bands, rows);
         let mut src = SketchSource::new(&sweep_data.set, &config, config.psi_ccd, 0);
         let keys = drain_keys(&mut src);
         let stats = src.stats();
@@ -365,29 +339,6 @@ fn main() {
         );
     }
 
-    // ---- Hybrid ≡ exact under recall-1.0 settings. ----
-    // Exhaustive banding with k ≤ ψ misses no pair with a ψ-length match,
-    // and the suffix confirmation reproduces the miner's lengths — so the
-    // confirmed set must be the exact set, member for member.
-    let mut hybrid_config = sketch_config(0, 0, SketchMode::Hybrid);
-    hybrid_config.sketch.banding = SketchBanding::Exhaustive;
-    let t0 = Instant::now();
-    let mut src = HybridSource::new(&sweep_data.set, &hybrid_config, hybrid_config.psi_ccd, 0);
-    let hybrid = drain_pairs(&mut src);
-    let hybrid_s = t0.elapsed().as_secs_f64();
-    let hstats = src.stats();
-    drop(src);
-    let hybrid_exact_identical = canonical(&hybrid) == canonical(&sweep_exact);
-    eprintln!(
-        "lsh_bench: hybrid n={sweep_n}: {} probed -> {} confirmed in {hybrid_s:.2}s, \
-         identical to exact: {hybrid_exact_identical}",
-        hstats.probed, hstats.confirmed
-    );
-    assert!(
-        hybrid_exact_identical,
-        "hybrid (exhaustive, k <= psi) pair set diverged from the exact miner — this is a bug"
-    );
-
     let record = format!(
         concat!(
             "{{ \"bench\": \"lsh\", \"mode\": \"{mode}\", {cores_field}, ",
@@ -405,9 +356,7 @@ fn main() {
             "\"recall\": {cmp_recall:.4}, {speedup_claim} }} }}, ",
             "\"sweep\": {{ \"n_reads\": {sweep_n}, \"exact_precision\": {ex_p:.4}, ",
             "\"exact_sensitivity\": {ex_s:.4}, \"best_recall\": {best_recall:.4}, ",
-            "\"recall_target_met\": {recall_target_met}, \"points\": [\n{sweep_rows}\n  ] }}, ",
-            "\"hybrid\": {{ \"probed\": {probed}, \"confirmed\": {confirmed}, ",
-            "\"seconds\": {hybrid_s:.3}, \"hybrid_exact_identical\": {identical} }} }}"
+            "\"recall_target_met\": {recall_target_met}, \"points\": [\n{sweep_rows}\n  ] }} }}"
         ),
         mode = if args.smoke { "smoke" } else { "full" },
         cores_field = cores_field(cores),
@@ -437,10 +386,6 @@ fn main() {
         best_recall = best_recall,
         recall_target_met = recall_target_met,
         sweep_rows = sweep_rows.join(",\n"),
-        probed = hstats.probed,
-        confirmed = hstats.confirmed,
-        hybrid_s = hybrid_s,
-        identical = hybrid_exact_identical,
     );
     let _ = std::fs::remove_file(&path);
     // The sweep rows are pretty-printed across lines; collapse for the

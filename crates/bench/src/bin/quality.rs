@@ -9,7 +9,7 @@
 //! ```
 
 use pfam_bench::{dataset_160k_like, dataset_22k_like};
-use pfam_core::{run_pipeline, PipelineConfig};
+use pfam_core::PipelineConfig;
 use pfam_metrics::{labels_from_clusters, pair_confusion, QualityMeasures};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
 
     println!("== quality vs benchmark clustering ==");
     for data in [dataset_160k_like(scale, 0x160), dataset_22k_like(scale, 0x22)] {
-        let result = run_pipeline(&data.set, &config);
+        let result = config.run(&data.set);
         // For the 22K-like set the paper's benchmark is ONE cluster (the
         // whole GOS cluster); our subfamily benchmark is evaluated too.
         let n = data.set.len();

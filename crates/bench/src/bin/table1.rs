@@ -9,7 +9,7 @@
 //! ```
 
 use pfam_bench::{dataset_160k_like, dataset_22k_like};
-use pfam_core::{run_pipeline, PipelineConfig, TableOneRow};
+use pfam_core::{PipelineConfig, TableOneRow};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
@@ -18,7 +18,7 @@ fn main() {
     println!("== Table I (reproduced at scale {scale}) ==");
     println!("Workload\t{}", TableOneRow::header());
     for data in [dataset_160k_like(scale, 0x160), dataset_22k_like(scale, 0x22)] {
-        let result = run_pipeline(&data.set, &config);
+        let result = config.run(&data.set);
         let row = TableOneRow::from_result(&result, config.min_component_size);
         println!("{}\t{}", data.label, row);
     }

@@ -67,9 +67,6 @@ impl CcdResult {
 /// assert_eq!(result.components.len(), 2); // {a, b} and {c}
 /// ```
 pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
-    if config.shard.enabled() {
-        return crate::shard::run_ccd_sharded(set, config).result;
-    }
     run_ccd_resumable(set, config, &Arc::default(), None, 0, &mut |_| {})
 }
 
@@ -145,7 +142,6 @@ pub(crate) fn ccd_over(
 /// Run the CCD master loop over an explicit pair stream — the ablation
 /// hook: feeding the same pairs in a different order shows how much the
 /// longest-match-first discipline contributes to the filter's savings.
-/// Sharded when `config.shard` says so, like [`run_ccd`].
 pub fn run_ccd_from_pairs(
     set: &dyn SeqStore,
     pairs: Vec<pfam_suffix::MatchPair>,
@@ -155,9 +151,6 @@ pub fn run_ccd_from_pairs(
         return CcdResult::empty();
     }
     let mut source = IterSource::new(pairs.into_iter());
-    if config.shard.enabled() {
-        return crate::shard::shard_plane(set, config, &Arc::default(), &mut source).result;
-    }
     let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd);
     BatchedPush {

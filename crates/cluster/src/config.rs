@@ -52,11 +52,6 @@ pub struct ClusterConfig {
     /// (lease timeouts, transient retry, respawn, speculation).
     /// Components are bit-identical for every setting.
     pub recovery: RecoveryParams,
-    /// Sharded clustering-plane knobs ([`crate::shard`]): how many master
-    /// shards the sequence universe partitions across. Components are
-    /// bit-identical for every setting (the merge tree is a transitive closure of the same
-    /// accepted edges); only the scaling shape changes.
-    pub shard: ShardParams,
     /// Memory-budget knobs for the out-of-core index plane
     /// ([`crate::source::with_source_pinned`]): the shared accounting budget the
     /// index builders reserve against, and the per-chunk index target for
@@ -64,12 +59,11 @@ pub struct ClusterConfig {
     /// components) are bit-identical for every setting.
     pub mem: MemParams,
     /// Sketch-plane knobs ([`crate::lsh`]): which candidate generator the
-    /// front half runs (`Exact` pins the suffix-index miner; `Approx` and
-    /// `Hybrid` route through the LSH sketch sources) and the banding
-    /// shape. For a fixed setting the candidate stream is deterministic
-    /// across drivers, shard counts, and thread counts; `Approx` trades
-    /// recall for footprint per the banding curve, while `Hybrid` under
-    /// exhaustive banding reproduces the exact pair set.
+    /// front half runs (`Exact` pins the suffix-index miner; `Approx`
+    /// routes through the LSH sketch source) and the banding shape. For a
+    /// fixed setting the candidate stream is deterministic across drivers
+    /// and thread counts; `Approx` trades recall for footprint per the
+    /// banding curve.
     pub sketch: SketchParams,
 }
 
@@ -99,48 +93,6 @@ impl MemParams {
     /// path (either explicitly or via a binding budget).
     pub fn partitioning_requested(&self) -> bool {
         self.index_chunk_bytes > 0 || self.budget.is_limited()
-    }
-}
-
-/// Knobs for the sharded clustering plane ([`crate::shard`]). Sequence
-/// ownership is a stable hash of the sequence id, cross-shard pairs route
-/// to a deterministic owner shard, and shard forests merge up a binary
-/// tree — so components are bit-identical to the single-master run for
-/// every shard count (the driver matrix pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardParams {
-    /// Master shard count K. `0` or `1` disables the plane and routes
-    /// through the single-master drivers.
-    pub shards: usize,
-    /// Worker ranks per shard master in the SPMD rendering
-    /// ([`crate::shard::run_ccd_sharded_spmd`]); the in-process plane
-    /// verifies on the shared rayon pool and ignores it.
-    pub workers_per_shard: usize,
-    /// Routed pairs buffered per shard before a batch goes on the wire
-    /// (`0` = auto: the engine's `batch_size`).
-    pub route_batch: usize,
-}
-
-impl Default for ShardParams {
-    fn default() -> Self {
-        ShardParams { shards: 1, workers_per_shard: 2, route_batch: 0 }
-    }
-}
-
-impl ShardParams {
-    /// Whether the sharded plane is engaged at all.
-    pub fn enabled(&self) -> bool {
-        self.shards > 1
-    }
-
-    /// The per-shard-pair routing batch with `0` resolved against the
-    /// engine batch size.
-    pub fn resolved_route_batch(&self, batch_size: usize) -> usize {
-        if self.route_batch > 0 {
-            self.route_batch
-        } else {
-            batch_size.max(1)
-        }
     }
 }
 
@@ -214,7 +166,6 @@ impl Default for ClusterConfig {
             parallel_index: true,
             align_engine: AlignEngineKind::default(),
             recovery: RecoveryParams::default(),
-            shard: ShardParams::default(),
             mem: MemParams::default(),
             sketch: SketchParams::default(),
         }

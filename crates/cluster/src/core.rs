@@ -149,27 +149,6 @@ impl CcdCursor {
     }
 }
 
-/// One shard's exported CCD clustering state, exchanged up the merge
-/// tree of the sharded plane (`crate::shard`).
-///
-/// The forest travels as the [`UnionFind::parts`] arrays plus the
-/// shard's accepted edges and deferred pairs. Folding one forest into
-/// another unions every element with its exported parent — each union either merges two sets
-/// or is a no-op, so the final partition is the transitive closure of
-/// all accepted edges regardless of merge order or tree shape. That is
-/// the bit-identity argument the driver matrix pins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardForest {
-    /// Union-find parent array (`UnionFind::parts`).
-    pub parent: Vec<u32>,
-    /// Union-find rank array.
-    pub rank: Vec<u8>,
-    /// Accepted edges, in this shard's verification order.
-    pub edges: Vec<(u32, u32)>,
-    /// Pairs this shard's closure filter dropped, in arrival order.
-    pub deferred: Vec<(u32, u32)>,
-}
-
 /// The clustering state machine. See the module docs for the contract.
 pub struct ClusterCore<'s> {
     set: &'s dyn SeqStore,
@@ -365,51 +344,6 @@ impl<'s> ClusterCore<'s> {
                 }
             }
             ModeState::Rr { .. } => panic!("checkpoint cursors exist only for the CCD phase"),
-        }
-    }
-
-    /// Export this core's forest and accepted edges for a merge-tree
-    /// exchange (CCD only — panics on an RR core, like
-    /// [`ClusterCore::cursor`]).
-    pub fn export_forest(&self) -> ShardForest {
-        match &self.state {
-            ModeState::Ccd { uf, edges, deferred, .. } => {
-                let (parent, rank) = uf.parts();
-                ShardForest {
-                    parent: parent.to_vec(),
-                    rank: rank.to_vec(),
-                    edges: edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),
-                    deferred: deferred.clone(),
-                }
-            }
-            ModeState::Rr { .. } => panic!("shard forests exist only for the CCD phase"),
-        }
-    }
-
-    /// Fold a peer shard's exported forest into this core (CCD only):
-    /// union every element with its exported parent and append the
-    /// peer's accepted edges and deferred pairs. Successful unions count
-    /// toward `n_merges`, so after a full merge tree the counter equals the single-master
-    /// value — both are `n − final component count`, because every
-    /// successful union shrinks the set count by exactly one from the
-    /// same `n` singletons.
-    pub fn merge_forest(&mut self, peer: &ShardForest) {
-        match &mut self.state {
-            ModeState::Ccd { uf, edges, deferred, n_merges } => {
-                assert_eq!(
-                    peer.parent.len(),
-                    uf.len(),
-                    "shard forests must cover the same sequence universe"
-                );
-                for (x, &p) in peer.parent.iter().enumerate() {
-                    if uf.union(x as u32, p) {
-                        *n_merges += 1;
-                    }
-                }
-                edges.extend(peer.edges.iter().map(|&(a, b)| (SeqId(a), SeqId(b))));
-                deferred.extend_from_slice(&peer.deferred);
-            }
-            ModeState::Rr { .. } => panic!("shard forests exist only for the CCD phase"),
         }
     }
 
@@ -688,46 +622,5 @@ mod tests {
         assert_eq!(rebuilt.edges, result.edges);
         assert_eq!(rebuilt.n_merges, result.n_merges);
         assert_eq!(rebuilt.trace, result.trace);
-    }
-
-    #[test]
-    fn forest_merge_is_order_independent_and_counts_merges() {
-        let set = set_of(&["MKVLW"; 6]);
-        // Two "shards" over the same universe, each seeing different pairs.
-        let mut a = ClusterCore::new_ccd(&set);
-        a.admit_batch(&[pair(0, 1), pair(2, 3)]);
-        a.absorb(vec![accept(0, 1), accept(2, 3)]);
-        let mut b = ClusterCore::new_ccd(&set);
-        b.admit_batch(&[pair(1, 2), pair(4, 5)]);
-        b.absorb(vec![accept(1, 2), accept(4, 5)]);
-
-        // Single-master reference: all four edges through one core.
-        let mut single = ClusterCore::new_ccd(&set);
-        single.admit_batch(&[pair(0, 1), pair(2, 3), pair(1, 2), pair(4, 5)]);
-        single.absorb(vec![accept(0, 1), accept(2, 3), accept(1, 2), accept(4, 5)]);
-        let single = CcdResult::from_core(single);
-
-        let (fa, fb) = (a.export_forest(), b.export_forest());
-        let mut ab = ClusterCore::new_ccd(&set);
-        ab.merge_forest(&fa);
-        ab.merge_forest(&fb);
-        let mut ba = ClusterCore::new_ccd(&set);
-        ba.merge_forest(&fb);
-        ba.merge_forest(&fa);
-        let (ab, ba) = (CcdResult::from_core(ab), CcdResult::from_core(ba));
-        assert_eq!(ab.components, single.components);
-        assert_eq!(ba.components, single.components);
-        assert_eq!(ab.n_merges, single.n_merges, "n − components either way");
-        assert_eq!(ba.n_merges, single.n_merges);
-    }
-
-    #[test]
-    #[should_panic(expected = "same sequence universe")]
-    fn forest_merge_rejects_mismatched_universe() {
-        let set = set_of(&["MKVLW"; 3]);
-        let small = set_of(&["MKVLW"; 2]);
-        let mut core = ClusterCore::new_ccd(&set);
-        let forest = ClusterCore::new_ccd(&small).export_forest();
-        core.merge_forest(&forest);
     }
 }

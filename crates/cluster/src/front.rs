@@ -19,7 +19,6 @@ use crate::ccd::{ccd_over, CcdCursor, CcdResult};
 use crate::config::ClusterConfig;
 use crate::ledger::PairLedger;
 use crate::rr::{rr_over, RrResult};
-use crate::shard::sharded_over;
 use crate::source::{with_shared_index, SharedIndex};
 
 /// The two clustering phases of one run over `input`, holding the index
@@ -47,13 +46,8 @@ impl FrontHalf<'_> {
     }
 
     /// Phase 2: connected components of the reads `rr` kept, reported
-    /// under their dense ids `0..rr.kept.len()` — sharded when the
-    /// configuration says so, like [`crate::run_ccd`].
+    /// under their dense ids `0..rr.kept.len()`.
     pub fn ccd(&self, rr: &RrResult) -> CcdResult {
-        if self.config.shard.enabled() {
-            let nr_store = SubsetStore::new(self.input, rr.kept.clone());
-            return sharded_over(&nr_store, self.config, self.shared, &rr.ledger).result;
-        }
         self.ccd_resumable(&rr.kept, &rr.ledger, None, 0, &mut |_| {})
     }
 

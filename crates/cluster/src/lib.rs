@@ -11,10 +11,10 @@
 //!   around the core: where pairs come from, how candidate batches and
 //!   verdicts travel, and who drives the loop. Every public `run_*`
 //!   entry point is a thin composition of these.
-//! * [`lsh`] — the memory-lean candidate axis: banded min-hash sketch
-//!   sources (`approx` and `hybrid` modes) that replace the suffix-index
-//!   pair generator behind the same [`source`] seam, trading exactness
-//!   for footprint on the banding curve.
+//! * [`lsh`] — the memory-lean candidate axis: the banded min-hash sketch
+//!   source (`approx` mode) that replaces the suffix-index pair generator
+//!   behind the same [`source`] seam, trading exactness for footprint on
+//!   the banding curve.
 //! * [`rr`] — redundancy removal: drop sequences ≥95 %-contained in
 //!   another, candidates from the maximal-match generator, containment
 //!   verified by alignment in parallel batches.
@@ -52,27 +52,25 @@ pub(crate) mod mask;
 pub mod policy;
 pub mod retry;
 pub mod rr;
-pub mod shard;
 pub mod source;
 pub mod spmd;
 pub mod supervise;
 pub mod trace;
 pub mod transport;
 
-pub use crate::core::{ClusterCore, CorePhase, ShardForest, Verdict, Verifier};
+pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{
     all_component_graphs, component_graph, component_graph_with, BggScratch, ComponentGraph,
     KnownPairs,
 };
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
-pub use config::{ClusterConfig, MemParams, RecoveryParams, ShardParams};
+pub use config::{ClusterConfig, MemParams, RecoveryParams};
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
 pub use lsh::{
-    check_sketch_params, HybridSource, HybridStats, SketchBanding, SketchMode, SketchParamError,
-    SketchParams, SketchSource, SketchStats,
+    check_sketch_params, SketchMode, SketchParamError, SketchParams, SketchSource, SketchStats,
 };
 pub use pfam_align::{AlignEngine, AlignEngineKind, CostModel};
 pub use policy::{
@@ -81,13 +79,9 @@ pub use policy::{
 };
 pub use retry::{Retry, RetryPolicy, RetryPort};
 pub use rr::{run_redundancy_removal, RrResult};
-pub use shard::{
-    owner_shard, run_ccd_sharded, run_ccd_sharded_spmd, shard_of, PortSource, ShardRun,
-};
 pub use source::{
     check_index_budget, with_mined_source, with_shared_index, with_source_pinned, IterSource,
     MinedSource, PairSource, PartitionedMinedSource, SharedIndex, PIN_SKETCH_APPROX,
-    PIN_SKETCH_HYBRID,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use supervise::{HealthReport, WorkerHealth};

@@ -1,33 +1,24 @@
 //! The LSH sketch plane: banded min-hash candidate generation behind the
-//! [`PairSource`] seam, plus the hybrid suffix-confirm wrapper.
+//! [`PairSource`] seam.
 //!
 //! The exact front half mines *every* promising pair from a generalized
 //! suffix index; at metagenomic scale that index is the memory- and
 //! time-dominant structure even when PR 9's partitioned plane pays for it
-//! chunk by chunk. This module trades exactness for footprint instead:
+//! chunk by chunk. [`SketchSource`] trades exactness for footprint
+//! instead: each sequence's k-mer set is sketched with the vectorized
+//! min-wise machinery ([`pfam_shingle::sketch`]), banded `b × r`, and
+//! bucketed by band key; bucket collisions stream out as deduplicated
+//! candidate pairs. Memory is O(n·b) band keys — no index over the text at
+//! all — and the recall/cost point is the classic `1 − (1 − j^r)^b`
+//! banding curve.
 //!
-//! * [`SketchSource`] — each sequence's k-mer set is sketched with the
-//!   vectorized min-wise machinery ([`pfam_shingle::sketch`]), banded
-//!   `b × r`, and bucketed by band key; bucket collisions stream out as
-//!   deduplicated candidate pairs. Memory is O(n·b) band keys — no index
-//!   over the text at all — and the recall/cost point is the classic
-//!   `1 − (1 − j^r)^b` banding curve.
-//! * [`HybridSource`] — the same prefilter with every surviving pair
-//!   confirmed through [`pfam_suffix::longest_common_match`] (the
-//!   two-sequence degenerate case of the partitioned miner), so emitted
-//!   pairs carry exact lengths/anchors. Under exhaustive banding
-//!   ([`SketchBanding::Exhaustive`]) with `k ≤ ψ` the candidate set
-//!   provably covers every exact pair, and the hybrid stream equals the
-//!   exact miner's pair set — the hybrid-≡-exact contract the test matrix
-//!   and `lsh_bench` assert.
-//!
-//! Both sources drop into every `ClusterCore` driver, shard router, and
-//! lease policy unchanged: candidate generation is the pluggable
-//! axis, and verdicts still come from the same alignment engine (a
-//! candidate is the two ids alone, so a sketch pair's fabricated match
-//! positions can never change a verdict). For a fixed [`SketchParams`] the candidate stream
-//! is a deterministic function of the store — never of thread count,
-//! batch size, driver, or shard count.
+//! The source drops into every `ClusterCore` driver and lease policy
+//! unchanged: candidate generation is the pluggable axis, and verdicts
+//! still come from the same alignment engine (a candidate is the two ids
+//! alone, so a sketch pair's fabricated match positions can never change a
+//! verdict). For a fixed [`SketchParams`] the candidate stream is a
+//! deterministic function of the store — never of thread count, batch
+//! size or driver.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -38,7 +29,7 @@ use pfam_seq::{Reservation, SeqId, SeqStore};
 use pfam_shingle::sketch::{SketchScratch, Sketcher, MAX_SKETCH_K};
 use pfam_suffix::maximal::PairKeyHasher;
 use pfam_suffix::parallel::resolve_threads;
-use pfam_suffix::{longest_common_match, MatchPair};
+use pfam_suffix::MatchPair;
 
 use crate::config::ClusterConfig;
 use crate::source::PairSource;
@@ -52,25 +43,9 @@ pub enum SketchMode {
     Exact,
     /// LSH candidates verified directly: approximate pair set, smallest
     /// footprint. Components may differ from exact mode (missed pairs
-    /// can split a component) but are identical across drivers, shard
-    /// counts, and thread counts for a fixed seed.
+    /// can split a component) but are identical across drivers and
+    /// thread counts for a fixed seed.
     Approx,
-    /// LSH prefilter, then suffix confirmation per surviving pair:
-    /// emitted pairs carry exact maximal-match lengths and anchors.
-    Hybrid,
-}
-
-/// How band keys are formed from the sketch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SketchBanding {
-    /// `bands × rows` min-hash banding — the tunable recall/cost curve.
-    #[default]
-    MinHash,
-    /// Every distinct k-mer is its own band key (the `b → ∞` limit):
-    /// recall 1.0 over matches of length ≥ ψ whenever `k ≤ ψ`. The
-    /// recall-1.0 setting of the hybrid-≡-exact contract; `bands`,
-    /// `rows`, and `width` are ignored.
-    Exhaustive,
 }
 
 /// Knobs for the sketch plane, carried on
@@ -92,8 +67,6 @@ pub struct SketchParams {
     pub width: usize,
     /// Permutation-family and band-hash seed.
     pub seed: u64,
-    /// Band-key formation.
-    pub banding: SketchBanding,
     /// Candidate pairs emitted per bucket before the rest of the bucket
     /// is dropped (counted in [`SketchStats::capped`]) — the sketch-plane
     /// analogue of `max_pairs_per_node`, guarding low-complexity
@@ -110,7 +83,6 @@ impl Default for SketchParams {
             rows: 2,
             width: 0,
             seed: 0x005E_7C11,
-            banding: SketchBanding::MinHash,
             max_bucket_pairs: 1 << 20,
         }
     }
@@ -201,21 +173,16 @@ impl SketchParams {
         if self.k == 0 || self.k > MAX_SKETCH_K {
             return Err(SketchParamError::KmerOutOfRange { k: self.k });
         }
-        if self.banding == SketchBanding::MinHash {
-            let cells = self.bands.saturating_mul(self.rows);
-            if cells == 0 {
-                return Err(SketchParamError::DegenerateBanding {
-                    bands: self.bands,
-                    rows: self.rows,
-                });
-            }
-            if self.width > 0 && cells > self.width {
-                return Err(SketchParamError::BandsExceedWidth {
-                    bands: self.bands,
-                    rows: self.rows,
-                    width: self.width,
-                });
-            }
+        let cells = self.bands.saturating_mul(self.rows);
+        if cells == 0 {
+            return Err(SketchParamError::DegenerateBanding { bands: self.bands, rows: self.rows });
+        }
+        if self.width > 0 && cells > self.width {
+            return Err(SketchParamError::BandsExceedWidth {
+                bands: self.bands,
+                rows: self.rows,
+                width: self.width,
+            });
         }
         Ok(())
     }
@@ -237,8 +204,8 @@ impl SketchParams {
     }
 }
 
-/// The fallible sketch check for config-validation surfaces (the CLI and
-/// the pipeline's budgeted entry): a no-op for exact mode.
+/// The fallible, store-dependent sketch check the pipeline entry makes
+/// before phase 1: a no-op for exact mode.
 pub fn check_sketch_params(
     store: &dyn SeqStore,
     config: &ClusterConfig,
@@ -275,7 +242,6 @@ struct Resolved {
     rows: usize,
     width: usize,
     seed: u64,
-    banding: SketchBanding,
     max_bucket_pairs: usize,
 }
 
@@ -284,15 +250,7 @@ fn resolve(p: &SketchParams) -> Resolved {
     let rows = p.rows.max(1);
     let width = p.effective_width();
     let bands = p.bands.min(width / rows);
-    Resolved {
-        k,
-        bands,
-        rows,
-        width,
-        seed: p.seed,
-        banding: p.banding,
-        max_bucket_pairs: p.max_bucket_pairs.max(1),
-    }
+    Resolved { k, bands, rows, width, seed: p.seed, max_bucket_pairs: p.max_bucket_pairs.max(1) }
 }
 
 type PairKeySet = HashSet<u64, BuildHasherDefault<PairKeyHasher>>;
@@ -320,9 +278,6 @@ pub struct SketchSource<'a> {
     nonempty: Vec<bool>,
     /// Next band to bucket.
     band: usize,
-    /// Exhaustive banding: sorted `(kmer, seq)` postings, bucketed as one
-    /// giant "band 0".
-    postings: Option<Vec<(u64, u32)>>,
     buf: VecDeque<MatchPair>,
     seen: PairKeySet,
     stats: SketchStats,
@@ -352,43 +307,23 @@ impl<'a> SketchSource<'a> {
             _keys_reservation: None,
             nonempty: vec![false; n],
             band: 0,
-            postings: None,
             buf: VecDeque::new(),
             seen: PairKeySet::default(),
             stats: SketchStats { sequences: n, ..SketchStats::default() },
         };
-        match r.banding {
-            SketchBanding::Exhaustive => {
-                let sketcher = Sketcher::new(r.k, 1, 1, r.seed);
-                let mut postings = src.compute_postings(&sketcher);
-                postings.sort_unstable();
-                // Account the postings against the shared ledger (after
-                // the fact — the count is data-dependent); refusal never
-                // aborts a run that already holds the memory.
-                src._keys_reservation = config
-                    .mem
-                    .budget
-                    .try_reserve("lsh-postings", (postings.len() as u64) * 12)
-                    .ok();
-                src.postings = Some(postings);
-                src.sketcher = Some(sketcher);
-            }
-            SketchBanding::MinHash => {
-                if r.bands == 0 {
-                    return src; // zero usable bands ⇒ empty stream
-                }
-                let sketcher = Sketcher::new(r.k, r.width, r.rows, r.seed);
-                let matrix_bytes = (n as u64) * (r.bands as u64) * 8;
-                // When the budget refuses the full matrix, fall through to
-                // per-band mode (recompute each band's keys on demand).
-                if let Ok(held) = config.mem.budget.try_reserve("lsh-band-keys", matrix_bytes) {
-                    let keys = src.compute_band_keys(&sketcher, 0..r.bands);
-                    src.keys_all = Some(keys);
-                    src._keys_reservation = Some(held);
-                }
-                src.sketcher = Some(sketcher);
-            }
+        if r.bands == 0 {
+            return src; // zero usable bands ⇒ empty stream
         }
+        let sketcher = Sketcher::new(r.k, r.width, r.rows, r.seed);
+        let matrix_bytes = (n as u64) * (r.bands as u64) * 8;
+        // When the budget refuses the full matrix, fall through to
+        // per-band mode (recompute each band's keys on demand).
+        if let Ok(held) = config.mem.budget.try_reserve("lsh-band-keys", matrix_bytes) {
+            let keys = src.compute_band_keys(&sketcher, 0..r.bands);
+            src.keys_all = Some(keys);
+            src._keys_reservation = Some(held);
+        }
+        src.sketcher = Some(sketcher);
         src
     }
 
@@ -438,64 +373,9 @@ impl<'a> SketchSource<'a> {
         keys
     }
 
-    /// Exhaustive banding: one `(kmer, seq)` posting per distinct k-mer
-    /// per sequence, in seq order (sorted by the caller).
-    fn compute_postings(&mut self, sketcher: &Sketcher) -> Vec<(u64, u32)> {
-        let n = self.store.len();
-        let workers = resolve_threads(self.threads).min(n.max(1));
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        let (store, mask) = (self.store, &self.mask);
-        let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-        let chunks: Vec<Vec<(u64, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = starts
-                .iter()
-                .map(|&start| {
-                    scope.spawn(move || {
-                        let mut scratch = SketchScratch::new();
-                        let mut out = Vec::new();
-                        for i in start..(start + chunk).min(n) {
-                            let codes = store.codes_cow(SeqId(i as u32));
-                            let masked;
-                            let view: &[u8] = match mask {
-                                None => &codes,
-                                Some(p) => {
-                                    masked = mask_low_complexity(&codes, p);
-                                    &masked
-                                }
-                            };
-                            sketcher.kmer_postings(view, i as u32, &mut scratch, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sketch worker panicked")).collect()
-        });
-        let postings: Vec<(u64, u32)> = chunks.into_iter().flatten().collect();
-        for &(_, seq) in &postings {
-            self.nonempty[seq as usize] = true;
-        }
-        self.stats.sketched = self.nonempty.iter().filter(|&&b| b).count();
-        postings
-    }
-
-    /// Bucket one band's worth of `(key, seq)` items into candidate
-    /// pairs: equal keys collide; pairs stream in (key, a, b) order,
-    /// globally deduplicated, capped per bucket.
-    fn bucket(&mut self, mut items: Vec<(u64, u32)>) {
-        items.sort_unstable();
-        self.bucket_sorted(&items);
-    }
-
     /// Bucket the next band; `false` when the stream is complete.
     fn advance(&mut self) -> bool {
-        if let Some(postings) = self.postings.take() {
-            // Exhaustive banding is one pre-sorted mega-band.
-            self.stats.bands_done += 1;
-            self.bucket_sorted(&postings);
-            return true;
-        }
-        if self.r.banding == SketchBanding::Exhaustive || self.band >= self.r.bands {
+        if self.band >= self.r.bands {
             return false;
         }
         let band = self.band;
@@ -511,7 +391,7 @@ impl<'a> SketchSource<'a> {
                     .collect()
             }
             None => {
-                let sketcher = self.sketcher.clone().expect("minhash mode has a sketcher");
+                let sketcher = self.sketcher.clone().expect("a banded source has a sketcher");
                 let keys = self.compute_band_keys(&sketcher, band..band + 1);
                 (0..n).filter(|&i| self.nonempty[i]).map(|i| (keys[i], i as u32)).collect()
             }
@@ -520,8 +400,11 @@ impl<'a> SketchSource<'a> {
         true
     }
 
-    /// [`SketchSource::bucket`] over an already-sorted posting list.
-    fn bucket_sorted(&mut self, items: &[(u64, u32)]) {
+    /// Bucket one band's worth of `(key, seq)` items into candidate
+    /// pairs: equal keys collide; pairs stream in (key, a, b) order,
+    /// globally deduplicated, capped per bucket.
+    fn bucket(&mut self, mut items: Vec<(u64, u32)>) {
+        items.sort_unstable();
         let mut i = 0;
         while i < items.len() {
             let key = items[i].0;
@@ -569,115 +452,6 @@ impl PairSource for SketchSource<'_> {
         while self.buf.len() < max && self.advance() {}
         let take = self.buf.len().min(max);
         self.buf.drain(..take).collect()
-    }
-}
-
-/// Per-source probe counters the bench reads off a drained hybrid source.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HybridStats {
-    /// Candidates probed against the suffix back stop.
-    pub probed: u64,
-    /// Candidates confirmed (emitted with exact length/anchor).
-    pub confirmed: u64,
-}
-
-/// LSH prefilter + per-pair suffix confirmation (see the module docs).
-pub struct HybridSource<'a> {
-    inner: SketchSource<'a>,
-    store: &'a dyn SeqStore,
-    mask: Option<MaskParams>,
-    min_len: u32,
-    threads: usize,
-    stats: HybridStats,
-}
-
-impl<'a> HybridSource<'a> {
-    /// Build the hybrid source for `store` under `config.sketch`.
-    pub fn new(
-        store: &'a dyn SeqStore,
-        config: &ClusterConfig,
-        psi: u32,
-        threads: usize,
-    ) -> HybridSource<'a> {
-        HybridSource {
-            inner: SketchSource::new(store, config, psi, threads),
-            store,
-            mask: config.mask,
-            min_len: psi,
-            threads,
-            stats: HybridStats::default(),
-        }
-    }
-
-    /// Prefilter stats (the inner sketch source).
-    pub fn sketch_stats(&self) -> SketchStats {
-        self.inner.stats()
-    }
-
-    /// Probe stats so far.
-    pub fn stats(&self) -> HybridStats {
-        self.stats
-    }
-
-    /// Masked index view of one sequence — the probe must see exactly
-    /// what the exact miner's index saw.
-    fn index_codes(&self, id: SeqId) -> Vec<u8> {
-        let codes = self.store.codes_cow(id);
-        match &self.mask {
-            None => codes.into_owned(),
-            Some(p) => mask_low_complexity(&codes, p),
-        }
-    }
-
-    /// Confirm a batch of candidates in parallel, order-preserving.
-    fn confirm(&mut self, cands: &[MatchPair]) -> Vec<MatchPair> {
-        let min_len = self.min_len;
-        let workers = resolve_threads(self.threads).min(cands.len().max(1));
-        let confirmed: Vec<Option<MatchPair>> = if workers <= 1 {
-            cands.iter().map(|c| self.probe_one(c, min_len)).collect()
-        } else {
-            let chunk = cands.len().div_ceil(workers);
-            let this = &*self;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = cands
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter().map(|c| this.probe_one(c, min_len)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("probe worker panicked")).collect()
-            })
-        };
-        self.stats.probed += cands.len() as u64;
-        let out: Vec<MatchPair> = confirmed.into_iter().flatten().collect();
-        self.stats.confirmed += out.len() as u64;
-        out
-    }
-
-    fn probe_one(&self, c: &MatchPair, min_len: u32) -> Option<MatchPair> {
-        let a = self.index_codes(c.a);
-        let b = self.index_codes(c.b);
-        longest_common_match(&a, &b, min_len)
-            .map(|(len, a_pos, b_pos)| MatchPair::with_anchor(c.a, c.b, len, a_pos, b_pos))
-    }
-}
-
-impl PairSource for HybridSource<'_> {
-    fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
-        // Fill the whole batch: a short batch tells pull/push protocols
-        // the stream is exhausted, so keep probing prefilter batches
-        // until `max` candidates confirm or the inner stream runs dry.
-        let mut out = Vec::new();
-        while out.len() < max {
-            let cands = self.inner.next_batch((max - out.len()).max(1));
-            if cands.is_empty() {
-                break;
-            }
-            out.extend(self.confirm(&cands));
-        }
-        out
     }
 }
 
@@ -732,7 +506,7 @@ mod tests {
     #[test]
     fn banding_wider_than_signature_is_rejected() {
         let p = SketchParams {
-            mode: SketchMode::Hybrid,
+            mode: SketchMode::Approx,
             bands: 8,
             rows: 4,
             width: 16,
@@ -773,18 +547,6 @@ mod tests {
         assert_eq!(p.validate_shape(), Ok(()));
         let set = set_of(&["MK"]);
         assert_eq!(p.validate(&set), Ok(()));
-    }
-
-    #[test]
-    fn exhaustive_banding_skips_band_shape_checks() {
-        let p = SketchParams {
-            mode: SketchMode::Hybrid,
-            banding: SketchBanding::Exhaustive,
-            bands: 0,
-            rows: 0,
-            ..Default::default()
-        };
-        assert_eq!(p.validate_shape(), Ok(()));
     }
 
     // ---- Degenerate params mid-run: clamp, never panic. ----
@@ -897,46 +659,5 @@ mod tests {
         let config = approx_config(4, 4, 2);
         let pairs = drain(&mut SketchSource::new(&set, &config, 7, 1));
         assert!(pairs.iter().all(|p| p.len == 7 && p.a_pos == 0 && p.b_pos == 0));
-    }
-
-    // ---- Hybrid semantics. ----
-
-    #[test]
-    fn hybrid_confirms_with_exact_lengths() {
-        let set = set_of(&["MKVLWAARNDCQEGHILKMF", "PSTWYVMKVLWAARND", "GGHHIIGGHHIIGGHHII"]);
-        let mut config = approx_config(4, 0, 0);
-        config.sketch.mode = SketchMode::Hybrid;
-        config.sketch.banding = SketchBanding::Exhaustive;
-        let mut h = HybridSource::new(&set, &config, 5, 1);
-        let pairs = drain(&mut h);
-        assert_eq!(pairs.len(), 1, "only s0/s1 share a ≥5 match");
-        let p = pairs[0];
-        assert_eq!((p.a, p.b), (SeqId(0), SeqId(1)));
-        assert_eq!(p.len, 10, "MKVLWAARND");
-        let stats = h.stats();
-        assert!(stats.probed >= stats.confirmed);
-        assert_eq!(stats.confirmed, 1);
-    }
-
-    #[test]
-    fn hybrid_never_yields_empty_batch_mid_stream() {
-        // Many unconfirmable candidates (shared 3-mers, no ≥8 match)
-        // followed by one real pair: the source must keep probing through
-        // the dry batches rather than signalling exhaustion early.
-        let set = set_of(&[
-            "MKVAAAWLP",
-            "WLPAAACQE",
-            "CQEAAAGHI",
-            "GHIAAAMKV",
-            "MKVLWAARNDCQEGHILKMF",
-            "MKVLWAARNDCQEGHILKMF",
-        ]);
-        let mut config = approx_config(3, 0, 0);
-        config.sketch.mode = SketchMode::Hybrid;
-        config.sketch.banding = SketchBanding::Exhaustive;
-        let mut h = HybridSource::new(&set, &config, 8, 1);
-        let pairs = drain(&mut h);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].a, pairs[0].b), (SeqId(4), SeqId(5)));
     }
 }

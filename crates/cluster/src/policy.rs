@@ -157,7 +157,7 @@ impl<S: PairSource + ?Sized> WorkPolicy for BatchedPush<'_, S> {
 
 /// Reconstruct filterable pairs from their wire form (match lengths are
 /// not needed by the filter).
-pub(crate) fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
+fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
     pairs.iter().map(|&(a, b)| MatchPair::new(SeqId(a), SeqId(b), 0)).collect()
 }
 

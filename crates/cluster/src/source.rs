@@ -38,15 +38,12 @@ use pfam_suffix::{
 };
 
 use crate::config::ClusterConfig;
-use crate::lsh::{HybridSource, SketchMode, SketchSource};
+use crate::lsh::{SketchMode, SketchSource};
 
 /// Generation-plan pin for the approximate sketch source
 /// ([`crate::lsh::SketchSource`]): the sketch stream has no chunk plan,
 /// so its cursors pin a reserved sentinel instead of an index target.
 pub const PIN_SKETCH_APPROX: u64 = u64::MAX;
-/// Generation-plan pin for the hybrid sketch source
-/// ([`crate::lsh::HybridSource`]).
-pub const PIN_SKETCH_HYBRID: u64 = u64::MAX - 1;
 
 /// A stream of promising pairs, drawn batch-wise by a
 /// [`crate::policy::WorkPolicy`]. An empty batch means the source is
@@ -172,8 +169,8 @@ impl<'a> PartitionedMinedSource<'a> {
     /// target, down to one-sequence chunks) until the plan's peak task
     /// footprint fits the budget. When even one-sequence chunks exceed
     /// the limit the miner runs accounting-only rather than aborting —
-    /// the fallible pipeline surface ([`check_index_budget`]) reports
-    /// that case as a typed error before any driver gets here.
+    /// the pipeline entry ([`check_index_budget`]) reports that case as a
+    /// typed error before any driver gets here.
     pub fn new(
         store: &'a dyn SeqStore,
         config: &ClusterConfig,
@@ -398,11 +395,11 @@ fn with_monolithic_source<R>(
 /// [`SharedIndex`] to mine instead of building another, when the run
 /// holds one.
 ///
-/// Routing of a fresh run: sketch modes first —
-/// [`crate::config::ClusterConfig::sketch`] in `Approx`/`Hybrid` mode
-/// routes to the LSH sources ([`SketchSource`] / [`HybridSource`]), which
-/// is how every driver, shard router, and lease policy picks up the
-/// sketch plane without changing. Otherwise the exact miner: the
+/// Routing of a fresh run: the sketch mode first —
+/// [`crate::config::ClusterConfig::sketch`] in `Approx` mode routes to the
+/// LSH source ([`SketchSource`]), which is how every driver and lease
+/// policy picks up the sketch plane without changing. Otherwise the exact
+/// miner: the
 /// monolithic [`MinedSource`] when the store is an in-memory set or a
 /// subset view of one (the view is mined through a mask over the index of
 /// its base — no copy of the kept reads), no chunk size is forced, and
@@ -416,9 +413,9 @@ fn with_monolithic_source<R>(
 /// `pairs_consumed` in a [`crate::core::CcdCursor`] is a position in one
 /// specific generation order, and the partitioned generator's order is a
 /// function of its chunk plan. So every emitted cursor pins the plan it
-/// was generated under (`0` = monolithic, [`PIN_SKETCH_APPROX`] /
-/// [`PIN_SKETCH_HYBRID`] = the deterministic sketch streams, else the
-/// settled per-chunk target), and resume passes that pin here: the source is rebuilt from
+/// was generated under (`0` = monolithic, [`PIN_SKETCH_APPROX`] = the
+/// deterministic sketch stream, else the settled per-chunk target), and
+/// resume passes that pin here: the source is rebuilt from
 /// the *pin*, not from this run's [`crate::config::MemParams`], making
 /// resume byte-identical even when the resumed run is configured with a
 /// different chunk size (or none at all). The closure receives the
@@ -450,16 +447,12 @@ pub fn with_source_pinned<R>(
         shared.filter(|shared| std::ptr::eq(shared.base, base)).map(|shared| shared.tree)
     };
     match pin {
-        // Pinned sketch modes: rebuild the same deterministic sketch
+        // Pinned sketch mode: rebuild the same deterministic sketch
         // stream (a pure function of the store and SketchParams, so the
         // pin carries no plan payload — just which source to rebuild).
         Some(PIN_SKETCH_APPROX) => {
             let mut source = SketchSource::new(store, config, psi, threads);
             f(&mut source, PIN_SKETCH_APPROX)
-        }
-        Some(PIN_SKETCH_HYBRID) => {
-            let mut source = HybridSource::new(store, config, psi, threads);
-            f(&mut source, PIN_SKETCH_HYBRID)
         }
         // Pinned monolithic: the checkpointed run mined one big index.
         Some(0) => {
@@ -488,16 +481,9 @@ pub fn with_source_pinned<R>(
         // Fresh run: route from SketchParams/MemParams and report what
         // was chosen.
         None => {
-            match config.sketch.mode {
-                SketchMode::Approx => {
-                    let mut source = SketchSource::new(store, config, psi, threads);
-                    return f(&mut source, PIN_SKETCH_APPROX);
-                }
-                SketchMode::Hybrid => {
-                    let mut source = HybridSource::new(store, config, psi, threads);
-                    return f(&mut source, PIN_SKETCH_HYBRID);
-                }
-                SketchMode::Exact => {}
+            if config.sketch.mode == SketchMode::Approx {
+                let mut source = SketchSource::new(store, config, psi, threads);
+                return f(&mut source, PIN_SKETCH_APPROX);
             }
             if let Some(view) = in_memory_view(store) {
                 if let Some(tree) = shared_tree(view.0) {
@@ -518,7 +504,7 @@ pub fn with_source_pinned<R>(
     }
 }
 
-/// The fallible budget check for the pipeline's budgeted entry points:
+/// The fallible budget check the pipeline entry makes before phase 1:
 /// `Err` iff the *minimum feasible* index plan — one-sequence chunks, the
 /// deepest the partitioned miner can degrade — still exceeds the
 /// remaining budget, i.e. no amount of chunking makes the index fit.

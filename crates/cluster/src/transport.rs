@@ -5,10 +5,9 @@
 //! sends, a merged receive stream tagged with the worker index, and a
 //! liveness board. A [`WorkerPort`] is one worker's view of the master.
 //! The messages ([`MasterMsg`], [`WorkerMsg`]) are the complete protocol
-//! vocabulary shared by every distributed driver — push (SPMD), pull
-//! (leased fault-tolerant) and the shard plane's routing all speak the
-//! same types, so a [`crate::policy::WorkPolicy`] composes with any
-//! transport.
+//! vocabulary shared by every distributed driver — push (SPMD) and pull
+//! (leased fault-tolerant) speak the same types, so a
+//! [`crate::policy::WorkPolicy`] composes with any transport.
 //!
 //! Two transports exist:
 //!
@@ -16,9 +15,8 @@
 //!   `pfam-mpi` communicator (message loss, rank death, the liveness
 //!   board, fault injection all live below this seam);
 //! * [`LocalTransport`] / [`LocalPort`] — in-process channels: one
-//!   addressed queue per worker, so the shard plane's router and the push
-//!   and pull policies run fully in-process (the driver-equivalence
-//!   matrix tests).
+//!   addressed queue per worker, so the push and pull policies run fully
+//!   in-process (the driver-equivalence matrix tests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +25,7 @@ use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 
 use pfam_mpi::{CommError, Communicator, ANY_SOURCE};
 
-use crate::core::{ShardForest, Verdict};
+use crate::core::Verdict;
 
 /// Tag carrying [`WorkerMsg`] values (worker → master).
 const TAG_TO_MASTER: u32 = 21;
@@ -83,19 +81,6 @@ pub enum MasterMsg {
     /// Pull protocol: no more work — acknowledge with [`WorkerMsg::Bye`]
     /// and exit.
     Shutdown,
-    /// Shard plane: a routed batch of promising pairs this shard owns,
-    /// in global generation order (the router preserves the mined
-    /// stream's order within every shard's subsequence).
-    ShardPairs {
-        /// `(a, b)` sequence-id pairs.
-        pairs: Vec<(u32, u32)>,
-    },
-    /// Shard plane merge tree: a peer shard's exported clustering state,
-    /// relayed by the router from a [`WorkerMsg::Forest`].
-    Merge {
-        /// The peer's forest + accepted edges.
-        forest: ShardForest,
-    },
 }
 
 /// Worker → master protocol messages.
@@ -120,15 +105,6 @@ pub enum WorkerMsg {
     Request,
     /// Pull protocol: shutdown acknowledged, worker exiting.
     Bye,
-    /// Shard plane merge tree: this shard's exported clustering state,
-    /// to be relayed by the router to shard `to` as a
-    /// [`MasterMsg::Merge`].
-    Forest {
-        /// Receiving shard index.
-        to: usize,
-        /// This shard's forest + accepted edges.
-        forest: ShardForest,
-    },
 }
 
 /// The master's endpoint: `n_workers` peers indexed `0..n_workers`.

@@ -1,6 +1,5 @@
 //! Checks shared by the suites that hold CCD's pair bookkeeping against
-//! the per-component miner (`pair_ledger`, `driver_matrix`,
-//! `shard_identity`).
+//! the per-component miner (`pair_ledger`, `driver_matrix`).
 #![allow(dead_code)] // each suite uses its own subset
 
 use std::collections::HashSet;

@@ -20,9 +20,9 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
-    ClusterCore, CorePhase, CostModel, HealthReport, HybridSource, IterSource, LeaseKnobs,
-    LeasedPull, LocalTransport, MinedSource, PairSource, PartitionedMinedSource, ShardParams,
-    SketchBanding, SketchMode, SketchParams, SketchSource, SpmdPush, Verifier, WorkPolicy,
+    ClusterCore, CorePhase, CostModel, HealthReport, IterSource, LeaseKnobs, LeasedPull,
+    LocalTransport, MinedSource, PairSource, PartitionedMinedSource, SketchMode, SketchParams,
+    SketchSource, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -255,63 +255,6 @@ fn assert_matrix_agrees(set: &SequenceSet, config: &ClusterConfig) {
     }
 }
 
-/// The shard axis: every shard count × pair supply must reproduce the
-/// single-master components (and merge count — both paths start from the
-/// same singletons, so `n_merges = n − C` agrees).
-fn shard_config(config: &ClusterConfig, k: usize) -> ClusterConfig {
-    ClusterConfig { shard: ShardParams { shards: k, ..Default::default() }, ..config.clone() }
-}
-
-/// Cross the shard axis against every pair supply. `full` runs the whole
-/// K × source square; otherwise the extreme shard counts on the mined
-/// supply only.
-fn assert_shard_matrix_agrees(set: &SequenceSet, config: &ClusterConfig, full: bool) {
-    let reference = run_ccd(set, config);
-    let counts: Vec<usize> =
-        if full { vec![1, 2, 3, 8, set.len() + 7] } else { vec![2, set.len() + 7] };
-    for &k in &counts {
-        let cfg = shard_config(config, k);
-        // The plane's own mined supply.
-        let got = run_ccd(set, &cfg);
-        assert_eq!(got.components, reference.components, "K={k} mined");
-        assert_eq!(got.n_merges, reference.n_merges, "K={k} mined");
-        assert_bookkeeping_holds(set, config, &got, &format!("K={k} mined"));
-        if !full {
-            continue;
-        }
-        // Pre-collected supplies, serial and parallel mining.
-        for threads in [1usize, 2] {
-            let pairs = collect_pairs(set, config, threads);
-            let got = run_ccd_from_pairs(set, pairs, &cfg);
-            assert_eq!(got.components, reference.components, "K={k} collected (threads={threads})");
-            assert_partition(&got, &format!("K={k} collected (threads={threads})"));
-        }
-    }
-}
-
-#[test]
-fn shard_matrix_agrees_on_random_datagen_inputs() {
-    let d = SyntheticDataset::generate(&DatasetConfig::tiny(11));
-    assert_shard_matrix_agrees(&d.set, &ClusterConfig::default(), true);
-    for seed in [12u64, 13] {
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
-        assert_shard_matrix_agrees(&d.set, &ClusterConfig::default(), false);
-    }
-}
-
-#[test]
-fn shard_matrix_agrees_on_empty_set() {
-    assert_shard_matrix_agrees(&SequenceSet::new(), &ClusterConfig::default(), true);
-}
-
-#[test]
-fn shard_matrix_agrees_on_identical_family_with_more_shards_than_seqs() {
-    const FAM: &str = "MKVLWAAKNDCQEGHILKMFPSTWYV";
-    let seqs = vec![FAM; 6];
-    let set = set_of(&seqs);
-    assert_shard_matrix_agrees(&set, &ClusterConfig::for_short_sequences(), true);
-}
-
 fn set_of(seqs: &[&str]) -> SequenceSet {
     let mut b = SequenceSetBuilder::new();
     for (i, s) in seqs.iter().enumerate() {
@@ -322,9 +265,9 @@ fn set_of(seqs: &[&str]) -> SequenceSet {
 
 /// The sketch axis ([`pfam_cluster::lsh`]): for a fixed seed the LSH
 /// candidate stream is a deterministic function of the store, so every
-/// policy and every shard count must land on identical components —
-/// identical to each other, not necessarily to exact mode (approximate
-/// recall is the deal the mode makes).
+/// policy must land on identical components — identical to each other,
+/// not necessarily to exact mode (approximate recall is the deal the mode
+/// makes).
 fn approx_config(seed: u64) -> ClusterConfig {
     ClusterConfig {
         sketch: SketchParams {
@@ -367,17 +310,10 @@ fn assert_sketch_axis_agrees(set: &SequenceSet, config: &ClusterConfig) {
         };
         assert_eq!(got, reference, "Sketch × {policy:?} diverged from the reference components");
     }
-    for k in [1usize, 2, 8] {
-        let got = run_ccd(set, &shard_config(config, k));
-        assert_eq!(
-            got.components, reference,
-            "Sketch × shards K={k} diverged from the reference components"
-        );
-    }
 }
 
 #[test]
-fn sketch_axis_agrees_across_policies_and_shard_counts() {
+fn sketch_axis_agrees_across_policies() {
     for seed in [11u64, 12] {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
         assert_sketch_axis_agrees(&d.set, &approx_config(0x005E_7C11 + seed));
@@ -385,40 +321,24 @@ fn sketch_axis_agrees_across_policies_and_shard_counts() {
     assert_sketch_axis_agrees(&SequenceSet::new(), &approx_config(1));
 }
 
-/// The hybrid-≡-exact contract: under exhaustive banding with `k ≤ ψ`
-/// the LSH prefilter's candidates cover every exact promising pair, and
-/// the per-pair suffix confirmation reproduces the miner's longest-match
-/// lengths — so the hybrid pair *set* (and the resulting components) is
-/// identical to exact mode.
+/// [`run_ccd_from_pairs`], the public entry over a pre-collected supply
+/// (serial and parallel mining): reference components, bookkeeping that
+/// partitions the stream.
 #[test]
-fn hybrid_exhaustive_equals_exact_pair_set_and_components() {
-    for seed in [21u64, 22, 23] {
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
-        let exact_cfg = ClusterConfig::default();
-        let hybrid_cfg = ClusterConfig {
-            sketch: SketchParams {
-                mode: SketchMode::Hybrid,
-                k: 5,
-                banding: SketchBanding::Exhaustive,
-                ..SketchParams::default()
-            },
-            ..exact_cfg.clone()
-        };
-        let mut exact: Vec<(u32, u32, u32)> = collect_pairs(&d.set, &exact_cfg, 1)
-            .into_iter()
-            .map(|p| (p.a.0, p.b.0, p.len))
-            .collect();
-        let mut src = HybridSource::new(&d.set, &hybrid_cfg, hybrid_cfg.psi_ccd, 1);
-        let mut hybrid: Vec<(u32, u32, u32)> =
-            drain(&mut src).into_iter().map(|p| (p.a.0, p.b.0, p.len)).collect();
-        exact.sort_unstable();
-        hybrid.sort_unstable();
-        assert_eq!(hybrid, exact, "seed {seed}: hybrid pair set must equal the exact miner's");
-        assert_eq!(
-            run_ccd(&d.set, &hybrid_cfg).components,
-            run_ccd(&d.set, &exact_cfg).components,
-            "seed {seed}: hybrid components must equal exact components"
-        );
+fn collected_supply_entry_agrees_with_the_reference() {
+    let tiny = SyntheticDataset::generate(&DatasetConfig::tiny(11)).set;
+    let family = set_of(&["MKVLWAAKNDCQEGHILKMFPSTWYV"; 6]);
+    for (set, config) in [
+        (&tiny, ClusterConfig::default()),
+        (&SequenceSet::new(), ClusterConfig::default()),
+        (&family, ClusterConfig::for_short_sequences()),
+    ] {
+        let reference = run_ccd(set, &config);
+        for threads in [1usize, 2] {
+            let got = run_ccd_from_pairs(set, collect_pairs(set, &config, threads), &config);
+            assert_eq!(got.components, reference.components, "collected (threads={threads})");
+            assert_partition(&got, &format!("collected (threads={threads})"));
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pfam_cluster::{
     run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
-    CcdResult, ClusterConfig, PairLedger, RrResult, ShardParams,
+    CcdResult, ClusterConfig, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -190,12 +190,4 @@ fn runs_one_index_cannot_serve_keep_their_routes() {
         drop(rr);
         assert_eq!(cfg.mem.budget.used(), 0, "{what}: reservations released");
     }
-
-    // Sharded CCD mines the shared index too.
-    let sharded =
-        ClusterConfig { shard: ShardParams { shards: 3, ..ShardParams::default() }, ..config };
-    let (rr, ccd) = run_front_half(&set, &sharded);
-    assert_eq!(rr.kept, rr_want.kept);
-    assert_eq!(ccd.components, ccd_want.components);
-    assert_eq!(ccd.n_merges, ccd_want.n_merges);
 }

@@ -2,8 +2,8 @@
 //! list change — the work — and what they must not — any result.
 //!
 //! Over random family corpora, for every driver of the CCD loop
-//! ([`BatchedPush`], [`SpmdPush`], [`LeasedPull`]), K ∈ {1, 3} shards, and
-//! the ledger present, absent, and cut short by its budget:
+//! ([`BatchedPush`], [`SpmdPush`], [`LeasedPull`]), and the ledger present,
+//! absent, and cut short by its budget:
 //!
 //! (a) the component graphs built from CCD's edges and deferred pairs
 //!     ([`KnownPairs`]) equal the graphs mined from each component's own
@@ -22,17 +22,15 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{
-    assert_disjoint_and_inside, assert_known_graphs_equal_mined, assert_partition, drain,
-};
+use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
-    run_ccd_resumable, run_ccd_sharded_spmd, run_redundancy_removal, serve_pull_worker,
-    serve_push_worker, with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase,
-    CostModel, HealthReport, IterSource, LeaseKnobs, LeasedPull, LocalTransport, MemParams,
-    PairLedger, PartitionedMinedSource, RrResult, ShardParams, SpmdPush, Verifier, WorkPolicy,
+    run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
+    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, CostModel, HealthReport,
+    IterSource, LeaseKnobs, LeasedPull, LocalTransport, MemParams, PairLedger,
+    PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
-use pfam_seq::{materialize_subset, MemoryBudget, SeqStore, SequenceSet, SubsetStore};
+use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
 use pfam_suffix::{estimated_index_bytes, MatchPair};
 
 fn corpus(seed: u64) -> SequenceSet {
@@ -101,25 +99,16 @@ fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
     CcdResult::from_core(core)
 }
 
-/// CCD as the front half runs it — [`BatchedPush`] on RR's index, through
-/// the shard plane when K > 1 — answered by `ledger`.
+/// CCD as the front half runs it — [`BatchedPush`] on RR's index —
+/// answered by `ledger`.
 fn drive_batched(
     set: &SequenceSet,
     cfg: &ClusterConfig,
     rr: &RrResult,
     ledger: &Arc<PairLedger>,
-    k: usize,
 ) -> CcdResult {
-    let cfg =
-        ClusterConfig { shard: ShardParams { shards: k, ..Default::default() }, ..cfg.clone() };
     let rr = RrResult { ledger: ledger.clone(), ..rr.clone() };
-    with_front_half(set, &cfg, |front| front.ccd(&rr))
-}
-
-fn sorted<T: Ord + Clone>(items: &[T]) -> Vec<T> {
-    let mut items = items.to_vec();
-    items.sort_unstable();
-    items
+    with_front_half(set, cfg, |front| front.ccd(&rr))
 }
 
 #[test]
@@ -140,39 +129,27 @@ fn the_ledger_changes_the_work_and_no_result() {
         let kept = rr.kept.as_slice();
 
         // The reference: one master, no ledger.
-        let reference = drive_batched(&set, &cfg, &rr, &ledgers[1].1, 1);
+        let reference = drive_batched(&set, &cfg, &rr, &ledgers[1].1);
         assert_partition(&reference, "reference");
         let (mined_fills, _) =
             assert_known_graphs_equal_mined(&set, &cfg, kept, &ledgers[1].1, &reference, "");
         let mut hits_seen = 0;
         for (name, ledger) in &ledgers {
-            for k in [1usize, 3] {
-                let what = format!("seed {seed}, BatchedPush, K={k}, ledger {name}");
-                let ccd = drive_batched(&set, &cfg, &rr, ledger, k);
-                assert_partition(&ccd, &what);
-                assert_eq!(ccd.components, reference.components, "{what}");
-                assert_eq!(ccd.n_merges, reference.n_merges, "{what}");
-                assert_eq!(ccd.trace.total_generated(), reference.trace.total_generated());
-                if k == 1 {
-                    // The union-find saw the same verdicts in the same order.
-                    assert_eq!(ccd.edges, reference.edges, "{what}");
-                    assert_eq!(ccd.deferred, reference.deferred, "{what}");
-                    assert_eq!(ccd.trace.total_filtered(), reference.trace.total_filtered());
-                } else {
-                    // Shard forests fold in arrival order; the shards' own
-                    // streams — hence their verdicts — do not depend on it.
-                    let plain = drive_batched(&set, &cfg, &rr, &ledgers[1].1, k);
-                    assert_eq!(sorted(&ccd.edges), sorted(&plain.edges), "{what}");
-                    assert_eq!(sorted(&ccd.deferred), sorted(&plain.deferred), "{what}");
-                }
-                let (fills, hits) =
-                    assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
-                assert_eq!(hits == 0, ledger.is_empty(), "{what}");
-                hits_seen += hits + ccd.trace.total_ledger_hits();
-                if k == 1 {
-                    assert_eq!(fills + hits, mined_fills, "{what}: same deferred pairs");
-                }
-            }
+            let what = format!("seed {seed}, BatchedPush, ledger {name}");
+            let ccd = drive_batched(&set, &cfg, &rr, ledger);
+            assert_partition(&ccd, &what);
+            assert_eq!(ccd.components, reference.components, "{what}");
+            assert_eq!(ccd.n_merges, reference.n_merges, "{what}");
+            assert_eq!(ccd.trace.total_generated(), reference.trace.total_generated());
+            // The union-find saw the same verdicts in the same order.
+            assert_eq!(ccd.edges, reference.edges, "{what}");
+            assert_eq!(ccd.deferred, reference.deferred, "{what}");
+            assert_eq!(ccd.trace.total_filtered(), reference.trace.total_filtered());
+            let (fills, hits) =
+                assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
+            assert_eq!(hits == 0, ledger.is_empty(), "{what}");
+            hits_seen += hits + ccd.trace.total_ledger_hits();
+            assert_eq!(fills + hits, mined_fills, "{what}: same deferred pairs");
             for (policy, ccd) in [
                 ("SpmdPush", drive_push(&nr_store, &cfg, ledger)),
                 ("LeasedPull", drive_pull(&nr_store, &cfg, ledger)),
@@ -184,19 +161,6 @@ fn the_ledger_changes_the_work_and_no_result() {
             }
         }
         assert!(hits_seen > 0, "seed {seed}: the ledger never answered");
-
-        // LeasedPull inside K = 3 rank groups (the SPMD shard plane takes no
-        // ledger and returns shard 0's trace only): the deferred pairs its
-        // merge tree gathers still give the mined graphs.
-        let spmd_cfg = ClusterConfig {
-            shard: ShardParams { shards: 3, workers_per_shard: 2, ..Default::default() },
-            ..cfg.clone()
-        };
-        let ccd = run_ccd_sharded_spmd(&materialize_subset(&set, &rr.kept), &spmd_cfg);
-        let what = format!("seed {seed}, LeasedPull in rank groups, K=3");
-        assert_eq!(ccd.components, reference.components, "{what}");
-        assert_disjoint_and_inside(&ccd, &what);
-        assert_known_graphs_equal_mined(&set, &cfg, kept, &ledgers[1].1, &ccd, &what);
     }
 }
 

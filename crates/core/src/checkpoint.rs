@@ -17,29 +17,38 @@
 //! # File format
 //!
 //! ```text
-//! magic "PFCK" | u32 version | u32 phase | u64 payload_len | u32 crc32 | payload
+//! magic "PFCK" | u32 version | u32 phase | u64 fingerprint | u64 payload_len | u32 crc32 | payload
 //! ```
 //!
 //! All integers little-endian. The CRC-32 (IEEE) covers the payload only.
 //! Files are written atomically (`<path>.tmp` + rename), so a crash
 //! mid-write leaves the previous checkpoint intact; a torn or tampered
 //! file fails the checksum and is reported, never silently half-loaded.
+//! The fingerprint ([`fingerprint`]) names the input and the parameters
+//! the file's contents depend on; a run resumes only from files that
+//! carry its own.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pfam_cluster::{CcdCursor, PhaseTrace};
-use pfam_shingle::ShingleStats;
+use pfam_cluster::{CcdCursor, ClusterConfig, PhaseTrace, SketchMode, SketchParams};
+use pfam_seq::{SeqId, SeqStore};
+use pfam_shingle::sketch::splitmix64;
+use pfam_shingle::{ShingleParams, ShingleStats};
+
+use crate::config::{PipelineConfig, Reduction};
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PFCK";
 /// Current format version. v2 added the generation-plan pin
 /// (`CcdCursor::gen_chunk_bytes`) to the CCD payload; v3 the pair ledger
 /// to the RR payload and the deferred pairs to the CCD payload — what a
-/// resumed run needs to align exactly what an uninterrupted one does. An
-/// older file is [`CkptError::BadVersion`]: there is no compatibility
-/// path.
-pub const VERSION: u32 = 3;
+/// resumed run needs to align exactly what an uninterrupted one does; v4
+/// the run fingerprint to the header. An older file is
+/// [`CkptError::BadVersion`]: there is no compatibility path.
+pub const VERSION: u32 = 4;
+/// Bytes before the payload.
+const HEADER_LEN: usize = 32;
 
 /// Which phase a checkpoint belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +110,10 @@ pub enum CkptError {
     BadChecksum,
     /// The file or payload ended early / decoded inconsistently.
     Corrupt(&'static str),
+    /// The file was written for another input or under other
+    /// result-affecting parameters ([`fingerprint`]): resuming from it
+    /// would return that run's answer, not this one's.
+    Mismatch(&'static str),
 }
 
 impl std::fmt::Display for CkptError {
@@ -114,6 +127,11 @@ impl std::fmt::Display for CkptError {
                 write!(f, "checkpoint checksum mismatch (torn write or corruption)")
             }
             CkptError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            CkptError::Mismatch(file) => write!(
+                f,
+                "checkpoint mismatch: {file} was written for a different input or different \
+                 parameters — rerun with the original ones, or without --resume"
+            ),
         }
     }
 }
@@ -137,14 +155,21 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 // ------------------------------------------------------------- raw files
 
-/// Atomically write `payload` as a phase checkpoint: the bytes land in
-/// `<path>.tmp` first and are renamed into place, so `path` always holds
-/// either the previous checkpoint or the complete new one.
-pub fn write_checkpoint(path: &Path, phase: Phase, payload: &[u8]) -> Result<(), CkptError> {
-    let mut bytes = Vec::with_capacity(payload.len() + 24);
+/// Atomically write `payload` as a phase checkpoint of the run
+/// `fingerprint` names: the bytes land in `<path>.tmp` first and are
+/// renamed into place, so `path` always holds either the previous
+/// checkpoint or the complete new one.
+pub fn write_checkpoint(
+    path: &Path,
+    phase: Phase,
+    fingerprint: u64,
+    payload: &[u8],
+) -> Result<(), CkptError> {
+    let mut bytes = Vec::with_capacity(payload.len() + HEADER_LEN);
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
     bytes.extend_from_slice(&phase.code().to_le_bytes());
+    bytes.extend_from_slice(&fingerprint.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&crc32(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
@@ -159,37 +184,144 @@ pub fn write_checkpoint(path: &Path, phase: Phase, payload: &[u8]) -> Result<(),
         .map_err(|e| CkptError::Io(format!("renaming {}: {e}", path.display())))
 }
 
-/// Read and validate a checkpoint, returning its phase and payload.
-pub fn read_checkpoint(path: &Path) -> Result<(Phase, Vec<u8>), CkptError> {
+/// Read and validate a checkpoint, returning its phase, the fingerprint
+/// of the run that wrote it, and its payload.
+pub fn read_checkpoint(path: &Path) -> Result<(Phase, u64, Vec<u8>), CkptError> {
     let bytes =
         std::fs::read(path).map_err(|e| CkptError::Io(format!("{}: {e}", path.display())))?;
-    if bytes.len() < 24 {
+    // The version word sits where every format has had it, so an older
+    // (shorter-headed) file is reported as its version, not as truncated.
+    if bytes.len() < 8 {
         return Err(CkptError::Corrupt("file shorter than header"));
     }
     if &bytes[0..4] != MAGIC {
         return Err(CkptError::BadMagic);
     }
-    let word = |at: usize| -> u32 {
-        u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
-    };
-    let version = word(4);
+    let mut header = Dec::new(&bytes[4..]);
+    let version = header.u32()?;
     if version != VERSION {
         return Err(CkptError::BadVersion(version));
     }
-    let phase = Phase::from_code(word(8)).ok_or(CkptError::BadPhase(word(8)))?;
-    let len = u64::from_le_bytes([
-        bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19],
-    ]) as usize;
-    let checksum = word(20);
-    let payload =
-        bytes.get(24..24 + len).ok_or(CkptError::Corrupt("payload shorter than header claims"))?;
-    if bytes.len() != 24 + len {
+    if bytes.len() < HEADER_LEN {
+        return Err(CkptError::Corrupt("file shorter than header"));
+    }
+    let code = header.u32()?;
+    let phase = Phase::from_code(code).ok_or(CkptError::BadPhase(code))?;
+    let fingerprint = header.u64()?;
+    let len = header.u64()?;
+    let checksum = header.u32()?;
+    let payload = &bytes[HEADER_LEN..];
+    if (payload.len() as u64) < len {
+        return Err(CkptError::Corrupt("payload shorter than header claims"));
+    }
+    if payload.len() as u64 != len {
         return Err(CkptError::Corrupt("trailing bytes after payload"));
     }
     if crc32(payload) != checksum {
         return Err(CkptError::BadChecksum);
     }
-    Ok((phase, payload.to_vec()))
+    Ok((phase, fingerprint, payload.to_vec()))
+}
+
+// ----------------------------------------------------------- fingerprint
+
+/// The 64-bit name of the answer a run computes: the input's shape (reads,
+/// residues, every length) and every parameter a phase's output depends
+/// on. Each checkpoint file carries the fingerprint of the run that wrote
+/// it, and a run resumes only from files carrying its own.
+///
+/// Thread counts, the alignment engine, the memory budget, the index chunk
+/// size and the checkpoint cadence are left out on purpose: results are
+/// identical across them (the CCD cursor's plan pin fixes the generation
+/// order), so a killed run may be resumed under other values.
+pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
+    // Destructured in full, so a new field has to be placed on one side.
+    let PipelineConfig { cluster, shingle, reduction, min_component_size, min_subgraph_size } =
+        config;
+    let ClusterConfig {
+        scheme,
+        psi_rr,
+        psi_ccd,
+        containment,
+        overlap,
+        batch_size,
+        max_pairs_per_node,
+        mask,
+        sketch,
+        threads: _,
+        parallel_index: _,
+        align_engine: _,
+        recovery: _,
+        mem: _,
+    } = cluster;
+    let ShingleParams { s1, c1, s2, c2, seed: shingle_seed } = *shingle;
+    let SketchParams { mode, k, bands, rows, width, seed: sketch_seed, max_bucket_pairs } = sketch;
+
+    // Folded word by word through the mixer the sketch band keys use.
+    let mut h = Fold(0);
+    h.word(input.len() as u64);
+    h.word(input.total_residues() as u64);
+    for i in 0..input.len() {
+        h.word(input.seq_len(SeqId(i as u32)) as u64);
+    }
+    let codes = 0..pfam_seq::alphabet::ALPHABET_SIZE as u8;
+    for (a, b) in codes.clone().flat_map(|a| codes.clone().map(move |b| (a, b))) {
+        h.word(scheme.matrix.score_codes(a, b) as u64);
+    }
+    h.word(scheme.gap_open as u64);
+    h.word(scheme.gap_extend as u64);
+    h.word(*psi_rr as u64);
+    h.word(*psi_ccd as u64);
+    for fraction in [
+        containment.min_similarity,
+        containment.min_coverage,
+        overlap.min_similarity,
+        overlap.min_longer_coverage,
+    ] {
+        h.word(fraction.to_bits());
+    }
+    h.word(*batch_size as u64);
+    h.word(*max_pairs_per_node as u64);
+    match mask {
+        None => h.word(0),
+        Some(mask) => {
+            h.word(1);
+            h.word(mask.window as u64);
+            h.word(mask.min_entropy_bits.to_bits());
+        }
+    }
+    // Exact mode reads no sketch knob.
+    h.word(*mode as u64);
+    if *mode != SketchMode::Exact {
+        for knob in [*k, *bands, *rows, *width, *max_bucket_pairs] {
+            h.word(knob as u64);
+        }
+        h.word(*sketch_seed);
+    }
+    match *reduction {
+        Reduction::GlobalSimilarity { tau } => {
+            h.word(0);
+            h.word(tau.to_bits());
+        }
+        Reduction::DomainBased { w } => {
+            h.word(1);
+            h.word(w as u64);
+        }
+    }
+    for count in [s1, c1, s2, c2, *min_component_size, *min_subgraph_size] {
+        h.word(count as u64);
+    }
+    h.word(shingle_seed);
+    h.0
+}
+
+/// A running 64-bit digest of a word stream.
+struct Fold(u64);
+
+impl Fold {
+    fn word(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
 }
 
 // ----------------------------------------------------------- byte codec
@@ -564,9 +696,10 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("x.ckpt");
         let payload = b"some phase payload".to_vec();
-        write_checkpoint(&path, Phase::Ccd, &payload).expect("write");
-        let (phase, back) = read_checkpoint(&path).expect("read");
+        write_checkpoint(&path, Phase::Ccd, 0xF1E2_D3C4_B5A6_9788, &payload).expect("write");
+        let (phase, fingerprint, back) = read_checkpoint(&path).expect("read");
         assert_eq!(phase, Phase::Ccd);
+        assert_eq!(fingerprint, 0xF1E2_D3C4_B5A6_9788);
         assert_eq!(back, payload);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -576,7 +709,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pfck-test-corruption");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("x.ckpt");
-        write_checkpoint(&path, Phase::Rr, b"payload bytes here").expect("write");
+        write_checkpoint(&path, Phase::Rr, 7, b"payload bytes here").expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
         // Flip one payload byte: checksum must catch it.
         let last = bytes.len() - 1;
@@ -591,6 +724,57 @@ mod tests {
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(matches!(read_checkpoint(&path), Err(CkptError::BadMagic)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_covers_what_changes_the_answer_and_nothing_else() {
+        use pfam_seq::SequenceSetBuilder;
+        let set_of = |reads: &[&str]| {
+            let mut b = SequenceSetBuilder::new();
+            for (i, read) in reads.iter().enumerate() {
+                b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
+            }
+            b.finish()
+        };
+        let set = set_of(&["MKVLWAAKND", "MKVLW"]);
+        let base = PipelineConfig::default();
+        let name = fingerprint(&set, &base);
+        assert_eq!(name, fingerprint(&set, &base.clone()), "a pure function");
+
+        let changed: [fn(&mut PipelineConfig); 12] = [
+            |c| c.cluster.scheme.gap_open += 1,
+            |c| c.cluster.psi_rr += 1,
+            |c| c.cluster.psi_ccd += 1,
+            |c| c.cluster.containment.min_coverage = 0.9,
+            |c| c.cluster.overlap.min_similarity = 0.4,
+            |c| c.cluster.batch_size *= 2,
+            |c| c.cluster.max_pairs_per_node -= 1,
+            |c| c.cluster.mask = Some(Default::default()),
+            |c| c.cluster.sketch.mode = SketchMode::Approx,
+            |c| c.reduction = Reduction::DomainBased { w: 10 },
+            |c| c.shingle.c1 += 1,
+            |c| c.min_subgraph_size -= 1,
+        ];
+        for (i, change) in changed.iter().enumerate() {
+            let mut config = base.clone();
+            change(&mut config);
+            assert_ne!(fingerprint(&set, &config), name, "parameter {i}");
+        }
+        // Same reads and residues, other lengths; and one read more.
+        assert_ne!(fingerprint(&set_of(&["MKVLWAAK", "MKVLWND"]), &base), name);
+        assert_ne!(fingerprint(&set_of(&["MKVLWAAKND", "MKVL", "W"]), &base), name);
+
+        let unchanged = base
+            .clone()
+            .with_threads(1)
+            .with_align_engine(pfam_cluster::AlignEngineKind::Reference)
+            .with_mem_budget(1 << 20)
+            .with_index_chunk_bytes(4096);
+        assert_eq!(fingerprint(&set, &unchanged), name);
+        // Exact mode reads no sketch knob.
+        let mut inert = base.clone();
+        inert.cluster.sketch.bands += 1;
+        assert_eq!(fingerprint(&set, &inert), name);
     }
 
     #[test]

@@ -100,10 +100,8 @@ impl PipelineConfig {
 
     /// Route candidate generation through the LSH sketch plane
     /// ([`pfam_cluster::lsh`]): `Approx` replaces the suffix-index miner
-    /// with banded min-hash buckets (approximate recall, O(n·b) memory),
-    /// `Hybrid` adds per-pair suffix confirmation (exact lengths; the
-    /// exact pair set under exhaustive banding). `Exact` mode leaves the
-    /// reference path untouched.
+    /// with banded min-hash buckets (approximate recall, O(n·b) memory).
+    /// `Exact` mode leaves the reference path untouched.
     pub fn with_sketch(mut self, sketch: pfam_cluster::SketchParams) -> PipelineConfig {
         self.cluster.sketch = sketch;
         self

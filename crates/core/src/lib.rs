@@ -8,12 +8,15 @@
 //!        ──BGG──▶ per-component bipartite graphs ──DSD──▶ dense subgraphs
 //! ```
 //!
-//! * [`checkpoint`] — versioned, checksummed phase snapshots powering
-//!   `run_pipeline_checkpointed`'s crash/restart story.
+//! * [`checkpoint`] — versioned, checksummed, fingerprinted phase
+//!   snapshots: the crash/restart story of a run with a checkpoint
+//!   directory.
 //! * [`config`] — pipeline parameters (ψ cutoffs, shingle (s, c), τ,
 //!   reduction choice, size thresholds).
-//! * [`pipeline`] — orchestration of the four phases, parallel inside
-//!   each phase, with full work-trace capture for `pfam-sim`.
+//! * [`pipeline`] — the one composition of the four phases
+//!   ([`run_pipeline`]; [`PipelineHooks`] say what it keeps on disk),
+//!   parallel inside each phase, with full work-trace capture for
+//!   `pfam-sim`.
 //! * [`executor`] — the fused, streaming BGG→DSD back half: components
 //!   flow from CCD straight through graph construction into dense-subgraph
 //!   detection, largest-first, on per-worker arenas (no barrier, no
@@ -25,11 +28,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use pfam_core::{run_pipeline, PipelineConfig};
+//! use pfam_core::PipelineConfig;
 //! use pfam_datagen::{DatasetConfig, SyntheticDataset};
 //!
 //! let data = SyntheticDataset::generate(&DatasetConfig::tiny(1));
-//! let result = run_pipeline(&data.set, &PipelineConfig::for_tests());
+//! let result = PipelineConfig::for_tests().run(&data.set);
 //! println!("{} dense subgraphs from {} sequences",
 //!          result.dense_subgraphs.len(), result.n_input);
 //! ```
@@ -46,8 +49,7 @@ pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
 pub use executor::{barrier_components, stream_components, stream_graphs, ComponentOutput};
 pub use pipeline::{
-    run_pipeline, run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig,
-    DenseSubgraph, PipelineResult,
+    run_pipeline, CheckpointConfig, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult,
 };
 pub use quality::{evaluate, QualityReport};
 pub use report::{FillReport, TableOneRow};

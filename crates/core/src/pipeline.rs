@@ -13,20 +13,27 @@
 //! graph from CCD's edges plus the verdicts of those deferred pairs — the
 //! ledger's, or one fill ([`KnownPairs`]). No pair is aligned twice and no
 //! per-component suffix index is built.
+//!
+//! There is one composition of the phases, [`run_pipeline`]. What differs
+//! between runs is [`PipelineHooks`]: with a checkpoint directory every
+//! phase loads what an earlier run left there and saves what it finishes
+//! (DESIGN.md §robustness); without one the same code keeps nothing — no
+//! snapshot is even encoded.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfam_cluster::{
-    check_index_budget, run_ccd_resumable, run_front_half, with_front_half, CcdCursor, CcdResult,
-    ComponentGraph, KnownPairs, PairLedger, PhaseTrace, SketchMode,
+    check_index_budget, check_sketch_params, run_ccd_resumable, with_front_half, CcdCursor,
+    CcdResult, ComponentGraph, KnownPairs, PairLedger, PhaseTrace, SketchMode, SketchParamError,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
 use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
 use pfam_shingle::ShingleStats;
 
 use crate::checkpoint::{
-    read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState, Phase, RrState,
+    fingerprint, read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState,
+    Phase, RrState,
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_components, stream_graphs, ComponentOutput};
@@ -83,24 +90,202 @@ impl PipelineResult {
     }
 }
 
-/// [`run_pipeline`] behind the memory-budget pre-flight check: refuses to
-/// start — with a typed error, never an abort — when even the smallest
-/// partitioned index task (one chunk per sequence) cannot fit
-/// `config.cluster.mem.budget`. A run that passes the check degrades
-/// gracefully inside: the index plane picks chunk sizes that fit, and the
-/// rank tables fall back to per-set hashing when refused.
-pub fn run_pipeline_budgeted(
-    input: &dyn SeqStore,
-    config: &PipelineConfig,
-) -> Result<PipelineResult, BudgetError> {
-    check_index_budget(input, &config.cluster.mem.budget)?;
-    Ok(run_pipeline(input, config))
+/// Where and how often a run snapshots its state.
+#[derive(Debug, Clone)]
+pub struct CheckpointConfig {
+    /// Directory holding `rr.ckpt` / `ccd.ckpt` / `dsd.ckpt` (created if
+    /// missing).
+    pub dir: PathBuf,
+    /// Write a CCD cursor every this many master batches (0 = only at
+    /// phase completion).
+    pub every_batches: usize,
+    /// Write a DSD snapshot every this many finished components; the
+    /// components inside one batch run through the streaming executor in
+    /// parallel. `1` (and, defensively, `0`) checkpoints after every
+    /// component.
+    pub every_components: usize,
+}
+
+/// What a run keeps on disk and where it ends. The default is the
+/// in-memory run: no directory, start at phase 1, run to the end.
+#[derive(Debug, Clone, Default)]
+pub struct PipelineHooks {
+    /// Snapshot every phase here; `None` keeps nothing on disk.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Continue from the snapshots found in the directory instead of
+    /// overwriting them. A killed run restarted this way replays from the
+    /// last snapshot and produces a result *identical* to the
+    /// uninterrupted run — CCD's pair generator is deterministic, so
+    /// skipping the consumed prefix and restoring the union-find verbatim
+    /// repeats every decision exactly.
+    pub resume: bool,
+    /// End the run right after this phase's snapshot is written
+    /// ([`run_pipeline`] returns `Ok(None)`) — the hook the
+    /// kill-at-every-phase tests use to simulate a crash at a phase
+    /// boundary.
+    pub stop_after: Option<Phase>,
+}
+
+/// Why a run did not start, or could not go on.
+#[derive(Debug)]
+pub enum PipelineError {
+    /// The sketch parameters cannot work on this input.
+    Sketch(SketchParamError),
+    /// Even the smallest partitioned index task (one chunk per sequence)
+    /// does not fit the memory budget. A run that passes this check
+    /// degrades gracefully inside: the index plane picks chunk sizes that
+    /// fit, and the rank tables fall back to per-set hashing when refused.
+    Budget(BudgetError),
+    /// A snapshot could not be written, read back, or trusted.
+    Checkpoint(CkptError),
+}
+
+impl std::fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PipelineError::Sketch(e) => e.fmt(f),
+            PipelineError::Budget(e) => e.fmt(f),
+            PipelineError::Checkpoint(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+impl From<SketchParamError> for PipelineError {
+    fn from(e: SketchParamError) -> Self {
+        PipelineError::Sketch(e)
+    }
+}
+
+impl From<BudgetError> for PipelineError {
+    fn from(e: BudgetError) -> Self {
+        PipelineError::Budget(e)
+    }
+}
+
+impl From<CkptError> for PipelineError {
+    fn from(e: CkptError) -> Self {
+        PipelineError::Checkpoint(e)
+    }
+}
+
+/// The snapshot files of one run. Without a directory nothing is loaded
+/// and nothing saved — `save` does not even build its payload.
+struct Snapshots<'h> {
+    hooks: &'h PipelineHooks,
+    /// Of this run ([`fingerprint`]); unused without a directory.
+    fingerprint: u64,
+}
+
+impl<'h> Snapshots<'h> {
+    fn open(
+        hooks: &'h PipelineHooks,
+        input: &dyn SeqStore,
+        config: &PipelineConfig,
+    ) -> Result<Snapshots<'h>, CkptError> {
+        let Some(ckpt) = &hooks.checkpoint else {
+            return Ok(Snapshots { hooks, fingerprint: 0 });
+        };
+        std::fs::create_dir_all(&ckpt.dir)
+            .map_err(|e| CkptError::Io(format!("{}: {e}", ckpt.dir.display())))?;
+        Ok(Snapshots { hooks, fingerprint: fingerprint(input, config) })
+    }
+
+    /// The payload an earlier run of the same input and parameters left
+    /// for `phase`, when this run resumes and there is one.
+    fn load(&self, phase: Phase) -> Result<Option<Vec<u8>>, CkptError> {
+        let Some(ckpt) = &self.hooks.checkpoint else {
+            return Ok(None);
+        };
+        let path = phase.path_in(&ckpt.dir);
+        if !(self.hooks.resume && path.exists()) {
+            return Ok(None);
+        }
+        let (found, written_for, payload) = read_checkpoint(&path)?;
+        if found != phase {
+            return Err(CkptError::Corrupt("checkpoint file holds a different phase"));
+        }
+        if written_for != self.fingerprint {
+            return Err(CkptError::Mismatch(phase.file_name()));
+        }
+        Ok(Some(payload))
+    }
+
+    fn save(&self, phase: Phase, payload: impl FnOnce() -> Vec<u8>) -> Result<(), CkptError> {
+        match &self.hooks.checkpoint {
+            Some(ckpt) => {
+                write_checkpoint(&phase.path_in(&ckpt.dir), phase, self.fingerprint, &payload())
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// CCD batches between cursors (0 = none mid-phase).
+    fn every_batches(&self) -> usize {
+        self.hooks.checkpoint.as_ref().map_or(0, |ckpt| ckpt.every_batches)
+    }
+
+    /// Components between DSD snapshots. Without a directory the whole
+    /// queue is one batch: the executor schedules it heaviest-first.
+    fn every_components(&self) -> usize {
+        self.hooks.checkpoint.as_ref().map_or(usize::MAX, |ckpt| ckpt.every_components.max(1))
+    }
+}
+
+/// Phases 1–2 as the back half consumes them, fresh or from snapshots.
+struct FrontResult {
+    /// RR's survivors; CCD's id `i` is `kept[i]`.
+    kept: Vec<SeqId>,
+    rr_trace: PhaseTrace,
+    ledger: Arc<PairLedger>,
+    ledger_dropped: u64,
+    ccd: CcdResult,
+}
+
+/// Phase 2 over `n_kept` reads: the stored result when `ccd.ckpt` holds a
+/// completed phase, else `run(cursor, every, sink)` — from the stored
+/// cursor, if any — with every cursor it emits saved as `ccd.ckpt`, and
+/// the final state at the end.
+fn ccd_phase(
+    snapshots: &Snapshots<'_>,
+    n_kept: usize,
+    run: impl FnOnce(Option<CcdCursor>, usize, &mut dyn FnMut(&CcdCursor)) -> CcdResult,
+) -> Result<CcdResult, CkptError> {
+    let prior =
+        snapshots.load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()?;
+    if prior.as_ref().is_some_and(|state| state.cursor.uf_parent.len() != n_kept) {
+        return Err(CkptError::Corrupt("ccd checkpoint is for a different input"));
+    }
+    let cursor = match prior {
+        // Phase already finished: rebuild the result from the stored
+        // forest — no index rebuild, no realignment.
+        Some(state) if state.complete => return Ok(CcdResult::from_cursor(state.cursor)),
+        prior => prior.map(|state| state.cursor),
+    };
+    let mut failed: Option<CkptError> = None;
+    let mut on_cursor = |cursor: &CcdCursor| {
+        if failed.is_none() {
+            let state = || CcdState { complete: false, cursor: cursor.clone() }.encode();
+            failed = snapshots.save(Phase::Ccd, state).err();
+        }
+    };
+    let result = run(cursor, snapshots.every_batches(), &mut on_cursor);
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    // Final snapshot: the forest rebuilt from the accepted edges yields
+    // the same partition the master loop ended with.
+    snapshots.save(Phase::Ccd, || {
+        CcdState { complete: true, cursor: CcdCursor::from_result(&result, n_kept) }.encode()
+    })?;
+    Ok(result)
 }
 
 /// A finished front half as the back half consumes it: the components
 /// under `input` ids and, when CCD's stream was the exact ψ_ccd pair set,
-/// what it knows of the pairs inside them. Sketch modes have no such
-/// stream, so their back half mines each component's own index instead.
+/// what it knows of the pairs inside them. The sketch mode has no such
+/// stream, so its back half mines each component's own index instead.
 struct BackHalf<'a> {
     components: Vec<Vec<SeqId>>,
     known: Option<KnownPairs<'a>>,
@@ -162,69 +347,47 @@ impl<'a> BackHalf<'a> {
     }
 }
 
-/// Run the full pipeline on `input` — the BGG→DSD back half goes through
-/// the fused streaming executor. `input` is any [`SeqStore`]: an
-/// in-memory [`pfam_seq::SequenceSet`] or a paged on-disk store.
-pub fn run_pipeline(input: &dyn SeqStore, config: &PipelineConfig) -> PipelineResult {
-    // ---- Phases 1+2: redundancy removal, then connected components of
-    // the survivors, over one suffix index; it is dropped before the back
-    // half starts. CCD sees the survivors through the store (no re-pack —
-    // a paged input stays on disk); its local id `i` maps back to original
-    // id `rr.kept[i]`. ----
-    let (rr, mut ccd) = run_front_half(input, &config.cluster);
-    let ccd_trace = std::mem::take(&mut ccd.trace);
-
-    // ---- Phases 3+4: fused BGG→DSD over the large components. ----
-    let back = BackHalf::new(input, config, &rr.kept, &rr.ledger, &mut ccd);
-    let selected = back.selected(config);
-    let outputs = back.stream(input, config, &selected);
-
-    let mut bgg_trace =
-        PhaseTrace { index_residues: back.residues(input, &selected), ..PhaseTrace::default() };
-    let mut graphs = Vec::with_capacity(outputs.len());
-    let mut dense_subgraphs = Vec::new();
-    let mut shingle_stats = ShingleStats::default();
-    for (ci, out) in outputs.into_iter().enumerate() {
-        shingle_stats.absorb(&out.stats);
-        bgg_trace.batches.push(out.record);
-        for local_members in &out.subgraphs {
-            let density = subgraph_density(&out.graph.graph, local_members);
-            let members: Vec<SeqId> =
-                local_members.iter().map(|&l| out.graph.original_id(l)).collect();
-            dense_subgraphs.push(DenseSubgraph { members, component: ci, density });
-        }
-        graphs.push(out.graph);
-    }
-    // Deterministic output order: biggest first, then by first member.
-    dense_subgraphs
-        .sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.members.cmp(&b.members)));
-
-    PipelineResult {
-        n_input: input.len(),
-        non_redundant: rr.kept.clone(),
-        components: back.components,
-        component_graphs: graphs,
-        dense_subgraphs,
-        traces: (rr.trace, ccd_trace, bgg_trace),
-        shingle_stats,
-        ledger_dropped: rr.ledger.dropped(),
-    }
+/// The finished prefix of the back half's component queue — what
+/// `dsd.ckpt` holds, in the form the result is assembled from.
+#[derive(Default)]
+struct Finished {
+    graphs: Vec<ComponentGraph>,
+    /// Per finished component, its dense subgraphs as local-index lists.
+    subgraphs: Vec<Vec<Vec<u32>>>,
+    shingle: ShingleStats,
+    /// BGG trace, one batch per finished component.
+    trace: PhaseTrace,
 }
 
-/// Where and how often [`run_pipeline_checkpointed`] snapshots its state.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory holding `rr.ckpt` / `ccd.ckpt` / `dsd.ckpt` (created if
-    /// missing).
-    pub dir: PathBuf,
-    /// Write a CCD cursor every this many master batches (0 = only at
-    /// phase completion).
-    pub every_batches: usize,
-    /// Write a DSD snapshot every this many finished components; the
-    /// components inside one batch run through the streaming executor in
-    /// parallel. `1` (and, defensively, `0`) checkpoints after every
-    /// component, matching the pre-batching behaviour exactly.
-    pub every_components: usize,
+impl Finished {
+    fn from_state(state: DsdState) -> Finished {
+        let mut finished =
+            Finished { shingle: state.shingle, trace: state.trace, ..Finished::default() };
+        for c in state.done {
+            finished.graphs.push(ComponentGraph {
+                graph: CsrGraph::from_edges(c.members.len(), &c.edges),
+                members: c.members.into_iter().map(SeqId).collect(),
+            });
+            finished.subgraphs.push(c.subgraphs);
+        }
+        finished
+    }
+
+    fn to_state(&self) -> DsdState {
+        let done = self.graphs.iter().zip(&self.subgraphs).map(|(graph, subgraphs)| DsdComponent {
+            members: graph.members.iter().map(|id| id.0).collect(),
+            edges: csr_edge_list(&graph.graph),
+            subgraphs: subgraphs.clone(),
+        });
+        DsdState { done: done.collect(), shingle: self.shingle, trace: self.trace.clone() }
+    }
+
+    fn push(&mut self, out: ComponentOutput) {
+        self.shingle.absorb(&out.stats);
+        self.trace.batches.push(out.record);
+        self.graphs.push(out.graph);
+        self.subgraphs.push(out.subgraphs);
+    }
 }
 
 /// The undirected edge list of a component graph, `(u, v)` with `u < v`
@@ -241,216 +404,150 @@ fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
     edges
 }
 
-/// Phase 2 of the checkpointed pipeline over `n_kept` reads: the stored
-/// result when `prior` (the decoded `ccd.ckpt`) holds a completed phase,
-/// else `run` — from the stored cursor, if any — with every cursor it
-/// emits written to `ccd.ckpt`, and the final state at the end.
-fn ccd_checkpointed(
-    prior: Option<CcdState>,
-    n_kept: usize,
-    ckpt: &CheckpointConfig,
-    run: impl FnOnce(Option<CcdCursor>, &mut dyn FnMut(&CcdCursor)) -> CcdResult,
-) -> Result<CcdResult, CkptError> {
-    if prior.as_ref().is_some_and(|state| state.cursor.uf_parent.len() != n_kept) {
-        return Err(CkptError::Corrupt("ccd checkpoint is for a different input"));
-    }
-    let cursor = match prior {
-        // Phase already finished: rebuild the result from the stored
-        // forest — no index rebuild, no realignment.
-        Some(state) if state.complete => return Ok(CcdResult::from_cursor(state.cursor)),
-        prior => prior.map(|state| state.cursor),
-    };
-    let ccd_path = Phase::Ccd.path_in(&ckpt.dir);
-    let mut ckpt_err: Option<CkptError> = None;
-    let mut on_cursor = |cursor: &CcdCursor| {
-        if ckpt_err.is_some() {
-            return;
-        }
-        let state = CcdState { complete: false, cursor: cursor.clone() };
-        if let Err(e) = write_checkpoint(&ccd_path, Phase::Ccd, &state.encode()) {
-            ckpt_err = Some(e);
-        }
-    };
-    let result = run(cursor, &mut on_cursor);
-    if let Some(e) = ckpt_err {
-        return Err(e);
-    }
-    // Final snapshot: the forest rebuilt from the accepted edges yields
-    // the same partition the master loop ended with.
-    let state = CcdState { complete: true, cursor: CcdCursor::from_result(&result, n_kept) };
-    write_checkpoint(&ccd_path, Phase::Ccd, &state.encode())?;
-    Ok(result)
-}
-
-/// [`run_pipeline`] with checkpoint/restart (DESIGN.md §robustness).
+/// Run the pipeline on `input` — any [`SeqStore`]: an in-memory
+/// [`pfam_seq::SequenceSet`] or a paged on-disk store — keeping on disk
+/// what `hooks` says. `Ok(None)` means the run ended where
+/// [`PipelineHooks::stop_after`] asked it to.
 ///
-/// State is snapshotted to `ckpt.dir` at phase boundaries (plus every
-/// `ckpt.every_batches` CCD batches and every `ckpt.every_components`
-/// finished DSD components), so a
-/// killed run restarted with `resume = true` replays from the last
-/// snapshot and produces a result *identical* to the uninterrupted run —
-/// CCD's pair generator is deterministic, so skipping the consumed prefix
-/// and restoring the union-find verbatim repeats every decision exactly.
-///
-/// `stop_after` ends the run right after the named phase's checkpoint is
-/// written (returning `Ok(None)`) — the hook the kill-at-every-phase
-/// integration tests use to simulate a crash at a phase boundary.
-pub fn run_pipeline_checkpointed(
+/// Refuses to start — with a typed error, never an abort or an empty
+/// answer — when the configuration cannot work on this input
+/// ([`check_sketch_params`], [`check_index_budget`]).
+pub fn run_pipeline(
     input: &dyn SeqStore,
     config: &PipelineConfig,
-    ckpt: &CheckpointConfig,
-    resume: bool,
-    stop_after: Option<Phase>,
-) -> Result<Option<PipelineResult>, CkptError> {
-    std::fs::create_dir_all(&ckpt.dir)
-        .map_err(|e| CkptError::Io(format!("{}: {e}", ckpt.dir.display())))?;
-    let load = |phase: Phase| -> Result<Option<Vec<u8>>, CkptError> {
-        let path = phase.path_in(&ckpt.dir);
-        if !(resume && path.exists()) {
-            return Ok(None);
-        }
-        let (found, payload) = read_checkpoint(&path)?;
-        if found != phase {
-            return Err(CkptError::Corrupt("checkpoint file holds a different phase"));
-        }
-        Ok(Some(payload))
-    };
-
-    // ---- Phases 1+2: redundancy removal (checkpointed when complete),
-    // then CCD (cursor every N batches, final state at the end). A run
-    // that starts at RR holds one suffix index across both; it is dropped
-    // before the back half starts. ----
-    let prior_ccd = || -> Result<Option<CcdState>, CkptError> {
-        load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()
-    };
+    hooks: &PipelineHooks,
+) -> Result<Option<PipelineResult>, PipelineError> {
+    check_sketch_params(input, &config.cluster)?;
     let budget = &config.cluster.mem.budget;
-    let (rr, ledger, mut ccd) = match load(Phase::Rr)? {
+    check_index_budget(input, budget)?;
+    let snapshots = Snapshots::open(hooks, input, config)?;
+    let stop_after = |phase: Phase| hooks.stop_after == Some(phase);
+
+    // ---- Phases 1+2: redundancy removal (snapshot when complete), then
+    // connected components of the survivors (cursor every N batches, final
+    // state at the end). A run that starts at RR holds one suffix index
+    // across both; it is dropped before the back half starts. CCD sees the
+    // survivors through the store (no re-pack — a paged input stays on
+    // disk); its local id `i` maps back to original id `kept[i]`. ----
+    let front = match snapshots.load(Phase::Rr)? {
         Some(payload) => {
-            let mut rr = RrState::decode(&payload)?;
-            if stop_after == Some(Phase::Rr) {
+            let rr = RrState::decode(&payload)?;
+            if stop_after(Phase::Rr) {
                 return Ok(None);
             }
-            let entries = std::mem::take(&mut rr.ledger);
-            let ledger = Arc::new(PairLedger::from_entries(entries, budget));
+            let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
+            let ledger = Arc::new(PairLedger::from_entries(rr.ledger, budget));
             // No index is held: a completed CCD needs none, an interrupted
             // one rebuilds what its cursor pins.
-            let nr_store = SubsetStore::new(input, rr.kept.iter().map(|&i| SeqId(i)).collect());
-            let ccd = ccd_checkpointed(prior_ccd()?, nr_store.len(), ckpt, |cursor, on_cursor| {
-                let every = ckpt.every_batches;
+            let nr_store = SubsetStore::new(input, kept.clone());
+            let ccd = ccd_phase(&snapshots, kept.len(), |cursor, every, on_cursor| {
                 run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, every, on_cursor)
             })?;
-            (rr, ledger, ccd)
+            let ledger_dropped = rr.ledger_dropped + ledger.dropped();
+            Some(FrontResult { kept, rr_trace: rr.trace, ledger, ledger_dropped, ccd })
         }
-        None => {
-            let fresh = with_front_half(input, &config.cluster, |front| {
-                let r = front.rr();
-                let mut rr = RrState {
-                    kept: r.kept.iter().map(|id| id.0).collect(),
-                    removed: r.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
-                    ledger: r.ledger.entries().collect(),
-                    ledger_dropped: r.ledger.dropped(),
-                    trace: r.trace,
+        None => with_front_half(input, &config.cluster, |front| {
+            let rr = front.rr();
+            snapshots.save(Phase::Rr, || {
+                let state = RrState {
+                    kept: rr.kept.iter().map(|id| id.0).collect(),
+                    removed: rr.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                    ledger: rr.ledger.entries().collect(),
+                    ledger_dropped: rr.ledger.dropped(),
+                    trace: rr.trace.clone(),
                 };
-                write_checkpoint(&Phase::Rr.path_in(&ckpt.dir), Phase::Rr, &rr.encode())?;
-                if stop_after == Some(Phase::Rr) {
-                    return Ok(None);
-                }
-                // The ledger itself answers from here on.
-                rr.ledger = Vec::new();
-                let ccd =
-                    ccd_checkpointed(prior_ccd()?, r.kept.len(), ckpt, |cursor, on_cursor| {
-                        let every = ckpt.every_batches;
-                        front.ccd_resumable(&r.kept, &r.ledger, cursor, every, on_cursor)
-                    })?;
-                Ok(Some((rr, r.ledger, ccd)))
+                state.encode()
             })?;
-            match fresh {
-                Some(phases) => phases,
-                None => return Ok(None),
+            if stop_after(Phase::Rr) {
+                return Ok(None);
             }
-        }
+            let ccd = ccd_phase(&snapshots, rr.kept.len(), |cursor, every, on_cursor| {
+                front.ccd_resumable(&rr.kept, &rr.ledger, cursor, every, on_cursor)
+            })?;
+            let ledger_dropped = rr.ledger.dropped();
+            let (kept, rr_trace, ledger) = (rr.kept, rr.trace, rr.ledger);
+            Ok::<_, CkptError>(Some(FrontResult { kept, rr_trace, ledger, ledger_dropped, ccd }))
+        })?,
     };
-    let ledger_dropped = rr.ledger_dropped + ledger.dropped();
-    let kept_ids: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
-    if stop_after == Some(Phase::Ccd) {
+    let Some(FrontResult { kept, rr_trace, ledger, ledger_dropped, mut ccd }) = front else {
+        return Ok(None);
+    };
+    if stop_after(Phase::Ccd) {
         return Ok(None);
     }
     let ccd_trace = std::mem::take(&mut ccd.trace);
-    let back = BackHalf::new(input, config, &kept_ids, &ledger, &mut ccd);
+    let back = BackHalf::new(input, config, &kept, &ledger, &mut ccd);
 
-    // ---- Phases 3+4: fused BGG→DSD over the component queue in
-    // checkpoint-bounded batches: each batch streams through the executor
-    // in parallel, then one snapshot covers it. ----
-    let dsd_path = Phase::Dsd.path_in(&ckpt.dir);
+    // ---- Phases 3+4: fused BGG→DSD over the queue of large components in
+    // snapshot-bounded batches: each batch streams through the executor in
+    // parallel, then one snapshot covers it. ----
     let selected = back.selected(config);
-    let mut state = match load(Phase::Dsd)? {
-        Some(payload) => DsdState::decode(&payload)?,
-        None => DsdState::default(),
+    let mut finished = match snapshots.load(Phase::Dsd)? {
+        Some(payload) => Finished::from_state(DsdState::decode(&payload)?),
+        None => Finished::default(),
     };
-    if state.done.len() > selected.len() {
-        return Err(CkptError::Corrupt("dsd checkpoint is for a different input"));
+    let queue_prefix = finished.graphs.len() <= selected.len()
+        && finished.graphs.iter().zip(&selected).all(|(g, &c)| g.members == back.components[c]);
+    if !queue_prefix {
+        return Err(CkptError::Corrupt("dsd checkpoint is for a different input").into());
     }
-    for (done, &c) in state.done.iter().zip(&selected) {
-        if !done.members.iter().copied().eq(back.components[c].iter().map(|id| id.0)) {
-            return Err(CkptError::Corrupt("dsd checkpoint is for a different input"));
-        }
-    }
-    state.trace.index_residues = back.residues(input, &selected);
-    let every = ckpt.every_components.max(1);
-    let mut cursor = state.done.len();
+    finished.trace.index_residues = back.residues(input, &selected);
+    let every = snapshots.every_components();
+    let mut cursor = finished.graphs.len();
     while cursor < selected.len() {
-        let end = (cursor + every).min(selected.len());
+        let end = cursor.saturating_add(every).min(selected.len());
         for out in back.stream(input, config, &selected[cursor..end]) {
-            state.done.push(DsdComponent {
-                members: out.graph.members.iter().map(|id| id.0).collect(),
-                edges: csr_edge_list(&out.graph.graph),
-                subgraphs: out.subgraphs,
-            });
-            state.shingle.absorb(&out.stats);
-            state.trace.batches.push(out.record);
+            finished.push(out);
         }
-        write_checkpoint(&dsd_path, Phase::Dsd, &state.encode())?;
+        snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
         cursor = end;
     }
-    if state.done.is_empty() {
+    if finished.graphs.is_empty() {
         // No component reached the DSD stage; still record completion.
-        write_checkpoint(&dsd_path, Phase::Dsd, &state.encode())?;
+        snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
     }
-    if stop_after == Some(Phase::Dsd) {
+    if stop_after(Phase::Dsd) {
         return Ok(None);
     }
 
-    // ---- Assemble the result from the (now complete) DSD state. ----
-    let graphs: Vec<ComponentGraph> = state
-        .done
-        .iter()
-        .map(|c| ComponentGraph {
-            members: c.members.iter().map(|&i| SeqId(i)).collect(),
-            graph: CsrGraph::from_edges(c.members.len(), &c.edges),
-        })
-        .collect();
+    // ---- The result, from the finished queue. ----
     let mut dense_subgraphs = Vec::new();
-    for (ci, comp) in state.done.iter().enumerate() {
-        for local_members in &comp.subgraphs {
-            let density = subgraph_density(&graphs[ci].graph, local_members);
-            let members: Vec<SeqId> =
-                local_members.iter().map(|&l| graphs[ci].original_id(l)).collect();
+    for (ci, (graph, subgraphs)) in finished.graphs.iter().zip(&finished.subgraphs).enumerate() {
+        for local_members in subgraphs {
+            let density = subgraph_density(&graph.graph, local_members);
+            let members: Vec<SeqId> = local_members.iter().map(|&l| graph.original_id(l)).collect();
             dense_subgraphs.push(DenseSubgraph { members, component: ci, density });
         }
     }
+    // Deterministic output order: biggest first, then by first member.
     dense_subgraphs
         .sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.members.cmp(&b.members)));
 
     Ok(Some(PipelineResult {
         n_input: input.len(),
         components: back.components,
-        non_redundant: kept_ids,
-        component_graphs: graphs,
+        non_redundant: kept,
+        component_graphs: finished.graphs,
         dense_subgraphs,
-        traces: (rr.trace, ccd_trace, state.trace),
-        shingle_stats: state.shingle,
+        traces: (rr_trace, ccd_trace, finished.trace),
+        shingle_stats: finished.shingle,
         ledger_dropped,
     }))
+}
+
+impl PipelineConfig {
+    /// [`run_pipeline`] with the default hooks — nothing on disk, first
+    /// phase to last — for callers that have no use for its error.
+    ///
+    /// # Panics
+    ///
+    /// When this configuration cannot work on `input` ([`PipelineError`]).
+    pub fn run(&self, input: &dyn SeqStore) -> PipelineResult {
+        match run_pipeline(input, self, &PipelineHooks::default()) {
+            Ok(result) => result.expect("a run with no stop_after runs to the end"),
+            Err(e) => panic!("the pipeline cannot run this configuration on this input: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -480,7 +577,7 @@ mod tests {
     #[test]
     fn end_to_end_recovers_families() {
         let d = small_dataset(21);
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         assert_eq!(r.n_input, d.set.len());
         // Redundant reads removed.
         assert!(r.non_redundant.len() < d.set.len());
@@ -499,7 +596,7 @@ mod tests {
     fn dense_subgraphs_are_disjoint_and_sized() {
         let d = small_dataset(22);
         let config = PipelineConfig::for_tests();
-        let r = run_pipeline(&d.set, &config);
+        let r = config.run(&d.set);
         let mut seen = std::collections::HashSet::new();
         for ds in &r.dense_subgraphs {
             assert!(ds.members.len() >= config.min_subgraph_size);
@@ -512,7 +609,7 @@ mod tests {
     #[test]
     fn densities_are_high_for_family_cliques() {
         let d = small_dataset(23);
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         for ds in &r.dense_subgraphs {
             assert!(
                 ds.density.density > 0.5,
@@ -525,7 +622,7 @@ mod tests {
     #[test]
     fn traces_populated() {
         let d = small_dataset(24);
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         let (rr, ccd, bgg) = &r.traces;
         assert!(rr.index_residues > 0);
         assert!(ccd.total_generated() > 0);
@@ -540,7 +637,7 @@ mod tests {
         let d = small_dataset(25);
         let mut config = PipelineConfig::for_tests();
         config.reduction = crate::config::Reduction::DomainBased { w: 10 };
-        let r = run_pipeline(&d.set, &config);
+        let r = config.run(&d.set);
         assert!(!r.dense_subgraphs.is_empty());
         for ds in &r.dense_subgraphs {
             let fams: std::collections::HashSet<_> =
@@ -551,7 +648,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = run_pipeline(&SequenceSet::new(), &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&SequenceSet::new());
         assert_eq!(r.n_input, 0);
         assert!(r.dense_subgraphs.is_empty());
     }
@@ -563,10 +660,10 @@ mod tests {
         // reported family must be unchanged.
         let d = small_dataset(28);
         let config = PipelineConfig::for_tests();
-        let want = run_pipeline(&d.set, &config);
+        let want = config.run(&d.set);
         let est = pfam_suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
         let tight = config.clone().with_mem_budget(est / 4);
-        let got = run_pipeline_budgeted(&d.set, &tight).expect("budget is feasible");
+        let got = tight.run(&d.set);
         assert_eq!(got.dense_subgraphs, want.dense_subgraphs);
         assert_eq!(got.components, want.components);
         assert_eq!(got.non_redundant, want.non_redundant);
@@ -577,7 +674,8 @@ mod tests {
     fn infeasible_budget_is_a_typed_error() {
         let d = small_dataset(29);
         let config = PipelineConfig::for_tests().with_mem_budget(8);
-        let err = run_pipeline_budgeted(&d.set, &config).unwrap_err();
+        let err = run_pipeline(&d.set, &config, &PipelineHooks::default()).unwrap_err();
+        let PipelineError::Budget(err) = err else { panic!("not a budget error: {err}") };
         assert_eq!(err.what, "partitioned-gsa");
         assert_eq!(err.limit, 8);
         assert!(err.requested > err.limit);
@@ -587,10 +685,10 @@ mod tests {
     fn explicit_chunk_size_is_bit_identical() {
         let d = small_dataset(30);
         let config = PipelineConfig::for_tests();
-        let want = run_pipeline(&d.set, &config);
+        let want = config.run(&d.set);
         for chunk in [512u64, 4096, 1 << 20] {
             let forced = config.clone().with_index_chunk_bytes(chunk);
-            let got = run_pipeline(&d.set, &forced);
+            let got = forced.run(&d.set);
             assert_eq!(got.dense_subgraphs, want.dense_subgraphs, "chunk={chunk}");
             assert_eq!(got.components, want.components, "chunk={chunk}");
         }
@@ -607,8 +705,8 @@ mod tests {
         pfam_seq::PagedSeqStore::write_set(&path, &d.set, 1 << 14).unwrap();
         let store = pfam_seq::PagedSeqStore::open(&path).unwrap();
         let config = PipelineConfig::for_tests().with_mem_budget(1 << 20);
-        let want = run_pipeline(&d.set, &config);
-        let got = run_pipeline_budgeted(&store, &config).expect("budget is feasible");
+        let want = config.run(&d.set);
+        let got = config.run(&store);
         assert_eq!(got.dense_subgraphs, want.dense_subgraphs);
         assert_eq!(got.components, want.components);
         let _ = std::fs::remove_dir_all(&dir);
@@ -618,8 +716,8 @@ mod tests {
     fn deterministic() {
         let d = small_dataset(26);
         let config = PipelineConfig::for_tests();
-        let a = run_pipeline(&d.set, &config);
-        let b = run_pipeline(&d.set, &config);
+        let a = config.run(&d.set);
+        let b = config.run(&d.set);
         assert_eq!(a.dense_subgraphs, b.dense_subgraphs);
         assert_eq!(a.components, b.components);
     }

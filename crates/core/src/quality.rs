@@ -33,7 +33,6 @@ pub fn evaluate(result: &PipelineResult, benchmark: &[Vec<SeqId>]) -> QualityRep
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::pipeline::run_pipeline;
     use pfam_datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 
     #[test]
@@ -53,7 +52,7 @@ mod tests {
             seed: 55,
             ..DatasetConfig::tiny(55)
         });
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         let q = evaluate(&r, &d.benchmark_clusters());
         // The paper's signature: precision near 1, sensitivity possibly
         // lower (dense subgraphs fragment the coarser benchmark families).
@@ -66,7 +65,7 @@ mod tests {
     #[test]
     fn empty_benchmark_degenerates_gracefully() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(56));
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         let q = evaluate(&r, &[]);
         assert_eq!(q.confusion.tp, 0);
         assert_eq!(q.measures.precision, 0.0);

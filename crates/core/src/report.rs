@@ -128,13 +128,12 @@ impl std::fmt::Display for FillReport {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::pipeline::run_pipeline;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
 
     #[test]
     fn row_reflects_result() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(33));
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         let row = TableOneRow::from_result(&r, 2);
         assert_eq!(row.n_input, d.set.len());
         assert_eq!(row.n_non_redundant, r.non_redundant.len());
@@ -146,7 +145,7 @@ mod tests {
     #[test]
     fn fill_report_reads_the_traces() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(34));
-        let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+        let r = PipelineConfig::for_tests().run(&d.set);
         let report = FillReport::from_result(&r);
         assert_eq!(report.phases[0].2, 0, "RR fills, it never looks up");
         assert!(report.phases[2].2 > 0, "BGG is answered by RR's fills");

@@ -186,7 +186,7 @@ mod tests {
             SketchParams { mode: SketchMode::Approx, k: 9, ..SketchParams::default() };
         assert_eq!(validate(&c)[0].parameter, "cluster.sketch.k");
         c.cluster.sketch = SketchParams {
-            mode: SketchMode::Hybrid,
+            mode: SketchMode::Approx,
             bands: 8,
             rows: 4,
             width: 16,

@@ -31,7 +31,6 @@ const TAG_BCAST: u32 = RESERVED_TAG_BASE + 2;
 const TAG_GATHER: u32 = RESERVED_TAG_BASE + 3;
 const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 4;
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 5;
-const TAG_SPLIT: u32 = RESERVED_TAG_BASE + 6;
 
 struct Envelope {
     from: usize,
@@ -56,11 +55,7 @@ pub struct Communicator {
     /// Messages received but not yet matched by a `recv` call.
     pending: VecDeque<Envelope>,
     /// Shared liveness board: `alive[r]` is cleared when rank `r` exits
-    /// (normally, by panic, or killed by the injector). Each flag is
-    /// individually shared so a sub-communicator minted by [`split`]
-    /// observes the same deaths as the parent world.
-    ///
-    /// [`split`]: Communicator::split
+    /// (normally, by panic, or killed by the injector).
     alive: Arc<Vec<Arc<AtomicBool>>>,
     injector: Arc<dyn FaultInjector>,
     /// How many times this rank has been respawned by a supervisor
@@ -439,102 +434,6 @@ impl Communicator {
         }
         Ok(out)
     }
-
-    /// Partition the world into disjoint sub-communicators,
-    /// `MPI_Comm_split` style: ranks that pass the same `color` land in
-    /// the same child world, with child ranks ordered by `(key, world
-    /// rank)`. Collective — every rank of the parent must call it, and
-    /// every rank gets a child (there is no "undefined color" escape).
-    ///
-    /// The child shares the parent's *per-rank* liveness flags — a rank
-    /// observed dead on the world is dead on every child containing it —
-    /// but gets fresh channels, so parent traffic never leaks into the
-    /// child and vice versa. The parent stays fully usable alongside the
-    /// child. Injected fault schedules are addressed in each
-    /// communicator's own rank space; kills propagate across the shared
-    /// flags regardless of which communicator tripped them.
-    pub fn split(&mut self, color: usize, key: usize) -> Result<Communicator, CommError> {
-        self.preflight()?;
-        if self.rank != 0 {
-            self.send_raw(0, TAG_SPLIT, (color, key))?;
-            let (_, package) = self.recv_peer::<SplitPackage>(0, TAG_SPLIT)?;
-            return Ok(self.adopt(package));
-        }
-        // Rank 0 gathers every (color, key), carves the groups, wires
-        // fresh channels per group, and mails each member its endpoint.
-        let mut entries: Vec<(usize, usize, usize)> = vec![(color, key, 0)];
-        for r in 1..self.size {
-            let (_, (c, k)) = self.recv_peer::<(usize, usize)>(r, TAG_SPLIT)?;
-            entries.push((c, k, r));
-        }
-        let mut colors: Vec<usize> = entries.iter().map(|&(c, _, _)| c).collect();
-        colors.sort_unstable();
-        colors.dedup();
-        let mut own = None;
-        for group_color in colors {
-            let mut members: Vec<(usize, usize)> = entries
-                .iter()
-                .filter(|&&(c, _, _)| c == group_color)
-                .map(|&(_, k, r)| (k, r))
-                .collect();
-            members.sort_unstable();
-            let g = members.len();
-            let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(g);
-            let mut inboxes: Vec<Receiver<Envelope>> = Vec::with_capacity(g);
-            for _ in 0..g {
-                let (tx, rx) = unbounded();
-                senders.push(tx);
-                inboxes.push(rx);
-            }
-            let alive: Arc<Vec<Arc<AtomicBool>>> =
-                Arc::new(members.iter().map(|&(_, world)| self.alive[world].clone()).collect());
-            for (sub, ((_, world), inbox)) in members.into_iter().zip(inboxes).enumerate() {
-                let package = SplitPackage {
-                    rank: sub,
-                    senders: senders.clone(),
-                    inbox,
-                    alive: alive.clone(),
-                };
-                if world == 0 {
-                    own = Some(package);
-                } else {
-                    self.send_raw(world, TAG_SPLIT, package)?;
-                }
-            }
-        }
-        match own {
-            Some(package) => Ok(self.adopt(package)),
-            None => Err(CommError::Protocol("split lost rank 0's own endpoint")),
-        }
-    }
-
-    /// Turn a [`SplitPackage`] into a working child communicator.
-    fn adopt(&self, package: SplitPackage) -> Communicator {
-        let g = package.senders.len();
-        Communicator {
-            rank: package.rank,
-            size: g,
-            senders: package.senders,
-            inbox: package.inbox,
-            pending: VecDeque::new(),
-            alive: package.alive,
-            injector: self.injector.clone(),
-            incarnation: self.incarnation,
-            events: 0,
-            edge_seq: vec![0; g],
-            holdback: Vec::new(),
-        }
-    }
-}
-
-/// The wiring a split-off rank needs to join its sub-communicator: its
-/// child rank, fresh channels for the whole group, and the group's slice
-/// of the shared liveness flags.
-struct SplitPackage {
-    rank: usize,
-    senders: Vec<Sender<Envelope>>,
-    inbox: Receiver<Envelope>,
-    alive: Arc<Vec<Arc<AtomicBool>>>,
 }
 
 /// Outcome of one rank in a fault-injected SPMD run.
@@ -1239,89 +1138,6 @@ mod tests {
         });
         assert_eq!(outcome.respawns, vec![Respawn { rank: 1, incarnation: 1 }]);
         assert_eq!(outcome.outcomes[0], Ok(1), "master heard back from incarnation 1");
-    }
-
-    #[test]
-    fn split_partitions_by_color_and_orders_by_key() {
-        // Colors: even/odd world rank. Keys reverse the world order, so
-        // within each group the child ranks run opposite to world ranks.
-        let results = run_spmd(6, |comm| {
-            let color = comm.rank() % 2;
-            let key = comm.size() - comm.rank();
-            let mut sub = must(comm.split(color, key));
-            // Evens {0,2,4} with keys {6,4,2} → child order 4,2,0;
-            // odds {1,3,5} with keys {5,3,1} → child order 5,3,1.
-            let expected_rank = (comm.size() - 1 - comm.rank()) / 2;
-            assert_eq!(sub.size(), 3);
-            assert_eq!(sub.rank(), expected_rank);
-            // Each group gathers its members' world ranks at child root.
-            let gathered = must(sub.gather(0, comm.rank() as u32));
-            (sub.rank(), gathered)
-        });
-        for (world, (_, gathered)) in results.into_iter().enumerate() {
-            let expect_root = world == 4 || world == 5; // child rank 0 holders
-            match (expect_root, gathered) {
-                (true, Some(ranks)) => {
-                    let want = if world == 4 { vec![4u32, 2, 0] } else { vec![5u32, 3, 1] };
-                    assert_eq!(ranks, want, "world rank {world}");
-                }
-                (false, None) => {}
-                (root, got) => panic!("world rank {world}: root={root}, gathered {got:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn split_groups_are_isolated_and_parent_stays_usable() {
-        let results = run_spmd(4, |comm| {
-            let mut sub = must(comm.split(comm.rank() / 2, comm.rank()));
-            // Same tag on both communicators: traffic must not leak.
-            let group_sum = must(sub.all_reduce_sum(comm.rank() as u64));
-            let world_sum = must(comm.all_reduce_sum(comm.rank() as u64));
-            (group_sum, world_sum)
-        });
-        assert_eq!(
-            results,
-            vec![(1, 6), (1, 6), (5, 6), (5, 6)],
-            "group sums 0+1 and 2+3, world sum 0+1+2+3"
-        );
-    }
-
-    #[test]
-    fn split_with_one_color_clones_the_world_shape() {
-        let results = run_spmd(3, |comm| {
-            let mut sub = must(comm.split(0, comm.rank()));
-            assert_eq!((sub.rank(), sub.size()), (comm.rank(), comm.size()));
-            must(sub.barrier());
-            sub.rank()
-        });
-        assert_eq!(results, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn split_shares_the_liveness_board_with_the_parent() {
-        // Ranks 2 and 3 form a group; rank 3 exits right after the split
-        // and its death (flagged on the *world* board by the SPMD wrapper)
-        // must be visible through the *child* communicator.
-        let results = run_spmd(4, |comm| {
-            let sub = must(comm.split(comm.rank() / 2, comm.rank()));
-            match comm.rank() {
-                3 => true, // dies without touching the child again
-                2 => {
-                    while sub.peer_alive(1) {
-                        std::thread::yield_now();
-                    }
-                    true
-                }
-                _ => {
-                    // Group {0,1} only checks its own still-running self:
-                    // the sibling may already have exited (and been flagged
-                    // dead) by the time this evaluates.
-                    sub.peer_alive(sub.rank())
-                }
-            }
-        });
-        assert!(results.iter().all(|&ok| ok));
     }
 
     #[test]

@@ -130,27 +130,6 @@ impl Sketcher {
         scratch.kmers = kmers;
         true
     }
-
-    /// Exhaustive banding: append one `(key, tag)` posting per *distinct*
-    /// k-mer of `codes` — the `b → ∞` limit of the banding curve, where
-    /// two sequences become candidates iff they share any k-mer at all.
-    /// Recall over maximal matches of length ≥ ψ is exactly 1 whenever
-    /// `k ≤ ψ` (a shared match of length ≥ k contains a shared X-free
-    /// k-window); this is what the hybrid-≡-exact contract runs on.
-    pub fn kmer_postings(
-        &self,
-        codes: &[u8],
-        tag: u32,
-        scratch: &mut SketchScratch,
-        out: &mut Vec<(u64, u32)>,
-    ) {
-        if !self.collect_kmers(codes, scratch) {
-            return;
-        }
-        scratch.kmers.sort_unstable();
-        scratch.kmers.dedup();
-        out.extend(scratch.kmers.iter().map(|&w| (w as u64, tag)));
-    }
 }
 
 #[cfg(test)]
@@ -227,21 +206,6 @@ mod tests {
         let mut out = vec![0u64; 4];
         assert!(!sk.band_keys(&codes("MKV"), 0..4, &mut scratch, &mut out), "shorter than k");
         assert!(!sk.band_keys(&codes("XXXXXXXX"), 0..4, &mut scratch, &mut out), "all masked");
-        let mut postings = Vec::new();
-        sk.kmer_postings(&codes("XX"), 9, &mut scratch, &mut postings);
-        assert!(postings.is_empty());
-    }
-
-    #[test]
-    fn postings_are_distinct_kmers() {
-        let c = codes("MKVLWMKVLW"); // 5-mer MKVLW occurs twice
-        let sk = Sketcher::new(5, 1, 1, 0);
-        let mut scratch = SketchScratch::new();
-        let mut postings = Vec::new();
-        sk.kmer_postings(&c, 42, &mut scratch, &mut postings);
-        assert_eq!(postings.len(), 6 - 1, "duplicate window collapses");
-        assert!(postings.iter().all(|&(_, t)| t == 42));
-        assert!(postings.windows(2).all(|w| w[0].0 < w[1].0), "sorted distinct keys");
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub mod topology;
 
 pub use faults::{FaultEvent, FaultSchedule};
 pub use machine::MachineModel;
-pub use replay::{
-    simulate_phase, simulate_phases, simulate_sharded, speedup_sweep, SimBreakdown, SimReport,
-};
+pub use replay::{simulate_phase, simulate_phases, speedup_sweep, SimBreakdown, SimReport};
 pub use scheduler::{list_schedule_makespan, total_work};
 pub use topology::Topology;

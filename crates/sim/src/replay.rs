@@ -132,49 +132,6 @@ pub fn simulate_phase(trace: &PhaseTrace, machine: &MachineModel, p: usize) -> S
     SimReport { p, seconds: b.total(), breakdown: b }
 }
 
-/// Wire size of one union-find slot in a shipped forest: a `u32` parent
-/// plus a `u8` rank (matching `pfam_cluster::ShardForest`'s parts).
-const FOREST_BYTES_PER_SEQ: f64 = 5.0;
-
-/// Simulate the *sharded* clustering plane: `shard_traces[s]` is shard
-/// `s`'s own recorded work (from
-/// `pfam_cluster::run_ccd_sharded`), each shard gets `p / K`
-/// ranks, and the shard stages run concurrently — wall-clock is the
-/// slowest shard plus ⌈log₂ K⌉ merge-tree rounds (forest transfer +
-/// serial fold of `n_seqs` union-find slots per round).
-///
-/// This is the model behind the Fig. 7a overlay: the single master's
-/// serial filter/dispatch term is independent of `p`, so its curve
-/// flattens; sharding divides that term by K (each shard sees ~1/K of
-/// the pair stream), trading it for a logarithmic merge tail.
-pub fn simulate_sharded(
-    shard_traces: &[&PhaseTrace],
-    machine: &MachineModel,
-    p: usize,
-    n_seqs: usize,
-) -> SimReport {
-    let k = shard_traces.len();
-    assert!(k >= 1, "need at least one shard");
-    assert!(p >= 2 * k, "each shard needs a master and at least one worker");
-    let p_per = p / k;
-    let mut worst = SimBreakdown::default();
-    for t in shard_traces {
-        let r = simulate_phase(t, machine, p_per);
-        if r.breakdown.total() > worst.total() {
-            worst = r.breakdown;
-        }
-    }
-    // ⌈log₂ K⌉ merge rounds: every round at least one shard ships its
-    // whole forest and the receiver folds it serially.
-    let rounds = k.next_power_of_two().trailing_zeros() as f64;
-    let mut b = worst;
-    b.communication += rounds
-        * (machine.latency * machine.topology.latency_factor(p)
-            + n_seqs as f64 * FOREST_BYTES_PER_SEQ * machine.byte_time);
-    b.master += rounds * n_seqs as f64 * machine.master_apply_time;
-    SimReport { p, seconds: b.total(), breakdown: b }
-}
-
 /// Simulate several phases back to back (e.g. RR then CCD) and sum.
 pub fn simulate_phases(traces: &[&PhaseTrace], machine: &MachineModel, p: usize) -> SimReport {
     let mut total = SimBreakdown::default();
@@ -313,60 +270,6 @@ mod tests {
         assert!((sweep[0].2 - 1.0).abs() < 1e-12);
         assert!(sweep[1].2 > 1.0);
         assert!(sweep[2].2 > sweep[1].2);
-    }
-
-    #[test]
-    fn one_shard_is_the_single_master_plus_nothing() {
-        let trace = trace_of(vec![filter_dominated_batch(); 4]);
-        let m = MachineModel::bluegene_l();
-        let single = simulate_phase(&trace, &m, 128);
-        let sharded = simulate_sharded(&[&trace], &m, 128, 50_000);
-        assert!((single.seconds - sharded.seconds).abs() < 1e-12, "K=1 adds no merge rounds");
-    }
-
-    #[test]
-    fn sharding_beats_the_single_master_on_filter_bound_work() {
-        // Eight equal shards of a filter-dominated workload: the serial
-        // master term drops 8x, the merge tail costs only 3 rounds.
-        let m = MachineModel::bluegene_l();
-        let p = 1024;
-        let full = trace_of(vec![filter_dominated_batch(); 8]);
-        let shard = trace_of(vec![filter_dominated_batch()]);
-        let shards: Vec<&PhaseTrace> = std::iter::repeat_n(&shard, 8).collect();
-        let single = simulate_phase(&full, &m, p).seconds;
-        let sharded = simulate_sharded(&shards, &m, p, 50_000).seconds;
-        assert!(
-            sharded < single,
-            "8 shards should beat the single master: {sharded:.3}s vs {single:.3}s"
-        );
-    }
-
-    #[test]
-    fn merge_tail_grows_logarithmically() {
-        let m = MachineModel::bluegene_l();
-        let shard = trace_of(Vec::new()); // index-only shards isolate the tail
-        let base = simulate_sharded(&[&shard], &m, 64, 10_000).seconds;
-        let two: Vec<&PhaseTrace> = std::iter::repeat_n(&shard, 2).collect();
-        let eight: Vec<&PhaseTrace> = std::iter::repeat_n(&shard, 8).collect();
-        // Careful: fewer ranks per shard also slows the index stage, so
-        // compare at matched p_per by scaling p with K.
-        let t2 = simulate_sharded(&two, &m, 128, 10_000).seconds;
-        let t8 = simulate_sharded(&eight, &m, 512, 10_000).seconds;
-        let tail2 = t2 - base;
-        let tail8 = t8 - base;
-        assert!(tail2 > 0.0, "K=2 pays a merge round");
-        // 3 rounds vs 1 round, plus the higher-p latency factor: the tail
-        // must grow, but far slower than linearly in K.
-        assert!(tail8 > tail2);
-        assert!(tail8 < 8.0 * tail2, "the merge tree is logarithmic, not linear");
-    }
-
-    #[test]
-    #[should_panic(expected = "master and at least one worker")]
-    fn sharded_rejects_too_few_ranks_per_shard() {
-        let shard = PhaseTrace::default();
-        let shards: Vec<&PhaseTrace> = std::iter::repeat_n(&shard, 4).collect();
-        let _ = simulate_sharded(&shards, &MachineModel::bluegene_l(), 6, 100);
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod lcp;
 pub mod maximal;
 pub mod parallel;
 pub mod partitioned;
-pub mod probe;
 pub mod sais;
 pub mod tree;
 pub mod ukkonen;
@@ -45,6 +44,5 @@ pub use parallel::{
     with_match_tree, PairSource, SortStages,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
-pub use probe::longest_common_match;
 pub use sais::suffix_array;
 pub use tree::SuffixTree;

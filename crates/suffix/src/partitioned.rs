@@ -3,11 +3,10 @@
 //!
 //! The monolithic [`crate::GeneralizedSuffixArray`] needs ~16 bytes per
 //! text character resident at once, which caps the indexable data set far
-//! below the paper's 28.6 M-ORF scale. This module applies the same
-//! decomposition the sharded clustering plane uses one layer down: split
-//! the *sequence universe* into contiguous chunks sized by a per-chunk
-//! index budget, build per-chunk suffix+LCP indexes, and mine maximal
-//! matches per *task* — one task per unordered chunk pair:
+//! below the paper's 28.6 M-ORF scale. This module splits the *sequence
+//! universe* into contiguous chunks sized by a per-chunk index budget,
+//! builds per-chunk suffix+LCP indexes, and mines maximal matches per
+//! *task* — one task per unordered chunk pair:
 //!
 //! * task `(i, i)` mines chunk `i`'s own GSA and keeps every pair;
 //! * task `(i, j)`, `i < j`, mines the GSA of the chunk-`i` ∪ chunk-`j`
@@ -32,7 +31,7 @@
 //! the cap counts candidates per *node*, and node structure differs
 //! between the union tree and the monolithic tree, so a binding cap can
 //! drop different candidates. The identity suites run with the default
-//! (effectively unbinding) cap; see DESIGN.md §13.
+//! (effectively unbinding) cap; see DESIGN.md §12.
 //!
 //! Generation order is deterministic (tasks in `(0,0), (0,1), …, (1,1),
 //! …` order, deepest-first within a task) but *not* the monolithic

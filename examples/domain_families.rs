@@ -7,7 +7,7 @@
 //! cargo run --release --example domain_families
 //! ```
 
-use pfam::core::{run_pipeline, PipelineConfig, Reduction};
+use pfam::core::{PipelineConfig, Reduction};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 
 fn main() {
@@ -31,20 +31,14 @@ fn main() {
     println!("{} reads across 12 families, 4 shared domain blocks", data.set.len());
 
     // Run both reductions on the same input.
-    let global = run_pipeline(
-        &data.set,
-        &PipelineConfig {
-            reduction: Reduction::GlobalSimilarity { tau: 0.5 },
-            ..PipelineConfig::default()
-        },
-    );
-    let domain = run_pipeline(
-        &data.set,
-        &PipelineConfig {
-            reduction: Reduction::DomainBased { w: 10 },
-            ..PipelineConfig::default()
-        },
-    );
+    let global = PipelineConfig {
+        reduction: Reduction::GlobalSimilarity { tau: 0.5 },
+        ..PipelineConfig::default()
+    }
+    .run(&data.set);
+    let domain =
+        PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..PipelineConfig::default() }
+            .run(&data.set);
 
     println!("\n== global-similarity reduction (Bd) ==");
     summarize(&global, &data);

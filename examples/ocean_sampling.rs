@@ -10,7 +10,7 @@
 //! shapes do not depend on it).
 
 use pfam::cluster::run_all_pairs_baseline;
-use pfam::core::{evaluate, run_pipeline, PipelineConfig, TableOneRow};
+use pfam::core::{evaluate, PipelineConfig, TableOneRow};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::metrics::Histogram;
 
@@ -34,7 +34,7 @@ fn main() {
     );
 
     let config = PipelineConfig::default();
-    let result = run_pipeline(&data.set, &config);
+    let result = config.run(&data.set);
 
     println!("\n{}", TableOneRow::header());
     println!("{}", TableOneRow::from_result(&result, config.min_component_size));

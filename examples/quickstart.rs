@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pfam::core::{evaluate, run_pipeline, PipelineConfig, TableOneRow};
+use pfam::core::{evaluate, PipelineConfig, TableOneRow};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     );
 
     let config = PipelineConfig::default();
-    let result = run_pipeline(&data.set, &config);
+    let result = config.run(&data.set);
 
     println!("\n== pipeline summary (Table-I format) ==");
     println!("{}", TableOneRow::header());

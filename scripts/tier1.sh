@@ -1,25 +1,24 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
 # index tests under a timeout, root-package tests, workspace tests, the
-# driver-equivalence matrix, the shard-plane identity suite, the
-# one-index suites (masked mining == the subset's own index; front half ==
-# the two-build composition), the one-alignment-per-pair suite (ledger and
-# deferred pairs change the work, no result), index-bench, align-bench,
-# bgg-dsd-bench and shard-bench
-# smoke passes (bit-identity checks on tiny workloads), the
-# alignment-engine and streaming-executor identity
-# suites, the fault-injection + chaos-soak + supervision suites, the
-# ft-bench recovery smoke, the out-of-core partitioned-identity suite +
-# index_oc_bench smoke, the sketch-plane driver-matrix suite +
-# lsh_bench smoke, grep gates (no unwrap on inter-rank
-# communication or supervision/retry paths; no UnionFind mutation outside
-# ClusterCore; none of the retired schedulers or rank kernels by name; no
-# whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
-# hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
-# the alignment engine's hot path; no per-component suffix index on the
-# pipeline's exact path), the pfam-align suites in release mode,
-# the benchmark package's own tests, and CLI checkpoint/resume,
-# sharded-cluster and removed-flag smokes.
+# driver-equivalence matrix, the one-index suites (masked mining == the
+# subset's own index; front half == the two-build composition), the
+# one-alignment-per-pair suite (ledger and deferred pairs change the work,
+# no result), index-bench, align-bench and bgg-dsd-bench smoke passes
+# (bit-identity checks on tiny workloads), the alignment-engine and
+# streaming-executor identity suites, the fault-injection + chaos-soak +
+# supervision suites, the ft-bench recovery smoke, the out-of-core
+# partitioned-identity suite + index_oc_bench smoke, the sketch-plane
+# driver-matrix suite + lsh_bench smoke, grep gates (no unwrap on
+# inter-rank communication or supervision/retry paths; no UnionFind
+# mutation outside ClusterCore; none of the retired schedulers, rank
+# kernels, planes or pipeline entries by name; no whole-file sequence reads
+# outside pfam-seq's SeqStore; no raw k-mer hashing outside pfam-shingle's
+# sketch wrappers; no three-matrix fill on the alignment engine's hot path;
+# no per-component suffix index on the pipeline's exact path), the
+# pfam-align suites in release mode, the benchmark package's own tests,
+# and the CLI smokes: kill/resume, `cluster` == `run`, resume under other
+# parameters, an unwritable --out, removed flags and values.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,10 +73,21 @@ if grep -rn "StealingPush\|MwDispatch\|StealParams\|ShardDriver\|RankKernel\|cro
     exit 1
 fi
 
+echo "== tier1: one CCD master, one exact pair supply, one pipeline entry =="
+# The sharded clustering plane, the hybrid / exhaustive sketch paths and
+# the budgeted / checkpointed pipeline entries were option-selected
+# duplicates with no workload and no measurement on their side (ROADMAP,
+# "Shard verdict" / "Hybrid verdict"; `run_pipeline` takes hooks).
+if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed" \
+    crates src tests examples; then
+    echo "tier1 FAIL: a retired plane or pipeline entry is named in the tree" >&2
+    exit 1
+fi
+
 echo "== tier1: raw k-mer hashing stays behind pfam-shingle's sketch plane =="
 # Sketch contract: the clustering and pipeline layers reach k-mer
-# signatures only through pfam_shingle::sketch (Sketcher / kmer_postings)
-# so every sketch goes through the one rank loop; re-rolling
+# signatures only through pfam_shingle::sketch (Sketcher), so every
+# sketch goes through the one rank loop; re-rolling
 # KmerIter / pack_word / HashFamily in a data-plane crate would fork the
 # hashing and silently break cross-mode identity.
 if grep -rn "KmerIter\|pack_word\|HashFamily" crates/cluster/src crates/core/src; then
@@ -147,9 +157,6 @@ cargo test -q --test chaos_soak
 echo "== tier1: driver-equivalence matrix (PairSource x WorkPolicy) =="
 cargo test -q -p pfam-cluster --test driver_matrix
 
-echo "== tier1: shard-plane identity suite (sharded == single master) =="
-cargo test -q -p pfam-cluster --test shard_identity
-
 echo "== tier1: out-of-core identity suite (partitioned == monolithic) =="
 cargo test -q -p pfam-cluster --test partitioned_identity
 
@@ -164,7 +171,7 @@ cargo test -q -p pfam-cluster --test front_half
 echo "== tier1: one-alignment-per-pair suite (ledger / deferred pairs: same results, less work) =="
 # RR's pair ledger and CCD's deferred list may change how many pairs are
 # filled, never a component, an edge set or a component graph — for every
-# driver, shard count and ledger state (full, absent, cut short).
+# driver and ledger state (full, absent, cut short).
 cargo test -q -p pfam-cluster --test pair_ledger
 
 echo "== tier1: alignment-engine identity suites =="
@@ -206,13 +213,6 @@ echo "$BGG_SMOKE" | grep -q '"supply_known"' || {
     exit 1
 }
 
-echo "== tier1: shard_bench --test (smoke + shard/single-master identity) =="
-SHARD_SMOKE=$(cargo run --release -p pfam-bench --bin shard_bench -- --test)
-echo "$SHARD_SMOKE" | grep -q '"components_identical": true' || {
-    echo "tier1 FAIL: shard_bench smoke did not report identical components" >&2
-    exit 1
-}
-
 echo "== tier1: index_oc_bench --test (smoke + partitioned-pair identity) =="
 OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
 echo "$OC_SMOKE" | grep -q '"pairs_identical": true' || {
@@ -220,11 +220,10 @@ echo "$OC_SMOKE" | grep -q '"pairs_identical": true' || {
     exit 1
 }
 
-echo "== tier1: sketch driver-matrix suite (LSH axis + hybrid == exact) =="
-cargo test -q -p pfam-cluster --test driver_matrix sketch_axis_agrees_across_policies_and_shard_counts
-cargo test -q -p pfam-cluster --test driver_matrix hybrid_exhaustive_equals_exact_pair_set_and_components
+echo "== tier1: sketch driver-matrix suite (LSH axis) =="
+cargo test -q -p pfam-cluster --test driver_matrix sketch_axis_agrees_across_policies
 
-echo "== tier1: lsh_bench --test (smoke + recall/memory/hybrid-identity fields) =="
+echo "== tier1: lsh_bench --test (smoke + recall/memory fields) =="
 LSH_SMOKE=$(cargo run --release -p pfam-bench --bin lsh_bench -- --test)
 echo "$LSH_SMOKE" | grep -q '"recall"' || {
     echo "tier1 FAIL: lsh_bench smoke did not report a recall field" >&2
@@ -232,10 +231,6 @@ echo "$LSH_SMOKE" | grep -q '"recall"' || {
 }
 echo "$LSH_SMOKE" | grep -q '"peak_bytes"' || {
     echo "tier1 FAIL: lsh_bench smoke did not report allocator peak fields" >&2
-    exit 1
-}
-echo "$LSH_SMOKE" | grep -q '"hybrid_exact_identical": true' || {
-    echo "tier1 FAIL: lsh_bench smoke did not verify hybrid == exact pair sets" >&2
     exit 1
 }
 
@@ -267,20 +262,65 @@ grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || 
     exit 1
 }
 
-echo "== tier1: CLI sharded-cluster smoke (byte-identical families.tsv) =="
-./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --shards 3 \
-    --out "$SMOKE/sharded.tsv"
-diff "$SMOKE/sharded.tsv" "$SMOKE/straight.tsv"
+echo "== tier1: CLI cluster == run smoke (one program, byte-identical output) =="
+# `cluster` is `run` without a directory, whatever route the flags pick
+# (55K is 0.4 x this input's index estimate: the partitioned miner): same
+# families.tsv, same Table-I row.
+PFAM=./target/release/pfam
+for flags in "" "--mem-budget 55K" "--sketch-mode approx"; do
+    rm -rf "$SMOKE/ck-same"
+    # shellcheck disable=SC2086 # $flags is a word list
+    $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 $flags --out "$SMOKE/cluster.tsv" \
+        >"$SMOKE/cluster.out"
+    # shellcheck disable=SC2086
+    $PFAM run "$SMOKE/reads.fasta" --min-size 3 $flags --checkpoint-dir "$SMOKE/ck-same" \
+        --out "$SMOKE/run.tsv" >"$SMOKE/run.out"
+    diff "$SMOKE/cluster.tsv" "$SMOKE/run.tsv"
+    diff <(head -2 "$SMOKE/cluster.out") <(head -2 "$SMOKE/run.out")
+    [ "$(wc -l <"$SMOKE/run.tsv")" -gt 1 ] || {
+        echo "tier1 FAIL: no family to compare under '$flags'" >&2
+        exit 1
+    }
+done
 
-echo "== tier1: CLI removed-flag smoke (--steal is an error, not a no-op) =="
-if ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --steal \
-    --out "$SMOKE/steal.tsv" 2>"$SMOKE/steal.err"; then
-    echo "tier1 FAIL: pfam cluster accepted the removed --steal flag" >&2
+echo "== tier1: CLI resume-under-other-parameters smoke (a mismatch, not the old answer) =="
+if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" --resume --min-size 3 \
+    --psi 25 --out "$SMOKE/other.tsv" 2>"$SMOKE/other.err"; then
+    echo "tier1 FAIL: --resume --psi 25 ran on snapshots written under the default psi" >&2
     exit 1
 fi
-grep -q "^error: .*--steal" "$SMOKE/steal.err" || {
-    echo "tier1 FAIL: --steal was refused without naming the flag" >&2
+grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
+    echo "tier1 FAIL: the resume was refused without naming the mismatch" >&2
+    cat "$SMOKE/other.err" >&2
     exit 1
 }
+
+echo "== tier1: CLI unwritable --out smoke (refused before phase 1) =="
+if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-out" \
+    --out "$SMOKE/no-such-dir/x.tsv" 2>"$SMOKE/out.err"; then
+    echo "tier1 FAIL: pfam run wrote into a directory that does not exist" >&2
+    exit 1
+fi
+grep -q "^error: cannot create .*x.tsv" "$SMOKE/out.err"
+if [ -e "$SMOKE/ck-out/rr.ckpt" ]; then
+    echo "tier1 FAIL: the pipeline ran before --out was found unwritable" >&2
+    exit 1
+fi
+
+echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op) =="
+for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
+    "--sketch-mode hybrid:--sketch-mode: hybrid"; do
+    # shellcheck disable=SC2086 # ${gone%%:*} is a word list
+    if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
+        --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then
+        echo "tier1 FAIL: pfam cluster accepted the removed '${gone%%:*}'" >&2
+        exit 1
+    fi
+    grep -q "^error: .*${gone#*:}" "$SMOKE/gone.err" || {
+        echo "tier1 FAIL: '${gone%%:*}' was refused without naming it" >&2
+        cat "$SMOKE/gone.err" >&2
+        exit 1
+    }
+done
 
 echo "== tier1: OK =="

@@ -5,32 +5,30 @@
 //! pfam cluster  <input.fasta> [--out families.tsv] [--tau F] [--domain W]
 //!               [--min-size N] [--mask] [--psi N]
 //!               [--mem-budget BYTES[K|M|G]] [--index-chunk-bytes BYTES[K|M|G]]
-//!               [--sketch-mode exact|approx|hybrid] [--sketch-k N]
+//!               [--sketch-mode exact|approx] [--sketch-k N]
 //!               [--sketch-bands N] [--sketch-rows N] [--sketch-width N]
-//!               [--sketch-seed N] [--sketch-banding minhash|exhaustive]
-//!               [--shards K]
+//!               [--sketch-seed N]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
 //!               [--checkpoint-every N] [--checkpoint-every-components N]
-//!               [--stop-after rr|ccd|dsd] [+ `cluster` flags except --shards]
+//!               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]
 //! pfam simulate <input.fasta> [--procs 32,64,128,512] [--save-trace PREFIX]
 //! pfam replay   <trace.tsv> [--procs 32,64,128,512]
 //! pfam align    <input.fasta> <i> <j>
 //! pfam stats    <input.fasta>
 //! ```
 //!
-//! A flag the subcommand does not take (see [`FLAGS`]) is an error, not a
-//! silent no-op.
+//! `cluster` and `run` are one program: `cluster` is `run` without a
+//! checkpoint directory. A flag the subcommand does not take (see
+//! [`FLAGS`]) is an error, not a silent no-op.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use pfam::cluster::{
-    run_front_half, ClusterConfig, ShardParams, SketchBanding, SketchMode, SketchParams,
-};
+use pfam::cluster::{run_front_half, ClusterConfig, SketchMode, SketchParams};
 use pfam::core::{
-    run_pipeline_budgeted, run_pipeline_checkpointed, CheckpointConfig, FillReport, Phase,
-    PipelineConfig, PipelineResult, Reduction, TableOneRow,
+    run_pipeline, CheckpointConfig, FillReport, Phase, PipelineConfig, PipelineHooks, Reduction,
+    TableOneRow,
 };
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::complexity::{masked_fraction, MaskParams};
@@ -53,8 +51,7 @@ fn main() -> ExitCode {
 fn dispatch(args: &[String]) -> Result<(), String> {
     let handler: fn(&[String]) -> Result<(), String> = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate,
-        Some("cluster") => cmd_cluster,
-        Some("run") => cmd_run,
+        Some("cluster") | Some("run") => cmd_cluster,
         Some("simulate") => cmd_simulate,
         Some("replay") => cmd_replay,
         Some("align") => cmd_align,
@@ -78,18 +75,15 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20               [--mem-budget BYTES[K|M|G]] (cap index-plane memory)\n\
     \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
     \x20               partitioned-index chunk size; 0 = from the budget)\n\
-    \x20               [--sketch-mode exact|approx|hybrid] (LSH candidate\n\
-    \x20               generation: approx = banded min-hash buckets,\n\
-    \x20               hybrid = LSH prefilter + suffix confirmation)\n\
+    \x20               [--sketch-mode exact|approx] (approx = LSH candidate\n\
+    \x20               generation from banded min-hash buckets: lossy,\n\
+    \x20               smallest footprint)\n\
     \x20               [--sketch-k N] [--sketch-bands N] [--sketch-rows N]\n\
     \x20               [--sketch-width N] [--sketch-seed N]\n\
-    \x20               [--sketch-banding minhash|exhaustive]\n\
-    \x20               [--shards K]   (sharded clustering plane)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
     \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
-    \x20               [--stop-after rr|ccd|dsd]\n\
-    \x20               [+ `cluster` flags except --shards: checkpointed CCD\n\
-    \x20               is single-master]   (fault-tolerant cluster)\n\
+    \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
+    \x20               (`cluster` that snapshots each phase and can resume)\n\
     \x20 pfam simulate <input.fasta> [--procs 32,64,128,512]\n\
     \x20               [--save-trace PREFIX]\n\
     \x20 pfam replay   <trace.tsv> [--procs 32,64,128,512]\n\
@@ -97,6 +91,8 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20 pfam stats    <input.fasta>\n";
 
 const CLUSTER: &[&str] = &["cluster", "run"];
+/// The flags `run` takes on top of `cluster`'s.
+const CHECKPOINT: &[&str] = &["run"];
 
 /// Every flag `pfam` knows: name, whether it takes a value, and the
 /// subcommands that read it. Anything else starting with `--` is an error.
@@ -118,15 +114,11 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--sketch-rows", true, CLUSTER),
     ("--sketch-width", true, CLUSTER),
     ("--sketch-seed", true, CLUSTER),
-    ("--sketch-banding", true, CLUSTER),
-    // `run` drives the resumable single-master loop, which has no
-    // sharded rendering.
-    ("--shards", true, &["cluster"]),
-    ("--checkpoint-dir", true, &["run"]),
-    ("--resume", false, &["run"]),
-    ("--checkpoint-every", true, &["run"]),
-    ("--checkpoint-every-components", true, &["run"]),
-    ("--stop-after", true, &["run"]),
+    ("--checkpoint-dir", true, CHECKPOINT),
+    ("--resume", false, CHECKPOINT),
+    ("--checkpoint-every", true, CHECKPOINT),
+    ("--checkpoint-every-components", true, CHECKPOINT),
+    ("--stop-after", true, CHECKPOINT),
     ("--procs", true, &["simulate", "replay"]),
     ("--save-trace", true, &["simulate"]),
 ];
@@ -242,8 +234,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the validated pipeline configuration shared by `cluster` and
-/// `run` from the common flag set.
+/// Build the validated pipeline configuration of `cluster` / `run` from
+/// the flag set.
 fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     let tau: f64 = parse(args, "--tau", 0.5)?;
     let min_size: usize = parse(args, "--min-size", 5usize)?;
@@ -263,28 +255,15 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
             None => default_sketch.mode,
             Some("exact") => SketchMode::Exact,
             Some("approx") => SketchMode::Approx,
-            Some("hybrid") => SketchMode::Hybrid,
-            Some(other) => {
-                return Err(format!("invalid --sketch-mode: {other} (exact|approx|hybrid)"))
-            }
+            Some(other) => return Err(format!("invalid --sketch-mode: {other} (exact|approx)")),
         },
         k: parse(args, "--sketch-k", default_sketch.k)?,
         bands: parse(args, "--sketch-bands", default_sketch.bands)?,
         rows: parse(args, "--sketch-rows", default_sketch.rows)?,
         width: parse(args, "--sketch-width", default_sketch.width)?,
         seed: parse(args, "--sketch-seed", default_sketch.seed)?,
-        banding: match flag_value(args, "--sketch-banding").as_deref() {
-            None => default_sketch.banding,
-            Some("minhash") => SketchBanding::MinHash,
-            Some("exhaustive") => SketchBanding::Exhaustive,
-            Some(other) => {
-                return Err(format!("invalid --sketch-banding: {other} (minhash|exhaustive)"))
-            }
-        },
         ..default_sketch
     };
-    cluster.shard =
-        ShardParams { shards: parse(args, "--shards", 1usize)?, ..ShardParams::default() };
     let config = PipelineConfig {
         cluster,
         reduction: match domain_w {
@@ -304,71 +283,75 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     Ok((config, min_size))
 }
 
-/// Print the Table-I row (stdout) and where the alignments went (stderr),
-/// and write `families.tsv`.
-fn report_families(
-    set: &SequenceSet,
-    result: &PipelineResult,
-    min_size: usize,
-    args: &[String],
-) -> Result<(), String> {
-    println!("{}", TableOneRow::header());
-    println!("{}", TableOneRow::from_result(result, min_size));
-    eprintln!("{}", FillReport::from_result(result));
+/// Where `cluster` / `run` keep snapshots and where they stop, from the
+/// checkpoint flags (which [`FLAGS`] lets only `run` carry).
+fn pipeline_hooks(args: &[String]) -> Result<PipelineHooks, String> {
+    let Some(dir) = flag_value(args, "--checkpoint-dir") else {
+        // The other checkpoint flags only say how to use the directory.
+        let stray =
+            FLAGS.iter().find(|&&(name, _, cmds)| cmds == CHECKPOINT && flag_present(args, name));
+        return match stray {
+            Some((name, ..)) => Err(format!("{name} needs --checkpoint-dir <dir>")),
+            None => Ok(PipelineHooks::default()),
+        };
+    };
+    Ok(PipelineHooks {
+        checkpoint: Some(CheckpointConfig {
+            dir: std::path::PathBuf::from(dir),
+            every_batches: parse(args, "--checkpoint-every", 8usize)?,
+            every_components: parse(args, "--checkpoint-every-components", 1usize)?,
+        }),
+        resume: flag_present(args, "--resume"),
+        stop_after: match flag_value(args, "--stop-after").as_deref() {
+            None => None,
+            Some("rr") => Some(Phase::Rr),
+            Some("ccd") => Some(Phase::Ccd),
+            Some("dsd") => Some(Phase::Dsd),
+            Some(other) => return Err(format!("invalid --stop-after: {other} (rr|ccd|dsd)")),
+        },
+    })
+}
 
+/// `cluster` and `run`: the pipeline over a FASTA file. Prints the Table-I
+/// row (stdout) and where the alignments went (stderr), and writes
+/// `families.tsv`.
+fn cmd_cluster(args: &[String]) -> Result<(), String> {
+    let set = load_fasta(args)?;
+    let (config, min_size) = pipeline_config(args)?;
+    let hooks = pipeline_hooks(args)?;
+    // Opened before phase 1, so that a path that cannot be written costs no
+    // run; what it holds is replaced only once there is a result.
     let out = flag_value(args, "--out").unwrap_or_else(|| "families.tsv".to_owned());
-    let mut w =
-        BufWriter::new(File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?);
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&out)
+        .map_err(|e| format!("cannot create {out}: {e}"))?;
+
+    let Some(result) = run_pipeline(&set, &config, &hooks).map_err(|e| e.to_string())? else {
+        let dir = flag_value(args, "--checkpoint-dir").unwrap_or_default();
+        println!(
+            "stopped after the requested phase; checkpoints in {dir} — \
+             rerun with --resume to continue"
+        );
+        return Ok(());
+    };
+    println!("{}", TableOneRow::header());
+    println!("{}", TableOneRow::from_result(&result, min_size));
+    eprintln!("{}", FillReport::from_result(&result));
+
+    file.set_len(0).map_err(|e| e.to_string())?;
+    let mut w = BufWriter::new(file);
     writeln!(w, "#family\tsize\tdensity\tmembers (FASTA headers)").map_err(|e| e.to_string())?;
     for (i, ds) in result.dense_subgraphs.iter().enumerate() {
         let headers: Vec<&str> = ds.members.iter().map(|&id| set.header(id)).collect();
         writeln!(w, "{i}\t{}\t{:.2}\t{}", ds.members.len(), ds.density.density, headers.join(","))
             .map_err(|e| e.to_string())?;
     }
+    w.flush().map_err(|e| e.to_string())?;
     println!("{} families written to {out}", result.dense_subgraphs.len());
     Ok(())
-}
-
-fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    let set = load_fasta(args)?;
-    let (config, min_size) = pipeline_config(args)?;
-    pfam::cluster::check_sketch_params(&set, &config.cluster).map_err(|e| e.to_string())?;
-    let result = run_pipeline_budgeted(&set, &config).map_err(|e| e.to_string())?;
-    report_families(&set, &result, min_size, args)
-}
-
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let set = load_fasta(args)?;
-    let (config, min_size) = pipeline_config(args)?;
-    pfam::cluster::check_sketch_params(&set, &config.cluster).map_err(|e| e.to_string())?;
-    pfam::cluster::check_index_budget(&set, &config.cluster.mem.budget)
-        .map_err(|e| e.to_string())?;
-    let dir = flag_value(args, "--checkpoint-dir").ok_or("run requires --checkpoint-dir <dir>")?;
-    let ckpt = CheckpointConfig {
-        dir: std::path::PathBuf::from(&dir),
-        every_batches: parse(args, "--checkpoint-every", 8usize)?,
-        every_components: parse(args, "--checkpoint-every-components", 1usize)?,
-    };
-    let resume = flag_present(args, "--resume");
-    let stop_after = match flag_value(args, "--stop-after").as_deref() {
-        None => None,
-        Some("rr") => Some(Phase::Rr),
-        Some("ccd") => Some(Phase::Ccd),
-        Some("dsd") => Some(Phase::Dsd),
-        Some(other) => return Err(format!("invalid --stop-after: {other} (rr|ccd|dsd)")),
-    };
-    match run_pipeline_checkpointed(&set, &config, &ckpt, resume, stop_after)
-        .map_err(|e| e.to_string())?
-    {
-        Some(result) => report_families(&set, &result, min_size, args),
-        None => {
-            println!(
-                "stopped after the requested phase; checkpoints in {dir} — \
-                 rerun with --resume to continue"
-            );
-            Ok(())
-        }
-    }
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
@@ -495,19 +478,31 @@ mod tests {
 
     #[test]
     fn removed_flags_are_errors_not_no_ops() {
-        for gone in ["--steal", "--steal-workers", "--shard-driver", "--speculate", "--poll-ms"] {
-            let err = check_flags("cluster", &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
-            assert!(err.contains(gone), "{err}");
+        for gone in [
+            "--steal",
+            "--steal-workers",
+            "--shard-driver",
+            "--speculate",
+            "--poll-ms",
+            "--shards",
+            "--sketch-banding",
+        ] {
+            for cmd in CLUSTER {
+                let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
+                assert!(err.contains(gone), "{err}");
+            }
         }
+        let err = pipeline_config(&argv("in.fasta --sketch-mode hybrid")).unwrap_err();
+        assert!(err.contains("invalid --sketch-mode: hybrid"), "{err}");
     }
 
     #[test]
-    fn run_refuses_shards_and_cluster_takes_it() {
-        let line = argv("in.fasta --checkpoint-dir ck --shards 3");
-        assert!(check_flags("run", &line).unwrap_err().contains("--shards"));
-        let line = argv("in.fasta --shards 3");
-        check_flags("cluster", &line).unwrap();
-        assert_eq!(pipeline_config(&line).unwrap().0.cluster.shard.shards, 3);
+    fn checkpoint_flags_need_a_directory() {
+        assert!(pipeline_hooks(&argv("in.fasta")).unwrap().checkpoint.is_none());
+        let err = pipeline_hooks(&argv("in.fasta --stop-after rr")).unwrap_err();
+        assert!(err.contains("--stop-after needs --checkpoint-dir"), "{err}");
+        let hooks = pipeline_hooks(&argv("in.fasta --checkpoint-dir ck --resume")).unwrap();
+        assert!(hooks.resume && hooks.checkpoint.is_some() && hooks.stop_after.is_none());
     }
 
     #[test]
@@ -528,21 +523,40 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert!(known.len() <= 26, "{} flags", known.len());
+        assert_eq!(known.len(), 24);
+
+        // `cluster` and `run` are one program: `run` takes what `cluster`
+        // takes, plus the five flags that need a checkpoint directory.
+        let taken_by = |cmd: &str| -> Vec<&str> {
+            FLAGS.iter().filter(|f| f.2.contains(&cmd)).map(|f| f.0).collect()
+        };
+        let only_run: Vec<&str> =
+            taken_by("run").into_iter().filter(|f| !taken_by("cluster").contains(f)).collect();
+        assert_eq!(
+            only_run,
+            [
+                "--checkpoint-dir",
+                "--resume",
+                "--checkpoint-every",
+                "--checkpoint-every-components",
+                "--stop-after"
+            ]
+        );
+        assert!(taken_by("cluster").iter().all(|f| taken_by("run").contains(f)));
 
         // One command line per subcommand carrying every flag it is
         // documented with.
         let cluster = "in.fasta --out f.tsv --tau 0.4 --domain 10 --min-size 3 --mask --psi 8 \
                        --mem-budget 64M --index-chunk-bytes 4K --sketch-mode approx --sketch-k 5 \
-                       --sketch-bands 8 --sketch-rows 2 --sketch-width 16 --sketch-seed 7 \
-                       --sketch-banding minhash";
-        check_flags("cluster", &argv(&format!("{cluster} --shards 2"))).unwrap();
+                       --sketch-bands 8 --sketch-rows 2 --sketch-width 16 --sketch-seed 7";
+        check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
         let run = format!(
             "{cluster} --checkpoint-dir ck --resume --checkpoint-every 4 \
              --checkpoint-every-components 2 --stop-after ccd"
         );
         check_flags("run", &argv(&run)).unwrap();
+        pipeline_hooks(&argv(&run)).unwrap();
         check_flags("generate", &argv("--out r.fasta --families 3 --members 9 --seed 1")).unwrap();
         check_flags("simulate", &argv("in.fasta --procs 32,64 --save-trace t")).unwrap();
         check_flags("replay", &argv("t.tsv --procs 32")).unwrap();

@@ -41,16 +41,16 @@
 //! | [`sim`] | `pfam-sim` | trace-driven master–worker machine simulator |
 //! | [`metrics`] | `pfam-metrics` | PR/SE/OQ/CC, ARI/NMI/VI, histograms |
 //! | [`mpi`] | `pfam-mpi` | thread-backed SPMD message-passing runtime |
-//! | [`core`] | `pfam-core` | the four-phase pipeline, reports, quality |
+//! | [`core`] | `pfam-core` | the four-phase pipeline (`run_pipeline`, one entry behind `pfam cluster` and `pfam run`), checkpoints, reports, quality |
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use pfam::core::{run_pipeline, PipelineConfig};
+//! use pfam::core::PipelineConfig;
 //! use pfam::datagen::{DatasetConfig, SyntheticDataset};
 //!
 //! let data = SyntheticDataset::generate(&DatasetConfig::tiny(7));
-//! let result = run_pipeline(&data.set, &PipelineConfig::for_tests());
+//! let result = PipelineConfig::for_tests().run(&data.set);
 //! assert!(!result.dense_subgraphs.is_empty());
 //! ```
 

@@ -8,19 +8,18 @@
 //! resumed run rebuilds what the CCD cursor pins, so the cursors here come
 //! from either.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_same_result, hooks_in, render_families, resume, run_until, scratch_dir};
 use pfam::cluster::PairLedger;
 use pfam::core::checkpoint::{
     read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, MAGIC,
 };
-use pfam::core::{
-    run_pipeline, run_pipeline_checkpointed, CheckpointConfig, Phase, PipelineConfig,
-    PipelineResult,
-};
+use pfam::core::{run_pipeline, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::seq::SequenceSet;
+use pfam::seq::{SeqId, SequenceSet};
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -40,77 +39,47 @@ fn dataset(seed: u64) -> SyntheticDataset {
     })
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pfam-ckpt-test-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The directory `hooks` snapshot into.
+fn dir_of(hooks: &PipelineHooks) -> &std::path::Path {
+    &hooks.checkpoint.as_ref().expect("hooks with a directory").dir
 }
 
-/// The families.tsv body the CLI writes, as a string — byte-identical
-/// output is the acceptance bar for resume.
-fn render_families(set: &SequenceSet, result: &PipelineResult) -> String {
-    let mut out = String::from("#family\tsize\tdensity\tmembers (FASTA headers)\n");
-    for (i, ds) in result.dense_subgraphs.iter().enumerate() {
-        let headers: Vec<&str> = ds.members.iter().map(|&id| set.header(id)).collect();
-        out.push_str(&format!(
-            "{i}\t{}\t{:.2}\t{}\n",
-            ds.members.len(),
-            ds.density.density,
-            headers.join(",")
-        ));
+/// What a resume from `hooks`' directory ends in, when it must not run.
+fn resume_error(set: &SequenceSet, config: &PipelineConfig, hooks: &PipelineHooks) -> CkptError {
+    let hooks = PipelineHooks { resume: true, ..hooks.clone() };
+    match run_pipeline(set, config, &hooks) {
+        Err(PipelineError::Checkpoint(e)) => e,
+        other => panic!("expected a checkpoint error, got {:?}", other.map(|r| r.is_some())),
     }
-    out
-}
-
-fn assert_same_result(set: &SequenceSet, resumed: &PipelineResult, straight: &PipelineResult) {
-    assert_eq!(resumed.non_redundant, straight.non_redundant);
-    assert_eq!(resumed.components, straight.components);
-    assert_eq!(resumed.dense_subgraphs, straight.dense_subgraphs);
-    assert_eq!(resumed.traces.0, straight.traces.0, "RR trace");
-    assert_eq!(resumed.traces.1, straight.traces.1, "CCD trace");
-    assert_eq!(resumed.traces.2, straight.traces.2, "BGG trace");
-    assert_eq!(
-        render_families(set, resumed),
-        render_families(set, straight),
-        "families.tsv must be byte-identical after resume"
-    );
 }
 
 #[test]
 fn kill_after_each_phase_then_resume_is_identical() {
     let d = dataset(4870);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
+    let straight = config.run(&d.set);
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
-        let ckpt = CheckpointConfig {
-            dir: scratch_dir(&format!("kill-{stop:?}")),
-            every_batches: 4,
-            every_components: 1,
-        };
-        let first = run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(stop))
-            .expect("checkpointed run");
-        assert!(first.is_none(), "stop_after must end the run early");
-        let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-            .expect("resumed run")
-            .expect("resumed run completes");
-        assert_same_result(&d.set, &resumed, &straight);
-        let _ = std::fs::remove_dir_all(&ckpt.dir);
+        let hooks = hooks_in(&scratch_dir(&format!("kill-{stop:?}")), 4, 1);
+        run_until(&d.set, &config, &hooks, stop);
+        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+        let _ = std::fs::remove_dir_all(dir_of(&hooks));
     }
 }
 
-/// Complete RR under `ckpt`, then plant a genuine mid-CCD cursor — the
+/// Complete RR under `hooks`, then plant a genuine mid-CCD cursor — the
 /// one in the middle of those `run` emits over RR's survivors, answered by
 /// RR's ledger — as `ccd.ckpt`, and return its plan pin.
 fn kill_mid_ccd(
     d: &SyntheticDataset,
     config: &PipelineConfig,
-    ckpt: &CheckpointConfig,
-    run: impl FnOnce(&[pfam::seq::SeqId], &Arc<PairLedger>, &mut dyn FnMut(&pfam::cluster::CcdCursor)),
+    hooks: &PipelineHooks,
+    run: impl FnOnce(&[SeqId], &Arc<PairLedger>, &mut dyn FnMut(&pfam::cluster::CcdCursor)),
 ) -> u64 {
-    run_pipeline_checkpointed(&d.set, config, ckpt, false, Some(Phase::Rr)).expect("rr-only run");
-    let (_, payload) = read_checkpoint(&Phase::Rr.path_in(&ckpt.dir)).expect("rr.ckpt");
+    run_until(&d.set, config, hooks, Phase::Rr);
+    let (_, fingerprint, payload) =
+        read_checkpoint(&Phase::Rr.path_in(dir_of(hooks))).expect("rr.ckpt");
     let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
-    let kept: Vec<pfam::seq::SeqId> = rr.kept.iter().map(|&i| pfam::seq::SeqId(i)).collect();
+    let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
     assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
     let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.mem.budget));
     let mut cursors = Vec::new();
@@ -119,7 +88,7 @@ fn kill_mid_ccd(
     assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
     let pin = cursor.gen_chunk_bytes;
     let state = CcdState { complete: false, cursor };
-    write_checkpoint(&Phase::Ccd.path_in(&ckpt.dir), Phase::Ccd, &state.encode())
+    write_checkpoint(&Phase::Ccd.path_in(dir_of(hooks)), Phase::Ccd, fingerprint, &state.encode())
         .expect("plant partial ccd.ckpt");
     pin
 }
@@ -131,18 +100,14 @@ fn resume_from_partial_ccd_cursor_is_identical() {
     // This one is cut over a copy of the survivors with its own index.
     let d = dataset(4871);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
-    let ckpt =
-        CheckpointConfig { dir: scratch_dir("mid-ccd"), every_batches: 1, every_components: 1 };
-    kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("mid-ccd"), 1, 1);
+    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
         let (nr_set, _) = d.set.subset(kept);
         pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, ledger, None, 1, on_cursor);
     });
-    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-        .expect("resume from partial cursor")
-        .expect("completes");
-    assert_same_result(&d.set, &resumed, &straight);
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
@@ -152,23 +117,16 @@ fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
     // and rebuilds one from the pin.
     let d = dataset(4876);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
-    let ckpt = CheckpointConfig {
-        dir: scratch_dir("mid-ccd-shared"),
-        every_batches: 1,
-        every_components: 1,
-    };
-    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("mid-ccd-shared"), 1, 1);
+    let pin = kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
         pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
             front.ccd_resumable(kept, ledger, None, 1, on_cursor);
         })
     });
     assert_eq!(pin, 0, "an unbudgeted in-memory run mines one monolithic index");
-    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-        .expect("resume from partial cursor")
-        .expect("completes");
-    assert_same_result(&d.set, &resumed, &straight);
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
@@ -179,21 +137,17 @@ fn partitioned_pin_of_an_older_checkpoint_still_resumes() {
     const OLD_DEFAULT: u64 = 256 << 20;
     let d = dataset(4877);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
-    let ckpt =
-        CheckpointConfig { dir: scratch_dir("old-pin"), every_batches: 1, every_components: 1 };
-    let pin = kill_mid_ccd(&d, &config, &ckpt, |kept, ledger, on_cursor| {
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("old-pin"), 1, 1);
+    let pin = kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
         let view = pfam::seq::SubsetStore::new(&d.set, kept.to_vec());
         let forced = config.clone().with_index_chunk_bytes(OLD_DEFAULT);
         pfam::cluster::run_ccd_resumable(&view, &forced.cluster, ledger, None, 1, on_cursor);
     });
     assert_eq!(pin, OLD_DEFAULT);
-    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-        .expect("resume from the pinned plan")
-        .expect("completes");
     // One chunk holds this input, so the pinned order is the monolithic one.
-    assert_same_result(&d.set, &resumed, &straight);
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
@@ -203,21 +157,12 @@ fn batched_dsd_checkpointing_resumes_identically() {
     // be byte-identical to the uninterrupted one.
     let d = dataset(4875);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
+    let straight = config.run(&d.set);
     for every in [2usize, 3, 100] {
-        let ckpt = CheckpointConfig {
-            dir: scratch_dir(&format!("batched-{every}")),
-            every_batches: 4,
-            every_components: every,
-        };
-        let first = run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Dsd))
-            .expect("checkpointed run");
-        assert!(first.is_none(), "stop_after must end the run early");
-        let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-            .expect("resumed run")
-            .expect("resumed run completes");
-        assert_same_result(&d.set, &resumed, &straight);
-        let _ = std::fs::remove_dir_all(&ckpt.dir);
+        let hooks = hooks_in(&scratch_dir(&format!("batched-{every}")), 4, every);
+        run_until(&d.set, &config, &hooks, Phase::Dsd);
+        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+        let _ = std::fs::remove_dir_all(dir_of(&hooks));
     }
 }
 
@@ -231,16 +176,16 @@ fn kill_mid_dsd_resumes_identically() {
     use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
     let d = dataset(4878);
     let config = PipelineConfig::for_tests();
-    let straight = run_pipeline(&d.set, &config);
-    let ckpt =
-        CheckpointConfig { dir: scratch_dir("mid-dsd"), every_batches: 4, every_components: 1 };
-    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Dsd)).expect("full run");
-    let dsd_path = Phase::Dsd.path_in(&ckpt.dir);
-    let mut state = DsdState::decode(&read_checkpoint(&dsd_path).expect("dsd.ckpt").1).unwrap();
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("mid-dsd"), 4, 1);
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let dsd_path = Phase::Dsd.path_in(dir_of(&hooks));
+    let (_, fingerprint, payload) = read_checkpoint(&dsd_path).expect("dsd.ckpt");
+    let mut state = DsdState::decode(&payload).unwrap();
     assert!(state.done.len() >= 2, "need a queue to cut");
     state.done.truncate(1);
     state.trace.batches.truncate(1);
-    let pfam::core::Reduction::GlobalSimilarity { tau } = config.reduction else { unreachable!() };
+    let Reduction::GlobalSimilarity { tau } = config.reduction else { unreachable!() };
     let dsd_config = DenseSubgraphConfig {
         params: config.shingle,
         mode: ReductionMode::GlobalSimilarity { tau },
@@ -254,63 +199,112 @@ fn kill_mid_dsd_resumes_identically() {
             detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&graph), &dsd_config);
         state.shingle.absorb(&stats);
     }
-    write_checkpoint(&dsd_path, Phase::Dsd, &state.encode()).expect("plant partial dsd.ckpt");
-    let resumed = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-        .expect("resume mid-DSD")
-        .expect("completes");
+    write_checkpoint(&dsd_path, Phase::Dsd, fingerprint, &state.encode())
+        .expect("plant partial dsd.ckpt");
+    let resumed = resume(&d.set, &config, &hooks);
     assert!(resumed.traces.2.total_ledger_hits() > 0, "the stored ledger must answer");
     assert_same_result(&d.set, &resumed, &straight);
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
 fn a_version_2_checkpoint_is_refused() {
-    // v2 files hold neither ledger nor deferred pairs; there is no
-    // compatibility path — the resume stops with the version it found.
+    // v2 files hold neither ledger nor deferred pairs, v3 files no
+    // fingerprint; there is no compatibility path — the resume stops with
+    // the version it found.
     let d = dataset(4879);
     let config = PipelineConfig::for_tests();
-    let ckpt = CheckpointConfig { dir: scratch_dir("v2"), every_batches: 0, every_components: 1 };
-    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Ccd)).expect("ccd run");
-    let path = Phase::Ccd.path_in(&ckpt.dir);
+    let hooks = hooks_in(&scratch_dir("v2"), 0, 1);
+    run_until(&d.set, &config, &hooks, Phase::Ccd);
+    let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "this build writes version 3");
-    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("rewrite as v2");
-    let err = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None).unwrap_err();
-    assert!(matches!(err, CkptError::BadVersion(2)), "{err}");
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    assert_eq!(bytes[4..8], 4u32.to_le_bytes(), "this build writes version 4");
+    for old in [2u32, 3] {
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite as an older version");
+        let err = resume_error(&d.set, &config, &hooks);
+        assert!(matches!(err, CkptError::BadVersion(v) if v == old), "{err}");
+    }
+    // A whole v3 file — a 24-byte header, no fingerprint — as well.
+    let v3 = [&bytes[..4], &3u32.to_le_bytes(), &bytes[8..12], &bytes[20..]].concat();
+    std::fs::write(&path, v3).expect("plant a v3 file");
+    assert!(matches!(resume_error(&d.set, &config, &hooks), CkptError::BadVersion(3)));
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn resume_under_other_parameters_or_input_is_a_mismatch() {
+    // A resumed run answers for the input and the parameters it is given,
+    // or not at all: every snapshot names what it was computed from.
+    let d = dataset(4880);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    let mut other_psi = config.clone();
+    other_psi.cluster.psi_ccd += 1;
+    let other_tau =
+        PipelineConfig { reduction: Reduction::GlobalSimilarity { tau: 0.9 }, ..config.clone() };
+    // What cannot change the answer does not block the resume (the CCD
+    // cursor's plan pin makes these safe to change mid-phase): another
+    // thread count repeats the work, another budget or chunk size reaches
+    // the same families through another pair order.
+    let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
+    let unchanged = [
+        (config.clone().with_threads(1), true),
+        (config.clone().with_mem_budget(estimate * 2 / 5), false),
+        (config.clone().with_index_chunk_bytes(4 << 10), false),
+    ];
+    let hooks = hooks_in(&scratch_dir("mismatch"), 4, 1);
+    for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
+        for (unchanged, same_work) in &unchanged {
+            let _ = std::fs::remove_dir_all(dir_of(&hooks));
+            run_until(&d.set, &config, &hooks, stop);
+            for changed in [&other_psi, &other_tau] {
+                let err = resume_error(&d.set, changed, &hooks);
+                assert!(matches!(err, CkptError::Mismatch("rr.ckpt")), "{stop:?}: {err}");
+            }
+            let resumed = resume(&d.set, unchanged, &hooks);
+            if *same_work {
+                assert_same_result(&d.set, &resumed, &straight);
+            }
+            assert_eq!(resumed.components, straight.components, "{stop:?}");
+            assert_eq!(render_families(&d.set, &resumed), render_families(&d.set, &straight));
+        }
+    }
+
+    // As many reads, other lengths.
+    let other = dataset(4881).set;
+    let first_n: Vec<SeqId> = (0..d.set.len().min(other.len()) as u32).map(SeqId).collect();
+    let (reads, other) = (d.set.subset(&first_n).0, other.subset(&first_n).0);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+    run_until(&reads, &config, &hooks, Phase::Dsd);
+    let err = resume_error(&other, &config, &hooks);
+    assert!(matches!(err, CkptError::Mismatch("rr.ckpt")), "{err}");
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
 fn resume_without_checkpoints_just_runs() {
     let d = dataset(4872);
     let config = PipelineConfig::for_tests();
-    let ckpt =
-        CheckpointConfig { dir: scratch_dir("fresh"), every_batches: 0, every_components: 1 };
-    let r = run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None)
-        .expect("run")
-        .expect("completes");
-    let straight = run_pipeline(&d.set, &config);
-    assert_same_result(&d.set, &r, &straight);
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    let hooks = hooks_in(&scratch_dir("fresh"), 0, 1);
+    let r = resume(&d.set, &config, &hooks);
+    assert_same_result(&d.set, &r, &config.run(&d.set));
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
 fn corrupt_checkpoint_is_rejected_not_trusted() {
     let d = dataset(4873);
     let config = PipelineConfig::for_tests();
-    let ckpt =
-        CheckpointConfig { dir: scratch_dir("corrupt"), every_batches: 0, every_components: 1 };
-    run_pipeline_checkpointed(&d.set, &config, &ckpt, false, Some(Phase::Rr)).expect("rr run");
-    let path = Phase::Rr.path_in(&ckpt.dir);
+    let hooks = hooks_in(&scratch_dir("corrupt"), 0, 1);
+    run_until(&d.set, &config, &hooks, Phase::Rr);
+    let path = Phase::Rr.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read rr.ckpt");
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&path, &bytes).expect("corrupt rr.ckpt");
-    assert!(
-        run_pipeline_checkpointed(&d.set, &config, &ckpt, true, None).is_err(),
-        "a checksum-failing checkpoint must abort the resume"
-    );
-    let _ = std::fs::remove_dir_all(&ckpt.dir);
+    let err = resume_error(&d.set, &config, &hooks);
+    assert!(matches!(err, CkptError::BadChecksum), "a failing checksum must abort the resume");
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }

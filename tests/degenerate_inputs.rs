@@ -5,7 +5,7 @@
 //! partition.
 
 use pfam::cluster::{run_ccd, run_redundancy_removal, ClusterConfig};
-use pfam::core::{run_pipeline, PipelineConfig};
+use pfam::core::PipelineConfig;
 use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
 
 fn set_of(seqs: &[&str]) -> SequenceSet {
@@ -43,7 +43,7 @@ fn empty_input_set() {
     assert!(rr.kept.is_empty() && rr.removed.is_empty());
     let ccd = run_ccd(&set, &ClusterConfig::default());
     assert!(ccd.components.is_empty());
-    let r = run_pipeline(&set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&set);
     assert_eq!(r.n_input, 0);
     assert!(r.dense_subgraphs.is_empty());
 }

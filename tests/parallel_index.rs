@@ -3,7 +3,7 @@
 //! pair stream are built serially or in parallel, at any thread count.
 
 use pfam::cluster::{run_ccd, run_redundancy_removal, ClusterConfig};
-use pfam::core::{run_pipeline, PipelineConfig};
+use pfam::core::PipelineConfig;
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 
 fn configs_under_test() -> Vec<(&'static str, ClusterConfig)> {
@@ -43,7 +43,7 @@ fn full_pipeline_is_thread_count_invariant() {
         cluster: ClusterConfig { parallel_index: false, ..ClusterConfig::for_short_sequences() },
         ..PipelineConfig::for_tests()
     };
-    let reference = run_pipeline(&data.set, &serial_cfg);
+    let reference = serial_cfg.run(&data.set);
     for threads in [2usize, 8] {
         let cfg = PipelineConfig {
             cluster: ClusterConfig {
@@ -53,7 +53,7 @@ fn full_pipeline_is_thread_count_invariant() {
             },
             ..PipelineConfig::for_tests()
         };
-        let result = run_pipeline(&data.set, &cfg);
+        let result = cfg.run(&data.set);
         assert_eq!(result.components, reference.components, "threads={threads}");
         assert_eq!(result.dense_subgraphs, reference.dense_subgraphs, "threads={threads}");
     }

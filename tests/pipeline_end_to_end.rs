@@ -1,17 +1,25 @@
 //! End-to-end pipeline invariants on synthetic metagenomes.
 
+mod common;
+
 use std::collections::HashSet;
 
-use pfam::cluster::{run_ccd, run_redundancy_removal};
+use common::{assert_same_result, hooks_in, resume, run_until, scratch_dir};
+use pfam::cluster::{run_ccd, run_redundancy_removal, SketchMode, SketchParamError, SketchParams};
 use pfam::core::{
-    evaluate, run_pipeline, stream_components, PipelineConfig, Reduction, TableOneRow,
+    evaluate, run_pipeline, stream_components, Phase, PipelineConfig, PipelineError, PipelineHooks,
+    Reduction, TableOneRow,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, Provenance, SyntheticDataset};
-use pfam::seq::{materialize_subset, SeqId};
+use pfam::seq::{materialize_subset, SeqId, SequenceSetBuilder};
 use pfam::shingle::ShingleStats;
 
 fn dataset(seed: u64) -> SyntheticDataset {
-    SyntheticDataset::generate(&DatasetConfig {
+    SyntheticDataset::generate(&dataset_config(seed))
+}
+
+fn dataset_config(seed: u64) -> DatasetConfig {
+    DatasetConfig {
         n_families: 5,
         n_members: 60,
         n_noise: 8,
@@ -25,13 +33,13 @@ fn dataset(seed: u64) -> SyntheticDataset {
         },
         seed,
         ..DatasetConfig::tiny(seed)
-    })
+    }
 }
 
 #[test]
 fn dense_subgraphs_contain_only_non_redundant_sequences() {
     let d = dataset(101);
-    let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&d.set);
     let nr: HashSet<SeqId> = r.non_redundant.iter().copied().collect();
     for ds in &r.dense_subgraphs {
         for &m in &ds.members {
@@ -43,7 +51,7 @@ fn dense_subgraphs_contain_only_non_redundant_sequences() {
 #[test]
 fn dense_subgraphs_nest_inside_their_component() {
     let d = dataset(102);
-    let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&d.set);
     for ds in &r.dense_subgraphs {
         let members: HashSet<SeqId> =
             r.component_graphs[ds.component].members.iter().copied().collect();
@@ -56,7 +64,7 @@ fn dense_subgraphs_nest_inside_their_component() {
 #[test]
 fn components_partition_the_non_redundant_set() {
     let d = dataset(103);
-    let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&d.set);
     let mut seen = HashSet::new();
     for comp in &r.components {
         for &m in comp {
@@ -70,7 +78,7 @@ fn components_partition_the_non_redundant_set() {
 #[test]
 fn noise_reads_never_enter_family_subgraphs_with_members() {
     let d = dataset(104);
-    let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&d.set);
     for ds in &r.dense_subgraphs {
         let has_member = ds
             .members
@@ -85,7 +93,7 @@ fn noise_reads_never_enter_family_subgraphs_with_members() {
 #[test]
 fn quality_against_ground_truth_is_high_precision() {
     let d = dataset(105);
-    let r = run_pipeline(&d.set, &PipelineConfig::for_tests());
+    let r = PipelineConfig::for_tests().run(&d.set);
     let q = evaluate(&r, &d.benchmark_clusters());
     assert!(q.measures.precision > 0.95, "PR = {}", q.measures.precision);
     assert!(q.confusion.tp > 0, "no true-positive pairs at all");
@@ -95,7 +103,7 @@ fn quality_against_ground_truth_is_high_precision() {
 fn table_row_is_internally_consistent() {
     let d = dataset(106);
     let config = PipelineConfig::for_tests();
-    let r = run_pipeline(&d.set, &config);
+    let r = config.run(&d.set);
     let row = TableOneRow::from_result(&r, config.min_component_size);
     assert!(row.n_non_redundant <= row.n_input);
     assert!(row.n_seq_in_subgraphs <= row.n_non_redundant);
@@ -109,7 +117,7 @@ fn both_reductions_agree_on_family_purity() {
     let d = dataset(107);
     for reduction in [Reduction::GlobalSimilarity { tau: 0.3 }, Reduction::DomainBased { w: 10 }] {
         let config = PipelineConfig { reduction, ..PipelineConfig::for_tests() };
-        let r = run_pipeline(&d.set, &config);
+        let r = config.run(&d.set);
         for ds in &r.dense_subgraphs {
             let fams: HashSet<_> = ds.members.iter().filter_map(|&id| d.family_of(id)).collect();
             assert!(fams.len() <= 1, "{reduction:?} mixed families {fams:?}");
@@ -121,8 +129,8 @@ fn both_reductions_agree_on_family_purity() {
 fn pipeline_is_deterministic_across_runs() {
     let d = dataset(108);
     let config = PipelineConfig::for_tests();
-    let a = run_pipeline(&d.set, &config);
-    let b = run_pipeline(&d.set, &config);
+    let a = config.run(&d.set);
+    let b = config.run(&d.set);
     assert_eq!(a.non_redundant, b.non_redundant);
     assert_eq!(a.components, b.components);
     assert_eq!(a.dense_subgraphs, b.dense_subgraphs);
@@ -134,8 +142,8 @@ fn fasta_round_trip_preserves_pipeline_output() {
     let text = pfam::seq::fasta::to_fasta_string(&d.set);
     let reparsed = pfam::seq::fasta::read_fasta_str(&text).expect("own output parses");
     let config = PipelineConfig::for_tests();
-    let a = run_pipeline(&d.set, &config);
-    let b = run_pipeline(&reparsed, &config);
+    let a = config.run(&d.set);
+    let b = config.run(&reparsed);
     assert_eq!(a.dense_subgraphs, b.dense_subgraphs);
 }
 
@@ -147,7 +155,7 @@ fn pipeline_equals_the_hand_composition() {
     // the same families through the same work.
     let d = dataset(110);
     let config = PipelineConfig::for_tests();
-    let got = run_pipeline(&d.set, &config);
+    let got = config.run(&d.set);
 
     let rr = run_redundancy_removal(&d.set, &config.cluster);
     let ccd = run_ccd(&materialize_subset(&d.set, &rr.kept), &config.cluster);
@@ -214,7 +222,7 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
     let d = dataset(111);
     let config = PipelineConfig::for_tests();
     let budget = &config.cluster.mem.budget;
-    let got = run_pipeline(&d.set, &config);
+    let got = config.run(&d.set);
     assert_eq!((budget.granted("gsa-index"), budget.granted("partitioned-gsa")), (1, 0));
     assert_eq!(budget.granted("bgg-gsa"), 0, "the exact back half indexes no component");
     assert!(budget.granted("pair-ledger") > 0);
@@ -252,4 +260,68 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
     );
     assert!(bgg_t.total_ledger_hits() <= deferred_hits);
     assert!(rr_t.total_aligned() >= rr.ledger.len());
+}
+
+#[test]
+fn one_body_whatever_it_keeps_on_disk() {
+    // The pipeline without a directory, with one, and killed after each
+    // phase and resumed: one result, through the same work — on every
+    // route through the front half and both back-half supplies. (A third
+    // of the usual corpus: 4 KiB chunks make the task count quadratic.)
+    let d = SyntheticDataset::generate(&DatasetConfig {
+        n_families: 3,
+        n_members: 30,
+        n_noise: 4,
+        ..dataset_config(112)
+    });
+    let base = PipelineConfig::for_tests();
+    let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
+    let approx = SketchParams { mode: SketchMode::Approx, ..SketchParams::default() };
+    let mut masked = base.clone();
+    masked.cluster.mask = Some(pfam::seq::complexity::MaskParams::default());
+    let configs = [
+        ("default", base.clone()),
+        ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
+        ("chunks", base.clone().with_index_chunk_bytes(4 << 10)),
+        ("mask", masked),
+        ("approx", base.clone().with_sketch(approx)),
+        ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
+    ];
+    for (name, config) in configs {
+        let in_memory = config.run(&d.set);
+        assert!(!in_memory.dense_subgraphs.is_empty(), "{name}: nothing to compare");
+        let dir = scratch_dir(&format!("one-body-{name}"));
+        let hooks = hooks_in(&dir, 4, 2);
+        let kept = run_pipeline(&d.set, &config, &hooks).expect(name).expect("runs to the end");
+        assert_same_result(&d.set, &kept, &in_memory);
+        for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
+            let _ = std::fs::remove_dir_all(&dir);
+            run_until(&d.set, &config, &hooks, stop);
+            assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &in_memory);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
+    let mut b = SequenceSetBuilder::new();
+    for (i, read) in
+        ["MKVLWAAKNDCQEGHILKMFPSTWYV", "MKVLWAAKNDCQEGHILKMFPSTWYV", "MKV"].into_iter().enumerate()
+    {
+        b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
+    }
+    let set = b.finish();
+    let approx = SketchParams { mode: SketchMode::Approx, k: 5, ..SketchParams::default() };
+    let unsketchable = PipelineConfig::for_tests().with_sketch(approx);
+    let starved = PipelineConfig::for_tests().with_mem_budget(8);
+    let dir = scratch_dir("refused");
+    for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
+        let err = run_pipeline(&set, &unsketchable, &hooks).unwrap_err();
+        let want = SketchParamError::KmerExceedsShortest { k: 5, shortest: 3 };
+        assert!(matches!(err, PipelineError::Sketch(e) if e == want), "{err}");
+        let err = run_pipeline(&set, &starved, &hooks).unwrap_err();
+        assert!(matches!(&err, PipelineError::Budget(e) if e.what == "partitioned-gsa"), "{err}");
+    }
+    assert!(!Phase::Rr.path_in(&dir).exists(), "a refused run writes no snapshot");
 }

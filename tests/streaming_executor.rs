@@ -9,7 +9,7 @@
 
 use pfam::cluster::run_ccd;
 use pfam::core::{
-    barrier_components, run_pipeline, stream_components, ComponentOutput, PipelineConfig, Reduction,
+    barrier_components, stream_components, ComponentOutput, PipelineConfig, Reduction,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::seq::SeqId;
@@ -78,7 +78,7 @@ fn executor_identity_domain_based() {
 
 fn pipeline_identity(config: &PipelineConfig, seed: u64) {
     let d = dataset(seed);
-    let streamed = run_pipeline(&d.set, config);
+    let streamed = config.run(&d.set);
     let queue: Vec<&[SeqId]> = streamed
         .components
         .iter()
