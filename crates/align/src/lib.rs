@@ -21,15 +21,11 @@
 //!   traceback, verdict-identical to [`criteria`] by construction.
 //! * [`onepass`] — that fill: one row-major Smith–Waterman pass (AVX2 with
 //!   a scalar twin) producing score, argmax and a direction byte per cell.
-//! * [`cost`] — the online per-pair cost predictor (`m·n` scaled by the
-//!   share of rectangles the engine's screen lets through) behind the
-//!   pull scheduler's speculation deadlines.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
 pub mod alignment;
 pub mod banded;
-pub mod cost;
 pub mod criteria;
 pub mod engine;
 pub mod global;
@@ -41,7 +37,6 @@ pub mod semiglobal;
 
 pub use alignment::{AlignOp, AlignStats, Alignment};
 pub use banded::banded_global_affine;
-pub use cost::CostModel;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
 pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict, PairQuery, PairVerdict};
 pub use global::{

@@ -70,7 +70,7 @@ fn main() {
     let (s, r) = time_min(reps, || run_ccd_spmd(set, &config, 3));
     push("spmd", s, r);
     let (s, r) = time_min(reps, || {
-        pfam_cluster::run_ccd_ft(set, &config, 3, Arc::new(NoFaults)).expect("fault-free world").0
+        pfam_cluster::run_ccd_ft(set, &config, 3, Arc::new(NoFaults)).expect("fault-free world")
     });
     push("ft", s, r);
 

@@ -48,10 +48,6 @@ pub struct ClusterConfig {
     /// traceback; `Reference` pins the full-matrix baseline. Verdicts — and therefore components and
     /// `families.tsv` — are bit-identical for both.
     pub align_engine: AlignEngineKind,
-    /// Supervision/recovery-plane knobs for the fault-tolerant drivers
-    /// (lease timeouts, transient retry, respawn, speculation).
-    /// Components are bit-identical for every setting.
-    pub recovery: RecoveryParams,
     /// Memory-budget knobs for the out-of-core index plane
     /// ([`crate::source::with_source_pinned`]): the shared accounting budget the
     /// index builders reserve against, and the per-chunk index target for
@@ -96,57 +92,6 @@ impl MemParams {
     }
 }
 
-/// Knobs for the supervision and recovery plane
-/// ([`crate::ft::run_ccd_ft`]). Everything here changes *when*
-/// work is (re)issued and over *which* link, never what a verdict says —
-/// the stale-discard lease protocol keeps components bit-identical under
-/// every combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryParams {
-    /// How long a lease may sit unanswered before its pairs are requeued.
-    pub lease_timeout: std::time::Duration,
-    /// Worker-side wait per pull-request poll.
-    pub poll_interval: std::time::Duration,
-    /// Transient send failures tolerated per peer before the circuit
-    /// breaker quarantines it (moves it to the dead board).
-    pub retry_budget: u32,
-    /// Seed for deterministic retry-backoff jitter.
-    pub retry_seed: u64,
-    /// Base backoff between retry attempts (doubles per attempt).
-    pub retry_backoff: std::time::Duration,
-    /// Replacement incarnations the supervisor may spawn per rank
-    /// (`0` disables respawn and the supervised runtime entirely).
-    pub max_respawns: usize,
-    /// How long the master tolerates a fully-dead worker pool before
-    /// giving up, when respawn is enabled — the window the supervisor has
-    /// to restore capacity.
-    pub respawn_grace: std::time::Duration,
-    /// Enable speculative re-execution of straggler leases.
-    pub speculate: bool,
-    /// Minimum lease age before a speculative duplicate may be issued.
-    pub spec_min_wait: std::time::Duration,
-    /// Multiplier over the cost-model-predicted service time before a
-    /// lease counts as a straggler.
-    pub spec_slack: f64,
-}
-
-impl Default for RecoveryParams {
-    fn default() -> Self {
-        RecoveryParams {
-            lease_timeout: std::time::Duration::from_millis(250),
-            poll_interval: std::time::Duration::from_millis(25),
-            retry_budget: 4,
-            retry_seed: 0x5EED,
-            retry_backoff: std::time::Duration::from_micros(50),
-            max_respawns: 0,
-            respawn_grace: std::time::Duration::from_secs(1),
-            speculate: false,
-            spec_min_wait: std::time::Duration::from_millis(40),
-            spec_slack: 2.0,
-        }
-    }
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -165,7 +110,6 @@ impl Default for ClusterConfig {
             threads: 0,
             parallel_index: true,
             align_engine: AlignEngineKind::default(),
-            recovery: RecoveryParams::default(),
             mem: MemParams::default(),
             sketch: SketchParams::default(),
         }

@@ -352,22 +352,12 @@ impl<'s> ClusterCore<'s> {
         self.trace.nodes_visited = n;
     }
 
-    /// Record recovery-plane activity on the most recent trace record:
-    /// leases requeued by timeout/death, transient transport retries, and
-    /// speculative duplicates (issued / won). No-op before the first
-    /// batch — recovery can only act on work that was dispatched.
-    pub fn note_recovery(
-        &mut self,
-        n_requeued: usize,
-        n_retries: u64,
-        n_spec_issued: usize,
-        n_spec_wins: usize,
-    ) {
+    /// Record leases requeued by timeout or worker death on the most
+    /// recent trace record. No-op before the first batch — recovery can
+    /// only act on work that was dispatched.
+    pub fn note_recovery(&mut self, n_requeued: usize) {
         if let Some(last) = self.trace.batches.last_mut() {
             last.n_requeued += n_requeued;
-            last.n_retries += n_retries;
-            last.n_spec_issued += n_spec_issued;
-            last.n_spec_wins += n_spec_wins;
         }
     }
 }

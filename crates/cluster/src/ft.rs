@@ -1,12 +1,12 @@
 //! Fault-tolerant CCD: the PaCE master–worker loop hardened against
-//! worker death, message loss, and message reordering.
+//! worker death, message loss, message reordering and stragglers.
 //!
-//! The legacy SPMD engine ([`crate::spmd`]) assumes a healthy world: each
-//! worker owns a slice of the suffix space, so a dead worker silently
-//! loses every pair it had not yet generated, and a lost message
-//! deadlocks the job. This engine restructures the protocol so the
-//! **master owns all work state** and workers are stateless alignment
-//! servers:
+//! The SPMD engine ([`crate::spmd`], the paper's protocol) assumes a
+//! healthy world: each worker owns a slice of the suffix space, so a dead
+//! worker silently loses every pair it had not yet generated, and a lost
+//! message deadlocks the job. This engine restructures the protocol so
+//! the **master owns all work state** and workers are stateless
+//! alignment servers:
 //!
 //! * the master holds the pair generator, the union-find clustering and a
 //!   queue of re-issuable candidate batches;
@@ -15,7 +15,8 @@
 //! * every outstanding batch is tracked as a **lease** with a unique id.
 //!   A lease is recovered — its candidates re-enqueued for any surviving
 //!   worker — when its worker is observed dead on the liveness board or
-//!   when the lease times out (covers dropped task/verdict messages).
+//!   when the lease times out (covers dropped task/verdict messages and
+//!   a worker that is alive but too slow).
 //!   A verdict for a lease that is no longer outstanding is stale
 //!   (already recovered and re-issued) and is discarded, so no pair is
 //!   ever applied twice;
@@ -37,21 +38,17 @@
 //! scheduler errors onto [`FtError`].
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use pfam_mpi::{run_spmd_faulty, run_spmd_supervised, FaultInjector, RankOutcome, RespawnOptions};
+use pfam_mpi::{run_spmd_faulty, FaultInjector};
 use pfam_seq::SequenceSet;
 use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
-use crate::policy::{serve_pull_worker_with, DriveError, LeaseKnobs, LeasedPull, WorkPolicy};
-use crate::retry::{Retry, RetryPolicy, RetryPort};
+use crate::policy::{serve_pull_worker, DriveError, LeasedPull, WorkPolicy};
 use crate::source::{MinedSource, PairSource};
-use crate::supervise::HealthReport;
 use crate::transport::{MpiTransport, MpiWorkerPort};
-use pfam_align::CostModel;
 
 /// Why a fault-tolerant run could not produce a clustering.
 #[derive(Debug)]
@@ -76,33 +73,22 @@ impl std::fmt::Display for FtError {
 
 impl std::error::Error for FtError {}
 
-/// Run CCD on `n_ranks` ranks (1 master + workers) under `injector`,
-/// recovering from worker failures with the machinery configured by
-/// `config.recovery` —
-///
-/// * transient sends are retried with seeded backoff and a per-peer
-///   budget; an exhausted budget quarantines the peer onto the liveness
-///   board ([`crate::retry`]);
-/// * with `max_respawns > 0`, a supervisor thread watches the liveness
-///   board and spawns replacement worker incarnations mid-run
-///   ([`pfam_mpi::run_spmd_supervised`]), and the master tolerates a
-///   fully-dead pool for `respawn_grace` while that happens;
-/// * with `speculate` on, straggler leases past their cost-model-predicted
-///   deadline are duplicated onto idle workers — first verdict wins.
-///
-/// Returns the clustering plus the per-worker [`HealthReport`]: what
-/// recovery *cost*, for a run whose components are bit-identical to
-/// [`crate::ccd::run_ccd`] under every injected schedule that leaves the
-/// master and at least one worker (original or respawned) alive.
+/// Run CCD on `n_ranks` ranks (1 master + workers) under `injector`.
+/// A lease held by a worker that dies, or outstanding longer than
+/// [`crate::policy::LEASE_TIMEOUT`], goes back on the queue for a
+/// survivor; what that cost is in the trace
+/// ([`crate::trace::PhaseTrace::total_requeued`]). The components are
+/// bit-identical to [`crate::ccd::run_ccd`] under every injected schedule
+/// that leaves the master and at least one worker alive.
 pub fn run_ccd_ft(
     set: &SequenceSet,
     config: &ClusterConfig,
     n_ranks: usize,
     injector: Arc<dyn FaultInjector>,
-) -> Result<(CcdResult, HealthReport), FtError> {
+) -> Result<CcdResult, FtError> {
     assert!(n_ranks >= 2, "need a master and at least one worker");
     if set.is_empty() {
-        return Ok((CcdResult::empty(), HealthReport::new(n_ranks - 1)));
+        return Ok(CcdResult::empty());
     }
 
     // The index is built once, before the world starts: in MPI terms this
@@ -126,103 +112,38 @@ fn run_ft_world(
     injector: Arc<dyn FaultInjector>,
     tree: &SuffixTree<'_>,
     matches: MaximalMatchConfig,
-) -> Result<(CcdResult, HealthReport), FtError> {
-    let recovery = &config.recovery;
-    let retry_policy = RetryPolicy {
-        budget: recovery.retry_budget,
-        backoff: recovery.retry_backoff,
-        seed: recovery.retry_seed,
-    };
-    let knobs = LeaseKnobs {
-        lease_timeout: recovery.lease_timeout,
-        // The grace window only makes sense when someone can actually
-        // respawn capacity; without a supervisor keep the fail-fast path.
-        respawn_grace: if recovery.max_respawns > 0 {
-            recovery.respawn_grace
-        } else {
-            Duration::ZERO
-        },
-        speculate: recovery.speculate,
-        spec_min_wait: recovery.spec_min_wait,
-        spec_slack: recovery.spec_slack,
-    };
-
-    type MasterResult = Result<(CcdResult, HealthReport), FtError>;
-    let body = |comm: &mut pfam_mpi::Communicator| -> Option<MasterResult> {
+) -> Result<CcdResult, FtError> {
+    let outcomes = run_spmd_faulty(n_ranks, injector, |comm| {
         if comm.rank() == 0 {
             let mut source = MinedSource::new(tree, matches, config.index_threads());
             let mut core = ClusterCore::new_ccd(set);
             let mut transport = MpiTransport::master(comm);
-            let mut retry = Retry::new(&mut transport, retry_policy);
-            let cost = CostModel::new();
             let mut policy = LeasedPull {
-                transport: &mut retry,
+                transport: &mut transport,
                 source: &mut source,
                 batch_size: config.batch_size,
-                cost: &cost,
-                knobs,
-                health: HealthReport::new(n_ranks - 1),
             };
-            let outcome = policy.drive(&mut core);
-            let mut health = std::mem::take(&mut policy.health);
-            drop(policy);
-            // Fold the transport-level retry/quarantine counters into the
-            // per-worker report and onto the trace.
-            for (w, &n) in retry.retries().iter().enumerate() {
-                health.worker_mut(w).retries += n;
-            }
-            for (w, &q) in retry.quarantined().iter().enumerate() {
-                health.worker_mut(w).quarantined |= q;
-            }
-            core.note_recovery(0, retry.total_retries(), 0, 0);
-            Some(match outcome {
+            Some(match policy.drive(&mut core) {
                 Ok(()) => {
                     core.set_nodes_visited(source.nodes_visited());
-                    Ok((CcdResult::from_core(core), health))
+                    Ok(CcdResult::from_core(core))
                 }
                 Err(DriveError::NoWorkersLeft) => Err(FtError::NoWorkersLeft),
                 Err(e) => Err(FtError::MasterFailed(format!("{e}"))),
             })
         } else {
             let verifier = Verifier::new(config, CorePhase::Ccd);
-            let mut port = MpiWorkerPort::new(comm);
-            let mut port = RetryPort::new(&mut port, retry_policy);
-            serve_pull_worker_with(&mut port, &verifier, set, recovery.poll_interval);
+            serve_pull_worker(&mut MpiWorkerPort::new(comm), &verifier, set);
             None
         }
-    };
+    });
 
-    let (outcomes, respawns): (Vec<RankOutcome<Option<MasterResult>>>, Vec<pfam_mpi::Respawn>) =
-        if recovery.max_respawns > 0 {
-            let supervised = run_spmd_supervised(
-                n_ranks,
-                injector,
-                RespawnOptions {
-                    max_respawns: recovery.max_respawns,
-                    poll: RespawnOptions::default().poll,
-                },
-                body,
-            );
-            (supervised.outcomes, supervised.respawns)
-        } else {
-            (run_spmd_faulty(n_ranks, injector, body), Vec::new())
-        };
-
-    let mut outcomes = outcomes.into_iter();
-    let mut result = match outcomes.next() {
+    match outcomes.into_iter().next() {
         Some(Ok(Some(result))) => result,
         Some(Ok(None)) => Err(FtError::MasterFailed("master returned no result".into())),
         Some(Err(failure)) => Err(FtError::MasterFailed(format!("{failure:?}"))),
         None => Err(FtError::MasterFailed("empty world".into())),
-    };
-    if let Ok((_, health)) = &mut result {
-        for r in &respawns {
-            if r.rank >= 1 {
-                health.worker_mut(r.rank - 1).respawns += 1;
-            }
-        }
     }
-    result
 }
 
 #[cfg(test)]
@@ -262,8 +183,7 @@ mod tests {
         let config = ClusterConfig::default();
         let reference = run_ccd(&d.set, &config);
         for ranks in [2usize, 4] {
-            let (ft, _) =
-                run_ccd_ft(&d.set, &config, ranks, Arc::new(NoFaults)).expect("healthy world");
+            let ft = run_ccd_ft(&d.set, &config, ranks, Arc::new(NoFaults)).expect("healthy world");
             assert_eq!(ft.components, reference.components, "{ranks} ranks");
             assert_eq!(ft.n_merges, reference.n_merges);
         }
@@ -276,7 +196,7 @@ mod tests {
         let reference = run_ccd(&d.set, &config);
         // Kill worker 1 early and worker 3 later; 2 survives.
         let script = Arc::new(Script { kills: vec![(1, 4), (3, 30)], drops: Vec::new() });
-        let (ft, _) = run_ccd_ft(&d.set, &config, 4, script).expect("a worker survives");
+        let ft = run_ccd_ft(&d.set, &config, 4, script).expect("a worker survives");
         assert_eq!(ft.components, reference.components);
     }
 
@@ -290,7 +210,7 @@ mod tests {
             kills: Vec::new(),
             drops: vec![(1, 0, 0), (1, 0, 2), (0, 1, 1), (0, 1, 3)],
         });
-        let (ft, _) = run_ccd_ft(&d.set, &config, 3, script).expect("drops are recovered");
+        let ft = run_ccd_ft(&d.set, &config, 3, script).expect("drops are recovered");
         assert_eq!(ft.components, reference.components);
     }
 
@@ -307,9 +227,8 @@ mod tests {
 
     #[test]
     fn empty_set_short_circuits() {
-        let (r, _) =
-            run_ccd_ft(&SequenceSet::new(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
-                .expect("empty set");
+        let r = run_ccd_ft(&SequenceSet::new(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
+            .expect("empty set");
         assert!(r.components.is_empty());
     }
 }

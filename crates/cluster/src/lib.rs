@@ -50,11 +50,9 @@ pub mod ledger;
 pub mod lsh;
 pub(crate) mod mask;
 pub mod policy;
-pub mod retry;
 pub mod rr;
 pub mod source;
 pub mod spmd;
-pub mod supervise;
 pub mod trace;
 pub mod transport;
 
@@ -65,26 +63,23 @@ pub use bgg::{
     KnownPairs,
 };
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
-pub use config::{ClusterConfig, MemParams, RecoveryParams};
+pub use config::{ClusterConfig, MemParams};
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
 pub use lsh::{
     check_sketch_params, SketchMode, SketchParamError, SketchParams, SketchSource, SketchStats,
 };
-pub use pfam_align::{AlignEngine, AlignEngineKind, CostModel};
+pub use pfam_align::{AlignEngine, AlignEngineKind};
 pub use policy::{
-    serve_pull_worker, serve_pull_worker_with, serve_push_worker, BatchedPush, DriveError,
-    LeaseKnobs, LeasedPull, SpmdPush, WorkPolicy,
+    serve_pull_worker, serve_push_worker, BatchedPush, DriveError, LeasedPull, SpmdPush, WorkPolicy,
 };
-pub use retry::{Retry, RetryPolicy, RetryPort};
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{
     check_index_budget, with_mined_source, with_shared_index, with_source_pinned, IterSource,
     MinedSource, PairSource, PartitionedMinedSource, SharedIndex, PIN_SKETCH_APPROX,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
-pub use supervise::{HealthReport, WorkerHealth};
 pub use trace::{BatchRecord, PhaseKind, PhaseTrace};
 pub use transport::{
     LocalPort, LocalTransport, MasterMsg, MpiTransport, MpiWorkerPort, Transport, TransportError,

@@ -27,13 +27,11 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use pfam_align::CostModel;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
 use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier};
 use crate::source::PairSource;
-use crate::supervise::HealthReport;
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
 /// How long a lease may stay outstanding before the master assumes its
@@ -47,43 +45,6 @@ pub const REQUEST_TIMEOUT: Duration = Duration::from_millis(25);
 /// How long the master waits for a shutdown acknowledgement before
 /// re-sending the shutdown message.
 pub const BYE_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Timing knobs for [`LeasedPull`] — the constants above surfaced as
-/// configuration (via `ClusterConfig::recovery`), plus the
-/// supervision-plane extensions. Every default reproduces the pre-knob
-/// behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaseKnobs {
-    /// Outstanding-lease timeout (see [`LEASE_TIMEOUT`]).
-    pub lease_timeout: Duration,
-    /// With every worker dead, wait this long for a supervisor to respawn
-    /// capacity before giving up with `NoWorkersLeft`. Zero (the default)
-    /// preserves the fail-fast behaviour of unsupervised runs.
-    pub respawn_grace: Duration,
-    /// Enable speculative straggler re-execution: with no fresh work left,
-    /// an idle worker is handed a *duplicate* of the most-overdue
-    /// outstanding lease; the first verdict wins and the loser is
-    /// discarded by lease id.
-    pub speculate: bool,
-    /// A lease younger than this is never speculated on (also the
-    /// deadline while the cost model is uncalibrated).
-    pub spec_min_wait: Duration,
-    /// A lease is overdue when its age exceeds `slack ×` its predicted
-    /// service time (predicted cells over the observed pool cell rate).
-    pub spec_slack: f64,
-}
-
-impl Default for LeaseKnobs {
-    fn default() -> Self {
-        LeaseKnobs {
-            lease_timeout: LEASE_TIMEOUT,
-            respawn_grace: Duration::ZERO,
-            speculate: false,
-            spec_min_wait: Duration::from_millis(40),
-            spec_slack: 2.0,
-        }
-    }
-}
 
 /// Why a policy could not drive its phase to completion.
 #[derive(Debug)]
@@ -270,44 +231,21 @@ pub fn serve_push_worker<P, S>(
     unreachable!("worker exits via the SourceDone path");
 }
 
-/// One issued copy of a ticket: which worker holds this lease id and
-/// when it was sent (for timeout and speculation deadlines).
-struct Issue {
+/// One outstanding lease: which worker holds it, since when, and the
+/// batch to re-enqueue if it lapses.
+struct Lease {
     worker: usize,
     issued: Instant,
-}
-
-/// An outstanding unit of work. Normally a ticket has exactly one issue
-/// (one lease id on one worker); speculation adds duplicate issues with
-/// fresh lease ids. The first verdict for *any* of a ticket's lease ids
-/// completes the ticket — every sibling id is forgotten, so the losing
-/// copies become stale verdicts and are discarded. The batch is applied
-/// exactly once no matter how many copies were in flight.
-struct Ticket {
     candidates: Vec<(u32, u32)>,
-    /// Predicted DP cells ([`CostModel::predict`]) — drives the
-    /// speculation deadline, never the verdicts.
-    predicted: u64,
-    /// The first lease id issued; a win by any other id is a speculation
-    /// win.
-    primary: u64,
-    issues: HashMap<u64, Issue>,
 }
 
 /// The fault-tolerant pull scheduler: the master owns the pair source and
 /// all work state; workers are stateless verification servers that pull
 /// leases. A lease is recovered — re-enqueued for any surviving worker —
 /// when its worker is observed dead on the liveness board or when it
-/// times out (covers dropped task/verdict messages). Stale verdicts are
-/// discarded by lease id, so no batch is ever applied twice.
-///
-/// With [`LeaseKnobs::speculate`] on, a worker requesting work when the
-/// source is dry gets a duplicate of the most-overdue outstanding lease
-/// (overdue = older than the cost-model-predicted service time times
-/// [`LeaseKnobs::spec_slack`]); whichever copy answers first wins and the
-/// other becomes a stale verdict. With [`LeaseKnobs::respawn_grace`] > 0,
-/// a fully-dead pool is tolerated for that long before `NoWorkersLeft` —
-/// the window in which a supervisor respawn can restore capacity.
+/// has been outstanding for [`LEASE_TIMEOUT`] (covers dropped task/verdict
+/// messages and a worker that is alive but slower than that). Stale
+/// verdicts are discarded by lease id, so no batch is ever applied twice.
 pub struct LeasedPull<'a, T: Transport + ?Sized, S: PairSource + ?Sized> {
     /// The worker pool (fallible).
     pub transport: &'a mut T,
@@ -316,14 +254,6 @@ pub struct LeasedPull<'a, T: Transport + ?Sized, S: PairSource + ?Sized> {
     /// Pairs pulled from the source per admitted batch; a lease is one
     /// admitted batch's survivors.
     pub batch_size: usize,
-    /// Predicts per-lease DP cells for the speculation deadline
-    /// (scheduling-only).
-    pub cost: &'a CostModel,
-    /// Timeout / speculation / grace knobs.
-    pub knobs: LeaseKnobs,
-    /// Recovery counters, filled in during the drive (read it back out
-    /// after [`WorkPolicy::drive`] returns).
-    pub health: HealthReport,
 }
 
 impl<T, S> LeasedPull<'_, T, S>
@@ -365,9 +295,7 @@ where
         while !pending.is_empty() {
             for &w in &pending {
                 match t.send(w, MasterMsg::Shutdown) {
-                    // A transient refusal is retried by the next outer
-                    // round, exactly like a dropped shutdown message.
-                    Ok(()) | Err(TransportError::PeerGone) | Err(TransportError::Transient(_)) => {}
+                    Ok(()) | Err(TransportError::PeerGone) => {}
                     Err(e) => return Err(fatal(e)),
                 }
             }
@@ -380,89 +308,12 @@ where
                     // verdicts are abandoned with the world.
                     Ok(Some(_)) => {}
                     Ok(None) => std::thread::yield_now(),
-                    Err(TransportError::PeerGone) | Err(TransportError::Transient(_)) => {}
+                    Err(TransportError::PeerGone) => {}
                     Err(e) => return Err(fatal(e)),
                 }
                 pending.retain(|&w| t.worker_alive(w));
             }
             pending.retain(|&w| t.worker_alive(w));
-        }
-        Ok(())
-    }
-
-    /// Predicted DP cells of one wire batch (speculation deadline input).
-    fn predict_batch(&self, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> u64 {
-        candidates
-            .iter()
-            .map(|&(a, b)| self.cost.predict(set.seq_len(SeqId(a)), set.seq_len(SeqId(b))))
-            .sum()
-    }
-
-    /// The age past which a lease of `predicted` cells is overdue. While
-    /// no lease has completed, the floor applies — speculating early
-    /// against an uncalibrated model costs only idle-worker cycles.
-    fn spec_deadline(&self, predicted: u64, done_cells: u64, busy: Duration) -> Duration {
-        let floor = self.knobs.spec_min_wait;
-        if done_cells == 0 || busy.is_zero() {
-            return floor;
-        }
-        let rate = done_cells as f64 / busy.as_secs_f64(); // cells / second
-        let expected = (predicted as f64 / rate.max(1.0)) * self.knobs.spec_slack.max(1.0);
-        floor.max(Duration::from_secs_f64(expected.min(3600.0)))
-    }
-
-    /// Hand idle worker `from` a duplicate of the most-overdue
-    /// single-issue ticket held elsewhere, if any lease is past its
-    /// deadline. First verdict wins; duplication is scheduling-only.
-    #[allow(clippy::too_many_arguments)] // private scheduling step of drive()
-    fn speculate(
-        &mut self,
-        core: &mut ClusterCore<'_>,
-        from: usize,
-        now: Instant,
-        tickets: &mut HashMap<u64, Ticket>,
-        lease_ticket: &mut HashMap<u64, u64>,
-        next_lease: &mut u64,
-        done_cells: u64,
-        busy: Duration,
-    ) -> Result<(), DriveError> {
-        let mut best: Option<(u64, usize, Duration)> = None; // (ticket, holder, overdue-by)
-        for (&tid, t) in tickets.iter() {
-            // Duplicate only single-issue tickets: one copy per straggler
-            // bounds duplicated work at 2× per ticket.
-            if t.issues.len() != 1 {
-                continue;
-            }
-            let Some(issue) = t.issues.values().next() else { continue };
-            if issue.worker == from || !self.transport.worker_alive(issue.worker) {
-                continue;
-            }
-            let age = now.duration_since(issue.issued);
-            let deadline = self.spec_deadline(t.predicted, done_cells, busy);
-            if age > deadline {
-                let over = age - deadline;
-                if best.is_none_or(|(_, _, b)| over > b) {
-                    best = Some((tid, issue.worker, over));
-                }
-            }
-        }
-        let Some((tid, holder, _)) = best else { return Ok(()) };
-        let Some(t) = tickets.get_mut(&tid) else { return Ok(()) };
-        let lease = *next_lease;
-        *next_lease += 1;
-        match self.transport.send(from, MasterMsg::Task { lease, candidates: t.candidates.clone() })
-        {
-            Ok(()) => {
-                t.issues.insert(lease, Issue { worker: from, issued: Instant::now() });
-                lease_ticket.insert(lease, tid);
-                // Charge the speculation to the straggler being doubled.
-                self.health.worker_mut(holder).spec_issued += 1;
-                core.note_recovery(0, 0, 1, 0);
-            }
-            // The idle worker vanished mid-handoff: the original issue
-            // still stands, nothing to undo.
-            Err(TransportError::PeerGone) | Err(TransportError::Transient(_)) => {}
-            Err(e) => return Err(fatal(e)),
         }
         Ok(())
     }
@@ -476,94 +327,46 @@ where
     fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
         let mut exhausted = false;
         let mut next_lease: u64 = 0;
-        let mut next_ticket: u64 = 0;
-        let mut tickets: HashMap<u64, Ticket> = HashMap::new();
-        let mut lease_ticket: HashMap<u64, u64> = HashMap::new();
+        let mut outstanding: HashMap<u64, Lease> = HashMap::new();
         // Recovered batches waiting to be re-leased, ahead of fresh pairs.
         let mut requeued: Vec<Vec<(u32, u32)>> = Vec::new();
-        // Observed pool throughput (completed predicted cells over lease
-        // service time) — calibrates the speculation deadline.
-        let mut done_cells: u64 = 0;
-        let mut busy = Duration::ZERO;
-        // When the whole pool was first observed dead (respawn grace).
-        let mut all_dead_since: Option<Instant> = None;
 
         loop {
-            // Recover issues held by dead workers, then stale issues
-            // (their task or verdict message may have been dropped). A
-            // ticket is re-enqueued only when its *last* issue lapses —
-            // a still-live duplicate keeps the ticket outstanding.
+            // Recover leases held by dead workers, then stale leases
+            // (their task or verdict message may have been dropped).
             let now = Instant::now();
-            let mut lapsed: Vec<(u64, u64, usize, bool)> = Vec::new();
-            for (&tid, t) in &tickets {
-                for (&lid, issue) in &t.issues {
-                    let dead = !self.transport.worker_alive(issue.worker);
-                    let timed_out = now.duration_since(issue.issued) > self.knobs.lease_timeout;
-                    if dead || timed_out {
-                        lapsed.push((tid, lid, issue.worker, !dead));
-                    }
-                }
+            let lapsed: Vec<u64> = outstanding
+                .iter()
+                .filter(|(_, l)| {
+                    !self.transport.worker_alive(l.worker)
+                        || now.duration_since(l.issued) > LEASE_TIMEOUT
+                })
+                .map(|(&id, _)| id)
+                .collect();
+            if !lapsed.is_empty() {
+                core.note_recovery(lapsed.len());
             }
-            let mut n_requeued = 0usize;
-            for (tid, lid, w, timed_out) in lapsed {
-                let Some(t) = tickets.get_mut(&tid) else { continue };
-                t.issues.remove(&lid);
-                lease_ticket.remove(&lid);
-                if timed_out {
-                    self.health.worker_mut(w).timeouts += 1;
+            for id in lapsed {
+                if let Some(lease) = outstanding.remove(&id) {
+                    requeued.push(lease.candidates);
                 }
-                if t.issues.is_empty() {
-                    if let Some(t) = tickets.remove(&tid) {
-                        requeued.push(t.candidates);
-                        n_requeued += 1;
-                    }
-                }
-            }
-            if n_requeued > 0 {
-                core.note_recovery(n_requeued, 0, 0, 0);
             }
 
-            let work_remains = !exhausted || !requeued.is_empty() || !tickets.is_empty();
+            let work_remains = !exhausted || !requeued.is_empty() || !outstanding.is_empty();
             if !work_remains {
                 break;
             }
             if (0..self.transport.n_workers()).all(|w| !self.transport.worker_alive(w)) {
-                // Tolerate a fully-dead pool for the respawn grace window:
-                // a supervisor may be bringing replacement capacity up.
-                let since = *all_dead_since.get_or_insert(now);
-                if now.duration_since(since) >= self.knobs.respawn_grace {
-                    return Err(DriveError::NoWorkersLeft);
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
+                return Err(DriveError::NoWorkersLeft);
             }
-            all_dead_since = None;
 
             match self.transport.try_recv() {
                 Ok(Some((_, WorkerMsg::Verdicts { lease, verdicts }))) => {
-                    // Stale verdicts — from a recovered lease or the loser
-                    // of a speculative race — are discarded: each ticket
-                    // is applied exactly once.
-                    if let Some(tid) = lease_ticket.remove(&lease) {
-                        if let Some(t) = tickets.remove(&tid) {
-                            if let Some(issue) = t.issues.get(&lease) {
-                                busy += now.duration_since(issue.issued);
-                                done_cells += t.predicted.max(1);
-                                let won_by = issue.worker;
-                                let wh = self.health.worker_mut(won_by);
-                                wh.leases_completed += 1;
-                                if lease != t.primary {
-                                    wh.spec_wins += 1;
-                                    core.note_recovery(0, 0, 0, 1);
-                                }
-                            }
-                            for &lid in t.issues.keys() {
-                                if lid != lease {
-                                    lease_ticket.remove(&lid);
-                                }
-                            }
-                            core.absorb(verdicts);
-                        }
+                    // Stale verdicts (lease already recovered and
+                    // re-issued) are discarded: each batch is applied
+                    // exactly once.
+                    if outstanding.remove(&lease).is_some() {
+                        core.absorb(verdicts);
                     }
                     continue;
                 }
@@ -576,61 +379,31 @@ where
                         Some(batch) => Some(batch),
                         None => self.next_fresh_batch(core, &mut exhausted),
                     };
-                    match candidates {
-                        Some(candidates) => {
-                            let predicted = self.predict_batch(core.set(), &candidates);
-                            let lease = next_lease;
-                            next_lease += 1;
-                            match self.transport.send(
-                                from,
-                                MasterMsg::Task { lease, candidates: candidates.clone() },
-                            ) {
-                                Ok(()) => {
-                                    let tid = next_ticket;
-                                    next_ticket += 1;
-                                    let mut issues = HashMap::new();
-                                    issues.insert(
-                                        lease,
-                                        Issue { worker: from, issued: Instant::now() },
-                                    );
-                                    tickets.insert(
-                                        tid,
-                                        Ticket { candidates, predicted, primary: lease, issues },
-                                    );
-                                    lease_ticket.insert(lease, tid);
-                                }
-                                // The worker died (or the link flaked)
-                                // between requesting and being served:
-                                // keep the batch for a survivor.
-                                Err(TransportError::PeerGone)
-                                | Err(TransportError::Transient(_)) => requeued.push(candidates),
-                                Err(e) => return Err(fatal(e)),
+                    if let Some(candidates) = candidates {
+                        let lease = next_lease;
+                        next_lease += 1;
+                        match self
+                            .transport
+                            .send(from, MasterMsg::Task { lease, candidates: candidates.clone() })
+                        {
+                            Ok(()) => {
+                                outstanding.insert(
+                                    lease,
+                                    Lease { worker: from, issued: Instant::now(), candidates },
+                                );
                             }
+                            // The worker died between requesting and being
+                            // served: keep the batch for a survivor.
+                            Err(TransportError::PeerGone) => requeued.push(candidates),
+                            Err(e) => return Err(fatal(e)),
                         }
-                        // Source dry, everything in flight: an idle worker
-                        // is speculation fuel for the most-overdue lease.
-                        None if self.knobs.speculate => {
-                            self.speculate(
-                                core,
-                                from,
-                                now,
-                                &mut tickets,
-                                &mut lease_ticket,
-                                &mut next_lease,
-                                done_cells,
-                                busy,
-                            )?;
-                        }
-                        // No work available right now: stay silent — the
-                        // worker re-requests after its timeout.
-                        None => {}
                     }
+                    // No work available right now (all in flight): stay
+                    // silent — the worker re-requests after its timeout.
                     continue;
                 }
                 Ok(Some(_)) => continue,
                 Ok(None) => {}
-                // A transient receive fault is a failed poll: loop again.
-                Err(TransportError::Transient(_)) => {}
                 Err(e) => return Err(fatal(e)),
             }
 
@@ -646,37 +419,21 @@ fn verify_seq(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]
     candidates.iter().map(|&c| verifier.verdict(set, c)).collect()
 }
 
-/// The worker half of the pull protocol with the default request
-/// timeout; see [`serve_pull_worker_with`].
+/// The worker half of the pull protocol: a stateless verification server
+/// — request, verify the leased batch, answer, repeat, re-requesting
+/// every [`REQUEST_TIMEOUT`] while unanswered. Any transport error (most
+/// importantly the worker's own injected kill) ends the loop and the
+/// master recovers whatever this worker held.
 pub fn serve_pull_worker<P: WorkerPort + ?Sized>(
     port: &mut P,
     verifier: &Verifier,
     set: &dyn SeqStore,
 ) {
-    serve_pull_worker_with(port, verifier, set, REQUEST_TIMEOUT)
-}
-
-/// The worker half of the pull protocol: a stateless verification server
-/// — request, verify the leased batch, answer, repeat, re-requesting
-/// every `request_timeout` while unanswered. A transient send failure is
-/// absorbed (the re-request cadence already covers lost messages); any
-/// fatal transport error (most importantly the worker's own injected
-/// kill) ends the loop and the master recovers whatever this worker held.
-pub fn serve_pull_worker_with<P: WorkerPort + ?Sized>(
-    port: &mut P,
-    verifier: &Verifier,
-    set: &dyn SeqStore,
-    request_timeout: Duration,
-) {
     loop {
-        match port.send(WorkerMsg::Request) {
-            Ok(()) => {}
-            // A refused request costs one poll interval: the loop below
-            // times out and re-sends.
-            Err(TransportError::Transient(_)) => {}
-            Err(_) => return, // own kill, or the master is gone
+        if port.send(WorkerMsg::Request).is_err() {
+            return; // own kill, or the master is gone
         }
-        let deadline = Instant::now() + request_timeout;
+        let deadline = Instant::now() + REQUEST_TIMEOUT;
         loop {
             match port.try_recv() {
                 Ok(Some(MasterMsg::Shutdown)) => {
@@ -685,17 +442,12 @@ pub fn serve_pull_worker_with<P: WorkerPort + ?Sized>(
                 }
                 Ok(Some(MasterMsg::Task { lease, candidates })) => {
                     let verdicts = verify_seq(verifier, set, &candidates);
-                    match port.send(WorkerMsg::Verdicts { lease, verdicts }) {
-                        // A transiently-refused verdict is simply lost:
-                        // the master recovers the lease by timeout, like
-                        // any dropped verdict message.
-                        Ok(()) | Err(TransportError::Transient(_)) => {}
-                        Err(_) => return,
+                    if port.send(WorkerMsg::Verdicts { lease, verdicts }).is_err() {
+                        return;
                     }
                     break; // back to requesting
                 }
                 Ok(Some(_)) | Ok(None) => {}
-                Err(TransportError::Transient(_)) => {}
                 Err(_) => return,
             }
             if !port.master_alive() {

@@ -47,12 +47,6 @@ pub struct BatchRecord {
     /// Leases requeued by timeout/death recovery this round (0 outside
     /// the fault-tolerant driver).
     pub n_requeued: usize,
-    /// Transient transport sends retried this round.
-    pub n_retries: u64,
-    /// Speculative duplicate leases issued against stragglers this round.
-    pub n_spec_issued: usize,
-    /// Speculative races won by a duplicate this round.
-    pub n_spec_wins: usize,
     /// Candidates answered by the run's pair ledger instead of a fill.
     pub n_ledger_hits: usize,
 }
@@ -125,21 +119,6 @@ impl PhaseTrace {
         self.batches.iter().map(|b| b.n_requeued).sum()
     }
 
-    /// Total transient transport retries.
-    pub fn total_retries(&self) -> u64 {
-        self.batches.iter().map(|b| b.n_retries).sum()
-    }
-
-    /// Total speculative duplicate leases issued.
-    pub fn total_speculated(&self) -> usize {
-        self.batches.iter().map(|b| b.n_spec_issued).sum()
-    }
-
-    /// Total speculative races won by the duplicate.
-    pub fn total_spec_wins(&self) -> usize {
-        self.batches.iter().map(|b| b.n_spec_wins).sum()
-    }
-
     /// The filter's work-reduction ratio: filtered / generated
     /// (§V reports > 99.9 % for CCD on the 80K input).
     pub fn filter_ratio(&self) -> f64 {
@@ -152,22 +131,40 @@ impl PhaseTrace {
     }
 }
 
+/// The batch-line columns [`PhaseTrace::to_tsv`] writes, in order — the
+/// names of its `#n_generated\t…` header line.
+const COLUMNS: [&str; 8] = [
+    "n_generated",
+    "n_filtered",
+    "n_aligned",
+    "task_cells",
+    "cells_computed",
+    "cells_skipped",
+    "n_requeued",
+    "n_ledger_hits",
+];
+
+/// Columns earlier writers emitted for counters that no longer exist (the
+/// stealing scheduler's, the supervision plane's): read past, by name.
+const RETIRED_COLUMNS: [&str; 5] =
+    ["n_chunks", "n_steals", "n_retries", "n_spec_issued", "n_spec_wins"];
+
 impl PhaseTrace {
-    /// Serialize as TSV: a header line, then one line per batch with the
-    /// task cells comma-joined. Lets experiment drivers replay recorded
-    /// traces through `pfam-sim` without re-running the clustering.
+    /// Serialize as TSV: a `key=value` header line, a line naming the
+    /// batch columns, then one line per batch with the task cells
+    /// comma-joined. Lets experiment drivers replay recorded traces
+    /// through `pfam-sim` without re-running the clustering.
     pub fn to_tsv(&self) -> String {
         let mut out = format!(
-            "#index_residues={}\tnodes_visited={}\n",
-            self.index_residues, self.nodes_visited
-        );
-        out.push_str(
-            "#n_generated\tn_filtered\tn_aligned\ttask_cells\tcells_computed\tcells_skipped\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\tn_ledger_hits\n",
+            "#index_residues={}\tnodes_visited={}\n#{}\n",
+            self.index_residues,
+            self.nodes_visited,
+            COLUMNS.join("\t")
         );
         for b in &self.batches {
             let cells: Vec<String> = b.task_cells.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 b.n_generated,
                 b.n_filtered,
                 b.n_aligned,
@@ -175,16 +172,18 @@ impl PhaseTrace {
                 b.cells_computed,
                 b.cells_skipped,
                 b.n_requeued,
-                b.n_retries,
-                b.n_spec_issued,
-                b.n_spec_wins,
                 b.n_ledger_hits
             ));
         }
         out
     }
 
-    /// Parse the format written by [`PhaseTrace::to_tsv`].
+    /// Parse the format written by [`PhaseTrace::to_tsv`], by this version
+    /// or any earlier one: each batch line is read against the column
+    /// names of the `#n_generated\t…` line every writer has emitted. A
+    /// column this version does not write any more is skipped, one the
+    /// file's writer did not know yet reads as 0, a name nobody ever wrote
+    /// is an error.
     pub fn from_tsv(text: &str) -> Result<PhaseTrace, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty trace")?;
@@ -200,72 +199,62 @@ impl PhaseTrace {
                 other => return Err(format!("unknown header key: {other}")),
             }
         }
-        let mut batches = Vec::new();
-        for line in lines.filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let n_cols = line.split('\t').count();
-            let mut cols = line.split('\t');
-            let mut next_num = |name: &str| -> Result<usize, String> {
-                cols.next()
-                    .ok_or_else(|| format!("missing column {name}"))?
-                    .parse()
-                    .map_err(|_| format!("bad {name} in: {line}"))
-            };
-            let n_generated = next_num("n_generated")?;
-            let n_filtered = next_num("n_filtered")?;
-            let n_aligned = next_num("n_aligned")?;
-            let cells_col = cols.next().unwrap_or("");
-            let task_cells: Vec<u64> = if cells_col.is_empty() {
-                Vec::new()
+        let names = lines.next().ok_or("missing column-name line")?;
+        let names = names.strip_prefix('#').ok_or("missing column-name line")?;
+        // `None` marks a retired column.
+        let mut columns: Vec<Option<&str>> = Vec::new();
+        for name in names.split('\t') {
+            if COLUMNS.contains(&name) {
+                columns.push(Some(name));
+            } else if RETIRED_COLUMNS.contains(&name) {
+                columns.push(None);
             } else {
-                cells_col
-                    .split(',')
-                    .map(|c| c.parse().map_err(|_| format!("bad cell count: {c}")))
-                    .collect::<Result<_, _>>()?
-            };
-            if task_cells.len() != n_aligned {
+                return Err(format!("unknown column: {name}"));
+            }
+        }
+        let mut batches = Vec::new();
+        for line in lines.filter(|l| !l.is_empty()) {
+            let values: Vec<&str> = line.split('\t').collect();
+            if values.len() != columns.len() {
                 return Err(format!(
-                    "n_aligned {} disagrees with {} task cells",
-                    n_aligned,
-                    task_cells.len()
+                    "{} columns named, {} in: {line}",
+                    columns.len(),
+                    values.len()
                 ));
             }
-            // Engine, recovery and ledger counters: absent in traces
-            // written before the tiered engine / recovery plane / pair
-            // ledger existed — default to 0 for backward compatibility.
-            let mut next_u64 = |name: &str| -> Result<u64, String> {
-                match cols.next() {
-                    None => Ok(0),
-                    Some(v) => v.parse().map_err(|_| format!("bad {name} in: {line}")),
+            let mut b = BatchRecord::default();
+            for (name, value) in columns.iter().zip(values) {
+                let Some(name) = *name else { continue };
+                if name == "task_cells" {
+                    if !value.is_empty() {
+                        b.task_cells = value
+                            .split(',')
+                            .map(|c| c.parse().map_err(|_| format!("bad cell count: {c}")))
+                            .collect::<Result<_, _>>()?;
+                    }
+                    continue;
                 }
-            };
-            let cells_computed = next_u64("cells_computed")?;
-            let cells_skipped = next_u64("cells_skipped")?;
-            // Traces written while the stealing scheduler existed carry
-            // `n_chunks` and `n_steals` here (8 or 12 columns in all):
-            // read past them.
-            if matches!(n_cols, 8 | 12) {
-                next_u64("n_chunks")?;
-                next_u64("n_steals")?;
+                let n: u64 = value.parse().map_err(|_| format!("bad {name} in: {line}"))?;
+                match name {
+                    "n_generated" => b.n_generated = n as usize,
+                    "n_filtered" => b.n_filtered = n as usize,
+                    "n_aligned" => b.n_aligned = n as usize,
+                    "cells_computed" => b.cells_computed = n,
+                    "cells_skipped" => b.cells_skipped = n,
+                    "n_requeued" => b.n_requeued = n as usize,
+                    "n_ledger_hits" => b.n_ledger_hits = n as usize,
+                    _ => unreachable!("{name} is in COLUMNS"),
+                }
             }
-            let n_requeued = next_u64("n_requeued")? as usize;
-            let n_retries = next_u64("n_retries")?;
-            let n_spec_issued = next_u64("n_spec_issued")? as usize;
-            let n_spec_wins = next_u64("n_spec_wins")? as usize;
-            let n_ledger_hits = next_u64("n_ledger_hits")? as usize;
-            batches.push(BatchRecord {
-                n_generated,
-                n_filtered,
-                n_aligned,
-                align_cells: task_cells.iter().sum(),
-                task_cells,
-                cells_computed,
-                cells_skipped,
-                n_requeued,
-                n_retries,
-                n_spec_issued,
-                n_spec_wins,
-                n_ledger_hits,
-            });
+            if b.task_cells.len() != b.n_aligned {
+                return Err(format!(
+                    "n_aligned {} disagrees with {} task cells",
+                    b.n_aligned,
+                    b.task_cells.len()
+                ));
+            }
+            b.align_cells = b.task_cells.iter().sum();
+            batches.push(b);
         }
         Ok(PhaseTrace { index_residues, nodes_visited, batches })
     }
@@ -316,43 +305,64 @@ mod tests {
             batches: vec![batch(10, 7, &[100, 200, 300]), batch(4, 4, &[])],
         };
         trace.batches[0].n_requeued = 3;
-        trace.batches[0].n_retries = 6;
-        trace.batches[1].n_spec_issued = 2;
-        trace.batches[1].n_spec_wins = 1;
+        trace.batches[0].cells_skipped = 40;
         trace.batches[1].n_ledger_hits = 5;
         let text = trace.to_tsv();
+        assert_eq!(text.lines().nth(1), Some(format!("#{}", COLUMNS.join("\t")).as_str()));
         let back = PhaseTrace::from_tsv(&text).expect("own output parses");
-        assert_eq!(back.index_residues, trace.index_residues);
-        assert_eq!(back.nodes_visited, trace.nodes_visited);
-        assert_eq!(back.batches, trace.batches);
+        assert_eq!(back, trace);
         assert_eq!(back.total_requeued(), 3);
-        assert_eq!(back.total_retries(), 6);
-        assert_eq!(back.total_speculated(), 2);
-        assert_eq!(back.total_spec_wins(), 1);
         assert_eq!(back.total_ledger_hits(), 5);
     }
 
-    #[test]
-    fn tsv_without_recovery_columns_defaults_to_zero() {
-        // A trace written before the recovery plane existed.
-        let old = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\n";
-        let trace = PhaseTrace::from_tsv(old).expect("old traces still parse");
-        assert_eq!(trace.batches[0].n_requeued, 0);
-        assert_eq!(trace.batches[0].n_retries, 0);
-        assert_eq!(trace.batches[0].n_spec_issued, 0);
-        assert_eq!(trace.batches[0].n_spec_wins, 0);
+    /// The one batch of a trace whose column-name line is `header` and
+    /// whose only batch line is `line`.
+    fn parsed(header: &str, line: &str) -> BatchRecord {
+        let text = format!("#index_residues=9\tnodes_visited=4\n#{header}\n{line}\n");
+        let trace = PhaseTrace::from_tsv(&text).unwrap_or_else(|e| panic!("{header}: {e}"));
+        assert_eq!((trace.index_residues, trace.nodes_visited), (9, 4));
+        assert_eq!(trace.batches.len(), 1);
+        trace.batches[0].clone()
     }
 
     #[test]
-    fn tsv_with_retired_scheduler_columns_still_parses() {
-        // Traces written while `n_chunks`/`n_steals` existed: the two
-        // columns are read past, the ones after them land where they belong.
-        let pr7 = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\t4\t2\t3\t6\t2\t1\n";
-        let b = &PhaseTrace::from_tsv(pr7).expect("12-column traces parse").batches[0];
-        assert_eq!((b.n_requeued, b.n_retries, b.n_spec_issued, b.n_spec_wins), (3, 6, 2, 1));
-        let pr6 = "#index_residues=1\tnodes_visited=0\n#h\n2\t1\t1\t50\t50\t0\t4\t2\n";
-        let b = &PhaseTrace::from_tsv(pr6).expect("8-column traces parse").batches[0];
-        assert_eq!((b.cells_computed, b.n_requeued), (50, 0));
+    fn every_layout_ever_written_lands_each_value_in_its_field() {
+        const SEED: &str = "n_generated\tn_filtered\tn_aligned\ttask_cells";
+        const PR3: &str = "\tcells_computed\tcells_skipped";
+        let expect = |requeued, ledger_hits| BatchRecord {
+            n_generated: 20,
+            n_filtered: 11,
+            n_aligned: 2,
+            align_cells: 80,
+            task_cells: vec![50, 30],
+            cells_computed: 61,
+            cells_skipped: 19,
+            n_requeued: requeued,
+            n_ledger_hits: ledger_hits,
+        };
+        // The parent commit's 11 columns (PR 16): three retired counters
+        // sit between `n_requeued` and `n_ledger_hits`.
+        let parent = format!(
+            "{SEED}{PR3}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\tn_ledger_hits"
+        );
+        assert_eq!(parsed(&parent, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1\t7"), expect(3, 7));
+        // 12 columns (PR 7): the stealing scheduler's two before them.
+        let pr7 = format!(
+            "{SEED}{PR3}\tn_chunks\tn_steals\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins"
+        );
+        assert_eq!(parsed(&pr7, "20\t11\t2\t50,30\t61\t19\t4\t2\t3\t6\t2\t1"), expect(3, 0));
+        // 10 columns (PR 14), 8 (PR 6: *not* today's 8), 6 (PR 3), 4 (seed).
+        let pr14 = format!("{SEED}{PR3}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins");
+        assert_eq!(parsed(&pr14, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1"), expect(3, 0));
+        let pr6 = format!("{SEED}{PR3}\tn_chunks\tn_steals");
+        assert_eq!(parsed(&pr6, "20\t11\t2\t50,30\t61\t19\t4\t2"), expect(0, 0));
+        assert_eq!(parsed(&format!("{SEED}{PR3}"), "20\t11\t2\t50,30\t61\t19"), expect(0, 0));
+        let seed = parsed(SEED, "20\t11\t2\t50,30");
+        assert_eq!(seed, BatchRecord { cells_computed: 0, cells_skipped: 0, ..expect(0, 0) });
+        // Today's 8: same width as PR 6's, told apart by the names.
+        assert_eq!(parsed(&COLUMNS.join("\t"), "20\t11\t2\t50,30\t61\t19\t3\t7"), expect(3, 7));
+        // A batch with nothing aligned: the cells column is empty.
+        assert_eq!(parsed(SEED, "4\t4\t0\t").task_cells, Vec::<u64>::new());
     }
 
     #[test]
@@ -365,11 +375,22 @@ mod tests {
 
     #[test]
     fn tsv_rejects_garbage() {
+        const NAMES: &str = "#n_generated\tn_filtered\tn_aligned\ttask_cells";
+        let with = |names: &str, line: &str| {
+            PhaseTrace::from_tsv(&format!("#index_residues=1\tnodes_visited=0\n{names}\n{line}\n"))
+        };
         assert!(PhaseTrace::from_tsv("").is_err());
         assert!(PhaseTrace::from_tsv("not a header\n").is_err());
-        assert!(PhaseTrace::from_tsv("#index_residues=1\tnodes_visited=2\n#h\nbad\n").is_err());
-        // Inconsistent n_aligned vs cell count.
-        let bad = "#index_residues=1\tnodes_visited=0\n#h\n3\t1\t2\t5\n";
-        assert!(PhaseTrace::from_tsv(bad).is_err());
+        assert!(PhaseTrace::from_tsv("#index_residues=1\tnodes_visited=2\n").is_err(), "no names");
+        assert!(with(NAMES, "3\t1\t1\t5").is_ok());
+        assert!(with(NAMES, "bad").is_err());
+        assert!(with(NAMES, "3\t1\tx\t5").is_err());
+        assert!(with(NAMES, "3\t1\t2\t5").is_err(), "n_aligned against the cell count");
+        assert!(with(NAMES, "3\t1\t1\t5\t5").is_err(), "a value with no name");
+        assert!(with(NAMES, "3\t1\t1").is_err(), "a line cut short");
+        // A column nobody ever wrote: refused, not guessed at.
+        let e = with(&format!("{NAMES}\tn_stolen"), "3\t1\t1\t5\t0").unwrap_err();
+        assert!(e.contains("n_stolen"), "{e}");
+        assert!(with("#h", "3\t1\t1\t5").is_err());
     }
 }

@@ -39,12 +39,6 @@ pub enum TransportError {
     /// policy this is a *tolerable* fault (re-lease the work, drop the
     /// peer) — the fault-tolerant scheduler handles it in-job.
     PeerGone,
-    /// The operation failed but the peer is believed alive (flaky link,
-    /// injected refusal): a retry may succeed. The [`crate::retry::Retry`]
-    /// wrapper absorbs these below the policy layer; a policy seeing one
-    /// directly may treat it like [`TransportError::PeerGone`] (requeue)
-    /// without losing correctness.
-    Transient(String),
     /// The transport itself failed (own rank killed, world torn down,
     /// protocol bug). Not recoverable in-job.
     Fatal(String),
@@ -54,7 +48,6 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::PeerGone => write!(f, "peer has exited"),
-            TransportError::Transient(why) => write!(f, "transient transport fault: {why}"),
             TransportError::Fatal(why) => write!(f, "transport failed: {why}"),
         }
     }
@@ -142,11 +135,9 @@ pub trait WorkerPort {
 }
 
 fn comm_error(e: CommError) -> TransportError {
-    use pfam_mpi::FaultClass;
-    match e.class() {
-        FaultClass::PeerFatal => TransportError::PeerGone,
-        FaultClass::Transient => TransportError::Transient(format!("{e}")),
-        FaultClass::SelfFatal => TransportError::Fatal(format!("{e}")),
+    match e {
+        CommError::PeerExited { .. } => TransportError::PeerGone,
+        e => TransportError::Fatal(format!("{e}")),
     }
 }
 

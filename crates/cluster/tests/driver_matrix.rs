@@ -20,9 +20,8 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
-    ClusterCore, CorePhase, CostModel, HealthReport, IterSource, LeaseKnobs, LeasedPull,
-    LocalTransport, MinedSource, PairSource, PartitionedMinedSource, SketchMode, SketchParams,
-    SketchSource, SpmdPush, Verifier, WorkPolicy,
+    ClusterCore, CorePhase, IterSource, LeasedPull, LocalTransport, MinedSource, PairSource,
+    PartitionedMinedSource, SketchMode, SketchParams, SketchSource, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -181,23 +180,15 @@ fn drive_master_side(
             .expect("the in-process loop cannot fail");
         }
         PolicyKind::Pull => {
-            let cost = CostModel::new();
             let (mut transport, ports) = LocalTransport::new(2);
             std::thread::scope(|scope| {
                 for mut port in ports {
                     let verifier = &verifier;
                     scope.spawn(move || serve_pull_worker(&mut port, verifier, set));
                 }
-                LeasedPull {
-                    transport: &mut transport,
-                    source,
-                    batch_size: config.batch_size,
-                    cost: &cost,
-                    knobs: LeaseKnobs::default(),
-                    health: HealthReport::default(),
-                }
-                .drive(&mut core)
-                .expect("healthy local world");
+                LeasedPull { transport: &mut transport, source, batch_size: config.batch_size }
+                    .drive(&mut core)
+                    .expect("healthy local world");
             });
         }
         PolicyKind::Push => unreachable!("push sources live on the workers"),

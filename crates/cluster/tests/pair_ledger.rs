@@ -25,9 +25,9 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
-    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, CostModel, HealthReport,
-    IterSource, LeaseKnobs, LeasedPull, LocalTransport, MemParams, PairLedger,
-    PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
+    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, IterSource, LeasedPull,
+    LocalTransport, MemParams, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier,
+    WorkPolicy,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -85,16 +85,9 @@ fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
             let verifier = &verifier;
             scope.spawn(move || serve_pull_worker(&mut port, verifier, store));
         }
-        LeasedPull {
-            transport: &mut transport,
-            source: &mut source,
-            batch_size: cfg.batch_size,
-            cost: &CostModel::new(),
-            knobs: LeaseKnobs::default(),
-            health: HealthReport::default(),
-        }
-        .drive(&mut core)
-        .expect("healthy local world");
+        LeasedPull { transport: &mut transport, source: &mut source, batch_size: cfg.batch_size }
+            .drive(&mut core)
+            .expect("healthy local world");
     });
     CcdResult::from_core(core)
 }

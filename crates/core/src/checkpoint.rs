@@ -251,7 +251,6 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
         threads: _,
         parallel_index: _,
         align_engine: _,
-        recovery: _,
         mem: _,
     } = cluster;
     let ShingleParams { s1, c1, s2, c2, seed: shingle_seed } = *shingle;

@@ -56,12 +56,8 @@ pub struct Communicator {
     pending: VecDeque<Envelope>,
     /// Shared liveness board: `alive[r]` is cleared when rank `r` exits
     /// (normally, by panic, or killed by the injector).
-    alive: Arc<Vec<Arc<AtomicBool>>>,
+    alive: Arc<[AtomicBool]>,
     injector: Arc<dyn FaultInjector>,
-    /// How many times this rank has been respawned by a supervisor
-    /// (0 = the original thread). Consulted by incarnation-aware kill
-    /// schedules so replacements are not instantly re-killed.
-    incarnation: u64,
     /// Operations this rank has performed (the injector's event clock).
     events: u64,
     /// Messages sent per destination (the injector's per-edge sequence).
@@ -87,12 +83,6 @@ impl Communicator {
         r < self.size && self.alive[r].load(Ordering::SeqCst)
     }
 
-    /// Which incarnation of this rank is running: 0 for the original
-    /// thread, `n` for the `n`-th supervisor respawn.
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
     /// Consult the fault injector before an operation: sleep through any
     /// injected slowdown, then fail if this rank is (or just became) dead.
     fn preflight(&mut self) -> Result<(), CommError> {
@@ -104,7 +94,7 @@ impl Communicator {
         if let Some(pause) = self.injector.slowdown(self.rank, event) {
             std::thread::sleep(pause);
         }
-        if self.injector.kill_now_gen(self.rank, self.incarnation, event) {
+        if self.injector.kill_now(self.rank, event) {
             self.alive[self.rank].store(false, Ordering::SeqCst);
             return Err(CommError::RankKilled);
         }
@@ -135,13 +125,6 @@ impl Communicator {
             MessageFate::Delay { hold } => {
                 self.holdback.push(Holdback { remaining: hold, to, envelope });
                 return Ok(());
-            }
-            MessageFate::Reject => {
-                // Visible transient refusal: the peer is alive, the
-                // message is not delivered, and the sender is told so.
-                // Held-back messages still age past this slot.
-                self.age_holdbacks(to);
-                return Err(CommError::LinkDown { rank: to });
             }
             MessageFate::Deliver => {}
         }
@@ -447,48 +430,39 @@ pub enum RankFailure {
     Panicked(String),
 }
 
-/// The wiring of one SPMD world, kept around so a supervisor can mint a
-/// fresh [`Communicator`] for a respawned rank: crossbeam receivers are
-/// multi-consumer, so a replacement clones the dead rank's inbox and
-/// picks up wherever the channel left off (stale in-flight messages are
-/// the protocol layer's problem — leases discard them by id).
-struct World {
-    senders: Vec<Sender<Envelope>>,
-    receivers: Vec<Receiver<Envelope>>,
-    alive: Arc<Vec<Arc<AtomicBool>>>,
-    injector: Arc<dyn FaultInjector>,
-}
-
-impl World {
-    fn communicator(&self, rank: usize, incarnation: u64) -> Communicator {
-        let p = self.senders.len();
-        Communicator {
+/// Wire a world of `p` ranks: one inbox per rank, handed to that rank's
+/// communicator, and a sender to every inbox in each of them.
+fn build_world(p: usize, injector: Arc<dyn FaultInjector>) -> Vec<Communicator> {
+    let (senders, inboxes): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
+        (0..p).map(|_| unbounded()).unzip();
+    let alive: Arc<[AtomicBool]> = (0..p).map(|_| AtomicBool::new(true)).collect();
+    inboxes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, inbox)| Communicator {
             rank,
             size: p,
-            senders: self.senders.clone(),
-            inbox: self.receivers[rank].clone(),
+            senders: senders.clone(),
+            inbox,
             pending: VecDeque::new(),
-            alive: self.alive.clone(),
-            injector: self.injector.clone(),
-            incarnation,
+            alive: alive.clone(),
+            injector: injector.clone(),
             events: 0,
             edge_seq: vec![0; p],
             holdback: Vec::new(),
-        }
-    }
+        })
+        .collect()
 }
 
-fn build_world(p: usize, injector: Arc<dyn FaultInjector>) -> World {
-    let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(p);
-    let mut receivers: Vec<Receiver<Envelope>> = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let alive: Arc<Vec<Arc<AtomicBool>>> =
-        Arc::new((0..p).map(|_| Arc::new(AtomicBool::new(true))).collect());
-    World { senders, receivers, alive, injector }
+/// Run rank `comm.rank()`'s copy of `f`, containing a panic, and mark the
+/// rank dead on the liveness board whatever happened.
+fn run_rank<R>(
+    mut comm: Communicator,
+    f: &(impl Fn(&mut Communicator) -> R + Sync),
+) -> std::thread::Result<R> {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
+    comm.alive[comm.rank].store(false, Ordering::SeqCst);
+    result
 }
 
 /// Run `f` on `p` ranks (one thread each) under `injector`, tolerating
@@ -506,22 +480,12 @@ where
     F: Fn(&mut Communicator) -> R + Sync,
 {
     assert!(p >= 1, "need at least one rank");
-    let world = build_world(p, injector);
-    let alive = world.alive.clone();
     let f = &f;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let mut comm = world.communicator(rank, 0);
-            let alive = alive.clone();
-            handles.push(scope.spawn(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                // Whatever happened, this rank is no longer running.
-                alive[rank].store(false, Ordering::SeqCst);
-                result
-            }));
-        }
+        let handles: Vec<_> = build_world(p, injector)
+            .into_iter()
+            .map(|comm| scope.spawn(move || run_rank(comm, f)))
+            .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
@@ -531,132 +495,6 @@ where
                 }
             })
             .collect()
-    })
-}
-
-/// Knobs for [`run_spmd_supervised`].
-#[derive(Debug, Clone, Copy)]
-pub struct RespawnOptions {
-    /// Total replacement workers the supervisor may spawn across the run.
-    /// 0 disables respawn (the run behaves like [`run_spmd_faulty`]).
-    pub max_respawns: usize,
-    /// How often the supervisor scans the liveness board.
-    pub poll: Duration,
-}
-
-impl Default for RespawnOptions {
-    fn default() -> Self {
-        RespawnOptions { max_respawns: 0, poll: Duration::from_millis(5) }
-    }
-}
-
-/// One replacement worker the supervisor spawned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Respawn {
-    /// The rank that was replaced.
-    pub rank: usize,
-    /// Which incarnation the replacement runs as (1 = first respawn).
-    pub incarnation: u64,
-}
-
-/// What a supervised run produced.
-pub struct SupervisedOutcome<R> {
-    /// Per-rank outcomes of the *original* incarnations, ordered by rank.
-    /// (Replacement incarnations exist only to finish the job; their
-    /// return values are dropped — rank 0 is never respawned, so the
-    /// result that matters is always an original incarnation's.)
-    pub outcomes: Vec<RankOutcome<R>>,
-    /// Every replacement spawned, in spawn order.
-    pub respawns: Vec<Respawn>,
-}
-
-/// Like [`run_spmd_faulty`], plus a supervisor thread that watches the
-/// liveness board and spawns replacement workers (fresh incarnations of
-/// ranks `1..p`) for ranks observed dead, up to
-/// [`RespawnOptions::max_respawns`]. Replacements share the dead rank's
-/// inbox (cloned receiver) and rank id, so peers need no new addressing —
-/// a replacement simply starts answering where the corpse stopped. Rank 0
-/// is treated as the master and never respawned: its death ends the run
-/// (master recovery is checkpoint/restart's job).
-///
-/// The supervisor stops scanning once rank 0's closure returns, so no
-/// replacement is spawned for a world that is already shutting down.
-pub fn run_spmd_supervised<R, F>(
-    p: usize,
-    injector: Arc<dyn FaultInjector>,
-    options: RespawnOptions,
-    f: F,
-) -> SupervisedOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut Communicator) -> R + Sync,
-{
-    assert!(p >= 1, "need at least one rank");
-    let world = build_world(p, injector);
-    let alive = world.alive.clone();
-    let world = &world;
-    let f = &f;
-    let master_done = AtomicBool::new(false);
-    let master_done = &master_done;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let mut comm = world.communicator(rank, 0);
-            let alive = alive.clone();
-            handles.push(scope.spawn(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                alive[rank].store(false, Ordering::SeqCst);
-                if rank == 0 {
-                    master_done.store(true, Ordering::SeqCst);
-                }
-                result
-            }));
-        }
-        let supervisor = scope.spawn(move || {
-            let mut respawns: Vec<Respawn> = Vec::new();
-            let mut incarnation = vec![0u64; p];
-            while !master_done.load(Ordering::SeqCst) {
-                std::thread::sleep(options.poll);
-                for rank in 1..p {
-                    if respawns.len() >= options.max_respawns {
-                        return respawns;
-                    }
-                    if master_done.load(Ordering::SeqCst) {
-                        return respawns;
-                    }
-                    if !alive[rank].load(Ordering::SeqCst) {
-                        incarnation[rank] += 1;
-                        let gen = incarnation[rank];
-                        let mut comm = world.communicator(rank, gen);
-                        // Mark alive *before* the thread runs so the
-                        // master can lease to the replacement immediately.
-                        alive[rank].store(true, Ordering::SeqCst);
-                        respawns.push(Respawn { rank, incarnation: gen });
-                        let alive = alive.clone();
-                        scope.spawn(move || {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                f(&mut comm)
-                            }));
-                            alive[rank].store(false, Ordering::SeqCst);
-                        });
-                    }
-                }
-            }
-            respawns
-        });
-        let outcomes = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(payload)) | Err(payload) => {
-                    Err(RankFailure::Panicked(panic_message(payload.as_ref())))
-                }
-            })
-            .collect();
-        // A panicking supervisor loses only the respawn log.
-        let respawns: Vec<Respawn> = supervisor.join().unwrap_or_default();
-        SupervisedOutcome { outcomes, respawns }
     })
 }
 
@@ -680,21 +518,12 @@ where
     F: Fn(&mut Communicator) -> R + Sync,
 {
     assert!(p >= 1, "need at least one rank");
-    let world = build_world(p, Arc::new(crate::fault::NoFaults));
-    let alive = world.alive.clone();
     let f = &f;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let mut comm = world.communicator(rank, 0);
-            let alive = alive.clone();
-            handles.push(scope.spawn(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                alive[rank].store(false, Ordering::SeqCst);
-                result
-            }));
-        }
+        let handles: Vec<_> = build_world(p, Arc::new(crate::fault::NoFaults))
+            .into_iter()
+            .map(|comm| scope.spawn(move || run_rank(comm, f)))
+            .collect();
         handles
             .into_iter()
             .map(|h| {
@@ -1035,42 +864,6 @@ mod tests {
         assert_eq!(results[2], Ok(2));
     }
 
-    /// Reject the first two sends from 0→1 on tag 7, then heal.
-    struct FlakyTwice;
-    impl FaultInjector for FlakyTwice {
-        fn message_fate(&self, from: usize, to: usize, tag: u32, seq: u64) -> MessageFate {
-            if from == 0 && to == 1 && tag == 7 && seq < 2 {
-                MessageFate::Reject
-            } else {
-                MessageFate::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn rejected_send_is_transient_and_retryable() {
-        let results = run_spmd_faulty(2, Arc::new(FlakyTwice), |comm| {
-            if comm.rank() == 0 {
-                let mut refusals = 0;
-                loop {
-                    match comm.send(1, 7, 42u32) {
-                        Ok(()) => break,
-                        Err(e @ CommError::LinkDown { rank: 1 }) => {
-                            assert!(e.is_transient());
-                            refusals += 1;
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-                refusals
-            } else {
-                must(comm.recv::<u32>(0, 7)).1 as usize
-            }
-        });
-        assert_eq!(results[0], Ok(2), "exactly the two injected refusals");
-        assert_eq!(results[1], Ok(42), "the healed retry was delivered");
-    }
-
     #[test]
     fn collective_with_dead_peer_errors_instead_of_hanging() {
         // Rank 1 exits before sending its gather contribution: the root
@@ -1085,59 +878,6 @@ mod tests {
             Ok(Some(Err(CommError::PeerExited { rank: 1 }))) => {}
             other => panic!("expected PeerExited {{ rank: 1 }}, got {other:?}"),
         }
-    }
-
-    /// Kill rank 1 (incarnation 0 only, per the `kill_now_gen` default)
-    /// at its first operation — the replacement must not inherit the kill.
-    struct KillWorkerOnce;
-    impl FaultInjector for KillWorkerOnce {
-        fn kill_now(&self, rank: usize, _event: u64) -> bool {
-            rank == 1
-        }
-    }
-
-    #[test]
-    fn supervisor_respawns_a_dead_worker() {
-        let options = RespawnOptions { max_respawns: 1, poll: Duration::from_millis(1) };
-        let outcome = run_spmd_supervised(2, Arc::new(KillWorkerOnce), options, |comm| {
-            if comm.rank() == 0 {
-                // Wait out the kill + respawn, then ping-pong with the
-                // replacement to prove it is reachable at the same rank.
-                let reply = loop {
-                    match comm.send(1, 7, 1u32) {
-                        Ok(()) => {}
-                        Err(CommError::PeerExited { .. }) => {}
-                        Err(e) => panic!("unexpected send error: {e}"),
-                    }
-                    match comm.recv_timeout::<u64>(1, 8, Duration::from_millis(50)) {
-                        Ok((_, gen)) => break gen,
-                        Err(CommError::Timeout) => {}
-                        Err(e) => panic!("unexpected recv error: {e}"),
-                    }
-                };
-                reply
-            } else {
-                // Incarnation 0 burns its events until the injected kill;
-                // the replacement answers pings with its incarnation.
-                loop {
-                    match comm.recv_timeout::<u32>(0, 7, Duration::from_millis(20)) {
-                        Ok(_) => {
-                            if comm.send(0, 8, comm.incarnation()).is_err() {
-                                return 0;
-                            }
-                        }
-                        Err(CommError::Timeout) => {
-                            if !comm.peer_alive(0) {
-                                return 0;
-                            }
-                        }
-                        Err(_) => return 0,
-                    }
-                }
-            }
-        });
-        assert_eq!(outcome.respawns, vec![Respawn { rank: 1, incarnation: 1 }]);
-        assert_eq!(outcome.outcomes[0], Ok(1), "master heard back from incarnation 1");
     }
 
     #[test]

@@ -6,26 +6,6 @@
 //! returns a [`CommError`] the caller can react to (re-lease work, drop a
 //! peer, resume from a checkpoint).
 
-/// Coarse failure class of a [`CommError`]: what a supervisor may do
-/// about it.
-///
-/// The split drives the whole recovery plane: *transient* errors are
-/// retried (with backoff) because the peer is believed alive; *peer-fatal*
-/// errors mean the peer is gone and its outstanding work must be
-/// re-leased elsewhere; *self-fatal* errors mean this rank cannot
-/// continue and should unwind like a process on SIGKILL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// The operation may succeed if retried: the peer is (believed)
-    /// alive, only this attempt failed.
-    Transient,
-    /// The peer is permanently gone; retrying against it is futile.
-    PeerFatal,
-    /// This rank itself cannot continue (killed, disconnected, or a
-    /// protocol bug on our side).
-    SelfFatal,
-}
-
 /// Why a communicator operation could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -33,13 +13,6 @@ pub enum CommError {
     /// the fault injector); the message was not delivered.
     PeerExited {
         /// The dead destination rank.
-        rank: usize,
-    },
-    /// The link to a live peer refused this send (injected transient
-    /// flake, modelling a NIC hiccup or a congested switch): the message
-    /// was not delivered, but the peer is alive and a retry may succeed.
-    LinkDown {
-        /// The destination rank of the refused send.
         rank: usize,
     },
     /// `recv_timeout` elapsed with no matching message.
@@ -67,32 +40,10 @@ pub enum CommError {
     Protocol(&'static str),
 }
 
-impl CommError {
-    /// Classify this error for the retry/supervision plane.
-    pub fn class(&self) -> FaultClass {
-        match self {
-            CommError::LinkDown { .. } | CommError::Timeout => FaultClass::Transient,
-            CommError::PeerExited { .. } => FaultClass::PeerFatal,
-            CommError::RankKilled
-            | CommError::Disconnected
-            | CommError::TypeMismatch { .. }
-            | CommError::Protocol(_) => FaultClass::SelfFatal,
-        }
-    }
-
-    /// Whether a retry of the failed operation may succeed.
-    pub fn is_transient(&self) -> bool {
-        self.class() == FaultClass::Transient
-    }
-}
-
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CommError::PeerExited { rank } => write!(f, "rank {rank} has exited"),
-            CommError::LinkDown { rank } => {
-                write!(f, "link to rank {rank} refused the send (transient)")
-            }
             CommError::Timeout => write!(f, "receive timed out"),
             CommError::RankKilled => write!(f, "this rank was killed by the fault injector"),
             CommError::Disconnected => write!(f, "world torn down (no senders remain)"),

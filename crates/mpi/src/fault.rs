@@ -36,11 +36,6 @@ pub enum MessageFate {
         /// Number of later messages that overtake this one.
         hold: u32,
     },
-    /// Refuse the send: the sender sees the *transient*
-    /// [`crate::CommError::LinkDown`] and the message is not delivered,
-    /// modelling a flaky link to a live peer. Unlike [`MessageFate::Drop`],
-    /// the failure is visible, so a retrying sender can recover it.
-    Reject,
 }
 
 /// Decides the fate of operations and messages. All methods default to
@@ -58,20 +53,6 @@ pub trait FaultInjector: Send + Sync {
     fn kill_now(&self, rank: usize, event: u64) -> bool {
         let _ = (rank, event);
         false
-    }
-
-    /// Incarnation-aware kill check. `incarnation` counts how many times
-    /// this rank has been respawned by a supervisor (0 = the original
-    /// thread). The default applies [`FaultInjector::kill_now`] schedules
-    /// only to incarnation 0 — otherwise a `event >= at` kill rule would
-    /// instantly re-kill every replacement, making respawn useless.
-    /// Schedules that want to kill a *replacement* override this.
-    fn kill_now_gen(&self, rank: usize, incarnation: u64, event: u64) -> bool {
-        if incarnation == 0 {
-            self.kill_now(rank, event)
-        } else {
-            false
-        }
     }
 
     /// Extra latency injected before `rank`'s `event`-th operation.

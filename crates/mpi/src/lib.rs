@@ -32,22 +32,18 @@
 //! Unlike classic MPI, every operation is **fallible**: faults surface as
 //! [`CommError`] values (peer death, timeout, this rank's own injected
 //! kill) instead of aborting the job — the failure-containment model of
-//! ULFM-style fault-tolerant MPI. Each error carries a [`FaultClass`]
-//! (transient / peer-fatal / self-fatal) so callers can retry, re-lease,
-//! or unwind as appropriate. A shared liveness board
+//! ULFM-style fault-tolerant MPI. A shared liveness board
 //! ([`Communicator::peer_alive`]) plays the role of the failure detector,
-//! [`run_spmd_faulty`] runs a world under a deterministic
-//! [`FaultInjector`] (schedules are generated in `pfam_sim::faults`), and
-//! [`run_spmd_supervised`] additionally respawns dead worker ranks as
-//! fresh incarnations sharing the corpse's inbox.
+//! and [`run_spmd_faulty`] runs a world under a deterministic
+//! [`FaultInjector`] (schedules are generated in `pfam_sim::faults`). A
+//! dead rank stays dead: bringing capacity back is the job launcher's
+//! business, and a caller's recovery is to re-issue the work to a
+//! survivor.
 
 pub mod comm;
 pub mod error;
 pub mod fault;
 
-pub use comm::{
-    run_spmd, run_spmd_faulty, run_spmd_supervised, Communicator, RankFailure, RankOutcome,
-    Respawn, RespawnOptions, SupervisedOutcome, ANY_SOURCE,
-};
-pub use error::{CommError, FaultClass};
+pub use comm::{run_spmd, run_spmd_faulty, Communicator, RankFailure, RankOutcome, ANY_SOURCE};
+pub use error::CommError;
 pub use fault::{FaultInjector, MessageFate, NoFaults};

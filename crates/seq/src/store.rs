@@ -59,7 +59,7 @@ pub trait SeqStore: Send + Sync {
     fn total_residues(&self) -> usize;
 
     /// Length of sequence `id` in residues. Must be O(1): the clustering
-    /// filter and the cost model call this per pair.
+    /// filter calls this per pair.
     fn seq_len(&self, id: SeqId) -> usize;
 
     /// Residue codes of sequence `id` — borrowed for in-memory stores,

@@ -14,19 +14,16 @@
 //! Results are identical to the serial algorithm (tested).
 //!
 //! The collectives are all-or-nothing, so this engine does not recover
-//! *in-job* — but it no longer aborts the process on a communicator
-//! error either. Every fault is routed through the transient/fatal
-//! classification ([`pfam_mpi::CommError::class`]): a transient fault
-//! earns the world one full re-run (fault schedules are finite), and
-//! anything else **degrades to the serial algorithm**, which computes the
-//! identical clustering on one node. Shingle sits at the tail of the
-//! pipeline; hours of upstream clustering should never be thrown away
-//! because a rank died during reporting.
+//! *in-job* — but it does not abort the process on a communicator
+//! error either: any [`pfam_mpi::CommError`] **degrades to the serial
+//! algorithm**, which computes the identical clustering on one node.
+//! Shingle sits at the tail of the pipeline; hours of upstream clustering
+//! should never be thrown away because a rank died during reporting.
 
 use std::sync::Arc;
 
 use pfam_graph::{BipartiteGraph, UnionFind};
-use pfam_mpi::{run_spmd_faulty, CommError, FaultClass, FaultInjector, NoFaults};
+use pfam_mpi::{run_spmd_faulty, CommError, FaultInjector, NoFaults};
 
 use crate::algorithm::{shingle_clusters, BipartiteCluster, ShingleParams};
 use crate::minwise::{shingle_set_with, HashFamily, Shingle, ShingleScratch};
@@ -46,10 +43,9 @@ pub fn shingle_clusters_spmd(
     shingle_clusters_spmd_faulty(graph, params, n_ranks, Arc::new(NoFaults))
 }
 
-/// [`shingle_clusters_spmd`] under a fault injector. One transient-class
-/// failure is absorbed by re-running the world; any persistent or fatal
-/// failure falls back to the serial algorithm. Either way the returned
-/// clustering is identical to the healthy run.
+/// [`shingle_clusters_spmd`] under a fault injector. Any communicator
+/// failure falls back to the serial algorithm, so the returned clustering
+/// is identical to the healthy run.
 pub fn shingle_clusters_spmd_faulty(
     graph: &BipartiteGraph,
     params: &ShingleParams,
@@ -57,14 +53,8 @@ pub fn shingle_clusters_spmd_faulty(
     injector: Arc<dyn FaultInjector>,
 ) -> Vec<BipartiteCluster> {
     assert!(n_ranks >= 1, "need at least one rank");
-    for attempt in 0..2 {
-        match try_spmd(graph, params, n_ranks, injector.clone()) {
-            Ok(clusters) => return clusters,
-            // A transient fault (flaky link, timeout) earns one re-run;
-            // a fatal one goes straight to the serial fallback.
-            Err(e) if attempt == 0 && e.class() == FaultClass::Transient => continue,
-            Err(_) => break,
-        }
+    if let Ok(clusters) = try_spmd(graph, params, n_ranks, injector) {
+        return clusters;
     }
     // Serial fallback: same algorithm, same clustering, one node. Match
     // the SPMD report ordering (largest element set first).
@@ -73,8 +63,8 @@ pub fn shingle_clusters_spmd_faulty(
     clusters
 }
 
-/// One attempt at the SPMD run: every communicator error is propagated
-/// (never panicked) so the caller can classify it.
+/// The SPMD run: every communicator error is propagated (never
+/// panicked) so the caller can fall back.
 fn try_spmd(
     graph: &BipartiteGraph,
     params: &ShingleParams,

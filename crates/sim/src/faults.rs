@@ -65,33 +65,9 @@ pub enum FaultEvent {
         /// Number of later messages that overtake this one.
         hold: u32,
     },
-    /// Inject `per_op` of extra latency before every communicator
-    /// operation `rank` performs (a straggler node).
-    SlowRank {
-        /// Rank to slow down.
-        rank: usize,
-        /// Latency added before each operation.
-        per_op: Duration,
-    },
-    /// A transient flaky link: messages `start_seq .. start_seq + count`
-    /// on the directed edge `from → to` are *rejected* — the sender sees
-    /// a visible `CommError::LinkDown` (transient class) instead of
-    /// silent loss, and a retry consumes the next sequence number, so a
-    /// finite flake window always heals under a sufficient retry budget.
-    FlakyLink {
-        /// Sending rank.
-        from: usize,
-        /// Receiving rank.
-        to: usize,
-        /// First rejected per-edge sequence number.
-        start_seq: u64,
-        /// How many consecutive sends are rejected.
-        count: u64,
-    },
-    /// A bounded straggler window: `rank` sleeps `per_op` before each
-    /// communicator operation in `from_event .. to_event`, then recovers.
-    /// Unlike [`FaultEvent::SlowRank`] this models a node that is slow for
-    /// a while (page cache storm, co-tenant) rather than permanently.
+    /// A straggler window: `rank` sleeps `per_op` before each
+    /// communicator operation in `from_event .. to_event`, then recovers
+    /// — a node that is slow for a while (page cache storm, co-tenant).
     SlowRange {
         /// Rank to slow down.
         rank: usize,
@@ -101,18 +77,6 @@ pub enum FaultEvent {
         to_event: u64,
         /// Latency added per slowed operation.
         per_op: Duration,
-    },
-    /// Kill a specific *incarnation* of `rank` at (or after) its
-    /// `event`-th operation. Incarnation 0 is the original worker;
-    /// incarnation ≥ 1 are supervisor respawns — this event is how chaos
-    /// schedules exercise "the replacement died too".
-    KillIncarnation {
-        /// Rank to kill (never 0 in seeded schedules).
-        rank: usize,
-        /// Which incarnation the kill applies to.
-        incarnation: u64,
-        /// Operation index at which the kill takes effect.
-        event: u64,
     },
 }
 
@@ -209,56 +173,6 @@ impl FaultSchedule {
 
         schedule
     }
-
-    /// Generate a chaos schedule for the supervision plane: everything
-    /// [`FaultSchedule::seeded`] injects, plus transient flaky links
-    /// (bounded below the default retry budget, so they heal rather than
-    /// quarantine), bounded straggler windows, and occasional kills of a
-    /// *respawned* incarnation. The `seeded` invariants still hold: rank 0
-    /// is never killed, at least one worker's original incarnation
-    /// survives, and every fault list is finite.
-    pub fn seeded_chaos(seed: u64, p: usize) -> Self {
-        assert!(p >= 2, "need a master and at least one worker");
-        let mut state = seed ^ 0xC4A0_5C4A_0D15_EA5E ^ (p as u64) << 32;
-        let mut next = move || splitmix64(&mut state);
-        let n_workers = p - 1;
-        let mut schedule = FaultSchedule::seeded(seed, p, n_workers.saturating_sub(1));
-
-        // Transient flakes: short Reject windows on master↔worker edges.
-        // count ≤ 3 stays under the default retry budget of 4, so the
-        // breaker never trips from these alone and the job always heals.
-        let n_flakes = (next() as usize) % 3;
-        for _ in 0..n_flakes {
-            let worker = 1 + (next() as usize) % n_workers;
-            let (from, to) = if next() % 2 == 0 { (0, worker) } else { (worker, 0) };
-            let start_seq = next() % 30;
-            let count = 1 + next() % 3;
-            schedule.push(FaultEvent::FlakyLink { from, to, start_seq, count });
-        }
-
-        // Stragglers: bounded slow windows, small enough that lease
-        // timeouts and speculation race them without wedging the run.
-        let n_stragglers = (next() as usize) % 3;
-        for _ in 0..n_stragglers {
-            let rank = 1 + (next() as usize) % n_workers;
-            let from_event = next() % 60;
-            let to_event = from_event + 5 + next() % 40;
-            let per_op = Duration::from_micros(200 + next() % 1800);
-            schedule.push(FaultEvent::SlowRange { rank, from_event, to_event, per_op });
-        }
-
-        // Sometimes the replacement dies too: kill the first respawn of a
-        // rank whose original incarnation this schedule already kills.
-        // (For never-killed ranks the event would never fire.)
-        let killed = schedule.killed_ranks();
-        if !killed.is_empty() && next() % 3 == 0 {
-            let rank = killed[(next() as usize) % killed.len()];
-            let event = 3 + next() % 80;
-            schedule.push(FaultEvent::KillIncarnation { rank, incarnation: 1, event });
-        }
-
-        schedule
-    }
 }
 
 impl FaultInjector for FaultSchedule {
@@ -269,20 +183,8 @@ impl FaultInjector for FaultSchedule {
         })
     }
 
-    fn kill_now_gen(&self, rank: usize, incarnation: u64, event: u64) -> bool {
-        // Plain kills apply to the original incarnation only (the
-        // trait-default rule: a respawn must not be instantly re-killed);
-        // `KillIncarnation` events name the incarnation explicitly.
-        (incarnation == 0 && self.kill_now(rank, event))
-            || self.events.iter().any(|e| {
-                matches!(e, FaultEvent::KillIncarnation { rank: r, incarnation: i, event: at }
-                    if *r == rank && *i == incarnation && event >= *at)
-            })
-    }
-
     fn slowdown(&self, rank: usize, event: u64) -> Option<Duration> {
         self.events.iter().find_map(|e| match e {
-            FaultEvent::SlowRank { rank: r, per_op } if *r == rank => Some(*per_op),
             FaultEvent::SlowRange { rank: r, from_event, to_event, per_op }
                 if *r == rank && event >= *from_event && event < *to_event =>
             {
@@ -304,11 +206,6 @@ impl FaultInjector for FaultSchedule {
                     if f == from && t == to && s == seq =>
                 {
                     return MessageFate::Delay { hold };
-                }
-                FaultEvent::FlakyLink { from: f, to: t, start_seq, count }
-                    if f == from && t == to && seq >= start_seq && seq < start_seq + count =>
-                {
-                    return MessageFate::Reject;
                 }
                 _ => {}
             }
@@ -366,22 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn flaky_link_rejects_exactly_its_window() {
-        let s = FaultSchedule::new().with(FaultEvent::FlakyLink {
-            from: 0,
-            to: 1,
-            start_seq: 2,
-            count: 3,
-        });
-        assert_eq!(s.message_fate(0, 1, 9, 1), MessageFate::Deliver);
-        for seq in 2..5 {
-            assert_eq!(s.message_fate(0, 1, 9, seq), MessageFate::Reject, "seq {seq}");
-        }
-        assert_eq!(s.message_fate(0, 1, 9, 5), MessageFate::Deliver, "link healed");
-        assert_eq!(s.message_fate(1, 0, 9, 3), MessageFate::Deliver, "other direction");
-    }
-
-    #[test]
     fn slow_range_applies_only_inside_the_window() {
         let s = FaultSchedule::new().with(FaultEvent::SlowRange {
             rank: 2,
@@ -394,49 +275,6 @@ mod tests {
         assert_eq!(s.slowdown(2, 19), Some(Duration::from_millis(1)));
         assert_eq!(s.slowdown(2, 20), None, "straggler recovered");
         assert_eq!(s.slowdown(1, 15), None);
-    }
-
-    #[test]
-    fn kill_incarnation_spares_the_original_and_kills_the_respawn() {
-        let s = FaultSchedule::new()
-            .with(FaultEvent::KillRank { rank: 1, event: 5 })
-            .with(FaultEvent::KillIncarnation { rank: 1, incarnation: 1, event: 3 });
-        // Original incarnation: governed by the plain kill only.
-        assert!(!s.kill_now_gen(1, 0, 4));
-        assert!(s.kill_now_gen(1, 0, 5));
-        // First respawn: killed by its own event, not the original's.
-        assert!(!s.kill_now_gen(1, 1, 2));
-        assert!(s.kill_now_gen(1, 1, 3));
-        // Second respawn: no event names it, so it survives.
-        assert!(!s.kill_now_gen(1, 2, 99));
-    }
-
-    #[test]
-    fn seeded_chaos_is_deterministic_and_respects_invariants() {
-        for seed in 0..100u64 {
-            for p in 2..7usize {
-                let a = FaultSchedule::seeded_chaos(seed, p);
-                let b = FaultSchedule::seeded_chaos(seed, p);
-                assert_eq!(a.events(), b.events(), "seed {seed}");
-                let killed = a.killed_ranks();
-                assert!(!killed.contains(&0), "seed {seed}: master killed");
-                assert!(killed.len() < p - 1, "seed {seed}, p {p}: no surviving worker");
-                for e in a.events() {
-                    match *e {
-                        FaultEvent::FlakyLink { count, .. } => {
-                            assert!(count <= 3, "flakes must stay under the retry budget")
-                        }
-                        FaultEvent::KillIncarnation { rank, .. } => {
-                            assert!(killed.contains(&rank), "respawn kills target killed ranks")
-                        }
-                        FaultEvent::SlowRange { from_event, to_event, .. } => {
-                            assert!(to_event > from_event, "bounded straggler window")
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
     }
 
     #[test]

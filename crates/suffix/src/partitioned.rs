@@ -31,7 +31,7 @@
 //! the cap counts candidates per *node*, and node structure differs
 //! between the union tree and the monolithic tree, so a binding cap can
 //! drop different candidates. The identity suites run with the default
-//! (effectively unbinding) cap; see DESIGN.md §12.
+//! (effectively unbinding) cap; see DESIGN.md §11.
 //!
 //! Generation order is deterministic (tasks in `(0,0), (0,1), …, (1,1),
 //! …` order, deepest-first within a task) but *not* the monolithic

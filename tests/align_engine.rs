@@ -105,7 +105,7 @@ fn ft_under_injected_faults_matches_reference_engine() {
     for seed in 0..8u64 {
         let schedule = Arc::new(FaultSchedule::seeded(seed, 4, 2));
         let killed = schedule.killed_ranks();
-        let (r, _) = run_ccd_ft(&d.set, &config(AlignEngineKind::Tiered), 4, schedule)
+        let r = run_ccd_ft(&d.set, &config(AlignEngineKind::Tiered), 4, schedule)
             .unwrap_or_else(|e| panic!("seed {seed} (killed {killed:?}): {e}"));
         assert_eq!(
             r.components, reference.components,

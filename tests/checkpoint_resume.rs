@@ -13,9 +13,9 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_same_result, hooks_in, render_families, resume, run_until, scratch_dir};
-use pfam::cluster::PairLedger;
+use pfam::cluster::{PairLedger, PhaseTrace};
 use pfam::core::checkpoint::{
-    read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, MAGIC,
+    read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Enc, RrState, MAGIC,
 };
 use pfam::core::{run_pipeline, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
@@ -230,6 +230,65 @@ fn a_version_2_checkpoint_is_refused() {
     let v3 = [&bytes[..4], &3u32.to_le_bytes(), &bytes[8..12], &bytes[20..]].concat();
     std::fs::write(&path, v3).expect("plant a v3 file");
     assert!(matches!(resume_error(&d.set, &config, &hooks), CkptError::BadVersion(3)));
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+/// `trace` as the parent of the commit that retired the supervision
+/// counters wrote it: 11 columns, `n_retries`, `n_spec_issued` and
+/// `n_spec_wins` between `n_requeued` and `n_ledger_hits` — today's last
+/// two columns — holding values that a parser shifting columns would put
+/// into a live field.
+fn tsv_with_the_retired_counters(trace: &PhaseTrace) -> String {
+    let mut out = String::new();
+    for (i, line) in trace.to_tsv().lines().enumerate() {
+        let spliced = match (i, line.rsplit_once('\t')) {
+            (1, Some((head, last))) => {
+                assert!(head.ends_with("n_requeued") && last == "n_ledger_hits", "{line}");
+                format!("{head}\tn_retries\tn_spec_issued\tn_spec_wins\t{last}")
+            }
+            (2.., Some((head, last))) => format!("{head}\t7\t8\t9\t{last}"),
+            _ => line.to_owned(),
+        };
+        out.push_str(&spliced);
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn a_directory_written_with_the_retired_trace_columns_resumes() {
+    // Every snapshot ends in its phase's trace as TSV. Dropping three
+    // columns did not bump the format version, so a directory whose
+    // traces still carry them has to resume — each value in its field.
+    let d = dataset(4882);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    assert!(straight.traces.1.total_ledger_hits() + straight.traces.2.total_ledger_hits() > 0);
+    let hooks = hooks_in(&scratch_dir("retired-columns"), 0, 1);
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let as_payload_tail = |tsv: String| {
+        let mut e = Enc::new();
+        e.str(&tsv);
+        e.finish()
+    };
+    for phase in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
+        let path = phase.path_in(dir_of(&hooks));
+        let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
+        let trace = match phase {
+            Phase::Rr => RrState::decode(&payload).expect("rr state").trace,
+            Phase::Ccd => CcdState::decode(&payload).expect("ccd state").cursor.trace,
+            Phase::Dsd => DsdState::decode(&payload).expect("dsd state").trace,
+        };
+        let written = as_payload_tail(trace.to_tsv());
+        assert!(payload.ends_with(&written), "the trace is the payload's last field");
+        let planted = [
+            &payload[..payload.len() - written.len()],
+            &as_payload_tail(tsv_with_the_retired_counters(&trace)),
+        ]
+        .concat();
+        write_checkpoint(&path, phase, fingerprint, &planted).expect("plant the older layout");
+    }
+    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 

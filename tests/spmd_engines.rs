@@ -31,7 +31,7 @@ fn three_engines_one_clustering() {
     let d = dataset(501);
     let config = ClusterConfig::default();
     let batched = run_ccd(&d.set, &config);
-    let (leased, _) = run_ccd_ft(&d.set, &config, 4, Arc::new(NoFaults)).expect("healthy world");
+    let leased = run_ccd_ft(&d.set, &config, 4, Arc::new(NoFaults)).expect("healthy world");
     let spmd = run_ccd_spmd(&d.set, &config, 4);
     assert_eq!(batched.components, leased.components);
     assert_eq!(batched.components, spmd.components);
