@@ -3,7 +3,8 @@
 //! Every alignment consumer (redundancy-removal containment, CCD overlap,
 //! the fault-tolerant leased CCD path, the SPMD workers and bipartite graph
 //! generation) goes through [`AlignEngine`] instead of calling
-//! [`crate::local_affine`] directly. One evaluation ([`AlignEngine::judge`])
+//! [`crate::local_affine`] directly. One evaluation ([`AlignEngine::judge`]
+//! for a pair, [`AlignEngine::judge_batch`] for a group of up to sixteen)
 //! answers any subset of the paper's criteria for a pair — containment of
 //! either side, overlap — off **one** fill and **one** traceback, in three
 //! steps, and is **verdict-identical to the reference criteria by
@@ -14,10 +15,12 @@
 //!    contained side's length, and positive columns are at most
 //!    `min(|x|, |y|)`, so short partners reject with zero DP cells. The
 //!    overlap analogue takes `L = max(|x|,|y|)`.
-//! 2. **One fill** ([`crate::onepass`]): a single row-major pass — AVX2
-//!    where detected and exact, its scalar twin otherwise — yields the
-//!    Smith–Waterman optimum `S*`, the reference's argmax cell and a
-//!    direction byte per cell. `S* = 0` rejects (the reference returns an
+//! 2. **One fill**: a single row-major pass — AVX2 where detected and
+//!    exact, its scalar twin otherwise; within the pair for `judge`
+//!    ([`crate::onepass`]), across the pairs of the group, one to a lane,
+//!    for `judge_batch` ([`crate::interpair`]) — yields the
+//!    Smith–Waterman optimum `S*`, the reference's argmax cell and the
+//!    direction bits of every cell. `S* = 0` rejects (the reference returns an
 //!    empty alignment), and when a criterion admits a positive screen
 //!    constant `κ = ms·p_min − (1−ms)·q_max` (with `p_min` the smallest
 //!    positive matrix entry and `q_max` the largest per-column penalty) any
@@ -25,7 +28,7 @@
 //!    any traceback (`tier` 1).
 //! 3. **Direction traceback** (`tier` 3) from the argmax cell when any
 //!    requested criterion is still open, accumulating the alignment
-//!    statistics in line, then the paper's criteria. The bytes encode the
+//!    statistics in line, then the paper's criteria. The bits encode the
 //!    reference traceback's own decisions, so the columns are the reference
 //!    alignment's, bit for bit.
 //!
@@ -42,7 +45,8 @@ use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, AlignStats};
 use crate::criteria::{local_stats, ContainmentParams, OverlapParams};
-use crate::onepass::OnePassFill;
+use crate::interpair::BATCH_LANES;
+use crate::onepass::{trace, OnePassFill};
 use crate::scratch::AlignScratch;
 
 /// Which alignment engine the clustering phases use.
@@ -151,6 +155,9 @@ impl PairVerdict {
     }
 }
 
+/// No criterion left open: the pair is settled.
+const CLOSED: [bool; 3] = [false; 3];
+
 thread_local! {
     static SCRATCH: RefCell<AlignScratch> = RefCell::new(AlignScratch::new());
 }
@@ -236,65 +243,140 @@ impl AlignEngine {
         ask: PairQuery,
         scratch: &mut AlignScratch,
     ) -> PairVerdict {
-        let (m, n) = (x.len(), y.len());
-        let full = m as u64 * n as u64;
-        let scheme = self.fill.scheme();
-        let (cp, op) = (&self.containment, &self.overlap);
-        let answer =
-            |open: [bool; 3], st: &AlignStats, tier, cells_computed, cells_skipped| PairVerdict {
-                x_in_y: open[0] && cp.accepts(st, m),
-                y_in_x: open[1] && cp.accepts_y(st, n),
-                overlap: open[2] && op.accepts(st, m, n),
-                tier,
-                cells_computed,
-                cells_skipped,
-            };
-        let mut open = [ask.x_in_y, ask.y_in_x, ask.overlap];
         if self.kind == AlignEngineKind::Reference {
-            let st = local_stats(x, y, scheme);
-            open = open.map(|asked| asked && st.is_some());
-            return answer(open, &st.unwrap_or_default(), 3, full, 0);
+            let st = local_stats(x, y, self.fill.scheme());
+            let open = [ask.x_in_y, ask.y_in_x, ask.overlap].map(|asked| asked && st.is_some());
+            return self.verdict(x, y, open, &st.unwrap_or_default(), 3);
         }
-
-        // Each criterion as (similarity, coverage, covered length L).
-        let bounds = [
-            (cp.min_similarity, cp.min_coverage, m),
-            (cp.min_similarity, cp.min_coverage, n),
-            (op.min_similarity, op.min_longer_coverage, m.max(n)),
-        ];
-        let none = AlignStats::default();
-
-        // Step 1: proven length screens (and the criteria's empty-input
-        // rejections, which they apply before any DP). Accept ⇒ positives
-        // ≥ ms·mc·L, and positives ≤ min(m, n).
-        for (open, (ms, mc, l)) in open.iter_mut().zip(bounds) {
-            *open &= full != 0 && (m.min(n) as f64) + 1e-9 >= ms * mc * l as f64;
+        let open = self.length_screen(x.len(), y.len(), ask);
+        if open == CLOSED {
+            return self.verdict(x, y, open, &AlignStats::default(), 0);
         }
-        if open == [false; 3] {
-            return answer(open, &none, 0, 0, full);
-        }
+        let filled = self.fill.fill(x, y, scratch);
+        self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j))
+    }
 
-        // Step 2: one fill; a criterion is closed on S* = 0 (the reference
-        // returns the empty alignment) or S* below the κ·mc·L every pair
-        // it accepts clears.
-        let (score, end) = self.fill.fill(x, y, scratch);
-        for (open, (ms, mc, l)) in open.iter_mut().zip(bounds) {
+    /// [`Self::judge`] for up to [`BATCH_LANES`] pairs at once, appending
+    /// their verdicts to `out` in order — each equal to what `judge` gives
+    /// the pair alone, counters included. The pairs that pass their length
+    /// screens share **one** batch fill, a pair to a lane, if the batch
+    /// kernel can hold them all ([`OnePassFill::takes_batch`]: this host,
+    /// this scheme, no pair too long); otherwise each gets the single-pair
+    /// fill. Uses a thread-local scratch arena.
+    pub fn judge_batch(&self, pairs: &[(&[u8], &[u8], PairQuery)], out: &mut Vec<PairVerdict>) {
+        assert!(pairs.len() <= BATCH_LANES, "one pair per lane");
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            if self.kind == AlignEngineKind::Reference {
+                out.extend(pairs.iter().map(|&(x, y, ask)| self.judge_with(x, y, ask, scratch)));
+                return;
+            }
+            let mut open = [CLOSED; BATCH_LANES];
+            let mut lanes: [(&[u8], &[u8]); BATCH_LANES] = [(&[], &[]); BATCH_LANES];
+            let mut n_lanes = 0;
+            for (open, &(x, y, ask)) in open.iter_mut().zip(pairs) {
+                *open = self.length_screen(x.len(), y.len(), ask);
+                if *open != CLOSED {
+                    lanes[n_lanes] = (x, y);
+                    n_lanes += 1;
+                }
+            }
+            let lanes = &lanes[..n_lanes];
+            let ends = (n_lanes > 0 && self.fill.takes_batch(lanes))
+                .then(|| self.fill.fill_batch(lanes, scratch));
+            let mut lane = 0;
+            for (&open, &(x, y, _)) in open.iter().zip(pairs) {
+                if open == CLOSED {
+                    out.push(self.verdict(x, y, open, &AlignStats::default(), 0));
+                    continue;
+                }
+                out.push(match ends {
+                    Some(ends) => {
+                        self.settle(x, y, open, ends[lane], |i, j| scratch.batch.dir(lane, i, j))
+                    }
+                    None => {
+                        let filled = self.fill.fill(x, y, scratch);
+                        self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j))
+                    }
+                });
+                lane += 1;
+            }
+        });
+    }
+
+    /// Step 1 — the criteria of `ask` an `m × n` pair can still meet after
+    /// the proven length screens (and the criteria's empty-input
+    /// rejections, which they apply before any DP): accept ⇒ positives ≥
+    /// ms·mc·L, and positives ≤ min(m, n).
+    fn length_screen(&self, m: usize, n: usize, ask: PairQuery) -> [bool; 3] {
+        let mut open = [ask.x_in_y, ask.y_in_x, ask.overlap];
+        for (open, (ms, mc, l)) in open.iter_mut().zip(self.bounds(m, n)) {
+            *open &= m * n != 0 && (m.min(n) as f64) + 1e-9 >= ms * mc * l as f64;
+        }
+        open
+    }
+
+    /// Steps 2 and 3 of a pair whose fill returned `(score, end)` and left
+    /// the directions `dir` reads. A criterion is closed on S* = 0 (the
+    /// reference returns the empty alignment) or S* below the κ·mc·L every
+    /// pair it accepts clears; if one stays open, the direction traceback
+    /// accumulates the statistics in line and the criteria read them.
+    fn settle(
+        &self,
+        x: &[u8],
+        y: &[u8],
+        mut open: [bool; 3],
+        (score, end): (i32, (usize, usize)),
+        dir: impl Fn(usize, usize) -> u8,
+    ) -> PairVerdict {
+        for (open, (ms, mc, l)) in open.iter_mut().zip(self.bounds(x.len(), y.len())) {
             let kappa = self.p_min.map_or(0.0, |p| ms * p as f64 - (1.0 - ms) * self.q_max as f64);
             *open &= score != 0 && !(kappa > 0.0 && (score as f64) + 1e-9 < kappa * mc * l as f64);
         }
-        if open == [false; 3] {
-            return answer(open, &none, 1, full, full);
+        if open == CLOSED {
+            return self.verdict(x, y, open, &AlignStats::default(), 1);
         }
-
-        // Step 3: direction traceback, statistics in line, then the criteria.
+        let matrix = &self.fill.scheme().matrix;
         let mut st = AlignStats::default();
-        let start = scratch.onepass.trace(end, |step, i, j| match step {
-            AlignOp::Subst => st.push_subst(x[i - 1], y[j - 1], &scheme.matrix),
+        let start = trace(end, dir, |step, i, j| match step {
+            AlignOp::Subst => st.push_subst(x[i - 1], y[j - 1], matrix),
             AlignOp::InsertY | AlignOp::InsertX => st.push_gap(),
         });
         st.x_span = end.0 - start.0;
         st.y_span = end.1 - start.1;
-        answer(open, &st, 3, full, 0)
+        self.verdict(x, y, open, &st, 3)
+    }
+
+    /// Each criterion as (similarity, coverage, covered length L).
+    fn bounds(&self, m: usize, n: usize) -> [(f64, f64, usize); 3] {
+        let (cp, op) = (&self.containment, &self.overlap);
+        [
+            (cp.min_similarity, cp.min_coverage, m),
+            (cp.min_similarity, cp.min_coverage, n),
+            (op.min_similarity, op.min_longer_coverage, m.max(n)),
+        ]
+    }
+
+    /// The verdict of a pair settled at step `tier` with `open` still to
+    /// be read off the statistics `st`.
+    fn verdict(
+        &self,
+        x: &[u8],
+        y: &[u8],
+        open: [bool; 3],
+        st: &AlignStats,
+        tier: u8,
+    ) -> PairVerdict {
+        let (m, n) = (x.len(), y.len());
+        let full = m as u64 * n as u64;
+        PairVerdict {
+            x_in_y: open[0] && self.containment.accepts(st, m),
+            y_in_x: open[1] && self.containment.accepts_y(st, n),
+            overlap: open[2] && self.overlap.accepts(st, m, n),
+            tier,
+            cells_computed: if tier == 0 { 0 } else { full },
+            cells_skipped: if tier == 3 { 0 } else { full },
+        }
     }
 }
 

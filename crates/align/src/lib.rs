@@ -21,6 +21,8 @@
 //!   traceback, verdict-identical to [`criteria`] by construction.
 //! * [`onepass`] — that fill: one row-major Smith–Waterman pass (AVX2 with
 //!   a scalar twin) producing score, argmax and a direction byte per cell.
+//! * [`interpair`] — the same fill for up to sixteen pairs at once, one
+//!   pair per AVX2 lane: what a candidate list is verified with.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
@@ -29,6 +31,7 @@ pub mod banded;
 pub mod criteria;
 pub mod engine;
 pub mod global;
+pub mod interpair;
 pub mod local;
 pub mod onepass;
 pub mod render;
@@ -42,8 +45,9 @@ pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict, PairQuery,
 pub use global::{
     global_affine, global_affine_with, global_linear, global_score, global_score_with,
 };
+pub use interpair::BATCH_LANES;
 pub use local::{local_affine, local_affine_with, local_score, local_score_with};
-pub use onepass::OnePassFill;
+pub use onepass::{FillProbe, OnePassFill};
 pub use render::render_alignment;
 pub use scratch::AlignScratch;
 pub use semiglobal::semiglobal_affine;

@@ -27,6 +27,11 @@
 //!   `P(j) ≥ H′(j−1)`; it costs four shift/subtract/max steps per block
 //!   and a broadcast carry of the previous block's last `P`.
 //!
+//! A third fill, [`crate::interpair`], lays sixteen *pairs* across the
+//! register instead and stores the same four bits two cells to a byte;
+//! `trace` walks any of the layouts through a "direction of cell (i, j)"
+//! closure.
+//!
 //! Lanes right of column `n` see a negative profile score. Nothing flows
 //! from them into a real column (`E` runs left to right, `F` down a column,
 //! the diagonal down-right), and by induction they never hold more than the
@@ -37,6 +42,7 @@ use pfam_seq::{ScoringScheme, ALPHABET_SIZE};
 
 use crate::alignment::{AlignOp, Alignment};
 use crate::global::NEG_INF;
+use crate::interpair::{self, batch_fits, LaneEnd, BATCH_LANES};
 use crate::scratch::AlignScratch;
 
 const DIR_MASK: u8 = 3;
@@ -44,8 +50,8 @@ const DIR_STOP: u8 = 0;
 const DIR_DIAG: u8 = 1;
 const DIR_E: u8 = 2;
 const DIR_F: u8 = 3;
-const E_STAY: u8 = 4;
-const F_STAY: u8 = 8;
+pub(crate) const E_STAY: u8 = 4;
+pub(crate) const F_STAY: u8 = 8;
 
 /// `i16` lanes per AVX2 register; direction rows are padded to a multiple.
 const LANES: usize = 16;
@@ -53,7 +59,7 @@ const LANES: usize = 16;
 /// subtraction, so it stays put and never equals a reachable `E` or `F`
 /// (both `≥ −open ≥ −MAX_PENALTY16`).
 #[cfg(target_arch = "x86_64")]
-const FLOOR16: i16 = i16::MIN;
+pub(crate) const FLOOR16: i16 = i16::MIN;
 /// Largest gap-open penalty the `i16` kernel admits.
 const MAX_PENALTY16: i32 = 2048;
 /// Cap on `min(m,n) · max(1, max_score)`, an upper bound on any local
@@ -62,10 +68,10 @@ const MAX_SCORE16: usize = 15_000;
 /// Residue code standing for the padding columns right of column `n` in
 /// the padded copy of `y` (any code the alphabet does not use, below 32).
 #[cfg(target_arch = "x86_64")]
-const PAD_CODE: u8 = 31;
+pub(crate) const PAD_CODE: u8 = 31;
 /// Profile score of the padding columns.
 #[cfg(target_arch = "x86_64")]
-const PAD_SCORE: i8 = i8::MIN;
+pub(crate) const PAD_SCORE: i8 = i8::MIN;
 
 /// Buffers of the one-pass fill. Private to this module: the fills size
 /// them, and the traceback reads what the last fill left.
@@ -100,56 +106,61 @@ impl OnePassBuf {
         stride
     }
 
-    /// Walk the direction bytes of the last fill from cell `end` back to
-    /// the first stop cell, exactly as the reference traceback walks its
-    /// matrices. `column(op, i, j)` sees every alignment column, last
-    /// first, with the 1-based cell it leaves. Returns the 0-based start
-    /// of the aligned ranges.
-    pub(crate) fn trace(
-        &self,
-        end: (usize, usize),
-        mut column: impl FnMut(AlignOp, usize, usize),
-    ) -> (usize, usize) {
-        #[derive(Clone, Copy)]
-        enum Layer {
-            H,
-            E,
-            F,
-        }
-        let (mut i, mut j) = end;
-        let mut layer = Layer::H;
-        // Row 0 and column 0 hold H = 0: the reference stops there too.
-        while i > 0 && j > 0 {
-            let d = self.dirs[(i - 1) * self.stride + j - 1];
-            match layer {
-                Layer::H => match d & DIR_MASK {
-                    DIR_STOP => break,
-                    DIR_DIAG => {
-                        column(AlignOp::Subst, i, j);
-                        i -= 1;
-                        j -= 1;
-                    }
-                    DIR_E => layer = Layer::E,
-                    _ => layer = Layer::F,
-                },
-                Layer::E => {
-                    column(AlignOp::InsertY, i, j);
-                    if d & E_STAY == 0 {
-                        layer = Layer::H;
-                    }
+    /// The direction byte of cell `(i, j)` (1-based) of the last fill.
+    pub(crate) fn dir(&self, i: usize, j: usize) -> u8 {
+        self.dirs[(i - 1) * self.stride + j - 1]
+    }
+}
+
+/// Walk the directions a fill left from cell `end` back to the first stop
+/// cell, exactly as the reference traceback walks its matrices. `dir(i, j)`
+/// is the direction byte of a cell, whatever layout the fill stored it in;
+/// `column(op, i, j)` sees every alignment column, last first, with the
+/// 1-based cell it leaves. Returns the 0-based start of the aligned ranges.
+pub(crate) fn trace(
+    end: (usize, usize),
+    dir: impl Fn(usize, usize) -> u8,
+    mut column: impl FnMut(AlignOp, usize, usize),
+) -> (usize, usize) {
+    #[derive(Clone, Copy)]
+    enum Layer {
+        H,
+        E,
+        F,
+    }
+    let (mut i, mut j) = end;
+    let mut layer = Layer::H;
+    // Row 0 and column 0 hold H = 0: the reference stops there too.
+    while i > 0 && j > 0 {
+        let d = dir(i, j);
+        match layer {
+            Layer::H => match d & DIR_MASK {
+                DIR_STOP => break,
+                DIR_DIAG => {
+                    column(AlignOp::Subst, i, j);
+                    i -= 1;
                     j -= 1;
                 }
-                Layer::F => {
-                    column(AlignOp::InsertX, i, j);
-                    if d & F_STAY == 0 {
-                        layer = Layer::H;
-                    }
-                    i -= 1;
+                DIR_E => layer = Layer::E,
+                _ => layer = Layer::F,
+            },
+            Layer::E => {
+                column(AlignOp::InsertY, i, j);
+                if d & E_STAY == 0 {
+                    layer = Layer::H;
                 }
+                j -= 1;
+            }
+            Layer::F => {
+                column(AlignOp::InsertX, i, j);
+                if d & F_STAY == 0 {
+                    layer = Layer::H;
+                }
+                i -= 1;
             }
         }
-        (i, j)
     }
+    (i, j)
 }
 
 /// A scoring scheme bound to the one-pass fill it gets on this host: the
@@ -240,6 +251,42 @@ impl OnePassFill {
         fill_scalar(x, y, &self.scheme, scratch)
     }
 
+    /// Can the batch kernel fill these pairs at once, one per lane? At
+    /// most [`BATCH_LANES`] of them, each inside the `i16` guard, their
+    /// largest sides inside the batch's direction bound.
+    pub fn takes_batch(&self, pairs: &[(&[u8], &[u8])]) -> bool {
+        let m_max = pairs.iter().map(|(x, _)| x.len()).max().unwrap_or(0);
+        let n_max = pairs.iter().map(|(_, y)| y.len()).max().unwrap_or(0);
+        pairs.len() <= BATCH_LANES
+            && pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()))
+            && batch_fits(m_max, n_max)
+    }
+
+    /// Fill the direction matrices of up to [`BATCH_LANES`] pairs into
+    /// `scratch` with the batch kernel, lane `k` holding `pairs[k]`, and
+    /// return each lane's [`Self::fill`] answer.
+    ///
+    /// # Panics
+    ///
+    /// Unless [`Self::takes_batch`].
+    pub(crate) fn fill_batch(
+        &self,
+        pairs: &[(&[u8], &[u8])],
+        scratch: &mut AlignScratch,
+    ) -> [LaneEnd; BATCH_LANES] {
+        assert!(self.takes_batch(pairs), "batch outside the kernel's guard");
+        #[cfg(target_arch = "x86_64")]
+        if self.vector_max_short > 0 {
+            // SAFETY: `vector_max_short` is nonzero only when `detect`
+            // saw AVX2 on this host.
+            return unsafe {
+                interpair::x86::fill_batch_avx2(pairs, &self.scheme, &self.lut, &mut scratch.batch)
+            };
+        }
+        // No pair passes `is_vector` without the vector kernel.
+        [(0, (0, 0)); BATCH_LANES]
+    }
+
     /// Optimal local alignment with full traceback — bit-identical to
     /// [`crate::local_affine`] (score, operations and both ranges).
     pub fn align(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch) -> Alignment {
@@ -248,9 +295,60 @@ impl OnePassFill {
             return Alignment { score: 0, ops: Vec::new(), x_range: (0, 0), y_range: (0, 0) };
         }
         let mut ops = Vec::new();
-        let start = scratch.onepass.trace(end, |op, _, _| ops.push(op));
+        let start = trace(end, |i, j| scratch.onepass.dir(i, j), |op, _, _| ops.push(op));
         ops.reverse();
         Alignment { score, ops, x_range: (start.0, end.0), y_range: (start.1, end.1) }
+    }
+
+    /// What the single-pair fill leaves for `x` against `y`, decoded — for
+    /// the forced-path suites.
+    pub fn probe(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch) -> FillProbe {
+        let (score, end) = self.fill(x, y, scratch);
+        let dir = |i, j| scratch.onepass.dir(i, j);
+        FillProbe::decode(score, end, x.len(), y.len(), dir)
+    }
+
+    /// What the batch kernel leaves for each of `pairs`, decoded — `None`
+    /// when it cannot take them ([`Self::takes_batch`]).
+    pub fn probe_batch(
+        &self,
+        pairs: &[(&[u8], &[u8])],
+        scratch: &mut AlignScratch,
+    ) -> Option<Vec<FillProbe>> {
+        if pairs.is_empty() || !self.takes_batch(pairs) {
+            return None;
+        }
+        let ends = self.fill_batch(pairs, scratch);
+        let probe = |(k, (x, y)): (usize, &(&[u8], &[u8]))| {
+            let dir = |i, j| scratch.batch.dir(k, i, j);
+            FillProbe::decode(ends[k].0, ends[k].1, x.len(), y.len(), dir)
+        };
+        Some(pairs.iter().enumerate().map(probe).collect())
+    }
+}
+
+/// Everything a fill leaves for one pair, in a layout-free form: what the
+/// forced-path suites compare between the scalar twin and a vector kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FillProbe {
+    /// Optimal local score.
+    pub score: i32,
+    /// Its 1-based end cell, `(0, 0)` when the score is 0.
+    pub end: (usize, usize),
+    /// The direction byte of every real cell, row-major (`m·n` of them).
+    pub dirs: Vec<u8>,
+}
+
+impl FillProbe {
+    fn decode(
+        score: i32,
+        end: (usize, usize),
+        m: usize,
+        n: usize,
+        dir: impl Fn(usize, usize) -> u8,
+    ) -> FillProbe {
+        let cells = (1..=m).flat_map(|i| (1..=n).map(move |j| (i, j)));
+        FillProbe { score, end, dirs: cells.map(|(i, j)| dir(i, j)).collect() }
     }
 }
 
@@ -331,14 +429,14 @@ fn fill_scalar(
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
     use super::*;
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn load(src: &[i16]) -> __m256i {
+    pub(crate) fn load(src: &[i16]) -> __m256i {
         assert!(src.len() >= LANES);
         // SAFETY: the assertion leaves 32 readable bytes at `src`; `loadu`
         // has no alignment requirement.
@@ -347,7 +445,7 @@ mod x86 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn store(dst: &mut [i16], v: __m256i) {
+    pub(crate) fn store(dst: &mut [i16], v: __m256i) {
         assert!(dst.len() >= LANES);
         // SAFETY: the assertion leaves 32 writable bytes at `dst`, which
         // this function borrows exclusively; `storeu` needs no alignment.
@@ -356,7 +454,7 @@ mod x86 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn load_bytes(src: &[u8]) -> __m128i {
+    pub(crate) fn load_bytes(src: &[u8]) -> __m128i {
         assert!(src.len() >= LANES);
         // SAFETY: the assertion leaves 16 readable bytes at `src`; `loadu`
         // has no alignment requirement.
@@ -365,7 +463,7 @@ mod x86 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn store_bytes(dst: &mut [u8], v: __m128i) {
+    pub(crate) fn store_bytes(dst: &mut [u8], v: __m128i) {
         assert!(dst.len() >= LANES);
         // SAFETY: the assertion leaves 16 writable bytes at `dst`, which
         // this function borrows exclusively; `storeu` needs no alignment.

@@ -1,6 +1,7 @@
 //! Per-worker DP arena shared by every buffer-reuse alignment entry point.
 
 use crate::global::AffineMatrices;
+use crate::interpair::BatchBuf;
 use crate::onepass::OnePassBuf;
 
 /// Reusable per-worker DP arena shared by the alignment engine and the
@@ -18,6 +19,8 @@ pub struct AlignScratch {
     pub(crate) row_f: Vec<i32>,
     /// Profile, i16 rows and direction bytes of the one-pass fill.
     pub(crate) onepass: OnePassBuf,
+    /// Profiles, lane rows and packed directions of the batch fill.
+    pub(crate) batch: BatchBuf,
 }
 
 impl AlignScratch {
@@ -28,6 +31,7 @@ impl AlignScratch {
             row_h: Vec::new(),
             row_f: Vec::new(),
             onepass: OnePassBuf::default(),
+            batch: BatchBuf::default(),
         }
     }
 }

@@ -2,7 +2,10 @@
 //! fills — the scalar twin always, the AVX2 kernel where detected — must
 //! return [`pfam_align::local_affine`]'s exact `Alignment` (score,
 //! operations, both ranges), and the engine's accept/reject verdicts must
-//! equal the reference full-DP criteria, on one shared corpus.
+//! equal the reference full-DP criteria, on one shared corpus. The batch
+//! kernel enters the same way: whatever lanes a pair shares a fill with,
+//! it must leave the scalar twin's score, end cell and direction bits on
+//! every real cell, and the batch entry must give `judge`'s verdict.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,7 +13,7 @@ use rand::SeedableRng;
 
 use pfam_align::{
     is_contained, local_affine, overlaps, AlignEngine, AlignEngineKind, AlignScratch, Anchor,
-    ContainmentParams, OnePassFill, OverlapParams, PairQuery,
+    ContainmentParams, OnePassFill, OverlapParams, PairQuery, BATCH_LANES,
 };
 use pfam_datagen::{random_peptide, MutationModel};
 use pfam_seq::{ScoringScheme, SubstMatrix};
@@ -331,6 +334,139 @@ fn judge_answers_every_criterion_off_one_fill() {
     assert!(n_y_in_x > 5, "only {n_y_in_x} second-side containments — the corpus is vacuous");
 }
 
+/// Every subset of the criteria.
+fn queries() -> impl Iterator<Item = PairQuery> {
+    (0..8u8).map(|b| PairQuery { x_in_y: b & 1 != 0, y_in_x: b & 2 != 0, overlap: b & 4 != 0 })
+}
+
+/// `pairs`, cut into batches of `lanes`, through the batch kernel and the
+/// batch entry. Kernel: each lane's score, end cell and the direction bits
+/// of every real cell are the scalar twin's for that pair alone (the batch
+/// must be taken exactly when `vector` says the scheme and the pairs are
+/// inside the kernel's guard). Entry: on the host's fills and on the
+/// scalar twin, each `PairVerdict` — tier and cell counters included — is
+/// `judge`'s, for every query, the same for all lanes or different from
+/// lane to lane.
+fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector: bool) {
+    let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
+    let (scalar, host) = (OnePassFill::scalar(s), OnePassFill::detect(s));
+    let tiered = || AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
+    let engines = [tiered(), tiered().with_scalar_fill()];
+    let reference = AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op);
+    let (mut a, mut b) = (AlignScratch::new(), AlignScratch::new());
+    let all: Vec<PairQuery> = queries().collect();
+    for (g, group) in pairs.chunks(lanes).enumerate() {
+        let what = format!("gaps {}/{}, group {g} of {lanes}", s.gap_open, s.gap_extend);
+        let filled: Vec<(&[u8], &[u8])> = group
+            .iter()
+            .filter(|(x, y)| !x.is_empty() && !y.is_empty())
+            .map(|(x, y)| (&x[..], &y[..]))
+            .collect();
+        let probes = host.probe_batch(&filled, &mut a);
+        assert_eq!(probes.is_some(), vector && !filled.is_empty(), "{what}: batch taken");
+        for (k, probe) in probes.into_iter().flatten().enumerate() {
+            let (x, y) = filled[k];
+            let twin = scalar.probe(x, y, &mut b);
+            assert_eq!((probe.score, probe.end), (twin.score, twin.end), "{what}: lane {k}");
+            assert_eq!(probe.dirs.len(), x.len() * y.len());
+            let cell = probe.dirs.iter().zip(&twin.dirs).position(|(p, t)| p != t);
+            assert_eq!(
+                cell,
+                None,
+                "{what}: lane {k} ({}x{}), first differing cell",
+                x.len(),
+                y.len()
+            );
+        }
+        // One query for every lane, then a different one per lane.
+        for round in 0..=all.len() {
+            let ask = |k: usize| if round < all.len() { all[round] } else { all[(g + k) % 8] };
+            let asked: Vec<(&[u8], &[u8], PairQuery)> =
+                group.iter().enumerate().map(|(k, (x, y))| (&x[..], &y[..], ask(k))).collect();
+            let alone: Vec<_> = asked.iter().map(|&(x, y, q)| engines[0].judge(x, y, q)).collect();
+            for e in &engines {
+                let mut out = Vec::new();
+                e.judge_batch(&asked, &mut out);
+                assert_eq!(out, alone, "{what}: {} entry, round {round}", e.kernel_label());
+            }
+            for (v, &(x, y, q)) in alone.iter().zip(&asked) {
+                let full = (x.len() * y.len()) as u64;
+                assert!(v.cells_computed == 0 || v.cells_computed == full, "{what}: one rectangle");
+                let r = reference.judge(x, y, q);
+                assert_eq!((v.x_in_y, v.y_in_x, v.overlap), (r.x_in_y, r.y_in_x, r.overlap));
+            }
+        }
+    }
+}
+
+/// Shapes a batch is ragged in: a single residue, equal lengths, one lane
+/// far longer than the rest (in `x`, then in `y`), a lane of `X`s, an empty
+/// side (screened out before any lane is filled).
+fn ragged() -> Vec<Pair> {
+    let homolog = |seed: u64, len: usize| mutated_pair(seed, len, 0.08, 0.02);
+    let mut pairs = vec![(vec![4u8], vec![4u8]), (vec![4], homolog(1, 40).1)];
+    pairs.extend((2..6).map(|seed| {
+        let (a, b) = homolog(seed, 48);
+        let n = a.len().min(b.len());
+        (a[..n].to_vec(), b[..n].to_vec())
+    }));
+    let (long_a, long_b) = homolog(6, 400);
+    pairs.push((long_a.clone(), long_b[..60].to_vec()));
+    pairs.push((long_a[100..150].to_vec(), long_b));
+    pairs.push((vec![20; 45], vec![20; 52]));
+    pairs.push((vec![20; 30], homolog(7, 64).0));
+    pairs.push((Vec::new(), vec![3; 9]));
+    pairs.extend((8..14).map(|seed| homolog(seed, 20 + 17 * (seed as usize % 5))));
+    pairs
+}
+
+#[test]
+fn batch_kernel_equals_the_scalar_twin_lane_by_lane() {
+    let mut pairs = ragged();
+    pairs.extend(tie_heavy());
+    pairs.extend(corpus().into_iter().step_by(4));
+    for s in gap_regimes() {
+        for lanes in [1, 2, 15, BATCH_LANES] {
+            // One batch size per scheme covers the whole list; the others
+            // see its head, which holds every ragged shape.
+            let n = if lanes == BATCH_LANES { pairs.len() } else { 2 * lanes.max(8) };
+            assert_batches_match(&s, &pairs[..n], lanes, vectorized(&s));
+        }
+    }
+}
+
+/// The limits of `fills_are_exact_on_both_sides_of_*`, through batches: a
+/// batch is taken up to each limit and refused past it — one lane over is
+/// enough — and the batch entry answers either way.
+#[test]
+fn batch_kernel_is_exact_on_both_sides_of_the_limits() {
+    let avx2 = vectorized(&scheme(11, 1));
+    let (a, b) = mutated_pair(7, 150, 0.08, 0.01);
+    // The direction bound: 2 MiB of nibbles are m_max·n_max ≤ 2¹⁸ cells.
+    // (Under BLOSUM62 it binds before the score limit's 1 363 residues.)
+    let bound = |m: usize| vec![(a.clone(), b.clone()), (vec![3; m], vec![3; 1024])];
+    assert_batches_match(&scheme(11, 1), &bound(256), 2, avx2);
+    assert_batches_match(&scheme(11, 1), &bound(257), 2, false);
+
+    let pairs: Vec<Pair> = ragged().into_iter().take(BATCH_LANES).collect();
+    assert_batches_match(&scheme(2048, 2047), &pairs, BATCH_LANES, avx2);
+    assert_batches_match(&scheme(2048, 2048), &pairs, BATCH_LANES, false);
+    let short: Vec<Pair> =
+        pairs.iter().filter(|(x, y)| x.len().min(y.len()) <= 118).cloned().collect();
+    for (matched, vector) in [(127, avx2), (128, false)] {
+        let s = ScoringScheme {
+            matrix: SubstMatrix::uniform(matched, -128),
+            gap_open: 11,
+            gap_extend: 1,
+        };
+        assert_batches_match(&s, &short, BATCH_LANES, vector);
+        // The score limit under this matrix: min(m, n) ≤ 15 000 / 127.
+        let limit = |len: usize| vec![(a.clone(), vec![9; len]), (vec![9; len], vec![9; len])];
+        assert_batches_match(&s, &limit(118), 2, vector);
+        assert_batches_match(&s, &limit(119), 2, false);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -352,6 +488,22 @@ proptest! {
             for fill in fills(&s) {
                 prop_assert_eq!(fill.align(&x, &y, &mut scratch), expected.clone());
             }
+        }
+    }
+
+    /// Random batches: any number of lanes, any shapes, homologs among
+    /// unrelated strings.
+    #[test]
+    fn batches_match_on_random(
+        strings in prop::collection::vec((residues(60), residues(60)), 1..17),
+        seed in 0u64..1000,
+    ) {
+        let mut pairs = strings;
+        pairs.push(mutated_pair(seed, 20 + (seed as usize % 60), 0.1, 0.03));
+        pairs.retain(|(x, y)| !x.is_empty() && !y.is_empty());
+        pairs.truncate(BATCH_LANES);
+        for s in [scheme(11, 1), scheme(3, 3)] {
+            assert_batches_match(&s, &pairs, BATCH_LANES, vectorized(&s));
         }
     }
 

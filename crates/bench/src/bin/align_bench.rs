@@ -1,8 +1,11 @@
 //! Alignment-engine benchmark: the reference three-matrix fill against the
-//! engine's one-pass fill — scalar twin and AVX2 — on the RR (containment)
-//! and CCD (overlap) candidate streams of a paper-like workload, at 1 and 2
-//! threads, emitting a machine-readable `BENCH_align.json` — the alignment
-//! twin of `BENCH_index.json`.
+//! engine's one-pass fill — scalar twin, AVX2 within a pair, AVX2 across
+//! sixteen pairs — on the RR (containment) and CCD (overlap) candidate
+//! streams of a paper-like workload, at 1 and 2 threads, emitting a
+//! machine-readable `BENCH_align.json` — the alignment twin of
+//! `BENCH_index.json`. The inter-pair rows see the task list the way
+//! `Verifier` hands it over: lists of at most `batch_size` candidates, each
+//! sorted by shape and cut into groups of sixteen.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin align_bench [scale]
@@ -13,7 +16,9 @@
 //! stdout instead of writing the file. The bench asserts — and records —
 //! that every engine returns identical verdicts on every candidate.
 
-use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, PairQuery};
+use pfam_align::{
+    AlignEngine, AlignEngineKind, AlignScratch, Anchor, PairQuery, PairVerdict, BATCH_LANES,
+};
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, emit, thread_sweep, time_min, BenchArgs,
 };
@@ -37,36 +42,82 @@ fn orient(set: &SequenceSet, p: &MatchPair) -> (SeqId, SeqId, Anchor) {
     }
 }
 
-/// What one pass over the task list returns: verdicts in task order,
-/// outcome counts by `EngineVerdict::tier`, cells computed and skipped.
-type Outcome = (Vec<bool>, [u64; 4], u64, u64);
+/// What one pass over the task list returns: the engine's answer to every
+/// task, in task order.
+type Outcome = Vec<PairVerdict>;
 
-/// Run every task through `engine` on `threads` workers (task `k` goes to
-/// worker `k mod threads`, each with its own scratch arena).
-fn run_tasks(engine: &AlignEngine, set: &SequenceSet, tasks: &[Task], threads: usize) -> Outcome {
-    let worker = |t: usize| {
+/// The task list as `Verifier` batches it: per list of `batch_size` tasks,
+/// the task indices sorted by `(n, m)` and cut into groups of a register.
+fn shape_sorted_groups(
+    set: &SequenceSet,
+    tasks: &[Task],
+    batch_size: usize,
+) -> Vec<Vec<Vec<usize>>> {
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    let lists = order.chunks_mut(batch_size).map(|list| {
+        list.sort_unstable_by_key(|&k| (set.seq_len(tasks[k].1), set.seq_len(tasks[k].0), k));
+        list.chunks(BATCH_LANES).map(<[usize]>::to_vec).collect()
+    });
+    lists.collect()
+}
+
+/// Real cells over the cells the batch fills lay out: every group pads its
+/// lanes to its own `m_max × n_max`, and a short group leaves lanes empty.
+fn lane_occupancy(set: &SequenceSet, tasks: &[Task], lists: &[Vec<Vec<usize>>]) -> f64 {
+    let (mut real, mut padded) = (0u64, 0u64);
+    for group in lists.iter().flatten() {
+        let shape = |&k: &usize| (set.seq_len(tasks[k].0) as u64, set.seq_len(tasks[k].1) as u64);
+        real += group.iter().map(shape).map(|(m, n)| m * n).sum::<u64>();
+        let m_max = group.iter().map(|k| shape(k).0).max().unwrap_or(0);
+        let n_max = group.iter().map(|k| shape(k).1).max().unwrap_or(0);
+        padded += BATCH_LANES as u64 * m_max * n_max;
+    }
+    real as f64 / padded as f64
+}
+
+/// Run every task through `engine` on `threads` workers, each with its own
+/// scratch arena: pair by pair through `judge_with` (task `k` to worker
+/// `k mod threads`), or — given `lists` — group by group through
+/// `judge_batch` (list `k` to worker `k mod threads`). The verdicts come
+/// back in task order.
+fn run_tasks(
+    engine: &AlignEngine,
+    set: &SequenceSet,
+    tasks: &[Task],
+    lists: Option<&[Vec<Vec<usize>>]>,
+    threads: usize,
+) -> Outcome {
+    let ask = |containment| if containment { PairQuery::X_IN_Y } else { PairQuery::OVERLAP };
+    let worker = |t: usize| -> Vec<(usize, PairVerdict)> {
         let mut scratch = AlignScratch::new();
         let mut verdicts = Vec::with_capacity(tasks.len() / threads + 1);
-        for &(a, b, _, containment) in tasks.iter().skip(t).step_by(threads) {
-            let (x, y) = (set.codes(a), set.codes(b));
-            let ask = if containment { PairQuery::X_IN_Y } else { PairQuery::OVERLAP };
-            verdicts.push(engine.judge_with(x, y, ask, &mut scratch));
+        let Some(lists) = lists else {
+            for (k, &(a, b, _, containment)) in tasks.iter().enumerate().skip(t).step_by(threads) {
+                let (x, y) = (set.codes(a), set.codes(b));
+                verdicts.push((k, engine.judge_with(x, y, ask(containment), &mut scratch)));
+            }
+            return verdicts;
+        };
+        let mut answers = Vec::with_capacity(BATCH_LANES);
+        for group in lists.iter().skip(t).step_by(threads).flatten() {
+            let asked: Vec<_> = group
+                .iter()
+                .map(|&k| (set.codes(tasks[k].0), set.codes(tasks[k].1), ask(tasks[k].3)))
+                .collect();
+            answers.clear();
+            engine.judge_batch(&asked, &mut answers);
+            verdicts.extend(group.iter().copied().zip(answers.iter().copied()));
         }
         verdicts
     };
-    let per_worker: Vec<_> = std::thread::scope(|scope| {
+    let mut per_task: Vec<Option<PairVerdict>> = vec![None; tasks.len()];
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
-        handles.into_iter().map(|h| h.join().expect("align worker panicked")).collect()
+        for (k, v) in handles.into_iter().flat_map(|h| h.join().expect("align worker panicked")) {
+            per_task[k] = Some(v);
+        }
     });
-    let mut out: Outcome = (Vec::with_capacity(tasks.len()), [0; 4], 0, 0);
-    for k in 0..tasks.len() {
-        let v = per_worker[k % threads][k / threads];
-        out.0.push(v.x_in_y || v.overlap);
-        out.1[v.tier as usize] += 1;
-        out.2 += v.cells_computed;
-        out.3 += v.cells_skipped;
-    }
-    out
+    per_task.into_iter().map(|v| v.expect("every task was judged")).collect()
 }
 
 fn main() {
@@ -123,13 +174,16 @@ fn main() {
         |kind| AlignEngine::new(kind, config.scheme.clone(), config.containment, config.overlap);
     let tiered = engine(AlignEngineKind::Tiered);
     // The same task list through the reference 3-matrix fill, the scalar
-    // one-pass fill and (where detected) the AVX2 one-pass fill.
+    // one-pass fill and (where detected) the AVX2 one-pass fills: within a
+    // pair, and across the pairs of a group.
+    let lists = shape_sorted_groups(set, &tasks, config.batch_size);
     let mut engines = vec![
-        ("reference_3matrix", engine(AlignEngineKind::Reference)),
-        ("onepass_scalar", engine(AlignEngineKind::Tiered).with_scalar_fill()),
+        ("reference_3matrix", engine(AlignEngineKind::Reference), None),
+        ("onepass_scalar", engine(AlignEngineKind::Tiered).with_scalar_fill(), None),
     ];
     if tiered.kernel_label() != "scalar" {
-        engines.push(("onepass_avx2", engine(AlignEngineKind::Tiered)));
+        engines.push(("onepass_avx2", engine(AlignEngineKind::Tiered), None));
+        engines.push(("interpair_avx2", engine(AlignEngineKind::Tiered), Some(&lists[..])));
     }
 
     let sweep = thread_sweep(2, args.smoke);
@@ -137,30 +191,48 @@ fn main() {
     let mut identical = true;
     let mut runs = Vec::new();
     let mut seconds = Vec::new(); // [engine][thread count]
-    let (mut tiers, mut computed, mut skipped) = ([0u64; 4], 0, 0);
-    let mut expected: Option<Vec<bool>> = None;
-    for (label, engine) in &engines {
+    let mut shipped = Outcome::new();
+    // Accept / reject is one answer over every engine; tier and cell
+    // counters are one answer over the one-pass fills.
+    let accepts = |o: &Outcome| o.iter().map(|v| v.x_in_y || v.overlap).collect::<Vec<_>>();
+    let (mut expected, mut expected_onepass): (Option<Vec<bool>>, Option<Outcome>) = (None, None);
+    for (label, engine, lists) in &engines {
         let mut per_threads = Vec::new();
         for &threads in &sweep.counts {
-            let (secs, outcome) = time_min(reps, || run_tasks(engine, set, &tasks, threads));
+            let (secs, outcome) =
+                time_min(reps, || run_tasks(engine, set, &tasks, *lists, threads));
             // Bit-identity of verdicts — the whole point of the design.
-            identical &= *expected.get_or_insert_with(|| outcome.0.clone()) == outcome.0;
-            // Reported for the last engine, the one that ships.
-            (tiers, computed, skipped) = (outcome.1, outcome.2, outcome.3);
+            identical &= *expected.get_or_insert_with(|| accepts(&outcome)) == accepts(&outcome);
+            if engine.kind() == AlignEngineKind::Tiered {
+                identical &= *expected_onepass.get_or_insert_with(|| outcome.clone()) == outcome;
+            }
             runs.push(format!(
                 "    {{ \"engine\": \"{label}\", \"threads\": {threads}, \"seconds\": {secs:.6}, \"gcells_per_s\": {:.4} }}",
                 gcells(secs)
             ));
             per_threads.push(secs);
+            shipped = outcome;
         }
         seconds.push(per_threads);
     }
     assert!(identical, "engine verdicts diverged from reference — this is a bug");
+    // Reported for the last engine, the one that ships.
+    let mut tiers = [0u64; 4];
+    shipped.iter().for_each(|v| tiers[v.tier as usize] += 1);
+    let computed: u64 = shipped.iter().map(|v| v.cells_computed).sum();
+    let skipped: u64 = shipped.iter().map(|v| v.cells_skipped).sum();
 
     let n = tasks.len() as f64;
-    let last = seconds.len() - 1;
+    let (last, two) = (seconds.len() - 1, sweep.counts.len() - 1);
     // 1 → 2 threads of the shipped engine; refused on a 1-core host.
-    let thread_speedup = seconds[last][0] / seconds[last][sweep.counts.len() - 1];
+    let thread_speedup = seconds[last][0] / seconds[last][two];
+    // Same thread count, same host: kernel ratios, not scaling claims.
+    // `null` where the host has no vector kernel to quote.
+    let row = |label: &str| engines.iter().position(|(l, ..)| *l == label);
+    let ratio = |base: &str, new: &str, t: usize| match (row(base), row(new)) {
+        (Some(b), Some(n)) => format!("{:.3}", seconds[b][t] / seconds[n][t]),
+        _ => "null".to_string(),
+    };
     let json = format!(
         concat!(
             "{{\n",
@@ -177,9 +249,13 @@ fn main() {
             "  \"outputs_identical\": {identical},\n",
             "  \"tiered\": {{ \"cells_computed\": {tcc}, \"cells_skipped\": {tsk} }},\n",
             "  \"tier_hit_rates\": {{ \"screen\": {t0:.4}, \"score_reject\": {t1:.4}, \"traced\": {t3:.4} }},\n",
+            "  \"batch_size\": {batch_size},\n",
+            "  \"lane_occupancy\": {occupancy:.4},\n",
             "  \"runs\": [\n{runs}\n  ],\n",
-            "  \"onepass_vs_reference_1t\": {vs_ref:.3},\n",
-            "  \"onepass_vs_scalar_1t\": {vs_scalar:.3},\n",
+            "  \"onepass_vs_reference_1t\": {vs_ref},\n",
+            "  \"onepass_vs_scalar_1t\": {vs_scalar},\n",
+            "  \"interpair_vs_onepass_1t\": {inter_1t},\n",
+            "  \"interpair_vs_onepass_{two_t}t\": {inter_2t},\n",
             "  {speedup}\n",
             "}}\n"
         ),
@@ -198,10 +274,14 @@ fn main() {
         t0 = tiers[0] as f64 / n,
         t1 = tiers[1] as f64 / n,
         t3 = tiers[3] as f64 / n,
+        batch_size = config.batch_size,
+        occupancy = lane_occupancy(set, &tasks, &lists),
         runs = runs.join(",\n"),
-        // Same thread count, same host: kernel ratios, not scaling claims.
-        vs_ref = seconds[0][0] / seconds[last][0],
-        vs_scalar = seconds[1][0] / seconds[last][0],
+        vs_ref = ratio("reference_3matrix", "onepass_avx2", 0),
+        vs_scalar = ratio("onepass_scalar", "onepass_avx2", 0),
+        inter_1t = ratio("onepass_avx2", "interpair_avx2", 0),
+        inter_2t = ratio("onepass_avx2", "interpair_avx2", two),
+        two_t = sweep.counts[two],
         speedup = claim_f64(sweep.cores, "speedup_1_to_2_threads", thread_speedup),
     );
 

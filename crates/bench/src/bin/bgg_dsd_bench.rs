@@ -99,6 +99,7 @@ fn main() {
             &ccd.components,
             &ccd.edges,
             deferred,
+            config.min_component_size,
         );
         stream_graphs(
             set,

@@ -24,11 +24,11 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use pfam_graph::CsrGraph;
-use pfam_seq::{materialize_subset, SeqId, SeqStore, SubsetStore};
+use pfam_seq::{materialize_subset, Reservation, SeqId, SeqStore, SubsetStore};
 use pfam_suffix::{estimated_index_bytes, with_match_tree, MaximalMatchGenerator};
 
 use crate::config::ClusterConfig;
-use crate::core::{CorePhase, Verifier};
+use crate::core::{CorePhase, Verifier, VerifyOn};
 use crate::ledger::PairLedger;
 use crate::trace::{BatchRecord, PhaseTrace};
 
@@ -82,7 +82,7 @@ impl BggScratch {
                 return;
             }
             record.n_generated += self.slice.len();
-            for v in verifier.verify_par(set, &self.slice) {
+            for v in verifier.verify(set, &self.slice, VerifyOn::Pool) {
                 record.note_verdict(&v);
                 if v.accept {
                     self.edges.push((local(v.a), local(v.b)));
@@ -154,7 +154,12 @@ pub struct KnownPairs<'a> {
     /// CCD's accepted edges and the pairs it deferred.
     edges: ByComponent,
     deferred: ByComponent,
+    /// The deferred pairs on the run's budget, for as long as they are held.
+    _deferred_held: Option<Reservation>,
 }
+
+/// Bytes reserved per deferred pair held.
+const DEFERRED_PAIR_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
 
 /// Pairs sorted by the component their ends share: component `c` owns
 /// `pairs[ends[c - 1]..ends[c]]`.
@@ -170,6 +175,7 @@ impl ByComponent {
         pairs.retain(|&(a, b)| comp_of[a as usize] == comp_of[b as usize]);
         pairs.sort_unstable_by_key(|&(a, b)| (comp_of[a as usize], a, b));
         pairs.dedup();
+        pairs.shrink_to_fit();
         let mut ends = vec![0usize; n];
         for &(a, _) in &pairs {
             ends[comp_of[a as usize] as usize] += 1;
@@ -190,7 +196,13 @@ impl ByComponent {
 impl<'a> KnownPairs<'a> {
     /// Gather what CCD left over the reads `kept` of `input`: its
     /// `components` and accepted `edges`, and the `deferred` pairs it never
-    /// aligned. `ledger` is RR's, over the same ids.
+    /// aligned. `ledger` is RR's, over the same ids. Graphs will be asked
+    /// for components of at least `min_size` members only, so the deferred
+    /// pairs of smaller ones — never to be filled — are dropped here; the
+    /// rest are reserved on the budget (`deferred-pairs`, 8 B a pair) while
+    /// this value lives. A refusal is accounting-only: the pairs are needed
+    /// for a correct graph.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         input: &'a dyn SeqStore,
         config: &ClusterConfig,
@@ -198,7 +210,8 @@ impl<'a> KnownPairs<'a> {
         ledger: &Arc<PairLedger>,
         components: &'a [Vec<SeqId>],
         edges: &[(SeqId, SeqId)],
-        deferred: Vec<(u32, u32)>,
+        mut deferred: Vec<(u32, u32)>,
+        min_size: usize,
     ) -> KnownPairs<'a> {
         let (mut comp_of, mut local_of) = (vec![0u32; kept.len()], vec![0u32; kept.len()]);
         for (c, members) in components.iter().enumerate() {
@@ -208,13 +221,17 @@ impl<'a> KnownPairs<'a> {
             }
         }
         let edges = edges.iter().map(|&(a, b)| (a.0, b.0)).collect();
+        deferred.retain(|&(a, _)| components[comp_of[a as usize] as usize].len() >= min_size);
+        let deferred = ByComponent::new(deferred, &comp_of, components.len());
+        let deferred_bytes = deferred.pairs.len() as u64 * DEFERRED_PAIR_BYTES;
         KnownPairs {
             store: SubsetStore::new(input, kept.to_vec()),
             verifier: Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone()),
             components,
             local_of,
             edges: ByComponent::new(edges, &comp_of, components.len()),
-            deferred: ByComponent::new(deferred, &comp_of, components.len()),
+            deferred,
+            _deferred_held: config.mem.budget.try_reserve("deferred-pairs", deferred_bytes).ok(),
         }
     }
 

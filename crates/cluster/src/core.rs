@@ -35,7 +35,7 @@
 
 use std::sync::Arc;
 
-use pfam_align::PairQuery;
+use pfam_align::{PairQuery, PairVerdict, BATCH_LANES};
 use pfam_graph::UnionFind;
 use pfam_seq::{MemoryBudget, SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -451,10 +451,27 @@ impl RrResult {
 /// engine — and, before it, the run's [`PairLedger`] — is consulted.
 /// `Sync`, so policies may share it across worker threads; each thread
 /// uses its own scratch arena inside the engine.
+///
+/// Every fill of a run aligns the lower id as `x` — the traceback's
+/// tie-breaks are not transposition-invariant, and a pair must mean one
+/// alignment whichever phase fills it — so RR reads the containment of
+/// whichever side its candidate `a` is, plus the overlap answer for the
+/// ledger. The residues come through [`SeqStore::codes_cow`], so a paged
+/// store fetches exactly the sequences an alignment touches; the in-memory
+/// store borrows from its arena.
 pub struct Verifier {
     engine: pfam_align::AlignEngine,
     phase: CorePhase,
     ledger: Arc<PairLedger>,
+}
+
+/// Where the groups of a candidate list are filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerifyOn {
+    /// Across the rayon pool, a group at a time: the in-process master.
+    Pool,
+    /// On the calling thread: a worker that is itself one of many.
+    Caller,
 }
 
 impl Verifier {
@@ -470,37 +487,38 @@ impl Verifier {
         Verifier { ledger, ..self }
     }
 
-    /// Verify one candidate `(a, b)`. Every fill of a run aligns the lower
-    /// id as `x` — the traceback's tie-breaks are not
-    /// transposition-invariant, and a pair must mean one alignment
-    /// whichever phase fills it — so RR reads the containment of whichever
-    /// side its candidate `a` is, plus the overlap answer for the ledger.
-    /// The residues come through [`SeqStore::codes_cow`], so a paged store
-    /// fetches exactly the two sequences an alignment touches; the
-    /// in-memory store borrows from its arena.
-    pub fn verdict(&self, set: &dyn SeqStore, (a, b): (u32, u32)) -> Verdict {
+    /// What the ledger knows of candidate `(a, b)`.
+    fn known(&self, (a, b): (u32, u32)) -> Option<Verdict> {
+        let overlap = match self.phase {
+            CorePhase::Ccd => self.ledger.lookup(a.min(b), a.max(b))?,
+            CorePhase::Rr => return None,
+        };
+        Some(Verdict {
+            a,
+            b,
+            accept: overlap,
+            overlap,
+            ledger_hit: true,
+            cells: 0,
+            cells_computed: 0,
+            cells_skipped: 0,
+        })
+    }
+
+    /// The reads candidate `(a, b)` is filled as — `x` the lower id — and
+    /// what this phase asks of them.
+    fn question(&self, (a, b): (u32, u32)) -> (SeqId, SeqId, PairQuery) {
         let (lo, hi) = (a.min(b), a.max(b));
-        if self.phase == CorePhase::Ccd {
-            if let Some(overlap) = self.ledger.lookup(lo, hi) {
-                return Verdict {
-                    a,
-                    b,
-                    accept: overlap,
-                    overlap,
-                    ledger_hit: true,
-                    cells: 0,
-                    cells_computed: 0,
-                    cells_skipped: 0,
-                };
-            }
-        }
-        let x = set.codes_cow(SeqId(lo));
-        let y = set.codes_cow(SeqId(hi));
         let ask = match self.phase {
             CorePhase::Ccd => PairQuery::OVERLAP,
             CorePhase::Rr => PairQuery { x_in_y: a == lo, y_in_x: a != lo, overlap: true },
         };
-        let v = self.engine.judge(&x, &y, ask);
+        (SeqId(lo), SeqId(hi), ask)
+    }
+
+    /// Candidate `(a, b)`'s verdict off the engine's answer `v` to its
+    /// [`Self::question`], over a rectangle of `cells`.
+    fn filled(&self, (a, b): (u32, u32), v: PairVerdict, cells: u64) -> Verdict {
         Verdict {
             a,
             b,
@@ -510,17 +528,69 @@ impl Verifier {
             },
             overlap: v.overlap,
             ledger_hit: false,
-            cells: (x.len() as u64) * (y.len() as u64),
+            cells,
             cells_computed: v.cells_computed,
             cells_skipped: v.cells_skipped,
         }
     }
 
-    /// Verify a candidate batch across the rayon pool (dispatch order is
-    /// preserved in the output).
-    pub fn verify_par(&self, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
-        use rayon::prelude::*;
-        candidates.par_iter().map(|&c| self.verdict(set, c)).collect()
+    /// Verify one candidate on its own, through the single-pair fill.
+    pub fn verdict(&self, set: &dyn SeqStore, candidate: (u32, u32)) -> Verdict {
+        if let Some(known) = self.known(candidate) {
+            return known;
+        }
+        let (lo, hi, ask) = self.question(candidate);
+        let (x, y) = (set.codes_cow(lo), set.codes_cow(hi));
+        let cells = (x.len() as u64) * (y.len() as u64);
+        self.filled(candidate, self.engine.judge(&x, &y, ask), cells)
+    }
+
+    /// Verify a candidate list; the verdicts come back in its order, each
+    /// what [`Self::verdict`] gives the candidate alone. The ledger answers
+    /// what it can; the rest are sorted by shape and cut into groups of
+    /// [`BATCH_LANES`] — one batch fill each ([`AlignEngine::judge_batch`]),
+    /// sixteen pairs of about one size to a register — which `on` spreads
+    /// over the rayon pool or keeps on the caller's thread.
+    ///
+    /// [`AlignEngine::judge_batch`]: pfam_align::AlignEngine::judge_batch
+    pub fn verify(
+        &self,
+        set: &dyn SeqStore,
+        candidates: &[(u32, u32)],
+        on: VerifyOn,
+    ) -> Vec<Verdict> {
+        let mut verdicts: Vec<Option<Verdict>> =
+            candidates.iter().map(|&c| self.known(c)).collect();
+        // (n, m, position) of every candidate left to fill.
+        let mut rest: Vec<(usize, usize, usize)> = Vec::new();
+        for (at, &c) in candidates.iter().enumerate().filter(|&(at, _)| verdicts[at].is_none()) {
+            let (lo, hi, _) = self.question(c);
+            rest.push((set.seq_len(hi), set.seq_len(lo), at));
+        }
+        rest.sort_unstable();
+        let fill = |group: &[(usize, usize, usize)]| -> Vec<Verdict> {
+            let asks = group.iter().map(|&(_, _, at)| self.question(candidates[at]));
+            let reads: Vec<_> =
+                asks.clone().map(|(lo, hi, _)| (set.codes_cow(lo), set.codes_cow(hi))).collect();
+            let asked: Vec<(&[u8], &[u8], PairQuery)> =
+                reads.iter().zip(asks).map(|((x, y), ask)| (&x[..], &y[..], ask.2)).collect();
+            let mut answers = Vec::with_capacity(group.len());
+            self.engine.judge_batch(&asked, &mut answers);
+            let verdict = |(&(n, m, at), v)| self.filled(candidates[at], v, (m * n) as u64);
+            group.iter().zip(answers).map(verdict).collect()
+        };
+        let groups: Vec<&[(usize, usize, usize)]> = rest.chunks(BATCH_LANES).collect();
+        let filled: Vec<Vec<Verdict>> = match on {
+            VerifyOn::Pool => {
+                use rayon::prelude::*;
+                groups.par_iter().map(|group| fill(group)).collect()
+            }
+            VerifyOn::Caller => groups.iter().map(|group| fill(group)).collect(),
+        };
+        for (&(_, _, at), v) in rest.iter().zip(filled.into_iter().flatten()) {
+            verdicts[at] = Some(v);
+        }
+        verdicts.into_iter().map(|v| v.expect("every candidate was answered or filled")).collect()
     }
 }
 

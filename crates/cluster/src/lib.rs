@@ -56,7 +56,7 @@ pub mod spmd;
 pub mod trace;
 pub mod transport;
 
-pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier};
+pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier, VerifyOn};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{
     all_component_graphs, component_graph, component_graph_with, BggScratch, ComponentGraph,

@@ -7,10 +7,10 @@
 //! back into the core. Three policies cover every driver in this crate:
 //!
 //! * [`BatchedPush`] — the in-process loop, the only one `pfam` runs:
-//!   batch, filter, verify across the rayon pool (candidates are handed
-//!   out one at a time through an atomic cursor, so the pool schedules
-//!   itself), absorb; optional checkpoint cursor emission at batch
-//!   boundaries.
+//!   batch, filter, verify across the rayon pool (shape-sorted groups of
+//!   sixteen candidates are handed out one at a time through an atomic
+//!   cursor, so the pool schedules itself), absorb; optional checkpoint
+//!   cursor emission at batch boundaries.
 //! * [`SpmdPush`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
-use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier};
+use crate::core::{CcdCursor, ClusterCore, Verifier, VerifyOn};
 use crate::source::PairSource;
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
@@ -104,7 +104,7 @@ impl<S: PairSource + ?Sized> WorkPolicy for BatchedPush<'_, S> {
                 break;
             }
             let candidates = core.admit_batch(&batch);
-            let verdicts = self.verifier.verify_par(core.set(), &candidates);
+            let verdicts = self.verifier.verify(core.set(), &candidates, VerifyOn::Pool);
             core.absorb(verdicts);
             batches_since_checkpoint += 1;
             if self.checkpoint_every > 0 && batches_since_checkpoint >= self.checkpoint_every {
@@ -192,7 +192,7 @@ pub fn serve_push_worker<P, S>(
         }
     }
     let answer = |port: &mut P, candidates: Vec<(u32, u32)>| {
-        let verdicts = verify_seq(verifier, set, &candidates);
+        let verdicts = verifier.verify(set, &candidates, VerifyOn::Caller);
         healthy(port.send(WorkerMsg::Verdicts { lease: 0, verdicts }));
     };
 
@@ -414,11 +414,6 @@ where
     }
 }
 
-/// Verify a leased batch on the worker's own thread, in task order.
-fn verify_seq(verifier: &Verifier, set: &dyn SeqStore, candidates: &[(u32, u32)]) -> Vec<Verdict> {
-    candidates.iter().map(|&c| verifier.verdict(set, c)).collect()
-}
-
 /// The worker half of the pull protocol: a stateless verification server
 /// — request, verify the leased batch, answer, repeat, re-requesting
 /// every [`REQUEST_TIMEOUT`] while unanswered. Any transport error (most
@@ -441,7 +436,7 @@ pub fn serve_pull_worker<P: WorkerPort + ?Sized>(
                     return;
                 }
                 Ok(Some(MasterMsg::Task { lease, candidates })) => {
-                    let verdicts = verify_seq(verifier, set, &candidates);
+                    let verdicts = verifier.verify(set, &candidates, VerifyOn::Caller);
                     if port.send(WorkerMsg::Verdicts { lease, verdicts }).is_err() {
                         return;
                     }

@@ -59,7 +59,7 @@ pub fn assert_known_graphs_equal_mined(
     what: &str,
 ) -> (usize, usize) {
     let deferred = ccd.deferred.clone();
-    let known = KnownPairs::new(set, cfg, kept, ledger, &ccd.components, &ccd.edges, deferred);
+    let known = KnownPairs::new(set, cfg, kept, ledger, &ccd.components, &ccd.edges, deferred, 0);
     let mut scratch = BggScratch::default();
     let (mut fills, mut hits) = (0, 0);
     for (c, members) in ccd.components.iter().enumerate() {

@@ -306,8 +306,10 @@ impl<'a> BackHalf<'a> {
             .map(|c| c.iter().map(|&local| kept[local.index()]).collect())
             .collect();
         let known = (config.cluster.sketch.mode == SketchMode::Exact).then(|| {
-            let (components, edges) = (&ccd.components, &ccd.edges);
-            KnownPairs::new(input, &config.cluster, kept, ledger, components, edges, deferred)
+            let (components, edges, min_size) =
+                (&ccd.components, &ccd.edges, config.min_component_size);
+            let cluster = &config.cluster;
+            KnownPairs::new(input, cluster, kept, ledger, components, edges, deferred, min_size)
         });
         BackHalf { components, known }
     }

@@ -15,9 +15,14 @@
 # kernels, planes, pipeline entries or supervision extras by name; no
 # whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
 # hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
-# the alignment engine's hot path; no per-component suffix index on the
-# pipeline's exact path), the pfam-align suites in release mode, the
-# benchmark package's own tests, and the CLI smokes: kill/resume,
+# the alignment engine's hot path — engine, single-pair fill, batch fill;
+# `unsafe` only in the two alignment kernels' files and the bench
+# allocators; no per-component suffix index on the pipeline's exact path),
+# the candidate-list suite (Verifier's list entry == one verdict at a time;
+# deferred pairs of small components dropped), the pfam-align suites in
+# release mode (forced-path suite: both vector kernels against the scalar
+# twin, cell by cell), the benchmark package's own tests, and the CLI
+# smokes: kill/resume,
 # `cluster` == `run`, resume under other parameters, an unwritable --out,
 # removed flags and values.
 # Run from anywhere inside the repo.
@@ -130,12 +135,27 @@ echo "== tier1: the engine hot path stays off the three-matrix fill =="
 # bytes. The Gotoh matrices and `local_affine_with` belong to the oracle
 # (`AlignEngineKind::Reference` goes through `criteria`, which names
 # neither) and to the files' `#[cfg(test)]` modules.
-for f in crates/align/src/engine.rs crates/align/src/onepass.rs; do
+for f in crates/align/src/engine.rs crates/align/src/onepass.rs crates/align/src/interpair.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "AffineMatrices\|local_affine_with"; then
         echo "tier1 FAIL: $f names the three-matrix fill outside its tests" >&2
         exit 1
     fi
 done
+
+echo "== tier1: unsafe stays in the alignment kernels and the bench allocators =="
+# Every `unsafe` of the program is a vector load or store (or the call into
+# a `target_feature` kernel) in the two fill files, each behind a length
+# assertion; the benches' counting allocators wrap the system one. A new
+# kernel goes into one of those files and through the forced-path suite
+# (crates/align/tests/engine_props.rs), not somewhere else.
+if grep -rnw "unsafe" crates/*/src src \
+    | grep -v "^crates/align/src/onepass\.rs:" \
+    | grep -v "^crates/align/src/interpair\.rs:" \
+    | grep -v "^crates/bench/src/bin/lsh_bench\.rs:" \
+    | grep -v "^crates/bench/src/bin/index_oc_bench\.rs:"; then
+    echo "tier1 FAIL: unsafe outside the alignment kernels and the bench allocators" >&2
+    exit 1
+fi
 
 echo "== tier1: one suffix index per exact-mode run =="
 # One-alignment contract: the pipeline builds each component's graph from
@@ -187,6 +207,12 @@ echo "== tier1: one-alignment-per-pair suite (ledger / deferred pairs: same resu
 # driver and ledger state (full, absent, cut short).
 cargo test -q -p pfam-cluster --test pair_ledger
 
+echo "== tier1: candidate-list suite (Verifier::verify == verdict, one at a time) =="
+# The list entry answers from the ledger, sorts by shape and fills sixteen
+# pairs to a register; a verdict must not show any of it. Also: deferred
+# pairs of components under the minimum size are neither held nor filled.
+cargo test -q -p pfam-cluster --test verify_list
+
 echo "== tier1: alignment-engine identity suites =="
 # The tiered engine must be verdict- and output-identical to the reference
 # criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
@@ -209,6 +235,13 @@ echo "$ALIGN_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: align_bench smoke did not report identical outputs" >&2
     exit 1
 }
+# On an AVX2 host the inter-pair row must have run (and been compared).
+if echo "$ALIGN_SMOKE" | grep -q '"kernel": "avx2"'; then
+    echo "$ALIGN_SMOKE" | grep -q '"engine": "interpair_avx2"' || {
+        echo "tier1 FAIL: align_bench smoke did not run the inter-pair kernel" >&2
+        exit 1
+    }
+fi
 
 echo "== tier1: streaming-executor identity suite =="
 # The fused streaming BGG->DSD executor must be bit-identical to the
