@@ -115,12 +115,8 @@ pub struct PairQuery {
 impl PairQuery {
     /// Containment of the first sequence only.
     pub const X_IN_Y: PairQuery = PairQuery { x_in_y: true, y_in_x: false, overlap: false };
-    /// Containment of the second sequence only.
-    pub const Y_IN_X: PairQuery = PairQuery { x_in_y: false, y_in_x: true, overlap: false };
     /// Overlap only.
     pub const OVERLAP: PairQuery = PairQuery { x_in_y: false, y_in_x: false, overlap: true };
-    /// Every criterion.
-    pub const ALL: PairQuery = PairQuery { x_in_y: true, y_in_x: true, overlap: true };
 }
 
 /// Outcome of one [`AlignEngine::judge`] call: an answer per requested
@@ -213,13 +209,6 @@ impl AlignEngine {
     /// — for bench reports.
     pub fn kernel_label(&self) -> &'static str {
         self.fill.label()
-    }
-
-    /// Definition-1 containment: is `x` redundant with respect to `y`?
-    /// Uses a thread-local scratch arena. `anchor` is ignored.
-    pub fn contained(&self, x: &[u8], y: &[u8], _anchor: Option<Anchor>) -> EngineVerdict {
-        let v = self.judge(x, y, PairQuery::X_IN_Y);
-        v.single(v.x_in_y)
     }
 
     /// Definition-2 overlap between `x` and `y`. Uses a thread-local
@@ -421,9 +410,9 @@ mod tests {
                 ];
                 for anc in anchors {
                     assert_eq!(
-                        tiered.contained(&x, &y, anc).accept,
-                        reference.contained(&x, &y, anc).accept,
-                        "containment {a} vs {b} (anchor {anc:?})"
+                        tiered.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
+                        reference.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
+                        "containment {a} vs {b}"
                     );
                     assert_eq!(
                         tiered.overlaps(&x, &y, anc).accept,
@@ -440,16 +429,17 @@ mod tests {
         let engine = engine(AlignEngineKind::Tiered);
         let x = codes("MKVLWAAK");
         // Traced: the fill ran once over the rectangle, nothing skipped.
-        let traced = engine.contained(&x, &codes("PPMKVLWAAKPP"), None);
-        assert_eq!((traced.tier, traced.accept), (3, true));
+        let contained = |y: &str| engine.judge(&x, &codes(y), PairQuery::X_IN_Y);
+        let traced = contained("PPMKVLWAAKPP");
+        assert_eq!((traced.tier, traced.x_in_y), (3, true));
         assert_eq!((traced.cells_computed, traced.cells_skipped), (8 * 12, 0));
         // Length screen: no cell computed, the whole rectangle skipped.
-        let screened = engine.contained(&x, &codes("WW"), None);
+        let screened = contained("WW");
         assert_eq!(screened.tier, 0);
         assert_eq!((screened.cells_computed, screened.cells_skipped), (0, 8 * 2));
         // Score reject: the fill ran, the traceback did not.
-        let rejected = engine.contained(&x, &codes("PPPPPPPPPP"), None);
-        assert_eq!((rejected.tier, rejected.accept), (1, false));
+        let rejected = contained("PPPPPPPPPP");
+        assert_eq!((rejected.tier, rejected.x_in_y), (1, false));
         assert_eq!((rejected.cells_computed, rejected.cells_skipped), (8 * 10, 8 * 10));
     }
 }

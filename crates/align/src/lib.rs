@@ -4,14 +4,10 @@
 //! Dynamic-programming alignment kernels used by the redundancy-removal and
 //! connected-component phases of the pipeline:
 //!
-//! * [`global`] — Needleman–Wunsch global alignment (linear and affine
-//!   gaps, Gotoh recurrences), with full traceback.
-//! * [`local`] — Smith–Waterman local alignment (affine gaps), the
-//!   workhorse behind the paper's Definition 1 (containment) and
-//!   Definition 2 (overlap) tests.
-//! * [`semiglobal`] — free-end-gap alignment for containment checks.
-//! * [`banded`] — banded global alignment around a seed diagonal, the fast
-//!   path when a long maximal match anchors the pair.
+//! * [`local`] — Smith–Waterman local alignment (affine gaps, Gotoh
+//!   recurrences, full traceback): the alignment the paper's Definition 1
+//!   (containment) and Definition 2 (overlap) tests are stated over, and
+//!   the oracle every other fill here is checked against.
 //! * [`criteria`] — the paper's acceptance tests: `is_contained`
 //!   (Def. 1: ≥95 % similarity over the overlap, ≥95 % of the shorter
 //!   sequence covered) and `overlaps` (Def. 2: ≥30 % similarity covering
@@ -27,27 +23,19 @@
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
 pub mod alignment;
-pub mod banded;
 pub mod criteria;
 pub mod engine;
-pub mod global;
 pub mod interpair;
 pub mod local;
 pub mod onepass;
 pub mod render;
 mod scratch;
-pub mod semiglobal;
 
 pub use alignment::{AlignOp, AlignStats, Alignment};
-pub use banded::banded_global_affine;
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
 pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict, PairQuery, PairVerdict};
-pub use global::{
-    global_affine, global_affine_with, global_linear, global_score, global_score_with,
-};
 pub use interpair::BATCH_LANES;
-pub use local::{local_affine, local_affine_with, local_score, local_score_with};
+pub use local::{local_affine, local_affine_with};
 pub use onepass::{FillProbe, OnePassFill};
 pub use render::render_alignment;
 pub use scratch::AlignScratch;
-pub use semiglobal::semiglobal_affine;

@@ -7,8 +7,23 @@
 use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::global::NEG_INF;
 use crate::scratch::AlignScratch;
+
+/// Sentinel for "unreachable" DP states; far enough from `i32::MIN` that
+/// subtracting a gap penalty cannot overflow.
+pub(crate) const NEG_INF: i32 = i32::MIN / 4;
+
+/// The three Gotoh DP layers, stored flat in row-major order.
+pub(crate) struct AffineMatrices {
+    /// Row width (`n + 1`).
+    pub w: usize,
+    /// Best score of any alignment of prefixes.
+    pub h: Vec<i32>,
+    /// Best score ending with a gap consuming `y` (horizontal move).
+    pub e: Vec<i32>,
+    /// Best score ending with a gap consuming `x` (vertical move).
+    pub f: Vec<i32>,
+}
 
 /// Optimal local alignment (affine gaps) with full traceback.
 ///
@@ -82,7 +97,7 @@ fn traceback_local(
     x: &[u8],
     y: &[u8],
     scheme: &ScoringScheme,
-    mat: &crate::global::AffineMatrices,
+    mat: &AffineMatrices,
     best: i32,
     best_at: (usize, usize),
 ) -> Alignment {
@@ -145,42 +160,6 @@ fn traceback_local(
     Alignment { score: best, ops, x_range: (i, best_at.0), y_range: (j, best_at.1) }
 }
 
-/// Score-only Smith–Waterman in linear space.
-pub fn local_score(x: &[u8], y: &[u8], scheme: &ScoringScheme) -> i32 {
-    local_score_with(x, y, scheme, &mut AlignScratch::new())
-}
-
-/// [`local_score`] reusing a caller-owned [`AlignScratch`] arena.
-pub fn local_score_with(
-    x: &[u8],
-    y: &[u8],
-    scheme: &ScoringScheme,
-    scratch: &mut AlignScratch,
-) -> i32 {
-    let (a, b) = if y.len() <= x.len() { (x, y) } else { (y, x) };
-    let n = b.len();
-    let h = &mut scratch.row_h;
-    h.clear();
-    h.resize(n + 1, 0);
-    let f = &mut scratch.row_f;
-    f.clear();
-    f.resize(n + 1, NEG_INF);
-    let mut best = 0i32;
-    for i in 1..=a.len() {
-        let mut diag = h[0];
-        let mut e = NEG_INF;
-        for j in 1..=n {
-            e = (h[j - 1] - scheme.gap_open).max(e - scheme.gap_extend);
-            f[j] = (h[j] - scheme.gap_open).max(f[j] - scheme.gap_extend);
-            let s = diag + scheme.matrix.score_codes(a[i - 1], b[j - 1]);
-            diag = h[j];
-            h[j] = s.max(e).max(f[j]).max(0);
-            best = best.max(h[j]);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,26 +203,10 @@ mod tests {
         let x = codes("ACDEFGHIKLMNPQRSTVWY");
         let y = codes("YWVTSRQPNMLKIHGFEDCA");
         let s = blosum();
-        let score = local_score(&x, &y, &s);
+        let score = local_affine(&x, &y, &s).score;
         assert!(score >= 0);
         // Any single identical residue pair gives at least min diagonal score (4).
         assert!(score >= 4);
-    }
-
-    #[test]
-    fn score_only_matches_traceback_score() {
-        let pairs = [
-            ("MKVLWAAKPP", "GGMKVLWAAK"),
-            ("ACDEFG", "ACDEFG"),
-            ("AAAA", "WWWW"),
-            ("MKVLWMKVLW", "MKVLW"),
-        ];
-        let s = blosum();
-        for (a, b) in pairs {
-            let (x, y) = (codes(a), codes(b));
-            assert_eq!(local_score(&x, &y, &s), local_affine(&x, &y, &s).score, "{a} vs {b}");
-            assert_eq!(local_score(&y, &x, &s), local_affine(&y, &x, &s).score);
-        }
     }
 
     #[test]
@@ -265,17 +228,34 @@ mod tests {
         let s = blosum();
         assert_eq!(local_affine(&[], &codes("ACD"), &s).score, 0);
         assert_eq!(local_affine(&codes("ACD"), &[], &s).score, 0);
-        assert_eq!(local_score(&[], &[], &s), 0);
+        assert_eq!(local_affine(&[], &[], &s).score, 0);
     }
 
     #[test]
-    fn local_at_least_global() {
-        // Local score always ≥ global score of the same pair.
-        let pairs = [("MKVLW", "MKW"), ("ACDEF", "WWWWW"), ("AAAA", "AAAAGGGG")];
+    fn local_at_least_best_ungapped_segment() {
+        // A gap-free stretch of one diagonal is a local alignment, so the
+        // best of them — every start, every length — bounds the optimum
+        // from below; where the optimum has no gap the bound is tight.
+        let pairs =
+            [("MKVLW", "MKW"), ("ACDEF", "WWWWW"), ("AAAA", "AAAAGGGG"), ("PPMKVLW", "MKVLWGG")];
         let s = blosum();
         for (a, b) in pairs {
             let (x, y) = (codes(a), codes(b));
-            assert!(local_score(&x, &y, &s) >= crate::global::global_score(&x, &y, &s));
+            let mut floor = 0;
+            for i in 0..x.len() {
+                for j in 0..y.len() {
+                    let mut run = 0;
+                    for (&p, &q) in x[i..].iter().zip(&y[j..]) {
+                        run += s.matrix.score_codes(p, q);
+                        floor = floor.max(run);
+                    }
+                }
+            }
+            let aln = local_affine(&x, &y, &s);
+            assert!(aln.score >= floor, "{a} vs {b}: {} under {floor}", aln.score);
+            if aln.ops.iter().all(|&op| op == AlignOp::Subst) {
+                assert_eq!(aln.score, floor, "{a} vs {b}");
+            }
         }
     }
 

@@ -41,8 +41,8 @@
 use pfam_seq::{ScoringScheme, ALPHABET_SIZE};
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::global::NEG_INF;
 use crate::interpair::{self, batch_fits, LaneEnd, BATCH_LANES};
+use crate::local::NEG_INF;
 use crate::scratch::AlignScratch;
 
 const DIR_MASK: u8 = 3;

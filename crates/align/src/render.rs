@@ -99,25 +99,26 @@ mod tests {
 
     #[test]
     fn substitutions_render_plus_or_space() {
-        // I vs V is a positive (+3); W vs P is negative.
-        let x = codes("IW");
-        let y = codes("VP");
+        // I vs V is a positive (+3); W vs P is negative, and cheaper to
+        // substitute than to gap around between the identical flanks.
+        let x = codes("MKIWLW");
+        let y = codes("MKVPLW");
         let s = ScoringScheme::blosum62_default();
-        let aln = crate::global::global_affine(&x, &y, &s);
+        let aln = local_affine(&x, &y, &s);
         let text = render_alignment(&aln, &x, &y, &s.matrix, 60);
         let match_line = text.lines().nth(1).expect("match line");
-        assert!(match_line.contains('+'));
-        assert!(!match_line.contains('|'));
+        assert!(match_line.ends_with("||+ ||"), "{text}");
     }
 
     #[test]
     fn gaps_render_dashes() {
-        let x = codes("MKVLWAAK");
-        let y = codes("MKVAAK");
+        // Both flanks outscore the three-residue gap between them.
+        let x = codes("MKVLWAAKNDCQEG");
+        let y = codes("MKVLWNDCQEG");
         let s = ScoringScheme::blosum62_default();
-        let aln = crate::global::global_affine(&x, &y, &s);
+        let aln = local_affine(&x, &y, &s);
         let text = render_alignment(&aln, &x, &y, &s.matrix, 60);
-        assert!(text.contains('-'), "deletion must appear as dashes:\n{text}");
+        assert!(text.contains("MKVLW---NDCQEG"), "deletion must appear as dashes:\n{text}");
     }
 
     #[test]
@@ -125,7 +126,7 @@ mod tests {
         let core = "MKVLWAAKNDCQEGHILKMF";
         let x = codes(&core.repeat(4));
         let s = ScoringScheme::blosum62_default();
-        let aln = crate::global::global_affine(&x, &x, &s);
+        let aln = local_affine(&x, &x, &s);
         let text = render_alignment(&aln, &x, &x, &s.matrix, 30);
         let blocks = text.matches("query").count();
         assert_eq!(blocks, 80usize.div_ceil(30));

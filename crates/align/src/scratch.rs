@@ -1,12 +1,11 @@
 //! Per-worker DP arena shared by every buffer-reuse alignment entry point.
 
-use crate::global::AffineMatrices;
 use crate::interpair::BatchBuf;
+use crate::local::AffineMatrices;
 use crate::onepass::OnePassBuf;
 
 /// Reusable per-worker DP arena shared by the alignment engine and the
-/// buffer-reuse alignment entry points (`local_affine_with`,
-/// `global_affine_with`, `local_score_with`, `global_score_with`).
+/// buffer-reuse alignment entry point of the oracle (`local_affine_with`).
 ///
 /// Buffers only ever grow; a worker thread that has processed one large
 /// pair never allocates again for smaller ones.

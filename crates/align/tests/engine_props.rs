@@ -205,12 +205,12 @@ fn tiered_verdicts_match_reference_on_the_corpus() {
         ];
         for (k, (a, b)) in pairs.iter().enumerate() {
             let anchor = [None, Some(Anchor { x_pos: u32::MAX, y_pos: 0, len: 5 })][k % 2];
-            let contained = reference.contained(a, b, anchor).accept;
+            let contained = reference.judge(a, b, PairQuery::X_IN_Y).x_in_y;
             let overlapping = reference.overlaps(a, b, anchor).accept;
             n_accepts += usize::from(contained) + usize::from(overlapping);
             for t in &tiered {
                 let fill = t.kernel_label();
-                assert_eq!(t.contained(a, b, anchor).accept, contained, "{fill}: pair {k}");
+                assert_eq!(t.judge(a, b, PairQuery::X_IN_Y).x_in_y, contained, "{fill}: pair {k}");
                 assert_eq!(t.overlaps(a, b, anchor).accept, overlapping, "{fill}: pair {k}");
             }
         }
@@ -232,16 +232,21 @@ fn counters_follow_the_outcome_on_the_corpus() {
         let full = (a.len() as u64) * (b.len() as u64);
         let r = reference.overlaps(&a, &b, None);
         assert_eq!((r.cells_computed, r.cells_skipped), (full, 0));
-        for t in [tiered.overlaps(&a, &b, None), tiered.contained(&a, &b, None)] {
-            let expected = match t.tier {
+        let o = tiered.overlaps(&a, &b, None);
+        let c = tiered.judge(&a, &b, PairQuery::X_IN_Y);
+        for (tier, computed, skipped, accept) in [
+            (o.tier, o.cells_computed, o.cells_skipped, o.accept),
+            (c.tier, c.cells_computed, c.cells_skipped, c.x_in_y),
+        ] {
+            let expected = match tier {
                 0 => (0, full),
                 1 => (full, full),
                 3 => (full, 0),
                 other => panic!("retired tier {other}"),
             };
-            assert_eq!((t.cells_computed, t.cells_skipped), expected);
-            assert!(t.tier == 3 || !t.accept, "a rejecting step accepted");
-            tiers[t.tier as usize] += 1;
+            assert_eq!((computed, skipped), expected);
+            assert!(tier == 3 || !accept, "a rejecting step accepted");
+            tiers[tier as usize] += 1;
         }
     }
     assert!(tiers[0] > 0 && tiers[1] > 0 && tiers[3] > 0, "outcomes seen: {tiers:?}");
@@ -293,9 +298,8 @@ fn assert_judge_is_consistent(engines: &[AlignEngine], s: &ScoringScheme, x: &[u
     let want = (is_contained(x, y, s, &cp), y_in_x, overlaps(x, y, s, &op));
     for e in engines {
         let what = format!("{:?}/{} {}x{}", e.kind(), e.kernel_label(), x.len(), y.len());
-        let all = e.judge(x, y, PairQuery::ALL);
+        let all = e.judge(x, y, PairQuery { x_in_y: true, y_in_x: true, overlap: true });
         assert_eq!((all.x_in_y, all.y_in_x, all.overlap), want, "{what}");
-        assert_eq!(e.contained(x, y, None).accept, want.0, "{what}: contained wrapper");
         assert_eq!(e.overlaps(x, y, None).accept, want.2, "{what}: overlaps wrapper");
         assert!(all.cells_computed == 0 || all.cells_computed == full, "{what}: one rectangle");
         for bits in 0..8u8 {
@@ -328,7 +332,8 @@ fn judge_answers_every_criterion_off_one_fill() {
         let engines = judge_engines(&s);
         for (x, y) in &pairs {
             assert_judge_is_consistent(&engines, &s, x, y);
-            n_y_in_x += usize::from(engines[1].judge(x, y, PairQuery::Y_IN_X).y_in_x);
+            let second_side = PairQuery { y_in_x: true, ..PairQuery::default() };
+            n_y_in_x += usize::from(engines[1].judge(x, y, second_side).y_in_x);
         }
     }
     assert!(n_y_in_x > 5, "only {n_y_in_x} second-side containments — the corpus is vacuous");
@@ -514,7 +519,10 @@ proptest! {
         let s = scheme(11, 1);
         let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
         let engine = AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
-        prop_assert_eq!(engine.contained(&x, &y, None).accept, is_contained(&x, &y, &s, &cp));
+        prop_assert_eq!(
+            engine.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
+            is_contained(&x, &y, &s, &cp)
+        );
         prop_assert_eq!(engine.overlaps(&x, &y, None).accept, overlaps(&x, &y, &s, &op));
     }
 }

@@ -1,73 +1,46 @@
 //! Structural validation of the paper-analogous workloads: the 22K-like
-//! set is held together by its planted bridge reads, and the graph
-//! machinery can see that.
+//! set is held together by its planted bridge reads — clustering it
+//! without them splits the giant component — and the 160K-like set has no
+//! giant component to hold together.
 
 use pfam_bench::{dataset_160k_like, dataset_22k_like};
-use pfam_cluster::{all_component_graphs, run_ccd, ClusterConfig};
-use pfam_graph::cut_structure;
+use pfam_cluster::{run_ccd, ClusterConfig};
+use pfam_seq::{SeqId, SubsetStore};
 
 #[test]
-fn bridge_reads_are_articulation_points_of_the_giant_component() {
+fn bridge_reads_hold_the_giant_component_together() {
     let data = dataset_22k_like(0.6, 0x22);
     let config = ClusterConfig::default();
-    let ccd = run_ccd(&data.set, &config);
-    let (graphs, _) = all_component_graphs(&data.set, &ccd.components, 5, &config);
-    let giant =
-        graphs.iter().max_by_key(|g| g.graph.n_vertices()).expect("the giant component exists");
-    assert!(
-        giant.graph.n_vertices() as f64 > data.set.len() as f64 * 0.8,
-        "giant must cover most reads"
-    );
+    let giant = run_ccd(&data.set, &config).components.iter().map(Vec::len).max().unwrap_or(0);
+    assert!(giant as f64 > data.set.len() as f64 * 0.8, "giant must cover most reads");
 
-    let cuts = cut_structure(&giant.graph);
-    let bridge_locals: Vec<u32> = giant
-        .members
-        .iter()
-        .enumerate()
-        .filter(|(_, &id)| data.set.header(id).starts_with("bridge"))
-        .map(|(local, _)| local as u32)
-        .collect();
-    assert!(!bridge_locals.is_empty(), "workload must contain bridge reads");
-    let cut_set: std::collections::HashSet<u32> =
-        cuts.articulation_points.iter().copied().collect();
-    let bridging = bridge_locals.iter().filter(|b| cut_set.contains(b)).count();
-    assert!(
-        bridging * 2 >= bridge_locals.len(),
-        "most planted bridges should be articulation points: {bridging}/{}",
-        bridge_locals.len()
-    );
-
-    // And the converse sanity check: regular members overwhelmingly are NOT
-    // articulation points (their subfamily cliques are 2-connected).
-    let regular_aps = cuts
-        .articulation_points
-        .iter()
-        .filter(|&&v| !data.set.header(giant.members[v as usize]).starts_with("bridge"))
-        .count();
-    assert!(
-        regular_aps <= cuts.articulation_points.len() / 2 + 2,
-        "articulation points should be dominated by bridges: {regular_aps} regular of {}",
-        cuts.articulation_points.len()
-    );
+    let regular: Vec<SeqId> =
+        data.set.ids().filter(|&id| !data.set.header(id).starts_with("bridge")).collect();
+    assert!(regular.len() < data.set.len(), "workload must contain bridge reads");
+    let without_bridges = SubsetStore::new(&data.set, regular);
+    let subfamily_of = |dense: SeqId| {
+        let id = without_bridges.original_id(dense);
+        data.benchmark.iter().position(|sf| sf.contains(&id))
+    };
+    // Regular members of different subfamilies share no edge (69 % mutual
+    // coverage, under the 80 % cut-off): no component spans two of them.
+    for component in run_ccd(&without_bridges, &config).components {
+        let first = subfamily_of(component[0]);
+        assert!(
+            component.iter().all(|&id| subfamily_of(id) == first),
+            "a component of {} reads spans subfamilies without a bridge",
+            component.len()
+        );
+    }
 }
 
 #[test]
-fn multi_family_set_has_no_dominant_articulation_structure() {
-    // The 160K-like components are per-family near-cliques: few cut
-    // vertices relative to size.
+fn multi_family_set_has_no_giant_component() {
+    // The 160K-like components are per-family: many of them, none
+    // covering most of the reads.
     let data = dataset_160k_like(0.25, 0x160);
-    let config = ClusterConfig::default();
-    let ccd = run_ccd(&data.set, &config);
-    let (graphs, _) = all_component_graphs(&data.set, &ccd.components, 5, &config);
-    let mut total_vertices = 0usize;
-    let mut total_aps = 0usize;
-    for g in &graphs {
-        total_vertices += g.graph.n_vertices();
-        total_aps += cut_structure(&g.graph).articulation_points.len();
-    }
-    assert!(total_vertices > 0);
-    assert!(
-        (total_aps as f64) < total_vertices as f64 * 0.2,
-        "family cliques should be robust: {total_aps} cut vertices of {total_vertices}"
-    );
+    let ccd = run_ccd(&data.set, &ClusterConfig::default());
+    let largest = ccd.components.iter().map(Vec::len).max().unwrap_or(0);
+    assert!(largest * 2 < data.set.len(), "largest component {largest} of {}", data.set.len());
+    assert!(ccd.components_of_size(5).len() > 1);
 }

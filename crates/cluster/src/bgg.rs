@@ -314,7 +314,7 @@ mod tests {
         let (cg, _) = component_graph(&set, &[SeqId(2), SeqId(1)], &config());
         assert_eq!(cg.members, vec![SeqId(1), SeqId(2)], "sorted whatever the input order");
         assert_eq!(cg.original_id(1), SeqId(2));
-        assert!(cg.graph.has_edge(0, 1));
+        assert_eq!(cg.graph.neighbors(0), &[1]);
     }
 
     #[test]

@@ -341,7 +341,7 @@ mod tests {
         // Components must never mix families (precision of CCD).
         for comp in &r.components {
             let fams: std::collections::HashSet<_> =
-                comp.iter().filter_map(|&id| d.family_of(id)).collect();
+                comp.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
             assert!(fams.len() <= 1, "component mixes families: {fams:?}");
         }
         // And the components should reunite each family exactly.

@@ -38,11 +38,6 @@ pub struct ClusterConfig {
     /// path, `n` uses exactly `n` workers. Outputs are bit-identical for
     /// every value.
     pub threads: usize,
-    /// Whether index construction and mining may use more than one
-    /// worker. On by default — safe because the output is identical at
-    /// every thread count; turn off to run them on the calling thread
-    /// (e.g. for ablation timing).
-    pub parallel_index: bool,
     /// Which alignment engine the verification alignments run through.
     /// `Tiered` (default) is length screen → one-pass fill → direction
     /// traceback; `Reference` pins the full-matrix baseline. Verdicts — and therefore components and
@@ -84,12 +79,6 @@ impl MemParams {
     pub fn limited(bytes: u64) -> MemParams {
         MemParams { budget: MemoryBudget::limited(bytes), index_chunk_bytes: 0 }
     }
-
-    /// Whether these params can route an index build down the partitioned
-    /// path (either explicitly or via a binding budget).
-    pub fn partitioning_requested(&self) -> bool {
-        self.index_chunk_bytes > 0 || self.budget.is_limited()
-    }
 }
 
 impl Default for ClusterConfig {
@@ -108,7 +97,6 @@ impl Default for ClusterConfig {
             max_pairs_per_node: 100_000,
             mask: None,
             threads: 0,
-            parallel_index: true,
             align_engine: AlignEngineKind::default(),
             mem: MemParams::default(),
             sketch: SketchParams::default(),
@@ -122,15 +110,10 @@ impl ClusterConfig {
         ClusterConfig { psi_rr: 8, psi_ccd: 5, ..Default::default() }
     }
 
-    /// Effective thread count for index construction: `1` when
-    /// `parallel_index` is off, otherwise the `threads` knob as-is
+    /// Thread count for index construction: the `threads` knob as-is
     /// (`0` still means "all cores"; resolution happens downstream).
     pub fn index_threads(&self) -> usize {
-        if self.parallel_index {
-            self.threads
-        } else {
-            1
-        }
+        self.threads
     }
 
     /// Build the alignment engine this config selects (one per phase run;
@@ -160,12 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn index_threads_honours_parallel_toggle() {
+    fn index_threads_follow_the_threads_knob() {
         let mut c = ClusterConfig::default();
         assert_eq!(c.index_threads(), 0); // all cores by default
         c.threads = 4;
         assert_eq!(c.index_threads(), 4);
-        c.parallel_index = false;
-        assert_eq!(c.index_threads(), 1); // toggle pins one worker
+        c.threads = 1;
+        assert_eq!(c.index_threads(), 1); // the serial reference path
     }
 }

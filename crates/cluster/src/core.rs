@@ -231,14 +231,6 @@ impl<'s> ClusterCore<'s> {
         }
     }
 
-    /// Which phase this core runs.
-    pub fn phase(&self) -> CorePhase {
-        match self.state {
-            ModeState::Ccd { .. } => CorePhase::Ccd,
-            ModeState::Rr { .. } => CorePhase::Rr,
-        }
-    }
-
     /// The sequence store the core clusters.
     pub fn set(&self) -> &'s dyn SeqStore {
         self.set

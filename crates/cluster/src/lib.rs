@@ -80,7 +80,7 @@ pub use source::{
     MinedSource, PairSource, PartitionedMinedSource, SharedIndex, PIN_SKETCH_APPROX,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
-pub use trace::{BatchRecord, PhaseKind, PhaseTrace};
+pub use trace::{BatchRecord, PhaseTrace};
 pub use transport::{
     LocalPort, LocalTransport, MasterMsg, MpiTransport, MpiWorkerPort, Transport, TransportError,
     WorkerMsg, WorkerPort,

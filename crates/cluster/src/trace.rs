@@ -9,17 +9,6 @@
 //! the paper's scaling *shapes* (near-linear RR, saturating CCD) from the
 //! real task structure rather than from a formula.
 
-/// Which pipeline phase a trace belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseKind {
-    /// Redundancy removal.
-    RedundancyRemoval,
-    /// Connected-component detection.
-    ConnectedComponents,
-    /// Bipartite graph generation.
-    BipartiteGeneration,
-}
-
 /// One master-round of pair processing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchRecord {

@@ -249,7 +249,6 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
         mask,
         sketch,
         threads: _,
-        parallel_index: _,
         align_engine: _,
         mem: _,
     } = cluster;
@@ -763,12 +762,9 @@ mod tests {
         assert_ne!(fingerprint(&set_of(&["MKVLWAAK", "MKVLWND"]), &base), name);
         assert_ne!(fingerprint(&set_of(&["MKVLWAAKND", "MKVL", "W"]), &base), name);
 
-        let unchanged = base
-            .clone()
-            .with_threads(1)
-            .with_align_engine(pfam_cluster::AlignEngineKind::Reference)
-            .with_mem_budget(1 << 20)
-            .with_index_chunk_bytes(4096);
+        let mut unchanged = base.clone().with_mem_budget(1 << 20).with_index_chunk_bytes(4096);
+        unchanged.cluster.threads = 1;
+        unchanged.cluster.align_engine = pfam_cluster::AlignEngineKind::Reference;
         assert_eq!(fingerprint(&set, &unchanged), name);
         // Exact mode reads no sketch knob.
         let mut inert = base.clone();

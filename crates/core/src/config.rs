@@ -59,24 +59,6 @@ impl PipelineConfig {
         }
     }
 
-    /// Set the worker-thread count for index construction and pair
-    /// generation (`0` = all cores, `1` = serial reference). The result
-    /// of every phase is identical for any value — only wall-clock time
-    /// changes.
-    pub fn with_threads(mut self, threads: usize) -> PipelineConfig {
-        self.cluster.threads = threads;
-        self
-    }
-
-    /// Select the alignment engine every verification alignment runs
-    /// through (`Tiered` by default, `Reference` pins the full-matrix
-    /// baseline). Verdicts — and therefore components and `families.tsv`
-    /// — are bit-identical for both; only speed differs.
-    pub fn with_align_engine(mut self, kind: pfam_cluster::AlignEngineKind) -> PipelineConfig {
-        self.cluster.align_engine = kind;
-        self
-    }
-
     /// Cap the index plane's working memory at `bytes`: the GSA goes
     /// partitioned when the monolithic index would not fit, and the
     /// shingle rank tables fall back to per-set hashing when refused.
@@ -95,15 +77,6 @@ impl PipelineConfig {
     /// when unlimited). Any positive value forces the partitioned path.
     pub fn with_index_chunk_bytes(mut self, bytes: u64) -> PipelineConfig {
         self.cluster.mem.index_chunk_bytes = bytes;
-        self
-    }
-
-    /// Route candidate generation through the LSH sketch plane
-    /// ([`pfam_cluster::lsh`]): `Approx` replaces the suffix-index miner
-    /// with banded min-hash buckets (approximate recall, O(n·b) memory).
-    /// `Exact` mode leaves the reference path untouched.
-    pub fn with_sketch(mut self, sketch: pfam_cluster::SketchParams) -> PipelineConfig {
-        self.cluster.sketch = sketch;
         self
     }
 }
@@ -130,19 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_reaches_the_cluster_layer() {
-        let c = PipelineConfig::for_tests().with_threads(3);
-        assert_eq!(c.cluster.threads, 3);
-        assert_eq!(c.cluster.index_threads(), 3);
-    }
-
-    #[test]
     fn with_mem_budget_reaches_the_cluster_layer() {
         let c = PipelineConfig::for_tests();
         assert!(!c.cluster.mem.budget.is_limited(), "unlimited by default");
         let c = c.with_mem_budget(1 << 20);
         assert_eq!(c.cluster.mem.budget.limit(), Some(1 << 20));
-        assert!(c.cluster.mem.partitioning_requested());
         let c = c.with_mem_budget(0);
         assert!(!c.cluster.mem.budget.is_limited(), "0 clears the cap");
     }
@@ -153,30 +118,5 @@ mod tests {
         assert_eq!(c.cluster.mem.index_chunk_bytes, 0, "auto by default");
         let c = c.with_index_chunk_bytes(4096);
         assert_eq!(c.cluster.mem.index_chunk_bytes, 4096);
-        assert!(c.cluster.mem.partitioning_requested());
-    }
-
-    #[test]
-    fn with_sketch_reaches_the_cluster_layer() {
-        use pfam_cluster::{SketchMode, SketchParams};
-        let c = PipelineConfig::for_tests();
-        assert_eq!(c.cluster.sketch.mode, SketchMode::Exact, "exact mode is the default");
-        let c = c.with_sketch(SketchParams {
-            mode: SketchMode::Approx,
-            bands: 24,
-            ..SketchParams::default()
-        });
-        assert_eq!(c.cluster.sketch.mode, SketchMode::Approx);
-        assert_eq!(c.cluster.sketch.bands, 24);
-        assert!(c.cluster.sketch.enabled());
-    }
-
-    #[test]
-    fn with_align_engine_reaches_the_cluster_layer() {
-        use pfam_cluster::AlignEngineKind;
-        let c = PipelineConfig::for_tests();
-        assert_eq!(c.cluster.align_engine, AlignEngineKind::Tiered, "tiered is the default");
-        let c = c.with_align_engine(AlignEngineKind::Reference);
-        assert_eq!(c.cluster.align_engine, AlignEngineKind::Reference);
     }
 }

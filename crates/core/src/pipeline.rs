@@ -589,7 +589,7 @@ mod tests {
         assert!(!r.dense_subgraphs.is_empty());
         for ds in &r.dense_subgraphs {
             let fams: std::collections::HashSet<_> =
-                ds.members.iter().filter_map(|&id| d.family_of(id)).collect();
+                ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
             assert_eq!(fams.len(), 1, "dense subgraph mixes families");
         }
     }
@@ -643,7 +643,7 @@ mod tests {
         assert!(!r.dense_subgraphs.is_empty());
         for ds in &r.dense_subgraphs {
             let fams: std::collections::HashSet<_> =
-                ds.members.iter().filter_map(|&id| d.family_of(id)).collect();
+                ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
             assert_eq!(fams.len(), 1, "domain-based subgraph mixes families");
         }
     }

@@ -263,11 +263,6 @@ impl SyntheticDataset {
         self.set.is_empty()
     }
 
-    /// Ground-truth family of read `id` (`None` for noise).
-    pub fn family_of(&self, id: SeqId) -> Option<u32> {
-        self.provenance[id.index()].family()
-    }
-
     /// The benchmark clustering: one cluster per family (members and
     /// redundant copies together), noise excluded. Plays the role of the
     /// GOS clustering in the paper's quality comparison.
@@ -281,26 +276,6 @@ impl SyntheticDataset {
         }
         clusters.retain(|c| !c.is_empty());
         clusters
-    }
-
-    /// A deliberately *coarser* benchmark: families merged round-robin into
-    /// `groups` superclusters. The GOS clustering the paper compares
-    /// against was much coarser than its dense subgraphs (hence PR ≫ SE);
-    /// sweeping `groups` from `n_families` down to 1 interpolates between
-    /// the exact ground truth and the one-cluster extreme.
-    pub fn coarse_benchmark(&self, groups: usize) -> Vec<Vec<SeqId>> {
-        assert!(groups >= 1, "need at least one group");
-        let fine = self.benchmark_clusters();
-        let mut coarse: Vec<Vec<SeqId>> = vec![Vec::new(); groups.min(fine.len().max(1))];
-        let k = coarse.len();
-        for (f, members) in fine.into_iter().enumerate() {
-            coarse[f % k].extend(members);
-        }
-        coarse.retain(|c| !c.is_empty());
-        for c in coarse.iter_mut() {
-            c.sort_unstable();
-        }
-        coarse
     }
 
     /// Ids of reads injected as redundant copies.
@@ -539,9 +514,9 @@ mod tests {
     #[test]
     fn noise_belongs_to_no_family() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(5));
-        for (i, p) in d.provenance.iter().enumerate() {
+        for p in &d.provenance {
             if matches!(p, Provenance::Noise) {
-                assert_eq!(d.family_of(SeqId(i as u32)), None);
+                assert_eq!(p.family(), None);
             }
         }
     }
@@ -561,7 +536,12 @@ mod tests {
             domain_len: 25,
             families_per_domain: 3,
             fragment_prob: 0.0,
-            mutation: MutationModel::none(),
+            mutation: MutationModel {
+                substitution_rate: 0.0,
+                insertion_rate: 0.0,
+                deletion_rate: 0.0,
+                ..MutationModel::default()
+            },
             seed: 12,
             ..DatasetConfig::tiny(12)
         };
@@ -579,35 +559,6 @@ mod tests {
             }
         }
         assert!(found, "shared domains should appear in multiple ancestors");
-    }
-
-    #[test]
-    fn coarse_benchmark_interpolates() {
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(78));
-        let fine = d.benchmark_clusters();
-        let covered: usize = fine.iter().map(Vec::len).sum();
-        // One group = everything together.
-        let one = d.coarse_benchmark(1);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].len(), covered);
-        // As many groups as families = the fine clustering (same sizes).
-        let same = d.coarse_benchmark(fine.len());
-        assert_eq!(same.len(), fine.len());
-        let mut a: Vec<usize> = same.iter().map(Vec::len).collect();
-        let mut b: Vec<usize> = fine.iter().map(Vec::len).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // Middle: fewer clusters, same coverage, disjoint.
-        let mid = d.coarse_benchmark(2);
-        assert_eq!(mid.len(), 2);
-        assert_eq!(mid.iter().map(Vec::len).sum::<usize>(), covered);
-        let mut seen = std::collections::HashSet::new();
-        for c in &mid {
-            for &id in c {
-                assert!(seen.insert(id));
-            }
-        }
     }
 
     #[test]

@@ -22,4 +22,4 @@ pub use dataset::{
     generate_to_store, skewed_sizes, DatasetConfig, Provenance, StreamedDataset, SyntheticDataset,
     REDUNDANCY_WINDOW,
 };
-pub use mutation::{quick_identity, random_peptide, random_residue, MutationModel};
+pub use mutation::{random_peptide, random_residue, MutationModel};

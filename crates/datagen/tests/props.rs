@@ -67,7 +67,7 @@ proptest! {
             let copy = d.set.codes(id);
             let original = d.set.codes(of);
             prop_assert!(original.windows(copy.len()).any(|w| w == copy));
-            prop_assert_eq!(d.family_of(of), Some(family));
+            prop_assert_eq!(d.provenance[of.index()].family(), Some(family));
         }
     }
 
@@ -78,21 +78,12 @@ proptest! {
         for cluster in d.benchmark_clusters() {
             for id in cluster {
                 prop_assert!(seen.insert(id), "duplicate membership");
-                prop_assert!(d.family_of(id).is_some());
+                prop_assert!(d.provenance[id.index()].family().is_some());
             }
         }
         let non_noise =
             d.provenance.iter().filter(|p| p.family().is_some()).count();
         prop_assert_eq!(seen.len(), non_noise);
-    }
-
-    #[test]
-    fn coarse_benchmark_conserves_membership(config in small_config(), groups in 1usize..8) {
-        let d = SyntheticDataset::generate(&config);
-        let fine: usize = d.benchmark_clusters().iter().map(Vec::len).sum();
-        let coarse = d.coarse_benchmark(groups);
-        prop_assert!(coarse.len() <= groups);
-        prop_assert_eq!(coarse.iter().map(Vec::len).sum::<usize>(), fine);
     }
 
     #[test]

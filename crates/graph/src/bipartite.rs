@@ -21,8 +21,6 @@ pub struct BipartiteGraph {
     n_right: usize,
     offsets: Vec<usize>,
     targets: Vec<u32>,
-    /// For `Bm`: the packed word each left vertex represents (empty for `Bd`).
-    left_words: Vec<u64>,
 }
 
 impl BipartiteGraph {
@@ -53,7 +51,7 @@ impl BipartiteGraph {
             offsets[i + 1] += offsets[i];
         }
         let targets = pairs.iter().map(|&(_, r)| r).collect();
-        BipartiteGraph { n_left, n_right, offsets, targets, left_words: Vec::new() }
+        BipartiteGraph { n_left, n_right, offsets, targets }
     }
 
     /// The `Bd` reduction of an undirected graph: both sides are the vertex
@@ -100,16 +98,12 @@ impl BipartiteGraph {
             occurs.into_iter().filter(|(_, seqs)| seqs.len() >= 2).collect();
         words.sort_unstable_by_key(|&(word, _)| word);
         let mut edges = Vec::new();
-        let mut left_words = Vec::with_capacity(words.len());
-        for (li, (word, seqs)) in words.into_iter().enumerate() {
-            left_words.push(word);
-            for s in seqs {
+        for (li, (_, seqs)) in words.iter().enumerate() {
+            for &s in seqs {
                 edges.push((li as u32, s));
             }
         }
-        let mut g = BipartiteGraph::from_edges(left_words.len(), set.len(), &edges);
-        g.left_words = left_words;
-        g
+        BipartiteGraph::from_edges(words.len(), set.len(), &edges)
     }
 
     /// Number of left vertices.
@@ -131,24 +125,6 @@ impl BipartiteGraph {
     #[inline]
     pub fn out_links(&self, v: u32) -> &[u32] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    /// Out-degree of left vertex `v`.
-    #[inline]
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    /// For a word-based graph, the packed word of left vertex `v`.
-    pub fn left_word(&self, v: u32) -> Option<u64> {
-        self.left_words.get(v as usize).copied()
-    }
-
-    /// Total memory the adjacency occupies, in bytes (used by the
-    /// per-component memory budgeting of the pipeline).
-    pub fn adjacency_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.targets.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -178,7 +154,7 @@ mod tests {
     fn from_edges_dedups() {
         let b = BipartiteGraph::from_edges(2, 3, &[(0, 1), (0, 1), (1, 2)]);
         assert_eq!(b.n_edges(), 2);
-        assert_eq!(b.out_degree(0), 1);
+        assert_eq!(b.out_links(0).len(), 1);
     }
 
     #[test]
@@ -191,10 +167,7 @@ mod tests {
         let set = builder.finish();
         let b = BipartiteGraph::word_based(&set, None, 5);
         // Words of length 5 in >= 2 sequences: MKVLW only.
-        let mkvlw =
-            pfam_seq::kmer::pack_word(&pfam_seq::alphabet::encode(b"MKVLW").unwrap()).unwrap();
         assert_eq!(b.n_left(), 1);
-        assert_eq!(b.left_word(0), Some(mkvlw));
         assert_eq!(b.out_links(0), &[0, 1]);
     }
 
@@ -229,12 +202,6 @@ mod tests {
         let bd = BipartiteGraph::duplicate_from(&g);
         assert_eq!(bd.n_edges(), 0);
         assert_eq!(bd.n_left(), 3);
-    }
-
-    #[test]
-    fn adjacency_bytes_positive() {
-        let b = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]);
-        assert!(b.adjacency_bytes() > 0);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl CsrGraph {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    /// Whether the edge `{a, b}` exists.
-    pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.neighbors(a).binary_search(&b).is_ok()
-    }
-
     /// Connected components as vertex lists (each sorted ascending; the
     /// list of components ordered by smallest member).
     pub fn connected_components(&self) -> Vec<Vec<u32>> {
@@ -133,15 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_symmetry() {
-        let g = triangle_plus_isolated();
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 3));
-        assert!(!g.has_edge(0, 4));
-    }
-
-    #[test]
     fn duplicates_and_self_loops_cleaned() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 0), (0, 1), (2, 2)]);
         assert_eq!(g.n_edges(), 1);
@@ -163,8 +149,7 @@ mod tests {
         assert_eq!(sub.n_vertices(), 3);
         // Only the 1-2 edge survives (4's partner 5 excluded).
         assert_eq!(sub.n_edges(), 1);
-        assert!(sub.has_edge(0, 1));
-        assert!(!sub.has_edge(0, 2));
+        assert_eq!(sub.neighbors(0), &[1]);
     }
 
     #[test]

@@ -39,46 +39,6 @@ pub fn subgraph_density(g: &CsrGraph, vertices: &[u32]) -> SubgraphDensity {
     }
 }
 
-/// Aggregate statistics over many dense subgraphs (one Table-I row).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DensityAggregate {
-    /// Number of subgraphs.
-    pub n_subgraphs: usize,
-    /// Total vertices covered.
-    pub total_vertices: usize,
-    /// Size of the largest subgraph.
-    pub largest: usize,
-    /// Mean of per-subgraph mean degrees, weighted by subgraph size.
-    pub mean_degree: f64,
-    /// Mean of per-subgraph densities (unweighted, as in the paper).
-    pub mean_density: f64,
-}
-
-/// Aggregate the densities of `subgraphs` (vertex lists) within `g`.
-pub fn aggregate_density(g: &CsrGraph, subgraphs: &[Vec<u32>]) -> DensityAggregate {
-    if subgraphs.is_empty() {
-        return DensityAggregate::default();
-    }
-    let mut total_vertices = 0usize;
-    let mut largest = 0usize;
-    let mut degree_weighted = 0.0f64;
-    let mut density_sum = 0.0f64;
-    for sg in subgraphs {
-        let d = subgraph_density(g, sg);
-        total_vertices += d.n_vertices;
-        largest = largest.max(d.n_vertices);
-        degree_weighted += d.mean_degree * d.n_vertices as f64;
-        density_sum += d.density;
-    }
-    DensityAggregate {
-        n_subgraphs: subgraphs.len(),
-        total_vertices,
-        largest,
-        mean_degree: degree_weighted / total_vertices as f64,
-        mean_density: density_sum / subgraphs.len() as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,22 +92,5 @@ mod tests {
         let g = clique(3);
         assert_eq!(subgraph_density(&g, &[1]).density, 0.0);
         assert_eq!(subgraph_density(&g, &[]).n_vertices, 0);
-    }
-
-    #[test]
-    fn aggregate_over_mixed_subgraphs() {
-        let g = CsrGraph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]);
-        let agg = aggregate_density(&g, &[vec![0, 1, 2], vec![3, 4, 5, 6]]);
-        assert_eq!(agg.n_subgraphs, 2);
-        assert_eq!(agg.total_vertices, 7);
-        assert_eq!(agg.largest, 4);
-        // densities: 1.0 and path-of-4 0.5 → mean 0.75.
-        assert!((agg.mean_density - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_empty() {
-        let g = clique(2);
-        assert_eq!(aggregate_density(&g, &[]), DensityAggregate::default());
     }
 }

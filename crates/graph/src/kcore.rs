@@ -1,67 +1,13 @@
-//! k-core decomposition and greedy densest-subgraph peeling.
+//! Greedy densest-subgraph peeling.
 //!
 //! The Shingle algorithm is the paper's choice because it streams; the
 //! classical alternative is Charikar's peeling: repeatedly remove the
 //! minimum-degree vertex and keep the prefix maximising average degree —
-//! a ½-approximation to the densest subgraph. This module provides both
-//! the peeling baseline (used by the ablation studies to sanity-check the
-//! Shingle output) and the Matula–Beck k-core numbers it builds on.
+//! a ½-approximation to the densest subgraph. This module provides the
+//! peeling baseline the ablation studies sanity-check the Shingle output
+//! against.
 
 use crate::csr::CsrGraph;
-
-/// Core number of every vertex: the largest `k` such that the vertex
-/// belongs to a subgraph where all degrees are ≥ `k`. O(V + E) bucket
-/// peeling (Matula & Beck).
-pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
-    let n = g.n_vertices();
-    let mut degree: Vec<u32> = (0..n as u32).map(|v| g.degree(v) as u32).collect();
-    let max_degree = degree.iter().copied().max().unwrap_or(0) as usize;
-
-    // Bucket sort vertices by degree.
-    let mut bin_start = vec![0usize; max_degree + 2];
-    for &d in &degree {
-        bin_start[d as usize + 1] += 1;
-    }
-    for i in 1..bin_start.len() {
-        bin_start[i] += bin_start[i - 1];
-    }
-    let mut position = vec![0usize; n];
-    let mut ordered = vec![0u32; n];
-    {
-        let mut next = bin_start.clone();
-        for v in 0..n as u32 {
-            let d = degree[v as usize] as usize;
-            position[v as usize] = next[d];
-            ordered[next[d]] = v;
-            next[d] += 1;
-        }
-    }
-
-    let mut core = vec![0u32; n];
-    let mut bin = bin_start;
-    for i in 0..n {
-        let v = ordered[i];
-        core[v as usize] = degree[v as usize];
-        for &u in g.neighbors(v) {
-            let du = degree[u as usize];
-            if du > degree[v as usize] {
-                // Move u one bucket down: swap with the first vertex of
-                // its bucket and shrink the bucket boundary.
-                let pu = position[u as usize];
-                let bucket_first = bin[du as usize];
-                let w = ordered[bucket_first];
-                if u != w {
-                    ordered.swap(pu, bucket_first);
-                    position[u as usize] = bucket_first;
-                    position[w as usize] = pu;
-                }
-                bin[du as usize] += 1;
-                degree[u as usize] -= 1;
-            }
-        }
-    }
-    core
-}
 
 /// Charikar's greedy peeling: returns the vertex set maximising average
 /// degree over all peeling prefixes (a ½-approximation of the densest
@@ -155,65 +101,6 @@ mod tests {
             }
         }
         CsrGraph::from_edges(n, &edges)
-    }
-
-    /// Brute-force core numbers by iterated peeling definition.
-    fn core_numbers_naive(g: &CsrGraph) -> Vec<u32> {
-        let n = g.n_vertices();
-        let mut core = vec![0u32; n];
-        for k in 1..=n as u32 {
-            // Repeatedly remove vertices with degree < k.
-            let mut alive = vec![true; n];
-            loop {
-                let mut changed = false;
-                for v in 0..n as u32 {
-                    if alive[v as usize] {
-                        let d =
-                            g.neighbors(v).iter().filter(|&&u| alive[u as usize]).count() as u32;
-                        if d < k {
-                            alive[v as usize] = false;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for v in 0..n {
-                if alive[v] {
-                    core[v] = k;
-                }
-            }
-        }
-        core
-    }
-
-    #[test]
-    fn clique_core_numbers() {
-        let g = clique(6);
-        assert_eq!(core_numbers(&g), vec![5; 6]);
-    }
-
-    #[test]
-    fn path_core_numbers() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(core_numbers(&g), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn core_numbers_match_naive_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(91);
-        for _ in 0..20 {
-            let n = rng.gen_range(1..25);
-            let m = rng.gen_range(0..60);
-            let edges: Vec<(u32, u32)> =
-                (0..m).map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32))).collect();
-            let g = CsrGraph::from_edges(n, &edges);
-            assert_eq!(core_numbers(&g), core_numbers_naive(&g));
-        }
     }
 
     #[test]

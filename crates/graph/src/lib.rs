@@ -3,8 +3,7 @@
 //!
 //! Data structures shared by the clustering and dense-subgraph phases:
 //!
-//! * [`union_find`] — Tarjan's disjoint-set forest (sequential, plus a
-//!   lock-free concurrent variant for rayon workers). The CCD master's
+//! * [`union_find`] — Tarjan's disjoint-set forest. The CCD master's
 //!   transitive-closure clustering and the Shingle reporting step both run
 //!   on it.
 //! * [`csr`] — immutable CSR adjacency with connected-component extraction
@@ -15,16 +14,14 @@
 //! * [`density`] — observed subgraph density, the paper's quality measure
 //!   (density = mean degree ⁄ (m − 1)).
 
-pub mod articulation;
 pub mod bipartite;
 pub mod csr;
 pub mod density;
 pub mod kcore;
 pub mod union_find;
 
-pub use articulation::{cut_structure, CutStructure};
 pub use bipartite::BipartiteGraph;
 pub use csr::CsrGraph;
-pub use density::{aggregate_density, subgraph_density, DensityAggregate, SubgraphDensity};
-pub use kcore::{core_numbers, densest_subgraph_peeling, greedy_dense_decomposition};
-pub use union_find::{ConcurrentUnionFind, UnionFind};
+pub use density::{subgraph_density, SubgraphDensity};
+pub use kcore::{densest_subgraph_peeling, greedy_dense_decomposition};
+pub use union_find::UnionFind;

@@ -3,12 +3,8 @@
 //! The paper uses Tarjan's union-find twice: the CCD master maintains the
 //! evolving clustering with near-constant-time `find`/`union`, and the
 //! Shingle reporting step enumerates connected components of the
-//! second-level-shingle graph. [`UnionFind`] is the sequential structure
-//! with union-by-rank and path halving; [`ConcurrentUnionFind`] is a
-//! lock-free variant (CAS on parent words, union-by-index) safe to use from
-//! rayon workers.
-
-use std::sync::atomic::{AtomicU32, Ordering};
+//! second-level-shingle graph. [`UnionFind`] is that structure, with
+//! union-by-rank and path halving.
 
 /// Sequential disjoint-set forest with union by rank and path halving.
 #[derive(Debug, Clone)]
@@ -50,14 +46,6 @@ impl UnionFind {
             self.parent[x as usize] = gp;
             x = gp;
         }
-    }
-
-    /// Representative without path compression (usable on `&self`).
-    pub fn find_const(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
     }
 
     /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
@@ -109,108 +97,6 @@ impl UnionFind {
         let mut out: Vec<Vec<u32>> = by_root.into_values().collect();
         out.sort_by_key(|g| g[0]);
         out
-    }
-}
-
-/// Lock-free concurrent disjoint-set forest.
-///
-/// `find` uses wait-free path halving; `union` links the larger index under
-/// the smaller via CAS (index order substitutes for rank, giving O(log n)
-/// expected depth in practice and guaranteeing no cycles).
-#[derive(Debug)]
-pub struct ConcurrentUnionFind {
-    parent: Vec<AtomicU32>,
-}
-
-impl ConcurrentUnionFind {
-    /// `n` singleton sets.
-    pub fn new(n: usize) -> ConcurrentUnionFind {
-        ConcurrentUnionFind { parent: (0..n as u32).map(AtomicU32::new).collect() }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Representative of `x`'s set.
-    pub fn find(&self, mut x: u32) -> u32 {
-        loop {
-            let p = self.parent[x as usize].load(Ordering::Acquire);
-            if p == x {
-                return x;
-            }
-            let gp = self.parent[p as usize].load(Ordering::Acquire);
-            if gp != p {
-                // Path halving; failure is benign.
-                let _ = self.parent[x as usize].compare_exchange_weak(
-                    p,
-                    gp,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-            x = gp;
-        }
-    }
-
-    /// Merge the sets of `a` and `b`; returns `true` if a link was made by
-    /// this call.
-    pub fn union(&self, a: u32, b: u32) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        loop {
-            if ra == rb {
-                return false;
-            }
-            // Link the larger root under the smaller.
-            let (hi, lo) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            match self.parent[lo as usize].compare_exchange(
-                lo,
-                hi,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(_) => {
-                    // Someone moved `lo`; retry with fresh roots.
-                    ra = self.find(ra);
-                    rb = self.find(rb);
-                }
-            }
-        }
-    }
-
-    /// Whether `a` and `b` are currently in the same set. Racy under
-    /// concurrent unions (a true answer is stable; a false answer may be
-    /// outdated the moment it returns).
-    pub fn same(&self, a: u32, b: u32) -> bool {
-        loop {
-            let (ra, rb) = (self.find(a), self.find(b));
-            if ra == rb {
-                return true;
-            }
-            // Roots may have changed concurrently; confirm `ra` is still a root.
-            if self.parent[ra as usize].load(Ordering::Acquire) == ra {
-                return false;
-            }
-        }
-    }
-
-    /// Snapshot into a sequential [`UnionFind`]-style grouping. Call only
-    /// after all concurrent unions have completed.
-    pub fn into_groups(self) -> Vec<Vec<u32>> {
-        let n = self.parent.len();
-        let mut uf = UnionFind::new(n);
-        for x in 0..n as u32 {
-            let p = self.parent[x as usize].load(Ordering::Acquire);
-            uf.union(x, p);
-        }
-        uf.groups()
     }
 }
 
@@ -269,93 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn find_const_agrees_with_find() {
-        let mut uf = UnionFind::new(20);
-        for i in (0..18).step_by(3) {
-            uf.union(i, i + 2);
-        }
-        for i in 0..20u32 {
-            assert_eq!(uf.find_const(i), uf.find(i));
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_sequential_single_thread() {
-        let ops = [(0u32, 1u32), (2, 3), (4, 5), (1, 3), (5, 0)];
-        let mut seq = UnionFind::new(8);
-        let conc = ConcurrentUnionFind::new(8);
-        for &(a, b) in &ops {
-            assert_eq!(seq.union(a, b), conc.union(a, b), "op ({a},{b})");
-        }
-        for a in 0..8 {
-            for b in 0..8 {
-                assert_eq!(seq.same(a, b), conc.same(a, b), "pair ({a},{b})");
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_parallel_chain() {
-        use std::sync::Arc;
-        let n = 4096u32;
-        let uf = Arc::new(ConcurrentUnionFind::new(n as usize));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    // Each thread links a stripe of consecutive pairs.
-                    let mut i = t;
-                    while i + 1 < n {
-                        uf.union(i, i + 1);
-                        i += 8;
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // Stripes at offsets 0..8 cover all consecutive pairs → one set.
-        let root = uf.find(0);
-        for i in 0..n {
-            assert_eq!(uf.find(i), root, "element {i}");
-        }
-    }
-
-    #[test]
-    fn concurrent_disjoint_halves() {
-        use std::sync::Arc;
-        let n = 1000u32;
-        let uf = Arc::new(ConcurrentUnionFind::new(n as usize));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    for i in (t..n / 2 - 1).step_by(4) {
-                        uf.union(i, i + 1);
-                        uf.union(i + n / 2, i + 1 + n / 2);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(uf.same(0, n / 2 - 1));
-        assert!(uf.same(n / 2, n - 1));
-        assert!(!uf.same(0, n - 1), "halves must stay separate");
-    }
-
-    #[test]
-    fn into_groups_after_parallel_use() {
-        let uf = ConcurrentUnionFind::new(6);
-        uf.union(0, 3);
-        uf.union(1, 4);
-        let groups = uf.into_groups();
-        assert_eq!(groups, vec![vec![0, 3], vec![1, 4], vec![2], vec![5]]);
-    }
-
-    #[test]
     fn parts_round_trip_preserves_structure_and_count() {
         let mut uf = UnionFind::new(10);
         uf.union(0, 1);
@@ -374,7 +173,6 @@ mod tests {
     #[test]
     fn empty_structures() {
         assert!(UnionFind::new(0).is_empty());
-        assert!(ConcurrentUnionFind::new(0).is_empty());
         assert_eq!(UnionFind::new(0).groups(), Vec::<Vec<u32>>::new());
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use pfam_graph::{
-    core_numbers, densest_subgraph_peeling, greedy_dense_decomposition, subgraph_density,
-    BipartiteGraph, ConcurrentUnionFind, CsrGraph, UnionFind,
+    densest_subgraph_peeling, greedy_dense_decomposition, subgraph_density, BipartiteGraph,
+    CsrGraph,
 };
 
 fn edges(n: usize, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -41,37 +41,6 @@ proptest! {
             for &u in g.neighbors(v) {
                 prop_assert_eq!(comp_of[v as usize], comp_of[u as usize]);
             }
-        }
-    }
-
-    #[test]
-    fn concurrent_uf_matches_sequential(
-        ops in prop::collection::vec((0u32..30, 0u32..30), 0..80),
-    ) {
-        let mut seq = UnionFind::new(30);
-        let conc = ConcurrentUnionFind::new(30);
-        for &(a, b) in &ops {
-            seq.union(a, b);
-            conc.union(a, b);
-        }
-        for a in 0..30 {
-            for b in 0..30 {
-                prop_assert_eq!(seq.same(a, b), conc.same(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn core_number_bounded_by_degree(es in edges(20, 60)) {
-        let g = CsrGraph::from_edges(20, &es);
-        let cores = core_numbers(&g);
-        for v in 0..20u32 {
-            prop_assert!(cores[v as usize] as usize <= g.degree(v));
-        }
-        // Max core ≤ max degree; every vertex of a non-empty graph with an
-        // edge has core ≥ 1 iff degree ≥ 1.
-        for v in 0..20u32 {
-            prop_assert_eq!(cores[v as usize] >= 1, g.degree(v) >= 1);
         }
     }
 

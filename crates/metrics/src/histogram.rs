@@ -30,11 +30,6 @@ impl Histogram {
         Histogram { width, counts, n_samples, max_value }
     }
 
-    /// Bucket width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of samples.
     pub fn n_samples(&self) -> u64 {
         self.n_samples
@@ -43,11 +38,6 @@ impl Histogram {
     /// The largest sample seen.
     pub fn max_value(&self) -> usize {
         self.max_value
-    }
-
-    /// Count in the bucket containing `value`.
-    pub fn count_for(&self, value: usize) -> u64 {
-        self.counts.get(value / self.width).copied().unwrap_or(0)
     }
 
     /// Non-empty buckets as `(label, count)`, in increasing bucket order,
@@ -79,11 +69,8 @@ mod tests {
     #[test]
     fn buckets_assigned_correctly() {
         let h = Histogram::new(5, [5, 9, 10, 14, 15, 100]);
-        assert_eq!(h.count_for(5), 2);
-        assert_eq!(h.count_for(12), 2);
-        assert_eq!(h.count_for(17), 1);
-        assert_eq!(h.count_for(100), 1);
-        assert_eq!(h.count_for(50), 0);
+        let counts: Vec<u64> = h.non_empty().into_iter().map(|(_, c)| c).collect();
+        assert_eq!(counts, [2, 2, 1, 1], "5-9, 10-14, 15-19 and 100-104; nothing between");
         assert_eq!(h.n_samples(), 6);
         assert_eq!(h.max_value(), 100);
     }

@@ -28,9 +28,7 @@ const RESERVED_TAG_BASE: u32 = u32::MAX - 16;
 const TAG_BARRIER_IN: u32 = RESERVED_TAG_BASE;
 const TAG_BARRIER_OUT: u32 = RESERVED_TAG_BASE + 1;
 const TAG_BCAST: u32 = RESERVED_TAG_BASE + 2;
-const TAG_GATHER: u32 = RESERVED_TAG_BASE + 3;
-const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 4;
-const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 5;
+const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 3;
 
 struct Envelope {
     from: usize,
@@ -298,124 +296,22 @@ impl Communicator {
         Ok(())
     }
 
-    /// Broadcast from `root`: the root passes `Some(value)`, everyone else
-    /// `None`; all ranks return the value.
-    pub fn broadcast<T: Any + Send + Clone>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, CommError> {
-        self.preflight()?;
-        if self.rank == root {
-            let v = match value {
-                Some(v) => v,
-                None => return Err(CommError::Protocol("root must supply the broadcast value")),
-            };
-            for r in 0..self.size {
-                if r != root {
-                    self.send_raw(r, TAG_BCAST, v.clone())?;
-                }
-            }
-            Ok(v)
-        } else {
-            if value.is_some() {
-                return Err(CommError::Protocol("non-root ranks must pass None"));
-            }
-            self.recv_peer::<T>(root, TAG_BCAST).map(|(_, v)| v)
-        }
-    }
-
-    /// Gather one value per rank at `root` (ordered by rank); other ranks
-    /// get `None`.
-    pub fn gather<T: Any + Send>(
-        &mut self,
-        root: usize,
-        value: T,
-    ) -> Result<Option<Vec<T>>, CommError> {
-        self.preflight()?;
-        if self.rank == root {
-            let mut slots: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-            slots[root] = Some(value);
-            // Receive per rank, in rank order: per-sender FIFO then keeps
-            // consecutive collectives (possibly of different types) from
-            // interleaving.
-            #[allow(clippy::needless_range_loop)] // r is the message source, not just an index
-            for r in 0..self.size {
-                if r != root {
-                    let (_, v) = self.recv_peer::<T>(r, TAG_GATHER)?;
-                    slots[r] = Some(v);
-                }
-            }
-            let mut out = Vec::with_capacity(self.size);
-            for slot in slots {
-                match slot {
-                    Some(v) => out.push(v),
-                    None => return Err(CommError::Protocol("gather slot left unfilled")),
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send_raw(root, TAG_GATHER, value)?;
-            Ok(None)
-        }
-    }
-
-    /// Sum-reduce `value` at `root`.
-    pub fn reduce_sum(&mut self, root: usize, value: u64) -> Result<Option<u64>, CommError> {
-        self.preflight()?;
-        if self.rank == root {
-            let mut total = value;
-            for r in 0..self.size {
-                if r != root {
-                    let (_, v) = self.recv_peer::<u64>(r, TAG_REDUCE)?;
-                    total += v;
-                }
-            }
-            Ok(Some(total))
-        } else {
-            self.send_raw(root, TAG_REDUCE, value)?;
-            Ok(None)
-        }
-    }
-
-    /// Sum-reduce to every rank.
+    /// Sum-reduce to every rank (summed at rank 0, in rank order, then
+    /// sent back out).
     pub fn all_reduce_sum(&mut self, value: u64) -> Result<u64, CommError> {
-        let total = self.reduce_sum(0, value)?;
-        self.broadcast(0, total)
-    }
-
-    /// Personalized all-to-all: `outgoing[r]` is sent to rank `r`; returns
-    /// the messages received, indexed by source rank (`result[self.rank]`
-    /// is this rank's own bucket, moved without copying).
-    pub fn all_to_all<T: Any + Send + Default>(
-        &mut self,
-        mut outgoing: Vec<T>,
-    ) -> Result<Vec<T>, CommError> {
-        assert_eq!(outgoing.len(), self.size, "one outgoing message per rank");
         self.preflight()?;
-        let mine = std::mem::take(&mut outgoing[self.rank]);
-        for (r, msg) in outgoing.into_iter().enumerate() {
-            if r != self.rank {
-                self.send_raw(r, TAG_ALLTOALL, msg)?;
-            }
+        if self.rank != 0 {
+            self.send_raw(0, TAG_REDUCE, value)?;
+            return self.recv_peer::<u64>(0, TAG_BCAST).map(|(_, total)| total);
         }
-        let mut slots: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-        slots[self.rank] = Some(mine);
-        #[allow(clippy::needless_range_loop)] // r is the message source, not just an index
-        for r in 0..self.size {
-            if r != self.rank {
-                let (_, v) = self.recv_peer::<T>(r, TAG_ALLTOALL)?;
-                slots[r] = Some(v);
-            }
+        let mut total = value;
+        for r in 1..self.size {
+            total += self.recv_peer::<u64>(r, TAG_REDUCE)?.1;
         }
-        let mut out = Vec::with_capacity(self.size);
-        for slot in slots {
-            match slot {
-                Some(v) => out.push(v),
-                None => return Err(CommError::Protocol("all_to_all slot left unfilled")),
-            }
+        for r in 1..self.size {
+            self.send_raw(r, TAG_BCAST, total)?;
         }
-        Ok(out)
+        Ok(total)
     }
 }
 
@@ -623,37 +519,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all() {
-        let results = run_spmd(4, |comm| {
-            if comm.rank() == 2 {
-                must(comm.broadcast(2, Some(vec![1u8, 2, 3])))
-            } else {
-                must(comm.broadcast::<Vec<u8>>(2, None))
-            }
-        });
-        for r in results {
-            assert_eq!(r, vec![1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn gather_ordered_by_rank() {
-        let results = run_spmd(4, |comm| must(comm.gather(0, comm.rank() as u32 * 10)));
-        assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
-        assert!(results[1..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn reduce_and_allreduce() {
-        let results = run_spmd(8, |comm| {
-            let at_root = must(comm.reduce_sum(3, 1));
-            let everywhere = must(comm.all_reduce_sum(2));
-            (at_root, everywhere)
-        });
-        for (rank, (at_root, everywhere)) in results.into_iter().enumerate() {
-            assert_eq!(at_root, if rank == 3 { Some(8) } else { None });
-            assert_eq!(everywhere, 16);
-        }
+    fn all_reduce_sums_on_every_rank() {
+        let results = run_spmd(8, |comm| must(comm.all_reduce_sum(comm.rank() as u64 + 1)));
+        assert_eq!(results, vec![36; 8]);
     }
 
     #[test]
@@ -674,24 +542,9 @@ mod tests {
         let results = run_spmd(1, |comm| {
             must(comm.barrier());
             assert_eq!(must(comm.all_reduce_sum(7)), 7);
-            assert_eq!(must(comm.gather(0, 42u8)), Some(vec![42]));
             comm.rank()
         });
         assert_eq!(results, vec![0]);
-    }
-
-    #[test]
-    fn all_to_all_routes_by_destination() {
-        let results = run_spmd(4, |comm| {
-            let outgoing: Vec<Vec<u32>> =
-                (0..comm.size()).map(|to| vec![comm.rank() as u32 * 10 + to as u32]).collect();
-            must(comm.all_to_all(outgoing))
-        });
-        for (rank, incoming) in results.into_iter().enumerate() {
-            for (from, msg) in incoming.into_iter().enumerate() {
-                assert_eq!(msg, vec![from as u32 * 10 + rank as u32]);
-            }
-        }
     }
 
     #[test]
@@ -866,13 +719,13 @@ mod tests {
 
     #[test]
     fn collective_with_dead_peer_errors_instead_of_hanging() {
-        // Rank 1 exits before sending its gather contribution: the root
-        // must observe PeerExited, not block forever.
+        // Rank 1 exits before sending its summand: the root must observe
+        // PeerExited, not block forever.
         let results = run_spmd_faulty(3, Arc::new(crate::fault::NoFaults), |comm| {
             if comm.rank() == 1 {
                 return None; // dies without participating
             }
-            Some(comm.gather(0, comm.rank() as u32))
+            Some(comm.all_reduce_sum(comm.rank() as u64))
         });
         match &results[0] {
             Ok(Some(Err(CommError::PeerExited { rank: 1 }))) => {}

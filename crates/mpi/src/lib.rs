@@ -11,15 +11,14 @@
 //! ```
 //! use pfam_mpi::run_spmd;
 //!
-//! // Every rank sends its rank number to rank 0, which sums them. A
+//! // Every rank contributes its rank number and learns the sum. A
 //! // fault-free world never errors, so faults fold into `None` here.
 //! let results = run_spmd(4, |comm| {
-//!     let total = comm.reduce_sum(0, comm.rank() as u64).ok().flatten();
+//!     let total = comm.all_reduce_sum(comm.rank() as u64).ok();
 //!     let _ = comm.barrier();
 //!     total
 //! });
-//! assert_eq!(results[0], Some(0 + 1 + 2 + 3));
-//! assert!(results[1..].iter().all(Option::is_none));
+//! assert_eq!(results, vec![Some(0 + 1 + 2 + 3); 4]);
 //! ```
 //!
 //! Semantics follow MPI where it matters:

@@ -73,27 +73,6 @@ fn repeated_collectives_stay_in_step() {
 }
 
 #[test]
-fn interleaved_gathers_of_different_types() {
-    // The regression that motivated per-rank collective receives: two
-    // gathers with different payload types back to back, many times.
-    let results = run_spmd(4, |comm| {
-        let mut ok = true;
-        for round in 0..20u32 {
-            let nums = must(comm.gather(0, round + comm.rank() as u32));
-            let texts = must(comm.gather(0, format!("r{}", comm.rank())));
-            if comm.rank() == 0 {
-                let nums = nums.expect("root gathers");
-                let texts = texts.expect("root gathers");
-                ok &= nums == vec![round, round + 1, round + 2, round + 3];
-                ok &= texts == vec!["r0", "r1", "r2", "r3"];
-            }
-        }
-        ok
-    });
-    assert!(results.iter().all(|&ok| ok));
-}
-
-#[test]
 fn wildcard_and_specific_receives_mix() {
     let results = run_spmd(3, |comm| {
         match comm.rank() {

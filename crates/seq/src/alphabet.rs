@@ -78,17 +78,6 @@ impl AminoAcid {
     pub fn letter(self) -> u8 {
         RESIDUE_LETTERS[self.0 as usize]
     }
-
-    /// Whether this residue is the ambiguity code `X`.
-    #[inline]
-    pub fn is_unknown(self) -> bool {
-        self.0 == 20
-    }
-
-    /// Iterator over the 20 standard residues (excluding `X`).
-    pub fn standard() -> impl Iterator<Item = AminoAcid> {
-        (0..20u8).map(AminoAcid)
-    }
 }
 
 impl std::fmt::Display for AminoAcid {
@@ -138,7 +127,7 @@ mod tests {
     #[test]
     fn ambiguity_codes_map_to_unknown() {
         for b in [b'X', b'B', b'Z', b'J', b'U', b'O', b'*', b'x'] {
-            assert!(AminoAcid::from_letter(b).unwrap().is_unknown());
+            assert_eq!(AminoAcid::from_letter(b).unwrap(), AminoAcid::UNKNOWN);
         }
     }
 
@@ -160,13 +149,6 @@ mod tests {
         let s = b"MKVLAARNDCQEGHILKMFPSTWYVX";
         let codes = encode(s).unwrap();
         assert_eq!(decode(&codes).as_bytes(), s);
-    }
-
-    #[test]
-    fn standard_excludes_unknown() {
-        let all: Vec<_> = AminoAcid::standard().collect();
-        assert_eq!(all.len(), 20);
-        assert!(all.iter().all(|aa| !aa.is_unknown()));
     }
 
     #[test]

@@ -27,26 +27,6 @@ impl Default for MaskParams {
     }
 }
 
-/// Shannon entropy (bits) of a residue window.
-pub fn window_entropy(codes: &[u8]) -> f64 {
-    if codes.is_empty() {
-        return 0.0;
-    }
-    let mut counts = [0u32; ALPHABET_SIZE];
-    for &c in codes {
-        counts[c as usize] += 1;
-    }
-    let n = codes.len() as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
-}
-
 /// Return a copy of `codes` with every residue covered by a low-entropy
 /// window replaced by `X`.
 ///
@@ -114,18 +94,6 @@ mod tests {
 
     fn codes(s: &str) -> Vec<u8> {
         encode(s.as_bytes()).unwrap()
-    }
-
-    #[test]
-    fn entropy_extremes() {
-        assert_eq!(window_entropy(&[]), 0.0);
-        assert_eq!(window_entropy(&codes("AAAAAAAA")), 0.0);
-        // Two residues 50/50: exactly 1 bit.
-        let e = window_entropy(&codes("ACACACAC"));
-        assert!((e - 1.0).abs() < 1e-12);
-        // All-distinct window: log2(12) bits.
-        let e = window_entropy(&codes("ARNDCQEGHILK"));
-        assert!((e - (12f64).log2()).abs() < 1e-12);
     }
 
     #[test]

@@ -34,15 +34,6 @@ impl Composition {
         Composition { total: counts.iter().sum(), counts }
     }
 
-    /// Count residues of a single code slice.
-    pub fn of_codes(codes: &[u8]) -> Composition {
-        let mut counts = [0u64; ALPHABET_SIZE];
-        for &c in codes {
-            counts[c as usize] += 1;
-        }
-        Composition { total: counts.iter().sum(), counts }
-    }
-
     /// Total residues counted.
     pub fn total(&self) -> u64 {
         self.total
@@ -137,7 +128,9 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(1);
         let codes = pfam_datagen_shim::random_peptide_local(&mut rng, 50_000);
-        let comp = Composition::of_codes(&codes);
+        let mut b = SequenceSetBuilder::new();
+        b.push_codes("sample".into(), codes).unwrap();
+        let comp = Composition::of(&b.finish());
         let kl = comp.relative_entropy_vs_background();
         assert!(kl < 0.01, "background-sampled data diverges: {kl}");
     }

@@ -48,11 +48,6 @@ pub fn read_fasta<R: BufRead>(reader: R) -> Result<SequenceSet, SeqError> {
     Ok(builder.finish())
 }
 
-/// Parse FASTA held in memory.
-pub fn read_fasta_str(data: &str) -> Result<SequenceSet, SeqError> {
-    read_fasta(data.as_bytes())
-}
-
 /// Write a [`SequenceSet`] as FASTA, wrapping residues at `width` columns.
 pub fn write_fasta<W: Write>(set: &SequenceSet, mut w: W, width: usize) -> Result<(), SeqError> {
     let width = width.max(1);
@@ -68,13 +63,6 @@ pub fn write_fasta<W: Write>(set: &SequenceSet, mut w: W, width: usize) -> Resul
     Ok(())
 }
 
-/// Render a [`SequenceSet`] as a FASTA string (60-column wrapping).
-pub fn to_fasta_string(set: &SequenceSet) -> String {
-    let mut buf = Vec::new();
-    write_fasta(set, &mut buf, 60).expect("writing to Vec cannot fail");
-    String::from_utf8(buf).expect("FASTA output is ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +70,7 @@ mod tests {
 
     #[test]
     fn parses_simple_records() {
-        let set = read_fasta_str(">a\nACDEF\n>b desc here\nMK\nVL\n").unwrap();
+        let set = read_fasta(">a\nACDEF\n>b desc here\nMK\nVL\n".as_bytes()).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.header(SeqId(0)), "a");
         assert_eq!(set.header(SeqId(1)), "b desc here");
@@ -91,35 +79,36 @@ mod tests {
 
     #[test]
     fn handles_crlf_and_blank_lines() {
-        let set = read_fasta_str(">a\r\nAC\r\n\r\n>b\r\nMK\r\n").unwrap();
+        let set = read_fasta(">a\r\nAC\r\n\r\n>b\r\nMK\r\n".as_bytes()).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.get(SeqId(0)).to_letters(), "AC");
     }
 
     #[test]
     fn rejects_leading_garbage() {
-        let err = read_fasta_str("ACDEF\n>a\nMK\n").unwrap_err();
+        let err = read_fasta("ACDEF\n>a\nMK\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SeqError::Format(_)));
     }
 
     #[test]
     fn rejects_empty_record() {
-        let err = read_fasta_str(">a\n>b\nMK\n").unwrap_err();
+        let err = read_fasta(">a\n>b\nMK\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SeqError::EmptySequence { .. }));
     }
 
     #[test]
     fn rejects_bad_residue() {
-        let err = read_fasta_str(">a\nAC9EF\n").unwrap_err();
+        let err = read_fasta(">a\nAC9EF\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SeqError::InvalidResidue { byte: b'9', .. }));
     }
 
     #[test]
     fn round_trip() {
         let original = ">a\nACDEFGHIKLMNPQRSTVWY\n>b two\nMKVLW\n";
-        let set = read_fasta_str(original).unwrap();
-        let rendered = to_fasta_string(&set);
-        let reparsed = read_fasta_str(&rendered).unwrap();
+        let set = read_fasta(original.as_bytes()).unwrap();
+        let mut rendered = Vec::new();
+        write_fasta(&set, &mut rendered, 60).unwrap();
+        let reparsed = read_fasta(&rendered[..]).unwrap();
         assert_eq!(reparsed.len(), set.len());
         for (x, y) in set.iter().zip(reparsed.iter()) {
             assert_eq!(x.header, y.header);
@@ -129,7 +118,7 @@ mod tests {
 
     #[test]
     fn wrapping_respects_width() {
-        let set = read_fasta_str(">a\nAAAAAAAAAA\n").unwrap();
+        let set = read_fasta(">a\nAAAAAAAAAA\n".as_bytes()).unwrap();
         let mut buf = Vec::new();
         write_fasta(&set, &mut buf, 4).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -138,13 +127,13 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_set() {
-        let set = read_fasta_str("").unwrap();
+        let set = read_fasta("".as_bytes()).unwrap();
         assert!(set.is_empty());
     }
 
     #[test]
     fn ambiguity_codes_normalised() {
-        let set = read_fasta_str(">a\nAB*Z\n").unwrap();
+        let set = read_fasta(">a\nAB*Z\n".as_bytes()).unwrap();
         assert_eq!(set.get(SeqId(0)).to_letters(), "AXXX");
     }
 }

@@ -91,16 +91,6 @@ pub fn pack_word(codes: &[u8]) -> Option<u64> {
     Some(v)
 }
 
-/// Unpack a base-21 word of length `k` back into residue codes.
-pub fn unpack_word(mut packed: u64, k: usize) -> Vec<u8> {
-    let mut out = vec![0u8; k];
-    for slot in out.iter_mut().rev() {
-        *slot = (packed % BASE) as u8;
-        packed /= BASE;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        let c = codes("WYVMKACDEF");
-        let packed = pack_word(&c).unwrap();
-        assert_eq!(unpack_word(packed, c.len()), c);
-    }
-
-    #[test]
     fn pack_rejects_x_and_oversize() {
         assert!(pack_word(&codes("AXA")).is_none());
         assert!(pack_word(&[0u8; MAX_PACKED_K + 1]).is_none());
@@ -185,6 +168,6 @@ mod tests {
     fn max_k_supported() {
         let c = vec![20u8 - 1; MAX_PACKED_K]; // all 'V'
         let packed = pack_word(&c).unwrap();
-        assert_eq!(unpack_word(packed, MAX_PACKED_K), c);
+        assert_eq!(KmerIter::new(&c, MAX_PACKED_K).collect::<Vec<_>>(), vec![(0, packed)]);
     }
 }

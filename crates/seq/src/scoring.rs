@@ -54,19 +54,6 @@ impl SubstMatrix {
         &BLOSUM62
     }
 
-    /// +1 on the diagonal (except `X`), −`mismatch` elsewhere — useful for
-    /// tests and for pure-identity definitions of similarity.
-    pub fn identity(mismatch: i32) -> SubstMatrix {
-        let mut scores = [[-mismatch.abs(); ALPHABET_SIZE]; ALPHABET_SIZE];
-        for (i, row) in scores.iter_mut().enumerate().take(ALPHABET_SIZE - 1) {
-            row[i] = 1;
-        }
-        // X never matches positively, not even against itself.
-        let x = ALPHABET_SIZE - 1;
-        scores[x][x] = -mismatch.abs();
-        SubstMatrix { name: "IDENTITY", scores }
-    }
-
     /// Fully parametric match/mismatch matrix (diagonal = `matched`,
     /// off-diagonal = `mismatched`), `X` treated as any other residue.
     pub fn uniform(matched: i32, mismatched: i32) -> SubstMatrix {
@@ -94,16 +81,6 @@ impl ScoringScheme {
     /// BLOSUM62 with the BLASTP-default affine penalties (11, 1).
     pub fn blosum62_default() -> ScoringScheme {
         ScoringScheme { matrix: SubstMatrix::blosum62().clone(), gap_open: 11, gap_extend: 1 }
-    }
-
-    /// Linear gaps: every gapped position costs `gap`.
-    pub fn linear(matrix: SubstMatrix, gap: i32) -> ScoringScheme {
-        ScoringScheme { matrix, gap_open: gap.abs(), gap_extend: gap.abs() }
-    }
-
-    /// Whether the gap model is linear (open == extend).
-    pub fn is_linear(&self) -> bool {
-        self.gap_open == self.gap_extend
     }
 }
 
@@ -193,7 +170,7 @@ mod tests {
     fn x_is_uniformly_negative() {
         let m = SubstMatrix::blosum62();
         let x = AminoAcid::UNKNOWN;
-        for b in AminoAcid::standard() {
+        for b in (0..20).map(AminoAcid::from_code) {
             assert_eq!(m.score(x, b), -1);
         }
         assert_eq!(m.score(x, x), -1);
@@ -208,15 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_matrix_behaviour() {
-        let m = SubstMatrix::identity(2);
-        assert_eq!(m.score(aa(b'A'), aa(b'A')), 1);
-        assert_eq!(m.score(aa(b'A'), aa(b'C')), -2);
-        // X does not match itself under identity semantics.
-        assert_eq!(m.score(AminoAcid::UNKNOWN, AminoAcid::UNKNOWN), -2);
-    }
-
-    #[test]
     fn uniform_matrix() {
         let m = SubstMatrix::uniform(5, -3);
         assert_eq!(m.score(aa(b'G'), aa(b'G')), 5);
@@ -226,15 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn scheme_constructors() {
+    fn default_scheme_is_blastp_affine() {
         let s = ScoringScheme::blosum62_default();
         assert_eq!(s.gap_open, 11);
         assert_eq!(s.gap_extend, 1);
-        assert!(!s.is_linear());
-
-        let lin = ScoringScheme::linear(SubstMatrix::identity(1), -2);
-        assert_eq!(lin.gap_open, 2);
-        assert!(lin.is_linear());
     }
 
     #[test]

@@ -18,15 +18,6 @@
 //! run stays on disk, and over an in-memory set the view says so
 //! ([`SeqStore::as_subset_view`]), which lets the index of that set serve
 //! the view through a mask.
-//!
-//! ## The `mmap` feature
-//!
-//! The `mmap` cargo feature requests memory-mapped page access. This
-//! build has no platform mmap binding (and the target container may lack
-//! mmap permissions anyway), so the feature currently *falls back* to
-//! positioned file reads through the same [`PagedSeqStore`] API —
-//! identical results, different syscall profile. [`PagedSeqStore::io_mode`]
-//! reports which path is active so benches can label their numbers.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -179,11 +170,6 @@ impl<'a> SubsetStore<'a> {
     /// The base-store id behind dense id `i`.
     pub fn original_id(&self, i: SeqId) -> SeqId {
         self.keep[i.index()]
-    }
-
-    /// The kept base-store ids, in dense order.
-    pub fn kept(&self) -> &[SeqId] {
-        &self.keep
     }
 }
 
@@ -519,20 +505,6 @@ impl PagedSeqStore {
         w.finish()
     }
 
-    /// Which page-I/O path is active: `"file-paged"` always in this
-    /// build; with the `mmap` feature enabled the label records that the
-    /// request fell back (no platform mmap binding is vendored).
-    pub fn io_mode() -> &'static str {
-        #[cfg(feature = "mmap")]
-        {
-            "mmap-requested-file-paged-fallback"
-        }
-        #[cfg(not(feature = "mmap"))]
-        {
-            "file-paged"
-        }
-    }
-
     /// Number of pages in the file.
     pub fn n_pages(&self) -> usize {
         self.pages.len()
@@ -707,7 +679,6 @@ mod tests {
         let store = PagedSeqStore::open(&path).unwrap();
         assert!(store.n_pages() > 1, "tiny pages must split the file");
         assert_store_equals_set(&store, &set);
-        assert_eq!(PagedSeqStore::io_mode(), "file-paged");
         std::fs::remove_file(&path).ok();
     }
 

@@ -137,22 +137,11 @@ impl ShingleArena {
     /// Register this arena's rank tables against `budget`: each pass
     /// reserves its table's bytes before building it and falls back to
     /// per-set batched hashing — bit-identical output — when the
-    /// reservation is refused.
-    pub fn with_budget(mut self, budget: MemoryBudget) -> ShingleArena {
-        self.budget = budget;
-        self
-    }
-
-    /// [`ShingleArena::with_budget`] for an arena already in place — what
-    /// a per-worker executor calls to point its thread-local arena at the
-    /// pipeline's budget (a cheap handle clone; the accounting is shared).
+    /// reservation is refused. What a per-worker executor calls to point
+    /// its thread-local arena at the pipeline's budget (a cheap handle
+    /// clone; the accounting is shared).
     pub fn set_budget(&mut self, budget: MemoryBudget) {
         self.budget = budget;
-    }
-
-    /// The budget the rank tables register against.
-    pub fn budget(&self) -> &MemoryBudget {
-        &self.budget
     }
 }
 
@@ -538,7 +527,8 @@ mod tests {
             assert_eq!(got_stats, want_stats);
             assert_eq!(tight.used(), 0, "refused reservations must release");
 
-            let mut arena = ShingleArena::new().with_budget(MemoryBudget::limited(16));
+            let mut arena = ShingleArena::new();
+            arena.set_budget(MemoryBudget::limited(16));
             let (arena_clusters, arena_stats) = shingle_clusters_with(g, &p, &mut arena);
             assert_eq!(arena_clusters, want_clusters);
             assert_eq!(arena_stats, want_stats);

@@ -2,7 +2,7 @@
 //! paper's two output modes, the τ post-filter, size filtering, and
 //! disjoint-ification.
 
-use pfam_graph::{BipartiteGraph, CsrGraph};
+use pfam_graph::BipartiteGraph;
 
 use crate::algorithm::{
     shingle_clusters, shingle_clusters_with, BipartiteCluster, ShingleArena, ShingleParams,
@@ -138,21 +138,12 @@ pub fn detect_dense_subgraphs_with(
     (report_subgraphs(&clusters, config), stats)
 }
 
-/// Convenience wrapper for the global-similarity pipeline: build `Bd` from
-/// an undirected similarity graph and extract dense subgraphs.
-pub fn dense_subgraphs_of(
-    g: &CsrGraph,
-    config: &DenseSubgraphConfig,
-) -> (Vec<Vec<u32>>, ShingleStats) {
-    let bd = BipartiteGraph::duplicate_from(g);
-    detect_dense_subgraphs(&bd, config)
-}
-
 #[cfg(test)]
 // Single-block graphs ([0..n]) are intentional, not mistyped vecs.
 #[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+    use pfam_graph::CsrGraph;
 
     fn fast_config(min_size: usize) -> DenseSubgraphConfig {
         DenseSubgraphConfig {
@@ -189,7 +180,8 @@ mod tests {
     #[test]
     fn recovers_two_cliques() {
         let g = blocks_graph(&[0..10, 10..18], 18);
-        let (subgraphs, _) = dense_subgraphs_of(&g, &fast_config(5));
+        let (subgraphs, _) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(5));
         assert_eq!(subgraphs.len(), 2, "{subgraphs:?}");
         assert_eq!(subgraphs[0], (0..10).collect::<Vec<u32>>());
         assert_eq!(subgraphs[1], (10..18).collect::<Vec<u32>>());
@@ -198,7 +190,8 @@ mod tests {
     #[test]
     fn min_size_filters_small_cliques() {
         let g = blocks_graph(&[0..10, 10..13], 13);
-        let (subgraphs, _) = dense_subgraphs_of(&g, &fast_config(5));
+        let (subgraphs, _) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(5));
         assert!(subgraphs.iter().all(|sg| sg.len() >= 5));
         assert!(subgraphs.iter().any(|sg| sg.len() == 10));
     }
@@ -206,7 +199,8 @@ mod tests {
     #[test]
     fn disjointness_enforced() {
         let g = blocks_graph(&[0..10, 5..15], 15); // overlapping cliques
-        let (subgraphs, _) = dense_subgraphs_of(&g, &fast_config(2));
+        let (subgraphs, _) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(2));
         let mut seen = std::collections::HashSet::new();
         for sg in &subgraphs {
             for &v in sg {
@@ -221,7 +215,7 @@ mod tests {
         let mut config = fast_config(2);
         config.mode = ReductionMode::GlobalSimilarity { tau: 1.0 };
         // A perfect clique under Bd gives A == B, so τ = 1 still passes.
-        let (subgraphs, _) = dense_subgraphs_of(&g, &config);
+        let (subgraphs, _) = detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &config);
         assert_eq!(subgraphs.len(), 1);
         assert_eq!(subgraphs[0].len(), 8);
     }
@@ -246,7 +240,8 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(4, &[]);
-        let (subgraphs, _) = dense_subgraphs_of(&g, &fast_config(1));
+        let (subgraphs, _) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(1));
         assert!(subgraphs.is_empty());
     }
 
@@ -266,7 +261,8 @@ mod tests {
     #[test]
     fn output_sorted_by_size_desc() {
         let g = blocks_graph(&[0..12, 12..18, 18..26], 26);
-        let (subgraphs, _) = dense_subgraphs_of(&g, &fast_config(2));
+        let (subgraphs, _) =
+            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(2));
         for w in subgraphs.windows(2) {
             assert!(w[0].len() >= w[1].len());
         }

@@ -25,23 +25,19 @@ pub mod algorithm;
 pub mod dense;
 pub mod kernel;
 pub mod minwise;
-pub mod parallel;
 pub mod sketch;
-pub mod spmd;
 
 pub use algorithm::{
     shingle_clusters, shingle_clusters_budgeted, shingle_clusters_with, BipartiteCluster,
     ShingleArena, ShingleParams, ShingleStats,
 };
 pub use dense::{
-    dense_subgraphs_of, detect_dense_subgraphs, detect_dense_subgraphs_with, jaccard,
-    DenseSubgraphConfig, ReductionMode,
+    detect_dense_subgraphs, detect_dense_subgraphs_with, jaccard, DenseSubgraphConfig,
+    ReductionMode,
 };
 pub use kernel::{fill_ranks, fill_ranks_into};
 pub use minwise::{
     shingle_set, shingle_set_from_table, shingle_set_with, HashFamily, RankTable, Shingle,
     ShingleScratch,
 };
-pub use parallel::{shingle_clusters_distributed, RankMemory};
 pub use sketch::{splitmix64, SketchScratch, Sketcher, MAX_SKETCH_K};
-pub use spmd::{shingle_clusters_spmd, shingle_clusters_spmd_faulty};

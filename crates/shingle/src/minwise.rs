@@ -229,11 +229,6 @@ impl RankTable {
         self.c
     }
 
-    /// Universe size (table row width).
-    pub fn universe(&self) -> usize {
-        self.n
-    }
-
     /// The tabulated rank of `x` under permutation `i` — equal to the
     /// generating family's `rank(i, x)`.
     #[inline]
@@ -411,7 +406,6 @@ mod tests {
         let mut scratch = ShingleScratch::new();
         table.rebuild(&fam, n);
         assert_eq!(table.c(), 25);
-        assert_eq!(table.universe(), n);
         for i in 0..fam.len() {
             for x in 0..n as u32 {
                 assert_eq!(table.rank(i, x), fam.rank(i, x));
@@ -438,7 +432,6 @@ mod tests {
         let small = HashFamily::new(2, 2);
         table.rebuild(&small, 10);
         assert_eq!(table.c(), 2);
-        assert_eq!(table.universe(), 10);
         assert_eq!(table.rank(1, 9), small.rank(1, 9));
         table.rebuild(&big, 200);
         assert_eq!(table.rank(7, 199), big.rank(7, 199));

@@ -72,11 +72,6 @@ impl Sketcher {
         Sketcher { family: HashFamily::new(width, seed), k, rows }
     }
 
-    /// Sketch k-mer length.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Rows (permutations) per band.
     pub fn rows(&self) -> usize {
         self.rows

@@ -26,5 +26,5 @@ pub mod topology;
 pub use faults::{FaultEvent, FaultSchedule};
 pub use machine::MachineModel;
 pub use replay::{simulate_phase, simulate_phases, speedup_sweep, SimBreakdown, SimReport};
-pub use scheduler::{list_schedule_makespan, total_work};
+pub use scheduler::list_schedule_makespan;
 pub use topology::Topology;

@@ -60,25 +60,6 @@ impl MachineModel {
             task_bytes: 16.0,
         }
     }
-
-    /// A commodity-cluster profile (faster cores, slower network) —
-    /// resembling the paper's 24-node Xeon/GigE cluster.
-    pub fn commodity_cluster() -> MachineModel {
-        MachineModel {
-            // A switched GigE cluster is latency-flat at these sizes.
-            topology: Topology::Crossbar,
-            cell_time: 8.0e-9,
-            index_time_per_residue: 1.0e-7,
-            pair_gen_time: 5.0e-8,
-            master_filter_time: 6.0e-8,
-            master_dispatch_time: 1.0e-7,
-            master_apply_time: 1.2e-7,
-            latency: 5.0e-5,
-            byte_time: 1.0 / 110.0e6,
-            pair_bytes: 12.0,
-            task_bytes: 16.0,
-        }
-    }
 }
 
 impl Default for MachineModel {
@@ -93,19 +74,10 @@ mod tests {
 
     #[test]
     fn constants_are_positive() {
-        for m in [MachineModel::bluegene_l(), MachineModel::commodity_cluster()] {
-            assert!(m.cell_time > 0.0);
-            assert!(m.latency > 0.0);
-            assert!(m.byte_time > 0.0);
-            assert!(m.master_filter_time > 0.0);
-        }
-    }
-
-    #[test]
-    fn commodity_cores_faster_network_slower() {
-        let bg = MachineModel::bluegene_l();
-        let cc = MachineModel::commodity_cluster();
-        assert!(cc.cell_time < bg.cell_time);
-        assert!(cc.latency > bg.latency);
+        let m = MachineModel::bluegene_l();
+        assert!(m.cell_time > 0.0);
+        assert!(m.latency > 0.0);
+        assert!(m.byte_time > 0.0);
+        assert!(m.master_filter_time > 0.0);
     }
 }

@@ -29,11 +29,6 @@ pub fn list_schedule_makespan(tasks: &[f64], workers: usize) -> f64 {
     makespan
 }
 
-/// Sum of task costs (the single-worker makespan).
-pub fn total_work(tasks: &[f64]) -> f64 {
-    tasks.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +76,6 @@ mod tests {
     #[test]
     fn empty_tasks() {
         assert_eq!(list_schedule_makespan(&[], 4), 0.0);
-        assert_eq!(total_work(&[]), 0.0);
     }
 
     #[test]

@@ -30,13 +30,6 @@ impl Topology {
             Topology::Torus3D => 0.75 * p.cbrt(),
         }
     }
-
-    /// Mean hop count between two uniformly random nodes of a balanced
-    /// 3-D torus with `p` nodes (`3 · (side/4)` per dimension).
-    pub fn torus_mean_hops(p: usize) -> f64 {
-        let side = (p.max(1) as f64).cbrt();
-        3.0 * side / 4.0
-    }
 }
 
 #[cfg(test)]
@@ -62,12 +55,6 @@ mod tests {
         let f64_ = t.latency_factor(64); // side 4 → 3
         let f512 = t.latency_factor(512); // side 8 → 6
         assert!((f512 / f64_ - 2.0).abs() < 1e-9, "8x nodes → 2x latency");
-    }
-
-    #[test]
-    fn bluegene_scale_hops() {
-        // A 512-node BG/L torus is 8×8×8: mean hops = 3 × 8/4 = 6.
-        assert!((Topology::torus_mean_hops(512) - 6.0).abs() < 1e-9);
     }
 
     #[test]

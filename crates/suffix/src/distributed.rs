@@ -10,14 +10,10 @@
 //!
 //! On one shared-memory machine we reproduce the same decomposition over
 //! the already-built [`GeneralizedSuffixArray`]: bucket boundaries are SA
-//! ranks where the LCP drops below `prefix_len`. The per-rank subsets feed
-//! (a) rayon-parallel pair generation and (b) the per-rank size accounting
-//! the performance model uses.
-
-use rayon::prelude::*;
+//! ranks where the LCP drops below `prefix_len`. The per-rank node lists
+//! are what each SPMD worker mines (`pfam_cluster::spmd`).
 
 use crate::gsa::GeneralizedSuffixArray;
-use crate::maximal::{MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
 use crate::tree::{NodeId, SuffixTree};
 
 /// A partition of the suffix space across `p` ranks.
@@ -65,31 +61,6 @@ impl PartitionedSuffixSpace {
         PartitionedSuffixSpace { boundaries, rank_of_bucket, p, prefix_len }
     }
 
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.p
-    }
-
-    /// Number of prefix buckets.
-    pub fn n_buckets(&self) -> usize {
-        self.boundaries.len() - 1
-    }
-
-    /// The prefix length the split was computed with.
-    pub fn prefix_len(&self) -> u32 {
-        self.prefix_len
-    }
-
-    /// Number of suffixes owned by each rank.
-    pub fn rank_loads(&self) -> Vec<u64> {
-        let mut load = vec![0u64; self.p];
-        for b in 0..self.n_buckets() {
-            load[self.rank_of_bucket[b] as usize] +=
-                (self.boundaries[b + 1] - self.boundaries[b]) as u64;
-        }
-        load
-    }
-
     /// Owning rank of the bucket containing SA rank `r`.
     pub fn rank_of_sa_rank(&self, r: u32) -> u32 {
         let b = self.boundaries.partition_point(|&x| x <= r) - 1;
@@ -123,30 +94,12 @@ impl PartitionedSuffixSpace {
         }
         per_rank
     }
-
-    /// Run pair generation independently on every rank (in parallel) and
-    /// return each rank's pairs. The union over ranks equals a global run
-    /// up to per-node capping order; with `dedup`, each rank dedups only
-    /// its own pairs (cross-rank duplicates cannot exist for a fixed
-    /// maximal match, but the same sequence pair may be reported by two
-    /// ranks at different match lengths — the consumer's clustering filter
-    /// absorbs those, exactly as PaCE's master does).
-    pub fn per_rank_pairs(
-        &self,
-        tree: &SuffixTree<'_>,
-        config: MaximalMatchConfig,
-    ) -> Vec<Vec<MatchPair>> {
-        let nodes = self.nodes_per_rank(tree, config.min_len);
-        nodes
-            .into_par_iter()
-            .map(|rank_nodes| MaximalMatchGenerator::with_nodes(tree, config, rank_nodes).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maximal::{MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
     use pfam_seq::{SequenceSet, SequenceSetBuilder};
     use std::collections::HashSet;
 
@@ -171,13 +124,17 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn buckets_cover_all_suffixes() {
-        let set = family_set();
-        let gsa = GeneralizedSuffixArray::build(&set);
-        let part = PartitionedSuffixSpace::new(&gsa, 4, 3);
-        let loads = part.rank_loads();
-        assert_eq!(loads.iter().sum::<u64>(), gsa.sa().len() as u64);
+    /// Suffixes owned by each of `p` ranks, asked one SA rank at a time.
+    fn suffixes_per_rank(
+        part: &PartitionedSuffixSpace,
+        gsa: &GeneralizedSuffixArray,
+        p: usize,
+    ) -> Vec<u64> {
+        let mut load = vec![0u64; p];
+        for r in 0..gsa.sa().len() as u32 {
+            load[part.rank_of_sa_rank(r) as usize] += 1;
+        }
+        load
     }
 
     #[test]
@@ -185,7 +142,7 @@ mod tests {
         let set = family_set();
         let gsa = GeneralizedSuffixArray::build(&set);
         let part = PartitionedSuffixSpace::new(&gsa, 1, 2);
-        assert_eq!(part.rank_loads(), vec![gsa.sa().len() as u64]);
+        assert_eq!(suffixes_per_rank(&part, &gsa, 1), vec![gsa.sa().len() as u64]);
     }
 
     #[test]
@@ -193,7 +150,7 @@ mod tests {
         let set = family_set();
         let gsa = GeneralizedSuffixArray::build(&set);
         let part = PartitionedSuffixSpace::new(&gsa, 3, 2);
-        let loads = part.rank_loads();
+        let loads = suffixes_per_rank(&part, &gsa, 3);
         let max = *loads.iter().max().unwrap();
         let min = *loads.iter().min().unwrap();
         // LPT guarantee is loose; just check no rank is starved while
@@ -212,8 +169,11 @@ mod tests {
             crate::maximal::all_pairs(&tree, config).into_iter().collect();
         for p in [1usize, 2, 3, 5, 8] {
             let part = PartitionedSuffixSpace::new(&gsa, p, 3);
-            let distributed: HashSet<MatchPair> =
-                part.per_rank_pairs(&tree, config).into_iter().flatten().collect();
+            let distributed: HashSet<MatchPair> = part
+                .nodes_per_rank(&tree, config.min_len)
+                .into_iter()
+                .flat_map(|nodes| MaximalMatchGenerator::with_nodes(&tree, config, nodes))
+                .collect();
             assert_eq!(distributed, global, "p = {p}");
         }
     }
@@ -251,6 +211,6 @@ mod tests {
         let set = set_of(&["ACD", "EFG"]);
         let gsa = GeneralizedSuffixArray::build(&set);
         let part = PartitionedSuffixSpace::new(&gsa, 64, 2);
-        assert_eq!(part.rank_loads().iter().sum::<u64>(), gsa.sa().len() as u64);
+        assert_eq!(suffixes_per_rank(&part, &gsa, 64).iter().sum::<u64>(), gsa.sa().len() as u64);
     }
 }

@@ -16,7 +16,7 @@
 //! occurrence is therefore encoded as its own unique character above the
 //! residue range, so no common prefix can include one.
 
-use pfam_seq::{BudgetError, MemoryBudget, Reservation, SeqId, SequenceSet, ALPHABET_SIZE};
+use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
 use crate::parallel::{bucket_sort_index, lcp_array_parallel, resolve_threads};
@@ -27,7 +27,7 @@ use crate::sais::suffix_array;
 /// LCP array and seq-of table are one `u32` per text position (residues
 /// plus one sentinel per sequence), plus the per-sequence start table.
 ///
-/// This is the figure the chunk planner and [`MemoryBudget`] account
+/// This is the figure the chunk planner and [`pfam_seq::MemoryBudget`] account
 /// with; construction scratch (the bucket sort's 16-byte entry per text
 /// position, freed before the index is returned) is transient and not
 /// counted.
@@ -150,21 +150,6 @@ impl GeneralizedSuffixArray {
         GeneralizedSuffixArray { text, sa, lcp, seq_of, starts, n_seqs, n_unknown }
     }
 
-    /// Build with up to `threads` workers after reserving the index's
-    /// estimated footprint against `budget`. Over-budget construction is
-    /// a typed [`BudgetError`] — never an abort — so callers can degrade
-    /// (smaller chunks) or propagate. The returned [`Reservation`] holds
-    /// the bytes for the index's lifetime; drop them together.
-    pub fn try_build_budgeted(
-        set: &SequenceSet,
-        threads: usize,
-        budget: &MemoryBudget,
-    ) -> Result<(GeneralizedSuffixArray, Reservation), BudgetError> {
-        let bytes = estimated_index_bytes(set.total_residues(), set.len());
-        let reservation = budget.try_reserve("gsa-index", bytes)?;
-        Ok((GeneralizedSuffixArray::build_parallel(set, threads), reservation))
-    }
-
     /// Number of sequences indexed.
     #[inline]
     pub fn n_seqs(&self) -> u32 {
@@ -220,12 +205,6 @@ impl GeneralizedSuffixArray {
     pub fn seq_span(&self, id: SeqId) -> std::ops::Range<usize> {
         let end = self.starts.get(id.index() + 1).map_or(self.text.len(), |&next| next as usize);
         self.starts[id.index()] as usize..end - 1
-    }
-
-    /// Whether text position `pos` holds a sentinel.
-    #[inline]
-    pub fn is_sentinel(&self, pos: usize) -> bool {
-        (self.text[pos] as usize) < self.n_seqs as usize
     }
 
     /// Original residue code at `pos`, or `None` on a sentinel. Unique
@@ -338,10 +317,8 @@ mod tests {
     fn sentinels_detected() {
         let set = set_of(&["AC", "GT"]);
         let g = GeneralizedSuffixArray::build(&set);
-        assert!(!g.is_sentinel(0));
-        assert!(g.is_sentinel(2));
-        assert!(g.is_sentinel(5));
         assert_eq!(g.residue_at(2), None);
+        assert_eq!(g.residue_at(5), None);
         assert_eq!(g.residue_at(0), Some(encode(b"A").unwrap()[0]));
     }
 

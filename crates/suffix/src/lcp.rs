@@ -77,21 +77,6 @@ pub(crate) fn plcp_fill(text: &[u32], phi: &[u32], lo: usize, out: &mut [u32]) {
     }
 }
 
-/// Φ-based LCP construction (serial reference for the parallel path):
-/// compute PLCP over text positions, then permute into rank order.
-pub fn lcp_array_plcp(text: &[u32], sa: &[u32]) -> Vec<u32> {
-    let n = text.len();
-    assert_eq!(sa.len(), n, "suffix array length mismatch");
-    let phi = phi_array(sa);
-    let mut plcp = vec![0u32; n];
-    plcp_fill(text, &phi, 0, &mut plcp);
-    let mut lcp = vec![0u32; n];
-    for r in 1..n {
-        lcp[r] = plcp[sa[r] as usize];
-    }
-    lcp
-}
-
 /// Reference O(n²) LCP for cross-validation in tests.
 pub fn lcp_array_naive(text: &[u32], sa: &[u32]) -> Vec<u32> {
     let mut lcp = vec![0u32; sa.len()];
@@ -162,19 +147,6 @@ mod tests {
         assert_eq!(phi[sa[0] as usize], u32::MAX);
         for r in 1..sa.len() {
             assert_eq!(phi[sa[r] as usize], sa[r - 1]);
-        }
-    }
-
-    #[test]
-    fn plcp_formulation_matches_kasai() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..300);
-            let sigma = rng.gen_range(1..6u8);
-            let codes: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=sigma)).collect();
-            let text = with_sentinel(&codes);
-            let sa = suffix_array(&text, sigma as usize + 2);
-            assert_eq!(lcp_array_plcp(&text, &sa), lcp_array(&text, &sa));
         }
     }
 

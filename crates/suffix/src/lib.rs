@@ -14,8 +14,6 @@
 //!   sequence boundary.
 //! * [`tree`] — the generalized suffix tree, built in linear time from the
 //!   suffix + LCP arrays (the production GST), with pattern search.
-//! * [`ukkonen`] — an independent online Ukkonen suffix-tree construction
-//!   for a single string, used to cross-validate [`tree`].
 //! * [`maximal`] — enumeration of maximal-match pairs in decreasing match
 //!   length, the paper's promising-pair generator.
 //! * [`distributed`] — prefix-partitioned construction that splits the
@@ -34,7 +32,6 @@ pub mod parallel;
 pub mod partitioned;
 pub mod sais;
 pub mod tree;
-pub mod ukkonen;
 
 pub use gsa::{estimated_index_bytes, GeneralizedSuffixArray};
 pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig, MaximalMatchGenerator};

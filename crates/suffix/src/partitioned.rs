@@ -138,13 +138,6 @@ impl ChunkPlan {
         self.starts[c + 1] - self.starts[c]
     }
 
-    /// Which chunk holds sequence `id`.
-    pub fn chunk_of(&self, id: SeqId) -> usize {
-        debug_assert!(id.0 < self.n_seqs(), "id {id} outside the plan");
-        // partition_point over starts[1..]: first chunk whose end exceeds id.
-        self.starts[1..].partition_point(|&end| end <= id.0)
-    }
-
     /// Estimated index bytes of chunk `c` alone.
     pub fn chunk_index_bytes(&self, c: usize) -> u64 {
         estimated_index_bytes(self.residues[c] as usize, self.chunk_len(c) as usize)
@@ -431,9 +424,6 @@ mod tests {
         assert_eq!(plan.n_seqs(), 20);
         for c in 0..plan.n_chunks() {
             assert!(plan.chunk_index_bytes(c) <= target, "chunk {c} over target");
-            for id in plan.chunk_range(c) {
-                assert_eq!(plan.chunk_of(SeqId(id)), c);
-            }
         }
     }
 

@@ -170,12 +170,6 @@ impl<'a> SuffixTree<'a> {
         self.parents[node as usize]
     }
 
-    /// Number of leaves (suffix occurrences) below `node`.
-    pub fn n_leaves(&self, node: NodeId) -> u32 {
-        let (l, r) = self.range(node);
-        r - l
-    }
-
     /// Child groups of `node`: each internal child contributes its rank
     /// range; every rank not covered by an internal child is a singleton
     /// leaf group. Groups are returned in rank order and partition the

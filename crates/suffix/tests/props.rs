@@ -6,8 +6,7 @@ use pfam_seq::{SequenceSet, SequenceSetBuilder};
 use pfam_suffix::distributed::PartitionedSuffixSpace;
 use pfam_suffix::maximal::{all_pairs, MatchPair};
 use pfam_suffix::tree::SuffixTree;
-use pfam_suffix::ukkonen::UkkonenTree;
-use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig};
+use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig, MaximalMatchGenerator};
 
 fn seq_set(max_seqs: usize, max_len: usize) -> impl Strategy<Value = SequenceSet> {
     prop::collection::vec(prop::collection::vec(0u8..6, 1..max_len), 1..max_seqs).prop_map(|seqs| {
@@ -75,21 +74,12 @@ proptest! {
         let global: std::collections::HashSet<MatchPair> =
             all_pairs(&t, config).into_iter().collect();
         let part = PartitionedSuffixSpace::new(&g, p, 3);
-        let distributed: std::collections::HashSet<MatchPair> =
-            part.per_rank_pairs(&t, config).into_iter().flatten().collect();
+        let distributed: std::collections::HashSet<MatchPair> = part
+            .nodes_per_rank(&t, config.min_len)
+            .into_iter()
+            .flat_map(|nodes| MaximalMatchGenerator::with_nodes(&t, config, nodes))
+            .collect();
         prop_assert_eq!(distributed, global);
-    }
-
-    #[test]
-    fn ukkonen_contains_all_true_substrings(codes in prop::collection::vec(0u8..5, 1..40)) {
-        let tree = UkkonenTree::build(&codes);
-        for i in 0..codes.len() {
-            for j in i + 1..=codes.len().min(i + 6) {
-                prop_assert!(tree.contains(&codes[i..j]));
-            }
-        }
-        // A symbol outside the alphabet never occurs.
-        prop_assert!(!tree.contains(&[9]));
     }
 
     #[test]

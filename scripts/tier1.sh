@@ -17,14 +17,17 @@
 # hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
 # the alignment engine's hot path — engine, single-pair fill, batch fill;
 # `unsafe` only in the two alignment kernels' files and the bench
-# allocators; no per-component suffix index on the pipeline's exact path),
-# the candidate-list suite (Verifier's list entry == one verdict at a time;
-# deferred pairs of small components dropped), the pfam-align suites in
-# release mode (forced-path suite: both vector kernels against the scalar
-# twin, cell by cell), the benchmark package's own tests, and the CLI
-# smokes: kill/resume,
+# allocators; no per-component suffix index on the pipeline's exact path;
+# none of the retired aligners, Shingle drivers, graph extras or the
+# Criterion stand-in by name), the reachability ratchet (every `pub` item
+# of a library crate is named outside the tests or is on
+# scripts/reachability.allow with a reason), the candidate-list suite
+# (Verifier's list entry == one verdict at a time; deferred pairs of small
+# components dropped), the pfam-align suites in release mode (forced-path
+# suite: both vector kernels against the scalar twin, cell by cell), the
+# benchmark package's own tests, and the CLI smokes: kill/resume,
 # `cluster` == `run`, resume under other parameters, an unwritable --out,
-# removed flags and values.
+# removed flags and values, a flag given twice.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,6 +107,22 @@ if grep -rnE "RecoveryParams|LeaseKnobs|RetryPolicy|RetryPort|HealthReport|Worke
     echo "tier1 FAIL: a retired supervision extra is named in the tree" >&2
     exit 1
 fi
+
+echo "== tier1: one aligner, one Shingle driver, no test-only library code =="
+# The global / banded / semi-global aligners, the Ukkonen tree, the
+# distributed and SPMD Shingle drivers, the concurrent union-find, the
+# articulation-point pass and the Criterion benches (with their vendored
+# stand-in) had no caller in `pfam`, an example or a bench binary
+# (EXPERIMENTS.md, "Reachability sweep — verdict"). Any of them comes back
+# with a caller, not under its old name.
+if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)" \
+    crates src tests examples vendor Cargo.toml || [ -e vendor/criterion ]; then
+    echo "tier1 FAIL: a retired aligner, driver or bench harness is named in the tree" >&2
+    exit 1
+fi
+
+echo "== tier1: reachability ratchet (pub items named outside the tests, or allow-listed) =="
+scripts/reachability.sh
 
 echo "== tier1: raw k-mer hashing stays behind pfam-shingle's sketch plane =="
 # Sketch contract: the clustering and pipeline layers reach k-mer
@@ -357,9 +376,9 @@ if [ -e "$SMOKE/ck-out/rr.ckpt" ]; then
     exit 1
 fi
 
-echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op) =="
+echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op; a repeat is one too) =="
 for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
-    "--sketch-mode hybrid:--sketch-mode: hybrid"; do
+    "--sketch-mode hybrid:--sketch-mode: hybrid" "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
         --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then

@@ -127,14 +127,20 @@ fn takes_value(flag: &str) -> bool {
     FLAGS.iter().any(|&(name, value, _)| name == flag && value)
 }
 
-/// Reject every `--flag` that `cmd` does not read, and every value flag
-/// left without its value.
+/// Reject every `--flag` that `cmd` does not read, every value flag left
+/// without its value, and every flag given twice (only its first
+/// occurrence would be read).
 fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
     let mut args = args.iter();
     while let Some(a) = args.next() {
         if !a.starts_with("--") {
             continue;
         }
+        if seen.contains(&a.as_str()) {
+            return Err(format!("{a} given twice"));
+        }
+        seen.push(a);
         let Some(&(_, value, _)) =
             FLAGS.iter().find(|&&(name, _, cmds)| name == a && cmds.contains(&cmd))
         else {
@@ -508,6 +514,16 @@ mod tests {
     #[test]
     fn a_value_flag_needs_its_value() {
         assert!(check_flags("cluster", &argv("in.fasta --psi")).unwrap_err().contains("--psi"));
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_an_error() {
+        let err = check_flags("cluster", &argv("in.fasta --psi 10 --psi 20")).unwrap_err();
+        assert_eq!(err, "--psi given twice");
+        let err = check_flags("run", &argv("in.fasta --resume --min-size 3 --resume")).unwrap_err();
+        assert_eq!(err, "--resume given twice");
+        // A value that looks like a flag is a value.
+        assert!(check_flags("cluster", &argv("in.fasta --out --psi --psi 10")).is_ok());
     }
 
     #[test]

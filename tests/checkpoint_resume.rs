@@ -308,8 +308,10 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
     // thread count repeats the work, another budget or chunk size reaches
     // the same families through another pair order.
     let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
+    let mut one_thread = config.clone();
+    one_thread.cluster.threads = 1;
     let unchanged = [
-        (config.clone().with_threads(1), true),
+        (one_thread, true),
         (config.clone().with_mem_budget(estimate * 2 / 5), false),
         (config.clone().with_index_chunk_bytes(4 << 10), false),
     ];

@@ -1,16 +1,13 @@
-//! Independent implementations checked against each other: the lcp-interval
-//! suffix tree vs Ukkonen, SA-IS vs comparison sort, banded vs full
-//! alignment, and the maximal-match generator vs a brute-force definition.
+//! Independent implementations checked against each other: SA-IS vs
+//! comparison sort, index search vs a scan of the reads, and the
+//! maximal-match generator vs a brute-force definition.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pfam::align::{banded_global_affine, global_affine};
-use pfam::datagen::random_peptide;
-use pfam::seq::{ScoringScheme, SeqId, SequenceSet, SequenceSetBuilder};
+use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
 use pfam::suffix::maximal::{all_pairs, MatchPair};
 use pfam::suffix::sais::{suffix_array, suffix_array_naive};
-use pfam::suffix::ukkonen::UkkonenTree;
 use pfam::suffix::{GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
 
 fn random_set(rng: &mut StdRng, n_seqs: usize, max_len: usize) -> SequenceSet {
@@ -22,31 +19,6 @@ fn random_set(rng: &mut StdRng, n_seqs: usize, max_len: usize) -> SequenceSet {
         b.push_codes(format!("s{i}"), codes).expect("non-empty");
     }
     b.finish()
-}
-
-#[test]
-fn tree_pattern_search_agrees_with_ukkonen_per_sequence() {
-    let mut rng = StdRng::seed_from_u64(401);
-    for _ in 0..10 {
-        let set = random_set(&mut rng, 4, 40);
-        let gsa = GeneralizedSuffixArray::build(&set);
-        let tree = SuffixTree::build(&gsa);
-        // Per-sequence Ukkonen trees.
-        let ukk: Vec<UkkonenTree> = set.iter().map(|s| UkkonenTree::build(s.codes)).collect();
-        for _ in 0..30 {
-            let plen = rng.gen_range(1..6);
-            let pattern: Vec<u8> = (0..plen).map(|_| rng.gen_range(0..5u8)).collect();
-            let from_tree = tree.find(&pattern);
-            let mut from_ukkonen: Vec<(SeqId, u32)> = Vec::new();
-            for (i, u) in ukk.iter().enumerate() {
-                for pos in u.occurrences(&pattern) {
-                    from_ukkonen.push((SeqId(i as u32), pos as u32));
-                }
-            }
-            from_ukkonen.sort_unstable();
-            assert_eq!(from_tree, from_ukkonen, "pattern {pattern:?}");
-        }
-    }
 }
 
 #[test]
@@ -125,22 +97,6 @@ fn maximal_match_lengths_are_genuine() {
                 x.windows(p.len as usize).any(|w| y.windows(p.len as usize).any(|v| v == w));
             assert!(found, "reported match of length {} does not exist", p.len);
         }
-    }
-}
-
-#[test]
-fn banded_alignment_matches_full_when_band_covers() {
-    let mut rng = StdRng::seed_from_u64(405);
-    let scheme = ScoringScheme::blosum62_default();
-    for _ in 0..25 {
-        let (lx, ly) = (rng.gen_range(1..60), rng.gen_range(1..60));
-        let x = random_peptide(&mut rng, lx);
-        let y = random_peptide(&mut rng, ly);
-        let full = global_affine(&x, &y, &scheme);
-        let halfwidth = x.len().max(y.len());
-        let banded = banded_global_affine(&x, &y, &scheme, 0, halfwidth)
-            .expect("band covers the whole matrix");
-        assert_eq!(banded.score, full.score);
     }
 }
 

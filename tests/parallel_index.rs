@@ -7,10 +7,10 @@ use pfam::core::PipelineConfig;
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 
 fn configs_under_test() -> Vec<(&'static str, ClusterConfig)> {
-    let serial = ClusterConfig { parallel_index: false, ..ClusterConfig::for_short_sequences() };
+    let serial = ClusterConfig { threads: 1, ..ClusterConfig::for_short_sequences() };
     let mut out = vec![("serial", serial.clone())];
     for threads in [2usize, 3, 8] {
-        out.push(("parallel", ClusterConfig { parallel_index: true, threads, ..serial.clone() }));
+        out.push(("parallel", ClusterConfig { threads, ..serial.clone() }));
     }
     out
 }
@@ -40,17 +40,13 @@ fn ccd_is_thread_count_invariant() {
 fn full_pipeline_is_thread_count_invariant() {
     let data = SyntheticDataset::generate(&DatasetConfig::tiny(0x33));
     let serial_cfg = PipelineConfig {
-        cluster: ClusterConfig { parallel_index: false, ..ClusterConfig::for_short_sequences() },
+        cluster: ClusterConfig { threads: 1, ..ClusterConfig::for_short_sequences() },
         ..PipelineConfig::for_tests()
     };
     let reference = serial_cfg.run(&data.set);
     for threads in [2usize, 8] {
         let cfg = PipelineConfig {
-            cluster: ClusterConfig {
-                parallel_index: true,
-                threads,
-                ..ClusterConfig::for_short_sequences()
-            },
+            cluster: ClusterConfig { threads, ..ClusterConfig::for_short_sequences() },
             ..PipelineConfig::for_tests()
         };
         let result = cfg.run(&data.set);

@@ -119,7 +119,8 @@ fn both_reductions_agree_on_family_purity() {
         let config = PipelineConfig { reduction, ..PipelineConfig::for_tests() };
         let r = config.run(&d.set);
         for ds in &r.dense_subgraphs {
-            let fams: HashSet<_> = ds.members.iter().filter_map(|&id| d.family_of(id)).collect();
+            let fams: HashSet<_> =
+                ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
             assert!(fams.len() <= 1, "{reduction:?} mixed families {fams:?}");
         }
     }
@@ -139,8 +140,9 @@ fn pipeline_is_deterministic_across_runs() {
 #[test]
 fn fasta_round_trip_preserves_pipeline_output() {
     let d = dataset(109);
-    let text = pfam::seq::fasta::to_fasta_string(&d.set);
-    let reparsed = pfam::seq::fasta::read_fasta_str(&text).expect("own output parses");
+    let mut text = Vec::new();
+    pfam::seq::fasta::write_fasta(&d.set, &mut text, 60).expect("writing to a Vec");
+    let reparsed = pfam::seq::fasta::read_fasta(&text[..]).expect("own output parses");
     let config = PipelineConfig::for_tests();
     let a = config.run(&d.set);
     let b = config.run(&reparsed);
@@ -276,7 +278,8 @@ fn one_body_whatever_it_keeps_on_disk() {
     });
     let base = PipelineConfig::for_tests();
     let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
-    let approx = SketchParams { mode: SketchMode::Approx, ..SketchParams::default() };
+    let mut approx = base.clone();
+    approx.cluster.sketch = SketchParams { mode: SketchMode::Approx, ..SketchParams::default() };
     let mut masked = base.clone();
     masked.cluster.mask = Some(pfam::seq::complexity::MaskParams::default());
     let configs = [
@@ -284,7 +287,7 @@ fn one_body_whatever_it_keeps_on_disk() {
         ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
         ("chunks", base.clone().with_index_chunk_bytes(4 << 10)),
         ("mask", masked),
-        ("approx", base.clone().with_sketch(approx)),
+        ("approx", approx),
         ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
     ];
     for (name, config) in configs {
@@ -312,8 +315,9 @@ fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
         b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
     }
     let set = b.finish();
-    let approx = SketchParams { mode: SketchMode::Approx, k: 5, ..SketchParams::default() };
-    let unsketchable = PipelineConfig::for_tests().with_sketch(approx);
+    let mut unsketchable = PipelineConfig::for_tests();
+    unsketchable.cluster.sketch =
+        SketchParams { mode: SketchMode::Approx, k: 5, ..SketchParams::default() };
     let starved = PipelineConfig::for_tests().with_mem_budget(8);
     let dir = scratch_dir("refused");
     for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
