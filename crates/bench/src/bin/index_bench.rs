@@ -27,12 +27,19 @@
 //! Every parallel build is asserted bit-identical to the oracle, every
 //! pruned tree is asserted to mine the full tree's pairs in the full
 //! tree's order, and the masked stream is asserted equal to the stream of
-//! the survivors' own index, anchors and statistics included. `--test` runs a tiny single-rep pass and prints the JSON
-//! instead of writing the file.
+//! the survivors' own index, anchors and statistics included. Every build
+//! is also weighed by the counting allocator: bytes the index holds
+//! (`resident_bytes_per_position`) and the most the build held at once
+//! (`build_peak_bytes_per_position`), per text position. `--test` runs a
+//! tiny single-rep pass, prints the JSON instead of writing the file, and
+//! fails when an index holds more than 7.2 bytes per position or a build
+//! the bucket sort finished peaked above 16.5 per position plus its
+//! position-independent bucket tables.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pfam_bench::alloc::{live_bytes, peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, emit, thread_sweep, time_min, BenchArgs};
 use pfam_datagen::{random_peptide, DatasetConfig, SyntheticDataset};
 use pfam_seq::{materialize_subset, SeqId, SequenceSet, SequenceSetBuilder};
@@ -41,6 +48,23 @@ use pfam_suffix::{
     bucket_sort_index_staged, lcp::lcp_array, parallel_pairs, parallel_pairs_masked, suffix_array,
     GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, SuffixTree,
 };
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Ceilings of the `--test` pass, in bytes per text position: what an
+/// index may hold, and what a build may hold at its peak on top of the
+/// bucket tables.
+const MAX_RESIDENT_PER_POSITION: f64 = 7.2;
+const MAX_BUILD_PEAK_PER_POSITION: f64 = 16.5;
+
+/// Bytes of the bucket sort that do not grow with the text: `4 · threads`
+/// histograms of 2¹⁵ `u32` counters, the 2¹⁵ bucket starts, and 64 KiB for
+/// the job lists and one bucket's records per worker. On a smoke-sized
+/// corpus they outweigh the arrays.
+fn bucket_table_bytes(threads: usize) -> f64 {
+    ((4 * threads * 4 + 8) << 15) as f64 + 65_536.0
+}
 
 /// ψ of redundancy removal and of component detection (`ClusterConfig`
 /// defaults): the two depths the pipeline prunes its trees at.
@@ -167,7 +191,8 @@ fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> S
 }
 
 /// One corpus, every stage (`mine`: tree and mining rows too; `kept`: the
-/// front-half rows too): returns its JSON object.
+/// front-half rows too; `ratchet`: fail over the byte ceilings): returns
+/// its JSON object.
 fn bench_corpus(
     name: &str,
     set: &SequenceSet,
@@ -175,34 +200,70 @@ fn bench_corpus(
     kept: Option<&[SeqId]>,
     threads: &[usize],
     reps: usize,
+    ratchet: bool,
 ) -> String {
     eprintln!("index_bench: {name}: {} reads, {} residues", set.len(), set.total_residues());
 
     // The oracle, whole and by stage.
     let (sais_total_s, oracle) = time_min(reps, || GeneralizedSuffixArray::build(set));
-    let (text, k) = (oracle.text(), oracle.alphabet_size());
-    let (sais_sa_s, _) = time_min(reps, || suffix_array(text, k));
-    let (sais_lcp_s, _) = time_min(reps, || lcp_array(text, oracle.sa()));
+    let oracle_lcp: Vec<u32> = (0..oracle.text_len()).map(|r| oracle.lcp_at(r)).collect();
+    let sais_stage_s = {
+        let (text, k) = (oracle.encoded_text(), oracle.alphabet_size());
+        let (sais_sa_s, sa) = time_min(reps, || suffix_array(&text, k));
+        let (sais_lcp_s, lcp) = time_min(reps, || lcp_array(&text, &sa));
+        assert!(sa == oracle.sa() && lcp == oracle_lcp, "{name}: the oracle is not SA-IS + Kasai");
+        (sais_sa_s, sais_lcp_s)
+    };
+    let positions = oracle.text_len() as f64;
 
     // The bucket sort at each thread count, whole and by stage.
     let mut sort_rows = Vec::new();
     for &t in threads {
         let (index_s, gsa) = time_min(reps, || GeneralizedSuffixArray::build_parallel(set, t));
         assert!(
-            gsa.sa() == oracle.sa() && gsa.lcp() == oracle.lcp(),
+            gsa.sa() == oracle.sa()
+                && (0..gsa.text_len()).all(|r| gsa.lcp_at(r) == oracle_lcp[r])
+                && (0..gsa.text_len()).all(|p| gsa.locate(p) == oracle.locate(p)),
             "{name}: build_parallel diverged from SA-IS at {t} threads"
         );
+        drop(gsa);
+        // One more build, weighed.
+        let live0 = peak_reset();
+        let gsa = GeneralizedSuffixArray::build_parallel(set, t);
+        let held = live_bytes().saturating_sub(live0) as f64;
+        let build_peak = peak_since(live0) as f64;
+        // Idle pool threads of the generators free a few hundred bytes
+        // when they please; the arrays are what is being compared.
+        assert!(
+            (gsa.heap_bytes() as f64 - held).abs() <= 0.01 * held,
+            "{name}: heap_bytes() says {}, the allocator {held}",
+            gsa.heap_bytes()
+        );
+        let resident = held / positions;
+        drop(gsa);
         let mut best = (f64::INFINITY, Default::default());
         let mut fell_back = false;
         for _ in 0..reps {
-            let (index, stages) = bucket_sort_index_staged(text, oracle.n_seqs(), t);
+            let (index, stages) = bucket_sort_index_staged(oracle.text(), t);
             fell_back = index.is_none();
-            let total = stages.count_s + stages.scatter_s + stages.sort_lcp_s + stages.extract_s;
+            let total = stages.count_s + stages.scatter_s + stages.sort_lcp_s;
             if total < best.0 {
                 best = (total, stages);
             }
         }
         let (sort_s, st) = best;
+        if ratchet {
+            assert!(
+                resident <= MAX_RESIDENT_PER_POSITION,
+                "{name}: the index holds {resident:.2} bytes per position at {t} threads"
+            );
+            let over_tables = (build_peak - bucket_table_bytes(t)) / positions;
+            assert!(
+                fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
+                "{name}: the build peaked at {over_tables:.2} bytes per position over its \
+                 bucket tables at {t} threads"
+            );
+        }
         eprintln!(
             "index_bench: {name}: {t} thread(s): index {index_s:.3}s (SA-IS {sais_total_s:.3}s)"
         );
@@ -211,8 +272,9 @@ fn bench_corpus(
                 "      {{ \"threads\": {t}, \"index_s\": {index:.6}, ",
                 "\"fell_back_to_sais\": {fb}, \"sa_lcp_s\": {sort:.6}, ",
                 "\"keys_count_s\": {c:.6}, \"keys_scatter_s\": {s:.6}, ",
-                "\"bucket_sort_lcp_s\": {b:.6}, \"boundary_lcp_extract_s\": {e:.6}, ",
-                "\"vs_sais\": {r:.3} }}"
+                "\"bucket_sort_lcp_s\": {b:.6}, ",
+                "\"resident_bytes_per_position\": {res:.3}, ",
+                "\"build_peak_bytes_per_position\": {peak:.3}, \"vs_sais\": {r:.3} }}"
             ),
             t = t,
             index = index_s,
@@ -221,7 +283,8 @@ fn bench_corpus(
             c = st.count_s,
             s = st.scatter_s,
             b = st.sort_lcp_s,
-            e = st.extract_s,
+            res = resident,
+            peak = build_peak / positions,
             r = sais_total_s / index_s,
         ));
     }
@@ -284,8 +347,8 @@ fn bench_corpus(
         n_seqs = set.len(),
         residues = set.total_residues(),
         total = sais_total_s,
-        sa = sais_sa_s,
-        lcp = sais_lcp_s,
+        sa = sais_stage_s.0,
+        lcp = sais_stage_s.1,
         sort = sort_rows.join(",\n"),
         tree = tree_rows.join(",\n"),
         mine = mine_rows.join(",\n"),
@@ -308,7 +371,9 @@ fn main() {
     ];
     let blocks: Vec<String> = corpora
         .iter()
-        .map(|(name, set, mine, kept)| bench_corpus(name, set, *mine, *kept, &sweep.counts, reps))
+        .map(|(name, set, mine, kept)| {
+            bench_corpus(name, set, *mine, *kept, &sweep.counts, reps, args.smoke)
+        })
         .collect();
 
     let json = format!(

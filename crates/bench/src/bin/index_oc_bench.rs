@@ -30,10 +30,9 @@
 //! honesty guard; per-side seconds are raw single-host measurements, not
 //! scaling claims.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use pfam_bench::alloc::{peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
 use pfam_core::PipelineConfig;
 use pfam_datagen::{generate_to_store, DatasetConfig};
@@ -43,60 +42,8 @@ use pfam_suffix::{
     MaximalMatchConfig, PartitionedMiner, SuffixTree,
 };
 
-/// Allocation-counting shim over the system allocator: `LIVE` tracks
-/// currently-held bytes, `PEAK` the high-water mark since the last
-/// [`peak_reset`]. This is the bench's stand-in for peak RSS — it counts
-/// heap payload bytes exactly (no allocator slack, no page rounding), so
-/// it *underestimates* RSS but ranks the two index strategies fairly.
-struct CountingAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live =
-                LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            let old = layout.size() as u64;
-            let new = new_size as u64;
-            let live = if new >= old {
-                LIVE.fetch_add(new - old, Ordering::Relaxed) + (new - old)
-            } else {
-                LIVE.fetch_sub(old - new, Ordering::Relaxed) - (old - new)
-            };
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Restart the high-water mark at the current live footprint.
-fn peak_reset() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Peak bytes since the last reset, net of what was already live then.
-fn peak_since(baseline_live: u64) -> u64 {
-    PEAK.load(Ordering::Relaxed).saturating_sub(baseline_live)
-}
 
 /// Canonical sort key: two miners emit the same *set* of pairs, possibly
 /// in different orders. Keyed on `(a, b, len)` — `MatchPair`'s own
@@ -133,8 +80,7 @@ fn main() {
 
     // ---- Streamed datagen into a paged store. ----
     let path = std::env::temp_dir().join(format!("pfam_index_oc_{n_orfs}.pseq"));
-    peak_reset();
-    let live0 = LIVE.load(Ordering::Relaxed);
+    let live0 = peak_reset();
     let t0 = Instant::now();
     let streamed = generate_to_store(&config, &path, 4 << 20).expect("temp dir is writable");
     let datagen_s = t0.elapsed().as_secs_f64();
@@ -159,8 +105,7 @@ fn main() {
     let chunk_bytes = cmp_bytes / 6;
     let pair_config = MaximalMatchConfig { min_len: 15, max_pairs_per_node: 100_000, dedup: true };
 
-    peak_reset();
-    let live0 = LIVE.load(Ordering::Relaxed);
+    let live0 = peak_reset();
     let t0 = Instant::now();
     let gsa = GeneralizedSuffixArray::build(&cmp_set);
     let tree = SuffixTree::build(&gsa);
@@ -178,8 +123,7 @@ fn main() {
     let lens: Vec<u32> = (0..cmp_n).map(|i| cmp_set.seq_len(SeqId(i)) as u32).collect();
     let plan = ChunkPlan::plan(&lens, chunk_bytes);
     let n_chunks = plan.n_chunks();
-    peak_reset();
-    let live0 = LIVE.load(Ordering::Relaxed);
+    let live0 = peak_reset();
     let t0 = Instant::now();
     let miner = PartitionedMiner::try_new(plan, |r| cmp_set.load_range(r), pair_config, 1, &budget)
         .expect("the chunk plan fits the matched budget");
@@ -205,8 +149,7 @@ fn main() {
     let pipe_chunk = mono_bytes / 4;
     let pipe_config =
         PipelineConfig::default().with_mem_budget(pipe_budget).with_index_chunk_bytes(pipe_chunk);
-    peak_reset();
-    let live0 = LIVE.load(Ordering::Relaxed);
+    let live0 = peak_reset();
     let t0 = Instant::now();
     let result = pipe_config.run(&store);
     let pipeline_s = t0.elapsed().as_secs_f64();

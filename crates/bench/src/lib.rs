@@ -6,6 +6,7 @@
 //! figure of the paper. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 
+pub mod alloc;
 pub mod harness;
 pub mod honesty;
 pub mod workloads;

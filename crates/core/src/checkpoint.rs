@@ -44,9 +44,13 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// (`CcdCursor::gen_chunk_bytes`) to the CCD payload; v3 the pair ledger
 /// to the RR payload and the deferred pairs to the CCD payload — what a
 /// resumed run needs to align exactly what an uninterrupted one does; v4
-/// the run fingerprint to the header. An older file is
+/// the run fingerprint to the header. v5 has v4's layout but another
+/// meaning: the plan pin is a chunk target in bytes of the index
+/// *estimate*, the estimate went from 16 to 7 bytes per text position,
+/// and the same pin now cuts other chunks — a v4 cursor replayed here
+/// would skip and repeat pairs. An older file is
 /// [`CkptError::BadVersion`]: there is no compatibility path.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 

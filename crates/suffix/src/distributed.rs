@@ -37,13 +37,8 @@ impl PartitionedSuffixSpace {
         assert!(p >= 1, "at least one rank required");
         assert!(prefix_len >= 1, "prefix length must be positive");
         let n = gsa.sa().len();
-        let lcp = gsa.lcp();
         let mut boundaries = vec![0u32];
-        for (r, &l) in lcp.iter().enumerate().take(n).skip(1) {
-            if l < prefix_len {
-                boundaries.push(r as u32);
-            }
-        }
+        boundaries.extend((1..n).filter(|&r| gsa.lcp_at(r) < prefix_len).map(|r| r as u32));
         boundaries.push(n as u32);
 
         // LPT: largest buckets first onto the least-loaded rank.

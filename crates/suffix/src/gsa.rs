@@ -5,16 +5,33 @@
 //! values are therefore always lengths of genuine intra-sequence matches,
 //! which the maximal-match generator depends on.
 //!
-//! Text encoding: residue code `c` of any sequence maps to `c + n_seqs`;
-//! the sentinel of sequence `i` maps to `i + 1`, except the last sequence's
-//! sentinel which is `0` so the text ends with the unique smallest
-//! character SA-IS requires.
-//!
 //! The ambiguity residue `X` carries no exact-match evidence — two `X`s do
 //! *not* match (they stand for unknown, possibly different, residues), and
 //! low-complexity masking relies on `X` acting as a separator. Each `X`
-//! occurrence is therefore encoded as its own unique character above the
-//! residue range, so no common prefix can include one.
+//! occurrence is therefore its own unique character too, so no common
+//! prefix can include one.
+//!
+//! ## Layout: 7 bytes per text position
+//!
+//! The resident text is one byte per position holding a 5-bit *symbol
+//! class*: [`SENTINEL_CLASS`] (0) for a sentinel, `c + 1` for residue code
+//! `c`, [`X_CLASS`] (22) for an `X`. Sentinels and `X`s are *terminators*:
+//! every occurrence is a character of its own, and which one is read off
+//! its position (`terminator_rank`): terminators of one class order as
+//! they lie in the text, except that the last sequence's sentinel — the
+//! last character — is the smallest, the unique minimum SA-IS requires.
+//! The suffix array is a `u32` per position, the LCP array a `u16` that
+//! saturates into a sorted overflow list ([`CompactLcp`]), and the owning
+//! sequence of a position is found from one sampled id per `SEQ_BLOCK`
+//! (64) positions and a short walk of the start table — there is no
+//! per-position sequence table.
+//!
+//! The integer text SA-IS sorts — sentinel of sequence `i` ↦ `i + 1` (the
+//! last one ↦ 0), residue code `c` ↦ `c + n_seqs`, the `k`-th `X` ↦
+//! `n_seqs + 21 + k` — is the same order spelt out; it is materialised
+//! only while SA-IS runs ([`GeneralizedSuffixArray::encoded_text`]).
+
+use std::cmp::Ordering;
 
 use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
@@ -22,67 +39,115 @@ use crate::lcp::lcp_array;
 use crate::parallel::{bucket_sort_index, lcp_array_parallel, resolve_threads};
 use crate::sais::suffix_array;
 
+/// Symbol class of a sentinel.
+pub const SENTINEL_CLASS: u8 = 0;
+/// Symbol class of an `X`. Residue code `c` is class `c + 1`, so class
+/// order is the order of the integer text.
+pub const X_CLASS: u8 = ALPHABET_SIZE as u8 + 1;
+/// Text positions per sampled owning-sequence id.
+const SEQ_BLOCK: usize = 64;
+
+/// Whether `class` is a character that occurs once in the text.
+#[inline]
+pub(crate) fn is_terminator(class: u8) -> bool {
+    class == SENTINEL_CLASS || class == X_CLASS
+}
+
+/// Order of the terminator at `pos` among the terminators of its class —
+/// which unique character it is — in a text of `text_len` positions.
+/// Sentinels order by sequence id with the last sequence's first, `X`s by
+/// text order; both are position order once the text's last character is
+/// moved to the front.
+#[inline]
+pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
+    if pos + 1 == text_len {
+        0
+    } else {
+        pos as u32 + 1
+    }
+}
+
 /// Estimated resident bytes of a [`GeneralizedSuffixArray`] over
-/// `n_residues` residues in `n_seqs` sequences: the text, suffix array,
-/// LCP array and seq-of table are one `u32` per text position (residues
-/// plus one sentinel per sequence), plus the per-sequence start table.
+/// `n_residues` residues in `n_seqs` sequences — ≈ 7.06 bytes per text
+/// position (residues plus one sentinel per sequence): one for the text,
+/// four for the suffix array, two for the LCP array, a sixteenth for the
+/// sampled sequence ids, plus the per-sequence start table. A test holds
+/// it within 1 % of [`GeneralizedSuffixArray::heap_bytes`].
 ///
-/// This is the figure the chunk planner and [`pfam_seq::MemoryBudget`] account
-/// with; construction scratch (the bucket sort's 16-byte entry per text
-/// position, freed before the index is returned) is transient and not
-/// counted.
+/// This is the figure the chunk planner and [`pfam_seq::MemoryBudget`]
+/// account with. Construction is transiently larger: the bucket sort
+/// holds an 8-byte key per position until the buckets are sorted, a peak
+/// of ≈ 15.4 bytes per position, and a text handed back to SA-IS holds
+/// its four-byte encoding and SA-IS's own arrays on top of that.
 pub fn estimated_index_bytes(n_residues: usize, n_seqs: usize) -> u64 {
     let text_len = n_residues as u64 + n_seqs as u64;
-    16 * text_len + 4 * n_seqs as u64
+    7 * text_len + 4 * text_len.div_ceil(SEQ_BLOCK as u64) + 4 * n_seqs as u64
 }
 
-/// Encoded concatenation of a sequence set, ready for suffix sorting.
-struct EncodedText {
-    text: Vec<u32>,
-    seq_of: Vec<u32>,
-    starts: Vec<u32>,
-    n_unknown: u32,
+/// An LCP array indexed by rank, two bytes a value: values below
+/// `u16::MAX` are stored as they are, the others — matches of 65 535
+/// residues and more — as `u16::MAX` with the value in a list sorted by
+/// rank.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CompactLcp {
+    values: Vec<u16>,
+    /// `(rank, value)` of every saturated entry, ascending.
+    overflow: Vec<(u32, u32)>,
 }
 
-/// Encode `set` per the module-level scheme. Capacities are exact (one
-/// character per residue plus one sentinel per sequence), and sequences
-/// without any `X` take a branch-free table-lookup path.
-fn encode_text(set: &SequenceSet) -> EncodedText {
-    let n_seqs = set.len() as u32;
-    let total = set.total_residues() + set.len();
-    let mut text = Vec::with_capacity(total);
-    let mut seq_of = Vec::with_capacity(total);
-    let mut starts = Vec::with_capacity(set.len());
-    const X_CODE: u8 = (ALPHABET_SIZE - 1) as u8;
-    // Unique values for `X` occurrences start just above the residues.
-    let x_base = n_seqs + ALPHABET_SIZE as u32;
-    // Residue translation table: code `c` ↦ `c + n_seqs`. The `X` entry is
-    // never read on the fast path (X-bearing sequences take the slow loop).
-    let mut table = [0u32; ALPHABET_SIZE];
-    for (c, slot) in table.iter_mut().enumerate() {
-        *slot = c as u32 + n_seqs;
+impl CompactLcp {
+    /// `value` as the array stores it, or `None` when it goes on the
+    /// overflow list and the array holds `u16::MAX`.
+    #[inline]
+    pub(crate) fn narrow(value: u32) -> Option<u16> {
+        u16::try_from(value).ok().filter(|&v| v != u16::MAX)
     }
-    let mut n_unknown = 0u32;
-    for seq in set.iter() {
-        starts.push(text.len() as u32);
-        if seq.codes.contains(&X_CODE) {
-            for &c in seq.codes {
-                if c == X_CODE {
-                    text.push(x_base + n_unknown);
-                    n_unknown += 1;
-                } else {
-                    text.push(table[c as usize]);
-                }
-            }
-        } else {
-            text.extend(seq.codes.iter().map(|&c| table[c as usize]));
+
+    /// Assemble from the saturated array and its overflow entries in any
+    /// order.
+    pub(crate) fn from_parts(values: Vec<u16>, mut overflow: Vec<(u32, u32)>) -> CompactLcp {
+        overflow.sort_unstable();
+        overflow.shrink_to_fit();
+        CompactLcp { values, overflow }
+    }
+
+    /// Narrow a full-width LCP array.
+    pub fn from_values(lcp: &[u32]) -> CompactLcp {
+        let mut overflow = Vec::new();
+        let values = lcp
+            .iter()
+            .enumerate()
+            .map(|(rank, &value)| {
+                Self::narrow(value).unwrap_or_else(|| {
+                    overflow.push((rank as u32, value));
+                    u16::MAX
+                })
+            })
+            .collect();
+        CompactLcp { values, overflow }
+    }
+
+    /// LCP of ranks `rank − 1` and `rank`.
+    #[inline]
+    pub fn get(&self, rank: usize) -> u32 {
+        match self.values[rank] {
+            u16::MAX => self.wide(rank),
+            v => v as u32,
         }
-        let sentinel = if seq.id.0 == n_seqs - 1 { 0 } else { seq.id.0 + 1 };
-        text.push(sentinel);
-        seq_of.extend(std::iter::repeat_n(seq.id.0, seq.codes.len() + 1));
     }
-    debug_assert_eq!(text.len(), total, "encoding must fill exactly the reserved capacity");
-    EncodedText { text, seq_of, starts, n_unknown }
+
+    #[cold]
+    fn wide(&self, rank: usize) -> u32 {
+        let at = self
+            .overflow
+            .binary_search_by_key(&(rank as u32), |&(r, _)| r)
+            .expect("every saturated entry is on the overflow list");
+        self.overflow[at].1
+    }
+
+    fn heap_bytes(&self) -> usize {
+        2 * self.values.capacity() + 8 * self.overflow.capacity()
+    }
 }
 
 /// Suffix array + LCP array over the concatenation of a sequence set.
@@ -100,60 +165,84 @@ fn encode_text(set: &SequenceSet) -> EncodedText {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeneralizedSuffixArray {
-    text: Vec<u32>,
+    /// Symbol class of every text position (see the module docs).
+    text: Vec<u8>,
     sa: Vec<u32>,
-    lcp: Vec<u32>,
-    /// Owning sequence of each text position (sentinels belong to their
-    /// sequence).
-    seq_of: Vec<u32>,
+    lcp: CompactLcp,
     /// Start position of each sequence within `text`.
     starts: Vec<u32>,
-    n_seqs: u32,
-    /// Number of `X` residues (each gets a unique character).
-    n_unknown: u32,
+    /// Owning sequence of every [`SEQ_BLOCK`]-th text position.
+    block_seq: Vec<u32>,
 }
 
 impl GeneralizedSuffixArray {
-    /// Build the generalized suffix array of `set`.
+    /// The text, start table and sampled ids of `set`, suffixes not yet
+    /// sorted. Capacities are exact.
+    fn unsorted(set: &SequenceSet) -> GeneralizedSuffixArray {
+        assert!(!set.is_empty(), "cannot index an empty sequence set");
+        let total = set.total_residues() + set.len();
+        assert!(u32::try_from(total).is_ok(), "text positions must fit in u32");
+        // Residue code `c` ↦ class `c + 1`, the `X` code ↦ `X_CLASS`.
+        let class_of: [u8; ALPHABET_SIZE] =
+            std::array::from_fn(|c| if c == ALPHABET_SIZE - 1 { X_CLASS } else { c as u8 + 1 });
+        let mut text = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(set.len());
+        let mut block_seq = Vec::with_capacity(total.div_ceil(SEQ_BLOCK));
+        for seq in set.iter() {
+            starts.push(text.len() as u32);
+            text.extend(seq.codes.iter().map(|&c| class_of[c as usize]));
+            text.push(SENTINEL_CLASS);
+            while block_seq.len() * SEQ_BLOCK < text.len() {
+                block_seq.push(seq.id.0);
+            }
+        }
+        debug_assert_eq!(text.len(), total, "encoding must fill exactly the reserved capacity");
+        GeneralizedSuffixArray {
+            text,
+            sa: Vec::new(),
+            lcp: CompactLcp::default(),
+            starts,
+            block_seq,
+        }
+    }
+
+    /// Build the generalized suffix array of `set` by SA-IS and Kasai's
+    /// algorithm over the integer text — the serial reference.
     ///
     /// Panics on an empty set (there is no meaningful index for it).
     pub fn build(set: &SequenceSet) -> GeneralizedSuffixArray {
-        assert!(!set.is_empty(), "cannot index an empty sequence set");
-        let n_seqs = set.len() as u32;
-        let EncodedText { text, seq_of, starts, n_unknown } = encode_text(set);
-        let k = (n_seqs + ALPHABET_SIZE as u32 + n_unknown.max(1)) as usize;
-        let sa = suffix_array(&text, k);
-        let lcp = lcp_array(&text, &sa);
-        GeneralizedSuffixArray { text, sa, lcp, seq_of, starts, n_seqs, n_unknown }
+        let mut index = Self::unsorted(set);
+        let text = index.encoded_text();
+        index.sa = suffix_array(&text, index.alphabet_size());
+        index.lcp = CompactLcp::from_values(&lcp_array(&text, &index.sa));
+        index
     }
 
     /// Build the generalized suffix array of `set` with up to `threads`
     /// workers (`0` = all available cores).
     ///
     /// Bit-identical to [`build`](Self::build) for every input — the
-    /// suffixes of the encoded text are all distinct (unique sentinels,
-    /// unique `X` characters), so the suffix order is unique and both
+    /// suffixes of the text are all distinct (unique sentinels, unique
+    /// `X` characters), so the suffix order is unique and both
     /// construction strategies must produce it. Every thread count,
     /// `1` included, runs [`bucket_sort_index`]; a text too repetitive
     /// for it is indexed by SA-IS as in [`build`](Self::build).
     pub fn build_parallel(set: &SequenceSet, threads: usize) -> GeneralizedSuffixArray {
-        assert!(!set.is_empty(), "cannot index an empty sequence set");
         let threads = resolve_threads(threads);
-        let n_seqs = set.len() as u32;
-        let EncodedText { text, seq_of, starts, n_unknown } = encode_text(set);
-        let (sa, lcp) = bucket_sort_index(&text, n_seqs, threads).unwrap_or_else(|| {
-            let k = (n_seqs + ALPHABET_SIZE as u32 + n_unknown.max(1)) as usize;
-            let sa = suffix_array(&text, k);
-            let lcp = lcp_array_parallel(&text, &sa, threads);
+        let mut index = Self::unsorted(set);
+        (index.sa, index.lcp) = bucket_sort_index(&index.text, threads).unwrap_or_else(|| {
+            let text = index.encoded_text();
+            let sa = suffix_array(&text, index.alphabet_size());
+            let lcp = CompactLcp::from_values(&lcp_array_parallel(&text, &sa, threads));
             (sa, lcp)
         });
-        GeneralizedSuffixArray { text, sa, lcp, seq_of, starts, n_seqs, n_unknown }
+        index
     }
 
     /// Number of sequences indexed.
     #[inline]
     pub fn n_seqs(&self) -> u32 {
-        self.n_seqs
+        self.starts.len() as u32
     }
 
     /// Total text length (residues + sentinels).
@@ -162,17 +251,47 @@ impl GeneralizedSuffixArray {
         self.text.len()
     }
 
-    /// The encoded text (see module docs for the value scheme).
+    /// The symbol class of every text position (see the module docs).
     #[inline]
-    pub fn text(&self) -> &[u32] {
+    pub fn text(&self) -> &[u8] {
         &self.text
     }
 
-    /// Alphabet size of the encoded text (sentinels + residues + unique
-    /// `X` characters).
-    #[inline]
+    /// The text as the integers SA-IS sorts, every terminator spelt out as
+    /// the unique character it is (see the module docs): four bytes per
+    /// position, held only while the caller holds it.
+    pub fn encoded_text(&self) -> Vec<u32> {
+        let n_seqs = self.n_seqs();
+        let mut sentinels = 0u32;
+        let mut next_x = n_seqs + ALPHABET_SIZE as u32;
+        self.text
+            .iter()
+            .map(|&class| match class {
+                SENTINEL_CLASS => {
+                    sentinels += 1;
+                    sentinels % n_seqs
+                }
+                X_CLASS => {
+                    next_x += 1;
+                    next_x - 1
+                }
+                class => class as u32 - 1 + n_seqs,
+            })
+            .collect()
+    }
+
+    /// Alphabet size of [`encoded_text`](Self::encoded_text) (sentinels +
+    /// residues + unique `X` characters), counted off the text.
     pub fn alphabet_size(&self) -> usize {
-        self.n_seqs as usize + ALPHABET_SIZE + self.n_unknown as usize
+        let n_unknown = self.text.iter().filter(|&&class| class == X_CLASS).count();
+        self.n_seqs() as usize + ALPHABET_SIZE + n_unknown
+    }
+
+    /// Bytes of heap the index holds: the capacities of its arrays.
+    pub fn heap_bytes(&self) -> usize {
+        self.text.capacity()
+            + 4 * (self.sa.capacity() + self.starts.capacity() + self.block_seq.capacity())
+            + self.lcp.heap_bytes()
     }
 
     /// The suffix array (ranks → text positions).
@@ -181,23 +300,29 @@ impl GeneralizedSuffixArray {
         &self.sa
     }
 
-    /// The LCP array (`lcp[r]` = LCP of ranks `r−1` and `r`).
+    /// LCP of the suffixes of ranks `rank − 1` and `rank` (`0` at rank 0).
     #[inline]
-    pub fn lcp(&self) -> &[u32] {
-        &self.lcp
+    pub fn lcp_at(&self, rank: usize) -> u32 {
+        self.lcp.get(rank)
+    }
+
+    /// Owning sequence of text position `pos` (a sentinel belongs to its
+    /// sequence) and the offset of `pos` within it (the sentinel's is the
+    /// sequence length): the sampled id of the position's block, walked
+    /// forward through the start table.
+    #[inline]
+    pub fn locate(&self, pos: usize) -> (SeqId, u32) {
+        let mut seq = self.block_seq[pos / SEQ_BLOCK] as usize;
+        while self.starts.get(seq + 1).is_some_and(|&next| next as usize <= pos) {
+            seq += 1;
+        }
+        (SeqId(seq as u32), pos as u32 - self.starts[seq])
     }
 
     /// Owning sequence of text position `pos`.
     #[inline]
     pub fn seq_at(&self, pos: usize) -> SeqId {
-        SeqId(self.seq_of[pos])
-    }
-
-    /// Residue offset of text position `pos` within its sequence
-    /// (the sentinel position maps to the sequence length).
-    #[inline]
-    pub fn offset_at(&self, pos: usize) -> u32 {
-        pos as u32 - self.starts[self.seq_of[pos] as usize]
+        self.locate(pos).0
     }
 
     /// Text positions of the residues of sequence `id`; its sentinel is
@@ -207,34 +332,55 @@ impl GeneralizedSuffixArray {
         self.starts[id.index()] as usize..end - 1
     }
 
-    /// Original residue code at `pos`, or `None` on a sentinel. Unique
-    /// `X` characters map back to the `X` code.
+    /// Residue immediately to the left of `pos`, or `None` when `pos` is
+    /// the first residue of its sequence (the start of the text, or after
+    /// a sentinel) or is preceded by an `X` (an unknown residue can never
+    /// witness a left extension, so matches bounded by `X` count as
+    /// left-maximal).
     #[inline]
-    pub fn residue_at(&self, pos: usize) -> Option<u8> {
-        let v = self.text[pos];
-        if (v as usize) < self.n_seqs as usize {
-            None
-        } else if v >= self.n_seqs + ALPHABET_SIZE as u32 {
-            Some((ALPHABET_SIZE - 1) as u8)
-        } else {
-            Some((v - self.n_seqs) as u8)
+    pub fn left_residue(&self, pos: usize) -> Option<u8> {
+        match self.text[pos.checked_sub(1)?] {
+            class if is_terminator(class) => None,
+            class => Some(class - 1),
         }
     }
 
-    /// Residue immediately to the left of `pos`, or `None` when `pos` is
-    /// the first residue of its sequence, is preceded by a sentinel, or is
-    /// preceded by an `X` (an unknown residue can never witness a left
-    /// extension, so matches bounded by `X` count as left-maximal).
-    #[inline]
-    pub fn left_residue(&self, pos: usize) -> Option<u8> {
-        if pos == 0 || self.offset_at(pos) == 0 {
-            None
-        } else {
-            match self.residue_at(pos - 1) {
-                Some(c) if c == (ALPHABET_SIZE - 1) as u8 => None,
-                other => other,
+    /// Compare the suffix at `pos` with `other`, a string of symbol
+    /// classes whose terminator at index `i`, if any, has rank
+    /// `other_rank(i)`: `Less` / `Greater` for lexicographic order over
+    /// the unique characters, `Equal` when `other` is a prefix of the
+    /// suffix.
+    fn suffix_cmp(&self, pos: usize, other: &[u8], other_rank: impl Fn(usize) -> u32) -> Ordering {
+        let suffix = &self.text[pos..];
+        for (i, (&x, &y)) in suffix.iter().zip(other).enumerate() {
+            if x != y {
+                return x.cmp(&y);
+            }
+            if is_terminator(x) {
+                return terminator_rank(self.text.len(), pos + i).cmp(&other_rank(i));
             }
         }
+        if suffix.len() >= other.len() {
+            Ordering::Equal
+        } else {
+            Ordering::Less
+        }
+    }
+
+    /// Rank of the suffix at `pos`, by binary search — suffixes are
+    /// distinct, so the search lands on it.
+    pub(crate) fn rank_of(&self, pos: usize) -> usize {
+        let n = self.text.len();
+        let rank_in_other = |i| terminator_rank(n, pos + i);
+        self.sa.partition_point(|&p| {
+            self.suffix_cmp(p as usize, &self.text[pos..], rank_in_other).is_lt()
+        })
+    }
+
+    /// `pattern` (residue codes) as symbol classes. An `X` in a pattern
+    /// matches nothing: it maps to the one class the text never holds.
+    pub(crate) fn pattern_classes(pattern: &[u8]) -> Vec<u8> {
+        pattern.iter().map(|&c| (c + 1).min(X_CLASS - 1)).collect()
     }
 
     /// Locate all occurrences of `pattern` (residue codes) across the set,
@@ -243,34 +389,16 @@ impl GeneralizedSuffixArray {
         if pattern.is_empty() {
             return Vec::new();
         }
-        let encoded: Vec<u32> = pattern.iter().map(|&c| c as u32 + self.n_seqs).collect();
-        let lo = self.sa.partition_point(|&p| self.suffix_cmp(p as usize, &encoded).is_lt());
-        let hi = self.sa.partition_point(|&p| {
-            !matches!(self.suffix_cmp(p as usize, &encoded), std::cmp::Ordering::Greater)
-        });
-        let mut out: Vec<(SeqId, u32)> = self.sa[lo..hi]
-            .iter()
-            .map(|&p| (self.seq_at(p as usize), self.offset_at(p as usize)))
-            .collect();
+        let classes = Self::pattern_classes(pattern);
+        // No terminator in a pattern: its first difference from a suffix
+        // is a difference of classes.
+        let cmp = |p: u32| self.suffix_cmp(p as usize, &classes, |_| unreachable!());
+        let lo = self.sa.partition_point(|&p| cmp(p).is_lt());
+        let hi = self.sa.partition_point(|&p| cmp(p).is_le());
+        let mut out: Vec<(SeqId, u32)> =
+            self.sa[lo..hi].iter().map(|&p| self.locate(p as usize)).collect();
         out.sort_unstable();
         out
-    }
-
-    /// Compare the suffix at `pos` against `pattern`: `Less`/`Greater` for
-    /// lexicographic order, `Equal` when `pattern` is a prefix of the suffix.
-    fn suffix_cmp(&self, pos: usize, pattern: &[u32]) -> std::cmp::Ordering {
-        let suffix = &self.text[pos..];
-        let k = suffix.len().min(pattern.len());
-        match suffix[..k].cmp(&pattern[..k]) {
-            std::cmp::Ordering::Equal => {
-                if suffix.len() >= pattern.len() {
-                    std::cmp::Ordering::Equal
-                } else {
-                    std::cmp::Ordering::Less
-                }
-            }
-            other => other,
-        }
     }
 }
 
@@ -288,16 +416,32 @@ mod tests {
         b.finish()
     }
 
+    fn lcp_of(g: &GeneralizedSuffixArray) -> Vec<u32> {
+        (0..g.sa().len()).map(|r| g.lcp_at(r)).collect()
+    }
+
     #[test]
     fn builds_and_is_sorted() {
         let set = set_of(&["MKVLW", "KVLWA", "ACDEF"]);
         let g = GeneralizedSuffixArray::build(&set);
         assert_eq!(g.text_len(), 15 + 3);
+        let text = g.encoded_text();
         for r in 1..g.sa().len() {
-            let a = &g.text()[g.sa()[r - 1] as usize..];
-            let b = &g.text()[g.sa()[r] as usize..];
+            let a = &text[g.sa()[r - 1] as usize..];
+            let b = &text[g.sa()[r] as usize..];
             assert!(a < b, "suffixes out of order at rank {r}");
         }
+    }
+
+    #[test]
+    fn encoded_text_spells_out_every_terminator() {
+        // Sentinel of sequence i is i + 1, the last one 0; residue code c
+        // is c + n_seqs; the k-th X is n_seqs + 21 + k.
+        let set = set_of(&["AX", "XR", "A"]);
+        let g = GeneralizedSuffixArray::build(&set);
+        assert_eq!(g.text(), &[1, X_CLASS, 0, X_CLASS, 2, 0, 1, 0]);
+        assert_eq!(g.encoded_text(), vec![3, 24, 1, 25, 4, 2, 3, 0]);
+        assert_eq!(g.alphabet_size(), 3 + 21 + 2);
     }
 
     #[test]
@@ -307,19 +451,46 @@ mod tests {
         assert_eq!(g.seq_at(0), SeqId(0));
         assert_eq!(g.seq_at(3), SeqId(0)); // sentinel of seq 0
         assert_eq!(g.seq_at(4), SeqId(1));
-        assert_eq!(g.offset_at(0), 0);
-        assert_eq!(g.offset_at(2), 2);
-        assert_eq!(g.offset_at(3), 3); // sentinel offset == len
-        assert_eq!(g.offset_at(5), 1);
+        assert_eq!(g.locate(0).1, 0);
+        assert_eq!(g.locate(2).1, 2);
+        assert_eq!(g.locate(3).1, 3); // sentinel offset == len
+        assert_eq!(g.locate(5), (SeqId(1), 1));
+    }
+
+    #[test]
+    fn locate_agrees_with_a_naive_table_at_every_position() {
+        // 1-residue reads (up to 32 reads in one block of 64 positions),
+        // reads spanning several blocks, and a read of 63 residues first:
+        // its sentinel is position 63 and the next read starts a block,
+        // then a 127-residue read whose sentinel (position 64 + 127) is
+        // the last position of a block, and one whose sentinel starts one.
+        let lens = [63usize, 127, 64, 1, 1, 1, 200, 1, 62, 1, 1, 300, 1];
+        let mut b = SequenceSetBuilder::new();
+        for (i, &len) in lens.iter().enumerate() {
+            b.push_codes(format!("s{i}"), vec![(i % 20) as u8; len]).unwrap();
+        }
+        let g = GeneralizedSuffixArray::build_parallel(&b.finish(), 1);
+        let mut pos = 0;
+        let mut sentinel_on_a_block_start = false;
+        for (id, &len) in lens.iter().enumerate() {
+            for offset in 0..=len {
+                assert_eq!(g.locate(pos), (SeqId(id as u32), offset as u32), "pos {pos}");
+                assert_eq!(g.seq_at(pos), SeqId(id as u32));
+                sentinel_on_a_block_start |= offset == len && pos % SEQ_BLOCK == 0;
+                pos += 1;
+            }
+        }
+        assert_eq!(pos, g.text_len());
+        assert!(sentinel_on_a_block_start, "the corpus must put a sentinel on a block boundary");
     }
 
     #[test]
     fn sentinels_detected() {
         let set = set_of(&["AC", "GT"]);
         let g = GeneralizedSuffixArray::build(&set);
-        assert_eq!(g.residue_at(2), None);
-        assert_eq!(g.residue_at(5), None);
-        assert_eq!(g.residue_at(0), Some(encode(b"A").unwrap()[0]));
+        assert_eq!(g.text()[2], SENTINEL_CLASS);
+        assert_eq!(g.text()[5], SENTINEL_CLASS);
+        assert_eq!(g.text()[0], encode(b"A").unwrap()[0] + 1);
     }
 
     #[test]
@@ -328,8 +499,19 @@ mod tests {
         // stop at the sequence length (distinct sentinels).
         let set = set_of(&["MKVLW", "MKVLW"]);
         let g = GeneralizedSuffixArray::build(&set);
-        let max_lcp = g.lcp().iter().copied().max().unwrap();
-        assert_eq!(max_lcp, 5);
+        assert_eq!(lcp_of(&g).into_iter().max(), Some(5));
+    }
+
+    #[test]
+    fn compact_lcp_is_exact_on_both_sides_of_saturation() {
+        let wide = [0u32, 7, 65_534, 65_535, 65_536, 3, 4_000_000_000, 65_535];
+        let lcp = CompactLcp::from_values(&wide);
+        assert_eq!((0..wide.len()).map(|r| lcp.get(r)).collect::<Vec<_>>(), wide);
+        assert_eq!(lcp.overflow.len(), 4, "65 535 itself is stored wide: {:?}", lcp.overflow);
+        // Overflow entries arrive in any order from the sort jobs.
+        let values = vec![u16::MAX, 1, u16::MAX];
+        let lcp = CompactLcp::from_parts(values, vec![(2, 70_000), (0, 65_535)]);
+        assert_eq!((lcp.get(0), lcp.get(1), lcp.get(2)), (65_535, 1, 70_000));
     }
 
     #[test]
@@ -388,7 +570,7 @@ mod tests {
         let g = GeneralizedSuffixArray::build(&set);
         let max_cross_lcp = (1..g.sa().len())
             .filter(|&r| g.seq_at(g.sa()[r - 1] as usize) != g.seq_at(g.sa()[r] as usize))
-            .map(|r| g.lcp()[r])
+            .map(|r| g.lcp_at(r))
             .max()
             .unwrap_or(0);
         assert_eq!(max_cross_lcp, 0, "X runs must not produce cross-sequence matches");
@@ -398,16 +580,30 @@ mod tests {
     }
 
     #[test]
+    fn rank_of_inverts_the_suffix_array() {
+        // Equal reads, equal tails and equal flanks around `X`s: most
+        // comparisons run into a terminator and fall to its rank.
+        let set = set_of(&["MKVLW", "AXMKVLW", "MKVLW", "CXMKVLW", "W", "XW", "MKVLW"]);
+        for g in
+            [GeneralizedSuffixArray::build(&set), GeneralizedSuffixArray::build_parallel(&set, 2)]
+        {
+            for (rank, &pos) in g.sa().iter().enumerate() {
+                assert_eq!(g.rank_of(pos as usize), rank, "suffix at {pos}");
+            }
+        }
+    }
+
+    #[test]
     fn build_parallel_matches_build() {
-        // Mixed X-bearing and X-free sequences exercise both encoding
-        // paths; repeats exercise the sort tie-break.
+        // Mixed X-bearing and X-free sequences; repeats exercise the sort
+        // tie-break.
         let set = set_of(&["MKVLWMKV", "AAMKVAA", "WXXWMKVXW", "AAAAAAAA", "MKVLWMKV"]);
         let serial = GeneralizedSuffixArray::build(&set);
         for threads in [1usize, 2, 3, 8] {
             let par = GeneralizedSuffixArray::build_parallel(&set, threads);
             assert_eq!(par.text(), serial.text(), "threads={threads}");
             assert_eq!(par.sa(), serial.sa(), "threads={threads}");
-            assert_eq!(par.lcp(), serial.lcp(), "threads={threads}");
+            assert_eq!(lcp_of(&par), lcp_of(&serial), "threads={threads}");
             assert_eq!(par.alphabet_size(), serial.alphabet_size());
         }
     }
@@ -418,11 +614,34 @@ mod tests {
         let g = GeneralizedSuffixArray::build(&set);
         // Position of 'M' in each sequence is offset 2; left residue is X
         // → treated as a boundary (None).
-        let (arena, offsets) = set.arena();
-        let _ = (arena, offsets);
         for pos in [2usize, 10] {
-            assert_eq!(g.residue_at(pos - 1), Some(20), "left char is X");
+            assert_eq!(g.text()[pos - 1], X_CLASS, "left char is X");
             assert_eq!(g.left_residue(pos), None, "X must not witness extension");
+        }
+    }
+
+    #[test]
+    fn estimate_is_the_heap_the_index_holds() {
+        // Three shapes: long reads, many short reads, X-bearing reads.
+        let long: Vec<String> = (0..40).map(|i| "ACDEFGHIKLMNPQRSTVWY".repeat(20 + i)).collect();
+        let short: Vec<String> =
+            (0..3_000).map(|i| "MKVLWAAKND"[i % 7..].repeat(1 + i % 3)).collect();
+        let unknown: Vec<String> =
+            (0..500).map(|i| format!("AXC{}XXW", "DE".repeat(i % 40))).collect();
+        for corpus in [long, short, unknown] {
+            let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
+            let set = set_of(&refs);
+            let estimate = estimated_index_bytes(set.total_residues(), set.len()) as f64;
+            for g in [
+                GeneralizedSuffixArray::build(&set),
+                GeneralizedSuffixArray::build_parallel(&set, 2),
+            ] {
+                let held = g.heap_bytes() as f64;
+                assert!(
+                    (held - estimate).abs() <= 0.01 * held,
+                    "estimate {estimate} against {held} bytes held"
+                );
+            }
         }
     }
 }

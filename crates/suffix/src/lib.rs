@@ -11,7 +11,7 @@
 //! * [`lcp`] — Kasai's linear-time LCP array.
 //! * [`gsa`] — the generalized suffix array over a [`pfam_seq::SequenceSet`]
 //!   with distinct per-sequence sentinels, so no common prefix ever spans a
-//!   sequence boundary.
+//!   sequence boundary, in seven bytes per text position.
 //! * [`tree`] — the generalized suffix tree, built in linear time from the
 //!   suffix + LCP arrays (the production GST), with pattern search.
 //! * [`maximal`] — enumeration of maximal-match pairs in decreasing match
@@ -33,7 +33,7 @@ pub mod partitioned;
 pub mod sais;
 pub mod tree;
 
-pub use gsa::{estimated_index_bytes, GeneralizedSuffixArray};
+pub use gsa::{estimated_index_bytes, CompactLcp, GeneralizedSuffixArray};
 pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
 pub use parallel::{
     bucket_sort_index, bucket_sort_index_staged, lcp_array_parallel, parallel_pairs,

@@ -187,15 +187,13 @@ impl KeepMask {
         }
         let mut moved = Vec::new();
         if let Some(last) = keep.last().filter(|id| id.0 + 1 != gsa.n_seqs()) {
-            let (text, sa, lcp) = (gsa.text(), gsa.sa(), gsa.lcp());
             let residues = gsa.seq_span(*last);
             let sentinel = residues.end;
             for pos in residues {
-                // Suffixes are distinct, so the search lands on `pos`.
-                let rank = sa.partition_point(|&p| text[p as usize..] < text[pos..]);
+                let rank = gsa.rank_of(pos);
                 let len = (sentinel - pos) as u32;
                 let mut first = rank;
-                while lcp[first] >= len {
+                while gsa.lcp_at(first) >= len {
                     first -= 1;
                 }
                 if first < rank {
@@ -294,15 +292,15 @@ fn scan_node(
             group_start = prev.len();
         }
         let pos = sa[rank as usize] as usize;
+        let (seq, off) = gsa.locate(pos);
         let seq = match keep {
-            None => gsa.seq_at(pos),
-            Some(keep) => match keep.dense_id(gsa.seq_at(pos)) {
+            None => seq,
+            Some(keep) => match keep.dense_id(seq) {
                 Some(seq) => seq,
                 None => continue,
             },
         };
         let left = gsa.left_residue(pos);
-        let off = gsa.offset_at(pos);
         // Pair with all entries from previous groups.
         for &(pseq, pleft, poff) in &prev[..group_start] {
             if pseq == seq {
@@ -339,8 +337,8 @@ fn first_closed_kept(tree: &SuffixTree<'_>, keep: &KeepMask) -> Option<(u32, u32
     let mut prev: Option<(u32, u32)> = None;
     // Smallest lcp value since that suffix: the lcp of the next kept one.
     let mut gap_lcp = u32::MAX;
-    for (rank, (&pos, &lcp)) in gsa.sa().iter().zip(gsa.lcp()).enumerate() {
-        gap_lcp = gap_lcp.min(lcp);
+    for (rank, &pos) in gsa.sa().iter().enumerate() {
+        gap_lcp = gap_lcp.min(gsa.lcp_at(rank));
         if keep.dense_id(gsa.seq_at(pos as usize)).is_none() {
             continue;
         }

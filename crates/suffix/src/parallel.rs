@@ -5,7 +5,8 @@
 //! parallelism changes wall-clock time, never output:
 //!
 //! * [`bucket_sort_index`] packs the leading twelve residues of every
-//!   suffix into one integer key, scatters the suffixes into 2¹⁵ buckets
+//!   suffix into one integer key, scatters the suffixes — positions
+//!   straight into the suffix array, keys beside them — into 2¹⁵ buckets
 //!   by their leading three, and sorts each bucket independently; the LCP
 //!   array falls out of adjacent keys. All suffixes of the indexed text
 //!   are distinct (each sequence carries a unique sentinel), so the sorted
@@ -38,9 +39,11 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use pfam_seq::{SequenceSet, ALPHABET_SIZE};
+use pfam_seq::SequenceSet;
 
-use crate::gsa::GeneralizedSuffixArray;
+use crate::gsa::{
+    is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray, SENTINEL_CLASS,
+};
 use crate::lcp::{lcp_array, phi_array, plcp_fill};
 use crate::maximal::{
     collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
@@ -133,9 +136,6 @@ const BUCKET_BITS: u32 = BUCKET_SYMBOLS * CLASS_BITS;
 const N_BUCKETS: usize = 1 << BUCKET_BITS;
 /// Low key bits holding the count of residues before the key's terminator.
 const LEN_BITS: u32 = 4;
-/// Symbol class of a unique-`X` character. Class 0 is a sentinel and
-/// residue code `c` is class `c + 1`, so class order is text order.
-const X_CLASS: u64 = ALPHABET_SIZE as u64 + 1;
 /// Key-tied suffixes are re-keyed [`KEY_SYMBOLS`] deeper, level by level.
 /// A text may spend this many re-keyed symbols per position; past that the
 /// ties are long repeats whose resolution is quadratic, and the bucket
@@ -173,32 +173,17 @@ fn common_symbols(a: u64, b: u64) -> u32 {
     (a ^ b).leading_zeros() / CLASS_BITS
 }
 
-/// A GSA-encoded text (see [`crate::gsa`]) viewed as 5-bit symbol classes:
-/// sentinels (`< n_seqs`) are class 0, residue code `c` is class `c + 1`,
-/// every unique-`X` character is [`X_CLASS`]. Sentinels and `X`s are
-/// *terminators*: each occurs once in the text, so a key stops at the
-/// first one and two suffixes with equal keys ending in a terminator are
-/// ordered by that one text character.
+/// The text of a [`GeneralizedSuffixArray`] — one 5-bit symbol class per
+/// position (see [`crate::gsa`]) — as sort keys. Sentinels and `X`s are
+/// *terminators*: each occurrence is a character of its own, so a key
+/// stops at the first one and two suffixes with equal keys ending in a
+/// terminator are ordered by which terminator that is
+/// ([`terminator_rank`]).
 struct KeyedText<'a> {
-    text: &'a [u32],
-    n_seqs: u32,
+    text: &'a [u8],
 }
 
 impl KeyedText<'_> {
-    #[inline]
-    fn class(&self, v: u32) -> u64 {
-        if v < self.n_seqs {
-            0
-        } else {
-            ((v - self.n_seqs) as u64 + 1).min(X_CLASS)
-        }
-    }
-
-    #[inline]
-    fn is_terminator(class: u64) -> bool {
-        class == 0 || class == X_CLASS
-    }
-
     /// Key of the suffix at `i`: up to [`KEY_SYMBOLS`] classes from the
     /// top bit down, zero-padded after a terminator, then the residue
     /// count in the low [`LEN_BITS`]. Never reads past the text: its last
@@ -206,9 +191,9 @@ impl KeyedText<'_> {
     fn key_at(&self, i: usize) -> u64 {
         let mut key = 0u64;
         for j in 0..KEY_SYMBOLS {
-            let class = self.class(self.text[i + j]);
-            key |= class << (u64::BITS - CLASS_BITS * (j as u32 + 1));
-            if Self::is_terminator(class) {
+            let class = self.text[i + j];
+            key |= (class as u64) << (u64::BITS - CLASS_BITS * (j as u32 + 1));
+            if is_terminator(class) {
                 return key | j as u64;
             }
         }
@@ -221,9 +206,9 @@ impl KeyedText<'_> {
     fn scan_keys(&self, range: Range<usize>, mut f: impl FnMut(usize, u64)) {
         let mut key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
         for i in range.rev() {
-            let class = self.class(self.text[i]);
-            let top = class << (u64::BITS - CLASS_BITS);
-            key = if Self::is_terminator(class) {
+            let class = self.text[i];
+            let top = (class as u64) << (u64::BITS - CLASS_BITS);
+            key = if is_terminator(class) {
                 top
             } else {
                 let symbols = (key >> (LEN_BITS + CLASS_BITS)) << LEN_BITS;
@@ -272,9 +257,52 @@ fn carve<'a, T>(
         .collect()
 }
 
+/// The ranks of one sort job: their slices of the suffix array (positions
+/// in, sorted positions out), of the keys and of the LCP array, and where
+/// the LCP values too wide for the array go.
+struct RankSlices<'a> {
+    /// Rank of the first element of each slice.
+    first_rank: usize,
+    sa: &'a mut [u32],
+    keys: &'a [u64],
+    lcp: &'a mut [u16],
+    /// `(rank, value)` of every entry of `lcp` left at `u16::MAX`.
+    overflow: &'a mut Vec<(u32, u32)>,
+}
+
+impl RankSlices<'_> {
+    /// The sub-range `ranks` (relative to this one) of every slice.
+    fn narrow(&mut self, ranks: Range<usize>) -> RankSlices<'_> {
+        RankSlices {
+            first_rank: self.first_rank + ranks.start,
+            sa: &mut self.sa[ranks.clone()],
+            keys: &self.keys[ranks.clone()],
+            lcp: &mut self.lcp[ranks],
+            overflow: &mut *self.overflow,
+        }
+    }
+
+    /// Record `value` — a match length, so under the text's `u32` length —
+    /// as the LCP of the ranks `ranks` (relative).
+    fn set_lcp(&mut self, ranks: Range<usize>, value: usize) {
+        let value = value as u32;
+        match CompactLcp::narrow(value) {
+            Some(v) => self.lcp[ranks].fill(v),
+            None => {
+                self.lcp[ranks.clone()].fill(u16::MAX);
+                let first = self.first_rank;
+                self.overflow.extend(ranks.map(|r| ((first + r) as u32, value)));
+            }
+        }
+    }
+}
+
 /// A worker's scratch across the buckets of its jobs.
 #[derive(Default)]
 struct TieWork {
+    /// The bucket being sorted: `(key, position)` records, co-sorted here
+    /// so the arrays themselves hold four and eight bytes a rank.
+    entries: Vec<Entry>,
     /// `(lo, hi, depth)`: entries `lo..hi` of the current bucket agree on
     /// their first `depth` symbols and still need ordering from there on.
     pending: Vec<(usize, usize, usize)>,
@@ -301,24 +329,30 @@ impl BucketSorter<'_> {
         self.spent.load(AtomicOrdering::Relaxed) > self.limit
     }
 
-    fn charge(&self, work: &mut TieWork) {
-        self.spent.fetch_add(std::mem::take(&mut work.uncharged), AtomicOrdering::Relaxed);
+    fn charge(&self, uncharged: &mut usize) {
+        self.spent.fetch_add(std::mem::take(uncharged), AtomicOrdering::Relaxed);
     }
 
-    /// Sort one bucket's entries into suffix order and write the LCP of
+    /// Sort one bucket's positions into suffix order and write the LCP of
     /// every rank but the bucket's first (that one spans two buckets).
     /// Returns `false` once the tie budget is spent.
-    fn sort_bucket(&self, bucket: &mut [Entry], lcp: &mut [u32], work: &mut TieWork) -> bool {
+    fn sort_bucket(&self, mut bucket: RankSlices<'_>, work: &mut TieWork) -> bool {
+        if bucket.sa.len() < 2 {
+            return true;
+        }
         let text = self.keyed.text;
-        work.pending.push((0, bucket.len(), 0));
-        while let Some((lo, hi, depth)) = work.pending.pop() {
-            let part = &mut bucket[lo..hi];
+        let TieWork { entries, pending, uncharged } = work;
+        entries.clear();
+        entries.extend(bucket.keys.iter().zip(&*bucket.sa).map(|(&key, &pos)| Entry { key, pos }));
+        pending.push((0, entries.len(), 0));
+        while let Some((lo, hi, depth)) = pending.pop() {
+            let part = &mut entries[lo..hi];
             if depth > 0 {
-                work.uncharged += part.len() * KEY_SYMBOLS;
-                if work.uncharged >= Self::CHARGE_BATCH {
-                    self.charge(work);
+                *uncharged += part.len() * KEY_SYMBOLS;
+                if *uncharged >= Self::CHARGE_BATCH {
+                    self.charge(uncharged);
                     if self.over_budget() {
-                        work.pending.clear();
+                        pending.clear();
                         return false;
                     }
                 }
@@ -332,79 +366,84 @@ impl BucketSorter<'_> {
                 let key = part[a].key;
                 let b = a + part[a..].iter().take_while(|e| e.key == key).count();
                 if a > 0 {
-                    lcp[lo + a] = depth as u32 + common_symbols(part[a - 1].key, key);
+                    let shared = common_symbols(part[a - 1].key, key) as usize;
+                    bucket.set_lcp(lo + a..lo + a + 1, depth + shared);
                 }
                 if b - a > 1 {
                     let len = key_len(key);
                     if len < KEY_SYMBOLS {
                         // Equal up to a terminator, which is unique.
-                        part[a..b].sort_unstable_by_key(|e| text[e.pos as usize + depth + len]);
-                        lcp[lo + a + 1..lo + b].fill((depth + len) as u32);
+                        part[a..b].sort_unstable_by_key(|e| {
+                            terminator_rank(text.len(), e.pos as usize + depth + len)
+                        });
+                        bucket.set_lcp(lo + a + 1..lo + b, depth + len);
                     } else {
-                        work.pending.push((lo + a, lo + b, depth + KEY_SYMBOLS));
+                        pending.push((lo + a, lo + b, depth + KEY_SYMBOLS));
                     }
                 }
                 a = b;
             }
+        }
+        for (slot, e) in bucket.sa.iter_mut().zip(entries.iter()) {
+            *slot = e.pos;
         }
         true
     }
 }
 
 /// A suffix array and its LCP array, both indexed by rank.
-pub type SaLcp = (Vec<u32>, Vec<u32>);
+pub type SaLcp = (Vec<u32>, CompactLcp);
 
-/// Suffix array and LCP array of a GSA-encoded `text` over `n_seqs`
-/// sequences, with up to `threads` workers, or `None` when the text is so
-/// repetitive that resolving key ties would cost more than
-/// [`TIE_BUDGET_PER_POSITION`] symbols per position — the caller then
+/// Suffix array and LCP array of `text` — the symbol classes of a
+/// [`GeneralizedSuffixArray`] — with up to `threads` workers, or `None`
+/// when the text is so repetitive that resolving key ties would cost more
+/// than [`TIE_BUDGET_PER_POSITION`] symbols per position — the caller then
 /// runs SA-IS, whose worst case is linear.
 ///
 /// Every suffix gets a 12-symbol key ([`KeyedText`]); a counting scatter
-/// on the leading three symbols places it in one of 2¹⁵ buckets, and each
-/// bucket is sorted on its own, handed out through the work cursor. Keys
-/// order suffixes exactly up to their first difference, so the LCP of two
-/// neighbours with different keys is read off the keys; only neighbours
-/// tied on all twelve symbols are re-keyed deeper. The suffixes of the
-/// text are all distinct, so the result is the one SA-IS produces.
+/// on the leading three symbols places its position in the suffix array,
+/// in one of 2¹⁵ buckets, and its key beside it; each bucket is sorted on
+/// its own, handed out through the work cursor. Keys order suffixes
+/// exactly up to their first difference, so the LCP of two neighbours
+/// with different keys is read off the keys; only neighbours tied on all
+/// twelve symbols are re-keyed deeper. The suffixes of the text are all
+/// distinct, so the result is the one SA-IS produces.
 ///
-/// `text` must be what [`crate::gsa`] encodes: sentinels `< n_seqs` (each
-/// once, the last character being one), residues `n_seqs..n_seqs + 20`,
-/// and above that characters that occur once each.
-pub fn bucket_sort_index(text: &[u32], n_seqs: u32, threads: usize) -> Option<SaLcp> {
-    bucket_sort_index_staged(text, n_seqs, threads).0
+/// Besides the two arrays it returns, the sort holds eight bytes of key
+/// per position until the buckets are sorted, one bucket's `(key,
+/// position)` records per worker, and the bucket tables.
+///
+/// `text` must be what [`crate::gsa`] holds: classes `0..=22`, the last
+/// one a sentinel.
+pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
+    bucket_sort_index_staged(text, threads).0
 }
 
 /// Wall-clock seconds of the passes of [`bucket_sort_index`], in order:
-/// keys + bucket counts, keys + scatter, per-bucket sort with LCP, and
-/// bucket-boundary LCP + suffix-array extraction (`index_bench` rows).
+/// keys + bucket counts, keys + scatter, and per-bucket sort with LCP
+/// (`index_bench` rows).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SortStages {
     /// Rolling keys over text chunks into per-chunk bucket histograms.
     pub count_s: f64,
-    /// Rolling keys again, each worker placing its own buckets' entries.
+    /// Rolling keys again, each worker placing its own buckets' suffixes.
     pub scatter_s: f64,
-    /// Independent bucket sorts, tie resolution and in-bucket LCP.
+    /// Independent bucket sorts, tie resolution and LCP, bucket
+    /// boundaries included.
     pub sort_lcp_s: f64,
-    /// Bucket-boundary LCP values and the copy of positions into the SA.
-    pub extract_s: f64,
 }
 
 /// [`bucket_sort_index`] plus how long each pass took.
-pub fn bucket_sort_index_staged(
-    text: &[u32],
-    n_seqs: u32,
-    threads: usize,
-) -> (Option<SaLcp>, SortStages) {
+pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, SortStages) {
     let mut stages = SortStages::default();
     let mut clock = Instant::now();
     let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
     let threads = resolve_threads(threads);
     let n = text.len();
-    assert!(text.last().is_some_and(|&c| c < n_seqs), "text must end with a sentinel");
+    assert_eq!(text.last(), Some(&SENTINEL_CLASS), "text must end with a sentinel");
     assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
     let sorter = BucketSorter {
-        keyed: KeyedText { text, n_seqs },
+        keyed: KeyedText { text },
         spent: AtomicUsize::new(0),
         limit: n.saturating_mul(TIE_BUDGET_PER_POSITION),
     };
@@ -413,32 +452,43 @@ pub fn bucket_sort_index_staged(
     // Bucket sizes, counted per text chunk.
     let chunk = n.div_ceil(threads * 4);
     let n_chunks = n.div_ceil(chunk);
-    let counts = parallel_jobs(n_chunks, threads, |c| {
-        let mut counts = vec![0u32; N_BUCKETS];
-        keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| counts[bucket_of(key)] += 1);
-        counts
-    });
     let mut starts = vec![0usize; N_BUCKETS + 1];
-    for b in 0..N_BUCKETS {
-        starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
+    {
+        let counts = parallel_jobs(n_chunks, threads, |c| {
+            let mut counts = vec![0u32; N_BUCKETS];
+            keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| {
+                counts[bucket_of(key)] += 1
+            });
+            counts
+        });
+        for b in 0..N_BUCKETS {
+            starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
+        }
     }
     let starts = &starts;
     stages.count_s = lap();
 
     // Scatter: every worker owns a contiguous run of buckets — a disjoint
-    // slice of `entries` — and picks its suffixes out of one pass over
-    // the text, so no two workers ever write the same slot.
-    let mut entries = vec![Entry::default(); n];
+    // slice of the suffix array and of the keys — and picks its suffixes
+    // out of one pass over the text, so no two workers ever write the
+    // same slot.
+    let mut sa = vec![0u32; n];
+    let mut keys = vec![0u64; n];
     let groups = bucket_groups(starts, threads);
-    let jobs: Vec<_> = groups.iter().cloned().zip(carve(&mut entries, starts, &groups)).collect();
-    run_jobs(jobs, threads, |(group, slots)| {
+    let jobs: Vec<_> = groups
+        .iter()
+        .cloned()
+        .zip(carve(&mut sa, starts, &groups).into_iter().zip(carve(&mut keys, starts, &groups)))
+        .collect();
+    run_jobs(jobs, threads, |(group, (sa, keys))| {
         let base = starts[group.start];
         let mut next: Vec<usize> = starts[group.clone()].iter().map(|&s| s - base).collect();
         keyed.scan_keys(0..n, |i, key| {
             if let Some(slot) =
                 bucket_of(key).checked_sub(group.start).and_then(|b| next.get_mut(b))
             {
-                slots[*slot] = Entry { key, pos: i as u32 };
+                sa[*slot] = i as u32;
+                keys[*slot] = key;
                 *slot += 1;
             }
         });
@@ -447,28 +497,34 @@ pub fn bucket_sort_index_staged(
 
     // Sort each bucket on its own; LCP values inside a bucket fall out of
     // the sort.
-    let mut lcp = vec![0u32; n];
+    let mut lcp = vec![0u16; n];
     let groups = bucket_groups(starts, threads * 16);
+    let mut overflows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
     let jobs: Vec<_> = groups
         .iter()
-        .cloned()
-        .zip(carve(&mut entries, starts, &groups).into_iter().zip(carve(&mut lcp, starts, &groups)))
+        .zip(carve(&mut sa, starts, &groups))
+        .zip(carve(&mut lcp, starts, &groups))
+        .zip(&mut overflows)
+        .map(|(((group, sa), lcp), overflow)| {
+            let first_rank = starts[group.start];
+            let keys = &keys[first_rank..starts[group.end]];
+            (group.clone(), RankSlices { first_rank, sa, keys, lcp, overflow })
+        })
         .collect();
-    run_jobs(jobs, threads, |(group, (entries, lcp))| {
+    run_jobs(jobs, threads, |(group, mut ranks)| {
         let base = starts[group.start];
         let mut work = TieWork::default();
         for b in group {
-            let ranks = starts[b] - base..starts[b + 1] - base;
-            if sorter.over_budget()
-                || !sorter.sort_bucket(&mut entries[ranks.clone()], &mut lcp[ranks], &mut work)
-            {
+            let bucket = ranks.narrow(starts[b] - base..starts[b + 1] - base);
+            if sorter.over_budget() || !sorter.sort_bucket(bucket, &mut work) {
                 break;
             }
         }
-        sorter.charge(&mut work);
+        sorter.charge(&mut work.uncharged);
     });
-    stages.sort_lcp_s = lap();
+    drop(keys);
     if sorter.over_budget() {
+        stages.sort_lcp_s = lap();
         return (None, stages);
     }
 
@@ -478,18 +534,12 @@ pub fn bucket_sort_index_staged(
     if let Some(mut prev) = occupied.next() {
         for b in occupied {
             let shift = u64::BITS - BUCKET_BITS;
-            lcp[starts[b]] = common_symbols((prev as u64) << shift, (b as u64) << shift);
+            lcp[starts[b]] = common_symbols((prev as u64) << shift, (b as u64) << shift) as u16;
             prev = b;
         }
     }
-
-    let mut sa = vec![0u32; n];
-    for_chunks_mut(&mut sa, n.div_ceil(threads), threads, |off, chunk| {
-        for (s, e) in chunk.iter_mut().zip(&entries[off..]) {
-            *s = e.pos;
-        }
-    });
-    stages.extract_s = lap();
+    let lcp = CompactLcp::from_parts(lcp, overflows.concat());
+    stages.sort_lcp_s = lap();
     (Some((sa, lcp)), stages)
 }
 
@@ -693,11 +743,17 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..sigma) + 1).chain(std::iter::once(0)).collect()
     }
 
+    /// A one-sequence integer text (residues `1..`, sentinel 0) as symbol
+    /// classes: the same numbers.
+    fn classes(text: &[u32]) -> Vec<u8> {
+        text.iter().map(|&c| c as u8).collect()
+    }
+
     /// SA-IS + Kasai over the same text: the oracle.
     fn reference_index(text: &[u32]) -> SaLcp {
         let k = *text.iter().max().expect("non-empty") as usize + 1;
         let sa = sais::suffix_array(text, k);
-        let lcp = lcp_array(text, &sa);
+        let lcp = CompactLcp::from_values(&lcp_array(text, &sa));
         (sa, lcp)
     }
 
@@ -711,7 +767,7 @@ mod tests {
             let text = random_text(&mut rng, n, sigma);
             let expect = reference_index(&text);
             for threads in [1, 2, 3, 8] {
-                assert_eq!(bucket_sort_index(&text, 1, threads), Some(expect.clone()));
+                assert_eq!(bucket_sort_index(&classes(&text), threads), Some(expect.clone()));
             }
         }
     }
@@ -722,10 +778,10 @@ mod tests {
         // every key collides and the deeper levels do all the work.
         let mut text = vec![3u32; 64];
         text.push(0);
-        assert_eq!(bucket_sort_index(&text, 1, 4), Some(reference_index(&text)));
+        assert_eq!(bucket_sort_index(&classes(&text), 4), Some(reference_index(&text)));
         // Tiny texts.
         for text in [vec![0u32], vec![1, 0], vec![2, 1, 0]] {
-            assert_eq!(bucket_sort_index(&text, 1, 4), Some(reference_index(&text)));
+            assert_eq!(bucket_sort_index(&classes(&text), 4), Some(reference_index(&text)));
         }
     }
 
@@ -733,14 +789,65 @@ mod tests {
     fn long_repeats_are_handed_back() {
         let mut text = vec![3u32; 5_000];
         text.push(0);
-        assert_eq!(bucket_sort_index(&text, 1, 2), None);
+        assert_eq!(bucket_sort_index(&classes(&text), 2), None);
+    }
+
+    #[test]
+    fn a_bucket_of_two_suffixes_tied_past_a_u16_lcp() {
+        // Two copies of one 70 000-residue read: their whole-read suffixes
+        // tie for 5 834 key widths and part at the sentinels, the last
+        // sequence's being the smaller. Sorting every suffix of this text
+        // is the SA-IS hand-back (70 000² re-keyed symbols); the one
+        // bucket of two is what a text 10⁸ positions long could afford.
+        let mut rng = StdRng::seed_from_u64(7);
+        let read: Vec<u8> = (0..70_000).map(|_| rng.gen_range(1..=20)).collect();
+        let text = [&read[..], &[SENTINEL_CLASS], &read[..], &[SENTINEL_CLASS]].concat();
+        let sorter = BucketSorter {
+            keyed: KeyedText { text: &text },
+            spent: AtomicUsize::new(0),
+            limit: usize::MAX,
+        };
+        let mut sa = [0u32, 70_001];
+        let keys = [sorter.keyed.key_at(0), sorter.keyed.key_at(70_001)];
+        assert_eq!(keys[0], keys[1]);
+        let mut lcp = [0u16; 2];
+        let mut overflow = Vec::new();
+        let bucket = RankSlices {
+            first_rank: 40,
+            sa: &mut sa,
+            keys: &keys,
+            lcp: &mut lcp,
+            overflow: &mut overflow,
+        };
+        assert!(sorter.sort_bucket(bucket, &mut TieWork::default()));
+        assert_eq!(sa, [70_001, 0]);
+        assert_eq!(lcp, [0, u16::MAX]);
+        assert_eq!(overflow, vec![(41, 70_000)]);
+    }
+
+    #[test]
+    fn equal_keys_ending_in_a_sentinel_fall_to_its_rank() {
+        // Reads that are suffixes of one another end in equal keys; the
+        // last read's sentinel is the smallest, the others follow ids.
+        let set = set_of(&["KVLW", "MKVLW", "W", "LW", "VLW"]);
+        let oracle = GeneralizedSuffixArray::build(&set);
+        let (sa, lcp) = bucket_sort_index(oracle.text(), 2).expect("no long repeat");
+        assert_eq!(sa, oracle.sa());
+        assert!((0..sa.len()).all(|r| lcp.get(r) == oracle.lcp_at(r)));
+        // "W$": read 4 (the last), then reads 0, 1, 2, 3.
+        let owners: Vec<u32> = sa
+            .iter()
+            .filter(|&&p| oracle.text()[p as usize..].starts_with(&[18, SENTINEL_CLASS]))
+            .map(|&p| oracle.seq_at(p as usize).0)
+            .collect();
+        assert_eq!(owners, vec![4, 0, 1, 2, 3]);
     }
 
     #[test]
     fn rolling_keys_equal_direct_keys() {
         let set = set_of(&["MKVLWAAKNDCQEGHMKVLW", "A", "WXXWMKVXW", "MKVLWAAKNDCQEGHMKVLW"]);
         let gsa = GeneralizedSuffixArray::build(&set);
-        let keyed = KeyedText { text: gsa.text(), n_seqs: gsa.n_seqs() };
+        let keyed = KeyedText { text: gsa.text() };
         for range in [0..gsa.text_len(), 3..17, 20..21] {
             let mut seen = Vec::new();
             keyed.scan_keys(range.clone(), |i, key| seen.push((i, key)));

@@ -1,9 +1,9 @@
 //! Partitioned GSA construction and mining — the out-of-core half of the
 //! promising-pair generator.
 //!
-//! The monolithic [`crate::GeneralizedSuffixArray`] needs ~16 bytes per
-//! text character resident at once, which caps the indexable data set far
-//! below the paper's 28.6 M-ORF scale. This module splits the *sequence
+//! The monolithic [`crate::GeneralizedSuffixArray`] needs ~7 bytes per
+//! text character resident at once (15 while it is built), which caps the
+//! indexable data set below the paper's 28.6 M-ORF scale. This module splits the *sequence
 //! universe* into contiguous chunks sized by a per-chunk index budget,
 //! builds per-chunk suffix+LCP indexes, and mines maximal matches per
 //! *task* — one task per unordered chunk pair:

@@ -45,9 +45,7 @@ impl<'a> SuffixTree<'a> {
     /// — each hanging off its nearest kept ancestor. Mining at ψ visits no
     /// other node, and on metagenomic input they are a few per cent of the
     /// tree. `min_depth == 0` is the full tree.
-    #[allow(clippy::needless_range_loop)] // lcp[i] pairs with boundary index i
     pub fn build_pruned(gsa: &'a GeneralizedSuffixArray, min_depth: u32) -> SuffixTree<'a> {
-        let lcp = gsa.lcp();
         let n = gsa.sa().len();
 
         /// An interval still open on the stack; its children so far are
@@ -71,7 +69,7 @@ impl<'a> SuffixTree<'a> {
         let mut prev_lcp = 0;
 
         for i in 1..=n {
-            let full = if i < n { lcp[i] } else { 0 };
+            let full = if i < n { gsa.lcp_at(i) } else { 0 };
             if first_closed_depth.is_none() && full < prev_lcp {
                 first_closed_depth = Some(prev_lcp);
             }
@@ -211,8 +209,7 @@ impl<'a> SuffixTree<'a> {
         if pattern.is_empty() {
             return Vec::new();
         }
-        let n_seqs = self.gsa.n_seqs();
-        let encoded: Vec<u32> = pattern.iter().map(|&c| c as u32 + n_seqs).collect();
+        let encoded = GeneralizedSuffixArray::pattern_classes(pattern);
         let text = self.gsa.text();
         let sa = self.gsa.sa();
 
@@ -255,12 +252,8 @@ impl<'a> SuffixTree<'a> {
                 matched = k;
                 if matched == encoded.len() {
                     // All leaves in [gl, gr) are occurrences.
-                    let mut out: Vec<(SeqId, u32)> = (gl..gr)
-                        .map(|rank| {
-                            let p = sa[rank as usize] as usize;
-                            (self.gsa.seq_at(p), self.gsa.offset_at(p))
-                        })
-                        .collect();
+                    let mut out: Vec<(SeqId, u32)> =
+                        (gl..gr).map(|rank| self.gsa.locate(sa[rank as usize] as usize)).collect();
                     out.sort_unstable();
                     return out;
                 }
@@ -362,7 +355,7 @@ mod tests {
         for node in 0..t.n_nodes() as NodeId {
             let (l, r) = t.range(node);
             // min of lcp[l+1..r] equals the node depth.
-            let min_lcp = (l + 1..r).map(|i| g.lcp()[i as usize]).min();
+            let min_lcp = (l + 1..r).map(|i| g.lcp_at(i as usize)).min();
             if let Some(m) = min_lcp {
                 assert_eq!(m, t.depth(node), "node {node}");
             }

@@ -1,16 +1,20 @@
 //! Property tests pinning the parallel hot path to the serial reference:
 //! for every input and every thread count, `build_parallel` must equal
-//! `build` (SA-IS + Kasai) bit for bit, parallel pair generation must
-//! replay the serial generator's stream exactly, and a tree pruned at ψ
-//! must mine what the full tree mines, in the same order.
+//! `build` (SA-IS + Kasai over `encoded_text()`) bit for bit, parallel
+//! pair generation must replay the serial generator's stream exactly, and
+//! a tree pruned at ψ must mine what the full tree mines, in the same
+//! order. The corpora at the end are what the narrow index types can get
+//! wrong: matches longer than a `u16` LCP holds, more reads than sixteen
+//! bits count, `X`s between equal flanks.
 
 use proptest::prelude::*;
 
-use pfam_seq::{SequenceSet, SequenceSetBuilder};
+use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_suffix::lcp::lcp_array;
 use pfam_suffix::maximal::all_pairs;
 use pfam_suffix::{
-    bucket_sort_index, parallel_pairs, promising_pairs, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, SuffixTree,
+    bucket_sort_index, parallel_pairs, promising_pairs, suffix_array, GeneralizedSuffixArray,
+    MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// The ambiguity residue.
@@ -46,19 +50,48 @@ fn identical_set(max_copies: usize, max_len: usize) -> impl Strategy<Value = Seq
         .prop_map(|(template, copies)| build_set(vec![template; copies]))
 }
 
+/// The LCP array of `index`, read through `lcp_at`.
+fn lcp_of(index: &GeneralizedSuffixArray) -> Vec<u32> {
+    (0..index.sa().len()).map(|rank| index.lcp_at(rank)).collect()
+}
+
+/// `index` against the oracle spelt out: SA-IS and Kasai over
+/// `encoded_text()`, and the owning read and offset of every position
+/// (sentinels included) counted off `set`.
+fn check_index(set: &SequenceSet, index: &GeneralizedSuffixArray) -> Result<(), String> {
+    let text = index.encoded_text();
+    let sa = suffix_array(&text, index.alphabet_size());
+    if index.sa() != sa.as_slice() {
+        return Err("suffix array differs from SA-IS".into());
+    }
+    if lcp_of(index) != lcp_array(&text, &sa) {
+        return Err("LCP array differs from Kasai".into());
+    }
+    let mut pos = 0;
+    for seq in set.iter() {
+        for offset in 0..=seq.codes.len() as u32 {
+            if index.locate(pos) != (seq.id, offset) || index.seq_at(pos) != seq.id {
+                return Err(format!("position {pos} is not ({}, {offset})", seq.id));
+            }
+            pos += 1;
+        }
+    }
+    if pos != index.text_len() {
+        return Err(format!("text holds {} positions, the set {pos}", index.text_len()));
+    }
+    Ok(())
+}
+
 fn assert_same_index(
+    set: &SequenceSet,
     serial: &GeneralizedSuffixArray,
     par: &GeneralizedSuffixArray,
 ) -> Result<(), String> {
     prop_assert_eq!(par.text(), serial.text());
     prop_assert_eq!(par.sa(), serial.sa());
-    prop_assert_eq!(par.lcp(), serial.lcp());
+    prop_assert_eq!(lcp_of(par), lcp_of(serial));
     prop_assert_eq!(par.alphabet_size(), serial.alphabet_size());
-    for pos in 0..serial.text_len() {
-        prop_assert_eq!(par.seq_at(pos), serial.seq_at(pos));
-        prop_assert_eq!(par.offset_at(pos), serial.offset_at(pos));
-    }
-    Ok(())
+    check_index(set, par)
 }
 
 proptest! {
@@ -69,7 +102,7 @@ proptest! {
         let serial = GeneralizedSuffixArray::build(&set);
         for threads in [1usize, 2, 3, 8] {
             let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&serial, &par)?;
+            assert_same_index(&set, &serial, &par)?;
         }
     }
 
@@ -78,7 +111,7 @@ proptest! {
         let serial = GeneralizedSuffixArray::build(&set);
         for threads in [1usize, 2, 3, 8] {
             let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&serial, &par)?;
+            assert_same_index(&set, &serial, &par)?;
         }
     }
 
@@ -87,7 +120,7 @@ proptest! {
         let serial = GeneralizedSuffixArray::build(&set);
         for threads in [1usize, 2, 3, 8] {
             let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&serial, &par)?;
+            assert_same_index(&set, &serial, &par)?;
         }
     }
 
@@ -176,13 +209,15 @@ fn with_anchors(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
 /// the bucket sort handed the text back to SA-IS.
 fn check_against_oracle(set: &SequenceSet, expect_fallback: bool) {
     let oracle = GeneralizedSuffixArray::build(set);
+    check_index(set, &oracle).expect("the oracle is SA-IS + Kasai");
+    let oracle_lcp = lcp_of(&oracle);
     for threads in [1usize, 2, 3, 8] {
         let index = GeneralizedSuffixArray::build_parallel(set, threads);
         assert_eq!(index.text(), oracle.text(), "threads={threads}");
         assert_eq!(index.sa(), oracle.sa(), "threads={threads}");
-        assert_eq!(index.lcp(), oracle.lcp(), "threads={threads}");
+        assert_eq!(lcp_of(&index), oracle_lcp, "threads={threads}");
     }
-    let sorted = bucket_sort_index(oracle.text(), oracle.n_seqs(), 2);
+    let sorted = bucket_sort_index(oracle.text(), 2);
     assert_eq!(sorted.is_none(), expect_fallback, "SA-IS fallback");
 }
 
@@ -234,4 +269,123 @@ fn more_sequences_than_sixteen_bits() {
         read[4] = X;
     }
     check_against_oracle(&build_set(reads), false);
+}
+
+#[test]
+fn repeat_corpus_match_longer_than_a_u16_lcp() {
+    // Two identical reads of 70 000 residues among noise: LCP values up to
+    // 70 000, stored past the `u16` array. Resolving their ties costs
+    // 70 000² re-keyed symbols against a budget of 32 a position, so this
+    // is the SA-IS hand-back; `parallel.rs` drives the bucket sort's own
+    // overflow path on its two tied suffixes alone.
+    let stream = noise_reads(1, 73_000).remove(0);
+    let (long, noise) = stream.split_at(70_000);
+    let mut reads: Vec<Vec<u8>> = noise.chunks(100).map(<[u8]>::to_vec).collect();
+    let long = long.to_vec();
+    reads.insert(7, long.clone());
+    reads.insert(20, long);
+    let set = build_set(reads);
+    check_against_oracle(&set, true);
+
+    let index = GeneralizedSuffixArray::build_parallel(&set, 2);
+    let lcp = lcp_of(&index);
+    assert_eq!(lcp.iter().max(), Some(&70_000));
+    assert_eq!(lcp.iter().filter(|&&l| l >= u16::MAX as u32).count(), 70_000 - 65_535 + 1);
+
+    // The tree and the miner read those values through `lcp_at`.
+    let tree = SuffixTree::build_pruned(&index, 15);
+    let deepest = (1..tree.n_nodes() as u32).map(|n| tree.depth(n)).max();
+    assert_eq!(deepest, Some(70_000));
+    let config = MaximalMatchConfig { min_len: 15, ..Default::default() };
+    let pairs = with_anchors(&all_pairs(&tree, config));
+    assert_eq!(pairs, vec![(7, 20, 70_000, 0, 0)]);
+    let oracle = GeneralizedSuffixArray::build(&set);
+    let oracle_tree = SuffixTree::build_pruned(&oracle, 15);
+    assert_eq!(with_anchors(&all_pairs(&oracle_tree, config)), pairs);
+    assert_eq!(parallel_pairs(&tree, config, 2).0, all_pairs(&oracle_tree, config));
+}
+
+#[test]
+fn equal_tails_of_more_reads_than_sixteen_bits() {
+    // The `short_reads` shape — 70 000 reads of 20–40 residues — every
+    // read ending in one of three tails: suffixes equal up to a sentinel,
+    // by the tens of thousands, ordered by which sentinel it is. The last
+    // read's is the smallest, the others follow read order.
+    let tails: [&[u8]; 3] = [&[4, 9, 2, 7, 7, 1], &[4, 9, 2], &[13]];
+    let mut reads = noise_reads(70_000, 34);
+    for (i, read) in reads.iter_mut().enumerate() {
+        read.truncate(14 + i * 7 % 20);
+        read.extend_from_slice(tails[i % 3]);
+    }
+    let set = build_set(reads);
+    check_against_oracle(&set, false);
+
+    let index = GeneralizedSuffixArray::build_parallel(&set, 2);
+    let tail = tails[0];
+    let last = SeqId(set.len() as u32 - 1);
+    // The suffixes that are exactly `tail` and then a sentinel.
+    let ranks: Vec<usize> = (0..index.sa().len())
+        .filter(|&r| {
+            let pos = index.sa()[r] as usize;
+            let (seq, offset) = index.locate(pos);
+            offset as usize + tail.len() == set.seq_len(seq)
+                && &set.codes(seq)[offset as usize..] == tail
+        })
+        .collect();
+    assert!(ranks.len() > 20_000);
+    assert!(ranks.windows(2).all(|w| w[0] + 1 == w[1]), "equal keys sort together");
+    let owners: Vec<SeqId> = ranks.iter().map(|&r| index.seq_at(index.sa()[r] as usize)).collect();
+    // 70 000 = 3 · 23 333 + 1: the last read ends in `tails[0]`.
+    assert_eq!(owners[0], last, "the last read's sentinel is the smallest");
+    assert!(owners[1..].windows(2).all(|w| w[0] < w[1]), "then read order");
+    assert!(ranks[1..].iter().all(|&r| index.lcp_at(r) == tail.len() as u32));
+}
+
+#[test]
+fn x_between_equal_flanks() {
+    // Every read is FLANK X FLANK (some with a second X): suffixes equal
+    // up to an `X` are ordered by where that `X` lies in the text, no
+    // match runs through one, and a match that starts after one is
+    // left-maximal whatever precedes the `X`.
+    let flank: Vec<u8> = vec![10, 3, 17, 8, 0, 5, 12, 19, 1, 6, 14, 2];
+    let mut reads = Vec::new();
+    for i in 0..100 {
+        let mut read = flank.clone();
+        read.push(X);
+        read.extend_from_slice(&flank);
+        if i % 4 == 0 {
+            read.push(X);
+            read.push((i % 20) as u8);
+        }
+        reads.push(read);
+    }
+    let set = build_set(reads);
+    check_against_oracle(&set, false);
+
+    let index = GeneralizedSuffixArray::build_parallel(&set, 2);
+    assert!(lcp_of(&index).iter().all(|&l| l as usize <= flank.len()), "X never matches");
+    // Suffixes FLANK X …: one per read, in read (= text) order.
+    let whole: Vec<u32> = (0..index.sa().len())
+        .map(|r| index.sa()[r])
+        .filter(|&pos| index.locate(pos as usize).1 == 0)
+        .collect();
+    assert_eq!(whole.len(), set.len());
+    assert!(whole.windows(2).all(|w| w[0] < w[1]), "equal up to an X: text order");
+    // The second flank follows an X: a boundary, not a left residue.
+    let second = flank.len() + 1;
+    assert_eq!(index.text()[second - 1], pfam_suffix::gsa::X_CLASS);
+    assert_eq!(index.left_residue(second), None);
+    assert_eq!(index.left_residue(second + 1), Some(flank[0]));
+    assert_eq!(index.left_residue(0), None);
+
+    // Mining: FLANK against FLANK, at most `flank.len()` long, and equal
+    // to the oracle's stream.
+    let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
+    let tree = SuffixTree::build_pruned(&index, 5);
+    let pairs = all_pairs(&tree, config);
+    assert_eq!(pairs.len(), 100 * 99 / 2);
+    assert!(pairs.iter().all(|p| p.len as usize == flank.len()));
+    let oracle = GeneralizedSuffixArray::build(&set);
+    let expect = all_pairs(&SuffixTree::build_pruned(&oracle, 5), config);
+    assert_eq!(with_anchors(&pairs), with_anchors(&expect));
 }

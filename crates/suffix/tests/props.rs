@@ -24,9 +24,10 @@ proptest! {
     #[test]
     fn gsa_suffixes_strictly_sorted(set in seq_set(6, 25)) {
         let g = GeneralizedSuffixArray::build(&set);
+        let text = g.encoded_text();
         for r in 1..g.sa().len() {
-            let a = &g.text()[g.sa()[r - 1] as usize..];
-            let b = &g.text()[g.sa()[r] as usize..];
+            let a = &text[g.sa()[r - 1] as usize..];
+            let b = &text[g.sa()[r] as usize..];
             prop_assert!(a < b, "rank {} out of order", r);
         }
     }
@@ -40,7 +41,7 @@ proptest! {
             prop_assert!(r > l);
             // Depth equals the minimum LCP strictly inside the range.
             if r - l >= 2 {
-                let min_lcp = (l + 1..r).map(|i| g.lcp()[i as usize]).min().unwrap();
+                let min_lcp = (l + 1..r).map(|i| g.lcp_at(i as usize)).min().unwrap();
                 prop_assert_eq!(min_lcp, t.depth(node));
             }
             // Every internal node branches (≥ 2 child groups).

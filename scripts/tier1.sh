@@ -16,9 +16,9 @@
 # whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
 # hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
 # the alignment engine's hot path — engine, single-pair fill, batch fill;
-# `unsafe` only in the two alignment kernels' files and the bench
-# allocators; no per-component suffix index on the pipeline's exact path;
-# none of the retired aligners, Shingle drivers, graph extras or the
+# `unsafe` only in the two alignment kernels' files and the benches' one
+# counting allocator; no per-component suffix index on the pipeline's
+# exact path; none of the retired aligners, Shingle drivers, graph extras or the
 # Criterion stand-in by name), the reachability ratchet (every `pub` item
 # of a library crate is named outside the tests or is on
 # scripts/reachability.allow with a reason), the candidate-list suite
@@ -26,8 +26,8 @@
 # components dropped), the pfam-align suites in release mode (forced-path
 # suite: both vector kernels against the scalar twin, cell by cell), the
 # benchmark package's own tests, and the CLI smokes: kill/resume,
-# `cluster` == `run`, resume under other parameters, an unwritable --out,
-# removed flags and values, a flag given twice.
+# `cluster` == `run`, resume under other parameters, an older checkpoint
+# format, an unwritable --out, removed flags and values, a flag given twice.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -161,18 +161,17 @@ for f in crates/align/src/engine.rs crates/align/src/onepass.rs crates/align/src
     fi
 done
 
-echo "== tier1: unsafe stays in the alignment kernels and the bench allocators =="
+echo "== tier1: unsafe stays in the alignment kernels and the bench allocator =="
 # Every `unsafe` of the program is a vector load or store (or the call into
 # a `target_feature` kernel) in the two fill files, each behind a length
-# assertion; the benches' counting allocators wrap the system one. A new
+# assertion; the benches' counting allocator wraps the system one. A new
 # kernel goes into one of those files and through the forced-path suite
 # (crates/align/tests/engine_props.rs), not somewhere else.
 if grep -rnw "unsafe" crates/*/src src \
     | grep -v "^crates/align/src/onepass\.rs:" \
     | grep -v "^crates/align/src/interpair\.rs:" \
-    | grep -v "^crates/bench/src/bin/lsh_bench\.rs:" \
-    | grep -v "^crates/bench/src/bin/index_oc_bench\.rs:"; then
-    echo "tier1 FAIL: unsafe outside the alignment kernels and the bench allocators" >&2
+    | grep -v "^crates/bench/src/alloc\.rs:"; then
+    echo "tier1 FAIL: unsafe outside the alignment kernels and the bench allocator" >&2
     exit 1
 fi
 
@@ -241,12 +240,20 @@ cargo test -q --test align_engine
 # profile's overflow checks and debug_asserts are not what ships.
 cargo test --release -q -p pfam-align
 
-echo "== tier1: index_bench --test (smoke + identity checks, front half included) =="
+echo "== tier1: index_bench --test (smoke + identity checks, front half included, bytes per position) =="
+# The pass itself fails when an index holds more than 7.2 bytes per text
+# position or a bucket-sort build peaks above 16.5 plus its bucket tables.
 INDEX_SMOKE=$(cargo run --release -p pfam-bench --bin index_bench -- --test)
 echo "$INDEX_SMOKE" | grep -q '"one_build_masked"' || {
     echo "tier1 FAIL: index_bench smoke did not run its front_half rows" >&2
     exit 1
 }
+for field in resident_bytes_per_position build_peak_bytes_per_position; do
+    echo "$INDEX_SMOKE" | grep -q "\"$field\"" || {
+        echo "tier1 FAIL: index_bench smoke did not weigh its builds ($field)" >&2
+        exit 1
+    }
+done
 
 echo "== tier1: align_bench --test (smoke + verdict-identity check) =="
 ALIGN_SMOKE=$(cargo run --release -p pfam-bench --bin align_bench -- --test)
@@ -333,10 +340,10 @@ grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || 
 
 echo "== tier1: CLI cluster == run smoke (one program, byte-identical output) =="
 # `cluster` is `run` without a directory, whatever route the flags pick
-# (55K is 0.4 x this input's index estimate: the partitioned miner): same
+# (24K is 0.4 x this input's index estimate: the partitioned miner): same
 # families.tsv, same Table-I row.
 PFAM=./target/release/pfam
-for flags in "" "--mem-budget 55K" "--sketch-mode approx"; do
+for flags in "" "--mem-budget 24K" "--sketch-mode approx"; do
     rm -rf "$SMOKE/ck-same"
     # shellcheck disable=SC2086 # $flags is a word list
     $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 $flags --out "$SMOKE/cluster.tsv" \
@@ -361,6 +368,24 @@ fi
 grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     echo "tier1 FAIL: the resume was refused without naming the mismatch" >&2
     cat "$SMOKE/other.err" >&2
+    exit 1
+}
+
+echo "== tier1: CLI older-checkpoint smoke (a v4 directory is refused, not replayed) =="
+# v4 plan pins count bytes of the 16-byte-per-position index estimate;
+# under today's they cut other chunks. Same layout, so: the version word.
+cp -r "$SMOKE/ck" "$SMOKE/ck-v4"
+for f in "$SMOKE"/ck-v4/*.ckpt; do
+    printf '\004\000\000\000' | dd of="$f" bs=1 seek=4 conv=notrunc status=none
+done
+if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-v4" --resume --min-size 3 \
+    --out "$SMOKE/v4.tsv" 2>"$SMOKE/v4.err"; then
+    echo "tier1 FAIL: --resume ran on version-4 snapshots" >&2
+    exit 1
+fi
+grep -q "^error: unsupported checkpoint version 4" "$SMOKE/v4.err" || {
+    echo "tier1 FAIL: the v4 directory was refused without naming its version" >&2
+    cat "$SMOKE/v4.err" >&2
     exit 1
 }
 

@@ -219,8 +219,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 4u32.to_le_bytes(), "this build writes version 4");
-    for old in [2u32, 3] {
+    assert_eq!(bytes[4..8], 5u32.to_le_bytes(), "this build writes version 5");
+    for old in [2u32, 3, 4] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -230,6 +230,34 @@ fn a_version_2_checkpoint_is_refused() {
     let v3 = [&bytes[..4], &3u32.to_le_bytes(), &bytes[8..12], &bytes[20..]].concat();
     std::fs::write(&path, v3).expect("plant a v3 file");
     assert!(matches!(resume_error(&d.set, &config, &hooks), CkptError::BadVersion(3)));
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn a_version_4_directory_is_refused_before_any_phase_runs() {
+    // v4 and v5 files are laid out alike, but a v4 plan pin counts bytes
+    // of the 16-byte-per-position index estimate: under today's estimate
+    // it cuts other chunks, and the cursor would replay another pair
+    // order. A whole v4 directory stops at its first file, untouched.
+    let d = dataset(4883);
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir("v4"), 0, 1);
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
+    let planted: Vec<Vec<u8>> = paths
+        .iter()
+        .map(|path| {
+            let mut bytes = std::fs::read(path).expect("read a snapshot");
+            assert_eq!(bytes[4..8], pfam::core::checkpoint::VERSION.to_le_bytes());
+            bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+            std::fs::write(path, &bytes).expect("rewrite as version 4");
+            bytes
+        })
+        .collect();
+    assert!(matches!(resume_error(&d.set, &config, &hooks), CkptError::BadVersion(4)));
+    for (path, bytes) in paths.iter().zip(&planted) {
+        assert_eq!(&std::fs::read(path).expect("still there"), bytes, "no phase ran");
+    }
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 

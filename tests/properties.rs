@@ -163,11 +163,11 @@ proptest! {
         // No LCP may reach past a sentinel: lcp <= remaining residues.
         for r in 1..gsa.sa().len() {
             for &pos in &[gsa.sa()[r - 1] as usize, gsa.sa()[r] as usize] {
-                let seq_len = set.seq_len(gsa.seq_at(pos));
-                let remaining = seq_len as i64 - gsa.offset_at(pos) as i64;
+                let (seq, offset) = gsa.locate(pos);
+                let remaining = set.seq_len(seq) as i64 - offset as i64;
                 prop_assert!(
-                    (gsa.lcp()[r] as i64) <= remaining,
-                    "lcp {} crosses the sentinel at rank {}", gsa.lcp()[r], r
+                    (gsa.lcp_at(r) as i64) <= remaining,
+                    "lcp {} crosses the sentinel at rank {}", gsa.lcp_at(r), r
                 );
             }
         }
