@@ -14,10 +14,9 @@
 //! and [`KnownPairs`] builds the graphs from exactly that: only deferred
 //! pairs are verified, by the run's pair ledger where RR already filled
 //! them and by one fill otherwise. A caller with no CCD bookkeeping — a
-//! bare member list, or a sketch-mode run whose CCD stream is not the
-//! ψ_ccd set — gets its pairs from a suffix index of the component alone
-//! ([`component_graph`]), every promising pair verified. Both supplies
-//! feed one loop that verifies in fixed slices.
+//! bare member list — gets its pairs from a suffix index of the component
+//! alone ([`component_graph`]), every promising pair verified. Both
+//! supplies feed one loop that verifies in fixed slices.
 
 use std::sync::Arc;
 

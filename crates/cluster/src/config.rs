@@ -6,8 +6,6 @@ use pfam_align::{AlignEngine, AlignEngineKind, ContainmentParams, OverlapParams}
 use pfam_seq::complexity::MaskParams;
 use pfam_seq::{MemoryBudget, ScoringScheme};
 
-use crate::lsh::SketchParams;
-
 /// Configuration shared by the RR and CCD phases.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -49,13 +47,6 @@ pub struct ClusterConfig {
     /// partitioned GSA construction. Pair *sets* (and therefore
     /// components) are bit-identical for every setting.
     pub mem: MemParams,
-    /// Sketch-plane knobs ([`crate::lsh`]): which candidate generator the
-    /// front half runs (`Exact` pins the suffix-index miner; `Approx`
-    /// routes through the LSH sketch source) and the banding shape. For a
-    /// fixed setting the candidate stream is deterministic across drivers
-    /// and thread counts; `Approx` trades recall for footprint per the
-    /// banding curve.
-    pub sketch: SketchParams,
 }
 
 /// Knobs for the out-of-core index plane. The budget is *shared*
@@ -99,7 +90,6 @@ impl Default for ClusterConfig {
             threads: 0,
             align_engine: AlignEngineKind::default(),
             mem: MemParams::default(),
-            sketch: SketchParams::default(),
         }
     }
 }

@@ -11,10 +11,6 @@
 //!   around the core: where pairs come from, how candidate batches and
 //!   verdicts travel, and who drives the loop. Every public `run_*`
 //!   entry point is a thin composition of these.
-//! * [`lsh`] — the memory-lean candidate axis: the banded min-hash sketch
-//!   source (`approx` mode) that replaces the suffix-index pair generator
-//!   behind the same [`source`] seam, trading exactness for footprint on
-//!   the banding curve.
 //! * [`rr`] — redundancy removal: drop sequences ≥95 %-contained in
 //!   another, candidates from the maximal-match generator, containment
 //!   verified by alignment in parallel batches.
@@ -47,7 +43,6 @@ pub mod core;
 pub mod front;
 pub mod ft;
 pub mod ledger;
-pub mod lsh;
 pub(crate) mod mask;
 pub mod policy;
 pub mod rr;
@@ -67,9 +62,6 @@ pub use config::{ClusterConfig, MemParams};
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
-pub use lsh::{
-    check_sketch_params, SketchMode, SketchParamError, SketchParams, SketchSource, SketchStats,
-};
 pub use pfam_align::{AlignEngine, AlignEngineKind};
 pub use policy::{
     serve_pull_worker, serve_push_worker, BatchedPush, DriveError, LeasedPull, SpmdPush, WorkPolicy,
@@ -77,7 +69,7 @@ pub use policy::{
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{
     check_index_budget, with_mined_source, with_shared_index, with_source_pinned, IterSource,
-    MinedSource, PairSource, PartitionedMinedSource, SharedIndex, PIN_SKETCH_APPROX,
+    MinedSource, PairSource, PartitionedMinedSource, SharedIndex,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use trace::{BatchRecord, PhaseTrace};

@@ -38,12 +38,6 @@ use pfam_suffix::{
 };
 
 use crate::config::ClusterConfig;
-use crate::lsh::{SketchMode, SketchSource};
-
-/// Generation-plan pin for the approximate sketch source
-/// ([`crate::lsh::SketchSource`]): the sketch stream has no chunk plan,
-/// so its cursors pin a reserved sentinel instead of an index target.
-pub const PIN_SKETCH_APPROX: u64 = u64::MAX;
 
 /// A stream of promising pairs, drawn batch-wise by a
 /// [`crate::policy::WorkPolicy`]. An empty batch means the source is
@@ -318,21 +312,14 @@ pub struct SharedIndex<'t> {
 /// its `gsa-index` reservation until `f` returns. `f` gets `None`, and
 /// every phase routes on its own as [`with_source_pinned`] does, when one
 /// monolithic index cannot serve the run: `input` is not an in-memory
-/// set, a chunk size is forced, the index does not fit the budget, or a
-/// sketch mode generates the pairs.
+/// set, a chunk size is forced, or the index does not fit the budget.
 pub fn with_shared_index<R>(
     input: &dyn SeqStore,
     config: &ClusterConfig,
     f: impl FnOnce(Option<&SharedIndex<'_>>) -> R,
 ) -> R {
     let base = match input.as_sequence_set() {
-        Some(set)
-            if !set.is_empty()
-                && config.sketch.mode == SketchMode::Exact
-                && config.mem.index_chunk_bytes == 0 =>
-        {
-            set
-        }
+        Some(set) if !set.is_empty() && config.mem.index_chunk_bytes == 0 => set,
         _ => return f(None),
     };
     let estimate = estimated_index_bytes(base.total_residues(), base.len());
@@ -395,27 +382,20 @@ fn with_monolithic_source<R>(
 /// [`SharedIndex`] to mine instead of building another, when the run
 /// holds one.
 ///
-/// Routing of a fresh run: the sketch mode first —
-/// [`crate::config::ClusterConfig::sketch`] in `Approx` mode routes to the
-/// LSH source ([`SketchSource`]), which is how every driver and lease
-/// policy picks up the sketch plane without changing. Otherwise the exact
-/// miner: the
-/// monolithic [`MinedSource`] when the store is an in-memory set or a
-/// subset view of one (the view is mined through a mask over the index of
-/// its base — no copy of the kept reads), no chunk size is forced, and
-/// the whole index fits the budget (reserving its footprint for the
-/// duration of `f`); else the [`PartitionedMinedSource`], whose chunk plan
-/// degrades under the budget instead of aborting. The exact variants
-/// yield the same pair *set*, and every consumer is order-invariant, so
-/// components are identical either way; `Approx` changes the pair set per
-/// the banding curve.
+/// Routing of a fresh run: the monolithic [`MinedSource`] when the store
+/// is an in-memory set or a subset view of one (the view is mined through
+/// a mask over the index of its base — no copy of the kept reads), no
+/// chunk size is forced, and the whole index fits the budget (reserving
+/// its footprint for the duration of `f`); else the
+/// [`PartitionedMinedSource`], whose chunk plan degrades under the budget
+/// instead of aborting. Both yield the same pair *set*, and every consumer
+/// is order-invariant, so components are identical either way.
 ///
 /// `pairs_consumed` in a [`crate::core::CcdCursor`] is a position in one
 /// specific generation order, and the partitioned generator's order is a
 /// function of its chunk plan. So every emitted cursor pins the plan it
-/// was generated under (`0` = monolithic, [`PIN_SKETCH_APPROX`] = the
-/// deterministic sketch stream, else the settled per-chunk target), and
-/// resume passes that pin here: the source is rebuilt from
+/// was generated under (`0` = monolithic, else the settled per-chunk
+/// target), and resume passes that pin here: the source is rebuilt from
 /// the *pin*, not from this run's [`crate::config::MemParams`], making
 /// resume byte-identical even when the resumed run is configured with a
 /// different chunk size (or none at all). The closure receives the
@@ -447,13 +427,6 @@ pub fn with_source_pinned<R>(
         shared.filter(|shared| std::ptr::eq(shared.base, base)).map(|shared| shared.tree)
     };
     match pin {
-        // Pinned sketch mode: rebuild the same deterministic sketch
-        // stream (a pure function of the store and SketchParams, so the
-        // pin carries no plan payload — just which source to rebuild).
-        Some(PIN_SKETCH_APPROX) => {
-            let mut source = SketchSource::new(store, config, psi, threads);
-            f(&mut source, PIN_SKETCH_APPROX)
-        }
         // Pinned monolithic: the checkpointed run mined one big index.
         Some(0) => {
             let owned;
@@ -478,13 +451,8 @@ pub fn with_source_pinned<R>(
                 PartitionedMinedSource::with_target(store, config, psi, threads, target);
             f(&mut source, target)
         }
-        // Fresh run: route from SketchParams/MemParams and report what
-        // was chosen.
+        // Fresh run: route from MemParams and report what was chosen.
         None => {
-            if config.sketch.mode == SketchMode::Approx {
-                let mut source = SketchSource::new(store, config, psi, threads);
-                return f(&mut source, PIN_SKETCH_APPROX);
-            }
             if let Some(view) = in_memory_view(store) {
                 if let Some(tree) = shared_tree(view.0) {
                     return with_monolithic_source(view, config, psi, threads, Some(tree), f);

@@ -11,8 +11,7 @@ use pfam_cluster::{
 use pfam_seq::{SeqId, SequenceSet};
 use pfam_suffix::MatchPair;
 
-/// Drain a source to exhaustion (only an *empty* batch means exhausted:
-/// sketch sources fill their buffer band by band).
+/// Drain a source to exhaustion.
 pub fn drain(source: &mut dyn PairSource) -> Vec<MatchPair> {
     let mut out = Vec::new();
     loop {

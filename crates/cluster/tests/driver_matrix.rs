@@ -8,20 +8,20 @@
 //! every verified verdict is a pure function of the two sequences. The
 //! matrix below pins that invariant across the real composition space —
 //! the same axes the public `run_*` drivers are built from. Every cell of
-//! the exact-mode matrix also leaves bookkeeping the back half can build
-//! on: its edges, refused and deferred pairs partition what it generated,
-//! and the component graphs built from them equal the mined ones (which
-//! pairs a cell defers depends on its arrival order; the graphs do not).
+//! the matrix also leaves bookkeeping the back half can build on: its
+//! edges, refused and deferred pairs partition what it generated, and the
+//! component graphs built from them equal the mined ones (which pairs a
+//! cell defers depends on its arrival order; the graphs do not).
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{assert_known_graphs_equal_mined, assert_partition, drain};
+use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
     ClusterCore, CorePhase, IterSource, LeasedPull, LocalTransport, MinedSource, PairSource,
-    PartitionedMinedSource, SketchMode, SketchParams, SketchSource, SpmdPush, Verifier, WorkPolicy,
+    PartitionedMinedSource, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -219,7 +219,7 @@ fn drive_push(
     CcdResult::from_core(core)
 }
 
-/// (c) and (a) of `pair_ledger.rs` for one exact-mode CCD result over the
+/// (c) and (a) of `pair_ledger.rs` for one CCD result over the
 /// whole of `set`.
 fn assert_bookkeeping_holds(
     set: &SequenceSet,
@@ -252,64 +252,6 @@ fn set_of(seqs: &[&str]) -> SequenceSet {
         b.push_letters(format!("s{i}"), s.as_bytes()).unwrap();
     }
     b.finish()
-}
-
-/// The sketch axis ([`pfam_cluster::lsh`]): for a fixed seed the LSH
-/// candidate stream is a deterministic function of the store, so every
-/// policy must land on identical components — identical to each other,
-/// not necessarily to exact mode (approximate recall is the deal the mode
-/// makes).
-fn approx_config(seed: u64) -> ClusterConfig {
-    ClusterConfig {
-        sketch: SketchParams {
-            mode: SketchMode::Approx,
-            k: 5,
-            bands: 12,
-            rows: 2,
-            seed,
-            ..SketchParams::default()
-        },
-        ..ClusterConfig::default()
-    }
-}
-
-/// Drain the full sketch candidate stream.
-fn sketch_pairs(set: &SequenceSet, config: &ClusterConfig, threads: usize) -> Vec<MatchPair> {
-    let mut src = SketchSource::new(set, config, config.psi_ccd, threads);
-    drain(&mut src)
-}
-
-fn assert_sketch_axis_agrees(set: &SequenceSet, config: &ClusterConfig) {
-    // The reference cell: `run_ccd` routes through `with_source_pinned`, which
-    // in Approx mode builds the SketchSource for the batched driver.
-    let reference = run_ccd(set, config).components;
-    for policy in POLICIES {
-        let got = match policy {
-            PolicyKind::Push => {
-                let pairs = sketch_pairs(set, config, 1);
-                let mid = pairs.len() / 2;
-                let (left, right) = (pairs[..mid].to_vec(), pairs[mid..].to_vec());
-                drive_push(set, config, vec![left, right]).components
-            }
-            _ => {
-                // Alternate thread counts across cells: the stream is
-                // thread-count invariant, so this is pure extra coverage.
-                let threads = 1 + (policy as usize) % 2;
-                let mut src = SketchSource::new(set, config, config.psi_ccd, threads);
-                drive_master_side(set, config, &mut src, policy).components
-            }
-        };
-        assert_eq!(got, reference, "Sketch × {policy:?} diverged from the reference components");
-    }
-}
-
-#[test]
-fn sketch_axis_agrees_across_policies() {
-    for seed in [11u64, 12] {
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
-        assert_sketch_axis_agrees(&d.set, &approx_config(0x005E_7C11 + seed));
-    }
-    assert_sketch_axis_agrees(&SequenceSet::new(), &approx_config(1));
 }
 
 /// [`run_ccd_from_pairs`], the public entry over a pre-collected supply

@@ -31,9 +31,9 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pfam_cluster::{CcdCursor, ClusterConfig, PhaseTrace, SketchMode, SketchParams};
+use pfam_cluster::{CcdCursor, ClusterConfig, PhaseTrace};
 use pfam_seq::{SeqId, SeqStore};
-use pfam_shingle::sketch::splitmix64;
+use pfam_shingle::minwise::splitmix64;
 use pfam_shingle::{ShingleParams, ShingleStats};
 
 use crate::config::{PipelineConfig, Reduction};
@@ -48,9 +48,11 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// meaning: the plan pin is a chunk target in bytes of the index
 /// *estimate*, the estimate went from 16 to 7 bytes per text position,
 /// and the same pin now cuts other chunks — a v4 cursor replayed here
-/// would skip and repeat pairs. An older file is
+/// would skip and repeat pairs. v6 has that layout too: the fingerprint
+/// folds no sketch word and `u64::MAX` is no longer a plan pin (it named
+/// the LSH candidate stream, deleted in PR 23). An older file is
 /// [`CkptError::BadVersion`]: there is no compatibility path.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -251,15 +253,12 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
         batch_size,
         max_pairs_per_node,
         mask,
-        sketch,
         threads: _,
         align_engine: _,
         mem: _,
     } = cluster;
     let ShingleParams { s1, c1, s2, c2, seed: shingle_seed } = *shingle;
-    let SketchParams { mode, k, bands, rows, width, seed: sketch_seed, max_bucket_pairs } = sketch;
 
-    // Folded word by word through the mixer the sketch band keys use.
     let mut h = Fold(0);
     h.word(input.len() as u64);
     h.word(input.total_residues() as u64);
@@ -291,14 +290,6 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
             h.word(mask.window as u64);
             h.word(mask.min_entropy_bits.to_bits());
         }
-    }
-    // Exact mode reads no sketch knob.
-    h.word(*mode as u64);
-    if *mode != SketchMode::Exact {
-        for knob in [*k, *bands, *rows, *width, *max_bucket_pairs] {
-            h.word(knob as u64);
-        }
-        h.word(*sketch_seed);
     }
     match *reduction {
         Reduction::GlobalSimilarity { tau } => {
@@ -743,7 +734,7 @@ mod tests {
         let name = fingerprint(&set, &base);
         assert_eq!(name, fingerprint(&set, &base.clone()), "a pure function");
 
-        let changed: [fn(&mut PipelineConfig); 12] = [
+        let changed: [fn(&mut PipelineConfig); 11] = [
             |c| c.cluster.scheme.gap_open += 1,
             |c| c.cluster.psi_rr += 1,
             |c| c.cluster.psi_ccd += 1,
@@ -752,7 +743,6 @@ mod tests {
             |c| c.cluster.batch_size *= 2,
             |c| c.cluster.max_pairs_per_node -= 1,
             |c| c.cluster.mask = Some(Default::default()),
-            |c| c.cluster.sketch.mode = SketchMode::Approx,
             |c| c.reduction = Reduction::DomainBased { w: 10 },
             |c| c.shingle.c1 += 1,
             |c| c.min_subgraph_size -= 1,
@@ -770,10 +760,6 @@ mod tests {
         unchanged.cluster.threads = 1;
         unchanged.cluster.align_engine = pfam_cluster::AlignEngineKind::Reference;
         assert_eq!(fingerprint(&set, &unchanged), name);
-        // Exact mode reads no sketch knob.
-        let mut inert = base.clone();
-        inert.cluster.sketch.bands += 1;
-        assert_eq!(fingerprint(&set, &inert), name);
     }
 
     #[test]

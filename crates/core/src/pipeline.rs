@@ -9,7 +9,7 @@
 //!
 //! A pair's verdict is a fact of the run, not of a phase: RR's fills leave
 //! the overlap answers in a [`PairLedger`], CCD keeps the pairs its closure
-//! filter drops, and in exact mode the back half builds each component's
+//! filter drops, and the back half builds each component's
 //! graph from CCD's edges plus the verdicts of those deferred pairs — the
 //! ledger's, or one fill ([`KnownPairs`]). No pair is aligned twice and no
 //! per-component suffix index is built.
@@ -24,8 +24,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfam_cluster::{
-    check_index_budget, check_sketch_params, run_ccd_resumable, with_front_half, CcdCursor,
-    CcdResult, ComponentGraph, KnownPairs, PairLedger, PhaseTrace, SketchMode, SketchParamError,
+    check_index_budget, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ComponentGraph,
+    KnownPairs, PairLedger, PhaseTrace,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
 use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
@@ -36,7 +36,7 @@ use crate::checkpoint::{
     Phase, RrState,
 };
 use crate::config::PipelineConfig;
-use crate::executor::{stream_components, stream_graphs, ComponentOutput};
+use crate::executor::{stream_graphs, ComponentOutput};
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -129,8 +129,6 @@ pub struct PipelineHooks {
 /// Why a run did not start, or could not go on.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// The sketch parameters cannot work on this input.
-    Sketch(SketchParamError),
     /// Even the smallest partitioned index task (one chunk per sequence)
     /// does not fit the memory budget. A run that passes this check
     /// degrades gracefully inside: the index plane picks chunk sizes that
@@ -143,7 +141,6 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PipelineError::Sketch(e) => e.fmt(f),
             PipelineError::Budget(e) => e.fmt(f),
             PipelineError::Checkpoint(e) => e.fmt(f),
         }
@@ -151,12 +148,6 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<SketchParamError> for PipelineError {
-    fn from(e: SketchParamError) -> Self {
-        PipelineError::Sketch(e)
-    }
-}
 
 impl From<BudgetError> for PipelineError {
     fn from(e: BudgetError) -> Self {
@@ -283,12 +274,10 @@ fn ccd_phase(
 }
 
 /// A finished front half as the back half consumes it: the components
-/// under `input` ids and, when CCD's stream was the exact ψ_ccd pair set,
-/// what it knows of the pairs inside them. The sketch mode has no such
-/// stream, so its back half mines each component's own index instead.
+/// under `input` ids and what CCD knows of the pairs inside them.
 struct BackHalf<'a> {
     components: Vec<Vec<SeqId>>,
-    known: Option<KnownPairs<'a>>,
+    known: KnownPairs<'a>,
 }
 
 impl<'a> BackHalf<'a> {
@@ -305,12 +294,16 @@ impl<'a> BackHalf<'a> {
             .iter()
             .map(|c| c.iter().map(|&local| kept[local.index()]).collect())
             .collect();
-        let known = (config.cluster.sketch.mode == SketchMode::Exact).then(|| {
-            let (components, edges, min_size) =
-                (&ccd.components, &ccd.edges, config.min_component_size);
-            let cluster = &config.cluster;
-            KnownPairs::new(input, cluster, kept, ledger, components, edges, deferred, min_size)
-        });
+        let known = KnownPairs::new(
+            input,
+            &config.cluster,
+            kept,
+            ledger,
+            &ccd.components,
+            &ccd.edges,
+            deferred,
+            config.min_component_size,
+        );
         BackHalf { components, known }
     }
 
@@ -327,20 +320,13 @@ impl<'a> BackHalf<'a> {
         config: &PipelineConfig,
         queue: &[usize],
     ) -> Vec<ComponentOutput> {
-        match &self.known {
-            Some(known) => stream_graphs(
-                input,
-                config,
-                queue.len(),
-                |i| known.n_deferred(queue[i]),
-                |i, scratch| known.component_graph(queue[i], scratch),
-            ),
-            None => {
-                let members: Vec<&[SeqId]> =
-                    queue.iter().map(|&c| self.components[c].as_slice()).collect();
-                stream_components(input, config, &members)
-            }
-        }
+        stream_graphs(
+            input,
+            config,
+            queue.len(),
+            |i| self.known.n_deferred(queue[i]),
+            |i, scratch| self.known.component_graph(queue[i], scratch),
+        )
     }
 
     /// Residues of the components `queue` indexes (the BGG trace's volume).
@@ -413,13 +399,12 @@ fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
 ///
 /// Refuses to start — with a typed error, never an abort or an empty
 /// answer — when the configuration cannot work on this input
-/// ([`check_sketch_params`], [`check_index_budget`]).
+/// ([`check_index_budget`]).
 pub fn run_pipeline(
     input: &dyn SeqStore,
     config: &PipelineConfig,
     hooks: &PipelineHooks,
 ) -> Result<Option<PipelineResult>, PipelineError> {
-    check_sketch_params(input, &config.cluster)?;
     let budget = &config.cluster.mem.budget;
     check_index_budget(input, budget)?;
     let snapshots = Snapshots::open(hooks, input, config)?;

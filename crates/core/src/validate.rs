@@ -83,21 +83,6 @@ pub fn validate(config: &PipelineConfig) -> Vec<ConfigError> {
             }
         }
     }
-    // Sketch-plane shape checks: each degenerate combination is the typed
-    // `SketchParamError` surfaced here at config time (the drivers clamp
-    // instead of panicking, so this is the only place the user hears
-    // about a nonsense banding). The store-dependent shortest-sequence
-    // check runs separately once sequences are loaded
-    // (`pfam_cluster::check_sketch_params`).
-    if let Err(e) = config.cluster.sketch.validate_shape() {
-        let parameter = match e {
-            pfam_cluster::SketchParamError::KmerOutOfRange { .. } => "cluster.sketch.k",
-            pfam_cluster::SketchParamError::DegenerateBanding { .. } => "cluster.sketch.bands",
-            pfam_cluster::SketchParamError::BandsExceedWidth { .. } => "cluster.sketch.width",
-            pfam_cluster::SketchParamError::KmerExceedsShortest { .. } => "cluster.sketch.k",
-        };
-        err(parameter, e.to_string());
-    }
     if config.min_subgraph_size > config.min_component_size {
         err(
             "min_subgraph_size",
@@ -167,32 +152,6 @@ mod tests {
         let errs = validate(&c);
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].parameter, "min_subgraph_size");
-    }
-
-    #[test]
-    fn degenerate_sketch_params_rejected_at_config_time() {
-        use pfam_cluster::{SketchMode, SketchParams};
-        // Exact mode: the sketch knobs are inert, nonsense is fine.
-        let mut c = PipelineConfig::default();
-        c.cluster.sketch = SketchParams { k: 0, bands: 0, ..SketchParams::default() };
-        assert!(validate(&c).is_empty());
-        // Approx mode: each degenerate shape is a typed error.
-        c.cluster.sketch =
-            SketchParams { mode: SketchMode::Approx, bands: 0, ..SketchParams::default() };
-        let errs = validate(&c);
-        assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0].parameter, "cluster.sketch.bands");
-        c.cluster.sketch =
-            SketchParams { mode: SketchMode::Approx, k: 9, ..SketchParams::default() };
-        assert_eq!(validate(&c)[0].parameter, "cluster.sketch.k");
-        c.cluster.sketch = SketchParams {
-            mode: SketchMode::Approx,
-            bands: 8,
-            rows: 4,
-            width: 16,
-            ..SketchParams::default()
-        };
-        assert_eq!(validate(&c)[0].parameter, "cluster.sketch.width");
     }
 
     #[test]

@@ -85,8 +85,8 @@ const PASS2_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
 /// Default rank-table ceiling when no memory budget is configured:
 /// 64 MiB, the historical 2²³-entry cap. A *limited* budget replaces this
 /// constant entirely — the shared [`MemoryBudget`] ledger (the same one
-/// the index plane and the sketch plane reserve against) decides whether
-/// a table fits, so `--mem-budget` governs rank tables too.
+/// the index plane reserves against) decides whether a table fits, so
+/// `--mem-budget` governs rank tables too.
 const DEFAULT_TABLE_BYTES: u64 = 64 << 20;
 
 /// Take the rank-table path only if the table's bytes fit the memory

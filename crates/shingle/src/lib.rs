@@ -14,9 +14,6 @@
 //! * [`algorithm`] — the two passes plus the union-find reporting step,
 //!   parallelised over vertices with rayon; [`ShingleArena`] for serial
 //!   allocation-free reruns.
-//! * [`sketch`] — banded min-hash sketches over per-sequence k-mer sets:
-//!   the hashing substrate of the front-half LSH candidate generator
-//!   (`pfam_cluster::lsh`), built on the same family machinery.
 //! * [`dense`] — the paper's reporting rules on top: the `Bd` mode with
 //!   the `|A∩B| / |A∪B| ≥ τ` post-filter, the `Bm` mode reporting `B`,
 //!   minimum-size filtering, and disjoint-ification.
@@ -25,7 +22,6 @@ pub mod algorithm;
 pub mod dense;
 pub mod kernel;
 pub mod minwise;
-pub mod sketch;
 
 pub use algorithm::{
     shingle_clusters, shingle_clusters_budgeted, shingle_clusters_with, BipartiteCluster,
@@ -40,4 +36,3 @@ pub use minwise::{
     shingle_set, shingle_set_from_table, shingle_set_with, HashFamily, RankTable, Shingle,
     ShingleScratch,
 };
-pub use sketch::{splitmix64, SketchScratch, Sketcher, MAX_SKETCH_K};

@@ -7,6 +7,20 @@
 //! identical samples under the same permutation, which is exactly the
 //! grouping signal the Shingle algorithm uses.
 
+/// SplitMix64's state increment.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step: the output for generator state `z`. The
+/// [`HashFamily`] draws its coefficients from this stream, and the
+/// checkpoint fingerprint folds its words through it.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// A family of `c` pseudo-random permutations, deterministic in the seed.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
@@ -19,12 +33,9 @@ impl HashFamily {
     pub fn new(c: usize, seed: u64) -> HashFamily {
         let mut state = seed;
         let mut next = move || {
-            // SplitMix64 step.
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
+            let out = splitmix64(state);
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            out
         };
         let mults = (0..c).map(|_| next() | 1).collect(); // odd ⇒ bijective mod 2⁶⁴
         let adds = (0..c).map(|_| next()).collect();

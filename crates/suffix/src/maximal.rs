@@ -28,7 +28,7 @@ use crate::tree::{NodeId, SuffixTree};
 /// already well-distributed sequence-id pairs, so a keyed hash buys
 /// nothing here.
 #[derive(Clone, Copy, Default)]
-pub struct PairKeyHasher(u64);
+pub(crate) struct PairKeyHasher(u64);
 
 impl Hasher for PairKeyHasher {
     #[inline]

@@ -8,26 +8,25 @@
 # (bit-identity checks on tiny workloads), the alignment-engine and
 # streaming-executor identity suites, the fault-injection and
 # checkpoint/restart suites, the ft-bench recovery smoke, the out-of-core
-# partitioned-identity suite + index_oc_bench smoke, the sketch-plane
-# driver-matrix suite + lsh_bench smoke, grep gates (no unwrap on
-# inter-rank communication or on the lease-recovery path; no UnionFind
-# mutation outside ClusterCore; none of the retired schedulers, rank
-# kernels, planes, pipeline entries or supervision extras by name; no
-# whole-file sequence reads outside pfam-seq's SeqStore; no raw k-mer
-# hashing outside pfam-shingle's sketch wrappers; no three-matrix fill on
-# the alignment engine's hot path — engine, single-pair fill, batch fill;
-# `unsafe` only in the two alignment kernels' files and the benches' one
-# counting allocator; no per-component suffix index on the pipeline's
-# exact path; none of the retired aligners, Shingle drivers, graph extras or the
-# Criterion stand-in by name), the reachability ratchet (every `pub` item
+# partitioned-identity suite + index_oc_bench smoke, grep gates (no
+# unwrap on inter-rank communication or on the lease-recovery path; no
+# UnionFind mutation outside ClusterCore; none of the retired schedulers,
+# rank kernels, planes (sharded, sketch), pipeline entries or supervision
+# extras by name; no whole-file sequence reads outside pfam-seq's
+# SeqStore; no three-matrix fill on the alignment engine's hot path —
+# engine, single-pair fill, batch fill; `unsafe` only in the two alignment
+# kernels' files and the benches' one counting allocator; no per-component
+# suffix index in the pipeline; none of the retired aligners, Shingle
+# drivers, graph extras or the Criterion stand-in by name), the
+# reachability ratchet (every `pub` item
 # of a library crate is named outside the tests or is on
 # scripts/reachability.allow with a reason), the candidate-list suite
 # (Verifier's list entry == one verdict at a time; deferred pairs of small
 # components dropped), the pfam-align suites in release mode (forced-path
 # suite: both vector kernels against the scalar twin, cell by cell), the
 # benchmark package's own tests, and the CLI smokes: kill/resume,
-# `cluster` == `run`, resume under other parameters, an older checkpoint
-# format, an unwritable --out, removed flags and values, a flag given twice.
+# `cluster` == `run`, resume under other parameters, older checkpoint
+# formats, an unwritable --out, removed flags, a flag given twice.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -86,11 +85,13 @@ if grep -rn "StealingPush\|MwDispatch\|StealParams\|ShardDriver\|RankKernel\|cro
 fi
 
 echo "== tier1: one CCD master, one exact pair supply, one pipeline entry =="
-# The sharded clustering plane, the hybrid / exhaustive sketch paths and
-# the budgeted / checkpointed pipeline entries were option-selected
-# duplicates with no workload and no measurement on their side (ROADMAP,
-# "Shard verdict" / "Hybrid verdict"; `run_pipeline` takes hooks).
-if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed" \
+# The sharded clustering plane, the LSH sketch plane (hybrid, exhaustive
+# and, last, approx) and the budgeted / checkpointed pipeline entries were
+# option-selected duplicates with no workload and no measurement on their
+# side (ROADMAP, "Shard verdict" / "Hybrid verdict"; EXPERIMENTS.md, "LSH
+# sketch plane — verdict (PR 23)"; `run_pipeline` takes hooks). The suffix
+# index, monolithic or partitioned under a budget, is the one supply.
+if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher" \
     crates src tests examples; then
     echo "tier1 FAIL: a retired plane or pipeline entry is named in the tree" >&2
     exit 1
@@ -123,17 +124,6 @@ fi
 
 echo "== tier1: reachability ratchet (pub items named outside the tests, or allow-listed) =="
 scripts/reachability.sh
-
-echo "== tier1: raw k-mer hashing stays behind pfam-shingle's sketch plane =="
-# Sketch contract: the clustering and pipeline layers reach k-mer
-# signatures only through pfam_shingle::sketch (Sketcher), so every
-# sketch goes through the one rank loop; re-rolling
-# KmerIter / pack_word / HashFamily in a data-plane crate would fork the
-# hashing and silently break cross-mode identity.
-if grep -rn "KmerIter\|pack_word\|HashFamily" crates/cluster/src crates/core/src; then
-    echo "tier1 FAIL: raw k-mer hashing in a data-plane crate — use pfam_shingle::sketch" >&2
-    exit 1
-fi
 
 echo "== tier1: sequence text stays behind pfam-seq's SeqStore =="
 # Out-of-core contract: no data-plane crate slurps whole files or
@@ -175,14 +165,14 @@ if grep -rnw "unsafe" crates/*/src src \
     exit 1
 fi
 
-echo "== tier1: one suffix index per exact-mode run =="
+echo "== tier1: one suffix index per run =="
 # One-alignment contract: the pipeline builds each component's graph from
 # CCD's edges and deferred pairs (pfam_cluster::KnownPairs). The
 # per-component index survives in bgg.rs as the supply of callers with no
-# such bookkeeping — one `with_match_tree` call there, none in the
-# pipeline or the executor.
+# such bookkeeping (`stream_components`) — one `with_match_tree` call
+# there, none in the pipeline or the executor.
 if [ "$(grep -c "with_match_tree(" crates/cluster/src/bgg.rs)" != 1 ] \
-    || grep -n "with_match_tree\|materialize_subset" crates/core/src/pipeline.rs \
+    || grep -n "with_match_tree\|materialize_subset\|stream_components" crates/core/src/pipeline.rs \
     || grep -n "with_match_tree" crates/core/src/executor.rs; then
     echo "tier1 FAIL: a second per-component index path (see crates/cluster/src/bgg.rs)" >&2
     exit 1
@@ -292,20 +282,6 @@ echo "$OC_SMOKE" | grep -q '"pairs_identical": true' || {
     exit 1
 }
 
-echo "== tier1: sketch driver-matrix suite (LSH axis) =="
-cargo test -q -p pfam-cluster --test driver_matrix sketch_axis_agrees_across_policies
-
-echo "== tier1: lsh_bench --test (smoke + recall/memory fields) =="
-LSH_SMOKE=$(cargo run --release -p pfam-bench --bin lsh_bench -- --test)
-echo "$LSH_SMOKE" | grep -q '"recall"' || {
-    echo "tier1 FAIL: lsh_bench smoke did not report a recall field" >&2
-    exit 1
-}
-echo "$LSH_SMOKE" | grep -q '"peak_bytes"' || {
-    echo "tier1 FAIL: lsh_bench smoke did not report allocator peak fields" >&2
-    exit 1
-}
-
 echo "== tier1: ft_bench --test (smoke + recovery identity check) =="
 FT_SMOKE=$(cargo run --release -p pfam-bench --bin ft_bench -- --test)
 echo "$FT_SMOKE" | grep -q '"components_identical": true' || {
@@ -343,7 +319,7 @@ echo "== tier1: CLI cluster == run smoke (one program, byte-identical output) ==
 # (24K is 0.4 x this input's index estimate: the partitioned miner): same
 # families.tsv, same Table-I row.
 PFAM=./target/release/pfam
-for flags in "" "--mem-budget 24K" "--sketch-mode approx"; do
+for flags in "" "--mem-budget 24K"; do
     rm -rf "$SMOKE/ck-same"
     # shellcheck disable=SC2086 # $flags is a word list
     $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 $flags --out "$SMOKE/cluster.tsv" \
@@ -371,23 +347,26 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4 directory is refused, not replayed) =="
-# v4 plan pins count bytes of the 16-byte-per-position index estimate;
-# under today's they cut other chunks. Same layout, so: the version word.
-cp -r "$SMOKE/ck" "$SMOKE/ck-v4"
-for f in "$SMOKE"/ck-v4/*.ckpt; do
-    printf '\004\000\000\000' | dd of="$f" bs=1 seek=4 conv=notrunc status=none
+echo "== tier1: CLI older-checkpoint smoke (a v4 or v5 directory is refused, not replayed) =="
+# v4 plan pins count bytes of the 16-byte-per-position index estimate
+# (under today's they cut other chunks); v5 fingerprints fold the sketch
+# mode. Same layout, so: the version word.
+for v in 4 5; do
+    cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
+    for f in "$SMOKE/ck-v$v"/*.ckpt; do
+        printf "\\00$v\\000\\000\\000" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
+    done
+    if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-v$v" --resume --min-size 3 \
+        --out "$SMOKE/v$v.tsv" 2>"$SMOKE/v$v.err"; then
+        echo "tier1 FAIL: --resume ran on version-$v snapshots" >&2
+        exit 1
+    fi
+    grep -q "^error: unsupported checkpoint version $v" "$SMOKE/v$v.err" || {
+        echo "tier1 FAIL: the v$v directory was refused without naming its version" >&2
+        cat "$SMOKE/v$v.err" >&2
+        exit 1
+    }
 done
-if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-v4" --resume --min-size 3 \
-    --out "$SMOKE/v4.tsv" 2>"$SMOKE/v4.err"; then
-    echo "tier1 FAIL: --resume ran on version-4 snapshots" >&2
-    exit 1
-fi
-grep -q "^error: unsupported checkpoint version 4" "$SMOKE/v4.err" || {
-    echo "tier1 FAIL: the v4 directory was refused without naming its version" >&2
-    cat "$SMOKE/v4.err" >&2
-    exit 1
-}
 
 echo "== tier1: CLI unwritable --out smoke (refused before phase 1) =="
 if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-out" \
@@ -403,7 +382,7 @@ fi
 
 echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op; a repeat is one too) =="
 for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
-    "--sketch-mode hybrid:--sketch-mode: hybrid" "--psi 10 --psi 20:--psi given twice"; do
+    "--sketch-mode approx:--sketch-mode" "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
         --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then

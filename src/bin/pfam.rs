@@ -5,9 +5,6 @@
 //! pfam cluster  <input.fasta> [--out families.tsv] [--tau F] [--domain W]
 //!               [--min-size N] [--mask] [--psi N]
 //!               [--mem-budget BYTES[K|M|G]] [--index-chunk-bytes BYTES[K|M|G]]
-//!               [--sketch-mode exact|approx] [--sketch-k N]
-//!               [--sketch-bands N] [--sketch-rows N] [--sketch-width N]
-//!               [--sketch-seed N]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
 //!               [--checkpoint-every N] [--checkpoint-every-components N]
 //!               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]
@@ -25,7 +22,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use pfam::cluster::{run_front_half, ClusterConfig, SketchMode, SketchParams};
+use pfam::cluster::{run_front_half, ClusterConfig};
 use pfam::core::{
     run_pipeline, CheckpointConfig, FillReport, Phase, PipelineConfig, PipelineHooks, Reduction,
     TableOneRow,
@@ -72,14 +69,14 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20 pfam generate --out <fasta> [--families N] [--members N] [--seed N]\n\
     \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F] [--domain W]\n\
     \x20               [--min-size N] [--mask] [--psi N]\n\
-    \x20               [--mem-budget BYTES[K|M|G]] (cap index-plane memory)\n\
+    \x20               [--mem-budget BYTES[K|M|G]] (routes on resident index\n\
+    \x20               bytes, 7.06 B per text position: an index over the\n\
+    \x20               budget is built and mined in chunks that fit, same\n\
+    \x20               families. Outside it: the build's transient\n\
+    \x20               8 B-per-position sort keys and the process's fixed\n\
+    \x20               footprint, so peak RSS reads higher than BYTES)\n\
     \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
     \x20               partitioned-index chunk size; 0 = from the budget)\n\
-    \x20               [--sketch-mode exact|approx] (approx = LSH candidate\n\
-    \x20               generation from banded min-hash buckets: lossy,\n\
-    \x20               smallest footprint)\n\
-    \x20               [--sketch-k N] [--sketch-bands N] [--sketch-rows N]\n\
-    \x20               [--sketch-width N] [--sketch-seed N]\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
     \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
     \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
@@ -108,12 +105,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--psi", true, CLUSTER),
     ("--mem-budget", true, CLUSTER),
     ("--index-chunk-bytes", true, CLUSTER),
-    ("--sketch-mode", true, CLUSTER),
-    ("--sketch-k", true, CLUSTER),
-    ("--sketch-bands", true, CLUSTER),
-    ("--sketch-rows", true, CLUSTER),
-    ("--sketch-width", true, CLUSTER),
-    ("--sketch-seed", true, CLUSTER),
     ("--checkpoint-dir", true, CHECKPOINT),
     ("--resume", false, CHECKPOINT),
     ("--checkpoint-every", true, CHECKPOINT),
@@ -255,21 +246,6 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     if flag_present(args, "--mask") {
         cluster.mask = Some(MaskParams::default());
     }
-    let default_sketch = SketchParams::default();
-    cluster.sketch = SketchParams {
-        mode: match flag_value(args, "--sketch-mode").as_deref() {
-            None => default_sketch.mode,
-            Some("exact") => SketchMode::Exact,
-            Some("approx") => SketchMode::Approx,
-            Some(other) => return Err(format!("invalid --sketch-mode: {other} (exact|approx)")),
-        },
-        k: parse(args, "--sketch-k", default_sketch.k)?,
-        bands: parse(args, "--sketch-bands", default_sketch.bands)?,
-        rows: parse(args, "--sketch-rows", default_sketch.rows)?,
-        width: parse(args, "--sketch-width", default_sketch.width)?,
-        seed: parse(args, "--sketch-seed", default_sketch.seed)?,
-        ..default_sketch
-    };
     let config = PipelineConfig {
         cluster,
         reduction: match domain_w {
@@ -492,14 +468,18 @@ mod tests {
             "--poll-ms",
             "--shards",
             "--sketch-banding",
+            "--sketch-mode",
+            "--sketch-k",
+            "--sketch-bands",
+            "--sketch-rows",
+            "--sketch-width",
+            "--sketch-seed",
         ] {
             for cmd in CLUSTER {
                 let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
                 assert!(err.contains(gone), "{err}");
             }
         }
-        let err = pipeline_config(&argv("in.fasta --sketch-mode hybrid")).unwrap_err();
-        assert!(err.contains("invalid --sketch-mode: hybrid"), "{err}");
     }
 
     #[test]
@@ -539,7 +519,7 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert_eq!(known.len(), 24);
+        assert_eq!(known.len(), 18);
 
         // `cluster` and `run` are one program: `run` takes what `cluster`
         // takes, plus the five flags that need a checkpoint directory.
@@ -563,8 +543,7 @@ mod tests {
         // One command line per subcommand carrying every flag it is
         // documented with.
         let cluster = "in.fasta --out f.tsv --tau 0.4 --domain 10 --min-size 3 --mask --psi 8 \
-                       --mem-budget 64M --index-chunk-bytes 4K --sketch-mode approx --sketch-k 5 \
-                       --sketch-bands 8 --sketch-rows 2 --sketch-width 16 --sketch-seed 7";
+                       --mem-budget 64M --index-chunk-bytes 4K";
         check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
         let run = format!(

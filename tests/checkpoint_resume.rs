@@ -219,8 +219,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 5u32.to_le_bytes(), "this build writes version 5");
-    for old in [2u32, 3, 4] {
+    assert_eq!(bytes[4..8], 6u32.to_le_bytes(), "this build writes version 6");
+    for old in [2u32, 3, 4, 5] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -235,28 +235,32 @@ fn a_version_2_checkpoint_is_refused() {
 
 #[test]
 fn a_version_4_directory_is_refused_before_any_phase_runs() {
-    // v4 and v5 files are laid out alike, but a v4 plan pin counts bytes
-    // of the 16-byte-per-position index estimate: under today's estimate
-    // it cuts other chunks, and the cursor would replay another pair
-    // order. A whole v4 directory stops at its first file, untouched.
+    // v4, v5 and v6 files are laid out alike, but a v4 plan pin counts
+    // bytes of the 16-byte-per-position index estimate: under today's
+    // estimate it cuts other chunks, and the cursor would replay another
+    // pair order; a v5 fingerprint folds the sketch mode, and a v5 pin may
+    // name the sketch stream. A whole older directory stops at its first
+    // file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("v4-v5"), 0, 1);
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
-    let planted: Vec<Vec<u8>> = paths
-        .iter()
-        .map(|path| {
-            let mut bytes = std::fs::read(path).expect("read a snapshot");
-            assert_eq!(bytes[4..8], pfam::core::checkpoint::VERSION.to_le_bytes());
-            bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
-            std::fs::write(path, &bytes).expect("rewrite as version 4");
-            bytes
-        })
-        .collect();
-    assert!(matches!(resume_error(&d.set, &config, &hooks), CkptError::BadVersion(4)));
-    for (path, bytes) in paths.iter().zip(&planted) {
-        assert_eq!(&std::fs::read(path).expect("still there"), bytes, "no phase ran");
+    for old in [4u32, 5] {
+        let planted: Vec<Vec<u8>> = paths
+            .iter()
+            .map(|path| {
+                let mut bytes = std::fs::read(path).expect("read a snapshot");
+                bytes[4..8].copy_from_slice(&old.to_le_bytes());
+                std::fs::write(path, &bytes).expect("rewrite as an older version");
+                bytes
+            })
+            .collect();
+        let err = resume_error(&d.set, &config, &hooks);
+        assert!(matches!(err, CkptError::BadVersion(v) if v == old), "{err}");
+        for (path, bytes) in paths.iter().zip(&planted) {
+            assert_eq!(&std::fs::read(path).expect("still there"), bytes, "no phase ran");
+        }
     }
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }

@@ -5,7 +5,7 @@ mod common;
 use std::collections::HashSet;
 
 use common::{assert_same_result, hooks_in, resume, run_until, scratch_dir};
-use pfam::cluster::{run_ccd, run_redundancy_removal, SketchMode, SketchParamError, SketchParams};
+use pfam::cluster::{run_ccd, run_redundancy_removal};
 use pfam::core::{
     evaluate, run_pipeline, stream_components, Phase, PipelineConfig, PipelineError, PipelineHooks,
     Reduction, TableOneRow,
@@ -268,8 +268,8 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
 fn one_body_whatever_it_keeps_on_disk() {
     // The pipeline without a directory, with one, and killed after each
     // phase and resumed: one result, through the same work — on every
-    // route through the front half and both back-half supplies. (A third
-    // of the usual corpus: 4 KiB chunks make the task count quadratic.)
+    // route through the front half. (A third of the usual corpus: 4 KiB
+    // chunks make the task count quadratic.)
     let d = SyntheticDataset::generate(&DatasetConfig {
         n_families: 3,
         n_members: 30,
@@ -278,8 +278,6 @@ fn one_body_whatever_it_keeps_on_disk() {
     });
     let base = PipelineConfig::for_tests();
     let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
-    let mut approx = base.clone();
-    approx.cluster.sketch = SketchParams { mode: SketchMode::Approx, ..SketchParams::default() };
     let mut masked = base.clone();
     masked.cluster.mask = Some(pfam::seq::complexity::MaskParams::default());
     let configs = [
@@ -287,7 +285,6 @@ fn one_body_whatever_it_keeps_on_disk() {
         ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
         ("chunks", base.clone().with_index_chunk_bytes(4 << 10)),
         ("mask", masked),
-        ("approx", approx),
         ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
     ];
     for (name, config) in configs {
@@ -315,15 +312,9 @@ fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
         b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
     }
     let set = b.finish();
-    let mut unsketchable = PipelineConfig::for_tests();
-    unsketchable.cluster.sketch =
-        SketchParams { mode: SketchMode::Approx, k: 5, ..SketchParams::default() };
     let starved = PipelineConfig::for_tests().with_mem_budget(8);
     let dir = scratch_dir("refused");
     for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
-        let err = run_pipeline(&set, &unsketchable, &hooks).unwrap_err();
-        let want = SketchParamError::KmerExceedsShortest { k: 5, shortest: 3 };
-        assert!(matches!(err, PipelineError::Sketch(e) if e == want), "{err}");
         let err = run_pipeline(&set, &starved, &hooks).unwrap_err();
         assert!(matches!(&err, PipelineError::Budget(e) if e.what == "partitioned-gsa"), "{err}");
     }
