@@ -1,14 +1,9 @@
 //! BGG→DSD back-half benchmark on one component population (a front
 //! half's output), emitting a machine-readable `BENCH_bgg_dsd.json`
-//! alongside `BENCH_index.json` and `BENCH_align.json`:
-//!
-//! * the barrier data flow (all component graphs, then all dense-subgraph
-//!   detection) vs the fused streaming executor, both mining each
-//!   component's own suffix index;
-//! * the streaming executor under its two pair supplies — mined per
-//!   component vs built from what the front half already knows (CCD's
-//!   edges and deferred pairs, RR's pair ledger) — with the fills and DP
-//!   cells each costs.
+//! alongside `BENCH_index.json` and `BENCH_align.json`: the fused executor
+//! under its two pair supplies — mined per component vs built from what
+//! the front half already knows (CCD's edges and deferred pairs, RR's pair
+//! ledger) — with the fills and DP cells each costs.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin bgg_dsd_bench [scale]
@@ -17,25 +12,22 @@
 //!
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
-//! that all three produce identical graphs and families.
+//! that both produce identical graphs and families.
 
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
 };
 use pfam_cluster::{run_front_half, KnownPairs};
-use pfam_core::{
-    barrier_components, stream_components, stream_graphs, ComponentOutput, PipelineConfig,
-};
+use pfam_core::{stream_components, stream_graphs, ComponentOutput, PipelineConfig};
 use pfam_seq::SeqId;
 
-/// Same graphs, families and shingle counters — and, when both sides got
-/// their pairs the same way, the same alignment work.
-fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput], same_supply: bool) -> bool {
+/// Same graphs, families and shingle counters (the alignment work is what
+/// the supplies differ in).
+fn outputs_identical(a: &[ComponentOutput], b: &[ComponentOutput]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.graph.members == y.graph.members
                 && x.graph.graph == y.graph.graph
-                && (!same_supply || x.record == y.record)
                 && x.subgraphs == y.subgraphs
                 && x.stats == y.stats
         })
@@ -83,12 +75,11 @@ fn main() {
     assert!(!queue.is_empty(), "dataset produced no components to stream");
     eprintln!("bgg_dsd_bench: {} components queued", queue.len());
 
-    // ---- Barrier vs streaming executor, both mining per component. ----
-    let (barrier_s, barrier_out) = time_min(reps, || barrier_components(set, &config, &queue));
-    let (stream_s, stream_out) = time_min(reps, || stream_components(set, &config, &queue));
+    // ---- The executor mining each component's own suffix index. ----
+    let (mined_s, mined_out) = time_min(reps, || stream_components(set, &config, &queue));
 
-    // ---- The streaming executor on what the front half already knows
-    // (grouping CCD's pairs by component is part of the bill). ----
+    // ---- The executor on what the front half already knows (grouping
+    // CCD's pairs by component is part of the bill). ----
     let (known_s, known_out) = time_min(reps, || {
         let (cluster, deferred) = (&config.cluster, ccd.deferred.clone());
         let known = KnownPairs::new(
@@ -106,14 +97,12 @@ fn main() {
             &config,
             selected.len(),
             |i| known.n_deferred(selected[i]),
-            |i, scratch| known.component_graph(selected[i], scratch),
+            |i| known.component_graph(selected[i]),
         )
     });
-    let identical = outputs_identical(&stream_out, &barrier_out, true)
-        && outputs_identical(&known_out, &stream_out, false);
+    let identical = outputs_identical(&known_out, &mined_out);
     assert!(identical, "the back half's outputs depend on how it ran — this is a bug");
 
-    let n_components = queue.len() as f64;
     let cores = detected_cores();
     let json = format!(
         concat!(
@@ -125,9 +114,6 @@ fn main() {
             "  \"reps\": {reps},\n",
             "  {cores_field},\n",
             "  \"outputs_identical\": {identical},\n",
-            "  \"barrier\": {{ \"seconds\": {bs:.6}, \"components_per_sec\": {bcps:.1} }},\n",
-            "  \"streaming\": {{ \"seconds\": {ss:.6}, \"components_per_sec\": {scps:.1} }},\n",
-            "  {streaming_speedup},\n",
             "  \"supply_mined\": {{ {mined} }},\n",
             "  \"supply_known\": {{ {known} }},\n",
             "  {known_speedup}\n",
@@ -139,20 +125,11 @@ fn main() {
         reps = reps,
         cores_field = cores_field(cores),
         identical = identical,
-        bs = barrier_s,
-        bcps = n_components / barrier_s,
-        ss = stream_s,
-        scps = n_components / stream_s,
-        streaming_speedup = claim_f64(cores, "streaming_speedup", barrier_s / stream_s),
-        mined = supply_fields(stream_s, &stream_out),
+        mined = supply_fields(mined_s, &mined_out),
         known = supply_fields(known_s, &known_out),
-        known_speedup = claim_f64(cores, "known_supply_speedup", stream_s / known_s),
+        known_speedup = claim_f64(cores, "known_supply_speedup", mined_s / known_s),
     );
 
-    eprintln!(
-        "bgg_dsd_bench: {:.2}x streaming vs barrier, {:.2}x known vs mined supply",
-        barrier_s / stream_s,
-        stream_s / known_s
-    );
+    eprintln!("bgg_dsd_bench: {:.2}x known vs mined supply", mined_s / known_s);
     emit("bgg_dsd", &json, args.smoke);
 }

@@ -51,80 +51,51 @@ impl ComponentGraph {
     }
 }
 
-/// Reusable per-worker buffers for repeated graph builds: the slice being
-/// verified, accepted edges, and the CSR pair staging area. Grow-only, so
-/// a worker processing components largest-first allocates only on its
-/// first (largest) component.
-#[derive(Debug, Default)]
-pub struct BggScratch {
-    slice: Vec<(u32, u32)>,
-    edges: Vec<(u32, u32)>,
-    csr_pairs: Vec<(u32, u32)>,
-}
-
-impl BggScratch {
-    /// Verify `pairs` over `set` slice by slice: each slice's work is
-    /// folded into `record` and its accepted pairs — as the `local` index
-    /// of each end — into the edge list before the next slice is drawn.
-    fn verify(
-        &mut self,
-        verifier: &Verifier,
-        set: &dyn SeqStore,
-        pairs: &mut impl Iterator<Item = (u32, u32)>,
-        local: impl Fn(u32) -> u32,
-        record: &mut BatchRecord,
-    ) {
-        loop {
-            self.slice.clear();
-            self.slice.extend(pairs.by_ref().take(VERIFY_SLICE));
-            if self.slice.is_empty() {
-                return;
-            }
-            record.n_generated += self.slice.len();
-            for v in verifier.verify(set, &self.slice, VerifyOn::Pool) {
-                record.note_verdict(&v);
-                if v.accept {
-                    self.edges.push((local(v.a), local(v.b)));
-                }
+/// Verify `pairs` over `set` slice by slice: each slice's work is folded
+/// into `record` and its accepted pairs — as the `local` index of each end
+/// — into `edges` before the next slice is drawn.
+fn verify_into(
+    verifier: &Verifier,
+    set: &dyn SeqStore,
+    mut pairs: impl Iterator<Item = (u32, u32)>,
+    local: impl Fn(u32) -> u32,
+    record: &mut BatchRecord,
+    edges: &mut Vec<(u32, u32)>,
+) {
+    let mut slice = Vec::new();
+    loop {
+        slice.clear();
+        slice.extend(pairs.by_ref().take(VERIFY_SLICE));
+        if slice.is_empty() {
+            return;
+        }
+        record.n_generated += slice.len();
+        for v in verifier.verify(set, &slice, VerifyOn::Pool) {
+            record.note_verdict(&v);
+            if v.accept {
+                edges.push((local(v.a), local(v.b)));
             }
         }
-    }
-
-    /// The graph of the edges gathered over `members`.
-    fn finish(&mut self, members: Vec<SeqId>) -> ComponentGraph {
-        let graph = CsrGraph::from_edges_reusing(members.len(), &self.edges, &mut self.csr_pairs);
-        ComponentGraph { graph, members }
     }
 }
 
 /// Build the similarity graph of one component from its members alone.
 ///
+/// The members are indexed on their own (local ids `0..k`, materialized
+/// through the store trait so a paged store reads just this component's
+/// pages; a refused `bgg-gsa` reservation degrades to accounting-only) and
+/// every ψ_ccd pair of that index is verified: a modified PaCE pass with
+/// the maximal-match heuristic and no closure filter, as in the paper.
 /// Returns the graph plus the alignment work performed (for the trace).
 pub fn component_graph(
     set: &dyn SeqStore,
     members: &[SeqId],
     config: &ClusterConfig,
 ) -> (ComponentGraph, BatchRecord) {
-    component_graph_with(set, members, config, &mut BggScratch::default())
-}
-
-/// [`component_graph`] through a worker's [`BggScratch`] — identical
-/// output, no per-component buffer allocation at steady state. The
-/// members are indexed on their own (local ids `0..k`, materialized
-/// through the store trait so a paged store reads just this component's
-/// pages; a refused `bgg-gsa` reservation degrades to accounting-only) and
-/// every ψ_ccd pair of that index is verified: a modified PaCE pass with
-/// the maximal-match heuristic and no closure filter, as in the paper.
-pub fn component_graph_with(
-    set: &dyn SeqStore,
-    members: &[SeqId],
-    config: &ClusterConfig,
-    scratch: &mut BggScratch,
-) -> (ComponentGraph, BatchRecord) {
     let mut sorted: Vec<SeqId> = members.to_vec();
     sorted.sort_unstable();
     let mut record = BatchRecord::default();
-    scratch.edges.clear();
+    let mut edges = Vec::new();
     if sorted.len() > 1 {
         let subset = materialize_subset(set, &sorted);
         let index_bytes = estimated_index_bytes(subset.total_residues(), subset.len());
@@ -132,11 +103,11 @@ pub fn component_graph_with(
         let verifier = Verifier::new(config, CorePhase::Ccd);
         // One thread: components already run side by side in the back half.
         with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, |tree, matches| {
-            let mut pairs = MaximalMatchGenerator::new(tree, matches).map(|p| (p.a.0, p.b.0));
-            scratch.verify(&verifier, &subset, &mut pairs, |local| local, &mut record)
+            let pairs = MaximalMatchGenerator::new(tree, matches).map(|p| (p.a.0, p.b.0));
+            verify_into(&verifier, &subset, pairs, |local| local, &mut record, &mut edges)
         });
     }
-    (scratch.finish(sorted), record)
+    (ComponentGraph { graph: CsrGraph::from_edges(sorted.len(), &edges), members: sorted }, record)
 }
 
 /// What a finished front half knows about the ψ_ccd pairs inside its
@@ -241,19 +212,16 @@ impl<'a> KnownPairs<'a> {
 
     /// The similarity graph of component `c` (members as `input` ids):
     /// CCD's edges inside it plus its deferred pairs that verify.
-    pub fn component_graph(
-        &self,
-        c: usize,
-        scratch: &mut BggScratch,
-    ) -> (ComponentGraph, BatchRecord) {
+    pub fn component_graph(&self, c: usize) -> (ComponentGraph, BatchRecord) {
         let local = |id: u32| self.local_of[id as usize];
-        scratch.edges.clear();
-        scratch.edges.extend(self.edges.of(c).iter().map(|&(a, b)| (local(a), local(b))));
+        let mut edges: Vec<(u32, u32)> =
+            self.edges.of(c).iter().map(|&(a, b)| (local(a), local(b))).collect();
         let mut record = BatchRecord::default();
-        let mut pairs = self.deferred.of(c).iter().copied();
-        scratch.verify(&self.verifier, &self.store, &mut pairs, local, &mut record);
-        let members = self.components[c].iter().map(|&id| self.store.original_id(id)).collect();
-        (scratch.finish(members), record)
+        let pairs = self.deferred.of(c).iter().copied();
+        verify_into(&self.verifier, &self.store, pairs, local, &mut record, &mut edges);
+        let members: Vec<SeqId> =
+            self.components[c].iter().map(|&id| self.store.original_id(id)).collect();
+        (ComponentGraph { graph: CsrGraph::from_edges(members.len(), &edges), members }, record)
     }
 }
 

@@ -5,9 +5,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use pfam_cluster::{
-    component_graph, BggScratch, CcdResult, ClusterConfig, KnownPairs, PairLedger, PairSource,
-};
+use pfam_cluster::{component_graph, CcdResult, ClusterConfig, KnownPairs, PairLedger, PairSource};
 use pfam_seq::{SeqId, SequenceSet};
 use pfam_suffix::MatchPair;
 
@@ -59,12 +57,11 @@ pub fn assert_known_graphs_equal_mined(
 ) -> (usize, usize) {
     let deferred = ccd.deferred.clone();
     let known = KnownPairs::new(set, cfg, kept, ledger, &ccd.components, &ccd.edges, deferred, 0);
-    let mut scratch = BggScratch::default();
     let (mut fills, mut hits) = (0, 0);
     for (c, members) in ccd.components.iter().enumerate() {
         let members: Vec<SeqId> = members.iter().map(|&id| kept[id.index()]).collect();
         let (want, mined) = component_graph(set, &members, cfg);
-        let (got, record) = known.component_graph(c, &mut scratch);
+        let (got, record) = known.component_graph(c);
         assert_eq!(got.members, want.members, "{what}: component {c}");
         assert_eq!(got.graph, want.graph, "{what}: component {c}");
         assert_eq!(record.n_generated, known.n_deferred(c));

@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd, BggScratch, ClusterConfig, CorePhase, KnownPairs, MemParams, PairLedger, Verifier,
-    VerifyOn,
+    run_ccd, ClusterConfig, CorePhase, KnownPairs, MemParams, PairLedger, Verifier, VerifyOn,
 };
 use pfam_datagen::{random_peptide, DatasetConfig, MutationModel, SyntheticDataset};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
@@ -167,9 +166,9 @@ fn deferred_pairs_of_a_component_under_the_minimum_are_neither_held_nor_filled()
         );
         assert_eq!((known.n_deferred(large), known.n_deferred(tiny)), (n_large, n_tiny));
         assert_eq!(budget.used() - before, 8 * (n_large + n_tiny) as u64, "8 B a pair held");
-        let (graph, record) = known.component_graph(large, &mut BggScratch::default());
+        let (graph, record) = known.component_graph(large);
         assert_eq!((graph.graph.n_edges(), record.n_aligned), (10, n_large), "all C(5,2) edges");
-        let (_, record) = known.component_graph(tiny, &mut BggScratch::default());
+        let (_, record) = known.component_graph(tiny);
         assert_eq!(record.n_aligned, n_tiny, "min_size {min_size}: the tiny component's fills");
         drop(known);
         assert_eq!(budget.used(), before, "released with the pairs");

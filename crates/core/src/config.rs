@@ -60,9 +60,8 @@ impl PipelineConfig {
     }
 
     /// Cap the index plane's working memory at `bytes`: the GSA goes
-    /// partitioned when the monolithic index would not fit, and the
-    /// shingle rank tables fall back to per-set hashing when refused.
-    /// Results are bit-identical for every cap; `0` removes the limit.
+    /// partitioned when the monolithic index would not fit. Results are
+    /// bit-identical for every cap; `0` removes the limit.
     pub fn with_mem_budget(mut self, bytes: u64) -> PipelineConfig {
         self.cluster.mem.budget = if bytes == 0 {
             pfam_seq::MemoryBudget::unlimited()

@@ -17,10 +17,10 @@
 //!   ([`run_pipeline`]; [`PipelineHooks`] say what it keeps on disk),
 //!   parallel inside each phase, with full work-trace capture for
 //!   `pfam-sim`.
-//! * [`executor`] — the fused, streaming BGG→DSD back half: components
-//!   flow from CCD straight through graph construction into dense-subgraph
-//!   detection, largest-first, on per-worker arenas (no barrier, no
-//!   steady-state allocation), plus the barrier reference path.
+//! * [`executor`] — the fused BGG→DSD back half: components flow from CCD
+//!   straight through graph construction into dense-subgraph detection,
+//!   heaviest first, one component per worker, no barrier between the
+//!   phases.
 //! * [`report`] — Table-I-style summaries.
 //! * [`quality`] — precision / sensitivity / overlap quality / correlation
 //!   against a benchmark clustering.
@@ -47,7 +47,7 @@ pub mod validate;
 
 pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
-pub use executor::{barrier_components, stream_components, stream_graphs, ComponentOutput};
+pub use executor::{stream_components, stream_graphs, ComponentOutput};
 pub use pipeline::{
     run_pipeline, CheckpointConfig, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult,
 };

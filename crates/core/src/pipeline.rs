@@ -2,10 +2,8 @@
 //! components → bipartite graph generation → dense subgraph detection.
 //!
 //! Phases 3 and 4 run fused: the component queue flows through the
-//! streaming executor ([`crate::executor`]) with no barrier between graph
-//! construction and dense-subgraph detection
-//! ([`crate::executor::barrier_components`] keeps the phase-at-a-time
-//! data flow as the identity reference).
+//! executor ([`crate::executor`]) with no barrier between graph
+//! construction and dense-subgraph detection.
 //!
 //! A pair's verdict is a fact of the run, not of a phase: RR's fills leave
 //! the overlap answers in a [`PairLedger`], CCD keeps the pairs its closure
@@ -132,7 +130,7 @@ pub enum PipelineError {
     /// Even the smallest partitioned index task (one chunk per sequence)
     /// does not fit the memory budget. A run that passes this check
     /// degrades gracefully inside: the index plane picks chunk sizes that
-    /// fit, and the rank tables fall back to per-set hashing when refused.
+    /// fit.
     Budget(BudgetError),
     /// A snapshot could not be written, read back, or trusted.
     Checkpoint(CkptError),
@@ -325,7 +323,7 @@ impl<'a> BackHalf<'a> {
             config,
             queue.len(),
             |i| self.known.n_deferred(queue[i]),
-            |i, scratch| self.known.component_graph(queue[i], scratch),
+            |i| self.known.component_graph(queue[i]),
         )
     }
 

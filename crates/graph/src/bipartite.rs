@@ -30,9 +30,8 @@ impl BipartiteGraph {
         BipartiteGraph::from_pairs_in(n_left, n_right, &mut pairs)
     }
 
-    /// [`BipartiteGraph::from_edges`] consuming a caller-owned pair buffer
-    /// in place (sorted and deduplicated inside it) — identical output,
-    /// and `pairs` keeps its capacity for the next component.
+    /// [`BipartiteGraph::from_edges`] on a caller-owned pair buffer, sorted
+    /// and deduplicated in place — identical output, no copy of the list.
     pub fn from_pairs_in(
         n_left: usize,
         n_right: usize,
@@ -57,22 +56,12 @@ impl BipartiteGraph {
     /// The `Bd` reduction of an undirected graph: both sides are the vertex
     /// set of `g`, and each undirected edge contributes both directions.
     pub fn duplicate_from(g: &CsrGraph) -> BipartiteGraph {
-        BipartiteGraph::duplicate_from_with(g, &mut Vec::with_capacity(2 * g.n_edges()))
-    }
-
-    /// [`BipartiteGraph::duplicate_from`] staging the directed pair list
-    /// in a caller-owned buffer — identical output, no fresh allocation at
-    /// steady state.
-    pub fn duplicate_from_with(g: &CsrGraph, pairs: &mut Vec<(u32, u32)>) -> BipartiteGraph {
         let n = g.n_vertices();
-        pairs.clear();
-        pairs.reserve(2 * g.n_edges());
+        let mut pairs = Vec::with_capacity(2 * g.n_edges());
         for v in 0..n as u32 {
-            for &u in g.neighbors(v) {
-                pairs.push((v, u));
-            }
+            pairs.extend(g.neighbors(v).iter().map(|&u| (v, u)));
         }
-        BipartiteGraph::from_pairs_in(n, n, pairs)
+        BipartiteGraph::from_pairs_in(n, n, &mut pairs)
     }
 
     /// The `Bm` reduction: left vertices are the `w`-length words occurring
@@ -211,22 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_reusing_constructors_identical() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (3, 4)]);
-        let mut pairs = Vec::new();
-        assert_eq!(
-            BipartiteGraph::duplicate_from_with(&g, &mut pairs),
-            BipartiteGraph::duplicate_from(&g)
-        );
-        let cap = pairs.capacity();
-        // Reuse across components of descending size: no reallocation.
-        let small = CsrGraph::from_edges(2, &[(0, 1)]);
-        assert_eq!(
-            BipartiteGraph::duplicate_from_with(&small, &mut pairs),
-            BipartiteGraph::duplicate_from(&small)
-        );
-        assert_eq!(pairs.capacity(), cap);
-        // from_pairs_in with duplicated input pairs dedups like from_edges.
+    fn from_pairs_in_dedups_like_from_edges() {
         let mut raw = vec![(0u32, 1u32), (0, 1), (1, 2)];
         assert_eq!(
             BipartiteGraph::from_pairs_in(2, 3, &mut raw),

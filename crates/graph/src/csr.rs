@@ -17,19 +17,7 @@ impl CsrGraph {
     /// are dropped, duplicate edges collapsed, and each surviving edge
     /// `{a, b}` is stored in both adjacency rows.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
-        CsrGraph::from_edges_reusing(n, edges, &mut Vec::with_capacity(edges.len() * 2))
-    }
-
-    /// [`CsrGraph::from_edges`] staging the doubled pair list in a
-    /// caller-owned buffer — identical output; `pairs` keeps its capacity
-    /// for the next build (the per-worker arena pattern).
-    pub fn from_edges_reusing(
-        n: usize,
-        edges: &[(u32, u32)],
-        pairs: &mut Vec<(u32, u32)>,
-    ) -> CsrGraph {
-        pairs.clear();
-        pairs.reserve(edges.len() * 2);
+        let mut pairs = Vec::with_capacity(edges.len() * 2);
         for &(a, b) in edges {
             assert!((a as usize) < n && (b as usize) < n, "edge ({a},{b}) out of range");
             if a == b {
@@ -41,7 +29,7 @@ impl CsrGraph {
         pairs.sort_unstable();
         pairs.dedup();
         let mut offsets = vec![0usize; n + 1];
-        for &(a, _) in pairs.iter() {
+        for &(a, _) in &pairs {
             offsets[a as usize + 1] += 1;
         }
         for i in 0..n {
@@ -170,23 +158,5 @@ mod tests {
     fn neighbors_sorted() {
         let g = CsrGraph::from_edges(5, &[(2, 4), (2, 0), (2, 3), (2, 1)]);
         assert_eq!(g.neighbors(2), &[0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn reusing_constructor_identical_and_keeps_capacity() {
-        let mut pairs = Vec::new();
-        let edge_sets: [&[(u32, u32)]; 3] =
-            [&[(0, 1), (1, 2), (2, 0), (4, 5)], &[(0, 1), (1, 0), (0, 1), (2, 2)], &[]];
-        for edges in edge_sets {
-            let n = 6;
-            assert_eq!(
-                CsrGraph::from_edges_reusing(n, edges, &mut pairs),
-                CsrGraph::from_edges(n, edges)
-            );
-        }
-        let cap = pairs.capacity();
-        assert!(cap >= 8, "buffer retains its high-water capacity");
-        let _ = CsrGraph::from_edges_reusing(3, &[(0, 1)], &mut pairs);
-        assert_eq!(pairs.capacity(), cap, "no reallocation below the high-water mark");
     }
 }

@@ -1,11 +1,11 @@
 //! Explicit memory-budget accounting for the index plane.
 //!
 //! Every large allocation in the pipeline — suffix-array text, LCP
-//! arrays, rank tables, shingle arenas, paged-store caches — registers
+//! arrays, the pair ledger, deferred pairs, paged-store caches — registers
 //! against a shared [`MemoryBudget`] before it materialises. Over-budget
 //! construction is a *typed error* ([`BudgetError`]), never an abort: the
-//! caller decides whether to degrade (smaller index chunks, per-set
-//! hashing instead of a rank table) or to propagate.
+//! caller decides whether to degrade (smaller index chunks,
+//! accounting-only) or to propagate.
 //!
 //! Accounting is RAII: [`MemoryBudget::try_reserve`] returns a
 //! [`Reservation`] that releases its bytes on drop, so a failed or
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 /// A reservation request that would exceed the configured limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetError {
-    /// What tried to allocate (e.g. `"gsa-index"`, `"rank-table"`).
+    /// What tried to allocate (e.g. `"gsa-index"`, `"pair-ledger"`).
     pub what: &'static str,
     /// Bytes the failed reservation asked for.
     pub requested: u64,

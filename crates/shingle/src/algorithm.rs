@@ -11,17 +11,11 @@
 //!   `A` = left vertices contributing a first-level shingle, `B` = union
 //!   of the first-level shingles' constituent right vertices.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use pfam_graph::{BipartiteGraph, UnionFind};
-use pfam_seq::{MemoryBudget, Reservation};
 
-use crate::minwise::{
-    shingle_set_from_table, shingle_set_with, HashFamily, RankTable, Shingle, ShingleScratch,
-};
+use crate::minwise::{shingle_set_with, HashFamily, Shingle, ShingleScratch};
 
 /// Parameters of the two passes. The paper's tuned setting for its data is
 /// `(s, c) = (5, 300)` for pass I; pass II uses a coarser, cheaper setting.
@@ -70,7 +64,7 @@ pub struct ShingleStats {
 
 impl ShingleStats {
     /// Fold `other`'s counters into `self` — the one accumulation point
-    /// shared by the streaming, barrier, and checkpointed pipelines.
+    /// of the pipeline, its checkpointed form and the benchmark adapter.
     pub fn absorb(&mut self, other: &ShingleStats) {
         self.pass1_shingles += other.pass1_shingles;
         self.distinct_s1 += other.distinct_s1;
@@ -81,75 +75,6 @@ impl ShingleStats {
 
 /// Pass II derives its permutations from an independent seed stream.
 const PASS2_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
-
-/// Default rank-table ceiling when no memory budget is configured:
-/// 64 MiB, the historical 2²³-entry cap. A *limited* budget replaces this
-/// constant entirely — the shared [`MemoryBudget`] ledger (the same one
-/// the index plane reserves against) decides whether a table fits, so
-/// `--mem-budget` governs rank tables too.
-const DEFAULT_TABLE_BYTES: u64 = 64 << 20;
-
-/// Take the rank-table path only if the table's bytes fit the memory
-/// ledger (or, unbudgeted, the default ceiling); the returned reservation
-/// is held while the table is live for the pass. `None` sends the pass
-/// down the per-set batched-hashing path, which is bit-identical in
-/// output.
-fn try_table(budget: &MemoryBudget, c: usize, n: usize) -> Option<Reservation> {
-    // Entry-count overflow means the table is unrepresentable regardless
-    // of any budget.
-    c.checked_mul(n)?;
-    let bytes = RankTable::bytes_for(c, n);
-    if !budget.is_limited() && bytes > DEFAULT_TABLE_BYTES {
-        return None;
-    }
-    budget.try_reserve("rank-table", bytes).ok()
-}
-
-thread_local! {
-    /// Per-worker scratch for the parallel passes: each OS thread reuses
-    /// its buffers across every item it draws from the work queue.
-    static SCRATCH: RefCell<ShingleScratch> = RefCell::new(ShingleScratch::new());
-}
-
-/// Reusable per-worker state for serial, repeated Shingle runs — the
-/// arena the streaming BGG→DSD executor holds per worker so steady-state
-/// component processing allocates nothing: the batched-rank scratch plus
-/// one rank table per pass, all grow-only.
-#[derive(Debug)]
-pub struct ShingleArena {
-    budget: MemoryBudget,
-    scratch: ShingleScratch,
-    table1: RankTable,
-    table2: RankTable,
-}
-
-impl ShingleArena {
-    /// Empty arena with an unlimited budget.
-    pub fn new() -> ShingleArena {
-        ShingleArena {
-            budget: MemoryBudget::unlimited(),
-            scratch: ShingleScratch::new(),
-            table1: RankTable::new(),
-            table2: RankTable::new(),
-        }
-    }
-
-    /// Register this arena's rank tables against `budget`: each pass
-    /// reserves its table's bytes before building it and falls back to
-    /// per-set batched hashing — bit-identical output — when the
-    /// reservation is refused. What a per-worker executor calls to point
-    /// its thread-local arena at the pipeline's budget (a cheap handle
-    /// clone; the accounting is shared).
-    pub fn set_budget(&mut self, budget: MemoryBudget) {
-        self.budget = budget;
-    }
-}
-
-impl Default for ShingleArena {
-    fn default() -> Self {
-        ShingleArena::new()
-    }
-}
 
 /// Group per-vertex first-level shingles by id into the stable
 /// `(id, elements, vertices)` numbering both passes agree on.
@@ -226,140 +151,31 @@ fn report_clusters(
     clusters
 }
 
-/// Run the two-pass Shingle algorithm on `graph`.
+/// Run the two-pass Shingle algorithm on `graph`, serially: the pipeline's
+/// parallelism is across components, one component per worker.
 ///
 /// Returns clusters with `|A| ≥ 1` and `|B| ≥ 1`, ordered by decreasing
-/// `|B|`, plus work counters. When the `c × universe` rank table fits the
-/// memory ceiling each `(permutation, element)` pair is hashed once per
-/// pass and gathered thereafter.
+/// `|B|`, plus work counters.
 pub fn shingle_clusters(
     graph: &BipartiteGraph,
     params: &ShingleParams,
 ) -> (Vec<BipartiteCluster>, ShingleStats) {
-    shingle_clusters_budgeted(graph, params, &MemoryBudget::unlimited())
-}
-
-/// [`shingle_clusters`] with the rank tables registered against `budget`:
-/// each pass reserves its table's bytes for the duration of the pass and
-/// falls back to per-set batched hashing when refused. Output is
-/// bit-identical to the unbudgeted run regardless of which path each pass
-/// takes.
-pub fn shingle_clusters_budgeted(
-    graph: &BipartiteGraph,
-    params: &ShingleParams,
-    budget: &MemoryBudget,
-) -> (Vec<BipartiteCluster>, ShingleStats) {
     let mut stats = ShingleStats::default();
+    let mut scratch = ShingleScratch::new();
 
-    // ---- Pass I (parallel over left vertices). ----
+    // ---- Pass I over left vertices (elements are right vertices). ----
     let fam1 = HashFamily::new(params.c1, params.seed);
-    let per_vertex: Vec<Vec<Shingle>> =
-        if let Some(_held) = try_table(budget, params.c1, graph.n_right()) {
-            let mut table = RankTable::new();
-            table.rebuild(&fam1, graph.n_right());
-            let table = &table;
-            (0..graph.n_left() as u32)
-                .into_par_iter()
-                .map(|v| {
-                    SCRATCH.with(|s| {
-                        shingle_set_from_table(
-                            graph.out_links(v),
-                            table,
-                            params.s1,
-                            &mut s.borrow_mut(),
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            (0..graph.n_left() as u32)
-                .into_par_iter()
-                .map(|v| {
-                    SCRATCH.with(|s| {
-                        shingle_set_with(graph.out_links(v), &fam1, params.s1, &mut s.borrow_mut())
-                    })
-                })
-                .collect()
-        };
+    let per_vertex: Vec<Vec<Shingle>> = (0..graph.n_left() as u32)
+        .map(|v| shingle_set_with(graph.out_links(v), &fam1, params.s1, &mut scratch))
+        .collect();
     let s1_list = group_pass1(per_vertex, &mut stats);
 
     // ---- Pass II over first-level shingles (elements are left vertices). ----
     let fam2 = HashFamily::new(params.c2, params.seed ^ PASS2_SEED_XOR);
-    let second: Vec<Vec<Shingle>> = if let Some(_held) =
-        try_table(budget, params.c2, graph.n_left())
-    {
-        let mut table = RankTable::new();
-        table.rebuild(&fam2, graph.n_left());
-        let table = &table;
-        s1_list
-            .par_iter()
-            .map(|(_, _, vertices)| {
-                SCRATCH.with(|s| {
-                    shingle_set_from_table(vertices, table, params.s2, &mut s.borrow_mut())
-                })
-            })
-            .collect()
-    } else {
-        s1_list
-            .par_iter()
-            .map(|(_, _, vertices)| {
-                SCRATCH.with(|s| shingle_set_with(vertices, &fam2, params.s2, &mut s.borrow_mut()))
-            })
-            .collect()
-    };
-
-    let clusters = report_clusters(&s1_list, &second, &mut stats);
-    (clusters, stats)
-}
-
-/// [`shingle_clusters`] as a serial pass over one worker's [`ShingleArena`]
-/// — bit-identical output, zero steady-state allocation in the rank path.
-///
-/// This is the form the streaming BGG→DSD executor calls: outer
-/// parallelism is over components, so the per-component Shingle run stays
-/// on one worker and reuses that worker's tables and scratch.
-pub fn shingle_clusters_with(
-    graph: &BipartiteGraph,
-    params: &ShingleParams,
-    arena: &mut ShingleArena,
-) -> (Vec<BipartiteCluster>, ShingleStats) {
-    let mut stats = ShingleStats::default();
-    let ShingleArena { budget, scratch, table1, table2 } = arena;
-
-    // Each pass reserves its table's bytes while the table is in use; the
-    // arena's grow-only capacity after the run is bounded by the largest
-    // table a reservation ever approved.
-    // ---- Pass I (serial over left vertices). ----
-    let fam1 = HashFamily::new(params.c1, params.seed);
-    let per_vertex: Vec<Vec<Shingle>> =
-        if let Some(_held) = try_table(budget, params.c1, graph.n_right()) {
-            table1.rebuild(&fam1, graph.n_right());
-            (0..graph.n_left() as u32)
-                .map(|v| shingle_set_from_table(graph.out_links(v), table1, params.s1, scratch))
-                .collect()
-        } else {
-            (0..graph.n_left() as u32)
-                .map(|v| shingle_set_with(graph.out_links(v), &fam1, params.s1, scratch))
-                .collect()
-        };
-    let s1_list = group_pass1(per_vertex, &mut stats);
-
-    // ---- Pass II over first-level shingles. ----
-    let fam2 = HashFamily::new(params.c2, params.seed ^ PASS2_SEED_XOR);
-    let second: Vec<Vec<Shingle>> = if let Some(_held) =
-        try_table(budget, params.c2, graph.n_left())
-    {
-        table2.rebuild(&fam2, graph.n_left());
-        s1_list
-            .iter()
-            .map(|(_, _, vertices)| shingle_set_from_table(vertices, table2, params.s2, scratch))
-            .collect()
-    } else {
-        s1_list
-            .iter()
-            .map(|(_, _, vertices)| shingle_set_with(vertices, &fam2, params.s2, scratch))
-            .collect()
-    };
+    let second: Vec<Vec<Shingle>> = s1_list
+        .iter()
+        .map(|(_, _, vertices)| shingle_set_with(vertices, &fam2, params.s2, &mut scratch))
+        .collect();
 
     let clusters = report_clusters(&s1_list, &second, &mut stats);
     (clusters, stats)
@@ -470,109 +286,6 @@ mod tests {
         let inter = a.intersection(&b).count();
         let union = a.union(&b).count();
         assert!(inter as f64 / union as f64 > 0.8, "A≈B expected on a clique");
-    }
-
-    #[test]
-    fn arena_path_is_bit_identical_to_parallel_path() {
-        let p = fast_params();
-        let graphs = [
-            clique_graph(&[0..12], 12),
-            clique_graph(&[0..10, 10..20], 20),
-            clique_graph(&[0..5], 10),
-            BipartiteGraph::from_edges(0, 0, &[]),
-        ];
-        let mut arena = ShingleArena::new();
-        for g in &graphs {
-            let (want_clusters, want_stats) = shingle_clusters(g, &p);
-            // Run twice through the same arena: reuse must not leak
-            // state between components.
-            for _ in 0..2 {
-                let (got_clusters, got_stats) = shingle_clusters_with(g, &p, &mut arena);
-                assert_eq!(got_clusters, want_clusters);
-                assert_eq!(got_stats, want_stats);
-            }
-        }
-    }
-
-    #[test]
-    fn arena_path_identical_when_table_does_not_fit() {
-        // c1 large enough that c1 × n_right overflows the table ceiling is
-        // impractical to build; instead exercise the fallback branch by
-        // comparing against params whose table trivially fits — both must
-        // equal the scalar reference, hence each other.
-        let g = clique_graph(&[0..9], 9);
-        let p = ShingleParams { s1: 2, c1: 30, s2: 1, c2: 10, seed: 3 };
-        let mut arena = ShingleArena::new();
-        let (a, sa) = shingle_clusters_with(&g, &p, &mut arena);
-        let (b, sb) = shingle_clusters(&g, &p);
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn binding_budget_is_bit_identical() {
-        // A budget too small for any rank table forces the per-set
-        // batched-hashing path; clusters and stats must not change.
-        let p = fast_params();
-        let graphs = [
-            clique_graph(&[0..12], 12),
-            clique_graph(&[0..10, 10..20], 20),
-            clique_graph(&[0..5], 10),
-        ];
-        for g in &graphs {
-            let (want_clusters, want_stats) = shingle_clusters(g, &p);
-            let tight = MemoryBudget::limited(16);
-            let (got_clusters, got_stats) = shingle_clusters_budgeted(g, &p, &tight);
-            assert_eq!(got_clusters, want_clusters);
-            assert_eq!(got_stats, want_stats);
-            assert_eq!(tight.used(), 0, "refused reservations must release");
-
-            let mut arena = ShingleArena::new();
-            arena.set_budget(MemoryBudget::limited(16));
-            let (arena_clusters, arena_stats) = shingle_clusters_with(g, &p, &mut arena);
-            assert_eq!(arena_clusters, want_clusters);
-            assert_eq!(arena_stats, want_stats);
-        }
-    }
-
-    #[test]
-    fn table_routing_follows_the_ledger() {
-        // Unbudgeted runs keep the historical 64 MiB default ceiling.
-        let unlimited = MemoryBudget::unlimited();
-        assert!(try_table(&unlimited, 8, 1000).is_some());
-        let big = (1usize << 23) + 1; // bytes_for(1, big) ≈ 100 MB > 64 MiB
-        assert!(RankTable::bytes_for(1, big) > DEFAULT_TABLE_BYTES);
-        assert!(try_table(&unlimited, 1, big).is_none(), "default ceiling binds unbudgeted");
-
-        // A limited budget replaces the ceiling with the shared ledger:
-        // room above 64 MiB admits the table the default refuses...
-        let roomy = MemoryBudget::limited(256 << 20);
-        let held = try_table(&roomy, 1, big);
-        assert!(held.is_some(), "the ledger, not the 64 MiB constant, decides");
-        assert!(roomy.used() >= RankTable::bytes_for(1, big));
-        drop(held);
-        assert_eq!(roomy.used(), 0, "reservation releases on drop");
-
-        // ...and a binding ledger refuses what the default would allow.
-        let tight = MemoryBudget::limited(1 << 10);
-        assert!(try_table(&tight, 8, 1000).is_none());
-
-        // Entry-count overflow is unrepresentable regardless of budget.
-        assert!(try_table(&unlimited, usize::MAX, 2).is_none());
-    }
-
-    #[test]
-    fn generous_budget_accounts_table_bytes() {
-        let p = fast_params();
-        let g = clique_graph(&[0..12], 12);
-        let budget = MemoryBudget::limited(64 << 20);
-        let (clusters, _) = shingle_clusters_budgeted(&g, &p, &budget);
-        assert!(!clusters.is_empty());
-        assert_eq!(budget.used(), 0, "pass reservations are released");
-        assert!(
-            budget.peak() >= RankTable::bytes_for(p.c1, g.n_right()),
-            "pass-I table must have registered its bytes"
-        );
     }
 
     #[test]

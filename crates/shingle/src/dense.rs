@@ -4,10 +4,7 @@
 
 use pfam_graph::BipartiteGraph;
 
-use crate::algorithm::{
-    shingle_clusters, shingle_clusters_with, BipartiteCluster, ShingleArena, ShingleParams,
-    ShingleStats,
-};
+use crate::algorithm::{shingle_clusters, BipartiteCluster, ShingleParams, ShingleStats};
 
 /// Which bipartite reduction the clusters came from, deciding how a raw
 /// `(A, B)` pair becomes a dense subgraph.
@@ -81,8 +78,7 @@ fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Apply the reduction-dependent reporting rule, size filter, and
-/// disjoint-ification to raw Shingle clusters — shared by the parallel and
-/// arena paths.
+/// disjoint-ification to raw Shingle clusters.
 fn report_subgraphs(clusters: &[BipartiteCluster], config: &DenseSubgraphConfig) -> Vec<Vec<u32>> {
     let mut subgraphs: Vec<Vec<u32>> = clusters
         .iter()
@@ -123,18 +119,6 @@ pub fn detect_dense_subgraphs(
     config: &DenseSubgraphConfig,
 ) -> (Vec<Vec<u32>>, ShingleStats) {
     let (clusters, stats) = shingle_clusters(graph, &config.params);
-    (report_subgraphs(&clusters, config), stats)
-}
-
-/// [`detect_dense_subgraphs`] through a worker's [`ShingleArena`] —
-/// bit-identical output, serial per-component, reusing the worker's rank
-/// tables and scratch (the streaming executor's entry point).
-pub fn detect_dense_subgraphs_with(
-    graph: &BipartiteGraph,
-    config: &DenseSubgraphConfig,
-    arena: &mut ShingleArena,
-) -> (Vec<Vec<u32>>, ShingleStats) {
-    let (clusters, stats) = shingle_clusters_with(graph, &config.params, arena);
     (report_subgraphs(&clusters, config), stats)
 }
 
@@ -243,19 +227,6 @@ mod tests {
         let (subgraphs, _) =
             detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(1));
         assert!(subgraphs.is_empty());
-    }
-
-    #[test]
-    fn arena_variant_matches_for_both_modes() {
-        let g = blocks_graph(&[0..10, 10..18], 18);
-        let bd = BipartiteGraph::duplicate_from(&g);
-        let mut arena = ShingleArena::new();
-        for mode in [ReductionMode::GlobalSimilarity { tau: 0.5 }, ReductionMode::DomainBased] {
-            let config = DenseSubgraphConfig { mode, ..fast_config(2) };
-            let want = detect_dense_subgraphs(&bd, &config);
-            let got = detect_dense_subgraphs_with(&bd, &config, &mut arena);
-            assert_eq!(got, want);
-        }
     }
 
     #[test]

@@ -57,13 +57,6 @@ impl HashFamily {
     pub fn rank(&self, i: usize, x: u32) -> u64 {
         self.mults[i].wrapping_mul(x as u64 + 1).wrapping_add(self.adds[i])
     }
-
-    /// The `(multiplier, addend)` pair of permutation `i` — what the
-    /// block rank loop needs to evaluate a whole block at once.
-    #[inline]
-    pub fn coeffs(&self, i: usize) -> (u64, u64) {
-        (self.mults[i], self.adds[i])
-    }
 }
 
 /// Hash a sorted element subset to a 64-bit shingle identifier (FNV-1a).
@@ -120,14 +113,12 @@ pub fn shingle_set(links: &[u32], family: &HashFamily, s: usize) -> Vec<Shingle>
     out
 }
 
-/// Reusable buffers for batched shingle-set computation: the rank block,
-/// the `(rank, element)` selection pairs, and the element staging area.
-/// One scratch per worker makes steady-state shingling allocation-free in
-/// the per-element buffers (the `AlignScratch` pattern from the alignment
-/// engine). Buffers grow to the high-water mark and stay there.
+/// Reusable buffers of [`shingle_set_with`]: the `(rank, element)`
+/// selection pairs and the element staging area. One scratch per Shingle
+/// run keeps the per-set buffers out of the allocator; they grow to the
+/// high-water mark and stay there.
 #[derive(Debug, Default)]
 pub struct ShingleScratch {
-    ranks: Vec<u64>,
     sel: Vec<(u64, u32)>,
     elems: Vec<u32>,
 }
@@ -139,27 +130,9 @@ impl ShingleScratch {
     }
 }
 
-/// Shared back half of the batched shingle-set paths: select the `s`
-/// min-wise pairs out of `scratch.sel`, stage the sorted elements, and
-/// append a new [`Shingle`] unless its id is already present.
-///
-/// `select_nth_unstable` orders by the full `(rank, element)` pair;
-/// distinct elements have distinct ranks (the multiplier is odd, hence
-/// bijective mod 2⁶⁴), so ties are only ever *identical* pairs and the
-/// selected multiset is exactly the scalar path's.
-fn push_min_wise(scratch: &mut ShingleScratch, s: usize, out: &mut Vec<Shingle>) {
-    scratch.sel.select_nth_unstable(s - 1);
-    scratch.elems.clear();
-    scratch.elems.extend(scratch.sel[..s].iter().map(|&(_, x)| x));
-    scratch.elems.sort_unstable();
-    let id = shingle_id(&scratch.elems);
-    if !out.iter().any(|sh| sh.id == id) {
-        out.push(Shingle { id, elements: scratch.elems.clone() });
-    }
-}
-
-/// [`shingle_set`] ranking a block at a time into caller-owned scratch —
-/// bit-identical output, no per-call buffer allocation.
+/// [`shingle_set`] into caller-owned scratch — bit-identical output, no
+/// per-call buffer allocation. The production kernel of both Shingle
+/// passes.
 pub fn shingle_set_with(
     links: &[u32],
     family: &HashFamily,
@@ -176,102 +149,19 @@ pub fn shingle_set_with(
         elements.dedup();
         return vec![Shingle { id: shingle_id(&elements), elements }];
     }
+    let ShingleScratch { sel, elems } = scratch;
     let mut out: Vec<Shingle> = Vec::with_capacity(family.len());
     for i in 0..family.len() {
-        crate::kernel::fill_ranks(family, i, links, &mut scratch.ranks);
-        scratch.sel.clear();
-        scratch.sel.extend(scratch.ranks.iter().zip(links).map(|(&r, &x)| (r, x)));
-        push_min_wise(scratch, s, &mut out);
-    }
-    out
-}
-
-/// A precomputed `c × n` rank table over the dense universe `0..n`:
-/// `rank(i, x)` becomes one load instead of one multiply-add, and — the
-/// real win — each `(permutation, element)` pair is hashed **once** per
-/// pass instead of once per set containing the element.
-///
-/// The backing vector is grow-only: [`RankTable::rebuild`] reuses its
-/// capacity across components (arena pattern).
-#[derive(Debug, Default)]
-pub struct RankTable {
-    c: usize,
-    n: usize,
-    ranks: Vec<u64>,
-    iota: Vec<u32>,
-}
-
-impl RankTable {
-    /// Empty table; call [`RankTable::rebuild`] before use.
-    pub fn new() -> RankTable {
-        RankTable::default()
-    }
-
-    /// Recompute the table for `family` over universe `0..n`, filling each
-    /// permutation's row with one block pass.
-    pub fn rebuild(&mut self, family: &HashFamily, n: usize) {
-        self.c = family.len();
-        self.n = n;
-        if self.iota.len() < n {
-            self.iota.extend(self.iota.len() as u32..n as u32);
+        sel.clear();
+        sel.extend(links.iter().map(|&x| (family.rank(i, x), x)));
+        sel.select_nth_unstable(s - 1);
+        elems.clear();
+        elems.extend(sel[..s].iter().map(|&(_, x)| x));
+        elems.sort_unstable();
+        let id = shingle_id(elems);
+        if !out.iter().any(|sh| sh.id == id) {
+            out.push(Shingle { id, elements: elems.clone() });
         }
-        self.ranks.clear();
-        self.ranks.resize(self.c * n, 0);
-        for i in 0..self.c {
-            let (mult, add) = family.coeffs(i);
-            crate::kernel::fill_ranks_into(
-                mult,
-                add,
-                &self.iota[..n],
-                &mut self.ranks[i * n..(i + 1) * n],
-            );
-        }
-    }
-
-    /// Bytes a `c × n` table occupies once built: the rank matrix (u64
-    /// per entry) plus the iota row (u32 per element). This is what a
-    /// budget reservation for the table must cover.
-    pub fn bytes_for(c: usize, n: usize) -> u64 {
-        (c as u64) * (n as u64) * 8 + (n as u64) * 4
-    }
-
-    /// Number of permutations (table rows).
-    pub fn c(&self) -> usize {
-        self.c
-    }
-
-    /// The tabulated rank of `x` under permutation `i` — equal to the
-    /// generating family's `rank(i, x)`.
-    #[inline]
-    pub fn rank(&self, i: usize, x: u32) -> u64 {
-        self.ranks[i * self.n + x as usize]
-    }
-}
-
-/// [`shingle_set`] reading ranks from a precomputed [`RankTable`] —
-/// bit-identical output, no hashing at all on the per-set path.
-pub fn shingle_set_from_table(
-    links: &[u32],
-    table: &RankTable,
-    s: usize,
-    scratch: &mut ShingleScratch,
-) -> Vec<Shingle> {
-    assert!(s >= 1, "shingle size must be positive");
-    if links.is_empty() {
-        return Vec::new();
-    }
-    if links.len() <= s {
-        let mut elements = links.to_vec();
-        elements.sort_unstable();
-        elements.dedup();
-        return vec![Shingle { id: shingle_id(&elements), elements }];
-    }
-    let mut out: Vec<Shingle> = Vec::with_capacity(table.c());
-    for i in 0..table.c() {
-        let row = &table.ranks[i * table.n..(i + 1) * table.n];
-        scratch.sel.clear();
-        scratch.sel.extend(links.iter().map(|&x| (row[x as usize], x)));
-        push_min_wise(scratch, s, &mut out);
     }
     out
 }
@@ -388,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_paths_match_scalar_shingle_set() {
+    fn scratch_kernel_matches_scalar_shingle_set() {
         let fam = HashFamily::new(25, 0xabc);
         let cases: Vec<Vec<u32>> = vec![
             vec![],
@@ -410,54 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn table_path_matches_scalar_shingle_set() {
-        let fam = HashFamily::new(25, 0xdef);
-        let n = 64usize;
-        let mut table = RankTable::new();
-        let mut scratch = ShingleScratch::new();
-        table.rebuild(&fam, n);
-        assert_eq!(table.c(), 25);
-        for i in 0..fam.len() {
-            for x in 0..n as u32 {
-                assert_eq!(table.rank(i, x), fam.rank(i, x));
-            }
-        }
-        for links in [vec![], vec![5], vec![1, 2], (0..n as u32).collect::<Vec<_>>()] {
-            for s in [1usize, 3, 200] {
-                assert_eq!(
-                    shingle_set_from_table(&links, &table, s, &mut scratch),
-                    shingle_set(&links, &fam, s),
-                    "links {links:?} s {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rank_table_rebuild_reuses_and_resizes() {
-        let mut table = RankTable::new();
-        let big = HashFamily::new(8, 1);
-        table.rebuild(&big, 100);
-        assert_eq!(table.rank(3, 99), big.rank(3, 99));
-        // Shrink, then regrow — contents must always match the new family.
-        let small = HashFamily::new(2, 2);
-        table.rebuild(&small, 10);
-        assert_eq!(table.c(), 2);
-        assert_eq!(table.rank(1, 9), small.rank(1, 9));
-        table.rebuild(&big, 200);
-        assert_eq!(table.rank(7, 199), big.rank(7, 199));
-    }
-
-    #[test]
     fn zero_permutation_family_yields_no_shingles_on_large_sets() {
         let fam = HashFamily::new(0, 3);
         let links: Vec<u32> = (0..20).collect();
         assert!(shingle_set(&links, &fam, 2).is_empty());
-        let mut scratch = ShingleScratch::new();
-        let mut table = RankTable::new();
-        assert!(shingle_set_with(&links, &fam, 2, &mut scratch).is_empty());
-        table.rebuild(&fam, 32);
-        assert!(shingle_set_from_table(&links, &table, 2, &mut scratch).is_empty());
+        assert!(shingle_set_with(&links, &fam, 2, &mut ShingleScratch::new()).is_empty());
         // Whole-set branch is independent of c.
         assert_eq!(shingle_set(&[4, 2], &fam, 5).len(), 1);
     }

@@ -1,11 +1,13 @@
 //! Property tests over the Shingle substrate.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
 use pfam_graph::{BipartiteGraph, CsrGraph};
 use pfam_shingle::{
-    jaccard, shingle_clusters, shingle_set, shingle_set_from_table, shingle_set_with,
-    DenseSubgraphConfig, HashFamily, RankTable, ReductionMode, ShingleParams, ShingleScratch,
+    jaccard, shingle_clusters, shingle_set, shingle_set_with, BipartiteCluster,
+    DenseSubgraphConfig, HashFamily, ReductionMode, ShingleParams, ShingleScratch, ShingleStats,
 };
 
 fn bipartite(n_left: usize, n_right: usize) -> impl Strategy<Value = BipartiteGraph> {
@@ -17,14 +19,65 @@ fn params() -> ShingleParams {
     ShingleParams { s1: 2, c1: 30, s2: 1, c2: 15, seed: 7 }
 }
 
+/// The two passes spelt naively from the scalar [`shingle_set`]: what
+/// [`shingle_clusters`] has to return, whatever it does inside. The seed
+/// derivation of pass II and the report order are part of the contract
+/// (checkpoints and `families.tsv` depend on both).
+fn naive_shingle_clusters(
+    g: &BipartiteGraph,
+    p: &ShingleParams,
+) -> (Vec<BipartiteCluster>, ShingleStats) {
+    let mut stats = ShingleStats::default();
+    // Pass I: first-level shingle id → (its elements, the vertices that made it).
+    let fam1 = HashFamily::new(p.c1, p.seed);
+    let mut first: BTreeMap<u64, (Vec<u32>, BTreeSet<u32>)> = BTreeMap::new();
+    for v in 0..g.n_left() as u32 {
+        for sh in shingle_set(g.out_links(v), &fam1, p.s1) {
+            stats.pass1_shingles += 1;
+            first.entry(sh.id).or_insert_with(|| (sh.elements, BTreeSet::new())).1.insert(v);
+        }
+    }
+    stats.distinct_s1 = first.len();
+    let first: Vec<(Vec<u32>, Vec<u32>)> =
+        first.into_values().map(|(b, a)| (b, a.into_iter().collect())).collect();
+
+    // Pass II: first-level shingles sharing a second-level id end up in one
+    // group (transitively: labels are merged until nothing moves).
+    let fam2 = HashFamily::new(p.c2, p.seed ^ 0xABCD_EF01_2345_6789);
+    let mut group: Vec<usize> = (0..first.len()).collect();
+    let mut owner: BTreeMap<u64, usize> = BTreeMap::new();
+    for (i, (_, vertices)) in first.iter().enumerate() {
+        for sh in shingle_set(vertices, &fam2, p.s2) {
+            stats.pass2_shingles += 1;
+            let (from, to) = (group[i], group[*owner.entry(sh.id).or_insert(i)]);
+            group.iter_mut().filter(|label| **label == from).for_each(|label| *label = to);
+        }
+    }
+
+    // Report: one (A, B) per group.
+    let mut merged: BTreeMap<usize, (BTreeSet<u32>, BTreeSet<u32>)> = BTreeMap::new();
+    for (i, (elements, vertices)) in first.iter().enumerate() {
+        let (a, b) = merged.entry(group[i]).or_default();
+        a.extend(vertices);
+        b.extend(elements);
+    }
+    stats.components = merged.len();
+    let mut clusters: Vec<BipartiteCluster> = merged
+        .into_values()
+        .map(|(a, b)| BipartiteCluster { a: a.into_iter().collect(), b: b.into_iter().collect() })
+        .collect();
+    clusters.sort_by(|x, y| y.b.len().cmp(&x.b.len()).then(x.a.cmp(&y.a)));
+    (clusters, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The scratch-reusing and rank-table paths return the reference
-    /// shingle set for random adjacency lists across the (c, s, seed)
-    /// parameter space — `c = 0`, empty sets and `s > |set|` included.
+    /// The scratch-reusing kernel returns the reference shingle set for
+    /// random adjacency lists across the (c, s, seed) parameter space —
+    /// `c = 0`, empty sets and `s > |set|` included.
     #[test]
-    fn block_and_table_shingle_sets_equal_reference(
+    fn scratch_shingle_sets_equal_reference(
         links in prop::collection::vec(0u32..400, 0..48),
         c in 0usize..8,
         s in 1usize..6,
@@ -37,9 +90,30 @@ proptest! {
         let reference = shingle_set(&links, &family, s);
         let mut scratch = ShingleScratch::new();
         prop_assert_eq!(&shingle_set_with(&links, &family, s, &mut scratch), &reference);
-        let mut table = RankTable::new();
-        table.rebuild(&family, 400);
-        prop_assert_eq!(&shingle_set_from_table(&links, &table, s, &mut scratch), &reference);
+    }
+
+    /// The one driver against the naive spelling of the algorithm —
+    /// clusters and all four counters, degenerate shapes included (no
+    /// vertices on a side, `c = 0`, `s` above every degree).
+    #[test]
+    fn shingle_clusters_equal_the_naive_two_passes(
+        n_left in 0usize..=40,
+        n_right in 0usize..=40,
+        raw in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..160),
+        s1 in 1usize..4,
+        c1 in 0usize..8,
+        s2 in 1usize..4,
+        c2 in 0usize..8,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let es: Vec<(u32, u32)> = if n_left == 0 || n_right == 0 {
+            Vec::new()
+        } else {
+            raw.iter().map(|&(l, r)| (l % n_left as u32, r % n_right as u32)).collect()
+        };
+        let g = BipartiteGraph::from_edges(n_left, n_right, &es);
+        let p = ShingleParams { s1, c1, s2, c2, seed };
+        prop_assert_eq!(shingle_clusters(&g, &p), naive_shingle_clusters(&g, &p));
     }
 
     #[test]

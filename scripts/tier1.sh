@@ -5,8 +5,9 @@
 # subset's own index; front half == the two-build composition), the
 # one-alignment-per-pair suite (ledger and deferred pairs change the work,
 # no result), index-bench, align-bench and bgg-dsd-bench smoke passes
-# (bit-identity checks on tiny workloads), the alignment-engine and
-# streaming-executor identity suites, the fault-injection and
+# (bit-identity checks on tiny workloads), the alignment-engine identity
+# suites and the back-half executor's (executor == the plain per-component
+# composition), the fault-injection and
 # checkpoint/restart suites, the ft-bench recovery smoke, the out-of-core
 # partitioned-identity suite + index_oc_bench smoke, grep gates (no
 # unwrap on inter-rank communication or on the lease-recovery path; no
@@ -17,14 +18,18 @@
 # engine, single-pair fill, batch fill; `unsafe` only in the two alignment
 # kernels' files and the benches' one counting allocator; no per-component
 # suffix index in the pipeline; none of the retired aligners, Shingle
-# drivers, graph extras or the Criterion stand-in by name), the
+# drivers (distributed, SPMD, rayon, arena), graph extras, the rank table,
+# the `_with` / `_reusing` constructor twins, the barrier executor or the
+# Criterion stand-in by name; no `thread_local!` in pfam-core or
+# pfam-shingle), the
 # reachability ratchet (every `pub` item
 # of a library crate is named outside the tests or is on
 # scripts/reachability.allow with a reason), the candidate-list suite
 # (Verifier's list entry == one verdict at a time; deferred pairs of small
 # components dropped), the pfam-align suites in release mode (forced-path
 # suite: both vector kernels against the scalar twin, cell by cell), the
-# benchmark package's own tests, and the CLI smokes: kill/resume,
+# benchmark package's own tests, the known-quadratic input under a clock
+# (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume,
 # `cluster` == `run`, resume under other parameters, older checkpoint
 # formats, an unwritable --out, removed flags, a flag given twice.
 # Run from anywhere inside the repo.
@@ -114,11 +119,20 @@ echo "== tier1: one aligner, one Shingle driver, no test-only library code =="
 # distributed and SPMD Shingle drivers, the concurrent union-find, the
 # articulation-point pass and the Criterion benches (with their vendored
 # stand-in) had no caller in `pfam`, an example or a bench binary
-# (EXPERIMENTS.md, "Reachability sweep — verdict"). Any of them comes back
-# with a caller, not under its old name.
-if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)" \
+# (EXPERIMENTS.md, "Reachability sweep — verdict"). The rayon-over-vertices
+# and arena Shingle drivers, the rank table, the buffer-reusing constructor
+# twins, the per-worker arenas and the barrier executor kept to prove them
+# equal measured nothing on any workload (EXPERIMENTS.md, "Back-half rank
+# table and arenas — verdict (PR 24)"): `pfam` runs one serial Shingle per
+# component, parallel across components, with no worker-local state. Any
+# of them comes back with a caller and a number, not under its old name.
+if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)|shingle_clusters_with|shingle_clusters_budgeted|detect_dense_subgraphs_with|ShingleArena|RankTable|shingle_set_from_table|component_graph_with|duplicate_from_with|from_edges_reusing|barrier_components|ExecArena" \
     crates src tests examples vendor Cargo.toml || [ -e vendor/criterion ]; then
-    echo "tier1 FAIL: a retired aligner, driver or bench harness is named in the tree" >&2
+    echo "tier1 FAIL: a retired aligner, driver, twin or bench harness is named in the tree" >&2
+    exit 1
+fi
+if grep -rn "thread_local!" crates/core/src crates/shingle/src; then
+    echo "tier1 FAIL: worker-local state in pfam-core / pfam-shingle" >&2
     exit 1
 fi
 
@@ -259,12 +273,13 @@ if echo "$ALIGN_SMOKE" | grep -q '"kernel": "avx2"'; then
     }
 fi
 
-echo "== tier1: streaming-executor identity suite =="
-# The fused streaming BGG->DSD executor must be bit-identical to the
-# barrier path.
+echo "== tier1: back-half executor identity suite (executor == per-component composition) =="
+# The fused BGG->DSD executor must hand back, in queue order, exactly what
+# component_graph -> bipartite reduction -> detect_dense_subgraphs gives
+# for each member list; the pipeline's known-pairs supply must equal it.
 cargo test -q --test streaming_executor
 
-echo "== tier1: bgg_dsd_bench --test (smoke + executor identity) =="
+echo "== tier1: bgg_dsd_bench --test (smoke + supply identity) =="
 BGG_SMOKE=$(cargo run --release -p pfam-bench --bin bgg_dsd_bench -- --test)
 echo "$BGG_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: bgg_dsd_bench smoke did not report identical outputs" >&2
@@ -334,6 +349,17 @@ for flags in "" "--mem-budget 24K"; do
         exit 1
     }
 done
+
+echo "== tier1: known quadratic under a clock (two 5 000-residue poly-A reads) =="
+# A homopolymer pair is one nested chain of suffix-tree nodes and
+# `collect_node_pairs` is quadratic on it (ROADMAP hardening (d)): 0.8 s
+# and 28 MiB today. Not fixed here — held, so it cannot get worse unseen.
+POLYA=$(printf 'A%.0s' $(seq 5000))
+printf ">a1\n%s\n>a2\n%s\n" "$POLYA" "$POLYA" >"$SMOKE/polya.fasta"
+timeout 30 $PFAM cluster "$SMOKE/polya.fasta" --min-size 2 --out "$SMOKE/polya.tsv" >/dev/null || {
+    echo "tier1 FAIL: pfam cluster on two poly-A reads failed or ran past 30 s" >&2
+    exit 1
+}
 
 echo "== tier1: CLI resume-under-other-parameters smoke (a mismatch, not the old answer) =="
 if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" --resume --min-size 3 \

@@ -1,19 +1,20 @@
-//! End-to-end identity for the fused streaming BGG→DSD executor: on
-//! synthetic datasets, the streaming path must reproduce the barrier
-//! reference exactly — component graphs, alignment records, dense
-//! subgraphs, and shingle counters — for both bipartite reductions, at
-//! the executor level and through the full pipeline. The pipeline's back
-//! half builds its graphs from what CCD already knows instead of mining
-//! each component; it is held against the barrier reference over the same
-//! component queue — same graphs, same families, a share of the work.
+//! End-to-end identity for the fused BGG→DSD executor: on synthetic
+//! datasets, `stream_components` must reproduce, component by component,
+//! the plain composition it fuses — `component_graph` → bipartite
+//! reduction → `detect_dense_subgraphs`, the chain the benchmark adapter
+//! spells by hand — graphs, alignment records, dense subgraphs and shingle
+//! counters, for both reductions, whatever order it schedules in. The
+//! pipeline's back half builds its graphs from what CCD already knows
+//! instead of mining each component; it is held against
+//! `stream_components` over the same component queue — same graphs, same
+//! families, a share of the work.
 
-use pfam::cluster::run_ccd;
-use pfam::core::{
-    barrier_components, stream_components, ComponentOutput, PipelineConfig, Reduction,
-};
+use pfam::cluster::{component_graph, run_ccd};
+use pfam::core::{stream_components, PipelineConfig, Reduction};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::seq::SeqId;
-use pfam::shingle::ShingleStats;
+use pfam::graph::BipartiteGraph;
+use pfam::seq::{materialize_subset, SeqId};
+use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -33,30 +34,46 @@ fn dataset(seed: u64) -> SyntheticDataset {
     })
 }
 
-fn assert_outputs_identical(streamed: &[ComponentOutput], barrier: &[ComponentOutput]) {
-    assert_eq!(streamed.len(), barrier.len());
-    for (s, b) in streamed.iter().zip(barrier) {
-        assert_eq!(s.graph.members, b.graph.members);
-        assert_eq!(s.graph.graph, b.graph.graph);
-        assert_eq!(s.record, b.record);
-        assert_eq!(s.subgraphs, b.subgraphs);
-        assert_eq!(s.stats, b.stats);
-    }
-}
-
 fn executor_identity(config: &PipelineConfig, seed: u64) {
     let d = dataset(seed);
     let ccd = run_ccd(&d.set, &config.cluster);
-    let queue: Vec<&[SeqId]> = ccd
+    let mut queue: Vec<&[SeqId]> = ccd
         .components
         .iter()
         .filter(|c| c.len() >= config.min_component_size)
         .map(|c| c.as_slice())
         .collect();
     assert!(!queue.is_empty(), "dataset must produce components to stream");
+    // Smallest first: the executor dispatches largest first and has to
+    // hand the outputs back in this order.
+    queue.sort_by_key(|c| c.len());
     let streamed = stream_components(&d.set, config, &queue);
-    let barrier = barrier_components(&d.set, config, &queue);
-    assert_outputs_identical(&streamed, &barrier);
+    assert_eq!(streamed.len(), queue.len());
+    for (members, out) in queue.iter().zip(&streamed) {
+        let (graph, record) = component_graph(&d.set, members, &config.cluster);
+        let (mode, bipartite) = match config.reduction {
+            Reduction::GlobalSimilarity { tau } => (
+                ReductionMode::GlobalSimilarity { tau },
+                BipartiteGraph::duplicate_from(&graph.graph),
+            ),
+            Reduction::DomainBased { w } => (
+                ReductionMode::DomainBased,
+                BipartiteGraph::word_based(&materialize_subset(&d.set, &graph.members), None, w),
+            ),
+        };
+        let dsd_config = DenseSubgraphConfig {
+            params: config.shingle,
+            mode,
+            min_size: config.min_subgraph_size,
+            disjoint: true,
+        };
+        let (subgraphs, stats) = detect_dense_subgraphs(&bipartite, &dsd_config);
+        assert_eq!(out.graph.members, graph.members);
+        assert_eq!(out.graph.graph, graph.graph);
+        assert_eq!(out.record, record);
+        assert_eq!(out.subgraphs, subgraphs);
+        assert_eq!(out.stats, stats);
+    }
 }
 
 #[test]
@@ -85,12 +102,12 @@ fn pipeline_identity(config: &PipelineConfig, seed: u64) {
         .filter(|c| c.len() >= config.min_component_size)
         .map(|c| c.as_slice())
         .collect();
-    let barrier = barrier_components(&d.set, config, &queue);
-    assert_eq!(streamed.component_graphs.len(), barrier.len());
+    let mined = stream_components(&d.set, config, &queue);
+    assert_eq!(streamed.component_graphs.len(), mined.len());
     let mut stats = ShingleStats::default();
     let mut families: Vec<Vec<SeqId>> = Vec::new();
     for ((s, record), b) in
-        streamed.component_graphs.iter().zip(&streamed.traces.2.batches).zip(&barrier)
+        streamed.component_graphs.iter().zip(&streamed.traces.2.batches).zip(&mined)
     {
         assert_eq!(s.members, b.graph.members);
         assert_eq!(s.graph, b.graph.graph);
