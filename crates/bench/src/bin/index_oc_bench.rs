@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use pfam_bench::alloc::{peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
+use pfam_cluster::index_plan;
 use pfam_core::PipelineConfig;
 use pfam_datagen::{generate_to_store, DatasetConfig};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
@@ -143,18 +144,18 @@ fn main() {
     drop(cmp_set);
 
     // ---- Full budgeted pipeline over the paged store. ----
-    // Budget below the monolithic footprint; chunks sized so a cross-chunk
-    // task (two chunks resident) stays inside it.
+    // Budget below the monolithic footprint; the index plane sizes the
+    // chunks from it so a cross-chunk task (two chunks resident) fits.
     let pipe_budget = mono_bytes * 2 / 3;
-    let pipe_chunk = mono_bytes / 4;
-    let pipe_config =
-        PipelineConfig::default().with_mem_budget(pipe_budget).with_index_chunk_bytes(pipe_chunk);
+    let pipe_config = PipelineConfig::default().with_mem_budget(pipe_budget);
+    let pipe_chunk = index_plan(&store, &pipe_config.cluster, None)
+        .expect("the pipeline budget admits one-read chunks");
     let live0 = peak_reset();
     let t0 = Instant::now();
     let result = pipe_config.run(&store);
     let pipeline_s = t0.elapsed().as_secs_f64();
     let pipeline_peak = peak_since(live0);
-    let budget_peak = pipe_config.cluster.mem.budget.peak();
+    let budget_peak = pipe_config.cluster.budget.peak();
     eprintln!(
         "index_oc_bench: pipeline {} reads in {pipeline_s:.2}s under {} MiB budget \
          (mono index estimate {} MiB): {} non-redundant, {} components, {} subgraphs, \

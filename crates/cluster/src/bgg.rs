@@ -99,7 +99,7 @@ pub fn component_graph(
     if sorted.len() > 1 {
         let subset = materialize_subset(set, &sorted);
         let index_bytes = estimated_index_bytes(subset.total_residues(), subset.len());
-        let _gsa_held = config.mem.budget.try_reserve("bgg-gsa", index_bytes).ok();
+        let _gsa_held = config.budget.try_reserve("bgg-gsa", index_bytes).ok();
         let verifier = Verifier::new(config, CorePhase::Ccd);
         // One thread: components already run side by side in the back half.
         with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, |tree, matches| {
@@ -201,7 +201,7 @@ impl<'a> KnownPairs<'a> {
             local_of,
             edges: ByComponent::new(edges, &comp_of, components.len()),
             deferred,
-            _deferred_held: config.mem.budget.try_reserve("deferred-pairs", deferred_bytes).ok(),
+            _deferred_held: config.budget.try_reserve("deferred-pairs", deferred_bytes).ok(),
         }
     }
 

@@ -23,7 +23,7 @@ use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{with_source_pinned, IterSource, SharedIndex};
+use crate::source::{index_plan, with_pair_source, IterSource, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the CCD phase.
@@ -102,12 +102,15 @@ pub(crate) fn ccd_over(
     if set.is_empty() {
         return CcdResult::empty();
     }
-    // Resume pins the generation plan the checkpoint was cut under, so
+    // Resume replays the generation plan the checkpoint was cut under, so
     // the skip below lands on the same pair prefix even if this run's
-    // MemParams (budget, chunk size) differ from the original run's.
-    let pin = resume.as_ref().map(|c| c.gen_chunk_bytes);
-    let threads = config.index_threads();
-    with_source_pinned(set, config, config.psi_ccd, threads, pin, shared, |source, plan| {
+    // budget differs from the original run's. A fresh phase plans, and
+    // `Err` (not even one-read chunks fit) runs them accounting-only.
+    let plan = match &resume {
+        Some(cursor) => cursor.gen_chunk_bytes,
+        None => index_plan(set, config, shared).unwrap_or(1),
+    };
+    with_pair_source(set, config, config.psi_ccd, plan, shared, |source| {
         let mut core = match resume {
             Some(cursor) => {
                 // Deterministic replay: advance the generator past the
@@ -118,8 +121,8 @@ pub(crate) fn ccd_over(
             None => ClusterCore::new_ccd(set),
         };
         let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-        // Stamp the settled plan into every emitted cursor — the other
-        // half of the pin.
+        // Stamp the plan into every emitted cursor — the other half of
+        // the pin.
         let mut stamped = |cursor: &CcdCursor| {
             let mut cursor = cursor.clone();
             cursor.gen_chunk_bytes = plan;

@@ -41,35 +41,14 @@ pub struct ClusterConfig {
     /// traceback; `Reference` pins the full-matrix baseline. Verdicts — and therefore components and
     /// `families.tsv` — are bit-identical for both.
     pub align_engine: AlignEngineKind,
-    /// Memory-budget knobs for the out-of-core index plane
-    /// ([`crate::source::with_source_pinned`]): the shared accounting budget the
-    /// index builders reserve against, and the per-chunk index target for
-    /// partitioned GSA construction. Pair *sets* (and therefore
-    /// components) are bit-identical for every setting.
-    pub mem: MemParams,
-}
-
-/// Knobs for the out-of-core index plane. The budget is *shared*
-/// accounting state ([`MemoryBudget`] clones share one counter), so a
-/// pipeline-wide budget threads through every phase's reservations.
-#[derive(Debug, Clone, Default)]
-pub struct MemParams {
-    /// The memory budget index structures reserve against. Default:
-    /// unlimited (accounting only, nothing refused).
+    /// The memory budget the index structures, the pair ledger and the
+    /// deferred pairs reserve against; the index plane sizes its plan from
+    /// it ([`crate::source::index_plan`]). *Shared* accounting state:
+    /// clones share one counter, so a pipeline-wide budget threads through
+    /// every phase's reservations. Default: unlimited (accounting only,
+    /// nothing refused). Pair *sets* (and therefore components) are
+    /// bit-identical for every budget.
     pub budget: MemoryBudget,
-    /// Target estimated index bytes per GSA chunk for the partitioned
-    /// miner. `0` = auto: monolithic when it fits the budget, otherwise
-    /// chunks derived from the remaining budget; any positive value
-    /// forces the partitioned path with chunks of roughly this many
-    /// index bytes.
-    pub index_chunk_bytes: u64,
-}
-
-impl MemParams {
-    /// Params enforcing `bytes` as the budget limit (chunk sizing on auto).
-    pub fn limited(bytes: u64) -> MemParams {
-        MemParams { budget: MemoryBudget::limited(bytes), index_chunk_bytes: 0 }
-    }
 }
 
 impl Default for ClusterConfig {
@@ -89,7 +68,7 @@ impl Default for ClusterConfig {
             mask: None,
             threads: 0,
             align_engine: AlignEngineKind::default(),
-            mem: MemParams::default(),
+            budget: MemoryBudget::default(),
         }
     }
 }

@@ -106,10 +106,10 @@ pub struct CcdCursor {
     /// Pairs already drawn from the generator (a batch boundary).
     pub pairs_consumed: u64,
     /// How the pair stream was generated: `0` for the monolithic index,
-    /// else the settled per-chunk index target of the partitioned
-    /// generator. Resume rebuilds the source from *this* value — not the
-    /// resumed run's own `MemParams` — because `pairs_consumed` is a
-    /// position in that specific generation order.
+    /// else the per-chunk index target of the partitioned generator
+    /// ([`crate::source::index_plan`]). Resume rebuilds the source from
+    /// *this* value — not from the resumed run's budget — because
+    /// `pairs_consumed` is a position in that specific generation order.
     pub gen_chunk_bytes: u64,
     /// Union-find parent array (`UnionFind::parts`).
     pub uf_parent: Vec<u32>,

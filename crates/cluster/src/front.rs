@@ -7,9 +7,9 @@
 //! RR mines its nodes ≥ ψ_rr, CCD its nodes ≥ ψ_ccd through a mask that
 //! drops the suffixes of the reads RR removed — and does not align again
 //! the pairs RR's [`PairLedger`] already answers. When one monolithic index
-//! cannot serve the run (paged store, budget, forced chunk size) each
-//! phase routes on its own, exactly as [`crate::run_redundancy_removal`]
-//! and [`crate::run_ccd`] do.
+//! cannot serve the run (a paged store, or an index over the budget) each
+//! phase plans on its own ([`crate::source::index_plan`]), exactly as
+//! [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do.
 
 use std::sync::Arc;
 

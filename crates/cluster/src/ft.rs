@@ -41,13 +41,13 @@ use std::sync::Arc;
 
 use pfam_mpi::{run_spmd_faulty, FaultInjector};
 use pfam_seq::SequenceSet;
-use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::policy::{serve_pull_worker, DriveError, LeasedPull, WorkPolicy};
-use crate::source::{MinedSource, PairSource};
+use crate::source::{with_config_index, MinedSource, PairSource};
 use crate::transport::{MpiTransport, MpiWorkerPort};
 
 /// Why a fault-tolerant run could not produce a clustering.
@@ -94,14 +94,9 @@ pub fn run_ccd_ft(
     // The index is built once, before the world starts: in MPI terms this
     // is the pre-failure collective phase, covered by checkpoint/restart
     // rather than in-job recovery.
-    let index_set = crate::mask::index_view(set, &config.mask);
-    with_match_tree(
-        &index_set,
-        config.psi_ccd,
-        config.max_pairs_per_node,
-        config.index_threads(),
-        |tree, matches| run_ft_world(set, config, n_ranks, injector, tree, matches),
-    )
+    with_config_index(set, config, config.psi_ccd, |tree, matches| {
+        run_ft_world(set, config, n_ranks, injector, tree, matches)
+    })
 }
 
 /// The SPMD world of [`run_ccd_ft`], over a finished index.

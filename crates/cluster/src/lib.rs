@@ -55,7 +55,7 @@ pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier, VerifyOn};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{all_component_graphs, component_graph, ComponentGraph, KnownPairs};
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
-pub use config::{ClusterConfig, MemParams};
+pub use config::ClusterConfig;
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
@@ -65,8 +65,8 @@ pub use policy::{
 };
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{
-    check_index_budget, with_mined_source, with_shared_index, with_source_pinned, IterSource,
-    MinedSource, PairSource, PartitionedMinedSource, SharedIndex,
+    index_plan, with_pair_source, with_shared_index, IterSource, MinedSource, PairSource,
+    PartitionedMinedSource, SharedIndex,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use trace::{BatchRecord, PhaseTrace};

@@ -20,18 +20,17 @@
 //!   (see [`pfam_suffix::PartitionedMiner`]); the pair *set* is identical
 //!   to [`MinedSource`], the order is the deterministic task order.
 //!
-//! The suffix index borrows the sequence set transitively (set → GSA →
-//! tree → generator), so [`with_mined_source`] owns that borrow chain and
-//! lends the finished source to a closure. [`with_source_pinned`] is the
-//! budget-aware front door every driver routes through: it picks the
-//! monolithic or partitioned generator from the [`crate::config::MemParams`]
-//! knobs and the store's residency, degrading to smaller chunks instead
-//! of aborting when the budget binds. [`with_shared_index`] builds the
-//! monolithic index once for a run whose phases all mine it.
+//! Which of the two suffix-index generators a phase mines is one decision,
+//! [`index_plan`]: `0` for one monolithic index, else the partitioned
+//! miner's per-chunk target. [`with_pair_source`] opens the source a plan
+//! names and lends it to a closure — the index borrows the sequence set
+//! transitively (set → GSA → tree → generator), so the opener owns that
+//! borrow chain. [`with_shared_index`] builds the monolithic index once
+//! for a run whose phases all mine it.
 
 use std::ops::Range;
 
-use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore, SequenceSet};
+use pfam_seq::{BudgetError, SeqId, SeqStore, SequenceSet};
 use pfam_suffix::{
     estimated_index_bytes, promising_pairs_masked, with_match_tree, ChunkPlan, KeepMask, MatchPair,
     MaximalMatchConfig, MaximalMatchGenerator, PartitionedMiner, SuffixTree,
@@ -141,114 +140,66 @@ fn match_config(config: &ClusterConfig, psi: u32) -> MaximalMatchConfig {
     MaximalMatchConfig { min_len: psi, max_pairs_per_node: config.max_pairs_per_node, dedup: true }
 }
 
-/// Default per-chunk index target when partitioning is forced (a store
-/// that is no view of an in-memory set) but neither a chunk size nor a
-/// budget limit is configured.
+/// Build the index a phase mines from `set` — the config's masked view,
+/// GSA on the config's threads, tree pruned at cut-off `psi` — and lend it
+/// to `f`.
+pub(crate) fn with_config_index<R>(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    psi: u32,
+    f: impl FnOnce(&SuffixTree<'_>, MaximalMatchConfig) -> R,
+) -> R {
+    let index_set = crate::mask::index_view(set, &config.mask);
+    with_match_tree(&index_set, psi, config.max_pairs_per_node, config.index_threads(), f)
+}
+
+/// Per-chunk index target of a partitioned plan with no budget to size it
+/// from (a paged store, unbudgeted).
 const DEFAULT_CHUNK_INDEX_BYTES: u64 = 256 << 20;
+
+/// Every read length of `store`, in id order — what a [`ChunkPlan`] cuts.
+fn read_lens(store: &dyn SeqStore) -> Vec<u32> {
+    (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect()
+}
+
+/// Estimated bytes of the monolithic index of `base`.
+fn index_bytes(base: &SequenceSet) -> u64 {
+    estimated_index_bytes(base.total_residues(), base.len())
+}
 
 /// Pairs mined from per-chunk suffix indexes — the out-of-core
 /// counterpart of [`MinedSource`]. Same pair *set*, deterministic
 /// task-major order, at most one task's index resident at a time.
 pub struct PartitionedMinedSource<'a> {
     miner: PartitionedMiner<ChunkLoader<'a>>,
-    /// The per-chunk index target the plan was built from, after budget
-    /// degradation — the value a checkpoint cursor pins so resume can
-    /// rebuild the identical generation order.
-    chunk_target: u64,
 }
 
 impl<'a> PartitionedMinedSource<'a> {
-    /// Build the partitioned generator over `store`, sizing chunks from
-    /// [`crate::config::MemParams`] and degrading (halving the chunk
-    /// target, down to one-sequence chunks) until the plan's peak task
-    /// footprint fits the budget. When even one-sequence chunks exceed
-    /// the limit the miner runs accounting-only rather than aborting —
-    /// the pipeline entry ([`check_index_budget`]) reports that case as a
-    /// typed error before any driver gets here.
+    /// The partitioned generator over `store` with per-chunk index target
+    /// `target` — [`index_plan`]'s answer or a checkpoint cursor's pin. The
+    /// chunk plan, and with it the pair *order*, is a pure function of the
+    /// store's read lengths and `target`. The plan's peak task footprint is
+    /// reserved on the config's budget when it fits; when it does not (a
+    /// pin replayed under a smaller budget, or one-read chunks over it) the
+    /// miner runs accounting-only rather than change the order.
     pub fn new(
         store: &'a dyn SeqStore,
         config: &ClusterConfig,
         psi: u32,
-        threads: usize,
-    ) -> PartitionedMinedSource<'a> {
-        let mm = match_config(config, psi);
-        let budget = &config.mem.budget;
-        let lens: Vec<u32> =
-            (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-        let mut target = if config.mem.index_chunk_bytes > 0 {
-            config.mem.index_chunk_bytes
-        } else if budget.is_limited() {
-            // A task holds two chunks resident; the third share is slack
-            // for the union text's sentinels and mining scratch.
-            (budget.remaining() / 3).max(1)
-        } else {
-            DEFAULT_CHUNK_INDEX_BYTES
-        };
-        loop {
-            let plan = ChunkPlan::plan(&lens, target);
-            let maxed_out = plan.n_chunks() >= lens.len();
-            match PartitionedMiner::try_new(
-                plan,
-                chunk_loader(store, config.mask),
-                mm,
-                threads,
-                budget,
-            ) {
-                Ok(miner) => return PartitionedMinedSource { miner, chunk_target: target },
-                Err(_) if !maxed_out => target = (target / 2).max(1),
-                Err(_) => {
-                    // One-sequence chunks still over budget: degrade to
-                    // accounting-only (never abort mid-drive).
-                    let plan = ChunkPlan::plan(&lens, 1);
-                    let miner =
-                        PartitionedMiner::new(plan, chunk_loader(store, config.mask), mm, threads);
-                    return PartitionedMinedSource { miner, chunk_target: 1 };
-                }
-            }
-        }
-    }
-
-    /// Build the partitioned generator with an exact, pinned per-chunk
-    /// target — no degradation: the chunk plan (and therefore the pair
-    /// *order*) is a pure function of the store's lengths and `target`.
-    /// This is the checkpoint-resume path: the cursor pins the target the
-    /// original run settled on, and replay must reproduce that order even
-    /// if this run's budget differs. The budget still *accounts* for the
-    /// footprint when it fits; when it does not, the miner runs
-    /// accounting-only rather than silently changing the order.
-    pub fn with_target(
-        store: &'a dyn SeqStore,
-        config: &ClusterConfig,
-        psi: u32,
-        threads: usize,
         target: u64,
     ) -> PartitionedMinedSource<'a> {
-        let mm = match_config(config, psi);
-        let lens: Vec<u32> =
-            (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-        let plan = ChunkPlan::plan(&lens, target.max(1));
-        let miner = match PartitionedMiner::try_new(
-            plan.clone(),
-            chunk_loader(store, config.mask),
-            mm,
-            threads,
-            &config.mem.budget,
-        ) {
-            Ok(miner) => miner,
-            Err(_) => PartitionedMiner::new(plan, chunk_loader(store, config.mask), mm, threads),
-        };
-        PartitionedMinedSource { miner, chunk_target: target.max(1) }
+        let plan = ChunkPlan::plan(&read_lens(store), target.max(1));
+        let (matches, threads) = (match_config(config, psi), config.index_threads());
+        let loader = || chunk_loader(store, config.mask);
+        let miner =
+            PartitionedMiner::try_new(plan.clone(), loader(), matches, threads, &config.budget)
+                .unwrap_or_else(|_| PartitionedMiner::new(plan, loader(), matches, threads));
+        PartitionedMinedSource { miner }
     }
 
-    /// The chunk plan the miner settled on (after budget degradation).
+    /// The chunk plan the miner partitions by.
     pub fn plan(&self) -> &ChunkPlan {
         self.miner.plan()
-    }
-
-    /// The per-chunk index target the plan was built from — what a
-    /// checkpoint cursor records as its generation-plan pin.
-    pub fn chunk_target(&self) -> u64 {
-        self.chunk_target
     }
 }
 
@@ -280,25 +231,6 @@ impl<I: Iterator<Item = MatchPair>> PairSource for IterSource<I> {
     }
 }
 
-/// Build the suffix index for `set` (masked view, GSA, ψ-pruned tree), open a
-/// [`MinedSource`] over it with match cutoff `psi`, and lend it to `f`.
-///
-/// `threads` controls both index construction and mining (`1` runs them
-/// on the calling thread, `0` uses all cores); every value is
-/// output-identical.
-pub fn with_mined_source<R>(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    psi: u32,
-    threads: usize,
-    f: impl FnOnce(&mut MinedSource<'_>) -> R,
-) -> R {
-    let index_set = crate::mask::index_view(set, &config.mask);
-    with_match_tree(&index_set, psi, config.max_pairs_per_node, threads, |tree, matches| {
-        f(&mut MinedSource::new(tree, matches, threads))
-    })
-}
-
 /// The monolithic suffix index of an in-memory set, built once for every
 /// phase of a run that mines the set or a subset view of it
 /// ([`with_shared_index`]).
@@ -307,33 +239,31 @@ pub struct SharedIndex<'t> {
     tree: &'t SuffixTree<'t>,
 }
 
+impl SharedIndex<'_> {
+    /// Whether this is the index of `base`.
+    fn indexes(&self, base: &SequenceSet) -> bool {
+        std::ptr::eq(self.base, base)
+    }
+}
+
 /// Index `input` once for both clustering phases — masked view, GSA, tree
 /// pruned at `min(psi_rr, psi_ccd)` — and lend the index to `f`, holding
 /// its `gsa-index` reservation until `f` returns. `f` gets `None`, and
-/// every phase routes on its own as [`with_source_pinned`] does, when one
-/// monolithic index cannot serve the run: `input` is not an in-memory
-/// set, a chunk size is forced, or the index does not fit the budget.
+/// every phase plans on its own, when [`index_plan`] does not name one
+/// monolithic index for `input` or `input` is not an in-memory set.
 pub fn with_shared_index<R>(
     input: &dyn SeqStore,
     config: &ClusterConfig,
     f: impl FnOnce(Option<&SharedIndex<'_>>) -> R,
 ) -> R {
     let base = match input.as_sequence_set() {
-        Some(set) if !set.is_empty() && config.mem.index_chunk_bytes == 0 => set,
+        Some(set) if !set.is_empty() && index_plan(input, config, None) == Ok(0) => set,
         _ => return f(None),
     };
-    let estimate = estimated_index_bytes(base.total_residues(), base.len());
-    let Ok(_held) = config.mem.budget.try_reserve("gsa-index", estimate) else {
-        return f(None);
-    };
-    let index_set = crate::mask::index_view(base, &config.mask);
-    with_match_tree(
-        &index_set,
-        config.psi_rr.min(config.psi_ccd),
-        config.max_pairs_per_node,
-        config.index_threads(),
-        |tree, _| f(Some(&SharedIndex { base, tree })),
-    )
+    let _held = config.budget.try_reserve("gsa-index", index_bytes(base));
+    with_config_index(base, config, config.psi_rr.min(config.psi_ccd), |tree, _| {
+        f(Some(&SharedIndex { base, tree }))
+    })
 }
 
 /// `store` as a monolithic index sees it: the in-memory set it is, or is
@@ -347,159 +277,112 @@ fn in_memory_view(store: &dyn SeqStore) -> Option<(&SequenceSet, Option<&[SeqId]
     keep.windows(2).all(|w| w[0] < w[1]).then_some((base, Some(keep)))
 }
 
-/// Open the monolithic source over `base` — mined through a mask when the
-/// store `keep`s only some of its reads — on `tree` when the run already
-/// holds the index of `base`, else on one built here for cut-off `psi`.
-/// Plan pin `0`.
-fn with_monolithic_source<R>(
-    (base, keep): (&SequenceSet, Option<&[SeqId]>),
+/// Where a fresh phase over `store` draws its pairs from — the one routing
+/// decision of the index plane. `0` names one monolithic index: `shared`
+/// already holds the index of the in-memory set `store` is (an ascending
+/// view of), or that index fits the remaining budget. Any other value is
+/// the partitioned miner's per-chunk index target: a third of the
+/// remaining budget (a task holds two chunks resident; the third share is
+/// slack for the union text's sentinels and mining scratch), 256 MiB when
+/// unbudgeted, halved until the plan's largest task fits.
+///
+/// `Err` when even one-read chunks do not fit: no plan runs inside the
+/// budget. The pipeline refuses such a run before phase 1; the infallible
+/// library entries run one-read chunks (target `1`) accounting-only.
+pub fn index_plan(
+    store: &dyn SeqStore,
     config: &ClusterConfig,
-    psi: u32,
-    threads: usize,
-    tree: Option<&SuffixTree<'_>>,
-    f: impl FnOnce(&mut dyn PairSource, u64) -> R,
-) -> R {
-    let mine = |tree: &SuffixTree<'_>| {
-        let matches = match_config(config, psi);
-        let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
-        f(&mut MinedSource::masked(tree, matches, threads, keep.as_ref()), 0)
-    };
-    match tree {
-        Some(tree) => mine(tree),
-        None => {
-            let index_set = crate::mask::index_view(base, &config.mask);
-            with_match_tree(&index_set, psi, config.max_pairs_per_node, threads, |tree, _| {
-                mine(tree)
-            })
+    shared: Option<&SharedIndex<'_>>,
+) -> Result<u64, BudgetError> {
+    let budget = &config.budget;
+    if let Some((base, _)) = in_memory_view(store) {
+        if shared.is_some_and(|shared| shared.indexes(base)) || budget.would_fit(index_bytes(base))
+        {
+            return Ok(0);
         }
+    }
+    let lens = read_lens(store);
+    let mut target = if budget.is_limited() {
+        (budget.remaining() / 3).max(1)
+    } else {
+        DEFAULT_CHUNK_INDEX_BYTES
+    };
+    loop {
+        let plan = ChunkPlan::plan(&lens, target);
+        let need = plan.max_task_index_bytes();
+        if budget.would_fit(need) {
+            return Ok(target);
+        }
+        if plan.n_chunks() >= lens.len() {
+            return Err(BudgetError {
+                what: "partitioned-gsa",
+                requested: need,
+                in_use: budget.used(),
+                limit: budget.limit().unwrap_or(u64::MAX),
+            });
+        }
+        target = (target / 2).max(1);
     }
 }
 
-/// The budget-aware front door every in-process driver routes through:
-/// build a pair source for `store` honouring [`crate::config::MemParams`]
-/// and lend it to `f`, with the plan pin it settled on. `pin` is the
-/// checkpoint-resume seam (`None` on a fresh run), and `shared` the
-/// [`SharedIndex`] to mine instead of building another, when the run
-/// holds one.
+/// Open the pair source `plan` names over `store` at cut-off `psi` and
+/// lend it to `f`; mining runs on the config's threads.
 ///
-/// Routing of a fresh run: the monolithic [`MinedSource`] when the store
-/// is an in-memory set or a subset view of one (the view is mined through
-/// a mask over the index of its base — no copy of the kept reads), no
-/// chunk size is forced, and the whole index fits the budget (reserving
-/// its footprint for the duration of `f`); else the
-/// [`PartitionedMinedSource`], whose chunk plan degrades under the budget
-/// instead of aborting. Both yield the same pair *set*, and every consumer
-/// is order-invariant, so components are identical either way.
+/// Plan `0`: one monolithic index of the in-memory set `store` is, or is
+/// an ascending view of — mined through a mask when the view keeps only
+/// some of its reads — or of a copy of `store`'s reads otherwise. That
+/// index is `shared` when `shared` is it (its builder holds the budget),
+/// else one built here and reserved as `gsa-index`. Pin `0` names one
+/// order however the index came about: the masked stream is the stream of
+/// an index of the kept reads alone ([`pfam_suffix::KeepMask`]).
 ///
-/// `pairs_consumed` in a [`crate::core::CcdCursor`] is a position in one
-/// specific generation order, and the partitioned generator's order is a
-/// function of its chunk plan. So every emitted cursor pins the plan it
-/// was generated under (`0` = monolithic, else the settled per-chunk
-/// target), and resume passes that pin here: the source is rebuilt from
-/// the *pin*, not from this run's [`crate::config::MemParams`], making
-/// resume byte-identical even when the resumed run is configured with a
-/// different chunk size (or none at all). The closure receives the
-/// settled pin so fresh runs can stamp it into the cursors they emit.
+/// Any other plan: the [`PartitionedMinedSource`] with that chunk target.
 ///
-/// Pin `0` names one order however the index came about: mined through a
-/// mask from the index of the store's in-memory base (shared with the
-/// previous phase, or rebuilt on resume) or from an index of a copy of
-/// the store's reads, the stream is the same
-/// ([`pfam_suffix::KeepMask`]).
-///
-/// A pinned plan overrides budget *routing* but not budget *accounting*:
-/// the reservation is still attempted, and when the pinned plan no longer
-/// fits the generator runs accounting-only — changing the order would
-/// corrupt the replay, which is strictly worse than exceeding a soft
-/// limit.
-pub fn with_source_pinned<R>(
+/// A fresh phase passes [`index_plan`]'s answer and stamps it into the
+/// cursors it emits; a resumed CCD passes its cursor's pin, because
+/// `pairs_consumed` is a position in that one generation order. The
+/// source is rebuilt from the pin, not from this run's budget, so a resume
+/// under another budget replays byte-identically; a pin that no longer
+/// fits runs accounting-only — changing the order would corrupt the
+/// replay, which is strictly worse than exceeding a soft limit.
+pub fn with_pair_source<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,
     psi: u32,
-    threads: usize,
-    pin: Option<u64>,
+    plan: u64,
     shared: Option<&SharedIndex<'_>>,
-    f: impl FnOnce(&mut dyn PairSource, u64) -> R,
+    f: impl FnOnce(&mut dyn PairSource) -> R,
 ) -> R {
-    let index_bytes = |base: &SequenceSet| estimated_index_bytes(base.total_residues(), base.len());
-    // The run's index, if it is the index of the set `store` is a view of.
-    let shared_tree = |base: &SequenceSet| {
-        shared.filter(|shared| std::ptr::eq(shared.base, base)).map(|shared| shared.tree)
-    };
-    match pin {
-        // Pinned monolithic: the checkpointed run mined one big index.
-        Some(0) => {
-            let owned;
-            let view = match in_memory_view(store) {
-                Some(view) => view,
-                None => {
-                    owned = store.load_range(0..store.len() as u32);
-                    (&owned, None)
-                }
-            };
-            // A shared index is already accounted for by its builder.
-            let tree = shared_tree(view.0);
-            let _held = match tree {
-                Some(_) => None,
-                None => config.mem.budget.try_reserve("gsa-index", index_bytes(view.0)).ok(),
-            };
-            with_monolithic_source(view, config, psi, threads, tree, f)
-        }
-        // Pinned partitioned: rebuild the exact chunk plan.
-        Some(target) => {
-            let mut source =
-                PartitionedMinedSource::with_target(store, config, psi, threads, target);
-            f(&mut source, target)
-        }
-        // Fresh run: route from MemParams and report what was chosen.
+    if plan != 0 {
+        return f(&mut PartitionedMinedSource::new(store, config, psi, plan));
+    }
+    let owned;
+    let (base, keep) = match in_memory_view(store) {
+        Some(view) => view,
         None => {
-            if let Some(view) = in_memory_view(store) {
-                if let Some(tree) = shared_tree(view.0) {
-                    return with_monolithic_source(view, config, psi, threads, Some(tree), f);
-                }
-                if config.mem.index_chunk_bytes == 0 {
-                    if let Ok(_held) =
-                        config.mem.budget.try_reserve("gsa-index", index_bytes(view.0))
-                    {
-                        return with_monolithic_source(view, config, psi, threads, None, f);
-                    }
-                }
-            }
-            let mut source = PartitionedMinedSource::new(store, config, psi, threads);
-            let target = source.chunk_target();
-            f(&mut source, target)
+            owned = store.load_range(0..store.len() as u32);
+            (&owned, None)
         }
-    }
-}
-
-/// The fallible budget check the pipeline entry makes before phase 1:
-/// `Err` iff the *minimum feasible* index plan — one-sequence chunks, the
-/// deepest the partitioned miner can degrade — still exceeds the
-/// remaining budget, i.e. no amount of chunking makes the index fit.
-/// Drivers themselves never abort; this is where the typed error
-/// surfaces instead.
-pub fn check_index_budget(store: &dyn SeqStore, budget: &MemoryBudget) -> Result<(), BudgetError> {
-    if !budget.is_limited() {
-        return Ok(());
-    }
-    let lens: Vec<u32> = (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
-    let need = ChunkPlan::plan(&lens, 1).max_task_index_bytes();
-    if budget.would_fit(need) {
-        Ok(())
-    } else {
-        Err(BudgetError {
-            what: "partitioned-gsa",
-            requested: need,
-            in_use: budget.used(),
-            limit: budget.limit().unwrap_or(u64::MAX),
-        })
+    };
+    let mine = |tree: &SuffixTree<'_>| {
+        let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
+        let matches = match_config(config, psi);
+        f(&mut MinedSource::masked(tree, matches, config.index_threads(), keep.as_ref()))
+    };
+    match shared.filter(|shared| shared.indexes(base)) {
+        Some(shared) => mine(shared.tree),
+        None => {
+            let _held = config.budget.try_reserve("gsa-index", index_bytes(base));
+            with_config_index(base, config, psi, |tree, _| mine(tree))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfam_seq::{SeqId, SequenceSetBuilder};
+    use pfam_datagen::{DatasetConfig, SyntheticDataset};
+    use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SequenceSetBuilder, SubsetStore};
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
         let mut b = SequenceSetBuilder::new();
@@ -507,6 +390,14 @@ mod tests {
             b.push_letters(format!("s{i}"), s.as_bytes()).unwrap();
         }
         b.finish()
+    }
+
+    fn dataset(seed: u64) -> SequenceSet {
+        SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set
+    }
+
+    fn budgeted(bytes: u64) -> ClusterConfig {
+        ClusterConfig { budget: MemoryBudget::limited(bytes), ..ClusterConfig::default() }
     }
 
     #[test]
@@ -539,10 +430,65 @@ mod tests {
             "MKVLWAAKNDCQEGHILKMFPSTWYV",
             "GHILPWYVRNDAAKCCQQEEGGHHII",
         ]);
-        let config = ClusterConfig::for_short_sequences();
-        let serial = with_mined_source(&set, &config, config.psi_ccd, 1, |s| s.next_batch(10_000));
-        let mined = with_mined_source(&set, &config, config.psi_ccd, 2, |s| s.next_batch(10_000));
+        let mine = |threads: usize| {
+            let config = ClusterConfig { threads, ..ClusterConfig::for_short_sequences() };
+            with_pair_source(&set, &config, config.psi_ccd, 0, None, |s| s.next_batch(10_000))
+        };
+        let serial = mine(1);
         assert!(!serial.is_empty());
-        assert_eq!(serial, mined, "mining must be output-identical across thread counts");
+        assert_eq!(serial, mine(2), "mining must be output-identical across thread counts");
+    }
+
+    #[test]
+    fn an_in_memory_set_that_fits_plans_one_index() {
+        let set = dataset(3);
+        assert_eq!(index_plan(&set, &ClusterConfig::default(), None), Ok(0), "unbudgeted");
+        assert_eq!(index_plan(&set, &budgeted(index_bytes(&set)), None), Ok(0), "exactly fits");
+    }
+
+    #[test]
+    fn a_view_of_the_shared_index_plans_it_under_a_budget_it_no_longer_fits() {
+        let set = dataset(5);
+        let config = budgeted(index_bytes(&set));
+        let view = SubsetStore::new(&set, set.ids().step_by(2).collect());
+        with_shared_index(&set, &config, |shared| {
+            assert!(shared.is_some(), "the index fits: it is built");
+            assert_eq!(config.budget.remaining(), 0, "and holds the whole budget");
+            assert_eq!(index_plan(&view, &config, shared), Ok(0));
+            assert!(index_plan(&view, &config, None).is_err(), "no room for another");
+        });
+    }
+
+    #[test]
+    fn over_budget_plans_a_third_of_it_halved_until_the_largest_task_fits() {
+        let set = dataset(7);
+        let limit = index_bytes(&set) / 4;
+        let lens = read_lens(&set);
+        let mut want = limit / 3;
+        while ChunkPlan::plan(&lens, want).max_task_index_bytes() > limit {
+            want /= 2;
+        }
+        let plan = index_plan(&set, &budgeted(limit), None);
+        assert_eq!(plan, Ok(want));
+        assert!(ChunkPlan::plan(&lens, want).n_chunks() > 1);
+    }
+
+    #[test]
+    fn a_paged_store_unbudgeted_plans_256_mib_chunks() {
+        let path =
+            std::env::temp_dir().join(format!("pfam-index-plan-{}.pfss", std::process::id()));
+        PagedSeqStore::write_set(&path, &dataset(9), 1 << 12).expect("write paged store");
+        let paged = PagedSeqStore::open(&path).expect("open paged store");
+        assert_eq!(index_plan(&paged, &ClusterConfig::default(), None), Ok(256 << 20));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_read_chunks_over_the_budget_are_a_budget_error() {
+        let set = dataset(11);
+        let err = index_plan(&set, &budgeted(8), None).unwrap_err();
+        assert_eq!(err.what, "partitioned-gsa");
+        assert_eq!((err.limit, err.in_use), (8, 0));
+        assert_eq!(err.requested, ChunkPlan::plan(&read_lens(&set), 1).max_task_index_bytes());
     }
 }

@@ -24,14 +24,14 @@
 use pfam_mpi::run_spmd;
 use pfam_seq::SequenceSet;
 use pfam_suffix::distributed::PartitionedSuffixSpace;
-use pfam_suffix::{with_match_tree, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::policy::{serve_push_worker, SpmdPush, WorkPolicy};
 use crate::rr::RrResult;
-use crate::source::MinedSource;
+use crate::source::{with_config_index, MinedSource};
 use crate::transport::{MpiTransport, MpiWorkerPort};
 
 /// Partition prefix length (suffix-space ownership granularity).
@@ -53,14 +53,9 @@ fn run_push_spmd(
 
     // Shared read-only state, built once (in MPI this would be the
     // distributed construction; the partition assigns subtree ownership).
-    let index_set = crate::mask::index_view(set, &config.mask);
-    with_match_tree(
-        &index_set,
-        psi,
-        config.max_pairs_per_node,
-        config.index_threads(),
-        |tree, matches| run_push_world(set, config, n_ranks, phase, tree, matches),
-    )
+    with_config_index(set, config, psi, |tree, matches| {
+        run_push_world(set, config, n_ranks, phase, tree, matches)
+    })
 }
 
 /// The SPMD world of [`run_push_spmd`], over a finished index.

@@ -91,19 +91,14 @@ fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
     }
 }
 
-/// `config` with a chunk target small enough that any non-trivial set
-/// splits into several per-chunk indexes.
-fn chunked(config: &ClusterConfig) -> ClusterConfig {
-    let mut cfg = config.clone();
-    cfg.mem.index_chunk_bytes = 256;
-    cfg
-}
+/// A chunk target small enough that any non-trivial set splits into
+/// several per-chunk indexes.
+const CHUNK_TARGET: u64 = 256;
 
 /// The full pair stream of the out-of-core generator (its deterministic
 /// task-major order).
 fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
-    let cfg = chunked(config);
-    let mut source = PartitionedMinedSource::new(set, &cfg, config.psi_ccd, 1);
+    let mut source = PartitionedMinedSource::new(set, config, config.psi_ccd, CHUNK_TARGET);
     assert!(
         set.len() < 2 || source.plan().n_chunks() > 1,
         "the forced chunk target must actually partition the set"
@@ -139,8 +134,7 @@ fn run_cell(
     }
     match source {
         SourceKind::Partitioned => {
-            let cfg = chunked(config);
-            let mut src = PartitionedMinedSource::new(set, &cfg, config.psi_ccd, 1);
+            let mut src = PartitionedMinedSource::new(set, config, config.psi_ccd, CHUNK_TARGET);
             drive_master_side(set, config, &mut src, policy)
         }
         _ if set.is_empty() || matches!(source, SourceKind::Collected) => {

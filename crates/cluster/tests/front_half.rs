@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pfam_cluster::{
     run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
-    CcdResult, ClusterConfig, PairLedger, RrResult,
+    CcdResult, ClusterConfig, ClusterCore, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -148,11 +148,14 @@ fn a_partitioned_pin_still_resumes_under_the_shared_index() {
     let config = config();
     let kept = run_redundancy_removal(&set, &config).kept;
     let view = SubsetStore::new(&set, kept.clone());
-    let mut forced = config.clone();
-    forced.mem.index_chunk_bytes = OLD_DEFAULT;
-    let want = ccd_with(&view, &forced, &no_ledger());
-    let cursors =
-        cursors_of(|on_cursor| run_ccd_resumable(&view, &forced, &no_ledger(), None, 1, on_cursor));
+    // A fresh run under that plan: a resume from the empty cursor pinning it.
+    let mut start = ClusterCore::new_ccd(&view).cursor();
+    start.gen_chunk_bytes = OLD_DEFAULT;
+    let from_start = |every: usize, on_cursor: &mut dyn FnMut(&CcdCursor)| {
+        run_ccd_resumable(&view, &config, &no_ledger(), Some(start.clone()), every, on_cursor)
+    };
+    let want = from_start(0, &mut |_| {});
+    let cursors = cursors_of(|on_cursor| from_start(1, on_cursor));
     assert!(cursors.iter().all(|c| c.gen_chunk_bytes == OLD_DEFAULT));
     let cursor = cursors[cursors.len() / 2].clone();
 
@@ -169,25 +172,31 @@ fn runs_one_index_cannot_serve_keep_their_routes() {
     let (rr_want, ccd_want) = two_builds(&set, &config);
     let estimate = estimated_index_bytes(set.total_residues(), set.len());
 
-    let mut budgeted = config.clone();
-    budgeted.mem.budget = pfam_seq::MemoryBudget::limited(estimate / 4);
+    let budgeted =
+        ClusterConfig { budget: pfam_seq::MemoryBudget::limited(estimate / 4), ..config.clone() };
+    let path = std::env::temp_dir().join(format!("pfam-front-routes-{}.pfss", std::process::id()));
+    PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
+    let paged = PagedSeqStore::open(&path).expect("open paged store");
     // A budget of its own: clones share the accounting, and `rr_want`
     // still holds its ledger on `config`'s.
-    let mut chunked = config.clone();
-    chunked.mem = pfam_cluster::MemParams { index_chunk_bytes: 4096, ..Default::default() };
-    for (what, cfg) in [("budget", &budgeted), ("chunk size", &chunked)] {
-        let (rr, ccd) = run_front_half(&set, cfg);
+    let unbudgeted = self::config();
+    for (what, input, cfg) in [
+        ("budget", &set as &dyn pfam_seq::SeqStore, &budgeted),
+        ("paged store", &paged, &unbudgeted),
+    ] {
+        let (rr, ccd) = run_front_half(input, cfg);
         assert_eq!(rr.kept, rr_want.kept, "{what}");
         assert_eq!(ccd.components, ccd_want.components, "{what}");
         let pins = cursors_of(|on_cursor| {
-            with_front_half(&set, cfg, |front| {
+            with_front_half(input, cfg, |front| {
                 front.ccd_resumable(&rr.kept, &rr.ledger, None, 1, on_cursor)
             })
         });
         assert!(pins.iter().all(|c| c.gen_chunk_bytes != 0), "{what}: partitioned in CCD");
         // What is still held is the ledger, and it goes with RR's result.
-        assert_eq!(cfg.mem.budget.used(), 8 * rr.ledger.len() as u64, "{what}: index released");
+        assert_eq!(cfg.budget.used(), 8 * rr.ledger.len() as u64, "{what}: index released");
         drop(rr);
-        assert_eq!(cfg.mem.budget.used(), 0, "{what}: reservations released");
+        assert_eq!(cfg.budget.used(), 0, "{what}: reservations released");
     }
+    let _ = std::fs::remove_file(&path);
 }

@@ -26,8 +26,7 @@ use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
     with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, IterSource, LeasedPull,
-    LocalTransport, MemParams, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier,
-    WorkPolicy,
+    LocalTransport, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -50,9 +49,7 @@ fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
 
 /// The ψ_ccd stream over `store`, in the partitioned miner's order.
 fn pair_stream(store: &dyn SeqStore, cfg: &ClusterConfig) -> Vec<MatchPair> {
-    let mut chunked = cfg.clone();
-    chunked.mem = MemParams { index_chunk_bytes: 1 << 14, ..MemParams::default() };
-    drain(&mut PartitionedMinedSource::new(store, &chunked, cfg.psi_ccd, 1))
+    drain(&mut PartitionedMinedSource::new(store, cfg, cfg.psi_ccd, 1 << 14))
 }
 
 /// CCD over `store` with the push protocol: two workers, half the stream each.
@@ -175,13 +172,13 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
         // Room for the index and `room` ledger entries: the index stays
         // monolithic (RR sees the same order), recording stops early.
         let index = estimated_index_bytes(set.total_residues(), set.len());
-        let tight = ClusterConfig { mem: MemParams::limited(index + 8 * room as u64), ..cfg };
+        let tight = ClusterConfig { budget: MemoryBudget::limited(index + 8 * room as u64), ..cfg };
         let rr = run_redundancy_removal(&set, &tight);
         assert_eq!((&rr.kept, &rr.removed), (&want.kept, &want.removed), "seed {seed}");
         assert_eq!(rr.trace, want.trace, "seed {seed}: RR does not read its ledger");
         assert!(rr.ledger.dropped() > 0 && rr.ledger.len() <= room, "seed {seed}");
         assert!(rr.ledger.entries().all(|(a, b, yes)| want.ledger.lookup(a, b) == Some(yes)));
-        assert_eq!(tight.mem.budget.used(), 8 * rr.ledger.len() as u64, "held while it lives");
+        assert_eq!(tight.budget.used(), 8 * rr.ledger.len() as u64, "held while it lives");
 
         let nr_store = SubsetStore::new(&set, rr.kept.clone());
         let ccd = run_ccd_resumable(&nr_store, &tight, &rr.ledger, None, 0, &mut |_| {});
@@ -198,6 +195,6 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
         assert!(t.total_ledger_hits() < w.total_ledger_hits(), "seed {seed}: misses are fills");
         assert_known_graphs_equal_mined(&set, &tight, &rr.kept, &rr.ledger, &ccd, "tight");
         drop(rr);
-        assert_eq!(tight.mem.budget.used(), 0, "seed {seed}: the ledger's bytes go with it");
+        assert_eq!(tight.budget.used(), 0, "seed {seed}: the ledger's bytes go with it");
     }
 }

@@ -1,17 +1,18 @@
 //! Property suite for the out-of-core index plane: the partitioned
 //! generator's pair *set* equals the monolithic miner's for every chunk
 //! plan, and checkpoint/resume is byte-identical even when the resumed
-//! run is configured with a different chunk size (the cursor pins the
-//! generation plan it was cut under).
+//! run would plan another chunk size (the cursor pins the generation
+//! plan it was cut under). A fresh CCD under a chosen plan is a resume
+//! from the empty cursor that pins it ([`start_pinned`]).
 
 use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd, run_ccd_resumable, with_mined_source, ClusterConfig, PairSource,
-    PartitionedMinedSource,
+    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig, ClusterCore,
+    PairSource, PartitionedMinedSource,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
-use pfam_seq::{SequenceSet, SequenceSetBuilder};
+use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::{estimated_index_bytes, MatchPair};
 
 /// Order-free canonical form: `(a, b, len)` per emitted pair — the
@@ -31,7 +32,7 @@ fn mono_pairs(set: &SequenceSet, config: &ClusterConfig, psi: u32) -> Vec<MatchP
     if set.is_empty() {
         return Vec::new();
     }
-    with_mined_source(set, config, psi, 1, |s| s.next_batch(usize::MAX))
+    with_pair_source(set, config, psi, 0, None, |s| s.next_batch(usize::MAX))
 }
 
 /// The partitioned stream under an exact pinned chunk target, plus the
@@ -42,9 +43,29 @@ fn part_pairs(
     psi: u32,
     target: u64,
 ) -> (Vec<MatchPair>, usize) {
-    let mut src = PartitionedMinedSource::with_target(set, config, psi, 1, target);
+    let mut src = PartitionedMinedSource::new(set, config, psi, target);
     let n_chunks = src.plan().n_chunks();
     (src.next_batch(usize::MAX), n_chunks)
+}
+
+/// The empty cursor that pins `plan`: resuming from it is a fresh CCD
+/// over `store` mined under that plan.
+fn start_pinned(store: &dyn SeqStore, plan: u64) -> CcdCursor {
+    let mut start = ClusterCore::new_ccd(store).cursor();
+    start.gen_chunk_bytes = plan;
+    start
+}
+
+/// CCD over `set` from `resume`, every cursor it emits sent to `on_cursor`
+/// (none when `every` is 0).
+fn ccd_from(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    resume: CcdCursor,
+    every: usize,
+    on_cursor: &mut dyn FnMut(&CcdCursor),
+) -> CcdResult {
+    run_ccd_resumable(set, config, &Arc::default(), Some(resume), every, on_cursor)
 }
 
 /// Sweep chunk targets spanning one-chunk, several-chunk and
@@ -123,10 +144,9 @@ fn repeat_straddling_a_chunk_boundary_is_found() {
 fn components_identical_through_run_ccd_across_chunk_sizes() {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny(31));
     let reference = run_ccd(&d.set, &ClusterConfig::default());
+    let cfg = ClusterConfig::default();
     for chunk_bytes in [512u64, 4096, 1 << 16] {
-        let mut cfg = ClusterConfig::default();
-        cfg.mem.index_chunk_bytes = chunk_bytes;
-        let got = run_ccd(&d.set, &cfg);
+        let got = ccd_from(&d.set, &cfg, start_pinned(&d.set, chunk_bytes), 0, &mut |_| {});
         assert_eq!(got.components, reference.components, "chunk target {chunk_bytes}");
         assert_eq!(got.n_merges, reference.n_merges, "chunk target {chunk_bytes}");
     }
@@ -135,15 +155,13 @@ fn components_identical_through_run_ccd_across_chunk_sizes() {
 #[test]
 fn resume_with_a_different_chunk_size_is_byte_identical() {
     let d = SyntheticDataset::generate(&DatasetConfig::tiny(77));
-    // The checkpointed run mines through forced 2 KiB chunks.
-    let mut cfg_a = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-    cfg_a.mem.index_chunk_bytes = 2048;
-    let full = run_ccd(&d.set, &cfg_a);
+    // The checkpointed run mines through pinned 2 KiB chunks.
+    let cfg_a = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
+    let full = ccd_from(&d.set, &cfg_a, start_pinned(&d.set, 2048), 0, &mut |_| {});
 
     let mut cursors = Vec::new();
-    let observed = run_ccd_resumable(&d.set, &cfg_a, &Arc::default(), None, 1, &mut |c| {
-        cursors.push(c.clone())
-    });
+    let observed =
+        ccd_from(&d.set, &cfg_a, start_pinned(&d.set, 2048), 1, &mut |c| cursors.push(c.clone()));
     assert_eq!(observed.components, full.components);
     assert_eq!(observed.trace, full.trace);
     assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
@@ -152,30 +170,21 @@ fn resume_with_a_different_chunk_size_is_byte_identical() {
         "every cursor must pin the generation plan it was cut under"
     );
 
-    // Resume under configs with a *different* chunk size — monolithic
-    // routing and a mismatched chunk target. The pinned plan, not the
-    // resumed config, dictates the generation order, so the replay is
-    // byte-identical: same components, same edges, same trace.
+    // Resume under configs that would plan otherwise — unbudgeted (one
+    // monolithic index) and a budget a tenth of the index (smaller
+    // chunks). The pinned plan, not the resumed config, dictates the
+    // generation order, so the replay is byte-identical: same components,
+    // same edges, same trace.
+    let tenth = estimated_index_bytes(d.set.total_residues(), d.set.len()) / 10;
     let step = (cursors.len() / 3).max(1);
     for cursor in cursors.into_iter().step_by(step) {
-        for resumed_chunk in [0u64, 512] {
-            let mut cfg_b = cfg_a.clone();
-            cfg_b.mem.index_chunk_bytes = resumed_chunk;
-            let resumed = run_ccd_resumable(
-                &d.set,
-                &cfg_b,
-                &Arc::default(),
-                Some(cursor.clone()),
-                0,
-                &mut |_| {},
-            );
-            assert_eq!(resumed.components, full.components, "resumed chunk {resumed_chunk}");
-            assert_eq!(resumed.edges, full.edges, "resumed chunk {resumed_chunk}");
-            assert_eq!(resumed.n_merges, full.n_merges, "resumed chunk {resumed_chunk}");
-            assert_eq!(
-                resumed.trace, full.trace,
-                "trace must replay exactly (resumed chunk {resumed_chunk})"
-            );
+        for (what, budget) in [("unbudgeted", 0), ("a tenth", tenth)] {
+            let cfg_b = ClusterConfig { budget: MemoryBudget::limited(budget), ..cfg_a.clone() };
+            let resumed = ccd_from(&d.set, &cfg_b, cursor.clone(), 0, &mut |_| {});
+            assert_eq!(resumed.components, full.components, "resumed {what}");
+            assert_eq!(resumed.edges, full.edges, "resumed {what}");
+            assert_eq!(resumed.n_merges, full.n_merges, "resumed {what}");
+            assert_eq!(resumed.trace, full.trace, "trace must replay exactly (resumed {what})");
         }
     }
 }
@@ -195,13 +204,11 @@ fn monolithic_checkpoint_resumes_under_a_chunked_config() {
     assert!(cursors.iter().all(|c| c.gen_chunk_bytes == 0), "monolithic runs pin plan 0");
     assert!(cursors.len() >= 2, "want several boundaries, got {}", cursors.len());
 
-    // Resuming under a forced-chunk config must still replay the
-    // monolithic order the cursor position refers to.
+    // Resuming under a budget that would plan 1 KiB-scale chunks must
+    // still replay the monolithic order the cursor position refers to.
     let cursor = cursors.swap_remove(cursors.len() / 2);
-    let mut cfg_chunked = cfg_mono.clone();
-    cfg_chunked.mem.index_chunk_bytes = 1024;
-    let resumed =
-        run_ccd_resumable(&d.set, &cfg_chunked, &Arc::default(), Some(cursor), 0, &mut |_| {});
+    let cfg_chunked = ClusterConfig { budget: MemoryBudget::limited(3 << 10), ..cfg_mono.clone() };
+    let resumed = ccd_from(&d.set, &cfg_chunked, cursor, 0, &mut |_| {});
     assert_eq!(resumed.components, full.components);
     assert_eq!(resumed.edges, full.edges);
     assert_eq!(resumed.trace, full.trace);

@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use pfam_cluster::{
-    run_ccd, ClusterConfig, CorePhase, KnownPairs, MemParams, PairLedger, Verifier, VerifyOn,
-};
+use pfam_cluster::{run_ccd, ClusterConfig, CorePhase, KnownPairs, PairLedger, Verifier, VerifyOn};
 use pfam_datagen::{random_peptide, DatasetConfig, MutationModel, SyntheticDataset};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
 use rand::rngs::StdRng;
@@ -138,7 +136,7 @@ fn deferred_pairs_of_a_component_under_the_minimum_are_neither_held_nor_filled()
     let budget = MemoryBudget::limited(1 << 20);
     let cfg = ClusterConfig {
         batch_size: 1,
-        mem: MemParams { budget: budget.clone(), ..MemParams::default() },
+        budget: budget.clone(),
         ..ClusterConfig::for_short_sequences()
     };
     let kept: Vec<SeqId> = (0..set.len() as u32).map(SeqId).collect();

@@ -236,8 +236,8 @@ pub fn read_checkpoint(path: &Path) -> Result<(Phase, u64, Vec<u8>), CkptError> 
 /// on. Each checkpoint file carries the fingerprint of the run that wrote
 /// it, and a run resumes only from files carrying its own.
 ///
-/// Thread counts, the alignment engine, the memory budget, the index chunk
-/// size and the checkpoint cadence are left out on purpose: results are
+/// Thread counts, the alignment engine, the memory budget and the
+/// checkpoint cadence are left out on purpose: results are
 /// identical across them (the CCD cursor's plan pin fixes the generation
 /// order), so a killed run may be resumed under other values.
 pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
@@ -255,7 +255,7 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
         mask,
         threads: _,
         align_engine: _,
-        mem: _,
+        budget: _,
     } = cluster;
     let ShingleParams { s1, c1, s2, c2, seed: shingle_seed } = *shingle;
 
@@ -507,6 +507,9 @@ impl RrState {
     pub fn decode(payload: &[u8]) -> Result<RrState, CkptError> {
         let mut d = Dec::new(payload);
         let kept = d.u32s()?;
+        if !kept.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CkptError::Corrupt("survivor ids not strictly ascending"));
+        }
         let removed = d.pairs()?;
         let mut ledger = Vec::new();
         for answer in [true, false] {
@@ -558,6 +561,9 @@ impl CcdState {
         let uf_rank = d.bytes()?.to_vec();
         if uf_rank.len() != uf_parent.len() {
             return Err(CkptError::Corrupt("union-find parent/rank length mismatch"));
+        }
+        if uf_parent.iter().any(|&p| p as usize >= uf_parent.len()) {
+            return Err(CkptError::Corrupt("union-find parent outside the clustered set"));
         }
         let edges = d.pairs()?;
         let deferred = d.pairs()?;
@@ -641,6 +647,13 @@ impl DsdState {
             let mut subgraphs = Vec::with_capacity(n_sub.min(1 << 20));
             for _ in 0..n_sub {
                 subgraphs.push(d.u32s()?);
+            }
+            let local = |&v: &u32| (v as usize) < members.len();
+            if !edges.iter().all(|(a, b)| local(a) && local(b)) {
+                return Err(CkptError::Corrupt("component edge outside its members"));
+            }
+            if !subgraphs.iter().flatten().all(local) {
+                return Err(CkptError::Corrupt("dense subgraph outside its component"));
             }
             done.push(DsdComponent { members, edges, subgraphs });
         }
@@ -756,7 +769,7 @@ mod tests {
         assert_ne!(fingerprint(&set_of(&["MKVLWAAK", "MKVLWND"]), &base), name);
         assert_ne!(fingerprint(&set_of(&["MKVLWAAKND", "MKVL", "W"]), &base), name);
 
-        let mut unchanged = base.clone().with_mem_budget(1 << 20).with_index_chunk_bytes(4096);
+        let mut unchanged = base.clone().with_mem_budget(1 << 20);
         unchanged.cluster.threads = 1;
         unchanged.cluster.align_engine = pfam_cluster::AlignEngineKind::Reference;
         assert_eq!(fingerprint(&set, &unchanged), name);

@@ -63,19 +63,11 @@ impl PipelineConfig {
     /// partitioned when the monolithic index would not fit. Results are
     /// bit-identical for every cap; `0` removes the limit.
     pub fn with_mem_budget(mut self, bytes: u64) -> PipelineConfig {
-        self.cluster.mem.budget = if bytes == 0 {
+        self.cluster.budget = if bytes == 0 {
             pfam_seq::MemoryBudget::unlimited()
         } else {
             pfam_seq::MemoryBudget::limited(bytes)
         };
-        self
-    }
-
-    /// Pin the partitioned index's per-chunk size to `bytes` of index
-    /// footprint (`0` = derive from the budget, or one monolithic chunk
-    /// when unlimited). Any positive value forces the partitioned path.
-    pub fn with_index_chunk_bytes(mut self, bytes: u64) -> PipelineConfig {
-        self.cluster.mem.index_chunk_bytes = bytes;
         self
     }
 }
@@ -104,18 +96,10 @@ mod tests {
     #[test]
     fn with_mem_budget_reaches_the_cluster_layer() {
         let c = PipelineConfig::for_tests();
-        assert!(!c.cluster.mem.budget.is_limited(), "unlimited by default");
+        assert!(!c.cluster.budget.is_limited(), "unlimited by default");
         let c = c.with_mem_budget(1 << 20);
-        assert_eq!(c.cluster.mem.budget.limit(), Some(1 << 20));
+        assert_eq!(c.cluster.budget.limit(), Some(1 << 20));
         let c = c.with_mem_budget(0);
-        assert!(!c.cluster.mem.budget.is_limited(), "0 clears the cap");
-    }
-
-    #[test]
-    fn with_index_chunk_bytes_reaches_the_cluster_layer() {
-        let c = PipelineConfig::for_tests();
-        assert_eq!(c.cluster.mem.index_chunk_bytes, 0, "auto by default");
-        let c = c.with_index_chunk_bytes(4096);
-        assert_eq!(c.cluster.mem.index_chunk_bytes, 4096);
+        assert!(!c.cluster.budget.is_limited(), "0 clears the cap");
     }
 }

@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfam_cluster::{
-    check_index_budget, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ComponentGraph,
+    index_plan, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ComponentGraph,
     KnownPairs, PairLedger, PhaseTrace,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
@@ -396,15 +396,15 @@ fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
 /// [`PipelineHooks::stop_after`] asked it to.
 ///
 /// Refuses to start — with a typed error, never an abort or an empty
-/// answer — when the configuration cannot work on this input
-/// ([`check_index_budget`]).
+/// answer — when the configuration cannot work on this input: no
+/// [`index_plan`] fits the budget.
 pub fn run_pipeline(
     input: &dyn SeqStore,
     config: &PipelineConfig,
     hooks: &PipelineHooks,
 ) -> Result<Option<PipelineResult>, PipelineError> {
-    let budget = &config.cluster.mem.budget;
-    check_index_budget(input, budget)?;
+    index_plan(input, &config.cluster, None)?;
+    let budget = &config.cluster.budget;
     let snapshots = Snapshots::open(hooks, input, config)?;
     let stop_after = |phase: Phase| hooks.stop_after == Some(phase);
 
@@ -417,6 +417,9 @@ pub fn run_pipeline(
     let front = match snapshots.load(Phase::Rr)? {
         Some(payload) => {
             let rr = RrState::decode(&payload)?;
+            if rr.kept.last().is_some_and(|&last| last as usize >= input.len()) {
+                return Err(CkptError::Corrupt("rr checkpoint is for a different input").into());
+            }
             if stop_after(Phase::Rr) {
                 return Ok(None);
             }
@@ -640,19 +643,20 @@ mod tests {
 
     #[test]
     fn budgeted_pipeline_is_bit_identical() {
-        // A budget far below the monolithic index estimate forces the
-        // partitioned index plane and the per-set shingle-hash path; every
-        // reported family must be unchanged.
+        // Budgets below the monolithic index estimate send both phases to
+        // the partitioned miner, each at smaller chunks than the last;
+        // every reported family must be unchanged.
         let d = small_dataset(28);
         let config = PipelineConfig::for_tests();
         let want = config.run(&d.set);
         let est = pfam_suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
-        let tight = config.clone().with_mem_budget(est / 4);
-        let got = tight.run(&d.set);
-        assert_eq!(got.dense_subgraphs, want.dense_subgraphs);
-        assert_eq!(got.components, want.components);
-        assert_eq!(got.non_redundant, want.non_redundant);
-        assert_eq!(got.shingle_stats, want.shingle_stats);
+        for share in [2, 4, 8] {
+            let got = config.clone().with_mem_budget(est / share).run(&d.set);
+            assert_eq!(got.dense_subgraphs, want.dense_subgraphs, "est/{share}");
+            assert_eq!(got.components, want.components, "est/{share}");
+            assert_eq!(got.non_redundant, want.non_redundant, "est/{share}");
+            assert_eq!(got.shingle_stats, want.shingle_stats, "est/{share}");
+        }
     }
 
     #[test]
@@ -664,19 +668,6 @@ mod tests {
         assert_eq!(err.what, "partitioned-gsa");
         assert_eq!(err.limit, 8);
         assert!(err.requested > err.limit);
-    }
-
-    #[test]
-    fn explicit_chunk_size_is_bit_identical() {
-        let d = small_dataset(30);
-        let config = PipelineConfig::for_tests();
-        let want = config.run(&d.set);
-        for chunk in [512u64, 4096, 1 << 20] {
-            let forced = config.clone().with_index_chunk_bytes(chunk);
-            let got = forced.run(&d.set);
-            assert_eq!(got.dense_subgraphs, want.dense_subgraphs, "chunk={chunk}");
-            assert_eq!(got.components, want.components, "chunk={chunk}");
-        }
     }
 
     #[test]

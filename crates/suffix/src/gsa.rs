@@ -36,7 +36,7 @@ use std::cmp::Ordering;
 use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
-use crate::parallel::{bucket_sort_index, lcp_array_parallel, resolve_threads};
+use crate::parallel::{bucket_sort_index, resolve_threads};
 use crate::sais::suffix_array;
 
 /// Symbol class of a sentinel.
@@ -233,7 +233,7 @@ impl GeneralizedSuffixArray {
         (index.sa, index.lcp) = bucket_sort_index(&index.text, threads).unwrap_or_else(|| {
             let text = index.encoded_text();
             let sa = suffix_array(&text, index.alphabet_size());
-            let lcp = CompactLcp::from_values(&lcp_array_parallel(&text, &sa, threads));
+            let lcp = CompactLcp::from_values(&lcp_array(&text, &sa));
             (sa, lcp)
         });
         index

@@ -36,9 +36,9 @@ pub mod tree;
 pub use gsa::{estimated_index_bytes, CompactLcp, GeneralizedSuffixArray};
 pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
 pub use parallel::{
-    bucket_sort_index, bucket_sort_index_staged, lcp_array_parallel, parallel_pairs,
-    parallel_pairs_masked, promising_pairs, promising_pairs_masked, resolve_threads,
-    with_match_tree, PairSource, SortStages,
+    bucket_sort_index, bucket_sort_index_staged, parallel_pairs, parallel_pairs_masked,
+    promising_pairs, promising_pairs_masked, resolve_threads, with_match_tree, PairSource,
+    SortStages,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
 pub use sais::suffix_array;

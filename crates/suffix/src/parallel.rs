@@ -11,12 +11,10 @@
 //!   array falls out of adjacent keys. All suffixes of the indexed text
 //!   are distinct (each sequence carries a unique sentinel), so the sorted
 //!   order is *unique* and must equal what SA-IS produces. Texts whose
-//!   key ties run too deep (long exact repeats) are handed back to SA-IS.
-//! * [`lcp_array_parallel`] — the LCP pass of that SA-IS fallback — uses
-//!   the Φ-array (PLCP) formulation: the PLCP
-//!   recurrence runs over text positions, and restarting its `h` counter
-//!   at a chunk boundary only discards an acceleration bound, never
-//!   changes a value — so chunks fill independently and exactly.
+//!   key ties run too deep (long exact repeats) are handed back to SA-IS
+//!   and Kasai's serial LCP pass — a parallel Φ/PLCP pass lost to it in
+//!   every timed run at 2 threads (EXPERIMENTS.md, "SA-IS fallback LCP —
+//!   verdict (PR 25)").
 //! * [`parallel_pairs`] partitions the depth-sorted internal-node list
 //!   into contiguous chunks, mines each chunk's nodes into per-thread
 //!   emit buffers with the same node-local routine the serial generator
@@ -44,7 +42,6 @@ use pfam_seq::SequenceSet;
 use crate::gsa::{
     is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray, SENTINEL_CLASS,
 };
-use crate::lcp::{lcp_array, phi_array, plcp_fill};
 use crate::maximal::{
     collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
     MaximalMatchGenerator,
@@ -107,19 +104,6 @@ where
             });
         }
     });
-}
-
-/// Split `data` into chunks of `chunk_size` and run `f(offset, chunk)` on
-/// up to `threads` workers.
-fn for_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let jobs: Vec<(usize, &mut [T])> =
-        data.chunks_mut(chunk_size).enumerate().map(|(i, c)| (i * chunk_size, c)).collect();
-    run_jobs(jobs, threads, |(off, chunk)| f(off, chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -544,39 +528,6 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
 }
 
 // ---------------------------------------------------------------------------
-// Parallel LCP
-// ---------------------------------------------------------------------------
-
-/// Compute the LCP array of `text`/`sa` with up to `threads` workers via
-/// the Φ-array (PLCP) formulation. Identical output to
-/// [`lcp_array`](crate::lcp::lcp_array).
-pub fn lcp_array_parallel(text: &[u32], sa: &[u32], threads: usize) -> Vec<u32> {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return lcp_array(text, sa);
-    }
-    let n = text.len();
-    assert_eq!(sa.len(), n, "suffix array length mismatch");
-    if n == 0 {
-        return Vec::new();
-    }
-    let phi = phi_array(sa);
-    let mut plcp = vec![0u32; n];
-    // More chunks than workers: PLCP cost is skewed toward repetitive
-    // regions, and small chunks let the cursor balance them.
-    let chunk = n.div_ceil(threads * 8);
-    for_chunks_mut(&mut plcp, chunk, threads, |off, out| plcp_fill(text, &phi, off, out));
-    let mut lcp = vec![0u32; n];
-    for_chunks_mut(&mut lcp, n.div_ceil(threads), threads, |off, out| {
-        for (d, slot) in out.iter_mut().enumerate() {
-            let r = off + d;
-            *slot = if r == 0 { 0 } else { plcp[sa[r] as usize] };
-        }
-    });
-    lcp
-}
-
-// ---------------------------------------------------------------------------
 // Parallel pair generation
 // ---------------------------------------------------------------------------
 
@@ -725,6 +676,7 @@ pub fn with_match_tree<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lcp::lcp_array;
     use crate::maximal::all_pairs;
     use crate::sais;
     use pfam_seq::SequenceSetBuilder;
@@ -853,21 +805,6 @@ mod tests {
             keyed.scan_keys(range.clone(), |i, key| seen.push((i, key)));
             let direct: Vec<_> = range.rev().map(|i| (i, keyed.key_at(i))).collect();
             assert_eq!(seen, direct);
-        }
-    }
-
-    #[test]
-    fn parallel_lcp_matches_kasai() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..25 {
-            let n = rng.gen_range(1..400);
-            let sigma = rng.gen_range(1..6u32);
-            let text = random_text(&mut rng, n, sigma);
-            let sa = sais::suffix_array(&text, sigma as usize + 2);
-            let expect = lcp_array(&text, &sa);
-            for threads in [2, 3, 8] {
-                assert_eq!(lcp_array_parallel(&text, &sa, threads), expect);
-            }
         }
     }
 

@@ -21,7 +21,8 @@
 # drivers (distributed, SPMD, rayon, arena), graph extras, the rank table,
 # the `_with` / `_reusing` constructor twins, the barrier executor or the
 # Criterion stand-in by name; no `thread_local!` in pfam-core or
-# pfam-shingle), the
+# pfam-shingle; none of the retired index-routing sites or the chunk-size
+# knob by name, and the budget split into chunk targets in one place), the
 # reachability ratchet (every `pub` item
 # of a library crate is named outside the tests or is on
 # scripts/reachability.allow with a reason), the candidate-list suite
@@ -133,6 +134,26 @@ if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|s
 fi
 if grep -rn "thread_local!" crates/core/src crates/shingle/src; then
     echo "tier1 FAIL: worker-local state in pfam-core / pfam-shingle" >&2
+    exit 1
+fi
+
+echo "== tier1: one plan for where a phase's pairs come from =="
+# Which index a phase mines — one monolithic index, or the partitioned
+# miner at which chunk target — is one function of (input, budget),
+# `index_plan`, and one two-arm opener, `with_pair_source`. The six
+# routing sites, the seven-argument opener, the ladder's twin constructor,
+# the pre-flight that restated its floor and the chunk-size knob they read
+# were folded into those two (PR 25); none comes back under its old name,
+# and the budget's third is split in one place.
+if grep -rnE "with_source_pinned|with_target|MemParams|index_chunk_bytes|with_index_chunk_bytes|check_index_budget|with_mined_source" \
+    crates src tests examples; then
+    echo "tier1 FAIL: a retired routing site or knob is named in the tree" >&2
+    exit 1
+fi
+THIRDS=$(grep -rn "remaining() / 3" crates/*/src)
+if [ "$(echo "$THIRDS" | grep -c .)" != 1 ] || ! echo "$THIRDS" | grep -q "^crates/cluster/src/source\.rs:"; then
+    echo "tier1 FAIL: the chunk target is derived outside index_plan:" >&2
+    echo "$THIRDS" >&2
     exit 1
 fi
 
@@ -408,7 +429,8 @@ fi
 
 echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op; a repeat is one too) =="
 for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
-    "--sketch-mode approx:--sketch-mode" "--psi 10 --psi 20:--psi given twice"; do
+    "--sketch-mode approx:--sketch-mode" "--index-chunk-bytes 4K:--index-chunk-bytes" \
+    "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
         --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then

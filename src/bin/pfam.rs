@@ -4,7 +4,7 @@
 //! pfam generate --out reads.fasta [--families N] [--members N] [--seed N]
 //! pfam cluster  <input.fasta> [--out families.tsv] [--tau F] [--domain W]
 //!               [--min-size N] [--mask] [--psi N]
-//!               [--mem-budget BYTES[K|M|G]] [--index-chunk-bytes BYTES[K|M|G]]
+//!               [--mem-budget BYTES[K|M|G]]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
 //!               [--checkpoint-every N] [--checkpoint-every-components N]
 //!               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]
@@ -75,8 +75,6 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20               families. Outside it: the build's transient\n\
     \x20               8 B-per-position sort keys and the process's fixed\n\
     \x20               footprint, so peak RSS reads higher than BYTES)\n\
-    \x20               [--index-chunk-bytes BYTES[K|M|G]] (pin the\n\
-    \x20               partitioned-index chunk size; 0 = from the budget)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
     \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
     \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
@@ -104,7 +102,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--mask", false, CLUSTER),
     ("--psi", true, CLUSTER),
     ("--mem-budget", true, CLUSTER),
-    ("--index-chunk-bytes", true, CLUSTER),
     ("--checkpoint-dir", true, CHECKPOINT),
     ("--resume", false, CHECKPOINT),
     ("--checkpoint-every", true, CHECKPOINT),
@@ -256,8 +253,7 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
         min_subgraph_size: min_size,
         ..PipelineConfig::default()
     }
-    .with_mem_budget(parse_bytes(args, "--mem-budget", 0)?)
-    .with_index_chunk_bytes(parse_bytes(args, "--index-chunk-bytes", 0)?);
+    .with_mem_budget(parse_bytes(args, "--mem-budget", 0)?);
     let problems = pfam::core::validate(&config);
     if !problems.is_empty() {
         return Err(problems.iter().map(ToString::to_string).collect::<Vec<_>>().join("; "));
@@ -474,6 +470,7 @@ mod tests {
             "--sketch-rows",
             "--sketch-width",
             "--sketch-seed",
+            "--index-chunk-bytes",
         ] {
             for cmd in CLUSTER {
                 let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
@@ -519,7 +516,7 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert_eq!(known.len(), 18);
+        assert_eq!(known.len(), 17);
 
         // `cluster` and `run` are one program: `run` takes what `cluster`
         // takes, plus the five flags that need a checkpoint directory.
@@ -543,7 +540,7 @@ mod tests {
         // One command line per subcommand carrying every flag it is
         // documented with.
         let cluster = "in.fasta --out f.tsv --tau 0.4 --domain 10 --min-size 3 --mask --psi 8 \
-                       --mem-budget 64M --index-chunk-bytes 4K";
+                       --mem-budget 64M";
         check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
         let run = format!(

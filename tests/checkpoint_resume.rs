@@ -81,7 +81,7 @@ fn kill_mid_ccd(
     let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
     let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
     assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
-    let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.mem.budget));
+    let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.budget));
     let mut cursors = Vec::new();
     run(&kept, &ledger, &mut |c| cursors.push(c.clone()));
     let cursor = cursors.swap_remove(cursors.len() / 2);
@@ -141,8 +141,10 @@ fn partitioned_pin_of_an_older_checkpoint_still_resumes() {
     let hooks = hooks_in(&scratch_dir("old-pin"), 1, 1);
     let pin = kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
         let view = pfam::seq::SubsetStore::new(&d.set, kept.to_vec());
-        let forced = config.clone().with_index_chunk_bytes(OLD_DEFAULT);
-        pfam::cluster::run_ccd_resumable(&view, &forced.cluster, ledger, None, 1, on_cursor);
+        // A fresh run under that plan: a resume from the empty cursor pinning it.
+        let mut start = pfam::cluster::ClusterCore::new_ccd(&view).cursor();
+        start.gen_chunk_bytes = OLD_DEFAULT;
+        pfam::cluster::run_ccd_resumable(&view, &config.cluster, ledger, Some(start), 1, on_cursor);
     });
     assert_eq!(pin, OLD_DEFAULT);
     // One chunk holds this input, so the pinned order is the monolithic one.
@@ -337,15 +339,15 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
         PipelineConfig { reduction: Reduction::GlobalSimilarity { tau: 0.9 }, ..config.clone() };
     // What cannot change the answer does not block the resume (the CCD
     // cursor's plan pin makes these safe to change mid-phase): another
-    // thread count repeats the work, another budget or chunk size reaches
-    // the same families through another pair order.
+    // thread count repeats the work, another budget reaches the same
+    // families through another pair order.
     let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
     let mut one_thread = config.clone();
     one_thread.cluster.threads = 1;
     let unchanged = [
         (one_thread, true),
         (config.clone().with_mem_budget(estimate * 2 / 5), false),
-        (config.clone().with_index_chunk_bytes(4 << 10), false),
+        (config.clone().with_mem_budget(estimate / 8), false),
     ];
     let hooks = hooks_in(&scratch_dir("mismatch"), 4, 1);
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
@@ -400,4 +402,67 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
     let err = resume_error(&d.set, &config, &hooks);
     assert!(matches!(err, CkptError::BadChecksum), "a failing checksum must abort the resume");
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+/// Run until `phase` is snapshotted, rewrite its file through `edit` (the
+/// payload and the input's read count in, a payload out) under a valid
+/// checksum and fingerprint, and return what the resume ends in.
+fn resume_from_planted(
+    tag: &str,
+    phase: Phase,
+    edit: impl FnOnce(&[u8], usize) -> Vec<u8>,
+) -> CkptError {
+    let d = dataset(4884);
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir(tag), 0, 1);
+    run_until(&d.set, &config, &hooks, phase);
+    let path = phase.path_in(dir_of(&hooks));
+    let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
+    write_checkpoint(&path, phase, fingerprint, &edit(&payload, d.set.len()))
+        .expect("plant the edited snapshot");
+    let err = resume_error(&d.set, &config, &hooks);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+    err
+}
+
+#[test]
+fn a_union_find_parent_outside_the_forest_is_corrupt_not_a_panic() {
+    let err = resume_from_planted("uf-parent", Phase::Ccd, |payload, _| {
+        let mut state = CcdState::decode(payload).expect("ccd state");
+        state.cursor.uf_parent[0] = state.cursor.uf_parent.len() as u32;
+        state.encode()
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn a_dsd_edge_outside_its_component_is_corrupt_not_a_panic() {
+    let err = resume_from_planted("dsd-edge", Phase::Dsd, |payload, _| {
+        let mut state = DsdState::decode(payload).expect("dsd state");
+        let c = state.done.iter_mut().find(|c| !c.edges.is_empty()).expect("an edge");
+        c.edges[0].1 = c.members.len() as u32;
+        state.encode()
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn a_dense_subgraph_outside_its_component_is_corrupt_not_a_panic() {
+    let err = resume_from_planted("dsd-subgraph", Phase::Dsd, |payload, _| {
+        let mut state = DsdState::decode(payload).expect("dsd state");
+        let c = state.done.iter_mut().find(|c| !c.subgraphs.is_empty()).expect("a subgraph");
+        c.subgraphs[0][0] = c.members.len() as u32;
+        state.encode()
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn a_survivor_outside_the_input_is_corrupt_not_a_panic() {
+    let err = resume_from_planted("rr-kept", Phase::Rr, |payload, n_input| {
+        let mut state = RrState::decode(payload).expect("rr state");
+        *state.kept.last_mut().expect("survivors") = n_input as u32;
+        state.encode()
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
 }

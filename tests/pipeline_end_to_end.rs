@@ -223,7 +223,7 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
     // per-component `bgg-gsa` — which the member-list supply does build.
     let d = dataset(111);
     let config = PipelineConfig::for_tests();
-    let budget = &config.cluster.mem.budget;
+    let budget = &config.cluster.budget;
     let got = config.run(&d.set);
     assert_eq!((budget.granted("gsa-index"), budget.granted("partitioned-gsa")), (1, 0));
     assert_eq!(budget.granted("bgg-gsa"), 0, "the exact back half indexes no component");
@@ -268,8 +268,8 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
 fn one_body_whatever_it_keeps_on_disk() {
     // The pipeline without a directory, with one, and killed after each
     // phase and resumed: one result, through the same work — on every
-    // route through the front half. (A third of the usual corpus: 4 KiB
-    // chunks make the task count quadratic.)
+    // route through the front half. (A third of the usual corpus: the
+    // small budget's chunks make the task count quadratic.)
     let d = SyntheticDataset::generate(&DatasetConfig {
         n_families: 3,
         n_members: 30,
@@ -283,7 +283,7 @@ fn one_body_whatever_it_keeps_on_disk() {
     let configs = [
         ("default", base.clone()),
         ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
-        ("chunks", base.clone().with_index_chunk_bytes(4 << 10)),
+        ("small budget", base.clone().with_mem_budget(estimate / 8)),
         ("mask", masked),
         ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
     ];
