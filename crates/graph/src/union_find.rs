@@ -86,16 +86,27 @@ impl UnionFind {
     }
 
     /// Group all elements by representative, returning the members of each
-    /// set (sets ordered by smallest member; members ascending).
+    /// set (sets ordered by smallest member; members ascending): one `find`
+    /// pass, then a counting sort by root.
     pub fn groups(&mut self) -> Vec<Vec<u32>> {
         let n = self.len();
-        let mut by_root: std::collections::HashMap<u32, Vec<u32>> =
-            std::collections::HashMap::new();
-        for x in 0..n as u32 {
-            by_root.entry(self.find(x)).or_default().push(x);
+        let roots: Vec<u32> = (0..n as u32).map(|x| self.find(x)).collect();
+        let mut size = vec![0u32; n];
+        for &r in &roots {
+            size[r as usize] += 1;
         }
-        let mut out: Vec<Vec<u32>> = by_root.into_values().collect();
-        out.sort_by_key(|g| g[0]);
+        // A root's group is opened at its smallest member, so groups come
+        // out ordered by it.
+        let mut slot = vec![u32::MAX; n];
+        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.n_sets);
+        for (x, &r) in roots.iter().enumerate() {
+            let r = r as usize;
+            if slot[r] == u32::MAX {
+                slot[r] = out.len() as u32;
+                out.push(Vec::with_capacity(size[r] as usize));
+            }
+            out[slot[r] as usize].push(x as u32);
+        }
         out
     }
 }

@@ -1,21 +1,29 @@
 //! The two-pass Shingle algorithm (Gibson, Kumar & Tomkins, VLDB 2005),
-//! adapted to the paper's dense-bipartite-subgraph formulation.
+//! adapted to the paper's dense-bipartite-subgraph formulation, run as
+//! sorts over flat record streams.
 //!
 //! * **Pass I** — an `(s₁, c₁)`-shingle set is computed for every left
-//!   vertex; vertices sharing a first-level shingle are grouped.
+//!   vertex. Each vertex emits one `(id, v)` record per distinct shingle,
+//!   its elements written once into a side arena; sorting the stream by
+//!   `(id, v)` makes each run of equal ids one first-level shingle, and
+//!   the run's vertices its out-links.
 //! * **Pass II** — each first-level shingle becomes a vertex whose
 //!   out-links are the left vertices that produced it; an `(s₂, c₂)`-
-//!   shingle set groups first-level shingles into second-level shingles.
+//!   shingle set is computed once per *distinct* vertex list, and a sorted
+//!   `(second-level id, shingle)` stream groups the first-level shingles.
 //! * **Reporting** — connected components of the (second-level shingle ↔
 //!   first-level shingle) graph are enumerated with union-find. Component
 //!   `A` = left vertices contributing a first-level shingle, `B` = union
 //!   of the first-level shingles' constituent right vertices.
-
-use std::collections::HashMap;
+//!
+//! A set dense in its universe (`|L|² ≥ s·n`) takes its min-wise elements
+//! from a scan of the pass's [`PermutationOrder`], built before the pass
+//! when its dense sets together save more steps than the order costs;
+//! every other set ranks its elements.
 
 use pfam_graph::{BipartiteGraph, UnionFind};
 
-use crate::minwise::{shingle_set_with, HashFamily, Shingle, ShingleScratch};
+use crate::minwise::{HashFamily, PermutationOrder, ShingleKernel};
 
 /// Parameters of the two passes. The paper's tuned setting for its data is
 /// `(s, c) = (5, 300)` for pass I; pass II uses a coarser, cheaper setting.
@@ -52,7 +60,8 @@ pub struct BipartiteCluster {
 /// as a function of `c`, which is proportional to `shingles_generated`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShingleStats {
-    /// First-level shingles generated (pre-dedup, ≈ c₁ per vertex).
+    /// First-level shingles generated: each left vertex's *distinct*
+    /// shingles, summed (≤ c₁ per vertex; one for a vertex of degree ≤ s₁).
     pub pass1_shingles: usize,
     /// Distinct first-level shingles.
     pub distinct_s1: usize,
@@ -76,79 +85,53 @@ impl ShingleStats {
 /// Pass II derives its permutations from an independent seed stream.
 const PASS2_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
 
-/// Group per-vertex first-level shingles by id into the stable
-/// `(id, elements, vertices)` numbering both passes agree on.
-fn group_pass1(
-    per_vertex: Vec<Vec<Shingle>>,
-    stats: &mut ShingleStats,
-) -> Vec<(u64, Vec<u32>, Vec<u32>)> {
-    let mut s1_groups: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new(); // id → (elements, vertices)
-    for (v, shingles) in per_vertex.into_iter().enumerate() {
-        stats.pass1_shingles += shingles.len();
-        for sh in shingles {
-            let entry = s1_groups.entry(sh.id).or_insert_with(|| (sh.elements.clone(), Vec::new()));
-            entry.1.push(v as u32);
-        }
-    }
-    stats.distinct_s1 = s1_groups.len();
-
-    let mut s1_list: Vec<(u64, Vec<u32>, Vec<u32>)> = s1_groups
-        .into_iter()
-        .map(|(id, (elements, mut vertices))| {
-            vertices.sort_unstable();
-            vertices.dedup();
-            (id, elements, vertices)
-        })
-        .collect();
-    s1_list.sort_unstable_by_key(|&(id, _, _)| id);
-    s1_list
+/// One pass's min-wise machinery over a universe `0..n`: the family, the
+/// shingle size, the kernel's buffers and — when the pass's dense sets pay
+/// for it — the universe's permutation order.
+struct Pass {
+    family: HashFamily,
+    s: usize,
+    n: usize,
+    order: Option<PermutationOrder>,
+    kernel: ShingleKernel,
 }
 
-/// Reporting: union first-level shingles sharing a second-level id and
-/// materialise each union-find group as an `(A, B)` cluster.
-fn report_clusters(
-    s1_list: &[(u64, Vec<u32>, Vec<u32>)],
-    second: &[Vec<Shingle>],
-    stats: &mut ShingleStats,
-) -> Vec<BipartiteCluster> {
-    stats.pass2_shingles = second.iter().map(|s| s.len()).sum();
-
-    let mut uf = UnionFind::new(s1_list.len());
-    let mut owner_of_s2: HashMap<u64, u32> = HashMap::new();
-    for (idx, shingles) in second.iter().enumerate() {
-        for sh in shingles {
-            match owner_of_s2.entry(sh.id) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    uf.union(*e.get(), idx as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(idx as u32);
-                }
-            }
-        }
+impl Pass {
+    /// A pass over sets of the lengths `lens`. Counted in steps per
+    /// permutation, a dense set (`|L|² ≥ s·n`) scans about `s·n/|L|` of the
+    /// order instead of ranking its `|L|` elements, and the order costs a
+    /// sort of the universe, `n·log₂ n`: it is built only if the pass's
+    /// dense sets together save more than that.
+    fn new(c: usize, seed: u64, s: usize, n: usize, lens: impl Iterator<Item = usize>) -> Pass {
+        let family = HashFamily::new(c, seed);
+        let saved: usize = lens.filter(|&l| is_dense(l, s, n)).map(|l| l - s * n / l).sum();
+        let sort_steps = n * (usize::BITS - n.leading_zeros()) as usize;
+        let order = (saved > sort_steps).then(|| PermutationOrder::new(&family, n));
+        Pass { family, s, n, order, kernel: ShingleKernel::default() }
     }
 
-    let groups = uf.groups();
-    stats.components = groups.len();
-    let mut clusters: Vec<BipartiteCluster> = groups
-        .into_iter()
-        .map(|shingle_ids| {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            for sid in shingle_ids {
-                let (_, elements, vertices) = &s1_list[sid as usize];
-                a.extend_from_slice(vertices);
-                b.extend_from_slice(elements);
-            }
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            BipartiteCluster { a, b }
-        })
-        .collect();
-    clusters.sort_by(|x, y| y.b.len().cmp(&x.b.len()).then(x.a.cmp(&y.a)));
-    clusters
+    /// The shingles of `links` (sorted, distinct, in `0..n`), scanning the
+    /// order when the pass has one and `links` is dense.
+    fn shingles(&mut self, links: &[u32]) -> &ShingleKernel {
+        let order = self.order.as_ref().filter(|_| is_dense(links.len(), self.s, self.n));
+        self.kernel.run(links, &self.family, self.s, order);
+        &self.kernel
+    }
+}
+
+/// Whether a set of `len` elements in a universe of `n` finds its `s`
+/// minima in no more order-scan steps than it has elements to rank.
+fn is_dense(len: usize, s: usize, n: usize) -> bool {
+    len > s && len * len >= s * n
+}
+
+/// A pass-I record: vertex `v` produced shingle `id`, whose elements sit
+/// in the arena at `at`.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    id: u64,
+    v: u32,
+    at: u32,
 }
 
 /// Run the two-pass Shingle algorithm on `graph`, serially: the pipeline's
@@ -161,23 +144,86 @@ pub fn shingle_clusters(
     params: &ShingleParams,
 ) -> (Vec<BipartiteCluster>, ShingleStats) {
     let mut stats = ShingleStats::default();
-    let mut scratch = ShingleScratch::new();
 
     // ---- Pass I over left vertices (elements are right vertices). ----
-    let fam1 = HashFamily::new(params.c1, params.seed);
-    let per_vertex: Vec<Vec<Shingle>> = (0..graph.n_left() as u32)
-        .map(|v| shingle_set_with(graph.out_links(v), &fam1, params.s1, &mut scratch))
+    let degrees = (0..graph.n_left() as u32).map(|v| graph.out_links(v).len());
+    let mut pass1 = Pass::new(params.c1, params.seed, params.s1, graph.n_right(), degrees);
+    let mut records: Vec<Record> = Vec::new();
+    let mut arena: Vec<u32> = Vec::new();
+    for v in 0..graph.n_left() as u32 {
+        for (id, elements) in pass1.shingles(graph.out_links(v)).shingles() {
+            let at = u32::try_from(arena.len()).expect("pass-I arena within u32 offsets");
+            records.push(Record { id, v, at });
+            arena.extend_from_slice(elements);
+        }
+    }
+    stats.pass1_shingles = records.len();
+    records.sort_unstable_by_key(|r| (r.id, r.v));
+    // First-level shingle k is records[runs[k]..runs[k + 1]]: its vertices
+    // are those records' `v`, its elements the first record's.
+    let mut runs: Vec<u32> = (0..records.len() as u32)
+        .filter(|&i| i == 0 || records[i as usize - 1].id != records[i as usize].id)
         .collect();
-    let s1_list = group_pass1(per_vertex, &mut stats);
+    runs.push(records.len() as u32);
+    let n_s1 = runs.len() - 1;
+    stats.distinct_s1 = n_s1;
+    let verts: Vec<u32> = records.iter().map(|r| r.v).collect();
+    let vertices = |k: usize| &verts[runs[k] as usize..runs[k + 1] as usize];
+    let elements = |k: usize| {
+        let Record { v, at, .. } = records[runs[k] as usize];
+        &arena[at as usize..at as usize + graph.out_links(v).len().min(params.s1)]
+    };
 
-    // ---- Pass II over first-level shingles (elements are left vertices). ----
-    let fam2 = HashFamily::new(params.c2, params.seed ^ PASS2_SEED_XOR);
-    let second: Vec<Vec<Shingle>> = s1_list
-        .iter()
-        .map(|(_, _, vertices)| shingle_set_with(vertices, &fam2, params.s2, &mut scratch))
+    // ---- Pass II over first-level shingles (elements are left vertices),
+    // once per distinct vertex list. ----
+    let mut by_list: Vec<u32> = (0..n_s1 as u32).collect();
+    by_list.sort_unstable_by(|&x, &y| vertices(x as usize).cmp(vertices(y as usize)));
+    let same_list: Vec<&[u32]> =
+        by_list.chunk_by(|&x, &y| vertices(x as usize) == vertices(y as usize)).collect();
+    let list_lens = same_list.iter().map(|same| vertices(same[0] as usize).len());
+    let seed2 = params.seed ^ PASS2_SEED_XOR;
+    let mut pass2 = Pass::new(params.c2, seed2, params.s2, graph.n_left(), list_lens);
+    let mut uf = UnionFind::new(n_s1);
+    let mut second: Vec<(u64, u32)> = Vec::new(); // (second-level id, representative)
+    for same in same_list {
+        let shingles = pass2.shingles(vertices(same[0] as usize)).shingles();
+        stats.pass2_shingles += shingles.len() * same.len();
+        // Identical lists share every second-level shingle — if they have
+        // one: with c₂ = 0 a long list has none, and its copies stay apart.
+        if shingles.len() > 0 {
+            for &k in &same[1..] {
+                uf.union(same[0], k);
+            }
+            second.extend(shingles.map(|(id, _)| (id, same[0])));
+        }
+    }
+    second.sort_unstable();
+    for sharing in second.chunk_by(|x, y| x.0 == y.0) {
+        for w in sharing.windows(2) {
+            uf.union(w[0].1, w[1].1);
+        }
+    }
+
+    // ---- Report: one (A, B) per union-find group. ----
+    let groups = uf.groups();
+    stats.components = groups.len();
+    let mut clusters: Vec<BipartiteCluster> = groups
+        .into_iter()
+        .map(|members| {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            for k in members {
+                a.extend_from_slice(vertices(k as usize));
+                b.extend_from_slice(elements(k as usize));
+            }
+            a.sort_unstable();
+            a.dedup();
+            b.sort_unstable();
+            b.dedup();
+            BipartiteCluster { a, b }
+        })
         .collect();
-
-    let clusters = report_clusters(&s1_list, &second, &mut stats);
+    clusters.sort_by(|x, y| y.b.len().cmp(&x.b.len()).then(x.a.cmp(&y.a)));
     (clusters, stats)
 }
 
@@ -281,11 +327,24 @@ mod tests {
         let g = clique_graph(&[0..15], 15);
         let (clusters, _) = shingle_clusters(&g, &fast_params());
         let top = &clusters[0];
-        let a: std::collections::HashSet<u32> = top.a.iter().copied().collect();
-        let b: std::collections::HashSet<u32> = top.b.iter().copied().collect();
+        let a: std::collections::BTreeSet<u32> = top.a.iter().copied().collect();
+        let b: std::collections::BTreeSet<u32> = top.b.iter().copied().collect();
         let inter = a.intersection(&b).count();
         let union = a.union(&b).count();
         assert!(inter as f64 / union as f64 > 0.8, "A≈B expected on a clique");
+    }
+
+    #[test]
+    fn the_order_is_built_only_when_the_dense_sets_pay_for_it() {
+        // One hub of degree 200 among 5 000 sparse vertices at s = 5: dense
+        // (200² ≥ 5·5 000), but it saves 200 − 125 steps per permutation
+        // against a 5 000 · 13-step sort, so it ranks.
+        let hub = std::iter::once(200).chain(std::iter::repeat_n(10, 4_999));
+        assert!(Pass::new(4, 1, 5, 5_000, hub).order.is_none());
+        // A block of 230 vertices of degree 150 saves ≈ 143 steps each.
+        assert!(Pass::new(4, 1, 5, 230, std::iter::repeat_n(150, 230)).order.is_some());
+        // No dense set, no order.
+        assert!(Pass::new(4, 1, 5, 230, std::iter::repeat_n(20, 230)).order.is_none());
     }
 
     #[test]

@@ -78,8 +78,13 @@ fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Apply the reduction-dependent reporting rule, size filter, and
-/// disjoint-ification to raw Shingle clusters.
-fn report_subgraphs(clusters: &[BipartiteCluster], config: &DenseSubgraphConfig) -> Vec<Vec<u32>> {
+/// disjoint-ification to raw Shingle clusters whose vertices lie in
+/// `0..universe`.
+fn report_subgraphs(
+    clusters: &[BipartiteCluster],
+    config: &DenseSubgraphConfig,
+    universe: usize,
+) -> Vec<Vec<u32>> {
     let mut subgraphs: Vec<Vec<u32>> = clusters
         .iter()
         .filter_map(|BipartiteCluster { a, b }| match config.mode {
@@ -95,12 +100,12 @@ fn report_subgraphs(clusters: &[BipartiteCluster], config: &DenseSubgraphConfig)
         .collect();
     subgraphs.sort_by(|x, y| y.len().cmp(&x.len()).then(x.cmp(y)));
     if config.disjoint {
-        let mut claimed = std::collections::HashSet::new();
+        let mut claimed = vec![false; universe];
         let mut disjoint = Vec::with_capacity(subgraphs.len());
         for sg in subgraphs {
-            let remaining: Vec<u32> = sg.into_iter().filter(|v| !claimed.contains(v)).collect();
+            let remaining: Vec<u32> = sg.into_iter().filter(|&v| !claimed[v as usize]).collect();
             if !remaining.is_empty() {
-                claimed.extend(remaining.iter().copied());
+                remaining.iter().for_each(|&v| claimed[v as usize] = true);
                 disjoint.push(remaining);
             }
         }
@@ -119,7 +124,8 @@ pub fn detect_dense_subgraphs(
     config: &DenseSubgraphConfig,
 ) -> (Vec<Vec<u32>>, ShingleStats) {
     let (clusters, stats) = shingle_clusters(graph, &config.params);
-    (report_subgraphs(&clusters, config), stats)
+    let universe = graph.n_left().max(graph.n_right());
+    (report_subgraphs(&clusters, config, universe), stats)
 }
 
 #[cfg(test)]
@@ -185,7 +191,7 @@ mod tests {
         let g = blocks_graph(&[0..10, 5..15], 15); // overlapping cliques
         let (subgraphs, _) =
             detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &fast_config(2));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for sg in &subgraphs {
             for &v in sg {
                 assert!(seen.insert(v), "vertex {v} appears twice");

@@ -7,10 +7,13 @@
 //! bipartite reduction:
 //!
 //! * [`minwise`] — min-wise independent permutations and (s, c)-shingle
-//!   sets (Broder et al.): the scratch-reusing kernel and its scalar oracle.
-//! * [`algorithm`] — the two passes plus the union-find reporting step,
-//!   one serial run per graph (the pipeline's parallelism is across
-//!   components).
+//!   sets (Broder et al.): the per-set kernel, which ranks a sparse set's
+//!   elements and scans a dense set's permutation order, and its scalar
+//!   oracle.
+//! * [`algorithm`] — the two passes as sorts of flat `(id, vertex)` record
+//!   streams, pass II once per distinct vertex list, plus the union-find
+//!   reporting step; one serial run per graph (the pipeline's parallelism
+//!   is across components).
 //! * [`dense`] — the paper's reporting rules on top: the `Bd` mode with
 //!   the `|A∩B| / |A∪B| ≥ τ` post-filter, the `Bm` mode reporting `B`,
 //!   minimum-size filtering, and disjoint-ification.
@@ -21,4 +24,4 @@ pub mod minwise;
 
 pub use algorithm::{shingle_clusters, BipartiteCluster, ShingleParams, ShingleStats};
 pub use dense::{detect_dense_subgraphs, jaccard, DenseSubgraphConfig, ReductionMode};
-pub use minwise::{shingle_set, shingle_set_with, HashFamily, Shingle, ShingleScratch};
+pub use minwise::{shingle_set, HashFamily, PermutationOrder, Shingle, ShingleKernel};

@@ -6,6 +6,12 @@
 //! min-wise sample. Two sets sharing many elements are likely to produce
 //! identical samples under the same permutation, which is exactly the
 //! grouping signal the Shingle algorithm uses.
+//!
+//! [`ShingleKernel`] computes a set's shingles into reused buffers, one of
+//! two ways per set: rank every element under every permutation and select
+//! the `s` smallest, or — for a set dense in its universe — scan a
+//! [`PermutationOrder`] for its first `s` members. [`shingle_set`] is the
+//! scalar oracle both are held to.
 
 /// SplitMix64's state increment.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -113,57 +119,139 @@ pub fn shingle_set(links: &[u32], family: &HashFamily, s: usize) -> Vec<Shingle>
     out
 }
 
-/// Reusable buffers of [`shingle_set_with`]: the `(rank, element)`
-/// selection pairs and the element staging area. One scratch per Shingle
-/// run keeps the per-set buffers out of the allocator; they grow to the
-/// high-water mark and stay there.
-#[derive(Debug, Default)]
-pub struct ShingleScratch {
-    sel: Vec<(u64, u32)>,
-    elems: Vec<u32>,
+/// For each permutation of a family, the universe `0..n` in rank order:
+/// row `i` is `0..n` sorted by `rank(i, ·)`. With it, a set's `s` min-wise
+/// elements under permutation `i` are the first `s` members met while
+/// scanning row `i` — about `s·n/|set|` steps instead of `|set|` rank
+/// evaluations and a selection. Ranks are injective, so the scan and the
+/// selection pick the same elements.
+#[derive(Debug, Clone)]
+pub struct PermutationOrder {
+    n: usize,
+    order: Vec<u32>,
 }
 
-impl ShingleScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> ShingleScratch {
-        ShingleScratch::default()
-    }
-}
-
-/// [`shingle_set`] into caller-owned scratch — bit-identical output, no
-/// per-call buffer allocation. The production kernel of both Shingle
-/// passes.
-pub fn shingle_set_with(
-    links: &[u32],
-    family: &HashFamily,
-    s: usize,
-    scratch: &mut ShingleScratch,
-) -> Vec<Shingle> {
-    assert!(s >= 1, "shingle size must be positive");
-    if links.is_empty() {
-        return Vec::new();
-    }
-    if links.len() <= s {
-        let mut elements = links.to_vec();
-        elements.sort_unstable();
-        elements.dedup();
-        return vec![Shingle { id: shingle_id(&elements), elements }];
-    }
-    let ShingleScratch { sel, elems } = scratch;
-    let mut out: Vec<Shingle> = Vec::with_capacity(family.len());
-    for i in 0..family.len() {
-        sel.clear();
-        sel.extend(links.iter().map(|&x| (family.rank(i, x), x)));
-        sel.select_nth_unstable(s - 1);
-        elems.clear();
-        elems.extend(sel[..s].iter().map(|&(_, x)| x));
-        elems.sort_unstable();
-        let id = shingle_id(elems);
-        if !out.iter().any(|sh| sh.id == id) {
-            out.push(Shingle { id, elements: elems.clone() });
+impl PermutationOrder {
+    /// The `family.len() × n` order table of the universe `0..n`.
+    pub fn new(family: &HashFamily, n: usize) -> PermutationOrder {
+        let mut order = Vec::with_capacity(family.len() * n);
+        let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+        for i in 0..family.len() {
+            keyed.clear();
+            keyed.extend((0..n as u32).map(|x| (family.rank(i, x), x)));
+            keyed.sort_unstable();
+            order.extend(keyed.iter().map(|&(_, x)| x));
         }
+        PermutationOrder { n, order }
     }
-    out
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.order[i * self.n..(i + 1) * self.n]
+    }
+}
+
+/// The per-set kernel of both Shingle passes: [`shingle_set`] without a
+/// per-shingle allocation. [`ShingleKernel::run`] leaves a set's distinct
+/// shingles in buffers the next call reuses; [`ShingleKernel::shingles`]
+/// reads them back in id order.
+#[derive(Debug, Default)]
+pub struct ShingleKernel {
+    /// `(rank, element)` selection buffer of the rank path.
+    sel: Vec<(u64, u32)>,
+    /// Membership bitset over the universe, for the order scan; all clear
+    /// between calls.
+    member: Vec<u64>,
+    /// Permutation `i`'s sorted elements at `[i·width, (i+1)·width)`.
+    elems: Vec<u32>,
+    width: usize,
+    /// `(id, permutation)`, sorted by id, each id once with the first
+    /// permutation that produced it.
+    ids: Vec<(u64, u32)>,
+}
+
+impl ShingleKernel {
+    /// The (s, c)-shingle set of `links` (sorted ascending, distinct) under
+    /// `family`: the set of [`shingle_set`], computed by scanning `order`
+    /// when given (`links` must then lie in its universe), else by ranking
+    /// every element under every permutation.
+    pub fn run(
+        &mut self,
+        links: &[u32],
+        family: &HashFamily,
+        s: usize,
+        order: Option<&PermutationOrder>,
+    ) {
+        assert!(s >= 1, "shingle size must be positive");
+        debug_assert!(links.windows(2).all(|w| w[0] < w[1]), "links sorted and distinct");
+        self.ids.clear();
+        self.elems.clear();
+        self.width = links.len().min(s);
+        if links.is_empty() {
+            return;
+        }
+        if links.len() <= s {
+            self.elems.extend_from_slice(links);
+            self.ids.push((shingle_id(links), 0));
+            return;
+        }
+        match order {
+            Some(order) => {
+                debug_assert!(
+                    links.iter().all(|&x| (x as usize) < order.n),
+                    "links in the universe"
+                );
+                self.member.resize(order.n.div_ceil(64), 0);
+                for &x in links {
+                    self.member[x as usize / 64] |= 1 << (x % 64);
+                }
+                for i in 0..family.len() {
+                    let start = self.elems.len();
+                    for &x in order.row(i) {
+                        if self.member[x as usize / 64] & (1 << (x % 64)) != 0 {
+                            self.elems.push(x);
+                            if self.elems.len() - start == s {
+                                break;
+                            }
+                        }
+                    }
+                    self.push_shingle(start, i);
+                }
+                for &x in links {
+                    self.member[x as usize / 64] = 0;
+                }
+            }
+            None => {
+                for i in 0..family.len() {
+                    self.sel.clear();
+                    self.sel.extend(links.iter().map(|&x| (family.rank(i, x), x)));
+                    self.sel.select_nth_unstable(s - 1);
+                    let start = self.elems.len();
+                    self.elems.extend(self.sel[..s].iter().map(|&(_, x)| x));
+                    self.push_shingle(start, i);
+                }
+            }
+        }
+        self.ids.sort_unstable();
+        self.ids.dedup_by_key(|&mut (id, _)| id);
+    }
+
+    /// Sort permutation `i`'s elements, staged at `elems[start..]`, and
+    /// record their id.
+    fn push_shingle(&mut self, start: usize, i: usize) {
+        let elements = &mut self.elems[start..];
+        elements.sort_unstable();
+        self.ids.push((shingle_id(elements), i as u32));
+    }
+
+    /// The last [`ShingleKernel::run`]'s distinct shingles as `(id,
+    /// elements)`, ascending by id; an id's elements are those of the first
+    /// permutation that produced it.
+    pub fn shingles(&self) -> impl ExactSizeIterator<Item = (u64, &[u32])> + '_ {
+        self.ids.iter().map(move |&(id, i)| {
+            let at = i as usize * self.width;
+            (id, &self.elems[at..at + self.width])
+        })
+    }
 }
 
 #[cfg(test)]
@@ -187,7 +275,7 @@ mod tests {
     fn permutations_are_injective_on_samples() {
         let fam = HashFamily::new(4, 1);
         for i in 0..4 {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for x in 0..10_000u32 {
                 assert!(seen.insert(fam.rank(i, x)), "collision at {x}");
             }
@@ -228,7 +316,7 @@ mod tests {
         let b: Vec<u32> = (10..110).collect();
         let sa = shingle_set(&a, &fam, 2);
         let sb = shingle_set(&b, &fam, 2);
-        let ids_a: std::collections::HashSet<u64> = sa.iter().map(|s| s.id).collect();
+        let ids_a: std::collections::BTreeSet<u64> = sa.iter().map(|s| s.id).collect();
         assert!(
             sb.iter().any(|s| ids_a.contains(&s.id)),
             "90%-overlapping sets should share a 2-shingle within 50 permutations"
@@ -240,7 +328,7 @@ mod tests {
         let fam = HashFamily::new(30, 13);
         let a: Vec<u32> = (0..50).collect();
         let b: Vec<u32> = (1000..1050).collect();
-        let ids_a: std::collections::HashSet<u64> =
+        let ids_a: std::collections::BTreeSet<u64> =
             shingle_set(&a, &fam, 3).iter().map(|s| s.id).collect();
         assert!(shingle_set(&b, &fam, 3).iter().all(|s| !ids_a.contains(&s.id)));
     }
@@ -270,32 +358,67 @@ mod tests {
         let a: Vec<u32> = (0..60).collect();
         let b: Vec<u32> = (20..80).collect();
         let share = |s: usize| {
-            let ia: std::collections::HashSet<u64> =
+            let ia: std::collections::BTreeSet<u64> =
                 shingle_set(&a, &fam, s).iter().map(|x| x.id).collect();
             shingle_set(&b, &fam, s).iter().filter(|x| ia.contains(&x.id)).count()
         };
         assert!(share(1) >= share(8), "s=1 shares {} vs s=8 shares {}", share(1), share(8));
     }
 
+    /// The kernel's shingles as the oracle's `Shingle`s, in id order.
+    fn kernel_set(
+        kernel: &mut ShingleKernel,
+        links: &[u32],
+        fam: &HashFamily,
+        s: usize,
+        order: Option<&PermutationOrder>,
+    ) -> Vec<Shingle> {
+        kernel.run(links, fam, s, order);
+        kernel.shingles().map(|(id, e)| Shingle { id, elements: e.to_vec() }).collect()
+    }
+
     #[test]
-    fn scratch_kernel_matches_scalar_shingle_set() {
+    fn kernel_matches_scalar_shingle_set_on_both_paths() {
         let fam = HashFamily::new(25, 0xabc);
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![7],
-            vec![3, 3, 3],
-            vec![9, 3, 7],
-            (0..50).collect(),
-            (0..50).map(|v| v * 17 % 61).collect(), // shuffled with repeats
-            vec![0, u32::MAX - 3, 5, 1 << 20, 2],
+        let order = PermutationOrder::new(&fam, 1 << 11);
+        let with_table = [None, Some(&order)];
+        // Ids beyond any order table: the rank path only.
+        let large = vec![0, u32::MAX - 3, 5, 1 << 20, 2];
+        let cases: Vec<(Vec<u32>, &[Option<&PermutationOrder>])> = vec![
+            (vec![], &with_table),
+            (vec![7], &with_table),
+            (vec![3, 7, 9], &with_table),
+            ((0..50).collect(), &with_table),
+            ((0..50).map(|v| v * 17 % 61).collect(), &with_table),
+            (vec![0, 5, 2, 1 << 10, 1000], &with_table),
+            (large, &[None]),
         ];
-        let mut scratch = ShingleScratch::new();
-        for links in &cases {
+        let mut kernel = ShingleKernel::default();
+        for (links, tables) in cases {
+            let mut links = links;
+            links.sort_unstable();
+            links.dedup();
             for s in [1usize, 2, 3, 10, 100] {
-                let want = shingle_set(links, &fam, s);
-                let got = shingle_set_with(links, &fam, s, &mut scratch);
-                assert_eq!(got, want, "s {s} links {links:?}");
+                let mut want = shingle_set(&links, &fam, s);
+                want.sort_unstable_by_key(|sh| sh.id);
+                for &table in tables {
+                    let got = kernel_set(&mut kernel, &links, &fam, s, table);
+                    assert_eq!(got, want, "s {s} table {} links {links:?}", table.is_some());
+                }
             }
+        }
+    }
+
+    #[test]
+    fn order_rows_are_the_universe_in_rank_order() {
+        let fam = HashFamily::new(6, 21);
+        let order = PermutationOrder::new(&fam, 40);
+        for i in 0..6 {
+            let row = order.row(i);
+            let mut sorted = row.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..40).collect::<Vec<u32>>());
+            assert!(row.windows(2).all(|w| fam.rank(i, w[0]) < fam.rank(i, w[1])));
         }
     }
 
@@ -304,8 +427,13 @@ mod tests {
         let fam = HashFamily::new(0, 3);
         let links: Vec<u32> = (0..20).collect();
         assert!(shingle_set(&links, &fam, 2).is_empty());
-        assert!(shingle_set_with(&links, &fam, 2, &mut ShingleScratch::new()).is_empty());
+        let order = PermutationOrder::new(&fam, 20);
+        let mut kernel = ShingleKernel::default();
+        for table in [None, Some(&order)] {
+            assert!(kernel_set(&mut kernel, &links, &fam, 2, table).is_empty());
+        }
         // Whole-set branch is independent of c.
         assert_eq!(shingle_set(&[4, 2], &fam, 5).len(), 1);
+        assert_eq!(kernel_set(&mut kernel, &[2, 4], &fam, 5, None).len(), 1);
     }
 }

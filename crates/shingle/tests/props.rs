@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use pfam_graph::{BipartiteGraph, CsrGraph};
 use pfam_shingle::{
-    jaccard, shingle_clusters, shingle_set, shingle_set_with, BipartiteCluster,
-    DenseSubgraphConfig, HashFamily, ReductionMode, ShingleParams, ShingleScratch, ShingleStats,
+    jaccard, shingle_clusters, shingle_set, BipartiteCluster, DenseSubgraphConfig, HashFamily,
+    PermutationOrder, ReductionMode, Shingle, ShingleKernel, ShingleParams, ShingleStats,
 };
 
 fn bipartite(n_left: usize, n_right: usize) -> impl Strategy<Value = BipartiteGraph> {
@@ -70,12 +70,53 @@ fn naive_shingle_clusters(
     (clusters, stats)
 }
 
+/// Two left vertices with one out-link list make two first-level shingles
+/// with one vertex list. With `c₂ = 0` that list (longer than `s₂`) has no
+/// second-level shingle, so the two must stay two components, not be
+/// merged for sharing a list.
+#[test]
+fn identical_vertex_lists_without_second_level_shingles_stay_apart() {
+    // Right vertices 0..6; left 0 and 1 both link to all of them, so every
+    // first-level shingle is made by exactly {0, 1}.
+    let es: Vec<(u32, u32)> = (0..2).flat_map(|l| (0..6).map(move |r| (l, r))).collect();
+    let g = BipartiteGraph::from_edges(2, 6, &es);
+    let p = ShingleParams { s1: 2, c1: 12, s2: 1, c2: 0, seed: 3 };
+    let (clusters, stats) = shingle_clusters(&g, &p);
+    assert!(stats.distinct_s1 >= 2, "need two first-level shingles: {stats:?}");
+    assert_eq!(stats.pass2_shingles, 0);
+    assert_eq!(stats.components, stats.distinct_s1);
+    assert_eq!((clusters.clone(), stats), naive_shingle_clusters(&g, &p));
+    // With second-level shingles the shared list does merge them.
+    let p = ShingleParams { c2: 4, ..p };
+    let (clusters, stats) = shingle_clusters(&g, &p);
+    assert_eq!(stats.components, 1);
+    assert_eq!((clusters, stats), naive_shingle_clusters(&g, &p));
+}
+
+/// A dense block plus one low-degree vertex at the default parameters:
+/// the block's vertices scan the permutation order (`|L|² ≥ s·n`), the
+/// low-degree vertex ranks its links, in one graph.
+#[test]
+fn dense_block_and_sparse_vertex_take_both_paths_in_one_graph() {
+    let n = 40u32;
+    let mut es: Vec<(u32, u32)> = (0..30).flat_map(|l| (0..30).map(move |r| (l, r))).collect();
+    // Degree 7 > s₁ = 5, and 7² < 5·40: the rank path.
+    es.extend([31, 33, 34, 35, 36, 37, 39].map(|r| (35, r)));
+    let g = BipartiteGraph::from_edges(n as usize, n as usize, &es);
+    let p = ShingleParams::default();
+    assert!(30 * 30 >= p.s1 * n as usize && 7 * 7 < p.s1 * n as usize && 7 > p.s1);
+    let got = shingle_clusters(&g, &p);
+    assert!(got.0.iter().any(|c| c.a.contains(&35)), "the sparse vertex is reported");
+    assert_eq!(got, naive_shingle_clusters(&g, &p));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The scratch-reusing kernel returns the reference shingle set for
-    /// random adjacency lists across the (c, s, seed) parameter space —
-    /// `c = 0`, empty sets and `s > |set|` included.
+    /// The per-set kernel returns the reference shingle set (in id order)
+    /// for random adjacency lists across the (c, s, seed) parameter space —
+    /// `c = 0`, empty sets and `s > |set|` included — whether it ranks the
+    /// elements or scans the permutation order.
     #[test]
     fn scratch_shingle_sets_equal_reference(
         links in prop::collection::vec(0u32..400, 0..48),
@@ -87,9 +128,16 @@ proptest! {
         links.sort_unstable();
         links.dedup();
         let family = HashFamily::new(c, seed);
-        let reference = shingle_set(&links, &family, s);
-        let mut scratch = ShingleScratch::new();
-        prop_assert_eq!(&shingle_set_with(&links, &family, s, &mut scratch), &reference);
+        let mut reference = shingle_set(&links, &family, s);
+        reference.sort_unstable_by_key(|sh| sh.id);
+        let order = PermutationOrder::new(&family, 400);
+        let mut kernel = ShingleKernel::default();
+        for table in [None, Some(&order)] {
+            kernel.run(&links, &family, s, table);
+            let got: Vec<Shingle> =
+                kernel.shingles().map(|(id, e)| Shingle { id, elements: e.to_vec() }).collect();
+            prop_assert_eq!(&got, &reference);
+        }
     }
 
     /// The one driver against the naive spelling of the algorithm —
@@ -137,7 +185,7 @@ proptest! {
         let (clusters, _) = shingle_clusters(&g, &params());
         for c in &clusters {
             // Every B element must be an out-link of some A member.
-            let union: std::collections::HashSet<u32> = c
+            let union: BTreeSet<u32> = c
                 .a
                 .iter()
                 .flat_map(|&v| g.out_links(v).iter().copied())
@@ -170,7 +218,7 @@ proptest! {
         };
         let bd = BipartiteGraph::duplicate_from(&g);
         let (subgraphs, _) = pfam_shingle::detect_dense_subgraphs(&bd, &config);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for sg in &subgraphs {
             prop_assert!(sg.len() >= min_size);
             for &v in sg {

@@ -19,8 +19,9 @@
 # kernels' files and the benches' one counting allocator; no per-component
 # suffix index in the pipeline; none of the retired aligners, Shingle
 # drivers (distributed, SPMD, rayon, arena), graph extras, the rank table,
-# the `_with` / `_reusing` constructor twins, the barrier executor or the
-# Criterion stand-in by name; no `thread_local!` in pfam-core or
+# the `_with` / `_reusing` constructor twins, the barrier executor, the
+# per-vertex Shingle kernel or the Criterion stand-in by name; no
+# `thread_local!` in pfam-core or pfam-shingle, no hash map in
 # pfam-shingle; none of the retired index-routing sites or the chunk-size
 # knob by name, and the budget split into chunk targets in one place), the
 # reachability ratchet (every `pub` item
@@ -125,15 +126,22 @@ echo "== tier1: one aligner, one Shingle driver, no test-only library code =="
 # twins, the per-worker arenas and the barrier executor kept to prove them
 # equal measured nothing on any workload (EXPERIMENTS.md, "Back-half rank
 # table and arenas — verdict (PR 24)"): `pfam` runs one serial Shingle per
-# component, parallel across components, with no worker-local state. Any
-# of them comes back with a caller and a number, not under its old name.
-if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)|shingle_clusters_with|shingle_clusters_budgeted|detect_dense_subgraphs_with|ShingleArena|RankTable|shingle_set_from_table|component_graph_with|duplicate_from_with|from_edges_reusing|barrier_components|ExecArena" \
+# component, parallel across components, with no worker-local state. Since
+# PR 26 that Shingle is a sort of flat record streams (EXPERIMENTS.md, "DSD
+# as a sort (PR 26)"); the per-vertex `Vec<Shingle>` kernel, its scratch
+# and the hash-map grouping went. Any of them comes back with a caller and
+# a number, not under its old name.
+if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)|shingle_clusters_with|shingle_clusters_budgeted|detect_dense_subgraphs_with|ShingleArena|RankTable|shingle_set_from_table|component_graph_with|duplicate_from_with|from_edges_reusing|barrier_components|ExecArena|shingle_set_with|ShingleScratch|group_pass1" \
     crates src tests examples vendor Cargo.toml || [ -e vendor/criterion ]; then
     echo "tier1 FAIL: a retired aligner, driver, twin or bench harness is named in the tree" >&2
     exit 1
 fi
 if grep -rn "thread_local!" crates/core/src crates/shingle/src; then
     echo "tier1 FAIL: worker-local state in pfam-core / pfam-shingle" >&2
+    exit 1
+fi
+if grep -rnE "HashMap|HashSet" crates/shingle/src; then
+    echo "tier1 FAIL: a hash map in pfam-shingle — Shingle groups by sorting record streams" >&2
     exit 1
 fi
 
