@@ -15,17 +15,17 @@
 //!    contained side's length, and positive columns are at most
 //!    `min(|x|, |y|)`, so short partners reject with zero DP cells. The
 //!    overlap analogue takes `L = max(|x|,|y|)`.
-//! 2. **One fill**: a single row-major pass — AVX2 where detected and
-//!    exact, its scalar twin otherwise; within the pair for `judge`
-//!    ([`crate::onepass`]), across the pairs of the group, one to a lane,
-//!    for `judge_batch` ([`crate::interpair`]) — yields the
-//!    Smith–Waterman optimum `S*`, the reference's argmax cell and the
-//!    direction bits of every cell. `S* = 0` rejects (the reference returns an
-//!    empty alignment), and when a criterion admits a positive screen
-//!    constant `κ = ms·p_min − (1−ms)·q_max` (with `p_min` the smallest
-//!    positive matrix entry and `q_max` the largest per-column penalty) any
-//!    pair it accepts has `S* ≥ κ·mc·L`, so lower scores reject it before
-//!    any traceback (`tier` 1).
+//! 2. **One fill**: a single row-major pass — the batch kernel
+//!    ([`crate::interpair`]) for the pairs of a `judge_batch` group inside
+//!    its guard, sixteen to an AVX2 register, one to a lane; the scalar
+//!    twin ([`crate::onepass`]) for a single pair (`judge`) and for every
+//!    other pair — yields the Smith–Waterman optimum `S*`, the reference's
+//!    argmax cell and the direction bits of every cell. `S* = 0` rejects
+//!    (the reference returns an empty alignment), and when a criterion
+//!    admits a positive screen constant `κ = ms·p_min − (1−ms)·q_max`
+//!    (with `p_min` the smallest positive matrix entry and `q_max` the
+//!    largest per-column penalty) any pair it accepts has `S* ≥ κ·mc·L`,
+//!    so lower scores reject it before any traceback (`tier` 1).
 //! 3. **Direction traceback** (`tier` 3) from the argmax cell when any
 //!    requested criterion is still open, accumulating the alignment
 //!    statistics in line, then the paper's criteria. The bits encode the
@@ -205,8 +205,8 @@ impl AlignEngine {
         self.kind
     }
 
-    /// Label of the fill kernel eligible pairs run on (`avx2` or `scalar`)
-    /// — for bench reports.
+    /// Label of the kernel a batch's eligible lanes run on (`avx2` or
+    /// `scalar`) — for bench reports.
     pub fn kernel_label(&self) -> &'static str {
         self.fill.label()
     }
@@ -248,10 +248,10 @@ impl AlignEngine {
     /// [`Self::judge`] for up to [`BATCH_LANES`] pairs at once, appending
     /// their verdicts to `out` in order — each equal to what `judge` gives
     /// the pair alone, counters included. The pairs that pass their length
-    /// screens share **one** batch fill, a pair to a lane, if the batch
-    /// kernel can hold them all ([`OnePassFill::takes_batch`]: this host,
-    /// this scheme, no pair too long); otherwise each gets the single-pair
-    /// fill. Uses a thread-local scratch arena.
+    /// screens and that the batch kernel takes ([`OnePassFill::is_vector`]:
+    /// this host, this scheme, no side over 2 048) share **one** batch
+    /// fill, a pair to a lane; any other pair gets the scalar twin on its
+    /// own. Uses a thread-local scratch arena.
     pub fn judge_batch(&self, pairs: &[(&[u8], &[u8], PairQuery)], out: &mut Vec<PairVerdict>) {
         assert!(pairs.len() <= BATCH_LANES, "one pair per lane");
         SCRATCH.with(|s| {
@@ -261,34 +261,30 @@ impl AlignEngine {
                 return;
             }
             let mut open = [CLOSED; BATCH_LANES];
+            let mut batched = [false; BATCH_LANES];
             let mut lanes: [(&[u8], &[u8]); BATCH_LANES] = [(&[], &[]); BATCH_LANES];
             let mut n_lanes = 0;
-            for (open, &(x, y, ask)) in open.iter_mut().zip(pairs) {
+            for ((open, batched), &(x, y, ask)) in open.iter_mut().zip(&mut batched).zip(pairs) {
                 *open = self.length_screen(x.len(), y.len(), ask);
-                if *open != CLOSED {
+                *batched = *open != CLOSED && self.fill.is_vector(x.len(), y.len());
+                if *batched {
                     lanes[n_lanes] = (x, y);
                     n_lanes += 1;
                 }
             }
-            let lanes = &lanes[..n_lanes];
-            let ends = (n_lanes > 0 && self.fill.takes_batch(lanes))
-                .then(|| self.fill.fill_batch(lanes, scratch));
+            let ends = self.fill.fill_batch(&lanes[..n_lanes], scratch);
             let mut lane = 0;
-            for (&open, &(x, y, _)) in open.iter().zip(pairs) {
+            for ((&open, &batched), &(x, y, _)) in open.iter().zip(&batched).zip(pairs) {
                 if open == CLOSED {
                     out.push(self.verdict(x, y, open, &AlignStats::default(), 0));
-                    continue;
+                } else if batched {
+                    let dir = |i, j| scratch.batch.dir(lane, i, j);
+                    out.push(self.settle(x, y, open, ends[lane], dir));
+                    lane += 1;
+                } else {
+                    let filled = self.fill.fill(x, y, scratch);
+                    out.push(self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j)));
                 }
-                out.push(match ends {
-                    Some(ends) => {
-                        self.settle(x, y, open, ends[lane], |i, j| scratch.batch.dir(lane, i, j))
-                    }
-                    None => {
-                        let filled = self.fill.fill(x, y, scratch);
-                        self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j))
-                    }
-                });
-                lane += 1;
             }
         });
     }
@@ -441,5 +437,51 @@ mod tests {
         let rejected = contained("PPPPPPPPPP");
         assert_eq!((rejected.tier, rejected.x_in_y), (1, false));
         assert_eq!((rejected.cells_computed, rejected.cells_skipped), (8 * 10, 8 * 10));
+    }
+
+    /// A lane over the side limit goes to the scalar twin alone: the rest
+    /// of its group is still batch-filled, and every verdict is `judge`'s
+    /// and the reference engine's.
+    #[test]
+    fn a_lane_over_the_side_limit_leaves_the_rest_of_its_group_batched() {
+        let tiered = engine(AlignEngineKind::Tiered);
+        let reference = engine(AlignEngineKind::Reference);
+        let mut state = 11u32;
+        let long: Vec<u8> = (0..2049)
+            .map(|_| {
+                state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (state >> 16) as u8 % 20
+            })
+            .collect();
+        let pairs = [
+            (codes("MKVLWAAKNDCQEG"), codes("GGMKVLWAAKNDCQEGHH")),
+            (long[1000..1300].to_vec(), long.clone()),
+            (codes("ACDEFGHIKLMNPQ"), codes("ACDEFGHIKLMNPQRSTV")),
+        ];
+        let all = PairQuery { x_in_y: true, y_in_x: true, overlap: true };
+        let asked: Vec<_> = pairs.iter().map(|(x, y)| (&x[..], &y[..], all)).collect();
+        let mut out = Vec::new();
+        tiered.judge_batch(&asked, &mut out);
+        if tiered.kernel_label() == "avx2" {
+            // The batch holds the two short pairs, in lanes 0 and 1, cell
+            // for cell as the scalar twin fills them.
+            let scalar = OnePassFill::scalar(tiered.fill.scheme());
+            let mut own = AlignScratch::new();
+            SCRATCH.with(|s| {
+                let batch = &s.borrow().batch;
+                for (lane, (x, y)) in [&pairs[0], &pairs[2]].into_iter().enumerate() {
+                    let twin = scalar.probe(x, y, &mut own);
+                    let cells = (1..=x.len()).flat_map(|i| (1..=y.len()).map(move |j| (i, j)));
+                    let dirs: Vec<u8> = cells.map(|(i, j)| batch.dir(lane, i, j)).collect();
+                    assert_eq!(dirs, twin.dirs, "lane {lane}");
+                }
+            });
+        }
+        assert!(out[1].x_in_y, "the long lane was filled and traced");
+        for (v, &(x, y, q)) in out.iter().zip(&asked) {
+            assert_eq!(*v, tiered.judge(x, y, q));
+            let r = reference.judge(x, y, q);
+            assert_eq!((v.x_in_y, v.y_in_x, v.overlap), (r.x_in_y, r.y_in_x, r.overlap));
+        }
     }
 }

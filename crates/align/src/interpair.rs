@@ -1,25 +1,24 @@
 //! Inter-pair batched one-pass fill: up to sixteen pairs at once, one pair
 //! per `i16` lane of an AVX2 register.
 //!
-//! Where [`crate::onepass`]'s AVX2 kernel lays sixteen *columns of one
-//! pair* across a register and pays for it with a prefix scan, this one
-//! lays sixteen *pairs* across it, so each lane runs the scalar twin's own
-//! recurrences — `e = max(h_left − open, e − ext)`,
-//! `f = max(h_up − open, f − ext)`, `h = max(diag + s, f, e, 0)` — with no
-//! scan, no carry and no dependence between lanes. Per lane it leaves
-//! exactly what the scalar twin leaves: the optimal local score, the first
+//! Each lane runs the recurrences of [`crate::onepass`]'s scalar twin —
+//! `e = max(h_left − open, e − ext)`, `f = max(h_up − open, f − ext)`,
+//! `h = max(diag + s, f, e, 0)` — with no dependence between lanes, and
+//! leaves exactly what the twin leaves: the optimal local score, the first
 //! best cell in row-major order and the four direction bits of every cell.
+//! This is the program's one vector fill; a pair it cannot take (outside
+//! the `i16` guard, or a side over [`MAX_SIDE`]) runs on the scalar twin.
 //!
 //! **Substitution scores.** `s(x_k[i], y_k[j])` differs in both residues
-//! from lane to lane, which would be a gather. Instead each lane keeps the
-//! single-pair kernel's query profile, as `i8`: one row of `y_k`-indexed
-//! scores per residue, and one shared *pad row*. Per DP row `i` the sixteen
-//! lanes' rows for `x_k[i]` are read 32 columns at a time and turned by a
-//! 16 × 16 byte transpose (`x86::transpose16`) into per-column vectors of
-//! sixteen lane scores, which the inner loop sign-extends with one
-//! `vpmovsxbw`. Within a block of 32 a profile row holds the even columns
-//! first and then the odd ones, so each transposed register is two
-//! *adjacent* columns and leaves in one store.
+//! from lane to lane, which would be a gather. Instead each lane keeps a
+//! query profile, as `i8`: one row of `y_k`-indexed scores per residue,
+//! and one shared *pad row*. Per DP row `i` the sixteen lanes' rows for
+//! `x_k[i]` are read 32 columns at a time and turned by a 16 × 16 byte
+//! transpose (`x86::transpose16`) into per-column vectors of sixteen lane
+//! scores, which the inner loop sign-extends with one `vpmovsxbw`. Within
+//! a block of 32 a profile row holds the even columns first and then the
+//! odd ones, so each transposed register is two *adjacent* columns and
+//! leaves in one store.
 //!
 //! **Ragged batches.** A lane shorter than the batch's `m_max × n_max`
 //! reads the pad row below its last row and pad codes right of its last
@@ -41,13 +40,6 @@ use pfam_seq::{ScoringScheme, ALPHABET_SIZE};
 /// Pairs one batch fill takes: the `i16` lanes of an AVX2 register.
 pub const BATCH_LANES: usize = 16;
 
-/// Largest direction matrix one batch may lay out, in bytes. Sixteen lanes
-/// of four bits are 8 B a cell-vector, so this is `m_max · n_max ≤ 2¹⁸` —
-/// short reads, the metagenomic case; longer pairs go one at a time
-/// through the single-pair kernel, whose matrix is a byte a cell of one
-/// pair. It is also what a worker's batch buffers can cost in peak RSS.
-const MAX_DIR_BYTES: usize = 2 << 20;
-
 /// Cells packed into one direction word.
 const CELLS_PER_WORD: usize = 4;
 
@@ -55,19 +47,30 @@ const CELLS_PER_WORD: usize = 4;
 /// (`(0, (0, 0))` when nothing scores positively).
 pub(crate) type LaneEnd = (i32, (usize, usize));
 
-/// Longest side a batch takes. It keeps the sixteen profiles (337 B a
-/// column) under 0.7 MiB beside the directions, and every cell counter
-/// far inside `i16`.
+/// Longest side a batch takes. It keeps every cell counter far inside
+/// `i16` and bounds what a worker's batch buffers can cost in peak RSS:
+/// the sixteen profiles (337 B a column) stay under 0.7 MiB, and the
+/// directions (sixteen lanes of four bits, 8 B a cell-vector) under
+/// 32 MiB, reached only by a lane 2 048 residues long on both sides.
 const MAX_SIDE: usize = 2048;
 
-/// Can one batch hold pairs up to `m_max × n_max`? Both sides must fit
-/// [`MAX_SIDE`] and the direction matrix [`MAX_DIR_BYTES`].
-pub(crate) fn batch_fits(m_max: usize, n_max: usize) -> bool {
-    m_max.max(n_max) <= MAX_SIDE && m_max * dir_words_per_row(n_max) * 2 <= MAX_DIR_BYTES
-}
+/// "−∞" of the `i16` lanes. Only ever decremented with saturating
+/// subtraction, so it stays put and never equals a reachable `E` or `F`
+/// (both `≥ −open ≥ −2 048`).
+#[cfg(target_arch = "x86_64")]
+const FLOOR16: i16 = i16::MIN;
+/// Residue code standing for the padding columns right of a lane's last
+/// column (any code the alphabet does not use, below 32).
+#[cfg(target_arch = "x86_64")]
+pub(crate) const PAD_CODE: u8 = 31;
+/// Profile score of the padding rows and columns.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const PAD_SCORE: i8 = i8::MIN;
 
-fn dir_words_per_row(n_max: usize) -> usize {
-    n_max.div_ceil(CELLS_PER_WORD) * BATCH_LANES
+/// Can one batch hold pairs up to `m_max × n_max`? Both sides must fit
+/// [`MAX_SIDE`].
+pub(crate) fn batch_fits(m_max: usize, n_max: usize) -> bool {
+    m_max.max(n_max) <= MAX_SIDE
 }
 
 /// Buffers of the batch fill. Private to this module: the fill sizes them,
@@ -113,7 +116,7 @@ impl BatchBuf {
     /// at once, which is this buffer's whole cost in peak RSS again.
     #[cfg(target_arch = "x86_64")]
     fn lay_out_dirs(&mut self, m_max: usize, n_max: usize) {
-        self.stride = dir_words_per_row(n_max);
+        self.stride = n_max.div_ceil(CELLS_PER_WORD) * BATCH_LANES;
         let words = m_max * self.stride;
         if self.dirs.len() < words {
             self.dirs = Vec::new();
@@ -127,11 +130,46 @@ pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
     use super::*;
-    use crate::onepass::x86::{load, load_bytes, store, store_bytes};
-    use crate::onepass::{E_STAY, FLOOR16, F_STAY, PAD_CODE, PAD_SCORE};
+    use crate::onepass::{E_STAY, F_STAY};
 
     /// Columns one transpose turns: the bytes of a 256-bit load.
     const BLOCK: usize = 32;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(src: &[i16]) -> __m256i {
+        assert!(src.len() >= BATCH_LANES);
+        // SAFETY: the assertion leaves 32 readable bytes at `src`; `loadu`
+        // has no alignment requirement.
+        unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(dst: &mut [i16], v: __m256i) {
+        assert!(dst.len() >= BATCH_LANES);
+        // SAFETY: the assertion leaves 32 writable bytes at `dst`, which
+        // this function borrows exclusively; `storeu` needs no alignment.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_bytes(src: &[u8]) -> __m128i {
+        assert!(src.len() >= 16);
+        // SAFETY: the assertion leaves 16 readable bytes at `src`; `loadu`
+        // has no alignment requirement.
+        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_bytes(dst: &mut [u8], v: __m128i) {
+        assert!(dst.len() >= 16);
+        // SAFETY: the assertion leaves 16 writable bytes at `dst`, which
+        // this function borrows exclusively; `storeu` needs no alignment.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), v) }
+    }
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -186,7 +224,7 @@ pub(crate) mod x86 {
         assert!(pairs.len() <= BATCH_LANES);
         let m_max = pairs.iter().map(|(x, _)| x.len()).max().unwrap_or(0);
         let n_max = pairs.iter().map(|(_, y)| y.len()).max().unwrap_or(0);
-        assert!(batch_fits(m_max, n_max), "batch over the direction bound");
+        assert!(batch_fits(m_max, n_max), "batch over the side limit");
         if m_max == 0 || n_max == 0 {
             return [(0, (0, 0)); BATCH_LANES];
         }
@@ -356,8 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_is_bounded_in_directions_and_in_sides() {
-        assert!(batch_fits(512, 512) && batch_fits(128, 2048) && batch_fits(2048, 128));
-        assert!(!batch_fits(513, 512) && !batch_fits(1, 2049) && !batch_fits(2049, 1));
+    fn a_batch_is_bounded_in_sides_only() {
+        assert!(batch_fits(2048, 2048) && batch_fits(1, 2048) && batch_fits(2048, 1));
+        assert!(!batch_fits(1, 2049) && !batch_fits(2049, 1) && !batch_fits(2049, 2049));
     }
 }

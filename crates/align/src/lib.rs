@@ -15,10 +15,12 @@
 //! * [`engine`] — the alignment engine the clustering hot path goes
 //!   through: length screen → one fill → score reject → direction
 //!   traceback, verdict-identical to [`criteria`] by construction.
-//! * [`onepass`] — that fill: one row-major Smith–Waterman pass (AVX2 with
-//!   a scalar twin) producing score, argmax and a direction byte per cell.
-//! * [`interpair`] — the same fill for up to sixteen pairs at once, one
-//!   pair per AVX2 lane: what a candidate list is verified with.
+//! * [`onepass`] — that fill: one row-major Smith–Waterman pass producing
+//!   score, argmax and a direction byte per cell. Its scalar twin runs a
+//!   single pair and every pair the batch kernel cannot take.
+//! * [`interpair`] — the one vector fill: the same pass for up to sixteen
+//!   pairs at once, one pair per AVX2 lane, for every pair of a candidate
+//!   list inside its `i16` guard and its 2 048-residue side limit.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 

@@ -12,31 +12,19 @@
 //! | 2 | `E(i,j)` extends `E(i,j−1)` (the traceback stays in `E`) |
 //! | 3 | `F(i,j)` extends `F(i−1,j)` (the traceback stays in `F`) |
 //!
-//! Two fills write those bytes and must agree on every real cell:
+//! Two fills write those bits and must agree on every real cell:
 //!
-//! * the **scalar twin** — the reference recurrences in `i32`, any scheme,
-//!   any length; the fallback and the "best scalar" the SIMD number is
-//!   quoted against;
-//! * the **AVX2 kernel** — sixteen `i16` lanes along the row. `F` and
-//!   `H′ = max(diag + s, F, 0)` need the previous row only. `E` is then a
-//!   max-plus prefix scan over the row,
-//!   `E(j) = max_{k≤j} (H′(k−1) − (j−k)·ext) − open`, exact because
-//!   `open ≥ ext` makes the `E(j−1) − open` term of the textbook
-//!   recurrence redundant. The scan is kept *exclusive*
-//!   (`P(j) = max_{k<j} …`), so "stays in `E`" is the lane compare
-//!   `P(j) ≥ H′(j−1)`; it costs four shift/subtract/max steps per block
-//!   and a broadcast carry of the previous block's last `P`.
+//! * the **scalar twin** (here) — the reference recurrences in `i32`, any
+//!   scheme, any length. A single pair ([`crate::AlignEngine::judge`])
+//!   runs on it, and so does every lane a batch cannot take;
+//! * the **batch kernel** ([`crate::interpair`]) — the same recurrences in
+//!   the `i16` lanes of an AVX2 register, sixteen pairs at once, four bits
+//!   a cell. A candidate list ([`crate::AlignEngine::judge_batch`]) runs
+//!   on it.
 //!
-//! A third fill, [`crate::interpair`], lays sixteen *pairs* across the
-//! register instead and stores the same four bits two cells to a byte;
-//! `trace` walks any of the layouts through a "direction of cell (i, j)"
-//! closure.
-//!
-//! Lanes right of column `n` see a negative profile score. Nothing flows
-//! from them into a real column (`E` runs left to right, `F` down a column,
-//! the diagonal down-right), and by induction they never hold more than the
-//! largest real `H` computed so far, so the running maximum and its first
-//! column can be read off whole vectors.
+//! One bound separates them, [`OnePassFill::is_vector`]: the scheme's and
+//! the pair's `i16` guard, and the batch's side limit. `trace` walks
+//! either layout through a "direction of cell (i, j)" closure.
 
 use pfam_seq::{ScoringScheme, ALPHABET_SIZE};
 
@@ -53,42 +41,16 @@ const DIR_F: u8 = 3;
 pub(crate) const E_STAY: u8 = 4;
 pub(crate) const F_STAY: u8 = 8;
 
-/// `i16` lanes per AVX2 register; direction rows are padded to a multiple.
-const LANES: usize = 16;
-/// "−∞" of the `i16` kernel. Only ever decremented with saturating
-/// subtraction, so it stays put and never equals a reachable `E` or `F`
-/// (both `≥ −open ≥ −MAX_PENALTY16`).
-#[cfg(target_arch = "x86_64")]
-pub(crate) const FLOOR16: i16 = i16::MIN;
 /// Largest gap-open penalty the `i16` kernel admits.
 const MAX_PENALTY16: i32 = 2048;
 /// Cap on `min(m,n) · max(1, max_score)`, an upper bound on any local
 /// score: with [`MAX_PENALTY16`] it keeps every real lane inside `i16`.
 const MAX_SCORE16: usize = 15_000;
-/// Residue code standing for the padding columns right of column `n` in
-/// the padded copy of `y` (any code the alphabet does not use, below 32).
-#[cfg(target_arch = "x86_64")]
-pub(crate) const PAD_CODE: u8 = 31;
-/// Profile score of the padding columns.
-#[cfg(target_arch = "x86_64")]
-pub(crate) const PAD_SCORE: i8 = i8::MIN;
 
-/// Buffers of the one-pass fill. Private to this module: the fills size
-/// them, and the traceback reads what the last fill left.
+/// The scalar twin's direction bytes. Private to this module: the fill
+/// sizes them, and the traceback reads what the last fill left.
 #[derive(Default)]
 pub(crate) struct OnePassBuf {
-    /// `y` padded to the stride with [`PAD_CODE`].
-    #[cfg(target_arch = "x86_64")]
-    y_pad: Vec<u8>,
-    /// Query profile: one padded row of `y`-indexed scores per residue.
-    #[cfg(target_arch = "x86_64")]
-    prof: Vec<i16>,
-    /// Ping-pong `H` rows; slot 0 is the column-0 border, slot `j` column `j`.
-    #[cfg(target_arch = "x86_64")]
-    h: [Vec<i16>; 2],
-    /// `F` row, updated in place (slot `j − 1` is column `j`).
-    #[cfg(target_arch = "x86_64")]
-    f: Vec<i16>,
     /// Direction bytes: cell `(i, j)` at `(i − 1)·stride + (j − 1)`.
     dirs: Vec<u8>,
     /// Row stride of `dirs` as the last fill laid it out.
@@ -98,12 +60,11 @@ pub(crate) struct OnePassBuf {
 impl OnePassBuf {
     /// Size the direction matrix for an `m × n` pair; returns the stride.
     fn lay_out_dirs(&mut self, m: usize, n: usize) -> usize {
-        let stride = n.div_ceil(LANES) * LANES;
-        if self.dirs.len() < m * stride {
-            self.dirs.resize(m * stride, 0);
+        if self.dirs.len() < m * n {
+            self.dirs.resize(m * n, 0);
         }
-        self.stride = stride;
-        stride
+        self.stride = n;
+        n
     }
 
     /// The direction byte of cell `(i, j)` (1-based) of the last fill.
@@ -163,9 +124,9 @@ pub(crate) fn trace(
     (i, j)
 }
 
-/// A scoring scheme bound to the one-pass fill it gets on this host: the
-/// AVX2 kernel for pairs inside its exactness guard and the scalar twin
-/// otherwise, or the scalar twin always.
+/// A scoring scheme bound to the fills it gets on this host: the batch
+/// kernel for the lanes of a group inside its guard and the scalar twin
+/// for everything else, or the scalar twin always.
 #[derive(Debug, Clone)]
 pub struct OnePassFill {
     /// The scheme every fill of this value scores with — owned, so the
@@ -173,11 +134,11 @@ pub struct OnePassFill {
     scheme: ScoringScheme,
     /// Longest `min(m, n)` the `i16` kernel is exact for. Zero unless AVX2
     /// was detected and the scheme is inside the lane-arithmetic guard —
-    /// [`OnePassFill::fill`] relies on that to call the kernel.
+    /// [`OnePassFill::fill_batch`] relies on that to call the kernel.
     vector_max_short: usize,
     /// Per residue, its matrix row as two 16-entry byte tables (codes
-    /// 0–15, then 16–31) for the shuffle that builds the query profile;
-    /// entry [`PAD_CODE`] holds the padding score.
+    /// 0–15, then 16–31) for the shuffle that builds the query profiles;
+    /// entry [`interpair::PAD_CODE`] holds the padding score.
     #[cfg(target_arch = "x86_64")]
     lut: [[u8; 32]; ALPHABET_SIZE],
 }
@@ -193,7 +154,7 @@ impl OnePassFill {
         }
     }
 
-    /// The fastest exact fill for `scheme` on this host.
+    /// The fastest exact fills for `scheme` on this host.
     pub fn detect(scheme: &ScoringScheme) -> OnePassFill {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && vector_max_short(scheme) > 0 {
@@ -204,7 +165,7 @@ impl OnePassFill {
                     // Inside i8 by the guard of `vector_max_short`.
                     *slot = scheme.matrix.score_codes(r as u8, c as u8) as i8 as u8;
                 }
-                row[PAD_CODE as usize] = PAD_SCORE as u8;
+                row[interpair::PAD_CODE as usize] = interpair::PAD_SCORE as u8;
             }
             return fill;
         }
@@ -216,7 +177,7 @@ impl OnePassFill {
         &self.scheme
     }
 
-    /// `avx2` or `scalar`: the kernel eligible pairs run on.
+    /// `avx2` or `scalar`: the kernel a batch's eligible lanes run on.
     pub fn label(&self) -> &'static str {
         if self.vector_max_short > 0 {
             "avx2"
@@ -225,13 +186,18 @@ impl OnePassFill {
         }
     }
 
-    /// Does an `m × n` pair run on the vector kernel?
+    /// Does an `m × n` pair take a lane of the batch kernel? Inside the
+    /// scheme's `i16` guard, and neither side over the batch's limit of
+    /// 2 048 residues.
     pub fn is_vector(&self, m: usize, n: usize) -> bool {
-        m.min(n) > 0 && m.min(n) <= self.vector_max_short
+        m.min(n) > 0 && m.min(n) <= self.vector_max_short && batch_fits(m, n)
     }
 
-    /// Fill the direction matrix of `x` against `y` into `scratch` and
-    /// return the optimal local score with its (1-based) end cell;
+    /// The scalar twin: fill the direction matrix of `x` against `y` into
+    /// `scratch` by the reference recurrences of [`crate::local_affine`]
+    /// over two `i32` rows, recording each cell's traceback decisions — by
+    /// the same comparisons, in the same precedence — as a direction byte.
+    /// Returns the optimal local score with its (1-based) end cell;
     /// `(0, (0, 0))` when nothing scores positively.
     pub(crate) fn fill(
         &self,
@@ -242,24 +208,53 @@ impl OnePassFill {
         if x.is_empty() || y.is_empty() {
             return (0, (0, 0));
         }
-        #[cfg(target_arch = "x86_64")]
-        if self.is_vector(x.len(), y.len()) {
-            // SAFETY: `vector_max_short` is nonzero only when `detect`
-            // saw AVX2 on this host.
-            return unsafe { x86::fill_avx2(x, y, &self.scheme, &self.lut, &mut scratch.onepass) };
+        let n = y.len();
+        let stride = scratch.onepass.lay_out_dirs(x.len(), n);
+        let (open, ext) = (self.scheme.gap_open, self.scheme.gap_extend);
+        let h = &mut scratch.row_h;
+        h.clear();
+        h.resize(n + 1, 0);
+        let f = &mut scratch.row_f;
+        f.clear();
+        f.resize(n + 1, NEG_INF);
+        let mut best = 0i32;
+        let mut best_at = (0usize, 0usize);
+        for (i, (&xi, drow)) in x.iter().zip(scratch.onepass.dirs.chunks_mut(stride)).enumerate() {
+            let (mut diag, mut h_left, mut e, mut row_max) = (0, 0, NEG_INF, 0);
+            let cells = h[1..].iter_mut().zip(f[1..].iter_mut()).zip(y.iter().zip(drow.iter_mut()));
+            for ((h_j, f_j), (&yc, d)) in cells {
+                let e_ext = e - ext;
+                let e_stay = e != NEG_INF;
+                e = (h_left - open).max(e_ext);
+                let f_ext = *f_j - ext;
+                let f_stay = *f_j != NEG_INF;
+                let fv = (*h_j - open).max(f_ext);
+                let s = diag + self.scheme.matrix.score_codes(xi, yc);
+                let hv = s.max(fv).max(0).max(e);
+                diag = *h_j;
+                (*h_j, *f_j, h_left) = (hv, fv, hv);
+                row_max = row_max.max(hv);
+                // A table, not a branch: which term won is unpredictable per cell.
+                let won =
+                    ((hv == 0) as usize) << 2 | ((hv == s) as usize) << 1 | (hv == e) as usize;
+                let from = FROM[won];
+                *d = from
+                    | ((e_stay & (e == e_ext)) as u8) << 2
+                    | ((f_stay & (fv == f_ext)) as u8) << 3;
+            }
+            if row_max > best {
+                best = row_max;
+                let j = h[1..].iter().position(|&v| v == best).expect("the row holds its maximum");
+                best_at = (i + 1, j + 1);
+            }
         }
-        fill_scalar(x, y, &self.scheme, scratch)
+        (best, best_at)
     }
 
     /// Can the batch kernel fill these pairs at once, one per lane? At
-    /// most [`BATCH_LANES`] of them, each inside the `i16` guard, their
-    /// largest sides inside the batch's direction bound.
-    pub fn takes_batch(&self, pairs: &[(&[u8], &[u8])]) -> bool {
-        let m_max = pairs.iter().map(|(x, _)| x.len()).max().unwrap_or(0);
-        let n_max = pairs.iter().map(|(_, y)| y.len()).max().unwrap_or(0);
-        pairs.len() <= BATCH_LANES
-            && pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()))
-            && batch_fits(m_max, n_max)
+    /// most [`BATCH_LANES`] of them, each [`Self::is_vector`].
+    fn takes_batch(&self, pairs: &[(&[u8], &[u8])]) -> bool {
+        pairs.len() <= BATCH_LANES && pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()))
     }
 
     /// Fill the direction matrices of up to [`BATCH_LANES`] pairs into
@@ -268,7 +263,8 @@ impl OnePassFill {
     ///
     /// # Panics
     ///
-    /// Unless [`Self::takes_batch`].
+    /// Unless every pair [`Self::is_vector`] and there are at most
+    /// [`BATCH_LANES`] of them.
     pub(crate) fn fill_batch(
         &self,
         pairs: &[(&[u8], &[u8])],
@@ -300,8 +296,8 @@ impl OnePassFill {
         Alignment { score, ops, x_range: (start.0, end.0), y_range: (start.1, end.1) }
     }
 
-    /// What the single-pair fill leaves for `x` against `y`, decoded — for
-    /// the forced-path suites.
+    /// What the scalar twin leaves for `x` against `y`, decoded — for the
+    /// forced-path suites.
     pub fn probe(&self, x: &[u8], y: &[u8], scratch: &mut AlignScratch) -> FillProbe {
         let (score, end) = self.fill(x, y, scratch);
         let dir = |i, j| scratch.onepass.dir(i, j);
@@ -309,7 +305,7 @@ impl OnePassFill {
     }
 
     /// What the batch kernel leaves for each of `pairs`, decoded — `None`
-    /// when it cannot take them ([`Self::takes_batch`]).
+    /// when it cannot take them all.
     pub fn probe_batch(
         &self,
         pairs: &[(&[u8], &[u8])],
@@ -328,7 +324,7 @@ impl OnePassFill {
 }
 
 /// Everything a fill leaves for one pair, in a layout-free form: what the
-/// forced-path suites compare between the scalar twin and a vector kernel.
+/// forced-path suites compare between the scalar twin and the batch kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FillProbe {
     /// Optimal local score.
@@ -354,17 +350,16 @@ impl FillProbe {
 
 /// The scheme half of the `i16` exactness guard, folded into the longest
 /// shorter-sequence length the kernel may take (0: never). It needs
-/// `open ≥ ext ≥ 0` (the scan drops the `E − open` term), `open` within
-/// [`MAX_PENALTY16`] and matrix entries within `i8` (no real lane leaves
-/// `i16`, no reachable `E`/`F` meets the floor, and the profile is built
-/// by byte shuffles), and `16·ext ≤ i16::MAX` (the carry ramp of the scan).
+/// `open ≥ ext ≥ 0` (the regime of the kernel's ragged-batch argument),
+/// `open` within [`MAX_PENALTY16`] and matrix entries within `i8` (no real
+/// lane leaves `i16`, no reachable `E`/`F` meets the floor, and the
+/// profiles are built by byte shuffles).
 #[cfg(target_arch = "x86_64")]
 fn vector_max_short(scheme: &ScoringScheme) -> usize {
     let (mat_max, mat_min) = (scheme.matrix.max_score(), scheme.matrix.min_score());
     let ok = scheme.gap_open >= scheme.gap_extend
         && scheme.gap_extend >= 0
         && scheme.gap_open <= MAX_PENALTY16
-        && LANES as i32 * scheme.gap_extend <= i16::MAX as i32
         && mat_max <= i8::MAX as i32
         && mat_min >= i8::MIN as i32;
     if ok {
@@ -378,260 +373,6 @@ fn vector_max_short(scheme: &ScoringScheme) -> usize {
 /// reference traceback's precedence.
 const FROM: [u8; 8] = [DIR_F, DIR_E, DIR_DIAG, DIR_DIAG, DIR_STOP, DIR_STOP, DIR_STOP, DIR_STOP];
 
-/// The scalar twin: the reference recurrences of [`crate::local_affine`]
-/// over two `i32` rows, recording each cell's traceback decisions — by the
-/// same comparisons, in the same precedence — as a direction byte.
-fn fill_scalar(
-    x: &[u8],
-    y: &[u8],
-    scheme: &ScoringScheme,
-    scratch: &mut AlignScratch,
-) -> (i32, (usize, usize)) {
-    let n = y.len();
-    let stride = scratch.onepass.lay_out_dirs(x.len(), n);
-    let (open, ext) = (scheme.gap_open, scheme.gap_extend);
-    let h = &mut scratch.row_h;
-    h.clear();
-    h.resize(n + 1, 0);
-    let f = &mut scratch.row_f;
-    f.clear();
-    f.resize(n + 1, NEG_INF);
-    let mut best = 0i32;
-    let mut best_at = (0usize, 0usize);
-    for (i, (&xi, drow)) in x.iter().zip(scratch.onepass.dirs.chunks_mut(stride)).enumerate() {
-        let (mut diag, mut h_left, mut e, mut row_max) = (0, 0, NEG_INF, 0);
-        let cells = h[1..].iter_mut().zip(f[1..].iter_mut()).zip(y.iter().zip(drow.iter_mut()));
-        for ((h_j, f_j), (&yc, d)) in cells {
-            let e_ext = e - ext;
-            let e_stay = e != NEG_INF;
-            e = (h_left - open).max(e_ext);
-            let f_ext = *f_j - ext;
-            let f_stay = *f_j != NEG_INF;
-            let fv = (*h_j - open).max(f_ext);
-            let s = diag + scheme.matrix.score_codes(xi, yc);
-            let hv = s.max(fv).max(0).max(e);
-            diag = *h_j;
-            (*h_j, *f_j, h_left) = (hv, fv, hv);
-            row_max = row_max.max(hv);
-            // A table, not a branch: which term won is unpredictable per cell.
-            let won = ((hv == 0) as usize) << 2 | ((hv == s) as usize) << 1 | (hv == e) as usize;
-            let from = FROM[won];
-            *d =
-                from | ((e_stay & (e == e_ext)) as u8) << 2 | ((f_stay & (fv == f_ext)) as u8) << 3;
-        }
-        if row_max > best {
-            best = row_max;
-            let j = h[1..].iter().position(|&v| v == best).expect("the row holds its maximum");
-            best_at = (i + 1, j + 1);
-        }
-    }
-    (best, best_at)
-}
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod x86 {
-    use std::arch::x86_64::*;
-
-    use super::*;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn load(src: &[i16]) -> __m256i {
-        assert!(src.len() >= LANES);
-        // SAFETY: the assertion leaves 32 readable bytes at `src`; `loadu`
-        // has no alignment requirement.
-        unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn store(dst: &mut [i16], v: __m256i) {
-        assert!(dst.len() >= LANES);
-        // SAFETY: the assertion leaves 32 writable bytes at `dst`, which
-        // this function borrows exclusively; `storeu` needs no alignment.
-        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn load_bytes(src: &[u8]) -> __m128i {
-        assert!(src.len() >= LANES);
-        // SAFETY: the assertion leaves 16 readable bytes at `src`; `loadu`
-        // has no alignment requirement.
-        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn store_bytes(dst: &mut [u8], v: __m128i) {
-        assert!(dst.len() >= LANES);
-        // SAFETY: the assertion leaves 16 writable bytes at `dst`, which
-        // this function borrows exclusively; `storeu` needs no alignment.
-        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), v) }
-    }
-
-    /// Lanes `16 − k .. 32 − k` of the 32-lane sequence `[prev, cur]`, for
-    /// `BYTES = 16 − 2k`: `cur` moved up `k` lanes with the top `k` lanes
-    /// of `prev` entering at the bottom.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn shifted<const BYTES: i32>(prev: __m256i, cur: __m256i) -> __m256i {
-        let t = _mm256_permute2x128_si256::<0x21>(prev, cur); // [prev.hi, cur.lo]
-        _mm256_alignr_epi8::<BYTES>(cur, t)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn broadcast_last(v: __m256i) -> __m256i {
-        _mm256_permute4x64_epi64::<0xFF>(_mm256_shufflehi_epi16::<0xFF>(v))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn horizontal_max(v: __m256i) -> i16 {
-        let m = _mm_max_epi16(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        let m = _mm_max_epi16(m, _mm_srli_si128::<8>(m));
-        let m = _mm_max_epi16(m, _mm_srli_si128::<4>(m));
-        let m = _mm_max_epi16(m, _mm_srli_si128::<2>(m));
-        _mm_extract_epi16::<0>(m) as i16
-    }
-
-    /// The AVX2 fill (see the module docs). The caller guarantees AVX2 and
-    /// a `(scheme, pair)` inside the guard of [`vector_max_short`]; every
-    /// length the loads and stores rely on is established here, by slicing
-    /// the freshly sized buffers into exact 16-lane chunks.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_avx2(
-        x: &[u8],
-        y: &[u8],
-        scheme: &ScoringScheme,
-        lut: &[[u8; 32]; ALPHABET_SIZE],
-        buf: &mut OnePassBuf,
-    ) -> (i32, (usize, usize)) {
-        let n = y.len();
-        let np = buf.lay_out_dirs(x.len(), n);
-        let OnePassBuf { y_pad, prof, h: [h0, h1], f, dirs, .. } = buf;
-        // Query profile: row r, column j holds s(r, y_j), looked up sixteen
-        // columns at a time in r's two byte tables.
-        assert!(y.iter().all(|&c| (c as usize) < ALPHABET_SIZE), "residue code out of range");
-        y_pad.clear();
-        y_pad.extend_from_slice(y);
-        y_pad.resize(np, PAD_CODE);
-        prof.resize(ALPHABET_SIZE * np, 0);
-        let fifteen = _mm_set1_epi8(15);
-        for (row, tables) in prof.chunks_exact_mut(np).zip(lut) {
-            let (lo, hi) = (load_bytes(&tables[..16]), load_bytes(&tables[16..]));
-            for (codes, out) in y_pad.chunks_exact(LANES).zip(row.chunks_exact_mut(LANES)) {
-                let c = load_bytes(codes);
-                let scores = _mm_blendv_epi8(
-                    _mm_shuffle_epi8(lo, c),
-                    _mm_shuffle_epi8(hi, c),
-                    _mm_cmpgt_epi8(c, fifteen),
-                );
-                store(out, _mm256_cvtepi8_epi16(scores));
-            }
-        }
-        for h in [&mut *h0, &mut *h1] {
-            h.clear();
-            h.resize(np + 1, 0);
-        }
-        f.clear();
-        f.resize(np, FLOOR16);
-        let (mut hprev, mut hcur) = (&mut h0[..], &mut h1[..]);
-
-        let open = _mm256_set1_epi16(scheme.gap_open as i16);
-        let ext = scheme.gap_extend as i16; // 16·ext ≤ i16::MAX by the guard
-        let [ext1, ext2, ext4, ext8, ext16] = [1, 2, 4, 8, 16].map(|k| _mm256_set1_epi16(k * ext));
-        let ramp = _mm256_mullo_epi16(
-            _mm256_setr_epi16(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
-            ext1,
-        );
-        let zero = _mm256_setzero_si256();
-        let floor = _mm256_set1_epi16(FLOOR16);
-        let (one, three) = (_mm256_set1_epi16(1), _mm256_set1_epi16(3));
-        let e_stay = _mm256_set1_epi16(E_STAY as i16);
-        let f_stay = _mm256_set1_epi16(F_STAY as i16);
-        // "Block −1" of H′ for each row: columns −2, −1 are −∞, column 0 is 0.
-        let hp_border = _mm256_insert_epi16::<15>(floor, 0);
-
-        let mut best = 0i32;
-        let mut best_at = (0usize, 0usize);
-        let mut best_v = zero;
-        let mut max_v = zero; // lane-wise max of every H so far
-        for (i, (&xi, drow)) in x.iter().zip(dirs.chunks_exact_mut(np)).enumerate() {
-            let prow = &prof[xi as usize * np..][..np];
-            let mut hp_prev = hp_border;
-            let mut carry = floor; // last P of the previous block, broadcast
-            let blocks = hprev[..np]
-                .chunks_exact(LANES)
-                .zip(hprev[1..].chunks_exact(LANES))
-                .zip(hcur[1..].chunks_exact_mut(LANES))
-                .zip(f.chunks_exact_mut(LANES))
-                .zip(prow.chunks_exact(LANES))
-                .zip(drow.chunks_exact_mut(LANES));
-            for (((((h_diag, h_up), h_out), f_io), p), d_out) in blocks {
-                // F and H′: previous row only.
-                let f_ext = _mm256_subs_epi16(load(f_io), ext1);
-                let fv = _mm256_max_epi16(_mm256_sub_epi16(load(h_up), open), f_ext);
-                store(f_io, fv);
-                let sv = _mm256_add_epi16(load(h_diag), load(p));
-                let hp = _mm256_max_epi16(_mm256_max_epi16(sv, fv), zero);
-                // Exclusive scan P(j) = max_{k<j} H′(k−1) − (j−k)·ext over
-                // U(j) = H′(j−2) − ext; the first step reads H′ directly.
-                let hp_left = shifted::<14>(hp_prev, hp);
-                let mut pv = _mm256_max_epi16(
-                    _mm256_subs_epi16(shifted::<12>(hp_prev, hp), ext1),
-                    _mm256_subs_epi16(shifted::<10>(hp_prev, hp), ext2),
-                );
-                hp_prev = hp;
-                pv = _mm256_max_epi16(pv, _mm256_subs_epi16(shifted::<12>(floor, pv), ext2));
-                pv = _mm256_max_epi16(pv, _mm256_subs_epi16(shifted::<8>(floor, pv), ext4));
-                pv = _mm256_max_epi16(pv, _mm256_subs_epi16(shifted::<0>(floor, pv), ext8));
-                let block_last = broadcast_last(pv);
-                pv = _mm256_max_epi16(pv, _mm256_subs_epi16(carry, ramp));
-                carry = _mm256_max_epi16(block_last, _mm256_subs_epi16(carry, ext16));
-                // E = max(H′(j−1), P) − open; H = max(H′, E).
-                let gv = _mm256_max_epi16(hp_left, pv);
-                let ev = _mm256_sub_epi16(gv, open);
-                let hv = _mm256_max_epi16(hp, ev);
-                store(h_out, hv);
-                max_v = _mm256_max_epi16(max_v, hv);
-                // Direction byte, in the traceback's precedence.
-                let from = _mm256_blendv_epi8(
-                    _mm256_add_epi16(three, _mm256_cmpeq_epi16(hv, ev)), // DIR_E or DIR_F
-                    one,                                                 // DIR_DIAG
-                    _mm256_cmpeq_epi16(hv, sv),
-                );
-                let from = _mm256_andnot_si256(_mm256_cmpeq_epi16(hv, zero), from); // DIR_STOP
-                let stay = _mm256_or_si256(
-                    _mm256_and_si256(_mm256_cmpeq_epi16(pv, gv), e_stay),
-                    _mm256_and_si256(_mm256_cmpeq_epi16(fv, f_ext), f_stay),
-                );
-                let d = _mm256_or_si256(from, stay);
-                let d = _mm256_permute4x64_epi64::<0x08>(_mm256_packus_epi16(d, d));
-                store_bytes(d_out, _mm256_castsi256_si128(d));
-            }
-            if _mm256_movemask_epi8(_mm256_cmpgt_epi16(max_v, best_v)) != 0 {
-                // This row raised the maximum; padding lanes never exceed
-                // the real ones, so its first holder is a real column.
-                let b = horizontal_max(max_v);
-                best = b as i32;
-                best_v = _mm256_set1_epi16(b);
-                for (blk, c) in hcur[1..].chunks_exact(LANES).enumerate() {
-                    let hit = _mm256_movemask_epi8(_mm256_cmpeq_epi16(load(c), best_v)) as u32;
-                    if hit != 0 {
-                        best_at = (i + 1, blk * LANES + hit.trailing_zeros() as usize / 2 + 1);
-                        break;
-                    }
-                }
-                debug_assert!(best_at.1 <= n);
-            }
-            std::mem::swap(&mut hprev, &mut hcur);
-        }
-        (best, best_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,12 +384,8 @@ mod tests {
         encode(s.as_bytes()).unwrap()
     }
 
-    fn fills(scheme: &ScoringScheme) -> [OnePassFill; 2] {
-        [OnePassFill::scalar(scheme), OnePassFill::detect(scheme)]
-    }
-
     #[test]
-    fn both_fills_reproduce_the_reference_alignment() {
+    fn the_scalar_twin_reproduces_the_reference_alignment() {
         let pairs = [
             ("MKVLWAAKPP", "GGMKVLWAAK"),
             ("PPPPMKVLWAAKPPPP", "GGMKVLWAAKGG"),
@@ -666,47 +403,33 @@ mod tests {
                 gap_open: open,
                 gap_extend: ext,
             };
+            let fill = OnePassFill::scalar(&s);
             for (a, b) in pairs {
                 let (x, y) = (codes(a), codes(b));
-                for fill in fills(&s) {
-                    let name = fill.label();
-                    assert_eq!(
-                        fill.align(&x, &y, &mut scratch),
-                        local_affine(&x, &y, &s),
-                        "{name} {open}/{ext}: {a} vs {b}"
-                    );
-                    assert_eq!(fill.align(&y, &x, &mut scratch), local_affine(&y, &x, &s));
-                }
+                let reference = local_affine(&x, &y, &s);
+                assert_eq!(fill.align(&x, &y, &mut scratch), reference, "{open}/{ext}: {a} vs {b}");
+                assert_eq!(fill.align(&y, &x, &mut scratch), local_affine(&y, &x, &s));
             }
-        }
-    }
-
-    #[test]
-    fn both_fills_write_the_same_direction_bytes() {
-        let s =
-            ScoringScheme { matrix: SubstMatrix::blosum62().clone(), gap_open: 4, gap_extend: 1 };
-        let (x, y) = (codes("MKVLWAAKNDCQEGHILKMFPSTWYV"), codes("GGMKVLWNDCQEGGGHILKMFPSTWTT"));
-        let [scalar, vector] = fills(&s);
-        let mut a = AlignScratch::new();
-        let mut b = AlignScratch::new();
-        assert_eq!(scalar.fill(&x, &y, &mut a), vector.fill(&x, &y, &mut b));
-        assert_eq!(a.onepass.stride, b.onepass.stride);
-        let stride = a.onepass.stride;
-        for i in 0..x.len() {
-            let row = i * stride..i * stride + y.len();
-            assert_eq!(a.onepass.dirs[row.clone()], b.onepass.dirs[row], "row {}", i + 1);
         }
     }
 
     #[test]
     fn schemes_outside_the_lane_guard_stay_scalar() {
         let mut s = ScoringScheme::blosum62_default();
+        let host = OnePassFill::detect(&s);
+        let avx2 = host.label() == "avx2";
+        // The side limit: 2 048 residues, on either side.
+        assert_eq!((host.is_vector(100, 2048), host.is_vector(2048, 100)), (avx2, avx2));
+        assert!(!host.is_vector(100, 2049) && !host.is_vector(2049, 100));
+        assert!(!OnePassFill::scalar(&s).is_vector(10, 10));
         s.gap_open = 1;
-        s.gap_extend = 2; // open < ext: the scan would be inexact
+        s.gap_extend = 2; // open < ext: outside the ragged-batch argument
         assert_eq!(OnePassFill::detect(&s).label(), "scalar");
         s.gap_open = MAX_PENALTY16;
-        s.gap_extend = MAX_PENALTY16; // 16·ext overflows the carry ramp
+        s.gap_extend = MAX_PENALTY16; // the penalty limit itself
+        assert_eq!(OnePassFill::detect(&s).label(), host.label());
+        s.gap_open = MAX_PENALTY16 + 1;
+        s.gap_extend = MAX_PENALTY16 + 1;
         assert_eq!(OnePassFill::detect(&s).label(), "scalar");
-        assert!(!OnePassFill::scalar(&s).is_vector(10, 10));
     }
 }

@@ -1,11 +1,11 @@
-//! Forced-path property suite for the alignment engine: both one-pass
-//! fills — the scalar twin always, the AVX2 kernel where detected — must
-//! return [`pfam_align::local_affine`]'s exact `Alignment` (score,
+//! Forced-path property suite for the alignment engine: the scalar twin
+//! must return [`pfam_align::local_affine`]'s exact `Alignment` (score,
 //! operations, both ranges), and the engine's accept/reject verdicts must
 //! equal the reference full-DP criteria, on one shared corpus. The batch
-//! kernel enters the same way: whatever lanes a pair shares a fill with,
-//! it must leave the scalar twin's score, end cell and direction bits on
-//! every real cell, and the batch entry must give `judge`'s verdict.
+//! kernel, where detected, is held to the scalar twin: whatever lanes a
+//! pair shares a fill with, it must leave the twin's score, end cell and
+//! direction bits on every real cell, and the batch entry must give
+//! `judge`'s verdict.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,15 +37,6 @@ fn gap_regimes() -> [ScoringScheme; 4] {
 /// Does `s` get the vector kernel on this host?
 fn vectorized(s: &ScoringScheme) -> bool {
     OnePassFill::detect(s).label() == "avx2"
-}
-
-/// The scalar twin, and the host's fill when it is a different one.
-fn fills(s: &ScoringScheme) -> Vec<OnePassFill> {
-    let mut v = vec![OnePassFill::scalar(s)];
-    if vectorized(s) {
-        v.push(OnePassFill::detect(s));
-    }
-    v
 }
 
 /// A mutated homolog pair: ancestor-derived sequences whose similarity
@@ -101,23 +92,15 @@ fn corpus() -> Vec<Pair> {
     pairs
 }
 
+/// The scalar twin, what a single pair runs on, against the reference.
 fn assert_fills_match_reference(s: &ScoringScheme, pairs: &[Pair]) {
     let mut scratch = AlignScratch::new();
+    let fill = OnePassFill::scalar(s);
     for (k, (x, y)) in pairs.iter().enumerate() {
-        let expected = local_affine(x, y, s);
-        let flipped = local_affine(y, x, s);
-        for fill in fills(s) {
-            let what = format!(
-                "{} fill, gaps {}/{}, pair {k} ({}x{})",
-                fill.label(),
-                s.gap_open,
-                s.gap_extend,
-                x.len(),
-                y.len()
-            );
-            assert_eq!(fill.align(x, y, &mut scratch), expected, "{what}");
-            assert_eq!(fill.align(y, x, &mut scratch), flipped, "{what}, flipped");
-        }
+        let what =
+            format!("gaps {}/{}, pair {k} ({}x{})", s.gap_open, s.gap_extend, x.len(), y.len());
+        assert_eq!(fill.align(x, y, &mut scratch), local_affine(x, y, s), "{what}");
+        assert_eq!(fill.align(y, x, &mut scratch), local_affine(y, x, s), "{what}, flipped");
     }
 }
 
@@ -131,8 +114,8 @@ fn fills_equal_reference_alignment_on_the_corpus_under_every_gap_regime() {
 
 /// `min(m,n)·max_score ≤ 15 000` is the last pair the `i16` kernel may
 /// take: 1 363 residues under BLOSUM62 (`W:W` = 11). One residue more
-/// must fall to the scalar twin — and both must still be exact, on the
-/// highest-scoring input there is.
+/// must fall to the scalar twin, which must be exact on either side, on
+/// the highest-scoring input there is.
 #[test]
 fn fills_are_exact_on_both_sides_of_the_score_limit() {
     let s = scheme(11, 1);
@@ -152,19 +135,20 @@ fn fills_are_exact_on_both_sides_of_the_score_limit() {
     assert_fills_match_reference(&s, &pairs);
 }
 
-/// `16·ext ≤ i16::MAX` is the carry ramp's limit: `ext = 2047` runs on the
-/// vector kernel with every penalty lane near saturation, `ext = 2048`
-/// must fall to the scalar twin.
+/// `open ≤ 2 048` is the penalty limit: `(2048, 2048)` runs on the vector
+/// kernel with every penalty lane near saturation, `(2049, 2049)` must
+/// fall to the scalar twin.
 #[test]
-fn fills_are_exact_on_both_sides_of_the_gap_extend_limit() {
+fn fills_are_exact_on_both_sides_of_the_penalty_limit() {
     let pairs: Vec<Pair> = corpus().into_iter().step_by(5).collect();
-    for (s, vector) in [(scheme(2048, 2047), true), (scheme(2048, 2048), false)] {
+    for (s, vector) in [(scheme(2048, 2048), true), (scheme(2049, 2049), false)] {
         // On a host without AVX2 every scheme is scalar.
         let vector = vector && vectorized(&scheme(11, 1));
         assert_eq!(OnePassFill::detect(&s).is_vector(50, 50), vector);
         assert_fills_match_reference(&s, &pairs);
     }
-    // A scheme the scan is inexact for (open < ext) never reaches it.
+    // A scheme outside the kernel's ragged-batch argument (open < ext)
+    // never reaches it.
     let s = scheme(1, 3);
     assert!(!vectorized(&s));
     assert_fills_match_reference(&s, &pairs);
@@ -347,11 +331,11 @@ fn queries() -> impl Iterator<Item = PairQuery> {
 /// `pairs`, cut into batches of `lanes`, through the batch kernel and the
 /// batch entry. Kernel: each lane's score, end cell and the direction bits
 /// of every real cell are the scalar twin's for that pair alone (the batch
-/// must be taken exactly when `vector` says the scheme and the pairs are
+/// must be taken exactly when `vector` says the scheme and every pair are
 /// inside the kernel's guard). Entry: on the host's fills and on the
 /// scalar twin, each `PairVerdict` — tier and cell counters included — is
 /// `judge`'s, for every query, the same for all lanes or different from
-/// lane to lane.
+/// lane to lane, however many of a group's lanes the kernel takes.
 fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector: bool) {
     let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
     let (scalar, host) = (OnePassFill::scalar(s), OnePassFill::detect(s));
@@ -447,15 +431,17 @@ fn batch_kernel_equals_the_scalar_twin_lane_by_lane() {
 fn batch_kernel_is_exact_on_both_sides_of_the_limits() {
     let avx2 = vectorized(&scheme(11, 1));
     let (a, b) = mutated_pair(7, 150, 0.08, 0.01);
-    // The direction bound: 2 MiB of nibbles are m_max·n_max ≤ 2¹⁸ cells.
-    // (Under BLOSUM62 it binds before the score limit's 1 363 residues.)
-    let bound = |m: usize| vec![(a.clone(), b.clone()), (vec![3; m], vec![3; 1024])];
-    assert_batches_match(&scheme(11, 1), &bound(256), 2, avx2);
-    assert_batches_match(&scheme(11, 1), &bound(257), 2, false);
+    // The side limit: 2 048 residues, in `y` and then in `x`. (Under
+    // BLOSUM62 the score limit's 1 363 residues bind the shorter side.)
+    let side = |len: usize| {
+        vec![(a.clone(), b.clone()), (vec![3; 64], vec![3; len]), (vec![3; len], vec![3; 64])]
+    };
+    assert_batches_match(&scheme(11, 1), &side(2048), 2, avx2);
+    assert_batches_match(&scheme(11, 1), &side(2049), 2, false);
 
     let pairs: Vec<Pair> = ragged().into_iter().take(BATCH_LANES).collect();
-    assert_batches_match(&scheme(2048, 2047), &pairs, BATCH_LANES, avx2);
-    assert_batches_match(&scheme(2048, 2048), &pairs, BATCH_LANES, false);
+    assert_batches_match(&scheme(2048, 2048), &pairs, BATCH_LANES, avx2);
+    assert_batches_match(&scheme(2049, 2049), &pairs, BATCH_LANES, false);
     let short: Vec<Pair> =
         pairs.iter().filter(|(x, y)| x.len().min(y.len()) <= 118).cloned().collect();
     for (matched, vector) in [(127, avx2), (128, false)] {
@@ -483,16 +469,14 @@ proptest! {
         assert_judge_is_consistent(&judge_engines(&s), &s, &x, &y);
     }
 
-    /// Both fills reproduce the reference `Alignment` bit-for-bit on
-    /// arbitrary residue strings (all 21 codes, `X` included).
+    /// The scalar twin reproduces the reference `Alignment` bit-for-bit
+    /// on arbitrary residue strings (all 21 codes, `X` included).
     #[test]
     fn fills_equal_reference_alignment_on_random(x in residues(70), y in residues(70)) {
         let mut scratch = AlignScratch::new();
         for s in [scheme(11, 1), scheme(3, 3)] {
-            let expected = local_affine(&x, &y, &s);
-            for fill in fills(&s) {
-                prop_assert_eq!(fill.align(&x, &y, &mut scratch), expected.clone());
-            }
+            let fill = OnePassFill::scalar(&s);
+            prop_assert_eq!(fill.align(&x, &y, &mut scratch), local_affine(&x, &y, &s));
         }
     }
 

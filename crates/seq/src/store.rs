@@ -450,30 +450,60 @@ impl PagedSeqStore {
             return Err(SeqError::Format(format!("{}: bad magic", path.display())));
         }
         let index_off = read_u64(&footer, 0);
-        let n_pages = read_u64(&footer, 8) as usize;
-        let n_seqs = read_u64(&footer, 16) as usize;
+        let (n_pages, n_seqs) = (read_u64(&footer, 8), read_u64(&footer, 16));
         let total_residues = read_u64(&footer, 24);
-        let index_len = n_pages * 24 + n_seqs * 4;
-        if index_off + index_len as u64 + FOOTER_LEN != file_len {
-            return Err(SeqError::Format(format!("{}: truncated index", path.display())));
+        let damaged = |what: String| SeqError::Format(format!("{}: {what}", path.display()));
+        // The page table is input: every size and offset it gives is
+        // checked before anything is allocated or read by it.
+        let index_len = n_pages
+            .checked_mul(24)
+            .zip(n_seqs.checked_mul(4))
+            .and_then(|(pages, lens)| pages.checked_add(lens));
+        let end = index_len.and_then(|len| index_off.checked_add(len)?.checked_add(FOOTER_LEN));
+        if end != Some(file_len) || n_seqs > u32::MAX as u64 {
+            return Err(damaged("truncated index".into()));
         }
+        // Both fit: the index lies inside the file.
+        let (n_pages, n_seqs) = (n_pages as usize, n_seqs as usize);
         file.seek(SeekFrom::Start(index_off)).map_err(|e| io_err(&path, e))?;
-        let mut index = vec![0u8; index_len];
+        let mut index = vec![0u8; n_pages * 24 + n_seqs * 4];
         file.read_exact(&mut index).map_err(|e| io_err(&path, e))?;
+        let lens: Vec<u32> = (0..n_seqs).map(|i| read_u32(&index, n_pages * 24 + i * 4)).collect();
+        // Pages tile the reads `0..n_seqs` and the payload `0..index_off`,
+        // in order, and each holds at least its reads' length words and
+        // residues, none of them empty.
         let mut pages = Vec::with_capacity(n_pages);
+        let (mut next_id, mut next_off) = (0u64, 0u64);
         for p in 0..n_pages {
             let at = p * 24;
-            let seq_start = read_u64(&index, at) as u32;
-            let seq_end =
-                if p + 1 < n_pages { read_u64(&index, at + 24) as u32 } else { n_seqs as u32 };
+            let seq_start = read_u64(&index, at);
+            let seq_end = if p + 1 < n_pages { read_u64(&index, at + 24) } else { n_seqs as u64 };
+            let (file_off, byte_len) = (read_u64(&index, at + 8), read_u64(&index, at + 16));
+            if seq_start != next_id || seq_end <= seq_start || seq_end > n_seqs as u64 {
+                return Err(damaged(format!("page {p} does not continue the read ids")));
+            }
+            next_off = Some(file_off)
+                .filter(|&off| off == next_off)
+                .and_then(|off| off.checked_add(byte_len))
+                .filter(|&end| end <= index_off)
+                .ok_or_else(|| damaged(format!("page {p} does not continue the payload")))?;
+            let reads = &lens[seq_start as usize..seq_end as usize];
+            let least = reads.iter().fold(0u64, |sum, &len| sum.saturating_add(8 + len as u64));
+            if byte_len < least || reads.contains(&0) {
+                return Err(damaged(format!("page {p} does not hold its reads")));
+            }
+            next_id = seq_end;
+            // Both inside `0..=n_seqs`, which fits `u32`.
             pages.push(PageEntry {
-                seq_start,
-                seq_end,
-                file_off: read_u64(&index, at + 8),
-                byte_len: read_u64(&index, at + 16),
+                seq_start: seq_start as u32,
+                seq_end: seq_end as u32,
+                file_off,
+                byte_len,
             });
         }
-        let lens: Vec<u32> = (0..n_seqs).map(|i| read_u32(&index, n_pages * 24 + i * 4)).collect();
+        if next_id != n_seqs as u64 || next_off != index_off {
+            return Err(damaged("pages do not cover the reads and the payload".into()));
+        }
         // The cache ceiling plus the length/page tables are this store's
         // resident footprint; register it so the budget sees the store.
         let table_bytes = (lens.len() * 4 + pages.len() * 24) as u64;
@@ -722,6 +752,70 @@ mod tests {
         std::fs::write(&path, vec![0u8; 200]).unwrap();
         assert!(PagedSeqStore::open(&path).is_err(), "bad magic must be rejected");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `sample(23)` written in 64-byte pages, damaged by `damage(bytes,
+    /// index_off, n_pages)`, then opened.
+    fn planted(name: &str, damage: impl FnOnce(&mut [u8], usize, usize)) -> SeqError {
+        let path = tmp(name);
+        PagedSeqStore::write_set(&path, &sample(23), 64).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer = bytes.len() - FOOTER_LEN as usize;
+        let (index_off, n_pages) = (read_u64(&bytes, footer), read_u64(&bytes, footer + 8));
+        assert!(n_pages > 2, "the damage needs three pages");
+        damage(&mut bytes, index_off as usize, n_pages as usize);
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = PagedSeqStore::open(&path);
+        std::fs::remove_file(&path).ok();
+        match opened {
+            Err(e @ SeqError::Format(_)) => e,
+            Err(e) => panic!("not a format error: {e}"),
+            Ok(_) => panic!("a damaged store opened"),
+        }
+    }
+
+    fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn a_page_running_past_the_payload_is_a_format_error() {
+        let err = planted("overrun.pfss", |b, index, n_pages| {
+            let len = b.len() as u64;
+            put_u64(b, index + (n_pages - 1) * 24 + 16, len); // the last page's byte_len
+        });
+        assert!(err.to_string().contains("payload"), "{err}");
+    }
+
+    #[test]
+    fn page_ids_that_do_not_ascend_are_a_format_error() {
+        let err = planted("descend.pfss", |b, index, _| {
+            let second = read_u64(b, index + 24);
+            put_u64(b, index + 2 * 24, second - 1); // page 2 starts before page 1
+        });
+        assert!(err.to_string().contains("read ids"), "{err}");
+    }
+
+    #[test]
+    fn an_index_size_that_overflows_is_a_format_error() {
+        let err = planted("overflow.pfss", |b, _, n_pages| {
+            // 24·2⁶¹ wraps to 0: the wrapped index length still matches the file.
+            let footer = b.len() - FOOTER_LEN as usize;
+            put_u64(b, footer + 8, n_pages as u64 + (1 << 61));
+        });
+        assert!(err.to_string().contains("truncated index"), "{err}");
+    }
+
+    #[test]
+    fn a_page_shorter_than_its_reads_is_a_format_error() {
+        let err = planted("short.pfss", |b, index, _| {
+            // Page 0 gives all but 8 of its bytes to page 1; the tiling holds.
+            let (len0, len1) = (read_u64(b, index + 16), read_u64(b, index + 24 + 16));
+            put_u64(b, index + 16, 8);
+            put_u64(b, index + 24 + 8, 8);
+            put_u64(b, index + 24 + 16, len0 + len1 - 8);
+        });
+        assert!(err.to_string().contains("does not hold its reads"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 # scripts/reachability.allow with a reason), the candidate-list suite
 # (Verifier's list entry == one verdict at a time; deferred pairs of small
 # components dropped), the pfam-align suites in release mode (forced-path
-# suite: both vector kernels against the scalar twin, cell by cell), the
+# suite: the batch kernel against the scalar twin, cell by cell), the
 # benchmark package's own tests, the known-quadratic input under a clock
 # (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume,
 # `cluster` == `run`, resume under other parameters, older checkpoint
@@ -129,9 +129,11 @@ echo "== tier1: one aligner, one Shingle driver, no test-only library code =="
 # component, parallel across components, with no worker-local state. Since
 # PR 26 that Shingle is a sort of flat record streams (EXPERIMENTS.md, "DSD
 # as a sort (PR 26)"); the per-vertex `Vec<Shingle>` kernel, its scratch
-# and the hash-map grouping went. Any of them comes back with a caller and
-# a number, not under its old name.
-if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)|shingle_clusters_with|shingle_clusters_budgeted|detect_dense_subgraphs_with|ShingleArena|RankTable|shingle_set_from_table|component_graph_with|duplicate_from_with|from_edges_reusing|barrier_components|ExecArena|shingle_set_with|ShingleScratch|group_pass1" \
+# and the hash-map grouping went. The within-pair AVX2 scan kernel and the
+# 2 MiB cap that sent groups to it went too (EXPERIMENTS.md, "Within-pair
+# kernel — verdict"): the batch kernel is the one vector fill. Any of them
+# comes back with a caller and a number, not under its old name.
+if grep -rnE "UkkonenTree|banded_global_affine|semiglobal_affine|global_affine|shingle_clusters_distributed|shingle_clusters_spmd|ConcurrentUnionFind|cut_structure|criterion(::|\.workspace| *=)|shingle_clusters_with|shingle_clusters_budgeted|detect_dense_subgraphs_with|ShingleArena|RankTable|shingle_set_from_table|component_graph_with|duplicate_from_with|from_edges_reusing|barrier_components|ExecArena|shingle_set_with|ShingleScratch|group_pass1|fill_avx2|horizontal_max|broadcast_last|MAX_DIR_BYTES" \
     crates src tests examples vendor Cargo.toml || [ -e vendor/criterion ]; then
     echo "tier1 FAIL: a retired aligner, driver, twin or bench harness is named in the tree" >&2
     exit 1
@@ -195,11 +197,12 @@ for f in crates/align/src/engine.rs crates/align/src/onepass.rs crates/align/src
 done
 
 echo "== tier1: unsafe stays in the alignment kernels and the bench allocator =="
-# Every `unsafe` of the program is a vector load or store (or the call into
-# a `target_feature` kernel) in the two fill files, each behind a length
-# assertion; the benches' counting allocator wraps the system one. A new
-# kernel goes into one of those files and through the forced-path suite
-# (crates/align/tests/engine_props.rs), not somewhere else.
+# Every `unsafe` of the program is in the batch kernel's two files:
+# onepass.rs holds the one call into the `target_feature` kernel, behind
+# the AVX2 detection; interpair.rs holds the kernel's vector loads and
+# stores, each behind a length assertion. The benches' counting allocator
+# wraps the system one. A new kernel goes into interpair.rs and through the
+# forced-path suite (crates/align/tests/engine_props.rs), not somewhere else.
 if grep -rnw "unsafe" crates/*/src src \
     | grep -v "^crates/align/src/onepass\.rs:" \
     | grep -v "^crates/align/src/interpair\.rs:" \
