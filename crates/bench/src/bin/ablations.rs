@@ -20,7 +20,7 @@ use pfam_cluster::{run_all_pairs_baseline, run_ccd, run_ccd_from_pairs, ClusterC
 use pfam_core::{evaluate, PipelineConfig, Reduction};
 use pfam_seq::complexity::MaskParams;
 use pfam_shingle::ShingleParams;
-use pfam_suffix::{maximal::all_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{parallel_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.5);
@@ -43,14 +43,12 @@ fn main() {
     println!("\n== 2. longest-match-first vs shuffled pair order ==");
     let gsa = GeneralizedSuffixArray::build(&data.set);
     let tree = SuffixTree::build(&gsa);
-    let pairs = all_pairs(
-        &tree,
-        MaximalMatchConfig {
-            min_len: config.psi_ccd,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        },
-    );
+    let matches = MaximalMatchConfig {
+        min_len: config.psi_ccd,
+        max_pairs_per_node: config.max_pairs_per_node,
+        dedup: true,
+    };
+    let (pairs, _) = parallel_pairs(&tree, matches, 1);
     let ordered = run_ccd_from_pairs(&data.set, pairs.clone(), &config);
     let mut shuffled_pairs = pairs;
     shuffled_pairs.shuffle(&mut StdRng::seed_from_u64(0x0D3));

@@ -25,7 +25,7 @@ use pfam_bench::{
 use pfam_cluster::ClusterConfig;
 use pfam_seq::{SeqId, SequenceSet};
 use pfam_suffix::{
-    maximal::all_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
+    parallel_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// One alignment task: `(x, y, anchor, containment?)`.
@@ -142,14 +142,12 @@ fn main() {
     let tree = SuffixTree::build(&gsa);
     let mut tasks: Vec<Task> = Vec::new();
     for (psi, containment) in [(config.psi_rr, true), (config.psi_ccd, false)] {
-        let pairs = all_pairs(
-            &tree,
-            MaximalMatchConfig {
-                min_len: psi,
-                max_pairs_per_node: config.max_pairs_per_node,
-                dedup: true,
-            },
-        );
+        let matches = MaximalMatchConfig {
+            min_len: psi,
+            max_pairs_per_node: config.max_pairs_per_node,
+            dedup: true,
+        };
+        let (pairs, _) = parallel_pairs(&tree, matches, 1);
         for p in &pairs {
             let (a, b, anchor) = if containment {
                 orient(set, p)

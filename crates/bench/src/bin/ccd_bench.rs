@@ -19,7 +19,7 @@ use pfam_cluster::{run_ccd, run_ccd_from_pairs, run_ccd_spmd, CcdResult, Cluster
 use pfam_mpi::NoFaults;
 use pfam_seq::SequenceSet;
 use pfam_suffix::{
-    maximal::all_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
+    parallel_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
 };
 
 /// One driver's timing row.
@@ -131,12 +131,10 @@ fn main() {
 fn mine_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
     let gsa = GeneralizedSuffixArray::build(set);
     let tree = SuffixTree::build(&gsa);
-    all_pairs(
-        &tree,
-        MaximalMatchConfig {
-            min_len: config.psi_ccd,
-            max_pairs_per_node: config.max_pairs_per_node,
-            dedup: true,
-        },
-    )
+    let matches = MaximalMatchConfig {
+        min_len: config.psi_ccd,
+        max_pairs_per_node: config.max_pairs_per_node,
+        dedup: true,
+    };
+    parallel_pairs(&tree, matches, 1).0
 }

@@ -43,10 +43,10 @@ use pfam_bench::alloc::{live_bytes, peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, emit, thread_sweep, time_min, BenchArgs};
 use pfam_datagen::{random_peptide, DatasetConfig, SyntheticDataset};
 use pfam_seq::{materialize_subset, SeqId, SequenceSet, SequenceSetBuilder};
-use pfam_suffix::maximal::{all_pairs, GenerationStats};
+use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    bucket_sort_index_staged, lcp::lcp_array, parallel_pairs, parallel_pairs_masked, suffix_array,
-    GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, SuffixTree,
+    bucket_sort_index_staged, lcp::lcp_array, mine_pairs, parallel_pairs, suffix_array,
+    GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, MineNodes, SuffixTree,
 };
 
 #[global_allocator]
@@ -152,8 +152,9 @@ fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> S
     let (tree_s, tree) = time_min(reps, || SuffixTree::build_pruned(&gsa, PSI_CCD.min(PSI_RR)));
     let (mine_rr_one_s, rr_one) = time_min(reps, || parallel_pairs(&tree, match_config(PSI_RR), t));
     let (mask_s, mask) = time_min(reps, || KeepMask::new(&gsa, kept));
-    let (mine_masked_s, ccd_one) =
-        time_min(reps, || parallel_pairs_masked(&tree, match_config(PSI_CCD), t, Some(&mask)));
+    let (mine_masked_s, ccd_one) = time_min(reps, || {
+        mine_pairs(&tree, match_config(PSI_CCD), t, MineNodes::Whole(Some(&mask)))
+    });
     let one_s = gsa_rr_s + tree_s + mine_rr_one_s + mask_s + mine_masked_s;
 
     assert!(same_stream(&rr_one, &rr_two), "RR streams differ at {t} threads");
@@ -302,9 +303,9 @@ fn bench_corpus(
         if psi == 0 {
             continue;
         }
-        let (serial_s, pairs) = time_min(reps, || all_pairs(&tree, match_config(psi)));
+        let (serial_s, (pairs, _)) = time_min(reps, || parallel_pairs(&tree, match_config(psi), 1));
         assert!(
-            pairs == all_pairs(&full, match_config(psi)),
+            pairs == parallel_pairs(&full, match_config(psi), 1).0,
             "{name}: pruned tree mined differently"
         );
         let par: Vec<String> = threads

@@ -39,7 +39,7 @@ use pfam_core::PipelineConfig;
 use pfam_datagen::{generate_to_store, DatasetConfig};
 use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
 use pfam_suffix::{
-    estimated_index_bytes, maximal::all_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
+    estimated_index_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
     MaximalMatchConfig, PartitionedMiner, SuffixTree,
 };
 
@@ -110,7 +110,7 @@ fn main() {
     let t0 = Instant::now();
     let gsa = GeneralizedSuffixArray::build(&cmp_set);
     let tree = SuffixTree::build(&gsa);
-    let mono_pairs = all_pairs(&tree, pair_config);
+    let (mono_pairs, _) = parallel_pairs(&tree, pair_config, 1);
     let mono_s = t0.elapsed().as_secs_f64();
     let mono_peak = peak_since(live0);
     drop(tree);

@@ -22,18 +22,18 @@ fn main() {
     let ccd = run_ccd(&nr, &config);
 
     let n = nr.len() as u64;
-    let all_pairs = n * (n - 1) / 2;
+    let all_vs_all = n * (n - 1) / 2;
     let generated = ccd.trace.total_generated() as u64;
     let aligned = ccd.trace.total_aligned() as u64;
 
     println!("\n== CCD work accounting ==");
     println!("non-redundant sequences : {n}");
-    println!("all-versus-all pairs    : {all_pairs}");
+    println!("all-versus-all pairs    : {all_vs_all}");
     println!("promising pairs         : {generated}");
     println!("alignments performed    : {aligned}");
     println!(
         "reduction vs all-pairs  : {:.2}%",
-        (1.0 - aligned as f64 / all_pairs.max(1) as f64) * 100.0
+        (1.0 - aligned as f64 / all_vs_all.max(1) as f64) * 100.0
     );
     println!(
         "filter ratio within CCD : {:.2}% of generated pairs skipped",

@@ -24,15 +24,16 @@ use rayon::prelude::*;
 
 use pfam_graph::CsrGraph;
 use pfam_seq::{materialize_subset, Reservation, SeqId, SeqStore, SubsetStore};
-use pfam_suffix::{estimated_index_bytes, with_match_tree, MaximalMatchGenerator};
+use pfam_suffix::{estimated_index_bytes, parallel_pairs, with_match_tree};
 
 use crate::config::ClusterConfig;
 use crate::core::{CorePhase, Verifier, VerifyOn};
 use crate::ledger::PairLedger;
 use crate::trace::{BatchRecord, PhaseTrace};
 
-/// Pairs verified at a time: what sits between a pair supply and the
-/// edge list is this much, whatever the component's size.
+/// Pairs verified at a time: the verifier's candidate list is this long,
+/// whatever the component's size. The supply itself holds all of the
+/// component's pairs (CCD's deferred list, or the mined vector).
 const VERIFY_SLICE: usize = 4096;
 
 /// The similarity graph of one connected component.
@@ -86,7 +87,9 @@ fn verify_into(
 /// pages; a refused `bgg-gsa` reservation degrades to accounting-only) and
 /// every ψ_ccd pair of that index is verified: a modified PaCE pass with
 /// the maximal-match heuristic and no closure filter, as in the paper.
-/// Returns the graph plus the alignment work performed (for the trace).
+/// The pairs are mined into one vector, 20 B a pair, held while they are
+/// verified. Returns the graph plus the alignment work performed (for the
+/// trace).
 pub fn component_graph(
     set: &dyn SeqStore,
     members: &[SeqId],
@@ -103,7 +106,8 @@ pub fn component_graph(
         let verifier = Verifier::new(config, CorePhase::Ccd);
         // One thread: components already run side by side in the back half.
         with_match_tree(&subset, config.psi_ccd, config.max_pairs_per_node, 1, |tree, matches| {
-            let pairs = MaximalMatchGenerator::new(tree, matches).map(|p| (p.a.0, p.b.0));
+            let (pairs, _) = parallel_pairs(tree, matches, 1);
+            let pairs = pairs.into_iter().map(|p| (p.a.0, p.b.0));
             verify_into(&verifier, &subset, pairs, |local| local, &mut record, &mut edges)
         });
     }

@@ -23,7 +23,7 @@ use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{index_plan, with_pair_source, IterSource, SharedIndex};
+use crate::source::{index_plan, with_pair_source, MinedSource, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the CCD phase.
@@ -153,7 +153,7 @@ pub fn run_ccd_from_pairs(
     if set.is_empty() {
         return CcdResult::empty();
     }
-    let mut source = IterSource::new(pairs.into_iter());
+    let mut source = MinedSource::new(pairs);
     let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd);
     BatchedPush {

@@ -32,9 +32,9 @@ pub struct ClusterConfig {
     /// residues. `None` disables masking.
     pub mask: Option<MaskParams>,
     /// Worker-thread count for index construction and pair generation:
-    /// `0` uses every available core, `1` forces the serial reference
-    /// path, `n` uses exactly `n` workers. Outputs are bit-identical for
-    /// every value.
+    /// `0` uses every available core, `n` uses exactly `n` workers (`1`
+    /// runs on the calling thread). Outputs are bit-identical for every
+    /// value.
     pub threads: usize,
     /// Which alignment engine the verification alignments run through.
     /// `Tiered` (default) is length screen → one-pass fill → direction
@@ -118,6 +118,6 @@ mod tests {
         c.threads = 4;
         assert_eq!(c.index_threads(), 4);
         c.threads = 1;
-        assert_eq!(c.index_threads(), 1); // the serial reference path
+        assert_eq!(c.index_threads(), 1); // the calling thread only
     }
 }

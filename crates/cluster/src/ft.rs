@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use pfam_mpi::{run_spmd_faulty, FaultInjector};
 use pfam_seq::SequenceSet;
-use pfam_suffix::{MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{parallel_pairs, MaximalMatchConfig, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
@@ -110,7 +110,8 @@ fn run_ft_world(
 ) -> Result<CcdResult, FtError> {
     let outcomes = run_spmd_faulty(n_ranks, injector, |comm| {
         if comm.rank() == 0 {
-            let mut source = MinedSource::new(tree, matches, config.index_threads());
+            let mined = parallel_pairs(tree, matches, config.index_threads());
+            let mut source = MinedSource::mined(mined);
             let mut core = ClusterCore::new_ccd(set);
             let mut transport = MpiTransport::master(comm);
             let mut policy = LeasedPull {

@@ -65,7 +65,7 @@ pub use policy::{
 };
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{
-    index_plan, with_pair_source, with_shared_index, IterSource, MinedSource, PairSource,
+    index_plan, with_pair_source, with_shared_index, MinedSource, PairSource,
     PartitionedMinedSource, SharedIndex,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};

@@ -3,37 +3,36 @@
 //!
 //! A [`PairSource`] yields batches of [`MatchPair`]s in the order the
 //! clustering loop should consume them (decreasing maximal-match length —
-//! the paper's "longest match first" discipline). Three implementations
+//! the paper's "longest match first" discipline). Two implementations
 //! cover every driver in this crate:
 //!
-//! * [`MinedSource`] — the suffix-index generator: serial when
-//!   `threads == 1` (the reference path), eagerly mined across threads
-//!   otherwise, with identical output either way; through a
-//!   [`pfam_suffix::KeepMask`] it mines an index of a whole input on
-//!   behalf of a subset view of it. The rank-partitioned SPMD variant is
-//!   [`MinedSource::partitioned`].
-//! * [`IterSource`] — any explicit pair stream; the ablation hook
-//!   (`run_ccd_from_pairs`) and the pre-collected sources in the
-//!   driver-equivalence matrix tests.
+//! * [`MinedSource`] — a phase's pairs held in memory: what
+//!   [`pfam_suffix::mine_pairs`] mined from one suffix index (the whole
+//!   tree, the reads a [`pfam_suffix::KeepMask`] keeps of it, or one SPMD
+//!   rank's slice of its nodes), with the same output at any thread count;
+//!   or an explicit pair list — the ablation hook (`run_ccd_from_pairs`)
+//!   and the tests.
 //! * [`PartitionedMinedSource`] — the out-of-core generator: per-chunk
 //!   GSAs mined task by task under a [`pfam_seq::MemoryBudget`]
-//!   (see [`pfam_suffix::PartitionedMiner`]); the pair *set* is identical
-//!   to [`MinedSource`], the order is the deterministic task order.
+//!   (see [`pfam_suffix::PartitionedMiner`]), at most one task's pairs
+//!   held at a time; the pair *set* is identical to [`MinedSource`]'s,
+//!   the order is the deterministic task order.
 //!
 //! Which of the two suffix-index generators a phase mines is one decision,
 //! [`index_plan`]: `0` for one monolithic index, else the partitioned
 //! miner's per-chunk target. [`with_pair_source`] opens the source a plan
 //! names and lends it to a closure — the index borrows the sequence set
-//! transitively (set → GSA → tree → generator), so the opener owns that
-//! borrow chain. [`with_shared_index`] builds the monolithic index once
-//! for a run whose phases all mine it.
+//! transitively (set → GSA → tree), so the opener owns that borrow chain.
+//! [`with_shared_index`] builds the monolithic index once for a run whose
+//! phases all mine it.
 
 use std::ops::Range;
 
 use pfam_seq::{BudgetError, SeqId, SeqStore, SequenceSet};
+use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    estimated_index_bytes, promising_pairs_masked, with_match_tree, ChunkPlan, KeepMask, MatchPair,
-    MaximalMatchConfig, MaximalMatchGenerator, PartitionedMiner, SuffixTree,
+    estimated_index_bytes, mine_pairs, with_match_tree, ChunkPlan, KeepMask, MatchPair,
+    MaximalMatchConfig, MineNodes, PartitionedMiner, SuffixTree,
 };
 
 use crate::config::ClusterConfig;
@@ -66,53 +65,34 @@ pub trait PairSource {
     }
 }
 
-/// Pairs mined from the generalized suffix tree.
-pub struct MinedSource<'a> {
-    inner: pfam_suffix::PairSource<'a>,
+/// A phase's promising pairs, held in memory in the order they are
+/// consumed.
+pub struct MinedSource {
+    pairs: std::vec::IntoIter<MatchPair>,
+    nodes_visited: u64,
 }
 
-impl<'a> MinedSource<'a> {
-    /// Mine the whole tree: serial generation when `threads == 1`, eager
-    /// parallel mining otherwise (`0` = all cores); output order and
-    /// content are identical in both modes.
-    pub fn new(tree: &'a SuffixTree<'a>, config: MaximalMatchConfig, threads: usize) -> Self {
-        MinedSource::masked(tree, config, threads, None)
+impl MinedSource {
+    /// An explicit pair stream, in the order given. It visited no tree
+    /// node.
+    pub fn new(pairs: Vec<MatchPair>) -> Self {
+        MinedSource { pairs: pairs.into_iter(), nodes_visited: 0 }
     }
 
-    /// Mine the tree for the reads `keep` keeps (`None`: all), under
-    /// their dense ids — the stream of an index built over those reads
-    /// alone, whatever else `tree` indexes.
-    pub fn masked(
-        tree: &'a SuffixTree<'a>,
-        config: MaximalMatchConfig,
-        threads: usize,
-        keep: Option<&'a KeepMask>,
-    ) -> Self {
-        MinedSource { inner: promising_pairs_masked(tree, config, threads, keep) }
-    }
-
-    /// Mine only `nodes` — one rank's slice of a prefix-partitioned
-    /// suffix space (the SPMD workers' source).
-    pub fn partitioned(
-        tree: &'a SuffixTree<'a>,
-        config: MaximalMatchConfig,
-        nodes: Vec<pfam_suffix::tree::NodeId>,
-    ) -> Self {
-        MinedSource {
-            inner: pfam_suffix::PairSource::Serial(MaximalMatchGenerator::with_nodes(
-                tree, config, nodes,
-            )),
-        }
+    /// The output of a [`mine_pairs`] run: its pairs, and the tree nodes
+    /// it visited.
+    pub fn mined((pairs, stats): (Vec<MatchPair>, GenerationStats)) -> Self {
+        MinedSource { pairs: pairs.into_iter(), nodes_visited: stats.nodes_visited as u64 }
     }
 }
 
-impl PairSource for MinedSource<'_> {
+impl PairSource for MinedSource {
     fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
-        self.inner.by_ref().take(max).collect()
+        self.pairs.by_ref().take(max).collect()
     }
 
     fn nodes_visited(&self) -> u64 {
-        self.inner.stats().nodes_visited as u64
+        self.nodes_visited
     }
 }
 
@@ -210,24 +190,6 @@ impl PairSource for PartitionedMinedSource<'_> {
 
     fn nodes_visited(&self) -> u64 {
         self.miner.stats().nodes_visited as u64
-    }
-}
-
-/// An explicit pair stream (ablations, tests, replay from a recording).
-pub struct IterSource<I> {
-    inner: I,
-}
-
-impl<I: Iterator<Item = MatchPair>> IterSource<I> {
-    /// Wrap any pair iterator.
-    pub fn new(inner: I) -> Self {
-        IterSource { inner }
-    }
-}
-
-impl<I: Iterator<Item = MatchPair>> PairSource for IterSource<I> {
-    fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
-        self.inner.by_ref().take(max).collect()
     }
 }
 
@@ -367,7 +329,13 @@ pub fn with_pair_source<R>(
     let mine = |tree: &SuffixTree<'_>| {
         let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
         let matches = match_config(config, psi);
-        f(&mut MinedSource::masked(tree, matches, config.index_threads(), keep.as_ref()))
+        let threads = config.index_threads();
+        f(&mut MinedSource::mined(mine_pairs(
+            tree,
+            matches,
+            threads,
+            MineNodes::Whole(keep.as_ref()),
+        )))
     };
     match shared.filter(|shared| shared.indexes(base)) {
         Some(shared) => mine(shared.tree),
@@ -401,10 +369,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_source_batches_and_exhausts() {
+    fn an_explicit_list_batches_and_exhausts() {
         let pairs: Vec<MatchPair> =
             (1..=5).map(|i| MatchPair::new(SeqId(0), SeqId(i), 10)).collect();
-        let mut s = IterSource::new(pairs.into_iter());
+        let mut s = MinedSource::new(pairs);
         assert_eq!(s.next_batch(2).len(), 2);
         assert_eq!(s.next_batch(10).len(), 3);
         assert!(s.next_batch(1).is_empty(), "exhausted");
@@ -415,7 +383,7 @@ mod tests {
     fn skip_is_prefix_discard() {
         let pairs: Vec<MatchPair> =
             (1..=5).map(|i| MatchPair::new(SeqId(0), SeqId(i), 10)).collect();
-        let mut s = IterSource::new(pairs.clone().into_iter());
+        let mut s = MinedSource::new(pairs.clone());
         s.skip(3);
         assert_eq!(s.next_batch(10), pairs[3..].to_vec());
         // Skipping past the end is harmless.

@@ -24,7 +24,7 @@
 use pfam_mpi::run_spmd;
 use pfam_seq::SequenceSet;
 use pfam_suffix::distributed::PartitionedSuffixSpace;
-use pfam_suffix::{MaximalMatchConfig, SuffixTree};
+use pfam_suffix::{mine_pairs, MaximalMatchConfig, MineNodes, SuffixTree};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
@@ -85,8 +85,10 @@ fn run_push_world(
                 CorePhase::Rr => ClusterCoreOutcome::Rr(RrResult::from_core(core)),
             })
         } else {
+            // One thread per rank: the ranks are the parallelism.
+            let nodes = &nodes_per_worker[comm.rank() - 1];
             let mut source =
-                MinedSource::partitioned(tree, matches, nodes_per_worker[comm.rank() - 1].clone());
+                MinedSource::mined(mine_pairs(tree, matches, 1, MineNodes::Slice(nodes)));
             let verifier = Verifier::new(config, phase);
             let mut port = MpiWorkerPort::new(comm);
             serve_push_worker(&mut port, &mut source, &verifier, set, config.batch_size);

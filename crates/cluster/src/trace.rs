@@ -242,7 +242,11 @@ impl PhaseTrace {
                     b.task_cells.len()
                 ));
             }
-            b.align_cells = b.task_cells.iter().sum();
+            b.align_cells = b
+                .task_cells
+                .iter()
+                .try_fold(0u64, |sum, &c| sum.checked_add(c))
+                .ok_or_else(|| format!("task cells overflow a u64 in: {line}"))?;
             batches.push(b);
         }
         Ok(PhaseTrace { index_residues, nodes_visited, batches })
@@ -377,6 +381,8 @@ mod tests {
         assert!(with(NAMES, "3\t1\t2\t5").is_err(), "n_aligned against the cell count");
         assert!(with(NAMES, "3\t1\t1\t5\t5").is_err(), "a value with no name");
         assert!(with(NAMES, "3\t1\t1").is_err(), "a line cut short");
+        let e = with(NAMES, "3\t1\t2\t18446744073709551615,1").unwrap_err();
+        assert!(e.contains("overflow"), "{e}");
         // A column nobody ever wrote: refused, not guessed at.
         let e = with(&format!("{NAMES}\tn_stolen"), "3\t1\t1\t5\t0").unwrap_err();
         assert!(e.contains("n_stolen"), "{e}");

@@ -20,22 +20,24 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
-    ClusterCore, CorePhase, IterSource, LeasedPull, LocalTransport, MinedSource, PairSource,
+    ClusterCore, CorePhase, LeasedPull, LocalTransport, MinedSource, PairSource,
     PartitionedMinedSource, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
-use pfam_suffix::{GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree};
+use pfam_suffix::maximal::GenerationStats;
+use pfam_suffix::{
+    parallel_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
+};
 
 /// The pair-supply axis.
 #[derive(Clone, Copy, Debug)]
 enum SourceKind {
-    /// Suffix-index mining on the serial reference path (`threads == 1`).
-    MinedSerial,
-    /// Eager parallel mining (`threads == 2`; output-identical to serial).
-    MinedParallel,
-    /// Pairs pre-collected into an explicit [`IterSource`] stream.
+    /// The suffix index mined on this many threads (the output is the
+    /// same at every count).
+    Mined(usize),
+    /// The one-thread pairs as an explicit list ([`MinedSource::new`]).
     Collected,
     /// The out-of-core generator: per-chunk suffix indexes with a chunk
     /// target tiny enough that real inputs split into several chunks.
@@ -54,33 +56,25 @@ enum PolicyKind {
     Pull,
 }
 
-const SOURCES: [SourceKind; 4] = [
-    SourceKind::MinedSerial,
-    SourceKind::MinedParallel,
-    SourceKind::Collected,
-    SourceKind::Partitioned,
-];
+const SOURCES: [SourceKind; 4] =
+    [SourceKind::Mined(1), SourceKind::Mined(2), SourceKind::Collected, SourceKind::Partitioned];
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Batched, PolicyKind::Push, PolicyKind::Pull];
-
-fn mining_threads(kind: SourceKind) -> usize {
-    match kind {
-        SourceKind::MinedParallel => 2,
-        _ => 1,
-    }
-}
 
 /// Mine the full promising-pair stream without the index-borrow dance
 /// (the integration test cannot reach the crate-private masked view, so
 /// it indexes the raw set — every driver below shares this supply, which
 /// is all the equivalence matrix needs).
-fn collect_pairs(set: &SequenceSet, config: &ClusterConfig, threads: usize) -> Vec<MatchPair> {
+fn mine(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    threads: usize,
+) -> (Vec<MatchPair>, GenerationStats) {
     if set.is_empty() {
-        return Vec::new();
+        return Default::default();
     }
     let gsa = GeneralizedSuffixArray::build_parallel(set, threads);
     let tree = SuffixTree::build(&gsa);
-    let mut source = MinedSource::new(&tree, match_config(config), threads);
-    source.next_batch(usize::MAX)
+    parallel_pairs(&tree, match_config(config), threads)
 }
 
 fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
@@ -113,12 +107,12 @@ fn run_cell(
     source: SourceKind,
     policy: PolicyKind,
 ) -> CcdResult {
-    let threads = mining_threads(source);
     // The push protocol's sources live on the workers, not the master.
     if matches!(policy, PolicyKind::Push) {
         let pairs = match source {
             SourceKind::Partitioned => partitioned_pairs(set, config),
-            _ => collect_pairs(set, config, threads),
+            SourceKind::Mined(threads) => mine(set, config, threads).0,
+            SourceKind::Collected => mine(set, config, 1).0,
         };
         // Split the supply across two workers; for the `Collected`
         // flavour, hand everything to one worker and leave the other
@@ -137,15 +131,12 @@ fn run_cell(
             let mut src = PartitionedMinedSource::new(set, config, config.psi_ccd, CHUNK_TARGET);
             drive_master_side(set, config, &mut src, policy)
         }
-        _ if set.is_empty() || matches!(source, SourceKind::Collected) => {
-            let pairs = collect_pairs(set, config, threads);
-            let mut src = IterSource::new(pairs.into_iter());
+        SourceKind::Collected => {
+            let mut src = MinedSource::new(mine(set, config, 1).0);
             drive_master_side(set, config, &mut src, policy)
         }
-        _ => {
-            let gsa = GeneralizedSuffixArray::build_parallel(set, threads);
-            let tree = SuffixTree::build(&gsa);
-            let mut src = MinedSource::new(&tree, match_config(config), threads);
+        SourceKind::Mined(threads) => {
+            let mut src = MinedSource::mined(mine(set, config, threads));
             drive_master_side(set, config, &mut src, policy)
         }
     }
@@ -190,7 +181,7 @@ fn drive_master_side(
     CcdResult::from_core(core)
 }
 
-/// Run the push protocol with one [`IterSource`] slice per worker.
+/// Run the push protocol with one explicit pair list per worker.
 fn drive_push(
     set: &SequenceSet,
     config: &ClusterConfig,
@@ -204,7 +195,7 @@ fn drive_push(
             scope.spawn(move || {
                 let mut port = port;
                 let verifier = Verifier::new(config, CorePhase::Ccd);
-                let mut source = IterSource::new(pairs.into_iter());
+                let mut source = MinedSource::new(pairs);
                 serve_push_worker(&mut port, &mut source, &verifier, set, config.batch_size);
             });
         }
@@ -262,7 +253,7 @@ fn collected_supply_entry_agrees_with_the_reference() {
     ] {
         let reference = run_ccd(set, &config);
         for threads in [1usize, 2] {
-            let got = run_ccd_from_pairs(set, collect_pairs(set, &config, threads), &config);
+            let got = run_ccd_from_pairs(set, mine(set, &config, threads).0, &config);
             assert_eq!(got.components, reference.components, "collected (threads={threads})");
             assert_partition(&got, &format!("collected (threads={threads})"));
         }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
-    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, IterSource, LeasedPull,
-    LocalTransport, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
+    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, LeasedPull, LocalTransport,
+    MinedSource, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -62,7 +62,7 @@ fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
         for (mut port, pairs) in ports.into_iter().zip(halves) {
             scope.spawn(move || {
                 let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
-                let mut source = IterSource::new(pairs.into_iter());
+                let mut source = MinedSource::new(pairs);
                 serve_push_worker(&mut port, &mut source, &verifier, store, cfg.batch_size);
             });
         }
@@ -74,7 +74,7 @@ fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
 /// CCD over `store` with the pull protocol: two lease workers.
 fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger>) -> CcdResult {
     let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
-    let mut source = IterSource::new(pair_stream(store, cfg).into_iter());
+    let mut source = MinedSource::new(pair_stream(store, cfg));
     let (mut transport, ports) = LocalTransport::new(2);
     let mut core = ClusterCore::new_ccd(store);
     std::thread::scope(|scope| {

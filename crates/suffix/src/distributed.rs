@@ -94,7 +94,8 @@ impl PartitionedSuffixSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maximal::{MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
+    use crate::maximal::{MatchPair, MaximalMatchConfig};
+    use crate::parallel::{mine_pairs, parallel_pairs, MineNodes};
     use pfam_seq::{SequenceSet, SequenceSetBuilder};
     use std::collections::HashSet;
 
@@ -160,14 +161,13 @@ mod tests {
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
         let config = MaximalMatchConfig { min_len: 5, dedup: false, ..Default::default() };
-        let global: HashSet<MatchPair> =
-            crate::maximal::all_pairs(&tree, config).into_iter().collect();
+        let global: HashSet<MatchPair> = parallel_pairs(&tree, config, 1).0.into_iter().collect();
         for p in [1usize, 2, 3, 5, 8] {
             let part = PartitionedSuffixSpace::new(&gsa, p, 3);
             let distributed: HashSet<MatchPair> = part
                 .nodes_per_rank(&tree, config.min_len)
                 .into_iter()
-                .flat_map(|nodes| MaximalMatchGenerator::with_nodes(&tree, config, nodes))
+                .flat_map(|nodes| mine_pairs(&tree, config, 1, MineNodes::Slice(&nodes)).0)
                 .collect();
             assert_eq!(distributed, global, "p = {p}");
         }

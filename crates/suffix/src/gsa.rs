@@ -3,7 +3,7 @@
 //! All sequences are concatenated with *distinct* per-sequence sentinels,
 //! so no common prefix of two suffixes can cross a sequence boundary — LCP
 //! values are therefore always lengths of genuine intra-sequence matches,
-//! which the maximal-match generator depends on.
+//! which the maximal-match miner depends on.
 //!
 //! The ambiguity residue `X` carries no exact-match evidence — two `X`s do
 //! *not* match (they stand for unknown, possibly different, residues), and

@@ -14,15 +14,18 @@
 //!   sequence boundary, in seven bytes per text position.
 //! * [`tree`] — the generalized suffix tree, built in linear time from the
 //!   suffix + LCP arrays (the production GST), with pattern search.
-//! * [`maximal`] — enumeration of maximal-match pairs in decreasing match
-//!   length, the paper's promising-pair generator.
+//! * [`maximal`] — maximal-match pairs: what one tree node emits, and the
+//!   deepest-first order in which a miner visits the nodes.
 //! * [`distributed`] — prefix-partitioned construction that splits the
 //!   suffix space across `p` ranks (the PaCE distributed-GST scheme),
 //!   with per-rank size accounting for the performance model.
 //! * [`parallel`] — shared-memory parallel construction of the whole hot
-//!   path (suffix array and LCP by residue-packed bucket sort, pair
-//!   generation), bit-identical to the serial reference for any thread
-//!   count, and [`with_match_tree`], the one index-and-mine entry.
+//!   path (suffix array and LCP by residue-packed bucket sort), the one
+//!   pair miner [`mine_pairs`], which yields the paper's promising pairs in
+//!   decreasing match length with the same output at any thread count, and
+//!   [`with_match_tree`], the one index-and-mine entry.
+//! * [`partitioned`] — the out-of-core miner: per-chunk indexes, each
+//!   mined by [`mine_pairs`], under a memory budget.
 
 pub mod distributed;
 pub mod gsa;
@@ -34,11 +37,10 @@ pub mod sais;
 pub mod tree;
 
 pub use gsa::{estimated_index_bytes, CompactLcp, GeneralizedSuffixArray};
-pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig, MaximalMatchGenerator};
+pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig};
 pub use parallel::{
-    bucket_sort_index, bucket_sort_index_staged, parallel_pairs, parallel_pairs_masked,
-    promising_pairs, promising_pairs_masked, resolve_threads, with_match_tree, PairSource,
-    SortStages,
+    bucket_sort_index, bucket_sort_index_staged, mine_pairs, parallel_pairs, resolve_threads,
+    with_match_tree, MineNodes, SortStages,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner};
 pub use sais::suffix_array;

@@ -7,12 +7,14 @@
 //! different children of a depth-`d` internal node (right-maximality) whose
 //! preceding residues differ or hit a sequence start (left-maximality).
 //!
-//! The generator walks internal nodes in decreasing depth order — exactly
-//! the PaCE "on-demand, longest match first" discipline the paper relies on
-//! so that cluster-merging pairs are discovered early — emitting
-//! (sequence, sequence, length) tuples. A per-node cap bounds the output on
+//! Mining visits internal nodes in decreasing depth order — exactly the
+//! PaCE "longest match first" discipline the paper relies on so that
+//! cluster-merging pairs are discovered early — emitting (sequence,
+//! sequence, length) tuples. A per-node cap bounds the output on
 //! low-complexity repeats, and an optional global dedup keeps only the
-//! first (longest) report of each pair.
+//! first (longest) report of each pair. This module holds the node-local
+//! half — what one node emits, and which nodes a miner visits in what
+//! order; [`crate::parallel::mine_pairs`] walks the nodes.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -114,7 +116,7 @@ impl MatchPair {
     }
 }
 
-/// Configuration of the generator.
+/// Configuration of a miner.
 #[derive(Debug, Clone, Copy)]
 pub struct MaximalMatchConfig {
     /// Minimum maximal-match length ψ (paper default ≈ 10 for CCD; derived
@@ -144,7 +146,7 @@ pub struct GenerationStats {
     /// Candidate pairs dropped by the per-node cap. The cap counts raw
     /// candidates *before* dedup, so each node's output depends only on
     /// the node itself — the property that lets nodes be processed on
-    /// any thread while staying bit-identical to the serial walk.
+    /// any thread with the same output at every thread count.
     pub pairs_capped: usize,
 }
 
@@ -230,9 +232,9 @@ impl KeepMask {
 /// child group is no node of the kept reads' index and must not count as
 /// visited.
 ///
-/// This function is deliberately free of generator state: both the serial
-/// [`MaximalMatchGenerator`] and the parallel path in [`crate::parallel`]
-/// call it, which is what guarantees their outputs are identical.
+/// This function is deliberately free of miner state: a node's output
+/// depends on the node alone, which is what lets
+/// [`crate::parallel::mine_pairs`] mine any chunk of nodes on any thread.
 pub(crate) fn collect_node_pairs(
     tree: &SuffixTree<'_>,
     node: NodeId,
@@ -365,7 +367,6 @@ pub(crate) fn mining_queue(
     min_len: u32,
     keep: Option<&KeepMask>,
 ) -> Vec<NodeId> {
-    assert!(tree.min_depth() <= min_len, "tree is pruned above the mining cut-off");
     let mut queue: Vec<NodeId> =
         tree.nodes_by_depth_desc().into_iter().take_while(|&n| tree.depth(n) >= min_len).collect();
     let first_closed = keep.and_then(|keep| first_closed_kept(tree, keep));
@@ -385,125 +386,11 @@ pub(crate) fn mining_queue(
     queue
 }
 
-/// Streaming generator of promising pairs in decreasing match length.
-pub struct MaximalMatchGenerator<'a> {
-    tree: &'a SuffixTree<'a>,
-    config: MaximalMatchConfig,
-    /// The reads mined, when not all of the index's.
-    keep: Option<&'a KeepMask>,
-    /// Nodes of depth ≥ ψ, deepest first.
-    queue: Vec<NodeId>,
-    /// Next index into `queue`.
-    next_node: usize,
-    /// Buffered pairs from the current node (drained back to front).
-    buffer: Vec<MatchPair>,
-    /// Per-node candidate scratch, reused across nodes.
-    scratch: Vec<MatchPair>,
-    seen: PairKeySet,
-    stats: GenerationStats,
-}
-
-impl<'a> MaximalMatchGenerator<'a> {
-    /// Create a generator over `tree`.
-    pub fn new(tree: &'a SuffixTree<'a>, config: MaximalMatchConfig) -> Self {
-        Self::masked(tree, config, None)
-    }
-
-    /// Create a generator over the reads of `tree` that `keep` keeps
-    /// (`None`: all of them), reporting their dense ids — the stream of
-    /// an index built over those reads alone (see [`KeepMask`]).
-    pub fn masked(
-        tree: &'a SuffixTree<'a>,
-        config: MaximalMatchConfig,
-        keep: Option<&'a KeepMask>,
-    ) -> Self {
-        let queue = mining_queue(tree, config.min_len, keep);
-        MaximalMatchGenerator { keep, ..Self::with_nodes(tree, config, queue) }
-    }
-
-    /// Create a generator restricted to an explicit node set (already in
-    /// decreasing depth order and ≥ ψ deep) — used by the distributed
-    /// prefix-partitioned construction, where each rank owns a subset of
-    /// the tree's subtrees.
-    pub fn with_nodes(
-        tree: &'a SuffixTree<'a>,
-        config: MaximalMatchConfig,
-        nodes: Vec<NodeId>,
-    ) -> Self {
-        assert!(tree.min_depth() <= config.min_len, "tree is pruned above the mining cut-off");
-        debug_assert!(nodes.windows(2).all(|w| tree.depth(w[0]) >= tree.depth(w[1])));
-        debug_assert!(nodes.iter().all(|&n| tree.depth(n) >= config.min_len));
-        MaximalMatchGenerator {
-            tree,
-            config,
-            keep: None,
-            queue: nodes,
-            next_node: 0,
-            buffer: Vec::new(),
-            scratch: Vec::new(),
-            seen: PairKeySet::default(),
-            stats: GenerationStats::default(),
-        }
-    }
-
-    /// Statistics so far (final once the iterator is exhausted).
-    pub fn stats(&self) -> GenerationStats {
-        self.stats
-    }
-
-    /// Process one tree node, pushing its surviving pairs into `buffer`.
-    fn process_node(&mut self, node: NodeId) {
-        self.scratch.clear();
-        let (capped, branches) = collect_node_pairs(
-            self.tree,
-            node,
-            self.config.max_pairs_per_node,
-            self.keep,
-            &mut self.scratch,
-        );
-        self.stats.nodes_visited += usize::from(branches);
-        self.stats.pairs_capped += capped;
-        for &pair in &self.scratch {
-            if self.config.dedup && !self.seen.insert(pair.key()) {
-                self.stats.pairs_deduped += 1;
-                continue;
-            }
-            self.stats.pairs_emitted += 1;
-            self.buffer.push(pair);
-        }
-        // Within a node all pairs share the same length; reverse so that
-        // draining from the back preserves generation order.
-        self.buffer.reverse();
-    }
-}
-
-impl<'a> Iterator for MaximalMatchGenerator<'a> {
-    type Item = MatchPair;
-
-    fn next(&mut self) -> Option<MatchPair> {
-        loop {
-            if let Some(p) = self.buffer.pop() {
-                return Some(p);
-            }
-            if self.next_node >= self.queue.len() {
-                return None;
-            }
-            let node = self.queue[self.next_node];
-            self.next_node += 1;
-            self.process_node(node);
-        }
-    }
-}
-
-/// Convenience: collect every promising pair of `tree` under `config`.
-pub fn all_pairs(tree: &SuffixTree<'_>, config: MaximalMatchConfig) -> Vec<MatchPair> {
-    MaximalMatchGenerator::new(tree, config).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gsa::GeneralizedSuffixArray;
+    use crate::parallel::parallel_pairs;
     use pfam_seq::{SequenceSet, SequenceSetBuilder};
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
@@ -518,10 +405,7 @@ mod tests {
         let set = set_of(seqs);
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
-        let mut g =
-            MaximalMatchGenerator::new(&tree, MaximalMatchConfig { min_len, ..Default::default() });
-        let pairs: Vec<_> = g.by_ref().collect();
-        (pairs, g.stats())
+        parallel_pairs(&tree, MaximalMatchConfig { min_len, ..Default::default() }, 1)
     }
 
     #[test]
@@ -569,8 +453,8 @@ mod tests {
         let set = set_of(&["MKVLWAAKXXXXDEFGH", "MKVLWAAKYYYYDEFGH"]);
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
-        let pairs =
-            all_pairs(&tree, MaximalMatchConfig { min_len: 5, dedup: false, ..Default::default() });
+        let config = MaximalMatchConfig { min_len: 5, dedup: false, ..Default::default() };
+        let (pairs, _) = parallel_pairs(&tree, config, 1);
         let lens: Vec<u32> = pairs.iter().map(|p| p.len).collect();
         assert!(lens.contains(&8), "length-8 match: {lens:?}");
         assert!(lens.contains(&5), "length-5 match: {lens:?}");
@@ -629,12 +513,8 @@ mod tests {
         let set = set_of(&refs);
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
-        let mut g = MaximalMatchGenerator::new(
-            &tree,
-            MaximalMatchConfig { min_len: 5, max_pairs_per_node: 10, dedup: false },
-        );
-        let _pairs: Vec<_> = g.by_ref().collect();
-        let stats = g.stats();
+        let config = MaximalMatchConfig { min_len: 5, max_pairs_per_node: 10, dedup: false };
+        let (_, stats) = parallel_pairs(&tree, config, 1);
         assert!(stats.pairs_capped > 0, "cap should trigger: {stats:?}");
     }
 

@@ -1,7 +1,7 @@
 //! Multithreaded construction of the suffix-index hot path: suffix array,
 //! LCP array, and maximal-match pair generation.
 //!
-//! Every routine here is **bit-identical** to its serial counterpart —
+//! Every routine here gives the same output at every thread count —
 //! parallelism changes wall-clock time, never output:
 //!
 //! * [`bucket_sort_index`] packs the leading twelve residues of every
@@ -15,14 +15,15 @@
 //!   and Kasai's serial LCP pass — a parallel Φ/PLCP pass lost to it in
 //!   every timed run at 2 threads (EXPERIMENTS.md, "SA-IS fallback LCP —
 //!   verdict (PR 25)").
-//! * [`parallel_pairs`] partitions the depth-sorted internal-node list
-//!   into contiguous chunks, mines each chunk's nodes into per-thread
-//!   emit buffers with the same node-local routine the serial generator
-//!   uses, then concatenates buffers in chunk order. Because the node
-//!   list is depth-sorted and every pair of a node carries that node's
-//!   depth, the concatenation *is* the decreasing-length merge; the
-//!   stream-level dedup filter then runs over it in that same order,
-//!   making every dedup decision identical to the serial walk's.
+//! * [`mine_pairs`] is the one miner of promising pairs: it partitions a
+//!   depth-sorted node list into contiguous chunks, mines each chunk's
+//!   nodes into its own emit buffer, then concatenates buffers in chunk
+//!   order. Because the node list is depth-sorted and every pair of a
+//!   node carries that node's depth, the concatenation *is* the
+//!   decreasing-length merge; the stream-level dedup filter then runs over
+//!   it in that same order, so every dedup decision is the one a walk of
+//!   the nodes one by one would make. [`parallel_pairs`] is it over the
+//!   whole tree.
 //! * [`with_match_tree`] is the one place an index is built for mining:
 //!   GSA, then the interval tree pruned at ψ, lent to the caller.
 //!
@@ -44,7 +45,6 @@ use crate::gsa::{
 };
 use crate::maximal::{
     collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
-    MaximalMatchGenerator,
 };
 use crate::tree::{NodeId, SuffixTree};
 
@@ -528,137 +528,116 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
 }
 
 // ---------------------------------------------------------------------------
-// Parallel pair generation
+// Pair generation
 // ---------------------------------------------------------------------------
 
-/// Generate every promising pair of `tree` under `config` with up to
-/// `threads` workers, returning the pairs in exactly the order the serial
-/// [`MaximalMatchGenerator`] would yield them (decreasing match length;
-/// identical dedup decisions) along with the final statistics.
+/// The nodes [`mine_pairs`] visits.
+#[derive(Clone, Copy)]
+pub enum MineNodes<'a> {
+    /// Every node of depth ≥ ψ. With a [`KeepMask`], only the reads it
+    /// keeps, under their dense ids: the stream of an index built over
+    /// those reads alone.
+    Whole(Option<&'a KeepMask>),
+    /// These nodes, deepest first and none shallower than ψ — one SPMD
+    /// rank's slice of the suffix space, say.
+    Slice(&'a [NodeId]),
+}
+
+/// Mine the promising pairs of `tree` under `config` on up to `threads`
+/// workers (`0` = every core) — the one walk of tree nodes for pairs.
+///
+/// The node list is cut into contiguous chunks, each chunk mined into its
+/// own buffer, and the buffers concatenated in chunk order. Every pair of a
+/// node carries that node's depth, so the concatenation *is* the
+/// decreasing-length merge, and the dedup filter runs over it in that
+/// order: pairs, order and statistics are the same at every thread count.
+/// At one thread the list is one chunk, mined on the calling thread and
+/// deduplicated in place, so the buffer is the result.
+pub fn mine_pairs(
+    tree: &SuffixTree<'_>,
+    config: MaximalMatchConfig,
+    threads: usize,
+    nodes: MineNodes<'_>,
+) -> (Vec<MatchPair>, GenerationStats) {
+    assert!(tree.min_depth() <= config.min_len, "tree is pruned above the mining cut-off");
+    let (queue, keep);
+    let nodes = match nodes {
+        MineNodes::Slice(nodes) => {
+            keep = None;
+            nodes
+        }
+        MineNodes::Whole(mask) => {
+            keep = mask;
+            queue = mining_queue(tree, config.min_len, keep);
+            &queue[..]
+        }
+    };
+    debug_assert!(nodes.windows(2).all(|w| tree.depth(w[0]) >= tree.depth(w[1])));
+    debug_assert!(nodes.iter().all(|&n| tree.depth(n) >= config.min_len));
+    let threads = resolve_threads(threads);
+
+    // Contiguous chunks of the depth-sorted node list → per-thread emit
+    // buffers that concatenate back in node order.
+    let n_chunks = if threads > 1 { threads * 8 } else { 1 }.min(nodes.len().max(1));
+    let chunk_size = nodes.len().div_ceil(n_chunks).max(1);
+    let chunks: Vec<&[NodeId]> = nodes.chunks(chunk_size).collect();
+    let mut mined: Vec<(Vec<MatchPair>, usize, usize)> =
+        parallel_jobs(chunks.len(), threads, |ci| {
+            let mut pairs = Vec::new();
+            let (mut capped, mut visited) = (0usize, 0usize);
+            for &node in chunks[ci] {
+                let (node_capped, branches) =
+                    collect_node_pairs(tree, node, config.max_pairs_per_node, keep, &mut pairs);
+                capped += node_capped;
+                visited += usize::from(branches);
+            }
+            (pairs, capped, visited)
+        });
+
+    let candidates: usize = mined.iter().map(|(pairs, ..)| pairs.len()).sum();
+    let mut stats = GenerationStats {
+        pairs_capped: mined.iter().map(|&(_, capped, _)| capped).sum(),
+        nodes_visited: mined.iter().map(|&(.., visited)| visited).sum(),
+        ..GenerationStats::default()
+    };
+    let mut seen = crate::maximal::PairKeySet::default();
+    let mut first_sight = |pair: &MatchPair| !config.dedup || seen.insert(pair.key());
+    let out = match &mut mined[..] {
+        // One chunk: deduplicated in place, and trimmed, since the caller
+        // holds the result while it works through it.
+        [(only, ..)] => {
+            only.retain(|pair| first_sight(pair));
+            only.shrink_to_fit();
+            std::mem::take(only)
+        }
+        // Buffers are drained in chunk order, each freed once drained.
+        all => {
+            let mut out = Vec::with_capacity(candidates);
+            for (pairs, ..) in all {
+                out.extend(std::mem::take(pairs).into_iter().filter(|pair| first_sight(pair)));
+            }
+            out
+        }
+    };
+    stats.pairs_emitted = out.len();
+    stats.pairs_deduped = candidates - out.len();
+    (out, stats)
+}
+
+/// Every promising pair of `tree` under `config`, mined on up to `threads`
+/// workers: [`mine_pairs`] over the whole tree.
 pub fn parallel_pairs(
     tree: &SuffixTree<'_>,
     config: MaximalMatchConfig,
     threads: usize,
 ) -> (Vec<MatchPair>, GenerationStats) {
-    parallel_pairs_masked(tree, config, threads, None)
-}
-
-/// [`parallel_pairs`] over the reads `keep` keeps (`None`: all of them) —
-/// the order and statistics of [`MaximalMatchGenerator::masked`].
-pub fn parallel_pairs_masked(
-    tree: &SuffixTree<'_>,
-    config: MaximalMatchConfig,
-    threads: usize,
-    keep: Option<&KeepMask>,
-) -> (Vec<MatchPair>, GenerationStats) {
-    let threads = resolve_threads(threads);
-    let queue = mining_queue(tree, config.min_len, keep);
-
-    // Contiguous chunks of the depth-sorted node list → per-thread emit
-    // buffers that concatenate back in node order.
-    let n_chunks = (threads * 8).min(queue.len().max(1));
-    let chunk_size = queue.len().div_ceil(n_chunks).max(1);
-    let chunks: Vec<&[NodeId]> = queue.chunks(chunk_size).collect();
-    let mined: Vec<(Vec<MatchPair>, usize, usize)> = parallel_jobs(chunks.len(), threads, |ci| {
-        let mut pairs = Vec::new();
-        let (mut capped, mut visited) = (0usize, 0usize);
-        for &node in chunks[ci] {
-            let (node_capped, branches) =
-                collect_node_pairs(tree, node, config.max_pairs_per_node, keep, &mut pairs);
-            capped += node_capped;
-            visited += usize::from(branches);
-        }
-        (pairs, capped, visited)
-    });
-
-    let mut stats = GenerationStats::default();
-    let total: usize = mined.iter().map(|(p, ..)| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut seen = crate::maximal::PairKeySet::default();
-    for (pairs, capped, visited) in mined {
-        stats.pairs_capped += capped;
-        stats.nodes_visited += visited;
-        for pair in pairs {
-            if config.dedup && !seen.insert(pair.key()) {
-                stats.pairs_deduped += 1;
-                continue;
-            }
-            stats.pairs_emitted += 1;
-            out.push(pair);
-        }
-    }
-    (out, stats)
-}
-
-/// A promising-pair stream that is either the lazy serial generator or an
-/// eagerly mined parallel run — same `Iterator` surface and same output
-/// either way, so the RR/CCD master loops consume both transparently.
-pub enum PairSource<'a> {
-    /// Lazy serial generation (the reference path).
-    Serial(MaximalMatchGenerator<'a>),
-    /// Pairs mined up front across threads.
-    Eager {
-        /// Remaining pairs, in decreasing-match-length order.
-        pairs: std::vec::IntoIter<MatchPair>,
-        /// Final statistics of the mining run.
-        stats: GenerationStats,
-    },
-}
-
-impl<'a> PairSource<'a> {
-    /// Statistics so far (final once the stream is exhausted; the eager
-    /// variant's are final immediately).
-    pub fn stats(&self) -> GenerationStats {
-        match self {
-            PairSource::Serial(g) => g.stats(),
-            PairSource::Eager { stats, .. } => *stats,
-        }
-    }
-}
-
-impl<'a> Iterator for PairSource<'a> {
-    type Item = MatchPair;
-
-    fn next(&mut self) -> Option<MatchPair> {
-        match self {
-            PairSource::Serial(g) => g.next(),
-            PairSource::Eager { pairs, .. } => pairs.next(),
-        }
-    }
-}
-
-/// Open a promising-pair stream over `tree`: serial when `threads == 1`,
-/// eagerly parallel otherwise (`0` = all cores). Output order and content
-/// are identical in both modes.
-pub fn promising_pairs<'a>(
-    tree: &'a SuffixTree<'a>,
-    config: MaximalMatchConfig,
-    threads: usize,
-) -> PairSource<'a> {
-    promising_pairs_masked(tree, config, threads, None)
-}
-
-/// [`promising_pairs`] over the reads `keep` keeps (`None`: all of them),
-/// under their dense ids: the stream an index of those reads alone would
-/// yield (see [`KeepMask`]).
-pub fn promising_pairs_masked<'a>(
-    tree: &'a SuffixTree<'a>,
-    config: MaximalMatchConfig,
-    threads: usize,
-    keep: Option<&'a KeepMask>,
-) -> PairSource<'a> {
-    if resolve_threads(threads) <= 1 {
-        PairSource::Serial(MaximalMatchGenerator::masked(tree, config, keep))
-    } else {
-        let (pairs, stats) = parallel_pairs_masked(tree, config, threads, keep);
-        PairSource::Eager { pairs: pairs.into_iter(), stats }
-    }
+    mine_pairs(tree, config, threads, MineNodes::Whole(None))
 }
 
 /// Index `set` for mining at cut-off `psi` and lend the result to `f`:
 /// the generalized suffix array on up to `threads` workers, the interval
 /// tree pruned at `psi` (no miner visits a shallower node), and the
-/// generator configuration that goes with them. Every production miner
+/// miner configuration that goes with them. Every production miner
 /// builds its index here; one that mines at two cut-offs passes the
 /// smaller and raises `min_len` for the other.
 pub fn with_match_tree<R>(
@@ -677,7 +656,6 @@ pub fn with_match_tree<R>(
 mod tests {
     use super::*;
     use crate::lcp::lcp_array;
-    use crate::maximal::all_pairs;
     use crate::sais;
     use pfam_seq::SequenceSetBuilder;
     use rand::rngs::StdRng;
@@ -809,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pairs_match_serial_order_exactly() {
+    fn mining_is_thread_count_invariant() {
         let set = set_of(&[
             "MKVLWAAKNDCQEGH",
             "MKVLWAAKNDCQEGH",
@@ -822,27 +800,15 @@ mod tests {
         let tree = SuffixTree::build(&gsa);
         for dedup in [true, false] {
             let config = MaximalMatchConfig { min_len: 4, dedup, ..Default::default() };
-            let serial = all_pairs(&tree, config);
+            let (one, one_stats) = parallel_pairs(&tree, config, 1);
+            assert!(one_stats.nodes_visited >= 1);
+            assert_eq!(one_stats.pairs_emitted, one.len());
             for threads in [2, 4, 8] {
-                let (parallel, stats) = parallel_pairs(&tree, config, threads);
-                assert_eq!(parallel, serial, "dedup={dedup} threads={threads}");
-                assert_eq!(stats.pairs_emitted, serial.len());
+                let (many, stats) = parallel_pairs(&tree, config, threads);
+                assert_eq!(many, one, "dedup={dedup} threads={threads}");
+                assert_eq!(stats, one_stats, "dedup={dedup} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn pair_source_modes_agree() {
-        let set = set_of(&["AAMKVLWAA", "CCMKVLWCC", "DDMKVLWDD"]);
-        let gsa = GeneralizedSuffixArray::build(&set);
-        let tree = SuffixTree::build(&gsa);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let serial: Vec<_> = promising_pairs(&tree, config, 1).collect();
-        let mut eager = promising_pairs(&tree, config, 4);
-        let eager_pairs: Vec<_> = eager.by_ref().collect();
-        assert_eq!(eager_pairs, serial);
-        assert_eq!(eager.stats().pairs_emitted, serial.len());
-        assert!(eager.stats().nodes_visited >= 1);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use pfam_seq::{BudgetError, MemoryBudget, Reservation, SeqId, SequenceSet, Seque
 
 use crate::gsa::estimated_index_bytes;
 use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig};
-use crate::parallel::{promising_pairs, with_match_tree};
+use crate::parallel::{parallel_pairs, with_match_tree};
 
 /// Ceiling on one chunk's text length (residues + sentinels): half the
 /// `u32` position space minus margin, so the *union* text of any two
@@ -181,7 +181,7 @@ impl ChunkPlan {
 }
 
 /// Translate a task-local sequence id back to the global id space, with
-/// overflow-checked arithmetic (the conversion the in-memory `MinedSource`
+/// overflow-checked arithmetic (the conversion the in-memory miner
 /// never needed — chunk-relative addressing makes it explicit).
 ///
 /// Task `(i, j)` presents chunk `i`'s sequences as local ids
@@ -197,7 +197,7 @@ fn to_global(plan: &ChunkPlan, i: usize, j: usize, local: SeqId) -> SeqId {
 }
 
 /// Streaming maximal-match miner over a [`ChunkPlan`]: yields the same
-/// pair set as the monolithic generator (see the module docs for the
+/// pair set as the monolithic miner (see the module docs for the
 /// argument), loading at most one task's chunks at a time through a
 /// caller-supplied loader.
 ///
@@ -293,11 +293,7 @@ impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
             config.min_len,
             config.max_pairs_per_node,
             threads,
-            |tree, _| {
-                let mut source = promising_pairs(tree, config, threads);
-                let pairs: Vec<MatchPair> = source.by_ref().collect();
-                (pairs, source.stats())
-            },
+            |tree, _| parallel_pairs(tree, config, threads),
         );
         for p in pairs {
             // Cross-chunk tasks keep only cross-chunk pairs: intra-chunk
@@ -359,8 +355,7 @@ fn concat_sets(a: &SequenceSet, b: &SequenceSet) -> SequenceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maximal::all_pairs;
-    use crate::{GeneralizedSuffixArray, SuffixTree};
+    use crate::{parallel_pairs, GeneralizedSuffixArray, SuffixTree};
     use pfam_seq::SequenceSetBuilder;
     use std::collections::HashSet;
 
@@ -379,7 +374,7 @@ mod tests {
     fn monolithic(set: &SequenceSet, config: MaximalMatchConfig) -> HashSet<MatchPair> {
         let gsa = GeneralizedSuffixArray::build(set);
         let tree = SuffixTree::build(&gsa);
-        all_pairs(&tree, config).into_iter().collect()
+        parallel_pairs(&tree, config, 1).0.into_iter().collect()
     }
 
     fn partitioned(
@@ -459,7 +454,7 @@ mod tests {
         let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
-        let mono_ordered = all_pairs(&tree, config);
+        let (mono_ordered, _) = parallel_pairs(&tree, config, 1);
         let plan = ChunkPlan::single(&lens_of(&set));
         let loader = |r: Range<u32>| {
             let keep: Vec<SeqId> = r.map(SeqId).collect();

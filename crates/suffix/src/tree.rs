@@ -4,7 +4,7 @@
 //! Internal nodes correspond exactly to right-branching repeats: a node of
 //! string depth `d` whose SA range is `[l, r)` means the `d`-length prefix
 //! shared by the suffixes of ranks `l..r` occurs in at least two right-
-//! extensions. The maximal-match generator walks these nodes in decreasing
+//! extensions. The maximal-match miner walks these nodes in decreasing
 //! depth order; pattern search descends edges like a classical suffix tree.
 
 use pfam_seq::SeqId;

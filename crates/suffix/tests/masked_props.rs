@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    promising_pairs, promising_pairs_masked, GeneralizedSuffixArray, KeepMask, MatchPair,
-    MaximalMatchConfig, SuffixTree,
+    mine_pairs, GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, MineNodes,
+    SuffixTree,
 };
 
 /// The ambiguity residue.
@@ -54,9 +54,15 @@ fn with_anchors(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
 
 type Stream = (Vec<(u32, u32, u32, u32, u32)>, GenerationStats);
 
-fn drain(mut source: pfam_suffix::PairSource<'_>) -> Stream {
-    let pairs: Vec<MatchPair> = source.by_ref().collect();
-    (with_anchors(&pairs), source.stats())
+/// The stream [`mine_pairs`] yields over the whole of `tree`.
+fn mine(
+    tree: &SuffixTree<'_>,
+    config: MaximalMatchConfig,
+    threads: usize,
+    keep: Option<&KeepMask>,
+) -> Stream {
+    let (pairs, stats) = mine_pairs(tree, config, threads, MineNodes::Whole(keep));
+    (with_anchors(&pairs), stats)
 }
 
 /// Keep-masks over `n` reads, from keep-all to keep-two: everything, all
@@ -99,9 +105,8 @@ proptest! {
                     let config =
                         MaximalMatchConfig { min_len: psi, max_pairs_per_node: cap, dedup };
                     for threads in [1usize, 2, 3] {
-                        let expect = drain(promising_pairs(&sub_tree, config, threads));
-                        let got =
-                            drain(promising_pairs_masked(&tree, config, threads, Some(&mask)));
+                        let expect = mine(&sub_tree, config, threads, None);
+                        let got = mine(&tree, config, threads, Some(&mask));
                         prop_assert_eq!(
                             got, expect,
                             "keep={:?} psi={} cap={} dedup={} threads={}",
@@ -120,8 +125,8 @@ proptest! {
         let config = MaximalMatchConfig { min_len: 15, ..Default::default() };
         for threads in [1usize, 2, 3] {
             prop_assert_eq!(
-                drain(promising_pairs(&shallow, config, threads)),
-                drain(promising_pairs(&deep, config, threads))
+                mine(&shallow, config, threads, None),
+                mine(&deep, config, threads, None)
             );
         }
     }

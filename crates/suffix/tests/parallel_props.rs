@@ -1,9 +1,8 @@
 //! Property tests pinning the parallel hot path to the serial reference:
 //! for every input and every thread count, `build_parallel` must equal
-//! `build` (SA-IS + Kasai over `encoded_text()`) bit for bit, parallel
-//! pair generation must replay the serial generator's stream exactly, and
-//! a tree pruned at ψ must mine what the full tree mines, in the same
-//! order. The corpora at the end are what the narrow index types can get
+//! `build` (SA-IS + Kasai over `encoded_text()`) bit for bit, pair mining
+//! on k threads must replay the one-thread stream exactly, and a tree
+//! pruned at ψ must mine what the full tree mines, in the same order. The corpora at the end are what the narrow index types can get
 //! wrong: matches longer than a `u16` LCP holds, more reads than sixteen
 //! bits count, `X`s between equal flanks.
 
@@ -11,10 +10,9 @@ use proptest::prelude::*;
 
 use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::lcp::lcp_array;
-use pfam_suffix::maximal::all_pairs;
 use pfam_suffix::{
-    bucket_sort_index, parallel_pairs, promising_pairs, suffix_array, GeneralizedSuffixArray,
-    MatchPair, MaximalMatchConfig, SuffixTree,
+    bucket_sort_index, parallel_pairs, suffix_array, GeneralizedSuffixArray, MatchPair,
+    MaximalMatchConfig, SuffixTree,
 };
 
 /// The ambiguity residue.
@@ -125,35 +123,31 @@ proptest! {
     }
 
     #[test]
-    fn parallel_pairgen_replays_serial_stream(set in seq_set(6, 25)) {
-        let gsa = GeneralizedSuffixArray::build(&set);
-        let tree = pfam_suffix::SuffixTree::build(&gsa);
-        for min_len in [2u32, 4] {
-            for dedup in [true, false] {
-                let config = MaximalMatchConfig { min_len, dedup, ..Default::default() };
-                let serial = all_pairs(&tree, config);
-                for threads in [2usize, 3, 8] {
-                    let (par, stats) = parallel_pairs(&tree, config, threads);
-                    // Exact sequence equality — same pairs, same order.
-                    prop_assert_eq!(&par, &serial);
-                    prop_assert_eq!(stats.pairs_emitted, serial.len());
-                }
-                // Decreasing match length (the PaCE discipline).
-                for w in serial.windows(2) {
-                    prop_assert!(w[0].len >= w[1].len);
+    fn parallel_pairgen_replays_serial_stream(
+        random in seq_set(6, 25),
+        identical in identical_set(6, 15),
+    ) {
+        for set in [random, identical] {
+            let gsa = GeneralizedSuffixArray::build(&set);
+            let tree = pfam_suffix::SuffixTree::build(&gsa);
+            for min_len in [2u32, 4] {
+                for dedup in [true, false] {
+                    let config = MaximalMatchConfig { min_len, dedup, ..Default::default() };
+                    let (one, one_stats) = parallel_pairs(&tree, config, 1);
+                    for threads in [2usize, 3, 8] {
+                        let (many, stats) = parallel_pairs(&tree, config, threads);
+                        // Exact sequence equality — same pairs, same order.
+                        prop_assert_eq!(with_anchors(&many), with_anchors(&one));
+                        prop_assert_eq!(stats, one_stats);
+                    }
+                    prop_assert_eq!(one_stats.pairs_emitted, one.len());
+                    // Decreasing match length (the PaCE discipline).
+                    for w in one.windows(2) {
+                        prop_assert!(w[0].len >= w[1].len);
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn pair_source_is_mode_transparent(set in identical_set(6, 15)) {
-        let gsa = GeneralizedSuffixArray::build(&set);
-        let tree = pfam_suffix::SuffixTree::build(&gsa);
-        let config = MaximalMatchConfig { min_len: 2, ..Default::default() };
-        let serial: Vec<_> = promising_pairs(&tree, config, 1).collect();
-        let parallel: Vec<_> = promising_pairs(&tree, config, 4).collect();
-        prop_assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -166,9 +160,8 @@ proptest! {
             prop_assert!((1..pruned.n_nodes() as u32).all(|n| pruned.depth(n) >= psi));
             for dedup in [true, false] {
                 let config = MaximalMatchConfig { min_len: psi, dedup, ..Default::default() };
-                let expect = with_anchors(&all_pairs(&full, config));
-                prop_assert_eq!(with_anchors(&all_pairs(&pruned, config)), expect.clone());
-                for threads in [2usize, 3] {
+                let expect = with_anchors(&parallel_pairs(&full, config, 1).0);
+                for threads in [1usize, 2, 3] {
                     let (pairs, stats) = parallel_pairs(&pruned, config, threads);
                     prop_assert_eq!(with_anchors(&pairs), expect.clone());
                     prop_assert_eq!(stats, parallel_pairs(&full, config, threads).1);
@@ -297,12 +290,12 @@ fn repeat_corpus_match_longer_than_a_u16_lcp() {
     let deepest = (1..tree.n_nodes() as u32).map(|n| tree.depth(n)).max();
     assert_eq!(deepest, Some(70_000));
     let config = MaximalMatchConfig { min_len: 15, ..Default::default() };
-    let pairs = with_anchors(&all_pairs(&tree, config));
+    let pairs = with_anchors(&parallel_pairs(&tree, config, 1).0);
     assert_eq!(pairs, vec![(7, 20, 70_000, 0, 0)]);
     let oracle = GeneralizedSuffixArray::build(&set);
     let oracle_tree = SuffixTree::build_pruned(&oracle, 15);
-    assert_eq!(with_anchors(&all_pairs(&oracle_tree, config)), pairs);
-    assert_eq!(parallel_pairs(&tree, config, 2).0, all_pairs(&oracle_tree, config));
+    assert_eq!(with_anchors(&parallel_pairs(&oracle_tree, config, 1).0), pairs);
+    assert_eq!(with_anchors(&parallel_pairs(&tree, config, 2).0), pairs);
 }
 
 #[test]
@@ -382,10 +375,10 @@ fn x_between_equal_flanks() {
     // to the oracle's stream.
     let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
     let tree = SuffixTree::build_pruned(&index, 5);
-    let pairs = all_pairs(&tree, config);
+    let (pairs, _) = parallel_pairs(&tree, config, 1);
     assert_eq!(pairs.len(), 100 * 99 / 2);
     assert!(pairs.iter().all(|p| p.len as usize == flank.len()));
     let oracle = GeneralizedSuffixArray::build(&set);
-    let expect = all_pairs(&SuffixTree::build_pruned(&oracle, 5), config);
+    let (expect, _) = parallel_pairs(&SuffixTree::build_pruned(&oracle, 5), config, 1);
     assert_eq!(with_anchors(&pairs), with_anchors(&expect));
 }

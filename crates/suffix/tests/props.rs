@@ -4,9 +4,11 @@ use proptest::prelude::*;
 
 use pfam_seq::{SequenceSet, SequenceSetBuilder};
 use pfam_suffix::distributed::PartitionedSuffixSpace;
-use pfam_suffix::maximal::{all_pairs, MatchPair};
+use pfam_suffix::maximal::MatchPair;
 use pfam_suffix::tree::SuffixTree;
-use pfam_suffix::{GeneralizedSuffixArray, MaximalMatchConfig, MaximalMatchGenerator};
+use pfam_suffix::{
+    mine_pairs, parallel_pairs, GeneralizedSuffixArray, MaximalMatchConfig, MineNodes,
+};
 
 fn seq_set(max_seqs: usize, max_len: usize) -> impl Strategy<Value = SequenceSet> {
     prop::collection::vec(prop::collection::vec(0u8..6, 1..max_len), 1..max_seqs).prop_map(|seqs| {
@@ -53,7 +55,7 @@ proptest! {
     fn every_reported_pair_shares_a_substring(set in seq_set(5, 20)) {
         let g = GeneralizedSuffixArray::build(&set);
         let t = SuffixTree::build(&g);
-        let pairs = all_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() });
+        let (pairs, _) = parallel_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() }, 1);
         for MatchPair { a, b, len, .. } in pairs {
             let x = set.codes(a);
             let y = set.codes(b);
@@ -73,12 +75,12 @@ proptest! {
         let t = SuffixTree::build(&g);
         let config = MaximalMatchConfig { min_len: 3, dedup: false, ..Default::default() };
         let global: std::collections::HashSet<MatchPair> =
-            all_pairs(&t, config).into_iter().collect();
+            parallel_pairs(&t, config, 1).0.into_iter().collect();
         let part = PartitionedSuffixSpace::new(&g, p, 3);
         let distributed: std::collections::HashSet<MatchPair> = part
             .nodes_per_rank(&t, config.min_len)
             .into_iter()
-            .flat_map(|nodes| MaximalMatchGenerator::with_nodes(&t, config, nodes))
+            .flat_map(|nodes| mine_pairs(&t, config, 1, MineNodes::Slice(&nodes)).0)
             .collect();
         prop_assert_eq!(distributed, global);
     }
@@ -87,7 +89,7 @@ proptest! {
     fn pairs_emitted_in_decreasing_length(set in seq_set(6, 22)) {
         let g = GeneralizedSuffixArray::build(&set);
         let t = SuffixTree::build(&g);
-        let pairs = all_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() });
+        let (pairs, _) = parallel_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() }, 1);
         for w in pairs.windows(2) {
             prop_assert!(w[0].len >= w[1].len);
         }

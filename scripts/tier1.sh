@@ -23,9 +23,11 @@
 # per-vertex Shingle kernel or the Criterion stand-in by name; no
 # `thread_local!` in pfam-core or pfam-shingle, no hash map in
 # pfam-shingle; none of the retired index-routing sites or the chunk-size
-# knob by name, and the budget split into chunk targets in one place), the
-# reachability ratchet (every `pub` item
-# of a library crate is named outside the tests or is on
+# knob by name, and the budget split into chunk targets in one place; one
+# pair miner — none of the lazy serial generator, its thread-count fork or
+# the explicit-stream source twin by name, one call site each for the
+# node-local miner and the node queue), the reachability ratchet (every
+# `pub` item of a library crate is named outside the tests or is on
 # scripts/reachability.allow with a reason), the candidate-list suite
 # (Verifier's list entry == one verdict at a time; deferred pairs of small
 # components dropped), the pfam-align suites in release mode (forced-path
@@ -166,6 +168,30 @@ if [ "$(echo "$THIRDS" | grep -c .)" != 1 ] || ! echo "$THIRDS" | grep -q "^crat
     echo "$THIRDS" >&2
     exit 1
 fi
+
+echo "== tier1: one miner of promising pairs =="
+# Every pair stream is `mine_pairs` over a depth-sorted node list, or the
+# partitioned miner built on it. The lazy serial generator, the enum that
+# picked it when `threads` resolved to 1, the openers around that enum, the
+# `all_pairs` shorthand and `pfam-cluster`'s explicit-stream twin of
+# `MinedSource` were one stream held bit-identical to another; none comes
+# back under its old name. `run_all_pairs_baseline` is another thing.
+if grep -rnE "MaximalMatchGenerator|promising_pairs|IterSource|PairSource::(Serial|Eager)|\ball_pairs\b" \
+    crates src tests examples; then
+    echo "tier1 FAIL: a retired pair generator or source is named in the tree" >&2
+    exit 1
+fi
+for name in collect_node_pairs mining_queue; do
+    CALLS=$(for f in crates/*/src/*.rs src/*.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "\b$name(" | grep -v "fn $name(" | sed "s|^|$f:|" \
+            || true
+    done)
+    if [ "$(echo "$CALLS" | grep -c .)" != 1 ] || ! echo "$CALLS" | grep -q "^crates/suffix/src/parallel\.rs:"; then
+        echo "tier1 FAIL: $name is called outside mine_pairs:" >&2
+        echo "$CALLS" >&2
+        exit 1
+    fi
+done
 
 echo "== tier1: reachability ratchet (pub items named outside the tests, or allow-listed) =="
 scripts/reachability.sh

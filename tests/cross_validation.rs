@@ -1,14 +1,14 @@
 //! Independent implementations checked against each other: SA-IS vs
 //! comparison sort, index search vs a scan of the reads, and the
-//! maximal-match generator vs a brute-force definition.
+//! maximal-match miner vs a brute-force definition.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
-use pfam::suffix::maximal::{all_pairs, MatchPair};
+use pfam::suffix::maximal::MatchPair;
 use pfam::suffix::sais::{suffix_array, suffix_array_naive};
-use pfam::suffix::{GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
+use pfam::suffix::{parallel_pairs, GeneralizedSuffixArray, MaximalMatchConfig, SuffixTree};
 
 fn random_set(rng: &mut StdRng, n_seqs: usize, max_len: usize) -> SequenceSet {
     let mut b = SequenceSetBuilder::new();
@@ -72,13 +72,17 @@ fn maximal_match_pairs_complete_vs_brute_force() {
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
         let min_len = rng.gen_range(2..5u32);
-        let generated: std::collections::HashSet<(u32, u32)> =
-            all_pairs(&tree, MaximalMatchConfig { min_len, dedup: true, ..Default::default() })
-                .into_iter()
-                .map(|MatchPair { a, b, .. }| (a.0, b.0))
-                .collect();
+        let config = MaximalMatchConfig { min_len, dedup: true, ..Default::default() };
         let expected = brute_force_pairs(&set, min_len);
-        assert_eq!(generated, expected, "trial {trial}, ψ = {min_len}");
+        for threads in [1usize, 2] {
+            let generated: std::collections::HashSet<(u32, u32)> =
+                parallel_pairs(&tree, config, threads)
+                    .0
+                    .into_iter()
+                    .map(|MatchPair { a, b, .. }| (a.0, b.0))
+                    .collect();
+            assert_eq!(generated, expected, "trial {trial}, ψ = {min_len}, {threads} thread(s)");
+        }
     }
 }
 
@@ -91,7 +95,8 @@ fn maximal_match_lengths_are_genuine() {
         let set = random_set(&mut rng, 3, 30);
         let gsa = GeneralizedSuffixArray::build(&set);
         let tree = SuffixTree::build(&gsa);
-        for p in all_pairs(&tree, MaximalMatchConfig { min_len: 3, ..Default::default() }) {
+        let config = MaximalMatchConfig { min_len: 3, ..Default::default() };
+        for p in parallel_pairs(&tree, config, 1).0 {
             let x = set.codes(p.a);
             let y = set.codes(p.b);
             let found =
