@@ -1,71 +1,97 @@
-//! Out-of-core index-plane benchmark: monolithic vs partitioned GSA at a
-//! matched memory budget on a streamed (paged-store) dataset, emitting
-//! **append-mode** trajectory records to `BENCH_index_oc.json` — one JSON
-//! line per run, so successive PRs accumulate a visible history instead
+//! Out-of-core index-plane benchmark: the monolithic suffix index against
+//! the windowed miner under a memory budget, on one streamed (paged-store)
+//! dataset, emitting **append-mode** records to `BENCH_index_oc.json` —
+//! one JSON line per run, so successive runs accumulate a history instead
 //! of overwriting it.
 //!
 //! ```sh
-//! cargo run --release -p pfam-bench --bin index_oc_bench [n_orfs]
+//! cargo run --release -p pfam-bench --bin index_oc_bench [n_orfs]   # default 100 000
 //! cargo run --release -p pfam-bench --bin index_oc_bench -- --test  # smoke
 //! ```
 //!
-//! Three sections per record:
+//! Three sections per record, every one on all detected cores:
 //!
-//! * `datagen` — `generate_to_store` streams `n_orfs` reads (default
-//!   1 000 000) through a `PagedStoreWriter`; peak allocation shows the
-//!   generator's memory is flat in the ORF count.
-//! * `compare` — monolithic (`GeneralizedSuffixArray` over the whole set)
-//!   vs partitioned (`PartitionedMiner` over budget-sized chunks) pair
-//!   mining on the same reads at a **matched budget**: the budget admits
-//!   the partitioned plan and refuses the monolithic reservation. The
-//!   pair sets are asserted identical; peak allocation per side comes
-//!   from this binary's counting `#[global_allocator]`.
-//! * `pipeline` — the full pipeline (`run_pipeline`) over the paged
-//!   store, under a budget smaller than the monolithic index's estimated
-//!   footprint.
-//!
-//! The comparison section is capped at 20 K reads (the monolithic side
-//! must stay feasible on the measurement host); the pipeline section runs
-//! at the full requested scale. Core counts are recorded through the
-//! honesty guard; per-side seconds are raw single-host measurements, not
-//! scaling claims.
+//! * `datagen` — `generate_to_store` streams `n_orfs` reads through a
+//!   `PagedStoreWriter`; peak allocation shows the generator's memory is
+//!   flat in the ORF count.
+//! * `compare` — the first `n_reads` (at most 50 000) reads mined at
+//!   ψ = 15 twice: one monolithic index, unbudgeted, and the windowed miner
+//!   under 0.4 × that index's estimate (the share of the benchmark's
+//!   `sparse_budgeted` workload). The streams are asserted identical —
+//!   every pair in order, anchors and statistics included
+//!   (`streams_identical`) — and each side is weighed by this binary's
+//!   counting `#[global_allocator]`. The windowed side is also held to
+//!   its budget (`index_alone`): the text it holds against
+//!   `estimated_text_bytes` (within 1 % plus 64 KiB), and, mined at a
+//!   cut-off no match reaches (so its windows are sorted and treed and
+//!   nothing is mined), the peak of the whole pass against the text and
+//!   largest window it reserved (within 2 %) plus the bucket tables, which
+//!   do not grow with the text. `--test` runs 10 000 reads, where the
+//!   tables are a third of the bound.
+//! * `pipeline` — `run_pipeline` over the paged store under 0.4 × the
+//!   monolithic index's estimate.
 
 use std::time::Instant;
 
-use pfam_bench::alloc::{peak_reset, peak_since, CountingAlloc};
+use pfam_bench::alloc::{live_bytes, peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
 use pfam_cluster::index_plan;
 use pfam_core::PipelineConfig;
 use pfam_datagen::{generate_to_store, DatasetConfig};
-use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore};
+use pfam_seq::{MemoryBudget, PagedSeqStore, SeqStore, SequenceSet};
+use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    estimated_index_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, PartitionedMiner, SuffixTree,
+    estimated_index_bytes, estimated_text_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray,
+    MatchPair, MaximalMatchConfig, PartitionedMiner, SuffixTree,
 };
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Canonical sort key: two miners emit the same *set* of pairs, possibly
-/// in different orders. Keyed on `(a, b, len)` — `MatchPair`'s own
-/// equality fields; representative occurrence positions are
-/// enumeration-order dependent when ties exist at the maximal length.
-fn canonical(mut pairs: Vec<MatchPair>) -> Vec<(u32, u32, u32)> {
-    let mut keys: Vec<_> = pairs.drain(..).map(|p| (p.a.0, p.b.0, p.len)).collect();
-    keys.sort_unstable();
-    keys
+/// The budget of the windowed side, as a share of the monolithic
+/// index's estimate.
+const BUDGET_SHARE: f64 = 0.4;
+
+/// Bytes of the windowed miner that do not grow with the text, in its
+/// two phases: counting — the 2¹⁵ bucket starts and `4 · threads`
+/// histograms of 2¹⁵ `u32` counters — and sorting a window — the bucket
+/// starts, at most one scatter slot per bucket, and 64 KiB for job lists.
+fn bucket_table_bytes(threads: usize) -> (u64, u64) {
+    (((4 * threads * 4 + 8) << 15) as u64, (16 << 15) as u64 + 65_536)
+}
+
+/// A mined stream with its anchors and statistics: what must repeat.
+type Stream = (Vec<(u32, u32, u32, u32, u32)>, GenerationStats);
+
+fn anchored((pairs, stats): &(Vec<MatchPair>, GenerationStats)) -> Stream {
+    (pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect(), *stats)
+}
+
+/// The windowed miner over `set` at `config`, loaded as `pfam_cluster`
+/// loads it.
+fn windowed(
+    set: &SequenceSet,
+    config: MaximalMatchConfig,
+    threads: usize,
+    budget: &MemoryBudget,
+) -> PartitionedMiner {
+    let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
+    let plan = ChunkPlan::under_budget(&lens, budget);
+    PartitionedMiner::try_new(plan, |r| set.load_range(r), config, threads, budget)
+        .expect("the budget admits the text and its windows")
 }
 
 fn main() {
     let args = BenchArgs::parse();
     let cores = detected_cores();
-    let n_orfs = args.scale(1_000.0, 1_000_000.0) as usize;
+    let threads = cores;
+    let n_orfs = args.scale(10_000.0, 100_000.0) as usize;
 
     // A metagenome-like long tail: many small families of ~10 members
     // (mild skew), short ORFs. Family count scales *linearly* with the
     // read count so per-read pipeline work stays flat — the regime where
-    // a million-ORF run is index-bound, which is what this bench is
-    // about. reads ~= members * (1 + redundancy) + noise.
+    // a large run is index-bound, which is what this bench is about.
+    // reads ~= members * (1 + redundancy) + noise.
     let members = ((n_orfs as f64 / 1.24).round() as usize).max(20);
     let config = DatasetConfig {
         n_families: (members / 10).max(2),
@@ -93,63 +119,77 @@ fn main() {
         streamed.total_residues,
         datagen_peak >> 20
     );
-
     let mono_bytes = estimated_index_bytes(store.total_residues(), store.len());
 
-    // ---- Monolithic vs partitioned mining at a matched budget. ----
-    // Capped so the monolithic side stays feasible; both sides see the
-    // same reads, the same matching config, and the same budget.
-    let cmp_n = store.len().min(20_000) as u32;
+    // ---- Monolithic vs windowed mining. ----
+    let cmp_n = store.len().min(50_000) as u32;
     let cmp_set = store.load_range(0..cmp_n);
     let cmp_bytes = estimated_index_bytes(cmp_set.total_residues(), cmp_set.len());
-    let budget_bytes = cmp_bytes / 2;
-    let chunk_bytes = cmp_bytes / 6;
+    let budget_bytes = (BUDGET_SHARE * cmp_bytes as f64) as u64;
     let pair_config = MaximalMatchConfig { min_len: 15, max_pairs_per_node: 100_000, dedup: true };
 
     let live0 = peak_reset();
     let t0 = Instant::now();
-    let gsa = GeneralizedSuffixArray::build(&cmp_set);
-    let tree = SuffixTree::build(&gsa);
-    let (mono_pairs, _) = parallel_pairs(&tree, pair_config, 1);
+    let gsa = GeneralizedSuffixArray::build_parallel(&cmp_set, threads);
+    let tree = SuffixTree::build_pruned(&gsa, pair_config.min_len);
+    let mono = parallel_pairs(&tree, pair_config, threads);
     let mono_s = t0.elapsed().as_secs_f64();
     let mono_peak = peak_since(live0);
     drop(tree);
     drop(gsa);
 
     let budget = MemoryBudget::limited(budget_bytes);
-    // The matched budget refuses the monolithic index up front — that
-    // refusal (a typed error, not an abort) is what forces partitioning.
-    let mono_fits = budget.would_fit(cmp_bytes);
-    assert!(!mono_fits, "the matched budget must be smaller than the monolithic index");
-    let lens: Vec<u32> = (0..cmp_n).map(|i| cmp_set.seq_len(SeqId(i)) as u32).collect();
-    let plan = ChunkPlan::plan(&lens, chunk_bytes);
-    let n_chunks = plan.n_chunks();
+    assert!(!budget.would_fit(cmp_bytes), "the budget must refuse the monolithic index");
     let live0 = peak_reset();
     let t0 = Instant::now();
-    let miner = PartitionedMiner::try_new(plan, |r| cmp_set.load_range(r), pair_config, 1, &budget)
-        .expect("the chunk plan fits the matched budget");
-    let part_pairs: Vec<MatchPair> = miner.collect();
+    let miner = windowed(&cmp_set, pair_config, threads, &budget);
+    let n_windows = miner.n_windows();
+    let part = miner.mine();
     let part_s = t0.elapsed().as_secs_f64();
     let part_peak = peak_since(live0);
+    let streams_identical = anchored(&part) == anchored(&mono);
+    assert!(streams_identical, "the windowed stream diverged from the monolithic one");
 
-    let pairs_identical = canonical(mono_pairs.clone()) == canonical(part_pairs.clone());
-    assert!(pairs_identical, "partitioned pair set diverged from monolithic — this is a bug");
+    // The index plane alone, held to what it reserved.
+    let text_est = estimated_text_bytes(cmp_set.total_residues(), cmp_set.len());
+    let (count_tables, window_tables) = bucket_table_bytes(threads);
+    let nothing_to_mine = MaximalMatchConfig { min_len: 10_000, ..pair_config };
+    let budget = MemoryBudget::limited(budget_bytes);
+    let live0 = peak_reset();
+    let miner = windowed(&cmp_set, nothing_to_mine, threads, &budget);
+    // Held now: the text and the bucket starts.
+    let text_held = live_bytes().saturating_sub(live0).saturating_sub(8 << 15);
+    let reserved = budget.used();
+    drop(miner.mine());
+    let index_peak = peak_since(live0);
+    assert!(
+        text_held.abs_diff(text_est) as f64 <= 0.01 * text_est as f64 + 65_536.0,
+        "the windowed miner holds {text_held} bytes of text, estimated {text_est}"
+    );
+    // Whichever phase peaked: the text while the buckets are counted, or
+    // the text and a window while it is sorted.
+    let bound = (1.01 * text_est as f64 + count_tables as f64)
+        .max(1.02 * reserved as f64 + window_tables as f64);
+    assert!(
+        index_peak as f64 <= bound,
+        "the windowed index peaked at {index_peak} bytes over {reserved} reserved (bound {bound})"
+    );
     eprintln!(
-        "index_oc_bench: compare n={cmp_n}: {} pairs identical across {n_chunks} chunks \
-         (mono {mono_s:.2}s / {} MiB peak, part {part_s:.2}s / {} MiB peak)",
-        mono_pairs.len(),
+        "index_oc_bench: compare n={cmp_n}: {} pairs identical across {n_windows} windows \
+         (mono {mono_s:.2}s / {} MiB peak, windowed {part_s:.2}s / {} MiB peak under {} MiB); \
+         index alone peaked at {index_peak} B over {reserved} B reserved (bound {bound:.0} B)",
+        mono.0.len(),
         mono_peak >> 20,
-        part_peak >> 20
+        part_peak >> 20,
+        budget_bytes >> 20
     );
     drop(cmp_set);
 
     // ---- Full budgeted pipeline over the paged store. ----
-    // Budget below the monolithic footprint; the index plane sizes the
-    // chunks from it so a cross-chunk task (two chunks resident) fits.
-    let pipe_budget = mono_bytes * 2 / 3;
+    let pipe_budget = (BUDGET_SHARE * mono_bytes as f64) as u64;
     let pipe_config = PipelineConfig::default().with_mem_budget(pipe_budget);
-    let pipe_chunk = index_plan(&store, &pipe_config.cluster, None)
-        .expect("the pipeline budget admits one-read chunks");
+    let plan = index_plan(&store, &pipe_config.cluster, None)
+        .expect("the pipeline budget admits the text and a window");
     let live0 = peak_reset();
     let t0 = Instant::now();
     let result = pipe_config.run(&store);
@@ -157,8 +197,8 @@ fn main() {
     let pipeline_peak = peak_since(live0);
     let budget_peak = pipe_config.cluster.budget.peak();
     eprintln!(
-        "index_oc_bench: pipeline {} reads in {pipeline_s:.2}s under {} MiB budget \
-         (mono index estimate {} MiB): {} non-redundant, {} components, {} subgraphs, \
+        "index_oc_bench: pipeline {} reads in {pipeline_s:.2}s under {} MiB budget ({plan:?}, \
+         mono index estimate {} MiB): {} non-redundant, {} components, {} subgraphs, \
          peak alloc {} MiB",
         store.len(),
         pipe_budget >> 20,
@@ -172,40 +212,51 @@ fn main() {
     let record = format!(
         concat!(
             "{{ \"bench\": \"index_oc\", \"mode\": \"{mode}\", {cores_field}, ",
-            "\"n_reads\": {n_reads}, \"total_residues\": {residues}, ",
+            "\"threads\": {threads}, \"n_reads\": {n_reads}, \"total_residues\": {residues}, ",
             "\"monolithic_index_bytes\": {mono_bytes}, ",
             "\"datagen\": {{ \"seconds\": {dg_s:.3}, \"peak_alloc_bytes\": {dg_peak} }}, ",
-            "\"compare\": {{ \"n_reads\": {cmp_n}, \"budget_bytes\": {budget_bytes}, ",
-            "\"chunk_bytes\": {chunk_bytes}, \"n_chunks\": {n_chunks}, ",
-            "\"monolithic_fits_budget\": {mono_fits}, \"n_pairs\": {n_pairs}, ",
-            "\"pairs_identical\": {pairs_identical}, ",
+            "\"compare\": {{ \"n_reads\": {cmp_n}, \"psi\": {psi}, ",
+            "\"budget_share\": {share}, \"budget_bytes\": {budget_bytes}, ",
+            "\"n_windows\": {n_windows}, \"n_pairs\": {n_pairs}, ",
+            "\"streams_identical\": {identical}, ",
             "\"monolithic\": {{ \"seconds\": {mono_s:.3}, \"peak_alloc_bytes\": {mono_peak} }}, ",
-            "\"partitioned\": {{ \"seconds\": {part_s:.3}, \"peak_alloc_bytes\": {part_peak} }} }}, ",
-            "\"pipeline\": {{ \"budget_bytes\": {pipe_budget}, \"chunk_bytes\": {pipe_chunk}, ",
+            "\"windowed\": {{ \"seconds\": {part_s:.3}, \"peak_alloc_bytes\": {part_peak}, ",
+            "\"peak_over_budget\": {part_ratio:.3} }}, ",
+            "\"index_alone\": {{ \"text_bytes_est\": {text_est}, ",
+            "\"text_bytes_held\": {text_held}, \"reserved_bytes\": {reserved}, ",
+            "\"peak_bound_bytes\": {bound:.0}, \"peak_alloc_bytes\": {index_peak} }} }}, ",
+            "\"pipeline\": {{ \"budget_bytes\": {pipe_budget}, \"plan\": \"{plan:?}\", ",
             "\"seconds\": {pipe_s:.3}, \"peak_alloc_bytes\": {pipe_peak}, ",
             "\"budget_peak_bytes\": {budget_peak}, \"n_non_redundant\": {n_nr}, ",
             "\"n_components\": {n_comp}, \"n_dense_subgraphs\": {n_ds} }} }}"
         ),
         mode = if args.smoke { "smoke" } else { "full" },
         cores_field = cores_field(cores),
+        threads = threads,
         n_reads = streamed.n_reads,
         residues = streamed.total_residues,
         mono_bytes = mono_bytes,
         dg_s = datagen_s,
         dg_peak = datagen_peak,
         cmp_n = cmp_n,
+        psi = pair_config.min_len,
+        share = BUDGET_SHARE,
         budget_bytes = budget_bytes,
-        chunk_bytes = chunk_bytes,
-        n_chunks = n_chunks,
-        mono_fits = mono_fits,
-        n_pairs = mono_pairs.len(),
-        pairs_identical = pairs_identical,
+        n_windows = n_windows,
+        n_pairs = mono.0.len(),
+        identical = streams_identical,
         mono_s = mono_s,
         mono_peak = mono_peak,
         part_s = part_s,
         part_peak = part_peak,
+        part_ratio = part_peak as f64 / budget_bytes as f64,
+        text_est = text_est,
+        text_held = text_held,
+        reserved = reserved,
+        bound = bound,
+        index_peak = index_peak,
         pipe_budget = pipe_budget,
-        pipe_chunk = pipe_chunk,
+        plan = plan,
         pipe_s = pipeline_s,
         pipe_peak = pipeline_peak,
         budget_peak = budget_peak,

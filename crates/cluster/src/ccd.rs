@@ -23,7 +23,7 @@ use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{index_plan, with_pair_source, MinedSource, SharedIndex};
+use crate::source::{with_pair_source, MinedSource, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the CCD phase.
@@ -102,15 +102,9 @@ pub(crate) fn ccd_over(
     if set.is_empty() {
         return CcdResult::empty();
     }
-    // Resume replays the generation plan the checkpoint was cut under, so
-    // the skip below lands on the same pair prefix even if this run's
-    // budget differs from the original run's. A fresh phase plans, and
-    // `Err` (not even one-read chunks fit) runs them accounting-only.
-    let plan = match &resume {
-        Some(cursor) => cursor.gen_chunk_bytes,
-        None => index_plan(set, config, shared).unwrap_or(1),
-    };
-    with_pair_source(set, config, config.psi_ccd, plan, shared, |source| {
+    // Every plan mines one stream, so a resume under any budget skips the
+    // pairs the checkpointed run consumed and lands where it stopped.
+    with_pair_source(set, config, config.psi_ccd, shared, |source| {
         let mut core = match resume {
             Some(cursor) => {
                 // Deterministic replay: advance the generator past the
@@ -121,19 +115,12 @@ pub(crate) fn ccd_over(
             None => ClusterCore::new_ccd(set),
         };
         let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-        // Stamp the plan into every emitted cursor — the other half of
-        // the pin.
-        let mut stamped = |cursor: &CcdCursor| {
-            let mut cursor = cursor.clone();
-            cursor.gen_chunk_bytes = plan;
-            on_checkpoint(&cursor)
-        };
         BatchedPush {
             source: &mut *source,
             verifier: &verifier,
             batch_size: config.batch_size,
             checkpoint_every,
-            on_checkpoint: &mut stamped,
+            on_checkpoint,
         }
         .drive(&mut core)
         .expect("the batched in-process policy cannot fail");

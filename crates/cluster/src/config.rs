@@ -46,7 +46,7 @@ pub struct ClusterConfig {
     /// it ([`crate::source::index_plan`]). *Shared* accounting state:
     /// clones share one counter, so a pipeline-wide budget threads through
     /// every phase's reservations. Default: unlimited (accounting only,
-    /// nothing refused). Pair *sets* (and therefore components) are
+    /// nothing refused). Pair streams (and therefore every result) are
     /// bit-identical for every budget.
     pub budget: MemoryBudget,
 }

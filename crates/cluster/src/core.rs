@@ -105,12 +105,6 @@ enum ModeState {
 pub struct CcdCursor {
     /// Pairs already drawn from the generator (a batch boundary).
     pub pairs_consumed: u64,
-    /// How the pair stream was generated: `0` for the monolithic index,
-    /// else the per-chunk index target of the partitioned generator
-    /// ([`crate::source::index_plan`]). Resume rebuilds the source from
-    /// *this* value — not from the resumed run's budget — because
-    /// `pairs_consumed` is a position in that specific generation order.
-    pub gen_chunk_bytes: u64,
     /// Union-find parent array (`UnionFind::parts`).
     pub uf_parent: Vec<u32>,
     /// Union-find rank array.
@@ -138,7 +132,6 @@ impl CcdCursor {
         let (parent, rank) = uf.parts();
         CcdCursor {
             pairs_consumed: result.trace.total_generated() as u64,
-            gen_chunk_bytes: 0,
             uf_parent: parent.to_vec(),
             uf_rank: rank.to_vec(),
             edges: result.edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),
@@ -326,7 +319,6 @@ impl<'s> ClusterCore<'s> {
                 let (parent, rank) = uf.parts();
                 CcdCursor {
                     pairs_consumed: self.pairs_consumed,
-                    gen_chunk_bytes: 0,
                     uf_parent: parent.to_vec(),
                     uf_rank: rank.to_vec(),
                     edges: edges.iter().map(|&(a, b)| (a.0, b.0)).collect(),

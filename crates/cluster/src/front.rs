@@ -8,8 +8,9 @@
 //! drops the suffixes of the reads RR removed — and does not align again
 //! the pairs RR's [`PairLedger`] already answers. When one monolithic index
 //! cannot serve the run (a paged store, or an index over the budget) each
-//! phase plans on its own ([`crate::source::index_plan`]), exactly as
-//! [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do.
+//! phase mines windows of its own reads ([`crate::source::index_plan`]),
+//! exactly as [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do —
+//! the same pair streams.
 
 use std::sync::Arc;
 

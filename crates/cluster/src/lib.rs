@@ -65,8 +65,8 @@ pub use policy::{
 };
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{
-    index_plan, with_pair_source, with_shared_index, MinedSource, PairSource,
-    PartitionedMinedSource, SharedIndex,
+    index_plan, with_pair_source, with_shared_index, IndexPlan, MinedSource, PairSource,
+    SharedIndex,
 };
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use trace::{BatchRecord, PhaseTrace};

@@ -24,7 +24,7 @@ use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
 use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{index_plan, with_pair_source, SharedIndex};
+use crate::source::{with_pair_source, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the RR phase.
@@ -63,9 +63,7 @@ pub(crate) fn rr_over(
     if set.is_empty() {
         return RrResult::empty();
     }
-    // `Err`: not even one-read chunks fit — run them accounting-only.
-    let plan = index_plan(set, config, shared).unwrap_or(1);
-    with_pair_source(set, config, config.psi_rr, plan, shared, |source| {
+    with_pair_source(set, config, config.psi_rr, shared, |source| {
         let mut core = ClusterCore::new_rr(set);
         core.record_ledger(&config.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);

@@ -3,28 +3,21 @@
 //!
 //! A [`PairSource`] yields batches of [`MatchPair`]s in the order the
 //! clustering loop should consume them (decreasing maximal-match length —
-//! the paper's "longest match first" discipline). Two implementations
-//! cover every driver in this crate:
+//! the paper's "longest match first" discipline). [`MinedSource`] is the
+//! one implementation: a phase's pairs held in memory — what
+//! [`pfam_suffix::mine_pairs`] mined from one suffix index (the whole
+//! tree, the reads a [`pfam_suffix::KeepMask`] keeps of it, or one SPMD
+//! rank's slice of its nodes) or what [`pfam_suffix::PartitionedMiner`]
+//! mined window by window under a memory budget, the same stream either
+//! way; or an explicit pair list — the ablation hook
+//! (`run_ccd_from_pairs`) and the tests.
 //!
-//! * [`MinedSource`] — a phase's pairs held in memory: what
-//!   [`pfam_suffix::mine_pairs`] mined from one suffix index (the whole
-//!   tree, the reads a [`pfam_suffix::KeepMask`] keeps of it, or one SPMD
-//!   rank's slice of its nodes), with the same output at any thread count;
-//!   or an explicit pair list — the ablation hook (`run_ccd_from_pairs`)
-//!   and the tests.
-//! * [`PartitionedMinedSource`] — the out-of-core generator: per-chunk
-//!   GSAs mined task by task under a [`pfam_seq::MemoryBudget`]
-//!   (see [`pfam_suffix::PartitionedMiner`]), at most one task's pairs
-//!   held at a time; the pair *set* is identical to [`MinedSource`]'s,
-//!   the order is the deterministic task order.
-//!
-//! Which of the two suffix-index generators a phase mines is one decision,
-//! [`index_plan`]: `0` for one monolithic index, else the partitioned
-//! miner's per-chunk target. [`with_pair_source`] opens the source a plan
-//! names and lends it to a closure — the index borrows the sequence set
-//! transitively (set → GSA → tree), so the opener owns that borrow chain.
-//! [`with_shared_index`] builds the monolithic index once for a run whose
-//! phases all mine it.
+//! Which of the two a phase mines is one decision, [`index_plan`]: one
+//! monolithic index when it fits, else windows of one resident text.
+//! [`with_pair_source`] opens what it names and lends the source to a
+//! closure — the index borrows the sequence set transitively (set → GSA →
+//! tree), so the opener owns that borrow chain. [`with_shared_index`]
+//! builds the monolithic index once for a run whose phases all mine it.
 
 use std::ops::Range;
 
@@ -79,8 +72,7 @@ impl MinedSource {
         MinedSource { pairs: pairs.into_iter(), nodes_visited: 0 }
     }
 
-    /// The output of a [`mine_pairs`] run: its pairs, and the tree nodes
-    /// it visited.
+    /// The output of a miner: its pairs, and the tree nodes it visited.
     pub fn mined((pairs, stats): (Vec<MatchPair>, GenerationStats)) -> Self {
         MinedSource { pairs: pairs.into_iter(), nodes_visited: stats.nodes_visited as u64 }
     }
@@ -94,24 +86,6 @@ impl PairSource for MinedSource {
     fn nodes_visited(&self) -> u64 {
         self.nodes_visited
     }
-}
-
-/// A chunk loader: global id range → in-memory set (ids renumbered from
-/// 0) with the config's index-side masking already applied. Masking is
-/// per-sequence, so chunk-level masking equals whole-set masking.
-type ChunkLoader<'a> = Box<dyn FnMut(Range<u32>) -> SequenceSet + 'a>;
-
-fn chunk_loader<'a>(
-    store: &'a dyn SeqStore,
-    mask: Option<pfam_seq::complexity::MaskParams>,
-) -> ChunkLoader<'a> {
-    Box::new(move |r: Range<u32>| {
-        let chunk = store.load_range(r);
-        match mask {
-            None => chunk,
-            Some(_) => crate::mask::index_view(&chunk, &mask).into_owned(),
-        }
-    })
 }
 
 /// The miner's configuration at cut-off `psi`: the config's per-node cap,
@@ -133,63 +107,39 @@ pub(crate) fn with_config_index<R>(
     with_match_tree(&index_set, psi, config.max_pairs_per_node, config.index_threads(), f)
 }
 
-/// Per-chunk index target of a partitioned plan with no budget to size it
-/// from (a paged store, unbudgeted).
-const DEFAULT_CHUNK_INDEX_BYTES: u64 = 256 << 20;
-
-/// Every read length of `store`, in id order — what a [`ChunkPlan`] cuts.
-fn read_lens(store: &dyn SeqStore) -> Vec<u32> {
-    (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect()
-}
-
 /// Estimated bytes of the monolithic index of `base`.
 fn index_bytes(base: &SequenceSet) -> u64 {
     estimated_index_bytes(base.total_residues(), base.len())
 }
 
-/// Pairs mined from per-chunk suffix indexes — the out-of-core
-/// counterpart of [`MinedSource`]. Same pair *set*, deterministic
-/// task-major order, at most one task's index resident at a time.
-pub struct PartitionedMinedSource<'a> {
-    miner: PartitionedMiner<ChunkLoader<'a>>,
-}
-
-impl<'a> PartitionedMinedSource<'a> {
-    /// The partitioned generator over `store` with per-chunk index target
-    /// `target` — [`index_plan`]'s answer or a checkpoint cursor's pin. The
-    /// chunk plan, and with it the pair *order*, is a pure function of the
-    /// store's read lengths and `target`. The plan's peak task footprint is
-    /// reserved on the config's budget when it fits; when it does not (a
-    /// pin replayed under a smaller budget, or one-read chunks over it) the
-    /// miner runs accounting-only rather than change the order.
-    pub fn new(
-        store: &'a dyn SeqStore,
-        config: &ClusterConfig,
-        psi: u32,
-        target: u64,
-    ) -> PartitionedMinedSource<'a> {
-        let plan = ChunkPlan::plan(&read_lens(store), target.max(1));
-        let (matches, threads) = (match_config(config, psi), config.index_threads());
-        let loader = || chunk_loader(store, config.mask);
-        let miner =
-            PartitionedMiner::try_new(plan.clone(), loader(), matches, threads, &config.budget)
-                .unwrap_or_else(|_| PartitionedMiner::new(plan, loader(), matches, threads));
-        PartitionedMinedSource { miner }
-    }
-
-    /// The chunk plan the miner partitions by.
-    pub fn plan(&self) -> &ChunkPlan {
-        self.miner.plan()
-    }
-}
-
-impl PairSource for PartitionedMinedSource<'_> {
-    fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
-        self.miner.by_ref().take(max).collect()
-    }
-
-    fn nodes_visited(&self) -> u64 {
-        self.miner.stats().nodes_visited as u64
+/// The windowed miner of `store` at cut-off `psi` under the config's
+/// budget: the reads loaded chunk by chunk ([`ChunkPlan::under_budget`])
+/// with the config's index-side masking (it is per read, so chunk by chunk
+/// equals the whole set). `strict`: `Err` when the text and its smallest
+/// window do not fit ([`PartitionedMiner::try_new`]); otherwise what does
+/// not fit runs unreserved.
+fn windowed_miner(
+    store: &dyn SeqStore,
+    config: &ClusterConfig,
+    psi: u32,
+    strict: bool,
+) -> Result<PartitionedMiner, BudgetError> {
+    let lens: Vec<u32> = (0..store.len()).map(|i| store.seq_len(SeqId(i as u32)) as u32).collect();
+    let plan = ChunkPlan::under_budget(&lens, &config.budget);
+    let mask = config.mask;
+    let loader = |r: Range<u32>| {
+        let chunk = store.load_range(r);
+        match mask {
+            None => chunk,
+            Some(_) => crate::mask::index_view(&chunk, &mask).into_owned(),
+        }
+    };
+    let (matches, threads, budget) =
+        (match_config(config, psi), config.index_threads(), &config.budget);
+    if strict {
+        PartitionedMiner::try_new(plan, loader, matches, threads, budget)
+    } else {
+        Ok(PartitionedMiner::new(plan, loader, matches, threads, budget))
     }
 }
 
@@ -211,15 +161,15 @@ impl SharedIndex<'_> {
 /// Index `input` once for both clustering phases — masked view, GSA, tree
 /// pruned at `min(psi_rr, psi_ccd)` — and lend the index to `f`, holding
 /// its `gsa-index` reservation until `f` returns. `f` gets `None`, and
-/// every phase plans on its own, when [`index_plan`] does not name one
-/// monolithic index for `input` or `input` is not an in-memory set.
+/// every phase mines windows of its own, when one monolithic index of
+/// `input` does not fit the budget or `input` is not an in-memory set.
 pub fn with_shared_index<R>(
     input: &dyn SeqStore,
     config: &ClusterConfig,
     f: impl FnOnce(Option<&SharedIndex<'_>>) -> R,
 ) -> R {
     let base = match input.as_sequence_set() {
-        Some(set) if !set.is_empty() && index_plan(input, config, None) == Ok(0) => set,
+        Some(set) if !set.is_empty() && route(input, config, None) == IndexPlan::Monolithic => set,
         _ => return f(None),
     };
     let _held = config.budget.try_reserve("gsa-index", index_bytes(base));
@@ -239,91 +189,86 @@ fn in_memory_view(store: &dyn SeqStore) -> Option<(&SequenceSet, Option<&[SeqId]
     keep.windows(2).all(|w| w[0] < w[1]).then_some((base, Some(keep)))
 }
 
-/// Where a fresh phase over `store` draws its pairs from — the one routing
-/// decision of the index plane. `0` names one monolithic index: `shared`
-/// already holds the index of the in-memory set `store` is (an ascending
-/// view of), or that index fits the remaining budget. Any other value is
-/// the partitioned miner's per-chunk index target: a third of the
-/// remaining budget (a task holds two chunks resident; the third share is
-/// slack for the union text's sentinels and mining scratch), 256 MiB when
-/// unbudgeted, halved until the plan's largest task fits.
-///
-/// `Err` when even one-read chunks do not fit: no plan runs inside the
-/// budget. The pipeline refuses such a run before phase 1; the infallible
-/// library entries run one-read chunks (target `1`) accounting-only.
+/// Which index a phase mines. The pairs, and their order, are the same
+/// either way; the plan decides what is resident while they are mined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexPlan {
+    /// One monolithic index of the in-memory set the store is (a view
+    /// of).
+    Monolithic,
+    /// One resident text, its suffixes sorted and mined a window of
+    /// buckets at a time ([`PartitionedMiner`]).
+    Windowed,
+}
+
+/// The one routing decision of the index plane: one monolithic index when
+/// `shared` already holds the index of the in-memory set `store` is (an
+/// ascending view of), or that index fits the remaining budget; windows
+/// otherwise.
+fn route(
+    store: &dyn SeqStore,
+    config: &ClusterConfig,
+    shared: Option<&SharedIndex<'_>>,
+) -> IndexPlan {
+    match in_memory_view(store) {
+        Some((base, _))
+            if shared.is_some_and(|shared| shared.indexes(base))
+                || config.budget.would_fit(index_bytes(base)) =>
+        {
+            IndexPlan::Monolithic
+        }
+        _ => IndexPlan::Windowed,
+    }
+}
+
+/// Where a phase over `store` draws its pairs from ([`with_pair_source`]
+/// decides the same way), checked against the budget: `Err` when the plan
+/// is windows and the reads' text and the smallest window it can be cut
+/// into (at the smaller of the config's two cut-offs) do not fit together
+/// — the budget's floor. The pipeline asks before phase 1 and refuses
+/// such a run; a windowed plan under a budget loads and counts the text
+/// to answer.
 pub fn index_plan(
     store: &dyn SeqStore,
     config: &ClusterConfig,
     shared: Option<&SharedIndex<'_>>,
-) -> Result<u64, BudgetError> {
-    let budget = &config.budget;
-    if let Some((base, _)) = in_memory_view(store) {
-        if shared.is_some_and(|shared| shared.indexes(base)) || budget.would_fit(index_bytes(base))
-        {
-            return Ok(0);
-        }
+) -> Result<IndexPlan, BudgetError> {
+    let plan = route(store, config, shared);
+    if plan == IndexPlan::Windowed && config.budget.is_limited() && !store.is_empty() {
+        windowed_miner(store, config, config.psi_rr.min(config.psi_ccd), true)?;
     }
-    let lens = read_lens(store);
-    let mut target = if budget.is_limited() {
-        (budget.remaining() / 3).max(1)
-    } else {
-        DEFAULT_CHUNK_INDEX_BYTES
-    };
-    loop {
-        let plan = ChunkPlan::plan(&lens, target);
-        let need = plan.max_task_index_bytes();
-        if budget.would_fit(need) {
-            return Ok(target);
-        }
-        if plan.n_chunks() >= lens.len() {
-            return Err(BudgetError {
-                what: "partitioned-gsa",
-                requested: need,
-                in_use: budget.used(),
-                limit: budget.limit().unwrap_or(u64::MAX),
-            });
-        }
-        target = (target / 2).max(1);
-    }
+    Ok(plan)
 }
 
-/// Open the pair source `plan` names over `store` at cut-off `psi` and
-/// lend it to `f`; mining runs on the config's threads.
+/// Open the pair source [`index_plan`] names for `store` at cut-off `psi`
+/// and lend it to `f`; mining runs on the config's threads.
 ///
-/// Plan `0`: one monolithic index of the in-memory set `store` is, or is
-/// an ascending view of — mined through a mask when the view keeps only
-/// some of its reads — or of a copy of `store`'s reads otherwise. That
-/// index is `shared` when `shared` is it (its builder holds the budget),
-/// else one built here and reserved as `gsa-index`. Pin `0` names one
-/// order however the index came about: the masked stream is the stream of
-/// an index of the kept reads alone ([`pfam_suffix::KeepMask`]).
+/// Monolithic: one index of the in-memory set `store` is, or is an
+/// ascending view of — mined through a mask when the view keeps only some
+/// of its reads. That index is `shared` when `shared` is it (its builder
+/// holds the budget), else one built here and reserved as `gsa-index`.
+/// The masked stream is the stream of an index of the kept reads alone
+/// ([`pfam_suffix::KeepMask`]).
 ///
-/// Any other plan: the [`PartitionedMinedSource`] with that chunk target.
+/// Windowed: [`PartitionedMiner`] over the store's reads, holding what fits
+/// of the budget and running the rest over it — the library entries are
+/// infallible; the pipeline checked the floor before phase 1.
 ///
-/// A fresh phase passes [`index_plan`]'s answer and stamps it into the
-/// cursors it emits; a resumed CCD passes its cursor's pin, because
-/// `pairs_consumed` is a position in that one generation order. The
-/// source is rebuilt from the pin, not from this run's budget, so a resume
-/// under another budget replays byte-identically; a pin that no longer
-/// fits runs accounting-only — changing the order would corrupt the
-/// replay, which is strictly worse than exceeding a soft limit.
+/// Both give one stream, so a resumed CCD replays its cursor's prefix
+/// whatever budget either run had.
 pub fn with_pair_source<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,
     psi: u32,
-    plan: u64,
     shared: Option<&SharedIndex<'_>>,
     f: impl FnOnce(&mut dyn PairSource) -> R,
 ) -> R {
-    if plan != 0 {
-        return f(&mut PartitionedMinedSource::new(store, config, psi, plan));
-    }
-    let owned;
-    let (base, keep) = match in_memory_view(store) {
-        Some(view) => view,
-        None => {
-            owned = store.load_range(0..store.len() as u32);
-            (&owned, None)
+    let (base, keep) = match (route(store, config, shared), in_memory_view(store)) {
+        (IndexPlan::Monolithic, Some(view)) => view,
+        _ => {
+            let miner =
+                windowed_miner(store, config, psi, false).expect("a lenient open never refuses");
+            return f(&mut MinedSource::mined(miner.mine()));
         }
     };
     let mine = |tree: &SuffixTree<'_>| {
@@ -351,6 +296,7 @@ mod tests {
     use super::*;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
     use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SequenceSetBuilder, SubsetStore};
+    use pfam_suffix::estimated_text_bytes;
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
         let mut b = SequenceSetBuilder::new();
@@ -400,7 +346,7 @@ mod tests {
         ]);
         let mine = |threads: usize| {
             let config = ClusterConfig { threads, ..ClusterConfig::for_short_sequences() };
-            with_pair_source(&set, &config, config.psi_ccd, 0, None, |s| s.next_batch(10_000))
+            with_pair_source(&set, &config, config.psi_ccd, None, |s| s.next_batch(10_000))
         };
         let serial = mine(1);
         assert!(!serial.is_empty());
@@ -410,8 +356,9 @@ mod tests {
     #[test]
     fn an_in_memory_set_that_fits_plans_one_index() {
         let set = dataset(3);
-        assert_eq!(index_plan(&set, &ClusterConfig::default(), None), Ok(0), "unbudgeted");
-        assert_eq!(index_plan(&set, &budgeted(index_bytes(&set)), None), Ok(0), "exactly fits");
+        let monolithic = Ok(IndexPlan::Monolithic);
+        assert_eq!(index_plan(&set, &ClusterConfig::default(), None), monolithic, "unbudgeted");
+        assert_eq!(index_plan(&set, &budgeted(index_bytes(&set)), None), monolithic, "fits");
     }
 
     #[test]
@@ -422,41 +369,46 @@ mod tests {
         with_shared_index(&set, &config, |shared| {
             assert!(shared.is_some(), "the index fits: it is built");
             assert_eq!(config.budget.remaining(), 0, "and holds the whole budget");
-            assert_eq!(index_plan(&view, &config, shared), Ok(0));
+            assert_eq!(index_plan(&view, &config, shared), Ok(IndexPlan::Monolithic));
             assert!(index_plan(&view, &config, None).is_err(), "no room for another");
         });
     }
 
-    #[test]
-    fn over_budget_plans_a_third_of_it_halved_until_the_largest_task_fits() {
-        let set = dataset(7);
-        let limit = index_bytes(&set) / 4;
-        let lens = read_lens(&set);
-        let mut want = limit / 3;
-        while ChunkPlan::plan(&lens, want).max_task_index_bytes() > limit {
-            want /= 2;
-        }
-        let plan = index_plan(&set, &budgeted(limit), None);
-        assert_eq!(plan, Ok(want));
-        assert!(ChunkPlan::plan(&lens, want).n_chunks() > 1);
+    /// Bytes of the text of `set`'s reads, resident while windows are mined.
+    fn text_bytes(set: &SequenceSet) -> u64 {
+        estimated_text_bytes(set.total_residues(), set.len())
     }
 
     #[test]
-    fn a_paged_store_unbudgeted_plans_256_mib_chunks() {
+    fn over_budget_plans_windows_down_to_the_text_and_one_window() {
+        let set = dataset(7);
+        let config = budgeted(index_bytes(&set) / 4);
+        assert_eq!(index_plan(&set, &config, None), Ok(IndexPlan::Windowed));
+        assert_eq!(config.budget.used(), 0, "the check holds nothing");
+
+        // Below the text: refused before a read is loaded.
+        let err = index_plan(&set, &budgeted(text_bytes(&set) - 1), None).unwrap_err();
+        assert_eq!((err.what, err.requested), ("gsa-text", text_bytes(&set)));
+        // The text and nothing else: refused with the smallest window.
+        let err = index_plan(&set, &budgeted(text_bytes(&set)), None).unwrap_err();
+        assert_eq!(err.what, "gsa-window");
+        let floor = text_bytes(&set) + err.requested;
+        assert_eq!(index_plan(&set, &budgeted(floor), None), Ok(IndexPlan::Windowed));
+        assert!(floor < index_bytes(&set) / 4, "the floor is well under the index");
+    }
+
+    #[test]
+    fn a_paged_store_plans_windows() {
         let path =
             std::env::temp_dir().join(format!("pfam-index-plan-{}.pfss", std::process::id()));
         PagedSeqStore::write_set(&path, &dataset(9), 1 << 12).expect("write paged store");
         let paged = PagedSeqStore::open(&path).expect("open paged store");
-        assert_eq!(index_plan(&paged, &ClusterConfig::default(), None), Ok(256 << 20));
+        let config = ClusterConfig::default();
+        assert_eq!(index_plan(&paged, &config, None), Ok(IndexPlan::Windowed));
+        let mine = |store: &dyn SeqStore| {
+            with_pair_source(store, &config, config.psi_ccd, None, |s| s.next_batch(usize::MAX))
+        };
+        assert_eq!(mine(&paged), mine(&dataset(9)), "one stream either way");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn one_read_chunks_over_the_budget_are_a_budget_error() {
-        let set = dataset(11);
-        let err = index_plan(&set, &budgeted(8), None).unwrap_err();
-        assert_eq!(err.what, "partitioned-gsa");
-        assert_eq!((err.limit, err.in_use), (8, 0));
-        assert_eq!(err.requested, ChunkPlan::plan(&read_lens(&set), 1).max_task_index_bytes());
     }
 }

@@ -20,15 +20,16 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
     run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
-    ClusterCore, CorePhase, LeasedPull, LocalTransport, MinedSource, PairSource,
-    PartitionedMinedSource, SpmdPush, Verifier, WorkPolicy,
+    ClusterCore, CorePhase, LeasedPull, LocalTransport, MinedSource, PairSource, SpmdPush,
+    Verifier, WorkPolicy,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
-use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_seq::{MemoryBudget, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    parallel_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
+    estimated_text_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
+    MaximalMatchConfig, PartitionedMiner, SuffixTree,
 };
 
 /// The pair-supply axis.
@@ -39,8 +40,8 @@ enum SourceKind {
     Mined(usize),
     /// The one-thread pairs as an explicit list ([`MinedSource::new`]).
     Collected,
-    /// The out-of-core generator: per-chunk suffix indexes with a chunk
-    /// target tiny enough that real inputs split into several chunks.
+    /// The out-of-core generator: one text, its suffixes sorted and mined
+    /// in windows small enough that real inputs are cut into several.
     Partitioned,
 }
 
@@ -85,19 +86,26 @@ fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
     }
 }
 
-/// A chunk target small enough that any non-trivial set splits into
-/// several per-chunk indexes.
-const CHUNK_TARGET: u64 = 256;
+/// Bytes a window may take past the text: small enough that any
+/// non-trivial set is cut into several windows.
+const WINDOW_CAP: u64 = 2048;
 
-/// The full pair stream of the out-of-core generator (its deterministic
-/// task-major order).
-fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
-    let mut source = PartitionedMinedSource::new(set, config, config.psi_ccd, CHUNK_TARGET);
-    assert!(
-        set.len() < 2 || source.plan().n_chunks() > 1,
-        "the forced chunk target must actually partition the set"
+/// The full pair stream of the out-of-core generator.
+fn partitioned_pairs(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+) -> (Vec<MatchPair>, GenerationStats) {
+    let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
+    let text = estimated_text_bytes(set.total_residues(), set.len());
+    let miner = PartitionedMiner::new(
+        ChunkPlan::plan(&lens, 1 << 12),
+        |r| set.load_range(r),
+        match_config(config),
+        2,
+        &MemoryBudget::limited(text + WINDOW_CAP),
     );
-    source.next_batch(usize::MAX)
+    assert!(set.len() < 2 || miner.n_windows() > 1, "the window cap must actually cut the text");
+    miner.mine()
 }
 
 /// Drive one (source, policy) cell.
@@ -110,7 +118,7 @@ fn run_cell(
     // The push protocol's sources live on the workers, not the master.
     if matches!(policy, PolicyKind::Push) {
         let pairs = match source {
-            SourceKind::Partitioned => partitioned_pairs(set, config),
+            SourceKind::Partitioned => partitioned_pairs(set, config).0,
             SourceKind::Mined(threads) => mine(set, config, threads).0,
             SourceKind::Collected => mine(set, config, 1).0,
         };
@@ -128,7 +136,7 @@ fn run_cell(
     }
     match source {
         SourceKind::Partitioned => {
-            let mut src = PartitionedMinedSource::new(set, config, config.psi_ccd, CHUNK_TARGET);
+            let mut src = MinedSource::mined(partitioned_pairs(set, config));
             drive_master_side(set, config, &mut src, policy)
         }
         SourceKind::Collected => {

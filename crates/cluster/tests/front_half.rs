@@ -1,15 +1,15 @@
 //! The front half over one index against the composition it replaced:
 //! RR over the input, CCD over a copy of the survivors with an index of
 //! its own. Results, work traces and checkpoint cursors must not tell the
-//! two apart, and the runs one monolithic index cannot serve must keep
-//! the routes they had. (What RR's pair ledger changes — and does not —
+//! two apart, and the runs one monolithic index cannot serve — a paged
+//! store, a budget under the index — mine windows to the same streams. (What RR's pair ledger changes — and does not —
 //! is `pair_ledger.rs`.)
 
 use std::sync::Arc;
 
 use pfam_cluster::{
     run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
-    CcdResult, ClusterConfig, ClusterCore, PairLedger, RrResult,
+    CcdResult, ClusterConfig, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -85,7 +85,7 @@ fn one_build_equals_two_builds() {
 }
 
 #[test]
-fn unbudgeted_in_memory_runs_pin_plan_zero() {
+fn cursors_agree_whoever_built_the_index() {
     let set = dataset(5);
     let config = config();
     let kept = run_redundancy_removal(&set, &config).kept;
@@ -97,13 +97,23 @@ fn unbudgeted_in_memory_runs_pin_plan_zero() {
     let view = SubsetStore::new(&set, kept.clone());
     let alone =
         cursors_of(|on_cursor| run_ccd_resumable(&view, &config, &no_ledger(), None, 1, on_cursor));
+    let windowed = cursors_of(|on_cursor| {
+        run_ccd_resumable(&view, &budgeted(&set), &no_ledger(), None, 1, on_cursor)
+    });
     assert!(shared.len() >= 3, "want several boundaries, got {}", shared.len());
     assert_eq!(shared, alone, "whoever built the index, the cursors agree");
-    assert!(shared.iter().all(|c| c.gen_chunk_bytes == 0), "one monolithic index: pin 0");
+    assert_eq!(shared, windowed, "and mined in windows, too");
+}
+
+/// A budget a quarter of `set`'s monolithic index: every phase mines
+/// windows. A budget of its own — clones share the accounting.
+fn budgeted(set: &SequenceSet) -> ClusterConfig {
+    let estimate = estimated_index_bytes(set.total_residues(), set.len());
+    ClusterConfig { budget: pfam_seq::MemoryBudget::limited(estimate / 4), ..config() }
 }
 
 #[test]
-fn a_pin_zero_cursor_resumes_on_any_monolithic_index() {
+fn a_cursor_resumes_on_any_index() {
     let set = dataset(9);
     let config = config();
     let (rr, want) = two_builds(&set, &config);
@@ -113,86 +123,72 @@ fn a_pin_zero_cursor_resumes_on_any_monolithic_index() {
         })
     });
     let cursor = cursors[cursors.len() / 2].clone();
-    assert!(cursor.pairs_consumed > 0 && cursor.gen_chunk_bytes == 0);
+    assert!(cursor.pairs_consumed > 0);
 
     // The base's index rebuilt and masked; an index of a copy; a copy
-    // loaded back from a paged store.
+    // loaded back from a paged store (windows of one text); the view
+    // mined in windows under a budget.
     let view = SubsetStore::new(&set, rr.kept.clone());
     let copy = materialize_subset(&set, &rr.kept);
     let path = std::env::temp_dir().join(format!("pfam-front-half-{}.pfss", std::process::id()));
     PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
     let paged = PagedSeqStore::open(&path).expect("open paged store");
     let paged_view = SubsetStore::new(&paged, rr.kept.clone());
-    for (what, store) in [
-        ("rebuilt, masked", &view as &dyn pfam_seq::SeqStore),
-        ("index of a copy", &copy),
-        ("paged copy", &paged_view),
+    let windowed = budgeted(&set);
+    for (what, store, config) in [
+        ("rebuilt, masked", &view as &dyn pfam_seq::SeqStore, &config),
+        ("index of a copy", &copy, &config),
+        ("paged copy", &paged_view, &config),
+        ("windows", &view, &windowed),
     ] {
         let resumed =
-            run_ccd_resumable(store, &config, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {});
+            run_ccd_resumable(store, config, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {});
         assert_same_ccd(&resumed, &want, what);
     }
-    let resumed = with_front_half(&set, &config, |front| {
-        front.ccd_resumable(&rr.kept, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {})
-    });
-    assert_same_ccd(&resumed, &want, "shared index");
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
-fn a_partitioned_pin_still_resumes_under_the_shared_index() {
-    // What an unbudgeted in-memory run pinned before views of an
-    // in-memory set were mined monolithically: the 256 MiB default target.
-    const OLD_DEFAULT: u64 = 256 << 20;
+fn a_windowed_cursor_resumes_under_the_shared_index() {
     let set = dataset(13);
     let config = config();
     let kept = run_redundancy_removal(&set, &config).kept;
     let view = SubsetStore::new(&set, kept.clone());
-    // A fresh run under that plan: a resume from the empty cursor pinning it.
-    let mut start = ClusterCore::new_ccd(&view).cursor();
-    start.gen_chunk_bytes = OLD_DEFAULT;
+    let windowed = budgeted(&set);
     let from_start = |every: usize, on_cursor: &mut dyn FnMut(&CcdCursor)| {
-        run_ccd_resumable(&view, &config, &no_ledger(), Some(start.clone()), every, on_cursor)
+        run_ccd_resumable(&view, &windowed, &no_ledger(), None, every, on_cursor)
     };
     let want = from_start(0, &mut |_| {});
     let cursors = cursors_of(|on_cursor| from_start(1, on_cursor));
-    assert!(cursors.iter().all(|c| c.gen_chunk_bytes == OLD_DEFAULT));
     let cursor = cursors[cursors.len() / 2].clone();
 
     let resumed = with_front_half(&set, &config, |front| {
         front.ccd_resumable(&kept, &no_ledger(), Some(cursor), 0, &mut |_| {})
     });
-    assert_same_ccd(&resumed, &want, "pinned plan");
+    assert_same_ccd(&resumed, &want, "windows, then the shared index");
 }
 
 #[test]
-fn runs_one_index_cannot_serve_keep_their_routes() {
+fn runs_one_index_cannot_serve_mine_windows() {
     let set = dataset(17);
     let config = config();
     let (rr_want, ccd_want) = two_builds(&set, &config);
-    let estimate = estimated_index_bytes(set.total_residues(), set.len());
 
-    let budgeted =
-        ClusterConfig { budget: pfam_seq::MemoryBudget::limited(estimate / 4), ..config.clone() };
     let path = std::env::temp_dir().join(format!("pfam-front-routes-{}.pfss", std::process::id()));
     PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
     let paged = PagedSeqStore::open(&path).expect("open paged store");
-    // A budget of its own: clones share the accounting, and `rr_want`
+    // Budgets of their own: clones share the accounting, and `rr_want`
     // still holds its ledger on `config`'s.
-    let unbudgeted = self::config();
     for (what, input, cfg) in [
-        ("budget", &set as &dyn pfam_seq::SeqStore, &budgeted),
-        ("paged store", &paged, &unbudgeted),
+        ("budget", &set as &dyn pfam_seq::SeqStore, budgeted(&set)),
+        ("paged store", &paged, self::config()),
     ] {
-        let (rr, ccd) = run_front_half(input, cfg);
+        let (rr, ccd) = run_front_half(input, &cfg);
         assert_eq!(rr.kept, rr_want.kept, "{what}");
-        assert_eq!(ccd.components, ccd_want.components, "{what}");
-        let pins = cursors_of(|on_cursor| {
-            with_front_half(input, cfg, |front| {
-                front.ccd_resumable(&rr.kept, &rr.ledger, None, 1, on_cursor)
-            })
-        });
-        assert!(pins.iter().all(|c| c.gen_chunk_bytes != 0), "{what}: partitioned in CCD");
+        assert_eq!(rr.trace, rr_want.trace, "{what}");
+        assert_same_ccd(&ccd, &ccd_want, what);
+        assert_eq!(cfg.budget.granted("gsa-index"), 0, "{what}: no monolithic index");
+        assert_eq!(cfg.budget.granted("gsa-window"), 2, "{what}: RR and CCD in windows");
         // What is still held is the ledger, and it goes with RR's result.
         assert_eq!(cfg.budget.used(), 8 * rr.ledger.len() as u64, "{what}: index released");
         drop(rr);

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition, drain};
 use pfam_cluster::{
     run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
-    with_front_half, CcdResult, ClusterConfig, ClusterCore, CorePhase, LeasedPull, LocalTransport,
-    MinedSource, PairLedger, PartitionedMinedSource, RrResult, SpmdPush, Verifier, WorkPolicy,
+    with_front_half, with_pair_source, CcdResult, ClusterConfig, ClusterCore, CorePhase,
+    LeasedPull, LocalTransport, MinedSource, PairLedger, RrResult, SpmdPush, Verifier, WorkPolicy,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -47,9 +47,9 @@ fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
     Arc::new(PairLedger::from_entries(full.entries().step_by(step), &MemoryBudget::unlimited()))
 }
 
-/// The ψ_ccd stream over `store`, in the partitioned miner's order.
+/// The ψ_ccd stream over `store`.
 fn pair_stream(store: &dyn SeqStore, cfg: &ClusterConfig) -> Vec<MatchPair> {
-    drain(&mut PartitionedMinedSource::new(store, cfg, cfg.psi_ccd, 1 << 14))
+    with_pair_source(store, cfg, cfg.psi_ccd, None, drain)
 }
 
 /// CCD over `store` with the push protocol: two workers, half the stream each.

@@ -1,215 +1,237 @@
-//! Property suite for the out-of-core index plane: the partitioned
-//! generator's pair *set* equals the monolithic miner's for every chunk
-//! plan, and checkpoint/resume is byte-identical even when the resumed
-//! run would plan another chunk size (the cursor pins the generation
-//! plan it was cut under). A fresh CCD under a chosen plan is a resume
-//! from the empty cursor that pins it ([`start_pinned`]).
+//! Identity suite for the out-of-core index plane: the windowed miner's
+//! stream is [`mine_pairs`] over the monolithic index — every pair, in
+//! order, anchors and generation statistics included — for every window
+//! cap, thread count and cut-off; so a phase gives the same results, and a
+//! checkpoint cursor the same position, under any budget.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig, ClusterCore,
-    PairSource, PartitionedMinedSource,
+    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
+use pfam_seq::complexity::MaskParams;
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SequenceSetBuilder};
-use pfam_suffix::{estimated_index_bytes, MatchPair};
+use pfam_suffix::maximal::GenerationStats;
+use pfam_suffix::{
+    bucket_sort_index, estimated_index_bytes, estimated_text_bytes, parallel_pairs, ChunkPlan,
+    GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, PartitionedMiner, SuffixTree,
+};
 
-/// Order-free canonical form: `(a, b, len)` per emitted pair — the
-/// fields [`MatchPair`]'s own equality is defined over. The longest
-/// match per pair is a property of the two sequences alone, so it is
-/// chunk-invariant; the representative *occurrence* positions are not
-/// (ties at the maximal length are reported in enumeration order, which
-/// differs between one big index and per-chunk indexes).
-fn canonical(pairs: Vec<MatchPair>) -> Vec<(u32, u32, u32)> {
-    let mut keys: Vec<_> = pairs.iter().map(|p| (p.a.0, p.b.0, p.len)).collect();
-    keys.sort_unstable();
-    keys
+/// A mined stream with its anchors — `MatchPair` equality ignores them —
+/// and its statistics.
+type Stream = (Vec<(u32, u32, u32, u32, u32)>, GenerationStats);
+
+fn anchored((pairs, stats): (Vec<MatchPair>, GenerationStats)) -> Stream {
+    (pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect(), stats)
 }
 
-/// The monolithic reference stream (masked view, one big index).
-fn mono_pairs(set: &SequenceSet, config: &ClusterConfig, psi: u32) -> Vec<MatchPair> {
+fn config_at(psi: u32) -> MaximalMatchConfig {
+    MaximalMatchConfig { min_len: psi, ..Default::default() }
+}
+
+/// `mine_pairs` over the monolithic index of `set`, at one thread.
+fn monolithic(set: &SequenceSet, psi: u32) -> Stream {
     if set.is_empty() {
-        return Vec::new();
+        return Default::default();
     }
-    with_pair_source(set, config, psi, 0, None, |s| s.next_batch(usize::MAX))
+    let gsa = GeneralizedSuffixArray::build_parallel(set, 1);
+    anchored(parallel_pairs(&SuffixTree::build_pruned(&gsa, psi), config_at(psi), 1))
 }
 
-/// The partitioned stream under an exact pinned chunk target, plus the
-/// number of chunks the plan produced.
-fn part_pairs(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    psi: u32,
-    target: u64,
-) -> (Vec<MatchPair>, usize) {
-    let mut src = PartitionedMinedSource::new(set, config, psi, target);
-    let n_chunks = src.plan().n_chunks();
-    (src.next_batch(usize::MAX), n_chunks)
+fn text_bytes(set: &SequenceSet) -> u64 {
+    estimated_text_bytes(set.total_residues(), set.len())
 }
 
-/// The empty cursor that pins `plan`: resuming from it is a fresh CCD
-/// over `store` mined under that plan.
-fn start_pinned(store: &dyn SeqStore, plan: u64) -> CcdCursor {
-    let mut start = ClusterCore::new_ccd(store).cursor();
-    start.gen_chunk_bytes = plan;
-    start
+/// The windowed stream of `set` at cut-off `psi` on `threads`, windows cut
+/// to at most `cap` bytes past the text (a run of buckets that cannot be
+/// cut goes over it), loaded in chunks of a few reads; and its window
+/// count.
+fn windowed(set: &SequenceSet, psi: u32, cap: u64, threads: usize) -> (Stream, usize) {
+    let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
+    let budget = MemoryBudget::limited(text_bytes(set).saturating_add(cap));
+    let loader = |r: Range<u32>| set.load_range(r);
+    let miner = PartitionedMiner::new(
+        ChunkPlan::plan(&lens, 1 << 12),
+        loader,
+        config_at(psi),
+        threads,
+        &budget,
+    );
+    let n_windows = miner.n_windows();
+    let stream = anchored(miner.mine());
+    assert_eq!(budget.used(), 0, "the miner releases what it held");
+    (stream, n_windows)
 }
 
-/// CCD over `set` from `resume`, every cursor it emits sent to `on_cursor`
-/// (none when `every` is 0).
-fn ccd_from(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    resume: CcdCursor,
-    every: usize,
-    on_cursor: &mut dyn FnMut(&CcdCursor),
-) -> CcdResult {
-    run_ccd_resumable(set, config, &Arc::default(), Some(resume), every, on_cursor)
+/// Window caps: none at all (every run of buckets that cannot be cut is
+/// a window — one bucket a window from ψ = 3 on), a quarter of the
+/// suffixes, every suffix (one window).
+fn caps(set: &SequenceSet) -> [u64; 3] {
+    let suffixes = (set.total_residues() + set.len()) as u64;
+    [0, 14 * suffixes / 4, u64::MAX]
 }
 
-/// Sweep chunk targets spanning one-chunk, several-chunk and
-/// one-sequence-per-chunk plans, asserting pair-set identity for each.
-fn assert_sweep_identical(set: &SequenceSet, config: &ClusterConfig, psi: u32) {
-    let reference = canonical(mono_pairs(set, config, psi));
-    let whole = estimated_index_bytes(set.total_residues(), set.len()).max(1);
-    let mut chunk_counts = Vec::new();
-    for target in [whole, whole / 3 + 1, whole / 7 + 1, 1] {
-        let (pairs, n_chunks) = part_pairs(set, config, psi, target);
-        assert_eq!(
-            canonical(pairs),
-            reference,
-            "partitioned pair set diverged at target {target} ({n_chunks} chunks)"
-        );
-        chunk_counts.push(n_chunks);
+/// The windowed stream equals the monolithic one at every cap, thread
+/// count and `psis` entry; returns the window counts per cut-off, caps in
+/// [`caps`] order.
+fn assert_windowed_is_monolithic(set: &SequenceSet, psis: &[u32]) -> Vec<[usize; 3]> {
+    let mut counts = Vec::new();
+    for &psi in psis {
+        let want = monolithic(set, psi);
+        let mut per_cap = [0; 3];
+        for (c, cap) in caps(set).into_iter().enumerate() {
+            for threads in [1, 2] {
+                let (got, n_windows) = windowed(set, psi, cap, threads);
+                let what = format!("psi {psi} cap {cap} threads {threads}: {n_windows} windows");
+                assert_eq!(got.0, want.0, "{what}");
+                assert_eq!(got.1, want.1, "{what}");
+                per_cap[c] = n_windows;
+            }
+        }
+        counts.push(per_cap);
     }
-    if set.len() > 1 {
-        assert_eq!(chunk_counts[0], 1, "the whole-set target must give one chunk");
-        assert_eq!(
-            *chunk_counts.last().expect("non-empty sweep"),
-            set.len(),
-            "target 1 must give one-sequence chunks"
-        );
-    }
+    counts
 }
 
-fn set_of(seqs: &[&str]) -> SequenceSet {
-    let mut b = SequenceSetBuilder::new();
-    for (i, s) in seqs.iter().enumerate() {
-        b.push_letters(format!("s{i}"), s.as_bytes()).unwrap();
-    }
-    b.finish()
+/// Small family reads: every cut-off from 1 up has matches to mine.
+fn corpus(seed: u64) -> SequenceSet {
+    let config = DatasetConfig {
+        n_families: 3,
+        n_members: 12,
+        n_noise: 3,
+        ancestor_len: 40..70,
+        ..DatasetConfig::tiny(seed)
+    };
+    SyntheticDataset::generate(&config).set
 }
 
 #[test]
-fn pair_sets_identical_across_chunk_sweep_on_datagen() {
+fn the_windowed_stream_is_the_monolithic_stream_on_datagen() {
     for seed in [3u64, 7, 21] {
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(seed));
-        let config = ClusterConfig::default();
-        assert_sweep_identical(&d.set, &config, config.psi_ccd);
-    }
-}
-
-#[test]
-fn pair_sets_identical_on_empty_and_single_sequence_sets() {
-    let config = ClusterConfig::for_short_sequences();
-    assert_sweep_identical(&SequenceSet::new(), &config, config.psi_ccd);
-    assert_sweep_identical(&set_of(&["MKVLWAAKNDCQEGHILKMFPSTWYV"]), &config, config.psi_ccd);
-}
-
-#[test]
-fn repeat_straddling_a_chunk_boundary_is_found() {
-    // A long shared word placed in the first and last sequence, with a
-    // decoy in between: under one-sequence chunks the two occurrences
-    // live in different chunks, so only the cross-chunk task can pair
-    // them.
-    const WORD: &str = "MKVLWAAKNDCQEGH";
-    let s0 = format!("{WORD}ILKMFPSTWYV");
-    let s1 = "GGHHIIPPWWYYVVRRNNDD".to_string();
-    let s2 = format!("TTYYWWPP{WORD}");
-    let set = set_of(&[&s0, &s1, &s2]);
-    let config = ClusterConfig::for_short_sequences();
-    let psi = WORD.len() as u32;
-
-    let (pairs, n_chunks) = part_pairs(&set, &config, psi, 1);
-    assert_eq!(n_chunks, 3, "one-sequence chunks expected");
-    assert!(
-        pairs.iter().any(|p| p.a.0 == 0 && p.b.0 == 2 && p.len >= psi),
-        "the cross-chunk repeat pair (0, 2) must be mined: {pairs:?}"
-    );
-    assert_eq!(canonical(pairs), canonical(mono_pairs(&set, &config, psi)));
-}
-
-#[test]
-fn components_identical_through_run_ccd_across_chunk_sizes() {
-    let d = SyntheticDataset::generate(&DatasetConfig::tiny(31));
-    let reference = run_ccd(&d.set, &ClusterConfig::default());
-    let cfg = ClusterConfig::default();
-    for chunk_bytes in [512u64, 4096, 1 << 16] {
-        let got = ccd_from(&d.set, &cfg, start_pinned(&d.set, chunk_bytes), 0, &mut |_| {});
-        assert_eq!(got.components, reference.components, "chunk target {chunk_bytes}");
-        assert_eq!(got.n_merges, reference.n_merges, "chunk target {chunk_bytes}");
-    }
-}
-
-#[test]
-fn resume_with_a_different_chunk_size_is_byte_identical() {
-    let d = SyntheticDataset::generate(&DatasetConfig::tiny(77));
-    // The checkpointed run mines through pinned 2 KiB chunks.
-    let cfg_a = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-    let full = ccd_from(&d.set, &cfg_a, start_pinned(&d.set, 2048), 0, &mut |_| {});
-
-    let mut cursors = Vec::new();
-    let observed =
-        ccd_from(&d.set, &cfg_a, start_pinned(&d.set, 2048), 1, &mut |c| cursors.push(c.clone()));
-    assert_eq!(observed.components, full.components);
-    assert_eq!(observed.trace, full.trace);
-    assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
-    assert!(
-        cursors.iter().all(|c| c.gen_chunk_bytes == 2048),
-        "every cursor must pin the generation plan it was cut under"
-    );
-
-    // Resume under configs that would plan otherwise — unbudgeted (one
-    // monolithic index) and a budget a tenth of the index (smaller
-    // chunks). The pinned plan, not the resumed config, dictates the
-    // generation order, so the replay is byte-identical: same components,
-    // same edges, same trace.
-    let tenth = estimated_index_bytes(d.set.total_residues(), d.set.len()) / 10;
-    let step = (cursors.len() / 3).max(1);
-    for cursor in cursors.into_iter().step_by(step) {
-        for (what, budget) in [("unbudgeted", 0), ("a tenth", tenth)] {
-            let cfg_b = ClusterConfig { budget: MemoryBudget::limited(budget), ..cfg_a.clone() };
-            let resumed = ccd_from(&d.set, &cfg_b, cursor.clone(), 0, &mut |_| {});
-            assert_eq!(resumed.components, full.components, "resumed {what}");
-            assert_eq!(resumed.edges, full.edges, "resumed {what}");
-            assert_eq!(resumed.n_merges, full.n_merges, "resumed {what}");
-            assert_eq!(resumed.trace, full.trace, "trace must replay exactly (resumed {what})");
+        let set = corpus(seed);
+        let counts = assert_windowed_is_monolithic(&set, &[1, 2, 3, 10, 15]);
+        for &[none, quarter, every] in &counts {
+            assert!(none > quarter && quarter > every && every == 1, "seed {seed}: {counts:?}");
         }
     }
 }
 
 #[test]
-fn monolithic_checkpoint_resumes_under_a_chunked_config() {
-    let d = SyntheticDataset::generate(&DatasetConfig::tiny(78));
-    // The checkpointed run mined one big index (the default routing).
-    let cfg_mono = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-    let full = run_ccd(&d.set, &cfg_mono);
+fn the_windowed_stream_holds_past_the_tie_budget() {
+    // Two 600-residue homopolymers among noise reads: resolving their key
+    // ties costs more than the whole text may spend, so the monolithic
+    // build hands the text to SA-IS — and a window holding them resolves
+    // its ties to the end.
+    let mut b = SequenceSetBuilder::new();
+    let noise = corpus(5);
+    for (i, read) in noise.iter().enumerate() {
+        if i % 7 == 3 {
+            b.push_codes(format!("h{i}"), vec![7; 600]).unwrap();
+        }
+        b.push_codes(format!("r{i}"), read.codes.to_vec()).unwrap();
+    }
+    let set = b.finish();
+    let whole = GeneralizedSuffixArray::build(&set);
+    assert_eq!(bucket_sort_index(whole.text(), 2), None, "the corpus must blow the tie budget");
+    for [none, ..] in assert_windowed_is_monolithic(&set, &[3, 10]) {
+        assert!(none > 1, "the homopolymers' bucket sits in one of several windows");
+    }
+}
 
+#[test]
+fn the_windowed_stream_of_empty_and_one_read_sets() {
+    let mut b = SequenceSetBuilder::new();
+    b.push_letters("s0".into(), b"MKVLWAAKNDCQEGHILKMFPSTWYVMKVLWAAKND").unwrap();
+    let one = b.finish();
+    for set in [SequenceSet::new(), one] {
+        assert_windowed_is_monolithic(&set, &[1, 10]);
+        let (_, n_windows) = windowed(&set, 10, 0, 1);
+        assert_eq!(n_windows == 0, set.is_empty());
+    }
+}
+
+/// `run_ccd` over `set` under a budget of `share` of its monolithic index
+/// (`None`: unbudgeted), every cursor it emits sent to `on_cursor`.
+fn ccd_under(
+    set: &SequenceSet,
+    config: &ClusterConfig,
+    share: Option<u64>,
+    resume: Option<CcdCursor>,
+    every: usize,
+    on_cursor: &mut dyn FnMut(&CcdCursor),
+) -> CcdResult {
+    let estimate = estimated_index_bytes(set.total_residues(), set.len());
+    let budget =
+        share.map_or_else(MemoryBudget::unlimited, |share| MemoryBudget::limited(estimate / share));
+    let config = ClusterConfig { budget, ..config.clone() };
+    run_ccd_resumable(set, &config, &Arc::default(), resume, every, on_cursor)
+}
+
+fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
+    assert_eq!(got.components, want.components, "{what}: components");
+    assert_eq!(got.edges, want.edges, "{what}: edges");
+    assert_eq!(got.deferred, want.deferred, "{what}: deferred");
+    assert_eq!(got.n_merges, want.n_merges, "{what}: merges");
+    assert_eq!(got.trace, want.trace, "{what}: trace");
+}
+
+#[test]
+fn a_phase_is_identical_under_every_budget() {
+    for (seed, mask) in [(31u64, None), (32, Some(MaskParams::default()))] {
+        let set = SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set;
+        let config = ClusterConfig { mask, ..ClusterConfig::default() };
+        let stream = |budget: MemoryBudget| {
+            let config = ClusterConfig { budget, ..config.clone() };
+            with_pair_source(&set, &config, config.psi_ccd, None, |s| {
+                (s.next_batch(usize::MAX), s.nodes_visited())
+            })
+        };
+        let want = stream(MemoryBudget::unlimited());
+        let reference = run_ccd(&set, &config);
+        let estimate = estimated_index_bytes(set.total_residues(), set.len());
+        for share in [2u64, 3, 4] {
+            let got = stream(MemoryBudget::limited(estimate / share));
+            let anchors = |pairs: &[MatchPair]| {
+                pairs.iter().map(|p| (p.a, p.b, p.len, p.a_pos, p.b_pos)).collect::<Vec<_>>()
+            };
+            assert_eq!(anchors(&got.0), anchors(&want.0), "seed {seed}, est/{share}");
+            assert_eq!(got.1, want.1, "seed {seed}, est/{share}: nodes visited");
+            let ccd = ccd_under(&set, &config, Some(share), None, 0, &mut |_| {});
+            assert_same_ccd(&ccd, &reference, &format!("seed {seed}, est/{share}"));
+        }
+    }
+}
+
+/// Cursors of a CCD over `set` cut under `cut` (a share of the index, or
+/// none), each resumed under `resumed`: the uninterrupted run's result.
+fn assert_cursors_resume_across_budgets(seed: u64, cut: Option<u64>, resumed: Option<u64>) {
+    let set = SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set;
+    let config = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
+    let full = ccd_under(&set, &config, cut, None, 0, &mut |_| {});
     let mut cursors = Vec::new();
-    let observed = run_ccd_resumable(&d.set, &cfg_mono, &Arc::default(), None, 1, &mut |c| {
-        cursors.push(c.clone())
-    });
-    assert_eq!(observed.components, full.components);
-    assert!(cursors.iter().all(|c| c.gen_chunk_bytes == 0), "monolithic runs pin plan 0");
-    assert!(cursors.len() >= 2, "want several boundaries, got {}", cursors.len());
+    let observed = ccd_under(&set, &config, cut, None, 1, &mut |c| cursors.push(c.clone()));
+    assert_same_ccd(&observed, &full, "cursors emitted");
+    assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
+    let step = (cursors.len() / 3).max(1);
+    for cursor in cursors.into_iter().step_by(step) {
+        let at = cursor.pairs_consumed;
+        let got = ccd_under(&set, &config, resumed, Some(cursor), 0, &mut |_| {});
+        assert_same_ccd(
+            &got,
+            &full,
+            &format!("cut under {cut:?}, resumed under {resumed:?} at {at}"),
+        );
+    }
+}
 
-    // Resuming under a budget that would plan 1 KiB-scale chunks must
-    // still replay the monolithic order the cursor position refers to.
-    let cursor = cursors.swap_remove(cursors.len() / 2);
-    let cfg_chunked = ClusterConfig { budget: MemoryBudget::limited(3 << 10), ..cfg_mono.clone() };
-    let resumed = ccd_from(&d.set, &cfg_chunked, cursor, 0, &mut |_| {});
-    assert_eq!(resumed.components, full.components);
-    assert_eq!(resumed.edges, full.edges);
-    assert_eq!(resumed.trace, full.trace);
+#[test]
+fn a_cursor_cut_under_a_budget_resumes_without_one() {
+    assert_cursors_resume_across_budgets(77, Some(4), None);
+}
+
+#[test]
+fn a_cursor_cut_without_a_budget_resumes_under_one() {
+    assert_cursors_resume_across_budgets(78, None, Some(4));
 }

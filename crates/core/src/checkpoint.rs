@@ -40,19 +40,21 @@ use crate::config::{PipelineConfig, Reduction};
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PFCK";
-/// Current format version. v2 added the generation-plan pin
-/// (`CcdCursor::gen_chunk_bytes`) to the CCD payload; v3 the pair ledger
-/// to the RR payload and the deferred pairs to the CCD payload — what a
-/// resumed run needs to align exactly what an uninterrupted one does; v4
-/// the run fingerprint to the header. v5 has v4's layout but another
-/// meaning: the plan pin is a chunk target in bytes of the index
-/// *estimate*, the estimate went from 16 to 7 bytes per text position,
-/// and the same pin now cuts other chunks — a v4 cursor replayed here
-/// would skip and repeat pairs. v6 has that layout too: the fingerprint
-/// folds no sketch word and `u64::MAX` is no longer a plan pin (it named
-/// the LSH candidate stream, deleted in PR 23). An older file is
-/// [`CkptError::BadVersion`]: there is no compatibility path.
-pub const VERSION: u32 = 6;
+/// Current format version. v2 added the generation-plan pin (which
+/// chunking of the index the pair order came from) to the CCD payload; v3
+/// the pair ledger to the RR payload and the deferred pairs to the CCD
+/// payload — what a resumed run needs to align exactly what an
+/// uninterrupted one does; v4 the run fingerprint to the header. v5 has
+/// v4's layout but another meaning: the plan pin is a chunk target in
+/// bytes of the index *estimate*, the estimate went from 16 to 7 bytes per
+/// text position, and the same pin now cuts other chunks — a v4 cursor
+/// replayed here would skip and repeat pairs. v6 has that layout too: the
+/// fingerprint folds no sketch word and `u64::MAX` is no longer a plan pin
+/// (it named the retired LSH candidate stream). v7 drops the plan pin from
+/// the CCD payload: every plan mines one stream, so a cursor is a position
+/// in it under any budget. An older file is [`CkptError::BadVersion`]:
+/// there is no compatibility path.
+pub const VERSION: u32 = 7;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -541,7 +543,6 @@ impl CcdState {
         let mut e = Enc::new();
         e.u8(self.complete as u8);
         e.u64(self.cursor.pairs_consumed);
-        e.u64(self.cursor.gen_chunk_bytes);
         e.u32s(&self.cursor.uf_parent);
         e.bytes(&self.cursor.uf_rank);
         e.pairs(&self.cursor.edges);
@@ -556,7 +557,6 @@ impl CcdState {
         let mut d = Dec::new(payload);
         let complete = d.u8()? != 0;
         let pairs_consumed = d.u64()?;
-        let gen_chunk_bytes = d.u64()?;
         let uf_parent = d.u32s()?;
         let uf_rank = d.bytes()?.to_vec();
         if uf_rank.len() != uf_parent.len() {
@@ -577,7 +577,6 @@ impl CcdState {
             complete,
             cursor: CcdCursor {
                 pairs_consumed,
-                gen_chunk_bytes,
                 uf_parent,
                 uf_rank,
                 edges,
@@ -795,7 +794,6 @@ mod tests {
             complete: false,
             cursor: CcdCursor {
                 pairs_consumed: 512,
-                gen_chunk_bytes: 4096,
                 uf_parent: vec![0, 0, 2, 2],
                 uf_rank: vec![1, 0, 1, 0],
                 edges: vec![(0, 1), (2, 3)],

@@ -127,10 +127,9 @@ pub struct PipelineHooks {
 /// Why a run did not start, or could not go on.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// Even the smallest partitioned index task (one chunk per sequence)
-    /// does not fit the memory budget. A run that passes this check
-    /// degrades gracefully inside: the index plane picks chunk sizes that
-    /// fit.
+    /// The input's text and the smallest window its suffixes can be cut
+    /// into do not fit the memory budget together. A run that passes this
+    /// check cuts its windows to what each phase has left.
     Budget(BudgetError),
     /// A snapshot could not be written, read back, or trusted.
     Checkpoint(CkptError),
@@ -426,7 +425,7 @@ pub fn run_pipeline(
             let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
             let ledger = Arc::new(PairLedger::from_entries(rr.ledger, budget));
             // No index is held: a completed CCD needs none, an interrupted
-            // one rebuilds what its cursor pins.
+            // one mines the one stream again, under this run's budget.
             let nr_store = SubsetStore::new(input, kept.clone());
             let ccd = ccd_phase(&snapshots, kept.len(), |cursor, every, on_cursor| {
                 run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, every, on_cursor)
@@ -644,19 +643,26 @@ mod tests {
     #[test]
     fn budgeted_pipeline_is_bit_identical() {
         // Budgets below the monolithic index estimate send both phases to
-        // the partitioned miner, each at smaller chunks than the last;
-        // every reported family must be unchanged.
+        // the windowed miner, each cut into more windows than the last;
+        // every reported family and trace must be unchanged.
         let d = small_dataset(28);
         let config = PipelineConfig::for_tests();
         let want = config.run(&d.set);
         let est = pfam_suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
-        for share in [2, 4, 8] {
+        for share in [2, 4] {
             let got = config.clone().with_mem_budget(est / share).run(&d.set);
             assert_eq!(got.dense_subgraphs, want.dense_subgraphs, "est/{share}");
             assert_eq!(got.components, want.components, "est/{share}");
             assert_eq!(got.non_redundant, want.non_redundant, "est/{share}");
             assert_eq!(got.shingle_stats, want.shingle_stats, "est/{share}");
+            assert_eq!(got.traces, want.traces, "est/{share}");
         }
+        // An eighth of the estimate is under the text alone: refused.
+        let config = config.with_mem_budget(est / 8);
+        let err = run_pipeline(&d.set, &config, &PipelineHooks::default()).unwrap_err();
+        let PipelineError::Budget(err) = err else { panic!("not a budget error: {err}") };
+        let text = pfam_suffix::estimated_text_bytes(d.set.total_residues(), d.set.len());
+        assert_eq!((err.what, err.requested), ("gsa-text", text));
     }
 
     #[test]
@@ -665,7 +671,7 @@ mod tests {
         let config = PipelineConfig::for_tests().with_mem_budget(8);
         let err = run_pipeline(&d.set, &config, &PipelineHooks::default()).unwrap_err();
         let PipelineError::Budget(err) = err else { panic!("not a budget error: {err}") };
-        assert_eq!(err.what, "partitioned-gsa");
+        assert_eq!(err.what, "gsa-text");
         assert_eq!(err.limit, 8);
         assert!(err.requested > err.limit);
     }

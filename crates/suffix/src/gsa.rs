@@ -36,7 +36,7 @@ use std::cmp::Ordering;
 use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
-use crate::parallel::{bucket_sort_index, resolve_threads};
+use crate::parallel::{bucket_sort_index, resolve_threads, SaLcp};
 use crate::sais::suffix_array;
 
 /// Symbol class of a sentinel.
@@ -74,14 +74,23 @@ pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
 /// sampled sequence ids, plus the per-sequence start table. A test holds
 /// it within 1 % of [`GeneralizedSuffixArray::heap_bytes`].
 ///
-/// This is the figure the chunk planner and [`pfam_seq::MemoryBudget`]
-/// account with. Construction is transiently larger: the bucket sort
-/// holds an 8-byte key per position until the buckets are sorted, a peak
-/// of ≈ 15.4 bytes per position, and a text handed back to SA-IS holds
-/// its four-byte encoding and SA-IS's own arrays on top of that.
+/// This is the figure [`pfam_seq::MemoryBudget`] accounts a monolithic
+/// index with. Construction is transiently larger: the bucket sort holds
+/// an 8-byte key per position until the buckets are sorted, a peak of
+/// ≈ 15.4 bytes per position, and a text handed back to SA-IS holds its
+/// four-byte encoding and SA-IS's own arrays on top of that.
 pub fn estimated_index_bytes(n_residues: usize, n_seqs: usize) -> u64 {
+    estimated_text_bytes(n_residues, n_seqs) + 6 * (n_residues as u64 + n_seqs as u64)
+}
+
+/// Estimated resident bytes of the text half of a
+/// [`GeneralizedSuffixArray`] — the symbol classes, the sampled sequence
+/// ids and the start table, ≈ 1.06 bytes per text position: what a
+/// windowed mine ([`crate::PartitionedMiner`]) holds for the whole phase
+/// while it sorts the suffixes window by window.
+pub fn estimated_text_bytes(n_residues: usize, n_seqs: usize) -> u64 {
     let text_len = n_residues as u64 + n_seqs as u64;
-    7 * text_len + 4 * text_len.div_ceil(SEQ_BLOCK as u64) + 4 * n_seqs as u64
+    text_len + 4 * text_len.div_ceil(SEQ_BLOCK as u64) + 4 * n_seqs as u64
 }
 
 /// An LCP array indexed by rank, two bytes a value: values below
@@ -176,34 +185,61 @@ pub struct GeneralizedSuffixArray {
 }
 
 impl GeneralizedSuffixArray {
+    /// An index of no reads yet, with room for exactly `n_residues`
+    /// residues in `n_seqs` reads ([`push_reads`](Self::push_reads)).
+    pub(crate) fn with_capacity(n_residues: usize, n_seqs: usize) -> GeneralizedSuffixArray {
+        let total = n_residues + n_seqs;
+        assert!(u32::try_from(total).is_ok(), "text positions must fit in u32");
+        GeneralizedSuffixArray {
+            text: Vec::with_capacity(total),
+            sa: Vec::new(),
+            lcp: CompactLcp::default(),
+            starts: Vec::with_capacity(n_seqs),
+            block_seq: Vec::with_capacity(total.div_ceil(SEQ_BLOCK)),
+        }
+    }
+
+    /// Append the reads of `set` to the text, numbered on from the reads
+    /// already held. Suffixes are not sorted.
+    pub(crate) fn push_reads(&mut self, set: &SequenceSet) {
+        // Residue code `c` ↦ class `c + 1`, the `X` code ↦ `X_CLASS`.
+        let class_of: [u8; ALPHABET_SIZE] =
+            std::array::from_fn(|c| if c == ALPHABET_SIZE - 1 { X_CLASS } else { c as u8 + 1 });
+        for seq in set.iter() {
+            let id = self.starts.len() as u32;
+            self.starts.push(self.text.len() as u32);
+            self.text.extend(seq.codes.iter().map(|&c| class_of[c as usize]));
+            self.text.push(SENTINEL_CLASS);
+            while self.block_seq.len() * SEQ_BLOCK < self.text.len() {
+                self.block_seq.push(id);
+            }
+        }
+        assert!(u32::try_from(self.text.len()).is_ok(), "text positions must fit in u32");
+    }
+
     /// The text, start table and sampled ids of `set`, suffixes not yet
     /// sorted. Capacities are exact.
     fn unsorted(set: &SequenceSet) -> GeneralizedSuffixArray {
         assert!(!set.is_empty(), "cannot index an empty sequence set");
-        let total = set.total_residues() + set.len();
-        assert!(u32::try_from(total).is_ok(), "text positions must fit in u32");
-        // Residue code `c` ↦ class `c + 1`, the `X` code ↦ `X_CLASS`.
-        let class_of: [u8; ALPHABET_SIZE] =
-            std::array::from_fn(|c| if c == ALPHABET_SIZE - 1 { X_CLASS } else { c as u8 + 1 });
-        let mut text = Vec::with_capacity(total);
-        let mut starts = Vec::with_capacity(set.len());
-        let mut block_seq = Vec::with_capacity(total.div_ceil(SEQ_BLOCK));
-        for seq in set.iter() {
-            starts.push(text.len() as u32);
-            text.extend(seq.codes.iter().map(|&c| class_of[c as usize]));
-            text.push(SENTINEL_CLASS);
-            while block_seq.len() * SEQ_BLOCK < text.len() {
-                block_seq.push(seq.id.0);
-            }
-        }
-        debug_assert_eq!(text.len(), total, "encoding must fill exactly the reserved capacity");
-        GeneralizedSuffixArray {
-            text,
-            sa: Vec::new(),
-            lcp: CompactLcp::default(),
-            starts,
-            block_seq,
-        }
+        let mut index = Self::with_capacity(set.total_residues(), set.len());
+        index.push_reads(set);
+        debug_assert_eq!(index.text.len(), index.text.capacity(), "capacity must be exact");
+        index
+    }
+
+    /// Suffix and LCP arrays of the whole text by SA-IS and Kasai's
+    /// algorithm over the integer text.
+    pub(crate) fn sais_arrays(&self) -> SaLcp {
+        let text = self.encoded_text();
+        let sa = suffix_array(&text, self.alphabet_size());
+        let lcp = CompactLcp::from_values(&lcp_array(&text, &sa));
+        (sa, lcp)
+    }
+
+    /// Hold `arrays` — the whole text's or one window's ranks of them —
+    /// as this index's suffix and LCP arrays.
+    pub(crate) fn set_arrays(&mut self, (sa, lcp): SaLcp) {
+        (self.sa, self.lcp) = (sa, lcp);
     }
 
     /// Build the generalized suffix array of `set` by SA-IS and Kasai's
@@ -212,9 +248,7 @@ impl GeneralizedSuffixArray {
     /// Panics on an empty set (there is no meaningful index for it).
     pub fn build(set: &SequenceSet) -> GeneralizedSuffixArray {
         let mut index = Self::unsorted(set);
-        let text = index.encoded_text();
-        index.sa = suffix_array(&text, index.alphabet_size());
-        index.lcp = CompactLcp::from_values(&lcp_array(&text, &index.sa));
+        index.set_arrays(index.sais_arrays());
         index
     }
 
@@ -230,12 +264,8 @@ impl GeneralizedSuffixArray {
     pub fn build_parallel(set: &SequenceSet, threads: usize) -> GeneralizedSuffixArray {
         let threads = resolve_threads(threads);
         let mut index = Self::unsorted(set);
-        (index.sa, index.lcp) = bucket_sort_index(&index.text, threads).unwrap_or_else(|| {
-            let text = index.encoded_text();
-            let sa = suffix_array(&text, index.alphabet_size());
-            let lcp = CompactLcp::from_values(&lcp_array(&text, &sa));
-            (sa, lcp)
-        });
+        let arrays = bucket_sort_index(&index.text, threads).unwrap_or_else(|| index.sais_arrays());
+        index.set_arrays(arrays);
         index
     }
 

@@ -24,8 +24,9 @@
 //!   pair miner [`mine_pairs`], which yields the paper's promising pairs in
 //!   decreasing match length with the same output at any thread count, and
 //!   [`with_match_tree`], the one index-and-mine entry.
-//! * [`partitioned`] — the out-of-core miner: per-chunk indexes, each
-//!   mined by [`mine_pairs`], under a memory budget.
+//! * [`partitioned`] — the miner under a memory budget: one resident
+//!   text, its suffixes sorted, treed and mined by [`mine_pairs`] one
+//!   window of buckets at a time, the stream the monolithic index gives.
 
 pub mod distributed;
 pub mod gsa;
@@ -36,7 +37,7 @@ pub mod partitioned;
 pub mod sais;
 pub mod tree;
 
-pub use gsa::{estimated_index_bytes, CompactLcp, GeneralizedSuffixArray};
+pub use gsa::{estimated_index_bytes, estimated_text_bytes, CompactLcp, GeneralizedSuffixArray};
 pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig};
 pub use parallel::{
     bucket_sort_index, bucket_sort_index_staged, mine_pairs, parallel_pairs, resolve_threads,

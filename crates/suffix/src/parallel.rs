@@ -14,7 +14,9 @@
 //!   key ties run too deep (long exact repeats) are handed back to SA-IS
 //!   and Kasai's serial LCP pass — a parallel Φ/PLCP pass lost to it in
 //!   every timed run at 2 threads (EXPERIMENTS.md, "SA-IS fallback LCP —
-//!   verdict (PR 25)").
+//!   verdict (PR 25)"). It is the one-window case of the sort the
+//!   budgeted miner runs a contiguous range of buckets at a time
+//!   ([`crate::partitioned`]).
 //! * [`mine_pairs`] is the one miner of promising pairs: it partitions a
 //!   depth-sorted node list into contiguous chunks, mines each chunk's
 //!   nodes into its own emit buffer, then concatenates buffers in chunk
@@ -203,18 +205,19 @@ impl KeyedText<'_> {
     }
 }
 
-/// Contiguous bucket ranges holding roughly `1 / parts` of the entries
-/// each; together they cover every bucket. `starts[b]` is the first rank
-/// of bucket `b`.
-fn bucket_groups(starts: &[usize], parts: usize) -> Vec<Range<usize>> {
-    let n = starts[N_BUCKETS];
+/// Contiguous bucket ranges holding roughly `1 / parts` of the entries of
+/// the buckets `window` each; together they cover the window. `starts[b]`
+/// is the first rank of bucket `b`.
+fn bucket_groups(starts: &[usize], window: Range<usize>, parts: usize) -> Vec<Range<usize>> {
+    let first = starts[window.start];
+    let n = starts[window.end] - first;
     let mut groups = Vec::with_capacity(parts);
-    let mut lo = 0;
+    let mut lo = window.start;
     for g in 1..=parts {
         let hi = if g == parts {
-            N_BUCKETS
+            window.end
         } else {
-            starts.partition_point(|&s| s < n * g / parts).clamp(lo, N_BUCKETS)
+            starts.partition_point(|&s| s < first + n * g / parts).clamp(lo, window.end)
         };
         if hi > lo {
             groups.push(lo..hi);
@@ -327,6 +330,9 @@ impl BucketSorter<'_> {
         let text = self.keyed.text;
         let TieWork { entries, pending, uncharged } = work;
         entries.clear();
+        // Exactly the largest bucket so far: the records are part of a
+        // window's estimated peak.
+        entries.reserve_exact(bucket.sa.len());
         entries.extend(bucket.keys.iter().zip(&*bucket.sa).map(|(&key, &pos)| Entry { key, pos }));
         pending.push((0, entries.len(), 0));
         while let Some((lo, hi, depth)) = pending.pop() {
@@ -391,7 +397,8 @@ pub type SaLcp = (Vec<u32>, CompactLcp);
 /// exactly up to their first difference, so the LCP of two neighbours
 /// with different keys is read off the keys; only neighbours tied on all
 /// twelve symbols are re-keyed deeper. The suffixes of the text are all
-/// distinct, so the result is the one SA-IS produces.
+/// distinct, so the result is the one SA-IS produces. This is the sort of
+/// one window ([`sort_window`]) that holds every bucket.
 ///
 /// Besides the two arrays it returns, the sort holds eight bytes of key
 /// per position until the buckets are sorted, one bucket's `(key,
@@ -419,55 +426,86 @@ pub struct SortStages {
 
 /// [`bucket_sort_index`] plus how long each pass took.
 pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, SortStages) {
-    let mut stages = SortStages::default();
-    let mut clock = Instant::now();
-    let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
     let threads = resolve_threads(threads);
+    let mut stages = SortStages::default();
+    let clock = Instant::now();
+    let starts = bucket_starts(text, threads);
+    stages.count_s = clock.elapsed().as_secs_f64();
+    let limit = whole_text_tie_limit(text.len());
+    let index = sort_window(text, &starts, 0..N_BUCKETS, limit, threads, &mut stages);
+    (index, stages)
+}
+
+/// How many re-keyed symbols the sort of a whole text of `n` positions
+/// may spend on ties before it hands the text back to SA-IS.
+pub(crate) fn whole_text_tie_limit(n: usize) -> usize {
+    n.saturating_mul(TIE_BUDGET_PER_POSITION)
+}
+
+/// The bucket table of `text`: `starts[b]` is the first rank of bucket
+/// `b`, `starts[N_BUCKETS]` the text length. Counted on up to `threads`
+/// workers, one histogram per text chunk.
+pub(crate) fn bucket_starts(text: &[u8], threads: usize) -> Vec<usize> {
     let n = text.len();
     assert_eq!(text.last(), Some(&SENTINEL_CLASS), "text must end with a sentinel");
     assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
-    let sorter = BucketSorter {
-        keyed: KeyedText { text },
-        spent: AtomicUsize::new(0),
-        limit: n.saturating_mul(TIE_BUDGET_PER_POSITION),
-    };
-    let keyed = &sorter.keyed;
-
-    // Bucket sizes, counted per text chunk.
+    let keyed = KeyedText { text };
     let chunk = n.div_ceil(threads * 4);
-    let n_chunks = n.div_ceil(chunk);
+    let counts = parallel_jobs(n.div_ceil(chunk), threads, |c| {
+        let mut counts = vec![0u32; N_BUCKETS];
+        keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| counts[bucket_of(key)] += 1);
+        counts
+    });
     let mut starts = vec![0usize; N_BUCKETS + 1];
-    {
-        let counts = parallel_jobs(n_chunks, threads, |c| {
-            let mut counts = vec![0u32; N_BUCKETS];
-            keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| {
-                counts[bucket_of(key)] += 1
-            });
-            counts
-        });
-        for b in 0..N_BUCKETS {
-            starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
-        }
+    for b in 0..N_BUCKETS {
+        starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
     }
-    let starts = &starts;
-    stages.count_s = lap();
+    starts
+}
+
+/// The ranks `starts[window.start]..starts[window.end]` of the suffix
+/// array of `text` and of its LCP array — the suffixes of the buckets
+/// `window`, sorted — on up to `threads` workers, or `None` once
+/// resolving key ties has cost more than `tie_limit` re-keyed symbols.
+/// The LCP at the window's first rank is the one against the last suffix
+/// of the buckets before it: the arrays are exactly the whole text's,
+/// sliced. Adds its passes' seconds to `stages`.
+pub(crate) fn sort_window(
+    text: &[u8],
+    starts: &[usize],
+    window: Range<usize>,
+    tie_limit: usize,
+    threads: usize,
+    stages: &mut SortStages,
+) -> Option<SaLcp> {
+    let mut clock = Instant::now();
+    let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
+    let sorter =
+        BucketSorter { keyed: KeyedText { text }, spent: AtomicUsize::new(0), limit: tie_limit };
+    let keyed = &sorter.keyed;
+    let base = starts[window.start];
+    let len = starts[window.end] - base;
 
     // Scatter: every worker owns a contiguous run of buckets — a disjoint
     // slice of the suffix array and of the keys — and picks its suffixes
     // out of one pass over the text, so no two workers ever write the
-    // same slot.
-    let mut sa = vec![0u32; n];
-    let mut keys = vec![0u64; n];
-    let groups = bucket_groups(starts, threads);
+    // same slot. Each worker rolls the keys of the whole text, so a window
+    // gets one worker per text's worth of suffixes it places, and at
+    // least one: splitting a small window's writes saves less than the
+    // extra passes cost (EXPERIMENTS.md, "Prefix windows").
+    let mut sa = vec![0u32; len];
+    let mut keys = vec![0u64; len];
+    let scatter_workers = (threads * len).div_ceil(text.len()).clamp(1, threads);
+    let groups = bucket_groups(starts, window.clone(), scatter_workers);
     let jobs: Vec<_> = groups
         .iter()
         .cloned()
         .zip(carve(&mut sa, starts, &groups).into_iter().zip(carve(&mut keys, starts, &groups)))
         .collect();
     run_jobs(jobs, threads, |(group, (sa, keys))| {
-        let base = starts[group.start];
-        let mut next: Vec<usize> = starts[group.clone()].iter().map(|&s| s - base).collect();
-        keyed.scan_keys(0..n, |i, key| {
+        let first = starts[group.start];
+        let mut next: Vec<usize> = starts[group.clone()].iter().map(|&s| s - first).collect();
+        keyed.scan_keys(0..text.len(), |i, key| {
             if let Some(slot) =
                 bucket_of(key).checked_sub(group.start).and_then(|b| next.get_mut(b))
             {
@@ -477,12 +515,12 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
             }
         });
     });
-    stages.scatter_s = lap();
+    stages.scatter_s += lap();
 
     // Sort each bucket on its own; LCP values inside a bucket fall out of
     // the sort.
-    let mut lcp = vec![0u16; n];
-    let groups = bucket_groups(starts, threads * 16);
+    let mut lcp = vec![0u16; len];
+    let groups = bucket_groups(starts, window.clone(), threads * 16);
     let mut overflows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
     let jobs: Vec<_> = groups
         .iter()
@@ -490,16 +528,16 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
         .zip(carve(&mut lcp, starts, &groups))
         .zip(&mut overflows)
         .map(|(((group, sa), lcp), overflow)| {
-            let first_rank = starts[group.start];
-            let keys = &keys[first_rank..starts[group.end]];
+            let first_rank = starts[group.start] - base;
+            let keys = &keys[first_rank..starts[group.end] - base];
             (group.clone(), RankSlices { first_rank, sa, keys, lcp, overflow })
         })
         .collect();
     run_jobs(jobs, threads, |(group, mut ranks)| {
-        let base = starts[group.start];
+        let first = starts[group.start];
         let mut work = TieWork::default();
         for b in group {
-            let bucket = ranks.narrow(starts[b] - base..starts[b + 1] - base);
+            let bucket = ranks.narrow(starts[b] - first..starts[b + 1] - first);
             if sorter.over_budget() || !sorter.sort_bucket(bucket, &mut work) {
                 break;
             }
@@ -508,23 +546,92 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
     });
     drop(keys);
     if sorter.over_budget() {
-        stages.sort_lcp_s = lap();
-        return (None, stages);
+        stages.sort_lcp_s += lap();
+        return None;
     }
 
-    // The first rank of a bucket against the last of the previous one:
-    // their leading three symbols differ, and those are the bucket ids.
-    let mut occupied = (0..N_BUCKETS).filter(|&b| starts[b + 1] > starts[b]);
-    if let Some(mut prev) = occupied.next() {
-        for b in occupied {
-            let shift = u64::BITS - BUCKET_BITS;
-            lcp[starts[b]] = common_symbols((prev as u64) << shift, (b as u64) << shift) as u16;
-            prev = b;
+    // The first rank of a bucket against the last of the previous one —
+    // in this window or before it: their leading three symbols differ, and
+    // those are the bucket ids.
+    let occupied = |b: &usize| starts[b + 1] > starts[*b];
+    let mut prev = (0..window.start).rev().find(occupied);
+    for b in window.filter(occupied) {
+        if let Some(prev) = prev {
+            lcp[starts[b] - base] = bucket_lcp(prev, b) as u16;
         }
+        prev = Some(b);
     }
     let lcp = CompactLcp::from_parts(lcp, overflows.concat());
-    stages.sort_lcp_s = lap();
-    (Some((sa, lcp)), stages)
+    stages.sort_lcp_s += lap();
+    Some((sa, lcp))
+}
+
+/// The leading symbols the suffixes of two different buckets share.
+fn bucket_lcp(a: usize, b: usize) -> u32 {
+    let shift = u64::BITS - BUCKET_BITS;
+    common_symbols((a as u64) << shift, (b as u64) << shift)
+}
+
+/// The LCP at the first rank of the buckets from `b` on, against the
+/// suffix before it: `0` when no bucket on either side holds one.
+pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
+    let occupied = |b: &usize| starts[b + 1] > starts[*b];
+    match ((0..b).rev().find(occupied), (b..N_BUCKETS).find(occupied)) {
+        (Some(prev), Some(next)) => bucket_lcp(prev, next),
+        _ => 0,
+    }
+}
+
+/// Estimated peak bytes of sorting one window ([`sort_window`]) of
+/// `suffixes` suffixes, the largest of its buckets holding
+/// `largest_bucket`, on `threads` workers: 4 bytes of suffix array, 8 of
+/// key and 2 of LCP per suffix, and one bucket's 16-byte `(key, position)`
+/// records per worker. The bucket tables, which do not grow with the
+/// text, are not in it.
+pub(crate) fn estimated_window_bytes(
+    suffixes: usize,
+    largest_bucket: usize,
+    threads: usize,
+) -> u64 {
+    14 * suffixes as u64 + 16 * (threads * largest_bucket) as u64
+}
+
+/// Cut the buckets of a text (`starts`, [`bucket_starts`]) into windows
+/// — contiguous bucket ranges, in order, covering all of them — whose
+/// estimated sort peak ([`estimated_window_bytes`]) stays within `cap`,
+/// each with that peak. A window is cut only where the leading
+/// `min(psi, 3)` symbols of the bucket ids change, so no tree node of
+/// depth ≥ `psi` straddles two windows; a run of buckets that cannot be
+/// cut and alone exceeds `cap` is a window of its own, over it.
+pub(crate) fn plan_windows(
+    starts: &[usize],
+    psi: u32,
+    cap: u64,
+    threads: usize,
+) -> Vec<(Range<usize>, u64)> {
+    let shift = CLASS_BITS * (BUCKET_SYMBOLS - psi.min(BUCKET_SYMBOLS));
+    let size = |b: usize| starts[b + 1] - starts[b];
+    let bytes =
+        |(suffixes, largest): (usize, usize)| estimated_window_bytes(suffixes, largest, threads);
+    let mut windows = Vec::new();
+    // The window being filled: its buckets, suffixes and largest bucket.
+    let (mut open, mut held) = (0..0, (0, 0));
+    let mut b = 0;
+    while b < N_BUCKETS {
+        // The run of buckets sharing bucket `b`'s leading symbols.
+        let end = (b + 1..N_BUCKETS).find(|&e| e >> shift != b >> shift).unwrap_or(N_BUCKETS);
+        let run = (starts[end] - starts[b], (b..end).map(size).max().unwrap_or(0));
+        let joined = (held.0 + run.0, held.1.max(run.1));
+        if held.0 > 0 && run.0 > 0 && bytes(joined) > cap {
+            windows.push((open, bytes(held)));
+            (open, held) = (b..end, run);
+        } else {
+            (open.end, held) = (end, joined);
+        }
+        b = end;
+    }
+    windows.push((open, bytes(held)));
+    windows
 }
 
 // ---------------------------------------------------------------------------

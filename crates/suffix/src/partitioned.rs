@@ -1,65 +1,77 @@
-//! Partitioned GSA construction and mining — the out-of-core half of the
+//! The budgeted miner: one resident text whose suffixes are sorted, treed
+//! and mined window by window — the out-of-core half of the
 //! promising-pair generator.
 //!
-//! The monolithic [`crate::GeneralizedSuffixArray`] needs ~7 bytes per
-//! text character resident at once (15 while it is built), which caps the
-//! indexable data set below the paper's 28.6 M-ORF scale. This module splits the *sequence
-//! universe* into contiguous chunks sized by a per-chunk index budget,
-//! builds per-chunk suffix+LCP indexes, and mines maximal matches per
-//! *task* — one task per unordered chunk pair:
+//! The monolithic [`crate::GeneralizedSuffixArray`] holds ~7 bytes per
+//! text position (15 while it is built). Under a memory budget that does
+//! not admit it, a phase holds only the text resident: one byte per
+//! position, the sampled read ids and the start table
+//! ([`estimated_text_bytes`], ≈ 1.06 bytes per position), loaded a chunk
+//! of reads at a time ([`ChunkPlan::under_budget`]) through the caller's
+//! loader, so the reads are never copied whole. The bucket sort's count pass runs once
+//! over that text, and its 2¹⁵ buckets are cut into contiguous *windows*
+//! whose sort peak — 4 bytes of suffix array, 8 of key and 2 of LCP per
+//! suffix ([`crate::parallel::estimated_window_bytes`]) — fits what the budget has
+//! left ([`window_cap`]). Each window is scattered and sorted on its own,
+//! then treed at ψ and mined; one window's arrays are resident at a time.
+//! This is the suffix-space split of PaCE's distributed construction
+//! (prefix buckets, as [`crate::distributed`] assigns them to ranks), run
+//! one bucket range after another.
 //!
-//! * task `(i, i)` mines chunk `i`'s own GSA and keeps every pair;
-//! * task `(i, j)`, `i < j`, mines the GSA of the chunk-`i` ∪ chunk-`j`
-//!   union text and keeps only cross-chunk pairs.
+//! ## Why the windowed stream is the monolithic stream
 //!
-//! At most one task's index (≤ two chunks of text) is resident at a time,
-//! so peak memory is set by the chunk plan, not the data set.
+//! A window's arrays are the monolithic suffix and LCP arrays' slice, its
+//! first LCP taken against the suffix before it. Windows are cut only
+//! where the leading `min(ψ, 3)` symbols of the bucket ids change, so
+//! every node of depth ≥ ψ lies in one window with the same ranks
+//! (shifted), children and depth, and every node a window's tree holds is
+//! one of the monolithic tree's: node for node, the windows hold the
+//! monolithic tree pruned at ψ, and each node mines the same candidates.
 //!
-//! ## Why the union of tasks equals the monolithic mine
+//! The monolithic miner visits its nodes deepest first, ties by id; ids
+//! follow the order the LCP scan closes the intervals, except that the
+//! first interval the scan closes carries the last id
+//! ([`crate::SuffixTree::build_pruned`]). The scan closes one window's
+//! nodes before the next window's, so each window is mined in its own
+//! closing order, and that one interval — in whichever window the scan
+//! first descends — is mined as a stream of its own. Every stream is
+//! deduplicated as it is mined; the streams are then merged by match
+//! length, windows in order and that interval's stream last, and
+//! deduplicated again. A pair's first sighting in the merged order is its
+//! first sighting in its own stream, so the two levels of dedup keep what
+//! one pass over the monolithic order keeps: the result is
+//! [`crate::mine_pairs`] over the monolithic index, pair for pair and in
+//! order, anchors and [`GenerationStats`] included. The budget therefore
+//! changes no output, and a checkpoint cursor is a position in one stream
+//! under any budget.
 //!
-//! A maximal match between sequences `a` and `b` is a *pairwise* property
-//! of their residue strings alone: right-maximality is witnessed by the
-//! two occurrences landing under different children of their LCA node
-//! (true in any generalized suffix tree containing both sequences), and
-//! left-maximality is a pairwise comparison of the preceding residues.
-//! Sequences are never split across chunks, so both witnesses are intact
-//! in whichever task's tree contains `a` and `b` — and exactly one task
-//! does: `(chunk(a), chunk(b))`. Per-task dedup (keep the longest match
-//! per pair, deepest node first) therefore equals monolithic dedup, and
-//! the union over tasks of kept pairs equals the monolithic pair set.
-//! The one divergence risk is [`MaximalMatchConfig::max_pairs_per_node`]:
-//! the cap counts candidates per *node*, and node structure differs
-//! between the union tree and the monolithic tree, so a binding cap can
-//! drop different candidates. The identity suites run with the default
-//! (effectively unbinding) cap; see DESIGN.md §11.
+//! ## Ties
 //!
-//! Generation order is deterministic (tasks in `(0,0), (0,1), …, (1,1),
-//! …` order, deepest-first within a task) but *not* the monolithic
-//! order; every consumer in `pfam-cluster` is order-invariant (the
-//! transitive-closure filter only skips already-connected pairs).
+//! A window that holds every bucket is the monolithic sort, with its tie
+//! budget and its SA-IS fallback. A smaller window resolves its key ties
+//! without a limit: SA-IS over the whole text would hold its own arrays
+//! for every position — several times the budget the window was cut to
+//! fit. Memory stays within the window; the cost is time, quadratic in
+//! the length of an exact repeat the window holds many copies of.
 
 use std::ops::Range;
 
-use pfam_seq::{BudgetError, MemoryBudget, Reservation, SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_seq::{BudgetError, MemoryBudget, Reservation, SequenceSet};
 
-use crate::gsa::estimated_index_bytes;
-use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig};
-use crate::parallel::{parallel_pairs, with_match_tree};
+use crate::gsa::{estimated_index_bytes, estimated_text_bytes, GeneralizedSuffixArray};
+use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig, PairKeySet};
+use crate::parallel::{
+    bucket_starts, first_rank_lcp, mine_pairs, plan_windows, resolve_threads, sort_window,
+    whole_text_tie_limit, MineNodes, SortStages,
+};
+use crate::tree::{NodeId, SuffixTree};
 
-/// Ceiling on one chunk's text length (residues + sentinels): half the
-/// `u32` position space minus margin, so the *union* text of any two
-/// chunks still indexes with `u32` positions.
-const MAX_CHUNK_TEXT: u64 = (u32::MAX / 2 - 1024) as u64;
-
-/// A partition of the sequence id space `0..n` into contiguous chunks,
-/// planned so each chunk's estimated index footprint stays under a target.
+/// A partition of the read id space `0..n` into contiguous chunks — the
+/// granularity at which a [`PartitionedMiner`] loads its text — planned so
+/// each chunk's estimated monolithic index stays under a target.
 ///
-/// Chunks hold whole sequences (a sequence is never split — maximal-match
-/// left/right contexts must stay intact) and at least one sequence each,
-/// so a single sequence larger than the target *clamps* rather than
-/// fails: the plan degrades, construction never aborts here. Budget
-/// *enforcement* happens where the plan meets a [`MemoryBudget`]
-/// ([`PartitionedMiner::try_new`]).
+/// Chunks hold whole reads and at least one read each, so a read larger
+/// than the target *clamps* rather than fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkPlan {
     /// Chunk boundaries: chunk `c` covers ids `starts[c]..starts[c+1]`.
@@ -69,46 +81,48 @@ pub struct ChunkPlan {
 }
 
 impl ChunkPlan {
-    /// Greedily pack sequences (by their lengths, in id order) into
-    /// chunks whose estimated index bytes stay ≤ `target_chunk_bytes`.
-    /// A target of `0` means "one chunk" (no partitioning).
+    /// Greedily pack reads (by their lengths, in id order) into chunks
+    /// whose estimated index bytes stay ≤ `target_chunk_bytes`. A target
+    /// of `0` means one chunk.
     pub fn plan(lens: &[u32], target_chunk_bytes: u64) -> ChunkPlan {
         if target_chunk_bytes == 0 {
             return ChunkPlan::single(lens);
         }
         let mut starts = vec![0u32];
         let mut residues = Vec::new();
-        let mut acc_res = 0u64;
-        let mut acc_n = 0u64;
+        let (mut acc_res, mut acc_n) = (0u64, 0u64);
         for (i, &len) in lens.iter().enumerate() {
             let next_res = acc_res + len as u64;
             let next_n = acc_n + 1;
-            let over_budget =
-                estimated_index_bytes(next_res as usize, next_n as usize) > target_chunk_bytes;
-            let over_text = next_res + next_n > MAX_CHUNK_TEXT;
-            if acc_n > 0 && (over_budget || over_text) {
+            if acc_n > 0
+                && estimated_index_bytes(next_res as usize, next_n as usize) > target_chunk_bytes
+            {
                 starts.push(i as u32);
                 residues.push(acc_res);
-                acc_res = len as u64;
-                acc_n = 1;
+                (acc_res, acc_n) = (len as u64, 1);
             } else {
-                acc_res = next_res;
-                acc_n = next_n;
+                (acc_res, acc_n) = (next_res, next_n);
             }
         }
         if acc_n > 0 {
             residues.push(acc_res);
-        }
-        starts.push(lens.len() as u32);
-        if lens.is_empty() {
-            // `starts` must still be a valid (empty) plan: [0].
-            starts.truncate(1);
+            starts.push(lens.len() as u32);
         }
         ChunkPlan { starts, residues }
     }
 
-    /// The trivial one-chunk plan covering all of `lens`.
-    pub fn single(lens: &[u32]) -> ChunkPlan {
+    /// How a windowed mine of reads of lengths `lens` loads its text under
+    /// `budget`: chunks whose estimated index is at most the window cap or
+    /// the text itself, whichever is smaller, so the reads are never copied
+    /// whole beside the text.
+    pub fn under_budget(lens: &[u32], budget: &MemoryBudget) -> ChunkPlan {
+        let residues = lens.iter().map(|&l| l as usize).sum();
+        let text = estimated_text_bytes(residues, lens.len());
+        ChunkPlan::plan(lens, window_cap(budget, text).min(text).max(1))
+    }
+
+    /// The one-chunk plan covering all of `lens`.
+    fn single(lens: &[u32]) -> ChunkPlan {
         if lens.is_empty() {
             return ChunkPlan { starts: vec![0], residues: Vec::new() };
         }
@@ -123,7 +137,7 @@ impl ChunkPlan {
         self.starts.len() - 1
     }
 
-    /// Number of sequences covered.
+    /// Number of reads covered.
     pub fn n_seqs(&self) -> u32 {
         *self.starts.last().expect("starts is never empty")
     }
@@ -133,231 +147,235 @@ impl ChunkPlan {
         self.starts[c]..self.starts[c + 1]
     }
 
-    /// Sequences in chunk `c`.
-    pub fn chunk_len(&self, c: usize) -> u32 {
-        self.starts[c + 1] - self.starts[c]
-    }
-
-    /// Estimated index bytes of chunk `c` alone.
-    pub fn chunk_index_bytes(&self, c: usize) -> u64 {
-        estimated_index_bytes(self.residues[c] as usize, self.chunk_len(c) as usize)
-    }
-
-    /// Estimated index bytes of the largest single *task* — the peak a
-    /// miner over this plan holds resident. Index bytes are linear in
-    /// (residues, sequences), so the worst task is the two heaviest
-    /// chunks together (or the single chunk when there is only one).
-    pub fn max_task_index_bytes(&self) -> u64 {
-        let mut best = 0u64;
-        let mut second = 0u64;
-        for c in 0..self.n_chunks() {
-            let w = self.chunk_index_bytes(c);
-            if w >= best {
-                second = best;
-                best = w;
-            } else if w > second {
-                second = w;
-            }
-        }
-        if self.n_chunks() >= 2 {
-            best + second
-        } else {
-            best
-        }
-    }
-
-    /// Mining tasks in deterministic order:
-    /// `(0,0), (0,1), …, (0,k−1), (1,1), …, (k−1,k−1)`.
-    pub fn tasks(&self) -> Vec<(usize, usize)> {
-        let k = self.n_chunks();
-        let mut out = Vec::with_capacity(k * (k + 1) / 2);
-        for i in 0..k {
-            for j in i..k {
-                out.push((i, j));
-            }
-        }
-        out
+    /// Residues over every chunk.
+    fn n_residues(&self) -> usize {
+        self.residues.iter().sum::<u64>() as usize
     }
 }
 
-/// Translate a task-local sequence id back to the global id space, with
-/// overflow-checked arithmetic (the conversion the in-memory miner
-/// never needed — chunk-relative addressing makes it explicit).
-///
-/// Task `(i, j)` presents chunk `i`'s sequences as local ids
-/// `0..n_i`, then chunk `j`'s as `n_i..n_i+n_j`.
-fn to_global(plan: &ChunkPlan, i: usize, j: usize, local: SeqId) -> SeqId {
-    let n_i = plan.chunk_len(i);
-    let (chunk, within) = if local.0 < n_i { (i, local.0) } else { (j, local.0 - n_i) };
-    let global = plan.starts[chunk]
-        .checked_add(within)
-        .expect("chunk-relative id must fit the u32 global id space");
-    debug_assert!(global < plan.n_seqs());
-    SeqId(global)
+/// Bytes the windows of a text whose resident half takes `text_bytes`
+/// ([`estimated_text_bytes`]) may take under `budget`: what is left once
+/// the text is held. The one place the window cap is derived.
+fn window_cap(budget: &MemoryBudget, text_bytes: u64) -> u64 {
+    budget.remaining().saturating_sub(text_bytes)
 }
 
-/// Streaming maximal-match miner over a [`ChunkPlan`]: yields the same
-/// pair set as the monolithic miner (see the module docs for the
-/// argument), loading at most one task's chunks at a time through a
-/// caller-supplied loader.
+/// The windowed maximal-match miner over the reads a [`ChunkPlan`] covers
+/// — their stream is the monolithic miner's, pair for pair (see the
+/// module docs) — as an iterator of pairs, or whole ([`mine`](Self::mine)).
 ///
-/// The loader maps a global id range to an in-memory [`SequenceSet`]
-/// (ids renumbered from 0) — `SeqStore::load_range` composed with any
-/// per-sequence transform (index-side masking is per-sequence, so
-/// chunk-level masking equals whole-set masking).
-pub struct PartitionedMiner<F: FnMut(Range<u32>) -> SequenceSet> {
-    plan: ChunkPlan,
-    loader: F,
+/// The loader maps a global id range to an in-memory [`SequenceSet`] (ids
+/// renumbered from 0): `SeqStore::load_range` composed with any
+/// per-sequence transform.
+pub struct PartitionedMiner {
+    /// The text and its windows, until mined.
+    text: Option<WindowedText>,
+    /// How many windows the text was cut into.
+    n_windows: usize,
+    /// The mined stream, once mined.
+    pairs: std::vec::IntoIter<MatchPair>,
+}
+
+/// A phase's reads as one text, their suffixes not yet sorted.
+struct WindowedText {
+    /// The text, sampled ids and start table; each window's arrays are
+    /// lent to it in turn.
+    index: GeneralizedSuffixArray,
+    /// The text's bucket table ([`bucket_starts`]).
+    starts: Vec<usize>,
+    /// Bucket ranges, in order, each with its estimated sort peak.
+    windows: Vec<(Range<usize>, u64)>,
     config: MaximalMatchConfig,
     threads: usize,
-    tasks: Vec<(usize, usize)>,
-    next_task: usize,
-    /// Pairs of the current task, reversed so popping preserves order.
-    buffer: Vec<MatchPair>,
-    /// Chunk-`i` set cached across the `(i, i..k)` task row.
-    row_cache: Option<(usize, SequenceSet)>,
-    stats: GenerationStats,
-    /// Budget bytes held for the peak task index (None when unbudgeted).
-    _reservation: Option<Reservation>,
+    /// The budget held for the text and for the largest window, each if
+    /// it fit.
+    _held: [Option<Reservation>; 2],
 }
 
-impl<F: FnMut(Range<u32>) -> SequenceSet> PartitionedMiner<F> {
-    /// Miner without budget enforcement (accounting-only callers pass an
-    /// unlimited budget to [`try_new`](Self::try_new) instead).
-    pub fn new(plan: ChunkPlan, loader: F, config: MaximalMatchConfig, threads: usize) -> Self {
-        let tasks = plan.tasks();
-        PartitionedMiner {
-            plan,
-            loader,
-            config,
-            threads,
-            tasks,
-            next_task: 0,
-            buffer: Vec::new(),
-            row_cache: None,
-            stats: GenerationStats::default(),
-            _reservation: None,
-        }
-    }
-
-    /// Miner that reserves the plan's peak task footprint
-    /// ([`ChunkPlan::max_task_index_bytes`]) against `budget` up front.
-    /// Over budget is a typed error — the caller re-plans with smaller
-    /// chunks (or propagates); mining itself stays infallible.
-    pub fn try_new(
+impl PartitionedMiner {
+    /// Load the reads of `plan` into one text, count its buckets and cut
+    /// them into windows under what `budget` has left, reserving the text
+    /// (`gsa-text`) and the largest window (`gsa-window`) for as long as
+    /// the miner holds them. `Err` — before any read is loaded, when the
+    /// text alone is over — when the text and the smallest window it can
+    /// be cut into do not fit together: the budget's floor for these
+    /// reads. Mining itself is infallible.
+    pub fn try_new<F: FnMut(Range<u32>) -> SequenceSet>(
         plan: ChunkPlan,
         loader: F,
         config: MaximalMatchConfig,
         threads: usize,
         budget: &MemoryBudget,
     ) -> Result<Self, BudgetError> {
-        let reservation = budget.try_reserve("partitioned-gsa", plan.max_task_index_bytes())?;
-        let mut miner = PartitionedMiner::new(plan, loader, config, threads);
-        miner._reservation = Some(reservation);
-        Ok(miner)
+        Self::open(plan, loader, config, threads, budget, true)
     }
 
-    /// The plan this miner partitions by.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
+    /// [`try_new`](Self::try_new) that runs over the budget rather than
+    /// refuse: what fits is reserved, and a window cut past the cap (it
+    /// could not be cut smaller) or a text over it runs unreserved.
+    pub fn new<F: FnMut(Range<u32>) -> SequenceSet>(
+        plan: ChunkPlan,
+        loader: F,
+        config: MaximalMatchConfig,
+        threads: usize,
+        budget: &MemoryBudget,
+    ) -> Self {
+        Self::open(plan, loader, config, threads, budget, false)
+            .expect("only a strict open refuses")
     }
 
-    /// Generation statistics so far (sums over completed tasks).
-    pub fn stats(&self) -> GenerationStats {
-        self.stats
-    }
-
-    /// Mine one task into `buffer` (reversed for back-pop draining).
-    fn mine_task(&mut self, i: usize, j: usize) {
-        // Chunk `i` is loaded once per task row and lent from the cache.
-        if self.row_cache.as_ref().is_none_or(|(cached, _)| *cached != i) {
-            self.row_cache = Some((i, (self.loader)(self.plan.chunk_range(i))));
-        }
-        let row = &self.row_cache.as_ref().expect("filled above").1;
-        let joined;
-        let union = if i == j {
-            row
-        } else {
-            joined = concat_sets(row, &(self.loader)(self.plan.chunk_range(j)));
-            &joined
+    fn open<F: FnMut(Range<u32>) -> SequenceSet>(
+        plan: ChunkPlan,
+        mut loader: F,
+        config: MaximalMatchConfig,
+        threads: usize,
+        budget: &MemoryBudget,
+        strict: bool,
+    ) -> Result<Self, BudgetError> {
+        let threads = resolve_threads(threads);
+        let (n_residues, n_seqs) = (plan.n_residues(), plan.n_seqs() as usize);
+        let text_bytes = estimated_text_bytes(n_residues, n_seqs);
+        let cap = window_cap(budget, text_bytes);
+        let hold = |what, bytes| match budget.try_reserve(what, bytes) {
+            Ok(reservation) => Ok(Some(reservation)),
+            Err(e) if strict => Err(e),
+            Err(_) => Ok(None),
         };
-        if union.is_empty() {
-            return;
+        let text_held = hold("gsa-text", text_bytes)?;
+        let mut index = GeneralizedSuffixArray::with_capacity(n_residues, n_seqs);
+        for c in 0..plan.n_chunks() {
+            index.push_reads(&loader(plan.chunk_range(c)));
         }
-        let n_i = self.plan.chunk_len(i);
-        debug_assert!(self.buffer.is_empty());
-        // Mined under the miner's own config: its `dedup` is the caller's.
-        let (config, threads) = (self.config, self.threads);
-        let (pairs, task_stats) = with_match_tree(
-            union,
-            config.min_len,
-            config.max_pairs_per_node,
-            threads,
-            |tree, _| parallel_pairs(tree, config, threads),
-        );
-        for p in pairs {
-            // Cross-chunk tasks keep only cross-chunk pairs: intra-chunk
-            // pairs belong to (and are emitted by) the diagonal tasks.
-            if i != j && (p.a.0 < n_i) == (p.b.0 < n_i) {
-                continue;
-            }
-            self.buffer.push(MatchPair::with_anchor(
-                to_global(&self.plan, i, j, p.a),
-                to_global(&self.plan, i, j, p.b),
-                p.len,
-                p.a_pos,
-                p.b_pos,
-            ));
-        }
-        self.stats.pairs_emitted += self.buffer.len();
-        self.stats.nodes_visited += task_stats.nodes_visited;
-        self.stats.pairs_deduped += task_stats.pairs_deduped;
-        self.stats.pairs_capped += task_stats.pairs_capped;
-        self.buffer.reverse();
+        let (starts, windows) = if n_seqs == 0 {
+            (Vec::new(), Vec::new())
+        } else {
+            let starts = bucket_starts(index.text(), threads);
+            let windows = plan_windows(&starts, config.min_len, cap, threads);
+            (starts, windows)
+        };
+        let window_held =
+            hold("gsa-window", windows.iter().map(|&(_, bytes)| bytes).max().unwrap_or(0))?;
+        let n_windows = windows.len();
+        let _held = [text_held, window_held];
+        let text = WindowedText { index, starts, windows, config, threads, _held };
+        Ok(PartitionedMiner { text: Some(text), n_windows, pairs: Vec::new().into_iter() })
+    }
+
+    /// How many windows the text was cut into (0 for no reads).
+    pub fn n_windows(&self) -> usize {
+        self.n_windows
+    }
+
+    /// The whole stream and its generation statistics, the text and its
+    /// reservations released before the windows' streams are merged. A
+    /// miner is mined whole or iterated, not both.
+    pub fn mine(self) -> (Vec<MatchPair>, GenerationStats) {
+        self.text.expect("the miner has not been iterated").mine()
     }
 }
 
-impl<F: FnMut(Range<u32>) -> SequenceSet> Iterator for PartitionedMiner<F> {
+impl Iterator for PartitionedMiner {
     type Item = MatchPair;
 
     fn next(&mut self) -> Option<MatchPair> {
-        loop {
-            if let Some(p) = self.buffer.pop() {
-                return Some(p);
-            }
-            if self.next_task >= self.tasks.len() {
-                return None;
-            }
-            let (i, j) = self.tasks[self.next_task];
-            self.next_task += 1;
-            self.mine_task(i, j);
+        if let Some(text) = self.text.take() {
+            self.pairs = text.mine().0.into_iter();
         }
+        self.pairs.next()
     }
 }
 
-/// Concatenate the residues of two dense sequence sets (ids of `b`
-/// shifted past `a`). The union is only ever indexed, so it carries no
-/// headers.
-fn concat_sets(a: &SequenceSet, b: &SequenceSet) -> SequenceSet {
-    let mut out = SequenceSetBuilder::with_capacity(
-        a.len() + b.len(),
-        a.total_residues() + b.total_residues(),
-    );
-    for set in [a, b] {
-        for seq in set.iter() {
-            out.push_codes(String::new(), seq.codes.to_vec())
-                .expect("a valid set holds no empty sequences");
+impl WindowedText {
+    fn mine(self) -> (Vec<MatchPair>, GenerationStats) {
+        let WindowedText { mut index, starts, windows, config, threads, _held } = self;
+        let psi = config.min_len;
+        // Only a window that is the whole text may hand it to SA-IS.
+        let tie_limit =
+            if windows.len() == 1 { whole_text_tie_limit(index.text_len()) } else { usize::MAX };
+        let mut streams = Vec::with_capacity(windows.len() + 1);
+        // The first interval the LCP scan closes, if it is deep enough to
+        // be mined: its stream goes after every window's.
+        let mut first_closed = None;
+        let mut descended = false;
+        for (w, (buckets, _)) in windows.iter().enumerate() {
+            let arrays = sort_window(
+                index.text(),
+                &starts,
+                buckets.clone(),
+                tie_limit,
+                threads,
+                &mut SortStages::default(),
+            )
+            .unwrap_or_else(|| index.sais_arrays());
+            index.set_arrays(arrays);
+            let trail =
+                windows.get(w + 1).map_or(0, |(next, _)| first_rank_lcp(&starts, next.start));
+            let (tree, descent) = SuffixTree::build_window(&index, psi, trail);
+            let mut queue: Vec<NodeId> = tree
+                .nodes_by_depth_desc()
+                .into_iter()
+                .take_while(|&node| tree.depth(node) >= psi)
+                .collect();
+            if let Some(depth) = descent.filter(|_| !descended) {
+                descended = true;
+                if depth >= psi {
+                    // Node 1: the first interval this window closes.
+                    queue.retain(|&node| node != 1);
+                    first_closed = Some(mine_pairs(&tree, config, threads, MineNodes::Slice(&[1])));
+                }
+            }
+            streams.push(mine_pairs(&tree, config, threads, MineNodes::Slice(&queue)));
+            // One window's arrays at a time: free these before the next sort.
+            drop(tree);
+            index.set_arrays(Default::default());
+        }
+        drop((index, _held));
+        streams.extend(first_closed);
+        merge_streams(streams, config.dedup)
+    }
+}
+
+/// Merge streams — each deepest match first, each deduplicated on its
+/// own — into one, deepest match first, the streams in the order given at
+/// equal lengths, deduplicated across them; statistics summed.
+fn merge_streams(
+    mut streams: Vec<(Vec<MatchPair>, GenerationStats)>,
+    dedup: bool,
+) -> (Vec<MatchPair>, GenerationStats) {
+    if streams.len() == 1 {
+        return streams.pop().expect("one stream");
+    }
+    let mut stats = GenerationStats::default();
+    for (_, s) in &streams {
+        stats.nodes_visited += s.nodes_visited;
+        stats.pairs_capped += s.pairs_capped;
+        stats.pairs_deduped += s.pairs_deduped;
+    }
+    let total: usize = streams.iter().map(|(pairs, _)| pairs.len()).sum();
+    let mut heads: Vec<_> =
+        streams.into_iter().map(|(pairs, _)| pairs.into_iter().peekable()).collect();
+    let mut seen = PairKeySet::default();
+    let mut out = Vec::with_capacity(total);
+    while let Some(len) = heads.iter_mut().filter_map(|h| h.peek().map(|p| p.len)).max() {
+        for head in &mut heads {
+            while let Some(pair) = head.next_if(|p| p.len == len) {
+                if !dedup || seen.insert(pair.key()) {
+                    out.push(pair);
+                }
+            }
         }
     }
-    out.finish()
+    stats.pairs_deduped += total - out.len();
+    stats.pairs_emitted = out.len();
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parallel_pairs, GeneralizedSuffixArray, SuffixTree};
-    use pfam_seq::SequenceSetBuilder;
-    use std::collections::HashSet;
+    use crate::parallel::{bucket_sort_index, parallel_pairs};
+    use crate::SuffixTree;
+    use pfam_seq::{SeqId, SequenceSetBuilder};
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
         let mut b = SequenceSetBuilder::new();
@@ -371,24 +389,20 @@ mod tests {
         (0..set.len()).map(|i| set.seq_len(SeqId(i as u32)) as u32).collect()
     }
 
-    fn monolithic(set: &SequenceSet, config: MaximalMatchConfig) -> HashSet<MatchPair> {
-        let gsa = GeneralizedSuffixArray::build(set);
-        let tree = SuffixTree::build(&gsa);
-        parallel_pairs(&tree, config, 1).0.into_iter().collect()
-    }
-
-    fn partitioned(
-        set: &SequenceSet,
-        config: MaximalMatchConfig,
-        target_chunk_bytes: u64,
-    ) -> (HashSet<MatchPair>, ChunkPlan) {
-        let plan = ChunkPlan::plan(&lens_of(set), target_chunk_bytes);
-        let loader = |r: Range<u32>| {
+    fn loader(set: &SequenceSet) -> impl FnMut(Range<u32>) -> SequenceSet + '_ {
+        |r: Range<u32>| {
             let keep: Vec<SeqId> = r.map(SeqId).collect();
             set.subset(&keep).0
-        };
-        let miner = PartitionedMiner::new(plan.clone(), loader, config, 1);
-        (miner.collect::<Vec<_>>().into_iter().collect(), plan)
+        }
+    }
+
+    /// Anchors included: `MatchPair` equality ignores them.
+    fn anchored(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
+        pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect()
+    }
+
+    fn text_bytes(set: &SequenceSet) -> u64 {
+        estimated_text_bytes(set.total_residues(), set.len())
     }
 
     const TEST_SEQS: &[&str] = &[
@@ -406,156 +420,142 @@ mod tests {
         let plan = ChunkPlan::plan(&[10, 20, 30], 0);
         assert_eq!(plan.n_chunks(), 1);
         assert_eq!(plan.chunk_range(0), 0..3);
-        assert_eq!(plan.max_task_index_bytes(), estimated_index_bytes(60, 3));
+        assert_eq!(plan.n_residues(), 60);
     }
 
     #[test]
     fn plan_respects_target_and_covers_all_ids() {
         let lens = vec![50u32; 20];
-        // Budget for roughly 5 sequences per chunk.
         let target = estimated_index_bytes(5 * 50, 5);
         let plan = ChunkPlan::plan(&lens, target);
-        assert!(plan.n_chunks() >= 4, "plan: {plan:?}");
+        assert_eq!(plan.n_chunks(), 4, "plan: {plan:?}");
         assert_eq!(plan.n_seqs(), 20);
-        for c in 0..plan.n_chunks() {
-            assert!(plan.chunk_index_bytes(c) <= target, "chunk {c} over target");
-        }
+        assert_eq!(plan.n_residues(), 1000);
     }
 
     #[test]
     fn plan_clamps_oversized_sequences_to_their_own_chunk() {
-        // Target smaller than any single sequence: one chunk per sequence,
-        // never a failure.
         let plan = ChunkPlan::plan(&[100, 200, 300], 1);
         assert_eq!(plan.n_chunks(), 3);
-        for c in 0..3 {
-            assert_eq!(plan.chunk_len(c), 1);
-        }
+        assert_eq!((0..3).map(|c| plan.chunk_range(c)).collect::<Vec<_>>(), [0..1, 1..2, 2..3]);
     }
 
     #[test]
     fn plan_empty_space() {
         let plan = ChunkPlan::plan(&[], 1024);
-        assert_eq!(plan.n_chunks(), 0);
-        assert_eq!(plan.n_seqs(), 0);
-        assert!(plan.tasks().is_empty());
-        assert_eq!(plan.max_task_index_bytes(), 0);
+        assert_eq!((plan.n_chunks(), plan.n_seqs()), (0, 0));
     }
 
     #[test]
-    fn tasks_enumerate_all_unordered_chunk_pairs() {
-        let plan = ChunkPlan::plan(&[10, 10, 10], 1);
-        assert_eq!(plan.tasks(), vec![(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]);
-    }
-
-    #[test]
-    fn one_chunk_matches_monolithic_exactly_in_order() {
+    fn windows_concatenate_to_the_monolithic_arrays() {
         let set = set_of(TEST_SEQS);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
+        let whole = GeneralizedSuffixArray::build(&set);
+        let text = whole.text();
+        let starts = bucket_starts(text, 2);
+        for psi in [1, 2, 3, 10] {
+            for cap in [0, 200, u64::MAX] {
+                let windows = plan_windows(&starts, psi, cap, 2);
+                let (mut sa, mut lcp) = (Vec::new(), Vec::new());
+                for (w, (buckets, _)) in windows.iter().enumerate() {
+                    let (wsa, wlcp) = sort_window(
+                        text,
+                        &starts,
+                        buckets.clone(),
+                        usize::MAX,
+                        2,
+                        &mut <_>::default(),
+                    )
+                    .expect("no tie limit");
+                    assert!(!wsa.is_empty(), "psi {psi} cap {cap}: window {w} is empty");
+                    if let Some((next, _)) = windows.get(w + 1) {
+                        assert!(first_rank_lcp(&starts, next.start) < psi.clamp(1, 3));
+                    }
+                    lcp.extend((0..wsa.len()).map(|r| wlcp.get(r)));
+                    sa.extend(wsa);
+                }
+                assert_eq!(sa, whole.sa(), "psi {psi} cap {cap}");
+                assert_eq!(lcp, (0..sa.len()).map(|r| whole.lcp_at(r)).collect::<Vec<_>>());
+                if cap == u64::MAX {
+                    assert_eq!(windows.len(), 1);
+                    assert_eq!(bucket_sort_index(text, 2).map(|(sa, _)| sa), Some(sa));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_windowed_stream_is_the_monolithic_stream() {
+        let set = set_of(TEST_SEQS);
         let gsa = GeneralizedSuffixArray::build(&set);
-        let tree = SuffixTree::build(&gsa);
-        let (mono_ordered, _) = parallel_pairs(&tree, config, 1);
-        let plan = ChunkPlan::single(&lens_of(&set));
-        let loader = |r: Range<u32>| {
-            let keep: Vec<SeqId> = r.map(SeqId).collect();
-            set.subset(&keep).0
-        };
-        let part_ordered: Vec<_> = PartitionedMiner::new(plan, loader, config, 1).collect();
-        assert_eq!(part_ordered, mono_ordered, "single chunk is the monolithic mine");
-    }
-
-    #[test]
-    fn partitioned_equals_monolithic_across_chunk_sizes() {
-        let set = set_of(TEST_SEQS);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let mono = monolithic(&set, config);
-        assert!(!mono.is_empty());
-        // Sweep: per-sequence chunks, small chunks, a boundary in the
-        // middle of the repeat cluster, one chunk.
-        for target in [1u64, 400, 700, 1200, u64::MAX] {
-            let (part, plan) = partitioned(&set, config, target);
-            assert_eq!(part, mono, "target={target} plan={plan:?}");
+        for psi in [1, 2, 3, 5] {
+            for dedup in [true, false] {
+                let config = MaximalMatchConfig { min_len: psi, dedup, ..Default::default() };
+                let (want, want_stats) =
+                    parallel_pairs(&SuffixTree::build_pruned(&gsa, psi), config, 1);
+                for (cap, threads) in [(1, 1), (300, 2), (u64::MAX, 1)] {
+                    let budget = MemoryBudget::limited(text_bytes(&set).saturating_add(cap));
+                    let miner = PartitionedMiner::new(
+                        ChunkPlan::plan(&lens_of(&set), 300),
+                        loader(&set),
+                        config,
+                        threads,
+                        &budget,
+                    );
+                    let windows = miner.n_windows();
+                    let (got, stats) = miner.mine();
+                    let what = format!("psi {psi} dedup {dedup} cap {cap}: {windows} windows");
+                    assert_eq!(anchored(&got), anchored(&want), "{what}");
+                    assert_eq!(stats, want_stats, "{what}");
+                    assert_eq!(budget.used(), 0, "{what}: released once mined");
+                }
+            }
         }
     }
 
     #[test]
-    fn chunk_boundary_straddling_a_repeat_is_exact() {
-        // The shared word sits in sequences 0, 1, 5 — force plans where
-        // every boundary falls between them.
-        let set = set_of(TEST_SEQS);
+    fn single_and_empty_sets_yield_nothing() {
         let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let mono = monolithic(&set, config);
-        let n = set.len() as u32;
-        for split in 1..n {
-            // Hand-built two-chunk plan split at `split`.
-            let lens = lens_of(&set);
-            let residues: Vec<u64> = vec![
-                lens[..split as usize].iter().map(|&l| l as u64).sum(),
-                lens[split as usize..].iter().map(|&l| l as u64).sum(),
-            ];
-            let plan = ChunkPlan { starts: vec![0, split, n], residues };
-            let loader = |r: Range<u32>| {
-                let keep: Vec<SeqId> = r.map(SeqId).collect();
-                set.subset(&keep).0
-            };
-            let part: HashSet<MatchPair> = PartitionedMiner::new(plan, loader, config, 1).collect();
-            assert_eq!(part, mono, "split={split}");
+        for set in [set_of(&["MKVLWMKVLW"]), SequenceSet::new()] {
+            let plan = ChunkPlan::plan(&lens_of(&set), 1);
+            let miner =
+                PartitionedMiner::new(plan, loader(&set), config, 1, &MemoryBudget::limited(1));
+            assert_eq!(miner.n_windows() == 0, set.is_empty());
+            assert_eq!(miner.collect::<Vec<_>>(), []);
         }
-    }
-
-    #[test]
-    fn single_sequence_set_yields_nothing() {
-        let set = set_of(&["MKVLWMKVLW"]);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let (part, _) = partitioned(&set, config, 1);
-        assert!(part.is_empty());
     }
 
     #[test]
     fn budget_enforced_at_construction() {
         let set = set_of(TEST_SEQS);
         let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let plan = ChunkPlan::plan(&lens_of(&set), 500);
-        let need = plan.max_task_index_bytes();
-        let loader = |r: Range<u32>| {
-            let keep: Vec<SeqId> = r.map(SeqId).collect();
-            set.subset(&keep).0
+        let text = text_bytes(&set);
+        let plan = || ChunkPlan::plan(&lens_of(&set), 500);
+        let open = |limit| {
+            PartitionedMiner::try_new(
+                plan(),
+                loader(&set),
+                config,
+                1,
+                &MemoryBudget::limited(limit),
+            )
         };
-        let tight = MemoryBudget::limited(need - 1);
-        let err = PartitionedMiner::try_new(plan.clone(), loader, config, 1, &tight)
-            .err()
-            .expect("under-sized budget must refuse");
-        assert_eq!(err.what, "partitioned-gsa");
-        assert_eq!(err.requested, need);
+        let err = open(text - 1).err().expect("no room for the text");
+        assert_eq!((err.what, err.requested), ("gsa-text", text));
+        // With the text held and nothing left, every window is as small as
+        // the buckets allow: the error names the largest of them.
+        let err = open(text).err().expect("no room for a window");
+        assert_eq!(err.what, "gsa-window");
+        let floor = text + err.requested;
+        assert!(open(floor - 1).is_err(), "the floor is exact");
 
-        let loader2 = |r: Range<u32>| {
-            let keep: Vec<SeqId> = r.map(SeqId).collect();
-            set.subset(&keep).0
-        };
-        let roomy = MemoryBudget::limited(need);
-        let miner = PartitionedMiner::try_new(plan, loader2, config, 1, &roomy)
-            .expect("exact budget admits");
-        assert_eq!(roomy.used(), need, "reservation held while mining");
-        let mono = monolithic(&set, config);
-        let part: HashSet<MatchPair> = miner.collect();
-        assert_eq!(part, mono);
-        assert_eq!(roomy.used(), 0, "reservation released when the miner drops");
-    }
-
-    #[test]
-    fn stats_accumulate_over_tasks() {
-        let set = set_of(TEST_SEQS);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let plan = ChunkPlan::plan(&lens_of(&set), 500);
-        assert!(plan.n_chunks() > 1);
-        let loader = |r: Range<u32>| {
-            let keep: Vec<SeqId> = r.map(SeqId).collect();
-            set.subset(&keep).0
-        };
-        let mut miner = PartitionedMiner::new(plan, loader, config, 1);
-        let n = miner.by_ref().count();
-        let stats = miner.stats();
-        assert_eq!(stats.pairs_emitted, n);
-        assert!(stats.nodes_visited > 0);
+        let budget = MemoryBudget::limited(floor);
+        let miner = PartitionedMiner::try_new(plan(), loader(&set), config, 1, &budget)
+            .expect("the floor admits");
+        assert!(miner.n_windows() > 1);
+        assert_eq!(budget.used(), floor, "text and window held while mining");
+        let mono =
+            parallel_pairs(&SuffixTree::build(&GeneralizedSuffixArray::build(&set)), config, 1);
+        assert_eq!(miner.collect::<Vec<_>>(), mono.0);
+        assert_eq!(budget.used(), 0, "released when mined");
     }
 }

@@ -46,6 +46,33 @@ impl<'a> SuffixTree<'a> {
     /// other node, and on metagenomic input they are a few per cent of the
     /// tree. `min_depth == 0` is the full tree.
     pub fn build_pruned(gsa: &'a GeneralizedSuffixArray, min_depth: u32) -> SuffixTree<'a> {
+        let (mut tree, first_closed_depth) = SuffixTree::build_window(gsa, min_depth, 0);
+        // Pair order is pipeline output (redundancy removal is order-
+        // sensitive) and depth ties in `nodes_by_depth_desc` fall to the
+        // id, so ids must rank the kept nodes the same way at every
+        // `min_depth`: in closing order, except that the first interval
+        // the unpruned scan closes carries the last id. When that interval
+        // is kept it is node 1; move it to the end.
+        if first_closed_depth.is_some_and(|d| d >= min_depth) {
+            tree.move_first_closed_last();
+        }
+        tree
+    }
+
+    /// The tree of `gsa` pruned at `min_depth` as
+    /// [`build_pruned`](Self::build_pruned) builds it, but with every node
+    /// numbered in closing order, when `gsa` holds one window of a larger
+    /// text's suffix array: a run of ranks no node of depth ≥ `min_depth`
+    /// crosses, its LCP at rank 0 taken against the suffix before it, and
+    /// `trail` the LCP of its last suffix against the one after it (`0`
+    /// past the end). Also returns the depth of the interval the first
+    /// descent of the unpruned scan closes between the window's first rank
+    /// and `trail`, if there is one.
+    pub(crate) fn build_window(
+        gsa: &'a GeneralizedSuffixArray,
+        min_depth: u32,
+        trail: u32,
+    ) -> (SuffixTree<'a>, Option<u32>) {
         let n = gsa.sa().len();
 
         /// An interval still open on the stack; its children so far are
@@ -66,10 +93,10 @@ impl<'a> SuffixTree<'a> {
         // Depth of the first interval the unpruned scan closes: the LCP
         // value before the array's first descent.
         let mut first_closed_depth: Option<u32> = None;
-        let mut prev_lcp = 0;
+        let mut prev_lcp = if n > 0 { gsa.lcp_at(0) } else { 0 };
 
         for i in 1..=n {
-            let full = if i < n { gsa.lcp_at(i) } else { 0 };
+            let full = if i < n { gsa.lcp_at(i) } else { trail };
             if first_closed_depth.is_none() && full < prev_lcp {
                 first_closed_depth = Some(prev_lcp);
             }
@@ -101,22 +128,6 @@ impl<'a> SuffixTree<'a> {
         child_runs[0] = (child_ids.len() as u32, kids.len() as u32);
         child_ids.append(&mut kids);
 
-        // Pair order is pipeline output (redundancy removal is order-
-        // sensitive) and depth ties in `nodes_by_depth_desc` fall to the
-        // id, so ids must rank the kept nodes the same way at every
-        // `min_depth`: in closing order, except that the first interval
-        // the unpruned scan closes carries the last id. When that interval
-        // is kept it is node 1 here; move it to the end.
-        let last = depths.len() - 1;
-        if last > 1 && first_closed_depth.is_some_and(|d| d >= min_depth) {
-            depths[1..].rotate_left(1);
-            ranges[1..].rotate_left(1);
-            child_runs[1..].rotate_left(1);
-            for k in child_ids.iter_mut() {
-                *k = if *k == 1 { last as NodeId } else { *k - 1 };
-            }
-        }
-
         let mut parents = vec![0 as NodeId; depths.len()];
         for (id, &(start, len)) in child_runs.iter().enumerate() {
             for &k in &child_ids[start as usize..(start + len) as usize] {
@@ -124,7 +135,28 @@ impl<'a> SuffixTree<'a> {
             }
         }
 
-        SuffixTree { gsa, min_depth, depths, ranges, child_ids, child_runs, parents }
+        let tree = SuffixTree { gsa, min_depth, depths, ranges, child_ids, child_runs, parents };
+        (tree, first_closed_depth)
+    }
+
+    /// Renumber so that node 1, the first to close, carries the last id.
+    fn move_first_closed_last(&mut self) {
+        let last = (self.depths.len() - 1) as NodeId;
+        if last > 1 {
+            self.depths[1..].rotate_left(1);
+            self.ranges[1..].rotate_left(1);
+            self.child_runs[1..].rotate_left(1);
+            self.parents[1..].rotate_left(1);
+            // The root is nobody's child and its own parent.
+            let renumber = |k: &mut NodeId| {
+                *k = match *k {
+                    0 => 0,
+                    1 => last,
+                    k => k - 1,
+                }
+            };
+            self.child_ids.iter_mut().chain(&mut self.parents).for_each(renumber);
+        }
     }
 
     /// Depth below which this tree holds no node but the root (`0` for

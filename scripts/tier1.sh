@@ -9,7 +9,7 @@
 # suites and the back-half executor's (executor == the plain per-component
 # composition), the fault-injection and
 # checkpoint/restart suites, the ft-bench recovery smoke, the out-of-core
-# partitioned-identity suite + index_oc_bench smoke, grep gates (no
+# windowed-identity suite + index_oc_bench smoke, grep gates (no
 # unwrap on inter-rank communication or on the lease-recovery path; no
 # UnionFind mutation outside ClusterCore; none of the retired schedulers,
 # rank kernels, planes (sharded, sketch), pipeline entries or supervision
@@ -22,8 +22,9 @@
 # the `_with` / `_reusing` constructor twins, the barrier executor, the
 # per-vertex Shingle kernel or the Criterion stand-in by name; no
 # `thread_local!` in pfam-core or pfam-shingle, no hash map in
-# pfam-shingle; none of the retired index-routing sites or the chunk-size
-# knob by name, and the budget split into chunk targets in one place; one
+# pfam-shingle; none of the retired index-routing sites, the chunk-pair
+# miner, the plan pin or the chunk-size knob by name, and the window cap
+# derived in one place; one
 # pair miner — none of the lazy serial generator, its thread-count fork or
 # the explicit-stream source twin by name, one call site each for the
 # node-local miner and the node queue), the reachability ratchet (every
@@ -150,22 +151,29 @@ if grep -rnE "HashMap|HashSet" crates/shingle/src; then
 fi
 
 echo "== tier1: one plan for where a phase's pairs come from =="
-# Which index a phase mines — one monolithic index, or the partitioned
-# miner at which chunk target — is one function of (input, budget),
-# `index_plan`, and one two-arm opener, `with_pair_source`. The six
-# routing sites, the seven-argument opener, the ladder's twin constructor,
-# the pre-flight that restated its floor and the chunk-size knob they read
-# were folded into those two (PR 25); none comes back under its old name,
-# and the budget's third is split in one place.
-if grep -rnE "with_source_pinned|with_target|MemParams|index_chunk_bytes|with_index_chunk_bytes|check_index_budget|with_mined_source" \
+# Which index a phase mines — one monolithic index, or one resident text
+# mined a window of buckets at a time — is one function of (input,
+# budget), `index_plan`, and one two-arm opener, `with_pair_source`. The
+# six routing sites, the seven-argument opener, the ladder's twin
+# constructor, the pre-flight that restated its floor and the chunk-size
+# knob they read were folded into those two; the chunk-pair miner, its
+# task planner, the source around it and the checkpoint cursor's plan pin
+# went when every plan came to mine one stream. None comes back under its
+# old name.
+if grep -rnE "with_source_pinned|with_target|MemParams|index_chunk_bytes|with_index_chunk_bytes|check_index_budget|with_mined_source|max_task_index_bytes|concat_sets|\bto_global\b|gen_chunk_bytes|PartitionedMinedSource|DEFAULT_CHUNK_INDEX_BYTES" \
     crates src tests examples; then
-    echo "tier1 FAIL: a retired routing site or knob is named in the tree" >&2
+    echo "tier1 FAIL: a retired routing site, miner or knob is named in the tree" >&2
     exit 1
 fi
-THIRDS=$(grep -rn "remaining() / 3" crates/*/src)
-if [ "$(echo "$THIRDS" | grep -c .)" != 1 ] || ! echo "$THIRDS" | grep -q "^crates/cluster/src/source\.rs:"; then
-    echo "tier1 FAIL: the chunk target is derived outside index_plan:" >&2
-    echo "$THIRDS" >&2
+# The window cap — what the budget has left once a text is held — is
+# derived in one place, `window_cap`: the one read of `remaining()` outside
+# the budget itself and the tests.
+CAPS=$(for f in crates/*/src/*.rs src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "remaining()" | sed "s|^|$f:|" || true
+done | grep -v "^crates/seq/src/budget\.rs:")
+if [ "$(echo "$CAPS" | grep -c .)" != 1 ] || ! echo "$CAPS" | grep -q "^crates/suffix/src/partitioned\.rs:"; then
+    echo "tier1 FAIL: the window cap is derived outside window_cap:" >&2
+    echo "$CAPS" >&2
     exit 1
 fi
 
@@ -270,7 +278,7 @@ cargo test -q --test fault_tolerance --test checkpoint_resume --test degenerate_
 echo "== tier1: driver-equivalence matrix (PairSource x WorkPolicy) =="
 cargo test -q -p pfam-cluster --test driver_matrix
 
-echo "== tier1: out-of-core identity suite (partitioned == monolithic) =="
+echo "== tier1: out-of-core identity suite (windowed stream == monolithic stream) =="
 cargo test -q -p pfam-cluster --test partitioned_identity
 
 echo "== tier1: one-index suites (masked mining == subset index; front half == two builds) =="
@@ -348,10 +356,12 @@ echo "$BGG_SMOKE" | grep -q '"supply_known"' || {
     exit 1
 }
 
-echo "== tier1: index_oc_bench --test (smoke + partitioned-pair identity) =="
+echo "== tier1: index_oc_bench --test (smoke + windowed-stream identity + the index held to its budget) =="
+# The pass itself fails when the windowed miner's text or peak exceeds
+# what it reserved, past the tolerances written in the bench.
 OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
-echo "$OC_SMOKE" | grep -q '"pairs_identical": true' || {
-    echo "tier1 FAIL: index_oc_bench smoke did not report identical pair sets" >&2
+echo "$OC_SMOKE" | grep -q '"streams_identical": true' || {
+    echo "tier1 FAIL: index_oc_bench smoke did not report identical streams" >&2
     exit 1
 }
 
@@ -389,19 +399,27 @@ grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || 
 
 echo "== tier1: CLI cluster == run smoke (one program, byte-identical output) =="
 # `cluster` is `run` without a directory, whatever route the flags pick
-# (24K is 0.4 x this input's index estimate: the partitioned miner): same
-# families.tsv, same Table-I row.
+# (24K is 0.4 x this input's index estimate: the windowed miner): same
+# families.tsv, same Table-I row. A budget changes no count either: the
+# budgeted runs print the unbudgeted run's fills line.
 PFAM=./target/release/pfam
 for flags in "" "--mem-budget 24K"; do
     rm -rf "$SMOKE/ck-same"
     # shellcheck disable=SC2086 # $flags is a word list
     $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 $flags --out "$SMOKE/cluster.tsv" \
-        >"$SMOKE/cluster.out"
+        >"$SMOKE/cluster.out" 2>"$SMOKE/cluster.err"
     # shellcheck disable=SC2086
     $PFAM run "$SMOKE/reads.fasta" --min-size 3 $flags --checkpoint-dir "$SMOKE/ck-same" \
-        --out "$SMOKE/run.tsv" >"$SMOKE/run.out"
+        --out "$SMOKE/run.tsv" >"$SMOKE/run.out" 2>"$SMOKE/run.err"
     diff "$SMOKE/cluster.tsv" "$SMOKE/run.tsv"
+    diff "$SMOKE/cluster.tsv" "$SMOKE/straight.tsv"
     diff <(head -2 "$SMOKE/cluster.out") <(head -2 "$SMOKE/run.out")
+    for err in cluster run; do
+        diff <(grep "^fills:" "$SMOKE/$err.err") <(grep "^fills:" "$SMOKE/straight.err") || {
+            echo "tier1 FAIL: '$PFAM $err $flags' filled other pairs than the unbudgeted run" >&2
+            exit 1
+        }
+    done
     [ "$(wc -l <"$SMOKE/run.tsv")" -gt 1 ] || {
         echo "tier1 FAIL: no family to compare under '$flags'" >&2
         exit 1
@@ -431,11 +449,11 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4 or v5 directory is refused, not replayed) =="
-# v4 plan pins count bytes of the 16-byte-per-position index estimate
-# (under today's they cut other chunks); v5 fingerprints fold the sketch
-# mode. Same layout, so: the version word.
-for v in 4 5; do
+echo "== tier1: CLI older-checkpoint smoke (a v4, v5 or v6 directory is refused, not replayed) =="
+# v4 plan pins count bytes of the 16-byte-per-position index estimate;
+# v5 fingerprints fold the sketch mode; v6 CCD cursors carry the plan pin
+# that v7 dropped. Same header, so: the version word.
+for v in 4 5 6; do
     cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
     for f in "$SMOKE/ck-v$v"/*.ckpt; do
         printf "\\00$v\\000\\000\\000" | dd of="$f" bs=1 seek=4 conv=notrunc status=none

@@ -70,9 +70,9 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F] [--domain W]\n\
     \x20               [--min-size N] [--mask] [--psi N]\n\
     \x20               [--mem-budget BYTES[K|M|G]] (routes on resident index\n\
-    \x20               bytes, 7.06 B per text position: an index over the\n\
-    \x20               budget is built and mined in chunks that fit, same\n\
-    \x20               families. Outside it: the build's transient\n\
+    \x20               bytes, 7.06 B per text position: under them the text\n\
+    \x20               is held and its suffixes mined in windows that fit,\n\
+    \x20               same families. Outside it: a whole index's transient\n\
     \x20               8 B-per-position sort keys and the process's fixed\n\
     \x20               footprint, so peak RSS reads higher than BYTES)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\

@@ -5,8 +5,9 @@
 //! `rr.ckpt` carries the pair ledger and `ccd.ckpt` the deferred pairs, so
 //! a resumed run aligns exactly what an uninterrupted one does. A run that
 //! starts at RR mines one suffix index in both clustering phases; a
-//! resumed run rebuilds what the CCD cursor pins, so the cursors here come
-//! from either.
+//! resumed run mines its own, monolithic or in windows as its budget
+//! allows — one pair stream either way, so the cursors here come from
+//! either and resume under either.
 
 mod common;
 
@@ -17,7 +18,9 @@ use pfam::cluster::{PairLedger, PhaseTrace};
 use pfam::core::checkpoint::{
     read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Enc, RrState, MAGIC,
 };
-use pfam::core::{run_pipeline, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction};
+use pfam::core::{
+    run_pipeline, FillReport, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction,
+};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::seq::{SeqId, SequenceSet};
 
@@ -68,13 +71,13 @@ fn kill_after_each_phase_then_resume_is_identical() {
 
 /// Complete RR under `hooks`, then plant a genuine mid-CCD cursor — the
 /// one in the middle of those `run` emits over RR's survivors, answered by
-/// RR's ledger — as `ccd.ckpt`, and return its plan pin.
+/// RR's ledger — as `ccd.ckpt`.
 fn kill_mid_ccd(
     d: &SyntheticDataset,
     config: &PipelineConfig,
     hooks: &PipelineHooks,
     run: impl FnOnce(&[SeqId], &Arc<PairLedger>, &mut dyn FnMut(&pfam::cluster::CcdCursor)),
-) -> u64 {
+) {
     run_until(&d.set, config, hooks, Phase::Rr);
     let (_, fingerprint, payload) =
         read_checkpoint(&Phase::Rr.path_in(dir_of(hooks))).expect("rr.ckpt");
@@ -86,11 +89,9 @@ fn kill_mid_ccd(
     run(&kept, &ledger, &mut |c| cursors.push(c.clone()));
     let cursor = cursors.swap_remove(cursors.len() / 2);
     assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
-    let pin = cursor.gen_chunk_bytes;
     let state = CcdState { complete: false, cursor };
     write_checkpoint(&Phase::Ccd.path_in(dir_of(hooks)), Phase::Ccd, fingerprint, &state.encode())
         .expect("plant partial ccd.ckpt");
-    pin
 }
 
 #[test]
@@ -114,42 +115,66 @@ fn resume_from_partial_ccd_cursor_is_identical() {
 fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
     // The cursor is cut while CCD mines the index RR built (what a run
     // killed mid-CCD leaves behind); the resumed run has no such index
-    // and rebuilds one from the pin.
+    // and builds one of its own.
     let d = dataset(4876);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     let hooks = hooks_in(&scratch_dir("mid-ccd-shared"), 1, 1);
-    let pin = kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
+    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
         pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
             front.ccd_resumable(kept, ledger, None, 1, on_cursor);
         })
     });
-    assert_eq!(pin, 0, "an unbudgeted in-memory run mines one monolithic index");
     assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
-#[test]
-fn partitioned_pin_of_an_older_checkpoint_still_resumes() {
-    // Before a view of an in-memory set was mined monolithically, an
-    // unbudgeted run pinned the partitioned default (256 MiB per chunk)
-    // into its CCD cursors. Such a checkpoint must still resume.
-    const OLD_DEFAULT: u64 = 256 << 20;
+/// A run killed mid-CCD under `cut` (with the RR checkpoint it wrote),
+/// resumed under `resumed`: families.tsv and the fills line of the
+/// uninterrupted run under `resumed`.
+fn assert_mid_ccd_resumes_under_another_budget(
+    tag: &str,
+    cut: &PipelineConfig,
+    resumed: &PipelineConfig,
+) {
     let d = dataset(4877);
-    let config = PipelineConfig::for_tests();
-    let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("old-pin"), 1, 1);
-    let pin = kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
-        let view = pfam::seq::SubsetStore::new(&d.set, kept.to_vec());
-        // A fresh run under that plan: a resume from the empty cursor pinning it.
-        let mut start = pfam::cluster::ClusterCore::new_ccd(&view).cursor();
-        start.gen_chunk_bytes = OLD_DEFAULT;
-        pfam::cluster::run_ccd_resumable(&view, &config.cluster, ledger, Some(start), 1, on_cursor);
+    let straight = resumed.run(&d.set);
+    let hooks = hooks_in(&scratch_dir(tag), 1, 1);
+    kill_mid_ccd(&d, cut, &hooks, |kept, ledger, on_cursor| {
+        pfam::cluster::with_front_half(&d.set, &cut.cluster, |front| {
+            front.ccd_resumable(kept, ledger, None, 1, on_cursor);
+        })
     });
-    assert_eq!(pin, OLD_DEFAULT);
-    // One chunk holds this input, so the pinned order is the monolithic one.
-    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    let got = resume(&d.set, resumed, &hooks);
+    assert_eq!(render_families(&d.set, &got), render_families(&d.set, &straight), "{tag}");
+    assert_eq!(
+        FillReport::from_result(&got).to_string(),
+        FillReport::from_result(&straight).to_string(),
+        "{tag}: fills line"
+    );
+    assert_same_result(&d.set, &got, &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+/// A budget at two fifths of `d`'s monolithic index: both phases mine
+/// windows.
+fn windowed(config: &PipelineConfig, d: &SyntheticDataset) -> PipelineConfig {
+    let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
+    config.clone().with_mem_budget(estimate * 2 / 5)
+}
+
+#[test]
+fn a_ccd_checkpoint_cut_under_a_budget_resumes_without_one() {
+    let config = PipelineConfig::for_tests();
+    let budgeted = windowed(&config, &dataset(4877));
+    assert_mid_ccd_resumes_under_another_budget("budget-to-none", &budgeted, &config);
+}
+
+#[test]
+fn a_ccd_checkpoint_cut_without_a_budget_resumes_under_one() {
+    let config = PipelineConfig::for_tests();
+    let budgeted = windowed(&config, &dataset(4877));
+    assert_mid_ccd_resumes_under_another_budget("none-to-budget", &config, &budgeted);
 }
 
 #[test]
@@ -221,8 +246,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 6u32.to_le_bytes(), "this build writes version 6");
-    for old in [2u32, 3, 4, 5] {
+    assert_eq!(bytes[4..8], 7u32.to_le_bytes(), "this build writes version 7");
+    for old in [2u32, 3, 4, 5, 6] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -237,18 +262,17 @@ fn a_version_2_checkpoint_is_refused() {
 
 #[test]
 fn a_version_4_directory_is_refused_before_any_phase_runs() {
-    // v4, v5 and v6 files are laid out alike, but a v4 plan pin counts
-    // bytes of the 16-byte-per-position index estimate: under today's
-    // estimate it cuts other chunks, and the cursor would replay another
-    // pair order; a v5 fingerprint folds the sketch mode, and a v5 pin may
-    // name the sketch stream. A whole older directory stops at its first
-    // file, untouched.
+    // v4, v5 and v6 files are laid out alike, and v7 files but for the CCD
+    // cursor: a v4 plan pin counts bytes of the 16-byte-per-position index
+    // estimate, a v5 fingerprint folds the sketch mode, and a v6 cursor
+    // carries a plan pin v7 no longer has. A whole older directory stops
+    // at its first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-v5"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("v4-v5-v6"), 0, 1);
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
-    for old in [4u32, 5] {
+    for old in [4u32, 5, 6] {
         let planted: Vec<Vec<u8>> = paths
             .iter()
             .map(|path| {
@@ -337,21 +361,20 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
     other_psi.cluster.psi_ccd += 1;
     let other_tau =
         PipelineConfig { reduction: Reduction::GlobalSimilarity { tau: 0.9 }, ..config.clone() };
-    // What cannot change the answer does not block the resume (the CCD
-    // cursor's plan pin makes these safe to change mid-phase): another
-    // thread count repeats the work, another budget reaches the same
-    // families through another pair order.
+    // What cannot change the answer does not block the resume: another
+    // thread count or another budget mines the same pair stream and
+    // repeats the work.
     let estimate = pfam::suffix::estimated_index_bytes(d.set.total_residues(), d.set.len());
     let mut one_thread = config.clone();
     one_thread.cluster.threads = 1;
     let unchanged = [
-        (one_thread, true),
-        (config.clone().with_mem_budget(estimate * 2 / 5), false),
-        (config.clone().with_mem_budget(estimate / 8), false),
+        one_thread,
+        config.clone().with_mem_budget(estimate * 2 / 5),
+        config.clone().with_mem_budget(estimate / 4),
     ];
     let hooks = hooks_in(&scratch_dir("mismatch"), 4, 1);
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
-        for (unchanged, same_work) in &unchanged {
+        for unchanged in &unchanged {
             let _ = std::fs::remove_dir_all(dir_of(&hooks));
             run_until(&d.set, &config, &hooks, stop);
             for changed in [&other_psi, &other_tau] {
@@ -359,10 +382,7 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
                 assert!(matches!(err, CkptError::Mismatch("rr.ckpt")), "{stop:?}: {err}");
             }
             let resumed = resume(&d.set, unchanged, &hooks);
-            if *same_work {
-                assert_same_result(&d.set, &resumed, &straight);
-            }
-            assert_eq!(resumed.components, straight.components, "{stop:?}");
+            assert_same_result(&d.set, &resumed, &straight);
             assert_eq!(render_families(&d.set, &resumed), render_families(&d.set, &straight));
         }
     }

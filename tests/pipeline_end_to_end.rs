@@ -268,8 +268,8 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
 fn one_body_whatever_it_keeps_on_disk() {
     // The pipeline without a directory, with one, and killed after each
     // phase and resumed: one result, through the same work — on every
-    // route through the front half. (A third of the usual corpus: the
-    // small budget's chunks make the task count quadratic.)
+    // route through the front half. (A third of the usual corpus: five
+    // configurations, each run five times.)
     let d = SyntheticDataset::generate(&DatasetConfig {
         n_families: 3,
         n_members: 30,
@@ -283,7 +283,7 @@ fn one_body_whatever_it_keeps_on_disk() {
     let configs = [
         ("default", base.clone()),
         ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
-        ("small budget", base.clone().with_mem_budget(estimate / 8)),
+        ("small budget", base.clone().with_mem_budget(estimate / 4)),
         ("mask", masked),
         ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
     ];
@@ -312,11 +312,15 @@ fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
         b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
     }
     let set = b.finish();
-    let starved = PipelineConfig::for_tests().with_mem_budget(8);
+    // Under the reads' text, and with room for the text and no window.
+    let text = pfam::suffix::estimated_text_bytes(set.total_residues(), set.len());
     let dir = scratch_dir("refused");
-    for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
-        let err = run_pipeline(&set, &starved, &hooks).unwrap_err();
-        assert!(matches!(&err, PipelineError::Budget(e) if e.what == "partitioned-gsa"), "{err}");
+    for (limit, what) in [(8, "gsa-text"), (text, "gsa-window")] {
+        let starved = PipelineConfig::for_tests().with_mem_budget(limit);
+        for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
+            let err = run_pipeline(&set, &starved, &hooks).unwrap_err();
+            assert!(matches!(&err, PipelineError::Budget(e) if e.what == what), "{err}");
+        }
     }
     assert!(!Phase::Rr.path_in(&dir).exists(), "a refused run writes no snapshot");
 }
