@@ -9,21 +9,23 @@
 //! rest to workers, which evaluate the Definition-2 overlap test in
 //! parallel. Passing pairs merge clusters.
 //!
-//! The loop itself lives in [`crate::core::ClusterCore`] driven by
-//! [`crate::policy::BatchedPush`]; the entry points here are thin
-//! compositions of core + [`crate::source::PairSource`] + policy.
+//! The loop itself is [`crate::core::ClusterCore`] driven by
+//! [`crate::policy::drive_batched`] over the phase's mined pairs
+//! ([`crate::source::with_pair_source`]) or an explicit list; both entry
+//! points share one body.
 
 use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore};
+use pfam_suffix::MatchPair;
 
 pub use crate::core::CcdCursor;
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
-use crate::policy::{BatchedPush, WorkPolicy};
-use crate::source::{with_pair_source, MinedSource, SharedIndex};
+use crate::policy::drive_batched;
+use crate::source::{with_pair_source, SharedIndex};
 use crate::trace::PhaseTrace;
 
 /// Outcome of the CCD phase.
@@ -85,12 +87,12 @@ pub fn run_ccd_resumable(
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&CcdCursor),
 ) -> CcdResult {
-    ccd_over(set, config, None, ledger, resume, checkpoint_every, on_checkpoint)
+    ccd_mined(set, config, None, ledger, resume, checkpoint_every, on_checkpoint)
 }
 
 /// [`run_ccd_resumable`], mining `shared` when the run holds an index of
 /// the in-memory set `set` is a view of.
-pub(crate) fn ccd_over(
+pub(crate) fn ccd_mined(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     shared: Option<&SharedIndex<'_>>,
@@ -102,30 +104,11 @@ pub(crate) fn ccd_over(
     if set.is_empty() {
         return CcdResult::empty();
     }
-    // Every plan mines one stream, so a resume under any budget skips the
-    // pairs the checkpointed run consumed and lands where it stopped.
-    with_pair_source(set, config, config.psi_ccd, shared, |source| {
-        let mut core = match resume {
-            Some(cursor) => {
-                // Deterministic replay: advance the generator past the
-                // pairs the checkpointed run already consumed.
-                source.skip(cursor.pairs_consumed);
-                ClusterCore::resume_ccd(set, cursor)
-            }
-            None => ClusterCore::new_ccd(set),
-        };
-        let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-        BatchedPush {
-            source: &mut *source,
-            verifier: &verifier,
-            batch_size: config.batch_size,
-            checkpoint_every,
-            on_checkpoint,
-        }
-        .drive(&mut core)
-        .expect("the batched in-process policy cannot fail");
-        core.set_nodes_visited(source.nodes_visited());
-        CcdResult::from_core(core)
+    with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited| {
+        let mut result =
+            ccd_over(set, pairs, config, ledger, resume, checkpoint_every, on_checkpoint);
+        result.trace.nodes_visited = nodes_visited;
+        result
     })
 }
 
@@ -134,24 +117,35 @@ pub(crate) fn ccd_over(
 /// longest-match-first discipline contributes to the filter's savings.
 pub fn run_ccd_from_pairs(
     set: &dyn SeqStore,
-    pairs: Vec<pfam_suffix::MatchPair>,
+    pairs: Vec<MatchPair>,
     config: &ClusterConfig,
 ) -> CcdResult {
-    if set.is_empty() {
-        return CcdResult::empty();
-    }
-    let mut source = MinedSource::new(pairs);
-    let mut core = ClusterCore::new_ccd(set);
-    let verifier = Verifier::new(config, CorePhase::Ccd);
-    BatchedPush {
-        source: &mut source,
-        verifier: &verifier,
-        batch_size: config.batch_size,
-        checkpoint_every: 0,
-        on_checkpoint: &mut |_| {},
-    }
-    .drive(&mut core)
-    .expect("the batched in-process policy cannot fail");
+    ccd_over(set, &pairs, config, &Arc::default(), None, 0, &mut |_| {})
+}
+
+/// The CCD loop over `pairs`, with the hooks of [`run_ccd_resumable`]. A
+/// resumed run starts at its cursor's position in `pairs` — every plan
+/// mines one stream, so that is where the checkpointed run stopped,
+/// whatever budget either run had — or at their end, when the cursor
+/// counts more pairs than there are.
+fn ccd_over(
+    set: &dyn SeqStore,
+    pairs: &[MatchPair],
+    config: &ClusterConfig,
+    ledger: &Arc<PairLedger>,
+    resume: Option<CcdCursor>,
+    checkpoint_every: usize,
+    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+) -> CcdResult {
+    let (mut core, rest) = match resume {
+        Some(cursor) => {
+            let at = cursor.pairs_consumed.min(pairs.len() as u64) as usize;
+            (ClusterCore::resume_ccd(set, cursor), &pairs[at..])
+        }
+        None => (ClusterCore::new_ccd(set), pairs),
+    };
+    let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
+    drive_batched(&mut core, rest, &verifier, config.batch_size, checkpoint_every, on_checkpoint);
     CcdResult::from_core(core)
 }
 

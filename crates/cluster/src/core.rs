@@ -26,12 +26,12 @@
 //!   exact mid-phase state that [`CcdCursor`] serializes, and
 //!   [`ClusterCore::resume_ccd`] restores it for deterministic replay.
 //!
-//! Execution substrates plug in around the core through three traits:
-//! [`crate::source::PairSource`] (where pairs come from),
-//! [`crate::transport::Transport`] (how candidate batches and verdicts
-//! travel), and [`crate::policy::WorkPolicy`] (who drives the loop). Every
-//! public `run_*` entry point is a thin composition of those pieces; a new
-//! execution mode is one new trait impl, not a new driver.
+//! Around the core sit a phase's mined pairs, lent as a slice
+//! ([`crate::source::with_pair_source`]), and three loop functions that
+//! consume it ([`crate::policy::drive_batched`] in process,
+//! [`crate::policy::drive_spmd`] and [`crate::policy::drive_leased`] across
+//! a [`crate::transport::Transport`]). Every public `run_*` entry point is
+//! a thin composition of those pieces.
 
 use std::sync::Arc;
 
@@ -94,16 +94,16 @@ enum ModeState {
 /// needs to resume and reach a final clustering identical to the
 /// uninterrupted run.
 ///
-/// Resume works by *deterministic replay*: the pair generator's order is
-/// bit-identical across runs (the parallel generator preserves the serial
-/// order), so skipping the first `pairs_consumed` pairs after an index
-/// rebuild lands exactly where the checkpointed run stopped. The
+/// Resume works by *deterministic replay*: the mined pair stream is
+/// bit-identical across runs (at every thread count and under every
+/// budget), so starting at pair `pairs_consumed` after an index rebuild
+/// lands exactly where the checkpointed run stopped. The
 /// union-find is restored verbatim (including incidental path-compression
 /// state), so every subsequent filter decision — and therefore every
 /// alignment, merge and trace record — repeats exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CcdCursor {
-    /// Pairs already drawn from the generator (a batch boundary).
+    /// Pairs of the stream already consumed (a batch boundary).
     pub pairs_consumed: u64,
     /// Union-find parent array (`UnionFind::parts`).
     pub uf_parent: Vec<u32>,
@@ -199,8 +199,7 @@ impl<'s> ClusterCore<'s> {
     }
 
     /// Restore a CCD core from a checkpoint cursor (deterministic replay:
-    /// the caller must also skip `cursor.pairs_consumed` pairs on its
-    /// [`crate::source::PairSource`]).
+    /// the caller must also start its pairs at `cursor.pairs_consumed`).
     pub fn resume_ccd(set: &'s dyn SeqStore, cursor: CcdCursor) -> ClusterCore<'s> {
         ClusterCore {
             set,
@@ -433,7 +432,7 @@ impl RrResult {
 
 /// Verdict computation for one phase: the single place the alignment
 /// engine — and, before it, the run's [`PairLedger`] — is consulted.
-/// `Sync`, so policies may share it across worker threads; each thread
+/// `Sync`, so the loops may share it across worker threads; each thread
 /// uses its own scratch arena inside the engine.
 ///
 /// Every fill of a run aligns the lower id as `x` — the traceback's

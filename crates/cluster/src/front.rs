@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore, SubsetStore};
 
-use crate::ccd::{ccd_over, CcdCursor, CcdResult};
+use crate::ccd::{ccd_mined, CcdCursor, CcdResult};
 use crate::config::ClusterConfig;
 use crate::ledger::PairLedger;
 use crate::rr::{rr_over, RrResult};
@@ -64,7 +64,7 @@ impl FrontHalf<'_> {
     ) -> CcdResult {
         let nr_store = SubsetStore::new(self.input, kept.to_vec());
         let (config, shared) = (self.config, self.shared);
-        ccd_over(&nr_store, config, shared, ledger, resume, checkpoint_every, on_checkpoint)
+        ccd_mined(&nr_store, config, shared, ledger, resume, checkpoint_every, on_checkpoint)
     }
 }
 

@@ -8,7 +8,7 @@
 //! the **master owns all work state** and workers are stateless
 //! alignment servers:
 //!
-//! * the master holds the pair generator, the union-find clustering and a
+//! * the master holds the mined pairs, the union-find clustering and a
 //!   queue of re-issuable candidate batches;
 //! * workers *pull*: they request work, align the candidate batch they
 //!   are leased, return verdicts, and request again;
@@ -32,7 +32,7 @@
 //! reference — the fault-tolerance property test sweeps seeded schedules
 //! to check exactly this.
 //!
-//! The lease bookkeeping itself lives in [`crate::policy::LeasedPull`] /
+//! The lease bookkeeping itself lives in [`crate::policy::drive_leased`] /
 //! [`crate::policy::serve_pull_worker`] over the [`crate::transport`]
 //! seam; this module assembles the faulty world around them and maps
 //! scheduler errors onto [`FtError`].
@@ -46,8 +46,8 @@ use pfam_suffix::{parallel_pairs, MaximalMatchConfig, SuffixTree};
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
-use crate::policy::{serve_pull_worker, DriveError, LeasedPull, WorkPolicy};
-use crate::source::{with_config_index, MinedSource, PairSource};
+use crate::policy::{drive_leased, serve_pull_worker, DriveError};
+use crate::source::with_config_index;
 use crate::transport::{MpiTransport, MpiWorkerPort};
 
 /// Why a fault-tolerant run could not produce a clustering.
@@ -110,18 +110,12 @@ fn run_ft_world(
 ) -> Result<CcdResult, FtError> {
     let outcomes = run_spmd_faulty(n_ranks, injector, |comm| {
         if comm.rank() == 0 {
-            let mined = parallel_pairs(tree, matches, config.index_threads());
-            let mut source = MinedSource::mined(mined);
+            let (pairs, stats) = parallel_pairs(tree, matches, config.index_threads());
             let mut core = ClusterCore::new_ccd(set);
             let mut transport = MpiTransport::master(comm);
-            let mut policy = LeasedPull {
-                transport: &mut transport,
-                source: &mut source,
-                batch_size: config.batch_size,
-            };
-            Some(match policy.drive(&mut core) {
+            Some(match drive_leased(&mut core, &mut transport, &pairs, config.batch_size) {
                 Ok(()) => {
-                    core.set_nodes_visited(source.nodes_visited());
+                    core.set_nodes_visited(stats.nodes_visited as u64);
                     Ok(CcdResult::from_core(core))
                 }
                 Err(DriveError::NoWorkersLeft) => Err(FtError::NoWorkersLeft),

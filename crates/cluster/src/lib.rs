@@ -7,10 +7,14 @@
 //! * [`core`] — the one `ClusterCore` state machine behind every RR/CCD
 //!   driver: union-find + pair filter + accept/reject bookkeeping +
 //!   checkpoint cursor + trace hooks, mutated nowhere else.
-//! * [`source`] / [`transport`] / [`policy`] — the three pluggable axes
-//!   around the core: where pairs come from, how candidate batches and
-//!   verdicts travel, and who drives the loop. Every public `run_*`
-//!   entry point is a thin composition of these.
+//! * [`source`] — where a phase's pairs come from: one mined vector, lent
+//!   to the phase as a slice in the order the loop consumes it.
+//! * [`policy`] — the three master loops over that slice: in process
+//!   ([`drive_batched`]), the paper's push protocol ([`drive_spmd`]) and
+//!   the fault-tolerant lease scheduler ([`drive_leased`]); the two
+//!   distributed ones talk to their workers through one [`transport`]
+//!   seam. Every public `run_*` entry point is a thin composition of a
+//!   core, a slice and one loop.
 //! * [`rr`] — redundancy removal: drop sequences ≥95 %-contained in
 //!   another, candidates from the maximal-match generator, containment
 //!   verified by alignment in parallel batches.
@@ -61,13 +65,10 @@ pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
 pub use pfam_align::{AlignEngine, AlignEngineKind};
 pub use policy::{
-    serve_pull_worker, serve_push_worker, BatchedPush, DriveError, LeasedPull, SpmdPush, WorkPolicy,
+    drive_batched, drive_leased, drive_spmd, serve_pull_worker, serve_push_worker, DriveError,
 };
 pub use rr::{run_redundancy_removal, RrResult};
-pub use source::{
-    index_plan, with_pair_source, with_shared_index, IndexPlan, MinedSource, PairSource,
-    SharedIndex,
-};
+pub use source::{index_plan, with_pair_source, with_shared_index, IndexPlan, SharedIndex};
 pub use spmd::{run_ccd_spmd, run_rr_spmd};
 pub use trace::{BatchRecord, PhaseTrace};
 pub use transport::{

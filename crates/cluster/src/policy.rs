@@ -1,28 +1,26 @@
-//! Who drives the clustering loop — the third pluggable axis around
-//! [`ClusterCore`].
+//! The three master loops around [`ClusterCore`]. Each cuts a phase's
+//! pairs — a slice, on the master or, for the push protocol, one per
+//! worker — into batches in order, routes each batch through the core's
+//! filter, gets the survivors verified (locally or across a
+//! [`Transport`]), and folds the verdicts back into the core:
 //!
-//! A [`WorkPolicy`] owns the control flow of one phase run: it pulls from
-//! a [`PairSource`], routes candidates through the core's filter, gets
-//! them verified (locally or across a [`Transport`]), and folds verdicts
-//! back into the core. Three policies cover every driver in this crate:
-//!
-//! * [`BatchedPush`] — the in-process loop, the only one `pfam` runs:
+//! * [`drive_batched`] — the in-process loop, the only one `pfam` runs:
 //!   batch, filter, verify across the rayon pool (shape-sorted groups of
 //!   sixteen candidates are handed out one at a time through an atomic
 //!   cursor, so the pool schedules itself), absorb; optional checkpoint
 //!   cursor emission at batch boundaries.
-//! * [`SpmdPush`] — the paper's Section IV-B protocol: workers own
+//! * [`drive_spmd`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
 //!   worker for alignment.
-//! * [`LeasedPull`] — the fault-tolerant scheduler: the master owns the
-//!   source, workers pull one admitted batch per lease; leases held by
-//!   dead or silent workers are re-enqueued, stale verdicts are discarded
-//!   by lease id.
+//! * [`drive_leased`] — the fault-tolerant scheduler: the master owns the
+//!   pairs, workers pull one admitted batch per lease; leases held by dead
+//!   or silent workers are re-enqueued, stale verdicts are discarded by
+//!   lease id.
 //!
-//! The worker halves of the distributed policies are free functions
-//! ([`serve_push_worker`], [`serve_pull_worker`]) run on worker ranks or
-//! threads against any [`WorkerPort`].
+//! The worker halves of the distributed loops ([`serve_push_worker`],
+//! [`serve_pull_worker`]) run on worker ranks or threads against any
+//! [`WorkerPort`].
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -31,7 +29,6 @@ use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
 use crate::core::{CcdCursor, ClusterCore, Verifier, VerifyOn};
-use crate::source::PairSource;
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
 /// How long a lease may stay outstanding before the master assumes its
@@ -46,7 +43,7 @@ pub const REQUEST_TIMEOUT: Duration = Duration::from_millis(25);
 /// re-sending the shutdown message.
 pub const BYE_TIMEOUT: Duration = Duration::from_millis(25);
 
-/// Why a policy could not drive its phase to completion.
+/// Why a distributed loop could not drive its phase to completion.
 #[derive(Debug)]
 pub enum DriveError {
     /// Every worker died while leased or queued work remained.
@@ -72,48 +69,39 @@ fn fatal(e: TransportError) -> DriveError {
     DriveError::Transport(format!("{e}"))
 }
 
-/// One execution strategy for a phase run: pulls pairs, verifies the
-/// survivors, and folds verdicts into `core` until the supply is dry.
-pub trait WorkPolicy {
-    /// Drive `core` to completion.
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError>;
-}
-
-/// The deterministic batched reference loop (rayon-parallel verification,
-/// optional checkpoint emission). This is the policy whose trace and
-/// cursor semantics the checkpoint-resume suites pin down.
-pub struct BatchedPush<'a, S: PairSource + ?Sized> {
-    /// Where pairs come from.
-    pub source: &'a mut S,
-    /// Verdict computation for this phase.
-    pub verifier: &'a Verifier,
-    /// Pairs per master round.
-    pub batch_size: usize,
-    /// Emit a cursor every this many batches (0 disables; CCD only).
-    pub checkpoint_every: usize,
-    /// Checkpoint sink.
-    pub on_checkpoint: &'a mut dyn FnMut(&CcdCursor),
-}
-
-impl<S: PairSource + ?Sized> WorkPolicy for BatchedPush<'_, S> {
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
-        let mut batches_since_checkpoint = 0usize;
-        loop {
-            let batch = self.source.next_batch(self.batch_size);
-            if batch.is_empty() {
-                break;
-            }
-            let candidates = core.admit_batch(&batch);
-            let verdicts = self.verifier.verify(core.set(), &candidates, VerifyOn::Pool);
-            core.absorb(verdicts);
-            batches_since_checkpoint += 1;
-            if self.checkpoint_every > 0 && batches_since_checkpoint >= self.checkpoint_every {
-                batches_since_checkpoint = 0;
-                (self.on_checkpoint)(&core.cursor());
-            }
+/// The deterministic batched reference loop: `pairs` in batches of
+/// `batch_size`, in order, each admitted, verified across the rayon pool
+/// and absorbed, with a cursor sent to `on_checkpoint` after every
+/// `checkpoint_every` batches (0 disables; CCD only). This is the loop
+/// whose trace and cursor semantics the checkpoint-resume suites pin
+/// down. Panics when `batch_size` is 0.
+pub fn drive_batched(
+    core: &mut ClusterCore<'_>,
+    pairs: &[MatchPair],
+    verifier: &Verifier,
+    batch_size: usize,
+    checkpoint_every: usize,
+    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+) {
+    assert!(batch_size > 0, "drive_batched needs a batch size of at least 1");
+    for (i, batch) in pairs.chunks(batch_size).enumerate() {
+        let candidates = core.admit_batch(batch);
+        let verdicts = verifier.verify(core.set(), &candidates, VerifyOn::Pool);
+        core.absorb(verdicts);
+        if checkpoint_every > 0 && (i + 1) % checkpoint_every == 0 {
+            on_checkpoint(&core.cursor());
         }
-        Ok(())
     }
+}
+
+/// Cut the next batch of at most `batch_size` pairs off the front of
+/// `rest`, and whether it is the last: shorter than `batch_size`, so empty
+/// when the pairs ran out on a full batch. The distributed loops send
+/// end-of-stream with it.
+fn next_batch<'p>(rest: &mut &'p [MatchPair], batch_size: usize) -> (&'p [MatchPair], bool) {
+    let (batch, tail) = rest.split_at(rest.len().min(batch_size));
+    *rest = tail;
+    (batch, batch.len() < batch_size)
 }
 
 /// Reconstruct filterable pairs from their wire form (match lengths are
@@ -127,64 +115,57 @@ fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
 /// each batch against the live clustering and returns the survivors to
 /// the *same* worker for verification. Assumes a healthy world — any
 /// transport fault is an error, not a tolerated event.
-pub struct SpmdPush<'a, T: Transport + ?Sized> {
-    /// The worker pool.
-    pub transport: &'a mut T,
-}
+pub fn drive_spmd<T: Transport + ?Sized>(
+    core: &mut ClusterCore<'_>,
+    t: &mut T,
+) -> Result<(), DriveError> {
+    let n_workers = t.n_workers();
+    let mut workers_done = 0usize;
+    // Per-worker: how many candidate batches are still in flight.
+    let mut outstanding = vec![0usize; n_workers];
 
-impl<T: Transport + ?Sized> WorkPolicy for SpmdPush<'_, T> {
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
-        let t = &mut *self.transport;
-        let n_workers = t.n_workers();
-        let mut workers_done = 0usize;
-        // Per-worker: how many candidate batches are still in flight.
-        let mut outstanding = vec![0usize; n_workers];
-
-        while workers_done < n_workers || outstanding.iter().sum::<usize>() > 0 {
-            match t.try_recv().map_err(fatal)? {
-                Some((w, WorkerMsg::Verdicts { verdicts, .. })) => {
-                    outstanding[w] -= 1;
-                    core.absorb(verdicts);
-                }
-                Some((w, WorkerMsg::Pairs { pairs, exhausted })) => {
-                    // Every pushed batch is recorded, even when all of its
-                    // pairs are filtered (or it is the empty final batch).
-                    let candidates = core.admit_batch(&wire_pairs(&pairs));
-                    if !candidates.is_empty() {
-                        outstanding[w] += 1;
-                        t.send(w, MasterMsg::Task { lease: 0, candidates }).map_err(fatal)?;
-                    }
-                    if exhausted {
-                        workers_done += 1;
-                        t.send(w, MasterMsg::SourceDone).map_err(fatal)?;
-                    }
-                }
-                Some(_) => {}
-                None => std::thread::yield_now(),
+    while workers_done < n_workers || outstanding.iter().sum::<usize>() > 0 {
+        match t.try_recv().map_err(fatal)? {
+            Some((w, WorkerMsg::Verdicts { verdicts, .. })) => {
+                outstanding[w] -= 1;
+                core.absorb(verdicts);
             }
+            Some((w, WorkerMsg::Pairs { pairs, exhausted })) => {
+                // Every pushed batch is recorded, even when all of its
+                // pairs are filtered (or it is the empty final batch).
+                let candidates = core.admit_batch(&wire_pairs(&pairs));
+                if !candidates.is_empty() {
+                    outstanding[w] += 1;
+                    t.send(w, MasterMsg::Task { lease: 0, candidates }).map_err(fatal)?;
+                }
+                if exhausted {
+                    workers_done += 1;
+                    t.send(w, MasterMsg::SourceDone).map_err(fatal)?;
+                }
+            }
+            Some(_) => {}
+            None => std::thread::yield_now(),
         }
-        // Release workers: they exit after the SourceDone message once no
-        // more candidate batches can arrive (outstanding drained above).
-        t.barrier().map_err(fatal)?;
-        Ok(())
     }
+    // Release workers: they exit after the SourceDone message once no
+    // more candidate batches can arrive (outstanding drained above).
+    t.barrier().map_err(fatal)?;
+    Ok(())
 }
 
-/// The worker half of the push protocol: mine a batch from `source`,
-/// push it, serve candidate tasks while waiting, leave after the
-/// master's [`MasterMsg::SourceDone`]. Panics on transport faults — the
-/// push protocol assumes a healthy world (fault tolerance lives in
-/// [`LeasedPull`]).
-pub fn serve_push_worker<P, S>(
+/// The worker half of the push protocol: cut the next batch off this
+/// rank's `pairs`, push it, serve candidate tasks while waiting, leave
+/// after the master's [`MasterMsg::SourceDone`]. Panics on transport
+/// faults — the push protocol assumes a healthy world (fault tolerance
+/// lives in [`drive_leased`]) — and when `batch_size` is 0.
+pub fn serve_push_worker<P: WorkerPort + ?Sized>(
     port: &mut P,
-    source: &mut S,
+    mut pairs: &[MatchPair],
     verifier: &Verifier,
     set: &dyn SeqStore,
     batch_size: usize,
-) where
-    P: WorkerPort + ?Sized,
-    S: PairSource + ?Sized,
-{
+) {
+    assert!(batch_size > 0, "serve_push_worker needs a batch size of at least 1");
     fn healthy<X>(r: Result<X, TransportError>) -> X {
         match r {
             Ok(v) => v,
@@ -198,11 +179,11 @@ pub fn serve_push_worker<P, S>(
 
     let mut exhausted = false;
     while !exhausted {
-        // Mine the next batch from this worker's slice.
-        let batch = source.next_batch(batch_size);
-        exhausted = batch.len() < batch_size;
-        let pairs = batch.iter().map(|p| (p.a.0, p.b.0)).collect();
-        healthy(port.send(WorkerMsg::Pairs { pairs, exhausted }));
+        // The next batch of this worker's slice.
+        let (batch, last) = next_batch(&mut pairs, batch_size);
+        exhausted = last;
+        let wire = batch.iter().map(|p| (p.a.0, p.b.0)).collect();
+        healthy(port.send(WorkerMsg::Pairs { pairs: wire, exhausted }));
         // Serve candidate tasks while waiting; the SourceDone ack only
         // comes after the master has seen our exhausted flag.
         loop {
@@ -239,179 +220,158 @@ struct Lease {
     candidates: Vec<(u32, u32)>,
 }
 
-/// The fault-tolerant pull scheduler: the master owns the pair source and
-/// all work state; workers are stateless verification servers that pull
-/// leases. A lease is recovered — re-enqueued for any surviving worker —
-/// when its worker is observed dead on the liveness board or when it
-/// has been outstanding for [`LEASE_TIMEOUT`] (covers dropped task/verdict
-/// messages and a worker that is alive but slower than that). Stale
-/// verdicts are discarded by lease id, so no batch is ever applied twice.
-pub struct LeasedPull<'a, T: Transport + ?Sized, S: PairSource + ?Sized> {
-    /// The worker pool (fallible).
-    pub transport: &'a mut T,
-    /// The master-owned pair supply.
-    pub source: &'a mut S,
-    /// Pairs pulled from the source per admitted batch; a lease is one
-    /// admitted batch's survivors.
-    pub batch_size: usize,
+/// Cut batches off `rest` until one leaves survivors (or the pairs run
+/// out, which sets `exhausted`). Each cut batch but the empty last one is
+/// admitted — and therefore recorded in the trace — exactly once, whether
+/// or not any candidate survives.
+fn next_fresh_batch(
+    core: &mut ClusterCore<'_>,
+    rest: &mut &[MatchPair],
+    batch_size: usize,
+    exhausted: &mut bool,
+) -> Option<Vec<(u32, u32)>> {
+    while !*exhausted {
+        let batch;
+        (batch, *exhausted) = next_batch(rest, batch_size);
+        if batch.is_empty() {
+            break;
+        }
+        let candidates = core.admit_batch(batch);
+        if !candidates.is_empty() {
+            return Some(candidates);
+        }
+    }
+    None
 }
 
-impl<T, S> LeasedPull<'_, T, S>
-where
-    T: Transport + ?Sized,
-    S: PairSource + ?Sized,
-{
-    /// Pull batches from the source until one leaves survivors (or the
-    /// source runs dry). Each pulled batch is admitted — and therefore
-    /// recorded in the trace — exactly once, whether or not any candidate
-    /// survives.
-    fn next_fresh_batch(
-        &mut self,
-        core: &mut ClusterCore<'_>,
-        exhausted: &mut bool,
-    ) -> Option<Vec<(u32, u32)>> {
-        while !*exhausted {
-            let batch = self.source.next_batch(self.batch_size);
-            if batch.len() < self.batch_size {
-                *exhausted = true;
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let candidates = core.admit_batch(&batch);
-            if !candidates.is_empty() {
-                return Some(candidates);
+/// Tell every surviving worker to exit and wait for acknowledgements,
+/// re-sending on timeout so dropped shutdown messages cannot strand a
+/// worker (fault schedules are finite, so retries eventually land).
+fn shutdown_workers<T: Transport + ?Sized>(t: &mut T) -> Result<(), DriveError> {
+    let mut pending: Vec<usize> = (0..t.n_workers()).filter(|&w| t.worker_alive(w)).collect();
+    while !pending.is_empty() {
+        for &w in &pending {
+            match t.send(w, MasterMsg::Shutdown) {
+                Ok(()) | Err(TransportError::PeerGone) => {}
+                Err(e) => return Err(fatal(e)),
             }
         }
-        None
-    }
-
-    /// Tell every surviving worker to exit and wait for acknowledgements,
-    /// re-sending on timeout so dropped shutdown messages cannot strand a
-    /// worker (fault schedules are finite, so retries eventually land).
-    fn shutdown_workers(&mut self) -> Result<(), DriveError> {
-        let t = &mut *self.transport;
-        let mut pending: Vec<usize> = (0..t.n_workers()).filter(|&w| t.worker_alive(w)).collect();
-        while !pending.is_empty() {
-            for &w in &pending {
-                match t.send(w, MasterMsg::Shutdown) {
-                    Ok(()) | Err(TransportError::PeerGone) => {}
-                    Err(e) => return Err(fatal(e)),
-                }
-            }
-            let deadline = Instant::now() + BYE_TIMEOUT;
-            while Instant::now() < deadline && !pending.is_empty() {
-                match t.try_recv() {
-                    Ok(Some((w, WorkerMsg::Bye))) => pending.retain(|&x| x != w),
-                    // Re-requests from workers that never saw the shutdown
-                    // get another shutdown on the next outer round; stale
-                    // verdicts are abandoned with the world.
-                    Ok(Some(_)) => {}
-                    Ok(None) => std::thread::yield_now(),
-                    Err(TransportError::PeerGone) => {}
-                    Err(e) => return Err(fatal(e)),
-                }
-                pending.retain(|&w| t.worker_alive(w));
+        let deadline = Instant::now() + BYE_TIMEOUT;
+        while Instant::now() < deadline && !pending.is_empty() {
+            match t.try_recv() {
+                Ok(Some((w, WorkerMsg::Bye))) => pending.retain(|&x| x != w),
+                // Re-requests from workers that never saw the shutdown
+                // get another shutdown on the next outer round; stale
+                // verdicts are abandoned with the world.
+                Ok(Some(_)) => {}
+                Ok(None) => std::thread::yield_now(),
+                Err(TransportError::PeerGone) => {}
+                Err(e) => return Err(fatal(e)),
             }
             pending.retain(|&w| t.worker_alive(w));
         }
-        Ok(())
+        pending.retain(|&w| t.worker_alive(w));
     }
+    Ok(())
 }
 
-impl<T, S> WorkPolicy for LeasedPull<'_, T, S>
-where
-    T: Transport + ?Sized,
-    S: PairSource + ?Sized,
-{
-    fn drive(&mut self, core: &mut ClusterCore<'_>) -> Result<(), DriveError> {
-        let mut exhausted = false;
-        let mut next_lease: u64 = 0;
-        let mut outstanding: HashMap<u64, Lease> = HashMap::new();
-        // Recovered batches waiting to be re-leased, ahead of fresh pairs.
-        let mut requeued: Vec<Vec<(u32, u32)>> = Vec::new();
+/// The fault-tolerant pull scheduler: the master owns `pairs` and all work
+/// state, cut into batches of `batch_size`; a lease is one admitted
+/// batch's survivors. Workers are stateless verification servers that
+/// pull leases. A lease is recovered — re-enqueued for any surviving
+/// worker — when its worker is observed dead on the liveness board or when
+/// it has been outstanding for [`LEASE_TIMEOUT`] (covers dropped
+/// task/verdict messages and a worker that is alive but slower than that).
+/// Stale verdicts are discarded by lease id, so no batch is ever applied
+/// twice. Panics when `batch_size` is 0.
+pub fn drive_leased<T: Transport + ?Sized>(
+    core: &mut ClusterCore<'_>,
+    t: &mut T,
+    mut pairs: &[MatchPair],
+    batch_size: usize,
+) -> Result<(), DriveError> {
+    assert!(batch_size > 0, "drive_leased needs a batch size of at least 1");
+    let mut exhausted = false;
+    let mut next_lease: u64 = 0;
+    let mut outstanding: HashMap<u64, Lease> = HashMap::new();
+    // Recovered batches waiting to be re-leased, ahead of fresh pairs.
+    let mut requeued: Vec<Vec<(u32, u32)>> = Vec::new();
 
-        loop {
-            // Recover leases held by dead workers, then stale leases
-            // (their task or verdict message may have been dropped).
-            let now = Instant::now();
-            let lapsed: Vec<u64> = outstanding
-                .iter()
-                .filter(|(_, l)| {
-                    !self.transport.worker_alive(l.worker)
-                        || now.duration_since(l.issued) > LEASE_TIMEOUT
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            if !lapsed.is_empty() {
-                core.note_recovery(lapsed.len());
+    loop {
+        // Recover leases held by dead workers, then stale leases
+        // (their task or verdict message may have been dropped).
+        let now = Instant::now();
+        let lapsed: Vec<u64> = outstanding
+            .iter()
+            .filter(|(_, l)| {
+                !t.worker_alive(l.worker) || now.duration_since(l.issued) > LEASE_TIMEOUT
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        if !lapsed.is_empty() {
+            core.note_recovery(lapsed.len());
+        }
+        for id in lapsed {
+            if let Some(lease) = outstanding.remove(&id) {
+                requeued.push(lease.candidates);
             }
-            for id in lapsed {
-                if let Some(lease) = outstanding.remove(&id) {
-                    requeued.push(lease.candidates);
-                }
-            }
-
-            let work_remains = !exhausted || !requeued.is_empty() || !outstanding.is_empty();
-            if !work_remains {
-                break;
-            }
-            if (0..self.transport.n_workers()).all(|w| !self.transport.worker_alive(w)) {
-                return Err(DriveError::NoWorkersLeft);
-            }
-
-            match self.transport.try_recv() {
-                Ok(Some((_, WorkerMsg::Verdicts { lease, verdicts }))) => {
-                    // Stale verdicts (lease already recovered and
-                    // re-issued) are discarded: each batch is applied
-                    // exactly once.
-                    if outstanding.remove(&lease).is_some() {
-                        core.absorb(verdicts);
-                    }
-                    continue;
-                }
-                Ok(Some((from, WorkerMsg::Request))) => {
-                    if !self.transport.worker_alive(from) {
-                        continue;
-                    }
-                    // Lease a recovered batch first, else generate fresh.
-                    let candidates = match requeued.pop() {
-                        Some(batch) => Some(batch),
-                        None => self.next_fresh_batch(core, &mut exhausted),
-                    };
-                    if let Some(candidates) = candidates {
-                        let lease = next_lease;
-                        next_lease += 1;
-                        match self
-                            .transport
-                            .send(from, MasterMsg::Task { lease, candidates: candidates.clone() })
-                        {
-                            Ok(()) => {
-                                outstanding.insert(
-                                    lease,
-                                    Lease { worker: from, issued: Instant::now(), candidates },
-                                );
-                            }
-                            // The worker died between requesting and being
-                            // served: keep the batch for a survivor.
-                            Err(TransportError::PeerGone) => requeued.push(candidates),
-                            Err(e) => return Err(fatal(e)),
-                        }
-                    }
-                    // No work available right now (all in flight): stay
-                    // silent — the worker re-requests after its timeout.
-                    continue;
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) => {}
-                Err(e) => return Err(fatal(e)),
-            }
-
-            std::thread::yield_now();
         }
 
-        self.shutdown_workers()
+        let work_remains = !exhausted || !requeued.is_empty() || !outstanding.is_empty();
+        if !work_remains {
+            break;
+        }
+        if (0..t.n_workers()).all(|w| !t.worker_alive(w)) {
+            return Err(DriveError::NoWorkersLeft);
+        }
+
+        match t.try_recv() {
+            Ok(Some((_, WorkerMsg::Verdicts { lease, verdicts }))) => {
+                // Stale verdicts (lease already recovered and re-issued)
+                // are discarded: each batch is applied exactly once.
+                if outstanding.remove(&lease).is_some() {
+                    core.absorb(verdicts);
+                }
+                continue;
+            }
+            Ok(Some((from, WorkerMsg::Request))) => {
+                if !t.worker_alive(from) {
+                    continue;
+                }
+                // Lease a recovered batch first, else cut a fresh one.
+                let candidates = match requeued.pop() {
+                    Some(batch) => Some(batch),
+                    None => next_fresh_batch(core, &mut pairs, batch_size, &mut exhausted),
+                };
+                if let Some(candidates) = candidates {
+                    let lease = next_lease;
+                    next_lease += 1;
+                    match t.send(from, MasterMsg::Task { lease, candidates: candidates.clone() }) {
+                        Ok(()) => {
+                            outstanding.insert(
+                                lease,
+                                Lease { worker: from, issued: Instant::now(), candidates },
+                            );
+                        }
+                        // The worker died between requesting and being
+                        // served: keep the batch for a survivor.
+                        Err(TransportError::PeerGone) => requeued.push(candidates),
+                        Err(e) => return Err(fatal(e)),
+                    }
+                }
+                // No work available right now (all in flight): stay
+                // silent — the worker re-requests after its timeout.
+                continue;
+            }
+            Ok(Some(_)) => continue,
+            Ok(None) => {}
+            Err(e) => return Err(fatal(e)),
+        }
+
+        std::thread::yield_now();
     }
+
+    shutdown_workers(t)
 }
 
 /// The worker half of the pull protocol: a stateless verification server
@@ -453,5 +413,41 @@ pub fn serve_pull_worker<P: WorkerPort + ?Sized>(
             }
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+    use crate::core::CorePhase;
+    use crate::transport::LocalTransport;
+    use pfam_seq::SequenceSet;
+
+    fn verifier() -> Verifier {
+        Verifier::new(&ClusterConfig::default(), CorePhase::Ccd)
+    }
+
+    #[test]
+    #[should_panic(expected = "drive_batched needs a batch size of at least 1")]
+    fn the_batched_loop_refuses_batch_size_zero() {
+        let set = SequenceSet::new();
+        drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, 0, &mut |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "drive_leased needs a batch size of at least 1")]
+    fn the_leased_loop_refuses_batch_size_zero() {
+        let set = SequenceSet::new();
+        let (mut transport, _ports) = LocalTransport::new(1);
+        let _ = drive_leased(&mut ClusterCore::new_ccd(&set), &mut transport, &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "serve_push_worker needs a batch size of at least 1")]
+    fn a_push_worker_refuses_batch_size_zero() {
+        let set = SequenceSet::new();
+        let (_transport, mut ports) = LocalTransport::new(1);
+        serve_push_worker(&mut ports[0], &[], &verifier(), &set, 0);
     }
 }

@@ -23,7 +23,7 @@ use pfam_seq::{SeqId, SeqStore};
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::ledger::PairLedger;
-use crate::policy::{BatchedPush, WorkPolicy};
+use crate::policy::drive_batched;
 use crate::source::{with_pair_source, SharedIndex};
 use crate::trace::PhaseTrace;
 
@@ -63,20 +63,12 @@ pub(crate) fn rr_over(
     if set.is_empty() {
         return RrResult::empty();
     }
-    with_pair_source(set, config, config.psi_rr, shared, |source| {
+    with_pair_source(set, config, config.psi_rr, shared, |pairs, nodes_visited| {
         let mut core = ClusterCore::new_rr(set);
         core.record_ledger(&config.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);
-        BatchedPush {
-            source: &mut *source,
-            verifier: &verifier,
-            batch_size: config.batch_size,
-            checkpoint_every: 0,
-            on_checkpoint: &mut |_| {},
-        }
-        .drive(&mut core)
-        .expect("the batched in-process policy cannot fail");
-        core.set_nodes_visited(source.nodes_visited());
+        drive_batched(&mut core, pairs, &verifier, config.batch_size, 0, &mut |_| {});
+        core.set_nodes_visited(nodes_visited);
         RrResult::from_core(core)
     })
 }

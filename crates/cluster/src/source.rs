@@ -1,23 +1,17 @@
-//! Where promising pairs come from — the first of the three pluggable
-//! axes around [`crate::core::ClusterCore`].
+//! Where a phase's promising pairs come from: one mined vector, in the
+//! order the clustering loop consumes them (decreasing maximal-match
+//! length — the paper's "longest match first" discipline).
 //!
-//! A [`PairSource`] yields batches of [`MatchPair`]s in the order the
-//! clustering loop should consume them (decreasing maximal-match length —
-//! the paper's "longest match first" discipline). [`MinedSource`] is the
-//! one implementation: a phase's pairs held in memory — what
-//! [`pfam_suffix::mine_pairs`] mined from one suffix index (the whole
-//! tree, the reads a [`pfam_suffix::KeepMask`] keeps of it, or one SPMD
-//! rank's slice of its nodes) or what [`pfam_suffix::PartitionedMiner`]
-//! mined window by window under a memory budget, the same stream either
-//! way; or an explicit pair list — the ablation hook
-//! (`run_ccd_from_pairs`) and the tests.
-//!
-//! Which of the two a phase mines is one decision, [`index_plan`]: one
-//! monolithic index when it fits, else windows of one resident text.
-//! [`with_pair_source`] opens what it names and lends the source to a
-//! closure — the index borrows the sequence set transitively (set → GSA →
-//! tree), so the opener owns that borrow chain. [`with_shared_index`]
-//! builds the monolithic index once for a run whose phases all mine it.
+//! The vector is what [`pfam_suffix::mine_pairs`] mined from one suffix
+//! index (the whole tree, or the reads a [`pfam_suffix::KeepMask`] keeps
+//! of it) or what [`pfam_suffix::PartitionedMiner`] mined window by window
+//! under a memory budget — the same stream either way. Which of the two a
+//! phase mines is one decision, [`index_plan`]: one monolithic index when
+//! it fits, else windows of one resident text. [`with_pair_source`] opens
+//! what it names and lends the pairs to a closure as a slice — the index
+//! borrows the sequence set transitively (set → GSA → tree), so the opener
+//! owns that borrow chain. [`with_shared_index`] builds the monolithic
+//! index once for a run whose phases all mine it.
 
 use std::ops::Range;
 
@@ -29,64 +23,6 @@ use pfam_suffix::{
 };
 
 use crate::config::ClusterConfig;
-
-/// A stream of promising pairs, drawn batch-wise by a
-/// [`crate::policy::WorkPolicy`]. An empty batch means the source is
-/// exhausted (sources never yield an empty batch mid-stream).
-pub trait PairSource {
-    /// Pull up to `max` pairs. A batch shorter than `max` means the
-    /// stream is exhausted — the pull/push worker protocols rely on that
-    /// to piggyback end-of-stream on the last real batch, so sources
-    /// must fill the batch while pairs remain.
-    fn next_batch(&mut self, max: usize) -> Vec<MatchPair>;
-
-    /// Suffix-tree nodes visited producing the stream so far (0 for
-    /// sources that never touched an index).
-    fn nodes_visited(&self) -> u64 {
-        0
-    }
-
-    /// Discard the next `n` pairs — deterministic checkpoint replay:
-    /// the generation order is bit-identical across runs, so skipping the
-    /// consumed prefix lands exactly where a checkpointed run stopped.
-    fn skip(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.next_batch(1).is_empty() {
-                break;
-            }
-        }
-    }
-}
-
-/// A phase's promising pairs, held in memory in the order they are
-/// consumed.
-pub struct MinedSource {
-    pairs: std::vec::IntoIter<MatchPair>,
-    nodes_visited: u64,
-}
-
-impl MinedSource {
-    /// An explicit pair stream, in the order given. It visited no tree
-    /// node.
-    pub fn new(pairs: Vec<MatchPair>) -> Self {
-        MinedSource { pairs: pairs.into_iter(), nodes_visited: 0 }
-    }
-
-    /// The output of a miner: its pairs, and the tree nodes it visited.
-    pub fn mined((pairs, stats): (Vec<MatchPair>, GenerationStats)) -> Self {
-        MinedSource { pairs: pairs.into_iter(), nodes_visited: stats.nodes_visited as u64 }
-    }
-}
-
-impl PairSource for MinedSource {
-    fn next_batch(&mut self, max: usize) -> Vec<MatchPair> {
-        self.pairs.by_ref().take(max).collect()
-    }
-
-    fn nodes_visited(&self) -> u64 {
-        self.nodes_visited
-    }
-}
 
 /// The miner's configuration at cut-off `psi`: the config's per-node cap,
 /// each pair reported once at its longest match.
@@ -240,8 +176,10 @@ pub fn index_plan(
     Ok(plan)
 }
 
-/// Open the pair source [`index_plan`] names for `store` at cut-off `psi`
-/// and lend it to `f`; mining runs on the config's threads.
+/// Mine the pairs [`index_plan`] names for `store` at cut-off `psi` and
+/// lend them to `f`, with the suffix-tree nodes the miner visited; mining
+/// runs on the config's threads. The index, and its budget reservation,
+/// live until `f` returns.
 ///
 /// Monolithic: one index of the in-memory set `store` is, or is an
 /// ascending view of — mined through a mask when the view keeps only some
@@ -254,33 +192,30 @@ pub fn index_plan(
 /// of the budget and running the rest over it — the library entries are
 /// infallible; the pipeline checked the floor before phase 1.
 ///
-/// Both give one stream, so a resumed CCD replays its cursor's prefix
+/// Both give one stream, so a resumed CCD starts at its cursor's position
 /// whatever budget either run had.
 pub fn with_pair_source<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,
     psi: u32,
     shared: Option<&SharedIndex<'_>>,
-    f: impl FnOnce(&mut dyn PairSource) -> R,
+    f: impl FnOnce(&[MatchPair], u64) -> R,
 ) -> R {
+    let lend =
+        |(pairs, stats): (Vec<MatchPair>, GenerationStats)| f(&pairs, stats.nodes_visited as u64);
     let (base, keep) = match (route(store, config, shared), in_memory_view(store)) {
         (IndexPlan::Monolithic, Some(view)) => view,
         _ => {
             let miner =
                 windowed_miner(store, config, psi, false).expect("a lenient open never refuses");
-            return f(&mut MinedSource::mined(miner.mine()));
+            return lend(miner.mine());
         }
     };
     let mine = |tree: &SuffixTree<'_>| {
         let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
         let matches = match_config(config, psi);
         let threads = config.index_threads();
-        f(&mut MinedSource::mined(mine_pairs(
-            tree,
-            matches,
-            threads,
-            MineNodes::Whole(keep.as_ref()),
-        )))
+        lend(mine_pairs(tree, matches, threads, MineNodes::Whole(keep.as_ref())))
     };
     match shared.filter(|shared| shared.indexes(base)) {
         Some(shared) => mine(shared.tree),
@@ -295,7 +230,7 @@ pub fn with_pair_source<R>(
 mod tests {
     use super::*;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
-    use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SequenceSetBuilder, SubsetStore};
+    use pfam_seq::{MemoryBudget, PagedSeqStore, SequenceSetBuilder, SubsetStore};
     use pfam_suffix::estimated_text_bytes;
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
@@ -315,30 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn an_explicit_list_batches_and_exhausts() {
-        let pairs: Vec<MatchPair> =
-            (1..=5).map(|i| MatchPair::new(SeqId(0), SeqId(i), 10)).collect();
-        let mut s = MinedSource::new(pairs);
-        assert_eq!(s.next_batch(2).len(), 2);
-        assert_eq!(s.next_batch(10).len(), 3);
-        assert!(s.next_batch(1).is_empty(), "exhausted");
-        assert_eq!(s.nodes_visited(), 0);
-    }
-
-    #[test]
-    fn skip_is_prefix_discard() {
-        let pairs: Vec<MatchPair> =
-            (1..=5).map(|i| MatchPair::new(SeqId(0), SeqId(i), 10)).collect();
-        let mut s = MinedSource::new(pairs.clone());
-        s.skip(3);
-        assert_eq!(s.next_batch(10), pairs[3..].to_vec());
-        // Skipping past the end is harmless.
-        s.skip(100);
-        assert!(s.next_batch(1).is_empty());
-    }
-
-    #[test]
-    fn mined_source_is_thread_count_invariant() {
+    fn mined_pairs_are_thread_count_invariant() {
         let set = set_of(&[
             "MKVLWAAKNDCQEGHILKMFPSTWYV",
             "MKVLWAAKNDCQEGHILKMFPSTWYV",
@@ -346,7 +258,7 @@ mod tests {
         ]);
         let mine = |threads: usize| {
             let config = ClusterConfig { threads, ..ClusterConfig::for_short_sequences() };
-            with_pair_source(&set, &config, config.psi_ccd, None, |s| s.next_batch(10_000))
+            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, _| pairs.to_vec())
         };
         let serial = mine(1);
         assert!(!serial.is_empty());
@@ -406,7 +318,7 @@ mod tests {
         let config = ClusterConfig::default();
         assert_eq!(index_plan(&paged, &config, None), Ok(IndexPlan::Windowed));
         let mine = |store: &dyn SeqStore| {
-            with_pair_source(store, &config, config.psi_ccd, None, |s| s.next_batch(usize::MAX))
+            with_pair_source(store, &config, config.psi_ccd, None, |pairs, _| pairs.to_vec())
         };
         assert_eq!(mine(&paged), mine(&dataset(9)), "one stream either way");
         let _ = std::fs::remove_file(&path);

@@ -11,10 +11,10 @@
 //!    candidates to the *same* worker for alignment;
 //! 3. workers send alignment verdicts back; the master merges clusters.
 //!
-//! The protocol lives in [`crate::policy::SpmdPush`] /
+//! The protocol lives in [`crate::policy::drive_spmd`] /
 //! [`crate::policy::serve_push_worker`] over the [`crate::transport`]
 //! seam; this module only assembles the topology: the partitioned pair
-//! sources, the rank-0 master core, and the result plumbing.
+//! slices, the rank-0 master core, and the result plumbing.
 //!
 //! The final components are identical to the shared-memory engine's (a
 //! pair is only skipped when its endpoints are already connected, and a
@@ -24,84 +24,65 @@
 use pfam_mpi::run_spmd;
 use pfam_seq::SequenceSet;
 use pfam_suffix::distributed::PartitionedSuffixSpace;
-use pfam_suffix::{mine_pairs, MaximalMatchConfig, MineNodes, SuffixTree};
+use pfam_suffix::{mine_pairs, MineNodes};
 
 use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
-use crate::policy::{serve_push_worker, SpmdPush, WorkPolicy};
+use crate::policy::{drive_spmd, serve_push_worker};
 use crate::rr::RrResult;
-use crate::source::{with_config_index, MinedSource};
+use crate::source::with_config_index;
 use crate::transport::{MpiTransport, MpiWorkerPort};
 
 /// Partition prefix length (suffix-space ownership granularity).
 const PREFIX_LEN: u32 = 3;
 
 /// Run one phase's push protocol across `n_ranks` ranks: rank 0 drives
-/// `core` with [`SpmdPush`], every other rank mines its own slice of the
-/// suffix space and serves the master. The world must stay healthy — any
-/// communicator fault panics (fault tolerance lives in [`crate::ft`]).
-fn run_push_spmd(
+/// `core` with [`drive_spmd`] and hands the finished core to `finish`, every
+/// other rank mines its own slice of the suffix space and serves the master.
+/// The world must stay healthy — any communicator fault panics (fault
+/// tolerance lives in [`crate::ft`]).
+fn run_push_spmd<R: Send>(
     set: &SequenceSet,
     config: &ClusterConfig,
     n_ranks: usize,
     phase: CorePhase,
-    psi: u32,
-) -> ClusterCoreOutcome {
+    finish: fn(ClusterCore<'_>) -> R,
+) -> R {
     assert!(n_ranks >= 2, "need a master and at least one worker");
+    let psi = match phase {
+        CorePhase::Ccd => config.psi_ccd,
+        CorePhase::Rr => config.psi_rr,
+    };
     assert!(psi >= PREFIX_LEN, "ψ must cover the partition prefix");
 
     // Shared read-only state, built once (in MPI this would be the
     // distributed construction; the partition assigns subtree ownership).
     with_config_index(set, config, psi, |tree, matches| {
-        run_push_world(set, config, n_ranks, phase, tree, matches)
-    })
-}
-
-/// The SPMD world of [`run_push_spmd`], over a finished index.
-fn run_push_world(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    n_ranks: usize,
-    phase: CorePhase,
-    tree: &SuffixTree<'_>,
-    matches: MaximalMatchConfig,
-) -> ClusterCoreOutcome {
-    let partition = PartitionedSuffixSpace::new(tree.gsa(), n_ranks - 1, PREFIX_LEN);
-    let nodes_per_worker = partition.nodes_per_rank(tree, matches.min_len);
-
-    let results = run_spmd(n_ranks, |comm| -> Option<ClusterCoreOutcome> {
-        if comm.rank() == 0 {
-            let mut core = match phase {
-                CorePhase::Ccd => ClusterCore::new_ccd(set),
-                CorePhase::Rr => ClusterCore::new_rr(set),
-            };
-            let mut transport = MpiTransport::master(comm);
-            if let Err(e) = (SpmdPush { transport: &mut transport }).drive(&mut core) {
-                panic!("spmd world must stay healthy: {e}");
+        let partition = PartitionedSuffixSpace::new(tree.gsa(), n_ranks - 1, PREFIX_LEN);
+        let nodes_per_worker = partition.nodes_per_rank(tree, matches.min_len);
+        let results = run_spmd(n_ranks, |comm| {
+            if comm.rank() == 0 {
+                let mut core = match phase {
+                    CorePhase::Ccd => ClusterCore::new_ccd(set),
+                    CorePhase::Rr => ClusterCore::new_rr(set),
+                };
+                if let Err(e) = drive_spmd(&mut core, &mut MpiTransport::master(comm)) {
+                    panic!("spmd world must stay healthy: {e}");
+                }
+                Some(finish(core))
+            } else {
+                // One thread per rank: the ranks are the parallelism.
+                let nodes = &nodes_per_worker[comm.rank() - 1];
+                let (pairs, _) = mine_pairs(tree, matches, 1, MineNodes::Slice(nodes));
+                let verifier = Verifier::new(config, phase);
+                let mut port = MpiWorkerPort::new(comm);
+                serve_push_worker(&mut port, &pairs, &verifier, set, config.batch_size);
+                None
             }
-            Some(match phase {
-                CorePhase::Ccd => ClusterCoreOutcome::Ccd(CcdResult::from_core(core)),
-                CorePhase::Rr => ClusterCoreOutcome::Rr(RrResult::from_core(core)),
-            })
-        } else {
-            // One thread per rank: the ranks are the parallelism.
-            let nodes = &nodes_per_worker[comm.rank() - 1];
-            let mut source =
-                MinedSource::mined(mine_pairs(tree, matches, 1, MineNodes::Slice(nodes)));
-            let verifier = Verifier::new(config, phase);
-            let mut port = MpiWorkerPort::new(comm);
-            serve_push_worker(&mut port, &mut source, &verifier, set, config.batch_size);
-            None
-        }
-    });
-    results.into_iter().next().flatten().expect("rank 0 returns the result")
-}
-
-/// The phase result rank 0 carries out of the SPMD world.
-enum ClusterCoreOutcome {
-    Ccd(CcdResult),
-    Rr(RrResult),
+        });
+        results.into_iter().next().flatten().expect("rank 0 returns the result")
+    })
 }
 
 /// Run CCD as an SPMD job on `n_ranks` ranks (1 master + `n_ranks − 1`
@@ -112,10 +93,7 @@ pub fn run_ccd_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -
     if set.is_empty() {
         return CcdResult::empty();
     }
-    match run_push_spmd(set, config, n_ranks, CorePhase::Ccd, config.psi_ccd) {
-        ClusterCoreOutcome::Ccd(r) => r,
-        ClusterCoreOutcome::Rr(_) => unreachable!("CCD phase returns a CCD result"),
-    }
+    run_push_spmd(set, config, n_ranks, CorePhase::Ccd, CcdResult::from_core)
 }
 
 /// Run redundancy removal as an SPMD job (same topology and protocol as
@@ -127,10 +105,7 @@ pub fn run_rr_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) ->
     if set.is_empty() {
         return RrResult::empty();
     }
-    match run_push_spmd(set, config, n_ranks, CorePhase::Rr, config.psi_rr) {
-        ClusterCoreOutcome::Rr(r) => r,
-        ClusterCoreOutcome::Ccd(_) => unreachable!("RR phase returns an RR result"),
-    }
+    run_push_spmd(set, config, n_ranks, CorePhase::Rr, RrResult::from_core)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! How candidate batches and verdicts travel — the second pluggable axis
-//! around [`crate::core::ClusterCore`].
+//! How candidate batches and verdicts travel between the master loop
+//! around [`crate::core::ClusterCore`] and its workers.
 //!
 //! A [`Transport`] is the master's view of its worker pool: addressed
 //! sends, a merged receive stream tagged with the worker index, and a
 //! liveness board. A [`WorkerPort`] is one worker's view of the master.
 //! The messages ([`MasterMsg`], [`WorkerMsg`]) are the complete protocol
 //! vocabulary shared by every distributed driver — push (SPMD) and pull
-//! (leased fault-tolerant) speak the same types, so a
-//! [`crate::policy::WorkPolicy`] composes with any transport.
+//! (leased fault-tolerant) speak the same types, so
+//! [`crate::policy::drive_spmd`] and [`crate::policy::drive_leased`] run
+//! over either transport.
 //!
 //! Two transports exist:
 //!
@@ -15,7 +16,7 @@
 //!   `pfam-mpi` communicator (message loss, rank death, the liveness
 //!   board, fault injection all live below this seam);
 //! * [`LocalTransport`] / [`LocalPort`] — in-process channels: one
-//!   addressed queue per worker, so the push and pull policies run fully
+//!   addressed queue per worker, so the push and pull loops run fully
 //!   in-process (the driver-equivalence matrix tests).
 
 use std::sync::atomic::{AtomicBool, Ordering};

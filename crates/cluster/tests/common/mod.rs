@@ -5,21 +5,8 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use pfam_cluster::{component_graph, CcdResult, ClusterConfig, KnownPairs, PairLedger, PairSource};
+use pfam_cluster::{component_graph, CcdResult, ClusterConfig, KnownPairs, PairLedger};
 use pfam_seq::{SeqId, SequenceSet};
-use pfam_suffix::MatchPair;
-
-/// Drain a source to exhaustion.
-pub fn drain(source: &mut dyn PairSource) -> Vec<MatchPair> {
-    let mut out = Vec::new();
-    loop {
-        let batch = source.next_batch(usize::MAX);
-        if batch.is_empty() {
-            return out;
-        }
-        out.extend(batch);
-    }
-}
 
 /// (c): `edges`, the refused and `deferred` partition what was generated.
 pub fn assert_partition(ccd: &CcdResult, what: &str) {

@@ -1,13 +1,12 @@
-//! Driver-equivalence matrix: every [`PairSource`] × [`WorkPolicy`]
-//! combination must produce the same connected components as the batched
-//! reference driver.
+//! Driver-equivalence matrix: every miner × every master loop must produce
+//! the same connected components as the batched reference driver.
 //!
 //! CCD components are invariant under execution order, pair partitioning
 //! and filter sharpness: a pair is only skipped when its endpoints are
 //! already connected (so verifying it could not change reachability), and
 //! every verified verdict is a pure function of the two sequences. The
 //! matrix below pins that invariant across the real composition space —
-//! the same axes the public `run_*` drivers are built from. Every cell of
+//! the same pieces the public `run_*` drivers are built from. Every cell of
 //! the matrix also leaves bookkeeping the back half can build on: its
 //! edges, refused and deferred pairs partition what it generated, and the
 //! component graphs built from them equal the mined ones (which pairs a
@@ -19,63 +18,58 @@ use std::sync::Arc;
 
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
-    run_ccd, run_ccd_from_pairs, serve_pull_worker, serve_push_worker, BatchedPush, ClusterConfig,
-    ClusterCore, CorePhase, LeasedPull, LocalTransport, MinedSource, PairSource, SpmdPush,
-    Verifier, WorkPolicy,
+    drive_batched, drive_leased, drive_spmd, run_ccd, run_ccd_from_pairs, serve_pull_worker,
+    serve_push_worker, ClusterConfig, ClusterCore, CorePhase, LocalTransport, Verifier,
 };
 use pfam_cluster::{CcdCursor, CcdResult};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
-use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
     estimated_text_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray, MatchPair,
     MaximalMatchConfig, PartitionedMiner, SuffixTree,
 };
 
-/// The pair-supply axis.
+/// Which miner supplies the pairs.
 #[derive(Clone, Copy, Debug)]
-enum SourceKind {
+enum MinerKind {
     /// The suffix index mined on this many threads (the output is the
     /// same at every count).
     Mined(usize),
-    /// The one-thread pairs as an explicit list ([`MinedSource::new`]).
-    Collected,
     /// The out-of-core generator: one text, its suffixes sorted and mined
     /// in windows small enough that real inputs are cut into several.
     Partitioned,
 }
 
-/// The scheduling axis (the transport is implied: rayon in-process for
-/// `Batched`, the local channel transport for the other two).
+/// Which master loop consumes them (the transport is implied: rayon
+/// in-process for `Batched`, the local channel transport for the rest).
 #[derive(Clone, Copy, Debug)]
-enum PolicyKind {
-    /// [`BatchedPush`] — the deterministic reference loop.
+enum LoopKind {
+    /// [`drive_batched`] — the deterministic reference loop.
     Batched,
-    /// [`SpmdPush`] — workers own source slices and push pair batches.
+    /// [`drive_spmd`] — two workers push half the pairs each.
     Push,
-    /// [`LeasedPull`] — master owns the source, workers pull leases.
+    /// [`drive_spmd`] with every pair on one worker and the other idle
+    /// (the degenerate partition).
+    PushToOne,
+    /// [`drive_leased`] — the master owns the pairs, workers pull leases.
     Pull,
 }
 
-const SOURCES: [SourceKind; 4] =
-    [SourceKind::Mined(1), SourceKind::Mined(2), SourceKind::Collected, SourceKind::Partitioned];
-const POLICIES: [PolicyKind; 3] = [PolicyKind::Batched, PolicyKind::Push, PolicyKind::Pull];
+const MINERS: [MinerKind; 3] = [MinerKind::Mined(1), MinerKind::Mined(2), MinerKind::Partitioned];
+const LOOPS: [LoopKind; 4] =
+    [LoopKind::Batched, LoopKind::Push, LoopKind::PushToOne, LoopKind::Pull];
 
 /// Mine the full promising-pair stream without the index-borrow dance
 /// (the integration test cannot reach the crate-private masked view, so
 /// it indexes the raw set — every driver below shares this supply, which
 /// is all the equivalence matrix needs).
-fn mine(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    threads: usize,
-) -> (Vec<MatchPair>, GenerationStats) {
+fn mine(set: &SequenceSet, config: &ClusterConfig, threads: usize) -> Vec<MatchPair> {
     if set.is_empty() {
-        return Default::default();
+        return Vec::new();
     }
     let gsa = GeneralizedSuffixArray::build_parallel(set, threads);
     let tree = SuffixTree::build(&gsa);
-    parallel_pairs(&tree, match_config(config), threads)
+    parallel_pairs(&tree, match_config(config), threads).0
 }
 
 fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
@@ -91,10 +85,7 @@ fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
 const WINDOW_CAP: u64 = 2048;
 
 /// The full pair stream of the out-of-core generator.
-fn partitioned_pairs(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-) -> (Vec<MatchPair>, GenerationStats) {
+fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {
     let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
     let text = estimated_text_bytes(set.total_residues(), set.len());
     let miner = PartitionedMiner::new(
@@ -105,111 +96,64 @@ fn partitioned_pairs(
         &MemoryBudget::limited(text + WINDOW_CAP),
     );
     assert!(set.len() < 2 || miner.n_windows() > 1, "the window cap must actually cut the text");
-    miner.mine()
+    miner.mine().0
 }
 
-/// Drive one (source, policy) cell.
+/// Drive one (miner, loop) cell.
 fn run_cell(
     set: &SequenceSet,
     config: &ClusterConfig,
-    source: SourceKind,
-    policy: PolicyKind,
+    miner: MinerKind,
+    driver: LoopKind,
 ) -> CcdResult {
-    // The push protocol's sources live on the workers, not the master.
-    if matches!(policy, PolicyKind::Push) {
-        let pairs = match source {
-            SourceKind::Partitioned => partitioned_pairs(set, config).0,
-            SourceKind::Mined(threads) => mine(set, config, threads).0,
-            SourceKind::Collected => mine(set, config, 1).0,
-        };
-        // Split the supply across two workers; for the `Collected`
-        // flavour, hand everything to one worker and leave the other
-        // idle (the degenerate partition).
-        let (left, right) = match source {
-            SourceKind::Collected => (pairs.clone(), Vec::new()),
-            _ => {
-                let mid = pairs.len() / 2;
-                (pairs[..mid].to_vec(), pairs[mid..].to_vec())
-            }
-        };
-        return drive_push(set, config, vec![left, right]);
-    }
-    match source {
-        SourceKind::Partitioned => {
-            let mut src = MinedSource::mined(partitioned_pairs(set, config));
-            drive_master_side(set, config, &mut src, policy)
-        }
-        SourceKind::Collected => {
-            let mut src = MinedSource::new(mine(set, config, 1).0);
-            drive_master_side(set, config, &mut src, policy)
-        }
-        SourceKind::Mined(threads) => {
-            let mut src = MinedSource::mined(mine(set, config, threads));
-            drive_master_side(set, config, &mut src, policy)
-        }
-    }
-}
-
-/// Run a policy whose source is owned by the master.
-fn drive_master_side(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    source: &mut dyn PairSource,
-    policy: PolicyKind,
-) -> CcdResult {
+    let pairs = match miner {
+        MinerKind::Mined(threads) => mine(set, config, threads),
+        MinerKind::Partitioned => partitioned_pairs(set, config),
+    };
     let verifier = Verifier::new(config, CorePhase::Ccd);
     let mut core = ClusterCore::new_ccd(set);
-    match policy {
-        PolicyKind::Batched => {
+    match driver {
+        LoopKind::Batched => {
             let mut sink = |_: &CcdCursor| {};
-            BatchedPush {
-                source,
-                verifier: &verifier,
-                batch_size: config.batch_size,
-                checkpoint_every: 0,
-                on_checkpoint: &mut sink,
-            }
-            .drive(&mut core)
-            .expect("the in-process loop cannot fail");
+            drive_batched(&mut core, &pairs, &verifier, config.batch_size, 0, &mut sink);
         }
-        PolicyKind::Pull => {
+        LoopKind::Push => {
+            let (left, right) = pairs.split_at(pairs.len() / 2);
+            drive_push(&mut core, set, config, [left, right]);
+        }
+        LoopKind::PushToOne => drive_push(&mut core, set, config, [&pairs, &[]]),
+        LoopKind::Pull => {
             let (mut transport, ports) = LocalTransport::new(2);
             std::thread::scope(|scope| {
                 for mut port in ports {
                     let verifier = &verifier;
                     scope.spawn(move || serve_pull_worker(&mut port, verifier, set));
                 }
-                LeasedPull { transport: &mut transport, source, batch_size: config.batch_size }
-                    .drive(&mut core)
+                drive_leased(&mut core, &mut transport, &pairs, config.batch_size)
                     .expect("healthy local world");
             });
         }
-        PolicyKind::Push => unreachable!("push sources live on the workers"),
     }
     CcdResult::from_core(core)
 }
 
-/// Run the push protocol with one explicit pair list per worker.
+/// Run the push protocol with one slice of pairs per worker.
 fn drive_push(
+    core: &mut ClusterCore<'_>,
     set: &SequenceSet,
     config: &ClusterConfig,
-    worker_pairs: Vec<Vec<MatchPair>>,
-) -> CcdResult {
-    let n = worker_pairs.len();
-    let (mut transport, ports) = LocalTransport::new(n);
-    let mut core = ClusterCore::new_ccd(set);
+    worker_pairs: [&[MatchPair]; 2],
+) {
+    let (mut transport, ports) = LocalTransport::new(worker_pairs.len());
     std::thread::scope(|scope| {
-        for (port, pairs) in ports.into_iter().zip(worker_pairs) {
+        for (mut port, pairs) in ports.into_iter().zip(worker_pairs) {
             scope.spawn(move || {
-                let mut port = port;
                 let verifier = Verifier::new(config, CorePhase::Ccd);
-                let mut source = MinedSource::new(pairs);
-                serve_push_worker(&mut port, &mut source, &verifier, set, config.batch_size);
+                serve_push_worker(&mut port, pairs, &verifier, set, config.batch_size);
             });
         }
-        SpmdPush { transport: &mut transport }.drive(&mut core).expect("healthy local world");
+        drive_spmd(core, &mut transport).expect("healthy local world");
     });
-    CcdResult::from_core(core)
 }
 
 /// (c) and (a) of `pair_ledger.rs` for one CCD result over the
@@ -229,10 +173,10 @@ fn assert_bookkeeping_holds(
 /// bookkeeping that holds.
 fn assert_matrix_agrees(set: &SequenceSet, config: &ClusterConfig) {
     let reference = run_ccd(set, config).components;
-    for source in SOURCES {
-        for policy in POLICIES {
-            let what = format!("{source:?} × {policy:?}");
-            let got = run_cell(set, config, source, policy);
+    for miner in MINERS {
+        for driver in LOOPS {
+            let what = format!("{miner:?} × {driver:?}");
+            let got = run_cell(set, config, miner, driver);
             assert_eq!(got.components, reference, "{what} diverged from the reference components");
             assert_bookkeeping_holds(set, config, &got, &what);
         }
@@ -261,7 +205,7 @@ fn collected_supply_entry_agrees_with_the_reference() {
     ] {
         let reference = run_ccd(set, &config);
         for threads in [1usize, 2] {
-            let got = run_ccd_from_pairs(set, mine(set, &config, threads).0, &config);
+            let got = run_ccd_from_pairs(set, mine(set, &config, threads), &config);
             assert_eq!(got.components, reference.components, "collected (threads={threads})");
             assert_partition(&got, &format!("collected (threads={threads})"));
         }

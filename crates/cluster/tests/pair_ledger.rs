@@ -2,7 +2,7 @@
 //! list change — the work — and what they must not — any result.
 //!
 //! Over random family corpora, for every driver of the CCD loop
-//! ([`BatchedPush`], [`SpmdPush`], [`LeasedPull`]), and the ledger present,
+//! ([`drive_batched`], [`drive_spmd`], [`drive_leased`]), and the ledger present,
 //! absent, and cut short by its budget:
 //!
 //! (a) the component graphs built from CCD's edges and deferred pairs
@@ -22,11 +22,11 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_known_graphs_equal_mined, assert_partition, drain};
+use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
-    run_ccd_resumable, run_redundancy_removal, serve_pull_worker, serve_push_worker,
-    with_front_half, with_pair_source, CcdResult, ClusterConfig, ClusterCore, CorePhase,
-    LeasedPull, LocalTransport, MinedSource, PairLedger, RrResult, SpmdPush, Verifier, WorkPolicy,
+    drive_leased, drive_spmd, run_ccd_resumable, run_redundancy_removal, serve_pull_worker,
+    serve_push_worker, with_front_half, with_pair_source, CcdResult, ClusterConfig, ClusterCore,
+    CorePhase, LocalTransport, PairLedger, RrResult, Verifier,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -49,7 +49,7 @@ fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
 
 /// The ψ_ccd stream over `store`.
 fn pair_stream(store: &dyn SeqStore, cfg: &ClusterConfig) -> Vec<MatchPair> {
-    with_pair_source(store, cfg, cfg.psi_ccd, None, drain)
+    with_pair_source(store, cfg, cfg.psi_ccd, None, |pairs, _| pairs.to_vec())
 }
 
 /// CCD over `store` with the push protocol: two workers, half the stream each.
@@ -62,11 +62,10 @@ fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
         for (mut port, pairs) in ports.into_iter().zip(halves) {
             scope.spawn(move || {
                 let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
-                let mut source = MinedSource::new(pairs);
-                serve_push_worker(&mut port, &mut source, &verifier, store, cfg.batch_size);
+                serve_push_worker(&mut port, &pairs, &verifier, store, cfg.batch_size);
             });
         }
-        SpmdPush { transport: &mut transport }.drive(&mut core).expect("healthy local world");
+        drive_spmd(&mut core, &mut transport).expect("healthy local world");
     });
     CcdResult::from_core(core)
 }
@@ -74,7 +73,7 @@ fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
 /// CCD over `store` with the pull protocol: two lease workers.
 fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger>) -> CcdResult {
     let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
-    let mut source = MinedSource::new(pair_stream(store, cfg));
+    let pairs = pair_stream(store, cfg);
     let (mut transport, ports) = LocalTransport::new(2);
     let mut core = ClusterCore::new_ccd(store);
     std::thread::scope(|scope| {
@@ -82,16 +81,15 @@ fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
             let verifier = &verifier;
             scope.spawn(move || serve_pull_worker(&mut port, verifier, store));
         }
-        LeasedPull { transport: &mut transport, source: &mut source, batch_size: cfg.batch_size }
-            .drive(&mut core)
+        drive_leased(&mut core, &mut transport, &pairs, cfg.batch_size)
             .expect("healthy local world");
     });
     CcdResult::from_core(core)
 }
 
-/// CCD as the front half runs it — [`BatchedPush`] on RR's index —
+/// CCD as the front half runs it — [`drive_batched`] on RR's index —
 /// answered by `ledger`.
-fn drive_batched(
+fn front_half_ccd(
     set: &SequenceSet,
     cfg: &ClusterConfig,
     rr: &RrResult,
@@ -119,14 +117,14 @@ fn the_ledger_changes_the_work_and_no_result() {
         let kept = rr.kept.as_slice();
 
         // The reference: one master, no ledger.
-        let reference = drive_batched(&set, &cfg, &rr, &ledgers[1].1);
+        let reference = front_half_ccd(&set, &cfg, &rr, &ledgers[1].1);
         assert_partition(&reference, "reference");
         let (mined_fills, _) =
             assert_known_graphs_equal_mined(&set, &cfg, kept, &ledgers[1].1, &reference, "");
         let mut hits_seen = 0;
         for (name, ledger) in &ledgers {
-            let what = format!("seed {seed}, BatchedPush, ledger {name}");
-            let ccd = drive_batched(&set, &cfg, &rr, ledger);
+            let what = format!("seed {seed}, drive_batched, ledger {name}");
+            let ccd = front_half_ccd(&set, &cfg, &rr, ledger);
             assert_partition(&ccd, &what);
             assert_eq!(ccd.components, reference.components, "{what}");
             assert_eq!(ccd.n_merges, reference.n_merges, "{what}");
@@ -140,11 +138,11 @@ fn the_ledger_changes_the_work_and_no_result() {
             assert_eq!(hits == 0, ledger.is_empty(), "{what}");
             hits_seen += hits + ccd.trace.total_ledger_hits();
             assert_eq!(fills + hits, mined_fills, "{what}: same deferred pairs");
-            for (policy, ccd) in [
-                ("SpmdPush", drive_push(&nr_store, &cfg, ledger)),
-                ("LeasedPull", drive_pull(&nr_store, &cfg, ledger)),
+            for (driver, ccd) in [
+                ("drive_spmd", drive_push(&nr_store, &cfg, ledger)),
+                ("drive_leased", drive_pull(&nr_store, &cfg, ledger)),
             ] {
-                let what = format!("seed {seed}, {policy}, ledger {name}");
+                let what = format!("seed {seed}, {driver}, ledger {name}");
                 assert_partition(&ccd, &what);
                 assert_eq!(ccd.components, reference.components, "{what}");
                 assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);

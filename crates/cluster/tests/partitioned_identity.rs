@@ -184,8 +184,8 @@ fn a_phase_is_identical_under_every_budget() {
         let config = ClusterConfig { mask, ..ClusterConfig::default() };
         let stream = |budget: MemoryBudget| {
             let config = ClusterConfig { budget, ..config.clone() };
-            with_pair_source(&set, &config, config.psi_ccd, None, |s| {
-                (s.next_batch(usize::MAX), s.nodes_visited())
+            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, nodes_visited| {
+                (pairs.to_vec(), nodes_visited)
             })
         };
         let want = stream(MemoryBudget::unlimited());

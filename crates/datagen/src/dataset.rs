@@ -90,7 +90,10 @@ impl DatasetConfig {
         }
     }
 
-    /// Scale member/noise counts by `factor` (≥ 0), keeping proportions.
+    /// Scale the member and noise counts by `factor` (≥ 0) and the family
+    /// count by `√factor`: mean family size grows by `√factor`. Everything
+    /// else — size skew, fragment and redundancy rates, lengths, mutation
+    /// model — stays as it is.
     pub fn scaled(mut self, factor: f64) -> DatasetConfig {
         self.n_members = ((self.n_members as f64) * factor).round().max(1.0) as usize;
         self.n_families = ((self.n_families as f64) * factor.sqrt()).round().max(1.0) as usize;
@@ -641,5 +644,29 @@ mod tests {
         let double = base.clone().scaled(2.0);
         assert_eq!(double.n_members, base.n_members * 2);
         assert!(double.n_families > base.n_families);
+
+        // The 160 K-like workload's shape, at 4× and at the paper's ≈ 80×:
+        // families grow by √factor, so mean family size does too, and the
+        // rates stay put.
+        let base = DatasetConfig {
+            n_families: 60,
+            n_members: 1600,
+            size_skew: 1.1,
+            fragment_prob: 0.25,
+            redundancy_frac: 0.14,
+            n_noise: 160,
+            ..DatasetConfig::default()
+        };
+        let mean_size = |c: &DatasetConfig| c.n_members as f64 / c.n_families as f64;
+        for factor in [4.0f64, 80.0] {
+            let scaled = base.clone().scaled(factor);
+            assert_eq!(scaled.n_members, 1600 * factor as usize);
+            assert_eq!(scaled.n_noise, 160 * factor as usize);
+            assert_eq!(scaled.n_families, (60.0 * factor.sqrt()).round() as usize);
+            let growth = mean_size(&scaled) / mean_size(&base);
+            assert!((growth / factor.sqrt() - 1.0).abs() < 1e-3, "×{factor}: mean size ×{growth}");
+            let rates = |c: &DatasetConfig| (c.size_skew, c.fragment_prob, c.redundancy_frac);
+            assert_eq!(rates(&scaled), rates(&base), "×{factor}");
+        }
     }
 }

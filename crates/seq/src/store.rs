@@ -413,7 +413,6 @@ fn page_resident_bytes(set: &SequenceSet) -> u64 {
 /// bounded LRU cache whose byte ceiling registers against the store's
 /// [`MemoryBudget`].
 pub struct PagedSeqStore {
-    path: PathBuf,
     file: Mutex<File>,
     pages: Vec<PageEntry>,
     lens: Vec<u32>,
@@ -512,7 +511,6 @@ impl PagedSeqStore {
             .map_err(|e| SeqError::Format(format!("paged store cache over budget: {e}")))?;
         let cache = PageCache { entries: Vec::new(), resident_bytes: 0, max_bytes: cache_bytes };
         Ok(PagedSeqStore {
-            path,
             file: Mutex::new(file),
             pages,
             lens,
@@ -533,11 +531,6 @@ impl PagedSeqStore {
             w.push_codes(seq.header, seq.codes)?;
         }
         w.finish()
-    }
-
-    /// Number of pages in the file.
-    pub fn n_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// The page index holding sequence `id`.
@@ -590,11 +583,6 @@ impl PagedSeqStore {
         let set = Arc::new(b.finish());
         self.cache.lock().expect("cache lock").insert(p, set.clone());
         set
-    }
-
-    /// The file path backing this store.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -707,7 +695,7 @@ mod tests {
         // 64-byte pages force many pages (and exercise page boundaries).
         PagedSeqStore::write_set(&path, &set, 64).unwrap();
         let store = PagedSeqStore::open(&path).unwrap();
-        assert!(store.n_pages() > 1, "tiny pages must split the file");
+        assert!(store.pages.len() > 1, "tiny pages must split the file");
         assert_store_equals_set(&store, &set);
         std::fs::remove_file(&path).ok();
     }

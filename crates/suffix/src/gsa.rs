@@ -160,18 +160,6 @@ impl CompactLcp {
 }
 
 /// Suffix array + LCP array over the concatenation of a sequence set.
-///
-/// ```
-/// use pfam_seq::{alphabet, SequenceSetBuilder};
-/// use pfam_suffix::GeneralizedSuffixArray;
-///
-/// let mut b = SequenceSetBuilder::new();
-/// b.push_letters("a".into(), b"MKVLW").unwrap();
-/// b.push_letters("b".into(), b"AAMKVAA").unwrap();
-/// let gsa = GeneralizedSuffixArray::build(&b.finish());
-/// let hits = gsa.find(&alphabet::encode(b"MKV").unwrap());
-/// assert_eq!(hits.len(), 2); // once in each sequence
-/// ```
 #[derive(Debug, Clone)]
 pub struct GeneralizedSuffixArray {
     /// Symbol class of every text position (see the module docs).
@@ -406,30 +394,6 @@ impl GeneralizedSuffixArray {
             self.suffix_cmp(p as usize, &self.text[pos..], rank_in_other).is_lt()
         })
     }
-
-    /// `pattern` (residue codes) as symbol classes. An `X` in a pattern
-    /// matches nothing: it maps to the one class the text never holds.
-    pub(crate) fn pattern_classes(pattern: &[u8]) -> Vec<u8> {
-        pattern.iter().map(|&c| (c + 1).min(X_CLASS - 1)).collect()
-    }
-
-    /// Locate all occurrences of `pattern` (residue codes) across the set,
-    /// as `(sequence, offset)` pairs, via binary search on the suffix array.
-    pub fn find(&self, pattern: &[u8]) -> Vec<(SeqId, u32)> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
-        let classes = Self::pattern_classes(pattern);
-        // No terminator in a pattern: its first difference from a suffix
-        // is a difference of classes.
-        let cmp = |p: u32| self.suffix_cmp(p as usize, &classes, |_| unreachable!());
-        let lo = self.sa.partition_point(|&p| cmp(p).is_lt());
-        let hi = self.sa.partition_point(|&p| cmp(p).is_le());
-        let mut out: Vec<(SeqId, u32)> =
-            self.sa[lo..hi].iter().map(|&p| self.locate(p as usize)).collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -554,36 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn find_locates_all_occurrences() {
-        let set = set_of(&["MKVLWMKV", "AAMKVAA", "WWWWW"]);
-        let g = GeneralizedSuffixArray::build(&set);
-        let pat = encode(b"MKV").unwrap();
-        let hits = g.find(&pat);
-        assert_eq!(hits, vec![(SeqId(0), 0), (SeqId(0), 5), (SeqId(1), 2)]);
-    }
-
-    #[test]
-    fn find_missing_pattern() {
-        let set = set_of(&["ACDEF"]);
-        let g = GeneralizedSuffixArray::build(&set);
-        assert!(g.find(&encode(b"WW").unwrap()).is_empty());
-        assert!(g.find(&[]).is_empty());
-    }
-
-    #[test]
-    fn find_pattern_longer_than_any_sequence() {
-        let set = set_of(&["AC"]);
-        let g = GeneralizedSuffixArray::build(&set);
-        assert!(g.find(&encode(b"ACDEF").unwrap()).is_empty());
-    }
-
-    #[test]
     fn single_sequence_set() {
         let set = set_of(&["A"]);
         let g = GeneralizedSuffixArray::build(&set);
         assert_eq!(g.text_len(), 2);
         assert_eq!(g.n_seqs(), 1);
-        assert_eq!(g.find(&encode(b"A").unwrap()), vec![(SeqId(0), 0)]);
     }
 
     #[test]
@@ -604,9 +543,6 @@ mod tests {
             .max()
             .unwrap_or(0);
         assert_eq!(max_cross_lcp, 0, "X runs must not produce cross-sequence matches");
-        // Pattern search with X finds nothing either.
-        assert!(g.find(&encode(b"XX").unwrap()).is_empty());
-        assert!(g.find(&encode(b"X").unwrap()).is_empty());
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! string depth `d` whose SA range is `[l, r)` means the `d`-length prefix
 //! shared by the suffixes of ranks `l..r` occurs in at least two right-
 //! extensions. The maximal-match miner walks these nodes in decreasing
-//! depth order; pattern search descends edges like a classical suffix tree.
-
-use pfam_seq::SeqId;
+//! depth order.
 
 use crate::gsa::GeneralizedSuffixArray;
 
@@ -28,8 +26,6 @@ pub struct SuffixTree<'a> {
     child_ids: Vec<NodeId>,
     /// Where in `child_ids` each node's children lie.
     child_runs: Vec<(u32, u32)>,
-    /// Parent of each internal node (root's parent is itself).
-    parents: Vec<NodeId>,
 }
 
 impl<'a> SuffixTree<'a> {
@@ -128,14 +124,7 @@ impl<'a> SuffixTree<'a> {
         child_runs[0] = (child_ids.len() as u32, kids.len() as u32);
         child_ids.append(&mut kids);
 
-        let mut parents = vec![0 as NodeId; depths.len()];
-        for (id, &(start, len)) in child_runs.iter().enumerate() {
-            for &k in &child_ids[start as usize..(start + len) as usize] {
-                parents[k as usize] = id as NodeId;
-            }
-        }
-
-        let tree = SuffixTree { gsa, min_depth, depths, ranges, child_ids, child_runs, parents };
+        let tree = SuffixTree { gsa, min_depth, depths, ranges, child_ids, child_runs };
         (tree, first_closed_depth)
     }
 
@@ -146,8 +135,7 @@ impl<'a> SuffixTree<'a> {
             self.depths[1..].rotate_left(1);
             self.ranges[1..].rotate_left(1);
             self.child_runs[1..].rotate_left(1);
-            self.parents[1..].rotate_left(1);
-            // The root is nobody's child and its own parent.
+            // The root is nobody's child.
             let renumber = |k: &mut NodeId| {
                 *k = match *k {
                     0 => 0,
@@ -155,7 +143,7 @@ impl<'a> SuffixTree<'a> {
                     k => k - 1,
                 }
             };
-            self.child_ids.iter_mut().chain(&mut self.parents).for_each(renumber);
+            self.child_ids.iter_mut().for_each(renumber);
         }
     }
 
@@ -194,12 +182,6 @@ impl<'a> SuffixTree<'a> {
         &self.child_ids[start as usize..(start + len) as usize]
     }
 
-    /// Parent of `node` (the root is its own parent).
-    #[inline]
-    pub fn parent(&self, node: NodeId) -> NodeId {
-        self.parents[node as usize]
-    }
-
     /// Child groups of `node`: each internal child contributes its rank
     /// range; every rank not covered by an internal child is a singleton
     /// leaf group. Groups are returned in rank order and partition the
@@ -232,88 +214,12 @@ impl<'a> SuffixTree<'a> {
         ids.sort_by_key(|&a| std::cmp::Reverse(self.depth(a)));
         ids
     }
-
-    /// Locate all occurrences of `pattern` (residue codes) by tree descent,
-    /// returning `(sequence, offset)` pairs sorted ascending. Needs the
-    /// full tree.
-    pub fn find(&self, pattern: &[u8]) -> Vec<(SeqId, u32)> {
-        assert_eq!(self.min_depth, 0, "pattern search descends from the root of the full tree");
-        if pattern.is_empty() {
-            return Vec::new();
-        }
-        let encoded = GeneralizedSuffixArray::pattern_classes(pattern);
-        let text = self.gsa.text();
-        let sa = self.gsa.sa();
-
-        let mut node = 0 as NodeId; // root
-        let mut matched = 0usize;
-        'descend: while matched < encoded.len() {
-            // Find the child group whose edge starts with encoded[matched].
-            let groups = self.child_groups(node);
-            for (gl, gr) in groups {
-                let start = sa[gl as usize] as usize + matched;
-                if start >= text.len() {
-                    continue;
-                }
-                if text[start] != encoded[matched] {
-                    continue;
-                }
-                // Determine edge end: internal child keeps descending at its
-                // depth; leaf group edge runs to the end of the suffix.
-                let edge_end = if gr - gl > 1 {
-                    // internal node: find its id by range
-                    let child = self
-                        .children(node)
-                        .iter()
-                        .copied()
-                        .find(|&k| self.range(k) == (gl, gr))
-                        .expect("group of size >1 is an internal child");
-                    self.depth(child) as usize
-                } else {
-                    // leaf: suffix length
-                    text.len() - sa[gl as usize] as usize
-                };
-                // Compare along the edge.
-                let mut k = matched;
-                while k < encoded.len() && k < edge_end {
-                    if text[sa[gl as usize] as usize + k] != encoded[k] {
-                        return Vec::new();
-                    }
-                    k += 1;
-                }
-                matched = k;
-                if matched == encoded.len() {
-                    // All leaves in [gl, gr) are occurrences.
-                    let mut out: Vec<(SeqId, u32)> =
-                        (gl..gr).map(|rank| self.gsa.locate(sa[rank as usize] as usize)).collect();
-                    out.sort_unstable();
-                    return out;
-                }
-                if gr - gl > 1 {
-                    node = self
-                        .children(node)
-                        .iter()
-                        .copied()
-                        .find(|&k2| self.range(k2) == (gl, gr))
-                        .expect("internal child exists");
-                    continue 'descend;
-                }
-                // Pattern extends past the end of a leaf edge: no match.
-                return Vec::new();
-            }
-            return Vec::new();
-        }
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfam_seq::alphabet::encode;
     use pfam_seq::{SequenceSet, SequenceSetBuilder};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
         let mut b = SequenceSetBuilder::new();
@@ -330,7 +236,6 @@ mod tests {
         let t = SuffixTree::build(&g);
         assert_eq!(t.depth(0), 0);
         assert_eq!(t.range(0), (0, g.sa().len() as u32));
-        assert_eq!(t.parent(0), 0);
     }
 
     #[test]
@@ -370,13 +275,17 @@ mod tests {
         let set = set_of(&["MKVLWMKVLW", "KVLWMK"]);
         let g = GeneralizedSuffixArray::build(&set);
         let t = SuffixTree::build(&g);
-        for node in 1..t.n_nodes() as NodeId {
-            let p = t.parent(node);
-            assert!(t.depth(node) > t.depth(p), "node {node} depth vs parent");
-            let (pl, pr) = t.range(p);
-            let (l, r) = t.range(node);
-            assert!(pl <= l && r <= pr, "child range not nested");
+        let mut n_children = 0;
+        for p in 0..t.n_nodes() as NodeId {
+            for &node in t.children(p) {
+                assert!(t.depth(node) > t.depth(p), "node {node} depth vs parent");
+                let (pl, pr) = t.range(p);
+                let (l, r) = t.range(node);
+                assert!(pl <= l && r <= pr, "child range not nested");
+                n_children += 1;
+            }
         }
+        assert_eq!(n_children, t.n_nodes() - 1, "every node but the root is a child once");
     }
 
     #[test]
@@ -390,43 +299,6 @@ mod tests {
             let min_lcp = (l + 1..r).map(|i| g.lcp_at(i as usize)).min();
             if let Some(m) = min_lcp {
                 assert_eq!(m, t.depth(node), "node {node}");
-            }
-        }
-    }
-
-    #[test]
-    fn find_agrees_with_gsa_find() {
-        let set = set_of(&["MKVLWMKV", "AAMKVAA", "WWWWW", "MKVLWMKV"]);
-        let g = GeneralizedSuffixArray::build(&set);
-        let t = SuffixTree::build(&g);
-        for pat in ["MKV", "W", "MKVLWMKV", "AA", "VLWM", "ZZZ", "KVA"] {
-            let p = encode(pat.as_bytes()).unwrap();
-            assert_eq!(t.find(&p), g.find(&p), "pattern {pat}");
-        }
-    }
-
-    #[test]
-    fn find_on_random_sets_matches_gsa() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let letters = b"ACDEFG";
-        for _ in 0..10 {
-            let n_seqs = rng.gen_range(1..6);
-            let seqs: Vec<String> = (0..n_seqs)
-                .map(|_| {
-                    let len = rng.gen_range(1..30);
-                    (0..len).map(|_| letters[rng.gen_range(0..letters.len())] as char).collect()
-                })
-                .collect();
-            let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
-            let set = set_of(&refs);
-            let g = GeneralizedSuffixArray::build(&set);
-            let t = SuffixTree::build(&g);
-            for _ in 0..20 {
-                let len = rng.gen_range(1..6);
-                let pat: Vec<u8> = (0..len)
-                    .map(|_| encode(&[letters[rng.gen_range(0..letters.len())]]).unwrap()[0])
-                    .collect();
-                assert_eq!(t.find(&pat), g.find(&pat));
             }
         }
     }

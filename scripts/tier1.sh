@@ -83,7 +83,7 @@ for f in crates/cluster/src/policy.rs crates/cluster/src/transport.rs crates/clu
 done
 
 echo "== tier1: the retired schedulers and rank kernels stay retired =="
-# One in-process CCD loop (BatchedPush), one rank loop (scalar): the
+# One in-process CCD loop (drive_batched), one rank loop (scalar): the
 # stealing scheduler, the threaded master-worker, the shard-driver switch
 # and the SIMD rank kernels measured no gain and were deleted (ROADMAP,
 # "Scheduler verdict" / "Rank-kernel verdict"). A new scheduler or kernel
@@ -179,14 +179,17 @@ fi
 
 echo "== tier1: one miner of promising pairs =="
 # Every pair stream is `mine_pairs` over a depth-sorted node list, or the
-# partitioned miner built on it. The lazy serial generator, the enum that
-# picked it when `threads` resolved to 1, the openers around that enum, the
-# `all_pairs` shorthand and `pfam-cluster`'s explicit-stream twin of
-# `MinedSource` were one stream held bit-identical to another; none comes
-# back under its old name. `run_all_pairs_baseline` is another thing.
-if grep -rnE "MaximalMatchGenerator|promising_pairs|IterSource|PairSource::(Serial|Eager)|\ball_pairs\b" \
+# partitioned miner built on it, and a phase's loop takes it as a slice.
+# The lazy serial generator, the enum that picked it when `threads`
+# resolved to 1, the openers around that enum, the `all_pairs` shorthand
+# and `pfam-cluster`'s explicit-stream source were one stream held
+# bit-identical to another; the source trait, its one implementation, the
+# policy trait and the three structs that were its only implementations
+# were layers with nothing behind them. None comes back under its old
+# name. `run_all_pairs_baseline` is another thing.
+if grep -rnE "MaximalMatchGenerator|promising_pairs|IterSource|PairSource|MinedSource|WorkPolicy|BatchedPush|SpmdPush|LeasedPull|\ball_pairs\b" \
     crates src tests examples; then
-    echo "tier1 FAIL: a retired pair generator or source is named in the tree" >&2
+    echo "tier1 FAIL: a retired pair generator, source or loop is named in the tree" >&2
     exit 1
 fi
 for name in collect_node_pairs mining_queue; do
@@ -275,7 +278,7 @@ cargo test --workspace -q
 echo "== tier1: fault-injection + checkpoint/restart suites =="
 cargo test -q --test fault_tolerance --test checkpoint_resume --test degenerate_inputs
 
-echo "== tier1: driver-equivalence matrix (PairSource x WorkPolicy) =="
+echo "== tier1: driver-equivalence matrix (which miner x which loop) =="
 cargo test -q -p pfam-cluster --test driver_matrix
 
 echo "== tier1: out-of-core identity suite (windowed stream == monolithic stream) =="

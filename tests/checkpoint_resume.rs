@@ -478,6 +478,31 @@ fn a_dense_subgraph_outside_its_component_is_corrupt_not_a_panic() {
 }
 
 #[test]
+fn a_cursor_past_the_end_of_the_ccd_stream_resumes_at_its_end() {
+    // A valid ccd.ckpt, marked incomplete, whose cursor counts more pairs
+    // than the stream holds: the resumed run starts at the stream's end
+    // and finishes with the clustering the cursor carries.
+    let d = dataset(4885);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("past-the-end"), 0, 1);
+    for past in [|n: u64| n + 1, |_| u64::MAX] {
+        run_until(&d.set, &config, &hooks, Phase::Ccd);
+        let path = Phase::Ccd.path_in(dir_of(&hooks));
+        let (_, fingerprint, payload) = read_checkpoint(&path).expect("ccd.ckpt");
+        let mut state = CcdState::decode(&payload).expect("ccd state");
+        let stream = state.cursor.trace.total_generated() as u64;
+        assert!(stream > 0 && state.cursor.pairs_consumed == stream, "a completed phase");
+        state.complete = false;
+        state.cursor.pairs_consumed = past(stream);
+        write_checkpoint(&path, Phase::Ccd, fingerprint, &state.encode())
+            .expect("plant the cursor past the end");
+        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+        let _ = std::fs::remove_dir_all(dir_of(&hooks));
+    }
+}
+
+#[test]
 fn a_survivor_outside_the_input_is_corrupt_not_a_panic() {
     let err = resume_from_planted("rr-kept", Phase::Rr, |payload, n_input| {
         let mut state = RrState::decode(payload).expect("rr state");

@@ -1,5 +1,5 @@
 //! All three CCD engines — batched rayon, the SPMD push protocol and the
-//! leased pull protocol, one per `WorkPolicy` — must agree on the
+//! leased pull protocol, one per master loop — must agree on the
 //! clustering, and the `pfam-mpi` runtime must behave like MPI where the
 //! engines rely on it.
 
