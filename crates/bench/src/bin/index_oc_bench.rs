@@ -1,5 +1,5 @@
 //! Out-of-core index-plane benchmark: the monolithic suffix index against
-//! the windowed miner under a memory budget, on one streamed (paged-store)
+//! the windowed miner under a memory budget, on one generated in-memory
 //! dataset, emitting **append-mode** records to `BENCH_index_oc.json` —
 //! one JSON line per run, so successive runs accumulate a history instead
 //! of overwriting it.
@@ -9,11 +9,9 @@
 //! cargo run --release -p pfam-bench --bin index_oc_bench -- --test  # smoke
 //! ```
 //!
-//! Three sections per record, every one on all detected cores:
+//! The input is `SyntheticDataset::generate` at `n_orfs` reads. Two
+//! sections per record, each on all detected cores:
 //!
-//! * `datagen` — `generate_to_store` streams `n_orfs` reads through a
-//!   `PagedStoreWriter`; peak allocation shows the generator's memory is
-//!   flat in the ORF count.
 //! * `compare` — the first `n_reads` (at most 50 000) reads mined at
 //!   ψ = 15 twice: one monolithic index, unbudgeted, and the windowed miner
 //!   under 0.4 × that index's estimate (the share of the benchmark's
@@ -28,7 +26,7 @@
 //!   largest window it reserved (within 2 %) plus the bucket tables, which
 //!   do not grow with the text. `--test` runs 10 000 reads, where the
 //!   tables are a third of the bound.
-//! * `pipeline` — `run_pipeline` over the paged store under 0.4 × the
+//! * `pipeline` — `run_pipeline` over the whole set under 0.4 × the
 //!   monolithic index's estimate.
 
 use std::time::Instant;
@@ -37,8 +35,8 @@ use pfam_bench::alloc::{live_bytes, peak_reset, peak_since, CountingAlloc};
 use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
 use pfam_cluster::index_plan;
 use pfam_core::PipelineConfig;
-use pfam_datagen::{generate_to_store, DatasetConfig};
-use pfam_seq::{MemoryBudget, PagedSeqStore, SeqStore, SequenceSet};
+use pfam_datagen::{DatasetConfig, SyntheticDataset};
+use pfam_seq::{MemoryBudget, SeqStore, SequenceSet};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
     estimated_index_bytes, estimated_text_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray,
@@ -105,25 +103,12 @@ fn main() {
         ..DatasetConfig::default()
     };
 
-    // ---- Streamed datagen into a paged store. ----
-    let path = std::env::temp_dir().join(format!("pfam_index_oc_{n_orfs}.pseq"));
-    let live0 = peak_reset();
-    let t0 = Instant::now();
-    let streamed = generate_to_store(&config, &path, 4 << 20).expect("temp dir is writable");
-    let datagen_s = t0.elapsed().as_secs_f64();
-    let datagen_peak = peak_since(live0);
-    let store = PagedSeqStore::open(&path).expect("the store just written opens");
-    eprintln!(
-        "index_oc_bench: streamed {} reads / {} residues in {datagen_s:.2}s (peak alloc {} MiB)",
-        streamed.n_reads,
-        streamed.total_residues,
-        datagen_peak >> 20
-    );
-    let mono_bytes = estimated_index_bytes(store.total_residues(), store.len());
+    let set = SyntheticDataset::generate(&config).set;
+    let mono_bytes = estimated_index_bytes(set.total_residues(), set.len());
 
     // ---- Monolithic vs windowed mining. ----
-    let cmp_n = store.len().min(50_000) as u32;
-    let cmp_set = store.load_range(0..cmp_n);
+    let cmp_n = set.len().min(50_000) as u32;
+    let cmp_set = set.load_range(0..cmp_n);
     let cmp_bytes = estimated_index_bytes(cmp_set.total_residues(), cmp_set.len());
     let budget_bytes = (BUDGET_SHARE * cmp_bytes as f64) as u64;
     let pair_config = MaximalMatchConfig { min_len: 15, max_pairs_per_node: 100_000, dedup: true };
@@ -185,14 +170,14 @@ fn main() {
     );
     drop(cmp_set);
 
-    // ---- Full budgeted pipeline over the paged store. ----
+    // ---- Full budgeted pipeline over the whole set. ----
     let pipe_budget = (BUDGET_SHARE * mono_bytes as f64) as u64;
     let pipe_config = PipelineConfig::default().with_mem_budget(pipe_budget);
-    let plan = index_plan(&store, &pipe_config.cluster, None)
+    let plan = index_plan(&set, &pipe_config.cluster, None)
         .expect("the pipeline budget admits the text and a window");
     let live0 = peak_reset();
     let t0 = Instant::now();
-    let result = pipe_config.run(&store);
+    let result = pipe_config.run(&set);
     let pipeline_s = t0.elapsed().as_secs_f64();
     let pipeline_peak = peak_since(live0);
     let budget_peak = pipe_config.cluster.budget.peak();
@@ -200,7 +185,7 @@ fn main() {
         "index_oc_bench: pipeline {} reads in {pipeline_s:.2}s under {} MiB budget ({plan:?}, \
          mono index estimate {} MiB): {} non-redundant, {} components, {} subgraphs, \
          peak alloc {} MiB",
-        store.len(),
+        set.len(),
         pipe_budget >> 20,
         mono_bytes >> 20,
         result.non_redundant.len(),
@@ -214,7 +199,6 @@ fn main() {
             "{{ \"bench\": \"index_oc\", \"mode\": \"{mode}\", {cores_field}, ",
             "\"threads\": {threads}, \"n_reads\": {n_reads}, \"total_residues\": {residues}, ",
             "\"monolithic_index_bytes\": {mono_bytes}, ",
-            "\"datagen\": {{ \"seconds\": {dg_s:.3}, \"peak_alloc_bytes\": {dg_peak} }}, ",
             "\"compare\": {{ \"n_reads\": {cmp_n}, \"psi\": {psi}, ",
             "\"budget_share\": {share}, \"budget_bytes\": {budget_bytes}, ",
             "\"n_windows\": {n_windows}, \"n_pairs\": {n_pairs}, ",
@@ -233,11 +217,9 @@ fn main() {
         mode = if args.smoke { "smoke" } else { "full" },
         cores_field = cores_field(cores),
         threads = threads,
-        n_reads = streamed.n_reads,
-        residues = streamed.total_residues,
+        n_reads = set.len(),
+        residues = set.total_residues(),
         mono_bytes = mono_bytes,
-        dg_s = datagen_s,
-        dg_peak = datagen_peak,
         cmp_n = cmp_n,
         psi = pair_config.min_len,
         share = BUDGET_SHARE,
@@ -264,6 +246,5 @@ fn main() {
         n_comp = result.components.len(),
         n_ds = result.dense_subgraphs.len(),
     );
-    let _ = std::fs::remove_file(&path);
     emit_append("index_oc", &record, args.smoke);
 }

@@ -82,9 +82,8 @@ fn verify_into(
 
 /// Build the similarity graph of one component from its members alone.
 ///
-/// The members are indexed on their own (local ids `0..k`, materialized
-/// through the store trait so a paged store reads just this component's
-/// pages; a refused `bgg-gsa` reservation degrades to accounting-only) and
+/// The members are indexed on their own (local ids `0..k`, copied out of
+/// the store; a refused `bgg-gsa` reservation degrades to accounting-only) and
 /// every ψ_ccd pair of that index is verified: a modified PaCE pass with
 /// the maximal-match heuristic and no closure filter, as in the paper.
 /// The pairs are mined into one vector, 20 B a pair, held while they are

@@ -439,9 +439,7 @@ impl RrResult {
 /// tie-breaks are not transposition-invariant, and a pair must mean one
 /// alignment whichever phase fills it — so RR reads the containment of
 /// whichever side its candidate `a` is, plus the overlap answer for the
-/// ledger. The residues come through [`SeqStore::codes_cow`], so a paged
-/// store fetches exactly the sequences an alignment touches; the in-memory
-/// store borrows from its arena.
+/// ledger.
 pub struct Verifier {
     engine: pfam_align::AlignEngine,
     phase: CorePhase,
@@ -523,9 +521,9 @@ impl Verifier {
             return known;
         }
         let (lo, hi, ask) = self.question(candidate);
-        let (x, y) = (set.codes_cow(lo), set.codes_cow(hi));
+        let (x, y) = (set.codes(lo), set.codes(hi));
         let cells = (x.len() as u64) * (y.len() as u64);
-        self.filled(candidate, self.engine.judge(&x, &y, ask), cells)
+        self.filled(candidate, self.engine.judge(x, y, ask), cells)
     }
 
     /// Verify a candidate list; the verdicts come back in its order, each
@@ -553,10 +551,8 @@ impl Verifier {
         rest.sort_unstable();
         let fill = |group: &[(usize, usize, usize)]| -> Vec<Verdict> {
             let asks = group.iter().map(|&(_, _, at)| self.question(candidates[at]));
-            let reads: Vec<_> =
-                asks.clone().map(|(lo, hi, _)| (set.codes_cow(lo), set.codes_cow(hi))).collect();
             let asked: Vec<(&[u8], &[u8], PairQuery)> =
-                reads.iter().zip(asks).map(|((x, y), ask)| (&x[..], &y[..], ask.2)).collect();
+                asks.map(|(lo, hi, ask)| (set.codes(lo), set.codes(hi), ask)).collect();
             let mut answers = Vec::with_capacity(group.len());
             self.engine.judge_batch(&asked, &mut answers);
             let verdict = |(&(n, m, at), v)| self.filled(candidates[at], v, (m * n) as u64);

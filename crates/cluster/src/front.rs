@@ -7,8 +7,8 @@
 //! RR mines its nodes ≥ ψ_rr, CCD its nodes ≥ ψ_ccd through a mask that
 //! drops the suffixes of the reads RR removed — and does not align again
 //! the pairs RR's [`PairLedger`] already answers. When one monolithic index
-//! cannot serve the run (a paged store, or an index over the budget) each
-//! phase mines windows of its own reads ([`crate::source::index_plan`]),
+//! cannot serve the run (it does not fit the budget) each phase mines
+//! windows of its own reads ([`crate::source::index_plan`]),
 //! exactly as [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do —
 //! the same pair streams.
 

@@ -230,7 +230,7 @@ pub fn with_pair_source<R>(
 mod tests {
     use super::*;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
-    use pfam_seq::{MemoryBudget, PagedSeqStore, SequenceSetBuilder, SubsetStore};
+    use pfam_seq::{MemoryBudget, SequenceSetBuilder, SubsetStore};
     use pfam_suffix::estimated_text_bytes;
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
@@ -307,20 +307,5 @@ mod tests {
         let floor = text_bytes(&set) + err.requested;
         assert_eq!(index_plan(&set, &budgeted(floor), None), Ok(IndexPlan::Windowed));
         assert!(floor < index_bytes(&set) / 4, "the floor is well under the index");
-    }
-
-    #[test]
-    fn a_paged_store_plans_windows() {
-        let path =
-            std::env::temp_dir().join(format!("pfam-index-plan-{}.pfss", std::process::id()));
-        PagedSeqStore::write_set(&path, &dataset(9), 1 << 12).expect("write paged store");
-        let paged = PagedSeqStore::open(&path).expect("open paged store");
-        let config = ClusterConfig::default();
-        assert_eq!(index_plan(&paged, &config, None), Ok(IndexPlan::Windowed));
-        let mine = |store: &dyn SeqStore| {
-            with_pair_source(store, &config, config.psi_ccd, None, |pairs, _| pairs.to_vec())
-        };
-        assert_eq!(mine(&paged), mine(&dataset(9)), "one stream either way");
-        let _ = std::fs::remove_file(&path);
     }
 }

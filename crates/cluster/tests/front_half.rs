@@ -1,9 +1,9 @@
 //! The front half over one index against the composition it replaced:
 //! RR over the input, CCD over a copy of the survivors with an index of
 //! its own. Results, work traces and checkpoint cursors must not tell the
-//! two apart, and the runs one monolithic index cannot serve — a paged
-//! store, a budget under the index — mine windows to the same streams. (What RR's pair ledger changes — and does not —
-//! is `pair_ledger.rs`.)
+//! two apart, and a run one monolithic index cannot serve — a budget under
+//! the index — mines windows to the same streams. (What RR's pair ledger
+//! changes — and does not — is `pair_ledger.rs`.)
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use pfam_cluster::{
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
-use pfam_seq::{materialize_subset, PagedSeqStore, SequenceSet, SubsetStore};
+use pfam_seq::{materialize_subset, SequenceSet, SubsetStore};
 use pfam_suffix::estimated_index_bytes;
 
 /// Small batches, so a run crosses many cursor boundaries.
@@ -125,27 +125,20 @@ fn a_cursor_resumes_on_any_index() {
     let cursor = cursors[cursors.len() / 2].clone();
     assert!(cursor.pairs_consumed > 0);
 
-    // The base's index rebuilt and masked; an index of a copy; a copy
-    // loaded back from a paged store (windows of one text); the view
+    // The base's index rebuilt and masked; an index of a copy; the view
     // mined in windows under a budget.
     let view = SubsetStore::new(&set, rr.kept.clone());
     let copy = materialize_subset(&set, &rr.kept);
-    let path = std::env::temp_dir().join(format!("pfam-front-half-{}.pfss", std::process::id()));
-    PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
-    let paged = PagedSeqStore::open(&path).expect("open paged store");
-    let paged_view = SubsetStore::new(&paged, rr.kept.clone());
     let windowed = budgeted(&set);
     for (what, store, config) in [
         ("rebuilt, masked", &view as &dyn pfam_seq::SeqStore, &config),
         ("index of a copy", &copy, &config),
-        ("paged copy", &paged_view, &config),
         ("windows", &view, &windowed),
     ] {
         let resumed =
             run_ccd_resumable(store, config, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {});
         assert_same_ccd(&resumed, &want, what);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -174,25 +167,17 @@ fn runs_one_index_cannot_serve_mine_windows() {
     let config = config();
     let (rr_want, ccd_want) = two_builds(&set, &config);
 
-    let path = std::env::temp_dir().join(format!("pfam-front-routes-{}.pfss", std::process::id()));
-    PagedSeqStore::write_set(&path, &set, 1 << 12).expect("write paged store");
-    let paged = PagedSeqStore::open(&path).expect("open paged store");
-    // Budgets of their own: clones share the accounting, and `rr_want`
+    // A budget of its own: clones share the accounting, and `rr_want`
     // still holds its ledger on `config`'s.
-    for (what, input, cfg) in [
-        ("budget", &set as &dyn pfam_seq::SeqStore, budgeted(&set)),
-        ("paged store", &paged, self::config()),
-    ] {
-        let (rr, ccd) = run_front_half(input, &cfg);
-        assert_eq!(rr.kept, rr_want.kept, "{what}");
-        assert_eq!(rr.trace, rr_want.trace, "{what}");
-        assert_same_ccd(&ccd, &ccd_want, what);
-        assert_eq!(cfg.budget.granted("gsa-index"), 0, "{what}: no monolithic index");
-        assert_eq!(cfg.budget.granted("gsa-window"), 2, "{what}: RR and CCD in windows");
-        // What is still held is the ledger, and it goes with RR's result.
-        assert_eq!(cfg.budget.used(), 8 * rr.ledger.len() as u64, "{what}: index released");
-        drop(rr);
-        assert_eq!(cfg.budget.used(), 0, "{what}: reservations released");
-    }
-    let _ = std::fs::remove_file(&path);
+    let cfg = budgeted(&set);
+    let (rr, ccd) = run_front_half(&set, &cfg);
+    assert_eq!(rr.kept, rr_want.kept);
+    assert_eq!(rr.trace, rr_want.trace);
+    assert_same_ccd(&ccd, &ccd_want, "budget");
+    assert_eq!(cfg.budget.granted("gsa-index"), 0, "no monolithic index");
+    assert_eq!(cfg.budget.granted("gsa-window"), 2, "RR and CCD in windows");
+    // What is still held is the ledger, and it goes with RR's result.
+    assert_eq!(cfg.budget.used(), 8 * rr.ledger.len() as u64, "index released");
+    drop(rr);
+    assert_eq!(cfg.budget.used(), 0, "reservations released");
 }

@@ -3,19 +3,19 @@
 //!
 //! The list entry answers from the ledger, sorts the rest by shape and
 //! fills them sixteen to a register; none of that may show in a verdict.
-//! So for both phases, on the pool and on the caller's thread, over an
-//! in-memory and a paged store: lists of 1 / 15 / 16 / 17 / 33 / 4 096
-//! candidates — ledger hits interleaved, candidates repeated, pairs over
-//! the batch kernel's direction bound and over the `i16` score guard mixed
-//! in — come back in order, each verdict (cell counters included) the one
-//! the candidate gets alone. And the back half's deferred pairs: those of a
-//! component no graph will be asked for are neither held nor filled.
+//! So for both phases, on the pool and on the caller's thread: lists of
+//! 1 / 15 / 16 / 17 / 33 / 4 096 candidates — ledger hits interleaved,
+//! candidates repeated, pairs over the batch kernel's direction bound and
+//! over the `i16` score guard mixed in — come back in order, each verdict
+//! (cell counters included) the one the candidate gets alone. And the back
+//! half's deferred pairs: those of a component no graph will be asked for
+//! are neither held nor filled.
 
 use std::sync::Arc;
 
 use pfam_cluster::{run_ccd, ClusterConfig, CorePhase, KnownPairs, PairLedger, Verifier, VerifyOn};
 use pfam_datagen::{random_peptide, DatasetConfig, MutationModel, SyntheticDataset};
-use pfam_seq::{MemoryBudget, PagedSeqStore, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
+use pfam_seq::{MemoryBudget, SeqId, SequenceSet, SequenceSetBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,9 +78,6 @@ fn candidates(set: &SequenceSet, long: &[u32], n: usize, salt: u64) -> Vec<(u32,
 #[test]
 fn the_list_entry_is_verdict_mapped_over_the_list() {
     let (set, long) = corpus();
-    let path = std::env::temp_dir().join(format!("pfam-verify-list-{}.pfss", std::process::id()));
-    PagedSeqStore::write_set(&path, &set, 1 << 10).expect("write paged store");
-    let paged = PagedSeqStore::open(&path).expect("open paged store");
     let cfg = ClusterConfig::default();
 
     // A ledger that knows every third pair of the largest list — right or
@@ -100,17 +97,14 @@ fn the_list_entry_is_verdict_mapped_over_the_list() {
         ("ccd", Verifier::new(&cfg, CorePhase::Ccd)),
         ("ccd + ledger", Verifier::new(&cfg, CorePhase::Ccd).with_ledger(ledger)),
     ];
-    let stores: [(&str, &dyn SeqStore); 2] = [("in memory", &set), ("paged", &paged)];
     let (mut hits, mut fills, mut scalar_fills) = (0, 0, 0);
     for (n, salt) in [(1, 1), (15, 2), (16, 3), (17, 4), (33, 5), (4096, 0)] {
         let list = candidates(&set, &long, n, salt);
         for (phase, verifier) in &verifiers {
             let alone: Vec<_> = list.iter().map(|&c| verifier.verdict(&set, c)).collect();
-            for (kind, store) in stores {
-                for on in [VerifyOn::Pool, VerifyOn::Caller] {
-                    let got = verifier.verify(store, &list, on);
-                    assert_eq!(got, alone, "{phase}, {kind}, {on:?}: list of {n}");
-                }
+            for on in [VerifyOn::Pool, VerifyOn::Caller] {
+                let got = verifier.verify(&set, &list, on);
+                assert_eq!(got, alone, "{phase}, {on:?}: list of {n}");
             }
             hits += alone.iter().filter(|v| v.ledger_hit).count();
             fills += alone.iter().filter(|v| !v.ledger_hit).count();
@@ -119,7 +113,6 @@ fn the_list_entry_is_verdict_mapped_over_the_list() {
     }
     assert!(hits > 500 && fills > 5000, "{hits} ledger hits, {fills} fills — a vacuous corpus");
     assert!(scalar_fills > 20, "only {scalar_fills} pairs past the i16 guard were filled");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

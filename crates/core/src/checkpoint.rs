@@ -52,9 +52,11 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// fingerprint folds no sketch word and `u64::MAX` is no longer a plan pin
 /// (it named the retired LSH candidate stream). v7 drops the plan pin from
 /// the CCD payload: every plan mines one stream, so a cursor is a position
-/// in it under any budget. An older file is [`CkptError::BadVersion`]:
-/// there is no compatibility path.
-pub const VERSION: u32 = 7;
+/// in it under any budget. v8 has v7's layout, but its fingerprint folds
+/// every residue, not only every length: a v7 file may name another input
+/// of the same shape. An older file is [`CkptError::BadVersion`]: there is
+/// no compatibility path.
+pub const VERSION: u32 = 8;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -233,15 +235,16 @@ pub fn read_checkpoint(path: &Path) -> Result<(Phase, u64, Vec<u8>), CkptError> 
 
 // ----------------------------------------------------------- fingerprint
 
-/// The 64-bit name of the answer a run computes: the input's shape (reads,
-/// residues, every length) and every parameter a phase's output depends
-/// on. Each checkpoint file carries the fingerprint of the run that wrote
-/// it, and a run resumes only from files carrying its own.
+/// The 64-bit name of the answer a run computes: the input (the read
+/// count, the residue count, every read's length and residues) and every
+/// parameter a phase's output depends on. Each checkpoint file carries the
+/// fingerprint of the run that wrote it, and a run resumes only from files
+/// carrying its own.
 ///
 /// Thread counts, the alignment engine, the memory budget and the
 /// checkpoint cadence are left out on purpose: results are
-/// identical across them (the CCD cursor's plan pin fixes the generation
-/// order), so a killed run may be resumed under other values.
+/// identical across them (every budget mines one pair stream), so a killed
+/// run may be resumed under other values.
 pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
     // Destructured in full, so a new field has to be placed on one side.
     let PipelineConfig { cluster, shingle, reduction, min_component_size, min_subgraph_size } =
@@ -264,8 +267,16 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
     let mut h = Fold(0);
     h.word(input.len() as u64);
     h.word(input.total_residues() as u64);
+    // Each read's length, then its codes eight to a word (the last word
+    // zero-padded: the length says where the read ends).
     for i in 0..input.len() {
-        h.word(input.seq_len(SeqId(i as u32)) as u64);
+        let codes = input.codes(SeqId(i as u32));
+        h.word(codes.len() as u64);
+        for chunk in codes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h.word(u64::from_le_bytes(word));
+        }
     }
     let codes = 0..pfam_seq::alphabet::ALPHABET_SIZE as u8;
     for (a, b) in codes.clone().flat_map(|a| codes.clone().map(move |b| (a, b))) {
@@ -764,9 +775,11 @@ mod tests {
             change(&mut config);
             assert_ne!(fingerprint(&set, &config), name, "parameter {i}");
         }
-        // Same reads and residues, other lengths; and one read more.
+        // Same reads and residues, other lengths; one read more; and the
+        // same lengths with one residue changed.
         assert_ne!(fingerprint(&set_of(&["MKVLWAAK", "MKVLWND"]), &base), name);
         assert_ne!(fingerprint(&set_of(&["MKVLWAAKND", "MKVL", "W"]), &base), name);
+        assert_ne!(fingerprint(&set_of(&["MKVLWAAKND", "MKVLY"]), &base), name);
 
         let mut unchanged = base.clone().with_mem_budget(1 << 20);
         unchanged.cluster.threads = 1;

@@ -389,10 +389,10 @@ fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
     edges
 }
 
-/// Run the pipeline on `input` — any [`SeqStore`]: an in-memory
-/// [`pfam_seq::SequenceSet`] or a paged on-disk store — keeping on disk
-/// what `hooks` says. `Ok(None)` means the run ended where
-/// [`PipelineHooks::stop_after`] asked it to.
+/// Run the pipeline on `input` — any [`SeqStore`], such as a
+/// [`pfam_seq::SequenceSet`] — keeping on disk what `hooks` says.
+/// `Ok(None)` means the run ended where [`PipelineHooks::stop_after`]
+/// asked it to.
 ///
 /// Refuses to start — with a typed error, never an abort or an empty
 /// answer — when the configuration cannot work on this input: no
@@ -411,8 +411,8 @@ pub fn run_pipeline(
     // connected components of the survivors (cursor every N batches, final
     // state at the end). A run that starts at RR holds one suffix index
     // across both; it is dropped before the back half starts. CCD sees the
-    // survivors through the store (no re-pack — a paged input stays on
-    // disk); its local id `i` maps back to original id `kept[i]`. ----
+    // survivors through a view of the input (no re-pack); its local id `i`
+    // maps back to original id `kept[i]`. ----
     let front = match snapshots.load(Phase::Rr)? {
         Some(payload) => {
             let rr = RrState::decode(&payload)?;
@@ -674,24 +674,6 @@ mod tests {
         assert_eq!(err.what, "gsa-text");
         assert_eq!(err.limit, 8);
         assert!(err.requested > err.limit);
-    }
-
-    #[test]
-    fn paged_store_input_matches_in_memory() {
-        // The same pipeline over the same sequences, once from the
-        // in-memory set and once from a paged on-disk store.
-        let d = small_dataset(31);
-        let dir = std::env::temp_dir().join(format!("pfam-pipe-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("input.pfss");
-        pfam_seq::PagedSeqStore::write_set(&path, &d.set, 1 << 14).unwrap();
-        let store = pfam_seq::PagedSeqStore::open(&path).unwrap();
-        let config = PipelineConfig::for_tests().with_mem_budget(1 << 20);
-        let want = config.run(&d.set);
-        let got = config.run(&store);
-        assert_eq!(got.dense_subgraphs, want.dense_subgraphs);
-        assert_eq!(got.components, want.components);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -292,125 +292,6 @@ impl SyntheticDataset {
     }
 }
 
-/// A data set streamed to an on-disk paged store instead of materialized
-/// in memory — what [`generate_to_store`] returns. Only the ground truth
-/// and summary counters live in memory; the sequences are on disk,
-/// reachable through [`pfam_seq::PagedSeqStore::open`].
-#[derive(Debug)]
-pub struct StreamedDataset {
-    /// Path of the written paged store file.
-    pub path: std::path::PathBuf,
-    /// Per-read provenance (parallel to store ids).
-    pub provenance: Vec<Provenance>,
-    /// Number of reads written.
-    pub n_reads: usize,
-    /// Total residues written.
-    pub total_residues: u64,
-}
-
-/// How many recent reads [`generate_to_store`] keeps as candidate
-/// originals for redundant copies. Bounding the window is what lets the
-/// generator scale to millions of ORFs with flat memory: the in-memory
-/// generator samples originals from the *entire* finished set, which
-/// would mean holding every read.
-pub const REDUNDANCY_WINDOW: usize = 4096;
-
-/// [`SyntheticDataset::generate`] at out-of-core scale: reads stream
-/// through a [`pfam_seq::PagedStoreWriter`] into `path` as they are
-/// produced, so generating 1 M+ ORFs never materializes a `Vec` of
-/// sequences. Redundant copies are interleaved (each member read spawns a
-/// contained copy with probability `redundancy_frac`, sourced from the
-/// last [`REDUNDANCY_WINDOW`] members), so the read *layout* differs from
-/// the in-memory generator's — the statistical structure (family sizes,
-/// containment, noise) is the same. Deterministic in the seed.
-pub fn generate_to_store(
-    config: &DatasetConfig,
-    path: impl Into<std::path::PathBuf>,
-    page_bytes: usize,
-) -> Result<StreamedDataset, pfam_seq::SeqError> {
-    assert!(config.n_families >= 1, "need at least one family");
-    assert!(!config.ancestor_len.is_empty(), "empty ancestor length range");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // Ancestors with optional shared domains — identical to the
-    // in-memory path (same RNG draws, same structure).
-    let mut ancestors: Vec<Vec<u8>> = (0..config.n_families)
-        .map(|_| {
-            let len = rng.gen_range(config.ancestor_len.clone());
-            random_peptide(&mut rng, len)
-        })
-        .collect();
-    for _ in 0..config.n_shared_domains {
-        let domain = random_peptide(&mut rng, config.domain_len);
-        for _ in 0..config.families_per_domain {
-            let f = rng.gen_range(0..config.n_families);
-            let anc = &mut ancestors[f];
-            if anc.len() > config.domain_len {
-                let at = rng.gen_range(0..anc.len() - config.domain_len);
-                anc[at..at + config.domain_len].copy_from_slice(&domain);
-            }
-        }
-    }
-    let sizes = skewed_sizes(config.n_families, config.n_members, config.size_skew);
-
-    let mut writer = pfam_seq::PagedStoreWriter::create(path, page_bytes)?;
-    let mut provenance: Vec<Provenance> = Vec::new();
-    let mut total_residues: u64 = 0;
-    // Bounded ring of recent members: (id, family, codes).
-    let mut recent: std::collections::VecDeque<(SeqId, u32, Vec<u8>)> =
-        std::collections::VecDeque::with_capacity(REDUNDANCY_WINDOW);
-    let mut n_redundant = 0usize;
-
-    for (family, &size) in sizes.iter().enumerate() {
-        for m in 0..size {
-            let mut codes = config.mutation.mutate(&ancestors[family], &mut rng);
-            let mut fragment = false;
-            if rng.gen_bool(config.fragment_prob) {
-                let frac = rng.gen_range(config.fragment_frac.clone());
-                let keep = ((codes.len() as f64 * frac) as usize).max(10).min(codes.len());
-                let start = rng.gen_range(0..=codes.len() - keep);
-                codes = codes[start..start + keep].to_vec();
-                fragment = true;
-            }
-            let header = format!("fam{family}_m{m}{}", if fragment { "_frag" } else { "" });
-            total_residues += codes.len() as u64;
-            let id = writer.push_codes(&header, &codes)?;
-            provenance.push(Provenance::Member { family: family as u32, fragment });
-
-            if recent.len() == REDUNDANCY_WINDOW {
-                recent.pop_front();
-            }
-            recent.push_back((id, family as u32, codes));
-
-            // Interleaved redundancy: expected count matches the batch
-            // generator's `n_members × redundancy_frac`.
-            if rng.gen_bool(config.redundancy_frac.clamp(0.0, 1.0)) {
-                let (of, fam, original) = &recent[rng.gen_range(0..recent.len())];
-                let keep = ((original.len() as f64) * rng.gen_range(0.95..1.0)) as usize;
-                let keep = keep.clamp(1, original.len());
-                let start = rng.gen_range(0..=original.len() - keep);
-                let window = &original[start..start + keep];
-                total_residues += window.len() as u64;
-                writer.push_codes(&format!("red{n_redundant}_of_{}", of.0), window)?;
-                provenance.push(Provenance::Redundant { of: *of, family: *fam });
-                n_redundant += 1;
-            }
-        }
-    }
-
-    for i in 0..config.n_noise {
-        let len = rng.gen_range(config.noise_len.clone());
-        let codes = random_peptide(&mut rng, len);
-        total_residues += codes.len() as u64;
-        writer.push_codes(&format!("noise{i}"), &codes)?;
-        provenance.push(Provenance::Noise);
-    }
-
-    let n_reads = writer.len();
-    let path = writer.finish()?;
-    Ok(StreamedDataset { path, provenance, n_reads, total_residues })
-}
-
 /// Zipf-like sizes: `size_i ∝ 1 / (i+1)^skew`, scaled to sum ≈ `total`,
 /// every family getting at least one member.
 pub fn skewed_sizes(n_families: usize, total: usize, skew: f64) -> Vec<usize> {
@@ -562,64 +443,6 @@ mod tests {
             }
         }
         assert!(found, "shared domains should appear in multiple ancestors");
-    }
-
-    #[test]
-    fn streamed_dataset_size_sweep() {
-        use pfam_seq::{PagedSeqStore, SeqStore};
-        let dir = std::env::temp_dir().join(format!("pfam-datagen-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Sweep scales; each store must read back consistent with its
-        // ground truth and grow with the scale.
-        let mut last_reads = 0usize;
-        for (i, factor) in [0.5, 2.0, 8.0].into_iter().enumerate() {
-            let config = DatasetConfig::tiny(41).scaled(factor);
-            let path = dir.join(format!("sweep{i}.pfss"));
-            let d = generate_to_store(&config, &path, 1 << 14).unwrap();
-            assert_eq!(d.provenance.len(), d.n_reads);
-            assert!(d.n_reads > last_reads, "scale {factor} did not grow the set");
-            last_reads = d.n_reads;
-
-            let store = PagedSeqStore::open(&d.path).unwrap();
-            assert_eq!(store.len(), d.n_reads);
-            assert_eq!(store.total_residues(), d.total_residues as usize);
-            // Every injected redundant read is a verbatim window of its
-            // original, which by construction is within the ring window.
-            for (r, p) in d.provenance.iter().enumerate() {
-                if let Provenance::Redundant { of, .. } = *p {
-                    let copy = store.codes_cow(SeqId(r as u32));
-                    let original = store.codes_cow(of);
-                    assert!(
-                        original.windows(copy.len()).any(|w| w == &copy[..]),
-                        "redundant read {r} is not a window of {}",
-                        of.0
-                    );
-                }
-            }
-            let noise = d.provenance.iter().filter(|p| matches!(p, Provenance::Noise)).count();
-            assert_eq!(noise, config.n_noise);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streamed_dataset_is_deterministic() {
-        use pfam_seq::{PagedSeqStore, SeqStore};
-        let dir = std::env::temp_dir().join(format!("pfam-datagen-det-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let config = DatasetConfig::tiny(9);
-        let a = generate_to_store(&config, dir.join("a.pfss"), 1 << 12).unwrap();
-        let b = generate_to_store(&config, dir.join("b.pfss"), 1 << 12).unwrap();
-        assert_eq!(a.n_reads, b.n_reads);
-        assert_eq!(a.provenance, b.provenance);
-        let (sa, sb) =
-            (PagedSeqStore::open(&a.path).unwrap(), PagedSeqStore::open(&b.path).unwrap());
-        for i in 0..sa.len() {
-            let id = SeqId(i as u32);
-            assert_eq!(sa.codes_cow(id), sb.codes_cow(id));
-            assert_eq!(sa.header_owned(id), sb.header_owned(id));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,8 +18,5 @@
 pub mod dataset;
 pub mod mutation;
 
-pub use dataset::{
-    generate_to_store, skewed_sizes, DatasetConfig, Provenance, StreamedDataset, SyntheticDataset,
-    REDUNDANCY_WINDOW,
-};
+pub use dataset::{skewed_sizes, DatasetConfig, Provenance, SyntheticDataset};
 pub use mutation::{random_peptide, random_residue, MutationModel};

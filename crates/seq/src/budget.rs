@@ -1,7 +1,8 @@
 //! Explicit memory-budget accounting for the index plane.
 //!
 //! Every large allocation in the pipeline — suffix-array text, LCP
-//! arrays, the pair ledger, deferred pairs, paged-store caches — registers
+//! arrays, the windowed miner's text and windows, the pair ledger,
+//! deferred pairs — registers
 //! against a shared [`MemoryBudget`] before it materialises. Over-budget
 //! construction is a *typed error* ([`BudgetError`]), never an abort: the
 //! caller decides whether to degrade (smaller index chunks,

@@ -33,4 +33,4 @@ pub use kmer::KmerIter;
 pub use scoring::{ScoringScheme, SubstMatrix};
 pub use sequence::{SeqId, Sequence, SequenceSet, SequenceSetBuilder};
 pub use stats::LengthStats;
-pub use store::{materialize_subset, PagedSeqStore, PagedStoreWriter, SeqStore, SubsetStore};
+pub use store::{materialize_subset, SeqStore, SubsetStore};

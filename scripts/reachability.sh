@@ -30,7 +30,7 @@ cd "$(dirname "$0")/.."
 ALLOW=scripts/reachability.allow
 # Lines the allow-list held when the gate was introduced; lower it when a
 # line goes, never raise it.
-ALLOW_CEILING=14
+ALLOW_CEILING=13
 
 mapfile -t FILES < <(
     find crates/*/src src examples -name '*.rs' | sort

@@ -207,10 +207,22 @@ done
 echo "== tier1: reachability ratchet (pub items named outside the tests, or allow-listed) =="
 scripts/reachability.sh
 
+echo "== tier1: one sequence store, in memory =="
+# The paged on-disk store, its page cache and file format, the streaming
+# generator that wrote it, and the copy-returning accessors that existed
+# only for it had no caller in `pfam`, an example or a benchmark workload:
+# `pfam` reads one FASTA into memory, and what bounds memory under a
+# budget is the windowed miner. None comes back under its old name.
+if grep -rnE "PagedSeqStore|PagedStoreWriter|PageCache|generate_to_store|StreamedDataset|REDUNDANCY_WINDOW|codes_cow|header_owned|PFSS0001" \
+    crates src tests examples; then
+    echo "tier1 FAIL: a retired sequence store or accessor is named in the tree" >&2
+    exit 1
+fi
+
 echo "== tier1: sequence text stays behind pfam-seq's SeqStore =="
 # Out-of-core contract: no data-plane crate slurps whole files or
 # materializes full sequence text on its own; sequence bytes are reached
-# through the SeqStore trait (load_range / codes_cow), so the memory
+# through the SeqStore trait (load_range / codes), so the memory
 # budget actually binds. Checkpoint payloads (crates/core/src/
 # checkpoint.rs) are pipeline state, not sequence data, and are exempt.
 if grep -rn "std::fs::read\b\|std::fs::read_to_string" \
@@ -452,11 +464,12 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4, v5 or v6 directory is refused, not replayed) =="
+echo "== tier1: CLI older-checkpoint smoke (a v4 to v7 directory is refused, not replayed) =="
 # v4 plan pins count bytes of the 16-byte-per-position index estimate;
 # v5 fingerprints fold the sketch mode; v6 CCD cursors carry the plan pin
-# that v7 dropped. Same header, so: the version word.
-for v in 4 5 6; do
+# that v7 dropped; v7 fingerprints fold no residue. Same header, so: the
+# version word.
+for v in 4 5 6 7; do
     cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
     for f in "$SMOKE/ck-v$v"/*.ckpt; do
         printf "\\00$v\\000\\000\\000" | dd of="$f" bs=1 seek=4 conv=notrunc status=none

@@ -1,6 +1,7 @@
 //! Byte-level mutation of the parsers this repository owns: FASTA
 //! (`read_fasta`), the trace TSV that `pfam replay` reads
-//! (`PhaseTrace::from_tsv`) and the three checkpoint payloads
+//! (`PhaseTrace::from_tsv`), the checkpoint file header
+//! (`read_checkpoint`) and the three checkpoint payloads
 //! (`RrState` / `CcdState` / `DsdState::decode`).
 //!
 //! Each parser gets a real artifact of a tiny pipeline run, then every
@@ -9,10 +10,8 @@
 //! the parser's own error type; it may not panic. The payloads are swept
 //! behind the file's CRC on purpose: a checksum-valid file is what a buggy
 //! writer, or a deliberate edit, hands the decoder. A payload is also read
-//! to its last byte, so none of its truncations may decode.
-//!
-//! The paged sequence store is not swept: its accessors cannot return an
-//! error yet.
+//! to its last byte, so none of its truncations may decode. The header is
+//! swept as a file, since `read_checkpoint` takes a path.
 
 mod common;
 
@@ -30,13 +29,15 @@ use pfam::seq::fasta::{read_fasta, write_fasta};
 struct Artifacts {
     fasta: Vec<u8>,
     trace: Vec<u8>,
+    rr_file: Vec<u8>,
     rr: Vec<u8>,
     ccd: Vec<u8>,
     dsd: Vec<u8>,
 }
 
 /// One checkpointed run over a few short families: its input as FASTA,
-/// its CCD trace as TSV, and the payloads of its three checkpoint files.
+/// its CCD trace as TSV, its whole `rr.ckpt`, and the payloads of its
+/// three checkpoint files.
 fn artifacts() -> &'static Artifacts {
     static ARTIFACTS: OnceLock<Artifacts> = OnceLock::new();
     ARTIFACTS.get_or_init(|| {
@@ -61,6 +62,7 @@ fn artifacts() -> &'static Artifacts {
         let artifacts = Artifacts {
             fasta,
             trace: result.traces.1.to_tsv().into_bytes(),
+            rr_file: std::fs::read(Phase::Rr.path_in(&dir)).expect("rr.ckpt"),
             rr: payload(Phase::Rr),
             ccd: payload(Phase::Ccd),
             dsd: payload(Phase::Dsd),
@@ -157,4 +159,49 @@ fn ccd_payload_mutants_decode_or_are_a_ckpt_error() {
 #[test]
 fn dsd_payload_mutants_decode_or_are_a_ckpt_error() {
     assert_payload("DsdState::decode", &artifacts().dsd, DsdState::decode);
+}
+
+#[test]
+fn checkpoint_header_mutants_and_truncations_are_a_ckpt_error() {
+    // Magic, version, phase, fingerprint, payload length, CRC: 32 bytes.
+    // `read_checkpoint` cannot know which fingerprint a run expects, so a
+    // changed fingerprint reads back as that other fingerprint (the run then
+    // refuses it as a mismatch); every other change of a header byte, and
+    // every truncation of the file, is a `CkptError`.
+    const FINGERPRINT: std::ops::Range<usize> = 12..20;
+    let file = &artifacts().rr_file;
+    let dir = scratch_dir("header-mutation");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let path = dir.join("rr.ckpt");
+    let read_back = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).expect("write a mutant");
+        catch_unwind(AssertUnwindSafe(|| read_checkpoint(&path)))
+    };
+    let (_, fingerprint, _) = read_back(file).expect("no panic").expect("the file reads back");
+    let (mut panicked, mut read, mut refused) = (Vec::new(), Vec::new(), 0);
+    let mut case = |what: String, bytes: &[u8], may_read: bool| match read_back(bytes) {
+        Err(_) => panicked.push(what),
+        Ok(Err(_)) => refused += 1,
+        Ok(Ok((_, other, _))) if may_read && other != fingerprint => {}
+        Ok(Ok(_)) => read.push(what),
+    };
+    let mut bytes = file.clone();
+    for at in 0..32 {
+        let original = file[at];
+        for value in [0x00, 0xFF, original ^ 1] {
+            if value != original {
+                bytes[at] = value;
+                let what = format!("byte {at}: {original:#04x} -> {value:#04x}");
+                case(what, &bytes, FINGERPRINT.contains(&at));
+            }
+        }
+        bytes[at] = original;
+    }
+    for len in 0..file.len() {
+        case(format!("truncated to {len} bytes"), &file[..len], false);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(panicked.is_empty(), "read_checkpoint panicked on {panicked:?}");
+    assert!(read.is_empty(), "read_checkpoint accepted {read:?}");
+    assert!(refused > file.len(), "refused only {refused} cases");
 }

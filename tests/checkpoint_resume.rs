@@ -22,7 +22,7 @@ use pfam::core::{
     run_pipeline, FillReport, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::seq::{SeqId, SequenceSet};
+use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -246,8 +246,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 7u32.to_le_bytes(), "this build writes version 7");
-    for old in [2u32, 3, 4, 5, 6] {
+    assert_eq!(bytes[4..8], 8u32.to_le_bytes(), "this build writes version 8");
+    for old in [2u32, 3, 4, 5, 6, 7] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -262,17 +262,17 @@ fn a_version_2_checkpoint_is_refused() {
 
 #[test]
 fn a_version_4_directory_is_refused_before_any_phase_runs() {
-    // v4, v5 and v6 files are laid out alike, and v7 files but for the CCD
-    // cursor: a v4 plan pin counts bytes of the 16-byte-per-position index
-    // estimate, a v5 fingerprint folds the sketch mode, and a v6 cursor
-    // carries a plan pin v7 no longer has. A whole older directory stops
-    // at its first file, untouched.
+    // v4, v5 and v6 files are laid out alike, and v7 and v8 files but for
+    // the CCD cursor: a v4 plan pin counts bytes of the 16-byte-per-position
+    // index estimate, a v5 fingerprint folds the sketch mode, a v6 cursor
+    // carries a plan pin v7 no longer has, and a v7 fingerprint folds no
+    // residue. A whole older directory stops at its first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-v5-v6"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("v4-to-v7"), 0, 1);
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
-    for old in [4u32, 5, 6] {
+    for old in [4u32, 5, 6, 7] {
         let planted: Vec<Vec<u8>> = paths
             .iter()
             .map(|path| {
@@ -395,6 +395,33 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
     run_until(&reads, &config, &hooks, Phase::Dsd);
     let err = resume_error(&other, &config, &hooks);
     assert!(matches!(err, CkptError::Mismatch("rr.ckpt")), "{err}");
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn a_one_residue_edit_of_the_input_is_a_mismatch() {
+    // Every length kept, one residue of one read changed in place: the
+    // snapshots answer for the other input, so the resume must refuse them
+    // at every phase boundary instead of returning their families.
+    let d = dataset(4884);
+    let config = PipelineConfig::for_tests();
+    let mut edited = SequenceSetBuilder::new();
+    for id in d.set.ids() {
+        let mut codes = d.set.codes(id).to_vec();
+        if id == SeqId(0) {
+            codes[5] = (codes[5] + 1) % 20;
+        }
+        edited.push_codes(d.set.header(id).to_owned(), codes).expect("a non-empty read");
+    }
+    let edited = edited.finish();
+    assert_ne!(edited.codes(SeqId(0)), d.set.codes(SeqId(0)));
+    let hooks = hooks_in(&scratch_dir("one-residue"), 0, 1);
+    for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
+        let _ = std::fs::remove_dir_all(dir_of(&hooks));
+        run_until(&d.set, &config, &hooks, stop);
+        let err = resume_error(&edited, &config, &hooks);
+        assert!(matches!(err, CkptError::Mismatch("rr.ckpt")), "{stop:?}: {err}");
+    }
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
