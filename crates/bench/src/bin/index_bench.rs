@@ -30,11 +30,11 @@
 //! the survivors' own index, anchors and statistics included. Every build
 //! is also weighed by the counting allocator: bytes the index holds
 //! (`resident_bytes_per_position`) and the most the build held at once
-//! (`build_peak_bytes_per_position`), per text position. `--test` runs a
-//! tiny single-rep pass, prints the JSON instead of writing the file, and
-//! fails when an index holds more than 7.2 bytes per position or a build
-//! the bucket sort finished peaked above 16.5 per position plus its
-//! position-independent bucket tables.
+//! (`build_peak_bytes_per_position`), per text position; every run fails
+//! when an index holds more than 7.2 bytes per position or a build the
+//! bucket sort finished peaked above 8.5 per position plus its
+//! position-independent bucket tables. `--test` runs a tiny single-rep
+//! pass and prints the JSON instead of writing the file.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,18 +52,19 @@ use pfam_suffix::{
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Ceilings of the `--test` pass, in bytes per text position: what an
-/// index may hold, and what a build may hold at its peak on top of the
-/// bucket tables.
+/// Ceilings of every run, in bytes per text position: what an index may
+/// hold, and what a build may hold at its peak on top of the bucket
+/// tables.
 const MAX_RESIDENT_PER_POSITION: f64 = 7.2;
-const MAX_BUILD_PEAK_PER_POSITION: f64 = 16.5;
+const MAX_BUILD_PEAK_PER_POSITION: f64 = 8.5;
 
-/// Bytes of the bucket sort that do not grow with the text: `4 · threads`
-/// histograms of 2¹⁵ `u32` counters, the 2¹⁵ bucket starts, and 64 KiB for
-/// the job lists and one bucket's records per worker. On a smoke-sized
-/// corpus they outweigh the arrays.
+/// Bytes of the bucket sort that do not grow with the text, at most: one
+/// histogram of 2¹⁵ `u32` counters per text chunk (a chunk per thread) and
+/// the scatter's 2¹⁵ cursors per chunk, the 2¹⁵ bucket starts, and 64 KiB
+/// for the job lists and one bucket's records per worker. On a
+/// smoke-sized corpus they outweigh the arrays.
 fn bucket_table_bytes(threads: usize) -> f64 {
-    ((4 * threads * 4 + 8) << 15) as f64 + 65_536.0
+    ((8 * threads + 8) << 15) as f64 + 65_536.0
 }
 
 /// ψ of redundancy removal and of component detection (`ClusterConfig`
@@ -192,8 +193,8 @@ fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> S
 }
 
 /// One corpus, every stage (`mine`: tree and mining rows too; `kept`: the
-/// front-half rows too; `ratchet`: fail over the byte ceilings): returns
-/// its JSON object.
+/// front-half rows too), held to the byte ceilings: returns its JSON
+/// object.
 fn bench_corpus(
     name: &str,
     set: &SequenceSet,
@@ -201,7 +202,6 @@ fn bench_corpus(
     kept: Option<&[SeqId]>,
     threads: &[usize],
     reps: usize,
-    ratchet: bool,
 ) -> String {
     eprintln!("index_bench: {name}: {} reads, {} residues", set.len(), set.total_residues());
 
@@ -253,18 +253,16 @@ fn bench_corpus(
             }
         }
         let (sort_s, st) = best;
-        if ratchet {
-            assert!(
-                resident <= MAX_RESIDENT_PER_POSITION,
-                "{name}: the index holds {resident:.2} bytes per position at {t} threads"
-            );
-            let over_tables = (build_peak - bucket_table_bytes(t)) / positions;
-            assert!(
-                fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
-                "{name}: the build peaked at {over_tables:.2} bytes per position over its \
-                 bucket tables at {t} threads"
-            );
-        }
+        assert!(
+            resident <= MAX_RESIDENT_PER_POSITION,
+            "{name}: the index holds {resident:.2} bytes per position at {t} threads"
+        );
+        let over_tables = (build_peak - bucket_table_bytes(t)) / positions;
+        assert!(
+            fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
+            "{name}: the build peaked at {over_tables:.2} bytes per position over its \
+             bucket tables at {t} threads"
+        );
         eprintln!(
             "index_bench: {name}: {t} thread(s): index {index_s:.3}s (SA-IS {sais_total_s:.3}s)"
         );
@@ -372,9 +370,7 @@ fn main() {
     ];
     let blocks: Vec<String> = corpora
         .iter()
-        .map(|(name, set, mine, kept)| {
-            bench_corpus(name, set, *mine, *kept, &sweep.counts, reps, args.smoke)
-        })
+        .map(|(name, set, mine, kept)| bench_corpus(name, set, *mine, *kept, &sweep.counts, reps))
         .collect();
 
     let json = format!(

@@ -18,14 +18,17 @@
 //!   `sparse_budgeted` workload). The streams are asserted identical —
 //!   every pair in order, anchors and statistics included
 //!   (`streams_identical`) — and each side is weighed by this binary's
-//!   counting `#[global_allocator]`. The windowed side is also held to
-//!   its budget (`index_alone`): the text it holds against
-//!   `estimated_text_bytes` (within 1 % plus 64 KiB), and, mined at a
-//!   cut-off no match reaches (so its windows are sorted and treed and
-//!   nothing is mined), the peak of the whole pass against the text and
-//!   largest window it reserved (within 2 %) plus the bucket tables, which
-//!   do not grow with the text. `--test` runs 10 000 reads, where the
-//!   tables are a third of the bound.
+//!   counting `#[global_allocator]`. The windowed side is held to what it
+//!   reserved — the text, its bucket histograms and its largest window —
+//!   twice. Mined at ψ = 15, its peak stays within 2 % of that plus the
+//!   bucket tables that do not grow with the text and the mined pairs
+//!   (`windowed.peak_bound_bytes`): this checks the 14 bytes a window's
+//!   suffix is estimated at, tree and stream included. Mined at a cut-off
+//!   no match reaches (`index_alone`: its windows are sorted and treed and
+//!   nothing is mined), the text it holds stays within 1 % plus 64 KiB of
+//!   `estimated_text_bytes`, and the peak within 2 % of what it reserved
+//!   plus the tables. `--test` runs 10 000 reads, where the tables are a
+//!   third of the bound.
 //! * `pipeline` — `run_pipeline` over the whole set under 0.4 × the
 //!   monolithic index's estimate.
 
@@ -36,7 +39,7 @@ use pfam_bench::{cores_field, detected_cores, emit_append, BenchArgs};
 use pfam_cluster::index_plan;
 use pfam_core::PipelineConfig;
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
-use pfam_seq::{MemoryBudget, SeqStore, SequenceSet};
+use pfam_seq::{BudgetError, MemoryBudget, SeqStore, SequenceSet};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
     estimated_index_bytes, estimated_text_bytes, parallel_pairs, ChunkPlan, GeneralizedSuffixArray,
@@ -50,12 +53,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// index's estimate.
 const BUDGET_SHARE: f64 = 0.4;
 
-/// Bytes of the windowed miner that do not grow with the text, in its
-/// two phases: counting — the 2¹⁵ bucket starts and `4 · threads`
-/// histograms of 2¹⁵ `u32` counters — and sorting a window — the bucket
-/// starts, at most one scatter slot per bucket, and 64 KiB for job lists.
+/// Bytes of the windowed miner that do not grow with the text, at most,
+/// beyond the histograms it reserves, in its two phases: counting — the
+/// 2¹⁵ bucket starts and a histogram of 2¹⁵ `u32` counters per text chunk
+/// (a chunk per thread) — and sorting a window — the bucket starts, the
+/// scatter's cursors (one per bucket and chunk), and 64 KiB for job lists.
 fn bucket_table_bytes(threads: usize) -> (u64, u64) {
-    (((4 * threads * 4 + 8) << 15) as u64, (16 << 15) as u64 + 65_536)
+    (((4 * threads + 8) << 15) as u64, ((4 * threads + 8) << 15) as u64 + 65_536)
 }
 
 /// A mined stream with its anchors and statistics: what must repeat.
@@ -67,16 +71,35 @@ fn anchored((pairs, stats): &(Vec<MatchPair>, GenerationStats)) -> Stream {
 
 /// The windowed miner over `set` at `config`, loaded as `pfam_cluster`
 /// loads it.
+fn try_windowed(
+    set: &SequenceSet,
+    config: MaximalMatchConfig,
+    threads: usize,
+    budget: &MemoryBudget,
+) -> Result<PartitionedMiner, BudgetError> {
+    let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
+    let plan = ChunkPlan::under_budget(&lens, budget);
+    PartitionedMiner::try_new(plan, |r| set.load_range(r), config, threads, budget)
+}
+
 fn windowed(
     set: &SequenceSet,
     config: MaximalMatchConfig,
     threads: usize,
     budget: &MemoryBudget,
 ) -> PartitionedMiner {
-    let lens: Vec<u32> = set.ids().map(|id| set.seq_len(id) as u32).collect();
-    let plan = ChunkPlan::under_budget(&lens, budget);
-    PartitionedMiner::try_new(plan, |r| set.load_range(r), config, threads, budget)
-        .expect("the budget admits the text and its windows")
+    try_windowed(set, config, threads, budget).expect("the budget admits the text and its windows")
+}
+
+/// Bytes of bucket histograms the windowed miner over `set` reserves beside
+/// its text (`gsa-tables`): what a budget of the text alone refuses first,
+/// if anything before a window.
+fn reserved_table_bytes(set: &SequenceSet, config: MaximalMatchConfig, threads: usize) -> u64 {
+    let text = estimated_text_bytes(set.total_residues(), set.len());
+    match try_windowed(set, config, threads, &MemoryBudget::limited(text)) {
+        Err(e) if e.what == "gsa-tables" => e.requested,
+        _ => 0,
+    }
 }
 
 fn main() {
@@ -123,27 +146,39 @@ fn main() {
     drop(tree);
     drop(gsa);
 
+    let (count_tables, window_tables) = bucket_table_bytes(threads);
     let budget = MemoryBudget::limited(budget_bytes);
     assert!(!budget.would_fit(cmp_bytes), "the budget must refuse the monolithic index");
     let live0 = peak_reset();
     let t0 = Instant::now();
     let miner = windowed(&cmp_set, pair_config, threads, &budget);
     let n_windows = miner.n_windows();
+    let part_reserved = budget.used();
     let part = miner.mine();
     let part_s = t0.elapsed().as_secs_f64();
     let part_peak = peak_since(live0);
     let streams_identical = anchored(&part) == anchored(&mono);
     assert!(streams_identical, "the windowed stream diverged from the monolithic one");
+    // The windows' sort arrays, trees and streams within their 14 bytes a
+    // suffix: what was reserved, the tables, and the mined vector.
+    let part_bound = 1.02 * part_reserved as f64
+        + window_tables as f64
+        + (std::mem::size_of::<MatchPair>() * part.0.len()) as f64;
+    assert!(
+        part_peak as f64 <= part_bound,
+        "the windowed miner peaked at {part_peak} bytes over {part_reserved} reserved \
+         (bound {part_bound:.0})"
+    );
 
     // The index plane alone, held to what it reserved.
     let text_est = estimated_text_bytes(cmp_set.total_residues(), cmp_set.len());
-    let (count_tables, window_tables) = bucket_table_bytes(threads);
     let nothing_to_mine = MaximalMatchConfig { min_len: 10_000, ..pair_config };
+    let tables = reserved_table_bytes(&cmp_set, nothing_to_mine, threads);
     let budget = MemoryBudget::limited(budget_bytes);
     let live0 = peak_reset();
     let miner = windowed(&cmp_set, nothing_to_mine, threads, &budget);
-    // Held now: the text and the bucket starts.
-    let text_held = live_bytes().saturating_sub(live0).saturating_sub(8 << 15);
+    // Held now: the text and the bucket table — its starts and histograms.
+    let text_held = live_bytes().saturating_sub(live0).saturating_sub((8 << 15) + tables);
     let reserved = budget.used();
     drop(miner.mine());
     let index_peak = peak_since(live0);
@@ -161,11 +196,11 @@ fn main() {
     );
     eprintln!(
         "index_oc_bench: compare n={cmp_n}: {} pairs identical across {n_windows} windows \
-         (mono {mono_s:.2}s / {} MiB peak, windowed {part_s:.2}s / {} MiB peak under {} MiB); \
-         index alone peaked at {index_peak} B over {reserved} B reserved (bound {bound:.0} B)",
+         (mono {mono_s:.2}s / {} MiB peak, windowed {part_s:.2}s / {part_peak} B peak under {} \
+         MiB, bound {part_bound:.0} B); index alone peaked at {index_peak} B over {reserved} B \
+         reserved (bound {bound:.0} B)",
         mono.0.len(),
         mono_peak >> 20,
-        part_peak >> 20,
         budget_bytes >> 20
     );
     drop(cmp_set);
@@ -205,8 +240,9 @@ fn main() {
             "\"streams_identical\": {identical}, ",
             "\"monolithic\": {{ \"seconds\": {mono_s:.3}, \"peak_alloc_bytes\": {mono_peak} }}, ",
             "\"windowed\": {{ \"seconds\": {part_s:.3}, \"peak_alloc_bytes\": {part_peak}, ",
-            "\"peak_over_budget\": {part_ratio:.3} }}, ",
-            "\"index_alone\": {{ \"text_bytes_est\": {text_est}, ",
+            "\"peak_over_budget\": {part_ratio:.3}, \"reserved_bytes\": {part_reserved}, ",
+            "\"peak_bound_bytes\": {part_bound:.0} }}, ",
+            "\"index_alone\": {{ \"text_bytes_est\": {text_est}, \"table_bytes\": {tables}, ",
             "\"text_bytes_held\": {text_held}, \"reserved_bytes\": {reserved}, ",
             "\"peak_bound_bytes\": {bound:.0}, \"peak_alloc_bytes\": {index_peak} }} }}, ",
             "\"pipeline\": {{ \"budget_bytes\": {pipe_budget}, \"plan\": \"{plan:?}\", ",
@@ -232,6 +268,9 @@ fn main() {
         part_s = part_s,
         part_peak = part_peak,
         part_ratio = part_peak as f64 / budget_bytes as f64,
+        part_reserved = part_reserved,
+        part_bound = part_bound,
+        tables = tables,
         text_est = text_est,
         text_held = text_held,
         reserved = reserved,

@@ -75,10 +75,11 @@ pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
 /// it within 1 % of [`GeneralizedSuffixArray::heap_bytes`].
 ///
 /// This is the figure [`pfam_seq::MemoryBudget`] accounts a monolithic
-/// index with. Construction is transiently larger: the bucket sort holds
-/// an 8-byte key per position until the buckets are sorted, a peak of
-/// ≈ 15.4 bytes per position, and a text handed back to SA-IS holds its
-/// four-byte encoding and SA-IS's own arrays on top of that.
+/// index with. Construction is transiently a little larger: the bucket
+/// sort adds one bucket's `(key, position)` records per worker and its
+/// bucket tables, a peak of ≈ 7.3 bytes per position on 3 M positions;
+/// a text handed back to SA-IS holds its four-byte encoding and SA-IS's
+/// own arrays on top of the index.
 pub fn estimated_index_bytes(n_residues: usize, n_seqs: usize) -> u64 {
     estimated_text_bytes(n_residues, n_seqs) + 6 * (n_residues as u64 + n_seqs as u64)
 }

@@ -4,11 +4,12 @@
 //! Every routine here gives the same output at every thread count —
 //! parallelism changes wall-clock time, never output:
 //!
-//! * [`bucket_sort_index`] packs the leading twelve residues of every
-//!   suffix into one integer key, scatters the suffixes — positions
-//!   straight into the suffix array, keys beside them — into 2¹⁵ buckets
-//!   by their leading three, and sorts each bucket independently; the LCP
-//!   array falls out of adjacent keys. All suffixes of the indexed text
+//! * [`bucket_sort_index`] scatters the suffixes' positions straight into
+//!   the suffix array, into 2¹⁵ buckets by their leading three residues,
+//!   and sorts each bucket independently on one integer key per suffix —
+//!   its leading twelve residues, packed from the text as the bucket is
+//!   sorted, so no key outlives its bucket; the LCP array falls out of
+//!   adjacent keys. All suffixes of the indexed text
 //!   are distinct (each sequence carries a unique sentinel), so the sorted
 //!   order is *unique* and must equal what SA-IS produces. Texts whose
 //!   key ties run too deep (long exact repeats) are handed back to SA-IS
@@ -36,14 +37,14 @@
 //! the calling thread.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use pfam_seq::SequenceSet;
 
 use crate::gsa::{
-    is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray, SENTINEL_CLASS,
+    is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray, SENTINEL_CLASS, X_CLASS,
 };
 use crate::maximal::{
     collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
@@ -169,38 +170,93 @@ struct KeyedText<'a> {
     text: &'a [u8],
 }
 
+/// One in every byte of a word.
+const BYTES_ONE: u64 = u64::MAX / 0xFF;
+
+/// `0x80` in every byte of `word` that holds a terminator class, zero in
+/// every other byte. Exact in every byte, not only the first: classes are
+/// below `0x80`, so adding `0x7F` to a byte never carries into the next.
+#[inline]
+fn terminator_bytes(word: u64) -> u64 {
+    let nonzero = |w: u64| w + 0x7F * BYTES_ONE;
+    let sentinels = !nonzero(word);
+    let unknowns = !nonzero(word ^ (X_CLASS as u64 * BYTES_ONE));
+    (sentinels | unknowns) & (0x80 * BYTES_ONE)
+}
+
+/// The 5-bit classes of the bytes of `word`, first byte (the least
+/// significant) in the top bits: 40 bits.
+#[inline]
+fn pack_classes8(word: u64) -> u64 {
+    let w = word.swap_bytes();
+    let w = (w & 0x001F_001F_001F_001F) | ((w & 0x1F00_1F00_1F00_1F00) >> 3);
+    let w = (w & 0x0000_03FF_0000_03FF) | ((w & 0x03FF_0000_03FF_0000) >> 6);
+    (w & 0x000F_FFFF) | ((w & 0x000F_FFFF_0000_0000) >> 12)
+}
+
+/// [`pack_classes8`] of a four-byte word: 20 bits.
+#[inline]
+fn pack_classes4(word: u32) -> u32 {
+    let w = word.swap_bytes();
+    let w = (w & 0x001F_001F) | ((w & 0x1F00_1F00) >> 3);
+    (w & 0x03FF) | ((w & 0x03FF_0000) >> 6)
+}
+
 impl KeyedText<'_> {
     /// Key of the suffix at `i`: up to [`KEY_SYMBOLS`] classes from the
     /// top bit down, zero-padded after a terminator, then the residue
-    /// count in the low [`LEN_BITS`]. Never reads past the text: its last
-    /// character is a sentinel.
+    /// count in the low [`LEN_BITS`]. Reads the twelve bytes as two words
+    /// and finds the first terminator in them at once; within the last
+    /// eleven positions the text's tail is copied out first. Never reads
+    /// past the text: its last character is a sentinel.
+    #[inline]
     fn key_at(&self, i: usize) -> u64 {
-        let mut key = 0u64;
-        for j in 0..KEY_SYMBOLS {
-            let class = self.text[i + j];
-            key |= (class as u64) << (u64::BITS - CLASS_BITS * (j as u32 + 1));
-            if is_terminator(class) {
-                return key | j as u64;
-            }
-        }
-        key | KEY_SYMBOLS as u64
+        let (head, tail) = match self.text.get(i..i + KEY_SYMBOLS) {
+            Some(w) => (&w[..8], &w[8..]),
+            None => return self.tail_key(i),
+        };
+        let head = u64::from_le_bytes(head.try_into().expect("eight bytes"));
+        let tail = u32::from_le_bytes(tail.try_into().expect("four bytes"));
+        Self::pack_key(head, tail)
     }
 
-    /// Call `f(i, key_at(i))` for every `i` in `range`, high to low, in
-    /// O(1) per position: the key at `i` is its own class followed by the
-    /// first eleven symbols of the key at `i + 1`.
-    fn scan_keys(&self, range: Range<usize>, mut f: impl FnMut(usize, u64)) {
-        let mut key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
-        for i in range.rev() {
-            let class = self.text[i];
-            let top = (class as u64) << (u64::BITS - CLASS_BITS);
-            key = if is_terminator(class) {
-                top
-            } else {
-                let symbols = (key >> (LEN_BITS + CLASS_BITS)) << LEN_BITS;
-                top | symbols | (key_len(key) + 1).min(KEY_SYMBOLS) as u64
-            };
-            f(i, key);
+    /// [`key_at`](Self::key_at) of one of the last eleven positions.
+    #[cold]
+    fn tail_key(&self, i: usize) -> u64 {
+        let mut bytes = [SENTINEL_CLASS; KEY_SYMBOLS];
+        bytes[..self.text.len() - i].copy_from_slice(&self.text[i..]);
+        let head = u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"));
+        let tail = u32::from_le_bytes(bytes[8..].try_into().expect("four bytes"));
+        Self::pack_key(head, tail)
+    }
+
+    /// The key of twelve classes, the first eight in `head` and the last
+    /// four in `tail`, first byte least significant.
+    #[inline]
+    fn pack_key(head: u64, tail: u32) -> u64 {
+        let marks = terminator_bytes(head) as u128 | (terminator_bytes(tail as u64) as u128) << 64;
+        // Every bit up to the first terminator's mark: its byte and those
+        // before it.
+        let kept = marks ^ marks.wrapping_sub(1);
+        let len = (marks.trailing_zeros() / 8).min(KEY_SYMBOLS as u32);
+        let (head, tail) = (head & kept as u64, tail & (kept >> 64) as u32);
+        pack_classes8(head) << (u64::BITS - 8 * CLASS_BITS)
+            | (pack_classes4(tail) as u64) << LEN_BITS
+            | len as u64
+    }
+
+    /// Call `f(i, bucket_of(key_at(i)))` for every `i` in `range`, high to
+    /// low, in O(1) per position: the bucket at `i` is its own class
+    /// followed by the first two symbols of the bucket at `i + 1`, or its
+    /// class alone when that is a terminator.
+    fn scan_buckets(&self, range: Range<usize>, mut f: impl FnMut(usize, usize)) {
+        let mut bucket =
+            if range.end < self.text.len() { bucket_of(self.key_at(range.end)) } else { 0 };
+        let start = range.start;
+        for (offset, &class) in self.text[range].iter().enumerate().rev() {
+            let top = (class as usize) << (BUCKET_BITS - CLASS_BITS);
+            bucket = if is_terminator(class) { top } else { top | bucket >> CLASS_BITS };
+            f(start + offset, bucket);
         }
     }
 }
@@ -245,13 +301,12 @@ fn carve<'a, T>(
 }
 
 /// The ranks of one sort job: their slices of the suffix array (positions
-/// in, sorted positions out), of the keys and of the LCP array, and where
-/// the LCP values too wide for the array go.
+/// in, sorted positions out) and of the LCP array, and where the LCP
+/// values too wide for the array go.
 struct RankSlices<'a> {
     /// Rank of the first element of each slice.
     first_rank: usize,
     sa: &'a mut [u32],
-    keys: &'a [u64],
     lcp: &'a mut [u16],
     /// `(rank, value)` of every entry of `lcp` left at `u16::MAX`.
     overflow: &'a mut Vec<(u32, u32)>,
@@ -263,7 +318,6 @@ impl RankSlices<'_> {
         RankSlices {
             first_rank: self.first_rank + ranks.start,
             sa: &mut self.sa[ranks.clone()],
-            keys: &self.keys[ranks.clone()],
             lcp: &mut self.lcp[ranks],
             overflow: &mut *self.overflow,
         }
@@ -333,7 +387,13 @@ impl BucketSorter<'_> {
         // Exactly the largest bucket so far: the records are part of a
         // window's estimated peak.
         entries.reserve_exact(bucket.sa.len());
-        entries.extend(bucket.keys.iter().zip(&*bucket.sa).map(|(&key, &pos)| Entry { key, pos }));
+        // The suffixes lie all over the text. Touching each one's first
+        // byte before keying them issues the cache misses back to back, so
+        // they overlap instead of stalling one key at a time.
+        std::hint::black_box(bucket.sa.iter().fold(0, |acc, &pos| acc ^ text[pos as usize]));
+        entries.extend(
+            bucket.sa.iter().map(|&pos| Entry { key: self.keyed.key_at(pos as usize), pos }),
+        );
         pending.push((0, entries.len(), 0));
         while let Some((lo, hi, depth)) = pending.pop() {
             let part = &mut entries[lo..hi];
@@ -390,19 +450,20 @@ pub type SaLcp = (Vec<u32>, CompactLcp);
 /// than [`TIE_BUDGET_PER_POSITION`] symbols per position — the caller then
 /// runs SA-IS, whose worst case is linear.
 ///
-/// Every suffix gets a 12-symbol key ([`KeyedText`]); a counting scatter
-/// on the leading three symbols places its position in the suffix array,
-/// in one of 2¹⁵ buckets, and its key beside it; each bucket is sorted on
-/// its own, handed out through the work cursor. Keys order suffixes
-/// exactly up to their first difference, so the LCP of two neighbours
-/// with different keys is read off the keys; only neighbours tied on all
-/// twelve symbols are re-keyed deeper. The suffixes of the text are all
-/// distinct, so the result is the one SA-IS produces. This is the sort of
-/// one window ([`sort_window`]) that holds every bucket.
+/// A counting scatter on the leading three symbols places every suffix's
+/// position in the suffix array, in one of 2¹⁵ buckets; each bucket is
+/// then sorted on its own, handed out through the work cursor, on a
+/// 12-symbol key per suffix ([`KeyedText`]) built from the text as the
+/// bucket's records are. Keys order suffixes exactly up to their first
+/// difference, so the LCP of two neighbours with different keys is read
+/// off the keys; only neighbours tied on all twelve symbols are re-keyed
+/// deeper. The suffixes of the text are all distinct, so the result is the
+/// one SA-IS produces. This is the sort of one window ([`sort_window`])
+/// that holds every bucket.
 ///
-/// Besides the two arrays it returns, the sort holds eight bytes of key
-/// per position until the buckets are sorted, one bucket's `(key,
-/// position)` records per worker, and the bucket tables.
+/// Besides the text and the two arrays it returns — seven bytes per
+/// position — the sort holds one bucket's `(key, position)` records per
+/// worker and the bucket tables.
 ///
 /// `text` must be what [`crate::gsa`] holds: classes `0..=22`, the last
 /// one a sentinel.
@@ -411,16 +472,17 @@ pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
 }
 
 /// Wall-clock seconds of the passes of [`bucket_sort_index`], in order:
-/// keys + bucket counts, keys + scatter, and per-bucket sort with LCP
-/// (`index_bench` rows).
+/// bucket counts, scatter, and per-bucket sort with LCP (`index_bench`
+/// rows).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SortStages {
-    /// Rolling keys over text chunks into per-chunk bucket histograms.
+    /// Rolling bucket ids over text chunks into per-chunk histograms.
     pub count_s: f64,
-    /// Rolling keys again, each worker placing its own buckets' suffixes.
+    /// Rolling bucket ids over the same chunks again, each placing its
+    /// suffixes at the offsets its histogram gives it.
     pub scatter_s: f64,
-    /// Independent bucket sorts, tie resolution and LCP, bucket
-    /// boundaries included.
+    /// Keying each bucket from the text, sorting it, tie resolution and
+    /// LCP, bucket boundaries included.
     pub sort_lcp_s: f64,
 }
 
@@ -429,10 +491,10 @@ pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, 
     let threads = resolve_threads(threads);
     let mut stages = SortStages::default();
     let clock = Instant::now();
-    let starts = bucket_starts(text, threads);
+    let table = BucketTable::count(text, threads);
     stages.count_s = clock.elapsed().as_secs_f64();
     let limit = whole_text_tie_limit(text.len());
-    let index = sort_window(text, &starts, 0..N_BUCKETS, limit, threads, &mut stages);
+    let index = sort_window(text, &table, 0..N_BUCKETS, limit, threads, &mut stages);
     (index, stages)
 }
 
@@ -442,37 +504,100 @@ pub(crate) fn whole_text_tie_limit(n: usize) -> usize {
     n.saturating_mul(TIE_BUDGET_PER_POSITION)
 }
 
-/// The bucket table of `text`: `starts[b]` is the first rank of bucket
-/// `b`, `starts[N_BUCKETS]` the text length. Counted on up to `threads`
-/// workers, one histogram per text chunk.
-pub(crate) fn bucket_starts(text: &[u8], threads: usize) -> Vec<usize> {
-    let n = text.len();
-    assert_eq!(text.last(), Some(&SENTINEL_CLASS), "text must end with a sentinel");
-    assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
-    let keyed = KeyedText { text };
-    let chunk = n.div_ceil(threads * 4);
-    let counts = parallel_jobs(n.div_ceil(chunk), threads, |c| {
-        let mut counts = vec![0u32; N_BUCKETS];
-        keyed.scan_keys(c * chunk..((c + 1) * chunk).min(n), |_, key| counts[bucket_of(key)] += 1);
-        counts
-    });
-    let mut starts = vec![0usize; N_BUCKETS + 1];
-    for b in 0..N_BUCKETS {
-        starts[b + 1] = starts[b] + counts.iter().map(|c| c[b] as usize).sum::<usize>();
+/// Text positions every chunk of the count and scatter passes spans but
+/// the one chunk of a shorter text, so that a kept histogram (128 KiB)
+/// costs at most half a byte per position, and a text of one chunk keeps
+/// none: its budget floor carries no table.
+const MIN_CHUNK: usize = 1 << 18;
+
+/// Text chunks of the count and scatter passes over `n` positions on
+/// `threads` workers: at most one a worker, each of at least
+/// [`MIN_CHUNK`] positions, and at least one.
+fn n_chunks(n: usize, threads: usize) -> usize {
+    threads.min(n / MIN_CHUNK).max(1)
+}
+
+/// The bucket table of a text: where each bucket's ranks begin, and where
+/// among them each text chunk's suffixes go. Counted once per text; the
+/// scatter of every window reads its buckets' columns.
+pub(crate) struct BucketTable {
+    /// `starts[b]` is the first rank of bucket `b`, `starts[N_BUCKETS]` the
+    /// text length.
+    pub(crate) starts: Vec<usize>,
+    /// Text positions per chunk; the last chunk may be shorter.
+    chunk: usize,
+    /// `ends[c][b]`: one past the last rank of the suffixes of bucket `b`
+    /// that start in chunk `c` — chunk `c`'s histogram, summed with the
+    /// histograms of the chunks before it onto `starts[b]` — for every
+    /// chunk but the last, whose ends are the next buckets' starts. Within
+    /// a bucket the chunks' suffixes lie in text order.
+    ends: Vec<Vec<u32>>,
+}
+
+impl BucketTable {
+    /// Count the buckets of `text` on up to `threads` workers, one
+    /// histogram per text chunk ([`n_chunks`]).
+    pub(crate) fn count(text: &[u8], threads: usize) -> BucketTable {
+        let n = text.len();
+        assert_eq!(text.last(), Some(&SENTINEL_CLASS), "text must end with a sentinel");
+        assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
+        let keyed = KeyedText { text };
+        let chunk = n.div_ceil(n_chunks(n, threads));
+        let mut ends = parallel_jobs(n.div_ceil(chunk), threads, |c| {
+            let mut counts = vec![0u32; N_BUCKETS];
+            keyed.scan_buckets(c * chunk..((c + 1) * chunk).min(n), |_, b| counts[b] += 1);
+            counts
+        });
+        let mut starts = vec![0usize; N_BUCKETS + 1];
+        for b in 0..N_BUCKETS {
+            let mut end = starts[b] as u32;
+            for counts in &mut ends {
+                end += counts[b];
+                counts[b] = end;
+            }
+            starts[b + 1] = end as usize;
+        }
+        ends.pop();
+        BucketTable { starts, chunk, ends }
     }
-    starts
+
+    fn n_chunks(&self) -> usize {
+        self.ends.len() + 1
+    }
+
+    /// The text positions of chunk `c`.
+    fn chunk_range(&self, c: usize) -> Range<usize> {
+        c * self.chunk..((c + 1) * self.chunk).min(self.starts[N_BUCKETS])
+    }
+
+    /// Where the suffixes of chunk `c` in the buckets `window` end, as
+    /// ranks: the scatter's cursors.
+    fn chunk_ends(&self, c: usize, window: Range<usize>) -> Vec<u32> {
+        match self.ends.get(c) {
+            Some(ends) => ends[window].to_vec(),
+            None => self.starts[window.start + 1..=window.end].iter().map(|&s| s as u32).collect(),
+        }
+    }
+}
+
+/// Bytes a [`BucketTable`] of a text of `n` positions, counted on
+/// `threads` workers, holds beyond its bucket starts, for as long as it
+/// lives: its chunks' histograms.
+pub(crate) fn estimated_table_bytes(n: usize, threads: usize) -> u64 {
+    ((n_chunks(n, threads) - 1) * N_BUCKETS * std::mem::size_of::<u32>()) as u64
 }
 
 /// The ranks `starts[window.start]..starts[window.end]` of the suffix
 /// array of `text` and of its LCP array — the suffixes of the buckets
 /// `window`, sorted — on up to `threads` workers, or `None` once
 /// resolving key ties has cost more than `tie_limit` re-keyed symbols.
-/// The LCP at the window's first rank is the one against the last suffix
-/// of the buckets before it: the arrays are exactly the whole text's,
-/// sliced. Adds its passes' seconds to `stages`.
+/// `table` is the text's ([`BucketTable::count`]). The LCP at the window's
+/// first rank is the one against the last suffix of the buckets before
+/// it: the arrays are exactly the whole text's, sliced. Adds its passes'
+/// seconds to `stages`.
 pub(crate) fn sort_window(
     text: &[u8],
-    starts: &[usize],
+    table: &BucketTable,
     window: Range<usize>,
     tie_limit: usize,
     threads: usize,
@@ -483,38 +608,27 @@ pub(crate) fn sort_window(
     let sorter =
         BucketSorter { keyed: KeyedText { text }, spent: AtomicUsize::new(0), limit: tie_limit };
     let keyed = &sorter.keyed;
+    let starts = &table.starts[..];
     let base = starts[window.start];
     let len = starts[window.end] - base;
 
-    // Scatter: every worker owns a contiguous run of buckets — a disjoint
-    // slice of the suffix array and of the keys — and picks its suffixes
-    // out of one pass over the text, so no two workers ever write the
-    // same slot. Each worker rolls the keys of the whole text, so a window
-    // gets one worker per text's worth of suffixes it places, and at
-    // least one: splitting a small window's writes saves less than the
-    // extra passes cost (EXPERIMENTS.md, "Prefix windows").
-    let mut sa = vec![0u32; len];
-    let mut keys = vec![0u64; len];
-    let scatter_workers = (threads * len).div_ceil(text.len()).clamp(1, threads);
-    let groups = bucket_groups(starts, window.clone(), scatter_workers);
-    let jobs: Vec<_> = groups
-        .iter()
-        .cloned()
-        .zip(carve(&mut sa, starts, &groups).into_iter().zip(carve(&mut keys, starts, &groups)))
-        .collect();
-    run_jobs(jobs, threads, |(group, (sa, keys))| {
-        let first = starts[group.start];
-        let mut next: Vec<usize> = starts[group.clone()].iter().map(|&s| s - first).collect();
-        keyed.scan_keys(0..text.len(), |i, key| {
-            if let Some(slot) =
-                bucket_of(key).checked_sub(group.start).and_then(|b| next.get_mut(b))
-            {
-                sa[*slot] = i as u32;
-                keys[*slot] = key;
-                *slot += 1;
+    // Scatter: each text chunk rolls its buckets once and places every suffix
+    // of the window's buckets just below the last of its own offsets
+    // there, so no two chunks write the same slot and each bucket comes
+    // out in text order. A slot is a relaxed atomic store — a plain store
+    // on common hardware; the workers' join orders every store before the
+    // slots are read — and the slots become the suffix array in place.
+    let slots: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+    run_jobs((0..table.n_chunks()).collect(), threads, |c| {
+        let mut ends = table.chunk_ends(c, window.clone());
+        keyed.scan_buckets(table.chunk_range(c), |i, b| {
+            if let Some(end) = b.checked_sub(window.start).and_then(|b| ends.get_mut(b)) {
+                *end -= 1;
+                slots[*end as usize - base].store(i as u32, AtomicOrdering::Relaxed);
             }
         });
     });
+    let mut sa: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     stages.scatter_s += lap();
 
     // Sort each bucket on its own; LCP values inside a bucket fall out of
@@ -529,8 +643,7 @@ pub(crate) fn sort_window(
         .zip(&mut overflows)
         .map(|(((group, sa), lcp), overflow)| {
             let first_rank = starts[group.start] - base;
-            let keys = &keys[first_rank..starts[group.end] - base];
-            (group.clone(), RankSlices { first_rank, sa, keys, lcp, overflow })
+            (group.clone(), RankSlices { first_rank, sa, lcp, overflow })
         })
         .collect();
     run_jobs(jobs, threads, |(group, mut ranks)| {
@@ -544,7 +657,6 @@ pub(crate) fn sort_window(
         }
         sorter.charge(&mut work.uncharged);
     });
-    drop(keys);
     if sorter.over_budget() {
         stages.sort_lcp_s += lap();
         return None;
@@ -582,12 +694,13 @@ pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
     }
 }
 
-/// Estimated peak bytes of sorting one window ([`sort_window`]) of
-/// `suffixes` suffixes, the largest of its buckets holding
-/// `largest_bucket`, on `threads` workers: 4 bytes of suffix array, 8 of
-/// key and 2 of LCP per suffix, and one bucket's 16-byte `(key, position)`
-/// records per worker. The bucket tables, which do not grow with the
-/// text, are not in it.
+/// Estimated peak bytes of one window of `suffixes` suffixes, the largest
+/// of its buckets holding `largest_bucket`, sorted ([`sort_window`]) on
+/// `threads` workers and mined: 14 bytes per suffix — 6 of sort arrays (4
+/// of suffix array, 2 of LCP), and 8 for the window's tree pruned at ψ and
+/// its mined stream, built beside the arrays once they are sorted — and
+/// one bucket's 16-byte `(key, position)` records per worker. The bucket
+/// tables, which do not grow with the text, are not in it.
 pub(crate) fn estimated_window_bytes(
     suffixes: usize,
     largest_bucket: usize,
@@ -596,7 +709,7 @@ pub(crate) fn estimated_window_bytes(
     14 * suffixes as u64 + 16 * (threads * largest_bucket) as u64
 }
 
-/// Cut the buckets of a text (`starts`, [`bucket_starts`]) into windows
+/// Cut the buckets of a text (`starts`, [`BucketTable`]) into windows
 /// — contiguous bucket ranges, in order, covering all of them — whose
 /// estimated sort peak ([`estimated_window_bytes`]) stays within `cap`,
 /// each with that peak. A window is cut only where the leading
@@ -776,14 +889,27 @@ mod tests {
         b.finish()
     }
 
-    fn random_text(rng: &mut StdRng, n: usize, sigma: u32) -> Vec<u32> {
-        (0..n).map(|_| rng.gen_range(0..sigma) + 1).chain(std::iter::once(0)).collect()
+    /// A one-sequence integer text: residues `1..=sigma`, a share
+    /// `x_share` of them `X`s — the `k`-th spelt `X_CLASS + k`, the unique
+    /// character it is — and the sentinel 0.
+    fn random_text(rng: &mut StdRng, n: usize, sigma: u32, x_share: f64) -> Vec<u32> {
+        let mut xs = X_CLASS as u32..;
+        (0..n)
+            .map(|_| {
+                if rng.gen_bool(x_share) {
+                    xs.next().expect("unbounded")
+                } else {
+                    rng.gen_range(0..sigma) + 1
+                }
+            })
+            .chain(std::iter::once(0))
+            .collect()
     }
 
-    /// A one-sequence integer text (residues `1..`, sentinel 0) as symbol
-    /// classes: the same numbers.
+    /// A one-sequence integer text (residues `1..`, unique `X`s from
+    /// `X_CLASS` up, sentinel 0) as symbol classes.
     fn classes(text: &[u32]) -> Vec<u8> {
-        text.iter().map(|&c| c as u8).collect()
+        text.iter().map(|&c| c.min(X_CLASS as u32) as u8).collect()
     }
 
     /// SA-IS + Kasai over the same text: the oracle.
@@ -796,15 +922,71 @@ mod tests {
 
     #[test]
     fn bucket_sort_matches_sais_on_random_texts() {
-        // One sequence, residues 1..=sigma, sentinel 0.
+        // One sequence, residues 1..=sigma, sentinel 0; `X`s in half the
+        // texts.
         let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..25 {
+        for round in 0..50 {
             let n = rng.gen_range(1..400);
             let sigma = rng.gen_range(2..8u32);
-            let text = random_text(&mut rng, n, sigma);
+            let x_share = if round % 2 == 0 { 0.0 } else { rng.gen_range(0.01..0.2) };
+            let text = random_text(&mut rng, n, sigma, x_share);
             let expect = reference_index(&text);
             for threads in [1, 2, 3, 8] {
                 assert_eq!(bucket_sort_index(&classes(&text), threads), Some(expect.clone()));
+            }
+        }
+    }
+
+    /// The key of the suffix at `i`, symbol by symbol: the oracle of
+    /// [`KeyedText::key_at`].
+    fn key_by_symbols(text: &[u8], i: usize) -> u64 {
+        let mut key = 0u64;
+        for j in 0..KEY_SYMBOLS {
+            let class = text[i + j];
+            key |= (class as u64) << (u64::BITS - CLASS_BITS * (j as u32 + 1));
+            if is_terminator(class) {
+                return key | j as u64;
+            }
+        }
+        key | KEY_SYMBOLS as u64
+    }
+
+    #[test]
+    fn word_keys_equal_symbol_keys() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let residue = |rng: &mut StdRng| rng.gen_range(1..X_CLASS);
+        let mut texts = Vec::new();
+        // A sentinel or an `X` at each of the twelve key positions of the
+        // suffix at 10.
+        for at in 0..KEY_SYMBOLS {
+            for terminator in [SENTINEL_CLASS, X_CLASS] {
+                let mut text: Vec<u8> = (0..30).map(|_| residue(&mut rng)).collect();
+                text[10 + at] = terminator;
+                text.push(SENTINEL_CLASS);
+                texts.push(text);
+            }
+        }
+        // Random texts, shorter and longer than a key, terminators from
+        // none to dense.
+        for _ in 0..200 {
+            let share = rng.gen_range(0.0..0.5);
+            let mut text: Vec<u8> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    if rng.gen_bool(share) {
+                        [SENTINEL_CLASS, X_CLASS][rng.gen_range(0..2)]
+                    } else {
+                        residue(&mut rng)
+                    }
+                })
+                .collect();
+            text.push(SENTINEL_CLASS);
+            texts.push(text);
+        }
+        for text in &texts {
+            // Every offset, the last eleven (the tail path) included.
+            let keyed = KeyedText { text };
+            for i in 0..text.len() {
+                assert_eq!(keyed.key_at(i), key_by_symbols(text, i), "{text:?} at {i}");
             }
         }
     }
@@ -845,17 +1027,11 @@ mod tests {
             limit: usize::MAX,
         };
         let mut sa = [0u32, 70_001];
-        let keys = [sorter.keyed.key_at(0), sorter.keyed.key_at(70_001)];
-        assert_eq!(keys[0], keys[1]);
+        assert_eq!(sorter.keyed.key_at(0), sorter.keyed.key_at(70_001));
         let mut lcp = [0u16; 2];
         let mut overflow = Vec::new();
-        let bucket = RankSlices {
-            first_rank: 40,
-            sa: &mut sa,
-            keys: &keys,
-            lcp: &mut lcp,
-            overflow: &mut overflow,
-        };
+        let bucket =
+            RankSlices { first_rank: 40, sa: &mut sa, lcp: &mut lcp, overflow: &mut overflow };
         assert!(sorter.sort_bucket(bucket, &mut TieWork::default()));
         assert_eq!(sa, [70_001, 0]);
         assert_eq!(lcp, [0, u16::MAX]);
@@ -885,10 +1061,10 @@ mod tests {
         let set = set_of(&["MKVLWAAKNDCQEGHMKVLW", "A", "WXXWMKVXW", "MKVLWAAKNDCQEGHMKVLW"]);
         let gsa = GeneralizedSuffixArray::build(&set);
         let keyed = KeyedText { text: gsa.text() };
-        for range in [0..gsa.text_len(), 3..17, 20..21] {
+        for range in [0..gsa.text_len(), 3..17, 20..21, 22..22] {
             let mut seen = Vec::new();
-            keyed.scan_keys(range.clone(), |i, key| seen.push((i, key)));
-            let direct: Vec<_> = range.rev().map(|i| (i, keyed.key_at(i))).collect();
+            keyed.scan_buckets(range.clone(), |i, bucket| seen.push((i, bucket)));
+            let direct: Vec<_> = range.rev().map(|i| (i, bucket_of(keyed.key_at(i)))).collect();
             assert_eq!(seen, direct);
         }
     }

@@ -3,17 +3,19 @@
 //! promising-pair generator.
 //!
 //! The monolithic [`crate::GeneralizedSuffixArray`] holds ~7 bytes per
-//! text position (15 while it is built). Under a memory budget that does
-//! not admit it, a phase holds only the text resident: one byte per
+//! text position (≈ 7.3 while it is built). Under a memory budget that
+//! does not admit it, a phase holds only the text resident: one byte per
 //! position, the sampled read ids and the start table
 //! ([`estimated_text_bytes`], ≈ 1.06 bytes per position), loaded a chunk
 //! of reads at a time ([`ChunkPlan::under_budget`]) through the caller's
-//! loader, so the reads are never copied whole. The bucket sort's count pass runs once
-//! over that text, and its 2¹⁵ buckets are cut into contiguous *windows*
-//! whose sort peak — 4 bytes of suffix array, 8 of key and 2 of LCP per
-//! suffix ([`crate::parallel::estimated_window_bytes`]) — fits what the budget has
-//! left ([`window_cap`]). Each window is scattered and sorted on its own,
-//! then treed at ψ and mined; one window's arrays are resident at a time.
+//! loader, so the reads are never copied whole. The bucket sort's count
+//! pass runs once over that text, its per-chunk histograms kept for the
+//! phase, and its 2¹⁵ buckets are cut into contiguous *windows* whose
+//! estimated peak — 6 bytes of sort arrays per suffix, and 8 for the tree
+//! and stream mined from them ([`crate::parallel::estimated_window_bytes`])
+//! — fits what the budget has left ([`window_cap`]). Each window is
+//! scattered and sorted on its own, then treed at ψ and mined; one
+//! window's arrays are resident at a time.
 //! This is the suffix-space split of PaCE's distributed construction
 //! (prefix buckets, as [`crate::distributed`] assigns them to ranks), run
 //! one bucket range after another.
@@ -61,8 +63,8 @@ use pfam_seq::{BudgetError, MemoryBudget, Reservation, SequenceSet};
 use crate::gsa::{estimated_index_bytes, estimated_text_bytes, GeneralizedSuffixArray};
 use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig, PairKeySet};
 use crate::parallel::{
-    bucket_starts, first_rank_lcp, mine_pairs, plan_windows, resolve_threads, sort_window,
-    whole_text_tie_limit, MineNodes, SortStages,
+    estimated_table_bytes, first_rank_lcp, mine_pairs, plan_windows, resolve_threads, sort_window,
+    whole_text_tie_limit, BucketTable, MineNodes, SortStages,
 };
 use crate::tree::{NodeId, SuffixTree};
 
@@ -153,11 +155,12 @@ impl ChunkPlan {
     }
 }
 
-/// Bytes the windows of a text whose resident half takes `text_bytes`
-/// ([`estimated_text_bytes`]) may take under `budget`: what is left once
-/// the text is held. The one place the window cap is derived.
-fn window_cap(budget: &MemoryBudget, text_bytes: u64) -> u64 {
-    budget.remaining().saturating_sub(text_bytes)
+/// Bytes the windows of a text may take under `budget` once `resident`
+/// bytes are held: the text ([`estimated_text_bytes`]), and, once it is
+/// counted, its bucket table ([`estimated_table_bytes`]). The one place
+/// the window cap is derived.
+fn window_cap(budget: &MemoryBudget, resident: u64) -> u64 {
+    budget.remaining().saturating_sub(resident)
 }
 
 /// The windowed maximal-match miner over the reads a [`ChunkPlan`] covers
@@ -181,25 +184,26 @@ struct WindowedText {
     /// The text, sampled ids and start table; each window's arrays are
     /// lent to it in turn.
     index: GeneralizedSuffixArray,
-    /// The text's bucket table ([`bucket_starts`]).
-    starts: Vec<usize>,
+    /// The text's bucket table, unless the text is empty.
+    table: Option<BucketTable>,
     /// Bucket ranges, in order, each with its estimated sort peak.
     windows: Vec<(Range<usize>, u64)>,
     config: MaximalMatchConfig,
     threads: usize,
-    /// The budget held for the text and for the largest window, each if
-    /// it fit.
-    _held: [Option<Reservation>; 2],
+    /// The budget held for the text, its bucket table and the largest
+    /// window, each if it fit.
+    _held: [Option<Reservation>; 3],
 }
 
 impl PartitionedMiner {
     /// Load the reads of `plan` into one text, count its buckets and cut
     /// them into windows under what `budget` has left, reserving the text
-    /// (`gsa-text`) and the largest window (`gsa-window`) for as long as
-    /// the miner holds them. `Err` — before any read is loaded, when the
-    /// text alone is over — when the text and the smallest window it can
-    /// be cut into do not fit together: the budget's floor for these
-    /// reads. Mining itself is infallible.
+    /// (`gsa-text`), its bucket table's histograms (`gsa-tables`) and the
+    /// largest window (`gsa-window`) for as long as the miner holds them.
+    /// `Err` — before any read is loaded, when the text and table alone are
+    /// over — when the text, its table and the smallest window the text can
+    /// be cut into do not fit together: the budget's floor for these reads.
+    /// Mining itself is infallible.
     pub fn try_new<F: FnMut(Range<u32>) -> SequenceSet>(
         plan: ChunkPlan,
         loader: F,
@@ -235,29 +239,31 @@ impl PartitionedMiner {
         let threads = resolve_threads(threads);
         let (n_residues, n_seqs) = (plan.n_residues(), plan.n_seqs() as usize);
         let text_bytes = estimated_text_bytes(n_residues, n_seqs);
-        let cap = window_cap(budget, text_bytes);
+        let table_bytes = estimated_table_bytes(n_residues + n_seqs, threads);
+        let cap = window_cap(budget, text_bytes + table_bytes);
         let hold = |what, bytes| match budget.try_reserve(what, bytes) {
             Ok(reservation) => Ok(Some(reservation)),
             Err(e) if strict => Err(e),
             Err(_) => Ok(None),
         };
         let text_held = hold("gsa-text", text_bytes)?;
+        let table_held = hold("gsa-tables", table_bytes)?;
         let mut index = GeneralizedSuffixArray::with_capacity(n_residues, n_seqs);
         for c in 0..plan.n_chunks() {
             index.push_reads(&loader(plan.chunk_range(c)));
         }
-        let (starts, windows) = if n_seqs == 0 {
-            (Vec::new(), Vec::new())
+        let (table, windows) = if n_seqs == 0 {
+            (None, Vec::new())
         } else {
-            let starts = bucket_starts(index.text(), threads);
-            let windows = plan_windows(&starts, config.min_len, cap, threads);
-            (starts, windows)
+            let table = BucketTable::count(index.text(), threads);
+            let windows = plan_windows(&table.starts, config.min_len, cap, threads);
+            (Some(table), windows)
         };
         let window_held =
             hold("gsa-window", windows.iter().map(|&(_, bytes)| bytes).max().unwrap_or(0))?;
         let n_windows = windows.len();
-        let _held = [text_held, window_held];
-        let text = WindowedText { index, starts, windows, config, threads, _held };
+        let _held = [text_held, table_held, window_held];
+        let text = WindowedText { index, table, windows, config, threads, _held };
         Ok(PartitionedMiner { text: Some(text), n_windows, pairs: Vec::new().into_iter() })
     }
 
@@ -287,7 +293,8 @@ impl Iterator for PartitionedMiner {
 
 impl WindowedText {
     fn mine(self) -> (Vec<MatchPair>, GenerationStats) {
-        let WindowedText { mut index, starts, windows, config, threads, _held } = self;
+        let WindowedText { mut index, table, windows, config, threads, _held } = self;
+        let Some(table) = table else { return Default::default() };
         let psi = config.min_len;
         // Only a window that is the whole text may hand it to SA-IS.
         let tie_limit =
@@ -300,7 +307,7 @@ impl WindowedText {
         for (w, (buckets, _)) in windows.iter().enumerate() {
             let arrays = sort_window(
                 index.text(),
-                &starts,
+                &table,
                 buckets.clone(),
                 tie_limit,
                 threads,
@@ -309,7 +316,7 @@ impl WindowedText {
             .unwrap_or_else(|| index.sais_arrays());
             index.set_arrays(arrays);
             let trail =
-                windows.get(w + 1).map_or(0, |(next, _)| first_rank_lcp(&starts, next.start));
+                windows.get(w + 1).map_or(0, |(next, _)| first_rank_lcp(&table.starts, next.start));
             let (tree, descent) = SuffixTree::build_window(&index, psi, trail);
             let mut queue: Vec<NodeId> = tree
                 .nodes_by_depth_desc()
@@ -329,7 +336,7 @@ impl WindowedText {
             drop(tree);
             index.set_arrays(Default::default());
         }
-        drop((index, _held));
+        drop((index, table, _held));
         streams.extend(first_closed);
         merge_streams(streams, config.dedup)
     }
@@ -376,6 +383,8 @@ mod tests {
     use crate::parallel::{bucket_sort_index, parallel_pairs};
     use crate::SuffixTree;
     use pfam_seq::{SeqId, SequenceSetBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn set_of(seqs: &[&str]) -> SequenceSet {
         let mut b = SequenceSetBuilder::new();
@@ -451,15 +460,16 @@ mod tests {
         let set = set_of(TEST_SEQS);
         let whole = GeneralizedSuffixArray::build(&set);
         let text = whole.text();
-        let starts = bucket_starts(text, 2);
+        let table = BucketTable::count(text, 2);
+        let starts = &table.starts;
         for psi in [1, 2, 3, 10] {
             for cap in [0, 200, u64::MAX] {
-                let windows = plan_windows(&starts, psi, cap, 2);
+                let windows = plan_windows(starts, psi, cap, 2);
                 let (mut sa, mut lcp) = (Vec::new(), Vec::new());
                 for (w, (buckets, _)) in windows.iter().enumerate() {
                     let (wsa, wlcp) = sort_window(
                         text,
-                        &starts,
+                        &table,
                         buckets.clone(),
                         usize::MAX,
                         2,
@@ -468,7 +478,7 @@ mod tests {
                     .expect("no tie limit");
                     assert!(!wsa.is_empty(), "psi {psi} cap {cap}: window {w} is empty");
                     if let Some((next, _)) = windows.get(w + 1) {
-                        assert!(first_rank_lcp(&starts, next.start) < psi.clamp(1, 3));
+                        assert!(first_rank_lcp(starts, next.start) < psi.clamp(1, 3));
                     }
                     lcp.extend((0..wsa.len()).map(|r| wlcp.get(r)));
                     sa.extend(wsa);
@@ -526,36 +536,53 @@ mod tests {
 
     #[test]
     fn budget_enforced_at_construction() {
-        let set = set_of(TEST_SEQS);
-        let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        let text = text_bytes(&set);
-        let plan = || ChunkPlan::plan(&lens_of(&set), 500);
-        let open = |limit| {
-            PartitionedMiner::try_new(
-                plan(),
-                loader(&set),
-                config,
-                1,
-                &MemoryBudget::limited(limit),
-            )
-        };
-        let err = open(text - 1).err().expect("no room for the text");
-        assert_eq!((err.what, err.requested), ("gsa-text", text));
-        // With the text held and nothing left, every window is as small as
-        // the buckets allow: the error names the largest of them.
-        let err = open(text).err().expect("no room for a window");
-        assert_eq!(err.what, "gsa-window");
-        let floor = text + err.requested;
-        assert!(open(floor - 1).is_err(), "the floor is exact");
+        // A text of one chunk, which keeps no histogram, and one of two
+        // chunks, which keeps one for the whole phase.
+        let mut rng = StdRng::seed_from_u64(3);
+        let long: Vec<String> = (0..9_000)
+            .map(|_| {
+                (0..60).map(|_| b"ACDEFGHIKLMNPQRSTVWY"[rng.gen_range(0..20)] as char).collect()
+            })
+            .collect();
+        let long: Vec<&str> = long.iter().map(String::as_str).collect();
+        for (set, threads) in [(set_of(TEST_SEQS), 1), (set_of(&long), 2)] {
+            let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
+            let text = text_bytes(&set);
+            let tables = estimated_table_bytes(set.total_residues() + set.len(), threads);
+            assert_eq!(tables > 0, threads > 1, "{} positions", set.total_residues() + set.len());
+            let plan = || ChunkPlan::plan(&lens_of(&set), 500);
+            let open = |limit| {
+                PartitionedMiner::try_new(
+                    plan(),
+                    loader(&set),
+                    config,
+                    threads,
+                    &MemoryBudget::limited(limit),
+                )
+            };
+            let err = open(text - 1).err().expect("no room for the text");
+            assert_eq!((err.what, err.requested), ("gsa-text", text));
+            if tables > 0 {
+                let err = open(text).err().expect("no room for the histograms");
+                assert_eq!((err.what, err.requested), ("gsa-tables", tables));
+            }
+            // With the text and table held and nothing left, every window
+            // is as small as the buckets allow: the error names the largest
+            // of them.
+            let err = open(text + tables).err().expect("no room for a window");
+            assert_eq!(err.what, "gsa-window");
+            let floor = text + tables + err.requested;
+            assert!(open(floor - 1).is_err(), "the floor is exact");
 
-        let budget = MemoryBudget::limited(floor);
-        let miner = PartitionedMiner::try_new(plan(), loader(&set), config, 1, &budget)
-            .expect("the floor admits");
-        assert!(miner.n_windows() > 1);
-        assert_eq!(budget.used(), floor, "text and window held while mining");
-        let mono =
-            parallel_pairs(&SuffixTree::build(&GeneralizedSuffixArray::build(&set)), config, 1);
-        assert_eq!(miner.collect::<Vec<_>>(), mono.0);
-        assert_eq!(budget.used(), 0, "released when mined");
+            let budget = MemoryBudget::limited(floor);
+            let miner = PartitionedMiner::try_new(plan(), loader(&set), config, threads, &budget)
+                .expect("the floor admits");
+            assert!(miner.n_windows() > 1);
+            assert_eq!(budget.used(), floor, "text, table and window held while mining");
+            let mono =
+                parallel_pairs(&SuffixTree::build(&GeneralizedSuffixArray::build(&set)), config, 1);
+            assert_eq!(miner.collect::<Vec<_>>(), mono.0);
+            assert_eq!(budget.used(), 0, "released when mined");
+        }
     }
 }

@@ -327,7 +327,7 @@ cargo test --release -q -p pfam-align
 
 echo "== tier1: index_bench --test (smoke + identity checks, front half included, bytes per position) =="
 # The pass itself fails when an index holds more than 7.2 bytes per text
-# position or a bucket-sort build peaks above 16.5 plus its bucket tables.
+# position or a bucket-sort build peaks above 8.5 plus its bucket tables.
 INDEX_SMOKE=$(cargo run --release -p pfam-bench --bin index_bench -- --test)
 echo "$INDEX_SMOKE" | grep -q '"one_build_masked"' || {
     echo "tier1 FAIL: index_bench smoke did not run its front_half rows" >&2
@@ -373,7 +373,8 @@ echo "$BGG_SMOKE" | grep -q '"supply_known"' || {
 
 echo "== tier1: index_oc_bench --test (smoke + windowed-stream identity + the index held to its budget) =="
 # The pass itself fails when the windowed miner's text or peak exceeds
-# what it reserved, past the tolerances written in the bench.
+# what it reserved — mining nothing, and mining at psi = 15 with its pairs
+# counted on top — past the tolerances written in the bench.
 OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
 echo "$OC_SMOKE" | grep -q '"streams_identical": true' || {
     echo "tier1 FAIL: index_oc_bench smoke did not report identical streams" >&2

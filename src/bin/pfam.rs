@@ -72,9 +72,9 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20               [--mem-budget BYTES[K|M|G]] (routes on resident index\n\
     \x20               bytes, 7.06 B per text position: under them the text\n\
     \x20               is held and its suffixes mined in windows that fit,\n\
-    \x20               same families. Outside it: a whole index's transient\n\
-    \x20               8 B-per-position sort keys and the process's fixed\n\
-    \x20               footprint, so peak RSS reads higher than BYTES)\n\
+    \x20               same families. Outside it: the sort's bucket tables\n\
+    \x20               and the process's fixed footprint, so peak RSS reads\n\
+    \x20               higher than BYTES)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
     \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
     \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
