@@ -27,11 +27,6 @@ pub struct Alignment {
 }
 
 impl Alignment {
-    /// Number of alignment columns.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Whether the alignment is empty (score 0, no columns).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()

@@ -60,16 +60,6 @@ pub enum AlignEngineKind {
     Tiered,
 }
 
-impl AlignEngineKind {
-    /// Stable lowercase label (`reference` / `tiered`) for configs & JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlignEngineKind::Reference => "reference",
-            AlignEngineKind::Tiered => "tiered",
-        }
-    }
-}
-
 /// Maximal-match seed coordinates for a promising pair: the match of
 /// length `len` starts at `x_pos` in the first sequence and `y_pos` in the
 /// second. Candidates still carry it; the engine accepts and ignores it

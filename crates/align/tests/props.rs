@@ -45,7 +45,7 @@ proptest! {
         let s = blosum();
         let aln = local_affine(&x, &y, &s);
         let st = aln.stats(&x, &y, &s.matrix);
-        prop_assert_eq!(st.columns, aln.len());
+        prop_assert_eq!(st.columns, aln.ops.len());
         prop_assert!(st.matches <= st.positives);
         prop_assert!(st.positives + st.gap_cols <= st.columns);
         prop_assert!(st.x_span <= x.len());

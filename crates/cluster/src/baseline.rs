@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn empty_set_baseline() {
-        let r = run_all_pairs_baseline(&SequenceSet::new(), &config());
+        let r = run_all_pairs_baseline(&SequenceSet::default(), &config());
         assert_eq!(r.n_alignments, 0);
         assert!(r.components.is_empty());
     }

@@ -47,13 +47,6 @@ pub struct CcdResult {
     pub trace: PhaseTrace,
 }
 
-impl CcdResult {
-    /// Components with at least `min` members.
-    pub fn components_of_size(&self, min: usize) -> Vec<&Vec<SeqId>> {
-        self.components.iter().filter(|c| c.len() >= min).collect()
-    }
-}
-
 /// Run connected-component detection over `set` (typically the
 /// non-redundant output of the RR phase re-packed as its own set).
 ///
@@ -173,7 +166,7 @@ mod tests {
     fn identical_family_members_cluster() {
         let set = set_of(&[FAM_A, FAM_A, FAM_A, FAM_B, FAM_B]);
         let r = run_ccd(&set, &config());
-        let big: Vec<_> = r.components_of_size(2);
+        let big: Vec<_> = r.components.iter().filter(|c| c.len() >= 2).collect();
         assert_eq!(big.len(), 2);
         assert_eq!(big[0].len(), 3);
         assert_eq!(big[1].len(), 2);
@@ -229,7 +222,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert!(run_ccd(&SequenceSet::new(), &config()).components.is_empty());
+        assert!(run_ccd(&SequenceSet::default(), &config()).components.is_empty());
         let one = set_of(&[FAM_A]);
         let r = run_ccd(&one, &config());
         assert_eq!(r.components, vec![vec![SeqId(0)]]);
@@ -329,7 +322,7 @@ mod tests {
             assert!(fams.len() <= 1, "component mixes families: {fams:?}");
         }
         // And the components should reunite each family exactly.
-        let big = r.components_of_size(2);
+        let big = r.components.iter().filter(|c| c.len() >= 2).collect::<Vec<_>>();
         assert_eq!(
             big.len(),
             3,

@@ -228,11 +228,6 @@ impl<'s> ClusterCore<'s> {
         self.set
     }
 
-    /// Pairs drawn from the pair supply so far (the cursor position).
-    pub fn pairs_consumed(&self) -> u64 {
-        self.pairs_consumed
-    }
-
     /// Admit a generated batch: open a new trace record with the
     /// generated/filtered counts and return the candidates that survive
     /// the filter. CCD drops — and keeps as *deferred* — every pair whose
@@ -642,7 +637,7 @@ mod tests {
         assert_eq!(cursor.pairs_consumed, 1);
 
         let resumed = ClusterCore::resume_ccd(&set, cursor.clone());
-        assert_eq!(resumed.pairs_consumed(), 1);
+        assert_eq!(resumed.pairs_consumed, 1);
         assert_eq!(resumed.cursor(), cursor);
         let (a, b) = (CcdResult::from_core(core), CcdResult::from_core(resumed));
         assert_eq!(a.components, b.components);

@@ -20,7 +20,7 @@
 //!   A verdict for a lease that is no longer outstanding is stale
 //!   (already recovered and re-issued) and is discarded, so no pair is
 //!   ever applied twice;
-//! * all waits are bounded (`recv_timeout` / polling), so lost messages
+//! * all waits are bounded (polling with lease deadlines), so lost messages
 //!   cost latency, never liveness: workers re-request on timeout, and the
 //!   master re-sends shutdown until every surviving worker acknowledges.
 //!
@@ -217,8 +217,9 @@ mod tests {
 
     #[test]
     fn empty_set_short_circuits() {
-        let r = run_ccd_ft(&SequenceSet::new(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
-            .expect("empty set");
+        let r =
+            run_ccd_ft(&SequenceSet::default(), &ClusterConfig::default(), 4, Arc::new(NoFaults))
+                .expect("empty set");
         assert!(r.components.is_empty());
     }
 }

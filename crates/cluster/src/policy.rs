@@ -431,14 +431,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "drive_batched needs a batch size of at least 1")]
     fn the_batched_loop_refuses_batch_size_zero() {
-        let set = SequenceSet::new();
+        let set = SequenceSet::default();
         drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, 0, &mut |_| {});
     }
 
     #[test]
     #[should_panic(expected = "drive_leased needs a batch size of at least 1")]
     fn the_leased_loop_refuses_batch_size_zero() {
-        let set = SequenceSet::new();
+        let set = SequenceSet::default();
         let (mut transport, _ports) = LocalTransport::new(1);
         let _ = drive_leased(&mut ClusterCore::new_ccd(&set), &mut transport, &[], 0);
     }
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "serve_push_worker needs a batch size of at least 1")]
     fn a_push_worker_refuses_batch_size_zero() {
-        let set = SequenceSet::new();
+        let set = SequenceSet::default();
         let (_transport, mut ports) = LocalTransport::new(1);
         serve_push_worker(&mut ports[0], &[], &verifier(), &set, 0);
     }

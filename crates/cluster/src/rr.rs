@@ -41,13 +41,6 @@ pub struct RrResult {
     pub trace: PhaseTrace,
 }
 
-impl RrResult {
-    /// Number of non-redundant sequences.
-    pub fn n_kept(&self) -> usize {
-        self.kept.len()
-    }
-}
-
 /// Run redundancy removal over `set`.
 pub fn run_redundancy_removal(set: &dyn SeqStore, config: &ClusterConfig) -> RrResult {
     rr_over(set, config, None)
@@ -106,7 +99,7 @@ mod tests {
     fn identical_sequences_keep_one() {
         let set = set_of(&[LONG, LONG, LONG]);
         let r = run_redundancy_removal(&set, &config());
-        assert_eq!(r.n_kept(), 1);
+        assert_eq!(r.kept.len(), 1);
         assert_eq!(r.kept, vec![SeqId(0)], "lowest id survives");
     }
 
@@ -114,7 +107,7 @@ mod tests {
     fn unrelated_sequences_all_kept() {
         let set = set_of(&["MKVLWAAKNDCQEGHILKMF", "PSTWYVARNDCQEGHAAAAA", "WWWWHHHHGGGGCCCCDDDD"]);
         let r = run_redundancy_removal(&set, &config());
-        assert_eq!(r.n_kept(), 3);
+        assert_eq!(r.kept.len(), 3);
         assert!(r.removed.is_empty());
     }
 
@@ -126,7 +119,7 @@ mod tests {
         let b = format!("GGGGGGGGGGGGGGGGGGGG{}", LONG);
         let set = set_of(&[&a, &b]);
         let r = run_redundancy_removal(&set, &config());
-        assert_eq!(r.n_kept(), 2);
+        assert_eq!(r.kept.len(), 2);
     }
 
     #[test]
@@ -153,7 +146,7 @@ mod tests {
 
     #[test]
     fn empty_set() {
-        let r = run_redundancy_removal(&SequenceSet::new(), &config());
+        let r = run_redundancy_removal(&SequenceSet::default(), &config());
         assert!(r.kept.is_empty());
         assert!(r.removed.is_empty());
     }
@@ -165,7 +158,7 @@ mod tests {
         for seqs in [[LONG, contained], [contained, LONG]] {
             let set = set_of(&seqs);
             let r = run_redundancy_removal(&set, &config());
-            assert_eq!(r.n_kept(), 1);
+            assert_eq!(r.kept.len(), 1);
             let kept_len = set.seq_len(r.kept[0]);
             assert_eq!(kept_len, LONG.len(), "longer sequence must survive");
         }

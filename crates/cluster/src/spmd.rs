@@ -149,9 +149,9 @@ mod tests {
 
     #[test]
     fn empty_set_short_circuits() {
-        let r = run_ccd_spmd(&SequenceSet::new(), &ClusterConfig::default(), 4);
+        let r = run_ccd_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
         assert!(r.components.is_empty());
-        let rr = run_rr_spmd(&SequenceSet::new(), &ClusterConfig::default(), 4);
+        let rr = run_rr_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
         assert!(rr.kept.is_empty());
     }
 

@@ -200,7 +200,7 @@ fn collected_supply_entry_agrees_with_the_reference() {
     let family = set_of(&["MKVLWAAKNDCQEGHILKMFPSTWYV"; 6]);
     for (set, config) in [
         (&tiny, ClusterConfig::default()),
-        (&SequenceSet::new(), ClusterConfig::default()),
+        (&SequenceSet::default(), ClusterConfig::default()),
         (&family, ClusterConfig::for_short_sequences()),
     ] {
         let reference = run_ccd(set, &config);
@@ -222,7 +222,7 @@ fn matrix_agrees_on_random_datagen_inputs() {
 
 #[test]
 fn matrix_agrees_on_empty_set() {
-    assert_matrix_agrees(&SequenceSet::new(), &ClusterConfig::default());
+    assert_matrix_agrees(&SequenceSet::default(), &ClusterConfig::default());
 }
 
 #[test]

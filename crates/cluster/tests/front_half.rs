@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half, CcdCursor,
-    CcdResult, ClusterConfig, PairLedger, RrResult,
+    index_plan, run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half,
+    CcdCursor, CcdResult, ClusterConfig, IndexPlan, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -170,12 +170,13 @@ fn runs_one_index_cannot_serve_mine_windows() {
     // A budget of its own: clones share the accounting, and `rr_want`
     // still holds its ledger on `config`'s.
     let cfg = budgeted(&set);
+    assert_eq!(index_plan(&set, &cfg, None).unwrap(), IndexPlan::Windowed, "RR in windows");
     let (rr, ccd) = run_front_half(&set, &cfg);
     assert_eq!(rr.kept, rr_want.kept);
     assert_eq!(rr.trace, rr_want.trace);
     assert_same_ccd(&ccd, &ccd_want, "budget");
-    assert_eq!(cfg.budget.granted("gsa-index"), 0, "no monolithic index");
-    assert_eq!(cfg.budget.granted("gsa-window"), 2, "RR and CCD in windows");
+    let survivors = SubsetStore::new(&set, rr.kept.clone());
+    assert_eq!(index_plan(&survivors, &cfg, None).unwrap(), IndexPlan::Windowed, "CCD too");
     // What is still held is the ledger, and it goes with RR's result.
     assert_eq!(cfg.budget.used(), 8 * rr.ledger.len() as u64, "index released");
     drop(rr);

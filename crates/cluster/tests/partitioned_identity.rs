@@ -145,7 +145,7 @@ fn the_windowed_stream_of_empty_and_one_read_sets() {
     let mut b = SequenceSetBuilder::new();
     b.push_letters("s0".into(), b"MKVLWAAKNDCQEGHILKMFPSTWYVMKVLWAAKND").unwrap();
     let one = b.finish();
-    for set in [SequenceSet::new(), one] {
+    for set in [SequenceSet::default(), one] {
         assert_windowed_is_monolithic(&set, &[1, 10]);
         let (_, n_windows) = windowed(&set, 10, 0, 1);
         assert_eq!(n_windows == 0, set.is_empty());

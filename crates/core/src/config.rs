@@ -98,7 +98,7 @@ mod tests {
         let c = PipelineConfig::for_tests();
         assert!(!c.cluster.budget.is_limited(), "unlimited by default");
         let c = c.with_mem_budget(1 << 20);
-        assert_eq!(c.cluster.budget.limit(), Some(1 << 20));
+        assert_eq!(c.cluster.budget.remaining(), 1 << 20);
         let c = c.with_mem_budget(0);
         assert!(!c.cluster.budget.is_limited(), "0 clears the cap");
     }

@@ -635,7 +635,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = PipelineConfig::for_tests().run(&SequenceSet::new());
+        let r = PipelineConfig::for_tests().run(&SequenceSet::default());
         assert_eq!(r.n_input, 0);
         assert!(r.dense_subgraphs.is_empty());
     }

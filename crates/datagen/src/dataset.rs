@@ -256,16 +256,6 @@ impl SyntheticDataset {
         SyntheticDataset { set: builder.finish(), provenance, ancestors }
     }
 
-    /// Number of reads.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether the data set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
     /// The benchmark clustering: one cluster per family (members and
     /// redundant copies together), noise excluded. Plays the role of the
     /// GOS clustering in the paper's quality comparison.
@@ -342,7 +332,7 @@ mod tests {
             d.provenance.iter().filter(|p| matches!(p, Provenance::Member { .. })).count();
         let redundant = d.redundant_ids().len();
         let noise = d.provenance.iter().filter(|p| matches!(p, Provenance::Noise)).count();
-        assert_eq!(members + redundant + noise, d.len());
+        assert_eq!(members + redundant + noise, d.set.len());
         assert_eq!(noise, config.n_noise);
         assert!(members >= config.n_members - 2 && members <= config.n_members + 2);
         assert_eq!(redundant, ((members as f64) * config.redundancy_frac).round() as usize);

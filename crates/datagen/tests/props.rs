@@ -30,7 +30,7 @@ proptest! {
     fn provenance_is_parallel_to_the_set(config in small_config()) {
         let d = SyntheticDataset::generate(&config);
         prop_assert_eq!(d.provenance.len(), d.set.len());
-        prop_assert!(!d.is_empty());
+        prop_assert!(!d.set.is_empty());
     }
 
     #[test]

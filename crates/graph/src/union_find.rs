@@ -11,13 +11,12 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    n_sets: usize,
 }
 
 impl UnionFind {
     /// `n` singleton sets `0..n`.
     pub fn new(n: usize) -> UnionFind {
-        UnionFind { parent: (0..n as u32).collect(), rank: vec![0; n], n_sets: n }
+        UnionFind { parent: (0..n as u32).collect(), rank: vec![0; n] }
     }
 
     /// Number of elements.
@@ -28,11 +27,6 @@ impl UnionFind {
     /// Whether the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn n_sets(&self) -> usize {
-        self.n_sets
     }
 
     /// Representative of `x`'s set (with path halving).
@@ -60,7 +54,6 @@ impl UnionFind {
         if self.rank[hi as usize] == self.rank[lo as usize] {
             self.rank[hi as usize] += 1;
         }
-        self.n_sets -= 1;
         true
     }
 
@@ -78,11 +71,9 @@ impl UnionFind {
     }
 
     /// Rebuild a forest from checkpointed [`UnionFind::parts`] state.
-    /// `n_sets` is recomputed by counting roots.
     pub fn from_parts(parent: Vec<u32>, rank: Vec<u8>) -> UnionFind {
         assert_eq!(parent.len(), rank.len(), "parent/rank length mismatch");
-        let n_sets = parent.iter().enumerate().filter(|&(i, &p)| p == i as u32).count();
-        UnionFind { parent, rank, n_sets }
+        UnionFind { parent, rank }
     }
 
     /// Group all elements by representative, returning the members of each
@@ -98,7 +89,7 @@ impl UnionFind {
         // A root's group is opened at its smallest member, so groups come
         // out ordered by it.
         let mut slot = vec![u32::MAX; n];
-        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.n_sets);
+        let mut out: Vec<Vec<u32>> = Vec::new();
         for (x, &r) in roots.iter().enumerate() {
             let r = r as usize;
             if slot[r] == u32::MAX {
@@ -118,7 +109,7 @@ mod tests {
     #[test]
     fn singletons_initially() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.n_sets(), 5);
+        assert_eq!(uf.groups().len(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
         }
@@ -131,7 +122,7 @@ mod tests {
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0), "already merged");
         assert!(uf.union(0, 2));
-        assert_eq!(uf.n_sets(), 3);
+        assert_eq!(uf.groups().len(), 3);
         assert!(uf.same(1, 3));
         assert!(!uf.same(0, 4));
     }
@@ -158,7 +149,7 @@ mod tests {
         for i in 1..n as u32 {
             uf.union(i - 1, i);
         }
-        assert_eq!(uf.n_sets(), 1);
+        assert_eq!(uf.groups().len(), 1);
         let root = uf.find(0);
         for i in 0..n as u32 {
             assert_eq!(uf.find(i), root);
@@ -174,7 +165,6 @@ mod tests {
         uf.union(7, 8);
         let (parent, rank) = uf.parts();
         let mut restored = UnionFind::from_parts(parent.to_vec(), rank.to_vec());
-        assert_eq!(restored.n_sets(), uf.n_sets());
         assert_eq!(restored.groups(), uf.groups());
         // The restored forest must keep evolving identically.
         assert_eq!(restored.union(0, 7), uf.union(0, 7));

@@ -30,11 +30,6 @@ impl Histogram {
         Histogram { width, counts, n_samples, max_value }
     }
 
-    /// Number of samples.
-    pub fn n_samples(&self) -> u64 {
-        self.n_samples
-    }
-
     /// The largest sample seen.
     pub fn max_value(&self) -> usize {
         self.max_value
@@ -71,7 +66,7 @@ mod tests {
         let h = Histogram::new(5, [5, 9, 10, 14, 15, 100]);
         let counts: Vec<u64> = h.non_empty().into_iter().map(|(_, c)| c).collect();
         assert_eq!(counts, [2, 2, 1, 1], "5-9, 10-14, 15-19 and 100-104; nothing between");
-        assert_eq!(h.n_samples(), 6);
+        assert_eq!(h.n_samples, 6);
         assert_eq!(h.max_value(), 100);
     }
 
@@ -86,7 +81,7 @@ mod tests {
     #[test]
     fn empty_histogram() {
         let h = Histogram::new(5, []);
-        assert_eq!(h.n_samples(), 0);
+        assert_eq!(h.n_samples, 0);
         assert!(h.non_empty().is_empty());
         assert_eq!(h.render(), "");
     }

@@ -20,7 +20,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use crate::error::CommError;
 use crate::fault::{FaultInjector, MessageFate};
 
-/// Wildcard source for [`Communicator::recv`].
+/// Wildcard source for [`Communicator::try_recv`].
 pub const ANY_SOURCE: usize = usize::MAX;
 
 /// Tags at or above this value are reserved for collectives.
@@ -234,26 +234,6 @@ impl Communicator {
         }
     }
 
-    /// Blocking receive of a `T` from `from` (or [`ANY_SOURCE`]) with
-    /// `tag`. Returns the actual source.
-    pub fn recv<T: Any + Send>(&mut self, from: usize, tag: u32) -> Result<(usize, T), CommError> {
-        self.preflight()?;
-        self.recv_match(from, tag, None)
-    }
-
-    /// Receive with a timeout: blocks at most `timeout` for a matching
-    /// message, then fails with [`CommError::Timeout`] — the primitive
-    /// failure detectors are built on.
-    pub fn recv_timeout<T: Any + Send>(
-        &mut self,
-        from: usize,
-        tag: u32,
-        timeout: Duration,
-    ) -> Result<(usize, T), CommError> {
-        self.preflight()?;
-        self.recv_match(from, tag, Some(Instant::now() + timeout))
-    }
-
     /// Non-blocking receive. `Ok(Some(..))` if a matching message is
     /// available now, `Ok(None)` if not.
     pub fn try_recv<T: Any + Send>(
@@ -453,16 +433,31 @@ mod tests {
         }
     }
 
+    /// A blocking receive the way the master–worker loops get one: poll
+    /// `try_recv` until a matching message is there.
+    fn poll<T: Any + Send>(
+        comm: &mut Communicator,
+        from: usize,
+        tag: u32,
+    ) -> Result<(usize, T), CommError> {
+        loop {
+            if let Some(got) = comm.try_recv(from, tag)? {
+                return Ok(got);
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn ring_pass_accumulates() {
         let results = run_spmd(5, |comm| {
             let (rank, size) = (comm.rank(), comm.size());
             if rank == 0 {
                 must(comm.send(1, 7, 1u64));
-                let (_, total) = must(comm.recv::<u64>(size - 1, 7));
+                let (_, total) = must(poll::<u64>(comm, size - 1, 7));
                 total
             } else {
-                let (_, v) = must(comm.recv::<u64>(rank - 1, 7));
+                let (_, v) = must(poll::<u64>(comm, rank - 1, 7));
                 must(comm.send((rank + 1) % size, 7, v + 1));
                 v
             }
@@ -479,7 +474,7 @@ mod tests {
                 }
                 Vec::new()
             } else {
-                (0..100).map(|_| must(comm.recv::<u32>(0, 3)).1).collect::<Vec<u32>>()
+                (0..100).map(|_| must(poll::<u32>(comm, 0, 3)).1).collect::<Vec<u32>>()
             }
         });
         assert_eq!(results[1], (0..100).collect::<Vec<u32>>());
@@ -494,8 +489,8 @@ mod tests {
                 (String::new(), String::new())
             } else {
                 // Receive in the opposite order of sending.
-                let (_, b) = must(comm.recv::<&str>(0, 2));
-                let (_, a) = must(comm.recv::<&str>(0, 1));
+                let (_, b) = must(poll::<&str>(comm, 0, 2));
+                let (_, a) = must(poll::<&str>(comm, 0, 1));
                 (a.to_owned(), b.to_owned())
             }
         });
@@ -507,7 +502,7 @@ mod tests {
         let results = run_spmd(6, |comm| {
             if comm.rank() == 0 {
                 let mut got: Vec<usize> =
-                    (1..comm.size()).map(|_| must(comm.recv::<u64>(ANY_SOURCE, 9)).0).collect();
+                    (1..comm.size()).map(|_| must(poll::<u64>(comm, ANY_SOURCE, 9)).0).collect();
                 got.sort_unstable();
                 got
             } else {
@@ -569,9 +564,9 @@ mod tests {
                 must(comm.send(1, 3, vec![1.0f64, 2.0]));
                 0.0
             } else {
-                let (_, n) = must(comm.recv::<u64>(0, 1));
-                let (_, s) = must(comm.recv::<String>(0, 2));
-                let (_, v) = must(comm.recv::<Vec<f64>>(0, 3));
+                let (_, n) = must(poll::<u64>(comm, 0, 1));
+                let (_, s) = must(poll::<String>(comm, 0, 2));
+                let (_, v) = must(poll::<Vec<f64>>(comm, 0, 3));
                 n as f64 + s.len() as f64 + v.iter().sum::<f64>()
             }
         });
@@ -586,40 +581,12 @@ mod tests {
                 true
             } else {
                 matches!(
-                    comm.recv::<String>(0, 1),
+                    poll::<String>(comm, 0, 1),
                     Err(CommError::TypeMismatch { tag: 1, from: 0, .. })
                 )
             }
         });
         assert!(results[1]);
-    }
-
-    #[test]
-    fn recv_timeout_expires_without_a_message() {
-        let results = run_spmd(2, |comm| {
-            if comm.rank() == 1 {
-                comm.recv_timeout::<u8>(0, 5, Duration::from_millis(20)).err()
-            } else {
-                None // sends nothing
-            }
-        });
-        assert_eq!(results[1], Some(CommError::Timeout));
-    }
-
-    #[test]
-    fn recv_timeout_delivers_when_message_arrives() {
-        let results = run_spmd(2, |comm| {
-            if comm.rank() == 0 {
-                must(comm.send(1, 5, 99u8));
-                0
-            } else {
-                match comm.recv_timeout::<u8>(0, 5, Duration::from_secs(5)) {
-                    Ok((_, v)) => v,
-                    Err(e) => panic!("expected delivery, got {e}"),
-                }
-            }
-        });
-        assert_eq!(results[1], 99);
     }
 
     /// Kill rank 1 at its very first operation.
@@ -636,7 +603,7 @@ mod tests {
             if comm.rank() == 1 {
                 // First op dies; every later op dies too.
                 assert_eq!(comm.send(0, 1, 0u8), Err(CommError::RankKilled));
-                assert_eq!(comm.recv::<u8>(0, 1).err(), Some(CommError::RankKilled));
+                assert_eq!(poll::<u8>(comm, 0, 1).err(), Some(CommError::RankKilled));
                 "killed"
             } else {
                 // Wait for the liveness board to reflect the death, then
@@ -673,7 +640,7 @@ mod tests {
                 0
             } else {
                 // Only the second message arrives.
-                must(comm.recv::<u32>(0, 7)).1
+                must(poll::<u32>(comm, 0, 7)).1
             }
         });
         assert_eq!(results[1], Ok(2));
@@ -699,7 +666,7 @@ mod tests {
                 must(comm.send(1, 7, 2u32));
                 Vec::new()
             } else {
-                vec![must(comm.recv::<u32>(0, 7)).1, must(comm.recv::<u32>(0, 7)).1]
+                vec![must(poll::<u32>(comm, 0, 7)).1, must(poll::<u32>(comm, 0, 7)).1]
             }
         });
         assert_eq!(results[1], Ok(vec![2, 1]), "first message overtaken by the second");

@@ -15,7 +15,7 @@ pub enum CommError {
         /// The dead destination rank.
         rank: usize,
     },
-    /// `recv_timeout` elapsed with no matching message.
+    /// A bounded wait inside a collective elapsed with no matching message.
     Timeout,
     /// This rank itself has been killed by the fault injector: the
     /// surrounding SPMD closure should unwind its work and return, as a

@@ -24,7 +24,8 @@
 //! Semantics follow MPI where it matters:
 //! * messages between a fixed (sender, receiver, tag) triple arrive in
 //!   send order (non-overtaking) — unless a fault injector reorders them;
-//! * `recv` blocks; `try_recv` polls; `recv_timeout` bounds the wait;
+//! * point-to-point receives poll (`try_recv`), as the master–worker
+//!   loops do; collectives wait inside, bounded by the liveness board;
 //! * collectives must be called by every rank (they are built from
 //!   reserved-tag point-to-point messages).
 //!

@@ -4,12 +4,29 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pfam_mpi::{run_spmd, CommError, ANY_SOURCE};
+use std::any::Any;
+
+use pfam_mpi::{run_spmd, CommError, Communicator, ANY_SOURCE};
 
 fn must<T>(r: Result<T, CommError>) -> T {
     match r {
         Ok(v) => v,
         Err(e) => panic!("unexpected comm error: {e}"),
+    }
+}
+
+/// A blocking receive the way the master–worker loops get one: poll
+/// `try_recv` until a matching message is there.
+fn poll<T: Any + Send>(
+    comm: &mut Communicator,
+    from: usize,
+    tag: u32,
+) -> Result<(usize, T), CommError> {
+    loop {
+        if let Some(got) = comm.try_recv(from, tag)? {
+            return Ok(got);
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -38,7 +55,7 @@ fn random_point_to_point_traffic_is_lossless() {
         let expected: usize = (0..comm.size()).filter(|&f| f != me).map(|f| plan_ref[f][me]).sum();
         let mut sum = 0u64;
         for _ in 0..expected {
-            let (_, v) = must(comm.recv::<u64>(ANY_SOURCE, 5));
+            let (_, v) = must(poll::<u64>(comm, ANY_SOURCE, 5));
             sum += v;
         }
         sum
@@ -79,8 +96,8 @@ fn wildcard_and_specific_receives_mix() {
             0 => {
                 // Specific receive from 2 first, then wildcard: the rank-1
                 // message must wait in the pending buffer.
-                let (_, two) = must(comm.recv::<u8>(2, 1));
-                let (from, one) = must(comm.recv::<u8>(ANY_SOURCE, 1));
+                let (_, two) = must(poll::<u8>(comm, 2, 1));
+                let (from, one) = must(poll::<u8>(comm, ANY_SOURCE, 1));
                 (two, one, from)
             }
             r => {

@@ -26,13 +26,6 @@ impl AminoAcid {
     /// The ambiguity residue `X`.
     pub const UNKNOWN: AminoAcid = AminoAcid(20);
 
-    /// Construct from an internal code. Panics if `code >= ALPHABET_SIZE`.
-    #[inline]
-    pub fn from_code(code: u8) -> AminoAcid {
-        assert!((code as usize) < ALPHABET_SIZE, "residue code out of range: {code}");
-        AminoAcid(code)
-    }
-
     /// Parse a one-letter amino-acid code (case-insensitive).
     ///
     /// Non-standard codes are normalised: `B`/`Z`/`J`/`U`/`O` and `*` map to
@@ -112,7 +105,7 @@ mod tests {
     #[test]
     fn round_trip_all_letters() {
         for code in 0..ALPHABET_SIZE as u8 {
-            let aa = AminoAcid::from_code(code);
+            let aa = AminoAcid(code);
             let back = AminoAcid::from_letter(aa.letter()).unwrap();
             assert_eq!(aa, back);
         }
@@ -149,12 +142,6 @@ mod tests {
         let s = b"MKVLAARNDCQEGHILKMFPSTWYVX";
         let codes = encode(s).unwrap();
         assert_eq!(decode(&codes).as_bytes(), s);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_code_bounds_checked() {
-        let _ = AminoAcid::from_code(21);
     }
 
     #[test]

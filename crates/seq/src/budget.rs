@@ -16,7 +16,7 @@
 //! every consumer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A reservation request that would exceed the configured limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,8 +49,6 @@ struct BudgetInner {
     limit: u64,
     used: AtomicU64,
     peak: AtomicU64,
-    /// Granted reservations per `what` label.
-    granted: Mutex<Vec<(&'static str, u64)>>,
 }
 
 /// Shared, thread-safe byte accounting with an optional hard limit.
@@ -74,15 +72,6 @@ impl MemoryBudget {
         MemoryBudget { inner: Arc::new(BudgetInner { limit: limit_bytes, ..Default::default() }) }
     }
 
-    /// The configured limit, or `None` when unlimited.
-    pub fn limit(&self) -> Option<u64> {
-        if self.inner.limit == 0 {
-            None
-        } else {
-            Some(self.inner.limit)
-        }
-    }
-
     /// Whether a limit is configured at all.
     pub fn is_limited(&self) -> bool {
         self.inner.limit != 0
@@ -96,13 +85,6 @@ impl MemoryBudget {
     /// High-water mark of reserved bytes over the budget's lifetime.
     pub fn peak(&self) -> u64 {
         self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// How many reservations labelled `what` have been granted so far —
-    /// which structures a run actually built, whatever it released since.
-    pub fn granted(&self, what: &str) -> u64 {
-        let granted = self.inner.granted.lock().unwrap_or_else(|e| e.into_inner());
-        granted.iter().find(|(label, _)| *label == what).map_or(0, |&(_, n)| n)
     }
 
     /// Bytes still available (`u64::MAX` when unlimited).
@@ -139,11 +121,6 @@ impl MemoryBudget {
             {
                 Ok(_) => {
                     inner.peak.fetch_max(new, Ordering::Relaxed);
-                    let mut granted = inner.granted.lock().unwrap_or_else(|e| e.into_inner());
-                    match granted.iter_mut().find(|(label, _)| *label == what) {
-                        Some((_, n)) => *n += 1,
-                        None => granted.push((what, 1)),
-                    }
                     return Ok(Reservation { budget: self.clone(), bytes });
                 }
                 Err(actual) => used = actual,
@@ -178,11 +155,6 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// Bytes this reservation holds.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Shrink the reservation to `bytes` (useful once the real size of a
     /// structure is known and smaller than the estimate). Growing is not
     /// allowed — take a second reservation and [`merge`](Self::merge) it.
@@ -215,7 +187,7 @@ mod tests {
     #[test]
     fn unlimited_admits_everything_but_tracks() {
         let b = MemoryBudget::unlimited();
-        assert_eq!(b.limit(), None);
+        assert!(!b.is_limited());
         let r = b.try_reserve("x", 1 << 40).unwrap();
         assert_eq!(b.used(), 1 << 40);
         assert_eq!(b.peak(), 1 << 40);
@@ -236,11 +208,6 @@ mod tests {
         assert!(err.to_string().contains("memory budget exceeded"));
         drop(r);
         assert!(b.try_reserve("b", 50).is_ok(), "release frees the bytes");
-        assert_eq!(
-            (b.granted("a"), b.granted("b"), b.granted("c")),
-            (1, 1, 0),
-            "refusals excluded"
-        );
     }
 
     #[test]
@@ -258,7 +225,7 @@ mod tests {
         let mut r = b.try_reserve("x", 90).unwrap();
         r.shrink_to(30);
         assert_eq!(b.used(), 30);
-        assert_eq!(r.bytes(), 30);
+        assert_eq!(r.bytes, 30);
         // Growing is a no-op.
         r.shrink_to(50);
         assert_eq!(b.used(), 30);
@@ -271,7 +238,7 @@ mod tests {
         let b = MemoryBudget::limited(100);
         let mut r = b.try_reserve("x", 30).unwrap();
         r.merge(b.try_reserve("x", 20).unwrap());
-        assert_eq!((b.used(), r.bytes()), (50, 50));
+        assert_eq!((b.used(), r.bytes), (50, 50));
         drop(r);
         assert_eq!(b.used(), 0);
     }

@@ -34,11 +34,6 @@ impl Composition {
         Composition { total: counts.iter().sum(), counts }
     }
 
-    /// Total residues counted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Observed frequency of residue code `c` (including `X`).
     pub fn frequency(&self, c: u8) -> f64 {
         if self.total == 0 {
@@ -110,7 +105,7 @@ mod tests {
     fn frequencies_counted() {
         let set = set_of(&["AAAA", "CCCC"]);
         let comp = Composition::of(&set);
-        assert_eq!(comp.total(), 8);
+        assert_eq!(comp.total, 8);
         assert!((comp.frequency(0) - 0.5).abs() < 1e-12); // A
         assert!((comp.frequency(4) - 0.5).abs() < 1e-12); // C
         assert_eq!(comp.frequency(5), 0.0);
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn entropy_extremes() {
-        assert_eq!(Composition::of(&SequenceSet::new()).entropy_bits(), 0.0);
+        assert_eq!(Composition::of(&SequenceSet::default()).entropy_bits(), 0.0);
         let uniform = set_of(&["ARNDCQEGHILKMFPSTWYV"]);
         let e = Composition::of(&uniform).entropy_bits();
         assert!((e - 20f64.log2()).abs() < 1e-9);
@@ -175,8 +170,8 @@ mod tests {
 
     #[test]
     fn empty_set_is_safe() {
-        let comp = Composition::of(&SequenceSet::new());
-        assert_eq!(comp.total(), 0);
+        let comp = Composition::of(&SequenceSet::default());
+        assert_eq!(comp.total, 0);
         assert_eq!(comp.frequency(0), 0.0);
         assert_eq!(comp.relative_entropy_vs_background(), 0.0);
     }

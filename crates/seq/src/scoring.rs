@@ -5,7 +5,7 @@
 //! an identity matrix, and a parametric match/mismatch matrix for tests.
 //! Scores are `i32` in half-bit units, matching the published tables.
 
-use crate::alphabet::{AminoAcid, ALPHABET_SIZE};
+use crate::alphabet::ALPHABET_SIZE;
 
 /// A dense 21×21 substitution score lookup (20 residues + `X`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,12 +16,6 @@ pub struct SubstMatrix {
 }
 
 impl SubstMatrix {
-    /// Score for aligning residues `a` against `b`.
-    #[inline]
-    pub fn score(&self, a: AminoAcid, b: AminoAcid) -> i32 {
-        self.scores[a.code() as usize][b.code() as usize]
-    }
-
     /// Score lookup by raw residue codes (hot path in DP loops).
     #[inline]
     pub fn score_codes(&self, a: u8, b: u8) -> i32 {
@@ -128,8 +122,8 @@ mod tests {
     use super::*;
     use crate::alphabet::AminoAcid;
 
-    fn aa(letter: u8) -> AminoAcid {
-        AminoAcid::from_letter(letter).unwrap()
+    fn aa(letter: u8) -> u8 {
+        AminoAcid::from_letter(letter).unwrap().code()
     }
 
     #[test]
@@ -145,12 +139,12 @@ mod tests {
     #[test]
     fn blosum62_known_values() {
         let m = SubstMatrix::blosum62();
-        assert_eq!(m.score(aa(b'W'), aa(b'W')), 11);
-        assert_eq!(m.score(aa(b'A'), aa(b'A')), 4);
-        assert_eq!(m.score(aa(b'C'), aa(b'C')), 9);
-        assert_eq!(m.score(aa(b'I'), aa(b'L')), 2);
-        assert_eq!(m.score(aa(b'W'), aa(b'P')), -4);
-        assert_eq!(m.score(aa(b'E'), aa(b'D')), 2);
+        assert_eq!(m.score_codes(aa(b'W'), aa(b'W')), 11);
+        assert_eq!(m.score_codes(aa(b'A'), aa(b'A')), 4);
+        assert_eq!(m.score_codes(aa(b'C'), aa(b'C')), 9);
+        assert_eq!(m.score_codes(aa(b'I'), aa(b'L')), 2);
+        assert_eq!(m.score_codes(aa(b'W'), aa(b'P')), -4);
+        assert_eq!(m.score_codes(aa(b'E'), aa(b'D')), 2);
     }
 
     #[test]
@@ -169,12 +163,12 @@ mod tests {
     #[test]
     fn x_is_uniformly_negative() {
         let m = SubstMatrix::blosum62();
-        let x = AminoAcid::UNKNOWN;
-        for b in (0..20).map(AminoAcid::from_code) {
-            assert_eq!(m.score(x, b), -1);
+        let x = AminoAcid::UNKNOWN.code();
+        for b in 0..20 {
+            assert_eq!(m.score_codes(x, b), -1);
         }
-        assert_eq!(m.score(x, x), -1);
-        assert!(!m.is_positive(x.code(), x.code()));
+        assert_eq!(m.score_codes(x, x), -1);
+        assert!(!m.is_positive(x, x));
     }
 
     #[test]
@@ -187,8 +181,8 @@ mod tests {
     #[test]
     fn uniform_matrix() {
         let m = SubstMatrix::uniform(5, -3);
-        assert_eq!(m.score(aa(b'G'), aa(b'G')), 5);
-        assert_eq!(m.score(aa(b'G'), aa(b'H')), -3);
+        assert_eq!(m.score_codes(aa(b'G'), aa(b'G')), 5);
+        assert_eq!(m.score_codes(aa(b'G'), aa(b'H')), -3);
         assert_eq!(m.max_score(), 5);
         assert_eq!(m.min_score(), -3);
     }
@@ -203,7 +197,7 @@ mod tests {
     #[test]
     fn positives_follow_sign() {
         let m = SubstMatrix::blosum62();
-        assert!(m.is_positive(aa(b'I').code(), aa(b'V').code())); // +3
-        assert!(!m.is_positive(aa(b'A').code(), aa(b'T').code())); // 0
+        assert!(m.is_positive(aa(b'I'), aa(b'V'))); // +3
+        assert!(!m.is_positive(aa(b'A'), aa(b'T'))); // 0
     }
 }

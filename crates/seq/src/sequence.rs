@@ -45,18 +45,6 @@ pub struct Sequence<'a> {
 }
 
 impl<'a> Sequence<'a> {
-    /// Number of residues.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the sequence has no residues.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
     /// ASCII rendering of the residues.
     pub fn to_letters(&self) -> String {
         alphabet::decode(self.codes)
@@ -83,11 +71,6 @@ pub struct SequenceSet {
 }
 
 impl SequenceSet {
-    /// Empty set.
-    pub fn new() -> SequenceSet {
-        SequenceSet { arena: Vec::new(), offsets: vec![0], headers: Vec::new() }
-    }
-
     /// Number of sequences.
     #[inline]
     pub fn len(&self) -> usize {
@@ -140,11 +123,6 @@ impl SequenceSet {
     /// All valid ids, in order.
     pub fn ids(&self) -> impl Iterator<Item = SeqId> + 'static {
         (0..self.len() as u32).map(SeqId)
-    }
-
-    /// The raw arena and offset table. Used by suffix-index construction.
-    pub fn arena(&self) -> (&[u8], &[usize]) {
-        (&self.arena, &self.offsets)
     }
 
     /// Build a new set containing only `keep` (in the given order).
@@ -207,16 +185,6 @@ impl SequenceSetBuilder {
         }
     }
 
-    /// Number of sequences added so far.
-    pub fn len(&self) -> usize {
-        self.headers.len()
-    }
-
-    /// Whether nothing has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.headers.is_empty()
-    }
-
     /// Append a sequence given as an ASCII residue string.
     pub fn push_letters(&mut self, header: String, letters: &[u8]) -> Result<SeqId, SeqError> {
         let codes = alphabet::encode(letters)?;
@@ -271,7 +239,7 @@ mod tests {
 
     #[test]
     fn empty_set() {
-        let s = SequenceSet::new();
+        let s = SequenceSet::default();
         assert!(s.is_empty());
         assert_eq!(s.total_residues(), 0);
         assert_eq!(s.mean_len(), 0.0);
@@ -281,9 +249,8 @@ mod tests {
     #[test]
     fn arena_is_contiguous() {
         let s = sample();
-        let (arena, offsets) = s.arena();
-        assert_eq!(arena.len(), 15);
-        assert_eq!(offsets, &[0, 5, 8, 15]);
+        assert_eq!(s.arena.len(), 15);
+        assert_eq!(s.offsets, [0, 5, 8, 15]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn empty_set_stats() {
-        let s = LengthStats::of(&SequenceSet::new());
+        let s = LengthStats::of(&SequenceSet::default());
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
     }

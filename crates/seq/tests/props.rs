@@ -65,7 +65,16 @@ proptest! {
         let comp = Composition::of(&set);
         let total: f64 = (0..21u8).map(|c| comp.frequency(c)).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
+        // Every residue counted: each frequency is its share of the total.
         let stats = LengthStats::of(&set);
-        prop_assert_eq!(stats.total as u64, comp.total());
+        let mut counts = [0usize; 21];
+        for s in &set {
+            for &c in s.codes {
+                counts[c as usize] += 1;
+            }
+        }
+        for (c, &n) in counts.iter().enumerate() {
+            prop_assert!((comp.frequency(c as u8) - n as f64 / stats.total as f64).abs() < 1e-12);
+        }
     }
 }

@@ -306,7 +306,11 @@ mod tests {
             let deadline = std::time::Instant::now() + Duration::from_secs(60);
             let peer = 2 - comm.rank();
             comm.send(peer, 7, 1u8).ok();
-            let got = comm.recv_timeout::<u8>(peer, 7, Duration::from_secs(60)).is_ok();
+            let mut got = false;
+            while !got && std::time::Instant::now() < deadline {
+                got = matches!(comm.try_recv::<u8>(peer, 7), Ok(Some(_)));
+                std::thread::yield_now();
+            }
             while comm.peer_alive(1) && std::time::Instant::now() < deadline {
                 std::thread::yield_now();
             }

@@ -21,10 +21,8 @@ pub mod faults;
 pub mod machine;
 pub mod replay;
 pub mod scheduler;
-pub mod topology;
 
 pub use faults::{FaultEvent, FaultSchedule};
 pub use machine::MachineModel;
 pub use replay::{simulate_phase, simulate_phases, speedup_sweep, SimBreakdown, SimReport};
 pub use scheduler::list_schedule_makespan;
-pub use topology::Topology;

@@ -9,13 +9,9 @@
 //! communication latencies and worker compute in a realistic ratio, which
 //! is what determines the scaling *shape*.
 
-use crate::topology::Topology;
-
 /// Cost constants of the simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
-    /// Interconnect shape: how per-round latency scales with p.
-    pub topology: Topology,
     /// Seconds per alignment DP cell on one worker core.
     pub cell_time: f64,
     /// Seconds per residue of index (GST) construction per rank.
@@ -44,8 +40,6 @@ impl MachineModel {
     /// ~175 MB/s per torus link, ~3 µs MPI latency).
     pub fn bluegene_l() -> MachineModel {
         MachineModel {
-            // Collectives ride the BG/L tree network.
-            topology: Topology::Tree,
             // ~25 M Smith-Waterman cells/s on a 700 MHz core.
             cell_time: 4.0e-8,
             // Suffix-tree construction ~2 M residues/s per rank.

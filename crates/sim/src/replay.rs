@@ -90,11 +90,11 @@ pub fn simulate_phase(trace: &PhaseTrace, machine: &MachineModel, p: usize) -> S
         index: trace.index_residues as f64 * machine.index_time_per_residue / workers,
         ..SimBreakdown::default()
     };
-    // Per-round latency grows with the machine's topology factor (tree
-    // collectives: log₂ p; torus point-to-point: ∝ p^⅓). This is what
-    // makes very large p slightly *worse* for master-bound phases (the
-    // paper's CCD column rises again from p=128 to p=512).
-    let round_latency = machine.latency * machine.topology.latency_factor(p);
+    // Per-round latency grows as log₂ p: collectives ride the BG/L tree
+    // network. This is what makes very large p slightly *worse* for
+    // master-bound phases (the paper's CCD column rises again from p=128
+    // to p=512).
+    let round_latency = machine.latency * (p as f64).log2();
     let mut master = 0.0f64;
     let mut all_tasks: Vec<f64> = Vec::new();
     for batch in &trace.batches {

@@ -529,7 +529,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sequence set")]
     fn empty_set_panics() {
-        let _ = GeneralizedSuffixArray::build(&SequenceSet::new());
+        let _ = GeneralizedSuffixArray::build(&SequenceSet::default());
     }
 
     #[test]

@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn single_and_empty_sets_yield_nothing() {
         let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
-        for set in [set_of(&["MKVLWMKVLW"]), SequenceSet::new()] {
+        for set in [set_of(&["MKVLWMKVLW"]), SequenceSet::default()] {
             let plan = ChunkPlan::plan(&lens_of(&set), 1);
             let miner =
                 PartitionedMiner::new(plan, loader(&set), config, 1, &MemoryBudget::limited(1));

@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
-# index tests under a timeout, root-package tests, workspace tests, the
-# driver-equivalence matrix, the one-index suites (masked mining == the
-# subset's own index; front half == the two-build composition), the
-# one-alignment-per-pair suite (ledger and deferred pairs change the work,
-# no result), index-bench, align-bench and bgg-dsd-bench smoke passes
-# (bit-identity checks on tiny workloads), the alignment-engine identity
-# suites and the back-half executor's (executor == the plain per-component
-# composition), the fault-injection and
-# checkpoint/restart suites, the ft-bench recovery smoke, the out-of-core
-# windowed-identity suite + index_oc_bench smoke, grep gates (no
+# index tests under a timeout, every test binary of the workspace once
+# (`cargo test --workspace`; the contract suites it holds are listed at
+# that step), the pfam-align suites in release mode (forced-path suite:
+# the batch kernel against the scalar twin, cell by cell), index-bench,
+# align-bench, bgg-dsd-bench, ft-bench and index_oc_bench smoke passes
+# (bit-identity and recovery checks on tiny workloads), grep gates (no
 # unwrap on inter-rank communication or on the lease-recovery path; no
 # UnionFind mutation outside ClusterCore; none of the retired schedulers,
 # rank kernels, planes (sharded, sketch), pipeline entries or supervision
@@ -27,16 +23,16 @@
 # derived in one place; one
 # pair miner — none of the lazy serial generator, its thread-count fork or
 # the explicit-stream source twin by name, one call site each for the
-# node-local miner and the node queue), the reachability ratchet (every
-# `pub` item of a library crate is named outside the tests or is on
-# scripts/reachability.allow with a reason), the candidate-list suite
-# (Verifier's list entry == one verdict at a time; deferred pairs of small
-# components dropped), the pfam-align suites in release mode (forced-path
-# suite: the batch kernel against the scalar twin, cell by cell), the
+# node-local miner and the node queue), the reachability ratchet (rustc's
+# dead-code analysis on a demoted copy: every `pub` item of a library
+# crate is reached by a non-test target or is on
+# scripts/reachability.allow with a reason) and its planted-item check
+# (a test-only `pub fn` fails it; the working tree is untouched), the
 # benchmark package's own tests, the known-quadratic input under a clock
 # (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume,
 # `cluster` == `run`, resume under other parameters, older checkpoint
-# formats, an unwritable --out, removed flags, a flag given twice.
+# formats, an unwritable --out, removed flags, a flag given twice, and
+# counts that used to panic (`--procs 1`, `--families 0`).
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -204,8 +200,39 @@ for name in collect_node_pairs mining_queue; do
     fi
 done
 
-echo "== tier1: reachability ratchet (pub items named outside the tests, or allow-listed) =="
+echo "== tier1: reachability ratchet (the compiler: every pub item reached outside the tests, or allow-listed) =="
+TREE_BEFORE=$(git status --porcelain)
 scripts/reachability.sh
+
+echo "== tier1: the ratchet fails on a planted test-only pub fn, and edits no file =="
+# The sweep again, on a copy with one `pub fn` in a library crate that
+# nothing calls. It must fail naming that item; neither run may leave a
+# trace in the working tree (benchmark/Cargo.lock included).
+PLANT=$(mktemp -d)
+trap 'rm -rf "$PLANT"' EXIT
+git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' f; do if [ -f "$f" ]; then printf '%s\0' "$f"; fi; done \
+    | tar --null -T - -cf - | tar -C "$PLANT" -xf -
+git -C "$PLANT" init -q
+git -C "$PLANT" add -A
+awk '/^#\[cfg\(test\)\]/ && !done { print "/// Planted: nothing but a test could call this.\npub fn planted_test_only() -> u32 {\n    7\n}\n"; done = 1 } { print }' \
+    crates/metrics/src/histogram.rs >"$PLANT/crates/metrics/src/histogram.rs"
+if "$PLANT/scripts/reachability.sh" >/dev/null 2>"$PLANT/planted.err"; then
+    echo "tier1 FAIL: the reachability sweep passed a planted test-only pub fn" >&2
+    exit 1
+fi
+grep -q "^crates/metrics/src/histogram.rs  planted_test_only " "$PLANT/planted.err" || {
+    echo "tier1 FAIL: the reachability sweep failed without naming the planted item:" >&2
+    cat "$PLANT/planted.err" >&2
+    exit 1
+}
+rm -rf "$PLANT"
+trap - EXIT
+if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
+    echo "tier1 FAIL: the reachability sweep changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "== tier1: one sequence store, in memory =="
 # The paged on-disk store, its page cache and file format, the streaming
@@ -281,46 +308,34 @@ echo "== tier1: repeat-corpus index tests under a timeout =="
 cargo test -q -p pfam-suffix --test parallel_props --no-run
 timeout 120 cargo test -q -p pfam-suffix --test parallel_props repeat_corpus
 
-echo "== tier1: cargo test -q (root package) =="
-cargo test -q
-
-echo "== tier1: cargo test --workspace -q =="
+echo "== tier1: cargo test --workspace -q (every test binary, once) =="
+# The workspace run is the root package's tests and every crate's suites.
+# Among them, the contracts tier 1 leans on:
+# * fault_tolerance, checkpoint_resume, degenerate_inputs: fault injection
+#   and checkpoint / restart.
+# * driver_matrix: which miner x which loop, one clustering.
+# * partitioned_identity: the windowed stream == the monolithic stream.
+# * masked_props, front_half: CCD mines RR's index through a mask over the
+#   removed reads. The masked stream must be the stream of an index built
+#   over the survivors alone — order, anchors and statistics — or pin-0
+#   checkpoint cursors stop meaning one thing; the front half == two builds.
+# * pair_ledger: RR's pair ledger and CCD's deferred list may change how
+#   many pairs are filled, never a component, an edge set or a component
+#   graph — for every driver and ledger state (full, absent, cut short).
+# * verify_list: the list entry answers from the ledger, sorts by shape and
+#   fills sixteen pairs to a register; a verdict must not show any of it.
+#   Also: deferred pairs of components under the minimum size are neither
+#   held nor filled.
+# * engine_props, align_engine: the tiered engine is verdict- and
+#   output-identical to the reference criteria — kernel / property tests
+#   plus the end-to-end RR / CCD / SPMD / FT runs.
+# * streaming_executor: the fused BGG->DSD executor hands back, in queue
+#   order, exactly what component_graph -> bipartite reduction ->
+#   detect_dense_subgraphs gives for each member list; the pipeline's
+#   known-pairs supply equals it.
 cargo test --workspace -q
 
-echo "== tier1: fault-injection + checkpoint/restart suites =="
-cargo test -q --test fault_tolerance --test checkpoint_resume --test degenerate_inputs
-
-echo "== tier1: driver-equivalence matrix (which miner x which loop) =="
-cargo test -q -p pfam-cluster --test driver_matrix
-
-echo "== tier1: out-of-core identity suite (windowed stream == monolithic stream) =="
-cargo test -q -p pfam-cluster --test partitioned_identity
-
-echo "== tier1: one-index suites (masked mining == subset index; front half == two builds) =="
-# CCD mines RR's index through a mask over the removed reads. The masked
-# stream must be the stream of an index built over the survivors alone —
-# order, anchors and statistics — or pin-0 checkpoint cursors stop
-# meaning one thing.
-cargo test -q -p pfam-suffix --test masked_props
-cargo test -q -p pfam-cluster --test front_half
-
-echo "== tier1: one-alignment-per-pair suite (ledger / deferred pairs: same results, less work) =="
-# RR's pair ledger and CCD's deferred list may change how many pairs are
-# filled, never a component, an edge set or a component graph — for every
-# driver and ledger state (full, absent, cut short).
-cargo test -q -p pfam-cluster --test pair_ledger
-
-echo "== tier1: candidate-list suite (Verifier::verify == verdict, one at a time) =="
-# The list entry answers from the ledger, sorts by shape and fills sixteen
-# pairs to a register; a verdict must not show any of it. Also: deferred
-# pairs of components under the minimum size are neither held nor filled.
-cargo test -q -p pfam-cluster --test verify_list
-
-echo "== tier1: alignment-engine identity suites =="
-# The tiered engine must be verdict- and output-identical to the reference
-# criteria: kernel/property tests plus the end-to-end RR/CCD/SPMD/FT runs.
-cargo test -q -p pfam-align --test engine_props
-cargo test -q --test align_engine
+echo "== tier1: pfam-align suites in the release profile =="
 # Unsafe loads/stores and saturating/wrapping lane arithmetic: the debug
 # profile's overflow checks and debug_asserts are not what ships.
 cargo test --release -q -p pfam-align
@@ -353,12 +368,6 @@ if echo "$ALIGN_SMOKE" | grep -q '"kernel": "avx2"'; then
         exit 1
     }
 fi
-
-echo "== tier1: back-half executor identity suite (executor == per-component composition) =="
-# The fused BGG->DSD executor must hand back, in queue order, exactly what
-# component_graph -> bipartite reduction -> detect_dense_subgraphs gives
-# for each member list; the pipeline's known-pairs supply must equal it.
-cargo test -q --test streaming_executor
 
 echo "== tier1: bgg_dsd_bench --test (smoke + supply identity) =="
 BGG_SMOKE=$(cargo run --release -p pfam-bench --bin bgg_dsd_bench -- --test)
@@ -514,6 +523,20 @@ for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive
         cat "$SMOKE/gone.err" >&2
         exit 1
     }
+done
+
+echo "== tier1: CLI bad-count smoke (exit 1 and a typed error, never a panic) =="
+$PFAM simulate "$SMOKE/reads.fasta" --procs 2 --save-trace "$SMOKE/t" >/dev/null 2>&1
+for bad in "generate --out $SMOKE/zero.fasta --families 0" \
+    "simulate $SMOKE/reads.fasta --procs 1" "replay $SMOKE/t.rr.trace.tsv --procs 32,1"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a word list
+    $PFAM $bad >/dev/null 2>"$SMOKE/bad.err" || status=$?
+    if [ "$status" != 1 ] || grep -q panicked "$SMOKE/bad.err" || ! grep -q "^error: " "$SMOKE/bad.err"; then
+        echo "tier1 FAIL: 'pfam $bad' exited $status without a typed error:" >&2
+        cat "$SMOKE/bad.err" >&2
+        exit 1
+    fi
 done
 
 echo "== tier1: OK =="

@@ -174,6 +174,23 @@ fn parse_bytes(args: &[String], flag: &str, default: u64) -> Result<u64, String>
 }
 
 /// First free-standing argument: not a flag, and not the value of one.
+/// `--procs` of `simulate` and `replay`: the simulated machine sizes. Each
+/// is a master plus at least one worker, so a count below 2 is an error
+/// before any work starts.
+fn parse_procs(args: &[String]) -> Result<Vec<usize>, String> {
+    flag_value(args, "--procs")
+        .unwrap_or_else(|| "32,64,128,512".to_owned())
+        .split(',')
+        .map(|s| match s.trim().parse() {
+            Ok(p) if p >= 2 => Ok(p),
+            Ok(p) => {
+                Err(format!("invalid processor count: {p} (a master and at least one worker)"))
+            }
+            Err(_) => Err(format!("invalid processor count: {s}")),
+        })
+        .collect()
+}
+
 fn positional(args: &[String]) -> Option<&String> {
     let mut skip_next = false;
     for a in args {
@@ -205,8 +222,12 @@ fn load_fasta(args: &[String]) -> Result<SequenceSet, String> {
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let out = flag_value(args, "--out").ok_or("generate requires --out <fasta>")?;
+    let n_families = parse(args, "--families", 20usize)?;
+    if n_families == 0 {
+        return Err("invalid value for --families: 0 (at least one family)".to_owned());
+    }
     let config = DatasetConfig {
-        n_families: parse(args, "--families", 20usize)?,
+        n_families,
         n_members: parse(args, "--members", 400usize)?,
         seed: parse(args, "--seed", 0xCA3E2Au64)?,
         ..DatasetConfig::default()
@@ -333,12 +354,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    let procs = parse_procs(args)?;
     let set = load_fasta(args)?;
-    let procs: Vec<usize> = flag_value(args, "--procs")
-        .unwrap_or_else(|| "32,64,128,512".to_owned())
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("invalid processor count: {s}")))
-        .collect::<Result<_, _>>()?;
     let config = ClusterConfig::default();
     eprintln!("tracing RR and CCD…");
     let (rr, ccd) = run_front_half(&set, &config);
@@ -369,13 +386,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let path = positional(args).ok_or("missing trace path (from simulate --save-trace)")?;
+    let procs = parse_procs(args)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = pfam::cluster::PhaseTrace::from_tsv(&text)?;
-    let procs: Vec<usize> = flag_value(args, "--procs")
-        .unwrap_or_else(|| "32,64,128,512".to_owned())
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("invalid processor count: {s}")))
-        .collect::<Result<_, _>>()?;
     let machine = MachineModel::bluegene_l();
     println!(
         "replaying {path}: {} batches, {} pairs, {} alignments",
@@ -452,6 +465,22 @@ mod tests {
         let err = check_flags("cluster", &argv("in.fasta --stael")).unwrap_err();
         assert!(err.contains("--stael"), "{err}");
         assert!(check_flags("cluster", &argv("in.fasta --no-such-flag 7")).is_err());
+    }
+
+    #[test]
+    fn a_machine_below_two_ranks_is_an_error() {
+        assert_eq!(parse_procs(&argv("t.tsv")).unwrap(), [32, 64, 128, 512]);
+        assert_eq!(parse_procs(&argv("t.tsv --procs 2,8")).unwrap(), [2, 8]);
+        for bad in ["1", "0", "32,1", "x", "-3"] {
+            let err = parse_procs(&argv(&format!("t.tsv --procs {bad}"))).unwrap_err();
+            assert!(err.starts_with("invalid processor count"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_families_is_an_error_before_any_file() {
+        let err = cmd_generate(&argv("--out no-such-dir/reads.fasta --families 0")).unwrap_err();
+        assert!(err.contains("--families"), "{err}");
     }
 
     #[test]

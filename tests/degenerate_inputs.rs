@@ -38,7 +38,7 @@ fn rr_and_ccd(set: &SequenceSet, config: &ClusterConfig) {
 
 #[test]
 fn empty_input_set() {
-    let set = SequenceSet::new();
+    let set = SequenceSet::default();
     let rr = run_redundancy_removal(&set, &ClusterConfig::default());
     assert!(rr.kept.is_empty() && rr.removed.is_empty());
     let ccd = run_ccd(&set, &ClusterConfig::default());

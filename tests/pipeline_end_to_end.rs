@@ -5,7 +5,7 @@ mod common;
 use std::collections::HashSet;
 
 use common::{assert_same_result, hooks_in, resume, run_until, scratch_dir};
-use pfam::cluster::{run_ccd, run_redundancy_removal};
+use pfam::cluster::{index_plan, run_ccd, run_redundancy_removal, IndexPlan};
 use pfam::core::{
     evaluate, run_pipeline, stream_components, Phase, PipelineConfig, PipelineError, PipelineHooks,
     Reduction, TableOneRow,
@@ -219,22 +219,15 @@ fn pipeline_equals_the_hand_composition() {
 
 #[test]
 fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
-    // One suffix index for the whole run: the shared `gsa-index`, and no
-    // per-component `bgg-gsa` — which the member-list supply does build.
+    // One suffix index for the whole run: the monolithic route, shared by
+    // RR and CCD. (That the back half indexes no component is tier 1's
+    // "one suffix index per run" gate.)
     let d = dataset(111);
     let config = PipelineConfig::for_tests();
     let budget = &config.cluster.budget;
+    assert_eq!(index_plan(&d.set, &config.cluster, None).unwrap(), IndexPlan::Monolithic);
     let got = config.run(&d.set);
-    assert_eq!((budget.granted("gsa-index"), budget.granted("partitioned-gsa")), (1, 0));
-    assert_eq!(budget.granted("bgg-gsa"), 0, "the exact back half indexes no component");
-    assert!(budget.granted("pair-ledger") > 0);
     assert_eq!(budget.used(), 0, "and everything is released, ledger included");
-    let queue: Vec<&[SeqId]> = got.components.iter().map(|c| c.as_slice()).collect();
-    stream_components(&d.set, &config, &queue);
-    assert!(
-        budget.granted("bgg-gsa") > 0,
-        "the probe sees a per-component index when one is built"
-    );
 
     // No pair is filled twice. The phases fill disjoint sets of pairs by
     // construction — CCD `stream ∖ deferred ∖ ledger`, the back half

@@ -115,7 +115,7 @@ proptest! {
             }
         }
         let distinct: std::collections::HashSet<usize> = labels.iter().copied().collect();
-        prop_assert_eq!(uf.n_sets(), distinct.len());
+        prop_assert_eq!(uf.groups().len(), distinct.len());
     }
 
     #[test]

@@ -3,11 +3,27 @@
 //! clustering, and the `pfam-mpi` runtime must behave like MPI where the
 //! engines rely on it.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use pfam::cluster::{run_ccd, run_ccd_ft, run_ccd_spmd, ClusterConfig};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::mpi::{run_spmd, NoFaults, ANY_SOURCE};
+use pfam::mpi::{run_spmd, CommError, Communicator, NoFaults, ANY_SOURCE};
+
+/// A blocking receive the way the master–worker loops get one: poll
+/// `try_recv` until a matching message is there.
+fn poll<T: Any + Send>(
+    comm: &mut Communicator,
+    from: usize,
+    tag: u32,
+) -> Result<(usize, T), CommError> {
+    loop {
+        if let Some(got) = comm.try_recv(from, tag)? {
+            return Ok(got);
+        }
+        std::thread::yield_now();
+    }
+}
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -57,7 +73,7 @@ fn mpi_supports_the_master_worker_conversation_shape() {
         if comm.rank() == 0 {
             let mut total = 0u64;
             for _ in 1..comm.size() {
-                let (from, batch) = comm.recv::<Vec<u64>>(ANY_SOURCE, 1).expect("healthy world");
+                let (from, batch) = poll::<Vec<u64>>(comm, ANY_SOURCE, 1).expect("healthy world");
                 comm.send(from, 2, batch.iter().sum::<u64>()).expect("healthy world");
                 total += batch.len() as u64;
             }
@@ -65,7 +81,7 @@ fn mpi_supports_the_master_worker_conversation_shape() {
         } else {
             let batch: Vec<u64> = (0..comm.rank() as u64).collect();
             comm.send(0, 1, batch).expect("healthy world");
-            let (_, sum) = comm.recv::<u64>(0, 2).expect("healthy world");
+            let (_, sum) = poll::<u64>(comm, 0, 2).expect("healthy world");
             sum
         }
     });
