@@ -93,7 +93,6 @@ fn main() {
             config.min_component_size,
         );
         stream_graphs(
-            set,
             &config,
             selected.len(),
             |i| known.n_deferred(selected[i]),

@@ -304,16 +304,11 @@ pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {
             h.word(mask.min_entropy_bits.to_bits());
         }
     }
-    match *reduction {
-        Reduction::GlobalSimilarity { tau } => {
-            h.word(0);
-            h.word(tau.to_bits());
-        }
-        Reduction::DomainBased { w } => {
-            h.word(1);
-            h.word(w as u64);
-        }
-    }
+    // Tag word `0`, then τ: the fold every written checkpoint carries
+    // (`fingerprint_of_a_fixed_input_is_pinned`).
+    let Reduction::GlobalSimilarity { tau } = *reduction;
+    h.word(0);
+    h.word(tau.to_bits());
     for count in [s1, c1, s2, c2, *min_component_size, *min_subgraph_size] {
         h.word(count as u64);
     }
@@ -743,6 +738,21 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_of_a_fixed_input_is_pinned() {
+        // Checkpoints already on disk carry these values: a fold that
+        // changes them refuses every one of them as a mismatch, so it has to
+        // come with a new `VERSION`.
+        use pfam_seq::SequenceSetBuilder;
+        let mut b = SequenceSetBuilder::new();
+        for (i, read) in ["MKVLWAAKND", "MKVLW", "ACDEFGHIKLMNPQRSTVWY"].iter().enumerate() {
+            b.push_letters(format!("s{i}"), read.as_bytes()).unwrap();
+        }
+        let set = b.finish();
+        assert_eq!(fingerprint(&set, &PipelineConfig::default()), 0x3307_c5ae_9949_d909);
+        assert_eq!(fingerprint(&set, &PipelineConfig::for_tests()), 0xab70_d642_c305_d68a);
+    }
+
+    #[test]
     fn fingerprint_covers_what_changes_the_answer_and_nothing_else() {
         use pfam_seq::SequenceSetBuilder;
         let set_of = |reads: &[&str]| {
@@ -766,7 +776,7 @@ mod tests {
             |c| c.cluster.batch_size *= 2,
             |c| c.cluster.max_pairs_per_node -= 1,
             |c| c.cluster.mask = Some(Default::default()),
-            |c| c.reduction = Reduction::DomainBased { w: 10 },
+            |c| c.reduction = Reduction::GlobalSimilarity { tau: 0.4 },
             |c| c.shingle.c1 += 1,
             |c| c.min_subgraph_size -= 1,
         ];

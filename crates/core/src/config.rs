@@ -3,18 +3,14 @@
 use pfam_cluster::ClusterConfig;
 use pfam_shingle::ShingleParams;
 
-/// Which bipartite reduction the dense-subgraph stage uses (Section III).
+/// The bipartite reduction the dense-subgraph stage uses (Section III):
+/// `Bd`, global-similarity duplication of the component graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Reduction {
     /// `Bd`: global-similarity duplication, post-filtered with τ.
     GlobalSimilarity {
         /// Agreement cutoff τ for `|A∩B| / |A∪B|`.
         tau: f64,
-    },
-    /// `Bm`: shared `w`-length exact words vs sequences.
-    DomainBased {
-        /// Word length (paper: w ≈ 10).
-        w: usize,
     },
 }
 
@@ -25,7 +21,7 @@ pub struct PipelineConfig {
     pub cluster: ClusterConfig,
     /// Shingle parameters for dense-subgraph detection.
     pub shingle: ShingleParams,
-    /// Bipartite reduction choice.
+    /// The bipartite reduction and its τ.
     pub reduction: Reduction,
     /// Only components with at least this many members reach the
     /// dense-subgraph stage (paper: 5).

@@ -26,7 +26,7 @@ use rayon::prelude::*;
 
 use pfam_cluster::{component_graph, BatchRecord, ComponentGraph};
 use pfam_graph::BipartiteGraph;
-use pfam_seq::{materialize_subset, SeqId, SeqStore};
+use pfam_seq::{SeqId, SeqStore};
 use pfam_shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
 
 use crate::config::{PipelineConfig, Reduction};
@@ -45,29 +45,20 @@ pub struct ComponentOutput {
     pub stats: ShingleStats,
 }
 
-/// Phase 4 for one component: bipartite reduction of `graph` and
-/// dense-subgraph detection.
+/// Phase 4 for one component: the `Bd` reduction of `graph` and
+/// dense-subgraph detection. It reads the component graph alone.
 fn dense_subgraphs(
-    input: &dyn SeqStore,
     config: &PipelineConfig,
     graph: &ComponentGraph,
 ) -> (Vec<Vec<u32>>, ShingleStats) {
-    let (mode, bipartite) = match config.reduction {
-        Reduction::GlobalSimilarity { tau } => {
-            (ReductionMode::GlobalSimilarity { tau }, BipartiteGraph::duplicate_from(&graph.graph))
-        }
-        Reduction::DomainBased { w } => (
-            ReductionMode::DomainBased,
-            BipartiteGraph::word_based(&materialize_subset(input, &graph.members), None, w),
-        ),
-    };
+    let Reduction::GlobalSimilarity { tau } = config.reduction;
     let dsd_config = DenseSubgraphConfig {
         params: config.shingle,
-        mode,
+        mode: ReductionMode::GlobalSimilarity { tau },
         min_size: config.min_subgraph_size,
         disjoint: true,
     };
-    detect_dense_subgraphs(&bipartite, &dsd_config)
+    detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&graph.graph), &dsd_config)
 }
 
 /// Stream `n` components through the fused BGG→DSD path: `build(i)` makes
@@ -76,7 +67,6 @@ fn dense_subgraphs(
 /// in descending `weight(i)`; the outputs come back in index order
 /// whatever the scheduling.
 pub fn stream_graphs(
-    input: &dyn SeqStore,
     config: &PipelineConfig,
     n: usize,
     weight: impl Fn(usize) -> usize,
@@ -88,7 +78,7 @@ pub fn stream_graphs(
         .into_par_iter()
         .map(|i| {
             let (graph, record) = build(i);
-            let (subgraphs, stats) = dense_subgraphs(input, config, &graph);
+            let (subgraphs, stats) = dense_subgraphs(config, &graph);
             (i, ComponentOutput { graph, record, subgraphs, stats })
         })
         .collect();
@@ -105,7 +95,7 @@ pub fn stream_components(
     queue: &[&[SeqId]],
 ) -> Vec<ComponentOutput> {
     let build = |i: usize| component_graph(input, queue[i], &config.cluster);
-    stream_graphs(input, config, queue.len(), |i| queue[i].len(), build)
+    stream_graphs(config, queue.len(), |i| queue[i].len(), build)
 }
 
 #[cfg(test)]
@@ -113,8 +103,8 @@ mod tests {
     use super::*;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
 
-    // Executor == the plain per-component composition on real CCD output,
-    // under both reductions, is `tests/streaming_executor.rs`.
+    // Executor == the plain per-component composition on real CCD output
+    // is `tests/streaming_executor.rs`.
 
     #[test]
     fn empty_queue() {

@@ -12,7 +12,7 @@
 //!   snapshots: the crash/restart story of a run with a checkpoint
 //!   directory.
 //! * [`config`] — pipeline parameters (ψ cutoffs, shingle (s, c), τ,
-//!   reduction choice, size thresholds).
+//!   size thresholds).
 //! * [`pipeline`] — the one composition of the four phases
 //!   ([`run_pipeline`]; [`PipelineHooks`] say what it keeps on disk),
 //!   parallel inside each phase, with full work-trace capture for

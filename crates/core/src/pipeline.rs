@@ -311,14 +311,8 @@ impl<'a> BackHalf<'a> {
     }
 
     /// Fused BGG→DSD over the components `queue` indexes.
-    fn stream(
-        &self,
-        input: &dyn SeqStore,
-        config: &PipelineConfig,
-        queue: &[usize],
-    ) -> Vec<ComponentOutput> {
+    fn stream(&self, config: &PipelineConfig, queue: &[usize]) -> Vec<ComponentOutput> {
         stream_graphs(
-            input,
             config,
             queue.len(),
             |i| self.known.n_deferred(queue[i]),
@@ -483,7 +477,7 @@ pub fn run_pipeline(
     let mut cursor = finished.graphs.len();
     while cursor < selected.len() {
         let end = cursor.saturating_add(every).min(selected.len());
-        for out in back.stream(input, config, &selected[cursor..end]) {
+        for out in back.stream(config, &selected[cursor..end]) {
             finished.push(out);
         }
         snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
@@ -617,20 +611,6 @@ mod tests {
         // from RR's ledger, or from one fill.
         assert!(bgg.total_generated() > 0);
         assert_eq!(bgg.total_aligned() + bgg.total_ledger_hits(), bgg.total_generated());
-    }
-
-    #[test]
-    fn domain_reduction_runs() {
-        let d = small_dataset(25);
-        let mut config = PipelineConfig::for_tests();
-        config.reduction = crate::config::Reduction::DomainBased { w: 10 };
-        let r = config.run(&d.set);
-        assert!(!r.dense_subgraphs.is_empty());
-        for ds in &r.dense_subgraphs {
-            let fams: std::collections::HashSet<_> =
-                ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
-            assert_eq!(fams.len(), 1, "domain-based subgraph mixes families");
-        }
     }
 
     #[test]

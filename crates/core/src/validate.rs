@@ -62,26 +62,9 @@ pub fn validate(config: &PipelineConfig) -> Vec<ConfigError> {
     if config.shingle.c2 == 0 {
         err("shingle.c2", "permutation count must be at least 1".into());
     }
-    match config.reduction {
-        Reduction::GlobalSimilarity { tau } => {
-            if !(0.0..=1.0).contains(&tau) || tau.is_nan() {
-                err("reduction.tau", format!("{tau} is not a fraction in [0, 1]"));
-            }
-        }
-        Reduction::DomainBased { w } => {
-            if w == 0 {
-                err("reduction.w", "word length must be at least 1".into());
-            }
-            if w > pfam_seq::kmer::MAX_PACKED_K {
-                err(
-                    "reduction.w",
-                    format!(
-                        "word length {w} exceeds the packed maximum {}",
-                        pfam_seq::kmer::MAX_PACKED_K
-                    ),
-                );
-            }
-        }
+    let Reduction::GlobalSimilarity { tau } = config.reduction;
+    if !(0.0..=1.0).contains(&tau) || tau.is_nan() {
+        err("reduction.tau", format!("{tau} is not a fraction in [0, 1]"));
     }
     if config.min_subgraph_size > config.min_component_size {
         err(
@@ -127,19 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn bad_tau_and_w_rejected() {
+    fn bad_tau_rejected() {
         let c = PipelineConfig {
             reduction: crate::config::Reduction::GlobalSimilarity { tau: f64::NAN },
             ..PipelineConfig::default()
         };
-        assert_eq!(validate(&c).len(), 1);
-        let c = PipelineConfig {
-            reduction: crate::config::Reduction::DomainBased { w: 99 },
-            ..PipelineConfig::default()
-        };
         let errs = validate(&c);
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].reason.contains("packed maximum"));
+        assert_eq!(errs[0].parameter, "reduction.tau");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   redundancy the RR phase removes),
 //! * shotgun-style fragments truncate members to a sub-range,
 //! * noise ORFs belong to no family,
-//! * optional shared *domains*: word blocks inserted into several families
-//!   to exercise the domain-based `Bm` reduction.
+//! * optional shared *domains*: word blocks inserted into several families,
+//!   so families that share only a domain block must still come out apart
+//!   (`tests/pipeline_end_to_end.rs`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -8,9 +8,8 @@
 //!   on it.
 //! * [`csr`] — immutable CSR adjacency with connected-component extraction
 //!   and induced subgraphs.
-//! * [`bipartite`] — the paper's two reductions: `Bd` (duplicated vertex
-//!   sets from a similarity graph) and `Bm` (shared `w`-length words vs
-//!   sequences).
+//! * [`bipartite`] — the paper's `Bd` reduction: the duplicated vertex
+//!   set of a similarity graph.
 //! * [`density`] — observed subgraph density, the paper's quality measure
 //!   (density = mean degree ⁄ (m − 1)).
 

@@ -6,8 +6,8 @@
 //! matches and can flood the promising-pair generator. Production
 //! pipelines mask such regions before indexing; this module provides a
 //! Shannon-entropy sliding-window masker whose output replaces masked
-//! residues with `X` — which the k-mer scanner and the maximal-match
-//! generator already treat as a hard separator.
+//! residues with `X` — which the maximal-match generator already treats
+//! as a hard separator.
 
 use crate::alphabet::ALPHABET_SIZE;
 

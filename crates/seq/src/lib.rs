@@ -2,8 +2,8 @@
 //! # pfam-seq — sequence substrate
 //!
 //! The lowest layer of the `pfam` workspace: amino-acid alphabet handling,
-//! compact arena-backed sequence storage, FASTA parsing/writing, substitution
-//! scoring matrices (BLOSUM/PAM) and k-mer iteration.
+//! compact arena-backed sequence storage, FASTA parsing/writing and substitution
+//! scoring matrices (BLOSUM/PAM).
 //!
 //! Everything above (suffix indexes, alignment, clustering, the pipeline)
 //! consumes the [`SequenceSet`] type defined here, which stores all residues
@@ -19,7 +19,6 @@ pub mod complexity;
 pub mod composition;
 pub mod error;
 pub mod fasta;
-pub mod kmer;
 pub mod scoring;
 pub mod sequence;
 pub mod stats;
@@ -29,7 +28,6 @@ pub use alphabet::{AminoAcid, ALPHABET_SIZE};
 pub use budget::{BudgetError, MemoryBudget, Reservation};
 pub use composition::Composition;
 pub use error::SeqError;
-pub use kmer::KmerIter;
 pub use scoring::{ScoringScheme, SubstMatrix};
 pub use sequence::{SeqId, Sequence, SequenceSet, SequenceSetBuilder};
 pub use stats::LengthStats;

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use pfam_seq::alphabet::{decode, encode};
 use pfam_seq::complexity::{mask_low_complexity, MaskParams};
 use pfam_seq::fasta::{read_fasta, write_fasta};
-use pfam_seq::kmer::{pack_word, KmerIter};
 use pfam_seq::{Composition, LengthStats, SequenceSetBuilder};
 
 fn residue_string() -> impl Strategy<Value = String> {
@@ -35,15 +34,6 @@ proptest! {
     #[test]
     fn encode_decode_identity(s in residue_string()) {
         prop_assert_eq!(decode(&encode(s.as_bytes()).unwrap()), s);
-    }
-
-    #[test]
-    fn kmer_windows_match_slices(codes in prop::collection::vec(0u8..21, 0..60), k in 1usize..6) {
-        for (pos, packed) in KmerIter::new(&codes, k) {
-            let window = &codes[pos..pos + k];
-            prop_assert!(window.iter().all(|&c| c != 20), "window covers an X");
-            prop_assert_eq!(pack_word(window), Some(packed));
-        }
     }
 
     #[test]

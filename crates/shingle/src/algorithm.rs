@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_nothing() {
-        let g = BipartiteGraph::from_edges(0, 0, &[]);
+        let g = BipartiteGraph::from_pairs_in(0, 0, &mut Vec::new());
         let (clusters, stats) = shingle_clusters(&g, &fast_params());
         assert!(clusters.is_empty());
         assert_eq!(stats.pass1_shingles, 0);

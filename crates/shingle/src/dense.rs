@@ -1,12 +1,11 @@
-//! Dense-subgraph extraction on top of the raw Shingle clusters: the
-//! paper's two output modes, the τ post-filter, size filtering, and
-//! disjoint-ification.
+//! Dense-subgraph extraction on top of the raw Shingle clusters: the τ
+//! post-filter, size filtering, and disjoint-ification.
 
 use pfam_graph::BipartiteGraph;
 
 use crate::algorithm::{shingle_clusters, BipartiteCluster, ShingleParams, ShingleStats};
 
-/// Which bipartite reduction the clusters came from, deciding how a raw
+/// The bipartite reduction the clusters came from, deciding how a raw
 /// `(A, B)` pair becomes a dense subgraph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReductionMode {
@@ -15,8 +14,6 @@ pub enum ReductionMode {
         /// The agreement cutoff τ (0 < τ ≤ 1).
         tau: f64,
     },
-    /// `Bm`: report `B` directly.
-    DomainBased,
 }
 
 /// Extraction configuration.
@@ -77,26 +74,18 @@ fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Apply the reduction-dependent reporting rule, size filter, and
-/// disjoint-ification to raw Shingle clusters whose vertices lie in
-/// `0..universe`.
+/// Apply the τ reporting rule, size filter, and disjoint-ification to raw
+/// Shingle clusters whose vertices lie in `0..universe`.
 fn report_subgraphs(
     clusters: &[BipartiteCluster],
     config: &DenseSubgraphConfig,
     universe: usize,
 ) -> Vec<Vec<u32>> {
+    let ReductionMode::GlobalSimilarity { tau } = config.mode;
     let mut subgraphs: Vec<Vec<u32>> = clusters
         .iter()
-        .filter_map(|BipartiteCluster { a, b }| match config.mode {
-            ReductionMode::GlobalSimilarity { tau } => {
-                if jaccard(a, b) >= tau {
-                    Some(sorted_union(a, b))
-                } else {
-                    None
-                }
-            }
-            ReductionMode::DomainBased => Some(b.clone()),
-        })
+        .filter(|BipartiteCluster { a, b }| jaccard(a, b) >= tau)
+        .map(|BipartiteCluster { a, b }| sorted_union(a, b))
         .collect();
     subgraphs.sort_by(|x, y| y.len().cmp(&x.len()).then(x.cmp(y)));
     if config.disjoint {
@@ -117,8 +106,9 @@ fn report_subgraphs(
 
 /// Run the Shingle algorithm on `graph` and apply the reporting rule.
 ///
-/// Returned subgraphs are vertex lists over the *right* universe (for `Bd`
-/// both sides are the same universe), ordered by decreasing size.
+/// Returned subgraphs are vertex lists over the graph's vertices (both
+/// sides of a `Bd` graph are the same vertex set), ordered by decreasing
+/// size.
 pub fn detect_dense_subgraphs(
     graph: &BipartiteGraph,
     config: &DenseSubgraphConfig,
@@ -208,23 +198,6 @@ mod tests {
         let (subgraphs, _) = detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&g), &config);
         assert_eq!(subgraphs.len(), 1);
         assert_eq!(subgraphs[0].len(), 8);
-    }
-
-    #[test]
-    fn domain_mode_reports_b_side() {
-        // Bipartite: words 0..3 each linked to sequences 0..6.
-        let mut edges = Vec::new();
-        for w in 0..3u32 {
-            for s in 0..6u32 {
-                edges.push((w, s));
-            }
-        }
-        let b = pfam_graph::BipartiteGraph::from_edges(3, 6, &edges);
-        let mut config = fast_config(3);
-        config.mode = ReductionMode::DomainBased;
-        let (subgraphs, _) = detect_dense_subgraphs(&b, &config);
-        assert_eq!(subgraphs.len(), 1);
-        assert_eq!(subgraphs[0], (0..6).collect::<Vec<u32>>());
     }
 
     #[test]

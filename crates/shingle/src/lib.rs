@@ -14,9 +14,9 @@
 //!   streams, pass II once per distinct vertex list, plus the union-find
 //!   reporting step; one serial run per graph (the pipeline's parallelism
 //!   is across components).
-//! * [`dense`] — the paper's reporting rules on top: the `Bd` mode with
-//!   the `|A∩B| / |A∪B| ≥ τ` post-filter, the `Bm` mode reporting `B`,
-//!   minimum-size filtering, and disjoint-ification.
+//! * [`dense`] — the paper's reporting rule on top: the `Bd` mode with
+//!   the `|A∩B| / |A∪B| ≥ τ` post-filter, minimum-size filtering, and
+//!   disjoint-ification.
 
 pub mod algorithm;
 pub mod dense;

@@ -12,7 +12,7 @@ use pfam_shingle::{
 
 fn bipartite(n_left: usize, n_right: usize) -> impl Strategy<Value = BipartiteGraph> {
     prop::collection::vec((0..n_left as u32, 0..n_right as u32), 0..120)
-        .prop_map(move |es| BipartiteGraph::from_edges(n_left, n_right, &es))
+        .prop_map(move |mut es| BipartiteGraph::from_pairs_in(n_left, n_right, &mut es))
 }
 
 fn params() -> ShingleParams {
@@ -78,8 +78,8 @@ fn naive_shingle_clusters(
 fn identical_vertex_lists_without_second_level_shingles_stay_apart() {
     // Right vertices 0..6; left 0 and 1 both link to all of them, so every
     // first-level shingle is made by exactly {0, 1}.
-    let es: Vec<(u32, u32)> = (0..2).flat_map(|l| (0..6).map(move |r| (l, r))).collect();
-    let g = BipartiteGraph::from_edges(2, 6, &es);
+    let mut es: Vec<(u32, u32)> = (0..2).flat_map(|l| (0..6).map(move |r| (l, r))).collect();
+    let g = BipartiteGraph::from_pairs_in(2, 6, &mut es);
     let p = ShingleParams { s1: 2, c1: 12, s2: 1, c2: 0, seed: 3 };
     let (clusters, stats) = shingle_clusters(&g, &p);
     assert!(stats.distinct_s1 >= 2, "need two first-level shingles: {stats:?}");
@@ -102,7 +102,7 @@ fn dense_block_and_sparse_vertex_take_both_paths_in_one_graph() {
     let mut es: Vec<(u32, u32)> = (0..30).flat_map(|l| (0..30).map(move |r| (l, r))).collect();
     // Degree 7 > s₁ = 5, and 7² < 5·40: the rank path.
     es.extend([31, 33, 34, 35, 36, 37, 39].map(|r| (35, r)));
-    let g = BipartiteGraph::from_edges(n as usize, n as usize, &es);
+    let g = BipartiteGraph::from_pairs_in(n as usize, n as usize, &mut es);
     let p = ShingleParams::default();
     assert!(30 * 30 >= p.s1 * n as usize && 7 * 7 < p.s1 * n as usize && 7 > p.s1);
     let got = shingle_clusters(&g, &p);
@@ -154,12 +154,12 @@ proptest! {
         c2 in 0usize..8,
         seed in 0u64..=u64::MAX,
     ) {
-        let es: Vec<(u32, u32)> = if n_left == 0 || n_right == 0 {
+        let mut es: Vec<(u32, u32)> = if n_left == 0 || n_right == 0 {
             Vec::new()
         } else {
             raw.iter().map(|&(l, r)| (l % n_left as u32, r % n_right as u32)).collect()
         };
-        let g = BipartiteGraph::from_edges(n_left, n_right, &es);
+        let g = BipartiteGraph::from_pairs_in(n_left, n_right, &mut es);
         let p = ShingleParams { s1, c1, s2, c2, seed };
         prop_assert_eq!(shingle_clusters(&g, &p), naive_shingle_clusters(&g, &p));
     }

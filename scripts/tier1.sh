@@ -6,10 +6,12 @@
 # the batch kernel against the scalar twin, cell by cell), index-bench,
 # align-bench, bgg-dsd-bench, ft-bench and index_oc_bench smoke passes
 # (bit-identity and recovery checks on tiny workloads), grep gates (no
-# unwrap on inter-rank communication or on the lease-recovery path; no
+# unwrap on inter-rank communication, on the lease-recovery path or in the
+# parsers of outside input — FASTA, checkpoints; no
 # UnionFind mutation outside ClusterCore; none of the retired schedulers,
 # rank kernels, planes (sharded, sketch), pipeline entries or supervision
-# extras by name; no whole-file sequence reads outside pfam-seq's
+# extras by name; none of the retired `Bm` reduction's word graph, k-mer
+# scanner or example by name; no whole-file sequence reads outside pfam-seq's
 # SeqStore; no three-matrix fill on the alignment engine's hot path —
 # engine, single-pair fill, batch fill; `unsafe` only in the two alignment
 # kernels' files and the benches' one counting allocator; no per-component
@@ -74,6 +76,18 @@ echo "== tier1: no unwrap/expect on the lease-recovery path =="
 for f in crates/cluster/src/policy.rs crates/cluster/src/transport.rs crates/cluster/src/ft.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "unwrap(\|expect("; then
         echo "tier1 FAIL: unwrap/expect found on the recovery path ($f)" >&2
+        exit 1
+    fi
+done
+
+echo "== tier1: no unwrap/expect in the parsers of outside input =="
+# Hostile-input contract: a FASTA file and a checkpoint directory come
+# from outside the process; a malformed byte in either is a typed error
+# (`SeqError`, `CkptError`), never a panic (tests/byte_mutation.rs sweeps
+# both). Their `#[cfg(test)]` modules are exempt.
+for f in crates/seq/src/fasta.rs crates/core/src/checkpoint.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "unwrap(\|expect("; then
+        echo "tier1 FAIL: unwrap/expect found in a parser of outside input ($f)" >&2
         exit 1
     fi
 done
@@ -243,6 +257,21 @@ echo "== tier1: one sequence store, in memory =="
 if grep -rnE "PagedSeqStore|PagedStoreWriter|PageCache|generate_to_store|StreamedDataset|REDUNDANCY_WINDOW|codes_cow|header_owned|PFSS0001" \
     crates src tests examples; then
     echo "tier1 FAIL: a retired sequence store or accessor is named in the tree" >&2
+    exit 1
+fi
+
+echo "== tier1: one bipartite reduction (Bd) =="
+# The domain-based reduction `Bm` (shared exact words against sequences),
+# its word-graph constructor, the k-mer module under it, its `--domain` flag
+# and its example lost to `Bd` on the rule written before the measurement:
+# a 0.63-0.68 precision collapse on giant_component, lower sensitivity on
+# both sparse workloads, and no metric of any workload better by more than
+# its bound (EXPERIMENTS.md, "One reduction"). Dense-subgraph
+# detection reads the component graph alone. None comes back under its
+# old name.
+if grep -rnE "DomainBased|word_based|KmerIter|MAX_PACKED_K|pack_word|domain_families" \
+    crates src tests examples; then
+    echo "tier1 FAIL: a retired reduction, word graph or k-mer scanner is named in the tree" >&2
     exit 1
 fi
 
@@ -511,7 +540,7 @@ fi
 echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op; a repeat is one too) =="
 for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
     "--sketch-mode approx:--sketch-mode" "--index-chunk-bytes 4K:--index-chunk-bytes" \
-    "--psi 10 --psi 20:--psi given twice"; do
+    "--domain 10:--domain" "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
         --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then

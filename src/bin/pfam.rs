@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pfam generate --out reads.fasta [--families N] [--members N] [--seed N]
-//! pfam cluster  <input.fasta> [--out families.tsv] [--tau F] [--domain W]
+//! pfam cluster  <input.fasta> [--out families.tsv] [--tau F]
 //!               [--min-size N] [--mask] [--psi N]
 //!               [--mem-budget BYTES[K|M|G]]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
@@ -67,7 +67,7 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     (reproduction of Wu & Kalyanaraman, SC 2008)\n\n\
     USAGE:\n\
     \x20 pfam generate --out <fasta> [--families N] [--members N] [--seed N]\n\
-    \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F] [--domain W]\n\
+    \x20 pfam cluster  <input.fasta> [--out <tsv>] [--tau F]\n\
     \x20               [--min-size N] [--mask] [--psi N]\n\
     \x20               [--mem-budget BYTES[K|M|G]] (routes on resident index\n\
     \x20               bytes, 7.06 B per text position: under them the text\n\
@@ -97,7 +97,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--members", true, &["generate"]),
     ("--seed", true, &["generate"]),
     ("--tau", true, CLUSTER),
-    ("--domain", true, CLUSTER),
     ("--min-size", true, CLUSTER),
     ("--mask", false, CLUSTER),
     ("--psi", true, CLUSTER),
@@ -254,9 +253,6 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     let tau: f64 = parse(args, "--tau", 0.5)?;
     let min_size: usize = parse(args, "--min-size", 5usize)?;
-    let domain_w: Option<usize> = flag_value(args, "--domain")
-        .map(|v| v.parse().map_err(|_| format!("invalid --domain: {v}")))
-        .transpose()?;
     let mut cluster = ClusterConfig::default();
     if let Some(psi) = flag_value(args, "--psi") {
         cluster.psi_ccd = psi.parse().map_err(|_| format!("invalid --psi: {psi}"))?;
@@ -266,10 +262,7 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     }
     let config = PipelineConfig {
         cluster,
-        reduction: match domain_w {
-            Some(w) => Reduction::DomainBased { w },
-            None => Reduction::GlobalSimilarity { tau },
-        },
+        reduction: Reduction::GlobalSimilarity { tau },
         min_component_size: min_size,
         min_subgraph_size: min_size,
         ..PipelineConfig::default()
@@ -500,6 +493,7 @@ mod tests {
             "--sketch-width",
             "--sketch-seed",
             "--index-chunk-bytes",
+            "--domain",
         ] {
             for cmd in CLUSTER {
                 let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
@@ -545,7 +539,7 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert_eq!(known.len(), 17);
+        assert_eq!(known.len(), 16);
 
         // `cluster` and `run` are one program: `run` takes what `cluster`
         // takes, plus the five flags that need a checkpoint directory.
@@ -568,8 +562,7 @@ mod tests {
 
         // One command line per subcommand carrying every flag it is
         // documented with.
-        let cluster = "in.fasta --out f.tsv --tau 0.4 --domain 10 --min-size 3 --mask --psi 8 \
-                       --mem-budget 64M";
+        let cluster = "in.fasta --out f.tsv --tau 0.4 --min-size 3 --mask --psi 8 --mem-budget 64M";
         check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
         let run = format!(

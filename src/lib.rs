@@ -21,7 +21,7 @@
 //!  non-redundant set
 //!     │  connected components      (PaCE master–worker clustering,
 //!     ▼                             transitive-closure filtering)
-//!  components ──▶ bipartite graphs (Bd global-similarity / Bm domains)
+//!  components ──▶ bipartite graphs (Bd global similarity)
 //!     │  dense subgraph detection  (two-pass min-wise Shingle algorithm)
 //!     ▼
 //!  protein families
@@ -31,11 +31,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`seq`] | `pfam-seq` | alphabet, sequence sets, FASTA, BLOSUM62, k-mers, ORFs |
+//! | [`seq`] | `pfam-seq` | alphabet, sequence sets, FASTA, BLOSUM62, ORFs |
 //! | [`datagen`] | `pfam-datagen` | synthetic metagenome generator + ground truth |
 //! | [`suffix`] | `pfam-suffix` | SA-IS, LCP, generalized suffix array/tree, maximal matches |
 //! | [`align`] | `pfam-align` | NW / SW / semi-global / banded alignment, Def. 1 & 2 tests |
-//! | [`graph`] | `pfam-graph` | union-find, CSR graphs, bipartite reductions, density |
+//! | [`graph`] | `pfam-graph` | union-find, CSR graphs, the `Bd` bipartite reduction, density |
 //! | [`shingle`] | `pfam-shingle` | min-wise hashing, two-pass Shingle algorithm |
 //! | [`cluster`] | `pfam-cluster` | RR + CCD engine, bipartite generation, GOS baseline |
 //! | [`sim`] | `pfam-sim` | trace-driven master–worker machine simulator |

@@ -212,7 +212,7 @@ fn kill_mid_dsd_resumes_identically() {
     assert!(state.done.len() >= 2, "need a queue to cut");
     state.done.truncate(1);
     state.trace.batches.truncate(1);
-    let Reduction::GlobalSimilarity { tau } = config.reduction else { unreachable!() };
+    let Reduction::GlobalSimilarity { tau } = config.reduction;
     let dsd_config = DenseSubgraphConfig {
         params: config.shingle,
         mode: ReductionMode::GlobalSimilarity { tau },

@@ -8,7 +8,7 @@ use common::{assert_same_result, hooks_in, resume, run_until, scratch_dir};
 use pfam::cluster::{index_plan, run_ccd, run_redundancy_removal, IndexPlan};
 use pfam::core::{
     evaluate, run_pipeline, stream_components, Phase, PipelineConfig, PipelineError, PipelineHooks,
-    Reduction, TableOneRow,
+    TableOneRow,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, Provenance, SyntheticDataset};
 use pfam::seq::{materialize_subset, SeqId, SequenceSetBuilder};
@@ -112,18 +112,49 @@ fn table_row_is_internally_consistent() {
     assert!(row.n_dense_subgraphs <= row.n_seq_in_subgraphs);
 }
 
+/// The families `d`'s dense subgraphs mix, one entry per subgraph with
+/// more than one.
+fn impure_subgraphs(d: &SyntheticDataset, r: &pfam::core::PipelineResult) -> Vec<HashSet<u32>> {
+    r.dense_subgraphs
+        .iter()
+        .map(|ds| ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect())
+        .filter(|fams: &HashSet<u32>| fams.len() > 1)
+        .collect()
+}
+
 #[test]
-fn both_reductions_agree_on_family_purity() {
+fn dense_subgraphs_are_family_pure() {
     let d = dataset(107);
-    for reduction in [Reduction::GlobalSimilarity { tau: 0.3 }, Reduction::DomainBased { w: 10 }] {
-        let config = PipelineConfig { reduction, ..PipelineConfig::for_tests() };
-        let r = config.run(&d.set);
-        for ds in &r.dense_subgraphs {
-            let fams: HashSet<_> =
-                ds.members.iter().filter_map(|&id| d.provenance[id.index()].family()).collect();
-            assert!(fams.len() <= 1, "{reduction:?} mixed families {fams:?}");
-        }
-    }
+    let r = PipelineConfig::for_tests().run(&d.set);
+    assert!(!r.dense_subgraphs.is_empty());
+    assert_eq!(impure_subgraphs(&d, &r), []);
+}
+
+#[test]
+fn families_sharing_only_a_domain_block_come_out_apart() {
+    // Four 40-residue blocks, each planted in three families' ancestors:
+    // those families share long exact words and nothing else. Every dense
+    // subgraph must still be one family.
+    let d = SyntheticDataset::generate(&DatasetConfig {
+        n_families: 12,
+        n_members: 240,
+        n_shared_domains: 4,
+        domain_len: 40,
+        families_per_domain: 3,
+        fragment_prob: 0.1,
+        mutation: MutationModel {
+            substitution_rate: 0.10,
+            conservative_fraction: 0.6,
+            insertion_rate: 0.0,
+            deletion_rate: 0.0,
+        },
+        seed: 0xD03A11,
+        ..DatasetConfig::default()
+    });
+    let r = PipelineConfig::default().run(&d.set);
+    assert!(r.dense_subgraphs.len() >= 4, "{} dense subgraphs", r.dense_subgraphs.len());
+    assert_eq!(impure_subgraphs(&d, &r), []);
+    assert_eq!(evaluate(&r, &d.benchmark_clusters()).measures.precision, 1.0);
 }
 
 #[test]
@@ -261,7 +292,7 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
 fn one_body_whatever_it_keeps_on_disk() {
     // The pipeline without a directory, with one, and killed after each
     // phase and resumed: one result, through the same work — on every
-    // route through the front half. (A third of the usual corpus: five
+    // route through the front half. (A third of the usual corpus: four
     // configurations, each run five times.)
     let d = SyntheticDataset::generate(&DatasetConfig {
         n_families: 3,
@@ -278,7 +309,6 @@ fn one_body_whatever_it_keeps_on_disk() {
         ("budget", base.clone().with_mem_budget(estimate * 2 / 5)),
         ("small budget", base.clone().with_mem_budget(estimate / 4)),
         ("mask", masked),
-        ("domain", PipelineConfig { reduction: Reduction::DomainBased { w: 10 }, ..base }),
     ];
     for (name, config) in configs {
         let in_memory = config.run(&d.set);

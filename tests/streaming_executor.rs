@@ -3,7 +3,7 @@
 //! the plain composition it fuses — `component_graph` → bipartite
 //! reduction → `detect_dense_subgraphs`, the chain the benchmark adapter
 //! spells by hand — graphs, alignment records, dense subgraphs and shingle
-//! counters, for both reductions, whatever order it schedules in. The
+//! counters, whatever order it schedules in. The
 //! pipeline's back half builds its graphs from what CCD already knows
 //! instead of mining each component; it is held against
 //! `stream_components` over the same component queue — same graphs, same
@@ -13,7 +13,7 @@ use pfam::cluster::{component_graph, run_ccd};
 use pfam::core::{stream_components, PipelineConfig, Reduction};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::graph::BipartiteGraph;
-use pfam::seq::{materialize_subset, SeqId};
+use pfam::seq::SeqId;
 use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
 
 fn dataset(seed: u64) -> SyntheticDataset {
@@ -51,22 +51,14 @@ fn executor_identity(config: &PipelineConfig, seed: u64) {
     assert_eq!(streamed.len(), queue.len());
     for (members, out) in queue.iter().zip(&streamed) {
         let (graph, record) = component_graph(&d.set, members, &config.cluster);
-        let (mode, bipartite) = match config.reduction {
-            Reduction::GlobalSimilarity { tau } => (
-                ReductionMode::GlobalSimilarity { tau },
-                BipartiteGraph::duplicate_from(&graph.graph),
-            ),
-            Reduction::DomainBased { w } => (
-                ReductionMode::DomainBased,
-                BipartiteGraph::word_based(&materialize_subset(&d.set, &graph.members), None, w),
-            ),
-        };
+        let Reduction::GlobalSimilarity { tau } = config.reduction;
         let dsd_config = DenseSubgraphConfig {
             params: config.shingle,
-            mode,
+            mode: ReductionMode::GlobalSimilarity { tau },
             min_size: config.min_subgraph_size,
             disjoint: true,
         };
+        let bipartite = BipartiteGraph::duplicate_from(&graph.graph);
         let (subgraphs, stats) = detect_dense_subgraphs(&bipartite, &dsd_config);
         assert_eq!(out.graph.members, graph.members);
         assert_eq!(out.graph.graph, graph.graph);
@@ -80,15 +72,6 @@ fn executor_identity(config: &PipelineConfig, seed: u64) {
 fn executor_identity_global_similarity() {
     let config = PipelineConfig::for_tests();
     for seed in [901, 902, 903] {
-        executor_identity(&config, seed);
-    }
-}
-
-#[test]
-fn executor_identity_domain_based() {
-    let mut config = PipelineConfig::for_tests();
-    config.reduction = Reduction::DomainBased { w: 10 };
-    for seed in [904, 905] {
         executor_identity(&config, seed);
     }
 }
@@ -131,11 +114,4 @@ fn pipeline_identity(config: &PipelineConfig, seed: u64) {
 #[test]
 fn pipeline_identity_global_similarity() {
     pipeline_identity(&PipelineConfig::for_tests(), 906);
-}
-
-#[test]
-fn pipeline_identity_domain_based() {
-    let mut config = PipelineConfig::for_tests();
-    config.reduction = Reduction::DomainBased { w: 10 };
-    pipeline_identity(&config, 907);
 }
