@@ -1,9 +1,11 @@
 //! Index benchmark: the suffix index stage by stage — SA-IS + Kasai (the
 //! serial oracle) against the residue-packed bucket sort at each thread
-//! count, the interval tree at ψ = 0 / 10 / 15, and pair mining — on two
-//! corpora, plus the pair generation of the pipeline's front half (RR at
-//! ψ = 15, CCD at ψ = 10 over RR's survivors) from two indexes and from
-//! one, emitting a machine-readable `BENCH_index.json`.
+//! count, the same sort cut at ψ = 10 (`psi_10`: only the suffixes a node
+//! of depth ≥ 10 can hold are kept), the interval tree at ψ = 0 / 10 / 15,
+//! and pair mining — on two corpora, plus the pair generation of the
+//! pipeline's front half (RR at ψ = 15, CCD at ψ = 10 over RR's survivors)
+//! from two indexes and from one, emitting a machine-readable
+//! `BENCH_index.json` stamped with the commit it measured.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin index_bench [scale] [max_threads]
@@ -26,8 +28,9 @@
 //!
 //! Every parallel build is asserted bit-identical to the oracle, every
 //! pruned tree is asserted to mine the full tree's pairs in the full
-//! tree's order, and the masked stream is asserted equal to the stream of
-//! the survivors' own index, anchors and statistics included. Every build
+//! tree's order — the tree of the index cut at ψ = 10 too, at ψ = 10 and
+//! 15 — and the masked stream is asserted equal to the stream of the
+//! survivors' own index, anchors and statistics included. Every build
 //! is also weighed by the counting allocator: bytes the index holds
 //! (`resident_bytes_per_position`) and the most the build held at once
 //! (`build_peak_bytes_per_position`), per text position; every run fails
@@ -40,13 +43,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pfam_bench::alloc::{live_bytes, peak_reset, peak_since, CountingAlloc};
-use pfam_bench::{cores_field, emit, thread_sweep, time_min, BenchArgs};
+use pfam_bench::{commit_stamp, cores_field, emit, thread_sweep, time_min, BenchArgs};
 use pfam_datagen::{random_peptide, DatasetConfig, SyntheticDataset};
 use pfam_seq::{materialize_subset, SeqId, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
     bucket_sort_index_staged, lcp::lcp_array, mine_pairs, parallel_pairs, suffix_array,
-    GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, MineNodes, SuffixTree,
+    GeneralizedSuffixArray, KeepMask, MatchPair, MaximalMatchConfig, MineNodes, SortStages,
+    SuffixTree,
 };
 
 #[global_allocator]
@@ -126,6 +130,38 @@ fn match_config(psi: u32) -> MaximalMatchConfig {
 /// A mined stream: the pairs and the generator's statistics.
 type Mined = (Vec<MatchPair>, GenerationStats);
 
+/// A build weighed by the counting allocator: bytes per text position it
+/// holds once built, and the most it held at once while building; the
+/// first checked against the index's own `heap_bytes()` to 1 %.
+fn weigh(name: &str, positions: f64, build: impl FnOnce() -> GeneralizedSuffixArray) -> (f64, f64) {
+    let live0 = peak_reset();
+    let gsa = build();
+    let held = live_bytes().saturating_sub(live0) as f64;
+    let build_peak = peak_since(live0) as f64;
+    // Idle pool threads of the generators free a few hundred bytes
+    // when they please; the arrays are what is being compared.
+    assert!(
+        (gsa.heap_bytes() as f64 - held).abs() <= 0.01 * held,
+        "{name}: heap_bytes() says {}, the allocator {held}",
+        gsa.heap_bytes()
+    );
+    (held / positions, build_peak)
+}
+
+/// The fastest of `reps` staged bucket sorts of `text` at cut-off `psi`:
+/// its stages, and whether the text was handed back to SA-IS.
+fn best_stages(text: &[u8], t: usize, psi: u32, reps: usize) -> (SortStages, bool) {
+    let mut best = (f64::INFINITY, SortStages::default(), false);
+    for _ in 0..reps {
+        let (index, stages) = bucket_sort_index_staged(text, t, psi);
+        let total = stages.count_s + stages.scatter_s + stages.sort_lcp_s;
+        if total < best.0 {
+            best = (total, stages, index.is_none());
+        }
+    }
+    (best.1, best.2)
+}
+
 /// Whether two mined streams agree in everything that must repeat —
 /// `MatchPair` equality ignores the anchors, this does not.
 fn same_stream(a: &Mined, b: &Mined) -> bool {
@@ -195,6 +231,21 @@ fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> S
 /// One corpus, every stage (`mine`: tree and mining rows too; `kept`: the
 /// front-half rows too), held to the byte ceilings: returns its JSON
 /// object.
+/// Hold one build's weights to the ceilings: what the index holds, and —
+/// unless SA-IS indexed the text — its build peak over the bucket tables.
+fn check_bytes(name: &str, t: usize, resident: f64, peak: f64, positions: f64, fell_back: bool) {
+    assert!(
+        resident <= MAX_RESIDENT_PER_POSITION,
+        "{name}: the index holds {resident:.2} bytes per position at {t} threads"
+    );
+    let over_tables = (peak - bucket_table_bytes(t)) / positions;
+    assert!(
+        fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
+        "{name}: the build peaked at {over_tables:.2} bytes per position over its \
+         bucket tables at {t} threads"
+    );
+}
+
 fn bench_corpus(
     name: &str,
     set: &SequenceSet,
@@ -219,6 +270,7 @@ fn bench_corpus(
 
     // The bucket sort at each thread count, whole and by stage.
     let mut sort_rows = Vec::new();
+    let mut cut_rows = Vec::new();
     for &t in threads {
         let (index_s, gsa) = time_min(reps, || GeneralizedSuffixArray::build_parallel(set, t));
         assert!(
@@ -229,40 +281,11 @@ fn bench_corpus(
         );
         drop(gsa);
         // One more build, weighed.
-        let live0 = peak_reset();
-        let gsa = GeneralizedSuffixArray::build_parallel(set, t);
-        let held = live_bytes().saturating_sub(live0) as f64;
-        let build_peak = peak_since(live0) as f64;
-        // Idle pool threads of the generators free a few hundred bytes
-        // when they please; the arrays are what is being compared.
-        assert!(
-            (gsa.heap_bytes() as f64 - held).abs() <= 0.01 * held,
-            "{name}: heap_bytes() says {}, the allocator {held}",
-            gsa.heap_bytes()
-        );
-        let resident = held / positions;
-        drop(gsa);
-        let mut best = (f64::INFINITY, Default::default());
-        let mut fell_back = false;
-        for _ in 0..reps {
-            let (index, stages) = bucket_sort_index_staged(oracle.text(), t);
-            fell_back = index.is_none();
-            let total = stages.count_s + stages.scatter_s + stages.sort_lcp_s;
-            if total < best.0 {
-                best = (total, stages);
-            }
-        }
-        let (sort_s, st) = best;
-        assert!(
-            resident <= MAX_RESIDENT_PER_POSITION,
-            "{name}: the index holds {resident:.2} bytes per position at {t} threads"
-        );
-        let over_tables = (build_peak - bucket_table_bytes(t)) / positions;
-        assert!(
-            fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
-            "{name}: the build peaked at {over_tables:.2} bytes per position over its \
-             bucket tables at {t} threads"
-        );
+        let (resident, build_peak) =
+            weigh(name, positions, || GeneralizedSuffixArray::build_parallel(set, t));
+        let (st, fell_back) = best_stages(oracle.text(), t, 0, reps);
+        let sort_s = st.count_s + st.scatter_s + st.sort_lcp_s;
+        check_bytes(name, t, resident, build_peak, positions, fell_back);
         eprintln!(
             "index_bench: {name}: {t} thread(s): index {index_s:.3}s (SA-IS {sais_total_s:.3}s)"
         );
@@ -285,6 +308,48 @@ fn bench_corpus(
             res = resident,
             peak = build_peak / positions,
             r = sais_total_s / index_s,
+        ));
+
+        // The same sort cut at ψ = 10: weighed, and its tree mined.
+        let (cut_s, cut) = time_min(reps, || GeneralizedSuffixArray::build_cut(set, t, PSI_CCD));
+        let kept = cut.sa().len();
+        for psi in [PSI_CCD, PSI_RR].into_iter().filter(|_| mine) {
+            let mined =
+                |gsa| parallel_pairs(&SuffixTree::build_pruned(gsa, psi), match_config(psi), t);
+            assert!(
+                same_stream(&mined(&cut), &mined(&oracle)),
+                "{name}: the index cut at {PSI_CCD} mined differently at {psi}, {t} threads"
+            );
+        }
+        drop(cut);
+        let (resident, build_peak) =
+            weigh(name, positions, || GeneralizedSuffixArray::build_cut(set, t, PSI_CCD));
+        let (st, fell_back) = best_stages(oracle.text(), t, PSI_CCD, reps);
+        check_bytes(name, t, resident, build_peak, positions, fell_back);
+        eprintln!(
+            "index_bench: {name}: {t} thread(s): cut at {PSI_CCD}: {kept} suffixes kept, \
+             index {cut_s:.3}s"
+        );
+        cut_rows.push(format!(
+            concat!(
+                "      {{ \"threads\": {t}, \"suffixes_kept\": {kept}, ",
+                "\"kept_share\": {share:.5}, \"index_s\": {index:.6}, ",
+                "\"fell_back_to_sais\": {fb}, \"keys_count_s\": {c:.6}, ",
+                "\"keys_scatter_s\": {s:.6}, \"group_sort_lcp_s\": {b:.6}, ",
+                "\"resident_bytes_per_position\": {res:.3}, ",
+                "\"build_peak_bytes_per_position\": {peak:.3}, \"vs_full\": {r:.3} }}"
+            ),
+            t = t,
+            kept = kept,
+            share = kept as f64 / positions,
+            index = cut_s,
+            fb = fell_back,
+            c = st.count_s,
+            s = st.scatter_s,
+            b = st.sort_lcp_s,
+            res = resident,
+            peak = build_peak / positions,
+            r = index_s / cut_s,
         ));
     }
 
@@ -338,6 +403,7 @@ fn bench_corpus(
             "    \"total_residues\": {residues},\n",
             "    \"sais\": {{ \"index_s\": {total:.6}, \"sa_s\": {sa:.6}, \"kasai_lcp_s\": {lcp:.6} }},\n",
             "    \"bucket_sort\": [\n{sort}\n    ],\n",
+            "    \"psi_10\": [\n{cut}\n    ],\n",
             "    \"tree\": [\n{tree}\n    ],\n",
             "    \"mining\": [\n{mine}\n    ]{front_half}\n",
             "  }}"
@@ -349,6 +415,7 @@ fn bench_corpus(
         sa = sais_stage_s.0,
         lcp = sais_stage_s.1,
         sort = sort_rows.join(",\n"),
+        cut = cut_rows.join(",\n"),
         tree = tree_rows.join(",\n"),
         mine = mine_rows.join(",\n"),
         front_half = front_half,
@@ -377,6 +444,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"index\",\n",
+            "  \"commit\": \"{commit}\",\n",
             "  {cores_field},\n",
             "  \"core_caveat\": \"{caveat}\",\n",
             "  \"reps\": {reps},\n",
@@ -384,6 +452,7 @@ fn main() {
             "{blocks}\n",
             "}}\n"
         ),
+        commit = commit_stamp(),
         cores_field = cores_field(sweep.cores),
         caveat = sweep.caveat(),
         reps = reps,

@@ -152,6 +152,21 @@ pub fn emit(name: &str, json: &str, smoke: bool) {
     }
 }
 
+/// The commit a record measures: the short hash of `HEAD` in the current
+/// directory (`git rev-parse --short HEAD`), `-dirty` after it when the
+/// tree has uncommitted changes, or `"unknown"` outside a checkout.
+pub fn commit_stamp() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|hash| hash.trim().to_string())
+        .filter(|hash| !hash.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// [`emit`] in append mode: one JSON-object **line** is appended to
 /// `BENCH_<name>.json`, so repeated runs (and successive PRs) accumulate
 /// a trajectory instead of overwriting the previous record. Smoke runs

@@ -11,6 +11,8 @@ pub mod harness;
 pub mod honesty;
 pub mod workloads;
 
-pub use harness::{emit, emit_append, thread_sweep, time_min, BenchArgs, ThreadSweep};
+pub use harness::{
+    commit_stamp, emit, emit_append, thread_sweep, time_min, BenchArgs, ThreadSweep,
+};
 pub use honesty::{claim, claim_f64, cores_field, detected_cores};
 pub use workloads::{dataset_160k_like, dataset_22k_like, scaled_members, PaperDataset};

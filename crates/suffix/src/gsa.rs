@@ -11,7 +11,7 @@
 //! occurrence is therefore its own unique character too, so no common
 //! prefix can include one.
 //!
-//! ## Layout: 7 bytes per text position
+//! ## Layout: 7 bytes per text position, or the text and the kept suffixes
 //!
 //! The resident text is one byte per position holding a 5-bit *symbol
 //! class*: [`SENTINEL_CLASS`] (0) for a sentinel, `c + 1` for residue code
@@ -24,7 +24,18 @@
 //! saturates into a sorted overflow list ([`CompactLcp`]), and the owning
 //! sequence of a position is found from one sampled id per `SEQ_BLOCK`
 //! (64) positions and a short walk of the start table — there is no
-//! per-position sequence table.
+//! per-position sequence table. That is the full index
+//! ([`GeneralizedSuffixArray::build`], [`GeneralizedSuffixArray::build_parallel`]).
+//!
+//! An index cut at a mining cut-off ψ ≥ 3
+//! ([`GeneralizedSuffixArray::build_cut`]) holds the same text and tables,
+//! but its suffix and LCP arrays only the suffixes whose first `min(ψ, 12)`
+//! symbols another suffix shares — every suffix a tree node of depth ≥ ψ
+//! holds — and those of the leading buckets of the sort
+//! ([`crate::parallel`]), in suffix order, each LCP against the kept suffix
+//! before it. On metagenomic input that is a few per cent of the
+//! positions, so the index is little more than its text: ≈ 1.2 bytes per
+//! position on the `sparse` corpus at ψ = 10.
 //!
 //! The integer text SA-IS sorts — sentinel of sequence `i` ↦ `i + 1` (the
 //! last one ↦ 0), residue code `c` ↦ `c + n_seqs`, the `k`-th `X` ↦
@@ -36,7 +47,7 @@ use std::cmp::Ordering;
 use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
-use crate::parallel::{bucket_sort_index, resolve_threads, SaLcp};
+use crate::parallel::{bucket_sort_index, bucket_sort_index_staged, kept_depth, SaLcp};
 use crate::sais::suffix_array;
 
 /// Symbol class of a sentinel.
@@ -51,6 +62,23 @@ const SEQ_BLOCK: usize = 64;
 #[inline]
 pub(crate) fn is_terminator(class: u8) -> bool {
     class == SENTINEL_CLASS || class == X_CLASS
+}
+
+/// Order of the suffixes at `a` and `b` of `text` (the symbol classes of an
+/// index), and the residues they share.
+pub(crate) fn compare_suffixes(text: &[u8], a: usize, b: usize) -> (Ordering, usize) {
+    let shared = text[a..]
+        .iter()
+        .zip(&text[b..])
+        .take_while(|&(&x, &y)| x == y && !is_terminator(x))
+        .count();
+    let (x, y) = (text[a + shared], text[b + shared]);
+    let order = if x == y {
+        terminator_rank(text.len(), a + shared).cmp(&terminator_rank(text.len(), b + shared))
+    } else {
+        x.cmp(&y)
+    };
+    (order, shared)
 }
 
 /// Order of the terminator at `pos` among the terminators of its class —
@@ -75,8 +103,11 @@ pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
 /// it within 1 % of [`GeneralizedSuffixArray::heap_bytes`].
 ///
 /// This is the figure [`pfam_seq::MemoryBudget`] accounts a monolithic
-/// index with. Construction is transiently a little larger: the bucket
-/// sort adds one bucket's `(key, position)` records per worker and its
+/// index with: what the full index holds, and an upper bound on what an
+/// index cut at a mining cut-off holds
+/// ([`GeneralizedSuffixArray::build_cut`]). Construction is transiently a
+/// little larger: the bucket sort adds one bucket's `(key, position)`
+/// records per worker (and, cut, a 64 KiB fingerprint table) and its
 /// bucket tables, a peak of ≈ 7.3 bytes per position on 3 M positions;
 /// a text handed back to SA-IS holds its four-byte encoding and SA-IS's
 /// own arrays on top of the index.
@@ -171,6 +202,8 @@ pub struct GeneralizedSuffixArray {
     starts: Vec<u32>,
     /// Owning sequence of every [`SEQ_BLOCK`]-th text position.
     block_seq: Vec<u32>,
+    /// The cut-off the arrays were sorted at: `0`, every suffix.
+    cutoff: u32,
 }
 
 impl GeneralizedSuffixArray {
@@ -185,6 +218,7 @@ impl GeneralizedSuffixArray {
             lcp: CompactLcp::default(),
             starts: Vec::with_capacity(n_seqs),
             block_seq: Vec::with_capacity(total.div_ceil(SEQ_BLOCK)),
+            cutoff: 0,
         }
     }
 
@@ -225,10 +259,11 @@ impl GeneralizedSuffixArray {
         (sa, lcp)
     }
 
-    /// Hold `arrays` — the whole text's or one window's ranks of them —
-    /// as this index's suffix and LCP arrays.
-    pub(crate) fn set_arrays(&mut self, (sa, lcp): SaLcp) {
-        (self.sa, self.lcp) = (sa, lcp);
+    /// Hold `arrays` — the whole text's or one window's ranks of them,
+    /// sorted at `cutoff` (`0`: every suffix) — as this index's suffix and
+    /// LCP arrays.
+    pub(crate) fn set_arrays(&mut self, (sa, lcp): SaLcp, cutoff: u32) {
+        (self.sa, self.lcp, self.cutoff) = (sa, lcp, cutoff);
     }
 
     /// Build the generalized suffix array of `set` by SA-IS and Kasai's
@@ -237,7 +272,7 @@ impl GeneralizedSuffixArray {
     /// Panics on an empty set (there is no meaningful index for it).
     pub fn build(set: &SequenceSet) -> GeneralizedSuffixArray {
         let mut index = Self::unsorted(set);
-        index.set_arrays(index.sais_arrays());
+        index.set_arrays(index.sais_arrays(), 0);
         index
     }
 
@@ -251,11 +286,45 @@ impl GeneralizedSuffixArray {
     /// `1` included, runs [`bucket_sort_index`]; a text too repetitive
     /// for it is indexed by SA-IS as in [`build`](Self::build).
     pub fn build_parallel(set: &SequenceSet, threads: usize) -> GeneralizedSuffixArray {
-        let threads = resolve_threads(threads);
+        Self::sorted_by(set, 0, |text| bucket_sort_index(text, threads))
+    }
+
+    /// The index of `set` a miner at cut-off `psi` needs, with up to
+    /// `threads` workers: the suffixes whose first `min(psi, 12)` symbols
+    /// another suffix shares — every suffix a tree node of depth ≥ `psi`
+    /// holds — and those of the sort's leading buckets (see the module
+    /// docs). A tree pruned at `psi` or deeper
+    /// ([`SuffixTree::build_pruned`](crate::SuffixTree::build_pruned)) is
+    /// node for node the one the full index gives, and mines the same
+    /// pairs. Every suffix is kept — [`build_parallel`](Self::build_parallel),
+    /// the full index — when `psi < 3`, and when the text is too
+    /// repetitive for the bucket sort and SA-IS indexes it.
+    pub fn build_cut(set: &SequenceSet, threads: usize, psi: u32) -> GeneralizedSuffixArray {
+        let cutoff = if kept_depth(psi) > 0 { psi } else { 0 };
+        Self::sorted_by(set, cutoff, |text| bucket_sort_index_staged(text, threads, psi).0)
+    }
+
+    /// The index of `set`, its arrays sorted at `cutoff` by `sort`, or by
+    /// SA-IS — every suffix — when `sort` hands the text back.
+    fn sorted_by(
+        set: &SequenceSet,
+        cutoff: u32,
+        sort: impl FnOnce(&[u8]) -> Option<SaLcp>,
+    ) -> GeneralizedSuffixArray {
         let mut index = Self::unsorted(set);
-        let arrays = bucket_sort_index(&index.text, threads).unwrap_or_else(|| index.sais_arrays());
-        index.set_arrays(arrays);
+        match sort(&index.text) {
+            Some(arrays) => index.set_arrays(arrays, cutoff),
+            None => index.set_arrays(index.sais_arrays(), 0),
+        }
         index
+    }
+
+    /// The cut-off the index was sorted at ([`build_cut`](Self::build_cut)):
+    /// it holds every suffix that shares this many symbols with another,
+    /// and every suffix when it is `0`.
+    #[inline]
+    pub fn cutoff(&self) -> u32 {
+        self.cutoff
     }
 
     /// Number of sequences indexed.
@@ -364,36 +433,13 @@ impl GeneralizedSuffixArray {
         }
     }
 
-    /// Compare the suffix at `pos` with `other`, a string of symbol
-    /// classes whose terminator at index `i`, if any, has rank
-    /// `other_rank(i)`: `Less` / `Greater` for lexicographic order over
-    /// the unique characters, `Equal` when `other` is a prefix of the
-    /// suffix.
-    fn suffix_cmp(&self, pos: usize, other: &[u8], other_rank: impl Fn(usize) -> u32) -> Ordering {
-        let suffix = &self.text[pos..];
-        for (i, (&x, &y)) in suffix.iter().zip(other).enumerate() {
-            if x != y {
-                return x.cmp(&y);
-            }
-            if is_terminator(x) {
-                return terminator_rank(self.text.len(), pos + i).cmp(&other_rank(i));
-            }
-        }
-        if suffix.len() >= other.len() {
-            Ordering::Equal
-        } else {
-            Ordering::Less
-        }
-    }
-
     /// Rank of the suffix at `pos`, by binary search — suffixes are
-    /// distinct, so the search lands on it.
-    pub(crate) fn rank_of(&self, pos: usize) -> usize {
-        let n = self.text.len();
-        let rank_in_other = |i| terminator_rank(n, pos + i);
-        self.sa.partition_point(|&p| {
-            self.suffix_cmp(p as usize, &self.text[pos..], rank_in_other).is_lt()
-        })
+    /// distinct, so the search lands on it — or `None` when an index cut at
+    /// a mining cut-off does not hold it.
+    pub(crate) fn rank_of(&self, pos: usize) -> Option<usize> {
+        let rank =
+            self.sa.partition_point(|&p| compare_suffixes(&self.text, p as usize, pos).0.is_lt());
+        (self.sa.get(rank) == Some(&(pos as u32))).then_some(rank)
     }
 }
 
@@ -555,8 +601,19 @@ mod tests {
             [GeneralizedSuffixArray::build(&set), GeneralizedSuffixArray::build_parallel(&set, 2)]
         {
             for (rank, &pos) in g.sa().iter().enumerate() {
-                assert_eq!(g.rank_of(pos as usize), rank, "suffix at {pos}");
+                assert_eq!(g.rank_of(pos as usize), Some(rank), "suffix at {pos}");
             }
+        }
+        // Cut at 5, the index holds the suffixes that share five symbols
+        // with another and those of its leading buckets; the others have
+        // no rank.
+        let cut = GeneralizedSuffixArray::build_cut(&set, 2, 5);
+        assert_eq!(cut.cutoff(), 5);
+        assert!(cut.sa().len() < cut.text_len());
+        for pos in 0..cut.text_len() {
+            let rank = cut.rank_of(pos);
+            assert_eq!(rank.map(|r| cut.sa()[r] as usize), rank.map(|_| pos));
+            assert_eq!(rank.is_some(), cut.sa().contains(&(pos as u32)), "suffix at {pos}");
         }
     }
 
@@ -609,6 +666,10 @@ mod tests {
                     "estimate {estimate} against {held} bytes held"
                 );
             }
+            // An index cut at a mining cut-off holds fewer suffixes: the
+            // estimate is its ceiling.
+            let cut = GeneralizedSuffixArray::build_cut(&set, 2, 10).heap_bytes() as f64;
+            assert!(cut <= estimate, "estimate {estimate} against {cut} bytes held, cut at 10");
         }
     }
 }

@@ -11,7 +11,8 @@
 //! * [`lcp`] — Kasai's linear-time LCP array.
 //! * [`gsa`] — the generalized suffix array over a [`pfam_seq::SequenceSet`]
 //!   with distinct per-sequence sentinels, so no common prefix ever spans a
-//!   sequence boundary, in seven bytes per text position.
+//!   sequence boundary, in seven bytes per text position — or, cut at a
+//!   mining cut-off, the text and only the suffixes a miner can reach.
 //! * [`tree`] — the generalized suffix tree, built in linear time from the
 //!   suffix + LCP arrays (the production GST), with pattern search.
 //! * [`maximal`] — maximal-match pairs: what one tree node emits, and the

@@ -22,6 +22,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use pfam_seq::SeqId;
 
 use crate::gsa::GeneralizedSuffixArray;
+use crate::parallel::{leading_suffixes, whole_ranks};
 use crate::tree::{NodeId, SuffixTree};
 
 /// Hasher for packed [`MatchPair::key`] values: a single 64-bit
@@ -180,7 +181,9 @@ impl KeepMask {
     const DROPPED: u32 = u32::MAX;
 
     /// Keep the reads `keep` of `gsa` — strictly ascending ids — as dense
-    /// ids `0..keep.len()`.
+    /// ids `0..keep.len()`. Of an index cut at a mining cut-off, the
+    /// suffixes it does not hold lie under no node the miner visits, and
+    /// are skipped.
     pub fn new(gsa: &GeneralizedSuffixArray, keep: &[SeqId]) -> KeepMask {
         assert!(keep.windows(2).all(|w| w[0] < w[1]), "kept ids must be strictly ascending");
         let mut dense = vec![Self::DROPPED; gsa.n_seqs() as usize];
@@ -192,7 +195,7 @@ impl KeepMask {
             let residues = gsa.seq_span(*last);
             let sentinel = residues.end;
             for pos in residues {
-                let rank = gsa.rank_of(pos);
+                let Some(rank) = gsa.rank_of(pos) else { continue };
                 let len = (sentinel - pos) as u32;
                 let mut first = rank;
                 while gsa.lcp_at(first) >= len {
@@ -330,28 +333,73 @@ fn scan_node(
     (capped, groups_here >= 2)
 }
 
+/// The first interval an LCP scan closes, fed suffixes in suffix order.
+#[derive(Default)]
+struct FirstDescent {
+    /// Position and LCP with the suffix before it of the last suffix fed.
+    prev: Option<(u32, u32)>,
+}
+
+impl FirstDescent {
+    /// Feed the next suffix and its LCP with the one fed before it: the
+    /// depth of the interval that closes and the position of its last
+    /// suffix, if the LCP descends here.
+    fn push(&mut self, pos: u32, lcp: u32) -> Option<(u32, u32)> {
+        let lcp = if self.prev.is_some() { lcp } else { 0 };
+        if let Some((prev_pos, prev_lcp)) = self.prev.filter(|&(_, prev_lcp)| lcp < prev_lcp) {
+            return Some((prev_lcp, prev_pos));
+        }
+        self.prev = Some((pos, lcp));
+        None
+    }
+
+    /// The interval the end of the suffixes closes, if none closed before.
+    fn end(self) -> Option<(u32, u32)> {
+        self.prev.filter(|&(_, lcp)| lcp > 0).map(|(pos, lcp)| (lcp, pos))
+    }
+}
+
 /// The first interval the lcp scan of an index over the kept reads alone
-/// would close: its depth, and the rank (in this index) of its last
-/// suffix. `None` when the kept suffixes share no prefix at all.
+/// would close: its depth, and the text position of its last suffix.
+/// `None` when the kept suffixes share no prefix at all.
+///
+/// Read off the ranks of `tree`'s index that hold every suffix. When the
+/// kept reads' scan runs past them — a cut index whose leading buckets
+/// the mask empties — their leading suffixes are sorted from the text.
 fn first_closed_kept(tree: &SuffixTree<'_>, keep: &KeepMask) -> Option<(u32, u32)> {
     let gsa = tree.gsa();
-    // (rank, lcp with the kept suffix before it) of the last kept suffix.
-    let mut prev: Option<(u32, u32)> = None;
-    // Smallest lcp value since that suffix: the lcp of the next kept one.
+    let whole = whole_ranks(gsa);
+    let mut scan = FirstDescent::default();
+    // Smallest lcp value since the last kept suffix: the lcp of the next.
     let mut gap_lcp = u32::MAX;
-    for (rank, &pos) in gsa.sa().iter().enumerate() {
+    for (rank, &pos) in gsa.sa()[..whole].iter().enumerate() {
         gap_lcp = gap_lcp.min(gsa.lcp_at(rank));
         if keep.dense_id(gsa.seq_at(pos as usize)).is_none() {
             continue;
         }
-        let lcp = if prev.is_some() { gap_lcp } else { 0 };
-        if let Some((prev_rank, prev_lcp)) = prev.filter(|&(_, prev_lcp)| lcp < prev_lcp) {
-            return Some((prev_lcp, prev_rank));
+        if let Some(closed) = scan.push(pos, gap_lcp) {
+            return Some(closed);
         }
-        prev = Some((rank as u32, lcp));
         gap_lcp = u32::MAX;
     }
-    prev.filter(|&(_, lcp)| lcp > 0).map(|(rank, lcp)| (lcp, rank))
+    if whole == gsa.sa().len() {
+        return scan.end();
+    }
+    let reads: Vec<_> = (0..gsa.n_seqs())
+        .map(SeqId)
+        .filter(|&id| keep.dense_id(id).is_some())
+        .map(|id| {
+            let residues = gsa.seq_span(id);
+            residues.start..residues.end + 1
+        })
+        .collect();
+    let mut scan = FirstDescent::default();
+    for (pos, lcp) in leading_suffixes(gsa.text(), &reads) {
+        if let Some(closed) = scan.push(pos, lcp) {
+            return Some(closed);
+        }
+    }
+    scan.end()
 }
 
 /// The nodes a miner at cut-off `min_len` visits, deepest first.
@@ -370,7 +418,9 @@ pub(crate) fn mining_queue(
     let mut queue: Vec<NodeId> =
         tree.nodes_by_depth_desc().into_iter().take_while(|&n| tree.depth(n) >= min_len).collect();
     let first_closed = keep.and_then(|keep| first_closed_kept(tree, keep));
-    if let Some((depth, rank)) = first_closed.filter(|&(depth, _)| depth >= min_len) {
+    if let Some((depth, pos)) = first_closed.filter(|&(depth, _)| depth >= min_len) {
+        // It shares `depth` ≥ ψ symbols with another suffix: held.
+        let rank = tree.gsa().rank_of(pos as usize).expect("a suffix under a mined node") as u32;
         let class_start = queue.partition_point(|&n| tree.depth(n) > depth);
         let class_end = queue.partition_point(|&n| tree.depth(n) >= depth);
         let holds_rank = |&n: &NodeId| {

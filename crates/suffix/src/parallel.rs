@@ -18,6 +18,18 @@
 //!   verdict (PR 25)"). It is the one-window case of the sort the
 //!   budgeted miner runs a contiguous range of buckets at a time
 //!   ([`crate::partitioned`]).
+//! * The same sort at a mining cut-off ψ ≥ 3 ([`bucket_sort_index_staged`],
+//!   [`GeneralizedSuffixArray::build_cut`]) keeps only the suffixes a node
+//!   of depth ≥ ψ can hold: those whose first `min(ψ, 12)` symbols another
+//!   suffix shares. The scatter writes a 16-bit fingerprint of that prefix
+//!   into each suffix's LCP slot, a bucket keys and sorts only the
+//!   suffixes whose fingerprint repeats in it, and keeps those a sorted
+//!   neighbour shares the prefix with; the arrays are then compacted to
+//!   them, each LCP taken against the kept suffix before it. The leading
+//!   buckets, up to the first that spells three residues and holds two
+//!   suffixes, are kept whole: the first LCP descent of the full array,
+//!   which numbers the tree ([`crate::SuffixTree::build_pruned`]), lies
+//!   among them.
 //! * [`mine_pairs`] is the one miner of promising pairs: it partitions a
 //!   depth-sorted node list into contiguous chunks, mines each chunk's
 //!   nodes into its own emit buffer, then concatenates buffers in chunk
@@ -28,7 +40,7 @@
 //!   the nodes one by one would make. [`parallel_pairs`] is it over the
 //!   whole tree.
 //! * [`with_match_tree`] is the one place an index is built for mining:
-//!   GSA, then the interval tree pruned at ψ, lent to the caller.
+//!   GSA cut at ψ, then the interval tree pruned at ψ, lent to the caller.
 //!
 //! Threading is explicit (scoped OS threads with an atomic work cursor)
 //! rather than delegated to a global pool, so the `threads` knob in
@@ -37,14 +49,15 @@
 //! the calling thread.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use pfam_seq::SequenceSet;
 
 use crate::gsa::{
-    is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray, SENTINEL_CLASS, X_CLASS,
+    compare_suffixes, is_terminator, terminator_rank, CompactLcp, GeneralizedSuffixArray,
+    SENTINEL_CLASS, X_CLASS,
 };
 use crate::maximal::{
     collect_node_pairs, mining_queue, GenerationStats, KeepMask, MatchPair, MaximalMatchConfig,
@@ -123,6 +136,7 @@ const BUCKET_BITS: u32 = BUCKET_SYMBOLS * CLASS_BITS;
 const N_BUCKETS: usize = 1 << BUCKET_BITS;
 /// Low key bits holding the count of residues before the key's terminator.
 const LEN_BITS: u32 = 4;
+const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
 /// Key-tied suffixes are re-keyed [`KEY_SYMBOLS`] deeper, level by level.
 /// A text may spend this many re-keyed symbols per position; past that the
 /// ties are long repeats whose resolution is quadratic, and the bucket
@@ -149,7 +163,32 @@ fn bucket_of(key: u64) -> usize {
 /// key holds no terminator).
 #[inline]
 fn key_len(key: u64) -> usize {
-    (key & ((1 << LEN_BITS) - 1)) as usize
+    (key & LEN_MASK) as usize
+}
+
+/// A fingerprint of the first `depth` symbols of `key` (`1..=12`), none of
+/// them a terminator: equal for equal symbols, and never 0.
+#[inline]
+fn fingerprint(key: u64, depth: usize) -> u16 {
+    let prefix = key & !(u64::MAX >> (CLASS_BITS * depth as u32));
+    ((prefix.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u16).max(1)
+}
+
+/// Whether all three symbols of bucket id `bucket` are residues.
+fn spells_residues(bucket: usize) -> bool {
+    (0..BUCKET_SYMBOLS).all(|k| !is_terminator((bucket >> (CLASS_BITS * k) & 0x1F) as u8))
+}
+
+/// Leading symbols a suffix must share with another to be kept at mining
+/// cut-off `psi`: at most a key's twelve, and none — every suffix is kept
+/// — below the bucket id's three, since a shorter shared prefix can span
+/// buckets.
+pub(crate) fn kept_depth(psi: u32) -> usize {
+    if psi < BUCKET_SYMBOLS {
+        0
+    } else {
+        psi.min(KEY_SYMBOLS as u32) as usize
+    }
 }
 
 /// Leading symbols two *different* keys share. A terminator ends its key,
@@ -245,18 +284,34 @@ impl KeyedText<'_> {
             | len as u64
     }
 
-    /// Call `f(i, bucket_of(key_at(i)))` for every `i` in `range`, high to
-    /// low, in O(1) per position: the bucket at `i` is its own class
-    /// followed by the first two symbols of the bucket at `i + 1`, or its
-    /// class alone when that is a terminator.
-    fn scan_buckets(&self, range: Range<usize>, mut f: impl FnMut(usize, usize)) {
-        let mut bucket =
-            if range.end < self.text.len() { bucket_of(self.key_at(range.end)) } else { 0 };
+    /// Call `f(i, bucket, print)` for every `i` in `range`, high to low, in
+    /// O(1) per position. `bucket` is `bucket_of(key_at(i))`: the class at
+    /// `i` followed by the first two symbols of the bucket at `i + 1`, or
+    /// that class alone when it is a terminator. `print` is the
+    /// [`fingerprint`] of the first `depth` symbols of the suffix, rolled
+    /// the same way from the twelve at `i + 1`, or 0 when `depth` is 0 or a
+    /// terminator lies among them.
+    fn scan_suffixes(
+        &self,
+        range: Range<usize>,
+        depth: usize,
+        mut f: impl FnMut(usize, usize, u16),
+    ) {
+        let key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
+        // The key's symbols, and the residues before its first terminator.
+        let (mut bucket, mut prefix, mut run) = (bucket_of(key), key & !LEN_MASK, key_len(key));
         let start = range.start;
         for (offset, &class) in self.text[range].iter().enumerate().rev() {
             let top = (class as usize) << (BUCKET_BITS - CLASS_BITS);
-            bucket = if is_terminator(class) { top } else { top | bucket >> CLASS_BITS };
-            f(start + offset, bucket);
+            (bucket, run) = if is_terminator(class) {
+                (top, 0)
+            } else {
+                (top | bucket >> CLASS_BITS, (run + 1).min(KEY_SYMBOLS))
+            };
+            prefix =
+                (class as u64) << (u64::BITS - CLASS_BITS) | (prefix >> CLASS_BITS) & !LEN_MASK;
+            let print = if depth > 0 && run >= depth { fingerprint(prefix, depth) } else { 0 };
+            f(start + offset, bucket, print);
         }
     }
 }
@@ -283,32 +338,25 @@ fn bucket_groups(starts: &[usize], window: Range<usize>, parts: usize) -> Vec<Ra
     groups
 }
 
-/// Cut `data` (one element per rank) into the rank ranges of `groups`.
-fn carve<'a, T>(
-    mut data: &'a mut [T],
-    starts: &[usize],
-    groups: &[Range<usize>],
-) -> Vec<&'a mut [T]> {
-    groups
-        .iter()
-        .map(|g| {
-            let (head, tail) =
-                std::mem::take(&mut data).split_at_mut(starts[g.end] - starts[g.start]);
-            data = tail;
-            head
-        })
-        .collect()
+/// Cut `data` into consecutive slices of the lengths `lens`.
+fn carve<T>(mut data: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut data).split_at_mut(len);
+        data = tail;
+        head
+    })
+    .collect()
 }
 
 /// The ranks of one sort job: their slices of the suffix array (positions
 /// in, sorted positions out) and of the LCP array, and where the LCP
 /// values too wide for the array go.
 struct RankSlices<'a> {
-    /// Rank of the first element of each slice.
-    first_rank: usize,
     sa: &'a mut [u32],
     lcp: &'a mut [u16],
-    /// `(rank, value)` of every entry of `lcp` left at `u16::MAX`.
+    /// `(position, value)` of every suffix whose entry of `lcp` is left at
+    /// `u16::MAX`: by position, since compaction moves the ranks. While a
+    /// bucket is sorted, its entries hold the rank within it instead.
     overflow: &'a mut Vec<(u32, u32)>,
 }
 
@@ -316,7 +364,6 @@ impl RankSlices<'_> {
     /// The sub-range `ranks` (relative to this one) of every slice.
     fn narrow(&mut self, ranks: Range<usize>) -> RankSlices<'_> {
         RankSlices {
-            first_rank: self.first_rank + ranks.start,
             sa: &mut self.sa[ranks.clone()],
             lcp: &mut self.lcp[ranks],
             overflow: &mut *self.overflow,
@@ -331,8 +378,7 @@ impl RankSlices<'_> {
             Some(v) => self.lcp[ranks].fill(v),
             None => {
                 self.lcp[ranks.clone()].fill(u16::MAX);
-                let first = self.first_rank;
-                self.overflow.extend(ranks.map(|r| ((first + r) as u32, value)));
+                self.overflow.extend(ranks.map(|r| (r as u32, value)));
             }
         }
     }
@@ -349,6 +395,16 @@ struct TieWork {
     pending: Vec<(usize, usize, usize)>,
     /// Re-keyed symbols not yet added to [`BucketSorter::spent`].
     uncharged: usize,
+    /// By fingerprint, the last bucket grouped that held it: `2 · serial`
+    /// once, `2 · serial + 1` more than once. Cleared when `serial` wraps.
+    prints: Vec<u8>,
+    /// The bucket being grouped, `1..=`[`TieWork::SERIALS`].
+    serial: u8,
+}
+
+impl TieWork {
+    /// Buckets grouped between two clearings of `prints`.
+    const SERIALS: u8 = 127;
 }
 
 /// Shared state of the sort jobs.
@@ -382,7 +438,8 @@ impl BucketSorter<'_> {
             return true;
         }
         let text = self.keyed.text;
-        let TieWork { entries, pending, uncharged } = work;
+        let mark = bucket.overflow.len();
+        let TieWork { entries, pending, uncharged, .. } = work;
         entries.clear();
         // Exactly the largest bucket so far: the records are part of a
         // window's estimated peak.
@@ -437,7 +494,70 @@ impl BucketSorter<'_> {
         for (slot, e) in bucket.sa.iter_mut().zip(entries.iter()) {
             *slot = e.pos;
         }
+        for (at, _) in &mut bucket.overflow[mark..] {
+            *at = entries[*at as usize].pos;
+        }
         true
+    }
+
+    /// Sort the suffixes of one bucket that share their first `depth`
+    /// symbols with another suffix, whose fingerprints its LCP slots hold,
+    /// and move them to the front of its slices: positions in suffix order,
+    /// each with its LCP against the one before it (the first's is left for
+    /// the bucket boundary). Returns how many, or `None` once the tie
+    /// budget is spent.
+    fn sort_repeats(
+        &self,
+        mut bucket: RankSlices<'_>,
+        work: &mut TieWork,
+        depth: usize,
+    ) -> Option<usize> {
+        if bucket.sa.len() < 2 {
+            return Some(0);
+        }
+        // A suffix whose fingerprint is unique in its bucket shares its
+        // first `depth` symbols with no other suffix: only repeats are
+        // keyed.
+        work.serial = work.serial % TieWork::SERIALS + 1;
+        if work.serial == 1 {
+            work.prints.clear();
+            work.prints.resize(1 << u16::BITS, 0);
+        }
+        let once = 2 * work.serial;
+        for &print in bucket.lcp.iter() {
+            let seen = &mut work.prints[print as usize];
+            *seen = if *seen & !1 == once { once | 1 } else { once };
+        }
+        let mut repeats = 0;
+        for j in 0..bucket.sa.len() {
+            let print = bucket.lcp[j];
+            if print != 0 && work.prints[print as usize] == once | 1 {
+                bucket.sa[repeats] = bucket.sa[j];
+                repeats += 1;
+            }
+        }
+        if !self.sort_bucket(bucket.narrow(0..repeats), work) {
+            return None;
+        }
+        // Keep a suffix when a sorted neighbour shares its first `depth`
+        // symbols; its LCP with the kept suffix before it is the least LCP
+        // between them. A saturated LCP is above `depth`, so its suffix and
+        // the one before it are kept side by side and it stays with its
+        // position.
+        let mut kept = 0;
+        let mut gap = u16::MAX;
+        for j in 0..repeats {
+            let before = if j > 0 { bucket.lcp[j] } else { 0 };
+            let after = if j + 1 < repeats { bucket.lcp[j + 1] } else { 0 };
+            gap = gap.min(before);
+            if before as usize >= depth || after as usize >= depth {
+                bucket.sa[kept] = bucket.sa[j];
+                bucket.lcp[kept] = gap;
+                kept += 1;
+                gap = u16::MAX;
+            }
+        }
+        Some(kept)
     }
 }
 
@@ -459,16 +579,17 @@ pub type SaLcp = (Vec<u32>, CompactLcp);
 /// off the keys; only neighbours tied on all twelve symbols are re-keyed
 /// deeper. The suffixes of the text are all distinct, so the result is the
 /// one SA-IS produces. This is the sort of one window ([`sort_window`])
-/// that holds every bucket.
+/// that holds every bucket, at no cut-off.
 ///
 /// Besides the text and the two arrays it returns — seven bytes per
 /// position — the sort holds one bucket's `(key, position)` records per
-/// worker and the bucket tables.
+/// worker and the bucket tables; at a cut-off, also a 64 KiB fingerprint
+/// table per worker.
 ///
 /// `text` must be what [`crate::gsa`] holds: classes `0..=22`, the last
 /// one a sentinel.
 pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
-    bucket_sort_index_staged(text, threads).0
+    bucket_sort_index_staged(text, threads, 0).0
 }
 
 /// Wall-clock seconds of the passes of [`bucket_sort_index`], in order:
@@ -478,24 +599,33 @@ pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
 pub struct SortStages {
     /// Rolling bucket ids over text chunks into per-chunk histograms.
     pub count_s: f64,
-    /// Rolling bucket ids over the same chunks again, each placing its
-    /// suffixes at the offsets its histogram gives it.
+    /// Rolling bucket ids — and, at a cut-off, prefix fingerprints — over
+    /// the same chunks again, each placing its suffixes at the offsets its
+    /// histogram gives it.
     pub scatter_s: f64,
-    /// Keying each bucket from the text, sorting it, tie resolution and
-    /// LCP, bucket boundaries included.
+    /// Grouping each bucket by fingerprint at a cut-off, keying what is
+    /// sorted from the text, sorting it, tie resolution and LCP, bucket
+    /// boundaries and compaction included.
     pub sort_lcp_s: f64,
 }
 
-/// [`bucket_sort_index`] plus how long each pass took.
-pub fn bucket_sort_index_staged(text: &[u8], threads: usize) -> (Option<SaLcp>, SortStages) {
+/// [`bucket_sort_index`] at mining cut-off `psi`, plus how long each pass
+/// took: the arrays hold only the suffixes that share their first
+/// `min(psi, 12)` symbols with another suffix, and those of the leading
+/// buckets (see the module docs); every suffix when `psi < 3`, or when the
+/// text is handed back (`None`).
+pub fn bucket_sort_index_staged(
+    text: &[u8],
+    threads: usize,
+    psi: u32,
+) -> (Option<SaLcp>, SortStages) {
     let threads = resolve_threads(threads);
-    let mut stages = SortStages::default();
     let clock = Instant::now();
     let table = BucketTable::count(text, threads);
-    stages.count_s = clock.elapsed().as_secs_f64();
+    let count_s = clock.elapsed().as_secs_f64();
     let limit = whole_text_tie_limit(text.len());
-    let index = sort_window(text, &table, 0..N_BUCKETS, limit, threads, &mut stages);
-    (index, stages)
+    let (index, stages) = sort_window(text, &table, 0..N_BUCKETS, None, psi, limit, threads);
+    (index, SortStages { count_s, ..stages })
 }
 
 /// How many re-keyed symbols the sort of a whole text of `n` positions
@@ -532,6 +662,11 @@ pub(crate) struct BucketTable {
     /// chunk but the last, whose ends are the next buckets' starts. Within
     /// a bucket the chunks' suffixes lie in text order.
     ends: Vec<Vec<u32>>,
+    /// The buckets `0..whole` are sorted whole at every cut-off: all up to
+    /// the first that spells three residues and holds two suffixes. Their
+    /// LCP is at least 3 inside it and below 3 after it, so the first
+    /// descent of the full LCP array lies there.
+    whole: usize,
 }
 
 impl BucketTable {
@@ -545,7 +680,7 @@ impl BucketTable {
         let chunk = n.div_ceil(n_chunks(n, threads));
         let mut ends = parallel_jobs(n.div_ceil(chunk), threads, |c| {
             let mut counts = vec![0u32; N_BUCKETS];
-            keyed.scan_buckets(c * chunk..((c + 1) * chunk).min(n), |_, b| counts[b] += 1);
+            keyed.scan_suffixes(c * chunk..((c + 1) * chunk).min(n), 0, |_, b, _| counts[b] += 1);
             counts
         });
         let mut starts = vec![0usize; N_BUCKETS + 1];
@@ -558,7 +693,10 @@ impl BucketTable {
             starts[b + 1] = end as usize;
         }
         ends.pop();
-        BucketTable { starts, chunk, ends }
+        let whole = (0..N_BUCKETS)
+            .find(|&b| spells_residues(b) && starts[b + 1] - starts[b] >= 2)
+            .map_or(N_BUCKETS, |b| b + 1);
+        BucketTable { starts, chunk, ends, whole }
     }
 
     fn n_chunks(&self) -> usize {
@@ -587,24 +725,37 @@ pub(crate) fn estimated_table_bytes(n: usize, threads: usize) -> u64 {
     ((n_chunks(n, threads) - 1) * N_BUCKETS * std::mem::size_of::<u32>()) as u64
 }
 
-/// The ranks `starts[window.start]..starts[window.end]` of the suffix
-/// array of `text` and of its LCP array — the suffixes of the buckets
-/// `window`, sorted — on up to `threads` workers, or `None` once
-/// resolving key ties has cost more than `tie_limit` re-keyed symbols.
-/// `table` is the text's ([`BucketTable::count`]). The LCP at the window's
-/// first rank is the one against the last suffix of the buckets before
-/// it: the arrays are exactly the whole text's, sliced. Adds its passes'
-/// seconds to `stages`.
+/// The suffixes of the buckets `window` of `text`, sorted, with their LCP
+/// array — the ranks `starts[window.start]..starts[window.end]` of the
+/// whole text's arrays at `psi < 3` — on up to `threads` workers, or
+/// `None` once resolving key ties has cost more than `tie_limit` re-keyed
+/// symbols; and how long each pass took (`count_s` is the caller's).
+/// `table` is the text's ([`BucketTable::count`]); `before` is the bucket
+/// of the last suffix ranked before the window, whose LCP with the
+/// window's first is the one at rank 0.
+///
+/// At `psi ≥ 3` a bucket past the table's leading ones keeps only the
+/// suffixes that share their first [`kept_depth`] symbols with another
+/// suffix: every suffix a node of depth ≥ `psi` holds. The scatter writes a
+/// [`fingerprint`] of that prefix into each suffix's LCP slot; the bucket's
+/// fingerprints are grouped in one pass, only repeats are keyed and sorted,
+/// and a repeat is kept when a sorted neighbour shares the prefix. The
+/// arrays are then compacted to the kept suffixes, in order, the LCP of
+/// two neighbours their true LCP: windows concatenate to the whole text's
+/// arrays at the same cut-off.
 pub(crate) fn sort_window(
     text: &[u8],
     table: &BucketTable,
     window: Range<usize>,
+    before: Option<usize>,
+    psi: u32,
     tie_limit: usize,
     threads: usize,
-    stages: &mut SortStages,
-) -> Option<SaLcp> {
+) -> (Option<SaLcp>, SortStages) {
+    let mut stages = SortStages::default();
     let mut clock = Instant::now();
     let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
+    let depth = kept_depth(psi);
     let sorter =
         BucketSorter { keyed: KeyedText { text }, spent: AtomicUsize::new(0), limit: tie_limit };
     let keyed = &sorter.keyed;
@@ -615,67 +766,168 @@ pub(crate) fn sort_window(
     // Scatter: each text chunk rolls its buckets once and places every suffix
     // of the window's buckets just below the last of its own offsets
     // there, so no two chunks write the same slot and each bucket comes
-    // out in text order. A slot is a relaxed atomic store — a plain store
-    // on common hardware; the workers' join orders every store before the
-    // slots are read — and the slots become the suffix array in place.
+    // out in text order; at a cut-off, the suffix's fingerprint goes to
+    // the same slot of the LCP array. A slot is a relaxed atomic store — a
+    // plain store on common hardware; the workers' join orders every
+    // store before the slots are read — and the slots become the arrays
+    // in place.
     let slots: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+    let prints: Vec<AtomicU16> = (0..len).map(|_| AtomicU16::new(0)).collect();
     run_jobs((0..table.n_chunks()).collect(), threads, |c| {
         let mut ends = table.chunk_ends(c, window.clone());
-        keyed.scan_buckets(table.chunk_range(c), |i, b| {
+        keyed.scan_suffixes(table.chunk_range(c), depth, |i, b, print| {
             if let Some(end) = b.checked_sub(window.start).and_then(|b| ends.get_mut(b)) {
                 *end -= 1;
-                slots[*end as usize - base].store(i as u32, AtomicOrdering::Relaxed);
+                let slot = *end as usize - base;
+                slots[slot].store(i as u32, AtomicOrdering::Relaxed);
+                if depth > 0 {
+                    prints[slot].store(print, AtomicOrdering::Relaxed);
+                }
             }
         });
     });
     let mut sa: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
+    let mut lcp: Vec<u16> = prints.into_iter().map(AtomicU16::into_inner).collect();
     stages.scatter_s += lap();
 
     // Sort each bucket on its own; LCP values inside a bucket fall out of
-    // the sort.
-    let mut lcp = vec![0u16; len];
+    // the sort. `kept[b]`: the suffixes bucket `b` keeps, sorted at the
+    // front of its ranks.
+    let mut kept = vec![0u32; window.len()];
     let groups = bucket_groups(starts, window.clone(), threads * 16);
     let mut overflows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
+    let ranks_of = |g: &Range<usize>| starts[g.end] - starts[g.start];
     let jobs: Vec<_> = groups
         .iter()
-        .zip(carve(&mut sa, starts, &groups))
-        .zip(carve(&mut lcp, starts, &groups))
+        .zip(carve(&mut sa, groups.iter().map(ranks_of)))
+        .zip(carve(&mut lcp, groups.iter().map(ranks_of)))
+        .zip(carve(&mut kept, groups.iter().map(Range::len)))
         .zip(&mut overflows)
-        .map(|(((group, sa), lcp), overflow)| {
-            let first_rank = starts[group.start] - base;
-            (group.clone(), RankSlices { first_rank, sa, lcp, overflow })
+        .map(|((((group, sa), lcp), kept), overflow)| {
+            (group.clone(), RankSlices { sa, lcp, overflow }, kept)
         })
         .collect();
-    run_jobs(jobs, threads, |(group, mut ranks)| {
+    run_jobs(jobs, threads, |(group, mut ranks, kept)| {
         let first = starts[group.start];
         let mut work = TieWork::default();
-        for b in group {
-            let bucket = ranks.narrow(starts[b] - first..starts[b + 1] - first);
-            if sorter.over_budget() || !sorter.sort_bucket(bucket, &mut work) {
+        for (b, kept) in group.zip(kept) {
+            if sorter.over_budget() {
                 break;
+            }
+            let bucket = ranks.narrow(starts[b] - first..starts[b + 1] - first);
+            let held = if depth == 0 || b < table.whole {
+                let n = bucket.sa.len();
+                sorter.sort_bucket(bucket, &mut work).then_some(n)
+            } else {
+                sorter.sort_repeats(bucket, &mut work, depth)
+            };
+            match held {
+                Some(n) => *kept = n as u32,
+                None => break,
             }
         }
         sorter.charge(&mut work.uncharged);
     });
     if sorter.over_budget() {
         stages.sort_lcp_s += lap();
-        return None;
+        return (None, stages);
     }
 
-    // The first rank of a bucket against the last of the previous one —
-    // in this window or before it: their leading three symbols differ, and
+    // Each bucket's kept suffixes move down behind the previous bucket's.
+    // The first one's LCP is against the last kept suffix before it, in
+    // this window or before it: their leading three symbols differ, and
     // those are the bucket ids.
-    let occupied = |b: &usize| starts[b + 1] > starts[*b];
-    let mut prev = (0..window.start).rev().find(occupied);
-    for b in window.filter(occupied) {
-        if let Some(prev) = prev {
-            lcp[starts[b] - base] = bucket_lcp(prev, b) as u16;
+    let mut at = 0;
+    let mut prev = before;
+    for (b, &n) in window.zip(&kept) {
+        let (from, n) = (starts[b] - base, n as usize);
+        if n == 0 {
+            continue;
         }
+        if from != at {
+            sa.copy_within(from..from + n, at);
+            lcp.copy_within(from..from + n, at);
+        }
+        lcp[at] = prev.map_or(0, |prev| bucket_lcp(prev, b) as u16);
         prev = Some(b);
+        at += n;
     }
-    let lcp = CompactLcp::from_parts(lcp, overflows.concat());
+    if at < len {
+        sa.truncate(at);
+        sa.shrink_to_fit();
+        lcp.truncate(at);
+        lcp.shrink_to_fit();
+    }
+    // Saturated LCPs were listed by position: list them by rank.
+    let mut overflow = overflows.concat();
+    if !overflow.is_empty() {
+        overflow.sort_unstable();
+        let value_of = |pos: &u32| {
+            let i = overflow.binary_search_by_key(pos, |&(p, _)| p).ok()?;
+            Some(overflow[i].1)
+        };
+        overflow = sa
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, pos)| Some((rank as u32, value_of(pos)?)))
+            .collect();
+    }
+    let lcp = CompactLcp::from_parts(lcp, overflow);
     stages.sort_lcp_s += lap();
-    Some((sa, lcp))
+    (Some((sa, lcp)), stages)
+}
+
+/// The bucket of the suffix at `pos` of `text`.
+pub(crate) fn bucket_at(text: &[u8], pos: usize) -> usize {
+    bucket_of(KeyedText { text }.key_at(pos))
+}
+
+/// The leading ranks of `gsa` that hold every suffix of the text ranked
+/// there: all of them in a full index; in one cut at a mining cut-off, the
+/// buckets its sort kept whole ([`BucketTable`]), which end with the first
+/// run of ranks that share three residues.
+pub(crate) fn whole_ranks(gsa: &GeneralizedSuffixArray) -> usize {
+    let n = gsa.sa().len();
+    if gsa.cutoff() == 0 {
+        return n;
+    }
+    match (1..n).find(|&r| gsa.lcp_at(r) >= BUCKET_SYMBOLS) {
+        Some(first) => (first + 1..n).find(|&r| gsa.lcp_at(r) < BUCKET_SYMBOLS).unwrap_or(n),
+        None => n,
+    }
+}
+
+/// The suffixes starting in `reads` — text ranges, each ending at its
+/// read's sentinel — that an index over those reads alone ranks in its
+/// leading buckets: every bucket up to the first that spells three
+/// residues and holds two of them. In suffix order, each with its LCP
+/// against the one before it (0 for the first).
+pub(crate) fn leading_suffixes(text: &[u8], reads: &[Range<usize>]) -> Vec<(u32, u32)> {
+    let keyed = KeyedText { text };
+    let mut counts = vec![0u32; N_BUCKETS];
+    for read in reads {
+        keyed.scan_suffixes(read.clone(), 0, |_, b, _| counts[b] += 1);
+    }
+    let last = (0..N_BUCKETS).find(|&b| spells_residues(b) && counts[b] >= 2);
+    let last = last.unwrap_or(N_BUCKETS - 1);
+    let mut positions = Vec::new();
+    for read in reads {
+        keyed.scan_suffixes(read.clone(), 0, |i, b, _| {
+            if b <= last {
+                positions.push(i);
+            }
+        });
+    }
+    positions.sort_unstable_by(|&a, &b| compare_suffixes(text, a, b).0);
+    let mut prev = None;
+    positions
+        .into_iter()
+        .map(|pos| {
+            let lcp = prev.map_or(0, |prev| compare_suffixes(text, prev, pos).1);
+            prev = Some(pos);
+            (pos as u32, lcp as u32)
+        })
+        .collect()
 }
 
 /// The leading symbols the suffixes of two different buckets share.
@@ -685,7 +937,8 @@ fn bucket_lcp(a: usize, b: usize) -> u32 {
 }
 
 /// The LCP at the first rank of the buckets from `b` on, against the
-/// suffix before it: `0` when no bucket on either side holds one.
+/// suffix before it, in the arrays of every suffix: `0` when no bucket on
+/// either side holds one.
 pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
     let occupied = |b: &usize| starts[b + 1] > starts[*b];
     match ((0..b).rev().find(occupied), (b..N_BUCKETS).find(occupied)) {
@@ -700,7 +953,9 @@ pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
 /// of suffix array, 2 of LCP), and 8 for the window's tree pruned at ψ and
 /// its mined stream, built beside the arrays once they are sorted — and
 /// one bucket's 16-byte `(key, position)` records per worker. The bucket
-/// tables, which do not grow with the text, are not in it.
+/// tables, which do not grow with the text, are not in it. The sort of a
+/// window cut at ψ holds this while it scatters and keeps fewer
+/// suffixes, so the tree and stream parts are upper bounds.
 pub(crate) fn estimated_window_bytes(
     suffixes: usize,
     largest_bucket: usize,
@@ -855,7 +1110,8 @@ pub fn parallel_pairs(
 }
 
 /// Index `set` for mining at cut-off `psi` and lend the result to `f`:
-/// the generalized suffix array on up to `threads` workers, the interval
+/// the generalized suffix array cut at `psi`
+/// ([`GeneralizedSuffixArray::build_cut`]) on up to `threads` workers, the interval
 /// tree pruned at `psi` (no miner visits a shallower node), and the
 /// miner configuration that goes with them. Every production miner
 /// builds its index here; one that mines at two cut-offs passes the
@@ -867,7 +1123,7 @@ pub fn with_match_tree<R>(
     threads: usize,
     f: impl FnOnce(&SuffixTree<'_>, MaximalMatchConfig) -> R,
 ) -> R {
-    let gsa = GeneralizedSuffixArray::build_parallel(set, threads);
+    let gsa = GeneralizedSuffixArray::build_cut(set, threads, psi);
     let tree = SuffixTree::build_pruned(&gsa, psi);
     f(&tree, MaximalMatchConfig { min_len: psi, max_pairs_per_node, dedup: true })
 }
@@ -1030,12 +1286,12 @@ mod tests {
         assert_eq!(sorter.keyed.key_at(0), sorter.keyed.key_at(70_001));
         let mut lcp = [0u16; 2];
         let mut overflow = Vec::new();
-        let bucket =
-            RankSlices { first_rank: 40, sa: &mut sa, lcp: &mut lcp, overflow: &mut overflow };
+        let bucket = RankSlices { sa: &mut sa, lcp: &mut lcp, overflow: &mut overflow };
         assert!(sorter.sort_bucket(bucket, &mut TieWork::default()));
         assert_eq!(sa, [70_001, 0]);
         assert_eq!(lcp, [0, u16::MAX]);
-        assert_eq!(overflow, vec![(41, 70_000)]);
+        // Listed by the suffix it belongs to, the one at rank 1.
+        assert_eq!(overflow, vec![(0, 70_000)]);
     }
 
     #[test]
@@ -1062,10 +1318,26 @@ mod tests {
         let gsa = GeneralizedSuffixArray::build(&set);
         let keyed = KeyedText { text: gsa.text() };
         for range in [0..gsa.text_len(), 3..17, 20..21, 22..22] {
-            let mut seen = Vec::new();
-            keyed.scan_buckets(range.clone(), |i, bucket| seen.push((i, bucket)));
-            let direct: Vec<_> = range.rev().map(|i| (i, bucket_of(keyed.key_at(i)))).collect();
-            assert_eq!(seen, direct);
+            for depth in [0, 3, 5, 12] {
+                let mut seen = Vec::new();
+                keyed.scan_suffixes(range.clone(), depth, |i, bucket, print| {
+                    seen.push((i, bucket, print))
+                });
+                let direct: Vec<_> = range
+                    .clone()
+                    .rev()
+                    .map(|i| {
+                        let key = keyed.key_at(i);
+                        let print = match depth {
+                            0 => 0,
+                            _ if key_len(key) < depth => 0,
+                            _ => fingerprint(key, depth),
+                        };
+                        (i, bucket_of(key), print)
+                    })
+                    .collect();
+                assert_eq!(seen, direct, "depth {depth}");
+            }
         }
     }
 

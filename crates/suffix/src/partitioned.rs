@@ -2,28 +2,31 @@
 //! and mined window by window — the out-of-core half of the
 //! promising-pair generator.
 //!
-//! The monolithic [`crate::GeneralizedSuffixArray`] holds ~7 bytes per
-//! text position (≈ 7.3 while it is built). Under a memory budget that
-//! does not admit it, a phase holds only the text resident: one byte per
-//! position, the sampled read ids and the start table
-//! ([`estimated_text_bytes`], ≈ 1.06 bytes per position), loaded a chunk
-//! of reads at a time ([`ChunkPlan::under_budget`]) through the caller's
-//! loader, so the reads are never copied whole. The bucket sort's count
+//! The monolithic [`crate::GeneralizedSuffixArray`] is budgeted at its
+//! full size, ~7 bytes per text position (≈ 7.3 while it is built). Under
+//! a memory budget that does not admit it, a phase holds only the text
+//! resident: one byte per position, the sampled read ids and the start
+//! table ([`estimated_text_bytes`], ≈ 1.06 bytes per position), loaded a
+//! chunk of reads at a time ([`ChunkPlan::under_budget`]) through the
+//! caller's loader, so the reads are never copied whole. The bucket sort's count
 //! pass runs once over that text, its per-chunk histograms kept for the
 //! phase, and its 2¹⁵ buckets are cut into contiguous *windows* whose
 //! estimated peak — 6 bytes of sort arrays per suffix, and 8 for the tree
 //! and stream mined from them ([`crate::parallel::estimated_window_bytes`])
 //! — fits what the budget has left ([`window_cap`]). Each window is
-//! scattered and sorted on its own, then treed at ψ and mined; one
-//! window's arrays are resident at a time.
+//! scattered and sorted on its own at the cut-off ψ, keeping only the
+//! suffixes a node of depth ≥ ψ can hold (so the estimate is an upper
+//! bound), then treed at ψ and mined; one window's arrays are resident at
+//! a time.
 //! This is the suffix-space split of PaCE's distributed construction
 //! (prefix buckets, as [`crate::distributed`] assigns them to ranks), run
 //! one bucket range after another.
 //!
 //! ## Why the windowed stream is the monolithic stream
 //!
-//! A window's arrays are the monolithic suffix and LCP arrays' slice, its
-//! first LCP taken against the suffix before it. Windows are cut only
+//! A window's arrays are the slice of the monolithic arrays cut at ψ
+//! ([`crate::GeneralizedSuffixArray::build_cut`]): its kept suffixes, each
+//! LCP against the kept suffix before it. Windows are cut only
 //! where the leading `min(ψ, 3)` symbols of the bucket ids change, so
 //! every node of depth ≥ ψ lies in one window with the same ranks
 //! (shifted), children and depth, and every node a window's tree holds is
@@ -63,8 +66,8 @@ use pfam_seq::{BudgetError, MemoryBudget, Reservation, SequenceSet};
 use crate::gsa::{estimated_index_bytes, estimated_text_bytes, GeneralizedSuffixArray};
 use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig, PairKeySet};
 use crate::parallel::{
-    estimated_table_bytes, first_rank_lcp, mine_pairs, plan_windows, resolve_threads, sort_window,
-    whole_text_tie_limit, BucketTable, MineNodes, SortStages,
+    bucket_at, estimated_table_bytes, first_rank_lcp, mine_pairs, plan_windows, resolve_threads,
+    sort_window, whole_text_tie_limit, BucketTable, MineNodes,
 };
 use crate::tree::{NodeId, SuffixTree};
 
@@ -304,17 +307,17 @@ impl WindowedText {
         // be mined: its stream goes after every window's.
         let mut first_closed = None;
         let mut descended = false;
+        // The bucket of the last suffix kept before the window.
+        let mut before = None;
         for (w, (buckets, _)) in windows.iter().enumerate() {
-            let arrays = sort_window(
-                index.text(),
-                &table,
-                buckets.clone(),
-                tie_limit,
-                threads,
-                &mut SortStages::default(),
-            )
-            .unwrap_or_else(|| index.sais_arrays());
-            index.set_arrays(arrays);
+            let text = index.text();
+            match sort_window(text, &table, buckets.clone(), before, psi, tie_limit, threads).0 {
+                Some(arrays) => {
+                    before = arrays.0.last().map(|&pos| bucket_at(text, pos as usize)).or(before);
+                    index.set_arrays(arrays, psi);
+                }
+                None => index.set_arrays(index.sais_arrays(), 0),
+            }
             let trail =
                 windows.get(w + 1).map_or(0, |(next, _)| first_rank_lcp(&table.starts, next.start));
             let (tree, descent) = SuffixTree::build_window(&index, psi, trail);
@@ -334,7 +337,7 @@ impl WindowedText {
             streams.push(mine_pairs(&tree, config, threads, MineNodes::Slice(&queue)));
             // One window's arrays at a time: free these before the next sort.
             drop(tree);
-            index.set_arrays(Default::default());
+            index.set_arrays(Default::default(), 0);
         }
         drop((index, table, _held));
         streams.extend(first_closed);
@@ -462,32 +465,37 @@ mod tests {
         let text = whole.text();
         let table = BucketTable::count(text, 2);
         let starts = &table.starts;
-        for psi in [1, 2, 3, 10] {
+        for psi in [1, 2, 3, 5, 10] {
+            let cut = GeneralizedSuffixArray::build_cut(&set, 2, psi);
+            assert_eq!(cut.sa().len() == whole.sa().len(), psi < 3, "psi {psi}");
             for cap in [0, 200, u64::MAX] {
                 let windows = plan_windows(starts, psi, cap, 2);
                 let (mut sa, mut lcp) = (Vec::new(), Vec::new());
+                let mut before = None;
                 for (w, (buckets, _)) in windows.iter().enumerate() {
-                    let (wsa, wlcp) = sort_window(
-                        text,
-                        &table,
-                        buckets.clone(),
-                        usize::MAX,
-                        2,
-                        &mut <_>::default(),
-                    )
-                    .expect("no tie limit");
-                    assert!(!wsa.is_empty(), "psi {psi} cap {cap}: window {w} is empty");
+                    let (wsa, wlcp) =
+                        sort_window(text, &table, buckets.clone(), before, psi, usize::MAX, 2)
+                            .0
+                            .expect("no tie limit");
+                    assert!(
+                        !wsa.is_empty() || psi >= 3,
+                        "psi {psi} cap {cap}: window {w} is empty"
+                    );
                     if let Some((next, _)) = windows.get(w + 1) {
                         assert!(first_rank_lcp(starts, next.start) < psi.clamp(1, 3));
                     }
+                    before = wsa.last().map(|&pos| bucket_at(text, pos as usize)).or(before);
                     lcp.extend((0..wsa.len()).map(|r| wlcp.get(r)));
                     sa.extend(wsa);
                 }
-                assert_eq!(sa, whole.sa(), "psi {psi} cap {cap}");
-                assert_eq!(lcp, (0..sa.len()).map(|r| whole.lcp_at(r)).collect::<Vec<_>>());
+                assert_eq!(sa, cut.sa(), "psi {psi} cap {cap}");
+                assert_eq!(lcp, (0..sa.len()).map(|r| cut.lcp_at(r)).collect::<Vec<_>>());
                 if cap == u64::MAX {
                     assert_eq!(windows.len(), 1);
-                    assert_eq!(bucket_sort_index(text, 2).map(|(sa, _)| sa), Some(sa));
+                    assert_eq!(
+                        bucket_sort_index(text, 2).map(|(sa, _)| sa),
+                        Some(whole.sa().to_vec())
+                    );
                 }
             }
         }
@@ -497,7 +505,7 @@ mod tests {
     fn the_windowed_stream_is_the_monolithic_stream() {
         let set = set_of(TEST_SEQS);
         let gsa = GeneralizedSuffixArray::build(&set);
-        for psi in [1, 2, 3, 5] {
+        for psi in [1, 2, 3, 5, 10, 12, 15] {
             for dedup in [true, false] {
                 let config = MaximalMatchConfig { min_len: psi, dedup, ..Default::default() };
                 let (want, want_stats) =
@@ -512,6 +520,7 @@ mod tests {
                         &budget,
                     );
                     let windows = miner.n_windows();
+                    assert!(cap > 1 || windows >= 3, "psi {psi}: {windows} windows");
                     let (got, stats) = miner.mine();
                     let what = format!("psi {psi} dedup {dedup} cap {cap}: {windows} windows");
                     assert_eq!(anchored(&got), anchored(&want), "{what}");

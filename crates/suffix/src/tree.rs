@@ -29,7 +29,7 @@ pub struct SuffixTree<'a> {
 }
 
 impl<'a> SuffixTree<'a> {
-    /// Build the lcp-interval tree of `gsa`.
+    /// Build the lcp-interval tree of `gsa`, a full index (cut-off 0).
     pub fn build(gsa: &'a GeneralizedSuffixArray) -> SuffixTree<'a> {
         SuffixTree::build_pruned(gsa, 0)
     }
@@ -41,7 +41,18 @@ impl<'a> SuffixTree<'a> {
     /// — each hanging off its nearest kept ancestor. Mining at ψ visits no
     /// other node, and on metagenomic input they are a few per cent of the
     /// tree. `min_depth == 0` is the full tree.
+    ///
+    /// An index cut at a mining cut-off
+    /// ([`GeneralizedSuffixArray::build_cut`]) gives the same tree at any
+    /// `min_depth` at or above its cut-off, and no tree below it: every
+    /// node of depth ≥ the cut-off holds exactly the suffixes it kept, and
+    /// its leading ranks, where the first interval closes, are whole.
     pub fn build_pruned(gsa: &'a GeneralizedSuffixArray, min_depth: u32) -> SuffixTree<'a> {
+        assert!(
+            min_depth >= gsa.cutoff(),
+            "an index cut at {} trees no shallower than that, not at {min_depth}",
+            gsa.cutoff()
+        );
         let (mut tree, first_closed_depth) = SuffixTree::build_window(gsa, min_depth, 0);
         // Pair order is pipeline output (redundancy removal is order-
         // sensitive) and depth ties in `nodes_by_depth_desc` fall to the
@@ -58,9 +69,10 @@ impl<'a> SuffixTree<'a> {
     /// The tree of `gsa` pruned at `min_depth` as
     /// [`build_pruned`](Self::build_pruned) builds it, but with every node
     /// numbered in closing order, when `gsa` holds one window of a larger
-    /// text's suffix array: a run of ranks no node of depth ≥ `min_depth`
-    /// crosses, its LCP at rank 0 taken against the suffix before it, and
-    /// `trail` the LCP of its last suffix against the one after it (`0`
+    /// text's suffix array (at a cut-off no deeper than `min_depth`): a run
+    /// of ranks no node of depth ≥ `min_depth` crosses, its LCP at rank 0
+    /// taken against the suffix before it, and `trail` the LCP of its last
+    /// suffix against the one after it in the arrays of every suffix (`0`
     /// past the end). Also returns the depth of the interval the first
     /// descent of the unpruned scan closes between the window's first rank
     /// and `trail`, if there is one.

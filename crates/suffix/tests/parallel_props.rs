@@ -2,17 +2,21 @@
 //! for every input and every thread count, `build_parallel` must equal
 //! `build` (SA-IS + Kasai over `encoded_text()`) bit for bit, pair mining
 //! on k threads must replay the one-thread stream exactly, and a tree
-//! pruned at ψ must mine what the full tree mines, in the same order. The corpora at the end are what the narrow index types can get
+//! pruned at ψ must mine what the full tree mines, in the same order. The corpora after that are what the narrow index types can get
 //! wrong: matches longer than a `u16` LCP holds, more reads than sixteen
-//! bits count, `X`s between equal flanks.
+//! bits count, `X`s between equal flanks. Last, an index cut at a mining
+//! cut-off ψ must tree, at ψ, node for node what the full index trees,
+//! and mine the same stream whole and window by window.
 
 use proptest::prelude::*;
 
-use pfam_seq::{SeqId, SequenceSet, SequenceSetBuilder};
+use pfam_seq::{MemoryBudget, SeqId, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::lcp::lcp_array;
+use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    bucket_sort_index, parallel_pairs, suffix_array, GeneralizedSuffixArray, MatchPair,
-    MaximalMatchConfig, SuffixTree,
+    bucket_sort_index, estimated_index_bytes, estimated_text_bytes, mine_pairs, parallel_pairs,
+    suffix_array, ChunkPlan, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, MineNodes,
+    PartitionedMiner, SuffixTree,
 };
 
 /// The ambiguity residue.
@@ -381,4 +385,189 @@ fn x_between_equal_flanks() {
     let oracle = GeneralizedSuffixArray::build(&set);
     let (expect, _) = parallel_pairs(&SuffixTree::build_pruned(&oracle, 5), config, 1);
     assert_eq!(with_anchors(&pairs), with_anchors(&expect));
+}
+
+/// Reads to cut an index for: random reads, reads carrying a planted
+/// motif (twice each, so the motif is a deep repeat), `X`-bearing reads,
+/// reads shorter than ψ, and reads that open with a poly-residue run —
+/// suffixes of the leading buckets, which a cut index keeps whole.
+fn cut_corpus(max_seqs: usize) -> impl Strategy<Value = SequenceSet> {
+    let motif = prop::collection::vec(0u8..20, 8..20);
+    let read = (0u8..5, prop::collection::vec(0u8..20, 1..30), 0usize..40, 1usize..14);
+    (motif, prop::collection::vec(read, 1..max_seqs)).prop_map(|(motif, reads)| {
+        let mut out = Vec::new();
+        for (kind, mut codes, at, run) in reads {
+            match kind {
+                0 => out.push(codes),
+                1 => {
+                    let at = at % (codes.len() + 1);
+                    codes.splice(at..at, motif.iter().copied());
+                    out.push(codes.clone());
+                    out.push(codes);
+                }
+                2 => {
+                    codes.extend_from_slice(&motif);
+                    let at = at % codes.len();
+                    codes[at] = X;
+                    out.push(codes);
+                }
+                3 => out.push(codes[..1 + at % 4.min(codes.len())].to_vec()),
+                _ => {
+                    codes.splice(0..0, std::iter::repeat_n((at % 3) as u8, run));
+                    out.push(codes);
+                }
+            }
+        }
+        out.push(motif);
+        build_set(out)
+    })
+}
+
+/// Every node of `tree`, by id: its depth, the text positions under it in
+/// rank order (but the root's: every suffix the index holds), and its
+/// children.
+fn nodes_of(tree: &SuffixTree<'_>) -> Vec<(u32, Vec<u32>, Vec<u32>)> {
+    (0..tree.n_nodes() as u32)
+        .map(|node| {
+            let (l, r) = if node == 0 { (0, 0) } else { tree.range(node) };
+            let under = tree.gsa().sa()[l as usize..r as usize].to_vec();
+            (tree.depth(node), under, tree.children(node).to_vec())
+        })
+        .collect()
+}
+
+/// The stream [`mine_pairs`] gives over the whole of `tree`, anchors and
+/// statistics included.
+fn stream(tree: &SuffixTree<'_>, config: MaximalMatchConfig, threads: usize) -> Stream {
+    let (pairs, stats) = mine_pairs(tree, config, threads, MineNodes::Whole(None));
+    (with_anchors(&pairs), stats)
+}
+
+type Stream = (Vec<(u32, u32, u32, u32, u32)>, GenerationStats);
+
+/// The arrays of `full` cut at `psi`, spelt out: the ranks up to the end
+/// of the first run that shares three residues (the leading buckets), and
+/// every suffix that shares `min(psi, 12)` symbols with a neighbour, each
+/// LCP the least between it and the kept suffix before it.
+fn cut_by_hand(full: &GeneralizedSuffixArray, psi: u32) -> (Vec<u32>, Vec<u32>) {
+    let lcp = lcp_of(full);
+    let n = lcp.len();
+    let depth = psi.min(12);
+    let whole = match (1..n).find(|&r| lcp[r] >= 3) {
+        Some(first) => (first + 1..n).find(|&r| lcp[r] < 3).unwrap_or(n),
+        None => n,
+    };
+    let (mut sa, mut kept_lcp) = (Vec::new(), Vec::new());
+    let mut gap = u32::MAX;
+    for r in 0..n {
+        gap = gap.min(lcp[r]);
+        if r < whole || lcp[r] >= depth || lcp.get(r + 1).is_some_and(|&l| l >= depth) {
+            kept_lcp.push(if sa.is_empty() { 0 } else { gap });
+            sa.push(full.sa()[r]);
+            gap = u32::MAX;
+        }
+    }
+    (sa, kept_lcp)
+}
+
+/// `index`, cut at `psi`, against the full index of `set`: the arrays
+/// [`cut_by_hand`], the tree pruned at `psi` node for node, and the mined
+/// stream of the whole tree and of the windowed miner cut into at least
+/// three windows.
+fn check_cut(set: &SequenceSet, full: &GeneralizedSuffixArray, psi: u32, threads: usize) {
+    let cut = GeneralizedSuffixArray::build_cut(set, threads, psi);
+    let what = format!("psi {psi} threads {threads}");
+    assert_eq!(cut.text(), full.text(), "{what}");
+    assert_eq!((cut.sa().to_vec(), lcp_of(&cut)), cut_by_hand(full, psi), "{what}");
+    let (want, got) = (SuffixTree::build_pruned(full, psi), SuffixTree::build_pruned(&cut, psi));
+    assert_eq!(nodes_of(&got), nodes_of(&want), "{what}");
+    let lens: Vec<u32> = (0..set.len()).map(|i| set.seq_len(SeqId(i as u32)) as u32).collect();
+    for dedup in [true, false] {
+        let config = MaximalMatchConfig { min_len: psi, dedup, ..Default::default() };
+        let expect = stream(&want, config, threads);
+        assert_eq!(stream(&got, config, threads), expect, "{what} dedup {dedup}");
+        // Every window as small as the buckets allow.
+        let budget = MemoryBudget::limited(estimated_text_bytes(set.total_residues(), set.len()));
+        let loader = |r: std::ops::Range<u32>| set.subset(&r.map(SeqId).collect::<Vec<_>>()).0;
+        let miner =
+            PartitionedMiner::new(ChunkPlan::plan(&lens, 0), loader, config, threads, &budget);
+        assert!(miner.n_windows() >= 3, "{what}: {} windows", miner.n_windows());
+        let (pairs, stats) = miner.mine();
+        assert_eq!((with_anchors(&pairs), stats), expect, "{what} dedup {dedup}: windowed");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_cut_index_trees_and_mines_as_the_full_index(set in cut_corpus(12)) {
+        let full = GeneralizedSuffixArray::build_parallel(&set, 1);
+        for psi in [3u32, 5, 10, 12, 15] {
+            for threads in [1usize, 2] {
+                check_cut(&set, &full, psi, threads);
+            }
+        }
+    }
+}
+
+/// Depth of the first interval the LCP scan of `index` closes: the LCP
+/// value before the array's first descent.
+fn first_closed_depth(index: &GeneralizedSuffixArray) -> u32 {
+    let lcp = lcp_of(index);
+    let at = (1..lcp.len()).find(|&r| lcp[r] < lcp[r - 1]).unwrap_or(lcp.len());
+    lcp[at - 1]
+}
+
+#[test]
+fn the_renumbered_interval_is_deeper_than_the_cut() {
+    // Two copies of a read opening with the smallest residue, among noise:
+    // after the sentinels, the LCP climbs to the read's length and the
+    // first interval the scan closes is that deep — the one the tree
+    // numbers last, as on `giant_component` (depth 12 ≥ ψ = 10).
+    let read: Vec<u8> = vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13];
+    // Noise without that residue, so nothing ranks between the sentinels
+    // and the copies.
+    let mut reads = noise_reads(41, 60);
+    reads.iter_mut().flatten().filter(|c| **c == 0).for_each(|c| *c = 19);
+    reads.insert(3, read.clone());
+    reads.insert(17, read);
+    // A second interval of the same depth, so the renumbering orders ties.
+    let twin = reads.pop().expect("one more read")[..14].to_vec();
+    reads.push(twin.clone());
+    reads.insert(9, twin);
+    let set = build_set(reads);
+    let full = GeneralizedSuffixArray::build_parallel(&set, 1);
+    assert_eq!(first_closed_depth(&full), 14);
+    for psi in [3u32, 5, 10, 12, 14, 15] {
+        for threads in [1usize, 2] {
+            check_cut(&set, &full, psi, threads);
+        }
+    }
+}
+
+#[test]
+fn a_cut_index_of_sparse_reads_keeps_a_few_per_cent() {
+    // Noise reads hardly share ten residues: what is left is the leading
+    // buckets — the sentinels first — and the few chance repeats.
+    let set = build_set(noise_reads(2_000, 100));
+    let cut = GeneralizedSuffixArray::build_cut(&set, 2, 10);
+    assert_eq!(cut.cutoff(), 10);
+    // Thousands of buckets to group per sort job: the fingerprint table
+    // wraps many times over.
+    let full = GeneralizedSuffixArray::build(&set);
+    assert_eq!((cut.sa().to_vec(), lcp_of(&cut)), cut_by_hand(&full, 10));
+    assert!(cut.sa().len() < cut.text_len() / 20, "{} of {}", cut.sa().len(), cut.text_len());
+    assert!(cut.heap_bytes() as u64 <= estimated_index_bytes(set.total_residues(), set.len()));
+    // Below the bucket id's three symbols every suffix is kept.
+    let uncut = GeneralizedSuffixArray::build_cut(&set, 2, 2);
+    assert_eq!((uncut.cutoff(), uncut.sa()), (0, GeneralizedSuffixArray::build(&set).sa()));
+}
+
+#[test]
+#[should_panic(expected = "trees no shallower")]
+fn a_cut_index_refuses_a_shallower_tree() {
+    let set = build_set(noise_reads(20, 30));
+    let cut = GeneralizedSuffixArray::build_cut(&set, 1, 10);
+    let _ = SuffixTree::build_pruned(&cut, 5);
 }

@@ -369,7 +369,7 @@ echo "== tier1: pfam-align suites in the release profile =="
 # profile's overflow checks and debug_asserts are not what ships.
 cargo test --release -q -p pfam-align
 
-echo "== tier1: index_bench --test (smoke + identity checks, front half included, bytes per position) =="
+echo "== tier1: index_bench --test (smoke + identity checks, front half included, bytes per position, the cut index's share) =="
 # The pass itself fails when an index holds more than 7.2 bytes per text
 # position or a bucket-sort build peaks above 8.5 plus its bucket tables.
 INDEX_SMOKE=$(cargo run --release -p pfam-bench --bin index_bench -- --test)
@@ -380,6 +380,23 @@ echo "$INDEX_SMOKE" | grep -q '"one_build_masked"' || {
 for field in resident_bytes_per_position build_peak_bytes_per_position; do
     echo "$INDEX_SMOKE" | grep -q "\"$field\"" || {
         echo "tier1 FAIL: index_bench smoke did not weigh its builds ($field)" >&2
+        exit 1
+    }
+done
+# The index cut at psi = 10 keeps only the suffixes a node of depth >= 10
+# can hold: on the sparse corpus (about 2 % at full scale) at most a tenth
+# of them, at every thread count. A sort that keys every suffix again
+# fails here.
+SPARSE_KEPT=$(echo "$INDEX_SMOKE" | awk '
+    /^  "[a-z_]+": \{/ { sparse = ($0 ~ /"sparse"/) }
+    sparse && match($0, /"kept_share": [0-9.]+/) { print substr($0, RSTART + 14, RLENGTH - 14) }')
+[ -n "$SPARSE_KEPT" ] || {
+    echo "tier1 FAIL: index_bench smoke did not run its psi_10 rows on the sparse corpus" >&2
+    exit 1
+}
+for share in $SPARSE_KEPT; do
+    awk -v share="$share" 'BEGIN { exit !(share <= 0.1) }' || {
+        echo "tier1 FAIL: the sparse index cut at psi = 10 keeps $share of its suffixes (> 0.1)" >&2
         exit 1
     }
 done
