@@ -81,7 +81,8 @@ fn main() {
     // ---- The executor on what the front half already knows (grouping
     // CCD's pairs by component is part of the bill). ----
     let (known_s, known_out) = time_min(reps, || {
-        let (cluster, deferred) = (&config.cluster, ccd.deferred.clone());
+        let (cluster, deferred, ahead) =
+            (&config.cluster, ccd.deferred.clone(), ccd.filled_ahead.clone());
         let known = KnownPairs::new(
             set,
             cluster,
@@ -90,6 +91,7 @@ fn main() {
             &ccd.components,
             &ccd.edges,
             deferred,
+            ahead,
             config.min_component_size,
         );
         stream_graphs(

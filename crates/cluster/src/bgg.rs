@@ -13,10 +13,13 @@
 //!
 //! and [`KnownPairs`] builds the graphs from exactly that: only deferred
 //! pairs are verified, by the run's pair ledger where RR already filled
-//! them and by one fill otherwise. A caller with no CCD bookkeeping — a
-//! bare member list — gets its pairs from a suffix index of the component
-//! alone ([`component_graph`]), every promising pair verified. Both
-//! supplies feed one loop that verifies in fixed slices.
+//! them, by CCD's own master loop where it filled a pair ahead of its
+//! batch and then deferred it, and by one fill otherwise. A caller with no
+//! CCD bookkeeping — a bare member list — gets its pairs from a suffix
+//! index of the component alone ([`component_graph`]), every promising
+//! pair verified. Both supplies feed one loop that verifies in slices of
+//! [`VERIFY_SLICE`] pairs, the length of the master loop's window: the
+//! verifier's candidate list is that long, whatever the component's size.
 
 use std::sync::Arc;
 
@@ -27,14 +30,9 @@ use pfam_seq::{materialize_subset, Reservation, SeqId, SeqStore, SubsetStore};
 use pfam_suffix::{estimated_index_bytes, parallel_pairs, with_match_tree};
 
 use crate::config::ClusterConfig;
-use crate::core::{CorePhase, Verifier, VerifyOn};
+use crate::core::{CorePhase, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::ledger::PairLedger;
 use crate::trace::{BatchRecord, PhaseTrace};
-
-/// Pairs verified at a time: the verifier's candidate list is this long,
-/// whatever the component's size. The supply itself holds all of the
-/// component's pairs (CCD's deferred list, or the mined vector).
-const VERIFY_SLICE: usize = 4096;
 
 /// The similarity graph of one connected component.
 #[derive(Debug, Clone)]
@@ -119,20 +117,26 @@ pub fn component_graph(
 pub struct KnownPairs<'a> {
     /// RR's survivors under those ids.
     store: SubsetStore<'a>,
-    /// CCD's criterion, answered from RR's ledger where it can be.
+    /// CCD's criterion, answered from RR's ledger and CCD's fills ahead
+    /// where it can be.
     verifier: Verifier,
+    /// CCD's fills ahead dropped with the components under the size cut.
+    ahead_dropped: usize,
     components: &'a [Vec<SeqId>],
     /// Id → rank among its component's members.
     local_of: Vec<u32>,
     /// CCD's accepted edges and the pairs it deferred.
     edges: ByComponent,
     deferred: ByComponent,
-    /// The deferred pairs on the run's budget, for as long as they are held.
+    /// The deferred pairs and the verdicts filled ahead on the run's
+    /// budget, for as long as they are held.
     _deferred_held: Option<Reservation>,
 }
 
 /// Bytes reserved per deferred pair held.
 const DEFERRED_PAIR_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
+/// Bytes reserved per verdict filled ahead held.
+const FILLED_VERDICT_BYTES: u64 = std::mem::size_of::<Verdict>() as u64;
 
 /// Pairs sorted by the component their ends share: component `c` owns
 /// `pairs[ends[c - 1]..ends[c]]`.
@@ -168,13 +172,14 @@ impl ByComponent {
 
 impl<'a> KnownPairs<'a> {
     /// Gather what CCD left over the reads `kept` of `input`: its
-    /// `components` and accepted `edges`, and the `deferred` pairs it never
-    /// aligned. `ledger` is RR's, over the same ids. Graphs will be asked
-    /// for components of at least `min_size` members only, so the deferred
-    /// pairs of smaller ones — never to be filled — are dropped here; the
-    /// rest are reserved on the budget (`deferred-pairs`, 8 B a pair) while
-    /// this value lives. A refusal is accounting-only: the pairs are needed
-    /// for a correct graph.
+    /// `components` and accepted `edges`, the `deferred` pairs it never
+    /// admitted, and the verdicts of those it `filled_ahead` all the same.
+    /// `ledger` is RR's, over the same ids. Graphs will be asked for
+    /// components of at least `min_size` members only, so the deferred
+    /// pairs and verdicts of smaller ones — never to be read — are dropped
+    /// here; the rest are reserved on the budget (`deferred-pairs`, 8 B a
+    /// pair and 40 B a verdict) while this value lives. A refusal is
+    /// accounting-only: the pairs are needed for a correct graph.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         input: &'a dyn SeqStore,
@@ -184,6 +189,7 @@ impl<'a> KnownPairs<'a> {
         components: &'a [Vec<SeqId>],
         edges: &[(SeqId, SeqId)],
         mut deferred: Vec<(u32, u32)>,
+        mut filled_ahead: Vec<Verdict>,
         min_size: usize,
     ) -> KnownPairs<'a> {
         let (mut comp_of, mut local_of) = (vec![0u32; kept.len()], vec![0u32; kept.len()]);
@@ -194,18 +200,32 @@ impl<'a> KnownPairs<'a> {
             }
         }
         let edges = edges.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        deferred.retain(|&(a, _)| components[comp_of[a as usize] as usize].len() >= min_size);
+        let large = |a: u32| components[comp_of[a as usize] as usize].len() >= min_size;
+        deferred.retain(|&(a, _)| large(a));
         let deferred = ByComponent::new(deferred, &comp_of, components.len());
-        let deferred_bytes = deferred.pairs.len() as u64 * DEFERRED_PAIR_BYTES;
+        let n_ahead = filled_ahead.len();
+        filled_ahead.retain(|v| large(v.a) && comp_of[v.a as usize] == comp_of[v.b as usize]);
+        let verifier = Verifier::new(config, CorePhase::Ccd)
+            .with_ledger(ledger.clone())
+            .with_filled(filled_ahead);
+        let held = deferred.pairs.len() as u64 * DEFERRED_PAIR_BYTES
+            + verifier.n_filled() as u64 * FILLED_VERDICT_BYTES;
         KnownPairs {
             store: SubsetStore::new(input, kept.to_vec()),
-            verifier: Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone()),
+            ahead_dropped: n_ahead - verifier.n_filled(),
+            verifier,
             components,
             local_of,
             edges: ByComponent::new(edges, &comp_of, components.len()),
             deferred,
-            _deferred_held: config.budget.try_reserve("deferred-pairs", deferred_bytes).ok(),
+            _deferred_held: config.budget.try_reserve("deferred-pairs", held).ok(),
         }
+    }
+
+    /// CCD's verdicts filled ahead: `(held, dropped)` — held for the
+    /// graphs, dropped with the components under the size cut.
+    pub fn filled_ahead(&self) -> (usize, usize) {
+        (self.verifier.n_filled(), self.ahead_dropped)
     }
 
     /// Deferred pairs inside component `c` — the work its graph costs.

@@ -22,7 +22,7 @@ use pfam_suffix::MatchPair;
 pub use crate::core::CcdCursor;
 
 use crate::config::ClusterConfig;
-use crate::core::{ClusterCore, CorePhase, Verifier};
+use crate::core::{ClusterCore, CorePhase, Verdict, Verifier};
 use crate::ledger::PairLedger;
 use crate::policy::drive_batched;
 use crate::source::{with_pair_source, SharedIndex};
@@ -41,6 +41,12 @@ pub struct CcdResult {
     /// open. With `edges` and the pairs aligned and refused, these
     /// partition the generated stream.
     pub deferred: Vec<(u32, u32)>,
+    /// Verdicts of deferred pairs the master loop filled ahead of their
+    /// batch, before the closure filter dropped them: the back half's
+    /// answers for those pairs ([`crate::KnownPairs`]), so none is filled
+    /// twice. Held in memory only — a run resumed from its checkpoint has
+    /// none and fills those pairs in the back half.
+    pub filled_ahead: Vec<Verdict>,
     /// Cluster merges performed (≤ `edges.len()`).
     pub n_merges: usize,
     /// Work trace for the performance model.
@@ -138,8 +144,15 @@ fn ccd_over(
         None => (ClusterCore::new_ccd(set), pairs),
     };
     let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-    drive_batched(&mut core, rest, &verifier, config.batch_size, checkpoint_every, on_checkpoint);
-    CcdResult::from_core(core)
+    let filled_ahead = drive_batched(
+        &mut core,
+        rest,
+        &verifier,
+        config.batch_size,
+        checkpoint_every,
+        on_checkpoint,
+    );
+    CcdResult { filled_ahead, ..CcdResult::from_core(core) }
 }
 
 #[cfg(test)]

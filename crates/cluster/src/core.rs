@@ -17,7 +17,11 @@
 //! * the **pair filter** — [`ClusterCore::admit_batch`] applies the
 //!   transitive-closure (CCD) or redundancy (RR) filter, records the
 //!   generated/filtered counts, and keeps the pairs the closure filter
-//!   drops (*deferred*: never aligned, both ends in one final component);
+//!   drops (*deferred*: never admitted, both ends in one final component);
+//!   [`ClusterCore::ahead`] is the same filter as a query — what a batch
+//!   would admit right now, with nothing recorded and the union-find not
+//!   path-halved — so a loop can fill a window of batches before it
+//!   admits them one by one (the filters only tighten);
 //! * the **accept/reject bookkeeping** — [`ClusterCore::absorb`] applies
 //!   verdicts (merges, redundancy marks, accepted edges, RR's
 //!   [`PairLedger`] of overlap answers) and the per-batch work trace in
@@ -27,11 +31,13 @@
 //!   [`ClusterCore::resume_ccd`] restores it for deterministic replay.
 //!
 //! Around the core sit a phase's mined pairs, lent as a slice
-//! ([`crate::source::with_pair_source`]), and three loop functions that
-//! consume it ([`crate::policy::drive_batched`] in process,
-//! [`crate::policy::drive_spmd`] and [`crate::policy::drive_leased`] across
-//! a [`crate::transport::Transport`]). Every public `run_*` entry point is
-//! a thin composition of those pieces.
+//! ([`crate::source::with_pair_source`]), a [`Verifier`] that fills
+//! candidate lists of up to [`VERIFY_SLICE`] pairs, and three loop
+//! functions that consume the slice ([`crate::policy::drive_batched`] in
+//! process, [`crate::policy::drive_spmd`] and
+//! [`crate::policy::drive_leased`] across a
+//! [`crate::transport::Transport`]). Every public `run_*` entry point is a
+//! thin composition of those pieces.
 
 use std::sync::Arc;
 
@@ -45,6 +51,11 @@ use crate::config::ClusterConfig;
 use crate::ledger::PairLedger;
 use crate::rr::RrResult;
 use crate::trace::{BatchRecord, PhaseTrace};
+
+/// Pairs any loop hands the verifier at once: the window
+/// [`crate::policy::drive_batched`] fills ahead of admission, and the
+/// slice the back half ([`crate::bgg`]) verifies a component's pairs in.
+pub const VERIFY_SLICE: usize = 4096;
 
 /// Which phase of the paper a core instance runs: the filter, the
 /// verification criterion and the accept action all key off this.
@@ -245,20 +256,8 @@ impl<'s> ClusterCore<'s> {
                 }
             }
             ModeState::Rr { redundant, .. } => {
-                for p in pairs {
-                    // The containment candidate is the shorter sequence,
-                    // ties toward the higher id so results do not depend on
-                    // generation order.
-                    let (la, lb) = (self.set.seq_len(p.a), self.set.seq_len(p.b));
-                    let (cand, container) = if la < lb || (la == lb && p.a.0 > p.b.0) {
-                        (p.a, p.b)
-                    } else {
-                        (p.b, p.a)
-                    };
-                    if redundant[cand.index()].is_none() && redundant[container.index()].is_none() {
-                        candidates.push((cand.0, container.0));
-                    }
-                }
+                candidates
+                    .extend(pairs.iter().filter_map(|p| rr_candidate(self.set, redundant, p)));
             }
         }
         self.trace.batches.push(BatchRecord {
@@ -267,6 +266,25 @@ impl<'s> ClusterCore<'s> {
             ..BatchRecord::default()
         });
         candidates
+    }
+
+    /// The candidates [`Self::admit_batch`] would return for `pairs` right
+    /// now, with nothing recorded and nothing changed: the union-find is
+    /// walked to its roots, not path-halved (`ccd.ckpt` stores the forest
+    /// verbatim). Both filters only ever tighten — clusters merge, marks
+    /// stay — so what a later `admit_batch` of these pairs returns is an
+    /// ordered subsequence of this.
+    pub fn ahead(&self, pairs: &[MatchPair]) -> Vec<(u32, u32)> {
+        match &self.state {
+            ModeState::Ccd { uf, .. } => pairs
+                .iter()
+                .map(|p| (p.a.0, p.b.0))
+                .filter(|&(a, b)| uf.root(a) != uf.root(b))
+                .collect(),
+            ModeState::Rr { redundant, .. } => {
+                pairs.iter().filter_map(|p| rr_candidate(self.set, redundant, p)).collect()
+            }
+        }
     }
 
     /// Fold a verdict set into the state: record the alignment work on the
@@ -340,6 +358,22 @@ impl<'s> ClusterCore<'s> {
     }
 }
 
+/// RR's candidate for pair `p`, oriented `(candidate, container)`, or
+/// `None` when either read is already marked redundant. The containment
+/// candidate is the shorter read, ties toward the higher id, so results do
+/// not depend on generation order.
+fn rr_candidate(
+    set: &dyn SeqStore,
+    redundant: &[Option<SeqId>],
+    p: &MatchPair,
+) -> Option<(u32, u32)> {
+    let (la, lb) = (set.seq_len(p.a), set.seq_len(p.b));
+    let (cand, container) =
+        if la < lb || (la == lb && p.a.0 > p.b.0) { (p.a, p.b) } else { (p.b, p.a) };
+    let live = redundant[cand.index()].is_none() && redundant[container.index()].is_none();
+    live.then_some((cand.0, container.0))
+}
+
 impl CcdResult {
     /// The empty clustering (empty input short-circuit).
     pub fn empty() -> CcdResult {
@@ -347,13 +381,15 @@ impl CcdResult {
             components: Vec::new(),
             edges: Vec::new(),
             deferred: Vec::new(),
+            filled_ahead: Vec::new(),
             n_merges: 0,
             trace: PhaseTrace::default(),
         }
     }
 
     /// Assemble the phase result from a finished core — the single
-    /// constructor every CCD driver funnels through.
+    /// constructor every CCD driver funnels through — with no verdict
+    /// filled ahead: a loop that fills ahead returns those itself.
     pub fn from_core(core: ClusterCore<'_>) -> CcdResult {
         match core.state {
             ModeState::Ccd { mut uf, edges, deferred, n_merges } => CcdResult {
@@ -364,6 +400,7 @@ impl CcdResult {
                     .collect(),
                 edges,
                 deferred,
+                filled_ahead: Vec::new(),
                 n_merges,
                 trace: core.trace,
             },
@@ -383,6 +420,7 @@ impl CcdResult {
                 .collect(),
             edges: cursor.edges.iter().map(|&(a, b)| (SeqId(a), SeqId(b))).collect(),
             deferred: cursor.deferred,
+            filled_ahead: Vec::new(),
             n_merges: cursor.n_merges,
             trace: cursor.trace,
         }
@@ -396,6 +434,7 @@ impl RrResult {
             kept: Vec::new(),
             removed: Vec::new(),
             ledger: Arc::default(),
+            ahead_discarded: 0,
             trace: PhaseTrace::default(),
         }
     }
@@ -418,7 +457,8 @@ impl RrResult {
                     })
                     .collect();
                 let ledger = ledger.map(|l| l.sealed(&dense_of)).unwrap_or_default();
-                RrResult { kept, removed, ledger: Arc::new(ledger), trace: core.trace }
+                let ledger = Arc::new(ledger);
+                RrResult { kept, removed, ledger, ahead_discarded: 0, trace: core.trace }
             }
             ModeState::Ccd { .. } => panic!("RrResult::from_core on a CCD core"),
         }
@@ -439,6 +479,8 @@ pub struct Verifier {
     engine: pfam_align::AlignEngine,
     phase: CorePhase,
     ledger: Arc<PairLedger>,
+    /// Verdicts filled earlier in the run, sorted by `(a, b)`.
+    filled: Vec<Verdict>,
 }
 
 /// Where the groups of a candidate list are filled.
@@ -454,7 +496,7 @@ impl Verifier {
     /// Build the verifier `config` selects for `phase`, knowing no answer
     /// in advance.
     pub fn new(config: &ClusterConfig, phase: CorePhase) -> Verifier {
-        Verifier { engine: config.engine(), phase, ledger: Arc::default() }
+        Verifier { engine: config.engine(), phase, ledger: Arc::default(), filled: Vec::new() }
     }
 
     /// Answer from `ledger` what it holds (CCD's criterion only: the
@@ -463,12 +505,29 @@ impl Verifier {
         Verifier { ledger, ..self }
     }
 
-    /// What the ledger knows of candidate `(a, b)`.
+    /// Answer with `verdicts` — fills this phase's criterion already made,
+    /// kept whole, cells and all (CCD only: RR knows nothing in advance).
+    /// They count as fills wherever they are read.
+    pub(crate) fn with_filled(self, mut verdicts: Vec<Verdict>) -> Verifier {
+        verdicts.sort_unstable_by_key(|v| (v.a, v.b));
+        verdicts.dedup_by_key(|v| (v.a, v.b));
+        Verifier { filled: verdicts, ..self }
+    }
+
+    /// How many verdicts [`Self::with_filled`] holds, repeats merged.
+    pub(crate) fn n_filled(&self) -> usize {
+        self.filled.len()
+    }
+
+    /// What the ledger, or a fill made earlier, knows of candidate `(a, b)`.
     fn known(&self, (a, b): (u32, u32)) -> Option<Verdict> {
-        let overlap = match self.phase {
-            CorePhase::Ccd => self.ledger.lookup(a.min(b), a.max(b))?,
-            CorePhase::Rr => return None,
-        };
+        if self.phase == CorePhase::Rr {
+            return None;
+        }
+        if let Ok(at) = self.filled.binary_search_by_key(&(a, b), |v| (v.a, v.b)) {
+            return Some(self.filled[at]);
+        }
+        let overlap = self.ledger.lookup(a.min(b), a.max(b))?;
         Some(Verdict {
             a,
             b,

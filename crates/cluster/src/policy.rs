@@ -4,11 +4,15 @@
 //! filter, gets the survivors verified (locally or across a
 //! [`Transport`]), and folds the verdicts back into the core:
 //!
-//! * [`drive_batched`] — the in-process loop, the only one `pfam` runs:
-//!   batch, filter, verify across the rayon pool (shape-sorted groups of
-//!   sixteen candidates are handed out one at a time through an atomic
-//!   cursor, so the pool schedules itself), absorb; optional checkpoint
-//!   cursor emission at batch boundaries.
+//! * [`drive_batched`] — the in-process loop, the only one `pfam` runs.
+//!   It fills a window of [`VERIFY_SLICE`] pairs at a time and admits a
+//!   batch at a time: the window's candidates as the state stands are
+//!   filled in one list across the rayon pool (shape-sorted groups of
+//!   sixteen, handed out one at a time, so the pool schedules itself),
+//!   then each batch is admitted against the live state, reads its
+//!   survivors' verdicts off the window and is absorbed; optional
+//!   checkpoint cursor emission at batch boundaries. A fill no batch
+//!   admits is returned: RR drops it, CCD hands it to the back half.
 //! * [`drive_spmd`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
@@ -28,7 +32,7 @@ use std::time::{Duration, Instant};
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
-use crate::core::{CcdCursor, ClusterCore, Verifier, VerifyOn};
+use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
 /// How long a lease may stay outstanding before the master assumes its
@@ -69,12 +73,17 @@ fn fatal(e: TransportError) -> DriveError {
     DriveError::Transport(format!("{e}"))
 }
 
-/// The deterministic batched reference loop: `pairs` in batches of
-/// `batch_size`, in order, each admitted, verified across the rayon pool
-/// and absorbed, with a cursor sent to `on_checkpoint` after every
-/// `checkpoint_every` batches (0 disables; CCD only). This is the loop
-/// whose trace and cursor semantics the checkpoint-resume suites pin
-/// down. Panics when `batch_size` is 0.
+/// The in-process loop: `pairs` in batches of `batch_size`, in order, each
+/// admitted against the live state and absorbed, with a cursor sent to
+/// `on_checkpoint` after every `checkpoint_every` batches (0 disables; CCD
+/// only). The fills run a window of [`VERIFY_SLICE`] pairs ahead: every
+/// candidate the window's batches have *now* ([`ClusterCore::ahead`]) is
+/// filled in one [`Verifier::verify`] across the rayon pool, and each batch
+/// then reads its survivors' verdicts off the window. Verdicts are pure and
+/// the filters only tighten, so every trace record, cursor and result is
+/// the one-batch-at-a-time loop's. Returns the verdicts it filled that no
+/// batch then admitted — in RR a read of the pair was removed first, in
+/// CCD the pair was deferred. Panics when `batch_size` is 0.
 pub fn drive_batched(
     core: &mut ClusterCore<'_>,
     pairs: &[MatchPair],
@@ -82,16 +91,47 @@ pub fn drive_batched(
     batch_size: usize,
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&CcdCursor),
-) {
+) -> Vec<Verdict> {
     assert!(batch_size > 0, "drive_batched needs a batch size of at least 1");
-    for (i, batch) in pairs.chunks(batch_size).enumerate() {
-        let candidates = core.admit_batch(batch);
-        let verdicts = verifier.verify(core.set(), &candidates, VerifyOn::Pool);
-        core.absorb(verdicts);
-        if checkpoint_every > 0 && (i + 1) % checkpoint_every == 0 {
-            on_checkpoint(&core.cursor());
+    let window_len = (VERIFY_SLICE / batch_size).max(1) * batch_size;
+    let mut unadmitted = Vec::new();
+    let mut batches = 0usize;
+    for window in pairs.chunks(window_len) {
+        // Each batch's candidates as the state stands, end to end.
+        let (mut ahead, mut ends) = (Vec::new(), Vec::new());
+        for batch in window.chunks(batch_size) {
+            ahead.extend(core.ahead(batch));
+            ends.push(ahead.len());
+        }
+        let filled = verifier.verify(core.set(), &ahead, VerifyOn::Pool);
+        let mut at = 0;
+        for (batch, end) in window.chunks(batch_size).zip(ends) {
+            // The filters only tighten: the survivors are an ordered
+            // subsequence of the batch's candidates ahead.
+            let mut verdicts = Vec::new();
+            for survivor in core.admit_batch(batch) {
+                while at < end && ahead[at] != survivor {
+                    unadmitted.push(filled[at]);
+                    at += 1;
+                }
+                assert!(
+                    at < end,
+                    "drive_batched admitted {survivor:?}, which was not filled ahead"
+                );
+                verdicts.push(filled[at]);
+                at += 1;
+            }
+            unadmitted.extend_from_slice(&filled[at..end]);
+            at = end;
+            core.absorb(verdicts);
+            batches += 1;
+            if checkpoint_every > 0 && batches.is_multiple_of(checkpoint_every) {
+                on_checkpoint(&core.cursor());
+            }
         }
     }
+    unadmitted.retain(|v| !v.ledger_hit);
+    unadmitted
 }
 
 /// Cut the next batch of at most `batch_size` pairs off the front of

@@ -37,6 +37,10 @@ pub struct RrResult {
     /// The overlap answer of every pair the phase filled between two kept
     /// reads, keyed by their positions in `kept`.
     pub ledger: Arc<PairLedger>,
+    /// Pairs the master loop filled ahead of their batch that the batch
+    /// then did not admit — one of the reads was removed first. Their
+    /// verdicts were dropped: no later phase reads over a removed id.
+    pub ahead_discarded: usize,
     /// Work trace for the performance model.
     pub trace: PhaseTrace,
 }
@@ -60,9 +64,10 @@ pub(crate) fn rr_over(
         let mut core = ClusterCore::new_rr(set);
         core.record_ledger(&config.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);
-        drive_batched(&mut core, pairs, &verifier, config.batch_size, 0, &mut |_| {});
+        let discarded =
+            drive_batched(&mut core, pairs, &verifier, config.batch_size, 0, &mut |_| {});
         core.set_nodes_visited(nodes_visited);
-        RrResult::from_core(core)
+        RrResult { ahead_discarded: discarded.len(), ..RrResult::from_core(core) }
     })
 }
 

@@ -42,8 +42,9 @@ pub fn assert_known_graphs_equal_mined(
     ccd: &CcdResult,
     what: &str,
 ) -> (usize, usize) {
-    let deferred = ccd.deferred.clone();
-    let known = KnownPairs::new(set, cfg, kept, ledger, &ccd.components, &ccd.edges, deferred, 0);
+    let (deferred, ahead) = (ccd.deferred.clone(), ccd.filled_ahead.clone());
+    let known =
+        KnownPairs::new(set, cfg, kept, ledger, &ccd.components, &ccd.edges, deferred, ahead, 0);
     let (mut fills, mut hits) = (0, 0);
     for (c, members) in ccd.components.iter().enumerate() {
         let members: Vec<SeqId> = members.iter().map(|&id| kept[id.index()]).collect();

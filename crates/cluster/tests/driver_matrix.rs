@@ -17,11 +17,12 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_known_graphs_equal_mined, assert_partition};
+use pfam_cluster::core::VERIFY_SLICE;
 use pfam_cluster::{
     drive_batched, drive_leased, drive_spmd, run_ccd, run_ccd_from_pairs, serve_pull_worker,
     serve_push_worker, ClusterConfig, ClusterCore, CorePhase, LocalTransport, Verifier,
 };
-use pfam_cluster::{CcdCursor, CcdResult};
+use pfam_cluster::{CcdCursor, CcdResult, RrResult, VerifyOn};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::{
@@ -247,5 +248,117 @@ fn small_batch_sizes_do_not_change_components() {
     for batch_size in [1usize, 3, 64] {
         let config = ClusterConfig { batch_size, ..ClusterConfig::default() };
         assert_matrix_agrees(&d.set, &config);
+    }
+}
+
+/// The loop [`drive_batched`] replaced, written from the public API: one
+/// batch at a time — admit, verify what survived, absorb — with a cursor
+/// after every `every` batches (CCD only; 0 for none). Its fills run on
+/// the calling thread: where a list is filled does not change a verdict.
+fn batch_at_a_time(
+    core: &mut ClusterCore<'_>,
+    pairs: &[MatchPair],
+    verifier: &Verifier,
+    batch_size: usize,
+    every: usize,
+) -> Vec<CcdCursor> {
+    let mut cursors = Vec::new();
+    for (i, batch) in pairs.chunks(batch_size).enumerate() {
+        let candidates = core.admit_batch(batch);
+        core.absorb(verifier.verify(core.set(), &candidates, VerifyOn::Caller));
+        if every > 0 && (i + 1) % every == 0 {
+            cursors.push(core.cursor());
+        }
+    }
+    cursors
+}
+
+/// [`drive_batched`] with its cursors collected.
+fn windowed(
+    core: &mut ClusterCore<'_>,
+    pairs: &[MatchPair],
+    verifier: &Verifier,
+    batch_size: usize,
+    every: usize,
+) -> (Vec<pfam_cluster::Verdict>, Vec<CcdCursor>) {
+    let mut cursors = Vec::new();
+    let mut sink = |c: &CcdCursor| cursors.push(c.clone());
+    let unadmitted = drive_batched(core, pairs, verifier, batch_size, every, &mut sink);
+    (unadmitted, cursors)
+}
+
+fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
+    assert_eq!(got.components, want.components, "{what}: components");
+    assert_eq!(got.edges, want.edges, "{what}: edges");
+    assert_eq!(got.deferred, want.deferred, "{what}: deferred");
+    assert_eq!(got.n_merges, want.n_merges, "{what}: merges");
+    assert_eq!(got.trace, want.trace, "{what}: trace");
+}
+
+/// The window changes when pairs are filled, not what any batch sees: at
+/// every batch size — 5 000 is past [`VERIFY_SLICE`], a window of one
+/// batch — RR and CCD leave the one-batch-at-a-time loop's results,
+/// traces and cursors, also when resumed from a mid-phase cursor, and
+/// every fill no batch admitted is accounted for.
+#[test]
+fn the_window_is_the_batch_at_a_time_loop() {
+    const { assert!(5_000 > VERIFY_SLICE) };
+    let d = SyntheticDataset::generate(&DatasetConfig::tiny(16).scaled(5.0));
+    let set = &d.set;
+    let defaults = ClusterConfig::default();
+    let rr_match = MaximalMatchConfig { min_len: defaults.psi_rr, ..match_config(&defaults) };
+    let gsa = GeneralizedSuffixArray::build_parallel(set, 2);
+    let rr_pairs = parallel_pairs(&SuffixTree::build(&gsa), rr_match, 2).0;
+    let ccd_pairs = mine(set, &defaults, 2);
+    assert!(ccd_pairs.len() > VERIFY_SLICE, "several windows: {} pairs", ccd_pairs.len());
+    for batch_size in [1usize, 3, 64, 128, 5_000] {
+        let config = ClusterConfig { batch_size, ..defaults.clone() };
+
+        let pairs = &rr_pairs;
+        let verifier = Verifier::new(&config, CorePhase::Rr);
+        let rr_core = || {
+            let mut core = ClusterCore::new_rr(set);
+            core.record_ledger(&config.budget);
+            core
+        };
+        let (mut want, mut got) = (rr_core(), rr_core());
+        batch_at_a_time(&mut want, pairs, &verifier, batch_size, 0);
+        let (discarded, _) = windowed(&mut got, pairs, &verifier, batch_size, 0);
+        let (want, got) = (RrResult::from_core(want), RrResult::from_core(got));
+        let what = format!("RR, batch {batch_size}");
+        assert_eq!((&got.kept, &got.removed, &got.trace), (&want.kept, &want.removed, &want.trace));
+        let entries = |r: &RrResult| r.ledger.entries().collect::<Vec<_>>();
+        assert_eq!(entries(&got), entries(&want), "{what}: ledger");
+        for v in &discarded {
+            let kept = |id: u32| got.kept.binary_search(&SeqId(id)).is_ok();
+            assert!(!(kept(v.a) && kept(v.b)), "{what}: ({}, {}) lost a read", v.a, v.b);
+        }
+
+        let pairs = &ccd_pairs;
+        // About eight cursors a run.
+        let every = (pairs.len().div_ceil(batch_size) / 8).max(1);
+        let verifier = Verifier::new(&config, CorePhase::Ccd);
+        let (mut want, mut got) = (ClusterCore::new_ccd(set), ClusterCore::new_ccd(set));
+        let want_cursors = batch_at_a_time(&mut want, pairs, &verifier, batch_size, every);
+        let (ahead, got_cursors) = windowed(&mut got, pairs, &verifier, batch_size, every);
+        let what = format!("CCD, batch {batch_size}");
+        assert!(got_cursors == want_cursors, "{what}: cursors");
+        let (want, got) = (CcdResult::from_core(want), CcdResult::from_core(got));
+        assert_same_ccd(&got, &want, &what);
+        for v in &ahead {
+            assert!(got.deferred.contains(&(v.a, v.b)), "{what}: ({}, {}) deferred", v.a, v.b);
+            assert_eq!(*v, verifier.verdict(set, (v.a, v.b)), "{what}: the pair's own verdict");
+        }
+
+        let Some(mid) = want_cursors.len().checked_sub(1).map(|last| last / 2) else {
+            continue;
+        };
+        let cursor = want_cursors[mid].clone();
+        let rest = &pairs[cursor.pairs_consumed as usize..];
+        let mut resumed = ClusterCore::resume_ccd(set, cursor);
+        let (_, cursors) = windowed(&mut resumed, rest, &verifier, batch_size, every);
+        let what = format!("{what}, resumed after cursor {mid}");
+        assert!(cursors == want_cursors[mid + 1..], "{what}: cursors");
+        assert_same_ccd(&CcdResult::from_core(resumed), &want, &what);
     }
 }

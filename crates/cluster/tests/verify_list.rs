@@ -141,6 +141,12 @@ fn deferred_pairs_of_a_component_under_the_minimum_are_neither_held_nor_filled()
         |c: usize| deferred.iter().filter(|&&(a, _)| ccd.components[c].contains(&SeqId(a))).count();
     let (n_large, n_tiny) = (inside(large), inside(tiny));
     assert_eq!((n_large, n_tiny), (6, 1), "what the closure filter deferred");
+    // One window: every pair was filled before the first batch merged.
+    let mut filled: Vec<(u32, u32)> = ccd.filled_ahead.iter().map(|v| (v.a, v.b)).collect();
+    filled.sort_unstable();
+    let mut want = deferred.clone();
+    want.sort_unstable();
+    assert_eq!(filled, want, "each deferred pair's verdict was filled ahead");
 
     let none = Arc::<PairLedger>::default();
     let before = budget.used();
@@ -153,14 +159,18 @@ fn deferred_pairs_of_a_component_under_the_minimum_are_neither_held_nor_filled()
             &ccd.components,
             &ccd.edges,
             deferred.clone(),
+            ccd.filled_ahead.clone(),
             min_size,
         );
         assert_eq!((known.n_deferred(large), known.n_deferred(tiny)), (n_large, n_tiny));
-        assert_eq!(budget.used() - before, 8 * (n_large + n_tiny) as u64, "8 B a pair held");
+        assert_eq!(known.filled_ahead(), (n_large + n_tiny, 1 - n_tiny), "held, dropped");
+        let held = 8 * (n_large + n_tiny) as u64 + 40 * (n_large + n_tiny) as u64;
+        assert_eq!(budget.used() - before, held, "8 B a pair and 40 B a verdict held");
         let (graph, record) = known.component_graph(large);
         assert_eq!((graph.graph.n_edges(), record.n_aligned), (10, n_large), "all C(5,2) edges");
         let (_, record) = known.component_graph(tiny);
         assert_eq!(record.n_aligned, n_tiny, "min_size {min_size}: the tiny component's fills");
+        assert_eq!(record.n_ledger_hits, 0, "a verdict filled ahead counts as a fill");
         drop(known);
         assert_eq!(budget.used(), before, "released with the pairs");
     }

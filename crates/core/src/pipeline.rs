@@ -35,6 +35,7 @@ use crate::checkpoint::{
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
+use crate::report::AheadReport;
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +70,9 @@ pub struct PipelineResult {
     /// refused): each may have been filled once more by a later phase.
     /// Zero means no pair of the run was aligned twice.
     pub ledger_dropped: u64,
+    /// What the master loops filled ahead of admission and no batch then
+    /// admitted: dropped, or held for the back half.
+    pub filled_ahead: AheadReport,
 }
 
 impl PipelineResult {
@@ -226,6 +230,8 @@ struct FrontResult {
     /// RR's survivors; CCD's id `i` is `kept[i]`.
     kept: Vec<SeqId>,
     rr_trace: PhaseTrace,
+    /// RR's fills ahead that no batch admitted (none when RR was loaded).
+    rr_discarded: usize,
     ledger: Arc<PairLedger>,
     ledger_dropped: u64,
     ccd: CcdResult,
@@ -286,6 +292,7 @@ impl<'a> BackHalf<'a> {
         ccd: &'a mut CcdResult,
     ) -> BackHalf<'a> {
         let deferred = std::mem::take(&mut ccd.deferred);
+        let filled_ahead = std::mem::take(&mut ccd.filled_ahead);
         let components = ccd
             .components
             .iter()
@@ -299,6 +306,7 @@ impl<'a> BackHalf<'a> {
             &ccd.components,
             &ccd.edges,
             deferred,
+            filled_ahead,
             config.min_component_size,
         );
         BackHalf { components, known }
@@ -425,7 +433,8 @@ pub fn run_pipeline(
                 run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, every, on_cursor)
             })?;
             let ledger_dropped = rr.ledger_dropped + ledger.dropped();
-            Some(FrontResult { kept, rr_trace: rr.trace, ledger, ledger_dropped, ccd })
+            let rr_trace = rr.trace;
+            Some(FrontResult { kept, rr_trace, rr_discarded: 0, ledger, ledger_dropped, ccd })
         }
         None => with_front_half(input, &config.cluster, |front| {
             let rr = front.rr();
@@ -446,11 +455,18 @@ pub fn run_pipeline(
                 front.ccd_resumable(&rr.kept, &rr.ledger, cursor, every, on_cursor)
             })?;
             let ledger_dropped = rr.ledger.dropped();
-            let (kept, rr_trace, ledger) = (rr.kept, rr.trace, rr.ledger);
-            Ok::<_, CkptError>(Some(FrontResult { kept, rr_trace, ledger, ledger_dropped, ccd }))
+            Ok::<_, CkptError>(Some(FrontResult {
+                kept: rr.kept,
+                rr_trace: rr.trace,
+                rr_discarded: rr.ahead_discarded,
+                ledger: rr.ledger,
+                ledger_dropped,
+                ccd,
+            }))
         })?,
     };
-    let Some(FrontResult { kept, rr_trace, ledger, ledger_dropped, mut ccd }) = front else {
+    let Some(FrontResult { kept, rr_trace, rr_discarded, ledger, ledger_dropped, mut ccd }) = front
+    else {
         return Ok(None);
     };
     if stop_after(Phase::Ccd) {
@@ -458,6 +474,8 @@ pub fn run_pipeline(
     }
     let ccd_trace = std::mem::take(&mut ccd.trace);
     let back = BackHalf::new(input, config, &kept, &ledger, &mut ccd);
+    let (ccd_held, ccd_discarded) = back.known.filled_ahead();
+    let filled_ahead = AheadReport { rr_discarded, ccd_held, ccd_discarded };
 
     // ---- Phases 3+4: fused BGG→DSD over the queue of large components in
     // snapshot-bounded batches: each batch streams through the executor in
@@ -513,6 +531,7 @@ pub fn run_pipeline(
         traces: (rr_trace, ccd_trace, finished.trace),
         shingle_stats: finished.shingle,
         ledger_dropped,
+        filled_ahead,
     }))
 }
 

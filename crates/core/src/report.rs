@@ -124,6 +124,32 @@ impl std::fmt::Display for FillReport {
     }
 }
 
+/// What the master loops filled ahead of admission and no batch then
+/// admitted — the stderr line of `pfam cluster|run` after `fills:`. None
+/// of it is in the `fills:` counts: RR's are dropped, and CCD's are
+/// counted where the back half reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AheadReport {
+    /// RR fills whose pair lost a read before its batch came: dropped.
+    pub rr_discarded: usize,
+    /// CCD fills of pairs the closure filter then deferred, held for the
+    /// component graphs.
+    pub ccd_held: usize,
+    /// CCD fills of deferred pairs in components under the size cut:
+    /// dropped.
+    pub ccd_discarded: usize,
+}
+
+impl std::fmt::Display for AheadReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ahead: rr {} fills discarded, ccd {} filled for the back half, {} discarded",
+            self.rr_discarded, self.ccd_held, self.ccd_discarded
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +179,13 @@ mod tests {
         let line = report.to_string();
         assert!(line.starts_with("fills: rr ") && line.ends_with("each filled once"), "{line}");
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn ahead_report_is_one_line() {
+        let report = AheadReport { rr_discarded: 1674, ccd_held: 302, ccd_discarded: 0 };
+        let line = "ahead: rr 1674 fills discarded, ccd 302 filled for the back half, 0 discarded";
+        assert_eq!(report.to_string(), line);
     }
 
     #[test]

@@ -42,6 +42,18 @@ impl UnionFind {
         }
     }
 
+    /// Representative of `x`'s set, found without path halving: the
+    /// forest is left exactly as it was.
+    pub fn root(&self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            if p == x {
+                return x;
+            }
+            x = p;
+        }
+    }
+
     /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
@@ -154,6 +166,19 @@ mod tests {
         for i in 0..n as u32 {
             assert_eq!(uf.find(i), root);
         }
+    }
+
+    #[test]
+    fn root_agrees_with_find_and_leaves_the_forest_alone() {
+        // A chain 0 → 1 → … → 63, which `find` would halve.
+        let parent: Vec<u32> = (0..64u32).map(|x| (x + 1).min(63)).collect();
+        let mut uf = UnionFind::from_parts(parent.clone(), vec![0; 64]);
+        let roots: Vec<u32> = (0..64).map(|x| uf.root(x)).collect();
+        assert_eq!(uf.parts().0, &parent[..], "no path halving");
+        for x in 0..64u32 {
+            assert_eq!(uf.find(x), roots[x as usize]);
+        }
+        assert_ne!(uf.parts().0, &parent[..], "find does halve");
     }
 
     #[test]

@@ -467,6 +467,13 @@ grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || 
     cat "$SMOKE/straight.err" >&2
     exit 1
 }
+# Then what the master loop's window filled that no batch admitted.
+grep -A1 "^fills:" "$SMOKE/straight.err" | grep -qE \
+    "^ahead: rr [0-9]+ fills discarded, ccd [0-9]+ filled for the back half, [0-9]+ discarded$" || {
+    echo "tier1 FAIL: pfam cluster did not print its ahead line after the fills line" >&2
+    cat "$SMOKE/straight.err" >&2
+    exit 1
+}
 
 echo "== tier1: CLI cluster == run smoke (one program, byte-identical output) =="
 # `cluster` is `run` without a directory, whatever route the flags pick

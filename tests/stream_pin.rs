@@ -1,12 +1,13 @@
-//! The mined streams and the dense subgraphs of one fixed input, pinned:
-//! the values below were computed once and every later index build must
-//! reproduce them. The identity suites compare two builds of one tree; this
+//! The mined streams, the master loops' outputs and the dense subgraphs of
+//! one fixed input, pinned: the values below were computed once and every
+//! later index build and loop must reproduce them. The identity suites
+//! compare two builds of one tree, or two loops over one stream; this
 //! compares against a record, so a change that moves both sides at once —
-//! the cut-off index and the full index it is checked against — still
-//! fails here.
+//! the cut-off index and the full index it is checked against, or the
+//! loop and the oracle written from its parts — still fails here.
 
-use pfam::cluster::ClusterConfig;
-use pfam::core::PipelineConfig;
+use pfam::cluster::{run_front_half, ClusterConfig, PhaseTrace};
+use pfam::core::{FillReport, PipelineConfig};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::SeqId;
 use pfam::suffix::maximal::GenerationStats;
@@ -96,7 +97,55 @@ fn dense_subgraphs_are_pinned() {
     assert_eq!(pinned, PINNED_SUBGRAPHS);
 }
 
+/// A phase trace as words: its volume, then every batch record whole.
+fn trace_words(trace: &PhaseTrace) -> Vec<u64> {
+    let mut words = vec![trace.index_residues, trace.nodes_visited, trace.batches.len() as u64];
+    for b in &trace.batches {
+        let counts = [b.n_generated, b.n_filtered, b.n_aligned, b.n_requeued, b.n_ledger_hits];
+        words.extend(counts.map(|n| n as u64));
+        words.extend([b.align_cells, b.cells_computed, b.cells_skipped, b.task_cells.len() as u64]);
+        words.extend(&b.task_cells);
+    }
+    words
+}
+
+/// Id pairs as words.
+fn pair_words(pairs: impl IntoIterator<Item = (u32, u32)>) -> impl Iterator<Item = u64> {
+    pairs.into_iter().flat_map(|(a, b)| [a as u64, b as u64])
+}
+
+#[test]
+fn loop_outputs_are_pinned() {
+    let data = dataset();
+    let config = PipelineConfig::default();
+    let (rr, ccd) = run_front_half(&data.set, &config.cluster);
+    let rr_words = [
+        fnv64(rr.kept.iter().map(|id| id.0 as u64)),
+        fnv64(pair_words(rr.removed.iter().map(|&(a, b)| (a.0, b.0)))),
+        fnv64(trace_words(&rr.trace)),
+    ];
+    let ccd_words = [
+        fnv64(pair_words(ccd.edges.iter().map(|&(a, b)| (a.0, b.0)))),
+        fnv64(pair_words(ccd.deferred.iter().copied())),
+        ccd.n_merges as u64,
+        fnv64(trace_words(&ccd.trace)),
+    ];
+    let result = config.run(&data.set);
+    assert_eq!((&result.traces.0, &result.traces.1), (&rr.trace, &ccd.trace), "one front half");
+    let fills = FillReport::from_result(&result).to_string();
+    let back = [fnv64(trace_words(&result.traces.2)), fnv64(fills.bytes().map(u64::from))];
+    assert_eq!((rr_words, ccd_words, back), PINNED_LOOPS, "{fills}");
+}
+
 /// `(RR, CCD)` digests of [`mined_streams_are_pinned`].
 const PINNED_STREAMS: (u64, u64) = (0xe8a8_04a7_8f79_85a1, 0x61b0_2a26_2d63_3f00);
+/// Digests of [`loop_outputs_are_pinned`]: RR's kept, removed and trace;
+/// CCD's edges, deferred pairs, merges and trace; the BGG trace and the
+/// `fills:` line.
+const PINNED_LOOPS: ([u64; 3], [u64; 4], [u64; 2]) = (
+    [0xe0ad_1830_cecf_dc73, 0x15cf_bca0_092d_1b15, 0x4c63_475d_6fc1_02ff],
+    [0xb636_c5ce_c2b7_e1a8, 0x182d_e548_8fc0_3804, 335, 0xefaa_5864_8c4e_ecb7],
+    [0x6eff_127d_a889_df7d, 0x9c57_d7fb_cfae_135e],
+);
 /// Count and digest of [`dense_subgraphs_are_pinned`].
 const PINNED_SUBGRAPHS: (usize, u64) = (12, 0x6b83_ab94_a399_77f1);
