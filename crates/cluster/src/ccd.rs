@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore};
-use pfam_suffix::MatchPair;
+use pfam_suffix::{MatchPair, WindowStats};
 
 pub use crate::core::CcdCursor;
 
@@ -51,6 +51,9 @@ pub struct CcdResult {
     pub n_merges: usize,
     /// Work trace for the performance model.
     pub trace: PhaseTrace,
+    /// What the windows held, when the phase mined its pairs window by
+    /// window under a memory budget.
+    pub windows: Option<WindowStats>,
 }
 
 /// Run connected-component detection over `set` (typically the
@@ -103,11 +106,11 @@ pub(crate) fn ccd_mined(
     if set.is_empty() {
         return CcdResult::empty();
     }
-    with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited| {
+    with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited, windows| {
         let mut result =
             ccd_over(set, pairs, config, ledger, resume, checkpoint_every, on_checkpoint);
         result.trace.nodes_visited = nodes_visited;
-        result
+        CcdResult { windows, ..result }
     })
 }
 

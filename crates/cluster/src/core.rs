@@ -384,6 +384,7 @@ impl CcdResult {
             filled_ahead: Vec::new(),
             n_merges: 0,
             trace: PhaseTrace::default(),
+            windows: None,
         }
     }
 
@@ -403,6 +404,7 @@ impl CcdResult {
                 filled_ahead: Vec::new(),
                 n_merges,
                 trace: core.trace,
+                windows: None,
             },
             ModeState::Rr { .. } => panic!("CcdResult::from_core on an RR core"),
         }
@@ -423,6 +425,7 @@ impl CcdResult {
             filled_ahead: Vec::new(),
             n_merges: cursor.n_merges,
             trace: cursor.trace,
+            windows: None,
         }
     }
 }
@@ -436,6 +439,7 @@ impl RrResult {
             ledger: Arc::default(),
             ahead_discarded: 0,
             trace: PhaseTrace::default(),
+            windows: None,
         }
     }
 
@@ -458,7 +462,8 @@ impl RrResult {
                     .collect();
                 let ledger = ledger.map(|l| l.sealed(&dense_of)).unwrap_or_default();
                 let ledger = Arc::new(ledger);
-                RrResult { kept, removed, ledger, ahead_discarded: 0, trace: core.trace }
+                let trace = core.trace;
+                RrResult { kept, removed, ledger, ahead_discarded: 0, trace, windows: None }
             }
             ModeState::Ccd { .. } => panic!("RrResult::from_core on a CCD core"),
         }

@@ -19,6 +19,7 @@
 use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore};
+use pfam_suffix::WindowStats;
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
@@ -43,6 +44,9 @@ pub struct RrResult {
     pub ahead_discarded: usize,
     /// Work trace for the performance model.
     pub trace: PhaseTrace,
+    /// What the windows held, when the phase mined its pairs window by
+    /// window under a memory budget.
+    pub windows: Option<WindowStats>,
 }
 
 /// Run redundancy removal over `set`.
@@ -60,14 +64,14 @@ pub(crate) fn rr_over(
     if set.is_empty() {
         return RrResult::empty();
     }
-    with_pair_source(set, config, config.psi_rr, shared, |pairs, nodes_visited| {
+    with_pair_source(set, config, config.psi_rr, shared, |pairs, nodes_visited, windows| {
         let mut core = ClusterCore::new_rr(set);
         core.record_ledger(&config.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);
         let discarded =
             drive_batched(&mut core, pairs, &verifier, config.batch_size, 0, &mut |_| {});
         core.set_nodes_visited(nodes_visited);
-        RrResult { ahead_discarded: discarded.len(), ..RrResult::from_core(core) }
+        RrResult { ahead_discarded: discarded.len(), windows, ..RrResult::from_core(core) }
     })
 }
 

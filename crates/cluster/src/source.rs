@@ -19,7 +19,7 @@ use pfam_seq::{BudgetError, SeqId, SeqStore, SequenceSet};
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
     estimated_index_bytes, mine_pairs, with_match_tree, ChunkPlan, KeepMask, MatchPair,
-    MaximalMatchConfig, MineNodes, PartitionedMiner, SuffixTree,
+    MaximalMatchConfig, MineNodes, PartitionedMiner, SuffixTree, WindowStats,
 };
 
 use crate::config::ClusterConfig;
@@ -177,9 +177,9 @@ pub fn index_plan(
 }
 
 /// Mine the pairs [`index_plan`] names for `store` at cut-off `psi` and
-/// lend them to `f`, with the suffix-tree nodes the miner visited; mining
-/// runs on the config's threads. The index, and its budget reservation,
-/// live until `f` returns.
+/// lend them to `f`, with the suffix-tree nodes the miner visited and, when
+/// it mined windows, what they held; mining runs on the config's threads.
+/// The index, and its budget reservation, live until `f` returns.
 ///
 /// Monolithic: one index of the in-memory set `store` is, or is an
 /// ascending view of — mined through a mask when the view keeps only some
@@ -199,23 +199,25 @@ pub fn with_pair_source<R>(
     config: &ClusterConfig,
     psi: u32,
     shared: Option<&SharedIndex<'_>>,
-    f: impl FnOnce(&[MatchPair], u64) -> R,
+    f: impl FnOnce(&[MatchPair], u64, Option<WindowStats>) -> R,
 ) -> R {
-    let lend =
-        |(pairs, stats): (Vec<MatchPair>, GenerationStats)| f(&pairs, stats.nodes_visited as u64);
+    let lend = |(pairs, stats): (Vec<MatchPair>, GenerationStats), windows| {
+        f(&pairs, stats.nodes_visited as u64, windows)
+    };
     let (base, keep) = match (route(store, config, shared), in_memory_view(store)) {
         (IndexPlan::Monolithic, Some(view)) => view,
         _ => {
             let miner =
                 windowed_miner(store, config, psi, false).expect("a lenient open never refuses");
-            return lend(miner.mine());
+            let (pairs, stats, windows) = miner.mine();
+            return lend((pairs, stats), Some(windows));
         }
     };
     let mine = |tree: &SuffixTree<'_>| {
         let keep = keep.map(|keep| KeepMask::new(tree.gsa(), keep));
         let matches = match_config(config, psi);
         let threads = config.index_threads();
-        lend(mine_pairs(tree, matches, threads, MineNodes::Whole(keep.as_ref())))
+        lend(mine_pairs(tree, matches, threads, MineNodes::Whole(keep.as_ref())), None)
     };
     match shared.filter(|shared| shared.indexes(base)) {
         Some(shared) => mine(shared.tree),
@@ -258,7 +260,7 @@ mod tests {
         ]);
         let mine = |threads: usize| {
             let config = ClusterConfig { threads, ..ClusterConfig::for_short_sequences() };
-            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, _| pairs.to_vec())
+            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, _, _| pairs.to_vec())
         };
         let serial = mine(1);
         assert!(!serial.is_empty());

@@ -83,7 +83,7 @@ fn match_config(config: &ClusterConfig) -> MaximalMatchConfig {
 
 /// Bytes a window may take past the text: small enough that any
 /// non-trivial set is cut into several windows.
-const WINDOW_CAP: u64 = 2048;
+const WINDOW_CAP: u64 = 1024;
 
 /// The full pair stream of the out-of-core generator.
 fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair> {

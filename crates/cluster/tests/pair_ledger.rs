@@ -49,7 +49,7 @@ fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
 
 /// The ψ_ccd stream over `store`.
 fn pair_stream(store: &dyn SeqStore, cfg: &ClusterConfig) -> Vec<MatchPair> {
-    with_pair_source(store, cfg, cfg.psi_ccd, None, |pairs, _| pairs.to_vec())
+    with_pair_source(store, cfg, cfg.psi_ccd, None, |pairs, _, _| pairs.to_vec())
 }
 
 /// CCD over `store` with the push protocol: two workers, half the stream each.

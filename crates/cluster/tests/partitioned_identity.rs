@@ -60,7 +60,8 @@ fn windowed(set: &SequenceSet, psi: u32, cap: u64, threads: usize) -> (Stream, u
         &budget,
     );
     let n_windows = miner.n_windows();
-    let stream = anchored(miner.mine());
+    let (pairs, stats, _) = miner.mine();
+    let stream = anchored((pairs, stats));
     assert_eq!(budget.used(), 0, "the miner releases what it held");
     (stream, n_windows)
 }
@@ -184,7 +185,7 @@ fn a_phase_is_identical_under_every_budget() {
         let config = ClusterConfig { mask, ..ClusterConfig::default() };
         let stream = |budget: MemoryBudget| {
             let config = ClusterConfig { budget, ..config.clone() };
-            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, nodes_visited| {
+            with_pair_source(&set, &config, config.psi_ccd, None, |pairs, nodes_visited, _| {
                 (pairs.to_vec(), nodes_visited)
             })
         };

@@ -52,5 +52,5 @@ pub use pipeline::{
     run_pipeline, CheckpointConfig, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult,
 };
 pub use quality::{evaluate, QualityReport};
-pub use report::{AheadReport, FillReport, TableOneRow};
+pub use report::{AheadReport, FillReport, TableOneRow, WindowReport};
 pub use validate::{validate, ConfigError};

@@ -28,6 +28,7 @@ use pfam_cluster::{
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
 use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
 use pfam_shingle::ShingleStats;
+use pfam_suffix::WindowStats;
 
 use crate::checkpoint::{
     fingerprint, read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState,
@@ -35,7 +36,7 @@ use crate::checkpoint::{
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
-use crate::report::AheadReport;
+use crate::report::{AheadReport, WindowReport};
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +74,8 @@ pub struct PipelineResult {
     /// What the master loops filled ahead of admission and no batch then
     /// admitted: dropped, or held for the back half.
     pub filled_ahead: AheadReport,
+    /// What each phase's windows held, when it mined windows.
+    pub windows: WindowReport,
 }
 
 impl PipelineResult {
@@ -232,6 +235,8 @@ struct FrontResult {
     rr_trace: PhaseTrace,
     /// RR's fills ahead that no batch admitted (none when RR was loaded).
     rr_discarded: usize,
+    /// RR's windows, when it mined windows (none when RR was loaded).
+    rr_windows: Option<WindowStats>,
     ledger: Arc<PairLedger>,
     ledger_dropped: u64,
     ccd: CcdResult,
@@ -434,7 +439,15 @@ pub fn run_pipeline(
             })?;
             let ledger_dropped = rr.ledger_dropped + ledger.dropped();
             let rr_trace = rr.trace;
-            Some(FrontResult { kept, rr_trace, rr_discarded: 0, ledger, ledger_dropped, ccd })
+            Some(FrontResult {
+                kept,
+                rr_trace,
+                rr_discarded: 0,
+                rr_windows: None,
+                ledger,
+                ledger_dropped,
+                ccd,
+            })
         }
         None => with_front_half(input, &config.cluster, |front| {
             let rr = front.rr();
@@ -459,13 +472,22 @@ pub fn run_pipeline(
                 kept: rr.kept,
                 rr_trace: rr.trace,
                 rr_discarded: rr.ahead_discarded,
+                rr_windows: rr.windows,
                 ledger: rr.ledger,
                 ledger_dropped,
                 ccd,
             }))
         })?,
     };
-    let Some(FrontResult { kept, rr_trace, rr_discarded, ledger, ledger_dropped, mut ccd }) = front
+    let Some(FrontResult {
+        kept,
+        rr_trace,
+        rr_discarded,
+        rr_windows,
+        ledger,
+        ledger_dropped,
+        mut ccd,
+    }) = front
     else {
         return Ok(None);
     };
@@ -473,6 +495,7 @@ pub fn run_pipeline(
         return Ok(None);
     }
     let ccd_trace = std::mem::take(&mut ccd.trace);
+    let windows = WindowReport { rr: rr_windows, ccd: ccd.windows };
     let back = BackHalf::new(input, config, &kept, &ledger, &mut ccd);
     let (ccd_held, ccd_discarded) = back.known.filled_ahead();
     let filled_ahead = AheadReport { rr_discarded, ccd_held, ccd_discarded };
@@ -532,6 +555,7 @@ pub fn run_pipeline(
         shingle_stats: finished.shingle,
         ledger_dropped,
         filled_ahead,
+        windows,
     }))
 }
 

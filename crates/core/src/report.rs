@@ -1,5 +1,7 @@
 //! Table-I-style summaries of a pipeline run.
 
+use pfam_suffix::WindowStats;
+
 use crate::pipeline::PipelineResult;
 
 /// One row of the paper's Table I.
@@ -150,6 +152,40 @@ impl std::fmt::Display for AheadReport {
     }
 }
 
+/// What the windowed miner held in each phase that mined windows — the
+/// stderr line of `pfam cluster|run` after `ahead:`, printed only when a
+/// phase ran under a memory budget its monolithic index did not fit. A
+/// phase loaded from its checkpoint mined nothing and is left out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowReport {
+    /// RR's windows, when it mined windows.
+    pub rr: Option<WindowStats>,
+    /// CCD's windows, when it mined windows.
+    pub ccd: Option<WindowStats>,
+}
+
+impl WindowReport {
+    /// Whether no phase mined windows: the report has no line.
+    pub fn is_empty(&self) -> bool {
+        self.rr.is_none() && self.ccd.is_none()
+    }
+}
+
+impl std::fmt::Display for WindowReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "windows:")?;
+        let phases = [("rr", self.rr), ("ccd", self.ccd)];
+        let mut phases = phases.iter().filter_map(|&(name, s)| Some((name, s?)));
+        if let Some((name, s)) = phases.next() {
+            write!(f, " {name} {} ({} suffixes, {} kept)", s.windows, s.suffixes, s.kept)?;
+        }
+        for (name, s) in phases {
+            write!(f, ", {name} {} ({}, {})", s.windows, s.suffixes, s.kept)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +222,18 @@ mod tests {
         let report = AheadReport { rr_discarded: 1674, ccd_held: 302, ccd_discarded: 0 };
         let line = "ahead: rr 1674 fills discarded, ccd 302 filled for the back half, 0 discarded";
         assert_eq!(report.to_string(), line);
+    }
+
+    #[test]
+    fn window_report_is_one_line_of_the_phases_that_mined_windows() {
+        let rr = WindowStats { windows: 6, suffixes: 861_201, kept: 17_367 };
+        let ccd = WindowStats { windows: 6, suffixes: 857_632, kept: 13_740 };
+        let both = WindowReport { rr: Some(rr), ccd: Some(ccd) };
+        let line = "windows: rr 6 (861201 suffixes, 17367 kept), ccd 6 (857632, 13740)";
+        assert_eq!(both.to_string(), line);
+        let resumed = WindowReport { rr: None, ccd: Some(ccd) };
+        assert_eq!(resumed.to_string(), "windows: ccd 6 (857632 suffixes, 13740 kept)");
+        assert!(!resumed.is_empty() && WindowReport::default().is_empty());
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub use parallel::{
     bucket_sort_index, bucket_sort_index_staged, mine_pairs, parallel_pairs, resolve_threads,
     with_match_tree, MineNodes, SortStages,
 };
-pub use partitioned::{ChunkPlan, PartitionedMiner};
+pub use partitioned::{ChunkPlan, PartitionedMiner, WindowStats};
 pub use sais::suffix_array;
 pub use tree::SuffixTree;

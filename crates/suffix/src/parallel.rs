@@ -17,7 +17,9 @@
 //!   every timed run at 2 threads (EXPERIMENTS.md, "SA-IS fallback LCP —
 //!   verdict (PR 25)"). It is the one-window case of the sort the
 //!   budgeted miner runs a contiguous range of buckets at a time
-//!   ([`crate::partitioned`]).
+//!   ([`crate::partitioned`]); a window short of the whole text still
+//!   rolls every position, and picks its own suffixes out of the roll 64
+//!   at a time by a membership mask.
 //! * The same sort at a mining cut-off ψ ≥ 3 ([`bucket_sort_index_staged`],
 //!   [`GeneralizedSuffixArray::build_cut`]) keeps only the suffixes a node
 //!   of depth ≥ ψ can hold: those whose first `min(ψ, 12)` symbols another
@@ -284,19 +286,16 @@ impl KeyedText<'_> {
             | len as u64
     }
 
-    /// Call `f(i, bucket, print)` for every `i` in `range`, high to low, in
-    /// O(1) per position. `bucket` is `bucket_of(key_at(i))`: the class at
-    /// `i` followed by the first two symbols of the bucket at `i + 1`, or
-    /// that class alone when it is a terminator. `print` is the
-    /// [`fingerprint`] of the first `depth` symbols of the suffix, rolled
-    /// the same way from the twelve at `i + 1`, or 0 when `depth` is 0 or a
-    /// terminator lies among them.
-    fn scan_suffixes(
-        &self,
-        range: Range<usize>,
-        depth: usize,
-        mut f: impl FnMut(usize, usize, u16),
-    ) {
+    /// Call `f(i, bucket, prefix, run)` for every `i` in `range`, high to
+    /// low, in O(1) per position. `bucket` is `bucket_of(key_at(i))`: the
+    /// class at `i` followed by the first two symbols of the bucket at
+    /// `i + 1`, or that class alone when it is a terminator. `prefix` holds
+    /// the twelve symbols from `i` on as a key does (the low [`LEN_BITS`]
+    /// zero), rolled the same way from the twelve at `i + 1`, and `run` the
+    /// residues before the first terminator among them: [`print_of`] makes
+    /// the suffix's fingerprint of them.
+    #[inline]
+    fn scan_suffixes(&self, range: Range<usize>, mut f: impl FnMut(usize, usize, u64, usize)) {
         let key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
         // The key's symbols, and the residues before its first terminator.
         let (mut bucket, mut prefix, mut run) = (bucket_of(key), key & !LEN_MASK, key_len(key));
@@ -310,8 +309,73 @@ impl KeyedText<'_> {
             };
             prefix =
                 (class as u64) << (u64::BITS - CLASS_BITS) | (prefix >> CLASS_BITS) & !LEN_MASK;
-            let print = if depth > 0 && run >= depth { fingerprint(prefix, depth) } else { 0 };
-            f(start + offset, bucket, print);
+            f(start + offset, bucket, prefix, run);
+        }
+    }
+}
+
+/// The [`fingerprint`] of the first `depth` symbols of a suffix whose
+/// rolled `prefix` holds `run` residues before a terminator
+/// ([`KeyedText::scan_suffixes`]), or 0 when `depth` is 0 or a terminator
+/// lies among them.
+#[inline]
+fn print_of(prefix: u64, run: usize, depth: usize) -> u16 {
+    if depth > 0 && run >= depth {
+        fingerprint(prefix, depth)
+    } else {
+        0
+    }
+}
+
+/// Suffixes the scatter of a partial window rolls before it places the
+/// ones the window holds: one bit each of a membership mask.
+const BLOCK: usize = 64;
+
+/// Up to [`BLOCK`] consecutive suffixes of a scan, high to low: each one's
+/// bucket and rolled prefix, its residue run in the prefix's low
+/// [`LEN_BITS`], and a bit for each the window holds.
+struct Block {
+    buckets: [u16; BLOCK],
+    prefixes: [u64; BLOCK],
+    held: u64,
+}
+
+impl KeyedText<'_> {
+    /// [`scan_suffixes`](Self::scan_suffixes) calling `f` only for the
+    /// suffixes whose bucket lies in `window`, in the same order. The scan
+    /// fills a [`Block`] and marks membership without a branch per suffix;
+    /// each full block then hands out its marked suffixes.
+    fn scan_window(
+        &self,
+        range: Range<usize>,
+        window: Range<usize>,
+        mut f: impl FnMut(usize, usize, u64, usize),
+    ) {
+        let (first, width, start) = (window.start, window.len(), range.start);
+        let mut block = Block { buckets: [0; BLOCK], prefixes: [0; BLOCK], held: 0 };
+        let mut flush = |block: &mut Block, top: usize| {
+            let mut held = std::mem::take(&mut block.held);
+            while held != 0 {
+                let k = held.trailing_zeros() as usize;
+                held &= held - 1;
+                let prefix = block.prefixes[k];
+                f(top - k, block.buckets[k] as usize, prefix & !LEN_MASK, key_len(prefix));
+            }
+        };
+        let mut k = 0;
+        self.scan_suffixes(range, |i, bucket, prefix, run| {
+            block.buckets[k] = bucket as u16;
+            block.prefixes[k] = prefix | run as u64;
+            block.held |= ((bucket.wrapping_sub(first) < width) as u64) << k;
+            k += 1;
+            if k == BLOCK {
+                flush(&mut block, i + BLOCK - 1);
+                k = 0;
+            }
+        });
+        // The last block, of `k` suffixes, ends at the range's start.
+        if k > 0 {
+            flush(&mut block, start + k - 1);
         }
     }
 }
@@ -673,14 +737,18 @@ impl BucketTable {
     /// Count the buckets of `text` on up to `threads` workers, one
     /// histogram per text chunk ([`n_chunks`]).
     pub(crate) fn count(text: &[u8], threads: usize) -> BucketTable {
+        Self::count_in_chunks(text, text.len().div_ceil(n_chunks(text.len(), threads)), threads)
+    }
+
+    /// [`count`](Self::count) over text chunks of `chunk` positions.
+    pub(crate) fn count_in_chunks(text: &[u8], chunk: usize, threads: usize) -> BucketTable {
         let n = text.len();
         assert_eq!(text.last(), Some(&SENTINEL_CLASS), "text must end with a sentinel");
         assert!(u32::try_from(n).is_ok(), "text positions must fit in u32");
         let keyed = KeyedText { text };
-        let chunk = n.div_ceil(n_chunks(n, threads));
         let mut ends = parallel_jobs(n.div_ceil(chunk), threads, |c| {
             let mut counts = vec![0u32; N_BUCKETS];
-            keyed.scan_suffixes(c * chunk..((c + 1) * chunk).min(n), 0, |_, b, _| counts[b] += 1);
+            keyed.scan_suffixes(c * chunk..((c + 1) * chunk).min(n), |_, b, _, _| counts[b] += 1);
             counts
         });
         let mut starts = vec![0usize; N_BUCKETS + 1];
@@ -770,21 +838,27 @@ pub(crate) fn sort_window(
     // the same slot of the LCP array. A slot is a relaxed atomic store — a
     // plain store on common hardware; the workers' join orders every
     // store before the slots are read — and the slots become the arrays
-    // in place.
+    // in place. The whole text places every suffix it rolls; a partial
+    // window picks its own out a block at a time ([`KeyedText::scan_window`]).
     let slots: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
     let prints: Vec<AtomicU16> = (0..len).map(|_| AtomicU16::new(0)).collect();
+    let whole = window.len() == N_BUCKETS;
     run_jobs((0..table.n_chunks()).collect(), threads, |c| {
         let mut ends = table.chunk_ends(c, window.clone());
-        keyed.scan_suffixes(table.chunk_range(c), depth, |i, b, print| {
-            if let Some(end) = b.checked_sub(window.start).and_then(|b| ends.get_mut(b)) {
-                *end -= 1;
-                let slot = *end as usize - base;
-                slots[slot].store(i as u32, AtomicOrdering::Relaxed);
-                if depth > 0 {
-                    prints[slot].store(print, AtomicOrdering::Relaxed);
-                }
+        let place = |i: usize, b: usize, prefix: u64, run: usize| {
+            let end = &mut ends[b - window.start];
+            *end -= 1;
+            let slot = *end as usize - base;
+            slots[slot].store(i as u32, AtomicOrdering::Relaxed);
+            if depth > 0 {
+                prints[slot].store(print_of(prefix, run, depth), AtomicOrdering::Relaxed);
             }
-        });
+        };
+        if whole {
+            keyed.scan_suffixes(table.chunk_range(c), place);
+        } else {
+            keyed.scan_window(table.chunk_range(c), window.clone(), place);
+        }
     });
     let mut sa: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     let mut lcp: Vec<u16> = prints.into_iter().map(AtomicU16::into_inner).collect();
@@ -906,13 +980,13 @@ pub(crate) fn leading_suffixes(text: &[u8], reads: &[Range<usize>]) -> Vec<(u32,
     let keyed = KeyedText { text };
     let mut counts = vec![0u32; N_BUCKETS];
     for read in reads {
-        keyed.scan_suffixes(read.clone(), 0, |_, b, _| counts[b] += 1);
+        keyed.scan_suffixes(read.clone(), |_, b, _, _| counts[b] += 1);
     }
     let last = (0..N_BUCKETS).find(|&b| spells_residues(b) && counts[b] >= 2);
     let last = last.unwrap_or(N_BUCKETS - 1);
     let mut positions = Vec::new();
     for read in reads {
-        keyed.scan_suffixes(read.clone(), 0, |i, b, _| {
+        keyed.scan_suffixes(read.clone(), |i, b, _, _| {
             if b <= last {
                 positions.push(i);
             }
@@ -949,28 +1023,35 @@ pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
 
 /// Estimated peak bytes of one window of `suffixes` suffixes, the largest
 /// of its buckets holding `largest_bucket`, sorted ([`sort_window`]) on
-/// `threads` workers and mined: 14 bytes per suffix — 6 of sort arrays (4
-/// of suffix array, 2 of LCP), and 8 for the window's tree pruned at ψ and
-/// its mined stream, built beside the arrays once they are sorted — and
-/// one bucket's 16-byte `(key, position)` records per worker. The bucket
-/// tables, which do not grow with the text, are not in it. The sort of a
-/// window cut at ψ holds this while it scatters and keeps fewer
-/// suffixes, so the tree and stream parts are upper bounds.
+/// `threads` workers, treed and mined: 8 bytes per suffix it scatters, and
+/// one bucket's 16-byte `(key, position)` records per worker. Of the 8, 6
+/// are the scatter's slots (4 of suffix array, 2 of LCP, holding the
+/// fingerprints until the sort). The other 2 cover what the later stages
+/// add, as the counting allocator measured them at the end of each stage
+/// (EXPERIMENTS.md, "A window is charged what it holds"): while
+/// the buckets are sorted, the workers' 64 KiB fingerprint tables and job
+/// lists, 6.1–7.6 bytes a scattered suffix in all; once the arrays are
+/// compacted to the suffixes kept, the tree pruned at ψ beside them (about
+/// 44 bytes a node) and the window's stream, 3–8.2 bytes a scattered
+/// suffix where at most a third are kept. Where half are kept, the tree
+/// peaks at up to 13, which this does not cover. The bucket tables, which do
+/// not grow with the text, are not in it.
 pub(crate) fn estimated_window_bytes(
     suffixes: usize,
     largest_bucket: usize,
     threads: usize,
 ) -> u64 {
-    14 * suffixes as u64 + 16 * (threads * largest_bucket) as u64
+    8 * suffixes as u64 + 16 * (threads * largest_bucket) as u64
 }
 
 /// Cut the buckets of a text (`starts`, [`BucketTable`]) into windows
 /// — contiguous bucket ranges, in order, covering all of them — whose
-/// estimated sort peak ([`estimated_window_bytes`]) stays within `cap`,
-/// each with that peak. A window is cut only where the leading
-/// `min(psi, 3)` symbols of the bucket ids change, so no tree node of
-/// depth ≥ `psi` straddles two windows; a run of buckets that cannot be
-/// cut and alone exceeds `cap` is a window of its own, over it.
+/// estimated peak ([`estimated_window_bytes`], charged by the suffixes a
+/// window scatters, not those it keeps) stays within `cap`, each with that
+/// peak. A window is cut only where the leading `min(psi, 3)` symbols of
+/// the bucket ids change, so no tree node of depth ≥ `psi` straddles two
+/// windows; a run of buckets that cannot be cut and alone exceeds `cap` is
+/// a window of its own, over it.
 pub(crate) fn plan_windows(
     starts: &[usize],
     psi: u32,
@@ -1320,8 +1401,8 @@ mod tests {
         for range in [0..gsa.text_len(), 3..17, 20..21, 22..22] {
             for depth in [0, 3, 5, 12] {
                 let mut seen = Vec::new();
-                keyed.scan_suffixes(range.clone(), depth, |i, bucket, print| {
-                    seen.push((i, bucket, print))
+                keyed.scan_suffixes(range.clone(), |i, bucket, prefix, run| {
+                    seen.push((i, bucket, print_of(prefix, run, depth)))
                 });
                 let direct: Vec<_> = range
                     .clone()
@@ -1337,6 +1418,31 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(seen, direct, "depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_scan_is_the_scan_filtered() {
+        // Over 64 suffixes, so blocks fill, with the range's ends off the
+        // block edges.
+        let reads: Vec<String> = (0..12)
+            .map(|r| "MKVLWAAKNDCQEGHX".chars().cycle().skip(r).take(9 + r).collect())
+            .collect();
+        let set = set_of(&reads.iter().map(String::as_str).collect::<Vec<_>>());
+        let gsa = GeneralizedSuffixArray::build(&set);
+        let keyed = KeyedText { text: gsa.text() };
+        for range in [0..gsa.text_len(), 1..gsa.text_len() - 1, 5..69, 7..8] {
+            let mut all = Vec::new();
+            keyed.scan_suffixes(range.clone(), |i, b, prefix, run| all.push((i, b, prefix, run)));
+            for window in [0..1, 0..N_BUCKETS / 2, 5 << 10..9 << 10, N_BUCKETS - 1..N_BUCKETS] {
+                let mut seen = Vec::new();
+                keyed.scan_window(range.clone(), window.clone(), |i, b, prefix, run| {
+                    seen.push((i, b, prefix, run))
+                });
+                let want: Vec<_> =
+                    all.iter().copied().filter(|&(_, b, _, _)| window.contains(&b)).collect();
+                assert_eq!(seen, want, "range {range:?} window {window:?}");
             }
         }
     }

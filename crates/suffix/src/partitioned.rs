@@ -11,13 +11,16 @@
 //! caller's loader, so the reads are never copied whole. The bucket sort's count
 //! pass runs once over that text, its per-chunk histograms kept for the
 //! phase, and its 2¹⁵ buckets are cut into contiguous *windows* whose
-//! estimated peak — 6 bytes of sort arrays per suffix, and 8 for the tree
-//! and stream mined from them ([`crate::parallel::estimated_window_bytes`])
-//! — fits what the budget has left ([`window_cap`]). Each window is
-//! scattered and sorted on its own at the cut-off ψ, keeping only the
-//! suffixes a node of depth ≥ ψ can hold (so the estimate is an upper
-//! bound), then treed at ψ and mined; one window's arrays are resident at
-//! a time.
+//! estimated peak fits what the budget has left ([`window_cap`]): 8 bytes
+//! per suffix the window scatters
+//! ([`crate::parallel::estimated_window_bytes`]) — 6 of sort arrays, and 2
+//! for what the sort and then the tree add, as the counting allocator
+//! measured them. Each window is scattered and sorted on its own at the
+//! cut-off ψ, keeping only the suffixes a node of depth ≥ ψ can hold, then
+//! treed at ψ and mined; one window's arrays are resident at a time. Each
+//! window's scatter is a pass over the whole text: it rolls every
+//! position's bucket and places, 64 positions at a time, those that fall
+//! in its buckets ([`WindowStats`] counts both).
 //! This is the suffix-space split of PaCE's distributed construction
 //! (prefix buckets, as [`crate::distributed`] assigns them to ranks), run
 //! one bucket range after another.
@@ -182,6 +185,19 @@ pub struct PartitionedMiner {
     pairs: std::vec::IntoIter<MatchPair>,
 }
 
+/// What a windowed mine did, for its report: the windows the text was
+/// cut into, the suffixes their scatters placed (every position of the
+/// text) and those their sorts kept at the cut-off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Windows the text was cut into.
+    pub windows: usize,
+    /// Suffixes scattered, over every window.
+    pub suffixes: usize,
+    /// Suffixes kept, over every window.
+    pub kept: usize,
+}
+
 /// A phase's reads as one text, their suffixes not yet sorted.
 struct WindowedText {
     /// The text, sampled ids and start table; each window's arrays are
@@ -275,10 +291,10 @@ impl PartitionedMiner {
         self.n_windows
     }
 
-    /// The whole stream and its generation statistics, the text and its
-    /// reservations released before the windows' streams are merged. A
-    /// miner is mined whole or iterated, not both.
-    pub fn mine(self) -> (Vec<MatchPair>, GenerationStats) {
+    /// The whole stream, its generation statistics and what the windows
+    /// held, the text and its reservations released before the windows'
+    /// streams are merged. A miner is mined whole or iterated, not both.
+    pub fn mine(self) -> (Vec<MatchPair>, GenerationStats, WindowStats) {
         self.text.expect("the miner has not been iterated").mine()
     }
 }
@@ -295,9 +311,10 @@ impl Iterator for PartitionedMiner {
 }
 
 impl WindowedText {
-    fn mine(self) -> (Vec<MatchPair>, GenerationStats) {
+    fn mine(self) -> (Vec<MatchPair>, GenerationStats, WindowStats) {
         let WindowedText { mut index, table, windows, config, threads, _held } = self;
         let Some(table) = table else { return Default::default() };
+        let mut held = WindowStats { windows: windows.len(), suffixes: index.text_len(), kept: 0 };
         let psi = config.min_len;
         // Only a window that is the whole text may hand it to SA-IS.
         let tie_limit =
@@ -318,6 +335,7 @@ impl WindowedText {
                 }
                 None => index.set_arrays(index.sais_arrays(), 0),
             }
+            held.kept += index.sa().len();
             let trail =
                 windows.get(w + 1).map_or(0, |(next, _)| first_rank_lcp(&table.starts, next.start));
             let (tree, descent) = SuffixTree::build_window(&index, psi, trail);
@@ -341,7 +359,8 @@ impl WindowedText {
         }
         drop((index, table, _held));
         streams.extend(first_closed);
-        merge_streams(streams, config.dedup)
+        let (pairs, stats) = merge_streams(streams, config.dedup);
+        (pairs, stats, held)
     }
 }
 
@@ -383,9 +402,11 @@ fn merge_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gsa::CompactLcp;
     use crate::parallel::{bucket_sort_index, parallel_pairs};
     use crate::SuffixTree;
     use pfam_seq::{SeqId, SequenceSetBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -501,6 +522,70 @@ mod tests {
         }
     }
 
+    /// Read lengths that put sentinels on and beside 64-suffix block edges
+    /// and the chunk edges below.
+    const EDGE_LENS: [usize; 11] = [1, 2, 35, 62, 63, 64, 65, 99, 100, 127, 128];
+    /// Text chunk lengths, none a multiple of 64.
+    const CHUNKS: [usize; 4] = [65, 100, 150, 191];
+
+    /// Reads of [`EDGE_LENS`] over four residues and `X` (code 20), which
+    /// ends a key as a sentinel does.
+    fn edge_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let residue = (0u8..9).prop_map(|c| if c == 8 { 20 } else { c % 4 });
+        prop::collection::vec(
+            (0..EDGE_LENS.len(), prop::collection::vec(residue, 128..129))
+                .prop_map(|(len, codes)| codes[..EDGE_LENS[len]].to_vec()),
+            1..10,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every window of every plan, scattered from text chunks whose
+        /// length is no multiple of 64 and sorted on its own, concatenates
+        /// to the whole text's cut arrays: suffix array, LCP and the
+        /// overflow list.
+        #[test]
+        fn window_scatters_concatenate_to_the_cut(
+            reads in edge_reads(),
+            chunk in (0..CHUNKS.len()).prop_map(|c| CHUNKS[c]),
+            threads in 1usize..3,
+        ) {
+            let mut b = SequenceSetBuilder::new();
+            for (i, codes) in reads.into_iter().enumerate() {
+                b.push_codes(format!("s{i}"), codes).expect("non-empty");
+            }
+            let set = b.finish();
+            let text = GeneralizedSuffixArray::build(&set).text().to_vec();
+            let table = BucketTable::count_in_chunks(&text, chunk, threads);
+            for psi in [3, 10, 15] {
+                let Some((want_sa, want_lcp)) =
+                    crate::parallel::bucket_sort_index_staged(&text, threads, psi).0
+                else {
+                    continue;
+                };
+                for cap in [0, 300, 2_000, u64::MAX] {
+                    let (mut sa, mut lcp) = (Vec::new(), Vec::new());
+                    let mut before = None;
+                    for (buckets, _) in plan_windows(&table.starts, psi, cap, threads) {
+                        let (wsa, wlcp) =
+                            sort_window(&text, &table, buckets, before, psi, usize::MAX, threads)
+                                .0
+                                .expect("no tie limit");
+                        let values: Vec<u32> = (0..wsa.len()).map(|r| wlcp.get(r)).collect();
+                        prop_assert_eq!(&CompactLcp::from_values(&values), &wlcp);
+                        before = wsa.last().map(|&pos| bucket_at(&text, pos as usize)).or(before);
+                        lcp.extend(values);
+                        sa.extend(wsa);
+                    }
+                    prop_assert_eq!(&sa, &want_sa, "psi {} cap {}", psi, cap);
+                    prop_assert_eq!(&CompactLcp::from_values(&lcp), &want_lcp);
+                }
+            }
+        }
+    }
+
     #[test]
     fn the_windowed_stream_is_the_monolithic_stream() {
         let set = set_of(TEST_SEQS);
@@ -521,8 +606,11 @@ mod tests {
                     );
                     let windows = miner.n_windows();
                     assert!(cap > 1 || windows >= 3, "psi {psi}: {windows} windows");
-                    let (got, stats) = miner.mine();
+                    let (got, stats, held) = miner.mine();
                     let what = format!("psi {psi} dedup {dedup} cap {cap}: {windows} windows");
+                    let kept = GeneralizedSuffixArray::build_cut(&set, 1, psi).sa().len();
+                    let want_held = WindowStats { windows, suffixes: gsa.text_len(), kept };
+                    assert_eq!(held, want_held, "{what}");
                     assert_eq!(anchored(&got), anchored(&want), "{what}");
                     assert_eq!(stats, want_stats, "{what}");
                     assert_eq!(budget.used(), 0, "{what}: released once mined");

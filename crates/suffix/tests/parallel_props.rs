@@ -492,7 +492,7 @@ fn check_cut(set: &SequenceSet, full: &GeneralizedSuffixArray, psi: u32, threads
         let miner =
             PartitionedMiner::new(ChunkPlan::plan(&lens, 0), loader, config, threads, &budget);
         assert!(miner.n_windows() >= 3, "{what}: {} windows", miner.n_windows());
-        let (pairs, stats) = miner.mine();
+        let (pairs, stats, _) = miner.mine();
         assert_eq!((with_anchors(&pairs), stats), expect, "{what} dedup {dedup}: windowed");
     }
 }

@@ -429,10 +429,15 @@ echo "$BGG_SMOKE" | grep -q '"supply_known"' || {
 echo "== tier1: index_oc_bench --test (smoke + windowed-stream identity + the index held to its budget) =="
 # The pass itself fails when the windowed miner's text or peak exceeds
 # what it reserved — mining nothing, and mining at psi = 15 with its pairs
-# counted on top — past the tolerances written in the bench.
+# counted on top — past the tolerances written in the bench; and when the
+# same index-alone pass over dense input (half the suffixes kept) does.
 OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
 echo "$OC_SMOKE" | grep -q '"streams_identical": true' || {
     echo "tier1 FAIL: index_oc_bench smoke did not report identical streams" >&2
+    exit 1
+}
+echo "$OC_SMOKE" | grep -q '"dense": { .*"index_alone": {' || {
+    echo "tier1 FAIL: index_oc_bench smoke did not hold the dense index to its budget" >&2
     exit 1
 }
 
@@ -502,6 +507,19 @@ for flags in "" "--mem-budget 24K"; do
         echo "tier1 FAIL: no family to compare under '$flags'" >&2
         exit 1
     }
+    # Under the budget both phases mine windows, and say so after the
+    # ahead line; the monolithic route prints no windows line.
+    if [ -n "$flags" ]; then
+        grep -A1 "^ahead:" "$SMOKE/run.err" | grep -qE \
+            "^windows: rr [0-9]+ \([0-9]+ suffixes, [0-9]+ kept\), ccd [0-9]+ \([0-9]+, [0-9]+\)$" || {
+            echo "tier1 FAIL: '$PFAM run $flags' did not print its windows line after the ahead line" >&2
+            cat "$SMOKE/run.err" >&2
+            exit 1
+        }
+    elif grep -q "^windows:" "$SMOKE/run.err"; then
+        echo "tier1 FAIL: the monolithic route printed a windows line" >&2
+        exit 1
+    fi
 done
 
 echo "== tier1: known quadratic under a clock (two 5 000-residue poly-A reads) =="

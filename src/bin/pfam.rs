@@ -333,6 +333,9 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     println!("{}", TableOneRow::from_result(&result, min_size));
     eprintln!("{}", FillReport::from_result(&result));
     eprintln!("{}", result.filled_ahead);
+    if !result.windows.is_empty() {
+        eprintln!("{}", result.windows);
+    }
 
     file.set_len(0).map_err(|e| e.to_string())?;
     let mut w = BufWriter::new(file);
