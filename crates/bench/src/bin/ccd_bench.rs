@@ -1,7 +1,7 @@
-//! CCD driver benchmark: every clustering driver — all now thin
-//! compositions over the shared `ClusterCore` state machine — timed on
-//! the same paper-like workload, emitting a machine-readable
-//! `BENCH_ccd.json` with pairs-per-second per driver.
+//! CCD driver benchmark: every clustering driver — all thin compositions
+//! over the shared `ClusterCore` state machine — timed on the same
+//! paper-like workload, emitting a machine-readable `BENCH_ccd.json` with
+//! pairs-per-second per driver.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin ccd_bench [scale]
@@ -11,12 +11,23 @@
 //! `--test` runs a tiny single-rep smoke pass and prints the JSON to
 //! stdout instead of writing the file. The bench asserts — and records —
 //! that every driver returns identical connected components.
+//!
+//! The `batched` and `from_pairs` rows run `drive_batched`, which fills a
+//! window of pairs ahead of admission, so they also pay for the fills of
+//! the pairs CCD then defers (`CcdResult::filled_ahead`). Only the back
+//! half of `pfam run` reuses those verdicts; this bench stops at CCD and
+//! throws them away. A loop that fills only admitted batches therefore
+//! looks cheaper here than it is in the program. On a 2-core host a leased
+//! pull loop, since deleted, read 0.030–0.053 s against 0.048–0.055 s for
+//! `batched` at the default scale (faster in 4 of 5 runs), and 1.47–2.05 s
+//! against 1.38–1.51 s at scale 4 (slower in 3 of 3); run as `pfam run`'s
+//! CCD loop it was slower in median on every benchmark workload. A choice
+//! between loops is made on `pfam run` end to end, not on this bench.
 
-use std::sync::Arc;
-
-use pfam_bench::{cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs};
+use pfam_bench::{
+    commit_stamp, cores_field, dataset_160k_like, detected_cores, emit, time_min, BenchArgs,
+};
 use pfam_cluster::{run_ccd, run_ccd_from_pairs, run_ccd_spmd, CcdResult, ClusterConfig};
-use pfam_mpi::NoFaults;
 use pfam_seq::SequenceSet;
 use pfam_suffix::{
     parallel_pairs, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, SuffixTree,
@@ -69,10 +80,6 @@ fn main() {
     push("from_pairs", s, r);
     let (s, r) = time_min(reps, || run_ccd_spmd(set, &config, 3));
     push("spmd", s, r);
-    let (s, r) = time_min(reps, || {
-        pfam_cluster::run_ccd_ft(set, &config, 3, Arc::new(NoFaults)).expect("fault-free world")
-    });
-    push("ft", s, r);
 
     // Identical components — the whole point of the ClusterCore refactor.
     let reference = &rows[0].result.components;
@@ -96,6 +103,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"ccd\",\n",
+            "  \"commit\": \"{commit}\",\n",
             "  \"dataset\": \"{label}\",\n",
             "  \"n_seqs\": {n_seqs},\n",
             "  \"n_pairs\": {n_pairs},\n",
@@ -105,6 +113,7 @@ fn main() {
             "  \"drivers\": [\n{rows}\n  ]\n",
             "}}\n"
         ),
+        commit = commit_stamp(),
         label = data.label,
         n_seqs = set.len(),
         n_pairs = pairs.len(),

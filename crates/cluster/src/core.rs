@@ -32,10 +32,9 @@
 //!
 //! Around the core sit a phase's mined pairs, lent as a slice
 //! ([`crate::source::with_pair_source`]), a [`Verifier`] that fills
-//! candidate lists of up to [`VERIFY_SLICE`] pairs, and three loop
+//! candidate lists of up to [`VERIFY_SLICE`] pairs, and two loop
 //! functions that consume the slice ([`crate::policy::drive_batched`] in
-//! process, [`crate::policy::drive_spmd`] and
-//! [`crate::policy::drive_leased`] across a
+//! process, [`crate::policy::drive_spmd`] across a
 //! [`crate::transport::Transport`]). Every public `run_*` entry point is a
 //! thin composition of those pieces.
 
@@ -346,15 +345,6 @@ impl<'s> ClusterCore<'s> {
     /// Record the suffix-tree nodes the pair supply visited.
     pub fn set_nodes_visited(&mut self, n: u64) {
         self.trace.nodes_visited = n;
-    }
-
-    /// Record leases requeued by timeout or worker death on the most
-    /// recent trace record. No-op before the first batch — recovery can
-    /// only act on work that was dispatched.
-    pub fn note_recovery(&mut self, n_requeued: usize) {
-        if let Some(last) = self.trace.batches.last_mut() {
-            last.n_requeued += n_requeued;
-        }
     }
 }
 

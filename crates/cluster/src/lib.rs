@@ -9,12 +9,11 @@
 //!   checkpoint cursor + trace hooks, mutated nowhere else.
 //! * [`source`] — where a phase's pairs come from: one mined vector, lent
 //!   to the phase as a slice in the order the loop consumes it.
-//! * [`policy`] — the three master loops over that slice: in process
-//!   ([`drive_batched`]), the paper's push protocol ([`drive_spmd`]) and
-//!   the fault-tolerant lease scheduler ([`drive_leased`]); the two
-//!   distributed ones talk to their workers through one [`transport`]
-//!   seam. Every public `run_*` entry point is a thin composition of a
-//!   core, a slice and one loop.
+//! * [`policy`] — the two master loops over that slice: in process
+//!   ([`drive_batched`], the one `pfam` runs) and the paper's push
+//!   protocol ([`drive_spmd`]), which talks to its workers through the
+//!   [`transport`] seam. Every public `run_*` entry point is a thin
+//!   composition of a core, a slice and one loop.
 //! * [`rr`] — redundancy removal: drop sequences ≥95 %-contained in
 //!   another, candidates from the maximal-match generator, containment
 //!   verified by alignment in parallel batches.
@@ -45,7 +44,6 @@ pub mod ccd;
 pub mod config;
 pub mod core;
 pub mod front;
-pub mod ft;
 pub mod ledger;
 pub(crate) mod mask;
 pub mod policy;
@@ -61,12 +59,9 @@ pub use bgg::{all_component_graphs, component_graph, ComponentGraph, KnownPairs}
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
 pub use config::ClusterConfig;
 pub use front::{run_front_half, with_front_half, FrontHalf};
-pub use ft::{run_ccd_ft, FtError};
 pub use ledger::PairLedger;
 pub use pfam_align::{AlignEngine, AlignEngineKind};
-pub use policy::{
-    drive_batched, drive_leased, drive_spmd, serve_pull_worker, serve_push_worker, DriveError,
-};
+pub use policy::{drive_batched, drive_spmd, serve_push_worker};
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{index_plan, with_pair_source, with_shared_index, IndexPlan, SharedIndex};
 pub use spmd::{run_ccd_spmd, run_rr_spmd};

@@ -1,4 +1,4 @@
-//! The three master loops around [`ClusterCore`]. Each cuts a phase's
+//! The two master loops around [`ClusterCore`]. Each cuts a phase's
 //! pairs — a slice, on the master or, for the push protocol, one per
 //! worker — into batches in order, routes each batch through the core's
 //! filter, gets the survivors verified (locally or across a
@@ -16,62 +16,17 @@
 //! * [`drive_spmd`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
-//!   worker for alignment.
-//! * [`drive_leased`] — the fault-tolerant scheduler: the master owns the
-//!   pairs, workers pull one admitted batch per lease; leases held by dead
-//!   or silent workers are re-enqueued, stale verdicts are discarded by
-//!   lease id.
+//!   worker for alignment. Its worker half, [`serve_push_worker`], runs on
+//!   worker ranks or threads against any [`WorkerPort`].
 //!
-//! The worker halves of the distributed loops ([`serve_push_worker`],
-//! [`serve_pull_worker`]) run on worker ranks or threads against any
-//! [`WorkerPort`].
-
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+//! Neither loop recovers a failed worker in-job: a run that fails is
+//! restarted from its last checkpoint (DESIGN.md §7).
 
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
 use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
-
-/// How long a lease may stay outstanding before the master assumes its
-/// task or verdict message was lost and re-enqueues the batch. Re-leasing
-/// a batch that is merely slow is harmless: verification is pure and
-/// stale verdicts are discarded by lease id.
-pub const LEASE_TIMEOUT: Duration = Duration::from_millis(250);
-/// How long a pull worker waits for a task before re-sending its request
-/// (covers dropped request or task messages).
-pub const REQUEST_TIMEOUT: Duration = Duration::from_millis(25);
-/// How long the master waits for a shutdown acknowledgement before
-/// re-sending the shutdown message.
-pub const BYE_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Why a distributed loop could not drive its phase to completion.
-#[derive(Debug)]
-pub enum DriveError {
-    /// Every worker died while leased or queued work remained.
-    NoWorkersLeft,
-    /// The transport failed fatally (own rank killed, world torn down).
-    Transport(String),
-}
-
-impl std::fmt::Display for DriveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DriveError::NoWorkersLeft => {
-                write!(f, "all workers died with work still outstanding")
-            }
-            DriveError::Transport(msg) => write!(f, "transport failed: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for DriveError {}
-
-fn fatal(e: TransportError) -> DriveError {
-    DriveError::Transport(format!("{e}"))
-}
 
 /// The in-process loop: `pairs` in batches of `batch_size`, in order, each
 /// admitted against the live state and absorbed, with a cursor sent to
@@ -136,7 +91,7 @@ pub fn drive_batched(
 
 /// Cut the next batch of at most `batch_size` pairs off the front of
 /// `rest`, and whether it is the last: shorter than `batch_size`, so empty
-/// when the pairs ran out on a full batch. The distributed loops send
+/// when the pairs ran out on a full batch. The push worker sends
 /// end-of-stream with it.
 fn next_batch<'p>(rest: &mut &'p [MatchPair], batch_size: usize) -> (&'p [MatchPair], bool) {
     let (batch, tail) = rest.split_at(rest.len().min(batch_size));
@@ -158,15 +113,15 @@ fn wire_pairs(pairs: &[(u32, u32)]) -> Vec<MatchPair> {
 pub fn drive_spmd<T: Transport + ?Sized>(
     core: &mut ClusterCore<'_>,
     t: &mut T,
-) -> Result<(), DriveError> {
+) -> Result<(), TransportError> {
     let n_workers = t.n_workers();
     let mut workers_done = 0usize;
     // Per-worker: how many candidate batches are still in flight.
     let mut outstanding = vec![0usize; n_workers];
 
     while workers_done < n_workers || outstanding.iter().sum::<usize>() > 0 {
-        match t.try_recv().map_err(fatal)? {
-            Some((w, WorkerMsg::Verdicts { verdicts, .. })) => {
+        match t.try_recv()? {
+            Some((w, WorkerMsg::Verdicts { verdicts })) => {
                 outstanding[w] -= 1;
                 core.absorb(verdicts);
             }
@@ -176,28 +131,26 @@ pub fn drive_spmd<T: Transport + ?Sized>(
                 let candidates = core.admit_batch(&wire_pairs(&pairs));
                 if !candidates.is_empty() {
                     outstanding[w] += 1;
-                    t.send(w, MasterMsg::Task { lease: 0, candidates }).map_err(fatal)?;
+                    t.send(w, MasterMsg::Task { candidates })?;
                 }
                 if exhausted {
                     workers_done += 1;
-                    t.send(w, MasterMsg::SourceDone).map_err(fatal)?;
+                    t.send(w, MasterMsg::SourceDone)?;
                 }
             }
-            Some(_) => {}
             None => std::thread::yield_now(),
         }
     }
     // Release workers: they exit after the SourceDone message once no
     // more candidate batches can arrive (outstanding drained above).
-    t.barrier().map_err(fatal)?;
-    Ok(())
+    t.barrier()
 }
 
 /// The worker half of the push protocol: cut the next batch off this
 /// rank's `pairs`, push it, serve candidate tasks while waiting, leave
 /// after the master's [`MasterMsg::SourceDone`]. Panics on transport
-/// faults — the push protocol assumes a healthy world (fault tolerance
-/// lives in [`drive_leased`]) — and when `batch_size` is 0.
+/// faults — the push protocol assumes a healthy world — and when
+/// `batch_size` is 0.
 pub fn serve_push_worker<P: WorkerPort + ?Sized>(
     port: &mut P,
     mut pairs: &[MatchPair],
@@ -214,7 +167,7 @@ pub fn serve_push_worker<P: WorkerPort + ?Sized>(
     }
     let answer = |port: &mut P, candidates: Vec<(u32, u32)>| {
         let verdicts = verifier.verify(set, &candidates, VerifyOn::Caller);
-        healthy(port.send(WorkerMsg::Verdicts { lease: 0, verdicts }));
+        healthy(port.send(WorkerMsg::Verdicts { verdicts }));
     };
 
     let mut exhausted = false;
@@ -228,19 +181,19 @@ pub fn serve_push_worker<P: WorkerPort + ?Sized>(
         // comes after the master has seen our exhausted flag.
         loop {
             match healthy(port.try_recv()) {
-                Some(MasterMsg::Task { candidates, .. }) => {
+                Some(MasterMsg::Task { candidates }) => {
                     answer(port, candidates);
                     continue;
                 }
                 Some(MasterMsg::SourceDone) => {
                     // Final drain: answer any candidates still queued.
-                    while let Some(MasterMsg::Task { candidates, .. }) = healthy(port.try_recv()) {
+                    while let Some(MasterMsg::Task { candidates }) = healthy(port.try_recv()) {
                         answer(port, candidates);
                     }
                     healthy(port.barrier());
                     return;
                 }
-                Some(_) | None => {}
+                None => {}
             }
             if !exhausted {
                 // Produce the next pair batch eagerly.
@@ -250,210 +203,6 @@ pub fn serve_push_worker<P: WorkerPort + ?Sized>(
         }
     }
     unreachable!("worker exits via the SourceDone path");
-}
-
-/// One outstanding lease: which worker holds it, since when, and the
-/// batch to re-enqueue if it lapses.
-struct Lease {
-    worker: usize,
-    issued: Instant,
-    candidates: Vec<(u32, u32)>,
-}
-
-/// Cut batches off `rest` until one leaves survivors (or the pairs run
-/// out, which sets `exhausted`). Each cut batch but the empty last one is
-/// admitted — and therefore recorded in the trace — exactly once, whether
-/// or not any candidate survives.
-fn next_fresh_batch(
-    core: &mut ClusterCore<'_>,
-    rest: &mut &[MatchPair],
-    batch_size: usize,
-    exhausted: &mut bool,
-) -> Option<Vec<(u32, u32)>> {
-    while !*exhausted {
-        let batch;
-        (batch, *exhausted) = next_batch(rest, batch_size);
-        if batch.is_empty() {
-            break;
-        }
-        let candidates = core.admit_batch(batch);
-        if !candidates.is_empty() {
-            return Some(candidates);
-        }
-    }
-    None
-}
-
-/// Tell every surviving worker to exit and wait for acknowledgements,
-/// re-sending on timeout so dropped shutdown messages cannot strand a
-/// worker (fault schedules are finite, so retries eventually land).
-fn shutdown_workers<T: Transport + ?Sized>(t: &mut T) -> Result<(), DriveError> {
-    let mut pending: Vec<usize> = (0..t.n_workers()).filter(|&w| t.worker_alive(w)).collect();
-    while !pending.is_empty() {
-        for &w in &pending {
-            match t.send(w, MasterMsg::Shutdown) {
-                Ok(()) | Err(TransportError::PeerGone) => {}
-                Err(e) => return Err(fatal(e)),
-            }
-        }
-        let deadline = Instant::now() + BYE_TIMEOUT;
-        while Instant::now() < deadline && !pending.is_empty() {
-            match t.try_recv() {
-                Ok(Some((w, WorkerMsg::Bye))) => pending.retain(|&x| x != w),
-                // Re-requests from workers that never saw the shutdown
-                // get another shutdown on the next outer round; stale
-                // verdicts are abandoned with the world.
-                Ok(Some(_)) => {}
-                Ok(None) => std::thread::yield_now(),
-                Err(TransportError::PeerGone) => {}
-                Err(e) => return Err(fatal(e)),
-            }
-            pending.retain(|&w| t.worker_alive(w));
-        }
-        pending.retain(|&w| t.worker_alive(w));
-    }
-    Ok(())
-}
-
-/// The fault-tolerant pull scheduler: the master owns `pairs` and all work
-/// state, cut into batches of `batch_size`; a lease is one admitted
-/// batch's survivors. Workers are stateless verification servers that
-/// pull leases. A lease is recovered — re-enqueued for any surviving
-/// worker — when its worker is observed dead on the liveness board or when
-/// it has been outstanding for [`LEASE_TIMEOUT`] (covers dropped
-/// task/verdict messages and a worker that is alive but slower than that).
-/// Stale verdicts are discarded by lease id, so no batch is ever applied
-/// twice. Panics when `batch_size` is 0.
-pub fn drive_leased<T: Transport + ?Sized>(
-    core: &mut ClusterCore<'_>,
-    t: &mut T,
-    mut pairs: &[MatchPair],
-    batch_size: usize,
-) -> Result<(), DriveError> {
-    assert!(batch_size > 0, "drive_leased needs a batch size of at least 1");
-    let mut exhausted = false;
-    let mut next_lease: u64 = 0;
-    let mut outstanding: HashMap<u64, Lease> = HashMap::new();
-    // Recovered batches waiting to be re-leased, ahead of fresh pairs.
-    let mut requeued: Vec<Vec<(u32, u32)>> = Vec::new();
-
-    loop {
-        // Recover leases held by dead workers, then stale leases
-        // (their task or verdict message may have been dropped).
-        let now = Instant::now();
-        let lapsed: Vec<u64> = outstanding
-            .iter()
-            .filter(|(_, l)| {
-                !t.worker_alive(l.worker) || now.duration_since(l.issued) > LEASE_TIMEOUT
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        if !lapsed.is_empty() {
-            core.note_recovery(lapsed.len());
-        }
-        for id in lapsed {
-            if let Some(lease) = outstanding.remove(&id) {
-                requeued.push(lease.candidates);
-            }
-        }
-
-        let work_remains = !exhausted || !requeued.is_empty() || !outstanding.is_empty();
-        if !work_remains {
-            break;
-        }
-        if (0..t.n_workers()).all(|w| !t.worker_alive(w)) {
-            return Err(DriveError::NoWorkersLeft);
-        }
-
-        match t.try_recv() {
-            Ok(Some((_, WorkerMsg::Verdicts { lease, verdicts }))) => {
-                // Stale verdicts (lease already recovered and re-issued)
-                // are discarded: each batch is applied exactly once.
-                if outstanding.remove(&lease).is_some() {
-                    core.absorb(verdicts);
-                }
-                continue;
-            }
-            Ok(Some((from, WorkerMsg::Request))) => {
-                if !t.worker_alive(from) {
-                    continue;
-                }
-                // Lease a recovered batch first, else cut a fresh one.
-                let candidates = match requeued.pop() {
-                    Some(batch) => Some(batch),
-                    None => next_fresh_batch(core, &mut pairs, batch_size, &mut exhausted),
-                };
-                if let Some(candidates) = candidates {
-                    let lease = next_lease;
-                    next_lease += 1;
-                    match t.send(from, MasterMsg::Task { lease, candidates: candidates.clone() }) {
-                        Ok(()) => {
-                            outstanding.insert(
-                                lease,
-                                Lease { worker: from, issued: Instant::now(), candidates },
-                            );
-                        }
-                        // The worker died between requesting and being
-                        // served: keep the batch for a survivor.
-                        Err(TransportError::PeerGone) => requeued.push(candidates),
-                        Err(e) => return Err(fatal(e)),
-                    }
-                }
-                // No work available right now (all in flight): stay
-                // silent — the worker re-requests after its timeout.
-                continue;
-            }
-            Ok(Some(_)) => continue,
-            Ok(None) => {}
-            Err(e) => return Err(fatal(e)),
-        }
-
-        std::thread::yield_now();
-    }
-
-    shutdown_workers(t)
-}
-
-/// The worker half of the pull protocol: a stateless verification server
-/// — request, verify the leased batch, answer, repeat, re-requesting
-/// every [`REQUEST_TIMEOUT`] while unanswered. Any transport error (most
-/// importantly the worker's own injected kill) ends the loop and the
-/// master recovers whatever this worker held.
-pub fn serve_pull_worker<P: WorkerPort + ?Sized>(
-    port: &mut P,
-    verifier: &Verifier,
-    set: &dyn SeqStore,
-) {
-    loop {
-        if port.send(WorkerMsg::Request).is_err() {
-            return; // own kill, or the master is gone
-        }
-        let deadline = Instant::now() + REQUEST_TIMEOUT;
-        loop {
-            match port.try_recv() {
-                Ok(Some(MasterMsg::Shutdown)) => {
-                    let _ = port.send(WorkerMsg::Bye);
-                    return;
-                }
-                Ok(Some(MasterMsg::Task { lease, candidates })) => {
-                    let verdicts = verifier.verify(set, &candidates, VerifyOn::Caller);
-                    if port.send(WorkerMsg::Verdicts { lease, verdicts }).is_err() {
-                        return;
-                    }
-                    break; // back to requesting
-                }
-                Ok(Some(_)) | Ok(None) => {}
-                Err(_) => return,
-            }
-            if !port.master_alive() {
-                return;
-            }
-            if Instant::now() >= deadline {
-                break; // re-send the request (it may have been dropped)
-            }
-            std::thread::yield_now();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -473,14 +222,6 @@ mod tests {
     fn the_batched_loop_refuses_batch_size_zero() {
         let set = SequenceSet::default();
         drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, 0, &mut |_| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "drive_leased needs a batch size of at least 1")]
-    fn the_leased_loop_refuses_batch_size_zero() {
-        let set = SequenceSet::default();
-        let (mut transport, _ports) = LocalTransport::new(1);
-        let _ = drive_leased(&mut ClusterCore::new_ccd(&set), &mut transport, &[], 0);
     }
 
     #[test]

@@ -40,8 +40,8 @@ const PREFIX_LEN: u32 = 3;
 /// Run one phase's push protocol across `n_ranks` ranks: rank 0 drives
 /// `core` with [`drive_spmd`] and hands the finished core to `finish`, every
 /// other rank mines its own slice of the suffix space and serves the master.
-/// The world must stay healthy — any communicator fault panics (fault
-/// tolerance lives in [`crate::ft`]).
+/// The world must stay healthy — any communicator fault panics; a failed
+/// run is restarted from its last checkpoint.
 fn run_push_spmd<R: Send>(
     set: &SequenceSet,
     config: &ClusterConfig,

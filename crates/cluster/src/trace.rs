@@ -33,9 +33,6 @@ pub struct BatchRecord {
     /// `m·n` of every pair the engine's length screen or score threshold
     /// rejected before any traceback; zero under the reference engine.
     pub cells_skipped: u64,
-    /// Leases requeued by timeout/death recovery this round (0 outside
-    /// the fault-tolerant driver).
-    pub n_requeued: usize,
     /// Candidates answered by the run's pair ledger instead of a fill.
     pub n_ledger_hits: usize,
 }
@@ -103,11 +100,6 @@ impl PhaseTrace {
         self.batches.iter().map(|b| b.cells_skipped).sum()
     }
 
-    /// Total leases requeued by recovery (timeouts and worker deaths).
-    pub fn total_requeued(&self) -> usize {
-        self.batches.iter().map(|b| b.n_requeued).sum()
-    }
-
     /// The filter's work-reduction ratio: filtered / generated
     /// (§V reports > 99.9 % for CCD on the 80K input).
     pub fn filter_ratio(&self) -> f64 {
@@ -122,21 +114,21 @@ impl PhaseTrace {
 
 /// The batch-line columns [`PhaseTrace::to_tsv`] writes, in order — the
 /// names of its `#n_generated\t…` header line.
-const COLUMNS: [&str; 8] = [
+const COLUMNS: [&str; 7] = [
     "n_generated",
     "n_filtered",
     "n_aligned",
     "task_cells",
     "cells_computed",
     "cells_skipped",
-    "n_requeued",
     "n_ledger_hits",
 ];
 
 /// Columns earlier writers emitted for counters that no longer exist (the
-/// stealing scheduler's, the supervision plane's): read past, by name.
-const RETIRED_COLUMNS: [&str; 5] =
-    ["n_chunks", "n_steals", "n_retries", "n_spec_issued", "n_spec_wins"];
+/// stealing scheduler's, the supervision plane's, the leased loop's):
+/// read past, by name.
+const RETIRED_COLUMNS: [&str; 6] =
+    ["n_chunks", "n_steals", "n_requeued", "n_retries", "n_spec_issued", "n_spec_wins"];
 
 impl PhaseTrace {
     /// Serialize as TSV: a `key=value` header line, a line naming the
@@ -153,14 +145,13 @@ impl PhaseTrace {
         for b in &self.batches {
             let cells: Vec<String> = b.task_cells.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 b.n_generated,
                 b.n_filtered,
                 b.n_aligned,
                 cells.join(","),
                 b.cells_computed,
                 b.cells_skipped,
-                b.n_requeued,
                 b.n_ledger_hits
             ));
         }
@@ -230,7 +221,6 @@ impl PhaseTrace {
                     "n_aligned" => b.n_aligned = n as usize,
                     "cells_computed" => b.cells_computed = n,
                     "cells_skipped" => b.cells_skipped = n,
-                    "n_requeued" => b.n_requeued = n as usize,
                     "n_ledger_hits" => b.n_ledger_hits = n as usize,
                     _ => unreachable!("{name} is in COLUMNS"),
                 }
@@ -297,14 +287,12 @@ mod tests {
             nodes_visited: 67,
             batches: vec![batch(10, 7, &[100, 200, 300]), batch(4, 4, &[])],
         };
-        trace.batches[0].n_requeued = 3;
         trace.batches[0].cells_skipped = 40;
         trace.batches[1].n_ledger_hits = 5;
         let text = trace.to_tsv();
         assert_eq!(text.lines().nth(1), Some(format!("#{}", COLUMNS.join("\t")).as_str()));
         let back = PhaseTrace::from_tsv(&text).expect("own output parses");
         assert_eq!(back, trace);
-        assert_eq!(back.total_requeued(), 3);
         assert_eq!(back.total_ledger_hits(), 5);
     }
 
@@ -320,9 +308,9 @@ mod tests {
 
     #[test]
     fn every_layout_ever_written_lands_each_value_in_its_field() {
-        const SEED: &str = "n_generated\tn_filtered\tn_aligned\ttask_cells";
-        const PR3: &str = "\tcells_computed\tcells_skipped";
-        let expect = |requeued, ledger_hits| BatchRecord {
+        const BASE: &str = "n_generated\tn_filtered\tn_aligned\ttask_cells";
+        const CELLS: &str = "\tcells_computed\tcells_skipped";
+        let expect = |ledger_hits| BatchRecord {
             n_generated: 20,
             n_filtered: 11,
             n_aligned: 2,
@@ -330,32 +318,34 @@ mod tests {
             task_cells: vec![50, 30],
             cells_computed: 61,
             cells_skipped: 19,
-            n_requeued: requeued,
             n_ledger_hits: ledger_hits,
         };
-        // The parent commit's 11 columns (PR 16): three retired counters
-        // sit between `n_requeued` and `n_ledger_hits`.
-        let parent = format!(
-            "{SEED}{PR3}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\tn_ledger_hits"
+        // 8 columns, the leased loop's last layout: `n_requeued` before
+        // `n_ledger_hits`.
+        let leased = format!("{BASE}{CELLS}\tn_requeued\tn_ledger_hits");
+        assert_eq!(parsed(&leased, "20\t11\t2\t50,30\t61\t19\t3\t7"), expect(7));
+        // 11 columns: the supervision plane's three counters between them.
+        let supervised = format!(
+            "{BASE}{CELLS}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins\tn_ledger_hits"
         );
-        assert_eq!(parsed(&parent, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1\t7"), expect(3, 7));
-        // 12 columns (PR 7): the stealing scheduler's two before them.
-        let pr7 = format!(
-            "{SEED}{PR3}\tn_chunks\tn_steals\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins"
+        assert_eq!(parsed(&supervised, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1\t7"), expect(7));
+        // 12 columns: the stealing scheduler's two before them, no ledger.
+        let stealing = format!(
+            "{BASE}{CELLS}\tn_chunks\tn_steals\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins"
         );
-        assert_eq!(parsed(&pr7, "20\t11\t2\t50,30\t61\t19\t4\t2\t3\t6\t2\t1"), expect(3, 0));
-        // 10 columns (PR 14), 8 (PR 6: *not* today's 8), 6 (PR 3), 4 (seed).
-        let pr14 = format!("{SEED}{PR3}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins");
-        assert_eq!(parsed(&pr14, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1"), expect(3, 0));
-        let pr6 = format!("{SEED}{PR3}\tn_chunks\tn_steals");
-        assert_eq!(parsed(&pr6, "20\t11\t2\t50,30\t61\t19\t4\t2"), expect(0, 0));
-        assert_eq!(parsed(&format!("{SEED}{PR3}"), "20\t11\t2\t50,30\t61\t19"), expect(0, 0));
-        let seed = parsed(SEED, "20\t11\t2\t50,30");
-        assert_eq!(seed, BatchRecord { cells_computed: 0, cells_skipped: 0, ..expect(0, 0) });
-        // Today's 8: same width as PR 6's, told apart by the names.
-        assert_eq!(parsed(&COLUMNS.join("\t"), "20\t11\t2\t50,30\t61\t19\t3\t7"), expect(3, 7));
+        assert_eq!(parsed(&stealing, "20\t11\t2\t50,30\t61\t19\t4\t2\t3\t6\t2\t1"), expect(0));
+        // 10 columns; 8 that are not the leased loop's 8; 6; the first 4.
+        let retries = format!("{BASE}{CELLS}\tn_requeued\tn_retries\tn_spec_issued\tn_spec_wins");
+        assert_eq!(parsed(&retries, "20\t11\t2\t50,30\t61\t19\t3\t6\t2\t1"), expect(0));
+        let chunked = format!("{BASE}{CELLS}\tn_chunks\tn_steals");
+        assert_eq!(parsed(&chunked, "20\t11\t2\t50,30\t61\t19\t4\t2"), expect(0));
+        assert_eq!(parsed(&format!("{BASE}{CELLS}"), "20\t11\t2\t50,30\t61\t19"), expect(0));
+        let base = parsed(BASE, "20\t11\t2\t50,30");
+        assert_eq!(base, BatchRecord { cells_computed: 0, cells_skipped: 0, ..expect(0) });
+        // Today's 7.
+        assert_eq!(parsed(&COLUMNS.join("\t"), "20\t11\t2\t50,30\t61\t19\t7"), expect(7));
         // A batch with nothing aligned: the cells column is empty.
-        assert_eq!(parsed(SEED, "4\t4\t0\t").task_cells, Vec::<u64>::new());
+        assert_eq!(parsed(BASE, "4\t4\t0\t").task_cells, Vec::<u64>::new());
     }
 
     #[test]

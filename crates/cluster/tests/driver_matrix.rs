@@ -19,8 +19,8 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::core::VERIFY_SLICE;
 use pfam_cluster::{
-    drive_batched, drive_leased, drive_spmd, run_ccd, run_ccd_from_pairs, serve_pull_worker,
-    serve_push_worker, ClusterConfig, ClusterCore, CorePhase, LocalTransport, Verifier,
+    drive_batched, drive_spmd, run_ccd, run_ccd_from_pairs, serve_push_worker, ClusterConfig,
+    ClusterCore, CorePhase, LocalTransport, Verifier,
 };
 use pfam_cluster::{CcdCursor, CcdResult, RrResult, VerifyOn};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -52,13 +52,10 @@ enum LoopKind {
     /// [`drive_spmd`] with every pair on one worker and the other idle
     /// (the degenerate partition).
     PushToOne,
-    /// [`drive_leased`] — the master owns the pairs, workers pull leases.
-    Pull,
 }
 
 const MINERS: [MinerKind; 3] = [MinerKind::Mined(1), MinerKind::Mined(2), MinerKind::Partitioned];
-const LOOPS: [LoopKind; 4] =
-    [LoopKind::Batched, LoopKind::Push, LoopKind::PushToOne, LoopKind::Pull];
+const LOOPS: [LoopKind; 3] = [LoopKind::Batched, LoopKind::Push, LoopKind::PushToOne];
 
 /// Mine the full promising-pair stream without the index-borrow dance
 /// (the integration test cannot reach the crate-private masked view, so
@@ -123,17 +120,6 @@ fn run_cell(
             drive_push(&mut core, set, config, [left, right]);
         }
         LoopKind::PushToOne => drive_push(&mut core, set, config, [&pairs, &[]]),
-        LoopKind::Pull => {
-            let (mut transport, ports) = LocalTransport::new(2);
-            std::thread::scope(|scope| {
-                for mut port in ports {
-                    let verifier = &verifier;
-                    scope.spawn(move || serve_pull_worker(&mut port, verifier, set));
-                }
-                drive_leased(&mut core, &mut transport, &pairs, config.batch_size)
-                    .expect("healthy local world");
-            });
-        }
     }
     CcdResult::from_core(core)
 }

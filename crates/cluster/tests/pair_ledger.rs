@@ -2,7 +2,7 @@
 //! list change — the work — and what they must not — any result.
 //!
 //! Over random family corpora, for every driver of the CCD loop
-//! ([`drive_batched`], [`drive_spmd`], [`drive_leased`]), and the ledger present,
+//! ([`drive_batched`], [`drive_spmd`]), and the ledger present,
 //! absent, and cut short by its budget:
 //!
 //! (a) the component graphs built from CCD's edges and deferred pairs
@@ -24,9 +24,9 @@ use std::sync::Arc;
 
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
-    drive_leased, drive_spmd, run_ccd_resumable, run_redundancy_removal, serve_pull_worker,
-    serve_push_worker, with_front_half, with_pair_source, CcdResult, ClusterConfig, ClusterCore,
-    CorePhase, LocalTransport, PairLedger, RrResult, Verifier,
+    drive_spmd, run_ccd_resumable, run_redundancy_removal, serve_push_worker, with_front_half,
+    with_pair_source, CcdResult, ClusterConfig, ClusterCore, CorePhase, LocalTransport, PairLedger,
+    RrResult, Verifier,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SubsetStore};
@@ -66,23 +66,6 @@ fn drive_push(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger
             });
         }
         drive_spmd(&mut core, &mut transport).expect("healthy local world");
-    });
-    CcdResult::from_core(core)
-}
-
-/// CCD over `store` with the pull protocol: two lease workers.
-fn drive_pull(store: &dyn SeqStore, cfg: &ClusterConfig, ledger: &Arc<PairLedger>) -> CcdResult {
-    let verifier = Verifier::new(cfg, CorePhase::Ccd).with_ledger(ledger.clone());
-    let pairs = pair_stream(store, cfg);
-    let (mut transport, ports) = LocalTransport::new(2);
-    let mut core = ClusterCore::new_ccd(store);
-    std::thread::scope(|scope| {
-        for mut port in ports {
-            let verifier = &verifier;
-            scope.spawn(move || serve_pull_worker(&mut port, verifier, store));
-        }
-        drive_leased(&mut core, &mut transport, &pairs, cfg.batch_size)
-            .expect("healthy local world");
     });
     CcdResult::from_core(core)
 }
@@ -138,15 +121,11 @@ fn the_ledger_changes_the_work_and_no_result() {
             assert_eq!(hits == 0, ledger.is_empty(), "{what}");
             hits_seen += hits + ccd.trace.total_ledger_hits();
             assert_eq!(fills + hits, mined_fills, "{what}: same deferred pairs");
-            for (driver, ccd) in [
-                ("drive_spmd", drive_push(&nr_store, &cfg, ledger)),
-                ("drive_leased", drive_pull(&nr_store, &cfg, ledger)),
-            ] {
-                let what = format!("seed {seed}, {driver}, ledger {name}");
-                assert_partition(&ccd, &what);
-                assert_eq!(ccd.components, reference.components, "{what}");
-                assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
-            }
+            let ccd = drive_push(&nr_store, &cfg, ledger);
+            let what = format!("seed {seed}, drive_spmd, ledger {name}");
+            assert_partition(&ccd, &what);
+            assert_eq!(ccd.components, reference.components, "{what}");
+            assert_known_graphs_equal_mined(&set, &cfg, kept, ledger, &ccd, &what);
         }
         assert!(hits_seen > 0, "seed {seed}: the ledger never answered");
     }

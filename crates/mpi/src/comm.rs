@@ -1,13 +1,9 @@
 //! The communicator: tagged point-to-point messaging plus collectives.
 //!
-//! Every operation is *fallible*: faults (a dead peer, a timeout, this
-//! rank's own injected death) surface as [`CommError`] values rather than
-//! panics, so long-running jobs can contain failures instead of
-//! collapsing. A shared liveness board tracks which ranks are still
-//! running — the moral equivalent of ULFM's failure notification — and an
-//! optional [`FaultInjector`] lets tests drive deterministic kill/drop/
-//! delay/slowdown schedules through the same code paths real faults would
-//! take.
+//! Every operation is *fallible*: a dead peer or a torn-down world
+//! surfaces as a [`CommError`] value rather than a panic. A shared
+//! liveness board tracks which ranks are still running, so a collective
+//! whose peer has exited fails instead of waiting for it forever.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -18,7 +14,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::CommError;
-use crate::fault::{FaultInjector, MessageFate};
 
 /// Wildcard source for [`Communicator::try_recv`].
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -36,14 +31,6 @@ struct Envelope {
     payload: Box<dyn Any + Send>,
 }
 
-/// A message held back by an injected delay: delivered once `remaining`
-/// further sends to the same destination have gone out.
-struct Holdback {
-    remaining: u32,
-    to: usize,
-    envelope: Envelope,
-}
-
 /// One rank's endpoint of the SPMD world.
 pub struct Communicator {
     rank: usize,
@@ -53,15 +40,8 @@ pub struct Communicator {
     /// Messages received but not yet matched by a `recv` call.
     pending: VecDeque<Envelope>,
     /// Shared liveness board: `alive[r]` is cleared when rank `r` exits
-    /// (normally, by panic, or killed by the injector).
+    /// (normally or by panic).
     alive: Arc<[AtomicBool]>,
-    injector: Arc<dyn FaultInjector>,
-    /// Operations this rank has performed (the injector's event clock).
-    events: u64,
-    /// Messages sent per destination (the injector's per-edge sequence).
-    edge_seq: Vec<u64>,
-    /// Messages held back by injected delays.
-    holdback: Vec<Holdback>,
 }
 
 impl Communicator {
@@ -75,84 +55,20 @@ impl Communicator {
         self.size
     }
 
-    /// Whether rank `r` is still running. `false` once it has returned
-    /// from its SPMD closure, panicked, or been killed by the injector.
-    pub fn peer_alive(&self, r: usize) -> bool {
-        r < self.size && self.alive[r].load(Ordering::SeqCst)
-    }
-
-    /// Consult the fault injector before an operation: sleep through any
-    /// injected slowdown, then fail if this rank is (or just became) dead.
-    fn preflight(&mut self) -> Result<(), CommError> {
-        if !self.alive[self.rank].load(Ordering::SeqCst) {
-            return Err(CommError::RankKilled);
-        }
-        let event = self.events;
-        self.events += 1;
-        if let Some(pause) = self.injector.slowdown(self.rank, event) {
-            std::thread::sleep(pause);
-        }
-        if self.injector.kill_now(self.rank, event) {
-            self.alive[self.rank].store(false, Ordering::SeqCst);
-            return Err(CommError::RankKilled);
-        }
-        Ok(())
-    }
-
     /// Send `value` to `to` with `tag`. Asynchronous (buffered); never
     /// blocks. User tags must stay below the reserved range.
     pub fn send<T: Any + Send>(&mut self, to: usize, tag: u32, value: T) -> Result<(), CommError> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved for collectives");
-        self.preflight()?;
         self.send_raw(to, tag, value)
     }
 
     fn send_raw<T: Any + Send>(&mut self, to: usize, tag: u32, value: T) -> Result<(), CommError> {
         assert!(to < self.size, "rank {to} out of range (size {})", self.size);
-        let seq = self.edge_seq[to];
-        self.edge_seq[to] += 1;
+        if !self.alive[to].load(Ordering::SeqCst) {
+            return Err(CommError::PeerExited { rank: to });
+        }
         let envelope = Envelope { from: self.rank, tag, payload: Box::new(value) };
-        match self.injector.message_fate(self.rank, to, tag, seq) {
-            MessageFate::Drop => {
-                // Silent loss: the sender sees success, like a buffered
-                // MPI send onto a failing link. Held-back messages still
-                // age past this slot.
-                self.age_holdbacks(to);
-                return Ok(());
-            }
-            MessageFate::Delay { hold } => {
-                self.holdback.push(Holdback { remaining: hold, to, envelope });
-                return Ok(());
-            }
-            MessageFate::Deliver => {}
-        }
-        let result = if self.alive[to].load(Ordering::SeqCst) {
-            self.senders[to].send(envelope).map_err(|_| CommError::PeerExited { rank: to })
-        } else {
-            Err(CommError::PeerExited { rank: to })
-        };
-        self.age_holdbacks(to);
-        result
-    }
-
-    /// Age every held-back message destined for `to`; deliver the ones
-    /// whose delay has elapsed (best effort — a dead receiver loses them).
-    fn age_holdbacks(&mut self, to: usize) {
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.holdback.len() {
-            if self.holdback[i].to == to {
-                if self.holdback[i].remaining == 0 {
-                    due.push(self.holdback.swap_remove(i));
-                    continue;
-                }
-                self.holdback[i].remaining -= 1;
-            }
-            i += 1;
-        }
-        for held in due {
-            let _ = self.senders[to].send(held.envelope);
-        }
+        self.senders[to].send(envelope).map_err(|_| CommError::PeerExited { rank: to })
     }
 
     fn open<T: Any + Send>(e: Envelope) -> Result<(usize, T), CommError> {
@@ -241,7 +157,6 @@ impl Communicator {
         from: usize,
         tag: u32,
     ) -> Result<Option<(usize, T)>, CommError> {
-        self.preflight()?;
         if let Some(e) = self.take_pending(from, tag) {
             return Self::open(e).map(Some);
         }
@@ -261,7 +176,6 @@ impl Communicator {
 
     /// Synchronise all ranks (central counter at rank 0).
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        self.preflight()?;
         if self.rank == 0 {
             for _ in 1..self.size {
                 let _ = self.recv_match::<()>(ANY_SOURCE, TAG_BARRIER_IN, None)?;
@@ -279,7 +193,6 @@ impl Communicator {
     /// Sum-reduce to every rank (summed at rank 0, in rank order, then
     /// sent back out).
     pub fn all_reduce_sum(&mut self, value: u64) -> Result<u64, CommError> {
-        self.preflight()?;
         if self.rank != 0 {
             self.send_raw(0, TAG_REDUCE, value)?;
             return self.recv_peer::<u64>(0, TAG_BCAST).map(|(_, total)| total);
@@ -295,20 +208,9 @@ impl Communicator {
     }
 }
 
-/// Outcome of one rank in a fault-injected SPMD run.
-pub type RankOutcome<R> = Result<R, RankFailure>;
-
-/// How a rank failed to produce a result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RankFailure {
-    /// The rank's closure panicked; the payload's message if it was a
-    /// string.
-    Panicked(String),
-}
-
 /// Wire a world of `p` ranks: one inbox per rank, handed to that rank's
 /// communicator, and a sender to every inbox in each of them.
-fn build_world(p: usize, injector: Arc<dyn FaultInjector>) -> Vec<Communicator> {
+fn build_world(p: usize) -> Vec<Communicator> {
     let (senders, inboxes): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
         (0..p).map(|_| unbounded()).unzip();
     let alive: Arc<[AtomicBool]> = (0..p).map(|_| AtomicBool::new(true)).collect();
@@ -322,10 +224,6 @@ fn build_world(p: usize, injector: Arc<dyn FaultInjector>) -> Vec<Communicator> 
             inbox,
             pending: VecDeque::new(),
             alive: alive.clone(),
-            injector: injector.clone(),
-            events: 0,
-            edge_seq: vec![0; p],
-            holdback: Vec::new(),
         })
         .collect()
 }
@@ -341,53 +239,10 @@ fn run_rank<R>(
     result
 }
 
-/// Run `f` on `p` ranks (one thread each) under `injector`, tolerating
-/// rank failures: a rank that panics yields `Err(RankFailure)` in its slot
-/// instead of taking the world down, and is marked dead on the liveness
-/// board (so surviving ranks observe its death via
-/// [`Communicator::peer_alive`] and failed sends).
-pub fn run_spmd_faulty<R, F>(
-    p: usize,
-    injector: Arc<dyn FaultInjector>,
-    f: F,
-) -> Vec<RankOutcome<R>>
-where
-    R: Send,
-    F: Fn(&mut Communicator) -> R + Sync,
-{
-    assert!(p >= 1, "need at least one rank");
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = build_world(p, injector)
-            .into_iter()
-            .map(|comm| scope.spawn(move || run_rank(comm, f)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(payload)) | Err(payload) => {
-                    Err(RankFailure::Panicked(panic_message(payload.as_ref())))
-                }
-            })
-            .collect()
-    })
-}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
 /// Run `f` on `p` ranks (one thread each) and collect each rank's return
-/// value, ordered by rank. No faults are injected; a rank panic propagates
-/// to the caller with its original payload (use [`run_spmd_faulty`] for
-/// failure containment).
+/// value, ordered by rank. A rank that panics is marked dead on the
+/// liveness board, so its peers' collectives fail instead of hanging, and
+/// the panic propagates to the caller with its original payload.
 pub fn run_spmd<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -396,10 +251,8 @@ where
     assert!(p >= 1, "need at least one rank");
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = build_world(p, Arc::new(crate::fault::NoFaults))
-            .into_iter()
-            .map(|comm| scope.spawn(move || run_rank(comm, f)))
-            .collect();
+        let handles: Vec<_> =
+            build_world(p).into_iter().map(|comm| scope.spawn(move || run_rank(comm, f))).collect();
         handles
             .into_iter()
             .map(|h| {
@@ -421,10 +274,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultInjector, MessageFate};
 
     /// Every comm call in the tests below goes through the fallible
-    /// surface; the tests run fault-free worlds, so `ok()`/`Ok` patterns
+    /// surface; the tests run healthy worlds, so `ok()`/`Ok` patterns
     /// assert success explicitly rather than papering over errors.
     fn must<T>(r: Result<T, CommError>) -> T {
         match r {
@@ -589,113 +441,18 @@ mod tests {
         assert!(results[1]);
     }
 
-    /// Kill rank 1 at its very first operation.
-    struct KillFirstOp;
-    impl FaultInjector for KillFirstOp {
-        fn kill_now(&self, rank: usize, event: u64) -> bool {
-            rank == 1 && event == 0
-        }
-    }
-
-    #[test]
-    fn killed_rank_sees_rank_killed_and_peers_observe_death() {
-        let results = run_spmd_faulty(2, Arc::new(KillFirstOp), |comm| {
-            if comm.rank() == 1 {
-                // First op dies; every later op dies too.
-                assert_eq!(comm.send(0, 1, 0u8), Err(CommError::RankKilled));
-                assert_eq!(poll::<u8>(comm, 0, 1).err(), Some(CommError::RankKilled));
-                "killed"
-            } else {
-                // Wait for the liveness board to reflect the death, then
-                // observe that sends to the corpse fail.
-                while comm.peer_alive(1) {
-                    std::thread::yield_now();
-                }
-                assert_eq!(comm.send(1, 1, 0u8), Err(CommError::PeerExited { rank: 1 }));
-                "survivor"
-            }
-        });
-        assert_eq!(results[0], Ok("survivor"));
-        assert_eq!(results[1], Ok("killed"));
-    }
-
-    /// Drop the first message from 0 to 1 on tag 7.
-    struct DropFirst;
-    impl FaultInjector for DropFirst {
-        fn message_fate(&self, from: usize, to: usize, tag: u32, seq: u64) -> MessageFate {
-            if from == 0 && to == 1 && tag == 7 && seq == 0 {
-                MessageFate::Drop
-            } else {
-                MessageFate::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn dropped_message_is_lost_but_send_succeeds() {
-        let results = run_spmd_faulty(2, Arc::new(DropFirst), |comm| {
-            if comm.rank() == 0 {
-                must(comm.send(1, 7, 1u32)); // dropped
-                must(comm.send(1, 7, 2u32)); // delivered
-                0
-            } else {
-                // Only the second message arrives.
-                must(poll::<u32>(comm, 0, 7)).1
-            }
-        });
-        assert_eq!(results[1], Ok(2));
-    }
-
-    /// Delay the first message from 0→1 until one more has been sent.
-    struct DelayFirst;
-    impl FaultInjector for DelayFirst {
-        fn message_fate(&self, from: usize, to: usize, _tag: u32, seq: u64) -> MessageFate {
-            if from == 0 && to == 1 && seq == 0 {
-                MessageFate::Delay { hold: 0 } // deliver after the next send
-            } else {
-                MessageFate::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn delayed_message_is_reordered_not_lost() {
-        let results = run_spmd_faulty(2, Arc::new(DelayFirst), |comm| {
-            if comm.rank() == 0 {
-                must(comm.send(1, 7, 1u32));
-                must(comm.send(1, 7, 2u32));
-                Vec::new()
-            } else {
-                vec![must(poll::<u32>(comm, 0, 7)).1, must(poll::<u32>(comm, 0, 7)).1]
-            }
-        });
-        assert_eq!(results[1], Ok(vec![2, 1]), "first message overtaken by the second");
-    }
-
-    #[test]
-    fn panicked_rank_is_contained_in_faulty_mode() {
-        let results =
-            run_spmd_faulty(3, Arc::new(crate::fault::NoFaults), |comm| match comm.rank() {
-                1 => panic!("rank 1 exploded"),
-                r => r,
-            });
-        assert_eq!(results[0], Ok(0));
-        assert_eq!(results[1], Err(RankFailure::Panicked("rank 1 exploded".to_owned())));
-        assert_eq!(results[2], Ok(2));
-    }
-
     #[test]
     fn collective_with_dead_peer_errors_instead_of_hanging() {
         // Rank 1 exits before sending its summand: the root must observe
         // PeerExited, not block forever.
-        let results = run_spmd_faulty(3, Arc::new(crate::fault::NoFaults), |comm| {
+        let results = run_spmd(3, |comm| {
             if comm.rank() == 1 {
-                return None; // dies without participating
+                return None; // exits without participating
             }
             Some(comm.all_reduce_sum(comm.rank() as u64))
         });
         match &results[0] {
-            Ok(Some(Err(CommError::PeerExited { rank: 1 }))) => {}
+            Some(Err(CommError::PeerExited { rank: 1 })) => {}
             other => panic!("expected PeerExited {{ rank: 1 }}, got {other:?}"),
         }
     }
@@ -704,11 +461,12 @@ mod tests {
     fn exited_rank_is_marked_dead() {
         let results = run_spmd(2, |comm| {
             if comm.rank() == 0 {
-                // Rank 1 exits immediately; wait for the board to show it.
-                while comm.peer_alive(1) {
+                // Rank 1 exits immediately; once the board shows it, a
+                // send to it fails instead of queueing.
+                while comm.send(1, 5, ()).is_ok() {
                     std::thread::yield_now();
                 }
-                true
+                comm.send(1, 5, ()) == Err(CommError::PeerExited { rank: 1 })
             } else {
                 false
             }

@@ -1,26 +1,21 @@
 //! Communication failures as values.
 //!
-//! The paper's RR+CCD phases run for hours on hardware where rank death
-//! and message loss are the expected failure mode of any long job, so the
-//! communicator never panics on an inter-rank fault: every operation
-//! returns a [`CommError`] the caller can react to (re-lease work, drop a
-//! peer, resume from a checkpoint).
+//! The communicator never panics on an inter-rank fault: every operation
+//! returns a [`CommError`], so a rank that has exited ends its peers'
+//! waits with an error instead of a hang, and the job fails and is
+//! restarted from its last checkpoint.
 
 /// Why a communicator operation could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// The destination rank has exited (normally, by panic, or killed by
-    /// the fault injector); the message was not delivered.
+    /// The destination rank has exited (normally or by panic); the
+    /// message was not delivered.
     PeerExited {
         /// The dead destination rank.
         rank: usize,
     },
     /// A bounded wait inside a collective elapsed with no matching message.
     Timeout,
-    /// This rank itself has been killed by the fault injector: the
-    /// surrounding SPMD closure should unwind its work and return, as a
-    /// real process would on SIGKILL.
-    RankKilled,
     /// The world has been torn down: no live sender remains for this
     /// rank's inbox and the queue is drained.
     Disconnected,
@@ -35,9 +30,6 @@ pub enum CommError {
         /// The type the receiver expected.
         expected: &'static str,
     },
-    /// An internal collective invariant was violated (e.g. a gather slot
-    /// left unfilled); indicates a communicator bug, surfaced as an error.
-    Protocol(&'static str),
 }
 
 impl std::fmt::Display for CommError {
@@ -45,13 +37,11 @@ impl std::fmt::Display for CommError {
         match self {
             CommError::PeerExited { rank } => write!(f, "rank {rank} has exited"),
             CommError::Timeout => write!(f, "receive timed out"),
-            CommError::RankKilled => write!(f, "this rank was killed by the fault injector"),
             CommError::Disconnected => write!(f, "world torn down (no senders remain)"),
             CommError::TypeMismatch { tag, from, expected } => write!(
                 f,
                 "message type mismatch on tag {tag} from rank {from}: expected {expected}"
             ),
-            CommError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
     }
 }

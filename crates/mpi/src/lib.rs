@@ -12,7 +12,7 @@
 //! use pfam_mpi::run_spmd;
 //!
 //! // Every rank contributes its rank number and learns the sum. A
-//! // fault-free world never errors, so faults fold into `None` here.
+//! // healthy world never errors, so errors fold into `None` here.
 //! let results = run_spmd(4, |comm| {
 //!     let total = comm.all_reduce_sum(comm.rank() as u64).ok();
 //!     let _ = comm.barrier();
@@ -23,27 +23,23 @@
 //!
 //! Semantics follow MPI where it matters:
 //! * messages between a fixed (sender, receiver, tag) triple arrive in
-//!   send order (non-overtaking) — unless a fault injector reorders them;
+//!   send order (non-overtaking);
 //! * point-to-point receives poll (`try_recv`), as the master–worker
 //!   loops do; collectives wait inside, bounded by the liveness board;
 //! * collectives must be called by every rank (they are built from
 //!   reserved-tag point-to-point messages).
 //!
-//! Unlike classic MPI, every operation is **fallible**: faults surface as
-//! [`CommError`] values (peer death, timeout, this rank's own injected
-//! kill) instead of aborting the job — the failure-containment model of
-//! ULFM-style fault-tolerant MPI. A shared liveness board
-//! ([`Communicator::peer_alive`]) plays the role of the failure detector,
-//! and [`run_spmd_faulty`] runs a world under a deterministic
-//! [`FaultInjector`] (schedules are generated in `pfam_sim::faults`). A
-//! dead rank stays dead: bringing capacity back is the job launcher's
-//! business, and a caller's recovery is to re-issue the work to a
-//! survivor.
+//! Unlike classic MPI, every operation is **fallible**: a send to a rank
+//! that has exited, a collective whose peer has exited and a torn-down
+//! world surface as [`CommError`] values instead of aborting the job. A
+//! shared liveness board records which
+//! ranks are still running, so one rank that returns early or panics
+//! cannot hang the others' collectives; [`run_spmd`] then re-raises the
+//! panic. Nothing here recovers a lost rank: a job that fails is
+//! restarted from its last checkpoint.
 
 pub mod comm;
 pub mod error;
-pub mod fault;
 
-pub use comm::{run_spmd, run_spmd_faulty, Communicator, RankFailure, RankOutcome, ANY_SOURCE};
+pub use comm::{run_spmd, Communicator, ANY_SOURCE};
 pub use error::CommError;
-pub use fault::{FaultInjector, MessageFate, NoFaults};

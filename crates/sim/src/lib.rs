@@ -17,12 +17,10 @@
 //!   near-linear for the alignment-dominated RR phase, saturating for the
 //!   filter-dominated CCD phase.
 
-pub mod faults;
 pub mod machine;
 pub mod replay;
 pub mod scheduler;
 
-pub use faults::{FaultEvent, FaultSchedule};
 pub use machine::MachineModel;
 pub use replay::{simulate_phase, simulate_phases, speedup_sweep, SimBreakdown, SimReport};
 pub use scheduler::list_schedule_makespan;

@@ -41,7 +41,7 @@ cd "$(dirname "$0")/.."
 ALLOW=scripts/reachability.allow
 # Lines the allow-list held when the compiler became the gate; lower it
 # when a line goes, never raise it.
-ALLOW_CEILING=20
+ALLOW_CEILING=18
 REASONS='(oracle of .+|test double of .+|len / is_empty vocabulary)'
 
 start=$SECONDS

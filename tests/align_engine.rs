@@ -1,17 +1,14 @@
 //! End-to-end identity of the tiered alignment engine: with
 //! `align_engine = Tiered` every phase — RR, CCD (batched, resumable,
-//! SPMD, fault-tolerant), BGG — must produce outputs bit-identical to
+//! SPMD), BGG — must produce outputs bit-identical to
 //! `align_engine = Reference`, because the screens only reject on proven
 //! bounds and the one-pass fill replays the reference traceback.
 
-use std::sync::Arc;
-
 use pfam::cluster::{
-    all_component_graphs, run_ccd, run_ccd_ft, run_ccd_spmd, run_redundancy_removal,
-    AlignEngineKind, ClusterConfig,
+    all_component_graphs, run_ccd, run_ccd_spmd, run_redundancy_removal, AlignEngineKind,
+    ClusterConfig,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::sim::FaultSchedule;
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig {
@@ -96,21 +93,4 @@ fn spmd_engines_are_bit_identical_across_engines() {
     let reference = run_ccd_spmd(&d.set, &config(AlignEngineKind::Reference), 3);
     let tiered = run_ccd_spmd(&d.set, &config(AlignEngineKind::Tiered), 3);
     assert_eq!(tiered.components, reference.components);
-}
-
-#[test]
-fn ft_under_injected_faults_matches_reference_engine() {
-    let d = dataset(4205);
-    let reference = run_ccd(&d.set, &config(AlignEngineKind::Reference));
-    for seed in 0..8u64 {
-        let schedule = Arc::new(FaultSchedule::seeded(seed, 4, 2));
-        let killed = schedule.killed_ranks();
-        let r = run_ccd_ft(&d.set, &config(AlignEngineKind::Tiered), 4, schedule)
-            .unwrap_or_else(|e| panic!("seed {seed} (killed {killed:?}): {e}"));
-        assert_eq!(
-            r.components, reference.components,
-            "tiered FT under fault seed {seed} (killed {killed:?}) changed the clustering"
-        );
-        assert_eq!(r.n_merges, reference.n_merges, "seed {seed} merge count");
-    }
 }

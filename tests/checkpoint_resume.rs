@@ -291,20 +291,26 @@ fn a_version_4_directory_is_refused_before_any_phase_runs() {
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
-/// `trace` as the parent of the commit that retired the supervision
-/// counters wrote it: 11 columns, `n_retries`, `n_spec_issued` and
-/// `n_spec_wins` between `n_requeued` and `n_ledger_hits` — today's last
-/// two columns — holding values that a parser shifting columns would put
-/// into a live field.
-fn tsv_with_the_retired_counters(trace: &PhaseTrace) -> String {
+/// The layouts earlier writers gave a trace: today's columns with these
+/// retired counters between `cells_skipped` and `n_ledger_hits` — the
+/// leased loop's `n_requeued` alone, and before that the supervision
+/// plane's three after it.
+const RETIRED_LAYOUTS: [&[&str]; 2] =
+    [&["n_requeued"], &["n_requeued", "n_retries", "n_spec_issued", "n_spec_wins"]];
+
+/// `trace` as a writer of one of [`RETIRED_LAYOUTS`] wrote it: the
+/// `retired` columns spliced in before today's last one, holding values
+/// that a parser shifting columns would put into a live field.
+fn tsv_with_the_retired_counters(trace: &PhaseTrace, retired: &[&str]) -> String {
+    let values: Vec<String> = (6..6 + retired.len()).map(|v| v.to_string()).collect();
     let mut out = String::new();
     for (i, line) in trace.to_tsv().lines().enumerate() {
         let spliced = match (i, line.rsplit_once('\t')) {
             (1, Some((head, last))) => {
-                assert!(head.ends_with("n_requeued") && last == "n_ledger_hits", "{line}");
-                format!("{head}\tn_retries\tn_spec_issued\tn_spec_wins\t{last}")
+                assert!(head.ends_with("cells_skipped") && last == "n_ledger_hits", "{line}");
+                format!("{head}\t{}\t{last}", retired.join("\t"))
             }
-            (2.., Some((head, last))) => format!("{head}\t7\t8\t9\t{last}"),
+            (2.., Some((head, last))) => format!("{head}\t{}\t{last}", values.join("\t")),
             _ => line.to_owned(),
         };
         out.push_str(&spliced);
@@ -315,9 +321,9 @@ fn tsv_with_the_retired_counters(trace: &PhaseTrace) -> String {
 
 #[test]
 fn a_directory_written_with_the_retired_trace_columns_resumes() {
-    // Every snapshot ends in its phase's trace as TSV. Dropping three
-    // columns did not bump the format version, so a directory whose
-    // traces still carry them has to resume — each value in its field.
+    // Every snapshot ends in its phase's trace as TSV. Dropping columns
+    // did not bump the format version, so a directory whose traces still
+    // carry them has to resume — each value in its field.
     let d = dataset(4882);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
@@ -329,7 +335,7 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
         e.str(&tsv);
         e.finish()
     };
-    for phase in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
+    let snapshots = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| {
         let path = phase.path_in(dir_of(&hooks));
         let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
         let trace = match phase {
@@ -339,14 +345,17 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
         };
         let written = as_payload_tail(trace.to_tsv());
         assert!(payload.ends_with(&written), "the trace is the payload's last field");
-        let planted = [
-            &payload[..payload.len() - written.len()],
-            &as_payload_tail(tsv_with_the_retired_counters(&trace)),
-        ]
-        .concat();
-        write_checkpoint(&path, phase, fingerprint, &planted).expect("plant the older layout");
+        let head = payload[..payload.len() - written.len()].to_vec();
+        (phase, path, fingerprint, head, trace)
+    });
+    for retired in RETIRED_LAYOUTS {
+        for (phase, path, fingerprint, head, trace) in &snapshots {
+            let tail = as_payload_tail(tsv_with_the_retired_counters(trace, retired));
+            let planted = [head.as_slice(), &tail].concat();
+            write_checkpoint(path, *phase, *fingerprint, &planted).expect("plant the older layout");
+        }
+        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     }
-    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 

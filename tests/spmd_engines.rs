@@ -1,14 +1,12 @@
-//! All three CCD engines — batched rayon, the SPMD push protocol and the
-//! leased pull protocol, one per master loop — must agree on the
-//! clustering, and the `pfam-mpi` runtime must behave like MPI where the
-//! engines rely on it.
+//! Both CCD engines — batched rayon and the SPMD push protocol, one per
+//! master loop — must agree on the clustering, and the `pfam-mpi` runtime
+//! must behave like MPI where the SPMD engine relies on it.
 
 use std::any::Any;
-use std::sync::Arc;
 
-use pfam::cluster::{run_ccd, run_ccd_ft, run_ccd_spmd, ClusterConfig};
+use pfam::cluster::{run_ccd, run_ccd_spmd, ClusterConfig};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
-use pfam::mpi::{run_spmd, CommError, Communicator, NoFaults, ANY_SOURCE};
+use pfam::mpi::{run_spmd, CommError, Communicator, ANY_SOURCE};
 
 /// A blocking receive the way the master–worker loops get one: poll
 /// `try_recv` until a matching message is there.
@@ -43,13 +41,11 @@ fn dataset(seed: u64) -> SyntheticDataset {
 }
 
 #[test]
-fn three_engines_one_clustering() {
+fn both_engines_one_clustering() {
     let d = dataset(501);
     let config = ClusterConfig::default();
     let batched = run_ccd(&d.set, &config);
-    let leased = run_ccd_ft(&d.set, &config, 4, Arc::new(NoFaults)).expect("healthy world");
     let spmd = run_ccd_spmd(&d.set, &config, 4);
-    assert_eq!(batched.components, leased.components);
     assert_eq!(batched.components, spmd.components);
     assert_eq!(batched.n_merges, spmd.n_merges, "merges = n − #components");
 }
