@@ -8,6 +8,10 @@ use std::collections::BinaryHeap;
 /// identical machines, each task to the earliest-available worker —
 /// Graham's list scheduling, which is what a dynamic master-worker queue
 /// realises.
+///
+/// Only `min(workers, tasks.len())` workers are modelled: with at least as
+/// many workers as tasks every task starts at 0, so the idle rest cannot
+/// change the makespan — and a worker count of any size costs no memory.
 pub fn list_schedule_makespan(tasks: &[f64], workers: usize) -> f64 {
     assert!(workers >= 1, "need at least one worker");
     if tasks.is_empty() {
@@ -16,7 +20,8 @@ pub fn list_schedule_makespan(tasks: &[f64], workers: usize) -> f64 {
     // Min-heap over (finish_time, worker) with f64 ordered via bits (all
     // values are non-negative finite).
     let key = |t: f64| Reverse(t.to_bits());
-    let mut heap: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| key(0.0)).collect();
+    let mut heap: BinaryHeap<Reverse<u64>> =
+        (0..workers.min(tasks.len())).map(|_| key(0.0)).collect();
     let mut makespan = 0.0f64;
     for &t in tasks {
         debug_assert!(t >= 0.0 && t.is_finite());
@@ -71,6 +76,12 @@ mod tests {
             assert!(ms + 1e-9 >= total / m as f64);
             assert!(ms + 1e-9 >= max_task);
         }
+    }
+
+    #[test]
+    fn a_worker_count_past_memory_is_the_longest_task() {
+        // One heap entry per worker would be a capacity overflow here.
+        assert_eq!(list_schedule_makespan(&[3.0, 1.0, 4.0], usize::MAX), 4.0);
     }
 
     #[test]
