@@ -8,7 +8,8 @@
 //! 3. the master filters every pair — *serial*, independent of `p`,
 //! 4. surviving alignment tasks are dispatched (serial master time +
 //!    message costs) and executed on workers under greedy list scheduling,
-//! 5. results return and the master applies them (serial).
+//! 5. results return and the master applies them (serial); a candidate the
+//!    pair ledger answered is applied too, with no task behind it.
 //!
 //! Because steps 3–5 do not shrink with `p` while steps 1, 2 and 4's
 //! compute does, phases whose batches are filter-dominated (CCD) stop
@@ -105,8 +106,10 @@ pub fn simulate_phase(trace: &PhaseTrace, machine: &MachineModel, p: usize) -> S
             b.communication +=
                 round_latency + batch.n_generated as f64 * machine.pair_bytes * machine.byte_time;
         }
-        // Master: filter every pair, dispatch and apply the survivors.
-        master += batch.n_generated as f64 * machine.master_filter_time;
+        // Master: filter every pair, apply each ledger hit's verdict (no
+        // dispatch, no message, no worker), dispatch and apply the survivors.
+        master += batch.n_generated as f64 * machine.master_filter_time
+            + batch.n_ledger_hits as f64 * machine.master_apply_time;
         if batch.n_aligned > 0 {
             master +=
                 batch.n_aligned as f64 * (machine.master_dispatch_time + machine.master_apply_time);
@@ -249,6 +252,21 @@ mod tests {
         let r = simulate_phase(&trace, &MachineModel::bluegene_l(), 512);
         assert!(r.breakdown.master > 0.0, "master stage should dominate at high p");
         assert_eq!(r.breakdown.compute, 0.0);
+    }
+
+    #[test]
+    fn a_ledger_hit_costs_the_master_one_apply() {
+        let m = MachineModel::bluegene_l();
+        let cost = |hits: usize| {
+            let batch = BatchRecord { n_ledger_hits: hits, ..filter_dominated_batch() };
+            let r = simulate_phase(&trace_of(vec![batch]), &m, 512);
+            assert!(r.breakdown.master > 0.0, "master-bound");
+            r.seconds
+        };
+        for k in [1, 7, 1_000] {
+            let extra = cost(k) - cost(0);
+            assert!((extra - k as f64 * m.master_apply_time).abs() < 1e-12, "k={k}: {extra}");
+        }
     }
 
     #[test]
