@@ -1,17 +1,19 @@
 //! Figure 6 — combined RR + CCD run-time as a function of (a) processor
-//! count and (b) input size, via trace replay.
+//! count and (b) input size, via replay of the pipeline's own RR and CCD
+//! traces.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin fig6 [scale]
 //! ```
 
 use pfam_bench::{dataset_160k_like, scaled_members};
-use pfam_cluster::{run_ccd, run_redundancy_removal, ClusterConfig, PhaseTrace};
+use pfam_cluster::PhaseTrace;
+use pfam_core::PipelineConfig;
 use pfam_sim::{simulate_phases, MachineModel};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let config = ClusterConfig::default();
+    let config = PipelineConfig::default();
     let machine = MachineModel::bluegene_l();
     let ps = [16usize, 32, 64, 128, 256, 512];
 
@@ -21,11 +23,9 @@ fn main() {
     for (i, (members, label)) in ladder.iter().enumerate() {
         let frac = *members as f64 / ladder.last().expect("non-empty").0 as f64;
         let data = dataset_160k_like(scale * frac, 0x600 + i as u64);
-        let rr = run_redundancy_removal(&data.set, &config);
-        let (nr, _) = data.set.subset(&rr.kept);
-        let ccd = run_ccd(&nr, &config);
+        let (rr, ccd, _) = config.run(&data.set).traces;
         eprintln!("traced n={label} ({} reads)", data.set.len());
-        traces.push((label.to_string(), rr.trace, ccd.trace));
+        traces.push((label.to_string(), rr, ccd));
     }
 
     println!("\n== Figure 6a: RR+CCD simulated seconds vs processors ==");

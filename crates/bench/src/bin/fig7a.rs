@@ -1,17 +1,17 @@
 //! Figure 7a — speedup of RR + CCD relative to 32 processors, for the
-//! 10K…80K-like input ladder.
+//! 10K…80K-like input ladder, from the pipeline's own RR and CCD traces.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin fig7a [scale]
 //! ```
 
 use pfam_bench::{dataset_160k_like, scaled_members};
-use pfam_cluster::{run_ccd, run_redundancy_removal, ClusterConfig};
+use pfam_core::PipelineConfig;
 use pfam_sim::{speedup_sweep, MachineModel};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let config = ClusterConfig::default();
+    let config = PipelineConfig::default();
     let machine = MachineModel::bluegene_l();
     let ps = [32usize, 64, 128, 512];
 
@@ -27,10 +27,8 @@ fn main() {
     for (i, (members, label)) in ladder.iter().enumerate() {
         let frac = *members as f64 / 1600.0;
         let data = dataset_160k_like(scale * frac * 2.0, 0x7A + i as u64);
-        let rr = run_redundancy_removal(&data.set, &config);
-        let (nr, _) = data.set.subset(&rr.kept);
-        let ccd = run_ccd(&nr, &config);
-        let sweep = speedup_sweep(&[&rr.trace, &ccd.trace], &machine, &ps);
+        let (rr, ccd, _) = config.run(&data.set).traces;
+        let sweep = speedup_sweep(&[&rr, &ccd], &machine, &ps);
         print!("{label}");
         for (_, _, speedup) in &sweep {
             print!("\t{speedup:.2}");

@@ -10,25 +10,26 @@
 use std::time::Instant;
 
 use pfam_bench::dataset_160k_like;
-use pfam_cluster::{all_component_graphs, run_ccd, run_redundancy_removal, ClusterConfig};
+use pfam_core::PipelineConfig;
 use pfam_graph::BipartiteGraph;
 use pfam_shingle::{shingle_clusters, ShingleParams};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let config = ClusterConfig::default();
+    let config = PipelineConfig::default();
 
-    // Build component bipartite graphs for increasing input sizes.
+    // The component graphs the pipeline built (components of at least five
+    // members), duplicated into bipartite graphs, for increasing input sizes.
     let fractions = [0.25, 0.5, 0.75, 1.0];
     let mut inputs = Vec::new();
     for (i, f) in fractions.iter().enumerate() {
         let data = dataset_160k_like(scale * f, 0x7B + i as u64);
-        let rr = run_redundancy_removal(&data.set, &config);
-        let (nr, _) = data.set.subset(&rr.kept);
-        let ccd = run_ccd(&nr, &config);
-        let (graphs, _) = all_component_graphs(&nr, &ccd.components, 5, &config);
-        let bds: Vec<BipartiteGraph> =
-            graphs.iter().map(|g| BipartiteGraph::duplicate_from(&g.graph)).collect();
+        let result = config.run(&data.set);
+        let bds: Vec<BipartiteGraph> = result
+            .component_graphs
+            .iter()
+            .map(|g| BipartiteGraph::duplicate_from(&g.graph))
+            .collect();
         let n_vertices: usize = bds.iter().map(|b| b.n_right()).sum();
         eprintln!(
             "prepared {} components / {} vertices for n={}",

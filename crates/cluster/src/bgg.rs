@@ -23,8 +23,6 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use pfam_graph::CsrGraph;
 use pfam_seq::{materialize_subset, Reservation, SeqId, SeqStore, SubsetStore};
 use pfam_suffix::{estimated_index_bytes, parallel_pairs, with_match_tree};
@@ -32,7 +30,7 @@ use pfam_suffix::{estimated_index_bytes, parallel_pairs, with_match_tree};
 use crate::config::ClusterConfig;
 use crate::core::{CorePhase, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::ledger::PairLedger;
-use crate::trace::{BatchRecord, PhaseTrace};
+use crate::trace::BatchRecord;
 
 /// The similarity graph of one connected component.
 #[derive(Debug, Clone)]
@@ -248,23 +246,6 @@ impl<'a> KnownPairs<'a> {
     }
 }
 
-/// [`component_graph`] for every component with ≥ `min_size` members, in
-/// parallel across components: the graphs plus a combined trace.
-pub fn all_component_graphs(
-    set: &dyn SeqStore,
-    components: &[Vec<SeqId>],
-    min_size: usize,
-    config: &ClusterConfig,
-) -> (Vec<ComponentGraph>, PhaseTrace) {
-    let selected: Vec<&Vec<SeqId>> = components.iter().filter(|c| c.len() >= min_size).collect();
-    let built: Vec<_> =
-        selected.par_iter().map(|members| component_graph(set, members, config)).collect();
-    let (graphs, batches) = built.into_iter().unzip();
-    let index_residues =
-        selected.iter().flat_map(|c| c.iter()).map(|&id| set.seq_len(id) as u64).sum();
-    (graphs, PhaseTrace { index_residues, batches, ..PhaseTrace::default() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,14 +286,5 @@ mod tests {
         assert_eq!(cg.members, vec![SeqId(1), SeqId(2)], "sorted whatever the input order");
         assert_eq!(cg.original_id(1), SeqId(2));
         assert_eq!(cg.graph.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn all_graphs_filters_small_components() {
-        let set = set_of(&[FAM, FAM, "WWWWHHHHGGGGCCCC"]);
-        let components = vec![vec![SeqId(0), SeqId(1)], vec![SeqId(2)]];
-        let (graphs, trace) = all_component_graphs(&set, &components, 2, &config());
-        assert_eq!(graphs.len(), 1);
-        assert_eq!(trace.batches.len(), 1);
     }
 }

@@ -55,7 +55,7 @@ pub mod transport;
 
 pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier, VerifyOn};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
-pub use bgg::{all_component_graphs, component_graph, ComponentGraph, KnownPairs};
+pub use bgg::{component_graph, ComponentGraph, KnownPairs};
 pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
 pub use config::ClusterConfig;
 pub use front::{run_front_half, with_front_half, FrontHalf};

@@ -1,8 +1,10 @@
 //! The scaling shapes the paper reports, reproduced from *real* work
 //! traces replayed through the machine model — the repository's stand-in
-//! for the BlueGene/L experiments (Table II, Figures 6 and 7a).
+//! for the BlueGene/L experiments (Table II, Figures 6 and 7a). The traces
+//! are the pipeline's own: RR and CCD as `pfam run` executes them.
 
-use pfam::cluster::{run_ccd, run_redundancy_removal, ClusterConfig, PhaseTrace};
+use pfam::cluster::{run_ccd, ClusterConfig, PhaseTrace};
+use pfam::core::PipelineConfig;
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::sim::{simulate_phase, simulate_phases, speedup_sweep, MachineModel};
 
@@ -15,11 +17,8 @@ fn traces(n_members: usize, seed: u64) -> (PhaseTrace, PhaseTrace) {
         seed,
         ..DatasetConfig::default()
     });
-    let config = ClusterConfig::default();
-    let rr = run_redundancy_removal(&d.set, &config);
-    let (nr, _) = d.set.subset(&rr.kept);
-    let ccd = run_ccd(&nr, &config);
-    (rr.trace, ccd.trace)
+    let (rr, ccd, _) = PipelineConfig::default().run(&d.set).traces;
+    (rr, ccd)
 }
 
 #[test]
