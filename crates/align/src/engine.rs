@@ -1,8 +1,7 @@
 //! Alignment engine for the RR/CCD/BGG hot path.
 //!
 //! Every alignment consumer (redundancy-removal containment, CCD overlap,
-//! the fault-tolerant leased CCD path, the SPMD workers and bipartite graph
-//! generation) goes through [`AlignEngine`] instead of calling
+//! the SPMD workers and bipartite graph generation) goes through [`AlignEngine`] instead of calling
 //! [`crate::local_affine`] directly. One evaluation ([`AlignEngine::judge`]
 //! for a pair, [`AlignEngine::judge_batch`] for a group of up to sixteen)
 //! answers any subset of the paper's criteria for a pair — containment of

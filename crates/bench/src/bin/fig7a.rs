@@ -48,7 +48,7 @@ fn main() {
             w[0].1,
             w[1].0,
             w[1].1,
-            w[0].1 <= w[1].1 + 0.5
+            w[0].1 <= w[1].1
         );
     }
 }

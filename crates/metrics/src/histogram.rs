@@ -8,7 +8,6 @@ pub struct Histogram {
     /// `counts[i]` covers values `[i·width, (i+1)·width)`.
     counts: Vec<u64>,
     n_samples: u64,
-    max_value: usize,
 }
 
 impl Histogram {
@@ -17,7 +16,6 @@ impl Histogram {
         assert!(width >= 1, "bucket width must be positive");
         let mut counts: Vec<u64> = Vec::new();
         let mut n_samples = 0;
-        let mut max_value = 0;
         for v in values {
             let bucket = v / width;
             if bucket >= counts.len() {
@@ -25,14 +23,8 @@ impl Histogram {
             }
             counts[bucket] += 1;
             n_samples += 1;
-            max_value = max_value.max(v);
         }
-        Histogram { width, counts, n_samples, max_value }
-    }
-
-    /// The largest sample seen.
-    pub fn max_value(&self) -> usize {
-        self.max_value
+        Histogram { width, counts, n_samples }
     }
 
     /// Non-empty buckets as `(label, count)`, in increasing bucket order,
@@ -67,7 +59,6 @@ mod tests {
         let counts: Vec<u64> = h.non_empty().into_iter().map(|(_, c)| c).collect();
         assert_eq!(counts, [2, 2, 1, 1], "5-9, 10-14, 15-19 and 100-104; nothing between");
         assert_eq!(h.n_samples, 6);
-        assert_eq!(h.max_value(), 100);
     }
 
     #[test]

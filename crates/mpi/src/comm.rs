@@ -22,8 +22,6 @@ pub const ANY_SOURCE: usize = usize::MAX;
 const RESERVED_TAG_BASE: u32 = u32::MAX - 16;
 const TAG_BARRIER_IN: u32 = RESERVED_TAG_BASE;
 const TAG_BARRIER_OUT: u32 = RESERVED_TAG_BASE + 1;
-const TAG_BCAST: u32 = RESERVED_TAG_BASE + 2;
-const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 3;
 
 struct Envelope {
     from: usize,
@@ -174,37 +172,22 @@ impl Communicator {
         }
     }
 
-    /// Synchronise all ranks (central counter at rank 0).
+    /// Synchronise all ranks (central counter at rank 0, which hears from
+    /// each rank in rank order). Fails with [`CommError::PeerExited`]
+    /// instead of waiting for a rank that has exited.
     pub fn barrier(&mut self) -> Result<(), CommError> {
         if self.rank == 0 {
-            for _ in 1..self.size {
-                let _ = self.recv_match::<()>(ANY_SOURCE, TAG_BARRIER_IN, None)?;
+            for r in 1..self.size {
+                self.recv_peer::<()>(r, TAG_BARRIER_IN)?;
             }
             for r in 1..self.size {
                 self.send_raw(r, TAG_BARRIER_OUT, ())?;
             }
         } else {
             self.send_raw(0, TAG_BARRIER_IN, ())?;
-            let _ = self.recv_match::<()>(0, TAG_BARRIER_OUT, None)?;
+            self.recv_peer::<()>(0, TAG_BARRIER_OUT)?;
         }
         Ok(())
-    }
-
-    /// Sum-reduce to every rank (summed at rank 0, in rank order, then
-    /// sent back out).
-    pub fn all_reduce_sum(&mut self, value: u64) -> Result<u64, CommError> {
-        if self.rank != 0 {
-            self.send_raw(0, TAG_REDUCE, value)?;
-            return self.recv_peer::<u64>(0, TAG_BCAST).map(|(_, total)| total);
-        }
-        let mut total = value;
-        for r in 1..self.size {
-            total += self.recv_peer::<u64>(r, TAG_REDUCE)?.1;
-        }
-        for r in 1..self.size {
-            self.send_raw(r, TAG_BCAST, total)?;
-        }
-        Ok(total)
     }
 }
 
@@ -366,8 +349,23 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_sums_on_every_rank() {
-        let results = run_spmd(8, |comm| must(comm.all_reduce_sum(comm.rank() as u64 + 1)));
+    fn a_sum_sent_through_rank_0_reaches_every_rank() {
+        let results = run_spmd(8, |comm| {
+            let mine = comm.rank() as u64 + 1;
+            let total = if comm.rank() == 0 {
+                let total = mine
+                    + (1..comm.size())
+                        .map(|_| must(poll::<u64>(comm, ANY_SOURCE, 4)).1)
+                        .sum::<u64>();
+                (1..comm.size()).for_each(|r| must(comm.send(r, 4, total)));
+                total
+            } else {
+                must(comm.send(0, 4, mine));
+                must(poll::<u64>(comm, 0, 4)).1
+            };
+            must(comm.barrier());
+            total
+        });
         assert_eq!(results, vec![36; 8]);
     }
 
@@ -388,7 +386,6 @@ mod tests {
     fn single_rank_world() {
         let results = run_spmd(1, |comm| {
             must(comm.barrier());
-            assert_eq!(must(comm.all_reduce_sum(7)), 7);
             comm.rank()
         });
         assert_eq!(results, vec![0]);
@@ -443,13 +440,13 @@ mod tests {
 
     #[test]
     fn collective_with_dead_peer_errors_instead_of_hanging() {
-        // Rank 1 exits before sending its summand: the root must observe
+        // Rank 1 exits before it reaches the barrier: the root must observe
         // PeerExited, not block forever.
         let results = run_spmd(3, |comm| {
             if comm.rank() == 1 {
                 return None; // exits without participating
             }
-            Some(comm.all_reduce_sum(comm.rank() as u64))
+            Some(comm.barrier())
         });
         match &results[0] {
             Some(Err(CommError::PeerExited { rank: 1 })) => {}

@@ -9,15 +9,40 @@
 //! be against MPI and tested deterministically.
 //!
 //! ```
-//! use pfam_mpi::run_spmd;
+//! use pfam_mpi::{run_spmd, CommError, Communicator, ANY_SOURCE};
 //!
-//! // Every rank contributes its rank number and learns the sum. A
-//! // healthy world never errors, so errors fold into `None` here.
-//! let results = run_spmd(4, |comm| {
-//!     let total = comm.all_reduce_sum(comm.rank() as u64).ok();
-//!     let _ = comm.barrier();
-//!     total
-//! });
+//! /// Wait for a `u64` on tag 0, polling as the master–worker loops do.
+//! fn recv(comm: &mut Communicator, from: usize) -> Result<u64, CommError> {
+//!     loop {
+//!         if let Some((_, v)) = comm.try_recv(from, 0)? {
+//!             return Ok(v);
+//!         }
+//!         std::thread::yield_now();
+//!     }
+//! }
+//!
+//! /// Every rank sends its rank number to rank 0, which sends the sum back;
+//! /// a barrier closes the step.
+//! fn rank_sum(comm: &mut Communicator) -> Result<u64, CommError> {
+//!     let total = if comm.rank() == 0 {
+//!         let mut total = 0;
+//!         for _ in 1..comm.size() {
+//!             total += recv(comm, ANY_SOURCE)?;
+//!         }
+//!         for r in 1..comm.size() {
+//!             comm.send(r, 0, total)?;
+//!         }
+//!         total
+//!     } else {
+//!         comm.send(0, 0, comm.rank() as u64)?;
+//!         recv(comm, 0)?
+//!     };
+//!     comm.barrier()?;
+//!     Ok(total)
+//! }
+//!
+//! // A healthy world never errors, so errors fold into `None` here.
+//! let results = run_spmd(4, |comm| rank_sum(comm).ok());
 //! assert_eq!(results, vec![Some(0 + 1 + 2 + 3); 4]);
 //! ```
 //!

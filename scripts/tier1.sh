@@ -131,14 +131,20 @@ echo "== tier1: one CCD master, one exact pair supply, one pipeline entry =="
 # `pfam simulate` (its own front half under a fixed configuration) and the
 # graph builder only they kept went too: an experiment replays the traces
 # of a `pfam` run (`PipelineConfig::run`, or `run --save-trace` + `replay`).
-if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher|cmd_simulate|all_component_graphs|scaling_study" \
+# So did the `ocean_sampling` and `distributed_pace` examples (their
+# outputs are `table1`, `fig5`, `quality`, `workreduction` and
+# tests/spmd_engines.rs) and the collective only the second one called.
+if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher|cmd_simulate|all_component_graphs|scaling_study|ocean_sampling|distributed_pace|all_reduce_sum" \
     crates src tests examples; then
     echo "tier1 FAIL: a retired plane or pipeline entry is named in the tree" >&2
     exit 1
 fi
 # Only the pipeline composes RR with CCD: no experiment binary or example
-# runs RR on its own. (The loop ablations run CCD alone, on purpose.)
-if grep -rn "run_redundancy_removal" crates/bench/src/bin examples; then
+# runs RR or CCD on its own — every ablation is a `PipelineConfig::run`
+# with one field changed. `ccd_bench`, which times CCD's drivers one
+# against another, is the one exception.
+if grep -rn "run_redundancy_removal" crates/bench/src/bin examples \
+    || grep -rnwE "run_ccd|run_ccd_from_pairs" --exclude=ccd_bench.rs crates/bench/src/bin examples; then
     echo "tier1 FAIL: an experiment binary or example builds its own pipeline (run it through PipelineConfig::run)" >&2
     exit 1
 fi
@@ -245,13 +251,18 @@ for name in collect_node_pairs mining_queue; do
 done
 
 echo "== tier1: reachability ratchet (the compiler: every pub item reached outside the tests, or allow-listed) =="
-TREE_BEFORE=$(git status --porcelain)
+# What the sweep could write if it leaked out of its copy: the lock files,
+# the library sources it demotes, its allow-list. Only these are compared
+# afterwards, so an edit elsewhere in the checkout meanwhile is no failure.
+SWEPT=(Cargo.lock benchmark/Cargo.lock crates/*/src scripts/reachability.allow)
+TREE_BEFORE=$(git status --porcelain -- "${SWEPT[@]}")
 scripts/reachability.sh
 
 echo "== tier1: the ratchet fails on a planted test-only pub fn, and edits no file =="
 # The sweep again, on a copy with one `pub fn` in a library crate that
 # nothing calls. It must fail naming that item; neither run may leave a
-# trace in the working tree (benchmark/Cargo.lock included).
+# trace in the paths it could write (`SWEPT`, benchmark/Cargo.lock
+# included).
 PLANT=$(mktemp -d)
 trap 'rm -rf "$PLANT"' EXIT
 git ls-files -z --cached --others --exclude-standard \
@@ -272,9 +283,9 @@ grep -q "^crates/metrics/src/histogram.rs  planted_test_only " "$PLANT/planted.e
 }
 rm -rf "$PLANT"
 trap - EXIT
-if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
+if [ "$(git status --porcelain -- "${SWEPT[@]}")" != "$TREE_BEFORE" ]; then
     echo "tier1 FAIL: the reachability sweep changed the working tree:" >&2
-    git status --porcelain >&2
+    git status --porcelain -- "${SWEPT[@]}" >&2
     exit 1
 fi
 

@@ -327,6 +327,52 @@ fn one_body_whatever_it_keeps_on_disk() {
 }
 
 #[test]
+fn masking_keeps_poly_a_reads_out_of_one_family() {
+    // A tiny data set plus four reads that share only a 60-residue poly-A
+    // run, each with a 12-residue flank of its own. Unmasked, the run is a
+    // long exact match, every two of the four overlap and they come out as
+    // one family; masked (`cluster.mask`, what `--mask` sets), the index
+    // never sees the run.
+    let d = dataset(112);
+    let mut b = SequenceSetBuilder::new();
+    for s in d.set.iter() {
+        b.push_codes(s.header.to_owned(), s.codes.to_vec()).unwrap();
+    }
+    let run = "A".repeat(60);
+    let reads = [
+        format!("MKWVTFISLLFH{run}"),
+        format!("CDEGHIKLMNPQ{run}"),
+        format!("{run}GHRPQDEYCNWI"),
+        format!("{run}WYTSRQPNMLKI"),
+    ];
+    let poly_a: Vec<SeqId> = (reads.iter().enumerate())
+        .map(|(i, read)| b.push_letters(format!("polyA-{i}"), read.as_bytes()).unwrap())
+        .collect();
+    let set = b.finish();
+    let shared = |members: &[SeqId]| poly_a.iter().filter(|id| members.contains(id)).count();
+
+    let plain = PipelineConfig::for_tests();
+    let mut masking = plain.clone();
+    masking.cluster.mask = Some(Default::default());
+    let unmasked = plain.run(&set);
+    let masked = masking.run(&set);
+
+    assert!(
+        unmasked.dense_subgraphs.iter().any(|ds| shared(&ds.members) == poly_a.len()),
+        "unmasked, the poly-A reads are one family"
+    );
+    assert!(
+        masked.traces.1.total_generated() < unmasked.traces.1.total_generated(),
+        "CCD mined {} pairs masked, {} unmasked",
+        masked.traces.1.total_generated(),
+        unmasked.traces.1.total_generated()
+    );
+    for ds in &masked.dense_subgraphs {
+        assert!(shared(&ds.members) <= 1, "masked, a family holds poly-A reads: {:?}", ds.members);
+    }
+}
+
+#[test]
 fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
     let mut b = SequenceSetBuilder::new();
     for (i, read) in
