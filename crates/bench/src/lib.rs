@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
 //! # pfam-bench — experiment harness
 //!
-//! Shared workload definitions for the benchmark suite: one experiment
-//! binary (`src/bin/`) and one Criterion bench (`benches/`) per table and
-//! figure of the paper. See DESIGN.md §4 for the experiment index and
+//! Shared workload definitions for the binaries under `src/bin/`: `paper`
+//! (every table and figure of the paper, from one ladder of `pfam` runs),
+//! `ablations`, and one self-timing `*_bench` binary per committed
+//! `BENCH_*.json`. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 
 pub mod alloc;
@@ -15,4 +16,4 @@ pub use harness::{
     commit_stamp, emit, emit_append, thread_sweep, time_min, BenchArgs, ThreadSweep,
 };
 pub use honesty::{claim, claim_f64, cores_field, detected_cores};
-pub use workloads::{dataset_160k_like, dataset_22k_like, scaled_members, PaperDataset};
+pub use workloads::{dataset_160k_like, dataset_22k_like, ladder, PaperDataset, Rung};

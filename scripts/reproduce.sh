@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Regenerate every file under results/ from the experiment binaries of
-# DESIGN.md §4 (and the ablations of §5), at the scales EXPERIMENTS.md
-# quotes. Each file opens with one stamp line — the commit (`-dirty` when
-# the tree had uncommitted changes), the scale argument, `nproc` and the
-# binary's wall seconds — followed by what the binary printed, stdout and
-# stderr. The binaries run one after another; a binary that fails leaves
-# its file stamped with the exit code, and the script exits non-zero once
-# all have run.
+# Regenerate both files under results/: `paper` (every table and figure of
+# DESIGN.md §4, from one ladder of pipeline runs) and `ablations` (§5), at
+# the scales EXPERIMENTS.md quotes. Each file opens with one stamp line —
+# the commit (`-dirty` when the tree had uncommitted changes), the scale
+# argument, `nproc` and the binary's wall seconds — followed by what the
+# binary printed, stdout and stderr. The binaries run one after another;
+# a binary that fails leaves its file stamped with the exit code, and the
+# script exits non-zero once both have run.
 #
 #   scripts/reproduce.sh        (no options)
 set -euo pipefail
@@ -23,8 +23,7 @@ commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
 cores=$(nproc)
 
 status=0
-for run in table1:1.0 table2:1.0 fig5:2.0 fig6:0.5 fig7a:0.5 fig7b:0.6 quality:1.0 \
-    workreduction:0.6 ablations:0.5; do
+for run in paper:1.0 ablations:0.5; do
     name=${run%%:*}
     scale=${run#*:}
     out="results/$name.txt"

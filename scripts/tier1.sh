@@ -132,8 +132,9 @@ echo "== tier1: one CCD master, one exact pair supply, one pipeline entry =="
 # graph builder only they kept went too: an experiment replays the traces
 # of a `pfam` run (`PipelineConfig::run`, or `run --save-trace` + `replay`).
 # So did the `ocean_sampling` and `distributed_pace` examples (their
-# outputs are `table1`, `fig5`, `quality`, `workreduction` and
-# tests/spmd_engines.rs) and the collective only the second one called.
+# outputs are the Table I, Figure 5, quality and work-reduction sections
+# of `paper`, and tests/spmd_engines.rs) and the collective only the
+# second one called.
 if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher|cmd_simulate|all_component_graphs|scaling_study|ocean_sampling|distributed_pace|all_reduce_sum" \
     crates src tests examples; then
     echo "tier1 FAIL: a retired plane or pipeline entry is named in the tree" >&2
