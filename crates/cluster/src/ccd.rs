@@ -71,25 +71,24 @@ pub struct CcdResult {
 /// assert_eq!(result.components.len(), 2); // {a, b} and {c}
 /// ```
 pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
-    run_ccd_resumable(set, config, &Arc::default(), None, 0, &mut |_| {})
+    run_ccd_resumable(set, config, &Arc::default(), None, &mut |_| {})
 }
 
 /// [`run_ccd`] with checkpoint/restart hooks: optionally resume from a
-/// [`CcdCursor`], and emit a cursor through `on_checkpoint` after every
-/// `checkpoint_every` batches (0 disables emission). The final result is
-/// identical to the uninterrupted [`run_ccd`] — the checkpoint/resume
-/// integration tests assert this batch boundary by batch boundary.
-/// Candidates `ledger` answers (RR's, over this `set`'s ids; the empty
-/// ledger answers none) are not aligned again.
+/// [`CcdCursor`], and offer the core to `on_batch` at every batch boundary
+/// — a checkpointing caller takes [`ClusterCore::cursor`] where it wants a
+/// snapshot. The final result is identical to the uninterrupted
+/// [`run_ccd`] — the checkpoint/resume integration tests assert this batch
+/// boundary by batch boundary. Candidates `ledger` answers (RR's, over
+/// this `set`'s ids; the empty ledger answers none) are not aligned again.
 pub fn run_ccd_resumable(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
     resume: Option<CcdCursor>,
-    checkpoint_every: usize,
-    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
-    ccd_mined(set, config, None, ledger, resume, checkpoint_every, on_checkpoint)
+    ccd_mined(set, config, None, ledger, resume, on_batch)
 }
 
 /// [`run_ccd_resumable`], mining `shared` when the run holds an index of
@@ -100,15 +99,13 @@ pub(crate) fn ccd_mined(
     shared: Option<&SharedIndex<'_>>,
     ledger: &Arc<PairLedger>,
     resume: Option<CcdCursor>,
-    checkpoint_every: usize,
-    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
     if set.is_empty() {
         return CcdResult::empty();
     }
     with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited, windows| {
-        let mut result =
-            ccd_over(set, pairs, config, ledger, resume, checkpoint_every, on_checkpoint);
+        let mut result = ccd_over(set, pairs, config, ledger, resume, on_batch);
         result.trace.nodes_visited = nodes_visited;
         CcdResult { windows, ..result }
     })
@@ -122,7 +119,7 @@ pub fn run_ccd_from_pairs(
     pairs: Vec<MatchPair>,
     config: &ClusterConfig,
 ) -> CcdResult {
-    ccd_over(set, &pairs, config, &Arc::default(), None, 0, &mut |_| {})
+    ccd_over(set, &pairs, config, &Arc::default(), None, &mut |_| {})
 }
 
 /// The CCD loop over `pairs`, with the hooks of [`run_ccd_resumable`]. A
@@ -136,8 +133,7 @@ fn ccd_over(
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
     resume: Option<CcdCursor>,
-    checkpoint_every: usize,
-    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
     let (mut core, rest) = match resume {
         Some(cursor) => {
@@ -147,14 +143,7 @@ fn ccd_over(
         None => (ClusterCore::new_ccd(set), pairs),
     };
     let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-    let filled_ahead = drive_batched(
-        &mut core,
-        rest,
-        &verifier,
-        config.batch_size,
-        checkpoint_every,
-        on_checkpoint,
-    );
+    let filled_ahead = drive_batched(&mut core, rest, &verifier, config.batch_size, on_batch);
     CcdResult { filled_ahead, ..CcdResult::from_core(core) }
 }
 
@@ -291,8 +280,8 @@ mod tests {
 
         // Capture a cursor at every batch boundary.
         let mut cursors = Vec::new();
-        let observed = run_ccd_resumable(&d.set, &cfg, &Arc::default(), None, 1, &mut |c| {
-            cursors.push(c.clone())
+        let observed = run_ccd_resumable(&d.set, &cfg, &Arc::default(), None, &mut |core| {
+            cursors.push(core.cursor())
         });
         assert_eq!(observed.components, full.components);
         assert_eq!(observed.edges, full.edges);
@@ -303,7 +292,7 @@ mod tests {
         let step = (cursors.len() / 4).max(1);
         for cursor in cursors.into_iter().step_by(step) {
             let resumed =
-                run_ccd_resumable(&d.set, &cfg, &Arc::default(), Some(cursor), 0, &mut |_| {});
+                run_ccd_resumable(&d.set, &cfg, &Arc::default(), Some(cursor), &mut |_| {});
             assert_eq!(resumed.components, full.components);
             assert_eq!(resumed.edges, full.edges);
             assert_eq!(resumed.n_merges, full.n_merges);

@@ -18,6 +18,7 @@ use pfam_seq::{SeqId, SeqStore, SubsetStore};
 
 use crate::ccd::{ccd_mined, CcdCursor, CcdResult};
 use crate::config::ClusterConfig;
+use crate::core::ClusterCore;
 use crate::ledger::PairLedger;
 use crate::rr::{rr_over, RrResult};
 use crate::source::{with_shared_index, SharedIndex};
@@ -49,7 +50,7 @@ impl FrontHalf<'_> {
     /// Phase 2: connected components of the reads `rr` kept, reported
     /// under their dense ids `0..rr.kept.len()`.
     pub fn ccd(&self, rr: &RrResult) -> CcdResult {
-        self.ccd_resumable(&rr.kept, &rr.ledger, None, 0, &mut |_| {})
+        self.ccd_resumable(&rr.kept, &rr.ledger, None, &mut |_| {})
     }
 
     /// Phase 2 over the reads `kept` (ascending input ids) with the ledger
@@ -59,12 +60,10 @@ impl FrontHalf<'_> {
         kept: &[SeqId],
         ledger: &Arc<PairLedger>,
         resume: Option<CcdCursor>,
-        checkpoint_every: usize,
-        on_checkpoint: &mut dyn FnMut(&CcdCursor),
+        on_batch: &mut dyn FnMut(&ClusterCore<'_>),
     ) -> CcdResult {
         let nr_store = SubsetStore::new(self.input, kept.to_vec());
-        let (config, shared) = (self.config, self.shared);
-        ccd_mined(&nr_store, config, shared, ledger, resume, checkpoint_every, on_checkpoint)
+        ccd_mined(&nr_store, self.config, self.shared, ledger, resume, on_batch)
     }
 }
 

@@ -10,9 +10,10 @@
 //!   filled in one list across the rayon pool (shape-sorted groups of
 //!   sixteen, handed out one at a time, so the pool schedules itself),
 //!   then each batch is admitted against the live state, reads its
-//!   survivors' verdicts off the window and is absorbed; optional
-//!   checkpoint cursor emission at batch boundaries. A fill no batch
-//!   admits is returned: RR drops it, CCD hands it to the back half.
+//!   survivors' verdicts off the window and is absorbed, and the core is
+//!   offered to a sink at every batch boundary (where CCD's checkpoint
+//!   cursors are cut). A fill no batch admits is returned: RR drops it,
+//!   CCD hands it to the back half.
 //! * [`drive_spmd`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
@@ -25,13 +26,14 @@
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
 
-use crate::core::{CcdCursor, ClusterCore, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
+use crate::core::{ClusterCore, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
 /// The in-process loop: `pairs` in batches of `batch_size`, in order, each
-/// admitted against the live state and absorbed, with a cursor sent to
-/// `on_checkpoint` after every `checkpoint_every` batches (0 disables; CCD
-/// only). The fills run a window of [`VERIFY_SLICE`] pairs ahead: every
+/// admitted against the live state and absorbed, then the core offered to
+/// `on_batch` — the sink builds a [`ClusterCore::cursor`] only at the
+/// boundaries it snapshots, so a boundary it passes costs nothing. The
+/// fills run a window of [`VERIFY_SLICE`] pairs ahead: every
 /// candidate the window's batches have *now* ([`ClusterCore::ahead`]) is
 /// filled in one [`Verifier::verify`] across the rayon pool, and each batch
 /// then reads its survivors' verdicts off the window. Verdicts are pure and
@@ -44,13 +46,11 @@ pub fn drive_batched(
     pairs: &[MatchPair],
     verifier: &Verifier,
     batch_size: usize,
-    checkpoint_every: usize,
-    on_checkpoint: &mut dyn FnMut(&CcdCursor),
+    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> Vec<Verdict> {
     assert!(batch_size > 0, "drive_batched needs a batch size of at least 1");
     let window_len = (VERIFY_SLICE / batch_size).max(1) * batch_size;
     let mut unadmitted = Vec::new();
-    let mut batches = 0usize;
     for window in pairs.chunks(window_len) {
         // Each batch's candidates as the state stands, end to end.
         let (mut ahead, mut ends) = (Vec::new(), Vec::new());
@@ -79,10 +79,7 @@ pub fn drive_batched(
             unadmitted.extend_from_slice(&filled[at..end]);
             at = end;
             core.absorb(verdicts);
-            batches += 1;
-            if checkpoint_every > 0 && batches.is_multiple_of(checkpoint_every) {
-                on_checkpoint(&core.cursor());
-            }
+            on_batch(core);
         }
     }
     unadmitted.retain(|v| !v.ledger_hit);
@@ -221,7 +218,7 @@ mod tests {
     #[should_panic(expected = "drive_batched needs a batch size of at least 1")]
     fn the_batched_loop_refuses_batch_size_zero() {
         let set = SequenceSet::default();
-        drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, 0, &mut |_| {});
+        drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, &mut |_| {});
     }
 
     #[test]

@@ -112,8 +112,7 @@ fn run_cell(
     let mut core = ClusterCore::new_ccd(set);
     match driver {
         LoopKind::Batched => {
-            let mut sink = |_: &CcdCursor| {};
-            drive_batched(&mut core, &pairs, &verifier, config.batch_size, 0, &mut sink);
+            drive_batched(&mut core, &pairs, &verifier, config.batch_size, &mut |_| {});
         }
         LoopKind::Push => {
             let (left, right) = pairs.split_at(pairs.len() / 2);
@@ -259,7 +258,8 @@ fn batch_at_a_time(
     cursors
 }
 
-/// [`drive_batched`] with its cursors collected.
+/// [`drive_batched`] with the cursor of every `every`-th batch boundary it
+/// offers collected (0 for none).
 fn windowed(
     core: &mut ClusterCore<'_>,
     pairs: &[MatchPair],
@@ -267,9 +267,14 @@ fn windowed(
     batch_size: usize,
     every: usize,
 ) -> (Vec<pfam_cluster::Verdict>, Vec<CcdCursor>) {
-    let mut cursors = Vec::new();
-    let mut sink = |c: &CcdCursor| cursors.push(c.clone());
-    let unadmitted = drive_batched(core, pairs, verifier, batch_size, every, &mut sink);
+    let (mut cursors, mut batches) = (Vec::new(), 0usize);
+    let mut sink = |core: &ClusterCore<'_>| {
+        batches += 1;
+        if every > 0 && batches.is_multiple_of(every) {
+            cursors.push(core.cursor());
+        }
+    };
+    let unadmitted = drive_batched(core, pairs, verifier, batch_size, &mut sink);
     (unadmitted, cursors)
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pfam_cluster::{
     index_plan, run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half,
-    CcdCursor, CcdResult, ClusterConfig, IndexPlan, PairLedger, RrResult,
+    CcdCursor, CcdResult, ClusterConfig, ClusterCore, IndexPlan, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -31,7 +31,7 @@ fn ccd_with(
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
 ) -> CcdResult {
-    run_ccd_resumable(store, config, ledger, None, 0, &mut |_| {})
+    run_ccd_resumable(store, config, ledger, None, &mut |_| {})
 }
 
 /// RR over `set`, then CCD over a materialised copy of the survivors
@@ -55,10 +55,10 @@ fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
     assert_eq!(got.trace, want.trace, "{what}: trace");
 }
 
-/// Every cursor a resumable CCD run emits.
-fn cursors_of(run: impl FnOnce(&mut dyn FnMut(&CcdCursor)) -> CcdResult) -> Vec<CcdCursor> {
+/// The cursor at every batch boundary a resumable CCD run offers.
+fn cursors_of(run: impl FnOnce(&mut dyn FnMut(&ClusterCore<'_>)) -> CcdResult) -> Vec<CcdCursor> {
     let mut cursors = Vec::new();
-    run(&mut |c| cursors.push(c.clone()));
+    run(&mut |core| cursors.push(core.cursor()));
     cursors
 }
 
@@ -89,16 +89,16 @@ fn cursors_agree_whoever_built_the_index() {
     let set = dataset(5);
     let config = config();
     let kept = run_redundancy_removal(&set, &config).kept;
-    let shared = cursors_of(|on_cursor| {
+    let shared = cursors_of(|on_batch| {
         with_front_half(&set, &config, |front| {
-            front.ccd_resumable(&kept, &no_ledger(), None, 1, on_cursor)
+            front.ccd_resumable(&kept, &no_ledger(), None, on_batch)
         })
     });
     let view = SubsetStore::new(&set, kept.clone());
     let alone =
-        cursors_of(|on_cursor| run_ccd_resumable(&view, &config, &no_ledger(), None, 1, on_cursor));
-    let windowed = cursors_of(|on_cursor| {
-        run_ccd_resumable(&view, &budgeted(&set), &no_ledger(), None, 1, on_cursor)
+        cursors_of(|on_batch| run_ccd_resumable(&view, &config, &no_ledger(), None, on_batch));
+    let windowed = cursors_of(|on_batch| {
+        run_ccd_resumable(&view, &budgeted(&set), &no_ledger(), None, on_batch)
     });
     assert!(shared.len() >= 3, "want several boundaries, got {}", shared.len());
     assert_eq!(shared, alone, "whoever built the index, the cursors agree");
@@ -117,9 +117,9 @@ fn a_cursor_resumes_on_any_index() {
     let set = dataset(9);
     let config = config();
     let (rr, want) = two_builds(&set, &config);
-    let cursors = cursors_of(|on_cursor| {
+    let cursors = cursors_of(|on_batch| {
         with_front_half(&set, &config, |front| {
-            front.ccd_resumable(&rr.kept, &rr.ledger, None, 1, on_cursor)
+            front.ccd_resumable(&rr.kept, &rr.ledger, None, on_batch)
         })
     });
     let cursor = cursors[cursors.len() / 2].clone();
@@ -136,7 +136,7 @@ fn a_cursor_resumes_on_any_index() {
         ("windows", &view, &windowed),
     ] {
         let resumed =
-            run_ccd_resumable(store, config, &rr.ledger, Some(cursor.clone()), 0, &mut |_| {});
+            run_ccd_resumable(store, config, &rr.ledger, Some(cursor.clone()), &mut |_| {});
         assert_same_ccd(&resumed, &want, what);
     }
 }
@@ -148,15 +148,15 @@ fn a_windowed_cursor_resumes_under_the_shared_index() {
     let kept = run_redundancy_removal(&set, &config).kept;
     let view = SubsetStore::new(&set, kept.clone());
     let windowed = budgeted(&set);
-    let from_start = |every: usize, on_cursor: &mut dyn FnMut(&CcdCursor)| {
-        run_ccd_resumable(&view, &windowed, &no_ledger(), None, every, on_cursor)
+    let from_start = |on_batch: &mut dyn FnMut(&ClusterCore<'_>)| {
+        run_ccd_resumable(&view, &windowed, &no_ledger(), None, on_batch)
     };
-    let want = from_start(0, &mut |_| {});
-    let cursors = cursors_of(|on_cursor| from_start(1, on_cursor));
+    let want = from_start(&mut |_| {});
+    let cursors = cursors_of(from_start);
     let cursor = cursors[cursors.len() / 2].clone();
 
     let resumed = with_front_half(&set, &config, |front| {
-        front.ccd_resumable(&kept, &no_ledger(), Some(cursor), 0, &mut |_| {})
+        front.ccd_resumable(&kept, &no_ledger(), Some(cursor), &mut |_| {})
     });
     assert_same_ccd(&resumed, &want, "windows, then the shared index");
 }

@@ -142,7 +142,6 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
             &cfg,
             &want.ledger,
             None,
-            0,
             &mut |_| {},
         );
 
@@ -158,7 +157,7 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
         assert_eq!(tight.budget.used(), 8 * rr.ledger.len() as u64, "held while it lives");
 
         let nr_store = SubsetStore::new(&set, rr.kept.clone());
-        let ccd = run_ccd_resumable(&nr_store, &tight, &rr.ledger, None, 0, &mut |_| {});
+        let ccd = run_ccd_resumable(&nr_store, &tight, &rr.ledger, None, &mut |_| {});
         assert_eq!(ccd.components, want_ccd.components, "seed {seed}");
         assert_eq!(ccd.edges, want_ccd.edges, "seed {seed}");
         assert_eq!(ccd.deferred, want_ccd.deferred, "seed {seed}");

@@ -8,7 +8,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use pfam_cluster::{
-    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig,
+    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig, ClusterCore,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -154,20 +154,19 @@ fn the_windowed_stream_of_empty_and_one_read_sets() {
 }
 
 /// `run_ccd` over `set` under a budget of `share` of its monolithic index
-/// (`None`: unbudgeted), every cursor it emits sent to `on_cursor`.
+/// (`None`: unbudgeted), every batch boundary offered to `on_batch`.
 fn ccd_under(
     set: &SequenceSet,
     config: &ClusterConfig,
     share: Option<u64>,
     resume: Option<CcdCursor>,
-    every: usize,
-    on_cursor: &mut dyn FnMut(&CcdCursor),
+    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
     let estimate = estimated_index_bytes(set.total_residues(), set.len());
     let budget =
         share.map_or_else(MemoryBudget::unlimited, |share| MemoryBudget::limited(estimate / share));
     let config = ClusterConfig { budget, ..config.clone() };
-    run_ccd_resumable(set, &config, &Arc::default(), resume, every, on_cursor)
+    run_ccd_resumable(set, &config, &Arc::default(), resume, on_batch)
 }
 
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
@@ -199,7 +198,7 @@ fn a_phase_is_identical_under_every_budget() {
             };
             assert_eq!(anchors(&got.0), anchors(&want.0), "seed {seed}, est/{share}");
             assert_eq!(got.1, want.1, "seed {seed}, est/{share}: nodes visited");
-            let ccd = ccd_under(&set, &config, Some(share), None, 0, &mut |_| {});
+            let ccd = ccd_under(&set, &config, Some(share), None, &mut |_| {});
             assert_same_ccd(&ccd, &reference, &format!("seed {seed}, est/{share}"));
         }
     }
@@ -210,15 +209,15 @@ fn a_phase_is_identical_under_every_budget() {
 fn assert_cursors_resume_across_budgets(seed: u64, cut: Option<u64>, resumed: Option<u64>) {
     let set = SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set;
     let config = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-    let full = ccd_under(&set, &config, cut, None, 0, &mut |_| {});
+    let full = ccd_under(&set, &config, cut, None, &mut |_| {});
     let mut cursors = Vec::new();
-    let observed = ccd_under(&set, &config, cut, None, 1, &mut |c| cursors.push(c.clone()));
+    let observed = ccd_under(&set, &config, cut, None, &mut |core| cursors.push(core.cursor()));
     assert_same_ccd(&observed, &full, "cursors emitted");
     assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
     let step = (cursors.len() / 3).max(1);
     for cursor in cursors.into_iter().step_by(step) {
         let at = cursor.pairs_consumed;
-        let got = ccd_under(&set, &config, resumed, Some(cursor), 0, &mut |_| {});
+        let got = ccd_under(&set, &config, resumed, Some(cursor), &mut |_| {});
         assert_same_ccd(
             &got,
             &full,

@@ -9,8 +9,8 @@
 //!   ([`RrState`]);
 //! * during/after CCD — the union-find forest, accepted edges, deferred
 //!   pairs and the pair-generator cursor at a batch boundary
-//!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written every N
-//!   batches;
+//!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written at a
+//!   batch boundary whenever a snapshot is due, and at the phase's end;
 //! * during/after BGG+DSD — the component queue position plus every
 //!   finished component's graph and dense subgraphs ([`DsdState`]).
 //!
@@ -168,13 +168,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Atomically write `payload` as a phase checkpoint of the run
 /// `fingerprint` names: the bytes land in `<path>.tmp` first and are
 /// renamed into place, so `path` always holds either the previous
-/// checkpoint or the complete new one.
+/// checkpoint or the complete new one. Returns the bytes written.
 pub fn write_checkpoint(
     path: &Path,
     phase: Phase,
     fingerprint: u64,
     payload: &[u8],
-) -> Result<(), CkptError> {
+) -> Result<u64, CkptError> {
     let mut bytes = Vec::with_capacity(payload.len() + HEADER_LEN);
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
@@ -191,7 +191,8 @@ pub fn write_checkpoint(
     f.sync_all().map_err(io)?;
     drop(f);
     std::fs::rename(&tmp, path)
-        .map_err(|e| CkptError::Io(format!("renaming {}: {e}", path.display())))
+        .map_err(|e| CkptError::Io(format!("renaming {}: {e}", path.display())))?;
+    Ok(bytes.len() as u64)
 }
 
 /// Read and validate a checkpoint, returning its phase, the fingerprint
@@ -241,8 +242,8 @@ pub fn read_checkpoint(path: &Path) -> Result<(Phase, u64, Vec<u8>), CkptError> 
 /// fingerprint of the run that wrote it, and a run resumes only from files
 /// carrying its own.
 ///
-/// Thread counts, the alignment engine, the memory budget and the
-/// checkpoint cadence are left out on purpose: results are
+/// Thread counts, the alignment engine, the memory budget and when the
+/// snapshots were written are left out on purpose: results are
 /// identical across them (every budget mines one pair stream), so a killed
 /// run may be resumed under other values.
 pub fn fingerprint(input: &dyn SeqStore, config: &PipelineConfig) -> u64 {

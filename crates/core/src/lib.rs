@@ -48,9 +48,7 @@ pub mod validate;
 pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
 pub use executor::{stream_components, stream_graphs, ComponentOutput};
-pub use pipeline::{
-    run_pipeline, CheckpointConfig, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult,
-};
+pub use pipeline::{run_pipeline, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult};
 pub use quality::{evaluate, QualityReport};
-pub use report::{AheadReport, FillReport, TableOneRow, WindowReport};
+pub use report::{AheadReport, CheckpointReport, FillReport, TableOneRow, WindowReport};
 pub use validate::{validate, ConfigError};

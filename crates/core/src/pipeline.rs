@@ -15,15 +15,18 @@
 //! There is one composition of the phases, [`run_pipeline`]. What differs
 //! between runs is [`PipelineHooks`]: with a checkpoint directory every
 //! phase loads what an earlier run left there and saves what it finishes
-//! (DESIGN.md §robustness); without one the same code keeps nothing — no
+//! (DESIGN.md §robustness), and snapshots mid-phase as often as what a
+//! snapshot costs allows; without one the same code keeps nothing — no
 //! snapshot is even encoded.
 
-use std::path::PathBuf;
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pfam_cluster::{
-    index_plan, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ComponentGraph,
-    KnownPairs, PairLedger, PhaseTrace,
+    index_plan, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ClusterCore,
+    ComponentGraph, KnownPairs, PairLedger, PhaseTrace,
 };
 use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
 use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
@@ -36,7 +39,7 @@ use crate::checkpoint::{
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
-use crate::report::{AheadReport, WindowReport};
+use crate::report::{AheadReport, CheckpointReport, WindowReport};
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +79,8 @@ pub struct PipelineResult {
     pub filled_ahead: AheadReport,
     /// What each phase's windows held, when it mined windows.
     pub windows: WindowReport,
+    /// The snapshots each phase wrote, when the run had a directory.
+    pub checkpoints: Option<CheckpointReport>,
 }
 
 impl PipelineResult {
@@ -95,28 +100,13 @@ impl PipelineResult {
     }
 }
 
-/// Where and how often a run snapshots its state.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory holding `rr.ckpt` / `ccd.ckpt` / `dsd.ckpt` (created if
-    /// missing).
-    pub dir: PathBuf,
-    /// Write a CCD cursor every this many master batches (0 = only at
-    /// phase completion).
-    pub every_batches: usize,
-    /// Write a DSD snapshot every this many finished components; the
-    /// components inside one batch run through the streaming executor in
-    /// parallel. `1` (and, defensively, `0`) checkpoints after every
-    /// component.
-    pub every_components: usize,
-}
-
 /// What a run keeps on disk and where it ends. The default is the
 /// in-memory run: no directory, start at phase 1, run to the end.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineHooks {
-    /// Snapshot every phase here; `None` keeps nothing on disk.
-    pub checkpoint: Option<CheckpointConfig>,
+    /// Snapshot every phase into this directory as `rr.ckpt` / `ccd.ckpt`
+    /// / `dsd.ckpt` (created if missing); `None` keeps nothing on disk.
+    pub checkpoint: Option<PathBuf>,
     /// Continue from the snapshots found in the directory instead of
     /// overwriting them. A killed run restarted this way replays from the
     /// last snapshot and produces a result *identical* to the
@@ -165,12 +155,38 @@ impl From<CkptError> for PipelineError {
     }
 }
 
+/// How many times longer than a snapshot took the run works before it
+/// writes the next mid-phase one: mid-phase snapshots then take at most
+/// 1/20 of the wall, whatever a snapshot costs on this input and disk —
+/// CCD's cursor grows with the stream consumed, DSD's with the components
+/// finished — and a kill loses about 19 times the last write.
+const WORK_PER_SNAPSHOT: u32 = 19;
+
+/// The run's last snapshot: when it finished, and how long it took from
+/// building its payload to the rename.
+#[derive(Debug, Clone, Copy)]
+struct Written {
+    finished: Instant,
+    took: Duration,
+}
+
+/// Whether a mid-phase snapshot offered at `now` is due: when the run has
+/// written none yet, or worked [`WORK_PER_SNAPSHOT`] times what the last
+/// one took since it finished.
+fn snapshot_due(last: Option<Written>, now: Instant) -> bool {
+    last.is_none_or(|last| {
+        now.saturating_duration_since(last.finished) >= last.took * WORK_PER_SNAPSHOT
+    })
+}
+
 /// The snapshot files of one run. Without a directory nothing is loaded
-/// and nothing saved — `save` does not even build its payload.
+/// and nothing saved — `save` and `offer` do not even build their payload.
 struct Snapshots<'h> {
     hooks: &'h PipelineHooks,
     /// Of this run ([`fingerprint`]); unused without a directory.
     fingerprint: u64,
+    last: Cell<Option<Written>>,
+    written: Cell<CheckpointReport>,
 }
 
 impl<'h> Snapshots<'h> {
@@ -179,21 +195,28 @@ impl<'h> Snapshots<'h> {
         input: &dyn SeqStore,
         config: &PipelineConfig,
     ) -> Result<Snapshots<'h>, CkptError> {
-        let Some(ckpt) = &hooks.checkpoint else {
-            return Ok(Snapshots { hooks, fingerprint: 0 });
+        let run = match &hooks.checkpoint {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| CkptError::Io(format!("{}: {e}", dir.display())))?;
+                fingerprint(input, config)
+            }
+            None => 0,
         };
-        std::fs::create_dir_all(&ckpt.dir)
-            .map_err(|e| CkptError::Io(format!("{}: {e}", ckpt.dir.display())))?;
-        Ok(Snapshots { hooks, fingerprint: fingerprint(input, config) })
+        Ok(Snapshots { hooks, fingerprint: run, last: Cell::new(None), written: Cell::default() })
+    }
+
+    fn dir(&self) -> Option<&Path> {
+        self.hooks.checkpoint.as_deref()
     }
 
     /// The payload an earlier run of the same input and parameters left
     /// for `phase`, when this run resumes and there is one.
     fn load(&self, phase: Phase) -> Result<Option<Vec<u8>>, CkptError> {
-        let Some(ckpt) = &self.hooks.checkpoint else {
+        let Some(dir) = self.dir() else {
             return Ok(None);
         };
-        let path = phase.path_in(&ckpt.dir);
+        let path = phase.path_in(dir);
         if !(self.hooks.resume && path.exists()) {
             return Ok(None);
         }
@@ -207,24 +230,35 @@ impl<'h> Snapshots<'h> {
         Ok(Some(payload))
     }
 
+    /// Write `phase`'s snapshot — a phase end's, always.
     fn save(&self, phase: Phase, payload: impl FnOnce() -> Vec<u8>) -> Result<(), CkptError> {
-        match &self.hooks.checkpoint {
-            Some(ckpt) => {
-                write_checkpoint(&phase.path_in(&ckpt.dir), phase, self.fingerprint, &payload())
-            }
-            None => Ok(()),
+        let Some(dir) = self.dir() else {
+            return Ok(());
+        };
+        let start = Instant::now();
+        let payload = payload();
+        let bytes = write_checkpoint(&phase.path_in(dir), phase, self.fingerprint, &payload)?;
+        let finished = Instant::now();
+        let took = finished - start;
+        self.last.set(Some(Written { finished, took }));
+        let mut written = self.written.get();
+        written.add(phase, bytes, took);
+        self.written.set(written);
+        Ok(())
+    }
+
+    /// Write a mid-phase snapshot of `phase` if one is due
+    /// ([`snapshot_due`]); otherwise build nothing.
+    fn offer(&self, phase: Phase, payload: impl FnOnce() -> Vec<u8>) -> Result<(), CkptError> {
+        if self.dir().is_some() && snapshot_due(self.last.get(), Instant::now()) {
+            self.save(phase, payload)?;
         }
+        Ok(())
     }
 
-    /// CCD batches between cursors (0 = none mid-phase).
-    fn every_batches(&self) -> usize {
-        self.hooks.checkpoint.as_ref().map_or(0, |ckpt| ckpt.every_batches)
-    }
-
-    /// Components between DSD snapshots. Without a directory the whole
-    /// queue is one batch: the executor schedules it heaviest-first.
-    fn every_components(&self) -> usize {
-        self.hooks.checkpoint.as_ref().map_or(usize::MAX, |ckpt| ckpt.every_components.max(1))
+    /// What the run wrote, when it has a directory.
+    fn report(&self) -> Option<CheckpointReport> {
+        self.dir().map(|_| self.written.get())
     }
 }
 
@@ -243,13 +277,13 @@ struct FrontResult {
 }
 
 /// Phase 2 over `n_kept` reads: the stored result when `ccd.ckpt` holds a
-/// completed phase, else `run(cursor, every, sink)` — from the stored
-/// cursor, if any — with every cursor it emits saved as `ccd.ckpt`, and
-/// the final state at the end.
+/// completed phase, else `run(cursor, sink)` — from the stored cursor, if
+/// any — with a cursor saved as `ccd.ckpt` at each batch boundary a
+/// snapshot is due, and the final state at the end.
 fn ccd_phase(
     snapshots: &Snapshots<'_>,
     n_kept: usize,
-    run: impl FnOnce(Option<CcdCursor>, usize, &mut dyn FnMut(&CcdCursor)) -> CcdResult,
+    run: impl FnOnce(Option<CcdCursor>, &mut dyn FnMut(&ClusterCore<'_>)) -> CcdResult,
 ) -> Result<CcdResult, CkptError> {
     let prior =
         snapshots.load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()?;
@@ -263,13 +297,13 @@ fn ccd_phase(
         prior => prior.map(|state| state.cursor),
     };
     let mut failed: Option<CkptError> = None;
-    let mut on_cursor = |cursor: &CcdCursor| {
+    let mut on_batch = |core: &ClusterCore<'_>| {
         if failed.is_none() {
-            let state = || CcdState { complete: false, cursor: cursor.clone() }.encode();
-            failed = snapshots.save(Phase::Ccd, state).err();
+            let state = || CcdState { complete: false, cursor: core.cursor() }.encode();
+            failed = snapshots.offer(Phase::Ccd, state).err();
         }
     };
-    let result = run(cursor, snapshots.every_batches(), &mut on_cursor);
+    let result = run(cursor, &mut on_batch);
     if let Some(e) = failed {
         return Err(e);
     }
@@ -415,11 +449,11 @@ pub fn run_pipeline(
     let stop_after = |phase: Phase| hooks.stop_after == Some(phase);
 
     // ---- Phases 1+2: redundancy removal (snapshot when complete), then
-    // connected components of the survivors (cursor every N batches, final
-    // state at the end). A run that starts at RR holds one suffix index
-    // across both; it is dropped before the back half starts. CCD sees the
-    // survivors through a view of the input (no re-pack); its local id `i`
-    // maps back to original id `kept[i]`. ----
+    // connected components of the survivors (a cursor whenever one is due,
+    // the final state at the end). A run that starts at RR holds one
+    // suffix index across both; it is dropped before the back half starts.
+    // CCD sees the survivors through a view of the input (no re-pack); its
+    // local id `i` maps back to original id `kept[i]`. ----
     let front = match snapshots.load(Phase::Rr)? {
         Some(payload) => {
             let rr = RrState::decode(&payload)?;
@@ -434,8 +468,8 @@ pub fn run_pipeline(
             // No index is held: a completed CCD needs none, an interrupted
             // one mines the one stream again, under this run's budget.
             let nr_store = SubsetStore::new(input, kept.clone());
-            let ccd = ccd_phase(&snapshots, kept.len(), |cursor, every, on_cursor| {
-                run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, every, on_cursor)
+            let ccd = ccd_phase(&snapshots, kept.len(), |cursor, on_batch| {
+                run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, on_batch)
             })?;
             let ledger_dropped = rr.ledger_dropped + ledger.dropped();
             let rr_trace = rr.trace;
@@ -464,8 +498,8 @@ pub fn run_pipeline(
             if stop_after(Phase::Rr) {
                 return Ok(None);
             }
-            let ccd = ccd_phase(&snapshots, rr.kept.len(), |cursor, every, on_cursor| {
-                front.ccd_resumable(&rr.kept, &rr.ledger, cursor, every, on_cursor)
+            let ccd = ccd_phase(&snapshots, rr.kept.len(), |cursor, on_batch| {
+                front.ccd_resumable(&rr.kept, &rr.ledger, cursor, on_batch)
             })?;
             let ledger_dropped = rr.ledger.dropped();
             Ok::<_, CkptError>(Some(FrontResult {
@@ -500,9 +534,12 @@ pub fn run_pipeline(
     let (ccd_held, ccd_discarded) = back.known.filled_ahead();
     let filled_ahead = AheadReport { rr_discarded, ccd_held, ccd_discarded };
 
-    // ---- Phases 3+4: fused BGG→DSD over the queue of large components in
-    // snapshot-bounded batches: each batch streams through the executor in
-    // parallel, then one snapshot covers it. ----
+    // ---- Phases 3+4: fused BGG→DSD over the queue of large components.
+    // Without a directory the whole queue is one round, heaviest first.
+    // With one, rounds double: each holds as many components as have
+    // finished (at least one), streams through the executor in parallel,
+    // and is followed by a snapshot when one is due — and the last round
+    // always. ----
     let selected = back.selected(config);
     let mut finished = match snapshots.load(Phase::Dsd)? {
         Some(payload) => Finished::from_state(DsdState::decode(&payload)?),
@@ -514,20 +551,19 @@ pub fn run_pipeline(
         return Err(CkptError::Corrupt("dsd checkpoint is for a different input").into());
     }
     finished.trace.index_residues = back.residues(input, &selected);
-    let every = snapshots.every_components();
     let mut cursor = finished.graphs.len();
     while cursor < selected.len() {
-        let end = cursor.saturating_add(every).min(selected.len());
+        let round = if snapshots.dir().is_some() { cursor.max(1) } else { usize::MAX };
+        let end = cursor.saturating_add(round).min(selected.len());
         for out in back.stream(config, &selected[cursor..end]) {
             finished.push(out);
         }
-        snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
         cursor = end;
+        if cursor < selected.len() {
+            snapshots.offer(Phase::Dsd, || finished.to_state().encode())?;
+        }
     }
-    if finished.graphs.is_empty() {
-        // No component reached the DSD stage; still record completion.
-        snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
-    }
+    snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
     if stop_after(Phase::Dsd) {
         return Ok(None);
     }
@@ -556,6 +592,7 @@ pub fn run_pipeline(
         ledger_dropped,
         filled_ahead,
         windows,
+        checkpoints: snapshots.report(),
     }))
 }
 
@@ -596,6 +633,17 @@ mod tests {
             seed,
             ..DatasetConfig::tiny(seed)
         })
+    }
+
+    #[test]
+    fn a_mid_phase_snapshot_is_due_after_19_times_the_last_write() {
+        let finished = Instant::now();
+        let took = Duration::from_millis(30);
+        let last = Some(Written { finished, took });
+        assert!(snapshot_due(None, finished), "the run's first offer is due");
+        let just_under = finished + took * 19 - Duration::from_nanos(1);
+        assert!(!snapshot_due(last, just_under));
+        assert!(snapshot_due(last, finished + took * 19));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Table-I-style summaries of a pipeline run.
 
+use std::time::Duration;
+
 use pfam_suffix::WindowStats;
 
+use crate::checkpoint::Phase;
 use crate::pipeline::PipelineResult;
 
 /// One row of the paper's Table I.
@@ -186,6 +189,41 @@ impl std::fmt::Display for WindowReport {
     }
 }
 
+/// The snapshots a run with a checkpoint directory wrote — the stderr
+/// line of `pfam run` after `windows:` (or `ahead:`). A phase loaded from
+/// its checkpoint wrote none.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CheckpointReport {
+    /// `(snapshots, bytes)` written for RR, CCD and DSD.
+    pub phases: [(usize, u64); 3],
+    /// Time the snapshots took, from building each payload to its rename.
+    pub seconds: f64,
+}
+
+impl CheckpointReport {
+    /// Count one snapshot of `phase`: `bytes` on disk, written in `took`.
+    pub(crate) fn add(&mut self, phase: Phase, bytes: u64, took: Duration) {
+        let slot = match phase {
+            Phase::Rr => 0,
+            Phase::Ccd => 1,
+            Phase::Dsd => 2,
+        };
+        self.phases[slot].0 += 1;
+        self.phases[slot].1 += bytes;
+        self.seconds += took.as_secs_f64();
+    }
+}
+
+impl std::fmt::Display for CheckpointReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "checkpoints:")?;
+        for (name, (count, bytes)) in ["rr", "ccd", "dsd"].into_iter().zip(self.phases) {
+            write!(f, " {name} {count} ({:.1} MB),", bytes as f64 / 1e6)?;
+        }
+        write!(f, " {:.2} s", self.seconds)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +272,18 @@ mod tests {
         let resumed = WindowReport { rr: None, ccd: Some(ccd) };
         assert_eq!(resumed.to_string(), "windows: ccd 6 (857632 suffixes, 13740 kept)");
         assert!(!resumed.is_empty() && WindowReport::default().is_empty());
+    }
+
+    #[test]
+    fn checkpoint_report_is_one_line_of_counts_bytes_and_seconds() {
+        let mut report = CheckpointReport::default();
+        report.add(Phase::Rr, 16_600_000, Duration::from_millis(120));
+        for bytes in [10_000_000, 30_100_000] {
+            report.add(Phase::Ccd, bytes, Duration::from_millis(250));
+        }
+        report.add(Phase::Ccd, 0, Duration::ZERO);
+        let line = "checkpoints: rr 1 (16.6 MB), ccd 3 (40.1 MB), dsd 0 (0.0 MB), 0.62 s";
+        assert_eq!(report.to_string(), line);
     }
 
     #[test]

@@ -34,9 +34,11 @@
 # scripts/reachability.allow with a reason) and its planted-item check
 # (a test-only `pub fn` fails it; the working tree is untouched), the
 # benchmark package's own tests, the known-quadratic input under a clock
-# (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume,
+# (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume (and
+# the `checkpoints:` line `run` prints, which `cluster` does not),
 # `cluster` == `run`, resume under other parameters, older checkpoint
-# formats, an unwritable --out, removed flags and the removed `simulate`
+# formats, an unwritable --out, removed flags (the cadence flags among
+# them: snapshots follow what they cost) and the removed `simulate`
 # command, a flag given twice, and counts that used to panic (`--procs 1`,
 # `--families 0`, a `--procs` count past memory).
 # Run from anywhere inside the repo.
@@ -495,10 +497,22 @@ trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
     --stop-after ccd --min-size 3 --out "$SMOKE/ignored.tsv"
 ./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
-    --resume --min-size 3 --out "$SMOKE/resumed.tsv"
+    --resume --min-size 3 --out "$SMOKE/resumed.tsv" 2>"$SMOKE/resumed.err"
 ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --out "$SMOKE/straight.tsv" \
     2>"$SMOKE/straight.err"
 diff "$SMOKE/resumed.tsv" "$SMOKE/straight.tsv"
+# With a directory the last stderr line is what each phase wrote; the
+# resumed run loaded RR and CCD, so it wrote DSD's snapshots only.
+tail -1 "$SMOKE/resumed.err" | grep -qE \
+    "^checkpoints: rr 0 \(0\.0 MB\), ccd 0 \(0\.0 MB\), dsd [1-9][0-9]* \([0-9]+\.[0-9] MB\), [0-9]+\.[0-9]{2} s$" || {
+    echo "tier1 FAIL: pfam run --resume did not end its stderr with its checkpoints line" >&2
+    cat "$SMOKE/resumed.err" >&2
+    exit 1
+}
+if grep -q "^checkpoints:" "$SMOKE/straight.err"; then
+    echo "tier1 FAIL: pfam cluster, which keeps nothing on disk, printed a checkpoints line" >&2
+    exit 1
+fi
 # The fills-per-phase line (stderr): the ledger answered, nothing twice.
 grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || {
     echo "tier1 FAIL: pfam cluster did not print its fills / ledger-hits line" >&2
@@ -615,7 +629,9 @@ fi
 echo "== tier1: CLI removed-flag smoke (an error naming it, not a no-op; a repeat is one too) =="
 for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive:--sketch-banding" \
     "--sketch-mode approx:--sketch-mode" "--index-chunk-bytes 4K:--index-chunk-bytes" \
-    "--domain 10:--domain" "--psi 10 --psi 20:--psi given twice"; do
+    "--domain 10:--domain" "--checkpoint-every 8:--checkpoint-every" \
+    "--checkpoint-every-components 1:--checkpoint-every-components" \
+    "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \
         --out "$SMOKE/gone.tsv" 2>"$SMOKE/gone.err"; then

@@ -6,7 +6,6 @@
 //!               [--min-size N] [--mask] [--psi N]
 //!               [--mem-budget BYTES[K|M|G]] [--save-trace PREFIX]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
-//!               [--checkpoint-every N] [--checkpoint-every-components N]
 //!               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]
 //! pfam replay   <trace.tsv>... [--procs 32,64,128,512]
 //! pfam align    <input.fasta> <i> <j>
@@ -14,8 +13,10 @@
 //! ```
 //!
 //! `cluster` and `run` are one program: `cluster` is `run` without a
-//! checkpoint directory. A flag the subcommand does not take (see
-//! [`FLAGS`]) is an error, not a silent no-op.
+//! checkpoint directory. `run` snapshots each phase's end, and mid-phase
+//! as often as what a snapshot costs allows — there is no cadence flag. A
+//! flag the subcommand does not take (see [`FLAGS`]) is an error, not a
+//! silent no-op.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
@@ -23,8 +24,7 @@ use std::process::ExitCode;
 
 use pfam::cluster::{ClusterConfig, PhaseTrace};
 use pfam::core::{
-    run_pipeline, CheckpointConfig, FillReport, Phase, PipelineConfig, PipelineHooks, Reduction,
-    TableOneRow,
+    run_pipeline, FillReport, Phase, PipelineConfig, PipelineHooks, Reduction, TableOneRow,
 };
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::complexity::{masked_fraction, MaskParams};
@@ -76,9 +76,9 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20               [--save-trace PREFIX] (a finished run writes its work\n\
     \x20               traces to PREFIX.{rr,ccd,bgg}.trace.tsv, for `replay`)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
-    \x20               [--checkpoint-every N] [--checkpoint-every-components N]\n\
     \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
-    \x20               (`cluster` that snapshots each phase and can resume)\n\
+    \x20               (`cluster` that snapshots each phase and can resume;\n\
+    \x20               mid-phase snapshots take at most 1/20 of the wall)\n\
     \x20 pfam replay   <trace.tsv>... [--procs 32,64,128,512]\n\
     \x20               (each trace on the BlueGene/L model, one row each)\n\
     \x20 pfam align    <input.fasta> <i> <j>   (pairwise local alignment)\n\
@@ -103,8 +103,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--save-trace", true, CLUSTER),
     ("--checkpoint-dir", true, CHECKPOINT),
     ("--resume", false, CHECKPOINT),
-    ("--checkpoint-every", true, CHECKPOINT),
-    ("--checkpoint-every-components", true, CHECKPOINT),
     ("--stop-after", true, CHECKPOINT),
     ("--procs", true, &["replay"]),
 ];
@@ -284,11 +282,7 @@ fn pipeline_hooks(args: &[String]) -> Result<PipelineHooks, String> {
         };
     };
     Ok(PipelineHooks {
-        checkpoint: Some(CheckpointConfig {
-            dir: std::path::PathBuf::from(dir),
-            every_batches: parse(args, "--checkpoint-every", 8usize)?,
-            every_components: parse(args, "--checkpoint-every-components", 1usize)?,
-        }),
+        checkpoint: Some(std::path::PathBuf::from(dir)),
         resume: flag_present(args, "--resume"),
         stop_after: match flag_value(args, "--stop-after").as_deref() {
             None => None,
@@ -334,6 +328,9 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     eprintln!("{}", result.filled_ahead);
     if !result.windows.is_empty() {
         eprintln!("{}", result.windows);
+    }
+    if let Some(checkpoints) = result.checkpoints {
+        eprintln!("{checkpoints}");
     }
 
     file.set_len(0).map_err(|e| e.to_string())?;
@@ -491,6 +488,8 @@ mod tests {
             "--sketch-seed",
             "--index-chunk-bytes",
             "--domain",
+            "--checkpoint-every",
+            "--checkpoint-every-components",
         ] {
             for cmd in CLUSTER {
                 let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
@@ -536,25 +535,16 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert_eq!(known.len(), 16);
+        assert_eq!(known.len(), 14);
 
         // `cluster` and `run` are one program: `run` takes what `cluster`
-        // takes, plus the five flags that need a checkpoint directory.
+        // takes, plus the three flags that need a checkpoint directory.
         let taken_by = |cmd: &str| -> Vec<&str> {
             FLAGS.iter().filter(|f| f.2.contains(&cmd)).map(|f| f.0).collect()
         };
         let only_run: Vec<&str> =
             taken_by("run").into_iter().filter(|f| !taken_by("cluster").contains(f)).collect();
-        assert_eq!(
-            only_run,
-            [
-                "--checkpoint-dir",
-                "--resume",
-                "--checkpoint-every",
-                "--checkpoint-every-components",
-                "--stop-after"
-            ]
-        );
+        assert_eq!(only_run, ["--checkpoint-dir", "--resume", "--stop-after"]);
         assert!(taken_by("cluster").iter().all(|f| taken_by("run").contains(f)));
 
         // One command line per subcommand carrying every flag it is
@@ -563,10 +553,7 @@ mod tests {
             "in.fasta --out f.tsv --tau 0.4 --min-size 3 --mask --psi 8 --mem-budget 64M --save-trace t";
         check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
-        let run = format!(
-            "{cluster} --checkpoint-dir ck --resume --checkpoint-every 4 \
-             --checkpoint-every-components 2 --stop-after ccd"
-        );
+        let run = format!("{cluster} --checkpoint-dir ck --resume --stop-after ccd");
         check_flags("run", &argv(&run)).unwrap();
         pipeline_hooks(&argv(&run)).unwrap();
         check_flags("generate", &argv("--out r.fasta --families 3 --members 9 --seed 1")).unwrap();

@@ -55,7 +55,7 @@ fn artifacts() -> &'static Artifacts {
         write_fasta(&set, &mut fasta, 60).expect("write to memory");
 
         let dir = scratch_dir("byte-mutation");
-        let result = run_pipeline(&set, &PipelineConfig::for_tests(), &hooks_in(&dir, 1, 1))
+        let result = run_pipeline(&set, &PipelineConfig::for_tests(), &hooks_in(&dir))
             .expect("checkpointed run")
             .expect("the run completes");
         let payload = |phase: Phase| read_checkpoint(&phase.path_in(&dir)).expect("checkpoint").2;

@@ -14,7 +14,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_same_result, hooks_in, render_families, resume, run_until, scratch_dir};
-use pfam::cluster::{PairLedger, PhaseTrace};
+use pfam::cluster::{ClusterCore, PairLedger, PhaseTrace};
 use pfam::core::checkpoint::{
     read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Enc, RrState, MAGIC,
 };
@@ -44,7 +44,7 @@ fn dataset(seed: u64) -> SyntheticDataset {
 
 /// The directory `hooks` snapshot into.
 fn dir_of(hooks: &PipelineHooks) -> &std::path::Path {
-    &hooks.checkpoint.as_ref().expect("hooks with a directory").dir
+    hooks.checkpoint.as_deref().expect("hooks with a directory")
 }
 
 /// What a resume from `hooks`' directory ends in, when it must not run.
@@ -62,7 +62,7 @@ fn kill_after_each_phase_then_resume_is_identical() {
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
-        let hooks = hooks_in(&scratch_dir(&format!("kill-{stop:?}")), 4, 1);
+        let hooks = hooks_in(&scratch_dir(&format!("kill-{stop:?}")));
         run_until(&d.set, &config, &hooks, stop);
         assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
         let _ = std::fs::remove_dir_all(dir_of(&hooks));
@@ -70,13 +70,13 @@ fn kill_after_each_phase_then_resume_is_identical() {
 }
 
 /// Complete RR under `hooks`, then plant a genuine mid-CCD cursor — the
-/// one in the middle of those `run` emits over RR's survivors, answered by
-/// RR's ledger — as `ccd.ckpt`.
+/// one `run` offers in the middle of its batch boundaries over RR's
+/// survivors, answered by RR's ledger — as `ccd.ckpt`.
 fn kill_mid_ccd(
     d: &SyntheticDataset,
     config: &PipelineConfig,
     hooks: &PipelineHooks,
-    run: impl FnOnce(&[SeqId], &Arc<PairLedger>, &mut dyn FnMut(&pfam::cluster::CcdCursor)),
+    run: impl FnOnce(&[SeqId], &Arc<PairLedger>, &mut dyn FnMut(&ClusterCore<'_>)),
 ) {
     run_until(&d.set, config, hooks, Phase::Rr);
     let (_, fingerprint, payload) =
@@ -86,7 +86,7 @@ fn kill_mid_ccd(
     assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
     let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.budget));
     let mut cursors = Vec::new();
-    run(&kept, &ledger, &mut |c| cursors.push(c.clone()));
+    run(&kept, &ledger, &mut |core| cursors.push(core.cursor()));
     let cursor = cursors.swap_remove(cursors.len() / 2);
     assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
     let state = CcdState { complete: false, cursor };
@@ -102,10 +102,10 @@ fn resume_from_partial_ccd_cursor_is_identical() {
     let d = dataset(4871);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("mid-ccd"), 1, 1);
-    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
+    let hooks = hooks_in(&scratch_dir("mid-ccd"));
+    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_batch| {
         let (nr_set, _) = d.set.subset(kept);
-        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, ledger, None, 1, on_cursor);
+        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, ledger, None, on_batch);
     });
     assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
@@ -119,10 +119,10 @@ fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
     let d = dataset(4876);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("mid-ccd-shared"), 1, 1);
-    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_cursor| {
+    let hooks = hooks_in(&scratch_dir("mid-ccd-shared"));
+    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_batch| {
         pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
-            front.ccd_resumable(kept, ledger, None, 1, on_cursor);
+            front.ccd_resumable(kept, ledger, None, on_batch);
         })
     });
     assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
@@ -139,10 +139,10 @@ fn assert_mid_ccd_resumes_under_another_budget(
 ) {
     let d = dataset(4877);
     let straight = resumed.run(&d.set);
-    let hooks = hooks_in(&scratch_dir(tag), 1, 1);
-    kill_mid_ccd(&d, cut, &hooks, |kept, ledger, on_cursor| {
+    let hooks = hooks_in(&scratch_dir(tag));
+    kill_mid_ccd(&d, cut, &hooks, |kept, ledger, on_batch| {
         pfam::cluster::with_front_half(&d.set, &cut.cluster, |front| {
-            front.ccd_resumable(kept, ledger, None, 1, on_cursor);
+            front.ccd_resumable(kept, ledger, None, on_batch);
         })
     });
     let got = resume(&d.set, resumed, &hooks);
@@ -177,41 +177,25 @@ fn a_ccd_checkpoint_cut_without_a_budget_resumes_under_one() {
     assert_mid_ccd_resumes_under_another_budget("none-to-budget", &config, &budgeted);
 }
 
-#[test]
-fn batched_dsd_checkpointing_resumes_identically() {
-    // every_components > 1 snapshots once per component batch; the kill
-    // point then sits on a batch boundary, and the resumed run must still
-    // be byte-identical to the uninterrupted one.
-    let d = dataset(4875);
-    let config = PipelineConfig::for_tests();
-    let straight = config.run(&d.set);
-    for every in [2usize, 3, 100] {
-        let hooks = hooks_in(&scratch_dir(&format!("batched-{every}")), 4, every);
-        run_until(&d.set, &config, &hooks, Phase::Dsd);
-        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
-        let _ = std::fs::remove_dir_all(dir_of(&hooks));
-    }
+/// The DSD state a run stopped after DSD left under `hooks`.
+fn finished_dsd(hooks: &PipelineHooks) -> DsdState {
+    let (_, _, payload) = read_checkpoint(&Phase::Dsd.path_in(dir_of(hooks))).expect("dsd.ckpt");
+    DsdState::decode(&payload).expect("dsd state")
 }
 
-#[test]
-fn kill_mid_dsd_resumes_identically() {
-    // What a run killed between two DSD snapshots leaves behind: complete
-    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding a prefix of the queue.
-    // The resumed run must build the remaining graphs from the stored
-    // ledger and deferred pairs — same fills, same ledger hits.
+/// Plant as `dsd.ckpt` under `hooks` the first `len` components of the
+/// finished state `done`, as a run killed after them leaves it: their
+/// graphs, subgraphs, BGG records and Shingle counters, nothing of the
+/// rest.
+fn plant_dsd_prefix(config: &PipelineConfig, hooks: &PipelineHooks, done: &DsdState, len: usize) {
     use pfam::graph::{BipartiteGraph, CsrGraph};
     use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
-    let d = dataset(4878);
-    let config = PipelineConfig::for_tests();
-    let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("mid-dsd"), 4, 1);
-    run_until(&d.set, &config, &hooks, Phase::Dsd);
-    let dsd_path = Phase::Dsd.path_in(dir_of(&hooks));
-    let (_, fingerprint, payload) = read_checkpoint(&dsd_path).expect("dsd.ckpt");
-    let mut state = DsdState::decode(&payload).unwrap();
-    assert!(state.done.len() >= 2, "need a queue to cut");
-    state.done.truncate(1);
-    state.trace.batches.truncate(1);
+    let dsd_path = Phase::Dsd.path_in(dir_of(hooks));
+    let (_, fingerprint, _) = read_checkpoint(&dsd_path).expect("dsd.ckpt");
+    let mut state = done.clone();
+    assert!(state.done.len() > len, "need a queue to cut");
+    state.done.truncate(len);
+    state.trace.batches.truncate(len);
     let Reduction::GlobalSimilarity { tau } = config.reduction;
     let dsd_config = DenseSubgraphConfig {
         params: config.shingle,
@@ -228,9 +212,75 @@ fn kill_mid_dsd_resumes_identically() {
     }
     write_checkpoint(&dsd_path, Phase::Dsd, fingerprint, &state.encode())
         .expect("plant partial dsd.ckpt");
+}
+
+#[test]
+fn a_kill_at_every_dsd_round_boundary_resumes_identically() {
+    // With a directory the back half streams rounds of 1, 1, 2, 4, …
+    // components, so a snapshot holds a prefix of 1, 2, 4, … of them. A
+    // kill at each of those boundaries must resume byte-identically; the
+    // resumed run goes on doubling from the prefix it found.
+    let d = dataset(4875);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("dsd-rounds"));
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let done = finished_dsd(&hooks);
+    let k = done.done.len();
+    assert!(k >= 3, "need two round boundaries, got {k} components");
+    let boundaries = std::iter::successors(Some(1usize), |&n| Some(n * 2));
+    for len in boundaries.take_while(|&n| n < k) {
+        plant_dsd_prefix(&config, &hooks, &done, len);
+        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    }
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn kill_mid_dsd_resumes_identically() {
+    // What a run killed between two DSD snapshots leaves behind: complete
+    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding a prefix of the queue.
+    // The resumed run must build the remaining graphs from the stored
+    // ledger and deferred pairs — same fills, same ledger hits.
+    let d = dataset(4878);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    let hooks = hooks_in(&scratch_dir("mid-dsd"));
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let done = finished_dsd(&hooks);
+    assert!(done.done.len() >= 2, "need a queue to cut");
+    plant_dsd_prefix(&config, &hooks, &done, 1);
     let resumed = resume(&d.set, &config, &hooks);
     assert!(resumed.traces.2.total_ledger_hits() > 0, "the stored ledger must answer");
     assert_same_result(&d.set, &resumed, &straight);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn a_checkpointed_run_writes_a_dsd_snapshot_per_round_at_most() {
+    // k selected components stream in ⌈log₂ k⌉ + 1 doubling rounds, and a
+    // snapshot follows a round only when one is due (the last round
+    // always) — not one snapshot per component.
+    let d = SyntheticDataset::generate(&DatasetConfig {
+        n_families: 12,
+        n_members: 90,
+        ..DatasetConfig::tiny(4886)
+    });
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir("dsd-count"));
+    let result = run_pipeline(&d.set, &config, &hooks).expect("run").expect("runs to the end");
+    let k = result.component_graphs.len();
+    assert!(k >= 8, "want a queue of several rounds, got {k} components");
+    let rounds = k.next_power_of_two().trailing_zeros() as usize + 1;
+    let written = result.checkpoints.expect("a run with a directory reports its snapshots");
+    let [(rr, _), (ccd, _), (dsd, dsd_bytes)] = written.phases;
+    assert_eq!(rr, 1, "RR writes its phase end only");
+    assert!(ccd >= 1, "CCD writes its phase end at least");
+    assert!((1..=rounds).contains(&dsd), "{dsd} DSD snapshots for {k} components");
+    assert!(dsd_bytes > 0);
+    let in_memory = config.run(&d.set);
+    assert!(in_memory.checkpoints.is_none(), "without a directory there is nothing to report");
+    assert_same_result(&d.set, &result, &in_memory);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
@@ -241,7 +291,7 @@ fn a_version_2_checkpoint_is_refused() {
     // the version it found.
     let d = dataset(4879);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v2"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("v2"));
     run_until(&d.set, &config, &hooks, Phase::Ccd);
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
@@ -269,7 +319,7 @@ fn a_version_4_directory_is_refused_before_any_phase_runs() {
     // residue. A whole older directory stops at its first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-to-v7"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("v4-to-v7"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
     for old in [4u32, 5, 6, 7] {
@@ -328,7 +378,7 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     assert!(straight.traces.1.total_ledger_hits() + straight.traces.2.total_ledger_hits() > 0);
-    let hooks = hooks_in(&scratch_dir("retired-columns"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("retired-columns"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let as_payload_tail = |tsv: String| {
         let mut e = Enc::new();
@@ -381,7 +431,7 @@ fn resume_under_other_parameters_or_input_is_a_mismatch() {
         config.clone().with_mem_budget(estimate * 2 / 5),
         config.clone().with_mem_budget(estimate / 4),
     ];
-    let hooks = hooks_in(&scratch_dir("mismatch"), 4, 1);
+    let hooks = hooks_in(&scratch_dir("mismatch"));
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
         for unchanged in &unchanged {
             let _ = std::fs::remove_dir_all(dir_of(&hooks));
@@ -424,7 +474,7 @@ fn a_one_residue_edit_of_the_input_is_a_mismatch() {
     }
     let edited = edited.finish();
     assert_ne!(edited.codes(SeqId(0)), d.set.codes(SeqId(0)));
-    let hooks = hooks_in(&scratch_dir("one-residue"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("one-residue"));
     for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
         let _ = std::fs::remove_dir_all(dir_of(&hooks));
         run_until(&d.set, &config, &hooks, stop);
@@ -438,7 +488,7 @@ fn a_one_residue_edit_of_the_input_is_a_mismatch() {
 fn resume_without_checkpoints_just_runs() {
     let d = dataset(4872);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("fresh"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("fresh"));
     let r = resume(&d.set, &config, &hooks);
     assert_same_result(&d.set, &r, &config.run(&d.set));
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
@@ -448,7 +498,7 @@ fn resume_without_checkpoints_just_runs() {
 fn corrupt_checkpoint_is_rejected_not_trusted() {
     let d = dataset(4873);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("corrupt"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("corrupt"));
     run_until(&d.set, &config, &hooks, Phase::Rr);
     let path = Phase::Rr.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read rr.ckpt");
@@ -470,7 +520,7 @@ fn resume_from_planted(
 ) -> CkptError {
     let d = dataset(4884);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir(tag), 0, 1);
+    let hooks = hooks_in(&scratch_dir(tag));
     run_until(&d.set, &config, &hooks, phase);
     let path = phase.path_in(dir_of(&hooks));
     let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
@@ -521,7 +571,7 @@ fn a_cursor_past_the_end_of_the_ccd_stream_resumes_at_its_end() {
     let d = dataset(4885);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("past-the-end"), 0, 1);
+    let hooks = hooks_in(&scratch_dir("past-the-end"));
     for past in [|n: u64| n + 1, |_| u64::MAX] {
         run_until(&d.set, &config, &hooks, Phase::Ccd);
         let path = Phase::Ccd.path_in(dir_of(&hooks));

@@ -4,9 +4,7 @@
 
 use std::path::PathBuf;
 
-use pfam::core::{
-    run_pipeline, CheckpointConfig, Phase, PipelineConfig, PipelineHooks, PipelineResult,
-};
+use pfam::core::{run_pipeline, Phase, PipelineConfig, PipelineHooks, PipelineResult};
 use pfam::seq::SequenceSet;
 
 /// A fresh path under the temp directory for one test's checkpoints.
@@ -17,14 +15,8 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Hooks that snapshot into `dir`.
-pub fn hooks_in(
-    dir: &std::path::Path,
-    every_batches: usize,
-    every_components: usize,
-) -> PipelineHooks {
-    let checkpoint =
-        Some(CheckpointConfig { dir: dir.to_path_buf(), every_batches, every_components });
-    PipelineHooks { checkpoint, ..PipelineHooks::default() }
+pub fn hooks_in(dir: &std::path::Path) -> PipelineHooks {
+    PipelineHooks { checkpoint: Some(dir.to_path_buf()), ..PipelineHooks::default() }
 }
 
 /// Run under `hooks` until `stop` is snapshotted, as a run killed there

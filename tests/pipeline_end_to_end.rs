@@ -314,7 +314,7 @@ fn one_body_whatever_it_keeps_on_disk() {
         let in_memory = config.run(&d.set);
         assert!(!in_memory.dense_subgraphs.is_empty(), "{name}: nothing to compare");
         let dir = scratch_dir(&format!("one-body-{name}"));
-        let hooks = hooks_in(&dir, 4, 2);
+        let hooks = hooks_in(&dir);
         let kept = run_pipeline(&d.set, &config, &hooks).expect(name).expect("runs to the end");
         assert_same_result(&d.set, &kept, &in_memory);
         for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
@@ -386,7 +386,7 @@ fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
     let dir = scratch_dir("refused");
     for (limit, what) in [(8, "gsa-text"), (text, "gsa-window")] {
         let starved = PipelineConfig::for_tests().with_mem_budget(limit);
-        for hooks in [PipelineHooks::default(), hooks_in(&dir, 4, 1)] {
+        for hooks in [PipelineHooks::default(), hooks_in(&dir)] {
             let err = run_pipeline(&set, &starved, &hooks).unwrap_err();
             assert!(matches!(&err, PipelineError::Budget(e) if e.what == what), "{err}");
         }
