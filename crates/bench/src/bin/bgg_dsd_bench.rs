@@ -99,6 +99,7 @@ fn main() {
             selected.len(),
             |i| known.n_deferred(selected[i]),
             |i| known.component_graph(selected[i]),
+            |_, out| out,
         )
     });
     let identical = outputs_identical(&known_out, &mined_out);

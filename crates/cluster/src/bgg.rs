@@ -33,7 +33,7 @@ use crate::ledger::PairLedger;
 use crate::trace::BatchRecord;
 
 /// The similarity graph of one connected component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentGraph {
     /// The component's members (original set ids, ascending).
     pub members: Vec<SeqId>,

@@ -95,13 +95,15 @@ impl PairLedger {
         self
     }
 
-    /// A sealed ledger of `entries` (a checkpoint's, or a test's), or the
-    /// empty one — every entry dropped — when `budget` refuses it.
+    /// A sealed ledger of `entries` (a checkpoint's, or a test's) whose
+    /// recording had already dropped `dropped` answers, or the empty one —
+    /// every entry dropped too — when `budget` refuses it.
     pub fn from_entries(
         entries: impl IntoIterator<Item = (u32, u32, bool)>,
+        dropped: u64,
         budget: &MemoryBudget,
     ) -> PairLedger {
-        let mut ledger = PairLedger::recording(budget);
+        let mut ledger = PairLedger { dropped, ..PairLedger::recording(budget) };
         ledger.record(&entries.into_iter().collect::<Vec<_>>());
         ledger.sorted()
     }
@@ -161,7 +163,7 @@ mod tests {
         assert_eq!(ledger.lookup(1, 2), None, "a miss means align");
         assert_eq!(ledger.len(), 2);
         assert_eq!(budget.used(), 2 * ENTRY_BYTES, "the removed read's pair is released");
-        let copy = PairLedger::from_entries(ledger.entries(), &MemoryBudget::unlimited());
+        let copy = PairLedger::from_entries(ledger.entries(), 0, &MemoryBudget::unlimited());
         assert_eq!(copy, ledger);
         drop(ledger);
         assert_eq!(budget.used(), 0);
@@ -178,7 +180,8 @@ mod tests {
         let ledger = ledger.sealed(&[0, 1, 2, 3]);
         assert_eq!(ledger.len(), 2);
         assert_eq!(ledger.lookup(1, 2), None);
-        assert!(PairLedger::from_entries([(0, 1, true)], &budget).len() == 1);
-        assert!(PairLedger::from_entries((0..9).map(|i| (i, i + 1, true)), &budget).is_empty());
+        assert!(PairLedger::from_entries([(0, 1, true)], 0, &budget).len() == 1);
+        let refused = PairLedger::from_entries((0..9).map(|i| (i, i + 1, true)), 2, &budget);
+        assert!(refused.is_empty() && refused.dropped() == 11);
     }
 }

@@ -44,7 +44,7 @@ fn config() -> ClusterConfig {
 /// A ledger holding every `step`-th entry of `full` — what is left when
 /// recording stopped early, or a checkpoint lost some.
 fn thinned(full: &PairLedger, step: usize) -> Arc<PairLedger> {
-    Arc::new(PairLedger::from_entries(full.entries().step_by(step), &MemoryBudget::unlimited()))
+    Arc::new(PairLedger::from_entries(full.entries().step_by(step), 0, &MemoryBudget::unlimited()))
 }
 
 /// The ψ_ccd stream over `store`.

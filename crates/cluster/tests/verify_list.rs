@@ -90,7 +90,7 @@ fn the_list_entry_is_verdict_mapped_over_the_list() {
     let mut known: Vec<_> = known.collect();
     known.sort_unstable();
     known.dedup_by_key(|&mut (a, b, _)| (a, b));
-    let ledger = Arc::new(PairLedger::from_entries(known, &MemoryBudget::unlimited()));
+    let ledger = Arc::new(PairLedger::from_entries(known, 0, &MemoryBudget::unlimited()));
 
     let verifiers = [
         ("rr", Verifier::new(&cfg, CorePhase::Rr)),

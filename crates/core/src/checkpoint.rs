@@ -11,8 +11,9 @@
 //!   pairs and the pair-generator cursor at a batch boundary
 //!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written at a
 //!   batch boundary whenever a snapshot is due, and at the phase's end;
-//! * during/after BGG+DSD — the component queue position plus every
-//!   finished component's graph and dense subgraphs ([`DsdState`]).
+//! * during/after BGG+DSD — whichever components of the queue have
+//!   finished, each under its queue position with its graph, dense
+//!   subgraphs and work counters ([`DsdState`]).
 //!
 //! # File format
 //!
@@ -31,12 +32,14 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pfam_cluster::{CcdCursor, ClusterConfig, PhaseTrace};
+use pfam_cluster::{CcdCursor, ClusterConfig, ComponentGraph, PhaseTrace};
+use pfam_graph::CsrGraph;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_shingle::minwise::splitmix64;
 use pfam_shingle::{ShingleParams, ShingleStats};
 
 use crate::config::{PipelineConfig, Reduction};
+use crate::executor::ComponentOutput;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PFCK";
@@ -54,9 +57,12 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// the CCD payload: every plan mines one stream, so a cursor is a position
 /// in it under any budget. v8 has v7's layout, but its fingerprint folds
 /// every residue, not only every length: a v7 file may name another input
-/// of the same shape. An older file is [`CkptError::BadVersion`]: there is
+/// of the same shape. v9 changes the DSD payload: it holds whichever
+/// components have finished, each under its queue position with its own
+/// BGG record and Shingle counters, where v8 held a prefix of the queue and
+/// the running totals. An older file is [`CkptError::BadVersion`]: there is
 /// no compatibility path.
-pub const VERSION: u32 = 8;
+pub const VERSION: u32 = 9;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -595,49 +601,38 @@ impl CcdState {
     }
 }
 
-/// One finished component in the BGG/DSD queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DsdComponent {
-    /// Component members (original sequence ids, ascending).
-    pub members: Vec<u32>,
-    /// Similarity-graph edges over local indices `0..members.len()`.
-    pub edges: Vec<(u32, u32)>,
-    /// Dense subgraphs found, as local-index lists.
-    pub subgraphs: Vec<Vec<u32>>,
-}
-
-/// BGG + dense-subgraph progress: how many queue entries are done and
-/// their accumulated outputs.
+/// BGG + dense-subgraph progress: the components of the queue that have
+/// finished, any subset of it, each under its queue position.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DsdState {
-    /// Finished components, in queue order (`done.len()` is the cursor).
-    pub done: Vec<DsdComponent>,
-    /// Aggregated shingle counters so far.
-    pub shingle: ShingleStats,
-    /// Accumulated BGG trace (one batch per finished component).
-    pub trace: PhaseTrace,
+    /// `(queue position, output)` of every finished component.
+    pub done: Vec<(usize, ComponentOutput)>,
 }
 
 impl DsdState {
-    /// Serialize to a checkpoint payload.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize the finished components `done` yields — read where they
+    /// lie, nothing copied but each component's BGG record.
+    pub fn encode<'a>(done: impl IntoIterator<Item = (usize, &'a ComponentOutput)>) -> Vec<u8> {
+        let done: Vec<(usize, &ComponentOutput)> = done.into_iter().collect();
         let mut e = Enc::new();
-        e.u64(self.done.len() as u64);
-        for c in &self.done {
-            e.u32s(&c.members);
-            e.pairs(&c.edges);
-            e.u64(c.subgraphs.len() as u64);
-            for s in &c.subgraphs {
-                e.u32s(s);
+        e.u64(done.len() as u64);
+        for &(position, out) in &done {
+            e.u64(position as u64);
+            e.u32s(&out.graph.members.iter().map(|id| id.0).collect::<Vec<_>>());
+            e.pairs(&csr_edge_list(&out.graph.graph));
+            e.u64(out.subgraphs.len() as u64);
+            for subgraph in &out.subgraphs {
+                e.u32s(subgraph);
+            }
+            let s = &out.stats;
+            for count in [s.pass1_shingles, s.distinct_s1, s.pass2_shingles, s.components] {
+                e.u64(count as u64);
             }
         }
-        // Four u64 counters in field order — byte-identical to the old
-        // `(u64, u64, u64, u64)` encoding.
-        e.u64(self.shingle.pass1_shingles as u64);
-        e.u64(self.shingle.distinct_s1 as u64);
-        e.u64(self.shingle.pass2_shingles as u64);
-        e.u64(self.shingle.components as u64);
-        encode_trace(&mut e, &self.trace);
+        // The BGG records last, as a trace of one batch per component in
+        // the order above.
+        let records = done.iter().map(|(_, out)| out.record.clone()).collect();
+        encode_trace(&mut e, &PhaseTrace { batches: records, ..PhaseTrace::default() });
         e.finish()
     }
 
@@ -647,6 +642,8 @@ impl DsdState {
         let n = d.u64()? as usize;
         let mut done = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
+            let position = usize::try_from(d.u64()?)
+                .map_err(|_| CkptError::Corrupt("queue position past the address space"))?;
             let members = d.u32s()?;
             let edges = d.pairs()?;
             let n_sub = d.u64()? as usize;
@@ -661,18 +658,36 @@ impl DsdState {
             if !subgraphs.iter().flatten().all(local) {
                 return Err(CkptError::Corrupt("dense subgraph outside its component"));
             }
-            done.push(DsdComponent { members, edges, subgraphs });
+            let stats = ShingleStats {
+                pass1_shingles: d.u64()? as usize,
+                distinct_s1: d.u64()? as usize,
+                pass2_shingles: d.u64()? as usize,
+                components: d.u64()? as usize,
+            };
+            let graph = ComponentGraph {
+                graph: CsrGraph::from_edges(members.len(), &edges),
+                members: members.into_iter().map(SeqId).collect(),
+            };
+            let record = Default::default();
+            done.push((position, ComponentOutput { graph, record, subgraphs, stats }));
         }
-        let shingle = ShingleStats {
-            pass1_shingles: d.u64()? as usize,
-            distinct_s1: d.u64()? as usize,
-            pass2_shingles: d.u64()? as usize,
-            components: d.u64()? as usize,
-        };
-        let trace = decode_trace(&mut d)?;
+        let records = decode_trace(&mut d)?;
         d.done()?;
-        Ok(DsdState { done, shingle, trace })
+        if records.batches.len() != done.len() {
+            return Err(CkptError::Corrupt("one BGG record per finished component"));
+        }
+        for ((_, out), record) in done.iter_mut().zip(records.batches) {
+            out.record = record;
+        }
+        Ok(DsdState { done })
     }
+}
+
+/// The undirected edge list of a component graph, `(u, v)` with `u < v`
+/// in ascending order — the canonical serialized form.
+fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
+    let higher = |u: u32| graph.neighbors(u).iter().filter(move |&&v| u < v).map(move |&v| (u, v));
+    (0..graph.n_vertices() as u32).flat_map(higher).collect()
 }
 
 #[cfg(test)]
@@ -831,23 +846,26 @@ mod tests {
 
     #[test]
     fn dsd_state_round_trip() {
+        // Any subset of the queue, out of order: positions 4 and 1.
+        let stats =
+            ShingleStats { pass1_shingles: 4, distinct_s1: 3, pass2_shingles: 2, components: 1 };
+        let output =
+            |members: &[u32], edges: &[(u32, u32)], subgraphs: Vec<Vec<u32>>| ComponentOutput {
+                graph: ComponentGraph {
+                    graph: CsrGraph::from_edges(members.len(), edges),
+                    members: members.iter().map(|&id| SeqId(id)).collect(),
+                },
+                record: sample_trace().batches[0].clone(),
+                subgraphs,
+                stats,
+            };
         let s = DsdState {
             done: vec![
-                DsdComponent {
-                    members: vec![3, 4, 8],
-                    edges: vec![(0, 1), (1, 2)],
-                    subgraphs: vec![vec![0, 1, 2]],
-                },
-                DsdComponent { members: vec![10, 11], edges: vec![(0, 1)], subgraphs: vec![] },
+                (4, output(&[3, 4, 8], &[(0, 1), (1, 2)], vec![vec![0, 1, 2]])),
+                (1, output(&[10, 11], &[(0, 1)], vec![])),
             ],
-            shingle: ShingleStats {
-                pass1_shingles: 4,
-                distinct_s1: 3,
-                pass2_shingles: 2,
-                components: 1,
-            },
-            trace: sample_trace(),
         };
-        assert_eq!(DsdState::decode(&s.encode()).expect("decode"), s);
+        let payload = DsdState::encode(s.done.iter().map(|(p, out)| (*p, out)));
+        assert_eq!(DsdState::decode(&payload).expect("decode"), s);
     }
 }

@@ -9,8 +9,9 @@
 //! Component costs are wildly skewed (one giant component plus a long tail
 //! of small ones is the norm), so the queue is handed to the workers
 //! **heaviest first**: the biggest job starts first instead of landing
-//! last on an otherwise-drained pool. Outputs come back in **queue
-//! order** whatever the scheduling.
+//! last on an otherwise-drained pool. Each output goes to the caller's
+//! sink the moment its component finishes, on the worker that ran it; what
+//! the sinks return comes back in **queue order** whatever the scheduling.
 //!
 //! Where a component's graph comes from is the caller's closure
 //! ([`stream_graphs`]): the pipeline builds it from what CCD already knows
@@ -33,7 +34,7 @@ use crate::config::{PipelineConfig, Reduction};
 
 /// Everything one component produces on its way through the fused
 /// BGG→DSD path.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentOutput {
     /// The component's similarity graph (phase-3 output).
     pub graph: ComponentGraph,
@@ -62,24 +63,26 @@ fn dense_subgraphs(
 }
 
 /// Stream `n` components through the fused BGG→DSD path: `build(i)` makes
-/// component `i`'s similarity graph and the graph flows straight into
-/// dense-subgraph detection on the same worker. Components are dispatched
-/// in descending `weight(i)`; the outputs come back in index order
-/// whatever the scheduling.
-pub fn stream_graphs(
+/// component `i`'s similarity graph, the graph flows straight into
+/// dense-subgraph detection on the same worker, and the output goes to
+/// `sink(i, output)` there as soon as it is done. Components are
+/// dispatched in descending `weight(i)`; what `sink` returned comes back in
+/// index order whatever the scheduling.
+pub fn stream_graphs<R: Send>(
     config: &PipelineConfig,
     n: usize,
     weight: impl Fn(usize) -> usize,
     build: impl Fn(usize) -> (ComponentGraph, BatchRecord) + Sync,
-) -> Vec<ComponentOutput> {
+    sink: impl Fn(usize, ComponentOutput) -> R + Sync,
+) -> Vec<R> {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (Reverse(weight(i)), i));
-    let mut processed: Vec<(usize, ComponentOutput)> = order
+    let mut processed: Vec<(usize, R)> = order
         .into_par_iter()
         .map(|i| {
             let (graph, record) = build(i);
             let (subgraphs, stats) = dense_subgraphs(config, &graph);
-            (i, ComponentOutput { graph, record, subgraphs, stats })
+            (i, sink(i, ComponentOutput { graph, record, subgraphs, stats }))
         })
         .collect();
     processed.sort_unstable_by_key(|&(i, _)| i);
@@ -95,7 +98,7 @@ pub fn stream_components(
     queue: &[&[SeqId]],
 ) -> Vec<ComponentOutput> {
     let build = |i: usize| component_graph(input, queue[i], &config.cluster);
-    stream_graphs(config, queue.len(), |i| queue[i].len(), build)
+    stream_graphs(config, queue.len(), |i| queue[i].len(), build, |_, out| out)
 }
 
 #[cfg(test)]

@@ -19,23 +19,20 @@
 //! snapshot costs allows; without one the same code keeps nothing — no
 //! snapshot is even encoded.
 
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pfam_cluster::{
-    index_plan, run_ccd_resumable, with_front_half, CcdCursor, CcdResult, ClusterCore,
-    ComponentGraph, KnownPairs, PairLedger, PhaseTrace,
+    index_plan, with_front_half, CcdCursor, CcdResult, ClusterCore, ComponentGraph, FrontHalf,
+    KnownPairs, PairLedger, PhaseTrace, RrResult,
 };
-use pfam_graph::{subgraph_density, CsrGraph, SubgraphDensity};
-use pfam_seq::{BudgetError, SeqId, SeqStore, SubsetStore};
+use pfam_graph::{subgraph_density, SubgraphDensity};
+use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore};
 use pfam_shingle::ShingleStats;
-use pfam_suffix::WindowStats;
 
 use crate::checkpoint::{
-    fingerprint, read_checkpoint, write_checkpoint, CcdState, CkptError, DsdComponent, DsdState,
-    Phase, RrState,
+    fingerprint, read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Phase, RrState,
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
@@ -163,7 +160,8 @@ impl From<CkptError> for PipelineError {
 const WORK_PER_SNAPSHOT: u32 = 19;
 
 /// The run's last snapshot: when it finished, and how long it took from
-/// building its payload to the rename.
+/// building its payload to the rename — or, for a snapshot the run
+/// resumed from, to read it back.
 #[derive(Debug, Clone, Copy)]
 struct Written {
     finished: Instant,
@@ -171,8 +169,8 @@ struct Written {
 }
 
 /// Whether a mid-phase snapshot offered at `now` is due: when the run has
-/// written none yet, or worked [`WORK_PER_SNAPSHOT`] times what the last
-/// one took since it finished.
+/// written or read none yet, or worked [`WORK_PER_SNAPSHOT`] times what the
+/// last one took since it finished.
 fn snapshot_due(last: Option<Written>, now: Instant) -> bool {
     last.is_none_or(|last| {
         now.saturating_duration_since(last.finished) >= last.took * WORK_PER_SNAPSHOT
@@ -181,12 +179,20 @@ fn snapshot_due(last: Option<Written>, now: Instant) -> bool {
 
 /// The snapshot files of one run. Without a directory nothing is loaded
 /// and nothing saved — `save` and `offer` do not even build their payload.
+/// The back half's workers offer snapshots concurrently: one writes at a
+/// time.
 struct Snapshots<'h> {
     hooks: &'h PipelineHooks,
     /// Of this run ([`fingerprint`]); unused without a directory.
     fingerprint: u64,
-    last: Cell<Option<Written>>,
-    written: Cell<CheckpointReport>,
+    log: Mutex<SnapshotLog>,
+}
+
+/// What a run's snapshots have cost so far.
+#[derive(Default)]
+struct SnapshotLog {
+    last: Option<Written>,
+    written: CheckpointReport,
 }
 
 impl<'h> Snapshots<'h> {
@@ -203,7 +209,11 @@ impl<'h> Snapshots<'h> {
             }
             None => 0,
         };
-        Ok(Snapshots { hooks, fingerprint: run, last: Cell::new(None), written: Cell::default() })
+        Ok(Snapshots { hooks, fingerprint: run, log: Mutex::default() })
+    }
+
+    fn log(&self) -> std::sync::MutexGuard<'_, SnapshotLog> {
+        self.log.lock().expect("a snapshot writer panicked")
     }
 
     fn dir(&self) -> Option<&Path> {
@@ -211,7 +221,9 @@ impl<'h> Snapshots<'h> {
     }
 
     /// The payload an earlier run of the same input and parameters left
-    /// for `phase`, when this run resumes and there is one.
+    /// for `phase`, when this run resumes and there is one. Reading it
+    /// counts as the run's last snapshot: the next mid-phase one is due
+    /// once the run has worked 19 times as long as the read took.
     fn load(&self, phase: Phase) -> Result<Option<Vec<u8>>, CkptError> {
         let Some(dir) = self.dir() else {
             return Ok(None);
@@ -220,7 +232,10 @@ impl<'h> Snapshots<'h> {
         if !(self.hooks.resume && path.exists()) {
             return Ok(None);
         }
+        let start = Instant::now();
         let (found, written_for, payload) = read_checkpoint(&path)?;
+        let finished = Instant::now();
+        self.log().last = Some(Written { finished, took: finished - start });
         if found != phase {
             return Err(CkptError::Corrupt("checkpoint file holds a different phase"));
         }
@@ -235,22 +250,21 @@ impl<'h> Snapshots<'h> {
         let Some(dir) = self.dir() else {
             return Ok(());
         };
+        let mut log = self.log();
         let start = Instant::now();
         let payload = payload();
         let bytes = write_checkpoint(&phase.path_in(dir), phase, self.fingerprint, &payload)?;
         let finished = Instant::now();
         let took = finished - start;
-        self.last.set(Some(Written { finished, took }));
-        let mut written = self.written.get();
-        written.add(phase, bytes, took);
-        self.written.set(written);
+        log.last = Some(Written { finished, took });
+        log.written.add(phase, bytes, took);
         Ok(())
     }
 
     /// Write a mid-phase snapshot of `phase` if one is due
     /// ([`snapshot_due`]); otherwise build nothing.
     fn offer(&self, phase: Phase, payload: impl FnOnce() -> Vec<u8>) -> Result<(), CkptError> {
-        if self.dir().is_some() && snapshot_due(self.last.get(), Instant::now()) {
+        if self.dir().is_some() && snapshot_due(self.log().last, Instant::now()) {
             self.save(phase, payload)?;
         }
         Ok(())
@@ -258,35 +272,36 @@ impl<'h> Snapshots<'h> {
 
     /// What the run wrote, when it has a directory.
     fn report(&self) -> Option<CheckpointReport> {
-        self.dir().map(|_| self.written.get())
+        self.dir().map(|_| self.log().written)
     }
 }
 
-/// Phases 1–2 as the back half consumes them, fresh or from snapshots.
-struct FrontResult {
-    /// RR's survivors; CCD's id `i` is `kept[i]`.
-    kept: Vec<SeqId>,
-    rr_trace: PhaseTrace,
-    /// RR's fills ahead that no batch admitted (none when RR was loaded).
-    rr_discarded: usize,
-    /// RR's windows, when it mined windows (none when RR was loaded).
-    rr_windows: Option<WindowStats>,
-    ledger: Arc<PairLedger>,
-    ledger_dropped: u64,
-    ccd: CcdResult,
+/// Phase 1 as the run that wrote `rr.ckpt` over `n_input` reads left it;
+/// its ledger is reserved on `budget` here, before any index.
+fn loaded_rr(state: RrState, n_input: usize, budget: &MemoryBudget) -> Result<RrResult, CkptError> {
+    if state.kept.last().is_some_and(|&last| last as usize >= n_input) {
+        return Err(CkptError::Corrupt("rr checkpoint is for a different input"));
+    }
+    Ok(RrResult {
+        kept: state.kept.into_iter().map(SeqId).collect(),
+        removed: state.removed.into_iter().map(|(a, b)| (SeqId(a), SeqId(b))).collect(),
+        ledger: Arc::new(PairLedger::from_entries(state.ledger, state.ledger_dropped, budget)),
+        ahead_discarded: 0,
+        trace: state.trace,
+        windows: None,
+    })
 }
 
-/// Phase 2 over `n_kept` reads: the stored result when `ccd.ckpt` holds a
-/// completed phase, else `run(cursor, sink)` — from the stored cursor, if
-/// any — with a cursor saved as `ccd.ckpt` at each batch boundary a
-/// snapshot is due, and the final state at the end.
+/// Phase 2 over `n_kept` reads: the stored result when `prior` (what
+/// `ccd.ckpt` held) is a completed phase, else `run(cursor, sink)` — from
+/// `prior`'s cursor, if any — with a cursor saved as `ccd.ckpt` at each
+/// batch boundary a snapshot is due, and the final state at the end.
 fn ccd_phase(
     snapshots: &Snapshots<'_>,
+    prior: Option<CcdState>,
     n_kept: usize,
     run: impl FnOnce(Option<CcdCursor>, &mut dyn FnMut(&ClusterCore<'_>)) -> CcdResult,
 ) -> Result<CcdResult, CkptError> {
-    let prior =
-        snapshots.load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()?;
     if prior.as_ref().is_some_and(|state| state.cursor.uf_parent.len() != n_kept) {
         return Err(CkptError::Corrupt("ccd checkpoint is for a different input"));
     }
@@ -315,119 +330,19 @@ fn ccd_phase(
     Ok(result)
 }
 
-/// A finished front half as the back half consumes it: the components
-/// under `input` ids and what CCD knows of the pairs inside them.
-struct BackHalf<'a> {
-    components: Vec<Vec<SeqId>>,
-    known: KnownPairs<'a>,
-}
-
-impl<'a> BackHalf<'a> {
-    fn new(
-        input: &'a dyn SeqStore,
-        config: &PipelineConfig,
-        kept: &[SeqId],
-        ledger: &Arc<PairLedger>,
-        ccd: &'a mut CcdResult,
-    ) -> BackHalf<'a> {
-        let deferred = std::mem::take(&mut ccd.deferred);
-        let filled_ahead = std::mem::take(&mut ccd.filled_ahead);
-        let components = ccd
-            .components
-            .iter()
-            .map(|c| c.iter().map(|&local| kept[local.index()]).collect())
-            .collect();
-        let known = KnownPairs::new(
-            input,
-            &config.cluster,
-            kept,
-            ledger,
-            &ccd.components,
-            &ccd.edges,
-            deferred,
-            filled_ahead,
-            config.min_component_size,
-        );
-        BackHalf { components, known }
-    }
-
-    /// Indices of the components large enough for the dense-subgraph stage.
-    fn selected(&self, config: &PipelineConfig) -> Vec<usize> {
-        let large = |&c: &usize| self.components[c].len() >= config.min_component_size;
-        (0..self.components.len()).filter(large).collect()
-    }
-
-    /// Fused BGG→DSD over the components `queue` indexes.
-    fn stream(&self, config: &PipelineConfig, queue: &[usize]) -> Vec<ComponentOutput> {
-        stream_graphs(
-            config,
-            queue.len(),
-            |i| self.known.n_deferred(queue[i]),
-            |i| self.known.component_graph(queue[i]),
-        )
-    }
-
-    /// Residues of the components `queue` indexes (the BGG trace's volume).
-    fn residues(&self, input: &dyn SeqStore, queue: &[usize]) -> u64 {
-        queue.iter().flat_map(|&c| &self.components[c]).map(|&id| input.seq_len(id) as u64).sum()
-    }
-}
-
-/// The finished prefix of the back half's component queue — what
-/// `dsd.ckpt` holds, in the form the result is assembled from.
-#[derive(Default)]
+/// The back half's queue as it finishes — what `dsd.ckpt` holds: each
+/// component's output at its queue position, once it has one.
 struct Finished {
-    graphs: Vec<ComponentGraph>,
-    /// Per finished component, its dense subgraphs as local-index lists.
-    subgraphs: Vec<Vec<Vec<u32>>>,
-    shingle: ShingleStats,
-    /// BGG trace, one batch per finished component.
-    trace: PhaseTrace,
+    slots: Vec<Option<ComponentOutput>>,
+    /// Slots still empty.
+    left: usize,
 }
 
 impl Finished {
-    fn from_state(state: DsdState) -> Finished {
-        let mut finished =
-            Finished { shingle: state.shingle, trace: state.trace, ..Finished::default() };
-        for c in state.done {
-            finished.graphs.push(ComponentGraph {
-                graph: CsrGraph::from_edges(c.members.len(), &c.edges),
-                members: c.members.into_iter().map(SeqId).collect(),
-            });
-            finished.subgraphs.push(c.subgraphs);
-        }
-        finished
+    fn encode(&self) -> Vec<u8> {
+        let done = self.slots.iter().enumerate();
+        DsdState::encode(done.filter_map(|(position, out)| Some((position, out.as_ref()?))))
     }
-
-    fn to_state(&self) -> DsdState {
-        let done = self.graphs.iter().zip(&self.subgraphs).map(|(graph, subgraphs)| DsdComponent {
-            members: graph.members.iter().map(|id| id.0).collect(),
-            edges: csr_edge_list(&graph.graph),
-            subgraphs: subgraphs.clone(),
-        });
-        DsdState { done: done.collect(), shingle: self.shingle, trace: self.trace.clone() }
-    }
-
-    fn push(&mut self, out: ComponentOutput) {
-        self.shingle.absorb(&out.stats);
-        self.trace.batches.push(out.record);
-        self.graphs.push(out.graph);
-        self.subgraphs.push(out.subgraphs);
-    }
-}
-
-/// The undirected edge list of a component graph, `(u, v)` with `u < v`
-/// in ascending order — the canonical serialized form.
-fn csr_edge_list(graph: &CsrGraph) -> Vec<(u32, u32)> {
-    let mut edges = Vec::with_capacity(graph.n_edges());
-    for u in 0..graph.n_vertices() as u32 {
-        for &v in graph.neighbors(u) {
-            if u < v {
-                edges.push((u, v));
-            }
-        }
-    }
-    edges
 }
 
 /// Run the pipeline on `input` — any [`SeqStore`], such as a
@@ -444,138 +359,141 @@ pub fn run_pipeline(
     hooks: &PipelineHooks,
 ) -> Result<Option<PipelineResult>, PipelineError> {
     index_plan(input, &config.cluster, None)?;
-    let budget = &config.cluster.budget;
     let snapshots = Snapshots::open(hooks, input, config)?;
     let stop_after = |phase: Phase| hooks.stop_after == Some(phase);
 
     // ---- Phases 1+2: redundancy removal (snapshot when complete), then
     // connected components of the survivors (a cursor whenever one is due,
-    // the final state at the end). A run that starts at RR holds one
-    // suffix index across both; it is dropped before the back half starts.
-    // CCD sees the survivors through a view of the input (no re-pack); its
-    // local id `i` maps back to original id `kept[i]`. ----
-    let front = match snapshots.load(Phase::Rr)? {
+    // the final state at the end), both mining one suffix index of the
+    // input, dropped before the back half starts. CCD sees the survivors
+    // through a view of the input (no re-pack); its local id `i` maps back
+    // to original id `kept[i]`. A run resumed from `rr.ckpt` builds that
+    // index for CCD alone — and none when `ccd.ckpt` holds a finished
+    // phase. ----
+    let loaded = match snapshots.load(Phase::Rr)? {
         Some(payload) => {
-            let rr = RrState::decode(&payload)?;
-            if rr.kept.last().is_some_and(|&last| last as usize >= input.len()) {
-                return Err(CkptError::Corrupt("rr checkpoint is for a different input").into());
-            }
-            if stop_after(Phase::Rr) {
-                return Ok(None);
-            }
-            let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
-            let ledger = Arc::new(PairLedger::from_entries(rr.ledger, budget));
-            // No index is held: a completed CCD needs none, an interrupted
-            // one mines the one stream again, under this run's budget.
-            let nr_store = SubsetStore::new(input, kept.clone());
-            let ccd = ccd_phase(&snapshots, kept.len(), |cursor, on_batch| {
-                run_ccd_resumable(&nr_store, &config.cluster, &ledger, cursor, on_batch)
-            })?;
-            let ledger_dropped = rr.ledger_dropped + ledger.dropped();
-            let rr_trace = rr.trace;
-            Some(FrontResult {
-                kept,
-                rr_trace,
-                rr_discarded: 0,
-                rr_windows: None,
-                ledger,
-                ledger_dropped,
-                ccd,
-            })
+            Some(loaded_rr(RrState::decode(&payload)?, input.len(), &config.cluster.budget)?)
         }
-        None => with_front_half(input, &config.cluster, |front| {
-            let rr = front.rr();
-            snapshots.save(Phase::Rr, || {
-                let state = RrState {
-                    kept: rr.kept.iter().map(|id| id.0).collect(),
-                    removed: rr.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
-                    ledger: rr.ledger.entries().collect(),
-                    ledger_dropped: rr.ledger.dropped(),
-                    trace: rr.trace.clone(),
-                };
-                state.encode()
-            })?;
-            if stop_after(Phase::Rr) {
-                return Ok(None);
-            }
-            let ccd = ccd_phase(&snapshots, rr.kept.len(), |cursor, on_batch| {
-                front.ccd_resumable(&rr.kept, &rr.ledger, cursor, on_batch)
-            })?;
-            let ledger_dropped = rr.ledger.dropped();
-            Ok::<_, CkptError>(Some(FrontResult {
-                kept: rr.kept,
-                rr_trace: rr.trace,
-                rr_discarded: rr.ahead_discarded,
-                rr_windows: rr.windows,
-                ledger: rr.ledger,
-                ledger_dropped,
-                ccd,
-            }))
-        })?,
+        None => None,
     };
-    let Some(FrontResult {
-        kept,
-        rr_trace,
-        rr_discarded,
-        rr_windows,
-        ledger,
-        ledger_dropped,
-        mut ccd,
-    }) = front
-    else {
+    let prior =
+        snapshots.load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()?;
+    let indexed = loaded.is_none() || !prior.as_ref().is_some_and(|state| state.complete);
+    let front_half = |front: Option<&FrontHalf<'_>>| {
+        let rr = match loaded {
+            Some(rr) => rr,
+            None => {
+                let rr = front.expect("a run that starts at RR holds an index").rr();
+                snapshots.save(Phase::Rr, || {
+                    let state = RrState {
+                        kept: rr.kept.iter().map(|id| id.0).collect(),
+                        removed: rr.removed.iter().map(|&(a, b)| (a.0, b.0)).collect(),
+                        ledger: rr.ledger.entries().collect(),
+                        ledger_dropped: rr.ledger.dropped(),
+                        trace: rr.trace.clone(),
+                    };
+                    state.encode()
+                })?;
+                rr
+            }
+        };
+        if stop_after(Phase::Rr) {
+            return Ok(None);
+        }
+        let ccd = ccd_phase(&snapshots, prior, rr.kept.len(), |cursor, on_batch| {
+            let front = front.expect("an unfinished CCD holds an index");
+            front.ccd_resumable(&rr.kept, &rr.ledger, cursor, on_batch)
+        })?;
+        Ok::<_, CkptError>(Some((rr, ccd)))
+    };
+    let front = match indexed {
+        true => with_front_half(input, &config.cluster, |front| front_half(Some(front)))?,
+        false => front_half(None)?,
+    };
+    let Some((rr, mut ccd)) = front else {
         return Ok(None);
     };
     if stop_after(Phase::Ccd) {
         return Ok(None);
     }
+    let ledger_dropped = rr.ledger.dropped();
     let ccd_trace = std::mem::take(&mut ccd.trace);
-    let windows = WindowReport { rr: rr_windows, ccd: ccd.windows };
-    let back = BackHalf::new(input, config, &kept, &ledger, &mut ccd);
-    let (ccd_held, ccd_discarded) = back.known.filled_ahead();
-    let filled_ahead = AheadReport { rr_discarded, ccd_held, ccd_discarded };
+    let windows = WindowReport { rr: rr.windows, ccd: ccd.windows };
+    // The finished front half as the back half consumes it: the components
+    // under `input` ids and what CCD knows of the pairs inside them.
+    let local_to_input = |c: &Vec<SeqId>| c.iter().map(|&local| rr.kept[local.index()]).collect();
+    let components: Vec<Vec<SeqId>> = ccd.components.iter().map(local_to_input).collect();
+    let known = KnownPairs::new(
+        input,
+        &config.cluster,
+        &rr.kept,
+        &rr.ledger,
+        &ccd.components,
+        &ccd.edges,
+        std::mem::take(&mut ccd.deferred),
+        std::mem::take(&mut ccd.filled_ahead),
+        config.min_component_size,
+    );
+    let (ccd_held, ccd_discarded) = known.filled_ahead();
+    let filled_ahead = AheadReport { rr_discarded: rr.ahead_discarded, ccd_held, ccd_discarded };
 
-    // ---- Phases 3+4: fused BGG→DSD over the queue of large components.
-    // Without a directory the whole queue is one round, heaviest first.
-    // With one, rounds double: each holds as many components as have
-    // finished (at least one), streams through the executor in parallel,
-    // and is followed by a snapshot when one is due — and the last round
-    // always. ----
-    let selected = back.selected(config);
-    let mut finished = match snapshots.load(Phase::Dsd)? {
-        Some(payload) => Finished::from_state(DsdState::decode(&payload)?),
-        None => Finished::default(),
-    };
-    let queue_prefix = finished.graphs.len() <= selected.len()
-        && finished.graphs.iter().zip(&selected).all(|(g, &c)| g.members == back.components[c]);
-    if !queue_prefix {
-        return Err(CkptError::Corrupt("dsd checkpoint is for a different input").into());
-    }
-    finished.trace.index_residues = back.residues(input, &selected);
-    let mut cursor = finished.graphs.len();
-    while cursor < selected.len() {
-        let round = if snapshots.dir().is_some() { cursor.max(1) } else { usize::MAX };
-        let end = cursor.saturating_add(round).min(selected.len());
-        for out in back.stream(config, &selected[cursor..end]) {
-            finished.push(out);
-        }
-        cursor = end;
-        if cursor < selected.len() {
-            snapshots.offer(Phase::Dsd, || finished.to_state().encode())?;
+    // ---- Phases 3+4: fused BGG→DSD, one pass over the large components
+    // no snapshot holds yet, heaviest first. Each stores its output at its
+    // queue position the moment it finishes and offers the finished set
+    // as a snapshot, written when one is due; the whole queue is saved at
+    // the end. ----
+    let large = |&c: &usize| components[c].len() >= config.min_component_size;
+    let selected: Vec<usize> = (0..components.len()).filter(large).collect();
+    let mut slots: Vec<Option<ComponentOutput>> = selected.iter().map(|_| None).collect();
+    if let Some(payload) = snapshots.load(Phase::Dsd)? {
+        for (position, out) in DsdState::decode(&payload)?.done {
+            let queued = selected.get(position).map(|&c| &components[c]);
+            if queued != Some(&out.graph.members) || slots[position].replace(out).is_some() {
+                return Err(CkptError::Corrupt("dsd checkpoint does not match the queue").into());
+            }
         }
     }
-    snapshots.save(Phase::Dsd, || finished.to_state().encode())?;
+    let todo: Vec<usize> = (0..slots.len()).filter(|&p| slots[p].is_none()).collect();
+    let finished = Mutex::new(Finished { slots, left: todo.len() });
+    let offered = stream_graphs(
+        config,
+        todo.len(),
+        |i| known.n_deferred(selected[todo[i]]),
+        |i| known.component_graph(selected[todo[i]]),
+        |i, out| {
+            let mut finished = finished.lock().expect("a back-half worker panicked");
+            finished.slots[todo[i]] = Some(out);
+            finished.left -= 1;
+            match finished.left {
+                0 => Ok(()),
+                _ => snapshots.offer(Phase::Dsd, || finished.encode()),
+            }
+        },
+    );
+    offered.into_iter().collect::<Result<(), CkptError>>()?;
+    let finished = finished.into_inner().expect("a back-half worker panicked");
+    snapshots.save(Phase::Dsd, || finished.encode())?;
     if stop_after(Phase::Dsd) {
         return Ok(None);
     }
 
-    // ---- The result, from the finished queue. ----
+    // ---- The result, from the finished queue in queue order. ----
+    let members = selected.iter().flat_map(|&c| &components[c]);
+    let residues = members.map(|&id| input.seq_len(id) as u64).sum();
+    let mut bgg_trace = PhaseTrace { index_residues: residues, ..PhaseTrace::default() };
+    let mut shingle_stats = ShingleStats::default();
+    let mut component_graphs = Vec::with_capacity(selected.len());
     let mut dense_subgraphs = Vec::new();
-    for (ci, (graph, subgraphs)) in finished.graphs.iter().zip(&finished.subgraphs).enumerate() {
-        for local_members in subgraphs {
-            let density = subgraph_density(&graph.graph, local_members);
-            let members: Vec<SeqId> = local_members.iter().map(|&l| graph.original_id(l)).collect();
+    for (ci, out) in finished.slots.into_iter().enumerate() {
+        let out = out.expect("the pass finishes every queued component");
+        shingle_stats.absorb(&out.stats);
+        bgg_trace.batches.push(out.record);
+        for local_members in &out.subgraphs {
+            let density = subgraph_density(&out.graph.graph, local_members);
+            let members = local_members.iter().map(|&l| out.graph.original_id(l)).collect();
             dense_subgraphs.push(DenseSubgraph { members, component: ci, density });
         }
+        component_graphs.push(out.graph);
     }
     // Deterministic output order: biggest first, then by first member.
     dense_subgraphs
@@ -583,12 +501,12 @@ pub fn run_pipeline(
 
     Ok(Some(PipelineResult {
         n_input: input.len(),
-        components: back.components,
-        non_redundant: kept,
-        component_graphs: finished.graphs,
+        components,
+        non_redundant: rr.kept,
+        component_graphs,
         dense_subgraphs,
-        traces: (rr_trace, ccd_trace, finished.trace),
-        shingle_stats: finished.shingle,
+        traces: (rr.trace, ccd_trace, bgg_trace),
+        shingle_stats,
         ledger_dropped,
         filled_ahead,
         windows,
@@ -644,6 +562,30 @@ mod tests {
         let just_under = finished + took * 19 - Duration::from_nanos(1);
         assert!(!snapshot_due(last, just_under));
         assert!(snapshot_due(last, finished + took * 19));
+    }
+
+    #[test]
+    fn a_resumed_run_counts_the_snapshot_it_read_as_its_last_write() {
+        // A resume from `rr.ckpt` finds its first CCD offer due only once
+        // it has worked 19 times as long as the read took, not at once.
+        let d = small_dataset(27);
+        let config = PipelineConfig::for_tests();
+        let dir = std::env::temp_dir().join("pfam-pipeline-resume-cadence");
+        let _ = std::fs::remove_dir_all(&dir);
+        let stop = Some(Phase::Rr);
+        let hooks =
+            PipelineHooks { checkpoint: Some(dir.clone()), resume: false, stop_after: stop };
+        assert!(run_pipeline(&d.set, &config, &hooks).expect("run to rr.ckpt").is_none());
+        let resumed = PipelineHooks { resume: true, stop_after: None, ..hooks };
+        let snapshots = Snapshots::open(&resumed, &d.set, &config).expect("open the directory");
+        assert!(snapshots.log().last.is_none(), "nothing read or written yet");
+        let before = Instant::now();
+        assert!(snapshots.load(Phase::Rr).expect("read rr.ckpt").is_some());
+        let last = snapshots.log().last.expect("the read is the last snapshot");
+        assert!(last.finished >= before + last.took);
+        assert!(!snapshot_due(Some(last), last.finished), "not due when the read ends");
+        assert!(snapshot_due(Some(last), last.finished + last.took * 19));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

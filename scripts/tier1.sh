@@ -592,15 +592,17 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4 to v7 directory is refused, not replayed) =="
+echo "== tier1: CLI older-checkpoint smoke (a v4 to v8 directory is refused, not replayed) =="
 # v4 plan pins count bytes of the 16-byte-per-position index estimate;
 # v5 fingerprints fold the sketch mode; v6 CCD cursors carry the plan pin
-# that v7 dropped; v7 fingerprints fold no residue. Same header, so: the
-# version word.
-for v in 4 5 6 7; do
+# that v7 dropped; v7 fingerprints fold no residue; a v8 dsd.ckpt is a
+# prefix of the component queue with running totals, where v9 holds any
+# finished subset, each component with its own counters. Same header, so:
+# the version word.
+for v in 4 5 6 7 8; do
     cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
     for f in "$SMOKE/ck-v$v"/*.ckpt; do
-        printf "\\00$v\\000\\000\\000" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
+        printf "\\x0$v\\x00\\x00\\x00" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
     done
     if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-v$v" --resume --min-size 3 \
         --out "$SMOKE/v$v.tsv" 2>"$SMOKE/v$v.err"; then

@@ -22,6 +22,7 @@ use pfam::core::{
     run_pipeline, FillReport, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
+use pfam::graph::CsrGraph;
 use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
 
 fn dataset(seed: u64) -> SyntheticDataset {
@@ -84,7 +85,8 @@ fn kill_mid_ccd(
     let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
     let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
     assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
-    let ledger = Arc::new(PairLedger::from_entries(rr.ledger, &config.cluster.budget));
+    let ledger =
+        Arc::new(PairLedger::from_entries(rr.ledger, rr.ledger_dropped, &config.cluster.budget));
     let mut cursors = Vec::new();
     run(&kept, &ledger, &mut |core| cursors.push(core.cursor()));
     let cursor = cursors.swap_remove(cursors.len() / 2);
@@ -183,54 +185,55 @@ fn finished_dsd(hooks: &PipelineHooks) -> DsdState {
     DsdState::decode(&payload).expect("dsd state")
 }
 
-/// Plant as `dsd.ckpt` under `hooks` the first `len` components of the
-/// finished state `done`, as a run killed after them leaves it: their
-/// graphs, subgraphs, BGG records and Shingle counters, nothing of the
-/// rest.
-fn plant_dsd_prefix(config: &PipelineConfig, hooks: &PipelineHooks, done: &DsdState, len: usize) {
-    use pfam::graph::{BipartiteGraph, CsrGraph};
-    use pfam::shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
+/// `state` as a payload.
+fn encode_dsd(state: &DsdState) -> Vec<u8> {
+    DsdState::encode(state.done.iter().map(|(position, out)| (*position, out)))
+}
+
+/// Plant as `dsd.ckpt` under `hooks` the components of the finished state
+/// `done` whose queue positions `keep` takes, as a run killed once just
+/// those had finished leaves it: their graphs, subgraphs, BGG records and
+/// Shingle counters, nothing of the rest.
+fn plant_dsd(hooks: &PipelineHooks, done: &DsdState, keep: impl Fn(usize) -> bool) {
     let dsd_path = Phase::Dsd.path_in(dir_of(hooks));
     let (_, fingerprint, _) = read_checkpoint(&dsd_path).expect("dsd.ckpt");
     let mut state = done.clone();
-    assert!(state.done.len() > len, "need a queue to cut");
-    state.done.truncate(len);
-    state.trace.batches.truncate(len);
-    let Reduction::GlobalSimilarity { tau } = config.reduction;
-    let dsd_config = DenseSubgraphConfig {
-        params: config.shingle,
-        mode: ReductionMode::GlobalSimilarity { tau },
-        min_size: config.min_subgraph_size,
-        disjoint: true,
-    };
-    state.shingle = ShingleStats::default();
-    for c in &state.done {
-        let graph = CsrGraph::from_edges(c.members.len(), &c.edges);
-        let (_, stats) =
-            detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&graph), &dsd_config);
-        state.shingle.absorb(&stats);
-    }
-    write_checkpoint(&dsd_path, Phase::Dsd, fingerprint, &state.encode())
+    state.done.retain(|&(position, _)| keep(position));
+    assert!(state.done.len() < done.done.len(), "a kill leaves work to do");
+    write_checkpoint(&dsd_path, Phase::Dsd, fingerprint, &encode_dsd(&state))
         .expect("plant partial dsd.ckpt");
 }
 
 #[test]
-fn a_kill_at_every_dsd_round_boundary_resumes_identically() {
-    // With a directory the back half streams rounds of 1, 1, 2, 4, …
-    // components, so a snapshot holds a prefix of 1, 2, 4, … of them. A
-    // kill at each of those boundaries must resume byte-identically; the
-    // resumed run goes on doubling from the prefix it found.
+fn a_dsd_snapshot_of_any_finished_subset_resumes_identically() {
+    // The back half's workers finish components in whatever order their
+    // costs allow, so a snapshot holds whichever have finished. A resume
+    // from any such subset runs the rest and must write the straight
+    // run's result.
     let d = dataset(4875);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("dsd-rounds"));
+    let hooks = hooks_in(&scratch_dir("dsd-subsets"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
+    // The phase end saves every component once, under its queue position.
     let done = finished_dsd(&hooks);
     let k = done.done.len();
-    assert!(k >= 3, "need two round boundaries, got {k} components");
-    let boundaries = std::iter::successors(Some(1usize), |&n| Some(n * 2));
-    for len in boundaries.take_while(|&n| n < k) {
-        plant_dsd_prefix(&config, &hooks, &done, len);
+    assert!(k >= 3, "need a queue with a middle, got {k} components");
+    let saved: Vec<_> = done.done.iter().map(|(position, out)| (*position, &out.graph)).collect();
+    assert_eq!(saved, straight.component_graphs.iter().enumerate().collect::<Vec<_>>());
+    // The first one dispatched: the most deferred pairs to verify, then
+    // the first in the queue.
+    let weight = |p: usize| (done.done[p].1.record.n_generated, std::cmp::Reverse(p));
+    let heaviest = (0..k).max_by_key(|&p| weight(p)).expect("components");
+    let subsets: [(&str, &dyn Fn(usize) -> bool); 4] = [
+        ("the first component", &|p| p == 0),
+        ("the last component", &|p| p == k - 1),
+        ("every other component", &|p| p % 2 == 0),
+        ("all but the heaviest", &|p| p != heaviest),
+    ];
+    for (what, keep) in subsets {
+        plant_dsd(&hooks, &done, keep);
+        eprintln!("resuming from a dsd.ckpt holding {what}");
         assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     }
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
@@ -239,7 +242,7 @@ fn a_kill_at_every_dsd_round_boundary_resumes_identically() {
 #[test]
 fn kill_mid_dsd_resumes_identically() {
     // What a run killed between two DSD snapshots leaves behind: complete
-    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding a prefix of the queue.
+    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding some of the queue.
     // The resumed run must build the remaining graphs from the stored
     // ledger and deferred pairs — same fills, same ledger hits.
     let d = dataset(4878);
@@ -249,38 +252,10 @@ fn kill_mid_dsd_resumes_identically() {
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let done = finished_dsd(&hooks);
     assert!(done.done.len() >= 2, "need a queue to cut");
-    plant_dsd_prefix(&config, &hooks, &done, 1);
+    plant_dsd(&hooks, &done, |position| position == 0);
     let resumed = resume(&d.set, &config, &hooks);
     assert!(resumed.traces.2.total_ledger_hits() > 0, "the stored ledger must answer");
     assert_same_result(&d.set, &resumed, &straight);
-    let _ = std::fs::remove_dir_all(dir_of(&hooks));
-}
-
-#[test]
-fn a_checkpointed_run_writes_a_dsd_snapshot_per_round_at_most() {
-    // k selected components stream in ⌈log₂ k⌉ + 1 doubling rounds, and a
-    // snapshot follows a round only when one is due (the last round
-    // always) — not one snapshot per component.
-    let d = SyntheticDataset::generate(&DatasetConfig {
-        n_families: 12,
-        n_members: 90,
-        ..DatasetConfig::tiny(4886)
-    });
-    let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("dsd-count"));
-    let result = run_pipeline(&d.set, &config, &hooks).expect("run").expect("runs to the end");
-    let k = result.component_graphs.len();
-    assert!(k >= 8, "want a queue of several rounds, got {k} components");
-    let rounds = k.next_power_of_two().trailing_zeros() as usize + 1;
-    let written = result.checkpoints.expect("a run with a directory reports its snapshots");
-    let [(rr, _), (ccd, _), (dsd, dsd_bytes)] = written.phases;
-    assert_eq!(rr, 1, "RR writes its phase end only");
-    assert!(ccd >= 1, "CCD writes its phase end at least");
-    assert!((1..=rounds).contains(&dsd), "{dsd} DSD snapshots for {k} components");
-    assert!(dsd_bytes > 0);
-    let in_memory = config.run(&d.set);
-    assert!(in_memory.checkpoints.is_none(), "without a directory there is nothing to report");
-    assert_same_result(&d.set, &result, &in_memory);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
@@ -296,8 +271,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 8u32.to_le_bytes(), "this build writes version 8");
-    for old in [2u32, 3, 4, 5, 6, 7] {
+    assert_eq!(bytes[4..8], 9u32.to_le_bytes(), "this build writes version 9");
+    for old in [2u32, 3, 4, 5, 6, 7, 8] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -315,14 +290,15 @@ fn a_version_4_directory_is_refused_before_any_phase_runs() {
     // v4, v5 and v6 files are laid out alike, and v7 and v8 files but for
     // the CCD cursor: a v4 plan pin counts bytes of the 16-byte-per-position
     // index estimate, a v5 fingerprint folds the sketch mode, a v6 cursor
-    // carries a plan pin v7 no longer has, and a v7 fingerprint folds no
-    // residue. A whole older directory stops at its first file, untouched.
+    // carries a plan pin v7 no longer has, a v7 fingerprint folds no
+    // residue, and a v8 dsd.ckpt is a prefix of the queue with running
+    // totals. A whole older directory stops at its first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-to-v7"));
+    let hooks = hooks_in(&scratch_dir("v4-to-v8"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
-    for old in [4u32, 5, 6, 7] {
+    for old in [4u32, 5, 6, 7, 8] {
         let planted: Vec<Vec<u8>> = paths
             .iter()
             .map(|path| {
@@ -391,7 +367,11 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
         let trace = match phase {
             Phase::Rr => RrState::decode(&payload).expect("rr state").trace,
             Phase::Ccd => CcdState::decode(&payload).expect("ccd state").cursor.trace,
-            Phase::Dsd => DsdState::decode(&payload).expect("dsd state").trace,
+            Phase::Dsd => {
+                let state = DsdState::decode(&payload).expect("dsd state");
+                let batches = state.done.into_iter().map(|(_, out)| out.record).collect();
+                PhaseTrace { batches, ..PhaseTrace::default() }
+            }
         };
         let written = as_payload_tail(trace.to_tsv());
         assert!(payload.ends_with(&written), "the trace is the payload's last field");
@@ -545,9 +525,10 @@ fn a_union_find_parent_outside_the_forest_is_corrupt_not_a_panic() {
 fn a_dsd_edge_outside_its_component_is_corrupt_not_a_panic() {
     let err = resume_from_planted("dsd-edge", Phase::Dsd, |payload, _| {
         let mut state = DsdState::decode(payload).expect("dsd state");
-        let c = state.done.iter_mut().find(|c| !c.edges.is_empty()).expect("an edge");
-        c.edges[0].1 = c.members.len() as u32;
-        state.encode()
+        let out = &mut state.done[0].1;
+        let n = out.graph.members.len();
+        out.graph.graph = CsrGraph::from_edges(n + 1, &[(0, n as u32)]);
+        encode_dsd(&state)
     });
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
 }
@@ -556,11 +537,40 @@ fn a_dsd_edge_outside_its_component_is_corrupt_not_a_panic() {
 fn a_dense_subgraph_outside_its_component_is_corrupt_not_a_panic() {
     let err = resume_from_planted("dsd-subgraph", Phase::Dsd, |payload, _| {
         let mut state = DsdState::decode(payload).expect("dsd state");
-        let c = state.done.iter_mut().find(|c| !c.subgraphs.is_empty()).expect("a subgraph");
-        c.subgraphs[0][0] = c.members.len() as u32;
-        state.encode()
+        let dense = state.done.iter_mut().find(|(_, out)| !out.subgraphs.is_empty());
+        let (_, out) = dense.expect("a subgraph");
+        out.subgraphs[0][0] = out.graph.members.len() as u32;
+        encode_dsd(&state)
     });
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+}
+
+/// [`resume_from_planted`] with the finished `dsd.ckpt` edited by `edit`.
+fn resume_from_edited_dsd(tag: &str, edit: fn(&mut DsdState)) -> CkptError {
+    resume_from_planted(tag, Phase::Dsd, |payload, _| {
+        let mut state = DsdState::decode(payload).expect("dsd state");
+        assert!(state.done.len() >= 2, "need two components");
+        edit(&mut state);
+        encode_dsd(&state)
+    })
+}
+
+#[test]
+fn a_dsd_entry_that_is_not_in_the_queue_is_corrupt_not_a_panic() {
+    // Positions are the only link between a stored component and the
+    // queue: one past its end, one stored twice, and two components under
+    // each other's positions (members that differ from the component
+    // there) must all be refused.
+    let err = resume_from_edited_dsd("dsd-past-end", |state| state.done[0].0 = state.done.len());
+    assert!(matches!(err, CkptError::Corrupt(_)), "past the end: {err}");
+    let err = resume_from_edited_dsd("dsd-twice", |state| state.done.push(state.done[0].clone()));
+    assert!(matches!(err, CkptError::Corrupt(_)), "stored twice: {err}");
+    let err = resume_from_edited_dsd("dsd-swap", |state| {
+        let (a, b) = (state.done[0].0, state.done[1].0);
+        state.done[0].0 = b;
+        state.done[1].0 = a;
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "other members: {err}");
 }
 
 #[test]
