@@ -11,9 +11,9 @@
 //!   pairs and the pair-generator cursor at a batch boundary
 //!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written at a
 //!   batch boundary whenever a snapshot is due, and at the phase's end;
-//! * during/after BGG+DSD — whichever components of the queue have
-//!   finished, each under its queue position with its graph, dense
-//!   subgraphs and work counters ([`DsdState`]).
+//! * during/after BGG+DSD — each component of the queue, once it has
+//!   finished, in a file of its own, `dsd-<queue position>.ckpt`, with its
+//!   graph, dense subgraphs and work counters ([`DsdState`]).
 //!
 //! # File format
 //!
@@ -57,12 +57,13 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// the CCD payload: every plan mines one stream, so a cursor is a position
 /// in it under any budget. v8 has v7's layout, but its fingerprint folds
 /// every residue, not only every length: a v7 file may name another input
-/// of the same shape. v9 changes the DSD payload: it holds whichever
-/// components have finished, each under its queue position with its own
-/// BGG record and Shingle counters, where v8 held a prefix of the queue and
-/// the running totals. An older file is [`CkptError::BadVersion`]: there is
+/// of the same shape. v9 keyed each finished DSD component by its queue
+/// position, with its own BGG record and Shingle counters, where v8 held a
+/// prefix of the queue and running totals; v10 writes each one once, in a
+/// file of its own ([`component_path`]), where v9 re-encoded every finished
+/// one into `dsd.ckpt`. An older file is [`CkptError::BadVersion`]: there is
 /// no compatibility path.
-pub const VERSION: u32 = 9;
+pub const VERSION: u32 = 10;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -73,8 +74,8 @@ pub enum Phase {
     Rr,
     /// Connected-component detection (possibly mid-phase).
     Ccd,
-    /// Bipartite generation + dense subgraph detection (possibly
-    /// mid-queue).
+    /// Bipartite generation + dense subgraph detection: one file per
+    /// finished component.
     Dsd,
 }
 
@@ -96,19 +97,36 @@ impl Phase {
         }
     }
 
-    /// Conventional file name inside a checkpoint directory.
+    /// Conventional file name inside a checkpoint directory; for DSD, the
+    /// pattern of its component files ([`component_path`]).
     pub fn file_name(self) -> &'static str {
         match self {
             Phase::Rr => "rr.ckpt",
             Phase::Ccd => "ccd.ckpt",
-            Phase::Dsd => "dsd.ckpt",
+            Phase::Dsd => "dsd-*.ckpt",
         }
     }
 
-    /// Conventional path inside `dir`.
+    /// Conventional path of RR's or CCD's file inside `dir`.
     pub fn path_in(self, dir: &Path) -> PathBuf {
         dir.join(self.file_name())
     }
+}
+
+/// The file of the back half's component at queue `position` inside `dir`.
+pub fn component_path(dir: &Path, position: usize) -> PathBuf {
+    dir.join(format!("dsd-{position}.ckpt"))
+}
+
+/// Every component file inside `dir` (`dsd-*.ckpt`), in name order.
+pub fn component_files(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
+    let io = |e: std::io::Error| CkptError::Io(format!("{}: {e}", dir.display()));
+    let entries = std::fs::read_dir(dir).and_then(|dir| dir.map(|e| Ok(e?.path())).collect());
+    let mut files: Vec<PathBuf> = entries.map_err(io)?;
+    let component = |name: &str| name.starts_with("dsd-") && name.ends_with(".ckpt");
+    files.retain(|path| path.file_name().and_then(|name| name.to_str()).is_some_and(component));
+    files.sort();
+    Ok(files)
 }
 
 /// Why a checkpoint could not be written or read back.
@@ -601,85 +619,74 @@ impl CcdState {
     }
 }
 
-/// BGG + dense-subgraph progress: the components of the queue that have
-/// finished, any subset of it, each under its queue position.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One finished component of the back half: its queue position and its
+/// output — what one `dsd-<position>.ckpt` holds.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsdState {
-    /// `(queue position, output)` of every finished component.
-    pub done: Vec<(usize, ComponentOutput)>,
+    /// Where the component sits in the back half's queue.
+    pub position: usize,
+    /// Its graph, dense subgraphs, BGG record and Shingle counters.
+    pub output: ComponentOutput,
 }
 
 impl DsdState {
-    /// Serialize the finished components `done` yields — read where they
-    /// lie, nothing copied but each component's BGG record.
-    pub fn encode<'a>(done: impl IntoIterator<Item = (usize, &'a ComponentOutput)>) -> Vec<u8> {
-        let done: Vec<(usize, &ComponentOutput)> = done.into_iter().collect();
+    /// Serialize the component `out` at queue `position`, read where it
+    /// lies.
+    pub fn encode(position: usize, out: &ComponentOutput) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(done.len() as u64);
-        for &(position, out) in &done {
-            e.u64(position as u64);
-            e.u32s(&out.graph.members.iter().map(|id| id.0).collect::<Vec<_>>());
-            e.pairs(&csr_edge_list(&out.graph.graph));
-            e.u64(out.subgraphs.len() as u64);
-            for subgraph in &out.subgraphs {
-                e.u32s(subgraph);
-            }
-            let s = &out.stats;
-            for count in [s.pass1_shingles, s.distinct_s1, s.pass2_shingles, s.components] {
-                e.u64(count as u64);
-            }
+        e.u64(position as u64);
+        e.u32s(&out.graph.members.iter().map(|id| id.0).collect::<Vec<_>>());
+        e.pairs(&csr_edge_list(&out.graph.graph));
+        e.u64(out.subgraphs.len() as u64);
+        for subgraph in &out.subgraphs {
+            e.u32s(subgraph);
         }
-        // The BGG records last, as a trace of one batch per component in
-        // the order above.
-        let records = done.iter().map(|(_, out)| out.record.clone()).collect();
-        encode_trace(&mut e, &PhaseTrace { batches: records, ..PhaseTrace::default() });
+        let s = &out.stats;
+        for count in [s.pass1_shingles, s.distinct_s1, s.pass2_shingles, s.components] {
+            e.u64(count as u64);
+        }
+        // The BGG record last, as a trace of one batch, like every phase's.
+        encode_trace(
+            &mut e,
+            &PhaseTrace { batches: vec![out.record.clone()], ..PhaseTrace::default() },
+        );
         e.finish()
     }
 
     /// Parse a [`DsdState::encode`] payload.
     pub fn decode(payload: &[u8]) -> Result<DsdState, CkptError> {
         let mut d = Dec::new(payload);
-        let n = d.u64()? as usize;
-        let mut done = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let position = usize::try_from(d.u64()?)
-                .map_err(|_| CkptError::Corrupt("queue position past the address space"))?;
-            let members = d.u32s()?;
-            let edges = d.pairs()?;
-            let n_sub = d.u64()? as usize;
-            let mut subgraphs = Vec::with_capacity(n_sub.min(1 << 20));
-            for _ in 0..n_sub {
-                subgraphs.push(d.u32s()?);
-            }
-            let local = |&v: &u32| (v as usize) < members.len();
-            if !edges.iter().all(|(a, b)| local(a) && local(b)) {
-                return Err(CkptError::Corrupt("component edge outside its members"));
-            }
-            if !subgraphs.iter().flatten().all(local) {
-                return Err(CkptError::Corrupt("dense subgraph outside its component"));
-            }
-            let stats = ShingleStats {
-                pass1_shingles: d.u64()? as usize,
-                distinct_s1: d.u64()? as usize,
-                pass2_shingles: d.u64()? as usize,
-                components: d.u64()? as usize,
-            };
-            let graph = ComponentGraph {
-                graph: CsrGraph::from_edges(members.len(), &edges),
-                members: members.into_iter().map(SeqId).collect(),
-            };
-            let record = Default::default();
-            done.push((position, ComponentOutput { graph, record, subgraphs, stats }));
+        let position = usize::try_from(d.u64()?)
+            .map_err(|_| CkptError::Corrupt("queue position past the address space"))?;
+        let members = d.u32s()?;
+        let edges = d.pairs()?;
+        let n_sub = d.u64()? as usize;
+        let mut subgraphs = Vec::with_capacity(n_sub.min(1 << 20));
+        for _ in 0..n_sub {
+            subgraphs.push(d.u32s()?);
         }
-        let records = decode_trace(&mut d)?;
+        let local = |&v: &u32| (v as usize) < members.len();
+        if !edges.iter().all(|(a, b)| local(a) && local(b)) {
+            return Err(CkptError::Corrupt("component edge outside its members"));
+        }
+        if !subgraphs.iter().flatten().all(local) {
+            return Err(CkptError::Corrupt("dense subgraph outside its component"));
+        }
+        let stats = ShingleStats {
+            pass1_shingles: d.u64()? as usize,
+            distinct_s1: d.u64()? as usize,
+            pass2_shingles: d.u64()? as usize,
+            components: d.u64()? as usize,
+        };
+        let Ok([record]) = <[_; 1]>::try_from(decode_trace(&mut d)?.batches) else {
+            return Err(CkptError::Corrupt("a component has one BGG record"));
+        };
         d.done()?;
-        if records.batches.len() != done.len() {
-            return Err(CkptError::Corrupt("one BGG record per finished component"));
-        }
-        for ((_, out), record) in done.iter_mut().zip(records.batches) {
-            out.record = record;
-        }
-        Ok(DsdState { done })
+        let graph = ComponentGraph {
+            graph: CsrGraph::from_edges(members.len(), &edges),
+            members: members.into_iter().map(SeqId).collect(),
+        };
+        Ok(DsdState { position, output: ComponentOutput { graph, record, subgraphs, stats } })
     }
 }
 
@@ -846,26 +853,21 @@ mod tests {
 
     #[test]
     fn dsd_state_round_trip() {
-        // Any subset of the queue, out of order: positions 4 and 1.
-        let stats =
-            ShingleStats { pass1_shingles: 4, distinct_s1: 3, pass2_shingles: 2, components: 1 };
-        let output =
-            |members: &[u32], edges: &[(u32, u32)], subgraphs: Vec<Vec<u32>>| ComponentOutput {
-                graph: ComponentGraph {
-                    graph: CsrGraph::from_edges(members.len(), edges),
-                    members: members.iter().map(|&id| SeqId(id)).collect(),
-                },
-                record: sample_trace().batches[0].clone(),
-                subgraphs,
-                stats,
-            };
-        let s = DsdState {
-            done: vec![
-                (4, output(&[3, 4, 8], &[(0, 1), (1, 2)], vec![vec![0, 1, 2]])),
-                (1, output(&[10, 11], &[(0, 1)], vec![])),
-            ],
+        let output = ComponentOutput {
+            graph: ComponentGraph {
+                graph: CsrGraph::from_edges(3, &[(0, 1), (1, 2)]),
+                members: [3, 4, 8].map(SeqId).to_vec(),
+            },
+            record: sample_trace().batches[0].clone(),
+            subgraphs: vec![vec![0, 1, 2]],
+            stats: ShingleStats {
+                pass1_shingles: 4,
+                distinct_s1: 3,
+                pass2_shingles: 2,
+                components: 1,
+            },
         };
-        let payload = DsdState::encode(s.done.iter().map(|(p, out)| (*p, out)));
-        assert_eq!(DsdState::decode(&payload).expect("decode"), s);
+        let s = DsdState { position: 4, output };
+        assert_eq!(DsdState::decode(&DsdState::encode(4, &s.output)).expect("decode"), s);
     }
 }

@@ -15,8 +15,9 @@
 //! There is one composition of the phases, [`run_pipeline`]. What differs
 //! between runs is [`PipelineHooks`]: with a checkpoint directory every
 //! phase loads what an earlier run left there and saves what it finishes
-//! (DESIGN.md §robustness), and snapshots mid-phase as often as what a
-//! snapshot costs allows; without one the same code keeps nothing — no
+//! (DESIGN.md §robustness) — RR and CCD at their ends, CCD mid-phase as
+//! often as what a snapshot costs allows, the back half each component
+//! once, as it finishes; without one the same code keeps nothing — no
 //! snapshot is even encoded.
 
 use std::path::{Path, PathBuf};
@@ -32,7 +33,8 @@ use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore};
 use pfam_shingle::ShingleStats;
 
 use crate::checkpoint::{
-    fingerprint, read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Phase, RrState,
+    component_files, component_path, fingerprint, read_checkpoint, write_checkpoint, CcdState,
+    CkptError, DsdState, Phase, RrState,
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
@@ -97,25 +99,22 @@ impl PipelineResult {
     }
 }
 
-/// What a run keeps on disk and where it ends. The default is the
-/// in-memory run: no directory, start at phase 1, run to the end.
+/// What a run keeps on disk. The default is the in-memory run: no
+/// directory, start at phase 1.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineHooks {
-    /// Snapshot every phase into this directory as `rr.ckpt` / `ccd.ckpt`
-    /// / `dsd.ckpt` (created if missing); `None` keeps nothing on disk.
+    /// Snapshot every phase into this directory as `rr.ckpt`, `ccd.ckpt`
+    /// and one `dsd-<queue position>.ckpt` per finished component (created
+    /// if missing); `None` keeps nothing on disk.
     pub checkpoint: Option<PathBuf>,
     /// Continue from the snapshots found in the directory instead of
     /// overwriting them. A killed run restarted this way replays from the
     /// last snapshot and produces a result *identical* to the
     /// uninterrupted run — CCD's pair generator is deterministic, so
     /// skipping the consumed prefix and restoring the union-find verbatim
-    /// repeats every decision exactly.
+    /// repeats every decision exactly, and the back half runs only the
+    /// components no file holds.
     pub resume: bool,
-    /// End the run right after this phase's snapshot is written
-    /// ([`run_pipeline`] returns `Ok(None)`) — the hook the
-    /// kill-at-every-phase tests use to simulate a crash at a phase
-    /// boundary.
-    pub stop_after: Option<Phase>,
 }
 
 /// Why a run did not start, or could not go on.
@@ -153,10 +152,10 @@ impl From<CkptError> for PipelineError {
 }
 
 /// How many times longer than a snapshot took the run works before it
-/// writes the next mid-phase one: mid-phase snapshots then take at most
-/// 1/20 of the wall, whatever a snapshot costs on this input and disk —
-/// CCD's cursor grows with the stream consumed, DSD's with the components
-/// finished — and a kill loses about 19 times the last write.
+/// writes the next mid-phase one: CCD's cursors then take at most 1/20 of
+/// the wall, whatever a cursor costs on this input and disk — it grows
+/// with the stream consumed — and a kill loses about 19 times the last
+/// write.
 const WORK_PER_SNAPSHOT: u32 = 19;
 
 /// The run's last snapshot: when it finished, and how long it took from
@@ -178,9 +177,8 @@ fn snapshot_due(last: Option<Written>, now: Instant) -> bool {
 }
 
 /// The snapshot files of one run. Without a directory nothing is loaded
-/// and nothing saved — `save` and `offer` do not even build their payload.
-/// The back half's workers offer snapshots concurrently: one writes at a
-/// time.
+/// and nothing saved — no payload is even built. The back half's workers
+/// save their components concurrently, each to its own file.
 struct Snapshots<'h> {
     hooks: &'h PipelineHooks,
     /// Of this run ([`fingerprint`]); unused without a directory.
@@ -203,8 +201,12 @@ impl<'h> Snapshots<'h> {
     ) -> Result<Snapshots<'h>, CkptError> {
         let run = match &hooks.checkpoint {
             Some(dir) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| CkptError::Io(format!("{}: {e}", dir.display())))?;
+                let io = |e: std::io::Error| CkptError::Io(format!("{}: {e}", dir.display()));
+                std::fs::create_dir_all(dir).map_err(io)?;
+                // A later resume must meet no component another run left.
+                if !hooks.resume {
+                    component_files(dir)?.iter().try_for_each(std::fs::remove_file).map_err(io)?;
+                }
                 fingerprint(input, config)
             }
             None => 0,
@@ -233,29 +235,61 @@ impl<'h> Snapshots<'h> {
             return Ok(None);
         }
         let start = Instant::now();
-        let (found, written_for, payload) = read_checkpoint(&path)?;
+        let payload = self.read(&path, phase);
         let finished = Instant::now();
         self.log().last = Some(Written { finished, took: finished - start });
+        payload.map(Some)
+    }
+
+    /// The components an earlier run of the same input and parameters
+    /// finished, one file each, when this run resumes.
+    fn load_components(&self) -> Result<Vec<DsdState>, CkptError> {
+        let Some(dir) = self.dir().filter(|_| self.hooks.resume) else {
+            return Ok(Vec::new());
+        };
+        let files = component_files(dir)?;
+        files.iter().map(|path| DsdState::decode(&self.read(path, Phase::Dsd)?)).collect()
+    }
+
+    /// The payload of the `phase` file at `path`, if it was written for
+    /// this run's input and parameters.
+    fn read(&self, path: &Path, phase: Phase) -> Result<Vec<u8>, CkptError> {
+        let (found, written_for, payload) = read_checkpoint(path)?;
         if found != phase {
             return Err(CkptError::Corrupt("checkpoint file holds a different phase"));
         }
         if written_for != self.fingerprint {
             return Err(CkptError::Mismatch(phase.file_name()));
         }
-        Ok(Some(payload))
+        Ok(payload)
     }
 
     /// Write `phase`'s snapshot — a phase end's, always.
     fn save(&self, phase: Phase, payload: impl FnOnce() -> Vec<u8>) -> Result<(), CkptError> {
+        self.write(phase, |dir| phase.path_in(dir), payload)
+    }
+
+    /// Write the back half's finished component at queue `position`, once.
+    fn save_component(&self, position: usize, out: &ComponentOutput) -> Result<(), CkptError> {
+        let payload = || DsdState::encode(position, out);
+        self.write(Phase::Dsd, |dir| component_path(dir, position), payload)
+    }
+
+    /// Write `payload` as the `phase` file at `path(dir)`, and count it.
+    fn write(
+        &self,
+        phase: Phase,
+        path: impl FnOnce(&Path) -> PathBuf,
+        payload: impl FnOnce() -> Vec<u8>,
+    ) -> Result<(), CkptError> {
         let Some(dir) = self.dir() else {
             return Ok(());
         };
-        let mut log = self.log();
         let start = Instant::now();
-        let payload = payload();
-        let bytes = write_checkpoint(&phase.path_in(dir), phase, self.fingerprint, &payload)?;
+        let bytes = write_checkpoint(&path(dir), phase, self.fingerprint, &payload())?;
         let finished = Instant::now();
         let took = finished - start;
+        let mut log = self.log();
         log.last = Some(Written { finished, took });
         log.written.add(phase, bytes, took);
         Ok(())
@@ -330,25 +364,8 @@ fn ccd_phase(
     Ok(result)
 }
 
-/// The back half's queue as it finishes — what `dsd.ckpt` holds: each
-/// component's output at its queue position, once it has one.
-struct Finished {
-    slots: Vec<Option<ComponentOutput>>,
-    /// Slots still empty.
-    left: usize,
-}
-
-impl Finished {
-    fn encode(&self) -> Vec<u8> {
-        let done = self.slots.iter().enumerate();
-        DsdState::encode(done.filter_map(|(position, out)| Some((position, out.as_ref()?))))
-    }
-}
-
 /// Run the pipeline on `input` — any [`SeqStore`], such as a
 /// [`pfam_seq::SequenceSet`] — keeping on disk what `hooks` says.
-/// `Ok(None)` means the run ended where [`PipelineHooks::stop_after`]
-/// asked it to.
 ///
 /// Refuses to start — with a typed error, never an abort or an empty
 /// answer — when the configuration cannot work on this input: no
@@ -357,10 +374,9 @@ pub fn run_pipeline(
     input: &dyn SeqStore,
     config: &PipelineConfig,
     hooks: &PipelineHooks,
-) -> Result<Option<PipelineResult>, PipelineError> {
+) -> Result<PipelineResult, PipelineError> {
     index_plan(input, &config.cluster, None)?;
     let snapshots = Snapshots::open(hooks, input, config)?;
-    let stop_after = |phase: Phase| hooks.stop_after == Some(phase);
 
     // ---- Phases 1+2: redundancy removal (snapshot when complete), then
     // connected components of the survivors (a cursor whenever one is due,
@@ -397,25 +413,16 @@ pub fn run_pipeline(
                 rr
             }
         };
-        if stop_after(Phase::Rr) {
-            return Ok(None);
-        }
         let ccd = ccd_phase(&snapshots, prior, rr.kept.len(), |cursor, on_batch| {
             let front = front.expect("an unfinished CCD holds an index");
             front.ccd_resumable(&rr.kept, &rr.ledger, cursor, on_batch)
         })?;
-        Ok::<_, CkptError>(Some((rr, ccd)))
+        Ok::<_, CkptError>((rr, ccd))
     };
-    let front = match indexed {
+    let (rr, mut ccd) = match indexed {
         true => with_front_half(input, &config.cluster, |front| front_half(Some(front)))?,
         false => front_half(None)?,
     };
-    let Some((rr, mut ccd)) = front else {
-        return Ok(None);
-    };
-    if stop_after(Phase::Ccd) {
-        return Ok(None);
-    }
     let ledger_dropped = rr.ledger.dropped();
     let ccd_trace = std::mem::take(&mut ccd.trace);
     let windows = WindowReport { rr: rr.windows, ccd: ccd.windows };
@@ -438,43 +445,27 @@ pub fn run_pipeline(
     let filled_ahead = AheadReport { rr_discarded: rr.ahead_discarded, ccd_held, ccd_discarded };
 
     // ---- Phases 3+4: fused BGG→DSD, one pass over the large components
-    // no snapshot holds yet, heaviest first. Each stores its output at its
-    // queue position the moment it finishes and offers the finished set
-    // as a snapshot, written when one is due; the whole queue is saved at
-    // the end. ----
+    // no file holds yet, heaviest first. Each is saved as its own file on
+    // the worker that finished it. ----
     let large = |&c: &usize| components[c].len() >= config.min_component_size;
     let selected: Vec<usize> = (0..components.len()).filter(large).collect();
     let mut slots: Vec<Option<ComponentOutput>> = selected.iter().map(|_| None).collect();
-    if let Some(payload) = snapshots.load(Phase::Dsd)? {
-        for (position, out) in DsdState::decode(&payload)?.done {
-            let queued = selected.get(position).map(|&c| &components[c]);
-            if queued != Some(&out.graph.members) || slots[position].replace(out).is_some() {
-                return Err(CkptError::Corrupt("dsd checkpoint does not match the queue").into());
-            }
+    for DsdState { position, output } in snapshots.load_components()? {
+        let queued = selected.get(position).map(|&c| &components[c]);
+        if queued != Some(&output.graph.members) || slots[position].replace(output).is_some() {
+            return Err(CkptError::Corrupt("a component file does not match the queue").into());
         }
     }
     let todo: Vec<usize> = (0..slots.len()).filter(|&p| slots[p].is_none()).collect();
-    let finished = Mutex::new(Finished { slots, left: todo.len() });
-    let offered = stream_graphs(
+    let outputs = stream_graphs(
         config,
         todo.len(),
         |i| known.n_deferred(selected[todo[i]]),
         |i| known.component_graph(selected[todo[i]]),
-        |i, out| {
-            let mut finished = finished.lock().expect("a back-half worker panicked");
-            finished.slots[todo[i]] = Some(out);
-            finished.left -= 1;
-            match finished.left {
-                0 => Ok(()),
-                _ => snapshots.offer(Phase::Dsd, || finished.encode()),
-            }
-        },
+        |i, out| snapshots.save_component(todo[i], &out).map(|()| out),
     );
-    offered.into_iter().collect::<Result<(), CkptError>>()?;
-    let finished = finished.into_inner().expect("a back-half worker panicked");
-    snapshots.save(Phase::Dsd, || finished.encode())?;
-    if stop_after(Phase::Dsd) {
-        return Ok(None);
+    for (&position, out) in todo.iter().zip(outputs) {
+        slots[position] = Some(out?);
     }
 
     // ---- The result, from the finished queue in queue order. ----
@@ -484,7 +475,7 @@ pub fn run_pipeline(
     let mut shingle_stats = ShingleStats::default();
     let mut component_graphs = Vec::with_capacity(selected.len());
     let mut dense_subgraphs = Vec::new();
-    for (ci, out) in finished.slots.into_iter().enumerate() {
+    for (ci, out) in slots.into_iter().enumerate() {
         let out = out.expect("the pass finishes every queued component");
         shingle_stats.absorb(&out.stats);
         bgg_trace.batches.push(out.record);
@@ -499,7 +490,7 @@ pub fn run_pipeline(
     dense_subgraphs
         .sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.members.cmp(&b.members)));
 
-    Ok(Some(PipelineResult {
+    Ok(PipelineResult {
         n_input: input.len(),
         components,
         non_redundant: rr.kept,
@@ -511,21 +502,20 @@ pub fn run_pipeline(
         filled_ahead,
         windows,
         checkpoints: snapshots.report(),
-    }))
+    })
 }
 
 impl PipelineConfig {
-    /// [`run_pipeline`] with the default hooks — nothing on disk, first
-    /// phase to last — for callers that have no use for its error.
+    /// [`run_pipeline`] with the default hooks — nothing on disk — for
+    /// callers that have no use for its error.
     ///
     /// # Panics
     ///
     /// When this configuration cannot work on `input` ([`PipelineError`]).
     pub fn run(&self, input: &dyn SeqStore) -> PipelineResult {
-        match run_pipeline(input, self, &PipelineHooks::default()) {
-            Ok(result) => result.expect("a run with no stop_after runs to the end"),
-            Err(e) => panic!("the pipeline cannot run this configuration on this input: {e}"),
-        }
+        run_pipeline(input, self, &PipelineHooks::default()).unwrap_or_else(|e| {
+            panic!("the pipeline cannot run this configuration on this input: {e}")
+        })
     }
 }
 
@@ -572,11 +562,9 @@ mod tests {
         let config = PipelineConfig::for_tests();
         let dir = std::env::temp_dir().join("pfam-pipeline-resume-cadence");
         let _ = std::fs::remove_dir_all(&dir);
-        let stop = Some(Phase::Rr);
-        let hooks =
-            PipelineHooks { checkpoint: Some(dir.clone()), resume: false, stop_after: stop };
-        assert!(run_pipeline(&d.set, &config, &hooks).expect("run to rr.ckpt").is_none());
-        let resumed = PipelineHooks { resume: true, stop_after: None, ..hooks };
+        let hooks = PipelineHooks { checkpoint: Some(dir.clone()), resume: false };
+        run_pipeline(&d.set, &config, &hooks).expect("a checkpointed run");
+        let resumed = PipelineHooks { resume: true, ..hooks };
         let snapshots = Snapshots::open(&resumed, &d.set, &config).expect("open the directory");
         assert!(snapshots.log().last.is_none(), "nothing read or written yet");
         let before = Instant::now();

@@ -494,15 +494,18 @@ echo "== tier1: CLI kill/resume smoke (byte-identical families.tsv) =="
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/pfam generate --out "$SMOKE/reads.fasta" --families 3 --members 25 --seed 7
+# A kill after CCD leaves what a finished run leaves, less its component
+# files.
 ./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
-    --stop-after ccd --min-size 3 --out "$SMOKE/ignored.tsv"
+    --min-size 3 --out "$SMOKE/ignored.tsv" >/dev/null 2>&1
+rm "$SMOKE/ck"/dsd-*.ckpt
 ./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
     --resume --min-size 3 --out "$SMOKE/resumed.tsv" 2>"$SMOKE/resumed.err"
 ./target/release/pfam cluster "$SMOKE/reads.fasta" --min-size 3 --out "$SMOKE/straight.tsv" \
     2>"$SMOKE/straight.err"
 diff "$SMOKE/resumed.tsv" "$SMOKE/straight.tsv"
 # With a directory the last stderr line is what each phase wrote; the
-# resumed run loaded RR and CCD, so it wrote DSD's snapshots only.
+# resumed run loaded RR and CCD, so it wrote DSD's component files only.
 tail -1 "$SMOKE/resumed.err" | grep -qE \
     "^checkpoints: rr 0 \(0\.0 MB\), ccd 0 \(0\.0 MB\), dsd [1-9][0-9]* \([0-9]+\.[0-9] MB\), [0-9]+\.[0-9]{2} s$" || {
     echo "tier1 FAIL: pfam run --resume did not end its stderr with its checkpoints line" >&2
@@ -592,14 +595,15 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4 to v8 directory is refused, not replayed) =="
+echo "== tier1: CLI older-checkpoint smoke (a v4 to v9 directory is refused, not replayed) =="
 # v4 plan pins count bytes of the 16-byte-per-position index estimate;
 # v5 fingerprints fold the sketch mode; v6 CCD cursors carry the plan pin
 # that v7 dropped; v7 fingerprints fold no residue; a v8 dsd.ckpt is a
-# prefix of the component queue with running totals, where v9 holds any
-# finished subset, each component with its own counters. Same header, so:
-# the version word.
-for v in 4 5 6 7 8; do
+# prefix of the component queue with running totals; a v9 dsd.ckpt holds
+# the finished set behind a count, where v10 writes each component once,
+# in a dsd-<queue position>.ckpt of its own. Same header, so: the version
+# word.
+for v in 4 5 6 7 8 9; do
     cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
     for f in "$SMOKE/ck-v$v"/*.ckpt; do
         printf "\\x0$v\\x00\\x00\\x00" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
@@ -633,6 +637,7 @@ for gone in "--steal:--steal" "--shards 2:--shards" "--sketch-banding exhaustive
     "--sketch-mode approx:--sketch-mode" "--index-chunk-bytes 4K:--index-chunk-bytes" \
     "--domain 10:--domain" "--checkpoint-every 8:--checkpoint-every" \
     "--checkpoint-every-components 1:--checkpoint-every-components" \
+    "--stop-after ccd:--stop-after" \
     "--psi 10 --psi 20:--psi given twice"; do
     # shellcheck disable=SC2086 # ${gone%%:*} is a word list
     if $PFAM cluster "$SMOKE/reads.fasta" --min-size 3 ${gone%%:*} \

@@ -6,15 +6,16 @@
 //!               [--min-size N] [--mask] [--psi N]
 //!               [--mem-budget BYTES[K|M|G]] [--save-trace PREFIX]
 //! pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]
-//!               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]
+//!               [+ every `cluster` flag]
 //! pfam replay   <trace.tsv>... [--procs 32,64,128,512]
 //! pfam align    <input.fasta> <i> <j>
 //! pfam stats    <input.fasta>
 //! ```
 //!
 //! `cluster` and `run` are one program: `cluster` is `run` without a
-//! checkpoint directory. `run` snapshots each phase's end, and mid-phase
-//! as often as what a snapshot costs allows — there is no cadence flag. A
+//! checkpoint directory. `run` snapshots each phase's end, CCD mid-phase as
+//! often as what a snapshot costs allows, and each finished component of
+//! the back half once — there is no cadence flag. A
 //! flag the subcommand does not take (see [`FLAGS`]) is an error, not a
 //! silent no-op.
 
@@ -23,9 +24,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use pfam::cluster::{ClusterConfig, PhaseTrace};
-use pfam::core::{
-    run_pipeline, FillReport, Phase, PipelineConfig, PipelineHooks, Reduction, TableOneRow,
-};
+use pfam::core::{run_pipeline, FillReport, PipelineConfig, PipelineHooks, Reduction, TableOneRow};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::complexity::{masked_fraction, MaskParams};
 use pfam::seq::fasta::{read_fasta, write_fasta};
@@ -76,9 +75,10 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20               [--save-trace PREFIX] (a finished run writes its work\n\
     \x20               traces to PREFIX.{rr,ccd,bgg}.trace.tsv, for `replay`)\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
-    \x20               [--stop-after rr|ccd|dsd] [+ every `cluster` flag]\n\
+    \x20               [+ every `cluster` flag]\n\
     \x20               (`cluster` that snapshots each phase and can resume;\n\
-    \x20               mid-phase snapshots take at most 1/20 of the wall)\n\
+    \x20               CCD's mid-phase snapshots take at most 1/20 of the\n\
+    \x20               wall, each finished component is written once)\n\
     \x20 pfam replay   <trace.tsv>... [--procs 32,64,128,512]\n\
     \x20               (each trace on the BlueGene/L model, one row each)\n\
     \x20 pfam align    <input.fasta> <i> <j>   (pairwise local alignment)\n\
@@ -103,7 +103,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--save-trace", true, CLUSTER),
     ("--checkpoint-dir", true, CHECKPOINT),
     ("--resume", false, CHECKPOINT),
-    ("--stop-after", true, CHECKPOINT),
     ("--procs", true, &["replay"]),
 ];
 
@@ -269,8 +268,8 @@ fn pipeline_config(args: &[String]) -> Result<(PipelineConfig, usize), String> {
     Ok((config, min_size))
 }
 
-/// Where `cluster` / `run` keep snapshots and where they stop, from the
-/// checkpoint flags (which [`FLAGS`] lets only `run` carry).
+/// Where `cluster` / `run` keep snapshots, from the checkpoint flags
+/// (which [`FLAGS`] lets only `run` carry).
 fn pipeline_hooks(args: &[String]) -> Result<PipelineHooks, String> {
     let Some(dir) = flag_value(args, "--checkpoint-dir") else {
         // The other checkpoint flags only say how to use the directory.
@@ -284,13 +283,6 @@ fn pipeline_hooks(args: &[String]) -> Result<PipelineHooks, String> {
     Ok(PipelineHooks {
         checkpoint: Some(std::path::PathBuf::from(dir)),
         resume: flag_present(args, "--resume"),
-        stop_after: match flag_value(args, "--stop-after").as_deref() {
-            None => None,
-            Some("rr") => Some(Phase::Rr),
-            Some("ccd") => Some(Phase::Ccd),
-            Some("dsd") => Some(Phase::Dsd),
-            Some(other) => return Err(format!("invalid --stop-after: {other} (rr|ccd|dsd)")),
-        },
     })
 }
 
@@ -311,17 +303,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         .open(&out)
         .map_err(|e| format!("cannot create {out}: {e}"))?;
 
-    let Some(result) = run_pipeline(&set, &config, &hooks).map_err(|e| e.to_string())? else {
-        let dir = flag_value(args, "--checkpoint-dir").unwrap_or_default();
-        println!(
-            "stopped after the requested phase; checkpoints in {dir} — \
-             rerun with --resume to continue"
-        );
-        if flag_present(args, "--save-trace") {
-            eprintln!("no trace saved: a run writes its traces once it finishes");
-        }
-        return Ok(());
-    };
+    let result = run_pipeline(&set, &config, &hooks).map_err(|e| e.to_string())?;
     println!("{}", TableOneRow::header());
     println!("{}", TableOneRow::from_result(&result, min_size));
     eprintln!("{}", FillReport::from_result(&result));
@@ -490,6 +472,7 @@ mod tests {
             "--domain",
             "--checkpoint-every",
             "--checkpoint-every-components",
+            "--stop-after",
         ] {
             for cmd in CLUSTER {
                 let err = check_flags(cmd, &argv(&format!("in.fasta {gone} 2"))).unwrap_err();
@@ -501,10 +484,10 @@ mod tests {
     #[test]
     fn checkpoint_flags_need_a_directory() {
         assert!(pipeline_hooks(&argv("in.fasta")).unwrap().checkpoint.is_none());
-        let err = pipeline_hooks(&argv("in.fasta --stop-after rr")).unwrap_err();
-        assert!(err.contains("--stop-after needs --checkpoint-dir"), "{err}");
+        let err = pipeline_hooks(&argv("in.fasta --resume")).unwrap_err();
+        assert!(err.contains("--resume needs --checkpoint-dir"), "{err}");
         let hooks = pipeline_hooks(&argv("in.fasta --checkpoint-dir ck --resume")).unwrap();
-        assert!(hooks.resume && hooks.checkpoint.is_some() && hooks.stop_after.is_none());
+        assert!(hooks.resume && hooks.checkpoint.is_some());
     }
 
     #[test]
@@ -535,16 +518,16 @@ mod tests {
         let mut known: Vec<&str> = FLAGS.iter().map(|&(name, _, _)| name).collect();
         known.sort_unstable();
         assert_eq!(documented, known);
-        assert_eq!(known.len(), 14);
+        assert_eq!(known.len(), 13);
 
         // `cluster` and `run` are one program: `run` takes what `cluster`
-        // takes, plus the three flags that need a checkpoint directory.
+        // takes, plus the two flags that need a checkpoint directory.
         let taken_by = |cmd: &str| -> Vec<&str> {
             FLAGS.iter().filter(|f| f.2.contains(&cmd)).map(|f| f.0).collect()
         };
         let only_run: Vec<&str> =
             taken_by("run").into_iter().filter(|f| !taken_by("cluster").contains(f)).collect();
-        assert_eq!(only_run, ["--checkpoint-dir", "--resume", "--stop-after"]);
+        assert_eq!(only_run, ["--checkpoint-dir", "--resume"]);
         assert!(taken_by("cluster").iter().all(|f| taken_by("run").contains(f)));
 
         // One command line per subcommand carrying every flag it is
@@ -553,7 +536,7 @@ mod tests {
             "in.fasta --out f.tsv --tau 0.4 --min-size 3 --mask --psi 8 --mem-budget 64M --save-trace t";
         check_flags("cluster", &argv(cluster)).unwrap();
         pipeline_config(&argv(cluster)).unwrap();
-        let run = format!("{cluster} --checkpoint-dir ck --resume --stop-after ccd");
+        let run = format!("{cluster} --checkpoint-dir ck --resume");
         check_flags("run", &argv(&run)).unwrap();
         pipeline_hooks(&argv(&run)).unwrap();
         check_flags("generate", &argv("--out r.fasta --families 3 --members 9 --seed 1")).unwrap();

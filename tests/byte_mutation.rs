@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 
 use common::{hooks_in, scratch_dir};
 use pfam::cluster::PhaseTrace;
-use pfam::core::checkpoint::{read_checkpoint, CcdState, DsdState, RrState};
+use pfam::core::checkpoint::{component_files, read_checkpoint, CcdState, DsdState, RrState};
 use pfam::core::{run_pipeline, Phase, PipelineConfig};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::fasta::{read_fasta, write_fasta};
@@ -37,7 +37,7 @@ struct Artifacts {
 
 /// One checkpointed run over a few short families: its input as FASTA,
 /// its CCD trace as TSV, its whole `rr.ckpt`, and the payloads of its
-/// three checkpoint files.
+/// `rr.ckpt`, its `ccd.ckpt` and its largest component file.
 fn artifacts() -> &'static Artifacts {
     static ARTIFACTS: OnceLock<Artifacts> = OnceLock::new();
     ARTIFACTS.get_or_init(|| {
@@ -56,16 +56,18 @@ fn artifacts() -> &'static Artifacts {
 
         let dir = scratch_dir("byte-mutation");
         let result = run_pipeline(&set, &PipelineConfig::for_tests(), &hooks_in(&dir))
-            .expect("checkpointed run")
-            .expect("the run completes");
-        let payload = |phase: Phase| read_checkpoint(&phase.path_in(&dir)).expect("checkpoint").2;
+            .expect("checkpointed run");
+        let payload = |path: &std::path::Path| read_checkpoint(path).expect("checkpoint").2;
+        let components = component_files(&dir).expect("the component files");
+        let size = |path: &&std::path::PathBuf| std::fs::metadata(path).map_or(0, |m| m.len());
+        let largest = components.iter().max_by_key(size);
         let artifacts = Artifacts {
             fasta,
             trace: result.traces.1.to_tsv().into_bytes(),
             rr_file: std::fs::read(Phase::Rr.path_in(&dir)).expect("rr.ckpt"),
-            rr: payload(Phase::Rr),
-            ccd: payload(Phase::Ccd),
-            dsd: payload(Phase::Dsd),
+            rr: payload(&Phase::Rr.path_in(&dir)),
+            ccd: payload(&Phase::Ccd.path_in(&dir)),
+            dsd: payload(largest.expect("a component file")),
         };
         let _ = std::fs::remove_dir_all(&dir);
         artifacts

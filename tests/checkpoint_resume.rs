@@ -1,6 +1,6 @@
-//! Kill/resume integration tests: stop the checkpointed pipeline after
-//! every phase boundary (and mid-CCD, and mid-DSD), resume from disk, and
-//! require the final clustering — down to the rendered families.tsv text
+//! Kill/resume integration tests: leave the checkpoint directory as a run
+//! killed after every phase boundary (and mid-CCD, and mid-DSD) leaves it,
+//! resume from disk, and require the final clustering — down to the rendered families.tsv text
 //! — and all three work traces to be identical to the uninterrupted run:
 //! `rr.ckpt` carries the pair ledger and `ccd.ckpt` the deferred pairs, so
 //! a resumed run aligns exactly what an uninterrupted one does. A run that
@@ -16,7 +16,8 @@ use std::sync::Arc;
 use common::{assert_same_result, hooks_in, render_families, resume, run_until, scratch_dir};
 use pfam::cluster::{ClusterCore, PairLedger, PhaseTrace};
 use pfam::core::checkpoint::{
-    read_checkpoint, write_checkpoint, CcdState, CkptError, DsdState, Enc, RrState, MAGIC,
+    component_files, component_path, read_checkpoint, write_checkpoint, CcdState, CkptError,
+    DsdState, Enc, RrState, MAGIC,
 };
 use pfam::core::{
     run_pipeline, FillReport, Phase, PipelineConfig, PipelineError, PipelineHooks, Reduction,
@@ -26,7 +27,11 @@ use pfam::graph::CsrGraph;
 use pfam::seq::{SeqId, SequenceSet, SequenceSetBuilder};
 
 fn dataset(seed: u64) -> SyntheticDataset {
-    SyntheticDataset::generate(&DatasetConfig {
+    SyntheticDataset::generate(&dataset_config(seed))
+}
+
+fn dataset_config(seed: u64) -> DatasetConfig {
+    DatasetConfig {
         n_families: 3,
         n_members: 30,
         n_noise: 4,
@@ -40,7 +45,7 @@ fn dataset(seed: u64) -> SyntheticDataset {
         },
         seed,
         ..DatasetConfig::tiny(seed)
-    })
+    }
 }
 
 /// The directory `hooks` snapshot into.
@@ -53,7 +58,7 @@ fn resume_error(set: &SequenceSet, config: &PipelineConfig, hooks: &PipelineHook
     let hooks = PipelineHooks { resume: true, ..hooks.clone() };
     match run_pipeline(set, config, &hooks) {
         Err(PipelineError::Checkpoint(e)) => e,
-        other => panic!("expected a checkpoint error, got {:?}", other.map(|r| r.is_some())),
+        other => panic!("expected a checkpoint error, got {:?}", other.map(|_| "a result")),
     }
 }
 
@@ -179,51 +184,51 @@ fn a_ccd_checkpoint_cut_without_a_budget_resumes_under_one() {
     assert_mid_ccd_resumes_under_another_budget("none-to-budget", &config, &budgeted);
 }
 
-/// The DSD state a run stopped after DSD left under `hooks`.
-fn finished_dsd(hooks: &PipelineHooks) -> DsdState {
-    let (_, _, payload) = read_checkpoint(&Phase::Dsd.path_in(dir_of(hooks))).expect("dsd.ckpt");
-    DsdState::decode(&payload).expect("dsd state")
+/// The components a finished run left under `hooks`, one file each, in
+/// queue order.
+fn finished_components(hooks: &PipelineHooks) -> Vec<DsdState> {
+    let decode = |path: &std::path::PathBuf| {
+        let (_, _, payload) = read_checkpoint(path).expect("a component file");
+        DsdState::decode(&payload).expect("dsd state")
+    };
+    let files = component_files(dir_of(hooks)).expect("the component files");
+    let mut done: Vec<DsdState> = files.iter().map(decode).collect();
+    done.sort_by_key(|state| state.position);
+    done
 }
 
-/// `state` as a payload.
-fn encode_dsd(state: &DsdState) -> Vec<u8> {
-    DsdState::encode(state.done.iter().map(|(position, out)| (*position, out)))
-}
-
-/// Plant as `dsd.ckpt` under `hooks` the components of the finished state
-/// `done` whose queue positions `keep` takes, as a run killed once just
-/// those had finished leaves it: their graphs, subgraphs, BGG records and
-/// Shingle counters, nothing of the rest.
-fn plant_dsd(hooks: &PipelineHooks, done: &DsdState, keep: impl Fn(usize) -> bool) {
-    let dsd_path = Phase::Dsd.path_in(dir_of(hooks));
-    let (_, fingerprint, _) = read_checkpoint(&dsd_path).expect("dsd.ckpt");
-    let mut state = done.clone();
-    state.done.retain(|&(position, _)| keep(position));
-    assert!(state.done.len() < done.done.len(), "a kill leaves work to do");
-    write_checkpoint(&dsd_path, Phase::Dsd, fingerprint, &encode_dsd(&state))
-        .expect("plant partial dsd.ckpt");
+/// Delete under `hooks` the component files whose queue positions `keep`
+/// does not take, as a run killed once just those had finished leaves the
+/// directory.
+fn keep_components(hooks: &PipelineHooks, keep: impl Fn(usize) -> bool) {
+    let n = component_files(dir_of(hooks)).expect("the component files").len();
+    let gone: Vec<usize> = (0..n).filter(|&position| !keep(position)).collect();
+    assert!(!gone.is_empty(), "a kill leaves work to do");
+    for position in gone {
+        std::fs::remove_file(component_path(dir_of(hooks), position)).expect("a component file");
+    }
 }
 
 #[test]
 fn a_dsd_snapshot_of_any_finished_subset_resumes_identically() {
     // The back half's workers finish components in whatever order their
-    // costs allow, so a snapshot holds whichever have finished. A resume
-    // from any such subset runs the rest and must write the straight
-    // run's result.
+    // costs allow, so a kill leaves the files of whichever have finished.
+    // A resume from any such subset runs the rest and must write the
+    // straight run's result.
     let d = dataset(4875);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     let hooks = hooks_in(&scratch_dir("dsd-subsets"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
-    // The phase end saves every component once, under its queue position.
-    let done = finished_dsd(&hooks);
-    let k = done.done.len();
+    // A straight run saves every component once, under its queue position.
+    let done = finished_components(&hooks);
+    let k = done.len();
     assert!(k >= 3, "need a queue with a middle, got {k} components");
-    let saved: Vec<_> = done.done.iter().map(|(position, out)| (*position, &out.graph)).collect();
+    let saved: Vec<_> = done.iter().map(|state| (state.position, &state.output.graph)).collect();
     assert_eq!(saved, straight.component_graphs.iter().enumerate().collect::<Vec<_>>());
     // The first one dispatched: the most deferred pairs to verify, then
     // the first in the queue.
-    let weight = |p: usize| (done.done[p].1.record.n_generated, std::cmp::Reverse(p));
+    let weight = |p: usize| (done[p].output.record.n_generated, std::cmp::Reverse(p));
     let heaviest = (0..k).max_by_key(|&p| weight(p)).expect("components");
     let subsets: [(&str, &dyn Fn(usize) -> bool); 4] = [
         ("the first component", &|p| p == 0),
@@ -232,30 +237,69 @@ fn a_dsd_snapshot_of_any_finished_subset_resumes_identically() {
         ("all but the heaviest", &|p| p != heaviest),
     ];
     for (what, keep) in subsets {
-        plant_dsd(&hooks, &done, keep);
-        eprintln!("resuming from a dsd.ckpt holding {what}");
+        keep_components(&hooks, keep);
+        eprintln!("resuming from the component files of {what}");
         assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+        // The resume saved what it ran: the directory is whole again.
+        assert_eq!(finished_components(&hooks), done, "{what}");
     }
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]
 fn kill_mid_dsd_resumes_identically() {
-    // What a run killed between two DSD snapshots leaves behind: complete
-    // rr.ckpt and ccd.ckpt, and a dsd.ckpt holding some of the queue.
-    // The resumed run must build the remaining graphs from the stored
-    // ledger and deferred pairs — same fills, same ledger hits.
+    // What a run killed mid-DSD leaves behind: complete rr.ckpt and
+    // ccd.ckpt, and the files of the components that had finished. The
+    // resumed run must build the remaining graphs from the stored ledger
+    // and deferred pairs — same fills, same ledger hits.
     let d = dataset(4878);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     let hooks = hooks_in(&scratch_dir("mid-dsd"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
-    let done = finished_dsd(&hooks);
-    assert!(done.done.len() >= 2, "need a queue to cut");
-    plant_dsd(&hooks, &done, |position| position == 0);
+    assert!(finished_components(&hooks).len() >= 2, "need a queue to cut");
+    keep_components(&hooks, |position| position == 0);
     let resumed = resume(&d.set, &config, &hooks);
     assert!(resumed.traces.2.total_ledger_hits() > 0, "the stored ledger must answer");
     assert_same_result(&d.set, &resumed, &straight);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn a_checkpointed_run_writes_each_component_once() {
+    // No cadence and no re-encode: the DSD count of the `checkpoints:` line
+    // is the queue's length, and its bytes are the component files'.
+    let d = dataset(4886);
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir("write-once"));
+    let r = run_pipeline(&d.set, &config, &hooks).expect("a checkpointed run");
+    let (count, bytes) = r.checkpoints.expect("a run with a directory reports them").phases[2];
+    assert_eq!(count, r.component_graphs.len());
+    let files = component_files(dir_of(&hooks)).expect("the component files");
+    assert_eq!(files.len(), count, "one file per component");
+    let on_disk: u64 =
+        files.iter().map(|path| std::fs::metadata(path).expect("a file").len()).sum();
+    assert_eq!(bytes, on_disk);
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+}
+
+#[test]
+fn a_fresh_run_clears_the_components_an_earlier_run_left() {
+    // A run over another input left more component files than this run's
+    // queue holds. A fresh run deletes every one before it starts, so a
+    // resume meets only its own.
+    let d = dataset(4887);
+    let config = PipelineConfig::for_tests();
+    let straight = config.run(&d.set);
+    let earlier =
+        SyntheticDataset::generate(&DatasetConfig { n_families: 6, ..dataset_config(4888) });
+    let hooks = hooks_in(&scratch_dir("stale-components"));
+    let left = run_pipeline(&earlier.set, &config, &hooks).expect("the earlier run");
+    assert!(left.component_graphs.len() > straight.component_graphs.len(), "more components");
+    run_pipeline(&d.set, &config, &hooks).expect("a fresh run");
+    let files = component_files(dir_of(&hooks)).expect("the component files");
+    assert_eq!(files.len(), straight.component_graphs.len(), "only this run's components");
+    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
@@ -271,8 +315,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 9u32.to_le_bytes(), "this build writes version 9");
-    for old in [2u32, 3, 4, 5, 6, 7, 8] {
+    assert_eq!(bytes[4..8], 10u32.to_le_bytes(), "this build writes version 10");
+    for old in [2u32, 3, 4, 5, 6, 7, 8, 9] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -287,18 +331,21 @@ fn a_version_2_checkpoint_is_refused() {
 
 #[test]
 fn a_version_4_directory_is_refused_before_any_phase_runs() {
-    // v4, v5 and v6 files are laid out alike, and v7 and v8 files but for
+    // v4, v5 and v6 files are laid out alike, and v7 to v9 files but for
     // the CCD cursor: a v4 plan pin counts bytes of the 16-byte-per-position
     // index estimate, a v5 fingerprint folds the sketch mode, a v6 cursor
     // carries a plan pin v7 no longer has, a v7 fingerprint folds no
-    // residue, and a v8 dsd.ckpt is a prefix of the queue with running
-    // totals. A whole older directory stops at its first file, untouched.
+    // residue, a v8 dsd.ckpt is a prefix of the queue with running totals,
+    // and a v9 dsd.ckpt holds the finished set behind a count, where v10
+    // writes one file per component. A whole older directory stops at its
+    // first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-to-v8"));
+    let hooks = hooks_in(&scratch_dir("v4-to-v9"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
-    let paths = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| phase.path_in(dir_of(&hooks)));
-    for old in [4u32, 5, 6, 7, 8] {
+    let mut paths = [Phase::Rr, Phase::Ccd].map(|phase| phase.path_in(dir_of(&hooks))).to_vec();
+    paths.extend(component_files(dir_of(&hooks)).expect("the component files"));
+    for old in [4u32, 5, 6, 7, 8, 9] {
         let planted: Vec<Vec<u8>> = paths
             .iter()
             .map(|path| {
@@ -347,7 +394,8 @@ fn tsv_with_the_retired_counters(trace: &PhaseTrace, retired: &[&str]) -> String
 
 #[test]
 fn a_directory_written_with_the_retired_trace_columns_resumes() {
-    // Every snapshot ends in its phase's trace as TSV. Dropping columns
+    // Every snapshot ends in its phase's trace as TSV — a component file in
+    // its own BGG record, as a trace of one batch. Dropping columns
     // did not bump the format version, so a directory whose traces still
     // carry them has to resume — each value in its field.
     let d = dataset(4882);
@@ -361,23 +409,29 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
         e.str(&tsv);
         e.finish()
     };
-    let snapshots = [Phase::Rr, Phase::Ccd, Phase::Dsd].map(|phase| {
-        let path = phase.path_in(dir_of(&hooks));
-        let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
-        let trace = match phase {
-            Phase::Rr => RrState::decode(&payload).expect("rr state").trace,
-            Phase::Ccd => CcdState::decode(&payload).expect("ccd state").cursor.trace,
-            Phase::Dsd => {
-                let state = DsdState::decode(&payload).expect("dsd state");
-                let batches = state.done.into_iter().map(|(_, out)| out.record).collect();
-                PhaseTrace { batches, ..PhaseTrace::default() }
-            }
-        };
-        let written = as_payload_tail(trace.to_tsv());
-        assert!(payload.ends_with(&written), "the trace is the payload's last field");
-        let head = payload[..payload.len() - written.len()].to_vec();
-        (phase, path, fingerprint, head, trace)
-    });
+    let dir = dir_of(&hooks);
+    let mut files =
+        vec![(Phase::Rr, Phase::Rr.path_in(dir)), (Phase::Ccd, Phase::Ccd.path_in(dir))];
+    let components = component_files(dir).expect("the component files");
+    files.extend(components.into_iter().map(|path| (Phase::Dsd, path)));
+    let snapshots: Vec<_> = files
+        .into_iter()
+        .map(|(phase, path)| {
+            let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
+            let trace = match phase {
+                Phase::Rr => RrState::decode(&payload).expect("rr state").trace,
+                Phase::Ccd => CcdState::decode(&payload).expect("ccd state").cursor.trace,
+                Phase::Dsd => {
+                    let record = DsdState::decode(&payload).expect("dsd state").output.record;
+                    PhaseTrace { batches: vec![record], ..PhaseTrace::default() }
+                }
+            };
+            let written = as_payload_tail(trace.to_tsv());
+            assert!(payload.ends_with(&written), "the trace is the payload's last field");
+            let head = payload[..payload.len() - written.len()].to_vec();
+            (phase, path, fingerprint, head, trace)
+        })
+        .collect();
     for retired in RETIRED_LAYOUTS {
         for (phase, path, fingerprint, head, trace) in &snapshots {
             let tail = as_payload_tail(tsv_with_the_retired_counters(trace, retired));
@@ -521,56 +575,81 @@ fn a_union_find_parent_outside_the_forest_is_corrupt_not_a_panic() {
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
 }
 
+/// Run to the end, rewrite its component files from what `edit` makes of
+/// them — file `dsd-<i>.ckpt` holds entry `i` — under a valid checksum and
+/// fingerprint, and return what the resume ends in.
+fn resume_from_edited_components(tag: &str, edit: impl FnOnce(&mut Vec<DsdState>)) -> CkptError {
+    let d = dataset(4884);
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir(tag));
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let dir = dir_of(&hooks);
+    let (_, fingerprint, _) = read_checkpoint(&component_path(dir, 0)).expect("dsd-0.ckpt");
+    let mut states = finished_components(&hooks);
+    assert!(states.len() >= 2, "need two components");
+    edit(&mut states);
+    for (i, state) in states.iter().enumerate() {
+        let payload = DsdState::encode(state.position, &state.output);
+        write_checkpoint(&component_path(dir, i), Phase::Dsd, fingerprint, &payload)
+            .expect("plant the edited component");
+    }
+    let err = resume_error(&d.set, &config, &hooks);
+    let _ = std::fs::remove_dir_all(dir);
+    err
+}
+
 #[test]
 fn a_dsd_edge_outside_its_component_is_corrupt_not_a_panic() {
-    let err = resume_from_planted("dsd-edge", Phase::Dsd, |payload, _| {
-        let mut state = DsdState::decode(payload).expect("dsd state");
-        let out = &mut state.done[0].1;
+    let err = resume_from_edited_components("dsd-edge", |states| {
+        let out = &mut states[0].output;
         let n = out.graph.members.len();
         out.graph.graph = CsrGraph::from_edges(n + 1, &[(0, n as u32)]);
-        encode_dsd(&state)
     });
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
 }
 
 #[test]
 fn a_dense_subgraph_outside_its_component_is_corrupt_not_a_panic() {
-    let err = resume_from_planted("dsd-subgraph", Phase::Dsd, |payload, _| {
-        let mut state = DsdState::decode(payload).expect("dsd state");
-        let dense = state.done.iter_mut().find(|(_, out)| !out.subgraphs.is_empty());
-        let (_, out) = dense.expect("a subgraph");
+    let err = resume_from_edited_components("dsd-subgraph", |states| {
+        let dense = states.iter_mut().find(|state| !state.output.subgraphs.is_empty());
+        let out = &mut dense.expect("a subgraph").output;
         out.subgraphs[0][0] = out.graph.members.len() as u32;
-        encode_dsd(&state)
     });
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
 }
 
-/// [`resume_from_planted`] with the finished `dsd.ckpt` edited by `edit`.
-fn resume_from_edited_dsd(tag: &str, edit: fn(&mut DsdState)) -> CkptError {
-    resume_from_planted(tag, Phase::Dsd, |payload, _| {
-        let mut state = DsdState::decode(payload).expect("dsd state");
-        assert!(state.done.len() >= 2, "need two components");
-        edit(&mut state);
-        encode_dsd(&state)
-    })
+#[test]
+fn a_dsd_entry_that_is_not_in_the_queue_is_corrupt_not_a_panic() {
+    // Positions are the only link between a component file and the queue:
+    // one past its end, one held by two files, and two files under each
+    // other's positions (members that differ from the component there)
+    // must all be refused.
+    let err = resume_from_edited_components("dsd-past-end", |s| s[0].position = s.len());
+    assert!(matches!(err, CkptError::Corrupt(_)), "past the end: {err}");
+    let err = resume_from_edited_components("dsd-twice", |s| s.push(s[0].clone()));
+    assert!(matches!(err, CkptError::Corrupt(_)), "held by two files: {err}");
+    let err = resume_from_edited_components("dsd-swap", |s| {
+        let (a, b) = (s[0].position, s[1].position);
+        s[0].position = b;
+        s[1].position = a;
+    });
+    assert!(matches!(err, CkptError::Corrupt(_)), "other members: {err}");
 }
 
 #[test]
-fn a_dsd_entry_that_is_not_in_the_queue_is_corrupt_not_a_panic() {
-    // Positions are the only link between a stored component and the
-    // queue: one past its end, one stored twice, and two components under
-    // each other's positions (members that differ from the component
-    // there) must all be refused.
-    let err = resume_from_edited_dsd("dsd-past-end", |state| state.done[0].0 = state.done.len());
-    assert!(matches!(err, CkptError::Corrupt(_)), "past the end: {err}");
-    let err = resume_from_edited_dsd("dsd-twice", |state| state.done.push(state.done[0].clone()));
-    assert!(matches!(err, CkptError::Corrupt(_)), "stored twice: {err}");
-    let err = resume_from_edited_dsd("dsd-swap", |state| {
-        let (a, b) = (state.done[0].0, state.done[1].0);
-        state.done[0].0 = b;
-        state.done[1].0 = a;
-    });
-    assert!(matches!(err, CkptError::Corrupt(_)), "other members: {err}");
+fn a_component_file_of_another_run_is_a_mismatch() {
+    // Each component file carries the fingerprint of the run that wrote
+    // it: one another run wrote is refused, not slotted into this queue.
+    let d = dataset(4889);
+    let config = PipelineConfig::for_tests();
+    let hooks = hooks_in(&scratch_dir("dsd-mismatch"));
+    run_until(&d.set, &config, &hooks, Phase::Dsd);
+    let path = component_path(dir_of(&hooks), 0);
+    let (_, fingerprint, payload) = read_checkpoint(&path).expect("dsd-0.ckpt");
+    write_checkpoint(&path, Phase::Dsd, fingerprint ^ 1, &payload).expect("plant another run's");
+    let err = resume_error(&d.set, &config, &hooks);
+    assert!(matches!(err, CkptError::Mismatch("dsd-*.ckpt")), "{err}");
+    let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
 #[test]

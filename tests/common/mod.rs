@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 
+use pfam::core::checkpoint::component_files;
 use pfam::core::{run_pipeline, Phase, PipelineConfig, PipelineHooks, PipelineResult};
 use pfam::seq::SequenceSet;
 
@@ -19,18 +20,26 @@ pub fn hooks_in(dir: &std::path::Path) -> PipelineHooks {
     PipelineHooks { checkpoint: Some(dir.to_path_buf()), ..PipelineHooks::default() }
 }
 
-/// Run under `hooks` until `stop` is snapshotted, as a run killed there
-/// would leave the directory.
+/// Leave `hooks`' directory as a run killed right after `stop` finished
+/// leaves it: what a finished run writes, less the files of later phases.
 pub fn run_until(set: &SequenceSet, config: &PipelineConfig, hooks: &PipelineHooks, stop: Phase) {
-    let hooks = PipelineHooks { stop_after: Some(stop), ..hooks.clone() };
-    let stopped = run_pipeline(set, config, &hooks).expect("checkpointed run");
-    assert!(stopped.is_none(), "stop_after must end the run early");
+    run_pipeline(set, config, hooks).expect("checkpointed run");
+    let dir = hooks.checkpoint.as_deref().expect("hooks with a directory");
+    let mut later = component_files(dir).expect("the component files");
+    if stop == Phase::Rr {
+        later.push(Phase::Ccd.path_in(dir));
+    }
+    if stop != Phase::Dsd {
+        for path in later {
+            std::fs::remove_file(&path).expect("remove a later phase's file");
+        }
+    }
 }
 
 /// Resume from what `hooks`' directory holds and run to the end.
 pub fn resume(set: &SequenceSet, config: &PipelineConfig, hooks: &PipelineHooks) -> PipelineResult {
-    let hooks = PipelineHooks { resume: true, stop_after: None, ..hooks.clone() };
-    run_pipeline(set, config, &hooks).expect("resumed run").expect("resumed run completes")
+    let hooks = PipelineHooks { resume: true, ..hooks.clone() };
+    run_pipeline(set, config, &hooks).expect("resumed run")
 }
 
 /// The families.tsv body the CLI writes, as a string — byte-identical

@@ -315,7 +315,7 @@ fn one_body_whatever_it_keeps_on_disk() {
         assert!(!in_memory.dense_subgraphs.is_empty(), "{name}: nothing to compare");
         let dir = scratch_dir(&format!("one-body-{name}"));
         let hooks = hooks_in(&dir);
-        let kept = run_pipeline(&d.set, &config, &hooks).expect(name).expect("runs to the end");
+        let kept = run_pipeline(&d.set, &config, &hooks).expect(name);
         assert_same_result(&d.set, &kept, &in_memory);
         for stop in [Phase::Rr, Phase::Ccd, Phase::Dsd] {
             let _ = std::fs::remove_dir_all(&dir);
