@@ -101,6 +101,7 @@ fn main() {
             |i| known.component_graph(selected[i]),
             |_, out| out,
         )
+        .0
     });
     let identical = outputs_identical(&known_out, &mined_out);
     assert!(identical, "the back half's outputs depend on how it ran — this is a bug");

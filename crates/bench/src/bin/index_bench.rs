@@ -35,9 +35,10 @@
 //! (`resident_bytes_per_position`) and the most the build held at once
 //! (`build_peak_bytes_per_position`), per text position; every run fails
 //! when an index holds more than 7.2 bytes per position or a build the
-//! bucket sort finished peaked above 8.5 per position plus its
-//! position-independent bucket tables. `--test` runs a tiny single-rep
-//! pass and prints the JSON instead of writing the file.
+//! bucket sort finished peaked, over its position-independent bucket
+//! tables, above 8.5 per position — 4.5 for a build cut at ψ ≥ 3, whose
+//! windows share one scatter buffer. `--test` runs a tiny single-rep pass
+//! and prints the JSON instead of writing the file.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,9 +59,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ceilings of every run, in bytes per text position: what an index may
 /// hold, and what a build may hold at its peak on top of the bucket
-/// tables.
+/// tables — a full one, and one cut at ψ ≥ 3. A cut build scatters a
+/// quarter of the suffixes at a time into one buffer: 3.1–3.7 bytes per
+/// position at 1–2 threads on these corpora, where a few per cent of the
+/// suffixes are kept, against 7.3–7.9 for a full one.
 const MAX_RESIDENT_PER_POSITION: f64 = 7.2;
 const MAX_BUILD_PEAK_PER_POSITION: f64 = 8.5;
+const MAX_CUT_BUILD_PEAK_PER_POSITION: f64 = 4.5;
 
 /// Bytes of the bucket sort that do not grow with the text, at most: one
 /// histogram of 2¹⁵ `u32` counters per text chunk (a chunk per thread) and
@@ -232,17 +237,26 @@ fn front_half_row(set: &SequenceSet, kept: &[SeqId], t: usize, reps: usize) -> S
 /// front-half rows too), held to the byte ceilings: returns its JSON
 /// object.
 /// Hold one build's weights to the ceilings: what the index holds, and —
-/// unless SA-IS indexed the text — its build peak over the bucket tables.
-fn check_bytes(name: &str, t: usize, resident: f64, peak: f64, positions: f64, fell_back: bool) {
+/// unless SA-IS indexed the text — its build peak over the bucket tables,
+/// to `max_peak` bytes per position.
+fn check_bytes(
+    name: &str,
+    t: usize,
+    resident: f64,
+    peak: f64,
+    positions: f64,
+    fell_back: bool,
+    max_peak: f64,
+) {
     assert!(
         resident <= MAX_RESIDENT_PER_POSITION,
         "{name}: the index holds {resident:.2} bytes per position at {t} threads"
     );
     let over_tables = (peak - bucket_table_bytes(t)) / positions;
     assert!(
-        fell_back || over_tables <= MAX_BUILD_PEAK_PER_POSITION,
+        fell_back || over_tables <= max_peak,
         "{name}: the build peaked at {over_tables:.2} bytes per position over its \
-         bucket tables at {t} threads"
+         bucket tables at {t} threads (ceiling {max_peak})"
     );
 }
 
@@ -285,7 +299,8 @@ fn bench_corpus(
             weigh(name, positions, || GeneralizedSuffixArray::build_parallel(set, t));
         let (st, fell_back) = best_stages(oracle.text(), t, 0, reps);
         let sort_s = st.count_s + st.scatter_s + st.sort_lcp_s;
-        check_bytes(name, t, resident, build_peak, positions, fell_back);
+        let max_peak = MAX_BUILD_PEAK_PER_POSITION;
+        check_bytes(name, t, resident, build_peak, positions, fell_back, max_peak);
         eprintln!(
             "index_bench: {name}: {t} thread(s): index {index_s:.3}s (SA-IS {sais_total_s:.3}s)"
         );
@@ -325,7 +340,8 @@ fn bench_corpus(
         let (resident, build_peak) =
             weigh(name, positions, || GeneralizedSuffixArray::build_cut(set, t, PSI_CCD));
         let (st, fell_back) = best_stages(oracle.text(), t, PSI_CCD, reps);
-        check_bytes(name, t, resident, build_peak, positions, fell_back);
+        let max_peak = MAX_CUT_BUILD_PEAK_PER_POSITION;
+        check_bytes(name, t, resident, build_peak, positions, fell_back, max_peak);
         eprintln!(
             "index_bench: {name}: {t} thread(s): cut at {PSI_CCD}: {kept} suffixes kept, \
              index {cut_s:.3}s"

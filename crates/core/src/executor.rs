@@ -22,6 +22,7 @@
 //! holds it against.
 
 use std::cmp::Reverse;
+use std::time::Instant;
 
 use rayon::prelude::*;
 
@@ -31,6 +32,7 @@ use pfam_seq::{SeqId, SeqStore};
 use pfam_shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
 
 use crate::config::{PipelineConfig, Reduction};
+use crate::report::WorkerSeconds;
 
 /// Everything one component produces on its way through the fused
 /// BGG→DSD path.
@@ -67,26 +69,38 @@ fn dense_subgraphs(
 /// dense-subgraph detection on the same worker, and the output goes to
 /// `sink(i, output)` there as soon as it is done. Components are
 /// dispatched in descending `weight(i)`; what `sink` returned comes back in
-/// index order whatever the scheduling.
+/// index order whatever the scheduling, with the seconds the workers spent
+/// in BGG and DSD — one clock read per component and step.
 pub fn stream_graphs<R: Send>(
     config: &PipelineConfig,
     n: usize,
     weight: impl Fn(usize) -> usize,
     build: impl Fn(usize) -> (ComponentGraph, BatchRecord) + Sync,
     sink: impl Fn(usize, ComponentOutput) -> R + Sync,
-) -> Vec<R> {
+) -> (Vec<R>, WorkerSeconds) {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (Reverse(weight(i)), i));
-    let mut processed: Vec<(usize, R)> = order
+    let mut processed: Vec<(usize, R, (f64, f64))> = order
         .into_par_iter()
         .map(|i| {
+            let start = Instant::now();
             let (graph, record) = build(i);
+            let built = Instant::now();
             let (subgraphs, stats) = dense_subgraphs(config, &graph);
-            (i, sink(i, ComponentOutput { graph, record, subgraphs, stats }))
+            let seconds = ((built - start).as_secs_f64(), built.elapsed().as_secs_f64());
+            (i, sink(i, ComponentOutput { graph, record, subgraphs, stats }), seconds)
         })
         .collect();
-    processed.sort_unstable_by_key(|&(i, _)| i);
-    processed.into_iter().map(|(_, out)| out).collect()
+    processed.sort_unstable_by_key(|&(i, ..)| i);
+    let mut workers = WorkerSeconds::default();
+    let outputs = processed
+        .into_iter()
+        .map(|(_, out, seconds)| {
+            workers.add(seconds);
+            out
+        })
+        .collect();
+    (outputs, workers)
 }
 
 /// [`stream_graphs`] over bare member lists, largest first: each
@@ -98,7 +112,7 @@ pub fn stream_components(
     queue: &[&[SeqId]],
 ) -> Vec<ComponentOutput> {
     let build = |i: usize| component_graph(input, queue[i], &config.cluster);
-    stream_graphs(config, queue.len(), |i| queue[i].len(), build, |_, out| out)
+    stream_graphs(config, queue.len(), |i| queue[i].len(), build, |_, out| out).0
 }
 
 #[cfg(test)]

@@ -50,5 +50,8 @@ pub use config::{PipelineConfig, Reduction};
 pub use executor::{stream_components, stream_graphs, ComponentOutput};
 pub use pipeline::{run_pipeline, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult};
 pub use quality::{evaluate, QualityReport};
-pub use report::{AheadReport, CheckpointReport, FillReport, TableOneRow, WindowReport};
+pub use report::{
+    AheadReport, CheckpointReport, FillReport, PhaseReport, TableOneRow, WindowReport,
+    WorkerSeconds,
+};
 pub use validate::{validate, ConfigError};

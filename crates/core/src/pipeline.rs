@@ -38,7 +38,7 @@ use crate::checkpoint::{
 };
 use crate::config::PipelineConfig;
 use crate::executor::{stream_graphs, ComponentOutput};
-use crate::report::{AheadReport, CheckpointReport, WindowReport};
+use crate::report::{AheadReport, CheckpointReport, PhaseReport, WindowReport};
 
 /// One reported protein family (dense subgraph).
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,8 @@ pub struct PipelineResult {
     pub windows: WindowReport,
     /// The snapshots each phase wrote, when the run had a directory.
     pub checkpoints: Option<CheckpointReport>,
+    /// Where the run's wall-clock went, phase by phase.
+    pub phases: PhaseReport,
 }
 
 impl PipelineResult {
@@ -191,6 +193,24 @@ struct Snapshots<'h> {
 struct SnapshotLog {
     last: Option<Written>,
     written: CheckpointReport,
+    /// Seconds spent opening the directory and reading snapshots back.
+    read_s: f64,
+    /// Seconds of `written` the back half's workers spent on component
+    /// files, while the run went on.
+    component_s: f64,
+}
+
+impl SnapshotLog {
+    /// Seconds the run waited on snapshots: every read and every write but
+    /// the component files.
+    fn waited_s(&self) -> f64 {
+        self.io_s() - self.component_s
+    }
+
+    /// Seconds of every snapshot read and write.
+    fn io_s(&self) -> f64 {
+        self.read_s + self.written.seconds
+    }
 }
 
 impl<'h> Snapshots<'h> {
@@ -199,6 +219,7 @@ impl<'h> Snapshots<'h> {
         input: &dyn SeqStore,
         config: &PipelineConfig,
     ) -> Result<Snapshots<'h>, CkptError> {
+        let start = Instant::now();
         let run = match &hooks.checkpoint {
             Some(dir) => {
                 let io = |e: std::io::Error| CkptError::Io(format!("{}: {e}", dir.display()));
@@ -211,7 +232,9 @@ impl<'h> Snapshots<'h> {
             }
             None => 0,
         };
-        Ok(Snapshots { hooks, fingerprint: run, log: Mutex::default() })
+        let read_s = if hooks.checkpoint.is_some() { start.elapsed().as_secs_f64() } else { 0.0 };
+        let log = SnapshotLog { read_s, ..SnapshotLog::default() };
+        Ok(Snapshots { hooks, fingerprint: run, log: Mutex::new(log) })
     }
 
     fn log(&self) -> std::sync::MutexGuard<'_, SnapshotLog> {
@@ -237,7 +260,9 @@ impl<'h> Snapshots<'h> {
         let start = Instant::now();
         let payload = self.read(&path, phase);
         let finished = Instant::now();
-        self.log().last = Some(Written { finished, took: finished - start });
+        let mut log = self.log();
+        log.last = Some(Written { finished, took: finished - start });
+        log.read_s += (finished - start).as_secs_f64();
         payload.map(Some)
     }
 
@@ -247,8 +272,12 @@ impl<'h> Snapshots<'h> {
         let Some(dir) = self.dir().filter(|_| self.hooks.resume) else {
             return Ok(Vec::new());
         };
+        let start = Instant::now();
         let files = component_files(dir)?;
-        files.iter().map(|path| DsdState::decode(&self.read(path, Phase::Dsd)?)).collect()
+        let states =
+            files.iter().map(|path| DsdState::decode(&self.read(path, Phase::Dsd)?)).collect();
+        self.log().read_s += start.elapsed().as_secs_f64();
+        states
     }
 
     /// The payload of the `phase` file at `path`, if it was written for
@@ -292,6 +321,9 @@ impl<'h> Snapshots<'h> {
         let mut log = self.log();
         log.last = Some(Written { finished, took });
         log.written.add(phase, bytes, took);
+        if phase == Phase::Dsd {
+            log.component_s += took.as_secs_f64();
+        }
         Ok(())
     }
 
@@ -307,6 +339,24 @@ impl<'h> Snapshots<'h> {
     /// What the run wrote, when it has a directory.
     fn report(&self) -> Option<CheckpointReport> {
         self.dir().map(|_| self.log().written)
+    }
+}
+
+/// The walls between a run's phase boundaries, each less what the run
+/// waited on snapshots inside it.
+struct PhaseClock {
+    last: Instant,
+    waited_at_last: f64,
+}
+
+impl PhaseClock {
+    /// The span since the last boundary, less the snapshot waits in it:
+    /// `waited` is [`SnapshotLog::waited_s`] now.
+    fn lap(&mut self, waited: f64) -> f64 {
+        let now = Instant::now();
+        let span = (now - self.last).as_secs_f64() - (waited - self.waited_at_last);
+        (self.last, self.waited_at_last) = (now, waited);
+        span.max(0.0)
     }
 }
 
@@ -375,8 +425,10 @@ pub fn run_pipeline(
     config: &PipelineConfig,
     hooks: &PipelineHooks,
 ) -> Result<PipelineResult, PipelineError> {
+    let mut clock = PhaseClock { last: Instant::now(), waited_at_last: 0.0 };
     index_plan(input, &config.cluster, None)?;
     let snapshots = Snapshots::open(hooks, input, config)?;
+    let mut phases = PhaseReport::default();
 
     // ---- Phases 1+2: redundancy removal (snapshot when complete), then
     // connected components of the survivors (a cursor whenever one is due,
@@ -396,6 +448,7 @@ pub fn run_pipeline(
         snapshots.load(Phase::Ccd)?.map(|payload| CcdState::decode(&payload)).transpose()?;
     let indexed = loaded.is_none() || !prior.as_ref().is_some_and(|state| state.complete);
     let front_half = |front: Option<&FrontHalf<'_>>| {
+        phases.index_s = clock.lap(snapshots.log().waited_s());
         let rr = match loaded {
             Some(rr) => rr,
             None => {
@@ -413,10 +466,12 @@ pub fn run_pipeline(
                 rr
             }
         };
+        phases.rr_s = clock.lap(snapshots.log().waited_s());
         let ccd = ccd_phase(&snapshots, prior, rr.kept.len(), |cursor, on_batch| {
             let front = front.expect("an unfinished CCD holds an index");
             front.ccd_resumable(&rr.kept, &rr.ledger, cursor, on_batch)
         })?;
+        phases.ccd_s = clock.lap(snapshots.log().waited_s());
         Ok::<_, CkptError>((rr, ccd))
     };
     let (rr, mut ccd) = match indexed {
@@ -457,7 +512,7 @@ pub fn run_pipeline(
         }
     }
     let todo: Vec<usize> = (0..slots.len()).filter(|&p| slots[p].is_none()).collect();
-    let outputs = stream_graphs(
+    let (outputs, workers) = stream_graphs(
         config,
         todo.len(),
         |i| known.n_deferred(selected[todo[i]]),
@@ -490,6 +545,9 @@ pub fn run_pipeline(
     dense_subgraphs
         .sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.members.cmp(&b.members)));
 
+    phases.back_half_s = clock.lap(snapshots.log().waited_s());
+    phases.workers = workers;
+    phases.checkpoints_s = snapshots.log().io_s();
     Ok(PipelineResult {
         n_input: input.len(),
         components,
@@ -502,6 +560,7 @@ pub fn run_pipeline(
         filled_ahead,
         windows,
         checkpoints: snapshots.report(),
+        phases,
     })
 }
 
@@ -573,6 +632,29 @@ mod tests {
         assert!(last.finished >= before + last.took);
         assert!(!snapshot_due(Some(last), last.finished), "not due when the read ends");
         assert!(snapshot_due(Some(last), last.finished + last.took * 19));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_phases_add_up_to_the_run() {
+        let d = small_dataset(30);
+        let config = PipelineConfig::for_tests();
+        let dir = std::env::temp_dir().join("pfam-pipeline-phases");
+        let _ = std::fs::remove_dir_all(&dir);
+        for checkpoint in [None, Some(dir.clone())] {
+            let hooks = PipelineHooks { checkpoint, resume: false };
+            let start = Instant::now();
+            let r = run_pipeline(&d.set, &config, &hooks).expect("a run");
+            let wall = start.elapsed().as_secs_f64();
+            let phases = r.phases;
+            let waited = phases.index_s + phases.rr_s + phases.ccd_s + phases.back_half_s;
+            let total = waited + phases.checkpoints_s;
+            assert!(total >= 0.95 * wall, "{phases} of a {wall:.4} s run");
+            assert!(waited <= wall, "{phases} of a {wall:.4} s run");
+            assert!(phases.rr_s > 0.0 && phases.back_half_s > 0.0, "{phases}");
+            assert!(phases.workers.bgg_s + phases.workers.dsd_s > 0.0, "{phases}");
+            assert_eq!(phases.checkpoints_s > 0.0, hooks.checkpoint.is_some(), "{phases}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -189,9 +189,9 @@ impl std::fmt::Display for WindowReport {
     }
 }
 
-/// The snapshots a run with a checkpoint directory wrote — the stderr
-/// line of `pfam run` after `windows:` (or `ahead:`). A phase loaded from
-/// its checkpoint wrote none.
+/// The snapshots a run with a checkpoint directory wrote — the last
+/// stderr line of `pfam run`, after `phases:`. A phase loaded from its
+/// checkpoint wrote none.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckpointReport {
     /// `(snapshots, bytes)` written for RR, CCD and DSD.
@@ -221,6 +221,80 @@ impl std::fmt::Display for CheckpointReport {
             write!(f, " {name} {count} ({:.1} MB),", bytes as f64 / 1e6)?;
         }
         write!(f, " {:.2} s", self.seconds)
+    }
+}
+
+/// Where a run's wall-clock went, phase by phase — the stderr line of
+/// `pfam cluster|run` after `windows:` (or `ahead:`).
+///
+/// `index`, `rr`, `ccd` and `back half` are the walls between the phase
+/// boundaries of [`crate::run_pipeline`], each less the snapshot reads and
+/// writes it waited on; with `checkpoints` they add up to the run's wall.
+/// `index` is the plan and the monolithic index both phases mine. On the
+/// windowed route each phase sorts its own windows as it mines them, so
+/// that time is inside `rr` and `ccd` and `index` is the plan alone. The
+/// back half's component files are written on its workers, inside its
+/// wall: `checkpoints` counts them too, and is then more than the time
+/// the run waited on snapshots.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseReport {
+    /// Seconds to the index both phases mine.
+    pub index_s: f64,
+    /// Seconds of redundancy removal.
+    pub rr_s: f64,
+    /// Seconds of connected-component detection.
+    pub ccd_s: f64,
+    /// Seconds of the fused BGG→DSD pass and the result's assembly.
+    pub back_half_s: f64,
+    /// Where the back half's workers spent their time.
+    pub workers: WorkerSeconds,
+    /// Seconds of snapshot reads and writes, `fingerprint` of the input
+    /// included; 0 without a checkpoint directory.
+    pub checkpoints_s: f64,
+}
+
+impl std::fmt::Display for PhaseReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let w = &self.workers;
+        write!(
+            f,
+            "phases: index {:.3} s, rr {:.3} s, ccd {:.3} s, back half {:.3} s \
+             (bgg {:.3} / dsd {:.3} worker-s; heaviest {:.3} / {:.3}), checkpoints {:.3} s",
+            self.index_s,
+            self.rr_s,
+            self.ccd_s,
+            self.back_half_s,
+            w.bgg_s,
+            w.dsd_s,
+            w.heaviest.0,
+            w.heaviest.1,
+            self.checkpoints_s,
+        )
+    }
+}
+
+/// Worker-seconds of the back half ([`crate::stream_graphs`]): building
+/// the component graphs (BGG) and detecting their dense subgraphs (DSD),
+/// summed over the components it ran, and the pair of the component that
+/// took the longest.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WorkerSeconds {
+    /// BGG seconds over every component.
+    pub bgg_s: f64,
+    /// DSD seconds over every component.
+    pub dsd_s: f64,
+    /// `(bgg, dsd)` seconds of the component with the largest sum.
+    pub heaviest: (f64, f64),
+}
+
+impl WorkerSeconds {
+    /// Count one component's `(bgg, dsd)` seconds.
+    pub(crate) fn add(&mut self, component: (f64, f64)) {
+        self.bgg_s += component.0;
+        self.dsd_s += component.1;
+        if component.0 + component.1 > self.heaviest.0 + self.heaviest.1 {
+            self.heaviest = component;
+        }
     }
 }
 
@@ -283,6 +357,26 @@ mod tests {
         }
         report.add(Phase::Ccd, 0, Duration::ZERO);
         let line = "checkpoints: rr 1 (16.6 MB), ccd 3 (40.1 MB), dsd 0 (0.0 MB), 0.62 s";
+        assert_eq!(report.to_string(), line);
+    }
+
+    #[test]
+    fn phase_report_is_one_line_of_seconds() {
+        let mut workers = WorkerSeconds::default();
+        for component in [(0.25, 0.05), (1.5, 0.125), (0.5, 0.0)] {
+            workers.add(component);
+        }
+        assert_eq!(workers.heaviest, (1.5, 0.125));
+        let report = PhaseReport {
+            index_s: 0.041,
+            rr_s: 0.052,
+            ccd_s: 0.011,
+            back_half_s: 1.6,
+            workers,
+            checkpoints_s: 0.0,
+        };
+        let line = "phases: index 0.041 s, rr 0.052 s, ccd 0.011 s, back half 1.600 s \
+                    (bgg 2.250 / dsd 0.175 worker-s; heaviest 1.500 / 0.125), checkpoints 0.000 s";
         assert_eq!(report.to_string(), line);
     }
 

@@ -79,19 +79,36 @@ impl std::fmt::Display for AminoAcid {
     }
 }
 
-/// Encode an ASCII residue string into internal codes.
+/// Encode an ASCII residue string into internal codes, one table lookup
+/// a byte ([`AminoAcid::from_letter`] for every byte, built once).
 ///
 /// Returns the position of the first invalid byte on failure.
 pub fn encode(residues: &[u8]) -> Result<Vec<u8>, SeqError> {
-    let mut out = Vec::with_capacity(residues.len());
-    for (i, &b) in residues.iter().enumerate() {
-        match AminoAcid::from_letter(b) {
-            Ok(aa) => out.push(aa.code()),
-            Err(_) => return Err(SeqError::InvalidResidue { byte: b, position: i }),
-        }
+    static CODES: std::sync::OnceLock<[u8; 256]> = std::sync::OnceLock::new();
+    let table = CODES.get_or_init(|| {
+        std::array::from_fn(|b| {
+            AminoAcid::from_letter(b as u8).map_or(NOT_A_RESIDUE, AminoAcid::code)
+        })
+    });
+    let mut seen = 0;
+    let codes: Vec<u8> = residues
+        .iter()
+        .map(|&byte| {
+            let code = table[byte as usize];
+            seen |= code;
+            code
+        })
+        .collect();
+    if seen & NOT_A_RESIDUE == 0 {
+        return Ok(codes);
     }
-    Ok(out)
+    let position = codes.iter().position(|&code| code == NOT_A_RESIDUE).expect("one was seen");
+    Err(SeqError::InvalidResidue { byte: residues[position], position })
 }
+
+/// What [`encode`]'s table holds for a byte [`AminoAcid::from_letter`]
+/// refuses: the one code with a bit no residue code has.
+const NOT_A_RESIDUE: u8 = 0x80;
 
 /// Decode internal codes back to an ASCII string.
 pub fn decode(codes: &[u8]) -> String {
@@ -101,6 +118,17 @@ pub fn decode(codes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_byte_table_is_from_letter() {
+        for byte in 0..=u8::MAX {
+            let got = encode(&[b'A', byte]).map(|codes| codes[1]);
+            let want = AminoAcid::from_letter(byte)
+                .map(AminoAcid::code)
+                .map_err(|_| SeqError::InvalidResidue { byte, position: 1 });
+            assert_eq!(got, want, "byte {byte:#04x}");
+        }
+    }
 
     #[test]
     fn round_trip_all_letters() {

@@ -3,8 +3,9 @@
 //! The CAMERA download the paper uses is plain multi-line FASTA of peptide
 //! records. This parser accepts exactly that: `>`-headers, wrapped sequence
 //! lines, `\n` or `\r\n` endings, and blank lines between records. It
-//! rejects data before the first header and residue bytes outside the
-//! alphabet, reporting the record and position.
+//! rejects data before the first header, residue bytes outside the
+//! alphabet (reporting the position within the record), empty records and
+//! headers that are not UTF-8.
 
 use std::io::{BufRead, Write};
 
@@ -12,40 +13,65 @@ use crate::sequence::{SequenceSet, SequenceSetBuilder};
 use crate::SeqError;
 
 /// Parse FASTA from any buffered reader into a [`SequenceSet`].
-pub fn read_fasta<R: BufRead>(reader: R) -> Result<SequenceSet, SeqError> {
+///
+/// The input is read a line at a time into one buffer, and a record's
+/// residue lines are gathered as bytes into another, encoded once the
+/// record ends: only headers become strings.
+pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<SequenceSet, SeqError> {
     let mut builder = SequenceSetBuilder::new();
     let mut header: Option<String> = None;
-    let mut residues: Vec<u8> = Vec::new();
-
-    let flush = |header: &mut Option<String>,
-                 residues: &mut Vec<u8>,
-                 builder: &mut SequenceSetBuilder|
-     -> Result<(), SeqError> {
-        if let Some(h) = header.take() {
-            builder.push_letters(h, residues)?;
+    let (mut line, mut residues) = (Vec::new(), Vec::new());
+    let mut records = 0;
+    let mut flush = |header: Option<String>, residues: &mut Vec<u8>| match header {
+        Some(done) => {
+            builder.push_letters(done, residues)?;
             residues.clear();
+            Ok::<_, SeqError>(())
         }
-        Ok(())
+        None => Ok(()),
     };
-
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() {
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        let mut text = line.strip_suffix(b"\n").unwrap_or(&line);
+        while let Some(rest) = text.strip_suffix(b"\r") {
+            text = rest;
+        }
+        if text.is_empty() {
             continue;
         }
-        if let Some(h) = line.strip_prefix('>') {
-            flush(&mut header, &mut residues, &mut builder)?;
+        if let Some(h) = text.strip_prefix(b">") {
+            flush(header.take(), &mut residues)?;
+            let h = std::str::from_utf8(h).map_err(|_| {
+                SeqError::Format(format!("header of record {records} is not UTF-8"))
+            })?;
             header = Some(h.trim().to_owned());
+            records += 1;
+        } else if header.is_none() {
+            return Err(SeqError::Format("sequence data before first '>' header".to_owned()));
         } else {
-            if header.is_none() {
-                return Err(SeqError::Format("sequence data before first '>' header".to_owned()));
-            }
-            residues.extend_from_slice(line.trim().as_bytes());
+            residues.extend_from_slice(trim_whitespace(text));
         }
     }
-    flush(&mut header, &mut residues, &mut builder)?;
+    flush(header, &mut residues)?;
     Ok(builder.finish())
+}
+
+/// `line` without the whitespace `str::trim` would take off its ends: ASCII
+/// whitespace and the vertical tab, and — in a line that is not ASCII but
+/// is UTF-8 — Unicode's too.
+fn trim_whitespace(line: &[u8]) -> &[u8] {
+    if !line.is_ascii() {
+        if let Ok(text) = std::str::from_utf8(line) {
+            return text.trim().as_bytes();
+        }
+    }
+    let blank = |b: &u8| b.is_ascii_whitespace() || *b == 0x0B;
+    let start = line.iter().position(|b| !blank(b)).unwrap_or(line.len());
+    let end = line.iter().rposition(|b| !blank(b)).map_or(start, |last| last + 1);
+    &line[start..end]
 }
 
 /// Write a [`SequenceSet`] as FASTA, wrapping residues at `width` columns.
@@ -100,6 +126,27 @@ mod tests {
     fn rejects_bad_residue() {
         let err = read_fasta(">a\nAC9EF\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SeqError::InvalidResidue { byte: b'9', .. }));
+        // The position is within the record, over its wrapped lines.
+        let err = read_fasta(">a\nMK\n>b\nACD\n  EF*\u{00e9}\n".as_bytes()).unwrap_err();
+        assert_eq!(err, SeqError::InvalidResidue { byte: 0xC3, position: 6 });
+    }
+
+    #[test]
+    fn a_header_that_is_not_utf8_is_a_format_error() {
+        let err = read_fasta(&b">a\nMK\n>b\xff\xfe\nACD\n"[..]).unwrap_err();
+        assert_eq!(err, SeqError::Format("header of record 1 is not UTF-8".to_owned()));
+    }
+
+    #[test]
+    fn lines_are_trimmed_as_before() {
+        // Spaces, tabs, vertical tabs and form feeds around residues and
+        // headers go; a carriage return left over and a last line with no
+        // newline are fine.
+        let text = ">  a b \t\r\r\n \x0bMK\x0c\n\tVL \r\n\n>\u{00a0}c\u{00a0}\nW\u{00a0}";
+        let set = read_fasta(text.as_bytes()).unwrap();
+        assert_eq!((set.header(SeqId(0)), set.header(SeqId(1))), ("a b", "c"));
+        assert_eq!(set.get(SeqId(0)).to_letters(), "MKVL");
+        assert_eq!(set.get(SeqId(1)).to_letters(), "W");
     }
 
     #[test]

@@ -105,12 +105,14 @@ pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
 /// This is the figure [`pfam_seq::MemoryBudget`] accounts a monolithic
 /// index with: what the full index holds, and an upper bound on what an
 /// index cut at a mining cut-off holds
-/// ([`GeneralizedSuffixArray::build_cut`]). Construction is transiently a
-/// little larger: the bucket sort adds one bucket's `(key, position)`
-/// records per worker (and, cut, a 64 KiB fingerprint table) and its
-/// bucket tables, a peak of ≈ 7.3 bytes per position on 3 M positions;
-/// a text handed back to SA-IS holds its four-byte encoding and SA-IS's
-/// own arrays on top of the index.
+/// ([`GeneralizedSuffixArray::build_cut`]). Construction of the full index
+/// is transiently a little larger: the bucket sort adds one bucket's
+/// `(key, position)` records per worker and its bucket tables, a peak of
+/// ≈ 7.3 bytes per position on 3 M positions. A cut one sorts a quarter of
+/// the suffixes at a time in one buffer, and peaks at ≈ 3.3 on the
+/// `sparse` corpus at ψ = 10, where 2 % are kept. A text handed back to
+/// SA-IS holds its four-byte encoding and SA-IS's own arrays on top of
+/// the index.
 pub fn estimated_index_bytes(n_residues: usize, n_seqs: usize) -> u64 {
     estimated_text_bytes(n_residues, n_seqs) + 6 * (n_residues as u64 + n_seqs as u64)
 }
@@ -298,7 +300,10 @@ impl GeneralizedSuffixArray {
     /// node for node the one the full index gives, and mines the same
     /// pairs. Every suffix is kept — [`build_parallel`](Self::build_parallel),
     /// the full index — when `psi < 3`, and when the text is too
-    /// repetitive for the bucket sort and SA-IS indexes it.
+    /// repetitive for the bucket sort and SA-IS indexes it. The buckets are
+    /// sorted in windows of about a quarter of the suffixes, one after
+    /// another ([`bucket_sort_index_staged`]): the build holds the text and
+    /// one window's scatter, not every suffix's.
     pub fn build_cut(set: &SequenceSet, threads: usize, psi: u32) -> GeneralizedSuffixArray {
         let cutoff = if kept_depth(psi) > 0 { psi } else { 0 };
         Self::sorted_by(set, cutoff, |text| bucket_sort_index_staged(text, threads, psi).0)

@@ -17,9 +17,13 @@
 //!   every timed run at 2 threads (EXPERIMENTS.md, "SA-IS fallback LCP —
 //!   verdict (PR 25)"). It is the one-window case of the sort the
 //!   budgeted miner runs a contiguous range of buckets at a time
-//!   ([`crate::partitioned`]); a window short of the whole text still
-//!   rolls every position, and picks its own suffixes out of the roll 64
-//!   at a time by a membership mask.
+//!   ([`crate::partitioned`]).
+//! * A window pays for the suffixes it holds. Its scatter is a membership
+//!   pass over the text: eight positions at a time are tested on their
+//!   leading class, the bucket id's top symbol, and only those a bucket
+//!   of the window leads have their bucket read; only the window's own
+//!   suffixes are placed and fingerprinted. The count pass, which rolls
+//!   every position's bucket, runs once per text.
 //! * The same sort at a mining cut-off ψ ≥ 3 ([`bucket_sort_index_staged`],
 //!   [`GeneralizedSuffixArray::build_cut`]) keeps only the suffixes a node
 //!   of depth ≥ ψ can hold: those whose first `min(ψ, 12)` symbols another
@@ -31,7 +35,11 @@
 //!   buckets, up to the first that spells three residues and holds two
 //!   suffixes, are kept whole: the first LCP descent of the full array,
 //!   which numbers the tree ([`crate::SuffixTree::build_pruned`]), lies
-//!   among them.
+//!   among them. It runs as windows of about a quarter of the suffixes
+//!   each, sorted one after another in one buffer, each window's kept
+//!   suffixes moved down behind the last's: the buffer, a quarter longer
+//!   than the longest window, is all the scatter holds, where one window
+//!   of every suffix held six bytes a position.
 //! * [`mine_pairs`] is the one miner of promising pairs: it partitions a
 //!   depth-sorted node list into contiguous chunks, mines each chunk's
 //!   nodes into its own emit buffer, then concatenates buffers in chunk
@@ -95,6 +103,11 @@ where
 /// Run `f(job)` for every job on up to `threads` workers. Each job is
 /// claimed exactly once through the atomic cursor, so jobs may own
 /// disjoint `&mut` slices and need no further synchronisation.
+///
+/// The calling thread is one of the workers: it starts on the first job
+/// at once and spawns one thread fewer, so a helper that is slow to be
+/// scheduled delays nothing while a job is left for the caller to claim.
+/// A cut build runs two such calls a window.
 fn run_jobs<J, F>(jobs: Vec<J>, threads: usize, f: F)
 where
     J: Send,
@@ -107,20 +120,21 @@ where
     }
     let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let cursor = AtomicUsize::new(0);
-    let (f, slots, cursor) = (&f, &slots, &cursor);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || {
-                while let Some(slot) = slots.get(cursor.fetch_add(1, AtomicOrdering::Relaxed)) {
-                    let job = slot
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("each job is claimed exactly once");
-                    f(job);
-                }
-            });
+    let work = || {
+        while let Some(slot) = slots.get(cursor.fetch_add(1, AtomicOrdering::Relaxed)) {
+            let job = slot
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("each job is claimed exactly once");
+            f(job);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -156,24 +170,11 @@ struct Entry {
     pos: u32,
 }
 
-#[inline]
-fn bucket_of(key: u64) -> usize {
-    (key >> (u64::BITS - BUCKET_BITS)) as usize
-}
-
 /// Residues before the terminator within the key ([`KEY_SYMBOLS`] when the
 /// key holds no terminator).
 #[inline]
 fn key_len(key: u64) -> usize {
     (key & LEN_MASK) as usize
-}
-
-/// A fingerprint of the first `depth` symbols of `key` (`1..=12`), none of
-/// them a terminator: equal for equal symbols, and never 0.
-#[inline]
-fn fingerprint(key: u64, depth: usize) -> u16 {
-    let prefix = key & !(u64::MAX >> (CLASS_BITS * depth as u32));
-    ((prefix.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u16).max(1)
 }
 
 /// Whether all three symbols of bucket id `bucket` are residues.
@@ -225,6 +226,19 @@ fn terminator_bytes(word: u64) -> u64 {
     (sentinels | unknowns) & (0x80 * BYTES_ONE)
 }
 
+/// `0x80` in every byte of `word` whose class lies in `classes`, zero in
+/// every other byte; a byte of `0x7F` is in no range of classes. Exact in
+/// every byte, as [`terminator_bytes`] is: a byte with its top bit set,
+/// less at most `0x7F`, never borrows from the next, and keeps its top bit
+/// exactly when the class was at least what was taken.
+#[inline]
+fn class_bytes(word: u64, classes: std::ops::RangeInclusive<u8>) -> u64 {
+    let high = word | (0x80 * BYTES_ONE);
+    let from = high - *classes.start() as u64 * BYTES_ONE;
+    let past = high - (*classes.end() as u64 + 1) * BYTES_ONE;
+    from & !past & (0x80 * BYTES_ONE)
+}
+
 /// The 5-bit classes of the bytes of `word`, first byte (the least
 /// significant) in the top bits: 40 bits.
 #[inline]
@@ -244,37 +258,40 @@ fn pack_classes4(word: u32) -> u32 {
 }
 
 impl KeyedText<'_> {
+    /// The twelve classes from `i` on, first byte least significant: the
+    /// first eight in one word, the last four in another. Within the last
+    /// eleven positions the text's tail is copied out first and padded with
+    /// sentinels. Never reads past the text.
+    #[inline]
+    fn words_at(&self, i: usize) -> (u64, u32) {
+        match self.text.get(i..i + KEY_SYMBOLS) {
+            Some(w) => (
+                u64::from_le_bytes(w[..8].try_into().expect("eight bytes")),
+                u32::from_le_bytes(w[8..].try_into().expect("four bytes")),
+            ),
+            None => self.tail_words(i),
+        }
+    }
+
+    /// [`words_at`](Self::words_at) of one of the last eleven positions.
+    #[cold]
+    fn tail_words(&self, i: usize) -> (u64, u32) {
+        let mut bytes = [SENTINEL_CLASS; KEY_SYMBOLS];
+        bytes[..self.text.len() - i].copy_from_slice(&self.text[i..]);
+        (
+            u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes")),
+            u32::from_le_bytes(bytes[8..].try_into().expect("four bytes")),
+        )
+    }
+
     /// Key of the suffix at `i`: up to [`KEY_SYMBOLS`] classes from the
     /// top bit down, zero-padded after a terminator, then the residue
     /// count in the low [`LEN_BITS`]. Reads the twelve bytes as two words
-    /// and finds the first terminator in them at once; within the last
-    /// eleven positions the text's tail is copied out first. Never reads
-    /// past the text: its last character is a sentinel.
+    /// and finds the first terminator in them at once. The text's last
+    /// character is a sentinel, so every key ends within the text.
     #[inline]
     fn key_at(&self, i: usize) -> u64 {
-        let (head, tail) = match self.text.get(i..i + KEY_SYMBOLS) {
-            Some(w) => (&w[..8], &w[8..]),
-            None => return self.tail_key(i),
-        };
-        let head = u64::from_le_bytes(head.try_into().expect("eight bytes"));
-        let tail = u32::from_le_bytes(tail.try_into().expect("four bytes"));
-        Self::pack_key(head, tail)
-    }
-
-    /// [`key_at`](Self::key_at) of one of the last eleven positions.
-    #[cold]
-    fn tail_key(&self, i: usize) -> u64 {
-        let mut bytes = [SENTINEL_CLASS; KEY_SYMBOLS];
-        bytes[..self.text.len() - i].copy_from_slice(&self.text[i..]);
-        let head = u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"));
-        let tail = u32::from_le_bytes(bytes[8..].try_into().expect("four bytes"));
-        Self::pack_key(head, tail)
-    }
-
-    /// The key of twelve classes, the first eight in `head` and the last
-    /// four in `tail`, first byte least significant.
-    #[inline]
-    fn pack_key(head: u64, tail: u32) -> u64 {
+        let (head, tail) = self.words_at(i);
         let marks = terminator_bytes(head) as u128 | (terminator_bytes(tail as u64) as u128) << 64;
         // Every bit up to the first terminator's mark: its byte and those
         // before it.
@@ -286,99 +303,157 @@ impl KeyedText<'_> {
             | len as u64
     }
 
-    /// Call `f(i, bucket, prefix, run)` for every `i` in `range`, high to
-    /// low, in O(1) per position. `bucket` is `bucket_of(key_at(i))`: the
-    /// class at `i` followed by the first two symbols of the bucket at
-    /// `i + 1`, or that class alone when it is a terminator. `prefix` holds
-    /// the twelve symbols from `i` on as a key does (the low [`LEN_BITS`]
-    /// zero), rolled the same way from the twelve at `i + 1`, and `run` the
-    /// residues before the first terminator among them: [`print_of`] makes
-    /// the suffix's fingerprint of them.
+    /// A fingerprint of the symbols of the suffix at `i` that `prefix`
+    /// ([`prefix_masks`]) covers, read off the text's bytes: equal for
+    /// equal symbols and never 0, or 0 when a terminator lies among them.
     #[inline]
-    fn scan_suffixes(&self, range: Range<usize>, mut f: impl FnMut(usize, usize, u64, usize)) {
-        let key = if range.end < self.text.len() { self.key_at(range.end) } else { 0 };
-        // The key's symbols, and the residues before its first terminator.
-        let (mut bucket, mut prefix, mut run) = (bucket_of(key), key & !LEN_MASK, key_len(key));
+    fn print_at(&self, i: usize, prefix: (u64, u64)) -> u16 {
+        let (head, tail) = self.words_at(i);
+        let tail = tail as u64;
+        let ended = terminator_bytes(head) & prefix.0 | terminator_bytes(tail) & prefix.1;
+        let print = (head & prefix.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (tail & prefix.1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        if ended == 0 {
+            ((print >> 48) as u16).max(1)
+        } else {
+            0
+        }
+    }
+
+    /// Call `f(i, bucket)` for every `i` in `range`, high to low, in O(1)
+    /// per position. `bucket` is [`bucket_at`](Self::bucket_at)`(i)`: the
+    /// class at `i` followed by the first two symbols of the bucket at
+    /// `i + 1`, or that class alone when it is a terminator.
+    #[inline]
+    fn scan_suffixes(&self, range: Range<usize>, mut f: impl FnMut(usize, usize)) {
+        let mut bucket = if range.end < self.text.len() { self.bucket_at(range.end) } else { 0 };
         let start = range.start;
         for (offset, &class) in self.text[range].iter().enumerate().rev() {
             let top = (class as usize) << (BUCKET_BITS - CLASS_BITS);
-            (bucket, run) = if is_terminator(class) {
-                (top, 0)
-            } else {
-                (top | bucket >> CLASS_BITS, (run + 1).min(KEY_SYMBOLS))
-            };
-            prefix =
-                (class as u64) << (u64::BITS - CLASS_BITS) | (prefix >> CLASS_BITS) & !LEN_MASK;
-            f(start + offset, bucket, prefix, run);
+            bucket = if is_terminator(class) { top } else { top | bucket >> CLASS_BITS };
+            f(start + offset, bucket);
         }
     }
 }
 
-/// The [`fingerprint`] of the first `depth` symbols of a suffix whose
-/// rolled `prefix` holds `run` residues before a terminator
-/// ([`KeyedText::scan_suffixes`]), or 0 when `depth` is 0 or a terminator
-/// lies among them.
-#[inline]
-fn print_of(prefix: u64, run: usize, depth: usize) -> u16 {
-    if depth > 0 && run >= depth {
-        fingerprint(prefix, depth)
-    } else {
-        0
-    }
+/// Masks of the first `depth` symbols (`1..=12`) of a suffix over the two
+/// words [`KeyedText::words_at`] reads: what [`KeyedText::print_at`]
+/// fingerprints.
+fn prefix_masks(depth: usize) -> (u64, u64) {
+    let bytes = |n: usize| if n >= 8 { u64::MAX } else { (1 << (8 * n)) - 1 };
+    (bytes(depth), bytes(depth.saturating_sub(8)))
 }
 
-/// Suffixes the scatter of a partial window rolls before it places the
-/// ones the window holds: one bit each of a membership mask.
-const BLOCK: usize = 64;
-
-/// Up to [`BLOCK`] consecutive suffixes of a scan, high to low: each one's
-/// bucket and rolled prefix, its residue run in the prefix's low
-/// [`LEN_BITS`], and a bit for each the window holds.
-struct Block {
-    buckets: [u16; BLOCK],
-    prefixes: [u64; BLOCK],
-    held: u64,
+/// The leading symbol class of the suffixes of bucket `bucket`.
+#[inline]
+fn lead_of(bucket: usize) -> u8 {
+    (bucket >> (BUCKET_BITS - CLASS_BITS)) as u8
 }
 
 impl KeyedText<'_> {
-    /// [`scan_suffixes`](Self::scan_suffixes) calling `f` only for the
-    /// suffixes whose bucket lies in `window`, in the same order. The scan
-    /// fills a [`Block`] and marks membership without a branch per suffix;
-    /// each full block then hands out its marked suffixes.
+    /// The bucket of the suffix at `i` — the top bits of
+    /// [`key_at`](Self::key_at), its first three symbols up to the first
+    /// terminator — read off one four-byte load. Never reads past the
+    /// text.
+    #[inline]
+    fn bucket_at(&self, i: usize) -> usize {
+        let word = match self.text.get(i..i + 4) {
+            Some(word) => u32::from_le_bytes(word.try_into().expect("four bytes")),
+            None => self.words_at(i).0 as u32,
+        } as u64;
+        let marks = terminator_bytes(word);
+        // Every bit up to the first terminator's mark, and the three bytes
+        // a bucket spells.
+        let w = word & (marks ^ marks.wrapping_sub(1)) & 0xFF_FFFF;
+        ((w & 0x1F) << (2 * CLASS_BITS) | (w >> 8 & 0x1F) << CLASS_BITS | w >> 16 & 0x1F) as usize
+    }
+
+    /// Call `f(i, bucket)` for every suffix starting in `range` whose
+    /// bucket lies in `window`, high to low: the suffixes
+    /// [`scan_suffixes`](Self::scan_suffixes) names with a bucket in
+    /// `window`, in the same order, without rolling the others. A run of
+    /// [`SCAN_RUN`] positions at a time, eight at a time are tested on their
+    /// leading class, the bucket id's top symbol ([`class_bytes`]), and
+    /// those a bucket of the window leads are gathered by a table lookup;
+    /// only those have their bucket read, and only those in the window are
+    /// handed out. No step branches on a position.
     fn scan_window(
         &self,
         range: Range<usize>,
         window: Range<usize>,
-        mut f: impl FnMut(usize, usize, u64, usize),
+        mut f: impl FnMut(usize, usize),
     ) {
-        let (first, width, start) = (window.start, window.len(), range.start);
-        let mut block = Block { buckets: [0; BLOCK], prefixes: [0; BLOCK], held: 0 };
-        let mut flush = |block: &mut Block, top: usize| {
-            let mut held = std::mem::take(&mut block.held);
-            while held != 0 {
-                let k = held.trailing_zeros() as usize;
-                held &= held - 1;
-                let prefix = block.prefixes[k];
-                f(top - k, block.buckets[k] as usize, prefix & !LEN_MASK, key_len(prefix));
+        if window.is_empty() {
+            return;
+        }
+        let leads = lead_of(window.start)..=lead_of(window.end - 1);
+        // Offsets into the run; eight more, so a word's gather may write
+        // past the last one counted.
+        let mut offsets = [0u8; SCAN_RUN + 8];
+        let mut held = [(0u32, 0u16); SCAN_RUN];
+        let mut end = range.end;
+        while end > range.start {
+            let run = end.saturating_sub(SCAN_RUN).max(range.start)..end;
+            let mut n = 0;
+            for start in (run.start..end).step_by(8).rev() {
+                let word = match self.text.get(start..start + 8).filter(|_| start + 8 <= end) {
+                    Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
+                    // A short word is padded with bytes no class spells.
+                    None => {
+                        let mut word = [0x7F; 8];
+                        word[..end - start].copy_from_slice(&self.text[start..end]);
+                        u64::from_le_bytes(word)
+                    }
+                };
+                // One bit per byte: bit `k` for the byte at `start + k`.
+                let marks = (class_bytes(word, leads.clone()) >> 7).wrapping_mul(GATHER_BITS) >> 56;
+                let gathered = GATHER[marks as usize] + (start - run.start) as u64 * BYTES_ONE;
+                offsets[n..n + 8].copy_from_slice(&gathered.to_le_bytes());
+                n += marks.count_ones() as usize;
             }
-        };
-        let mut k = 0;
-        self.scan_suffixes(range, |i, bucket, prefix, run| {
-            block.buckets[k] = bucket as u16;
-            block.prefixes[k] = prefix | run as u64;
-            block.held |= ((bucket.wrapping_sub(first) < width) as u64) << k;
-            k += 1;
-            if k == BLOCK {
-                flush(&mut block, i + BLOCK - 1);
-                k = 0;
+            let mut m = 0;
+            for &offset in &offsets[..n] {
+                let i = run.start + offset as usize;
+                let bucket = self.bucket_at(i);
+                held[m] = (i as u32, bucket as u16);
+                m += window.contains(&bucket) as usize;
             }
-        });
-        // The last block, of `k` suffixes, ends at the range's start.
-        if k > 0 {
-            flush(&mut block, start + k - 1);
+            for &(i, bucket) in &held[..m] {
+                f(i as usize, bucket as usize);
+            }
+            end = run.start;
         }
     }
 }
+
+/// Positions [`KeyedText::scan_window`] gathers before it hands them out:
+/// a multiple of eight, and an offset into it fits a byte.
+const SCAN_RUN: usize = 256;
+
+/// Multiplying the top bits of a word's bytes, shifted to bit 0 of each,
+/// by this puts byte `k`'s in bit `56 + k`: bit `8k` lands at `56 + k` and
+/// every other product bit lands apart from them, or past the word.
+const GATHER_BITS: u64 = 0x0102_0408_1020_4080;
+
+/// For each byte mask, the indices of its set bits, highest first, one a
+/// byte from the lowest up.
+const GATHER: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut entry, mut n, mut k) = (0u64, 0, 8);
+        while k > 0 {
+            k -= 1;
+            if mask >> k & 1 == 1 {
+                entry |= (k as u64) << (8 * n);
+                n += 1;
+            }
+        }
+        table[mask] = entry;
+        mask += 1;
+    }
+    table
+};
 
 /// Contiguous bucket ranges holding roughly `1 / parts` of the entries of
 /// the buckets `window` each; together they cover the window. `starts[b]`
@@ -642,7 +717,7 @@ pub type SaLcp = (Vec<u32>, CompactLcp);
 /// difference, so the LCP of two neighbours with different keys is read
 /// off the keys; only neighbours tied on all twelve symbols are re-keyed
 /// deeper. The suffixes of the text are all distinct, so the result is the
-/// one SA-IS produces. This is the sort of one window ([`sort_window`])
+/// one SA-IS produces. This is the sort of one window ([`WindowSort`])
 /// that holds every bucket, at no cut-off.
 ///
 /// Besides the text and the two arrays it returns — seven bytes per
@@ -663,9 +738,9 @@ pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
 pub struct SortStages {
     /// Rolling bucket ids over text chunks into per-chunk histograms.
     pub count_s: f64,
-    /// Rolling bucket ids — and, at a cut-off, prefix fingerprints — over
-    /// the same chunks again, each placing its suffixes at the offsets its
-    /// histogram gives it.
+    /// Every window's membership pass over the same chunks, each placing
+    /// the window's suffixes — at a cut-off, with their prefix
+    /// fingerprints — at the offsets its histogram gives it.
     pub scatter_s: f64,
     /// Grouping each bucket by fingerprint at a cut-off, keying what is
     /// sorted from the text, sorting it, tie resolution and LCP, bucket
@@ -677,7 +752,11 @@ pub struct SortStages {
 /// took: the arrays hold only the suffixes that share their first
 /// `min(psi, 12)` symbols with another suffix, and those of the leading
 /// buckets (see the module docs); every suffix when `psi < 3`, or when the
-/// text is handed back (`None`).
+/// text is handed back (`None`). At `psi ≥ 3` the buckets are sorted in
+/// windows of about a quarter of the suffixes ([`plan_windows`]), which
+/// share the text's tie budget: the arrays are the same, and the scatter
+/// holds one buffer a quarter longer than the longest window instead of
+/// six bytes a position.
 pub fn bucket_sort_index_staged(
     text: &[u8],
     threads: usize,
@@ -687,10 +766,29 @@ pub fn bucket_sort_index_staged(
     let clock = Instant::now();
     let table = BucketTable::count(text, threads);
     let count_s = clock.elapsed().as_secs_f64();
-    let limit = whole_text_tie_limit(text.len());
-    let (index, stages) = sort_window(text, &table, 0..N_BUCKETS, None, psi, limit, threads);
-    (index, SortStages { count_s, ..stages })
+    let mut sort = WindowSort::new(&table, psi, whole_text_tie_limit(text.len()), threads);
+    let index = sort.sort(text, &cut_windows(&table, psi));
+    (index, SortStages { count_s, ..sort.stages })
 }
+
+/// The windows of [`bucket_sort_index_staged`] at cut-off `psi` over a
+/// text with bucket table `table`: one of every bucket below ψ = 3, where
+/// every suffix is kept; else at most [`CUT_WINDOWS`] windows
+/// ([`plan_windows`]), each scattering at most that share of the suffixes
+/// and one bucket more. They are charged by the suffixes they scatter
+/// alone: the workers' records are not the scatter buffer's.
+fn cut_windows(table: &BucketTable, psi: u32) -> Vec<Range<usize>> {
+    let starts = &table.starts;
+    let largest = (0..N_BUCKETS).map(|b| starts[b + 1] - starts[b]).max().unwrap_or(0);
+    let cap = match kept_depth(psi) {
+        0 => u64::MAX,
+        _ => estimated_window_bytes(starts[N_BUCKETS].div_ceil(CUT_WINDOWS) + largest, 0, 0),
+    };
+    plan_windows(starts, psi, cap, 0).into_iter().map(|(window, _)| window).collect()
+}
+
+/// How many windows a sort at a cut-off is cut into, at most.
+const CUT_WINDOWS: usize = 4;
 
 /// How many re-keyed symbols the sort of a whole text of `n` positions
 /// may spend on ties before it hands the text back to SA-IS.
@@ -748,7 +846,7 @@ impl BucketTable {
         let keyed = KeyedText { text };
         let mut ends = parallel_jobs(n.div_ceil(chunk), threads, |c| {
             let mut counts = vec![0u32; N_BUCKETS];
-            keyed.scan_suffixes(c * chunk..((c + 1) * chunk).min(n), |_, b, _, _| counts[b] += 1);
+            keyed.scan_suffixes(c * chunk..((c + 1) * chunk).min(n), |_, b| counts[b] += 1);
             counts
         });
         let mut starts = vec![0usize; N_BUCKETS + 1];
@@ -793,167 +891,250 @@ pub(crate) fn estimated_table_bytes(n: usize, threads: usize) -> u64 {
     ((n_chunks(n, threads) - 1) * N_BUCKETS * std::mem::size_of::<u32>()) as u64
 }
 
-/// The suffixes of the buckets `window` of `text`, sorted, with their LCP
-/// array — the ranks `starts[window.start]..starts[window.end]` of the
-/// whole text's arrays at `psi < 3` — on up to `threads` workers, or
-/// `None` once resolving key ties has cost more than `tie_limit` re-keyed
-/// symbols; and how long each pass took (`count_s` is the caller's).
-/// `table` is the text's ([`BucketTable::count`]); `before` is the bucket
-/// of the last suffix ranked before the window, whose LCP with the
-/// window's first is the one at rank 0.
-///
-/// At `psi ≥ 3` a bucket past the table's leading ones keeps only the
-/// suffixes that share their first [`kept_depth`] symbols with another
-/// suffix: every suffix a node of depth ≥ `psi` holds. The scatter writes a
-/// [`fingerprint`] of that prefix into each suffix's LCP slot; the bucket's
-/// fingerprints are grouped in one pass, only repeats are keyed and sorted,
-/// and a repeat is kept when a sorted neighbour shares the prefix. The
-/// arrays are then compacted to the kept suffixes, in order, the LCP of
-/// two neighbours their true LCP: windows concatenate to the whole text's
-/// arrays at the same cut-off.
-pub(crate) fn sort_window(
-    text: &[u8],
-    table: &BucketTable,
-    window: Range<usize>,
-    before: Option<usize>,
-    psi: u32,
-    tie_limit: usize,
+/// The bucket sort of one text at one cut-off, a window of buckets at a
+/// time, in bucket order. A window pays for the suffixes it holds: a
+/// membership pass over the text places them ([`KeyedText::scan_window`]),
+/// each of its buckets is sorted on its own, and its arrays are compacted
+/// to the suffixes it keeps. Every window spends the one tie budget.
+pub(crate) struct WindowSort<'a> {
+    /// The text's ([`BucketTable::count`]).
+    table: &'a BucketTable,
+    /// [`kept_depth`] of the cut-off.
+    depth: usize,
     threads: usize,
-) -> (Option<SaLcp>, SortStages) {
-    let mut stages = SortStages::default();
-    let mut clock = Instant::now();
-    let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
-    let depth = kept_depth(psi);
-    let sorter =
-        BucketSorter { keyed: KeyedText { text }, spent: AtomicUsize::new(0), limit: tie_limit };
-    let keyed = &sorter.keyed;
-    let starts = &table.starts[..];
-    let base = starts[window.start];
-    let len = starts[window.end] - base;
-
-    // Scatter: each text chunk rolls its buckets once and places every suffix
-    // of the window's buckets just below the last of its own offsets
-    // there, so no two chunks write the same slot and each bucket comes
-    // out in text order; at a cut-off, the suffix's fingerprint goes to
-    // the same slot of the LCP array. A slot is a relaxed atomic store — a
-    // plain store on common hardware; the workers' join orders every
-    // store before the slots are read — and the slots become the arrays
-    // in place. The whole text places every suffix it rolls; a partial
-    // window picks its own out a block at a time ([`KeyedText::scan_window`]).
-    let slots: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-    let prints: Vec<AtomicU16> = (0..len).map(|_| AtomicU16::new(0)).collect();
-    let whole = window.len() == N_BUCKETS;
-    run_jobs((0..table.n_chunks()).collect(), threads, |c| {
-        let mut ends = table.chunk_ends(c, window.clone());
-        let place = |i: usize, b: usize, prefix: u64, run: usize| {
-            let end = &mut ends[b - window.start];
-            *end -= 1;
-            let slot = *end as usize - base;
-            slots[slot].store(i as u32, AtomicOrdering::Relaxed);
-            if depth > 0 {
-                prints[slot].store(print_of(prefix, run, depth), AtomicOrdering::Relaxed);
-            }
-        };
-        if whole {
-            keyed.scan_suffixes(table.chunk_range(c), place);
-        } else {
-            keyed.scan_window(table.chunk_range(c), window.clone(), place);
-        }
-    });
-    let mut sa: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
-    let mut lcp: Vec<u16> = prints.into_iter().map(AtomicU16::into_inner).collect();
-    stages.scatter_s += lap();
-
-    // Sort each bucket on its own; LCP values inside a bucket fall out of
-    // the sort. `kept[b]`: the suffixes bucket `b` keeps, sorted at the
-    // front of its ranks.
-    let mut kept = vec![0u32; window.len()];
-    let groups = bucket_groups(starts, window.clone(), threads * 16);
-    let mut overflows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
-    let ranks_of = |g: &Range<usize>| starts[g.end] - starts[g.start];
-    let jobs: Vec<_> = groups
-        .iter()
-        .zip(carve(&mut sa, groups.iter().map(ranks_of)))
-        .zip(carve(&mut lcp, groups.iter().map(ranks_of)))
-        .zip(carve(&mut kept, groups.iter().map(Range::len)))
-        .zip(&mut overflows)
-        .map(|((((group, sa), lcp), kept), overflow)| {
-            (group.clone(), RankSlices { sa, lcp, overflow }, kept)
-        })
-        .collect();
-    run_jobs(jobs, threads, |(group, mut ranks, kept)| {
-        let first = starts[group.start];
-        let mut work = TieWork::default();
-        for (b, kept) in group.zip(kept) {
-            if sorter.over_budget() {
-                break;
-            }
-            let bucket = ranks.narrow(starts[b] - first..starts[b + 1] - first);
-            let held = if depth == 0 || b < table.whole {
-                let n = bucket.sa.len();
-                sorter.sort_bucket(bucket, &mut work).then_some(n)
-            } else {
-                sorter.sort_repeats(bucket, &mut work, depth)
-            };
-            match held {
-                Some(n) => *kept = n as u32,
-                None => break,
-            }
-        }
-        sorter.charge(&mut work.uncharged);
-    });
-    if sorter.over_budget() {
-        stages.sort_lcp_s += lap();
-        return (None, stages);
-    }
-
-    // Each bucket's kept suffixes move down behind the previous bucket's.
-    // The first one's LCP is against the last kept suffix before it, in
-    // this window or before it: their leading three symbols differ, and
-    // those are the bucket ids.
-    let mut at = 0;
-    let mut prev = before;
-    for (b, &n) in window.zip(&kept) {
-        let (from, n) = (starts[b] - base, n as usize);
-        if n == 0 {
-            continue;
-        }
-        if from != at {
-            sa.copy_within(from..from + n, at);
-            lcp.copy_within(from..from + n, at);
-        }
-        lcp[at] = prev.map_or(0, |prev| bucket_lcp(prev, b) as u16);
-        prev = Some(b);
-        at += n;
-    }
-    if at < len {
-        sa.truncate(at);
-        sa.shrink_to_fit();
-        lcp.truncate(at);
-        lcp.shrink_to_fit();
-    }
-    // Saturated LCPs were listed by position: list them by rank.
-    let mut overflow = overflows.concat();
-    if !overflow.is_empty() {
-        overflow.sort_unstable();
-        let value_of = |pos: &u32| {
-            let i = overflow.binary_search_by_key(pos, |&(p, _)| p).ok()?;
-            Some(overflow[i].1)
-        };
-        overflow = sa
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, pos)| Some((rank as u32, value_of(pos)?)))
-            .collect();
-    }
-    let lcp = CompactLcp::from_parts(lcp, overflow);
-    stages.sort_lcp_s += lap();
-    (Some((sa, lcp)), stages)
+    /// Re-keyed symbols the windows may spend on ties, and have spent.
+    tie_limit: usize,
+    spent: usize,
+    /// The bucket of the last suffix the windows sorted so far kept: the
+    /// LCP at the next window's rank 0 is against it.
+    before: Option<usize>,
+    /// How long the windows' passes took (`count_s` is the table's).
+    pub(crate) stages: SortStages,
 }
 
-/// The bucket of the suffix at `pos` of `text`.
-pub(crate) fn bucket_at(text: &[u8], pos: usize) -> usize {
-    bucket_of(KeyedText { text }.key_at(pos))
+impl<'a> WindowSort<'a> {
+    /// A sort at cut-off `psi` on up to `threads` workers that hands the
+    /// text back once its windows have spent `tie_limit` re-keyed symbols.
+    pub(crate) fn new(
+        table: &'a BucketTable,
+        psi: u32,
+        tie_limit: usize,
+        threads: usize,
+    ) -> WindowSort<'a> {
+        WindowSort {
+            table,
+            depth: kept_depth(psi),
+            threads,
+            tie_limit,
+            spent: 0,
+            before: None,
+            stages: SortStages::default(),
+        }
+    }
+
+    /// The suffixes of the buckets `windows` of `text` — contiguous, in
+    /// order, and after every window sorted before — sorted, with their
+    /// LCP array: the ranks `starts[first]..starts[last]` of the whole
+    /// text's arrays at `psi < 3`. `None` once the tie budget is spent.
+    ///
+    /// At `psi ≥ 3` a bucket past the table's leading ones keeps only the
+    /// suffixes that share their first [`kept_depth`] symbols with another
+    /// suffix: every suffix a node of depth ≥ `psi` holds. The scatter
+    /// writes a fingerprint of that prefix ([`KeyedText::print_at`]) into
+    /// each suffix's LCP slot; the bucket's fingerprints are grouped in one
+    /// pass, only repeats are keyed and sorted, and a repeat is kept when a
+    /// sorted neighbour shares the prefix. The arrays are then compacted to
+    /// the kept suffixes, in order, the LCP of two neighbours their true
+    /// LCP: windows concatenate to the whole text's arrays at the same
+    /// cut-off.
+    ///
+    /// Several windows share one buffer, a quarter longer than the longest
+    /// of them: each is scattered and sorted behind what the ones before it
+    /// kept, and its own kept suffixes move down behind those. Once the
+    /// next window no longer fits behind them, every window left is sorted
+    /// as one, in the buffer grown to hold it. The buffer, cut to what was
+    /// kept, is the result.
+    pub(crate) fn sort(&mut self, text: &[u8], windows: &[Range<usize>]) -> Option<SaLcp> {
+        let table = self.table;
+        let starts = &table.starts;
+        let ranks = |window: &Range<usize>| starts[window.end] - starts[window.start];
+        let longest = windows.iter().map(ranks).max().unwrap_or(0);
+        let room = if windows.len() > 1 { longest + longest / 4 } else { longest };
+        let (mut sa, mut lcp) = (vec![0; room], vec![0; room]);
+        let (mut kept, mut overflow) = (0, Vec::new());
+        let mut left = windows.iter();
+        while let Some(window) = left.next() {
+            let mut window = window.clone();
+            if kept + ranks(&window) > sa.len() {
+                window.end = windows.last().map_or(window.end, |last| last.end);
+                left = [].iter();
+                let room = kept + ranks(&window);
+                (sa, lcp) = (regrown(sa, kept, room), regrown(lcp, kept, room));
+            }
+            let (n, wide) = self.sort_into(text, window, &mut sa, &mut lcp, kept)?;
+            overflow.extend(wide);
+            kept += n;
+        }
+        Some((trimmed(sa, kept), CompactLcp::from_parts(trimmed(lcp, kept), overflow)))
+    }
+
+    /// Sort the buckets `window` of `text` in `sa` and `lcp` from rank `at`
+    /// on, and compact them to the suffixes kept: how many, and the
+    /// `(rank, value)` of each LCP too wide for `lcp`, or `None` once the
+    /// tie budget is spent. The ranks before `at` are left as they are.
+    fn sort_into(
+        &mut self,
+        text: &[u8],
+        window: Range<usize>,
+        sa: &mut Vec<u32>,
+        lcp: &mut Vec<u16>,
+        at: usize,
+    ) -> Option<(usize, Vec<(u32, u32)>)> {
+        let (table, depth, threads) = (self.table, self.depth, self.threads);
+        let starts = &table.starts[..];
+        let (base, len) = (starts[window.start], starts[window.end] - starts[window.start]);
+        if len == 0 {
+            return Some((0, Vec::new()));
+        }
+        let mut clock = Instant::now();
+        let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
+        let sorter = BucketSorter {
+            keyed: KeyedText { text },
+            spent: AtomicUsize::new(self.spent),
+            limit: self.tie_limit,
+        };
+        let keyed = &sorter.keyed;
+        let ranks_of = |g: &Range<usize>| starts[g.end] - starts[g.start];
+
+        // Scatter: each text chunk's membership pass places every suffix of
+        // the window's buckets just below the last of its own offsets there,
+        // so no two chunks write the same slot and each bucket comes out in
+        // text order; at a cut-off, the suffix's fingerprint goes to the
+        // same slot of the LCP array. Only the window's own suffixes are
+        // keyed. A slot is a relaxed atomic store — a plain store on common
+        // hardware; the workers' join orders every store before the slots
+        // are read — and the arrays become slots and back in place.
+        let prefix = prefix_masks(depth);
+        let slots: Vec<AtomicU32> = std::mem::take(sa).into_iter().map(AtomicU32::new).collect();
+        let prints: Vec<AtomicU16> = std::mem::take(lcp).into_iter().map(AtomicU16::new).collect();
+        run_jobs((0..table.n_chunks()).collect(), threads, |c| {
+            let mut ends = table.chunk_ends(c, window.clone());
+            let place = |i: usize, b: usize| {
+                let end = &mut ends[b - window.start];
+                *end -= 1;
+                let slot = at + *end as usize - base;
+                slots[slot].store(i as u32, AtomicOrdering::Relaxed);
+                if depth > 0 {
+                    prints[slot].store(keyed.print_at(i, prefix), AtomicOrdering::Relaxed);
+                }
+            };
+            // A window of every bucket holds every suffix: the roll is the
+            // cheaper pass over them.
+            if window.len() == N_BUCKETS {
+                keyed.scan_suffixes(table.chunk_range(c), place);
+            } else {
+                keyed.scan_window(table.chunk_range(c), window.clone(), place);
+            }
+        });
+        *sa = slots.into_iter().map(AtomicU32::into_inner).collect();
+        *lcp = prints.into_iter().map(AtomicU16::into_inner).collect();
+        let (sa, lcp) = (&mut sa[at..at + len], &mut lcp[at..at + len]);
+        self.stages.scatter_s += lap();
+
+        // Sort each bucket on its own; LCP values inside a bucket fall out of
+        // the sort. `kept[b]`: the suffixes bucket `b` keeps, sorted at the
+        // front of its ranks.
+        let mut kept = vec![0u32; window.len()];
+        let groups = bucket_groups(starts, window.clone(), threads * 16);
+        let mut overflows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); groups.len()];
+        let jobs: Vec<_> = groups
+            .iter()
+            .zip(carve(&mut *sa, groups.iter().map(ranks_of)))
+            .zip(carve(&mut *lcp, groups.iter().map(ranks_of)))
+            .zip(carve(&mut kept, groups.iter().map(Range::len)))
+            .zip(&mut overflows)
+            .map(|((((group, sa), lcp), kept), overflow)| {
+                (group.clone(), RankSlices { sa, lcp, overflow }, kept)
+            })
+            .collect();
+        run_jobs(jobs, threads, |(group, mut ranks, kept)| {
+            let first = starts[group.start];
+            let mut work = TieWork::default();
+            for (b, kept) in group.zip(kept) {
+                if sorter.over_budget() {
+                    break;
+                }
+                let bucket = ranks.narrow(starts[b] - first..starts[b + 1] - first);
+                let held = if depth == 0 || b < table.whole {
+                    let n = bucket.sa.len();
+                    sorter.sort_bucket(bucket, &mut work).then_some(n)
+                } else {
+                    sorter.sort_repeats(bucket, &mut work, depth)
+                };
+                match held {
+                    Some(n) => *kept = n as u32,
+                    None => break,
+                }
+            }
+            sorter.charge(&mut work.uncharged);
+        });
+        self.spent = sorter.spent.load(AtomicOrdering::Relaxed);
+        if sorter.over_budget() {
+            self.stages.sort_lcp_s += lap();
+            return None;
+        }
+
+        // Each bucket's kept suffixes move down behind the previous bucket's.
+        // The first one's LCP is against the last kept suffix before it, in
+        // this window or before it: their leading three symbols differ, and
+        // those are the bucket ids.
+        let mut to = 0;
+        for (b, &n) in window.zip(&kept) {
+            let (from, n) = (starts[b] - base, n as usize);
+            if n == 0 {
+                continue;
+            }
+            if from != to {
+                sa.copy_within(from..from + n, to);
+                lcp.copy_within(from..from + n, to);
+            }
+            lcp[to] = self.before.map_or(0, |prev| bucket_lcp(prev, b) as u16);
+            self.before = Some(b);
+            to += n;
+        }
+        // Saturated LCPs were listed by position: list them by rank.
+        let mut overflow = overflows.concat();
+        if !overflow.is_empty() {
+            overflow.sort_unstable();
+            let value_of = |pos: &u32| {
+                let i = overflow.binary_search_by_key(pos, |&(p, _)| p).ok()?;
+                Some(overflow[i].1)
+            };
+            overflow = sa[..to]
+                .iter()
+                .enumerate()
+                .filter_map(|(rank, pos)| Some(((at + rank) as u32, value_of(pos)?)))
+                .collect();
+        }
+        self.stages.sort_lcp_s += lap();
+        Some((to, overflow))
+    }
+}
+
+/// `data` cut to its first `len` values, and its capacity with it.
+fn trimmed<T>(mut data: Vec<T>, len: usize) -> Vec<T> {
+    data.truncate(len);
+    data.shrink_to_fit();
+    data
+}
+
+/// `len` values, zero past the first `kept` of `data`, which they begin
+/// with. `data` is cut to those first, so only they are held twice.
+fn regrown<T: Copy + Default>(data: Vec<T>, kept: usize, len: usize) -> Vec<T> {
+    let front = trimmed(data, kept);
+    let mut grown = vec![T::default(); len];
+    grown[..kept].copy_from_slice(&front);
+    grown
 }
 
 /// The leading ranks of `gsa` that hold every suffix of the text ranked
@@ -980,13 +1161,13 @@ pub(crate) fn leading_suffixes(text: &[u8], reads: &[Range<usize>]) -> Vec<(u32,
     let keyed = KeyedText { text };
     let mut counts = vec![0u32; N_BUCKETS];
     for read in reads {
-        keyed.scan_suffixes(read.clone(), |_, b, _, _| counts[b] += 1);
+        keyed.scan_suffixes(read.clone(), |_, b| counts[b] += 1);
     }
     let last = (0..N_BUCKETS).find(|&b| spells_residues(b) && counts[b] >= 2);
     let last = last.unwrap_or(N_BUCKETS - 1);
     let mut positions = Vec::new();
     for read in reads {
-        keyed.scan_suffixes(read.clone(), |i, b, _, _| {
+        keyed.scan_suffixes(read.clone(), |i, b| {
             if b <= last {
                 positions.push(i);
             }
@@ -1022,7 +1203,7 @@ pub(crate) fn first_rank_lcp(starts: &[usize], b: usize) -> u32 {
 }
 
 /// Estimated peak bytes of one window of `suffixes` suffixes, the largest
-/// of its buckets holding `largest_bucket`, sorted ([`sort_window`]) on
+/// of its buckets holding `largest_bucket`, sorted ([`WindowSort`]) on
 /// `threads` workers, treed and mined: 8 bytes per suffix it scatters, and
 /// one bucket's 16-byte `(key, position)` records per worker. Of the 8, 6
 /// are the scatter's slots (4 of suffix array, 2 of LCP, holding the
@@ -1213,8 +1394,13 @@ pub fn with_match_tree<R>(
 mod tests {
     use super::*;
     use crate::lcp::lcp_array;
+
+    fn bucket_of(key: u64) -> usize {
+        (key >> (u64::BITS - BUCKET_BITS)) as usize
+    }
     use crate::sais;
     use pfam_seq::SequenceSetBuilder;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1349,6 +1535,119 @@ mod tests {
     }
 
     #[test]
+    fn a_repeat_heavy_text_cut_in_windows_is_still_handed_back() {
+        // The homopolymer's ties fall in one window; the windows share the
+        // text's tie budget, so the cut build hands the text to SA-IS as
+        // the sort of one window of every bucket does.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut b = SequenceSetBuilder::new();
+        for i in 0..40 {
+            let codes = if i == 20 { vec![7; 5_000] } else { random_codes(&mut rng, 60) };
+            b.push_codes(format!("r{i}"), codes).expect("non-empty");
+        }
+        let set = b.finish();
+        let full = GeneralizedSuffixArray::build(&set);
+        let text = full.text();
+        for threads in [1, 2] {
+            let table = BucketTable::count(text, threads);
+            assert!(cut_windows(&table, 10).len() > 1);
+            let one = WindowSort::new(&table, 10, whole_text_tie_limit(text.len()), threads)
+                .sort(text, std::slice::from_ref(&(0..N_BUCKETS)));
+            assert_eq!(one, None, "one window of every bucket spends the budget");
+            assert_eq!(bucket_sort_index_staged(text, threads, 10).0, None);
+            let cut = GeneralizedSuffixArray::build_cut(&set, threads, 10);
+            assert_eq!((cut.cutoff(), cut.sa()), (0, full.sa()), "SA-IS indexed it whole");
+        }
+    }
+
+    /// Residue codes `0..20`, uniform.
+    fn random_codes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.gen_range(0..20)).collect()
+    }
+
+    /// Up to 24 reads over four residues and `X` (code 20), up to 128
+    /// residues long: short shared words are common, long ones rare.
+    fn repeat_prone_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let residue = (0u8..9).prop_map(|c| if c == 8 { 20 } else { c % 4 });
+        prop::collection::vec(prop::collection::vec(residue, 1..128), 1..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On any text, range and window, the membership pass hands out the
+        /// suffixes, with their buckets, that the roll names in the window,
+        /// in the roll's order.
+        #[test]
+        fn a_window_scan_is_the_roll_filtered(
+            reads in repeat_prone_reads(),
+            ends in (0.0..1.0f64, 0.0..1.0f64),
+            window in (0..N_BUCKETS, 0..N_BUCKETS),
+        ) {
+            let mut b = SequenceSetBuilder::new();
+            for (i, codes) in reads.into_iter().enumerate() {
+                b.push_codes(format!("s{i}"), codes).expect("non-empty");
+            }
+            let text = GeneralizedSuffixArray::build(&b.finish()).text().to_vec();
+            let keyed = KeyedText { text: &text };
+            let at = |share: f64| (share * text.len() as f64) as usize;
+            let range = at(ends.0.min(ends.1))..at(ends.0.max(ends.1));
+            let window = window.0.min(window.1)..window.0.max(window.1);
+            let mut want = Vec::new();
+            keyed.scan_suffixes(range.clone(), |i, b| {
+                if window.contains(&b) {
+                    want.push((i, b));
+                }
+            });
+            let mut seen = Vec::new();
+            keyed.scan_window(range, window, |i, b| seen.push((i, b)));
+            prop_assert_eq!(seen, want);
+        }
+
+        /// Every plan, from one window of every bucket down to one bucket
+        /// a window, sorts a text cut at ψ into the arrays the sort of one
+        /// window of every bucket gives, and the cut index holds them at
+        /// cut-off ψ.
+        #[test]
+        fn windowed_cut_sorts_equal_the_whole_text_sort(
+            reads in repeat_prone_reads(),
+            threads in 1usize..3,
+        ) {
+            let mut b = SequenceSetBuilder::new();
+            for (i, codes) in reads.into_iter().enumerate() {
+                b.push_codes(format!("s{i}"), codes).expect("non-empty");
+            }
+            let set = b.finish();
+            let text = GeneralizedSuffixArray::build(&set).text().to_vec();
+            let table = BucketTable::count(&text, threads);
+            let limit = whole_text_tie_limit(text.len());
+            for psi in [3, 5, 10, 12, 14] {
+                let Some(whole) =
+                    WindowSort::new(&table, psi, limit, threads).sort(&text, std::slice::from_ref(&(0..N_BUCKETS)))
+                else {
+                    continue;
+                };
+                let planned = cut_windows(&table, psi);
+                for cap in [u64::MAX, 4_000, 600, 0] {
+                    let windows: Vec<_> = plan_windows(&table.starts, psi, cap, threads)
+                        .into_iter()
+                        .map(|(window, _)| window)
+                        .collect();
+                    let got = WindowSort::new(&table, psi, limit, threads).sort(&text, &windows);
+                    prop_assert_eq!(got.as_ref(), Some(&whole), "psi {} cap {}", psi, cap);
+                }
+                let got = WindowSort::new(&table, psi, limit, threads).sort(&text, &planned);
+                prop_assert_eq!(got.as_ref(), Some(&whole), "psi {}: {:?}", psi, planned);
+                let cut = GeneralizedSuffixArray::build_cut(&set, threads, psi);
+                let lcp: Vec<u32> = (0..cut.sa().len()).map(|r| cut.lcp_at(r)).collect();
+                prop_assert_eq!(cut.cutoff(), psi);
+                prop_assert_eq!(cut.sa(), &whole.0[..]);
+                prop_assert_eq!(CompactLcp::from_values(&lcp), whole.1.clone());
+            }
+        }
+    }
+
+    #[test]
     fn a_bucket_of_two_suffixes_tied_past_a_u16_lcp() {
         // Two copies of one 70 000-residue read: their whole-read suffixes
         // tie for 5 834 key widths and part at the sentinels, the last
@@ -1394,55 +1693,90 @@ mod tests {
     }
 
     #[test]
-    fn rolling_keys_equal_direct_keys() {
+    fn rolling_buckets_equal_direct_buckets() {
         let set = set_of(&["MKVLWAAKNDCQEGHMKVLW", "A", "WXXWMKVXW", "MKVLWAAKNDCQEGHMKVLW"]);
         let gsa = GeneralizedSuffixArray::build(&set);
         let keyed = KeyedText { text: gsa.text() };
         for range in [0..gsa.text_len(), 3..17, 20..21, 22..22] {
-            for depth in [0, 3, 5, 12] {
-                let mut seen = Vec::new();
-                keyed.scan_suffixes(range.clone(), |i, bucket, prefix, run| {
-                    seen.push((i, bucket, print_of(prefix, run, depth)))
-                });
-                let direct: Vec<_> = range
-                    .clone()
-                    .rev()
-                    .map(|i| {
-                        let key = keyed.key_at(i);
-                        let print = match depth {
-                            0 => 0,
-                            _ if key_len(key) < depth => 0,
-                            _ => fingerprint(key, depth),
-                        };
-                        (i, bucket_of(key), print)
-                    })
-                    .collect();
-                assert_eq!(seen, direct, "depth {depth}");
+            let mut seen = Vec::new();
+            keyed.scan_suffixes(range.clone(), |i, bucket| seen.push((i, bucket)));
+            let direct: Vec<_> = range.clone().rev().map(|i| (i, keyed.bucket_at(i))).collect();
+            assert_eq!(seen, direct);
+            assert!(direct.iter().all(|&(i, bucket)| bucket == bucket_of(keyed.key_at(i))));
+        }
+    }
+
+    #[test]
+    fn prints_are_equal_for_equal_prefixes_and_zero_across_a_terminator() {
+        let set =
+            set_of(&["MKVLWAAKNDCQEGHMKVLW", "A", "WXXWMKVXW", "MKVLWAAKNDCQEGHMKVLW", "MKV"]);
+        let gsa = GeneralizedSuffixArray::build(&set);
+        let text = gsa.text();
+        let keyed = KeyedText { text };
+        for depth in 1..=KEY_SYMBOLS {
+            for i in 0..text.len() {
+                let print = keyed.print_at(i, prefix_masks(depth));
+                assert_eq!(print == 0, key_len(keyed.key_at(i)) < depth, "at {i}, depth {depth}");
+                for j in 0..text.len() {
+                    if print != 0 && compare_suffixes(text, i, j).1 >= depth {
+                        let other = keyed.print_at(j, prefix_masks(depth));
+                        assert_eq!(other, print, "{i} and {j}, depth {depth}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn a_window_scan_is_the_scan_filtered() {
-        // Over 64 suffixes, so blocks fill, with the range's ends off the
-        // block edges.
-        let reads: Vec<String> = (0..12)
-            .map(|r| "MKVLWAAKNDCQEGHX".chars().cycle().skip(r).take(9 + r).collect())
+        // Over 256 suffixes, so runs fill, with the range's ends off the
+        // word and run edges.
+        let reads: Vec<String> = (0..40)
+            .map(|r| "MKVLWAAKNDCQEGHX".chars().cycle().skip(r).take(9 + r % 12).collect())
             .collect();
         let set = set_of(&reads.iter().map(String::as_str).collect::<Vec<_>>());
         let gsa = GeneralizedSuffixArray::build(&set);
         let keyed = KeyedText { text: gsa.text() };
-        for range in [0..gsa.text_len(), 1..gsa.text_len() - 1, 5..69, 7..8] {
+        assert!(gsa.text_len() > 2 * SCAN_RUN);
+        let windows = [
+            0..1,
+            0..N_BUCKETS / 2,
+            5 << 10..9 << 10,
+            (5 << 10) + 17..(9 << 10) + 3,
+            (X_CLASS as usize) << 10..N_BUCKETS,
+            N_BUCKETS - 1..N_BUCKETS,
+            0..N_BUCKETS,
+            7..7,
+        ];
+        let n = gsa.text_len();
+        for range in [0..n, 1..n - 1, 5..69, 3..SCAN_RUN + 13, 7..8, 9..9] {
             let mut all = Vec::new();
-            keyed.scan_suffixes(range.clone(), |i, b, prefix, run| all.push((i, b, prefix, run)));
-            for window in [0..1, 0..N_BUCKETS / 2, 5 << 10..9 << 10, N_BUCKETS - 1..N_BUCKETS] {
+            keyed.scan_suffixes(range.clone(), |i, b| all.push((i, b)));
+            for window in windows.clone() {
                 let mut seen = Vec::new();
-                keyed.scan_window(range.clone(), window.clone(), |i, b, prefix, run| {
-                    seen.push((i, b, prefix, run))
-                });
+                keyed.scan_window(range.clone(), window.clone(), |i, b| seen.push((i, b)));
                 let want: Vec<_> =
-                    all.iter().copied().filter(|&(_, b, _, _)| window.contains(&b)).collect();
+                    all.iter().copied().filter(|(_, b)| window.contains(b)).collect();
                 assert_eq!(seen, want, "range {range:?} window {window:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn class_bytes_marks_exactly_the_classes_in_range() {
+        let classes = |word: [u8; 8], range| {
+            let marks = class_bytes(u64::from_le_bytes(word), range);
+            (0..8).map(|k| marks >> (8 * k) & 0xFF).collect::<Vec<_>>()
+        };
+        for lo in 0..=X_CLASS {
+            for hi in lo..=X_CLASS {
+                for word in [[0, 1, 2, 3, 4, 5, 6, 7], [22, 21, 20, 19, 18, 17, 0x7F, 0], [lo; 8]] {
+                    let want: Vec<u64> = word
+                        .iter()
+                        .map(|&c| if (lo..=hi).contains(&c) { 0x80 } else { 0 })
+                        .collect();
+                    assert_eq!(classes(word, lo..=hi), want, "{word:?} in {lo}..={hi}");
+                }
             }
         }
     }

@@ -3,7 +3,9 @@
 //! promising-pair generator.
 //!
 //! The monolithic [`crate::GeneralizedSuffixArray`] is budgeted at its
-//! full size, ~7 bytes per text position (≈ 7.3 while it is built). Under
+//! full size, ~7 bytes per text position, an upper bound on what the index
+//! cut at ψ holds and builds in (≈ 3.3 bytes per position at its peak on
+//! the `sparse` corpus cut at ψ = 10, against 7.4 for a full one). Under
 //! a memory budget that does not admit it, a phase holds only the text
 //! resident: one byte per position, the sampled read ids and the start
 //! table ([`estimated_text_bytes`], ≈ 1.06 bytes per position), loaded a
@@ -17,10 +19,12 @@
 //! for what the sort and then the tree add, as the counting allocator
 //! measured them. Each window is scattered and sorted on its own at the
 //! cut-off ψ, keeping only the suffixes a node of depth ≥ ψ can hold, then
-//! treed at ψ and mined; one window's arrays are resident at a time. Each
-//! window's scatter is a pass over the whole text: it rolls every
-//! position's bucket and places, 64 positions at a time, those that fall
-//! in its buckets ([`WindowStats`] counts both).
+//! treed at ψ and mined; one window's arrays are resident at a time. A
+//! window pays for the suffixes it holds: its scatter tests the text's
+//! positions eight at a time on their leading class and reads the bucket
+//! of only those a bucket of the window leads, and only its own suffixes
+//! are placed and fingerprinted ([`WindowStats`] counts what the windows
+//! placed and kept). The count pass rolls every position once per text.
 //! This is the suffix-space split of PaCE's distributed construction
 //! (prefix buckets, as [`crate::distributed`] assigns them to ranks), run
 //! one bucket range after another.
@@ -69,8 +73,8 @@ use pfam_seq::{BudgetError, MemoryBudget, Reservation, SequenceSet};
 use crate::gsa::{estimated_index_bytes, estimated_text_bytes, GeneralizedSuffixArray};
 use crate::maximal::{GenerationStats, MatchPair, MaximalMatchConfig, PairKeySet};
 use crate::parallel::{
-    bucket_at, estimated_table_bytes, first_rank_lcp, mine_pairs, plan_windows, resolve_threads,
-    sort_window, whole_text_tie_limit, BucketTable, MineNodes,
+    estimated_table_bytes, first_rank_lcp, mine_pairs, plan_windows, resolve_threads,
+    whole_text_tie_limit, BucketTable, MineNodes, WindowSort,
 };
 use crate::tree::{NodeId, SuffixTree};
 
@@ -319,20 +323,15 @@ impl WindowedText {
         // Only a window that is the whole text may hand it to SA-IS.
         let tie_limit =
             if windows.len() == 1 { whole_text_tie_limit(index.text_len()) } else { usize::MAX };
+        let mut sort = WindowSort::new(&table, psi, tie_limit, threads);
         let mut streams = Vec::with_capacity(windows.len() + 1);
         // The first interval the LCP scan closes, if it is deep enough to
         // be mined: its stream goes after every window's.
         let mut first_closed = None;
         let mut descended = false;
-        // The bucket of the last suffix kept before the window.
-        let mut before = None;
         for (w, (buckets, _)) in windows.iter().enumerate() {
-            let text = index.text();
-            match sort_window(text, &table, buckets.clone(), before, psi, tie_limit, threads).0 {
-                Some(arrays) => {
-                    before = arrays.0.last().map(|&pos| bucket_at(text, pos as usize)).or(before);
-                    index.set_arrays(arrays, psi);
-                }
+            match sort.sort(index.text(), std::slice::from_ref(buckets)) {
+                Some(arrays) => index.set_arrays(arrays, psi),
                 None => index.set_arrays(index.sais_arrays(), 0),
             }
             held.kept += index.sa().len();
@@ -492,12 +491,10 @@ mod tests {
             for cap in [0, 200, u64::MAX] {
                 let windows = plan_windows(starts, psi, cap, 2);
                 let (mut sa, mut lcp) = (Vec::new(), Vec::new());
-                let mut before = None;
+                let mut sort = WindowSort::new(&table, psi, usize::MAX, 2);
                 for (w, (buckets, _)) in windows.iter().enumerate() {
                     let (wsa, wlcp) =
-                        sort_window(text, &table, buckets.clone(), before, psi, usize::MAX, 2)
-                            .0
-                            .expect("no tie limit");
+                        sort.sort(text, std::slice::from_ref(buckets)).expect("no tie limit");
                     assert!(
                         !wsa.is_empty() || psi >= 3,
                         "psi {psi} cap {cap}: window {w} is empty"
@@ -505,7 +502,6 @@ mod tests {
                     if let Some((next, _)) = windows.get(w + 1) {
                         assert!(first_rank_lcp(starts, next.start) < psi.clamp(1, 3));
                     }
-                    before = wsa.last().map(|&pos| bucket_at(text, pos as usize)).or(before);
                     lcp.extend((0..wsa.len()).map(|r| wlcp.get(r)));
                     sa.extend(wsa);
                 }
@@ -567,15 +563,11 @@ mod tests {
                 };
                 for cap in [0, 300, 2_000, u64::MAX] {
                     let (mut sa, mut lcp) = (Vec::new(), Vec::new());
-                    let mut before = None;
+                    let mut sort = WindowSort::new(&table, psi, usize::MAX, threads);
                     for (buckets, _) in plan_windows(&table.starts, psi, cap, threads) {
-                        let (wsa, wlcp) =
-                            sort_window(&text, &table, buckets, before, psi, usize::MAX, threads)
-                                .0
-                                .expect("no tie limit");
+                        let (wsa, wlcp) = sort.sort(&text, &[buckets]).expect("no tie limit");
                         let values: Vec<u32> = (0..wsa.len()).map(|r| wlcp.get(r)).collect();
                         prop_assert_eq!(&CompactLcp::from_values(&values), &wlcp);
-                        before = wsa.last().map(|&pos| bucket_at(&text, pos as usize)).or(before);
                         lcp.extend(values);
                         sa.extend(wsa);
                     }

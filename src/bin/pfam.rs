@@ -311,6 +311,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     if !result.windows.is_empty() {
         eprintln!("{}", result.windows);
     }
+    eprintln!("{}", result.phases);
     if let Some(checkpoints) = result.checkpoints {
         eprintln!("{checkpoints}");
     }
