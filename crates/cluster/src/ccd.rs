@@ -19,8 +19,6 @@ use std::sync::Arc;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::{MatchPair, WindowStats};
 
-pub use crate::core::CcdCursor;
-
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verdict, Verifier};
 use crate::ledger::PairLedger;
@@ -71,41 +69,33 @@ pub struct CcdResult {
 /// assert_eq!(result.components.len(), 2); // {a, b} and {c}
 /// ```
 pub fn run_ccd(set: &dyn SeqStore, config: &ClusterConfig) -> CcdResult {
-    run_ccd_resumable(set, config, &Arc::default(), None, &mut |_| {})
+    run_ccd_with_ledger(set, config, &Arc::default())
 }
 
-/// [`run_ccd`] with checkpoint/restart hooks: optionally resume from a
-/// [`CcdCursor`], and offer the core to `on_batch` at every batch boundary
-/// — a checkpointing caller takes [`ClusterCore::cursor`] where it wants a
-/// snapshot. The final result is identical to the uninterrupted
-/// [`run_ccd`] — the checkpoint/resume integration tests assert this batch
-/// boundary by batch boundary. Candidates `ledger` answers (RR's, over
-/// this `set`'s ids; the empty ledger answers none) are not aligned again.
-pub fn run_ccd_resumable(
+/// [`run_ccd`], knowing what RR's fills answered: candidates `ledger`
+/// answers (RR's, over this `set`'s ids; the empty ledger answers none) are
+/// not aligned again.
+pub fn run_ccd_with_ledger(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
-    resume: Option<CcdCursor>,
-    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
-    ccd_mined(set, config, None, ledger, resume, on_batch)
+    ccd_mined(set, config, None, ledger)
 }
 
-/// [`run_ccd_resumable`], mining `shared` when the run holds an index of
+/// [`run_ccd_with_ledger`], mining `shared` when the run holds an index of
 /// the in-memory set `set` is a view of.
 pub(crate) fn ccd_mined(
     set: &dyn SeqStore,
     config: &ClusterConfig,
     shared: Option<&SharedIndex<'_>>,
     ledger: &Arc<PairLedger>,
-    resume: Option<CcdCursor>,
-    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
     if set.is_empty() {
         return CcdResult::empty();
     }
     with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited, windows| {
-        let mut result = ccd_over(set, pairs, config, ledger, resume, on_batch);
+        let mut result = ccd_over(set, pairs, config, ledger);
         result.trace.nodes_visited = nodes_visited;
         CcdResult { windows, ..result }
     })
@@ -119,31 +109,19 @@ pub fn run_ccd_from_pairs(
     pairs: Vec<MatchPair>,
     config: &ClusterConfig,
 ) -> CcdResult {
-    ccd_over(set, &pairs, config, &Arc::default(), None, &mut |_| {})
+    ccd_over(set, &pairs, config, &Arc::default())
 }
 
-/// The CCD loop over `pairs`, with the hooks of [`run_ccd_resumable`]. A
-/// resumed run starts at its cursor's position in `pairs` — every plan
-/// mines one stream, so that is where the checkpointed run stopped,
-/// whatever budget either run had — or at their end, when the cursor
-/// counts more pairs than there are.
+/// The CCD loop over `pairs`, answered by `ledger` where it can be.
 fn ccd_over(
     set: &dyn SeqStore,
     pairs: &[MatchPair],
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
-    resume: Option<CcdCursor>,
-    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> CcdResult {
-    let (mut core, rest) = match resume {
-        Some(cursor) => {
-            let at = cursor.pairs_consumed.min(pairs.len() as u64) as usize;
-            (ClusterCore::resume_ccd(set, cursor), &pairs[at..])
-        }
-        None => (ClusterCore::new_ccd(set), pairs),
-    };
+    let mut core = ClusterCore::new_ccd(set);
     let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-    let filled_ahead = drive_batched(&mut core, rest, &verifier, config.batch_size, on_batch);
+    let filled_ahead = drive_batched(&mut core, pairs, &verifier, config.batch_size);
     CcdResult { filled_ahead, ..CcdResult::from_core(core) }
 }
 
@@ -268,36 +246,6 @@ mod tests {
         // Either way the sequences must not cluster together.
         assert_eq!(plain.components.len(), 2);
         assert_eq!(masked.components.len(), 2);
-    }
-
-    #[test]
-    fn resume_from_any_batch_boundary_is_identical() {
-        use pfam_datagen::{DatasetConfig, SyntheticDataset};
-        let d = SyntheticDataset::generate(&DatasetConfig::tiny(77));
-        // Small batches so the run crosses many checkpoint boundaries.
-        let cfg = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-        let full = run_ccd(&d.set, &cfg);
-
-        // Capture a cursor at every batch boundary.
-        let mut cursors = Vec::new();
-        let observed = run_ccd_resumable(&d.set, &cfg, &Arc::default(), None, &mut |core| {
-            cursors.push(core.cursor())
-        });
-        assert_eq!(observed.components, full.components);
-        assert_eq!(observed.edges, full.edges);
-        assert_eq!(observed.trace, full.trace);
-        assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
-
-        // Resuming from any of them must replay to the identical result.
-        let step = (cursors.len() / 4).max(1);
-        for cursor in cursors.into_iter().step_by(step) {
-            let resumed =
-                run_ccd_resumable(&d.set, &cfg, &Arc::default(), Some(cursor), &mut |_| {});
-            assert_eq!(resumed.components, full.components);
-            assert_eq!(resumed.edges, full.edges);
-            assert_eq!(resumed.n_merges, full.n_merges);
-            assert_eq!(resumed.trace, full.trace, "trace must replay exactly");
-        }
     }
 
     #[test]

@@ -12,14 +12,10 @@
 //! exactly as [`crate::run_redundancy_removal`] and [`crate::run_ccd`] do —
 //! the same pair streams.
 
-use std::sync::Arc;
+use pfam_seq::{SeqStore, SubsetStore};
 
-use pfam_seq::{SeqId, SeqStore, SubsetStore};
-
-use crate::ccd::{ccd_mined, CcdCursor, CcdResult};
+use crate::ccd::{ccd_mined, CcdResult};
 use crate::config::ClusterConfig;
-use crate::core::ClusterCore;
-use crate::ledger::PairLedger;
 use crate::rr::{rr_over, RrResult};
 use crate::source::{with_shared_index, SharedIndex};
 
@@ -48,22 +44,11 @@ impl FrontHalf<'_> {
     }
 
     /// Phase 2: connected components of the reads `rr` kept, reported
-    /// under their dense ids `0..rr.kept.len()`.
+    /// under their dense ids `0..rr.kept.len()`; what `rr`'s ledger answers
+    /// is not aligned again.
     pub fn ccd(&self, rr: &RrResult) -> CcdResult {
-        self.ccd_resumable(&rr.kept, &rr.ledger, None, &mut |_| {})
-    }
-
-    /// Phase 2 over the reads `kept` (ascending input ids) with the ledger
-    /// and checkpoint hooks of [`crate::run_ccd_resumable`].
-    pub fn ccd_resumable(
-        &self,
-        kept: &[SeqId],
-        ledger: &Arc<PairLedger>,
-        resume: Option<CcdCursor>,
-        on_batch: &mut dyn FnMut(&ClusterCore<'_>),
-    ) -> CcdResult {
-        let nr_store = SubsetStore::new(self.input, kept.to_vec());
-        ccd_mined(&nr_store, self.config, self.shared, ledger, resume, on_batch)
+        let nr_store = SubsetStore::new(self.input, rr.kept.clone());
+        ccd_mined(&nr_store, self.config, self.shared, &rr.ledger)
     }
 }
 

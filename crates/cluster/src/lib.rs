@@ -5,8 +5,8 @@
 //! paper):
 //!
 //! * [`core`] — the one `ClusterCore` state machine behind every RR/CCD
-//!   driver: union-find + pair filter + accept/reject bookkeeping +
-//!   checkpoint cursor + trace hooks, mutated nowhere else.
+//!   driver: union-find + pair filter + accept/reject bookkeeping + trace
+//!   records, mutated nowhere else.
 //! * [`source`] — where a phase's pairs come from: one mined vector, lent
 //!   to the phase as a slice in the order the loop consumes it.
 //! * [`policy`] — the two master loops over that slice: in process
@@ -56,7 +56,7 @@ pub mod transport;
 pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier, VerifyOn};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{component_graph, ComponentGraph, KnownPairs};
-pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_resumable, CcdCursor, CcdResult};
+pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_with_ledger, CcdResult};
 pub use config::ClusterConfig;
 pub use front::{run_front_half, with_front_half, FrontHalf};
 pub use ledger::PairLedger;

@@ -10,10 +10,8 @@
 //!   filled in one list across the rayon pool (shape-sorted groups of
 //!   sixteen, handed out one at a time, so the pool schedules itself),
 //!   then each batch is admitted against the live state, reads its
-//!   survivors' verdicts off the window and is absorbed, and the core is
-//!   offered to a sink at every batch boundary (where CCD's checkpoint
-//!   cursors are cut). A fill no batch admits is returned: RR drops it,
-//!   CCD hands it to the back half.
+//!   survivors' verdicts off the window and is absorbed. A fill no batch
+//!   admits is returned: RR drops it, CCD hands it to the back half.
 //! * [`drive_spmd`] — the paper's Section IV-B protocol: workers own
 //!   rank-partitioned slices of the suffix space and push pair batches to
 //!   the master, which filters and returns the survivors to the same
@@ -21,7 +19,7 @@
 //!   worker ranks or threads against any [`WorkerPort`].
 //!
 //! Neither loop recovers a failed worker in-job: a run that fails is
-//! restarted from its last checkpoint (DESIGN.md §7).
+//! restarted from the phases it finished (DESIGN.md §7).
 
 use pfam_seq::{SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -30,15 +28,12 @@ use crate::core::{ClusterCore, Verdict, Verifier, VerifyOn, VERIFY_SLICE};
 use crate::transport::{MasterMsg, Transport, TransportError, WorkerMsg, WorkerPort};
 
 /// The in-process loop: `pairs` in batches of `batch_size`, in order, each
-/// admitted against the live state and absorbed, then the core offered to
-/// `on_batch` — the sink builds a [`ClusterCore::cursor`] only at the
-/// boundaries it snapshots, so a boundary it passes costs nothing. The
-/// fills run a window of [`VERIFY_SLICE`] pairs ahead: every
-/// candidate the window's batches have *now* ([`ClusterCore::ahead`]) is
-/// filled in one [`Verifier::verify`] across the rayon pool, and each batch
-/// then reads its survivors' verdicts off the window. Verdicts are pure and
-/// the filters only tighten, so every trace record, cursor and result is
-/// the one-batch-at-a-time loop's. Returns the verdicts it filled that no
+/// admitted against the live state and absorbed. The fills run a window of
+/// [`VERIFY_SLICE`] pairs ahead: every candidate the window's batches have
+/// *now* ([`ClusterCore::ahead`]) is filled in one [`Verifier::verify`]
+/// across the rayon pool, and each batch then reads its survivors' verdicts
+/// off the window. Verdicts are pure and the filters only tighten, so every
+/// trace record and result is the one-batch-at-a-time loop's. Returns the verdicts it filled that no
 /// batch then admitted — in RR a read of the pair was removed first, in
 /// CCD the pair was deferred. Panics when `batch_size` is 0.
 pub fn drive_batched(
@@ -46,7 +41,6 @@ pub fn drive_batched(
     pairs: &[MatchPair],
     verifier: &Verifier,
     batch_size: usize,
-    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
 ) -> Vec<Verdict> {
     assert!(batch_size > 0, "drive_batched needs a batch size of at least 1");
     let window_len = (VERIFY_SLICE / batch_size).max(1) * batch_size;
@@ -79,7 +73,6 @@ pub fn drive_batched(
             unadmitted.extend_from_slice(&filled[at..end]);
             at = end;
             core.absorb(verdicts);
-            on_batch(core);
         }
     }
     unadmitted.retain(|v| !v.ledger_hit);
@@ -218,7 +211,7 @@ mod tests {
     #[should_panic(expected = "drive_batched needs a batch size of at least 1")]
     fn the_batched_loop_refuses_batch_size_zero() {
         let set = SequenceSet::default();
-        drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0, &mut |_| {});
+        drive_batched(&mut ClusterCore::new_ccd(&set), &[], &verifier(), 0);
     }
 
     #[test]

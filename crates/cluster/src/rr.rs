@@ -68,7 +68,7 @@ pub(crate) fn rr_over(
         let mut core = ClusterCore::new_rr(set);
         core.record_ledger(&config.budget);
         let verifier = Verifier::new(config, CorePhase::Rr);
-        let discarded = drive_batched(&mut core, pairs, &verifier, config.batch_size, &mut |_| {});
+        let discarded = drive_batched(&mut core, pairs, &verifier, config.batch_size);
         core.set_nodes_visited(nodes_visited);
         RrResult { ahead_discarded: discarded.len(), windows, ..RrResult::from_core(core) }
     })

@@ -192,8 +192,8 @@ pub fn index_plan(
 /// of the budget and running the rest over it — the library entries are
 /// infallible; the pipeline checked the floor before phase 1.
 ///
-/// Both give one stream, so a resumed CCD starts at its cursor's position
-/// whatever budget either run had.
+/// Both give one stream, so a phase's result does not depend on the
+/// budget.
 pub fn with_pair_source<R>(
     store: &dyn SeqStore,
     config: &ClusterConfig,

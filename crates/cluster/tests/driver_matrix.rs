@@ -22,7 +22,7 @@ use pfam_cluster::{
     drive_batched, drive_spmd, run_ccd, run_ccd_from_pairs, serve_push_worker, ClusterConfig,
     ClusterCore, CorePhase, LocalTransport, Verifier,
 };
-use pfam_cluster::{CcdCursor, CcdResult, RrResult, VerifyOn};
+use pfam_cluster::{CcdResult, RrResult, VerifyOn};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::{MemoryBudget, SeqId, SeqStore, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::{
@@ -112,7 +112,7 @@ fn run_cell(
     let mut core = ClusterCore::new_ccd(set);
     match driver {
         LoopKind::Batched => {
-            drive_batched(&mut core, &pairs, &verifier, config.batch_size, &mut |_| {});
+            drive_batched(&mut core, &pairs, &verifier, config.batch_size);
         }
         LoopKind::Push => {
             let (left, right) = pairs.split_at(pairs.len() / 2);
@@ -237,45 +237,18 @@ fn small_batch_sizes_do_not_change_components() {
 }
 
 /// The loop [`drive_batched`] replaced, written from the public API: one
-/// batch at a time — admit, verify what survived, absorb — with a cursor
-/// after every `every` batches (CCD only; 0 for none). Its fills run on
+/// batch at a time — admit, verify what survived, absorb. Its fills run on
 /// the calling thread: where a list is filled does not change a verdict.
 fn batch_at_a_time(
     core: &mut ClusterCore<'_>,
     pairs: &[MatchPair],
     verifier: &Verifier,
     batch_size: usize,
-    every: usize,
-) -> Vec<CcdCursor> {
-    let mut cursors = Vec::new();
-    for (i, batch) in pairs.chunks(batch_size).enumerate() {
+) {
+    for batch in pairs.chunks(batch_size) {
         let candidates = core.admit_batch(batch);
         core.absorb(verifier.verify(core.set(), &candidates, VerifyOn::Caller));
-        if every > 0 && (i + 1) % every == 0 {
-            cursors.push(core.cursor());
-        }
     }
-    cursors
-}
-
-/// [`drive_batched`] with the cursor of every `every`-th batch boundary it
-/// offers collected (0 for none).
-fn windowed(
-    core: &mut ClusterCore<'_>,
-    pairs: &[MatchPair],
-    verifier: &Verifier,
-    batch_size: usize,
-    every: usize,
-) -> (Vec<pfam_cluster::Verdict>, Vec<CcdCursor>) {
-    let (mut cursors, mut batches) = (Vec::new(), 0usize);
-    let mut sink = |core: &ClusterCore<'_>| {
-        batches += 1;
-        if every > 0 && batches.is_multiple_of(every) {
-            cursors.push(core.cursor());
-        }
-    };
-    let unadmitted = drive_batched(core, pairs, verifier, batch_size, &mut sink);
-    (unadmitted, cursors)
 }
 
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
@@ -288,9 +261,9 @@ fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
 
 /// The window changes when pairs are filled, not what any batch sees: at
 /// every batch size — 5 000 is past [`VERIFY_SLICE`], a window of one
-/// batch — RR and CCD leave the one-batch-at-a-time loop's results,
-/// traces and cursors, also when resumed from a mid-phase cursor, and
-/// every fill no batch admitted is accounted for.
+/// batch — RR and CCD leave the one-batch-at-a-time loop's results and
+/// traces (one record per batch), and every fill no batch admitted is
+/// accounted for.
 #[test]
 fn the_window_is_the_batch_at_a_time_loop() {
     const { assert!(5_000 > VERIFY_SLICE) };
@@ -313,8 +286,8 @@ fn the_window_is_the_batch_at_a_time_loop() {
             core
         };
         let (mut want, mut got) = (rr_core(), rr_core());
-        batch_at_a_time(&mut want, pairs, &verifier, batch_size, 0);
-        let (discarded, _) = windowed(&mut got, pairs, &verifier, batch_size, 0);
+        batch_at_a_time(&mut want, pairs, &verifier, batch_size);
+        let discarded = drive_batched(&mut got, pairs, &verifier, batch_size);
         let (want, got) = (RrResult::from_core(want), RrResult::from_core(got));
         let what = format!("RR, batch {batch_size}");
         assert_eq!((&got.kept, &got.removed, &got.trace), (&want.kept, &want.removed, &want.trace));
@@ -326,30 +299,16 @@ fn the_window_is_the_batch_at_a_time_loop() {
         }
 
         let pairs = &ccd_pairs;
-        // About eight cursors a run.
-        let every = (pairs.len().div_ceil(batch_size) / 8).max(1);
         let verifier = Verifier::new(&config, CorePhase::Ccd);
         let (mut want, mut got) = (ClusterCore::new_ccd(set), ClusterCore::new_ccd(set));
-        let want_cursors = batch_at_a_time(&mut want, pairs, &verifier, batch_size, every);
-        let (ahead, got_cursors) = windowed(&mut got, pairs, &verifier, batch_size, every);
+        batch_at_a_time(&mut want, pairs, &verifier, batch_size);
+        let ahead = drive_batched(&mut got, pairs, &verifier, batch_size);
         let what = format!("CCD, batch {batch_size}");
-        assert!(got_cursors == want_cursors, "{what}: cursors");
         let (want, got) = (CcdResult::from_core(want), CcdResult::from_core(got));
         assert_same_ccd(&got, &want, &what);
         for v in &ahead {
             assert!(got.deferred.contains(&(v.a, v.b)), "{what}: ({}, {}) deferred", v.a, v.b);
             assert_eq!(*v, verifier.verdict(set, (v.a, v.b)), "{what}: the pair's own verdict");
         }
-
-        let Some(mid) = want_cursors.len().checked_sub(1).map(|last| last / 2) else {
-            continue;
-        };
-        let cursor = want_cursors[mid].clone();
-        let rest = &pairs[cursor.pairs_consumed as usize..];
-        let mut resumed = ClusterCore::resume_ccd(set, cursor);
-        let (_, cursors) = windowed(&mut resumed, rest, &verifier, batch_size, every);
-        let what = format!("{what}, resumed after cursor {mid}");
-        assert!(cursors == want_cursors[mid + 1..], "{what}: cursors");
-        assert_same_ccd(&CcdResult::from_core(resumed), &want, &what);
     }
 }

@@ -1,22 +1,22 @@
 //! The front half over one index against the composition it replaced:
 //! RR over the input, CCD over a copy of the survivors with an index of
-//! its own. Results, work traces and checkpoint cursors must not tell the
-//! two apart, and a run one monolithic index cannot serve — a budget under
+//! its own. Results and work traces (one record per batch) must not tell
+//! the two apart, and a run one monolithic index cannot serve — a budget under
 //! the index — mines windows to the same streams. (What RR's pair ledger
 //! changes — and does not — is `pair_ledger.rs`.)
 
 use std::sync::Arc;
 
 use pfam_cluster::{
-    index_plan, run_ccd_resumable, run_front_half, run_redundancy_removal, with_front_half,
-    CcdCursor, CcdResult, ClusterConfig, ClusterCore, IndexPlan, PairLedger, RrResult,
+    index_plan, run_ccd_with_ledger, run_front_half, run_redundancy_removal, with_front_half,
+    CcdResult, ClusterConfig, IndexPlan, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
 use pfam_seq::{materialize_subset, SequenceSet, SubsetStore};
 use pfam_suffix::estimated_index_bytes;
 
-/// Small batches, so a run crosses many cursor boundaries.
+/// Small batches, so a run's trace holds many batch records.
 fn config() -> ClusterConfig {
     ClusterConfig { batch_size: 32, ..ClusterConfig::default() }
 }
@@ -31,7 +31,7 @@ fn ccd_with(
     config: &ClusterConfig,
     ledger: &Arc<PairLedger>,
 ) -> CcdResult {
-    run_ccd_resumable(store, config, ledger, None, &mut |_| {})
+    run_ccd_with_ledger(store, config, ledger)
 }
 
 /// RR over `set`, then CCD over a materialised copy of the survivors
@@ -42,24 +42,12 @@ fn two_builds(set: &SequenceSet, config: &ClusterConfig) -> (RrResult, CcdResult
     (rr, ccd)
 }
 
-/// The ledger that answers nothing.
-fn no_ledger() -> Arc<PairLedger> {
-    Arc::default()
-}
-
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
     assert_eq!(got.components, want.components, "{what}: components");
     assert_eq!(got.edges, want.edges, "{what}: edges");
     assert_eq!(got.deferred, want.deferred, "{what}: deferred");
     assert_eq!(got.n_merges, want.n_merges, "{what}: merges");
     assert_eq!(got.trace, want.trace, "{what}: trace");
-}
-
-/// The cursor at every batch boundary a resumable CCD run offers.
-fn cursors_of(run: impl FnOnce(&mut dyn FnMut(&ClusterCore<'_>)) -> CcdResult) -> Vec<CcdCursor> {
-    let mut cursors = Vec::new();
-    run(&mut |core| cursors.push(core.cursor()));
-    cursors
 }
 
 #[test]
@@ -85,24 +73,18 @@ fn one_build_equals_two_builds() {
 }
 
 #[test]
-fn cursors_agree_whoever_built_the_index() {
+fn ccd_agrees_whoever_built_the_index() {
     let set = dataset(5);
     let config = config();
-    let kept = run_redundancy_removal(&set, &config).kept;
-    let shared = cursors_of(|on_batch| {
-        with_front_half(&set, &config, |front| {
-            front.ccd_resumable(&kept, &no_ledger(), None, on_batch)
-        })
-    });
-    let view = SubsetStore::new(&set, kept.clone());
-    let alone =
-        cursors_of(|on_batch| run_ccd_resumable(&view, &config, &no_ledger(), None, on_batch));
-    let windowed = cursors_of(|on_batch| {
-        run_ccd_resumable(&view, &budgeted(&set), &no_ledger(), None, on_batch)
-    });
-    assert!(shared.len() >= 3, "want several boundaries, got {}", shared.len());
-    assert_eq!(shared, alone, "whoever built the index, the cursors agree");
-    assert_eq!(shared, windowed, "and mined in windows, too");
+    let rr = run_redundancy_removal(&set, &config);
+    let shared = with_front_half(&set, &config, |front| front.ccd(&rr));
+    let view = SubsetStore::new(&set, rr.kept.clone());
+    let alone = ccd_with(&view, &config, &rr.ledger);
+    let windowed = ccd_with(&view, &budgeted(&set), &rr.ledger);
+    let batches = shared.trace.batches.len();
+    assert!(batches >= 3, "want several batches, got {batches}");
+    assert_same_ccd(&alone, &shared, "whoever built the index");
+    assert_same_ccd(&windowed, &shared, "and mined in windows, too");
 }
 
 /// A budget a quarter of `set`'s monolithic index: every phase mines
@@ -110,55 +92,6 @@ fn cursors_agree_whoever_built_the_index() {
 fn budgeted(set: &SequenceSet) -> ClusterConfig {
     let estimate = estimated_index_bytes(set.total_residues(), set.len());
     ClusterConfig { budget: pfam_seq::MemoryBudget::limited(estimate / 4), ..config() }
-}
-
-#[test]
-fn a_cursor_resumes_on_any_index() {
-    let set = dataset(9);
-    let config = config();
-    let (rr, want) = two_builds(&set, &config);
-    let cursors = cursors_of(|on_batch| {
-        with_front_half(&set, &config, |front| {
-            front.ccd_resumable(&rr.kept, &rr.ledger, None, on_batch)
-        })
-    });
-    let cursor = cursors[cursors.len() / 2].clone();
-    assert!(cursor.pairs_consumed > 0);
-
-    // The base's index rebuilt and masked; an index of a copy; the view
-    // mined in windows under a budget.
-    let view = SubsetStore::new(&set, rr.kept.clone());
-    let copy = materialize_subset(&set, &rr.kept);
-    let windowed = budgeted(&set);
-    for (what, store, config) in [
-        ("rebuilt, masked", &view as &dyn pfam_seq::SeqStore, &config),
-        ("index of a copy", &copy, &config),
-        ("windows", &view, &windowed),
-    ] {
-        let resumed =
-            run_ccd_resumable(store, config, &rr.ledger, Some(cursor.clone()), &mut |_| {});
-        assert_same_ccd(&resumed, &want, what);
-    }
-}
-
-#[test]
-fn a_windowed_cursor_resumes_under_the_shared_index() {
-    let set = dataset(13);
-    let config = config();
-    let kept = run_redundancy_removal(&set, &config).kept;
-    let view = SubsetStore::new(&set, kept.clone());
-    let windowed = budgeted(&set);
-    let from_start = |on_batch: &mut dyn FnMut(&ClusterCore<'_>)| {
-        run_ccd_resumable(&view, &windowed, &no_ledger(), None, on_batch)
-    };
-    let want = from_start(&mut |_| {});
-    let cursors = cursors_of(from_start);
-    let cursor = cursors[cursors.len() / 2].clone();
-
-    let resumed = with_front_half(&set, &config, |front| {
-        front.ccd_resumable(&kept, &no_ledger(), Some(cursor), &mut |_| {})
-    });
-    assert_same_ccd(&resumed, &want, "windows, then the shared index");
 }
 
 #[test]

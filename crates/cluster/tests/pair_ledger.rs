@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::{
-    drive_spmd, run_ccd_resumable, run_redundancy_removal, serve_push_worker, with_front_half,
+    drive_spmd, run_ccd_with_ledger, run_redundancy_removal, serve_push_worker, with_front_half,
     with_pair_source, CcdResult, ClusterConfig, ClusterCore, CorePhase, LocalTransport, PairLedger,
     RrResult, Verifier,
 };
@@ -137,13 +137,8 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
         let set = corpus(seed);
         let cfg = config();
         let want = run_redundancy_removal(&set, &cfg);
-        let want_ccd = run_ccd_resumable(
-            &SubsetStore::new(&set, want.kept.clone()),
-            &cfg,
-            &want.ledger,
-            None,
-            &mut |_| {},
-        );
+        let nr_store = SubsetStore::new(&set, want.kept.clone());
+        let want_ccd = run_ccd_with_ledger(&nr_store, &cfg, &want.ledger);
 
         // Room for the index and `room` ledger entries: the index stays
         // monolithic (RR sees the same order), recording stops early.
@@ -157,7 +152,7 @@ fn a_ledger_cut_short_by_its_budget_costs_fills_not_results() {
         assert_eq!(tight.budget.used(), 8 * rr.ledger.len() as u64, "held while it lives");
 
         let nr_store = SubsetStore::new(&set, rr.kept.clone());
-        let ccd = run_ccd_resumable(&nr_store, &tight, &rr.ledger, None, &mut |_| {});
+        let ccd = run_ccd_with_ledger(&nr_store, &tight, &rr.ledger);
         assert_eq!(ccd.components, want_ccd.components, "seed {seed}");
         assert_eq!(ccd.edges, want_ccd.edges, "seed {seed}");
         assert_eq!(ccd.deferred, want_ccd.deferred, "seed {seed}");

@@ -1,15 +1,12 @@
 //! Identity suite for the out-of-core index plane: the windowed miner's
 //! stream is [`mine_pairs`] over the monolithic index — every pair, in
 //! order, anchors and generation statistics included — for every window
-//! cap, thread count and cut-off; so a phase gives the same results, and a
-//! checkpoint cursor the same position, under any budget.
+//! cap, thread count and cut-off; so a phase gives the same results under
+//! any budget.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use pfam_cluster::{
-    run_ccd, run_ccd_resumable, with_pair_source, CcdCursor, CcdResult, ClusterConfig, ClusterCore,
-};
+use pfam_cluster::{run_ccd, with_pair_source, CcdResult, ClusterConfig};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
 use pfam_seq::{MemoryBudget, SeqStore, SequenceSet, SequenceSetBuilder};
@@ -153,20 +150,12 @@ fn the_windowed_stream_of_empty_and_one_read_sets() {
     }
 }
 
-/// `run_ccd` over `set` under a budget of `share` of its monolithic index
-/// (`None`: unbudgeted), every batch boundary offered to `on_batch`.
-fn ccd_under(
-    set: &SequenceSet,
-    config: &ClusterConfig,
-    share: Option<u64>,
-    resume: Option<CcdCursor>,
-    on_batch: &mut dyn FnMut(&ClusterCore<'_>),
-) -> CcdResult {
+/// `run_ccd` over `set` under a budget of `share` of its monolithic index.
+fn ccd_under(set: &SequenceSet, config: &ClusterConfig, share: u64) -> CcdResult {
     let estimate = estimated_index_bytes(set.total_residues(), set.len());
-    let budget =
-        share.map_or_else(MemoryBudget::unlimited, |share| MemoryBudget::limited(estimate / share));
-    let config = ClusterConfig { budget, ..config.clone() };
-    run_ccd_resumable(set, &config, &Arc::default(), resume, on_batch)
+    let config =
+        ClusterConfig { budget: MemoryBudget::limited(estimate / share), ..config.clone() };
+    run_ccd(set, &config)
 }
 
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
@@ -198,40 +187,8 @@ fn a_phase_is_identical_under_every_budget() {
             };
             assert_eq!(anchors(&got.0), anchors(&want.0), "seed {seed}, est/{share}");
             assert_eq!(got.1, want.1, "seed {seed}, est/{share}: nodes visited");
-            let ccd = ccd_under(&set, &config, Some(share), None, &mut |_| {});
+            let ccd = ccd_under(&set, &config, share);
             assert_same_ccd(&ccd, &reference, &format!("seed {seed}, est/{share}"));
         }
     }
-}
-
-/// Cursors of a CCD over `set` cut under `cut` (a share of the index, or
-/// none), each resumed under `resumed`: the uninterrupted run's result.
-fn assert_cursors_resume_across_budgets(seed: u64, cut: Option<u64>, resumed: Option<u64>) {
-    let set = SyntheticDataset::generate(&DatasetConfig::tiny(seed)).set;
-    let config = ClusterConfig { batch_size: 32, ..ClusterConfig::default() };
-    let full = ccd_under(&set, &config, cut, None, &mut |_| {});
-    let mut cursors = Vec::new();
-    let observed = ccd_under(&set, &config, cut, None, &mut |core| cursors.push(core.cursor()));
-    assert_same_ccd(&observed, &full, "cursors emitted");
-    assert!(cursors.len() >= 3, "want several boundaries, got {}", cursors.len());
-    let step = (cursors.len() / 3).max(1);
-    for cursor in cursors.into_iter().step_by(step) {
-        let at = cursor.pairs_consumed;
-        let got = ccd_under(&set, &config, resumed, Some(cursor), &mut |_| {});
-        assert_same_ccd(
-            &got,
-            &full,
-            &format!("cut under {cut:?}, resumed under {resumed:?} at {at}"),
-        );
-    }
-}
-
-#[test]
-fn a_cursor_cut_under_a_budget_resumes_without_one() {
-    assert_cursors_resume_across_budgets(77, Some(4), None);
-}
-
-#[test]
-fn a_cursor_cut_without_a_budget_resumes_under_one() {
-    assert_cursors_resume_across_budgets(78, None, Some(4));
 }

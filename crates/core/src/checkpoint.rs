@@ -1,19 +1,18 @@
 //! Versioned, checksummed checkpoint files for the pipeline (DESIGN.md
 //! §robustness).
 //!
-//! A checkpoint captures the pipeline's progress at a recovery point so a
-//! killed job can resume and reach a final clustering *identical* to the
-//! uninterrupted run:
+//! Every unit of the run a kill should not lose is one file, written once,
+//! when the unit finishes, so a killed job resumes at the unit in flight
+//! and reaches a final clustering *identical* to the uninterrupted run:
 //!
-//! * after redundancy removal — the survivor set and the pair ledger
-//!   ([`RrState`]);
-//! * during/after CCD — the union-find forest, accepted edges, deferred
-//!   pairs and the pair-generator cursor at a batch boundary
-//!   ([`CcdState`], wrapping [`pfam_cluster::CcdCursor`]), written at a
-//!   batch boundary whenever a snapshot is due, and at the phase's end;
-//! * during/after BGG+DSD — each component of the queue, once it has
-//!   finished, in a file of its own, `dsd-<queue position>.ckpt`, with its
-//!   graph, dense subgraphs and work counters ([`DsdState`]).
+//! * redundancy removal — the survivor set and the pair ledger
+//!   ([`RrState`], `rr.ckpt`);
+//! * connected-component detection — the survivor count, accepted edges,
+//!   deferred pairs and trace ([`CcdState`], `ccd.ckpt`); the forest is
+//!   rebuilt from the edges on load;
+//! * BGG+DSD — each component of the queue, in a file of its own,
+//!   `dsd-<queue position>.ckpt`, with its graph, dense subgraphs and work
+//!   counters ([`DsdState`]).
 //!
 //! # File format
 //!
@@ -32,7 +31,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pfam_cluster::{CcdCursor, ClusterConfig, ComponentGraph, PhaseTrace};
+use pfam_cluster::{ClusterConfig, ComponentGraph, PhaseTrace};
 use pfam_graph::CsrGraph;
 use pfam_seq::{SeqId, SeqStore};
 use pfam_shingle::minwise::splitmix64;
@@ -61,9 +60,11 @@ pub const MAGIC: &[u8; 4] = b"PFCK";
 /// position, with its own BGG record and Shingle counters, where v8 held a
 /// prefix of the queue and running totals; v10 writes each one once, in a
 /// file of its own ([`component_path`]), where v9 re-encoded every finished
-/// one into `dsd.ckpt`. An older file is [`CkptError::BadVersion`]: there is
-/// no compatibility path.
-pub const VERSION: u32 = 10;
+/// one into `dsd.ckpt`. v11's `ccd.ckpt` holds the finished phase only (the
+/// survivor count, edges, deferred pairs and trace), where v10's could hold
+/// a mid-phase cursor with its union-find arrays and a `complete` byte. An
+/// older file is [`CkptError::BadVersion`]: there is no compatibility path.
+pub const VERSION: u32 = 11;
 /// Bytes before the payload.
 const HEADER_LEN: usize = 32;
 
@@ -72,7 +73,7 @@ const HEADER_LEN: usize = 32;
 pub enum Phase {
     /// Redundancy removal (complete).
     Rr,
-    /// Connected-component detection (possibly mid-phase).
+    /// Connected-component detection (complete).
     Ccd,
     /// Bipartite generation + dense subgraph detection: one file per
     /// finished component.
@@ -369,11 +370,6 @@ impl Enc {
         self.buf
     }
 
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Append a `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -440,11 +436,6 @@ impl<'a> Dec<'a> {
             self.buf.get(self.at..self.at + n).ok_or(CkptError::Corrupt("payload truncated"))?;
         self.at += n;
         Ok(slice)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
     }
 
     /// Read a `u32`.
@@ -558,64 +549,45 @@ impl RrState {
     }
 }
 
-/// CCD progress: the master-loop cursor at a batch boundary, plus whether
-/// the phase had finished.
+/// Connected-component detection, complete: what the phase found over
+/// RR's survivors. The union-find forest is not stored: a resume rebuilds
+/// it from the edges ([`pfam_cluster::CcdResult::from_edges`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CcdState {
-    /// Whether the generator was exhausted (phase complete).
-    pub complete: bool,
-    /// The resumable master-loop state.
-    pub cursor: CcdCursor,
+    /// Reads the phase clustered: RR's survivors, under dense ids.
+    pub survivors: usize,
+    /// Accepted edges, in verification order.
+    pub edges: Vec<(u32, u32)>,
+    /// Pairs the closure filter dropped, in arrival order.
+    pub deferred: Vec<(u32, u32)>,
+    /// CCD work trace.
+    pub trace: PhaseTrace,
 }
 
 impl CcdState {
     /// Serialize to a checkpoint payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u8(self.complete as u8);
-        e.u64(self.cursor.pairs_consumed);
-        e.u32s(&self.cursor.uf_parent);
-        e.bytes(&self.cursor.uf_rank);
-        e.pairs(&self.cursor.edges);
-        e.pairs(&self.cursor.deferred);
-        e.u64(self.cursor.n_merges as u64);
-        encode_trace(&mut e, &self.cursor.trace);
+        e.u64(self.survivors as u64);
+        e.pairs(&self.edges);
+        e.pairs(&self.deferred);
+        encode_trace(&mut e, &self.trace);
         e.finish()
     }
 
     /// Parse a [`CcdState::encode`] payload.
     pub fn decode(payload: &[u8]) -> Result<CcdState, CkptError> {
         let mut d = Dec::new(payload);
-        let complete = d.u8()? != 0;
-        let pairs_consumed = d.u64()?;
-        let uf_parent = d.u32s()?;
-        let uf_rank = d.bytes()?.to_vec();
-        if uf_rank.len() != uf_parent.len() {
-            return Err(CkptError::Corrupt("union-find parent/rank length mismatch"));
-        }
-        if uf_parent.iter().any(|&p| p as usize >= uf_parent.len()) {
-            return Err(CkptError::Corrupt("union-find parent outside the clustered set"));
-        }
+        let survivors = usize::try_from(d.u64()?)
+            .map_err(|_| CkptError::Corrupt("survivor count past the address space"))?;
         let edges = d.pairs()?;
         let deferred = d.pairs()?;
-        if edges.iter().chain(&deferred).any(|&(a, b)| a.max(b) as usize >= uf_parent.len()) {
+        if edges.iter().chain(&deferred).any(|&(a, b)| a.max(b) as usize >= survivors) {
             return Err(CkptError::Corrupt("pair outside the clustered set"));
         }
-        let n_merges = d.u64()? as usize;
         let trace = decode_trace(&mut d)?;
         d.done()?;
-        Ok(CcdState {
-            complete,
-            cursor: CcdCursor {
-                pairs_consumed,
-                uf_parent,
-                uf_rank,
-                edges,
-                deferred,
-                n_merges,
-                trace,
-            },
-        })
+        Ok(CcdState { survivors, edges, deferred, trace })
     }
 }
 
@@ -837,18 +809,19 @@ mod tests {
     #[test]
     fn ccd_state_round_trip() {
         let s = CcdState {
-            complete: false,
-            cursor: CcdCursor {
-                pairs_consumed: 512,
-                uf_parent: vec![0, 0, 2, 2],
-                uf_rank: vec![1, 0, 1, 0],
-                edges: vec![(0, 1), (2, 3)],
-                deferred: vec![(0, 1), (1, 3)],
-                n_merges: 2,
-                trace: sample_trace(),
-            },
+            survivors: 4,
+            edges: vec![(0, 1), (2, 3)],
+            deferred: vec![(0, 1), (1, 3)],
+            trace: sample_trace(),
         };
         assert_eq!(CcdState::decode(&s.encode()).expect("decode"), s);
+        for outside in [(0, 4), (4, 1)] {
+            let edge = CcdState { edges: vec![outside], ..s.clone() };
+            let deferred = CcdState { deferred: vec![outside], ..s.clone() };
+            for state in [edge, deferred] {
+                assert!(matches!(CcdState::decode(&state.encode()), Err(CkptError::Corrupt(_))));
+            }
+        }
     }
 
     #[test]

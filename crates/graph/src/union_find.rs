@@ -74,20 +74,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// The raw forest state `(parent, rank)` for checkpointing. Paired
-    /// with [`UnionFind::from_parts`], round-trips the exact structure —
-    /// including the incidental path-compression state — so a restored
-    /// forest answers every `find`/`same` query identically.
-    pub fn parts(&self) -> (&[u32], &[u8]) {
-        (&self.parent, &self.rank)
-    }
-
-    /// Rebuild a forest from checkpointed [`UnionFind::parts`] state.
-    pub fn from_parts(parent: Vec<u32>, rank: Vec<u8>) -> UnionFind {
-        assert_eq!(parent.len(), rank.len(), "parent/rank length mismatch");
-        UnionFind { parent, rank }
-    }
-
     /// Group all elements by representative, returning the members of each
     /// set (sets ordered by smallest member; members ascending): one `find`
     /// pass, then a counting sort by root.
@@ -172,28 +158,13 @@ mod tests {
     fn root_agrees_with_find_and_leaves_the_forest_alone() {
         // A chain 0 → 1 → … → 63, which `find` would halve.
         let parent: Vec<u32> = (0..64u32).map(|x| (x + 1).min(63)).collect();
-        let mut uf = UnionFind::from_parts(parent.clone(), vec![0; 64]);
+        let mut uf = UnionFind { parent: parent.clone(), rank: vec![0; 64] };
         let roots: Vec<u32> = (0..64).map(|x| uf.root(x)).collect();
-        assert_eq!(uf.parts().0, &parent[..], "no path halving");
+        assert_eq!(uf.parent, parent, "no path halving");
         for x in 0..64u32 {
             assert_eq!(uf.find(x), roots[x as usize]);
         }
-        assert_ne!(uf.parts().0, &parent[..], "find does halve");
-    }
-
-    #[test]
-    fn parts_round_trip_preserves_structure_and_count() {
-        let mut uf = UnionFind::new(10);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.union(1, 3);
-        uf.union(7, 8);
-        let (parent, rank) = uf.parts();
-        let mut restored = UnionFind::from_parts(parent.to_vec(), rank.to_vec());
-        assert_eq!(restored.groups(), uf.groups());
-        // The restored forest must keep evolving identically.
-        assert_eq!(restored.union(0, 7), uf.union(0, 7));
-        assert_eq!(restored.groups(), uf.groups());
+        assert_ne!(uf.parent, parent, "find does halve");
     }
 
     #[test]

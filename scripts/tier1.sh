@@ -35,10 +35,11 @@
 # (a test-only `pub fn` fails it; the working tree is untouched), the
 # benchmark package's own tests, the known-quadratic input under a clock
 # (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume (and
-# the `checkpoints:` line `run` prints, which `cluster` does not),
+# the `checkpoints:` line `run` prints, which `cluster` does not; a kill
+# after CCD and a kill in it),
 # `cluster` == `run`, resume under other parameters, older checkpoint
 # formats, an unwritable --out, removed flags (the cadence flags among
-# them: snapshots follow what they cost) and the removed `simulate`
+# them: each finished unit is written once) and the removed `simulate`
 # command, a flag given twice, and counts that used to panic (`--procs 1`,
 # `--families 0`, a `--procs` count past memory).
 # Run from anywhere inside the repo.
@@ -160,11 +161,14 @@ echo "== tier1: one failure model (checkpoint/restart) =="
 # under them, its fault-tolerant entry, the fault injector and its seeded
 # schedules followed: `pfam` runs one exact loop, and the leased one did
 # not beat it on any workload by the rule written first (EXPERIMENTS.md,
-# "One exact CCD loop"). A failed run is restarted from its checkpoints.
-# Any of them comes back with a caller and a number, not under its old name.
-if grep -rnE "RecoveryParams|LeaseKnobs|RetryPolicy|RetryPort|HealthReport|WorkerHealth|CostModel|run_spmd_supervised|RespawnOptions|FaultClass|seeded_chaos|drive_leased|serve_pull_worker|run_ccd_ft|FtError|FaultInjector|run_spmd_faulty|MessageFate|FaultSchedule|LEASE_TIMEOUT|note_recovery" \
+# "One exact CCD loop"). A failed run is restarted from its checkpoints:
+# one file per finished unit, so the mid-phase CCD cursor, the clock that
+# timed it and the hooks that carried it went too (EXPERIMENTS.md, "One
+# file per finished phase"). Any of them comes back with a caller and a
+# number, not under its old name.
+if grep -rnE "RecoveryParams|LeaseKnobs|RetryPolicy|RetryPort|HealthReport|WorkerHealth|CostModel|run_spmd_supervised|RespawnOptions|FaultClass|seeded_chaos|drive_leased|serve_pull_worker|run_ccd_ft|FtError|FaultInjector|run_spmd_faulty|MessageFate|FaultSchedule|LEASE_TIMEOUT|note_recovery|CcdCursor|snapshot_due|WORK_PER_SNAPSHOT|resume_ccd|from_cursor|ccd_resumable" \
     crates src tests examples; then
-    echo "tier1 FAIL: a retired supervision extra or the leased loop is named in the tree" >&2
+    echo "tier1 FAIL: a retired supervision extra, the leased loop or the mid-phase cursor is named in the tree" >&2
     exit 1
 fi
 
@@ -518,6 +522,18 @@ if grep -q "^checkpoints:" "$SMOKE/straight.err"; then
     echo "tier1 FAIL: pfam cluster, which keeps nothing on disk, printed a checkpoints line" >&2
     exit 1
 fi
+# A kill in CCD leaves RR's file alone: the resumed run loads RR, runs CCD
+# from its start and writes its one file, then every component's.
+rm "$SMOKE/ck/ccd.ckpt" "$SMOKE/ck"/dsd-*.ckpt
+./target/release/pfam run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck" \
+    --resume --min-size 3 --out "$SMOKE/resumed-ccd.tsv" 2>"$SMOKE/resumed-ccd.err"
+diff "$SMOKE/resumed-ccd.tsv" "$SMOKE/straight.tsv"
+tail -1 "$SMOKE/resumed-ccd.err" | grep -qE \
+    "^checkpoints: rr 0 \(0\.0 MB\), ccd 1 \([0-9]+\.[0-9] MB\), dsd [1-9][0-9]* \([0-9]+\.[0-9] MB\), [0-9]+\.[0-9]{2} s$" || {
+    echo "tier1 FAIL: pfam run --resume after a kill in CCD did not write CCD's file once" >&2
+    cat "$SMOKE/resumed-ccd.err" >&2
+    exit 1
+}
 # The fills-per-phase line (stderr): the ledger answered, nothing twice.
 grep -q "^fills: rr .* ledger hits.*each filled once$" "$SMOKE/straight.err" || {
     echo "tier1 FAIL: pfam cluster did not print its fills / ledger-hits line" >&2
@@ -597,18 +613,19 @@ grep -q "^error: checkpoint mismatch: rr.ckpt" "$SMOKE/other.err" || {
     exit 1
 }
 
-echo "== tier1: CLI older-checkpoint smoke (a v4 to v9 directory is refused, not replayed) =="
+echo "== tier1: CLI older-checkpoint smoke (a v4 to v10 directory is refused, not replayed) =="
 # v4 plan pins count bytes of the 16-byte-per-position index estimate;
 # v5 fingerprints fold the sketch mode; v6 CCD cursors carry the plan pin
 # that v7 dropped; v7 fingerprints fold no residue; a v8 dsd.ckpt is a
 # prefix of the component queue with running totals; a v9 dsd.ckpt holds
 # the finished set behind a count, where v10 writes each component once,
-# in a dsd-<queue position>.ckpt of its own. Same header, so: the version
-# word.
-for v in 4 5 6 7 8 9; do
+# in a dsd-<queue position>.ckpt of its own; a v10 ccd.ckpt may be a
+# mid-phase cursor, where v11 holds the finished phase alone. Same header,
+# so: the version word.
+for v in 4 5 6 7 8 9 10; do
     cp -r "$SMOKE/ck" "$SMOKE/ck-v$v"
     for f in "$SMOKE/ck-v$v"/*.ckpt; do
-        printf "\\x0$v\\x00\\x00\\x00" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
+        printf "\\x$(printf %02x "$v")\\x00\\x00\\x00" | dd of="$f" bs=1 seek=4 conv=notrunc status=none
     done
     if $PFAM run "$SMOKE/reads.fasta" --checkpoint-dir "$SMOKE/ck-v$v" --resume --min-size 3 \
         --out "$SMOKE/v$v.tsv" 2>"$SMOKE/v$v.err"; then

@@ -13,9 +13,9 @@
 //! ```
 //!
 //! `cluster` and `run` are one program: `cluster` is `run` without a
-//! checkpoint directory. `run` snapshots each phase's end, CCD mid-phase as
-//! often as what a snapshot costs allows, and each finished component of
-//! the back half once — there is no cadence flag. A
+//! checkpoint directory. `run` writes one file per finished unit, once:
+//! RR's end, CCD's end, and each finished component of the back half —
+//! there is no cadence flag. A
 //! flag the subcommand does not take (see [`FLAGS`]) is an error, not a
 //! silent no-op.
 
@@ -77,8 +77,8 @@ const USAGE: &str = "pfam — parallel protein family identification\n\
     \x20 pfam run      <input.fasta> --checkpoint-dir <dir> [--resume]\n\
     \x20               [+ every `cluster` flag]\n\
     \x20               (`cluster` that snapshots each phase and can resume;\n\
-    \x20               CCD's mid-phase snapshots take at most 1/20 of the\n\
-    \x20               wall, each finished component is written once)\n\
+    \x20               RR, CCD and each finished component are written\n\
+    \x20               once, when they finish)\n\
     \x20 pfam replay   <trace.tsv>... [--procs 32,64,128,512]\n\
     \x20               (each trace on the BlueGene/L model, one row each)\n\
     \x20 pfam align    <input.fasta> <i> <j>   (pairwise local alignment)\n\

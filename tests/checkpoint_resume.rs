@@ -1,20 +1,19 @@
 //! Kill/resume integration tests: leave the checkpoint directory as a run
-//! killed after every phase boundary (and mid-CCD, and mid-DSD) leaves it,
-//! resume from disk, and require the final clustering — down to the rendered families.tsv text
-//! — and all three work traces to be identical to the uninterrupted run:
+//! killed in or after each phase (and mid-DSD) leaves it — one file per
+//! finished unit, nothing of the unit in flight — resume from disk, and
+//! require the final clustering — down to the rendered families.tsv text —
+//! and all three work traces to be identical to the uninterrupted run:
 //! `rr.ckpt` carries the pair ledger and `ccd.ckpt` the deferred pairs, so
 //! a resumed run aligns exactly what an uninterrupted one does. A run that
-//! starts at RR mines one suffix index in both clustering phases; a
-//! resumed run mines its own, monolithic or in windows as its budget
-//! allows — one pair stream either way, so the cursors here come from
+//! starts at RR mines one suffix index in both clustering phases; a run
+//! resumed from `rr.ckpt` mines its own, monolithic or in windows as its
+//! budget allows — one pair stream either way, so the files here come from
 //! either and resume under either.
 
 mod common;
 
-use std::sync::Arc;
-
 use common::{assert_same_result, hooks_in, render_families, resume, run_until, scratch_dir};
-use pfam::cluster::{ClusterCore, PairLedger, PhaseTrace};
+use pfam::cluster::PhaseTrace;
 use pfam::core::checkpoint::{
     component_files, component_path, read_checkpoint, write_checkpoint, CcdState, CkptError,
     DsdState, Enc, RrState, MAGIC,
@@ -75,92 +74,48 @@ fn kill_after_each_phase_then_resume_is_identical() {
     }
 }
 
-/// Complete RR under `hooks`, then plant a genuine mid-CCD cursor — the
-/// one `run` offers in the middle of its batch boundaries over RR's
-/// survivors, answered by RR's ledger — as `ccd.ckpt`.
-fn kill_mid_ccd(
-    d: &SyntheticDataset,
-    config: &PipelineConfig,
-    hooks: &PipelineHooks,
-    run: impl FnOnce(&[SeqId], &Arc<PairLedger>, &mut dyn FnMut(&ClusterCore<'_>)),
-) {
-    run_until(&d.set, config, hooks, Phase::Rr);
-    let (_, fingerprint, payload) =
-        read_checkpoint(&Phase::Rr.path_in(dir_of(hooks))).expect("rr.ckpt");
-    let rr = pfam::core::checkpoint::RrState::decode(&payload).expect("decode rr");
-    let kept: Vec<SeqId> = rr.kept.iter().map(|&i| SeqId(i)).collect();
-    assert!(!rr.ledger.is_empty(), "rr.ckpt must carry the pair ledger");
-    let ledger =
-        Arc::new(PairLedger::from_entries(rr.ledger, rr.ledger_dropped, &config.cluster.budget));
-    let mut cursors = Vec::new();
-    run(&kept, &ledger, &mut |core| cursors.push(core.cursor()));
-    let cursor = cursors.swap_remove(cursors.len() / 2);
-    assert!(cursor.pairs_consumed > 0, "cursor must sit mid-phase");
-    let state = CcdState { complete: false, cursor };
-    write_checkpoint(&Phase::Ccd.path_in(dir_of(hooks)), Phase::Ccd, fingerprint, &state.encode())
-        .expect("plant partial ccd.ckpt");
-}
-
-#[test]
-fn resume_from_partial_ccd_cursor_is_identical() {
-    // Simulate a crash *mid-CCD*: complete RR, then plant a genuine
-    // partial cursor (complete = false) as ccd.ckpt and resume from it.
-    // This one is cut over a copy of the survivors with its own index.
-    let d = dataset(4871);
-    let config = PipelineConfig::for_tests();
-    let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("mid-ccd"));
-    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_batch| {
-        let (nr_set, _) = d.set.subset(kept);
-        pfam::cluster::run_ccd_resumable(&nr_set, &config.cluster, ledger, None, on_batch);
-    });
-    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
-    let _ = std::fs::remove_dir_all(dir_of(&hooks));
-}
-
 #[test]
 fn kill_mid_ccd_on_the_shared_index_resumes_identically() {
-    // The cursor is cut while CCD mines the index RR built (what a run
-    // killed mid-CCD leaves behind); the resumed run has no such index
-    // and builds one of its own.
+    // A run killed in CCD, while it mines the index RR built, leaves
+    // `rr.ckpt` and nothing of CCD. The resumed run has no such index: it
+    // builds one of its own, runs CCD from its start, and writes what the
+    // killed run did not.
     let d = dataset(4876);
     let config = PipelineConfig::for_tests();
     let straight = config.run(&d.set);
     let hooks = hooks_in(&scratch_dir("mid-ccd-shared"));
-    kill_mid_ccd(&d, &config, &hooks, |kept, ledger, on_batch| {
-        pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
-            front.ccd_resumable(kept, ledger, None, on_batch);
-        })
-    });
-    assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
+    run_until(&d.set, &config, &hooks, Phase::Rr);
+    let resumed = resume(&d.set, &config, &hooks);
+    assert_same_result(&d.set, &resumed, &straight);
+    let written = resumed.checkpoints.expect("a run with a directory reports them").phases;
+    assert_eq!(written.map(|(count, _)| count), [0, 1, straight.component_graphs.len()]);
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
 }
 
-/// A run killed mid-CCD under `cut` (with the RR checkpoint it wrote),
-/// resumed under `resumed`: families.tsv and the fills line of the
-/// uninterrupted run under `resumed`.
-fn assert_mid_ccd_resumes_under_another_budget(
+/// A run killed in CCD or after it under `cut`, resumed under `resumed`:
+/// families.tsv and the fills line of the uninterrupted run under
+/// `resumed`.
+fn assert_ccd_resumes_under_another_budget(
     tag: &str,
     cut: &PipelineConfig,
     resumed: &PipelineConfig,
 ) {
     let d = dataset(4877);
     let straight = resumed.run(&d.set);
-    let hooks = hooks_in(&scratch_dir(tag));
-    kill_mid_ccd(&d, cut, &hooks, |kept, ledger, on_batch| {
-        pfam::cluster::with_front_half(&d.set, &cut.cluster, |front| {
-            front.ccd_resumable(kept, ledger, None, on_batch);
-        })
-    });
-    let got = resume(&d.set, resumed, &hooks);
-    assert_eq!(render_families(&d.set, &got), render_families(&d.set, &straight), "{tag}");
-    assert_eq!(
-        FillReport::from_result(&got).to_string(),
-        FillReport::from_result(&straight).to_string(),
-        "{tag}: fills line"
-    );
-    assert_same_result(&d.set, &got, &straight);
-    let _ = std::fs::remove_dir_all(dir_of(&hooks));
+    for stop in [Phase::Rr, Phase::Ccd] {
+        let hooks = hooks_in(&scratch_dir(&format!("{tag}-{stop:?}")));
+        run_until(&d.set, cut, &hooks, stop);
+        let got = resume(&d.set, resumed, &hooks);
+        let what = format!("{tag}, killed after {stop:?}");
+        assert_eq!(render_families(&d.set, &got), render_families(&d.set, &straight), "{what}");
+        assert_eq!(
+            FillReport::from_result(&got).to_string(),
+            FillReport::from_result(&straight).to_string(),
+            "{what}: fills line"
+        );
+        assert_same_result(&d.set, &got, &straight);
+        let _ = std::fs::remove_dir_all(dir_of(&hooks));
+    }
 }
 
 /// A budget at two fifths of `d`'s monolithic index: both phases mine
@@ -174,14 +129,14 @@ fn windowed(config: &PipelineConfig, d: &SyntheticDataset) -> PipelineConfig {
 fn a_ccd_checkpoint_cut_under_a_budget_resumes_without_one() {
     let config = PipelineConfig::for_tests();
     let budgeted = windowed(&config, &dataset(4877));
-    assert_mid_ccd_resumes_under_another_budget("budget-to-none", &budgeted, &config);
+    assert_ccd_resumes_under_another_budget("budget-to-none", &budgeted, &config);
 }
 
 #[test]
 fn a_ccd_checkpoint_cut_without_a_budget_resumes_under_one() {
     let config = PipelineConfig::for_tests();
     let budgeted = windowed(&config, &dataset(4877));
-    assert_mid_ccd_resumes_under_another_budget("none-to-budget", &config, &budgeted);
+    assert_ccd_resumes_under_another_budget("none-to-budget", &config, &budgeted);
 }
 
 /// The components a finished run left under `hooks`, one file each, in
@@ -315,8 +270,8 @@ fn a_version_2_checkpoint_is_refused() {
     let path = Phase::Ccd.path_in(dir_of(&hooks));
     let mut bytes = std::fs::read(&path).expect("read ccd.ckpt");
     assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(bytes[4..8], 10u32.to_le_bytes(), "this build writes version 10");
-    for old in [2u32, 3, 4, 5, 6, 7, 8, 9] {
+    assert_eq!(bytes[4..8], 11u32.to_le_bytes(), "this build writes version 11");
+    for old in 2u32..=10 {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite as an older version");
         let err = resume_error(&d.set, &config, &hooks);
@@ -336,16 +291,17 @@ fn a_version_4_directory_is_refused_before_any_phase_runs() {
     // index estimate, a v5 fingerprint folds the sketch mode, a v6 cursor
     // carries a plan pin v7 no longer has, a v7 fingerprint folds no
     // residue, a v8 dsd.ckpt is a prefix of the queue with running totals,
-    // and a v9 dsd.ckpt holds the finished set behind a count, where v10
-    // writes one file per component. A whole older directory stops at its
-    // first file, untouched.
+    // a v9 dsd.ckpt holds the finished set behind a count, where v10
+    // writes one file per component, and a v10 ccd.ckpt may be a mid-phase
+    // cursor, where v11 holds the finished phase alone. A whole older
+    // directory stops at its first file, untouched.
     let d = dataset(4883);
     let config = PipelineConfig::for_tests();
-    let hooks = hooks_in(&scratch_dir("v4-to-v9"));
+    let hooks = hooks_in(&scratch_dir("v4-to-v10"));
     run_until(&d.set, &config, &hooks, Phase::Dsd);
     let mut paths = [Phase::Rr, Phase::Ccd].map(|phase| phase.path_in(dir_of(&hooks))).to_vec();
     paths.extend(component_files(dir_of(&hooks)).expect("the component files"));
-    for old in [4u32, 5, 6, 7, 8, 9] {
+    for old in 4u32..=10 {
         let planted: Vec<Vec<u8>> = paths
             .iter()
             .map(|path| {
@@ -420,7 +376,7 @@ fn a_directory_written_with_the_retired_trace_columns_resumes() {
             let (_, fingerprint, payload) = read_checkpoint(&path).expect("read the snapshot");
             let trace = match phase {
                 Phase::Rr => RrState::decode(&payload).expect("rr state").trace,
-                Phase::Ccd => CcdState::decode(&payload).expect("ccd state").cursor.trace,
+                Phase::Ccd => CcdState::decode(&payload).expect("ccd state").trace,
                 Phase::Dsd => {
                     let record = DsdState::decode(&payload).expect("dsd state").output.record;
                     PhaseTrace { batches: vec![record], ..PhaseTrace::default() }
@@ -566,13 +522,25 @@ fn resume_from_planted(
 }
 
 #[test]
-fn a_union_find_parent_outside_the_forest_is_corrupt_not_a_panic() {
-    let err = resume_from_planted("uf-parent", Phase::Ccd, |payload, _| {
-        let mut state = CcdState::decode(payload).expect("ccd state");
-        state.cursor.uf_parent[0] = state.cursor.uf_parent.len() as u32;
-        state.encode()
-    });
-    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+fn a_ccd_pair_outside_the_survivors_is_corrupt_not_a_panic() {
+    // `ccd.ckpt` names reads by their place among RR's survivors: an edge
+    // or a deferred pair past them, and a survivor count `rr.ckpt` does
+    // not have, would rebuild a forest over reads that are not there.
+    type Edit = fn(&mut CcdState);
+    let edits: [(&str, Edit); 4] = [
+        ("ccd-edge", |s| s.edges[0].1 = s.survivors as u32),
+        ("ccd-deferred", |s| s.deferred.push((0, s.survivors as u32))),
+        ("ccd-more-survivors", |s| s.survivors += 1),
+        ("ccd-fewer-survivors", |s| s.survivors -= 1),
+    ];
+    for (tag, edit) in edits {
+        let err = resume_from_planted(tag, Phase::Ccd, |payload, _| {
+            let mut state = CcdState::decode(payload).expect("ccd state");
+            edit(&mut state);
+            state.encode()
+        });
+        assert!(matches!(err, CkptError::Corrupt(_)), "{tag}: {err}");
+    }
 }
 
 /// Run to the end, rewrite its component files from what `edit` makes of
@@ -650,31 +618,6 @@ fn a_component_file_of_another_run_is_a_mismatch() {
     let err = resume_error(&d.set, &config, &hooks);
     assert!(matches!(err, CkptError::Mismatch("dsd-*.ckpt")), "{err}");
     let _ = std::fs::remove_dir_all(dir_of(&hooks));
-}
-
-#[test]
-fn a_cursor_past_the_end_of_the_ccd_stream_resumes_at_its_end() {
-    // A valid ccd.ckpt, marked incomplete, whose cursor counts more pairs
-    // than the stream holds: the resumed run starts at the stream's end
-    // and finishes with the clustering the cursor carries.
-    let d = dataset(4885);
-    let config = PipelineConfig::for_tests();
-    let straight = config.run(&d.set);
-    let hooks = hooks_in(&scratch_dir("past-the-end"));
-    for past in [|n: u64| n + 1, |_| u64::MAX] {
-        run_until(&d.set, &config, &hooks, Phase::Ccd);
-        let path = Phase::Ccd.path_in(dir_of(&hooks));
-        let (_, fingerprint, payload) = read_checkpoint(&path).expect("ccd.ckpt");
-        let mut state = CcdState::decode(&payload).expect("ccd state");
-        let stream = state.cursor.trace.total_generated() as u64;
-        assert!(stream > 0 && state.cursor.pairs_consumed == stream, "a completed phase");
-        state.complete = false;
-        state.cursor.pairs_consumed = past(stream);
-        write_checkpoint(&path, Phase::Ccd, fingerprint, &state.encode())
-            .expect("plant the cursor past the end");
-        assert_same_result(&d.set, &resume(&d.set, &config, &hooks), &straight);
-        let _ = std::fs::remove_dir_all(dir_of(&hooks));
-    }
 }
 
 #[test]
