@@ -29,7 +29,9 @@ use rayon::prelude::*;
 use pfam_cluster::{component_graph, BatchRecord, ComponentGraph};
 use pfam_graph::BipartiteGraph;
 use pfam_seq::{SeqId, SeqStore};
-use pfam_shingle::{detect_dense_subgraphs, DenseSubgraphConfig, ReductionMode, ShingleStats};
+use pfam_shingle::{
+    detect_dense_subgraphs, shingle_heap_bound, DenseSubgraphConfig, ReductionMode, ShingleStats,
+};
 
 use crate::config::{PipelineConfig, Reduction};
 use crate::report::WorkerSeconds;
@@ -49,7 +51,10 @@ pub struct ComponentOutput {
 }
 
 /// Phase 4 for one component: the `Bd` reduction of `graph` and
-/// dense-subgraph detection. It reads the component graph alone.
+/// dense-subgraph detection. It reads the component graph alone, and holds
+/// the most Shingle can take on it ([`shingle_heap_bound`]) reserved on
+/// the run's budget as `dsd-shingle` while it runs; a refusal is
+/// accounting-only, as for the deferred pairs: the subgraphs are needed.
 fn dense_subgraphs(
     config: &PipelineConfig,
     graph: &ComponentGraph,
@@ -61,7 +66,10 @@ fn dense_subgraphs(
         min_size: config.min_subgraph_size,
         disjoint: true,
     };
-    detect_dense_subgraphs(&BipartiteGraph::duplicate_from(&graph.graph), &dsd_config)
+    let bd = BipartiteGraph::duplicate_from(&graph.graph);
+    let most = shingle_heap_bound(&bd, &config.shingle) as u64;
+    let _held = config.cluster.budget.try_reserve("dsd-shingle", most).ok();
+    detect_dense_subgraphs(&bd, &dsd_config)
 }
 
 /// Stream `n` components through the fused BGG→DSD path: `build(i)` makes
@@ -128,6 +136,22 @@ mod tests {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(9));
         let config = PipelineConfig::for_tests();
         assert!(stream_components(&d.set, &config, &[]).is_empty());
+    }
+
+    #[test]
+    fn each_shingle_run_reserves_its_bound_and_gives_it_back() {
+        let d = SyntheticDataset::generate(&DatasetConfig::tiny(10));
+        let config = PipelineConfig::for_tests();
+        let components = pfam_cluster::run_ccd(&d.set, &config.cluster).components;
+        let queue: Vec<&[SeqId]> = components.iter().map(|c| c.as_slice()).collect();
+        let outs = stream_components(&d.set, &config, &queue);
+        let bound = |out: &ComponentOutput| {
+            shingle_heap_bound(&BipartiteGraph::duplicate_from(&out.graph.graph), &config.shingle)
+        };
+        let most = outs.iter().map(bound).max().expect("components to run");
+        // The unlimited budget admits and counts every reservation.
+        assert!(config.cluster.budget.peak() >= most as u64);
+        assert_eq!(config.cluster.budget.used(), 0);
     }
 
     #[test]

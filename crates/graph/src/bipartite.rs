@@ -42,14 +42,23 @@ impl BipartiteGraph {
     }
 
     /// The `Bd` reduction of an undirected graph: both sides are the vertex
-    /// set of `g`, and each undirected edge contributes both directions.
+    /// set of `g`, and each undirected edge contributes both directions —
+    /// exactly `g`'s rows, which are already sorted, distinct and free of
+    /// self-loops, so they are copied as they are.
     pub fn duplicate_from(g: &CsrGraph) -> BipartiteGraph {
         let n = g.n_vertices();
-        let mut pairs = Vec::with_capacity(2 * g.n_edges());
-        for v in 0..n as u32 {
-            pairs.extend(g.neighbors(v).iter().map(|&u| (v, u)));
+        let (offsets, targets) = g.rows();
+        BipartiteGraph {
+            n_left: n,
+            n_right: n,
+            offsets: offsets.to_vec(),
+            targets: targets.to_vec(),
         }
-        BipartiteGraph::from_pairs_in(n, n, &mut pairs)
+    }
+
+    /// The left-to-right rows, `(offsets, targets)`.
+    pub(crate) fn into_rows(self) -> (Vec<usize>, Vec<u32>) {
+        (self.offsets, self.targets)
     }
 
     /// Number of left vertices.

@@ -5,6 +5,8 @@
 //! third of the memory of `Vec<Vec<u32>>` at the sizes the paper works
 //! with (components up to ~20 K vertices).
 
+use crate::bipartite::BipartiteGraph;
+
 /// An immutable undirected graph in CSR form. Vertices are `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
@@ -26,16 +28,9 @@ impl CsrGraph {
             pairs.push((a, b));
             pairs.push((b, a));
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut offsets = vec![0usize; n + 1];
-        for &(a, _) in &pairs {
-            offsets[a as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let targets = pairs.iter().map(|&(_, b)| b).collect();
+        // Both directions of every edge are the `Bd` graph's pairs: its
+        // left-to-right rows are this graph's rows.
+        let (offsets, targets) = BipartiteGraph::from_pairs_in(n, n, &mut pairs).into_rows();
         CsrGraph { offsets, targets }
     }
 
@@ -53,6 +48,12 @@ impl CsrGraph {
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// The adjacency rows as they are stored: row `v` is
+    /// `targets[offsets[v]..offsets[v + 1]]`.
+    pub(crate) fn rows(&self) -> (&[usize], &[u32]) {
+        (&self.offsets, &self.targets)
     }
 
     /// Degree of `v`.

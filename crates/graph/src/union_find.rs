@@ -87,7 +87,8 @@ impl UnionFind {
         // A root's group is opened at its smallest member, so groups come
         // out ordered by it.
         let mut slot = vec![u32::MAX; n];
-        let mut out: Vec<Vec<u32>> = Vec::new();
+        let n_groups = roots.iter().enumerate().filter(|&(x, &r)| x == r as usize).count();
+        let mut out: Vec<Vec<u32>> = Vec::with_capacity(n_groups);
         for (x, &r) in roots.iter().enumerate() {
             let r = r as usize;
             if slot[r] == u32::MAX {

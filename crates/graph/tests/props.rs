@@ -79,6 +79,25 @@ proptest! {
         prop_assert_eq!(bd.n_edges(), 2 * g.n_edges());
     }
 
+    /// `Bd` copied from the CSR rows is the graph `from_pairs_in` builds
+    /// from both directions of every edge, self-loops and repeats included
+    /// in the input.
+    #[test]
+    fn bd_from_rows_equals_bd_from_pairs(n in 0usize..30, es in edges(30, 120)) {
+        let es: Vec<(u32, u32)> = if n == 0 {
+            Vec::new()
+        } else {
+            es.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect()
+        };
+        let g = CsrGraph::from_edges(n, &es);
+        let mut pairs: Vec<(u32, u32)> =
+            es.iter().filter(|(a, b)| a != b).flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+        prop_assert_eq!(
+            BipartiteGraph::duplicate_from(&g),
+            BipartiteGraph::from_pairs_in(n, n, &mut pairs)
+        );
+    }
+
     #[test]
     fn induced_subgraph_degrees_bounded(es in edges(18, 50), keep in prop::collection::btree_set(0u32..18, 0..18)) {
         let g = CsrGraph::from_edges(18, &es);

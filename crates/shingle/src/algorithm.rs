@@ -3,10 +3,11 @@
 //! sorts over flat record streams.
 //!
 //! * **Pass I** — an `(s₁, c₁)`-shingle set is computed for every left
-//!   vertex. Each vertex emits one `(id, v)` record per distinct shingle,
-//!   its elements written once into a side arena; sorting the stream by
-//!   `(id, v)` makes each run of equal ids one first-level shingle, and
-//!   the run's vertices its out-links.
+//!   vertex. Each vertex emits one `(id, v, permutation)` record per
+//!   distinct shingle; sorting the stream by `(id, v)` makes each run of
+//!   equal ids one first-level shingle, and the run's vertices its
+//!   out-links. Its elements are not kept: the run's first record names
+//!   the vertex and permutation that recompute them at report time.
 //! * **Pass II** — each first-level shingle becomes a vertex whose
 //!   out-links are the left vertices that produced it; an `(s₂, c₂)`-
 //!   shingle set is computed once per *distinct* vertex list, and a sorted
@@ -104,19 +105,32 @@ impl Pass {
     /// dense sets together save more than that.
     fn new(c: usize, seed: u64, s: usize, n: usize, lens: impl Iterator<Item = usize>) -> Pass {
         let family = HashFamily::new(c, seed);
-        let saved: usize = lens.filter(|&l| is_dense(l, s, n)).map(|l| l - s * n / l).sum();
-        let sort_steps = n * (usize::BITS - n.leading_zeros()) as usize;
-        let order = (saved > sort_steps).then(|| PermutationOrder::new(&family, n));
+        let order = pays_for_order(s, n, lens).then(|| PermutationOrder::new(&family, n));
         Pass { family, s, n, order, kernel: ShingleKernel::default() }
     }
 
-    /// The shingles of `links` (sorted, distinct, in `0..n`), scanning the
-    /// order when the pass has one and `links` is dense.
-    fn shingles(&mut self, links: &[u32]) -> &ShingleKernel {
+    /// The distinct shingles of `links` (sorted, distinct, in `0..n`) as
+    /// `(id, first permutation)`, ascending by id, scanning the order when
+    /// the pass has one and `links` is dense.
+    fn shingles(&mut self, links: &[u32]) -> impl ExactSizeIterator<Item = (u64, u32)> + '_ {
         let order = self.order.as_ref().filter(|_| is_dense(links.len(), self.s, self.n));
         self.kernel.run(links, &self.family, self.s, order);
-        &self.kernel
+        self.kernel.shingles()
     }
+
+    /// Append to `out` the sorted elements of `links`' shingle under each
+    /// permutation of `perms`.
+    fn elements(&mut self, links: &[u32], perms: impl Iterator<Item = u32>, out: &mut Vec<u32>) {
+        let order = self.order.as_ref().filter(|_| is_dense(links.len(), self.s, self.n));
+        self.kernel.select(links, &self.family, self.s, order, perms, out);
+    }
+}
+
+/// Whether a pass over sets of the lengths `lens` builds its order table:
+/// its dense sets save more steps than the table's sort costs.
+fn pays_for_order(s: usize, n: usize, lens: impl Iterator<Item = usize>) -> bool {
+    let saved: usize = lens.filter(|&l| is_dense(l, s, n)).map(|l| l - s * n / l).sum();
+    saved > n * (usize::BITS - n.leading_zeros()) as usize
 }
 
 /// Whether a set of `len` elements in a universe of `n` finds its `s`
@@ -125,13 +139,36 @@ fn is_dense(len: usize, s: usize, n: usize) -> bool {
     len > s && len * len >= s * n
 }
 
-/// A pass-I record: vertex `v` produced shingle `id`, whose elements sit
-/// in the arena at `at`.
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    id: u64,
-    v: u32,
-    at: u32,
+/// The most distinct `(s, c)`-shingles a set of `len` elements can have:
+/// none when empty, the whole set when `len ≤ s`, else one per
+/// permutation but no more than the set has `s`-subsets.
+fn max_shingles(len: usize, s: usize, c: usize) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    if len <= s {
+        return 1;
+    }
+    // C(len, k) with k = min(s, len − s), stopping once it reaches c.
+    let mut subsets = 1usize;
+    for i in 0..s.min(len - s) {
+        subsets = subsets.saturating_mul(len - i) / (i + 1);
+        if subsets >= c {
+            return c;
+        }
+    }
+    subsets
+}
+
+/// A shingle id as the two words a record stores it in.
+fn words(id: u64) -> [u32; 2] {
+    [(id >> 32) as u32, id as u32]
+}
+
+/// The id and the vertex of a record (pass I) or entry (pass II), the key
+/// both streams sort by.
+fn key<const N: usize>(r: &[u32; N]) -> (u64, u32) {
+    ((r[0] as u64) << 32 | r[1] as u64, r[2])
 }
 
 /// Run the two-pass Shingle algorithm on `graph`, serially: the pipeline's
@@ -146,47 +183,57 @@ pub fn shingle_clusters(
     let mut stats = ShingleStats::default();
 
     // ---- Pass I over left vertices (elements are right vertices). ----
-    let degrees = (0..graph.n_left() as u32).map(|v| graph.out_links(v).len());
-    let mut pass1 = Pass::new(params.c1, params.seed, params.s1, graph.n_right(), degrees);
-    let mut records: Vec<Record> = Vec::new();
-    let mut arena: Vec<u32> = Vec::new();
+    // One 16-byte record `[id, id, v, perm]` per vertex and distinct
+    // shingle: `v` produced `id`, first under permutation `perm`. The
+    // buffer is sized once, for the most records the degrees allow.
+    let degrees = || (0..graph.n_left() as u32).map(|v| graph.out_links(v).len());
+    let mut pass1 = Pass::new(params.c1, params.seed, params.s1, graph.n_right(), degrees());
+    let most: usize = degrees().map(|d| max_shingles(d, params.s1, params.c1)).sum();
+    let mut buffer: Vec<u32> = Vec::with_capacity(4 * most);
     for v in 0..graph.n_left() as u32 {
-        for (id, elements) in pass1.shingles(graph.out_links(v)).shingles() {
-            let at = u32::try_from(arena.len()).expect("pass-I arena within u32 offsets");
-            records.push(Record { id, v, at });
-            arena.extend_from_slice(elements);
+        for (id, perm) in pass1.shingles(graph.out_links(v)) {
+            let [hi, lo] = words(id);
+            buffer.extend_from_slice(&[hi, lo, v, perm]);
         }
     }
+    let records: &mut [[u32; 4]] = buffer.as_chunks_mut().0;
     stats.pass1_shingles = records.len();
-    records.sort_unstable_by_key(|r| (r.id, r.v));
-    // First-level shingle k is records[runs[k]..runs[k + 1]]: its vertices
-    // are those records' `v`, its elements the first record's.
-    let mut runs: Vec<u32> = (0..records.len() as u32)
-        .filter(|&i| i == 0 || records[i as usize - 1].id != records[i as usize].id)
-        .collect();
-    runs.push(records.len() as u32);
-    let n_s1 = runs.len() - 1;
+    records.sort_unstable_by_key(key);
+    // First-level shingle k is the run records[runs[k]..runs[k + 1]]: its
+    // vertices are verts[runs[k]..runs[k + 1]], its elements those of its
+    // first record, `firsts[k]` — the lowest vertex under its first
+    // permutation — recomputed when its cluster is reported.
+    let opens = |i: usize| i == 0 || key(&records[i - 1]).0 != key(&records[i]).0;
+    let n_s1 = (0..records.len()).filter(|&i| opens(i)).count();
     stats.distinct_s1 = n_s1;
-    let verts: Vec<u32> = records.iter().map(|r| r.v).collect();
+    let mut runs: Vec<u32> = Vec::with_capacity(n_s1 + 1);
+    let mut firsts: Vec<(u32, u32)> = Vec::with_capacity(n_s1);
+    for (i, r) in records.iter().enumerate().filter(|&(i, _)| opens(i)) {
+        runs.push(i as u32);
+        firsts.push((r[2], r[3]));
+    }
+    runs.push(records.len() as u32);
+    let verts: Vec<u32> = records.iter().map(|r| r[2]).collect();
     let vertices = |k: usize| &verts[runs[k] as usize..runs[k + 1] as usize];
-    let elements = |k: usize| {
-        let Record { v, at, .. } = records[runs[k] as usize];
-        &arena[at as usize..at as usize + graph.out_links(v).len().min(params.s1)]
-    };
 
     // ---- Pass II over first-level shingles (elements are left vertices),
     // once per distinct vertex list. ----
     let mut by_list: Vec<u32> = (0..n_s1 as u32).collect();
     by_list.sort_unstable_by(|&x, &y| vertices(x as usize).cmp(vertices(y as usize)));
-    let same_list: Vec<&[u32]> =
-        by_list.chunk_by(|&x, &y| vertices(x as usize) == vertices(y as usize)).collect();
-    let list_lens = same_list.iter().map(|same| vertices(same[0] as usize).len());
+    let same_list = || by_list.chunk_by(|&x, &y| vertices(x as usize) == vertices(y as usize));
+    let list_lens = || same_list().map(|same| vertices(same[0] as usize).len());
     let seed2 = params.seed ^ PASS2_SEED_XOR;
-    let mut pass2 = Pass::new(params.c2, seed2, params.s2, graph.n_left(), list_lens);
+    let mut pass2 = Pass::new(params.c2, seed2, params.s2, graph.n_left(), list_lens());
+    let most_of = |list: &[u32]| max_shingles(list.len(), params.s2, params.c2);
+    // The buffer again, now one 12-byte entry `[id, id, representative]`
+    // per distinct list and second-level shingle. Should the records' room
+    // run out, it grows once, to the most the lists left can add.
+    buffer.clear();
+    let mut room_left: usize = same_list().map(|same| most_of(vertices(same[0] as usize))).sum();
     let mut uf = UnionFind::new(n_s1);
-    let mut second: Vec<(u64, u32)> = Vec::new(); // (second-level id, representative)
-    for same in same_list {
-        let shingles = pass2.shingles(vertices(same[0] as usize)).shingles();
+    for same in same_list() {
+        let list = vertices(same[0] as usize);
+        let shingles = pass2.shingles(list);
         stats.pass2_shingles += shingles.len() * same.len();
         // Identical lists share every second-level shingle — if they have
         // one: with c₂ = 0 a long list has none, and its copies stay apart.
@@ -194,27 +241,46 @@ pub fn shingle_clusters(
             for &k in &same[1..] {
                 uf.union(same[0], k);
             }
-            second.extend(shingles.map(|(id, _)| (id, same[0])));
+            if buffer.capacity() - buffer.len() < 3 * shingles.len() {
+                buffer.reserve_exact(3 * room_left);
+            }
+            for (id, _) in shingles {
+                let [hi, lo] = words(id);
+                buffer.extend_from_slice(&[hi, lo, same[0]]);
+            }
         }
+        room_left -= most_of(list);
     }
-    second.sort_unstable();
-    for sharing in second.chunk_by(|x, y| x.0 == y.0) {
+    drop((pass2, by_list));
+    let entries: &mut [[u32; 3]] = buffer.as_chunks_mut().0;
+    entries.sort_unstable_by_key(key);
+    for sharing in entries.chunk_by(|x, y| key(x).0 == key(y).0) {
         for w in sharing.windows(2) {
-            uf.union(w[0].1, w[1].1);
+            uf.union(w[0][2], w[1][2]);
         }
     }
+    drop(buffer);
 
     // ---- Report: one (A, B) per union-find group. ----
     let groups = uf.groups();
+    drop(uf);
     stats.components = groups.len();
     let mut clusters: Vec<BipartiteCluster> = groups
         .into_iter()
-        .map(|members| {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
+        .map(|mut members| {
+            // By first vertex, so each vertex's shingles are recomputed
+            // together: the sides are sorted below, the order is not seen.
+            members.sort_unstable_by_key(|&k| firsts[k as usize]);
+            let first_links = |k: u32| graph.out_links(firsts[k as usize].0);
+            let a_len = members.iter().map(|&k| vertices(k as usize).len()).sum();
+            let b_len = members.iter().map(|&k| first_links(k).len().min(params.s1)).sum();
+            let (mut a, mut b) = (Vec::with_capacity(a_len), Vec::with_capacity(b_len));
+            for same in members.chunk_by(|&x, &y| firsts[x as usize].0 == firsts[y as usize].0) {
+                let perms = same.iter().map(|&k| firsts[k as usize].1);
+                pass1.elements(first_links(same[0]), perms, &mut b);
+            }
             for k in members {
                 a.extend_from_slice(vertices(k as usize));
-                b.extend_from_slice(elements(k as usize));
             }
             a.sort_unstable();
             a.dedup();
@@ -225,6 +291,63 @@ pub fn shingle_clusters(
         .collect();
     clusters.sort_by(|x, y| y.b.len().cmp(&x.b.len()).then(x.a.cmp(&y.a)));
     (clusters, stats)
+}
+
+/// The most heap bytes [`shingle_clusters`] can hold at once on `graph` at
+/// `params`, the clusters it returns included: what a caller reserves
+/// before the run. Every buffer of the layout is sized at its worst case —
+/// `R` pass-I records (the most distinct shingles each vertex can have),
+/// each a distinct first-level shingle; pass II's lists sharing those `R`
+/// vertex slots so as to have the most second-level shingles, and every
+/// distinct list a cluster of its own; both passes' order tables built; a
+/// vector that grows by doubling at twice its length — and the largest of
+/// the three moments (pass II, the union-find groups, the report) is
+/// taken. Real graphs hold a fraction of it: their shingles repeat across
+/// vertices.
+pub fn shingle_heap_bound(graph: &BipartiteGraph, params: &ShingleParams) -> usize {
+    let ShingleParams { s1, c1, s2, c2, .. } = *params;
+    let (n_left, n_right) = (graph.n_left(), graph.n_right());
+    let degrees = || (0..n_left as u32).map(|v| graph.out_links(v).len());
+    let max_degree = degrees().max().unwrap_or(0);
+    let r: usize = degrees().map(|d| max_shingles(d, s1, c1)).sum();
+    // Lists of `l` slots have at most `max_shingles(l, s2, c2)` shingles
+    // each, so `R` slots have at most `R` times the best such ratio.
+    let second = (1..=n_left)
+        .map(|l| r.saturating_mul(max_shingles(l, s2, c2)).div_ceil(l))
+        .max()
+        .unwrap_or(0);
+    // One pass: its hash family; its order table and the sort building it;
+    // the kernel's `s` lowest ranks, bitset, one shingle's elements and ids.
+    let pass = |c: usize, s: usize, n: usize, order: bool| {
+        16 * c
+            + if order { 4 * c * n + 16 * n } else { 0 }
+            + 16 * (2 * s).max(4)
+            + 8 * n.div_ceil(64).max(4)
+            + 4 * (2 * s).max(4)
+            + 16 * (2 * c).max(4)
+    };
+    let pass1 = pass(c1, s1, n_right, pays_for_order(s1, n_right, degrees()));
+    // From pass I's sort to the end: the vertex lists (4 B a record), the
+    // run starts and each run's first record (12 B a first-level shingle).
+    let lists = 16 * r + 4;
+    // Pass II: the record buffer (16 B a record), reused for its stream (12
+    // B an entry); the shingles sorted by list (4 B); the union-find (5 B);
+    // pass II's machinery.
+    let pass_two = (16 * r).max(12 * second) + 9 * r + pass(c2, s2, n_left, true);
+    // Clusters: with c₂ > 0 every list has a second-level shingle, so
+    // identical lists share a cluster, and of `R` slots at most `n_left`
+    // distinct lists take one each, the rest two or more.
+    let clusters = if c2 > 0 { r.min(n_left + r.saturating_sub(n_left) / 2) } else { r };
+    // Grouping: the union-find, three scratch arrays and the groups (4 B a
+    // member, 24 B a group).
+    let grouping = 5 * r + 12 * r + 4 * r + 24 * clusters;
+    // Report: the groups or the stable sort's buffer (48 B a cluster at
+    // most) beside the clusters (48 B each) and their sides: every vertex
+    // list once, and up to s₁ elements a first-level shingle.
+    let report = (4 * r + 24 * clusters).max(48 * clusters)
+        + 48 * clusters
+        + 4 * r * (1 + s1.min(max_degree));
+    pass1 + lists + pass_two.max(grouping).max(report)
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@ pub mod algorithm;
 pub mod dense;
 pub mod minwise;
 
-pub use algorithm::{shingle_clusters, BipartiteCluster, ShingleParams, ShingleStats};
+pub use algorithm::{
+    shingle_clusters, shingle_heap_bound, BipartiteCluster, ShingleParams, ShingleStats,
+};
 pub use dense::{detect_dense_subgraphs, jaccard, DenseSubgraphConfig, ReductionMode};
 pub use minwise::{shingle_set, HashFamily, PermutationOrder, Shingle, ShingleKernel};

@@ -7,11 +7,12 @@
 //! identical samples under the same permutation, which is exactly the
 //! grouping signal the Shingle algorithm uses.
 //!
-//! [`ShingleKernel`] computes a set's shingles into reused buffers, one of
-//! two ways per set: rank every element under every permutation and select
-//! the `s` smallest, or — for a set dense in its universe — scan a
-//! [`PermutationOrder`] for its first `s` members. [`shingle_set`] is the
-//! scalar oracle both are held to.
+//! [`ShingleKernel`] computes a set's shingle ids into reused buffers, one
+//! of two ways per set: rank every element under every permutation and
+//! select the `s` smallest, or — for a set dense in its universe — scan a
+//! [`PermutationOrder`] for its first `s` members; it recomputes the
+//! elements of given permutations on demand. [`shingle_set`] is the scalar
+//! oracle both are held to.
 
 /// SplitMix64's state increment.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -152,18 +153,18 @@ impl PermutationOrder {
 
 /// The per-set kernel of both Shingle passes: [`shingle_set`] without a
 /// per-shingle allocation. [`ShingleKernel::run`] leaves a set's distinct
-/// shingles in buffers the next call reuses; [`ShingleKernel::shingles`]
-/// reads them back in id order.
+/// shingle ids in a buffer the next call reuses, [`ShingleKernel::shingles`]
+/// reads them back in id order, and [`ShingleKernel::select`] recomputes
+/// given permutations' elements when a caller needs them.
 #[derive(Debug, Default)]
 pub struct ShingleKernel {
-    /// `(rank, element)` selection buffer of the rank path.
+    /// The rank path's `s` lowest `(rank, element)` so far, by rank.
     sel: Vec<(u64, u32)>,
     /// Membership bitset over the universe, for the order scan; all clear
     /// between calls.
     member: Vec<u64>,
-    /// Permutation `i`'s sorted elements at `[i·width, (i+1)·width)`.
+    /// One permutation's elements, sorted once selected.
     elems: Vec<u32>,
-    width: usize,
     /// `(id, permutation)`, sorted by id, each id once with the first
     /// permutation that produced it.
     ids: Vec<(u64, u32)>,
@@ -171,7 +172,7 @@ pub struct ShingleKernel {
 
 impl ShingleKernel {
     /// The (s, c)-shingle set of `links` (sorted ascending, distinct) under
-    /// `family`: the set of [`shingle_set`], computed by scanning `order`
+    /// `family`: the ids of [`shingle_set`], computed by scanning `order`
     /// when given (`links` must then lie in its universe), else by ranking
     /// every element under every permutation.
     pub fn run(
@@ -184,73 +185,119 @@ impl ShingleKernel {
         assert!(s >= 1, "shingle size must be positive");
         debug_assert!(links.windows(2).all(|w| w[0] < w[1]), "links sorted and distinct");
         self.ids.clear();
-        self.elems.clear();
-        self.width = links.len().min(s);
         if links.is_empty() {
             return;
         }
         if links.len() <= s {
-            self.elems.extend_from_slice(links);
             self.ids.push((shingle_id(links), 0));
             return;
         }
-        match order {
-            Some(order) => {
-                debug_assert!(
-                    links.iter().all(|&x| (x as usize) < order.n),
-                    "links in the universe"
-                );
-                self.member.resize(order.n.div_ceil(64), 0);
-                for &x in links {
-                    self.member[x as usize / 64] |= 1 << (x % 64);
-                }
-                for i in 0..family.len() {
-                    let start = self.elems.len();
-                    for &x in order.row(i) {
-                        if self.member[x as usize / 64] & (1 << (x % 64)) != 0 {
-                            self.elems.push(x);
-                            if self.elems.len() - start == s {
-                                break;
-                            }
-                        }
-                    }
-                    self.push_shingle(start, i);
-                }
-                for &x in links {
-                    self.member[x as usize / 64] = 0;
-                }
-            }
-            None => {
-                for i in 0..family.len() {
-                    self.sel.clear();
-                    self.sel.extend(links.iter().map(|&x| (family.rank(i, x), x)));
-                    self.sel.select_nth_unstable(s - 1);
-                    let start = self.elems.len();
-                    self.elems.extend(self.sel[..s].iter().map(|&(_, x)| x));
-                    self.push_shingle(start, i);
-                }
-            }
+        self.mark(links, order);
+        for i in 0..family.len() {
+            self.select_into(links, family, s, order, i);
+            self.ids.push((shingle_id(&self.elems), i as u32));
         }
+        self.unmark(links, order);
         self.ids.sort_unstable();
         self.ids.dedup_by_key(|&mut (id, _)| id);
     }
 
-    /// Sort permutation `i`'s elements, staged at `elems[start..]`, and
-    /// record their id.
-    fn push_shingle(&mut self, start: usize, i: usize) {
-        let elements = &mut self.elems[start..];
-        elements.sort_unstable();
-        self.ids.push((shingle_id(elements), i as u32));
+    /// The last [`ShingleKernel::run`]'s distinct shingles as `(id,
+    /// permutation)`, ascending by id; an id's permutation is the first
+    /// that produced it.
+    pub fn shingles(&self) -> impl ExactSizeIterator<Item = (u64, u32)> + '_ {
+        self.ids.iter().copied()
     }
 
-    /// The last [`ShingleKernel::run`]'s distinct shingles as `(id,
-    /// elements)`, ascending by id; an id's elements are those of the first
-    /// permutation that produced it.
-    pub fn shingles(&self) -> impl ExactSizeIterator<Item = (u64, &[u32])> + '_ {
-        self.ids.iter().map(move |&(id, i)| {
-            let at = i as usize * self.width;
-            (id, &self.elems[at..at + self.width])
-        })
+    /// Append to `out`, for each permutation of `perms` in turn, the sorted
+    /// elements of `links`' shingle under it — the whole set when it has at
+    /// most `s` elements — by the path [`ShingleKernel::run`] takes with the
+    /// same `order`, marking `links` once for all of them. Leaves the ids of
+    /// the last run as they were.
+    pub fn select(
+        &mut self,
+        links: &[u32],
+        family: &HashFamily,
+        s: usize,
+        order: Option<&PermutationOrder>,
+        perms: impl IntoIterator<Item = u32>,
+        out: &mut Vec<u32>,
+    ) {
+        assert!(s >= 1, "shingle size must be positive");
+        if links.len() <= s {
+            perms.into_iter().for_each(|_| out.extend_from_slice(links));
+            return;
+        }
+        self.mark(links, order);
+        for perm in perms {
+            self.select_into(links, family, s, order, perm as usize);
+            out.extend_from_slice(&self.elems);
+        }
+        self.unmark(links, order);
+    }
+
+    /// Set `links`' bits in the membership bitset when the order scan
+    /// will read it.
+    fn mark(&mut self, links: &[u32], order: Option<&PermutationOrder>) {
+        let Some(order) = order else { return };
+        debug_assert!(links.iter().all(|&x| (x as usize) < order.n), "links in the universe");
+        self.member.resize(order.n.div_ceil(64), 0);
+        for &x in links {
+            self.member[x as usize / 64] |= 1 << (x % 64);
+        }
+    }
+
+    /// Clear what [`ShingleKernel::mark`] set.
+    fn unmark(&mut self, links: &[u32], order: Option<&PermutationOrder>) {
+        if order.is_some() {
+            for &x in links {
+                self.member[x as usize / 64] = 0;
+            }
+        }
+    }
+
+    /// Leave permutation `i`'s `s` min-wise elements of `links` (longer
+    /// than `s`, marked when `order` is given), sorted, in `elems`: the
+    /// first `s` members of the order's row, or the `s` smallest ranks.
+    fn select_into(
+        &mut self,
+        links: &[u32],
+        family: &HashFamily,
+        s: usize,
+        order: Option<&PermutationOrder>,
+        i: usize,
+    ) {
+        self.elems.clear();
+        match order {
+            Some(order) => {
+                for &x in order.row(i) {
+                    if self.member[x as usize / 64] & (1 << (x % 64)) != 0 {
+                        self.elems.push(x);
+                        if self.elems.len() == s {
+                            break;
+                        }
+                    }
+                }
+            }
+            None => {
+                // The `s` smallest ranks so far, in rank order: once `s` are
+                // held, an element costs one comparison unless it ranks lower.
+                self.sel.clear();
+                for &x in links {
+                    let r = family.rank(i, x);
+                    if self.sel.len() == s {
+                        if r > self.sel[s - 1].0 {
+                            continue;
+                        }
+                        self.sel.pop();
+                    }
+                    let at = self.sel.partition_point(|&(q, _)| q < r);
+                    self.sel.insert(at, (r, x));
+                }
+                self.elems.extend(self.sel.iter().map(|&(_, x)| x));
+            }
+        }
+        self.elems.sort_unstable();
     }
 }
 
@@ -374,7 +421,13 @@ mod tests {
         order: Option<&PermutationOrder>,
     ) -> Vec<Shingle> {
         kernel.run(links, fam, s, order);
-        kernel.shingles().map(|(id, e)| Shingle { id, elements: e.to_vec() }).collect()
+        let (ids, perms): (Vec<u64>, Vec<u32>) = kernel.shingles().unzip();
+        let mut elements = Vec::new();
+        kernel.select(links, fam, s, order, perms, &mut elements);
+        ids.into_iter()
+            .zip(elements.chunks(links.len().min(s).max(1)))
+            .map(|(id, e)| Shingle { id, elements: e.to_vec() })
+            .collect()
     }
 
     #[test]

@@ -116,7 +116,8 @@ proptest! {
     /// The per-set kernel returns the reference shingle set (in id order)
     /// for random adjacency lists across the (c, s, seed) parameter space —
     /// `c = 0`, empty sets and `s > |set|` included — whether it ranks the
-    /// elements or scans the permutation order.
+    /// elements or scans the permutation order, and recomputes each id's
+    /// elements from its first permutation on either path.
     #[test]
     fn scratch_shingle_sets_equal_reference(
         links in prop::collection::vec(0u32..400, 0..48),
@@ -134,8 +135,14 @@ proptest! {
         let mut kernel = ShingleKernel::default();
         for table in [None, Some(&order)] {
             kernel.run(&links, &family, s, table);
-            let got: Vec<Shingle> =
-                kernel.shingles().map(|(id, e)| Shingle { id, elements: e.to_vec() }).collect();
+            let (ids, perms): (Vec<u64>, Vec<u32>) = kernel.shingles().unzip();
+            let mut elements = Vec::new();
+            kernel.select(&links, &family, s, table, perms, &mut elements);
+            let got: Vec<Shingle> = ids
+                .into_iter()
+                .zip(elements.chunks(links.len().min(s).max(1)))
+                .map(|(id, e)| Shingle { id, elements: e.to_vec() })
+                .collect();
             prop_assert_eq!(&got, &reference);
         }
     }
@@ -244,5 +251,52 @@ proptest! {
         if inter.is_empty() && !(av.is_empty() && bv.is_empty()) {
             prop_assert_eq!(j, 0.0);
         }
+    }
+}
+
+/// The `Bd` graph of overlapping near-cliques: block `i` covers
+/// `starts[i]..starts[i] + lens[i]`, and each of its pairs is kept unless a
+/// hash of `(seed, pair)` falls under `drop_percent`.
+fn near_cliques(starts: &[u32], lens: &[u32], drop_percent: u64, seed: u64) -> BipartiteGraph {
+    let n = starts.iter().zip(lens).map(|(&s, &l)| s + l).max().unwrap_or(0);
+    let mut edges = Vec::new();
+    for (&start, &len) in starts.iter().zip(lens) {
+        for a in start..start + len {
+            for b in a + 1..start + len {
+                let h = pfam_shingle::minwise::splitmix64(seed ^ ((a as u64) << 32 | b as u64));
+                if h % 100 >= drop_percent {
+                    edges.push((a, b));
+                }
+            }
+        }
+    }
+    BipartiteGraph::duplicate_from(&CsrGraph::from_edges(n as usize, &edges))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `shingle_clusters` against the naive two passes at the pipeline's own
+    /// parameters `(5, 300, 2, 40)`, on what the back half meets: one to
+    /// three overlapping near-cliques of 20–60 reads with some edges
+    /// dropped. Here pass I scans the permutation order and the reported
+    /// elements are recomputed from it.
+    #[test]
+    fn shingle_clusters_equal_the_naive_two_passes_at_the_default_parameters(
+        blocks in prop::collection::vec((0u32..100, 20u32..61), 1usize..4),
+        drop_percent in 0u64..30,
+        seed in 0u64..=u64::MAX,
+    ) {
+        // Each block starts inside the one before it, so they overlap.
+        let mut starts = Vec::new();
+        let mut lens = Vec::new();
+        for (i, &(offset, len)) in blocks.iter().enumerate() {
+            let start = if i == 0 { 0 } else { starts[i - 1] + offset % lens[i - 1] };
+            starts.push(start);
+            lens.push(len);
+        }
+        let g = near_cliques(&starts, &lens, drop_percent, seed);
+        let p = ShingleParams { seed, ..ShingleParams::default() };
+        prop_assert_eq!(shingle_clusters(&g, &p), naive_shingle_clusters(&g, &p));
     }
 }

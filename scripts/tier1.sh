@@ -412,6 +412,11 @@ echo "== tier1: cargo test --workspace -q (every test binary, once) =="
 #   order, exactly what component_graph -> bipartite reduction ->
 #   detect_dense_subgraphs gives for each member list; the pipeline's
 #   known-pairs supply equals it.
+# * shingle_heap: one Shingle run's counted heap peak stays under
+#   shingle_heap_bound, what the back half reserves as dsd-shingle, on a
+#   238-vertex near-clique at the default parameters (and under 2.5 MB
+#   there), on graphs 1-95 % dense across five parameter sets and on
+#   empty graphs.
 cargo test --workspace -q
 
 echo "== tier1: pfam-align suites in the release profile =="
