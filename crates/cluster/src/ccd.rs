@@ -11,13 +11,12 @@
 //!
 //! The loop itself is [`crate::core::ClusterCore`] driven by
 //! [`crate::policy::drive_batched`] over the phase's mined pairs
-//! ([`crate::source::with_pair_source`]) or an explicit list; both entry
-//! points share one body.
+//! ([`crate::source::with_pair_source`]).
 
 use std::sync::Arc;
 
 use pfam_seq::{SeqId, SeqStore};
-use pfam_suffix::{MatchPair, WindowStats};
+use pfam_suffix::WindowStats;
 
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verdict, Verifier};
@@ -95,34 +94,13 @@ pub(crate) fn ccd_mined(
         return CcdResult::empty();
     }
     with_pair_source(set, config, config.psi_ccd, shared, |pairs, nodes_visited, windows| {
-        let mut result = ccd_over(set, pairs, config, ledger);
+        let mut core = ClusterCore::new_ccd(set);
+        let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
+        let filled_ahead = drive_batched(&mut core, pairs, &verifier, config.batch_size);
+        let mut result = CcdResult { filled_ahead, windows, ..CcdResult::from_core(core) };
         result.trace.nodes_visited = nodes_visited;
-        CcdResult { windows, ..result }
+        result
     })
-}
-
-/// Run the CCD master loop over an explicit pair stream — the ablation
-/// hook: feeding the same pairs in a different order shows how much the
-/// longest-match-first discipline contributes to the filter's savings.
-pub fn run_ccd_from_pairs(
-    set: &dyn SeqStore,
-    pairs: Vec<MatchPair>,
-    config: &ClusterConfig,
-) -> CcdResult {
-    ccd_over(set, &pairs, config, &Arc::default())
-}
-
-/// The CCD loop over `pairs`, answered by `ledger` where it can be.
-fn ccd_over(
-    set: &dyn SeqStore,
-    pairs: &[MatchPair],
-    config: &ClusterConfig,
-    ledger: &Arc<PairLedger>,
-) -> CcdResult {
-    let mut core = ClusterCore::new_ccd(set);
-    let verifier = Verifier::new(config, CorePhase::Ccd).with_ledger(ledger.clone());
-    let filled_ahead = drive_batched(&mut core, pairs, &verifier, config.batch_size);
-    CcdResult { filled_ahead, ..CcdResult::from_core(core) }
 }
 
 #[cfg(test)]

@@ -51,13 +51,3 @@ impl FrontHalf<'_> {
         ccd_mined(&nr_store, self.config, self.shared, &rr.ledger)
     }
 }
-
-/// RR, then CCD over its survivors (dense ids; `rr.kept[i]` is the input
-/// id of dense id `i`) — the front half as `pfam cluster` runs it.
-pub fn run_front_half(input: &dyn SeqStore, config: &ClusterConfig) -> (RrResult, CcdResult) {
-    with_front_half(input, config, |front| {
-        let rr = front.rr();
-        let ccd = front.ccd(&rr);
-        (rr, ccd)
-    })
-}

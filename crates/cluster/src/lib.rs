@@ -56,15 +56,15 @@ pub mod transport;
 pub use crate::core::{ClusterCore, CorePhase, Verdict, Verifier, VerifyOn};
 pub use baseline::{core_set_clusters, run_all_pairs_baseline, BaselineResult};
 pub use bgg::{component_graph, ComponentGraph, KnownPairs};
-pub use ccd::{run_ccd, run_ccd_from_pairs, run_ccd_with_ledger, CcdResult};
+pub use ccd::{run_ccd, run_ccd_with_ledger, CcdResult};
 pub use config::ClusterConfig;
-pub use front::{run_front_half, with_front_half, FrontHalf};
+pub use front::{with_front_half, FrontHalf};
 pub use ledger::PairLedger;
 pub use pfam_align::{AlignEngine, AlignEngineKind};
 pub use policy::{drive_batched, drive_spmd, serve_push_worker};
 pub use rr::{run_redundancy_removal, RrResult};
 pub use source::{index_plan, with_pair_source, with_shared_index, IndexPlan, SharedIndex};
-pub use spmd::{run_ccd_spmd, run_rr_spmd};
+pub use spmd::run_phase_spmd;
 pub use trace::{BatchRecord, PhaseTrace};
 pub use transport::{
     LocalPort, LocalTransport, MasterMsg, MpiTransport, MpiWorkerPort, Transport, TransportError,

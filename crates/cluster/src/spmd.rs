@@ -13,47 +13,56 @@
 //!
 //! The protocol lives in [`crate::policy::drive_spmd`] /
 //! [`crate::policy::serve_push_worker`] over the [`crate::transport`]
-//! seam; this module only assembles the topology: the partitioned pair
-//! slices, the rank-0 master core, and the result plumbing.
+//! seam; this module's one entry, [`run_phase_spmd`], only assembles the
+//! topology for either phase (RR or CCD): the partitioned pair slices and
+//! the rank-0 master core, which it hands back finished.
 //!
-//! The final components are identical to the shared-memory engine's (a
-//! pair is only skipped when its endpoints are already connected, and a
-//! verdict is a pure function of the two sequences, so the clustering is
-//! order-independent), which the tests assert.
+//! CCD's final components are identical to the batched loop's (a pair is
+//! only skipped when its endpoints are already connected, and a verdict
+//! is a pure function of the two sequences, so the clustering is
+//! order-independent), which `tests/spmd_engines.rs`,
+//! `tests/align_engine.rs` and this module's tests assert; RR's removals
+//! are each a genuine containment.
 
 use pfam_mpi::run_spmd;
-use pfam_seq::SequenceSet;
+use pfam_seq::{SeqStore, SequenceSet};
 use pfam_suffix::distributed::PartitionedSuffixSpace;
 use pfam_suffix::{mine_pairs, MineNodes};
 
-use crate::ccd::CcdResult;
 use crate::config::ClusterConfig;
 use crate::core::{ClusterCore, CorePhase, Verifier};
 use crate::policy::{drive_spmd, serve_push_worker};
-use crate::rr::RrResult;
 use crate::source::with_config_index;
 use crate::transport::{MpiTransport, MpiWorkerPort};
 
 /// Partition prefix length (suffix-space ownership granularity).
 const PREFIX_LEN: u32 = 3;
 
-/// Run one phase's push protocol across `n_ranks` ranks: rank 0 drives
-/// `core` with [`drive_spmd`] and hands the finished core to `finish`, every
-/// other rank mines its own slice of the suffix space and serves the master.
+/// Run one phase of the paper's push protocol as an SPMD job on `n_ranks`
+/// ranks (1 master + `n_ranks − 1` workers) and return the master's
+/// finished core: rank 0 drives it with [`drive_spmd`], every other rank
+/// mines its own slice of the suffix space and serves the master. The
+/// result is `CcdResult::from_core` or `RrResult::from_core` of it. In RR
+/// the master marks contained sequences redundant instead of merging
+/// clusters, and candidates are *oriented* — the first id of each
+/// candidate pair is the one to test for containment. Requires
+/// `n_ranks ≥ 2` and the phase's ψ ≥ the partition prefix length (3).
 /// The world must stay healthy — any communicator fault panics; a failed
 /// run is restarted from its last checkpoint.
-fn run_push_spmd<R: Send>(
-    set: &SequenceSet,
+pub fn run_phase_spmd<'s>(
+    set: &'s SequenceSet,
     config: &ClusterConfig,
     n_ranks: usize,
     phase: CorePhase,
-    finish: fn(ClusterCore<'_>) -> R,
-) -> R {
+) -> ClusterCore<'s> {
     assert!(n_ranks >= 2, "need a master and at least one worker");
-    let psi = match phase {
-        CorePhase::Ccd => config.psi_ccd,
-        CorePhase::Rr => config.psi_rr,
+    let (psi, new_core): (u32, fn(&'s dyn SeqStore) -> ClusterCore<'s>) = match phase {
+        CorePhase::Ccd => (config.psi_ccd, ClusterCore::new_ccd),
+        CorePhase::Rr => (config.psi_rr, ClusterCore::new_rr),
     };
+    if set.is_empty() {
+        return new_core(set);
+    }
     assert!(psi >= PREFIX_LEN, "ψ must cover the partition prefix");
 
     // Shared read-only state, built once (in MPI this would be the
@@ -63,14 +72,11 @@ fn run_push_spmd<R: Send>(
         let nodes_per_worker = partition.nodes_per_rank(tree, matches.min_len);
         let results = run_spmd(n_ranks, |comm| {
             if comm.rank() == 0 {
-                let mut core = match phase {
-                    CorePhase::Ccd => ClusterCore::new_ccd(set),
-                    CorePhase::Rr => ClusterCore::new_rr(set),
-                };
+                let mut core = new_core(set);
                 if let Err(e) = drive_spmd(&mut core, &mut MpiTransport::master(comm)) {
                     panic!("spmd world must stay healthy: {e}");
                 }
-                Some(finish(core))
+                Some(core)
             } else {
                 // One thread per rank: the ranks are the parallelism.
                 let nodes = &nodes_per_worker[comm.rank() - 1];
@@ -85,34 +91,20 @@ fn run_push_spmd<R: Send>(
     })
 }
 
-/// Run CCD as an SPMD job on `n_ranks` ranks (1 master + `n_ranks − 1`
-/// workers). Requires `n_ranks ≥ 2` and
-/// `config.psi_ccd ≥ partition prefix length` (3).
-pub fn run_ccd_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -> CcdResult {
-    assert!(n_ranks >= 2, "need a master and at least one worker");
-    if set.is_empty() {
-        return CcdResult::empty();
-    }
-    run_push_spmd(set, config, n_ranks, CorePhase::Ccd, CcdResult::from_core)
-}
-
-/// Run redundancy removal as an SPMD job (same topology and protocol as
-/// [`run_ccd_spmd`]; the master marks contained sequences redundant
-/// instead of merging clusters, and candidates are *oriented* — the first
-/// id of each candidate pair is the one to test for containment).
-pub fn run_rr_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -> RrResult {
-    assert!(n_ranks >= 2, "need a master and at least one worker");
-    if set.is_empty() {
-        return RrResult::empty();
-    }
-    run_push_spmd(set, config, n_ranks, CorePhase::Rr, RrResult::from_core)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ccd::run_ccd;
+    use crate::ccd::{run_ccd, CcdResult};
+    use crate::rr::RrResult;
     use pfam_datagen::{DatasetConfig, SyntheticDataset};
+
+    fn ccd_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -> CcdResult {
+        CcdResult::from_core(run_phase_spmd(set, config, n_ranks, CorePhase::Ccd))
+    }
+
+    fn rr_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -> RrResult {
+        RrResult::from_core(run_phase_spmd(set, config, n_ranks, CorePhase::Rr))
+    }
 
     #[test]
     fn spmd_components_match_batched_engine() {
@@ -120,7 +112,7 @@ mod tests {
         let config = ClusterConfig::default();
         let reference = run_ccd(&d.set, &config);
         for ranks in [2usize, 3, 5] {
-            let spmd = run_ccd_spmd(&d.set, &config, ranks);
+            let spmd = ccd_spmd(&d.set, &config, ranks);
             assert_eq!(
                 spmd.components, reference.components,
                 "{ranks} ranks must reproduce the reference clustering"
@@ -132,7 +124,7 @@ mod tests {
     fn spmd_trace_accounts_for_all_pairs() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(92));
         let config = ClusterConfig::default();
-        let spmd = run_ccd_spmd(&d.set, &config, 3);
+        let spmd = ccd_spmd(&d.set, &config, 3);
         let reference = run_ccd(&d.set, &config);
         // Each worker dedups only its own subtrees, so a sequence pair with
         // maximal matches in two workers' subtrees is generated twice —
@@ -149,9 +141,9 @@ mod tests {
 
     #[test]
     fn empty_set_short_circuits() {
-        let r = run_ccd_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
+        let r = ccd_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
         assert!(r.components.is_empty());
-        let rr = run_rr_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
+        let rr = rr_spmd(&SequenceSet::default(), &ClusterConfig::default(), 4);
         assert!(rr.kept.is_empty());
     }
 
@@ -159,7 +151,7 @@ mod tests {
     fn spmd_rr_removals_are_genuine_containments() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(94));
         let config = ClusterConfig::default();
-        let r = run_rr_spmd(&d.set, &config, 3);
+        let r = rr_spmd(&d.set, &config, 3);
         // Unlike CCD, the exact removal set depends on processing order
         // (chains a⊂b⊂c admit several valid outcomes), so assert semantic
         // validity rather than bitwise equality with the batched engine.
@@ -190,6 +182,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn one_rank_rejected() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(93));
-        let _ = run_ccd_spmd(&d.set, &ClusterConfig::default(), 1);
+        let _ = ccd_spmd(&d.set, &ClusterConfig::default(), 1);
     }
 }

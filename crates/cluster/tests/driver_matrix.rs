@@ -19,8 +19,8 @@ use std::sync::Arc;
 use common::{assert_known_graphs_equal_mined, assert_partition};
 use pfam_cluster::core::VERIFY_SLICE;
 use pfam_cluster::{
-    drive_batched, drive_spmd, run_ccd, run_ccd_from_pairs, serve_push_worker, ClusterConfig,
-    ClusterCore, CorePhase, LocalTransport, Verifier,
+    drive_batched, drive_spmd, run_ccd, serve_push_worker, ClusterConfig, ClusterCore, CorePhase,
+    LocalTransport, Verifier,
 };
 use pfam_cluster::{CcdResult, RrResult, VerifyOn};
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
@@ -175,27 +175,6 @@ fn set_of(seqs: &[&str]) -> SequenceSet {
         b.push_letters(format!("s{i}"), s.as_bytes()).unwrap();
     }
     b.finish()
-}
-
-/// [`run_ccd_from_pairs`], the public entry over a pre-collected supply
-/// (serial and parallel mining): reference components, bookkeeping that
-/// partitions the stream.
-#[test]
-fn collected_supply_entry_agrees_with_the_reference() {
-    let tiny = SyntheticDataset::generate(&DatasetConfig::tiny(11)).set;
-    let family = set_of(&["MKVLWAAKNDCQEGHILKMFPSTWYV"; 6]);
-    for (set, config) in [
-        (&tiny, ClusterConfig::default()),
-        (&SequenceSet::default(), ClusterConfig::default()),
-        (&family, ClusterConfig::for_short_sequences()),
-    ] {
-        let reference = run_ccd(set, &config);
-        for threads in [1usize, 2] {
-            let got = run_ccd_from_pairs(set, mine(set, &config, threads), &config);
-            assert_eq!(got.components, reference.components, "collected (threads={threads})");
-            assert_partition(&got, &format!("collected (threads={threads})"));
-        }
-    }
 }
 
 #[test]

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use pfam_cluster::{
-    index_plan, run_ccd_with_ledger, run_front_half, run_redundancy_removal, with_front_half,
-    CcdResult, ClusterConfig, IndexPlan, PairLedger, RrResult,
+    index_plan, run_ccd_with_ledger, run_redundancy_removal, with_front_half, CcdResult,
+    ClusterConfig, IndexPlan, PairLedger, RrResult,
 };
 use pfam_datagen::{DatasetConfig, SyntheticDataset};
 use pfam_seq::complexity::MaskParams;
@@ -42,6 +42,16 @@ fn two_builds(set: &SequenceSet, config: &ClusterConfig) -> (RrResult, CcdResult
     (rr, ccd)
 }
 
+/// RR, then CCD over its survivors, both over one index — as the pipeline
+/// runs them.
+fn front_half(set: &SequenceSet, config: &ClusterConfig) -> (RrResult, CcdResult) {
+    with_front_half(set, config, |front| {
+        let rr = front.rr();
+        let ccd = front.ccd(&rr);
+        (rr, ccd)
+    })
+}
+
 fn assert_same_ccd(got: &CcdResult, want: &CcdResult, what: &str) {
     assert_eq!(got.components, want.components, "{what}: components");
     assert_eq!(got.edges, want.edges, "{what}: edges");
@@ -58,7 +68,7 @@ fn one_build_equals_two_builds() {
         let (rr_want, ccd_want) = two_builds(&set, &config);
         assert!(rr_want.kept.len() < set.len(), "seed {seed}: RR must remove something");
 
-        let (rr, ccd) = run_front_half(&set, &config);
+        let (rr, ccd) = front_half(&set, &config);
         assert_eq!(rr.kept, rr_want.kept, "seed {seed}");
         assert_eq!(rr.removed, rr_want.removed, "seed {seed}");
         assert_eq!(rr.ledger, rr_want.ledger, "seed {seed}");
@@ -104,7 +114,7 @@ fn runs_one_index_cannot_serve_mine_windows() {
     // still holds its ledger on `config`'s.
     let cfg = budgeted(&set);
     assert_eq!(index_plan(&set, &cfg, None).unwrap(), IndexPlan::Windowed, "RR in windows");
-    let (rr, ccd) = run_front_half(&set, &cfg);
+    let (rr, ccd) = front_half(&set, &cfg);
     assert_eq!(rr.kept, rr_want.kept);
     assert_eq!(rr.trace, rr_want.trace);
     assert_same_ccd(&ccd, &ccd_want, "budget");

@@ -14,7 +14,7 @@
 //! the sinks return comes back in **queue order** whatever the scheduling.
 //!
 //! Where a component's graph comes from is the caller's closure
-//! ([`stream_graphs`]): the pipeline builds it from what CCD already knows
+//! (`stream_graphs`): the pipeline builds it from what CCD already knows
 //! ([`pfam_cluster::KnownPairs`]); [`stream_components`] mines each member
 //! list's own suffix index. Either way a component's output is the plain
 //! composition `component graph → bipartite reduction →
@@ -79,7 +79,7 @@ fn dense_subgraphs(
 /// dispatched in descending `weight(i)`; what `sink` returned comes back in
 /// index order whatever the scheduling, with the seconds the workers spent
 /// in BGG and DSD — one clock read per component and step.
-pub fn stream_graphs<R: Send>(
+pub(crate) fn stream_graphs<R: Send>(
     config: &PipelineConfig,
     n: usize,
     weight: impl Fn(usize) -> usize,
@@ -111,7 +111,7 @@ pub fn stream_graphs<R: Send>(
     (outputs, workers)
 }
 
-/// [`stream_graphs`] over bare member lists, largest first: each
+/// `stream_graphs` over bare member lists, largest first: each
 /// component's graph is mined from a suffix index of its own
 /// ([`component_graph`]).
 pub fn stream_components(

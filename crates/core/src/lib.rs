@@ -47,7 +47,7 @@ pub mod validate;
 
 pub use checkpoint::{CkptError, Phase};
 pub use config::{PipelineConfig, Reduction};
-pub use executor::{stream_components, stream_graphs, ComponentOutput};
+pub use executor::{stream_components, ComponentOutput};
 pub use pipeline::{run_pipeline, DenseSubgraph, PipelineError, PipelineHooks, PipelineResult};
 pub use quality::{evaluate, QualityReport};
 pub use report::{

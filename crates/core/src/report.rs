@@ -273,7 +273,7 @@ impl std::fmt::Display for PhaseReport {
     }
 }
 
-/// Worker-seconds of the back half ([`crate::stream_graphs`]): building
+/// Worker-seconds of the back half ([`crate::executor`]): building
 /// the component graphs (BGG) and detecting their dense subgraphs (DSD),
 /// summed over the components it ran, and the pair of the component that
 /// took the longest.

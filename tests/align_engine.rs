@@ -5,7 +5,8 @@
 //! bounds and the one-pass fill replays the reference traceback.
 
 use pfam::cluster::{
-    component_graph, run_ccd, run_ccd_spmd, run_redundancy_removal, AlignEngineKind, ClusterConfig,
+    component_graph, run_ccd, run_phase_spmd, run_redundancy_removal, AlignEngineKind, CcdResult,
+    ClusterConfig, CorePhase,
 };
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 
@@ -88,7 +89,9 @@ fn bgg_graphs_are_bit_identical_across_engines() {
 #[test]
 fn spmd_engines_are_bit_identical_across_engines() {
     let d = dataset(4204);
-    let reference = run_ccd_spmd(&d.set, &config(AlignEngineKind::Reference), 3);
-    let tiered = run_ccd_spmd(&d.set, &config(AlignEngineKind::Tiered), 3);
+    let spmd =
+        |engine| CcdResult::from_core(run_phase_spmd(&d.set, &config(engine), 3, CorePhase::Ccd));
+    let reference = spmd(AlignEngineKind::Reference);
+    let tiered = spmd(AlignEngineKind::Tiered);
     assert_eq!(tiered.components, reference.components);
 }

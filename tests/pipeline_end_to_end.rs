@@ -264,7 +264,11 @@ fn exact_mode_builds_one_index_and_fills_no_pair_twice() {
     // construction — CCD `stream ∖ deferred ∖ ledger`, the back half
     // `deferred ∖ ledger` — so it suffices that the counts are those sets'
     // sizes: stream without repeats, ledger complete.
-    let (rr, ccd) = pfam::cluster::run_front_half(&d.set, &config.cluster);
+    let (rr, ccd) = pfam::cluster::with_front_half(&d.set, &config.cluster, |front| {
+        let rr = front.rr();
+        let ccd = front.ccd(&rr);
+        (rr, ccd)
+    });
     let (rr_t, ccd_t, bgg_t) = &got.traces;
     assert_eq!((rr.ledger.dropped(), got.ledger_dropped), (0, 0));
     let edges = ccd.edges.iter().map(|&(a, b)| (a.0, b.0));

@@ -4,9 +4,10 @@
 
 use std::any::Any;
 
-use pfam::cluster::{run_ccd, run_ccd_spmd, ClusterConfig};
+use pfam::cluster::{run_ccd, run_phase_spmd, CcdResult, ClusterConfig, CorePhase};
 use pfam::datagen::{DatasetConfig, MutationModel, SyntheticDataset};
 use pfam::mpi::{run_spmd, CommError, Communicator, ANY_SOURCE};
+use pfam::seq::SequenceSet;
 
 /// A blocking receive the way the master–worker loops get one: poll
 /// `try_recv` until a matching message is there.
@@ -21,6 +22,11 @@ fn poll<T: Any + Send>(
         }
         std::thread::yield_now();
     }
+}
+
+/// CCD through the push protocol on `n_ranks` ranks.
+fn ccd_spmd(set: &SequenceSet, config: &ClusterConfig, n_ranks: usize) -> CcdResult {
+    CcdResult::from_core(run_phase_spmd(set, config, n_ranks, CorePhase::Ccd))
 }
 
 fn dataset(seed: u64) -> SyntheticDataset {
@@ -45,7 +51,7 @@ fn both_engines_one_clustering() {
     let d = dataset(501);
     let config = ClusterConfig::default();
     let batched = run_ccd(&d.set, &config);
-    let spmd = run_ccd_spmd(&d.set, &config, 4);
+    let spmd = ccd_spmd(&d.set, &config, 4);
     assert_eq!(batched.components, spmd.components);
     assert_eq!(batched.n_merges, spmd.n_merges, "merges = n − #components");
 }
@@ -56,7 +62,7 @@ fn spmd_scales_across_rank_counts() {
     let config = ClusterConfig::default();
     let reference = run_ccd(&d.set, &config).components;
     for ranks in 2..=6 {
-        let spmd = run_ccd_spmd(&d.set, &config, ranks);
+        let spmd = ccd_spmd(&d.set, &config, ranks);
         assert_eq!(spmd.components, reference, "ranks = {ranks}");
     }
 }
@@ -90,7 +96,7 @@ fn mpi_supports_the_master_worker_conversation_shape() {
 fn spmd_work_is_partitioned_not_replicated() {
     let d = dataset(503);
     let config = ClusterConfig::default();
-    let spmd = run_ccd_spmd(&d.set, &config, 5);
+    let spmd = ccd_spmd(&d.set, &config, 5);
     let reference = run_ccd(&d.set, &config);
     // Cross-rank duplicates exist but are bounded: the SPMD pair count
     // stays within a small factor of the deduped reference.

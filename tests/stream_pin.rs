@@ -6,7 +6,7 @@
 //! the cut-off index and the full index it is checked against, or the
 //! loop and the oracle written from its parts — still fails here.
 
-use pfam::cluster::{run_front_half, ClusterConfig, PhaseTrace};
+use pfam::cluster::{with_front_half, ClusterConfig, PhaseTrace};
 use pfam::core::{FillReport, PipelineConfig};
 use pfam::datagen::{DatasetConfig, SyntheticDataset};
 use pfam::seq::SeqId;
@@ -118,7 +118,11 @@ fn pair_words(pairs: impl IntoIterator<Item = (u32, u32)>) -> impl Iterator<Item
 fn loop_outputs_are_pinned() {
     let data = dataset();
     let config = PipelineConfig::default();
-    let (rr, ccd) = run_front_half(&data.set, &config.cluster);
+    let (rr, ccd) = with_front_half(&data.set, &config.cluster, |front| {
+        let rr = front.rr();
+        let ccd = front.ccd(&rr);
+        (rr, ccd)
+    });
     let rr_words = [
         fnv64(rr.kept.iter().map(|id| id.0 as u64)),
         fnv64(pair_words(rr.removed.iter().map(|&(a, b)| (a.0, b.0)))),

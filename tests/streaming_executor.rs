@@ -7,7 +7,8 @@
 //! pipeline's back half builds its graphs from what CCD already knows
 //! instead of mining each component; it is held against
 //! `stream_components` over the same component queue — same graphs, same
-//! families, a share of the work.
+//! families, a share of the work — under the test parameters and under
+//! the paper's, on reads with fragments and redundancy.
 
 use pfam::cluster::{component_graph, run_ccd};
 use pfam::core::{stream_components, PipelineConfig, Reduction};
@@ -76,8 +77,9 @@ fn executor_identity_global_similarity() {
     }
 }
 
-fn pipeline_identity(config: &PipelineConfig, seed: u64) {
-    let d = dataset(seed);
+/// Hold the pipeline's back half against `stream_components` on `d`;
+/// returns how many components it streamed.
+fn pipeline_identity(config: &PipelineConfig, d: &SyntheticDataset) -> usize {
     let streamed = config.run(&d.set);
     let queue: Vec<&[SeqId]> = streamed
         .components
@@ -109,9 +111,36 @@ fn pipeline_identity(config: &PipelineConfig, seed: u64) {
     families.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
     let reported: Vec<&Vec<SeqId>> = streamed.dense_subgraphs.iter().map(|d| &d.members).collect();
     assert_eq!(reported, families.iter().collect::<Vec<_>>());
+    mined.len()
+}
+
+/// The 160K-like recipe (many skewed families, fragments, redundancy,
+/// noise) at 2 % scale: 39 reads, 5 components under the paper's
+/// parameters.
+fn dataset_160k_like() -> SyntheticDataset {
+    SyntheticDataset::generate(
+        &DatasetConfig {
+            n_families: 60,
+            n_members: 1600,
+            size_skew: 1.1,
+            ancestor_len: 120..220,
+            fragment_prob: 0.25,
+            redundancy_frac: 0.14,
+            n_noise: 160,
+            seed: 0xb99,
+            ..DatasetConfig::default()
+        }
+        .scaled(0.02),
+    )
 }
 
 #[test]
 fn pipeline_identity_global_similarity() {
-    pipeline_identity(&PipelineConfig::for_tests(), 906);
+    assert!(pipeline_identity(&PipelineConfig::for_tests(), &dataset(906)) > 0);
+    // The paper's ψ (15 / 10) on reads with fragments and redundancy.
+    let paper =
+        PipelineConfig { min_component_size: 2, min_subgraph_size: 2, ..PipelineConfig::default() };
+    let d = dataset_160k_like();
+    assert_eq!(d.set.len(), 39);
+    assert_eq!(pipeline_identity(&paper, &d), 5);
 }
