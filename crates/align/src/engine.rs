@@ -3,7 +3,8 @@
 //! Every alignment consumer (redundancy-removal containment, CCD overlap,
 //! the SPMD workers and bipartite graph generation) goes through [`AlignEngine`] instead of calling
 //! [`crate::local_affine`] directly. One evaluation ([`AlignEngine::judge`]
-//! for a pair, [`AlignEngine::judge_batch`] for a group of up to sixteen)
+//! for a pair, [`AlignEngine::judge_batch`] for a group of up to
+//! [`AlignEngine::batch_lanes`])
 //! answers any subset of the paper's criteria for a pair — containment of
 //! either side, overlap — off **one** fill and **one** traceback, in three
 //! steps, and is **verdict-identical to the reference criteria by
@@ -16,7 +17,8 @@
 //!    overlap analogue takes `L = max(|x|,|y|)`.
 //! 2. **One fill**: a single row-major pass — the batch kernel
 //!    ([`crate::interpair`]) for the pairs of a `judge_batch` group inside
-//!    its guard, sixteen to an AVX2 register, one to a lane; the scalar
+//!    its guard, thirty-two to an AVX-512 register or sixteen to an AVX2
+//!    one, one to a lane; the scalar
 //!    twin ([`crate::onepass`]) for a single pair (`judge`) and for every
 //!    other pair — yields the Smith–Waterman optimum `S*`, the reference's
 //!    argmax cell and the direction bits of every cell. `S* = 0` rejects
@@ -44,7 +46,7 @@ use pfam_seq::ScoringScheme;
 
 use crate::alignment::{AlignOp, AlignStats};
 use crate::criteria::{local_stats, ContainmentParams, OverlapParams};
-use crate::interpair::BATCH_LANES;
+use crate::interpair::WIDE_LANES;
 use crate::onepass::{trace, OnePassFill};
 use crate::scratch::AlignScratch;
 
@@ -182,10 +184,13 @@ impl AlignEngine {
         AlignEngine { kind, containment, overlap, p_min, q_max, fill }
     }
 
-    /// The same engine on the scalar one-pass fill, whatever the host —
-    /// the "best scalar" side of benches and the forced-path tests.
-    pub fn with_scalar_fill(mut self) -> AlignEngine {
-        self.fill = OnePassFill::scalar(self.fill.scheme());
+    /// The same engine with its batch kernel held to at most `lanes` pairs
+    /// a register, whatever the host: 16 is the AVX2 body on a host that
+    /// has the AVX-512 one, and anything under 16 — 0, say — the scalar
+    /// one-pass fill for every pair. For the "best scalar" and "narrow"
+    /// sides of benches and the forced-path tests.
+    pub fn with_lanes(mut self, lanes: usize) -> AlignEngine {
+        self.fill = self.fill.with_lanes(lanes);
         self
     }
 
@@ -194,10 +199,17 @@ impl AlignEngine {
         self.kind
     }
 
-    /// Label of the kernel a batch's eligible lanes run on (`avx2` or
-    /// `scalar`) — for bench reports.
+    /// Label of the widest kernel a batch's eligible lanes run on
+    /// (`avx512`, `avx2` or `scalar`) — for bench reports.
     pub fn kernel_label(&self) -> &'static str {
         self.fill.label()
+    }
+
+    /// Pairs one batch fill takes, and so the group a caller hands
+    /// [`Self::judge_batch`] to fill them at once: the lanes of the widest
+    /// batch kernel this host runs — 32 on AVX-512BW — and 16 otherwise.
+    pub fn batch_lanes(&self) -> usize {
+        self.fill.lanes()
     }
 
     /// Definition-2 overlap between `x` and `y`. Uses a thread-local
@@ -234,48 +246,62 @@ impl AlignEngine {
         self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j))
     }
 
-    /// [`Self::judge`] for up to [`BATCH_LANES`] pairs at once, appending
-    /// their verdicts to `out` in order — each equal to what `judge` gives
-    /// the pair alone, counters included. The pairs that pass their length
+    /// [`Self::judge`] for up to 32 pairs at once, appending their
+    /// verdicts to `out` in order — each equal to what `judge` gives the
+    /// pair alone, counters included. The pairs that pass their length
     /// screens and that the batch kernel takes ([`OnePassFill::is_vector`]:
     /// this host, this scheme, no side over 2 048) share **one** batch
-    /// fill, a pair to a lane; any other pair gets the scalar twin on its
-    /// own. Uses a thread-local scratch arena.
+    /// fill, a pair to a lane — or fills of sixteen, where the host has
+    /// the 16-lane body only or a side is past what the 32-lane body takes;
+    /// any other pair gets the scalar twin on its own. Uses a thread-local
+    /// scratch arena.
     pub fn judge_batch(&self, pairs: &[(&[u8], &[u8], PairQuery)], out: &mut Vec<PairVerdict>) {
-        assert!(pairs.len() <= BATCH_LANES, "one pair per lane");
-        SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            if self.kind == AlignEngineKind::Reference {
-                out.extend(pairs.iter().map(|&(x, y, ask)| self.judge_with(x, y, ask, scratch)));
-                return;
+        SCRATCH.with(|s| self.judge_batch_with(pairs, &mut s.borrow_mut(), out));
+    }
+
+    /// [`Self::judge_batch`] with an explicit scratch arena.
+    pub fn judge_batch_with(
+        &self,
+        pairs: &[(&[u8], &[u8], PairQuery)],
+        scratch: &mut AlignScratch,
+        out: &mut Vec<PairVerdict>,
+    ) {
+        assert!(pairs.len() <= WIDE_LANES, "one pair per lane");
+        if self.kind == AlignEngineKind::Reference {
+            out.extend(pairs.iter().map(|&(x, y, ask)| self.judge_with(x, y, ask, scratch)));
+            return;
+        }
+        let mut open = [CLOSED; WIDE_LANES];
+        // The batched pairs, with where each stands in `pairs`.
+        let mut lanes: [(&[u8], &[u8]); WIDE_LANES] = [(&[], &[]); WIDE_LANES];
+        let mut at = [0; WIDE_LANES];
+        let mut n_lanes = 0;
+        for (k, (open, &(x, y, ask))) in open.iter_mut().zip(pairs).enumerate() {
+            *open = self.length_screen(x.len(), y.len(), ask);
+            if *open != CLOSED && self.fill.is_vector(x.len(), y.len()) {
+                (lanes[n_lanes], at[n_lanes]) = ((x, y), k);
+                n_lanes += 1;
             }
-            let mut open = [CLOSED; BATCH_LANES];
-            let mut batched = [false; BATCH_LANES];
-            let mut lanes: [(&[u8], &[u8]); BATCH_LANES] = [(&[], &[]); BATCH_LANES];
-            let mut n_lanes = 0;
-            for ((open, batched), &(x, y, ask)) in open.iter_mut().zip(&mut batched).zip(pairs) {
-                *open = self.length_screen(x.len(), y.len(), ask);
-                *batched = *open != CLOSED && self.fill.is_vector(x.len(), y.len());
-                if *batched {
-                    lanes[n_lanes] = (x, y);
-                    n_lanes += 1;
-                }
+        }
+        let mut settled = [None; WIDE_LANES];
+        let width = self.fill.lanes_for(&lanes[..n_lanes]);
+        for (group, at) in lanes[..n_lanes].chunks(width).zip(at[..n_lanes].chunks(width)) {
+            let ends = self.fill.fill_batch(group, scratch);
+            for (lane, (&(x, y), &k)) in group.iter().zip(at).enumerate() {
+                let dir = scratch.batch.lane_dirs(lane);
+                settled[k] = Some(self.settle(x, y, open[k], ends[lane], dir));
             }
-            let ends = self.fill.fill_batch(&lanes[..n_lanes], scratch);
-            let mut lane = 0;
-            for ((&open, &batched), &(x, y, _)) in open.iter().zip(&batched).zip(pairs) {
-                if open == CLOSED {
-                    out.push(self.verdict(x, y, open, &AlignStats::default(), 0));
-                } else if batched {
-                    let dir = |i, j| scratch.batch.dir(lane, i, j);
-                    out.push(self.settle(x, y, open, ends[lane], dir));
-                    lane += 1;
-                } else {
+        }
+        for ((&open, settled), &(x, y, _)) in open.iter().zip(settled).zip(pairs) {
+            out.push(match settled {
+                Some(verdict) => verdict,
+                None if open == CLOSED => self.verdict(x, y, open, &AlignStats::default(), 0),
+                None => {
                     let filled = self.fill.fill(x, y, scratch);
-                    out.push(self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j)));
+                    self.settle(x, y, open, filled, |i, j| scratch.onepass.dir(i, j))
                 }
-            }
-        });
+            });
+        }
     }
 
     /// Step 1 — the criteria of `ask` an `m × n` pair can still meet after
@@ -383,7 +409,7 @@ mod tests {
             ("AAAAAAAAAA", "AAAA"),       // x longer than y
         ];
         for tiered in
-            [engine(AlignEngineKind::Tiered), engine(AlignEngineKind::Tiered).with_scalar_fill()]
+            [engine(AlignEngineKind::Tiered), engine(AlignEngineKind::Tiered).with_lanes(0)]
         {
             for (a, b) in pairs {
                 let (x, y) = (codes(a), codes(b));
@@ -451,7 +477,7 @@ mod tests {
         let asked: Vec<_> = pairs.iter().map(|(x, y)| (&x[..], &y[..], all)).collect();
         let mut out = Vec::new();
         tiered.judge_batch(&asked, &mut out);
-        if tiered.kernel_label() == "avx2" {
+        if tiered.fill.is_vector(1, 1) {
             // The batch holds the two short pairs, in lanes 0 and 1, cell
             // for cell as the scalar twin fills them.
             let scalar = OnePassFill::scalar(tiered.fill.scheme());
@@ -461,7 +487,8 @@ mod tests {
                 for (lane, (x, y)) in [&pairs[0], &pairs[2]].into_iter().enumerate() {
                     let twin = scalar.probe(x, y, &mut own);
                     let cells = (1..=x.len()).flat_map(|i| (1..=y.len()).map(move |j| (i, j)));
-                    let dirs: Vec<u8> = cells.map(|(i, j)| batch.dir(lane, i, j)).collect();
+                    let dir = batch.lane_dirs(lane);
+                    let dirs: Vec<u8> = cells.map(|(i, j)| dir(i, j)).collect();
                     assert_eq!(dirs, twin.dirs, "lane {lane}");
                 }
             });

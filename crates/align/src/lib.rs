@@ -18,9 +18,10 @@
 //! * [`onepass`] — that fill: one row-major Smith–Waterman pass producing
 //!   score, argmax and a direction byte per cell. Its scalar twin runs a
 //!   single pair and every pair the batch kernel cannot take.
-//! * [`interpair`] — the one vector fill: the same pass for up to sixteen
-//!   pairs at once, one pair per AVX2 lane, for every pair of a candidate
-//!   list inside its `i16` guard and its 2 048-residue side limit.
+//! * [`interpair`] — the one vector fill: the same pass for up to
+//!   thirty-two pairs at once, one pair per `i16` lane — one kernel body,
+//!   instantiated on AVX-512BW (32 lanes) and AVX2 (16) — for every pair
+//!   of a candidate list inside its `i16` guard and its side limit.
 //!
 //! Scores use the [`pfam_seq::ScoringScheme`] type (BLOSUM62 by default).
 
@@ -36,8 +37,11 @@ mod scratch;
 pub use alignment::{AlignOp, AlignStats, Alignment};
 pub use criteria::{is_contained, overlaps, ContainmentParams, OverlapParams};
 pub use engine::{AlignEngine, AlignEngineKind, Anchor, EngineVerdict, PairQuery, PairVerdict};
-pub use interpair::BATCH_LANES;
 pub use local::{local_affine, local_affine_with};
 pub use onepass::{FillProbe, OnePassFill};
 pub use render::render_alignment;
 pub use scratch::AlignScratch;
+
+#[cfg(test)]
+#[path = "../tests/shapes/mod.rs"]
+mod shapes;

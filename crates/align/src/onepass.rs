@@ -18,9 +18,10 @@
 //!   scheme, any length. A single pair ([`crate::AlignEngine::judge`])
 //!   runs on it, and so does every lane a batch cannot take;
 //! * the **batch kernel** ([`crate::interpair`]) — the same recurrences in
-//!   the `i16` lanes of an AVX2 register, sixteen pairs at once, four bits
-//!   a cell. A candidate list ([`crate::AlignEngine::judge_batch`]) runs
-//!   on it.
+//!   the `i16` lanes of a vector register, one pair a lane: thirty-two on
+//!   AVX-512BW, sixteen on AVX2, the widest the host has. Each bit is a
+//!   plane of one bit a lane, written straight from the compares. A
+//!   candidate list ([`crate::AlignEngine::judge_batch`]) runs on it.
 //!
 //! One bound separates them, [`OnePassFill::is_vector`]: the scheme's and
 //! the pair's `i16` guard, and the batch's side limit. `trace` walks
@@ -29,7 +30,9 @@
 use pfam_seq::{ScoringScheme, ALPHABET_SIZE};
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::interpair::{self, batch_fits, LaneEnd, BATCH_LANES};
+use crate::interpair::{
+    self, batch_fits, sides, wide_batch_fits, LaneEnd, NARROW_LANES, WIDE_LANES,
+};
 use crate::local::NEG_INF;
 use crate::scratch::AlignScratch;
 
@@ -124,9 +127,9 @@ pub(crate) fn trace(
     (i, j)
 }
 
-/// A scoring scheme bound to the fills it gets on this host: the batch
-/// kernel for the lanes of a group inside its guard and the scalar twin
-/// for everything else, or the scalar twin always.
+/// A scoring scheme bound to the fills it gets on this host: the widest
+/// batch kernel the CPU has for the lanes of a group inside its guard and
+/// the scalar twin for everything else, or the scalar twin always.
 #[derive(Debug, Clone)]
 pub struct OnePassFill {
     /// The scheme every fill of this value scores with — owned, so the
@@ -136,6 +139,11 @@ pub struct OnePassFill {
     /// was detected and the scheme is inside the lane-arithmetic guard —
     /// [`OnePassFill::fill_batch`] relies on that to call the kernel.
     vector_max_short: usize,
+    /// Lanes of the widest batch body this fill runs: [`WIDE_LANES`] only
+    /// where `detect` saw AVX-512BW (and [`OnePassFill::fill_batch`]
+    /// relies on that), [`NARROW_LANES`] where it saw AVX2, 0 for the
+    /// scalar twin alone.
+    lanes: usize,
     /// Per residue, its matrix row as two 16-entry byte tables (codes
     /// 0–15, then 16–31) for the shuffle that builds the query profiles;
     /// entry [`interpair::PAD_CODE`] holds the padding score.
@@ -149,17 +157,23 @@ impl OnePassFill {
         OnePassFill {
             scheme: scheme.clone(),
             vector_max_short: 0,
+            lanes: 0,
             #[cfg(target_arch = "x86_64")]
             lut: [[0; 32]; ALPHABET_SIZE],
         }
     }
 
-    /// The fastest exact fills for `scheme` on this host.
+    /// The fastest exact fills for `scheme` on this host: the 32-lane
+    /// body where the CPU has AVX-512BW, else the 16-lane body where it
+    /// has AVX2, else the scalar twin.
     pub fn detect(scheme: &ScoringScheme) -> OnePassFill {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && vector_max_short(scheme) > 0 {
+            let wide = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw");
             let mut fill = OnePassFill::scalar(scheme);
             fill.vector_max_short = vector_max_short(scheme);
+            fill.lanes = if wide { WIDE_LANES } else { NARROW_LANES };
             for (r, row) in fill.lut.iter_mut().enumerate() {
                 for (c, slot) in row.iter_mut().enumerate().take(ALPHABET_SIZE) {
                     // Inside i8 by the guard of `vector_max_short`.
@@ -177,12 +191,40 @@ impl OnePassFill {
         &self.scheme
     }
 
-    /// `avx2` or `scalar`: the kernel a batch's eligible lanes run on.
+    /// The same fill with its batch kernel held to at most `lanes` pairs a
+    /// register: below [`NARROW_LANES`] the scalar twin alone.
+    pub(crate) fn with_lanes(mut self, lanes: usize) -> OnePassFill {
+        self.lanes = self.lanes.min(lanes);
+        if self.lanes < NARROW_LANES {
+            self.lanes = 0;
+            self.vector_max_short = 0;
+        }
+        self
+    }
+
+    /// `avx512`, `avx2` or `scalar`: the widest kernel a batch's eligible
+    /// lanes run on.
     pub fn label(&self) -> &'static str {
-        if self.vector_max_short > 0 {
-            "avx2"
-        } else {
-            "scalar"
+        match self.lanes {
+            WIDE_LANES => "avx512",
+            NARROW_LANES => "avx2",
+            _ => "scalar",
+        }
+    }
+
+    /// Pairs one batch fill takes at most: the widest kernel's lanes, and
+    /// [`NARROW_LANES`] for the scalar twin.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes.max(NARROW_LANES)
+    }
+
+    /// Pairs one batch fill of `pairs` takes: the widest kernel's lanes if
+    /// their sides fit its limit, else the 16-lane body's.
+    pub(crate) fn lanes_for(&self, pairs: &[(&[u8], &[u8])]) -> usize {
+        let (m_max, n_max) = sides(pairs);
+        match self.lanes == WIDE_LANES && wide_batch_fits(m_max, n_max) {
+            true => WIDE_LANES,
+            false => NARROW_LANES,
         }
     }
 
@@ -252,35 +294,43 @@ impl OnePassFill {
     }
 
     /// Can the batch kernel fill these pairs at once, one per lane? At
-    /// most [`BATCH_LANES`] of them, each [`Self::is_vector`].
+    /// most [`Self::lanes_for`] of them, each [`Self::is_vector`].
     fn takes_batch(&self, pairs: &[(&[u8], &[u8])]) -> bool {
-        pairs.len() <= BATCH_LANES && pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()))
+        pairs.len() <= self.lanes_for(pairs)
+            && pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()))
     }
 
-    /// Fill the direction matrices of up to [`BATCH_LANES`] pairs into
+    /// Fill the direction planes of up to [`Self::lanes_for`] pairs into
     /// `scratch` with the batch kernel, lane `k` holding `pairs[k]`, and
-    /// return each lane's [`Self::fill`] answer.
+    /// return each lane's [`Self::fill`] answer: the 32-lane body where it
+    /// was detected and the sides fit it, the 16-lane body otherwise.
     ///
     /// # Panics
     ///
     /// Unless every pair [`Self::is_vector`] and there are at most
-    /// [`BATCH_LANES`] of them.
+    /// [`Self::lanes_for`] of them.
     pub(crate) fn fill_batch(
         &self,
         pairs: &[(&[u8], &[u8])],
         scratch: &mut AlignScratch,
-    ) -> [LaneEnd; BATCH_LANES] {
+    ) -> [LaneEnd; WIDE_LANES] {
         assert!(self.takes_batch(pairs), "batch outside the kernel's guard");
         #[cfg(target_arch = "x86_64")]
-        if self.vector_max_short > 0 {
-            // SAFETY: `vector_max_short` is nonzero only when `detect`
-            // saw AVX2 on this host.
-            return unsafe {
-                interpair::x86::fill_batch_avx2(pairs, &self.scheme, &self.lut, &mut scratch.batch)
-            };
+        {
+            let (scheme, lut, buf) = (&self.scheme, &self.lut, &mut scratch.batch);
+            if self.lanes_for(pairs) == WIDE_LANES {
+                // SAFETY: `lanes` is `WIDE_LANES` only when `detect` saw
+                // AVX2, AVX-512F and AVX-512BW on this host.
+                return unsafe { interpair::x86::w32::fill(pairs, scheme, lut, buf) };
+            }
+            if self.vector_max_short > 0 {
+                // SAFETY: `vector_max_short` is nonzero only when `detect`
+                // saw AVX2 on this host.
+                return unsafe { interpair::x86::w16::fill(pairs, scheme, lut, buf) };
+            }
         }
         // No pair passes `is_vector` without the vector kernel.
-        [(0, (0, 0)); BATCH_LANES]
+        [(0, (0, 0)); WIDE_LANES]
     }
 
     /// Optimal local alignment with full traceback — bit-identical to
@@ -304,22 +354,27 @@ impl OnePassFill {
         FillProbe::decode(score, end, x.len(), y.len(), dir)
     }
 
-    /// What the batch kernel leaves for each of `pairs`, decoded — `None`
-    /// when it cannot take them all.
+    /// What the batch kernel leaves for each of up to [`WIDE_LANES`]
+    /// `pairs`, decoded, in fills cut as [`crate::AlignEngine::judge_batch`]
+    /// cuts them — `None` when it cannot take them all.
     pub fn probe_batch(
         &self,
         pairs: &[(&[u8], &[u8])],
         scratch: &mut AlignScratch,
     ) -> Option<Vec<FillProbe>> {
-        if pairs.is_empty() || !self.takes_batch(pairs) {
+        let vector = pairs.iter().all(|(x, y)| self.is_vector(x.len(), y.len()));
+        if pairs.is_empty() || pairs.len() > WIDE_LANES || !vector {
             return None;
         }
-        let ends = self.fill_batch(pairs, scratch);
-        let probe = |(k, (x, y)): (usize, &(&[u8], &[u8]))| {
-            let dir = |i, j| scratch.batch.dir(k, i, j);
-            FillProbe::decode(ends[k].0, ends[k].1, x.len(), y.len(), dir)
-        };
-        Some(pairs.iter().enumerate().map(probe).collect())
+        let mut probes = Vec::with_capacity(pairs.len());
+        for group in pairs.chunks(self.lanes_for(pairs)) {
+            let ends = self.fill_batch(group, scratch);
+            for (k, (x, y)) in group.iter().enumerate() {
+                let dir = scratch.batch.lane_dirs(k);
+                probes.push(FillProbe::decode(ends[k].0, ends[k].1, x.len(), y.len(), dir));
+            }
+        }
+        Some(probes)
     }
 }
 
@@ -413,13 +468,54 @@ mod tests {
         }
     }
 
+    /// Both instantiations of the batch kernel, each on its own: groups of
+    /// 1, 15, 16, 17, 31 and 32 of the ragged and tie-heavy shapes (as many
+    /// as the body takes) and lanes at its side limit leave, lane by lane,
+    /// the scalar twin's score, end cell and direction of every real cell.
+    #[test]
+    fn both_widths_equal_the_scalar_twin_cell_by_cell() {
+        let s = ScoringScheme::blosum62_default();
+        let (host, scalar) = (OnePassFill::detect(&s), OnePassFill::scalar(&s));
+        let mut pairs = crate::shapes::ragged();
+        pairs.extend(crate::shapes::tie_heavy());
+        pairs.retain(|(x, y)| !x.is_empty() && !y.is_empty());
+        let (a, b) = crate::shapes::mutated_pair(3, 90, 0.08, 0.02);
+        let (mut batch, mut twin) = (AlignScratch::new(), AlignScratch::new());
+        for (lanes, limit) in [(WIDE_LANES, 1448), (NARROW_LANES, 2048)] {
+            let fill = host.clone().with_lanes(lanes);
+            if fill.lanes != lanes {
+                continue; // not on this host
+            }
+            let at_limit =
+                [(a.clone(), vec![3; limit]), (vec![3; limit], b.clone()), (b.clone(), a.clone())];
+            let sizes = [1, 15, 16, 17, 31, 32].into_iter().filter(|&g| g <= lanes);
+            let groups = sizes.flat_map(|g| pairs.chunks(g)).chain([&at_limit[..]]);
+            for group in groups {
+                let group: Vec<(&[u8], &[u8])> =
+                    group.iter().map(|(x, y)| (&x[..], &y[..])).collect();
+                assert_eq!(fill.lanes_for(&group), lanes, "{} pairs", group.len());
+                let probes = fill.probe_batch(&group, &mut batch).expect("the body takes them");
+                for (k, (probe, (x, y))) in probes.iter().zip(&group).enumerate() {
+                    let what = format!(
+                        "{lanes} lanes, lane {k} of {} ({}x{})",
+                        group.len(),
+                        x.len(),
+                        y.len()
+                    );
+                    assert_eq!(*probe, scalar.probe(x, y, &mut twin), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn schemes_outside_the_lane_guard_stay_scalar() {
         let mut s = ScoringScheme::blosum62_default();
         let host = OnePassFill::detect(&s);
-        let avx2 = host.label() == "avx2";
+        let vector = host.is_vector(1, 1);
+        assert_eq!(vector, host.label() != "scalar");
         // The side limit: 2 048 residues, on either side.
-        assert_eq!((host.is_vector(100, 2048), host.is_vector(2048, 100)), (avx2, avx2));
+        assert_eq!((host.is_vector(100, 2048), host.is_vector(2048, 100)), (vector, vector));
         assert!(!host.is_vector(100, 2049) && !host.is_vector(2049, 100));
         assert!(!OnePassFill::scalar(&s).is_vector(10, 10));
         s.gap_open = 1;

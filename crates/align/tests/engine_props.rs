@@ -7,18 +7,22 @@
 //! direction bits on every real cell, and the batch entry must give
 //! `judge`'s verdict.
 
+mod shapes;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pfam_align::{
     is_contained, local_affine, overlaps, AlignEngine, AlignEngineKind, AlignScratch, Anchor,
-    ContainmentParams, OnePassFill, OverlapParams, PairQuery, BATCH_LANES,
+    ContainmentParams, OnePassFill, OverlapParams, PairQuery,
 };
-use pfam_datagen::{random_peptide, MutationModel};
+use pfam_datagen::random_peptide;
 use pfam_seq::{ScoringScheme, SubstMatrix};
+use shapes::{mutated_pair, ragged, tie_heavy, Pair};
 
-type Pair = (Vec<u8>, Vec<u8>);
+/// The most pairs one `judge_batch` call takes: the 32-lane body's.
+const MAX_GROUP: usize = 32;
 
 fn residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..21, 0..max_len)
@@ -34,23 +38,9 @@ fn gap_regimes() -> [ScoringScheme; 4] {
     [scheme(11, 1), scheme(4, 1), scheme(3, 3), scheme(2, 0)]
 }
 
-/// Does `s` get the vector kernel on this host?
+/// Does `s` get a vector kernel on this host?
 fn vectorized(s: &ScoringScheme) -> bool {
-    OnePassFill::detect(s).label() == "avx2"
-}
-
-/// A mutated homolog pair: ancestor-derived sequences whose similarity
-/// straddles the containment/overlap cutoffs (the interesting regime).
-fn mutated_pair(seed: u64, len: usize, rate: f64, indel: f64) -> Pair {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ancestor = random_peptide(&mut rng, len);
-    let model = MutationModel {
-        substitution_rate: rate,
-        conservative_fraction: 0.5,
-        insertion_rate: indel,
-        deletion_rate: indel,
-    };
-    (model.mutate(&ancestor, &mut rng), model.mutate(&ancestor, &mut rng))
+    OnePassFill::detect(s).is_vector(1, 1)
 }
 
 /// The population RR, CCD and BGG align, plus every shape that has broken
@@ -185,7 +175,7 @@ fn tiered_verdicts_match_reference_on_the_corpus() {
         let reference = AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op);
         let tiered = [
             AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op),
-            AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_scalar_fill(),
+            AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_lanes(0),
         ];
         for (k, (a, b)) in pairs.iter().enumerate() {
             let anchor = [None, Some(Anchor { x_pos: u32::MAX, y_pos: 0, len: 5 })][k % 2];
@@ -236,35 +226,6 @@ fn counters_follow_the_outcome_on_the_corpus() {
     assert!(tiers[0] > 0 && tiers[1] > 0 && tiers[3] > 0, "outcomes seen: {tiers:?}");
 }
 
-/// Pairs whose optimal alignment is far from unique — where the
-/// traceback's tie-breaks decide the spans: homopolymers, tandem repeats
-/// out of phase, equal lengths.
-fn tie_heavy() -> Vec<Pair> {
-    let tandem = |unit: &[u8], len: usize, phase: usize| -> Vec<u8> {
-        (0..len).map(|i| unit[(i + phase) % unit.len()]).collect()
-    };
-    let mut pairs = vec![
-        (vec![1; 40], vec![1; 40]),
-        (vec![1; 50], vec![1; 37]),
-        (vec![1; 37], vec![1; 50]),
-        (vec![9; 64], vec![9; 61]),
-    ];
-    for (unit, len) in [(&[0u8, 3, 7][..], 45usize), (&[2, 2, 11, 5][..], 64), (&[4, 15][..], 33)] {
-        for phase in 0..unit.len() {
-            pairs.push((tandem(unit, len, 0), tandem(unit, len, phase)));
-            pairs.push((tandem(unit, len, phase), tandem(unit, len - 3, 0)));
-            pairs.push((tandem(unit, len - 2, 1), tandem(unit, len, phase)));
-        }
-    }
-    // Equal-length homologs: overlap coverage is measured on `x` on a tie.
-    for seed in 0..6u64 {
-        let (a, b) = mutated_pair(500 + seed, 80, 0.04 * seed as f64, 0.0);
-        let n = a.len().min(b.len());
-        pairs.push((a[..n].to_vec(), b[..n].to_vec()));
-    }
-    pairs
-}
-
 /// The combined entry on one pair: the `x`-in-`y` and overlap answers are
 /// the single-criterion ones, the `y`-in-`x` answer is Definition 1 read
 /// off `local_affine(x, y)`'s own statistics, every subset of the query
@@ -303,7 +264,7 @@ fn judge_engines(s: &ScoringScheme) -> [AlignEngine; 3] {
     [
         AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op),
         AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op),
-        AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_scalar_fill(),
+        AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_lanes(0),
     ]
 }
 
@@ -332,15 +293,16 @@ fn queries() -> impl Iterator<Item = PairQuery> {
 /// batch entry. Kernel: each lane's score, end cell and the direction bits
 /// of every real cell are the scalar twin's for that pair alone (the batch
 /// must be taken exactly when `vector` says the scheme and every pair are
-/// inside the kernel's guard). Entry: on the host's fills and on the
-/// scalar twin, each `PairVerdict` — tier and cell counters included — is
+/// inside the kernel's guard). Entry: on the host's fills, on the 16-lane
+/// body and on the scalar twin, each `PairVerdict` — tier and cell
+/// counters included — is
 /// `judge`'s, for every query, the same for all lanes or different from
 /// lane to lane, however many of a group's lanes the kernel takes.
 fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector: bool) {
     let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
     let (scalar, host) = (OnePassFill::scalar(s), OnePassFill::detect(s));
     let tiered = || AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
-    let engines = [tiered(), tiered().with_scalar_fill()];
+    let engines = [tiered(), tiered().with_lanes(16), tiered().with_lanes(0)];
     let reference = AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op);
     let (mut a, mut b) = (AlignScratch::new(), AlignScratch::new());
     let all: Vec<PairQuery> = queries().collect();
@@ -388,37 +350,17 @@ fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector:
     }
 }
 
-/// Shapes a batch is ragged in: a single residue, equal lengths, one lane
-/// far longer than the rest (in `x`, then in `y`), a lane of `X`s, an empty
-/// side (screened out before any lane is filled).
-fn ragged() -> Vec<Pair> {
-    let homolog = |seed: u64, len: usize| mutated_pair(seed, len, 0.08, 0.02);
-    let mut pairs = vec![(vec![4u8], vec![4u8]), (vec![4], homolog(1, 40).1)];
-    pairs.extend((2..6).map(|seed| {
-        let (a, b) = homolog(seed, 48);
-        let n = a.len().min(b.len());
-        (a[..n].to_vec(), b[..n].to_vec())
-    }));
-    let (long_a, long_b) = homolog(6, 400);
-    pairs.push((long_a.clone(), long_b[..60].to_vec()));
-    pairs.push((long_a[100..150].to_vec(), long_b));
-    pairs.push((vec![20; 45], vec![20; 52]));
-    pairs.push((vec![20; 30], homolog(7, 64).0));
-    pairs.push((Vec::new(), vec![3; 9]));
-    pairs.extend((8..14).map(|seed| homolog(seed, 20 + 17 * (seed as usize % 5))));
-    pairs
-}
-
 #[test]
 fn batch_kernel_equals_the_scalar_twin_lane_by_lane() {
     let mut pairs = ragged();
     pairs.extend(tie_heavy());
     pairs.extend(corpus().into_iter().step_by(4));
     for s in gap_regimes() {
-        for lanes in [1, 2, 15, BATCH_LANES] {
+        for lanes in [1, 2, 15, 16, 17, 31, MAX_GROUP] {
             // One batch size per scheme covers the whole list; the others
             // see its head, which holds every ragged shape.
-            let n = if lanes == BATCH_LANES { pairs.len() } else { 2 * lanes.max(8) };
+            let n =
+                if lanes == MAX_GROUP { pairs.len() } else { (2 * lanes.max(8)).min(pairs.len()) };
             assert_batches_match(&s, &pairs[..n], lanes, vectorized(&s));
         }
     }
@@ -429,28 +371,33 @@ fn batch_kernel_equals_the_scalar_twin_lane_by_lane() {
 /// enough — and the batch entry answers either way.
 #[test]
 fn batch_kernel_is_exact_on_both_sides_of_the_limits() {
-    let avx2 = vectorized(&scheme(11, 1));
+    let vector = vectorized(&scheme(11, 1));
     let (a, b) = mutated_pair(7, 150, 0.08, 0.01);
-    // The side limit: 2 048 residues, in `y` and then in `x`. (Under
-    // BLOSUM62 the score limit's 1 363 residues bind the shorter side.)
+    // The side limits: 1 448 residues for the 32-lane body (one more goes
+    // to the 16-lane body) and 2 048 for any batch, in `y` and then in
+    // `x`. (Under BLOSUM62 the score limit's 1 363 residues bind the
+    // shorter side.)
     let side = |len: usize| {
         vec![(a.clone(), b.clone()), (vec![3; 64], vec![3; len]), (vec![3; len], vec![3; 64])]
     };
-    assert_batches_match(&scheme(11, 1), &side(2048), 2, avx2);
+    for len in [1448, 1449, 2048] {
+        assert_batches_match(&scheme(11, 1), &side(len), 2, vector);
+        assert_batches_match(&scheme(11, 1), &side(len), 3, vector);
+    }
     assert_batches_match(&scheme(11, 1), &side(2049), 2, false);
 
-    let pairs: Vec<Pair> = ragged().into_iter().take(BATCH_LANES).collect();
-    assert_batches_match(&scheme(2048, 2048), &pairs, BATCH_LANES, avx2);
-    assert_batches_match(&scheme(2049, 2049), &pairs, BATCH_LANES, false);
+    let pairs: Vec<Pair> = ragged().into_iter().take(MAX_GROUP).collect();
+    assert_batches_match(&scheme(2048, 2048), &pairs, MAX_GROUP, vector);
+    assert_batches_match(&scheme(2049, 2049), &pairs, MAX_GROUP, false);
     let short: Vec<Pair> =
         pairs.iter().filter(|(x, y)| x.len().min(y.len()) <= 118).cloned().collect();
-    for (matched, vector) in [(127, avx2), (128, false)] {
+    for (matched, vector) in [(127, vector), (128, false)] {
         let s = ScoringScheme {
             matrix: SubstMatrix::uniform(matched, -128),
             gap_open: 11,
             gap_extend: 1,
         };
-        assert_batches_match(&s, &short, BATCH_LANES, vector);
+        assert_batches_match(&s, &short, MAX_GROUP, vector);
         // The score limit under this matrix: min(m, n) ≤ 15 000 / 127.
         let limit = |len: usize| vec![(a.clone(), vec![9; len]), (vec![9; len], vec![9; len])];
         assert_batches_match(&s, &limit(118), 2, vector);
@@ -484,15 +431,15 @@ proptest! {
     /// unrelated strings.
     #[test]
     fn batches_match_on_random(
-        strings in prop::collection::vec((residues(60), residues(60)), 1..17),
+        strings in prop::collection::vec((residues(60), residues(60)), 1..33),
         seed in 0u64..1000,
     ) {
         let mut pairs = strings;
         pairs.push(mutated_pair(seed, 20 + (seed as usize % 60), 0.1, 0.03));
         pairs.retain(|(x, y)| !x.is_empty() && !y.is_empty());
-        pairs.truncate(BATCH_LANES);
+        pairs.truncate(MAX_GROUP);
         for s in [scheme(11, 1), scheme(3, 3)] {
-            assert_batches_match(&s, &pairs, BATCH_LANES, vectorized(&s));
+            assert_batches_match(&s, &pairs, MAX_GROUP, vectorized(&s));
         }
     }
 

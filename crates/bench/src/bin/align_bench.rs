@@ -1,11 +1,12 @@
 //! Alignment-engine benchmark: the reference three-matrix fill against the
-//! engine's one-pass fills — the scalar twin pair by pair, the AVX2 batch
-//! kernel sixteen pairs at a time — on the RR (containment) and CCD (overlap) candidate
+//! engine's one-pass fills — the scalar twin pair by pair, the batch kernel
+//! at each width the host runs (sixteen pairs a fill on AVX2, thirty-two on
+//! AVX-512BW) — on the RR (containment) and CCD (overlap) candidate
 //! streams of a paper-like workload, at 1 and 2 threads, emitting a
 //! machine-readable `BENCH_align.json` — the alignment twin of
 //! `BENCH_index.json`. The inter-pair rows see the task list the way
 //! `Verifier` hands it over: lists of at most `batch_size` candidates, each
-//! sorted by shape and cut into groups of sixteen.
+//! sorted by shape and cut into groups of the width's lanes.
 //!
 //! ```sh
 //! cargo run --release -p pfam-bench --bin align_bench [scale]
@@ -16,9 +17,7 @@
 //! stdout instead of writing the file. The bench asserts — and records —
 //! that every engine returns identical verdicts on every candidate.
 
-use pfam_align::{
-    AlignEngine, AlignEngineKind, AlignScratch, Anchor, PairQuery, PairVerdict, BATCH_LANES,
-};
+use pfam_align::{AlignEngine, AlignEngineKind, AlignScratch, Anchor, PairQuery, PairVerdict};
 use pfam_bench::{
     claim_f64, cores_field, dataset_160k_like, emit, thread_sweep, time_min, BenchArgs,
 };
@@ -47,30 +46,38 @@ fn orient(set: &SequenceSet, p: &MatchPair) -> (SeqId, SeqId, Anchor) {
 type Outcome = Vec<PairVerdict>;
 
 /// The task list as `Verifier` batches it: per list of `batch_size` tasks,
-/// the task indices sorted by `(n, m)` and cut into groups of a register.
+/// the task indices sorted by `(n, m)` and cut into groups of a register's
+/// `lanes`.
 fn shape_sorted_groups(
     set: &SequenceSet,
     tasks: &[Task],
     batch_size: usize,
+    lanes: usize,
 ) -> Vec<Vec<Vec<usize>>> {
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     let lists = order.chunks_mut(batch_size).map(|list| {
         list.sort_unstable_by_key(|&k| (set.seq_len(tasks[k].1), set.seq_len(tasks[k].0), k));
-        list.chunks(BATCH_LANES).map(<[usize]>::to_vec).collect()
+        list.chunks(lanes).map(<[usize]>::to_vec).collect()
     });
     lists.collect()
 }
 
-/// Real cells over the cells the batch fills lay out: every group pads its
-/// lanes to its own `m_max × n_max`, and a short group leaves lanes empty.
-fn lane_occupancy(set: &SequenceSet, tasks: &[Task], lists: &[Vec<Vec<usize>>]) -> f64 {
+/// Real cells over the cells the batch fills of `lanes` lay out: every
+/// group pads its lanes to its own `m_max × n_max`, and a short group
+/// leaves lanes empty.
+fn lane_occupancy(
+    set: &SequenceSet,
+    tasks: &[Task],
+    lists: &[Vec<Vec<usize>>],
+    lanes: usize,
+) -> f64 {
     let (mut real, mut padded) = (0u64, 0u64);
     for group in lists.iter().flatten() {
         let shape = |&k: &usize| (set.seq_len(tasks[k].0) as u64, set.seq_len(tasks[k].1) as u64);
         real += group.iter().map(shape).map(|(m, n)| m * n).sum::<u64>();
         let m_max = group.iter().map(|k| shape(k).0).max().unwrap_or(0);
         let n_max = group.iter().map(|k| shape(k).1).max().unwrap_or(0);
-        padded += BATCH_LANES as u64 * m_max * n_max;
+        padded += lanes as u64 * m_max * n_max;
     }
     real as f64 / padded as f64
 }
@@ -98,7 +105,7 @@ fn run_tasks(
             }
             return verdicts;
         };
-        let mut answers = Vec::with_capacity(BATCH_LANES);
+        let mut answers = Vec::with_capacity(engine.batch_lanes());
         for group in lists.iter().skip(t).step_by(threads).flatten() {
             let asked: Vec<_> = group
                 .iter()
@@ -172,16 +179,23 @@ fn main() {
         |kind| AlignEngine::new(kind, config.scheme.clone(), config.containment, config.overlap);
     let tiered = engine(AlignEngineKind::Tiered);
     // The same task list through the reference 3-matrix fill, the scalar
-    // one-pass fill and (where detected) the AVX2 batch kernel across the
-    // pairs of a group.
-    let lists = shape_sorted_groups(set, &tasks, config.batch_size);
+    // one-pass fill and the batch kernel at each width the host runs, across
+    // the pairs of a group of its lanes.
+    let groups = |lanes| shape_sorted_groups(set, &tasks, config.batch_size, lanes);
+    let (narrow, wide) = (groups(16), groups(32));
     let mut engines = vec![
         ("reference_3matrix", engine(AlignEngineKind::Reference), None),
-        ("onepass_scalar", engine(AlignEngineKind::Tiered).with_scalar_fill(), None),
+        ("onepass_scalar", engine(AlignEngineKind::Tiered).with_lanes(0), None),
     ];
     if tiered.kernel_label() != "scalar" {
-        engines.push(("interpair_avx2", engine(AlignEngineKind::Tiered), Some(&lists[..])));
+        let avx2 = engine(AlignEngineKind::Tiered).with_lanes(16);
+        engines.push(("interpair_avx2", avx2, Some(&narrow[..])));
     }
+    if tiered.kernel_label() == "avx512" {
+        engines.push(("interpair_avx512", engine(AlignEngineKind::Tiered), Some(&wide[..])));
+    }
+    // The interpair row that ships, if any: the widest.
+    let shipped_label = engines.last().map(|e| e.0).filter(|l| l.starts_with("interpair"));
 
     let sweep = thread_sweep(2, args.smoke);
     let gcells = |seconds: f64| total_cells as f64 / 1e9 / seconds;
@@ -248,10 +262,13 @@ fn main() {
             "  \"tier_hit_rates\": {{ \"screen\": {t0:.4}, \"score_reject\": {t1:.4}, \"traced\": {t3:.4} }},\n",
             "  \"batch_size\": {batch_size},\n",
             "  \"lane_occupancy\": {occupancy:.4},\n",
+            "  \"lane_occupancy_wide\": {occupancy_wide:.4},\n",
             "  \"runs\": [\n{runs}\n  ],\n",
             "  \"interpair_vs_reference_1t\": {vs_ref},\n",
             "  \"interpair_vs_scalar_1t\": {vs_scalar_1t},\n",
             "  \"interpair_vs_scalar_{two_t}t\": {vs_scalar_2t},\n",
+            "  \"wide_vs_narrow_1t\": {wide_1t},\n",
+            "  \"wide_vs_narrow_{two_t}t\": {wide_2t},\n",
             "  {speedup}\n",
             "}}\n"
         ),
@@ -271,11 +288,14 @@ fn main() {
         t1 = tiers[1] as f64 / n,
         t3 = tiers[3] as f64 / n,
         batch_size = config.batch_size,
-        occupancy = lane_occupancy(set, &tasks, &lists),
+        occupancy = lane_occupancy(set, &tasks, &narrow, 16),
+        occupancy_wide = lane_occupancy(set, &tasks, &wide, 32),
         runs = runs.join(",\n"),
-        vs_ref = ratio("reference_3matrix", "interpair_avx2", 0),
-        vs_scalar_1t = ratio("onepass_scalar", "interpair_avx2", 0),
-        vs_scalar_2t = ratio("onepass_scalar", "interpair_avx2", two),
+        vs_ref = ratio("reference_3matrix", shipped_label.unwrap_or(""), 0),
+        vs_scalar_1t = ratio("onepass_scalar", shipped_label.unwrap_or(""), 0),
+        vs_scalar_2t = ratio("onepass_scalar", shipped_label.unwrap_or(""), two),
+        wide_1t = ratio("interpair_avx2", "interpair_avx512", 0),
+        wide_2t = ratio("interpair_avx2", "interpair_avx512", two),
         two_t = sweep.counts[two],
         speedup = claim_f64(sweep.cores, "speedup_1_to_2_threads", thread_speedup),
     );

@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use pfam_align::{PairQuery, PairVerdict, BATCH_LANES};
+use pfam_align::{AlignScratch, PairQuery, PairVerdict};
 use pfam_graph::UnionFind;
 use pfam_seq::{MemoryBudget, SeqId, SeqStore};
 use pfam_suffix::MatchPair;
@@ -491,12 +491,14 @@ impl Verifier {
 
     /// Verify a candidate list; the verdicts come back in its order, each
     /// what [`Self::verdict`] gives the candidate alone. The ledger answers
-    /// what it can; the rest are sorted by shape and cut into groups of
-    /// [`BATCH_LANES`] — one batch fill each ([`AlignEngine::judge_batch`]),
-    /// sixteen pairs of about one size to a register — which `on` spreads
+    /// what it can; the rest are sorted by shape and cut into groups of the
+    /// engine's [`AlignEngine::batch_lanes`] — one batch fill each
+    /// ([`AlignEngine::judge_batch`]), thirty-two (AVX-512) or sixteen
+    /// (AVX2) pairs of about one size to a register — which `on` spreads
     /// over the rayon pool or keeps on the caller's thread.
     ///
     /// [`AlignEngine::judge_batch`]: pfam_align::AlignEngine::judge_batch
+    /// [`AlignEngine::batch_lanes`]: pfam_align::AlignEngine::batch_lanes
     pub fn verify(
         &self,
         set: &dyn SeqStore,
@@ -511,23 +513,38 @@ impl Verifier {
             let (lo, hi, _) = self.question(c);
             rest.push((set.seq_len(hi), set.seq_len(lo), at));
         }
-        rest.sort_unstable();
-        let fill = |group: &[(usize, usize, usize)]| -> Vec<Verdict> {
+        // Largest first: a worker's first batch is its largest, so its batch
+        // buffers are sized once and never regrown (a regrowth can leave the
+        // old buffer resident beside the new).
+        rest.sort_unstable_by(|a, b| b.cmp(a));
+        // `own`: fill in an arena of its own, freed with it, rather than
+        // the thread's.
+        let fill = |group: &[(usize, usize, usize)], own: bool| -> Vec<Verdict> {
             let asks = group.iter().map(|&(_, _, at)| self.question(candidates[at]));
             let asked: Vec<(&[u8], &[u8], PairQuery)> =
                 asks.map(|(lo, hi, ask)| (set.codes(lo), set.codes(hi), ask)).collect();
             let mut answers = Vec::with_capacity(group.len());
-            self.engine.judge_batch(&asked, &mut answers);
+            match own {
+                true => {
+                    self.engine.judge_batch_with(&asked, &mut AlignScratch::new(), &mut answers)
+                }
+                false => self.engine.judge_batch(&asked, &mut answers),
+            }
             let verdict = |(&(n, m, at), v)| self.filled(candidates[at], v, (m * n) as u64);
             group.iter().zip(answers).map(verdict).collect()
         };
-        let groups: Vec<&[(usize, usize, usize)]> = rest.chunks(BATCH_LANES).collect();
+        let groups: Vec<&[(usize, usize, usize)]> =
+            rest.chunks(self.engine.batch_lanes()).collect();
         let filled: Vec<Vec<Verdict>> = match on {
-            VerifyOn::Pool => {
+            VerifyOn::Pool if groups.len() > 1 => {
                 use rayon::prelude::*;
-                groups.par_iter().map(|group| fill(group)).collect()
+                groups.par_iter().map(|group| fill(group, false)).collect()
             }
-            VerifyOn::Caller => groups.iter().map(|group| fill(group)).collect(),
+            // A lone group runs on the calling thread, which outlives the
+            // call: its batch buffers would stay resident beside those of
+            // the pool's next workers.
+            VerifyOn::Pool => groups.iter().map(|group| fill(group, true)).collect(),
+            VerifyOn::Caller => groups.iter().map(|group| fill(group, false)).collect(),
         };
         for (&(_, _, at), v) in rest.iter().zip(filled.into_iter().flatten()) {
             verdicts[at] = Some(v);

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Family reads, plus homologs too long for one batch (600 × 600 cells of
-/// direction nibbles are over 2 MiB) and for the `i16` kernels altogether
+/// direction bits are over 2 MiB) and for the `i16` kernels altogether
 /// (1 380 residues against 1 380: past `vector_max_short`).
 fn corpus() -> (SequenceSet, Vec<u32>) {
     let families = SyntheticDataset::generate(&DatasetConfig::tiny(77)).set;

@@ -29,7 +29,7 @@ use pfam_cluster::{
     PhaseTrace, RrResult,
 };
 use pfam_graph::{subgraph_density, SubgraphDensity};
-use pfam_seq::{BudgetError, MemoryBudget, SeqId, SeqStore};
+use pfam_seq::{process_usage, BudgetError, MemoryBudget, SeqId, SeqStore};
 use pfam_shingle::ShingleStats;
 
 use crate::checkpoint::{
@@ -304,20 +304,54 @@ impl<'h> Snapshots<'h> {
 }
 
 /// The walls between a run's phase boundaries, each less what the run
-/// waited on snapshots inside it.
+/// waited on snapshots inside it, and the process's CPU and peak memory
+/// over the same spans.
 struct PhaseClock {
     last: Instant,
     waited_at_last: f64,
+    /// [`process_usage`] at the last boundary.
+    usage_at_last: Option<(f64, u64)>,
+    /// Per span so far: its CPU seconds and the peak resident set at its
+    /// end; `None` once a reading failed.
+    spans: Option<Vec<(f64, u64)>>,
 }
 
 impl PhaseClock {
+    /// A clock whose first span starts now; the counters are read inside
+    /// it, as every later reading is inside the span it ends.
+    fn start() -> PhaseClock {
+        let last = Instant::now();
+        let usage_at_last = process_usage();
+        let spans = usage_at_last.map(|_| Vec::new());
+        PhaseClock { last, waited_at_last: 0.0, usage_at_last, spans }
+    }
+
     /// The span since the last boundary, less the snapshot waits in it:
     /// `waited` is [`SnapshotLog::waited_s`] now.
     fn lap(&mut self, waited: f64) -> f64 {
+        let usage = process_usage();
         let now = Instant::now();
         let span = (now - self.last).as_secs_f64() - (waited - self.waited_at_last);
         (self.last, self.waited_at_last) = (now, waited);
+        self.spans = match (self.spans.take(), self.usage_at_last, usage) {
+            (Some(mut spans), Some((cpu_then, _)), Some((cpu, hwm))) => {
+                // The kernel folds its per-thread counts into `VmHWM`
+                // lazily, so a reading can fall below an earlier one; the
+                // peak so far cannot.
+                let peak = spans.last().map_or(hwm, |&(_, before)| hwm.max(before));
+                spans.push((cpu - cpu_then, peak));
+                Some(spans)
+            }
+            _ => None,
+        };
+        self.usage_at_last = usage;
         span.max(0.0)
+    }
+
+    /// The CPU seconds and `VmHWM` of the four spans of a run.
+    fn usage(&self) -> (Option<[f64; 4]>, Option<[u64; 4]>) {
+        let spans: Option<&[(f64, u64); 4]> = self.spans.as_deref().and_then(|s| s.try_into().ok());
+        (spans.map(|s| s.map(|(cpu, _)| cpu)), spans.map(|s| s.map(|(_, hwm)| hwm)))
     }
 }
 
@@ -358,7 +392,7 @@ pub fn run_pipeline(
     config: &PipelineConfig,
     hooks: &PipelineHooks,
 ) -> Result<PipelineResult, PipelineError> {
-    let mut clock = PhaseClock { last: Instant::now(), waited_at_last: 0.0 };
+    let mut clock = PhaseClock::start();
     index_plan(input, &config.cluster, None)?;
     let snapshots = Snapshots::open(hooks, input, config)?;
     let mut phases = PhaseReport::default();
@@ -486,6 +520,7 @@ pub fn run_pipeline(
         .sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.members.cmp(&b.members)));
 
     phases.back_half_s = clock.lap(snapshots.log().waited_s());
+    (phases.cpu_s, phases.hwm_bytes) = clock.usage();
     phases.workers = workers;
     phases.checkpoints_s = snapshots.log().io_s();
     Ok(PipelineResult {
@@ -581,6 +616,12 @@ mod tests {
             assert!(phases.rr_s > 0.0 && phases.back_half_s > 0.0, "{phases}");
             assert!(phases.workers.bgg_s + phases.workers.dsd_s > 0.0, "{phases}");
             assert_eq!(phases.checkpoints_s > 0.0, hooks.checkpoint.is_some(), "{phases}");
+            if cfg!(target_os = "linux") {
+                let cpu = phases.cpu_s.expect("Linux has /proc/self/stat");
+                let hwm = phases.hwm_bytes.expect("Linux has /proc/self/status");
+                assert!(cpu.iter().all(|&s| s >= 0.0), "{phases}");
+                assert!(hwm.windows(2).all(|w| w[0] <= w[1]) && hwm[0] > 0, "{phases}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -224,8 +224,8 @@ impl std::fmt::Display for CheckpointReport {
     }
 }
 
-/// Where a run's wall-clock went, phase by phase — the stderr line of
-/// `pfam cluster|run` after `windows:` (or `ahead:`).
+/// Where a run's wall-clock, CPU and memory went, phase by phase — the
+/// stderr line of `pfam cluster|run` after `windows:` (or `ahead:`).
 ///
 /// `index`, `rr`, `ccd` and `back half` are the walls between the phase
 /// boundaries of [`crate::run_pipeline`], each less the snapshot reads and
@@ -236,6 +236,13 @@ impl std::fmt::Display for CheckpointReport {
 /// back half's component files are written on its workers, inside its
 /// wall: `checkpoints` counts them too, and is then more than the time
 /// the run waited on snapshots.
+///
+/// `cpu` is the process's user + system CPU over each span, every thread
+/// and the snapshot I/O in it included, so the four add up to the
+/// pipeline's CPU; `VmHWM` is the process's peak resident set at each
+/// span's end, so the first span whose figure rises is where the peak
+/// grew. Both are read from `/proc/self` and print `n/a` where it cannot
+/// be read.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseReport {
     /// Seconds to the index both phases mine.
@@ -251,6 +258,12 @@ pub struct PhaseReport {
     /// Seconds of snapshot reads and writes, `fingerprint` of the input
     /// included; 0 without a checkpoint directory.
     pub checkpoints_s: f64,
+    /// CPU seconds of the index, rr, ccd and back-half spans; `None` where
+    /// the process's counters cannot be read.
+    pub cpu_s: Option<[f64; 4]>,
+    /// The process's `VmHWM` in bytes at the end of the index, rr, ccd and
+    /// back-half spans; `None` where it cannot be read.
+    pub hwm_bytes: Option<[u64; 4]>,
 }
 
 impl std::fmt::Display for PhaseReport {
@@ -259,7 +272,8 @@ impl std::fmt::Display for PhaseReport {
         write!(
             f,
             "phases: index {:.3} s, rr {:.3} s, ccd {:.3} s, back half {:.3} s \
-             (bgg {:.3} / dsd {:.3} worker-s; heaviest {:.3} / {:.3}), checkpoints {:.3} s",
+             (bgg {:.3} / dsd {:.3} worker wall-s, overlapping; heaviest {:.3} / {:.3}), \
+             checkpoints {:.3} s",
             self.index_s,
             self.rr_s,
             self.ccd_s,
@@ -269,14 +283,33 @@ impl std::fmt::Display for PhaseReport {
             w.heaviest.0,
             w.heaviest.1,
             self.checkpoints_s,
-        )
+        )?;
+        let spans = |values: [String; 4], unit: &str| {
+            format!(
+                "index {}, rr {}, ccd {}, back half {} {unit}",
+                values[0], values[1], values[2], values[3]
+            )
+        };
+        match self.cpu_s {
+            Some(cpu) => write!(f, "; cpu {}", spans(cpu.map(|s| format!("{s:.2}")), "s"))?,
+            None => write!(f, "; cpu n/a")?,
+        }
+        match self.hwm_bytes {
+            Some(hwm) => {
+                let mib = hwm.map(|b| format!("{:.1}", b as f64 / (1 << 20) as f64));
+                write!(f, "; VmHWM {}", spans(mib, "MiB"))
+            }
+            None => write!(f, "; VmHWM n/a"),
+        }
     }
 }
 
-/// Worker-seconds of the back half ([`crate::executor`]): building
+/// Worker wall-seconds of the back half ([`crate::executor`]): building
 /// the component graphs (BGG) and detecting their dense subgraphs (DSD),
 /// summed over the components it ran, and the pair of the component that
-/// took the longest.
+/// took the longest. They overlap: a component's BGG fills run on the
+/// pool beside the other components' workers, so their sum can pass the
+/// back half's CPU; `PhaseReport::cpu_s` is the CPU.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerSeconds {
     /// BGG seconds over every component.
@@ -367,17 +400,25 @@ mod tests {
             workers.add(component);
         }
         assert_eq!(workers.heaviest, (1.5, 0.125));
-        let report = PhaseReport {
+        let mut report = PhaseReport {
             index_s: 0.041,
             rr_s: 0.052,
             ccd_s: 0.011,
             back_half_s: 1.6,
             workers,
             checkpoints_s: 0.0,
+            cpu_s: None,
+            hwm_bytes: None,
         };
         let line = "phases: index 0.041 s, rr 0.052 s, ccd 0.011 s, back half 1.600 s \
-                    (bgg 2.250 / dsd 0.175 worker-s; heaviest 1.500 / 0.125), checkpoints 0.000 s";
-        assert_eq!(report.to_string(), line);
+                    (bgg 2.250 / dsd 0.175 worker wall-s, overlapping; heaviest 1.500 / 0.125), \
+                    checkpoints 0.000 s";
+        assert_eq!(report.to_string(), format!("{line}; cpu n/a; VmHWM n/a"));
+        report.cpu_s = Some([0.04, 0.1, 0.02, 3.1]);
+        report.hwm_bytes = Some([9 << 20, 10 << 20, 10 << 20, 23 << 19]);
+        let usage = "; cpu index 0.04, rr 0.10, ccd 0.02, back half 3.10 s; \
+                     VmHWM index 9.0, rr 10.0, ccd 10.0, back half 11.5 MiB";
+        assert_eq!(report.to_string(), format!("{line}{usage}"));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! The lowest layer of the `pfam` workspace: amino-acid alphabet handling,
 //! compact arena-backed sequence storage, FASTA parsing/writing and substitution
-//! scoring matrices (BLOSUM/PAM).
+//! scoring matrices (BLOSUM/PAM), the memory budget every large allocation
+//! reserves against, and the process's own CPU and peak-RSS counters
+//! ([`process_usage`]).
 //!
 //! Everything above (suffix indexes, alignment, clustering, the pipeline)
 //! consumes the [`SequenceSet`] type defined here, which stores all residues
@@ -23,6 +25,7 @@ pub mod scoring;
 pub mod sequence;
 pub mod stats;
 pub mod store;
+pub mod usage;
 
 pub use alphabet::{AminoAcid, ALPHABET_SIZE};
 pub use budget::{BudgetError, MemoryBudget, Reservation};
@@ -32,3 +35,4 @@ pub use scoring::{ScoringScheme, SubstMatrix};
 pub use sequence::{SeqId, Sequence, SequenceSet, SequenceSetBuilder};
 pub use stats::LengthStats;
 pub use store::{materialize_subset, SeqStore, SubsetStore};
+pub use usage::process_usage;

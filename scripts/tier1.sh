@@ -5,7 +5,9 @@
 # that step), the pfam-align suites in release mode (forced-path suite:
 # the batch kernel against the scalar twin, cell by cell), index-bench,
 # align-bench and index_oc_bench smoke passes
-# (bit-identity checks on tiny workloads), grep gates (no unwrap on
+# (bit-identity checks on tiny workloads), the outputs check (what pfam
+# prints on the benchmark workloads and one generated input, against
+# results/outputs.tsv), grep gates (no unwrap on
 # inter-rank communication, in the push loop and its transports or in the
 # parsers of outside input — FASTA, checkpoints; a listed file that does
 # not exist fails its gate; no
@@ -355,9 +357,10 @@ done
 
 echo "== tier1: unsafe stays in the alignment kernels and the bench allocator =="
 # Every `unsafe` of the program is in the batch kernel's two files:
-# onepass.rs holds the one call into the `target_feature` kernel, behind
-# the AVX2 detection; interpair.rs holds the kernel's vector loads and
-# stores, each behind a length assertion. The benches' counting allocator
+# onepass.rs holds the calls into the two `target_feature` bodies, each
+# behind the CPU-feature detection that picked it (AVX-512BW, AVX2);
+# interpair.rs holds the bodies' vector loads and stores, each behind a
+# length assertion. The benches' counting allocator
 # wraps the system one. A new kernel goes into interpair.rs and through the
 # forced-path suite (crates/align/tests/engine_props.rs), not somewhere else.
 if grep -rnw "unsafe" crates/*/src src \
@@ -468,13 +471,19 @@ echo "$ALIGN_SMOKE" | grep -q '"outputs_identical": true' || {
     echo "tier1 FAIL: align_bench smoke did not report identical outputs" >&2
     exit 1
 }
-# On an AVX2 host the inter-pair row must have run (and been compared).
-if echo "$ALIGN_SMOKE" | grep -q '"kernel": "avx2"'; then
-    echo "$ALIGN_SMOKE" | grep -q '"engine": "interpair_avx2"' || {
-        echo "tier1 FAIL: align_bench smoke did not run the inter-pair kernel" >&2
+# On a vector host every width it runs must have had its row (and been
+# compared): the 16-lane body on AVX2, both bodies on AVX-512BW.
+case "$ALIGN_SMOKE" in
+    *'"kernel": "avx512"'*) widths="avx2 avx512" ;;
+    *'"kernel": "avx2"'*) widths="avx2" ;;
+    *) widths="" ;;
+esac
+for width in $widths; do
+    echo "$ALIGN_SMOKE" | grep -q "\"engine\": \"interpair_$width\"" || {
+        echo "tier1 FAIL: align_bench smoke did not run the $width inter-pair kernel" >&2
         exit 1
     }
-fi
+done
 
 echo "== tier1: index_oc_bench --test (smoke + windowed-stream identity + the index held to its budget) =="
 # The pass itself fails when the windowed miner's text or peak exceeds
@@ -493,6 +502,13 @@ echo "$OC_SMOKE" | grep -q '"dense": { .*"index_alone": {' || {
 
 echo "== tier1: the benchmark package's own tests (unit + smoke pass) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== tier1: outputs.sh --check (what pfam prints on the checked inputs, unchanged) =="
+# The four benchmark workloads at two seeds and one generated input: the
+# families.tsv, Table-I row, fills / ahead / windows lines and cluster ==
+# run of each, against results/outputs.tsv. A change that means to move
+# them regenerates the file; any other difference fails here.
+scripts/outputs.sh --check
 
 echo "== tier1: CLI kill/resume smoke (byte-identical families.tsv) =="
 SMOKE=$(mktemp -d)

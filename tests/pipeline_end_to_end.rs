@@ -397,3 +397,49 @@ fn what_cannot_run_is_a_typed_error_not_an_empty_answer() {
     }
     assert!(!Phase::Rr.path_in(&dir).exists(), "a refused run writes no snapshot");
 }
+
+/// The `phases:` line's CPU column accounts for the process: its four
+/// spans add up to within 5 % of what `pfam cluster` spent in user and
+/// system time, give or take the 30 ms that the readings' clock ticks and
+/// the line's two decimals can lose. The process's own total comes from
+/// the shell's `times` after the child exits.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_phases_cpu_adds_up_to_the_process_cpu() {
+    let pfam = env!("CARGO_BIN_EXE_pfam");
+    let dir = scratch_dir("phases-cpu");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (fasta, err) = (dir.join("reads.fasta"), dir.join("cluster.err"));
+    let generated = std::process::Command::new(pfam)
+        .args(["generate", "--families", "20", "--members", "800", "--seed", "3", "--out"])
+        .arg(&fasta)
+        .output()
+        .unwrap();
+    assert!(generated.status.success());
+    let shell = std::process::Command::new("bash")
+        .args(["-c", r#""$0" cluster "$1" --out "$2" >/dev/null 2>"$3"; times"#, pfam])
+        .arg(&fasta)
+        .arg(dir.join("families.tsv"))
+        .arg(&err)
+        .output()
+        .unwrap();
+    assert!(shell.status.success());
+    // `times`: the shell's user and system time, then its children's.
+    let times = String::from_utf8(shell.stdout).unwrap();
+    let child = times.lines().nth(1).expect("the children's line");
+    let seconds = |t: &str| {
+        let (min, sec) = t.trim_end_matches('s').split_once('m').expect("XmY.YYYs");
+        min.parse::<f64>().unwrap() * 60.0 + sec.parse::<f64>().unwrap()
+    };
+    let process: f64 = child.split_whitespace().map(seconds).sum();
+    let stderr = std::fs::read_to_string(&err).unwrap();
+    let phases = stderr.lines().find(|l| l.starts_with("phases:")).expect("a phases line");
+    let cpu = phases.split("; cpu ").nth(1).and_then(|s| s.split(" s;").next()).expect("cpu");
+    let spans: f64 =
+        cpu.split(", ").map(|s| s.rsplit(' ').next().unwrap().parse::<f64>().unwrap()).sum();
+    assert!(
+        (spans - process).abs() <= 0.05 * process + 0.03,
+        "phases' CPU {spans:.3} s against the process's {process:.3} s: {phases}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
