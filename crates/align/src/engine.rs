@@ -104,8 +104,6 @@ pub struct PairQuery {
 }
 
 impl PairQuery {
-    /// Containment of the first sequence only.
-    pub const X_IN_Y: PairQuery = PairQuery { x_in_y: true, y_in_x: false, overlap: false };
     /// Overlap only.
     pub const OVERLAP: PairQuery = PairQuery { x_in_y: false, y_in_x: false, overlap: true };
 }
@@ -187,20 +185,15 @@ impl AlignEngine {
     /// The same engine with its batch kernel held to at most `lanes` pairs
     /// a register, whatever the host: 16 is the AVX2 body on a host that
     /// has the AVX-512 one, and anything under 16 — 0, say — the scalar
-    /// one-pass fill for every pair. For the "best scalar" and "narrow"
-    /// sides of benches and the forced-path tests.
-    pub fn with_lanes(mut self, lanes: usize) -> AlignEngine {
+    /// one-pass fill for every pair. For this module's forced-width tests.
+    #[cfg(test)]
+    fn with_lanes(mut self, lanes: usize) -> AlignEngine {
         self.fill = self.fill.with_lanes(lanes);
         self
     }
 
-    /// Which engine variant this is.
-    pub fn kind(&self) -> AlignEngineKind {
-        self.kind
-    }
-
     /// Label of the widest kernel a batch's eligible lanes run on
-    /// (`avx512`, `avx2` or `scalar`) — for bench reports.
+    /// (`avx512`, `avx2` or `scalar`) — the benchmark reports it per host.
     pub fn kernel_label(&self) -> &'static str {
         self.fill.label()
     }
@@ -384,6 +377,16 @@ impl AlignEngine {
 mod tests {
     use super::*;
     use pfam_seq::alphabet::encode;
+    use pfam_seq::SubstMatrix;
+    use proptest::prelude::*;
+
+    use crate::shapes::{corpus, mutated_pair, ragged, tie_heavy, Pair};
+
+    /// The most pairs one `judge_batch` call takes: the 32-lane body's.
+    const MAX_GROUP: usize = 32;
+
+    /// Containment of `x` only.
+    const X_IN_Y: PairQuery = PairQuery { x_in_y: true, y_in_x: false, overlap: false };
 
     fn codes(s: &str) -> Vec<u8> {
         encode(s.as_bytes()).unwrap()
@@ -421,8 +424,8 @@ mod tests {
                 ];
                 for anc in anchors {
                     assert_eq!(
-                        tiered.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
-                        reference.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
+                        tiered.judge(&x, &y, X_IN_Y).x_in_y,
+                        reference.judge(&x, &y, X_IN_Y).x_in_y,
                         "containment {a} vs {b}"
                     );
                     assert_eq!(
@@ -440,7 +443,7 @@ mod tests {
         let engine = engine(AlignEngineKind::Tiered);
         let x = codes("MKVLWAAK");
         // Traced: the fill ran once over the rectangle, nothing skipped.
-        let contained = |y: &str| engine.judge(&x, &codes(y), PairQuery::X_IN_Y);
+        let contained = |y: &str| engine.judge(&x, &codes(y), X_IN_Y);
         let traced = contained("PPMKVLWAAKPP");
         assert_eq!((traced.tier, traced.x_in_y), (3, true));
         assert_eq!((traced.cells_computed, traced.cells_skipped), (8 * 12, 0));
@@ -498,6 +501,132 @@ mod tests {
             assert_eq!(*v, tiered.judge(x, y, q));
             let r = reference.judge(x, y, q);
             assert_eq!((v.x_in_y, v.y_in_x, v.overlap), (r.x_in_y, r.y_in_x, r.overlap));
+        }
+    }
+
+    fn blosum(gap_open: i32, gap_extend: i32) -> ScoringScheme {
+        ScoringScheme { matrix: SubstMatrix::blosum62().clone(), gap_open, gap_extend }
+    }
+
+    /// BLASTP default, cheap gaps, linear gaps (`open = ext`, every stay /
+    /// open tie), free extension.
+    fn gap_regimes() -> [ScoringScheme; 4] {
+        [blosum(11, 1), blosum(4, 1), blosum(3, 3), blosum(2, 0)]
+    }
+
+    /// Every subset of the criteria.
+    fn queries() -> impl Iterator<Item = PairQuery> {
+        (0..8u8).map(|b| PairQuery { x_in_y: b & 1 != 0, y_in_x: b & 2 != 0, overlap: b & 4 != 0 })
+    }
+
+    /// `pairs`, cut into groups of `lanes`, through the batch entry of the
+    /// tiered engine held to the 16-lane body and to the scalar twin: each
+    /// `PairVerdict` — tier and cell counters included — is the host
+    /// engine's `judge`, for every query asked of all lanes and then for a
+    /// different one per lane. (`tests/engine_props.rs` holds the host's
+    /// own batch entry, on the same pairs, to `judge` and the reference.)
+    fn assert_widths_agree(s: &ScoringScheme, pairs: &[Pair], lanes: usize) {
+        let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
+        let tiered = || AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
+        let (host, forced) = (tiered(), [tiered().with_lanes(16), tiered().with_lanes(0)]);
+        let all: Vec<PairQuery> = queries().collect();
+        for (g, group) in pairs.chunks(lanes).enumerate() {
+            for round in 0..=all.len() {
+                let ask = |k: usize| if round < all.len() { all[round] } else { all[(g + k) % 8] };
+                let asked: Vec<(&[u8], &[u8], PairQuery)> =
+                    group.iter().enumerate().map(|(k, (x, y))| (&x[..], &y[..], ask(k))).collect();
+                let want: Vec<_> = asked.iter().map(|&(x, y, q)| host.judge(x, y, q)).collect();
+                for e in &forced {
+                    let mut out = Vec::new();
+                    e.judge_batch(&asked, &mut out);
+                    let (gaps, label) = ((s.gap_open, s.gap_extend), e.kernel_label());
+                    assert_eq!(
+                        out, want,
+                        "gaps {gaps:?}, group {g} of {lanes}: {label}, round {round}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Forced widths on the corpus and the shapes that have broken a
+    /// kernel, under every gap regime, in groups around both bodies' lane
+    /// counts.
+    #[test]
+    fn forced_widths_give_the_host_verdicts() {
+        let mut pairs = ragged();
+        pairs.extend(tie_heavy());
+        pairs.extend(corpus().into_iter().step_by(4));
+        for s in gap_regimes() {
+            for lanes in [1, 2, 15, 16, 17, 31, MAX_GROUP] {
+                // One group size per scheme covers the whole list; the
+                // others see its head, which holds every ragged shape.
+                let n = if lanes == MAX_GROUP {
+                    pairs.len()
+                } else {
+                    (2 * lanes.max(8)).min(pairs.len())
+                };
+                assert_widths_agree(&s, &pairs[..n], lanes);
+            }
+        }
+    }
+
+    /// Forced widths on both sides of the batch kernel's limits: the side
+    /// limits (1 448 residues for the 32-lane body, 2 048 for any batch),
+    /// the penalty limit, the `i8` matrix limit and the score limit under
+    /// that matrix.
+    #[test]
+    fn forced_widths_give_the_host_verdicts_at_the_limits() {
+        let (a, b) = mutated_pair(7, 150, 0.08, 0.01);
+        let side = |len: usize| {
+            vec![(a.clone(), b.clone()), (vec![3; 64], vec![3; len]), (vec![3; len], vec![3; 64])]
+        };
+        for len in [1448, 1449, 2048] {
+            assert_widths_agree(&blosum(11, 1), &side(len), 2);
+            assert_widths_agree(&blosum(11, 1), &side(len), 3);
+        }
+        assert_widths_agree(&blosum(11, 1), &side(2049), 2);
+
+        let pairs: Vec<Pair> = ragged().into_iter().take(MAX_GROUP).collect();
+        assert_widths_agree(&blosum(2048, 2048), &pairs, MAX_GROUP);
+        assert_widths_agree(&blosum(2049, 2049), &pairs, MAX_GROUP);
+        let short: Vec<Pair> =
+            pairs.iter().filter(|(x, y)| x.len().min(y.len()) <= 118).cloned().collect();
+        for matched in [127, 128] {
+            let s = ScoringScheme {
+                matrix: SubstMatrix::uniform(matched, -128),
+                gap_open: 11,
+                gap_extend: 1,
+            };
+            assert_widths_agree(&s, &short, MAX_GROUP);
+            // The score limit under this matrix: min(m, n) ≤ 15 000 / 127.
+            let limit = |len: usize| vec![(a.clone(), vec![9; len]), (vec![9; len], vec![9; len])];
+            assert_widths_agree(&s, &limit(118), 2);
+            assert_widths_agree(&s, &limit(119), 2);
+        }
+    }
+
+    fn residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0u8..21, 0..max_len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Forced widths on random groups: any number of lanes, any
+        /// shapes, a homolog pair among unrelated strings.
+        #[test]
+        fn forced_widths_give_the_host_verdicts_on_random(
+            strings in prop::collection::vec((residues(60), residues(60)), 1..33),
+            seed in 0u64..1000,
+        ) {
+            let mut pairs = strings;
+            pairs.push(mutated_pair(seed, 20 + (seed as usize % 60), 0.1, 0.03));
+            pairs.retain(|(x, y)| !x.is_empty() && !y.is_empty());
+            pairs.truncate(MAX_GROUP);
+            for s in [blosum(11, 1), blosum(3, 3)] {
+                assert_widths_agree(&s, &pairs, MAX_GROUP);
+            }
         }
     }
 }

@@ -193,6 +193,7 @@ impl OnePassFill {
 
     /// The same fill with its batch kernel held to at most `lanes` pairs a
     /// register: below [`NARROW_LANES`] the scalar twin alone.
+    #[cfg(test)]
     pub(crate) fn with_lanes(mut self, lanes: usize) -> OnePassFill {
         self.lanes = self.lanes.min(lanes);
         if self.lanes < NARROW_LANES {

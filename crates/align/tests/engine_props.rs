@@ -5,24 +5,26 @@
 //! kernel, where detected, is held to the scalar twin: whatever lanes a
 //! pair shares a fill with, it must leave the twin's score, end cell and
 //! direction bits on every real cell, and the batch entry must give
-//! `judge`'s verdict.
+//! `judge`'s verdict. The engine held to the 16-lane body or to the scalar
+//! twin is checked against the host's verdicts in `src/engine.rs`'s own
+//! tests (`with_lanes` is test-only there).
 
 mod shapes;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use pfam_align::{
     is_contained, local_affine, overlaps, AlignEngine, AlignEngineKind, AlignScratch, Anchor,
     ContainmentParams, OnePassFill, OverlapParams, PairQuery,
 };
-use pfam_datagen::random_peptide;
 use pfam_seq::{ScoringScheme, SubstMatrix};
-use shapes::{mutated_pair, ragged, tie_heavy, Pair};
+use shapes::{corpus, mutated_pair, ragged, tie_heavy, Pair};
 
 /// The most pairs one `judge_batch` call takes: the 32-lane body's.
 const MAX_GROUP: usize = 32;
+
+/// Containment of `x` only.
+const X_IN_Y: PairQuery = PairQuery { x_in_y: true, y_in_x: false, overlap: false };
 
 fn residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..21, 0..max_len)
@@ -41,45 +43,6 @@ fn gap_regimes() -> [ScoringScheme; 4] {
 /// Does `s` get a vector kernel on this host?
 fn vectorized(s: &ScoringScheme) -> bool {
     OnePassFill::detect(s).is_vector(1, 1)
-}
-
-/// The population RR, CCD and BGG align, plus every shape that has broken
-/// a SIMD kernel before: widths around the lane count, single residues,
-/// homopolymers, all-`X`, empty inputs.
-fn corpus() -> Vec<Pair> {
-    let mut pairs = Vec::new();
-    for seed in 0..48u64 {
-        // Mutation rates across the accept/reject boundary; every third
-        // pair indel-rich, to force long E/F runs through the traceback.
-        let rate = 0.02 + 0.4 * ((seed % 12) as f64 / 12.0);
-        let indel = if seed % 3 == 0 { 0.06 } else { rate / 20.0 };
-        let (a, b) = mutated_pair(seed, 30 + (seed % 7) as usize * 25, rate, indel);
-        // A fragment of one homolog against the other (RR's containment case).
-        let cut = a.len() * (50 + (seed as usize * 7) % 46) / 100;
-        let start = (seed as usize * 5) % (a.len() - cut + 1);
-        pairs.push((a[start..start + cut].to_vec(), b.clone()));
-        pairs.push((a, b));
-    }
-    let mut rng = StdRng::seed_from_u64(0x0dd);
-    for len in [40usize, 90, 200] {
-        pairs.push((random_peptide(&mut rng, len), random_peptide(&mut rng, len + 13)));
-    }
-    let (long, _) = mutated_pair(99, 60, 0.1, 0.02);
-    for n in [1usize, 15, 16, 17, 31, 32, 33] {
-        let (_, other) = mutated_pair(100 + n as u64, 60, 0.1, 0.02);
-        pairs.push((long.clone(), other[..n].to_vec()));
-        pairs.push((other[5..5 + n.min(50)].to_vec(), long.clone()));
-    }
-    let all_x = vec![20u8; 40];
-    pairs.push((vec![1; 300], vec![1; 7]));
-    pairs.push((vec![18; 33], vec![18; 33]));
-    pairs.push((all_x.clone(), all_x.clone()));
-    pairs.push((all_x, (0..20).collect()));
-    pairs.push((vec![0], vec![0]));
-    pairs.push((vec![5], vec![9]));
-    pairs.push((Vec::new(), vec![3]));
-    pairs.push((vec![7], Vec::new()));
-    pairs
 }
 
 /// The scalar twin, what a single pair runs on, against the reference.
@@ -163,9 +126,10 @@ fn fills_are_exact_on_both_sides_of_the_matrix_limit() {
     }
 }
 
-/// The identity guarantee: on the corpus the tiered verdicts — on either
-/// fill — equal the reference full-DP verdicts for containment and
-/// overlap, whatever the (ignored) anchor hint.
+/// The identity guarantee: on the corpus the tiered verdicts equal the
+/// reference full-DP verdicts for containment and overlap, whatever the
+/// (ignored) anchor hint. (The forced widths — the 16-lane body, the
+/// scalar twin — are held to the host's verdicts in `src/engine.rs`.)
 #[test]
 fn tiered_verdicts_match_reference_on_the_corpus() {
     let pairs = corpus();
@@ -173,20 +137,14 @@ fn tiered_verdicts_match_reference_on_the_corpus() {
     let mut n_accepts = 0usize;
     for s in [scheme(11, 1), scheme(4, 1)] {
         let reference = AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op);
-        let tiered = [
-            AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op),
-            AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_lanes(0),
-        ];
+        let tiered = AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
         for (k, (a, b)) in pairs.iter().enumerate() {
             let anchor = [None, Some(Anchor { x_pos: u32::MAX, y_pos: 0, len: 5 })][k % 2];
-            let contained = reference.judge(a, b, PairQuery::X_IN_Y).x_in_y;
+            let contained = reference.judge(a, b, X_IN_Y).x_in_y;
             let overlapping = reference.overlaps(a, b, anchor).accept;
             n_accepts += usize::from(contained) + usize::from(overlapping);
-            for t in &tiered {
-                let fill = t.kernel_label();
-                assert_eq!(t.judge(a, b, PairQuery::X_IN_Y).x_in_y, contained, "{fill}: pair {k}");
-                assert_eq!(t.overlaps(a, b, anchor).accept, overlapping, "{fill}: pair {k}");
-            }
+            assert_eq!(tiered.judge(a, b, X_IN_Y).x_in_y, contained, "pair {k}");
+            assert_eq!(tiered.overlaps(a, b, anchor).accept, overlapping, "pair {k}");
         }
     }
     // The corpus must actually exercise both outcomes.
@@ -207,7 +165,7 @@ fn counters_follow_the_outcome_on_the_corpus() {
         let r = reference.overlaps(&a, &b, None);
         assert_eq!((r.cells_computed, r.cells_skipped), (full, 0));
         let o = tiered.overlaps(&a, &b, None);
-        let c = tiered.judge(&a, &b, PairQuery::X_IN_Y);
+        let c = tiered.judge(&a, &b, X_IN_Y);
         for (tier, computed, skipped, accept) in [
             (o.tier, o.cells_computed, o.cells_skipped, o.accept),
             (c.tier, c.cells_computed, c.cells_skipped, c.x_in_y),
@@ -241,8 +199,8 @@ fn assert_judge_is_consistent(engines: &[AlignEngine], s: &ScoringScheme, x: &[u
             && st.coverage_of(st.y_span, y.len()) >= cp.min_coverage
     };
     let want = (is_contained(x, y, s, &cp), y_in_x, overlaps(x, y, s, &op));
-    for e in engines {
-        let what = format!("{:?}/{} {}x{}", e.kind(), e.kernel_label(), x.len(), y.len());
+    for (e, label) in engines.iter().zip(["reference", "tiered"]) {
+        let what = format!("{label}/{} {}x{}", e.kernel_label(), x.len(), y.len());
         let all = e.judge(x, y, PairQuery { x_in_y: true, y_in_x: true, overlap: true });
         assert_eq!((all.x_in_y, all.y_in_x, all.overlap), want, "{what}");
         assert_eq!(e.overlaps(x, y, None).accept, want.2, "{what}: overlaps wrapper");
@@ -259,12 +217,11 @@ fn assert_judge_is_consistent(engines: &[AlignEngine], s: &ScoringScheme, x: &[u
     }
 }
 
-fn judge_engines(s: &ScoringScheme) -> [AlignEngine; 3] {
+fn judge_engines(s: &ScoringScheme) -> [AlignEngine; 2] {
     let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
     [
         AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op),
         AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op),
-        AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op).with_lanes(0),
     ]
 }
 
@@ -293,16 +250,14 @@ fn queries() -> impl Iterator<Item = PairQuery> {
 /// batch entry. Kernel: each lane's score, end cell and the direction bits
 /// of every real cell are the scalar twin's for that pair alone (the batch
 /// must be taken exactly when `vector` says the scheme and every pair are
-/// inside the kernel's guard). Entry: on the host's fills, on the 16-lane
-/// body and on the scalar twin, each `PairVerdict` — tier and cell
-/// counters included — is
-/// `judge`'s, for every query, the same for all lanes or different from
-/// lane to lane, however many of a group's lanes the kernel takes.
+/// inside the kernel's guard). Entry: on the host's fills each
+/// `PairVerdict` — tier and cell counters included — is `judge`'s, for
+/// every query, the same for all lanes or different from lane to lane,
+/// however many of a group's lanes the kernel takes.
 fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector: bool) {
     let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
     let (scalar, host) = (OnePassFill::scalar(s), OnePassFill::detect(s));
-    let tiered = || AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
-    let engines = [tiered(), tiered().with_lanes(16), tiered().with_lanes(0)];
+    let tiered = AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
     let reference = AlignEngine::new(AlignEngineKind::Reference, s.clone(), cp, op);
     let (mut a, mut b) = (AlignScratch::new(), AlignScratch::new());
     let all: Vec<PairQuery> = queries().collect();
@@ -334,12 +289,10 @@ fn assert_batches_match(s: &ScoringScheme, pairs: &[Pair], lanes: usize, vector:
             let ask = |k: usize| if round < all.len() { all[round] } else { all[(g + k) % 8] };
             let asked: Vec<(&[u8], &[u8], PairQuery)> =
                 group.iter().enumerate().map(|(k, (x, y))| (&x[..], &y[..], ask(k))).collect();
-            let alone: Vec<_> = asked.iter().map(|&(x, y, q)| engines[0].judge(x, y, q)).collect();
-            for e in &engines {
-                let mut out = Vec::new();
-                e.judge_batch(&asked, &mut out);
-                assert_eq!(out, alone, "{what}: {} entry, round {round}", e.kernel_label());
-            }
+            let alone: Vec<_> = asked.iter().map(|&(x, y, q)| tiered.judge(x, y, q)).collect();
+            let mut out = Vec::new();
+            tiered.judge_batch(&asked, &mut out);
+            assert_eq!(out, alone, "{what}: {} entry, round {round}", tiered.kernel_label());
             for (v, &(x, y, q)) in alone.iter().zip(&asked) {
                 let full = (x.len() * y.len()) as u64;
                 assert!(v.cells_computed == 0 || v.cells_computed == full, "{what}: one rectangle");
@@ -451,7 +404,7 @@ proptest! {
         let (cp, op) = (ContainmentParams::default(), OverlapParams::default());
         let engine = AlignEngine::new(AlignEngineKind::Tiered, s.clone(), cp, op);
         prop_assert_eq!(
-            engine.judge(&x, &y, PairQuery::X_IN_Y).x_in_y,
+            engine.judge(&x, &y, X_IN_Y).x_in_y,
             is_contained(&x, &y, &s, &cp)
         );
         prop_assert_eq!(engine.overlaps(&x, &y, None).accept, overlaps(&x, &y, &s, &op));

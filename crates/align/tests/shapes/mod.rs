@@ -1,6 +1,7 @@
 //! Pair shapes that have broken a SIMD fill before, shared by the
-//! forced-path suite (`engine_props.rs`) and the batch kernel's unit tests
-//! in `src/onepass.rs`, which include this file by path.
+//! forced-path suite (`engine_props.rs`) and the unit tests of the batch
+//! kernel (`src/onepass.rs`) and of the engine's forced widths
+//! (`src/engine.rs`), which include this file by path.
 
 use pfam_datagen::{random_peptide, MutationModel};
 use rand::rngs::StdRng;
@@ -69,5 +70,44 @@ pub fn ragged() -> Vec<Pair> {
     pairs.push((vec![20; 30], homolog(7, 64).0));
     pairs.push((Vec::new(), vec![3; 9]));
     pairs.extend((8..14).map(|seed| homolog(seed, 20 + 17 * (seed as usize % 5))));
+    pairs
+}
+
+/// The population RR, CCD and BGG align, plus every shape that has broken
+/// a SIMD kernel before: widths around the lane count, single residues,
+/// homopolymers, all-`X`, empty inputs.
+pub fn corpus() -> Vec<Pair> {
+    let mut pairs = Vec::new();
+    for seed in 0..48u64 {
+        // Mutation rates across the accept/reject boundary; every third
+        // pair indel-rich, to force long E/F runs through the traceback.
+        let rate = 0.02 + 0.4 * ((seed % 12) as f64 / 12.0);
+        let indel = if seed % 3 == 0 { 0.06 } else { rate / 20.0 };
+        let (a, b) = mutated_pair(seed, 30 + (seed % 7) as usize * 25, rate, indel);
+        // A fragment of one homolog against the other (RR's containment case).
+        let cut = a.len() * (50 + (seed as usize * 7) % 46) / 100;
+        let start = (seed as usize * 5) % (a.len() - cut + 1);
+        pairs.push((a[start..start + cut].to_vec(), b.clone()));
+        pairs.push((a, b));
+    }
+    let mut rng = StdRng::seed_from_u64(0x0dd);
+    for len in [40usize, 90, 200] {
+        pairs.push((random_peptide(&mut rng, len), random_peptide(&mut rng, len + 13)));
+    }
+    let (long, _) = mutated_pair(99, 60, 0.1, 0.02);
+    for n in [1usize, 15, 16, 17, 31, 32, 33] {
+        let (_, other) = mutated_pair(100 + n as u64, 60, 0.1, 0.02);
+        pairs.push((long.clone(), other[..n].to_vec()));
+        pairs.push((other[5..5 + n.min(50)].to_vec(), long.clone()));
+    }
+    let all_x = vec![20u8; 40];
+    pairs.push((vec![1; 300], vec![1; 7]));
+    pairs.push((vec![18; 33], vec![18; 33]));
+    pairs.push((all_x.clone(), all_x.clone()));
+    pairs.push((all_x, (0..20).collect()));
+    pairs.push((vec![0], vec![0]));
+    pairs.push((vec![5], vec![9]));
+    pairs.push((Vec::new(), vec![3]));
+    pairs.push((vec![7], Vec::new()));
     pairs
 }

@@ -1,6 +1,7 @@
-//! The bench binaries' counting allocator: a shim over the system
-//! allocator that tracks the bytes currently held and their high-water
-//! mark. A binary that wants byte figures declares
+//! The counting allocator of the heap tests (`tests/shingle_heap.rs`,
+//! `tests/index_heap.rs`): a shim over the system allocator that tracks
+//! the bytes currently held and their high-water mark. A test binary that
+//! wants byte figures declares
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -1,7 +1,8 @@
 //! Shingle's heap against the bound `pfam-shingle` states for it
 //! (`shingle_heap_bound`, what the back half reserves as `dsd-shingle`),
-//! weighed with the benches' counting allocator: the most bytes one
-//! `shingle_clusters` run holds at once, its returned clusters included.
+//! weighed with `pfam_bench::alloc`'s counting allocator: the most bytes
+//! one `shingle_clusters` run holds at once, its returned clusters
+//! included.
 //! The allocator counts every thread of this binary, so the file holds one
 //! test, which weighs its runs one after another.
 

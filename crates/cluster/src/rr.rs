@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn redundancy_injected_by_datagen_is_found() {
-        use pfam_datagen::{DatasetConfig, SyntheticDataset};
+        use pfam_datagen::{DatasetConfig, Provenance, SyntheticDataset};
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(42));
         let r = run_redundancy_removal(&d.set, &config());
         // Every injected redundant read must be removed (its container is a
@@ -182,7 +182,11 @@ mod tests {
         // first in favour of yet another container — removal is what counts.
         let removed_ids: std::collections::HashSet<SeqId> =
             r.removed.iter().map(|&(x, _)| x).collect();
-        let injected = d.redundant_ids();
+        let injected: Vec<SeqId> = d
+            .set
+            .ids()
+            .filter(|id| matches!(d.provenance[id.index()], Provenance::Redundant { .. }))
+            .collect();
         let found = injected.iter().filter(|id| removed_ids.contains(id)).count();
         assert!(
             found as f64 >= injected.len() as f64 * 0.9,

@@ -93,8 +93,9 @@ fn partitioned_pairs(set: &SequenceSet, config: &ClusterConfig) -> Vec<MatchPair
         2,
         &MemoryBudget::limited(text + WINDOW_CAP),
     );
-    assert!(set.len() < 2 || miner.n_windows() > 1, "the window cap must actually cut the text");
-    miner.mine().0
+    let (pairs, _, held) = miner.mine();
+    assert!(set.len() < 2 || held.windows > 1, "the window cap must actually cut the text");
+    pairs
 }
 
 /// Drive one (miner, loop) cell.

@@ -271,16 +271,6 @@ impl SyntheticDataset {
         clusters.retain(|c| !c.is_empty());
         clusters
     }
-
-    /// Ids of reads injected as redundant copies.
-    pub fn redundant_ids(&self) -> Vec<SeqId> {
-        self.provenance
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Provenance::Redundant { .. }))
-            .map(|(i, _)| SeqId(i as u32))
-            .collect()
-    }
 }
 
 /// Zipf-like sizes: `size_i ∝ 1 / (i+1)^skew`, scaled to sum ≈ `total`,
@@ -325,13 +315,19 @@ mod tests {
         assert!(differs, "different seeds must differ");
     }
 
+    /// Ids of the reads injected as redundant copies.
+    fn redundant_ids(d: &SyntheticDataset) -> impl Iterator<Item = SeqId> + '_ {
+        let redundant = |p: &Provenance| matches!(p, Provenance::Redundant { .. });
+        d.set.ids().filter(move |id| redundant(&d.provenance[id.index()]))
+    }
+
     #[test]
     fn counts_add_up() {
         let config = DatasetConfig::tiny(1);
         let d = SyntheticDataset::generate(&config);
         let members =
             d.provenance.iter().filter(|p| matches!(p, Provenance::Member { .. })).count();
-        let redundant = d.redundant_ids().len();
+        let redundant = redundant_ids(&d).count();
         let noise = d.provenance.iter().filter(|p| matches!(p, Provenance::Noise)).count();
         assert_eq!(members + redundant + noise, d.set.len());
         assert_eq!(noise, config.n_noise);
@@ -357,7 +353,7 @@ mod tests {
     #[test]
     fn redundant_reads_are_contained_in_their_original() {
         let d = SyntheticDataset::generate(&DatasetConfig::tiny(3));
-        for id in d.redundant_ids() {
+        for id in redundant_ids(&d) {
             let Provenance::Redundant { of, .. } = d.provenance[id.index()] else { unreachable!() };
             let copy = d.set.codes(id);
             let original = d.set.codes(of);

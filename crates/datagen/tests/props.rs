@@ -52,7 +52,8 @@ proptest! {
             (members as i64 - config.n_members as i64).unsigned_abs()
                 <= config.n_families as u64 + 2
         );
-        let redundant = d.redundant_ids().len();
+        let redundant =
+            d.provenance.iter().filter(|p| matches!(p, Provenance::Redundant { .. })).count();
         let expect = ((members as f64) * config.redundancy_frac).round() as usize;
         prop_assert_eq!(redundant, expect);
     }
@@ -60,9 +61,9 @@ proptest! {
     #[test]
     fn redundant_reads_are_windows_of_their_original(config in small_config()) {
         let d = SyntheticDataset::generate(&config);
-        for id in d.redundant_ids() {
+        for id in d.set.ids() {
             let Provenance::Redundant { of, family } = d.provenance[id.index()] else {
-                unreachable!()
+                continue;
             };
             let copy = d.set.codes(id);
             let original = d.set.codes(of);

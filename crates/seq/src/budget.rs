@@ -48,14 +48,13 @@ struct BudgetInner {
     /// `0` = unlimited.
     limit: u64,
     used: AtomicU64,
-    peak: AtomicU64,
 }
 
 /// Shared, thread-safe byte accounting with an optional hard limit.
 ///
 /// `MemoryBudget::default()` (and [`MemoryBudget::unlimited`]) never
-/// refuses a reservation but still tracks usage and peak, so benches can
-/// report an allocator-independent footprint estimate for free.
+/// refuses a reservation but still counts what is reserved
+/// ([`MemoryBudget::used`]).
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBudget {
     inner: Arc<BudgetInner>,
@@ -80,11 +79,6 @@ impl MemoryBudget {
     /// Bytes currently reserved.
     pub fn used(&self) -> u64 {
         self.inner.used.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of reserved bytes over the budget's lifetime.
-    pub fn peak(&self) -> u64 {
-        self.inner.peak.load(Ordering::Relaxed)
     }
 
     /// Bytes still available (`u64::MAX` when unlimited).
@@ -119,10 +113,7 @@ impl MemoryBudget {
             }
             match inner.used.compare_exchange_weak(used, new, Ordering::Relaxed, Ordering::Relaxed)
             {
-                Ok(_) => {
-                    inner.peak.fetch_max(new, Ordering::Relaxed);
-                    return Ok(Reservation { budget: self.clone(), bytes });
-                }
+                Ok(_) => return Ok(Reservation { budget: self.clone(), bytes }),
                 Err(actual) => used = actual,
             }
         }
@@ -190,10 +181,8 @@ mod tests {
         assert!(!b.is_limited());
         let r = b.try_reserve("x", 1 << 40).unwrap();
         assert_eq!(b.used(), 1 << 40);
-        assert_eq!(b.peak(), 1 << 40);
         drop(r);
         assert_eq!(b.used(), 0);
-        assert_eq!(b.peak(), 1 << 40, "peak survives release");
     }
 
     #[test]
@@ -272,6 +261,5 @@ mod tests {
             }
         });
         assert_eq!(b.used(), 0);
-        assert!(b.peak() <= 1000);
     }
 }

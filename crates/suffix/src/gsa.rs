@@ -25,7 +25,7 @@
 //! sequence of a position is found from one sampled id per `SEQ_BLOCK`
 //! (64) positions and a short walk of the start table — there is no
 //! per-position sequence table. That is the full index
-//! ([`GeneralizedSuffixArray::build`], [`GeneralizedSuffixArray::build_parallel`]).
+//! ([`GeneralizedSuffixArray::build_parallel`]).
 //!
 //! An index cut at a mining cut-off ψ ≥ 3
 //! ([`GeneralizedSuffixArray::build_cut`]) holds the same text and tables,
@@ -47,7 +47,7 @@ use std::cmp::Ordering;
 use pfam_seq::{SeqId, SequenceSet, ALPHABET_SIZE};
 
 use crate::lcp::lcp_array;
-use crate::parallel::{bucket_sort_index, bucket_sort_index_staged, kept_depth, SaLcp};
+use crate::parallel::{bucket_sort_cut, bucket_sort_index, kept_depth, SaLcp};
 use crate::sais::suffix_array;
 
 /// Symbol class of a sentinel.
@@ -99,8 +99,9 @@ pub(crate) fn terminator_rank(text_len: usize, pos: usize) -> u32 {
 /// `n_residues` residues in `n_seqs` sequences — ≈ 7.06 bytes per text
 /// position (residues plus one sentinel per sequence): one for the text,
 /// four for the suffix array, two for the LCP array, a sixteenth for the
-/// sampled sequence ids, plus the per-sequence start table. A test holds
-/// it within 1 % of [`GeneralizedSuffixArray::heap_bytes`].
+/// sampled sequence ids, plus the per-sequence start table. A test
+/// (`crates/bench/tests/index_heap.rs`) holds it within 1 % of what a
+/// counting allocator sees the index hold.
 ///
 /// This is the figure [`pfam_seq::MemoryBudget`] accounts a monolithic
 /// index with: what the full index holds, and an upper bound on what an
@@ -187,10 +188,6 @@ impl CompactLcp {
             .expect("every saturated entry is on the overflow list");
         self.overflow[at].1
     }
-
-    fn heap_bytes(&self) -> usize {
-        2 * self.values.capacity() + 8 * self.overflow.capacity()
-    }
 }
 
 /// Suffix array + LCP array over the concatenation of a sequence set.
@@ -269,10 +266,12 @@ impl GeneralizedSuffixArray {
     }
 
     /// Build the generalized suffix array of `set` by SA-IS and Kasai's
-    /// algorithm over the integer text — the serial reference.
+    /// algorithm over the integer text — the serial reference of this
+    /// crate's tests.
     ///
     /// Panics on an empty set (there is no meaningful index for it).
-    pub fn build(set: &SequenceSet) -> GeneralizedSuffixArray {
+    #[cfg(test)]
+    pub(crate) fn build(set: &SequenceSet) -> GeneralizedSuffixArray {
         let mut index = Self::unsorted(set);
         index.set_arrays(index.sais_arrays(), 0);
         index
@@ -281,12 +280,13 @@ impl GeneralizedSuffixArray {
     /// Build the generalized suffix array of `set` with up to `threads`
     /// workers (`0` = all available cores).
     ///
-    /// Bit-identical to [`build`](Self::build) for every input — the
+    /// Bit-identical to SA-IS and Kasai's algorithm over
+    /// [`encoded_text`](Self::encoded_text) for every input — the
     /// suffixes of the text are all distinct (unique sentinels, unique
     /// `X` characters), so the suffix order is unique and both
     /// construction strategies must produce it. Every thread count,
     /// `1` included, runs [`bucket_sort_index`]; a text too repetitive
-    /// for it is indexed by SA-IS as in [`build`](Self::build).
+    /// for it is indexed by SA-IS.
     pub fn build_parallel(set: &SequenceSet, threads: usize) -> GeneralizedSuffixArray {
         Self::sorted_by(set, 0, |text| bucket_sort_index(text, threads))
     }
@@ -302,11 +302,11 @@ impl GeneralizedSuffixArray {
     /// the full index — when `psi < 3`, and when the text is too
     /// repetitive for the bucket sort and SA-IS indexes it. The buckets are
     /// sorted in windows of about a quarter of the suffixes, one after
-    /// another ([`bucket_sort_index_staged`]): the build holds the text and
-    /// one window's scatter, not every suffix's.
+    /// another: the build holds the text and one window's scatter, not
+    /// every suffix's.
     pub fn build_cut(set: &SequenceSet, threads: usize, psi: u32) -> GeneralizedSuffixArray {
         let cutoff = if kept_depth(psi) > 0 { psi } else { 0 };
-        Self::sorted_by(set, cutoff, |text| bucket_sort_index_staged(text, threads, psi).0)
+        Self::sorted_by(set, cutoff, |text| bucket_sort_cut(text, threads, psi))
     }
 
     /// The index of `set`, its arrays sorted at `cutoff` by `sort`, or by
@@ -378,13 +378,6 @@ impl GeneralizedSuffixArray {
     pub fn alphabet_size(&self) -> usize {
         let n_unknown = self.text.iter().filter(|&&class| class == X_CLASS).count();
         self.n_seqs() as usize + ALPHABET_SIZE + n_unknown
-    }
-
-    /// Bytes of heap the index holds: the capacities of its arrays.
-    pub fn heap_bytes(&self) -> usize {
-        self.text.capacity()
-            + 4 * (self.sa.capacity() + self.starts.capacity() + self.block_seq.capacity())
-            + self.lcp.heap_bytes()
     }
 
     /// The suffix array (ranks → text positions).
@@ -646,35 +639,6 @@ mod tests {
         for pos in [2usize, 10] {
             assert_eq!(g.text()[pos - 1], X_CLASS, "left char is X");
             assert_eq!(g.left_residue(pos), None, "X must not witness extension");
-        }
-    }
-
-    #[test]
-    fn estimate_is_the_heap_the_index_holds() {
-        // Three shapes: long reads, many short reads, X-bearing reads.
-        let long: Vec<String> = (0..40).map(|i| "ACDEFGHIKLMNPQRSTVWY".repeat(20 + i)).collect();
-        let short: Vec<String> =
-            (0..3_000).map(|i| "MKVLWAAKND"[i % 7..].repeat(1 + i % 3)).collect();
-        let unknown: Vec<String> =
-            (0..500).map(|i| format!("AXC{}XXW", "DE".repeat(i % 40))).collect();
-        for corpus in [long, short, unknown] {
-            let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
-            let set = set_of(&refs);
-            let estimate = estimated_index_bytes(set.total_residues(), set.len()) as f64;
-            for g in [
-                GeneralizedSuffixArray::build(&set),
-                GeneralizedSuffixArray::build_parallel(&set, 2),
-            ] {
-                let held = g.heap_bytes() as f64;
-                assert!(
-                    (held - estimate).abs() <= 0.01 * held,
-                    "estimate {estimate} against {held} bytes held"
-                );
-            }
-            // An index cut at a mining cut-off holds fewer suffixes: the
-            // estimate is its ceiling.
-            let cut = GeneralizedSuffixArray::build_cut(&set, 2, 10).heap_bytes() as f64;
-            assert!(cut <= estimate, "estimate {estimate} against {cut} bytes held, cut at 10");
         }
     }
 }

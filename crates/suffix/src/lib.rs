@@ -41,8 +41,7 @@ pub mod tree;
 pub use gsa::{estimated_index_bytes, estimated_text_bytes, CompactLcp, GeneralizedSuffixArray};
 pub use maximal::{KeepMask, MatchPair, MaximalMatchConfig};
 pub use parallel::{
-    bucket_sort_index, bucket_sort_index_staged, mine_pairs, parallel_pairs, resolve_threads,
-    with_match_tree, MineNodes, SortStages,
+    bucket_sort_index, mine_pairs, parallel_pairs, resolve_threads, with_match_tree, MineNodes,
 };
 pub use partitioned::{ChunkPlan, PartitionedMiner, WindowStats};
 pub use sais::suffix_array;

@@ -24,7 +24,7 @@
 //!   of the window leads have their bucket read; only the window's own
 //!   suffixes are placed and fingerprinted. The count pass, which rolls
 //!   every position's bucket, runs once per text.
-//! * The same sort at a mining cut-off ψ ≥ 3 ([`bucket_sort_index_staged`],
+//! * The same sort at a mining cut-off ψ ≥ 3 (`bucket_sort_cut`,
 //!   [`GeneralizedSuffixArray::build_cut`]) keeps only the suffixes a node
 //!   of depth ≥ ψ can hold: those whose first `min(ψ, 12)` symbols another
 //!   suffix shares. The scatter writes a 16-bit fingerprint of that prefix
@@ -61,7 +61,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use pfam_seq::SequenceSet;
 
@@ -728,50 +727,25 @@ pub type SaLcp = (Vec<u32>, CompactLcp);
 /// `text` must be what [`crate::gsa`] holds: classes `0..=22`, the last
 /// one a sentinel.
 pub fn bucket_sort_index(text: &[u8], threads: usize) -> Option<SaLcp> {
-    bucket_sort_index_staged(text, threads, 0).0
+    bucket_sort_cut(text, threads, 0)
 }
 
-/// Wall-clock seconds of the passes of [`bucket_sort_index`], in order:
-/// bucket counts, scatter, and per-bucket sort with LCP (`index_bench`
-/// rows).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SortStages {
-    /// Rolling bucket ids over text chunks into per-chunk histograms.
-    pub count_s: f64,
-    /// Every window's membership pass over the same chunks, each placing
-    /// the window's suffixes — at a cut-off, with their prefix
-    /// fingerprints — at the offsets its histogram gives it.
-    pub scatter_s: f64,
-    /// Grouping each bucket by fingerprint at a cut-off, keying what is
-    /// sorted from the text, sorting it, tie resolution and LCP, bucket
-    /// boundaries and compaction included.
-    pub sort_lcp_s: f64,
-}
-
-/// [`bucket_sort_index`] at mining cut-off `psi`, plus how long each pass
-/// took: the arrays hold only the suffixes that share their first
-/// `min(psi, 12)` symbols with another suffix, and those of the leading
-/// buckets (see the module docs); every suffix when `psi < 3`, or when the
-/// text is handed back (`None`). At `psi ≥ 3` the buckets are sorted in
+/// [`bucket_sort_index`] at mining cut-off `psi`: the arrays hold only
+/// the suffixes that share their first `min(psi, 12)` symbols with another
+/// suffix, and those of the leading buckets (see the module docs); every
+/// suffix when `psi < 3`, or when the text is handed back (`None`). At `psi ≥ 3` the buckets are sorted in
 /// windows of about a quarter of the suffixes ([`plan_windows`]), which
 /// share the text's tie budget: the arrays are the same, and the scatter
 /// holds one buffer a quarter longer than the longest window instead of
 /// six bytes a position.
-pub fn bucket_sort_index_staged(
-    text: &[u8],
-    threads: usize,
-    psi: u32,
-) -> (Option<SaLcp>, SortStages) {
+pub(crate) fn bucket_sort_cut(text: &[u8], threads: usize, psi: u32) -> Option<SaLcp> {
     let threads = resolve_threads(threads);
-    let clock = Instant::now();
     let table = BucketTable::count(text, threads);
-    let count_s = clock.elapsed().as_secs_f64();
     let mut sort = WindowSort::new(&table, psi, whole_text_tie_limit(text.len()), threads);
-    let index = sort.sort(text, &cut_windows(&table, psi));
-    (index, SortStages { count_s, ..sort.stages })
+    sort.sort(text, &cut_windows(&table, psi))
 }
 
-/// The windows of [`bucket_sort_index_staged`] at cut-off `psi` over a
+/// The windows of [`bucket_sort_cut`] at cut-off `psi` over a
 /// text with bucket table `table`: one of every bucket below ψ = 3, where
 /// every suffix is kept; else at most [`CUT_WINDOWS`] windows
 /// ([`plan_windows`]), each scattering at most that share of the suffixes
@@ -908,8 +882,6 @@ pub(crate) struct WindowSort<'a> {
     /// The bucket of the last suffix the windows sorted so far kept: the
     /// LCP at the next window's rank 0 is against it.
     before: Option<usize>,
-    /// How long the windows' passes took (`count_s` is the table's).
-    pub(crate) stages: SortStages,
 }
 
 impl<'a> WindowSort<'a> {
@@ -921,15 +893,7 @@ impl<'a> WindowSort<'a> {
         tie_limit: usize,
         threads: usize,
     ) -> WindowSort<'a> {
-        WindowSort {
-            table,
-            depth: kept_depth(psi),
-            threads,
-            tie_limit,
-            spent: 0,
-            before: None,
-            stages: SortStages::default(),
-        }
+        WindowSort { table, depth: kept_depth(psi), threads, tie_limit, spent: 0, before: None }
     }
 
     /// The suffixes of the buckets `windows` of `text` — contiguous, in
@@ -996,8 +960,6 @@ impl<'a> WindowSort<'a> {
         if len == 0 {
             return Some((0, Vec::new()));
         }
-        let mut clock = Instant::now();
-        let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed().as_secs_f64();
         let sorter = BucketSorter {
             keyed: KeyedText { text },
             spent: AtomicUsize::new(self.spent),
@@ -1039,7 +1001,6 @@ impl<'a> WindowSort<'a> {
         *sa = slots.into_iter().map(AtomicU32::into_inner).collect();
         *lcp = prints.into_iter().map(AtomicU16::into_inner).collect();
         let (sa, lcp) = (&mut sa[at..at + len], &mut lcp[at..at + len]);
-        self.stages.scatter_s += lap();
 
         // Sort each bucket on its own; LCP values inside a bucket fall out of
         // the sort. `kept[b]`: the suffixes bucket `b` keeps, sorted at the
@@ -1080,7 +1041,6 @@ impl<'a> WindowSort<'a> {
         });
         self.spent = sorter.spent.load(AtomicOrdering::Relaxed);
         if sorter.over_budget() {
-            self.stages.sort_lcp_s += lap();
             return None;
         }
 
@@ -1116,7 +1076,6 @@ impl<'a> WindowSort<'a> {
                 .filter_map(|(rank, pos)| Some(((at + rank) as u32, value_of(pos)?)))
                 .collect();
         }
-        self.stages.sort_lcp_s += lap();
         Some((to, overflow))
     }
 }
@@ -1554,7 +1513,7 @@ mod tests {
             let one = WindowSort::new(&table, 10, whole_text_tie_limit(text.len()), threads)
                 .sort(text, std::slice::from_ref(&(0..N_BUCKETS)));
             assert_eq!(one, None, "one window of every bucket spends the budget");
-            assert_eq!(bucket_sort_index_staged(text, threads, 10).0, None);
+            assert_eq!(bucket_sort_cut(text, threads, 10), None);
             let cut = GeneralizedSuffixArray::build_cut(&set, threads, 10);
             assert_eq!((cut.cutoff(), cut.sa()), (0, full.sa()), "SA-IS indexed it whole");
         }

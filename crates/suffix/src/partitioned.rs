@@ -183,8 +183,6 @@ fn window_cap(budget: &MemoryBudget, resident: u64) -> u64 {
 pub struct PartitionedMiner {
     /// The text and its windows, until mined.
     text: Option<WindowedText>,
-    /// How many windows the text was cut into.
-    n_windows: usize,
     /// The mined stream, once mined.
     pairs: std::vec::IntoIter<MatchPair>,
 }
@@ -284,15 +282,9 @@ impl PartitionedMiner {
         };
         let window_held =
             hold("gsa-window", windows.iter().map(|&(_, bytes)| bytes).max().unwrap_or(0))?;
-        let n_windows = windows.len();
         let _held = [text_held, table_held, window_held];
         let text = WindowedText { index, table, windows, config, threads, _held };
-        Ok(PartitionedMiner { text: Some(text), n_windows, pairs: Vec::new().into_iter() })
-    }
-
-    /// How many windows the text was cut into (0 for no reads).
-    pub fn n_windows(&self) -> usize {
-        self.n_windows
+        Ok(PartitionedMiner { text: Some(text), pairs: Vec::new().into_iter() })
     }
 
     /// The whole stream, its generation statistics and what the windows
@@ -557,7 +549,7 @@ mod tests {
             let table = BucketTable::count_in_chunks(&text, chunk, threads);
             for psi in [3, 10, 15] {
                 let Some((want_sa, want_lcp)) =
-                    crate::parallel::bucket_sort_index_staged(&text, threads, psi).0
+                    crate::parallel::bucket_sort_cut(&text, threads, psi)
                 else {
                     continue;
                 };
@@ -596,13 +588,12 @@ mod tests {
                         threads,
                         &budget,
                     );
-                    let windows = miner.n_windows();
-                    assert!(cap > 1 || windows >= 3, "psi {psi}: {windows} windows");
                     let (got, stats, held) = miner.mine();
+                    let windows = held.windows;
+                    assert!(cap > 1 || windows >= 3, "psi {psi}: {windows} windows");
                     let what = format!("psi {psi} dedup {dedup} cap {cap}: {windows} windows");
                     let kept = GeneralizedSuffixArray::build_cut(&set, 1, psi).sa().len();
-                    let want_held = WindowStats { windows, suffixes: gsa.text_len(), kept };
-                    assert_eq!(held, want_held, "{what}");
+                    assert_eq!((held.suffixes, held.kept), (gsa.text_len(), kept), "{what}");
                     assert_eq!(anchored(&got), anchored(&want), "{what}");
                     assert_eq!(stats, want_stats, "{what}");
                     assert_eq!(budget.used(), 0, "{what}: released once mined");
@@ -615,11 +606,13 @@ mod tests {
     fn single_and_empty_sets_yield_nothing() {
         let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
         for set in [set_of(&["MKVLWMKVLW"]), SequenceSet::default()] {
-            let plan = ChunkPlan::plan(&lens_of(&set), 1);
-            let miner =
-                PartitionedMiner::new(plan, loader(&set), config, 1, &MemoryBudget::limited(1));
-            assert_eq!(miner.n_windows() == 0, set.is_empty());
-            assert_eq!(miner.collect::<Vec<_>>(), []);
+            let budget = MemoryBudget::limited(1);
+            let open = || {
+                let plan = ChunkPlan::plan(&lens_of(&set), 1);
+                PartitionedMiner::new(plan, loader(&set), config, 1, &budget)
+            };
+            assert_eq!(open().mine().2.windows == 0, set.is_empty());
+            assert_eq!(open().collect::<Vec<_>>(), []);
         }
     }
 
@@ -666,11 +659,12 @@ mod tests {
             let budget = MemoryBudget::limited(floor);
             let miner = PartitionedMiner::try_new(plan(), loader(&set), config, threads, &budget)
                 .expect("the floor admits");
-            assert!(miner.n_windows() > 1);
             assert_eq!(budget.used(), floor, "text, table and window held while mining");
             let mono =
                 parallel_pairs(&SuffixTree::build(&GeneralizedSuffixArray::build(&set)), config, 1);
-            assert_eq!(miner.collect::<Vec<_>>(), mono.0);
+            let (pairs, _, held) = miner.mine();
+            assert!(held.windows > 1);
+            assert_eq!(pairs, mono.0);
             assert_eq!(budget.used(), 0, "released when mined");
         }
     }

@@ -190,7 +190,7 @@ fn a_mask_that_empties_the_whole_buckets_is_read_from_the_text() {
             // without reads 0–3 it is the first word's, fourteen deep.
             for keep in [&[2, 3, 4, 5, 6, 7][..], &[4, 5, 6, 7], &[0, 2, 4, 5, 6, 7]] {
                 let keep: Vec<SeqId> = keep.iter().map(|&i| SeqId(i)).collect();
-                let sub_gsa = GeneralizedSuffixArray::build(&set.subset(&keep).0);
+                let sub_gsa = GeneralizedSuffixArray::build_cut(&set.subset(&keep).0, threads, 0);
                 let mask = KeepMask::new(&cut, &keep);
                 let config = MaximalMatchConfig { min_len: psi, ..Default::default() };
                 let want = mine(&SuffixTree::build_pruned(&sub_gsa, psi), config, threads, None);

@@ -1,6 +1,7 @@
 //! Property tests pinning the parallel hot path to the serial reference:
-//! for every input and every thread count, `build_parallel` must equal
-//! `build` (SA-IS + Kasai over `encoded_text()`) bit for bit, pair mining
+//! for every input and every thread count, `build_parallel` and the full
+//! index `build_cut` sorts at no cut-off must equal SA-IS + Kasai over
+//! `encoded_text()` bit for bit, pair mining
 //! on k threads must replay the one-thread stream exactly, and a tree
 //! pruned at ψ must mine what the full tree mines, in the same order. The corpora after that are what the narrow index types can get
 //! wrong: matches longer than a `u16` LCP holds, more reads than sixteen
@@ -14,9 +15,8 @@ use pfam_seq::{MemoryBudget, SeqId, SequenceSet, SequenceSetBuilder};
 use pfam_suffix::lcp::lcp_array;
 use pfam_suffix::maximal::GenerationStats;
 use pfam_suffix::{
-    bucket_sort_index, estimated_index_bytes, estimated_text_bytes, mine_pairs, parallel_pairs,
-    suffix_array, ChunkPlan, GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, MineNodes,
-    PartitionedMiner, SuffixTree,
+    bucket_sort_index, estimated_text_bytes, mine_pairs, parallel_pairs, suffix_array, ChunkPlan,
+    GeneralizedSuffixArray, MatchPair, MaximalMatchConfig, MineNodes, PartitionedMiner, SuffixTree,
 };
 
 /// The ambiguity residue.
@@ -84,16 +84,15 @@ fn check_index(set: &SequenceSet, index: &GeneralizedSuffixArray) -> Result<(), 
     Ok(())
 }
 
-fn assert_same_index(
-    set: &SequenceSet,
-    serial: &GeneralizedSuffixArray,
-    par: &GeneralizedSuffixArray,
-) -> Result<(), String> {
-    prop_assert_eq!(par.text(), serial.text());
-    prop_assert_eq!(par.sa(), serial.sa());
-    prop_assert_eq!(lcp_of(par), lcp_of(serial));
-    prop_assert_eq!(par.alphabet_size(), serial.alphabet_size());
-    check_index(set, par)
+/// `build_parallel` at every thread count, and `build_cut` at no cut-off,
+/// against the oracle.
+fn check_full_builds(set: &SequenceSet) -> Result<(), String> {
+    for threads in [1usize, 2, 3, 8] {
+        check_index(set, &GeneralizedSuffixArray::build_parallel(set, threads))
+            .map_err(|e| format!("build_parallel at {threads} threads: {e}"))?;
+    }
+    check_index(set, &GeneralizedSuffixArray::build_cut(set, 2, 0))
+        .map_err(|e| format!("build_cut at 0: {e}"))
 }
 
 proptest! {
@@ -101,29 +100,17 @@ proptest! {
 
     #[test]
     fn build_parallel_is_bit_identical(set in seq_set(6, 25)) {
-        let serial = GeneralizedSuffixArray::build(&set);
-        for threads in [1usize, 2, 3, 8] {
-            let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&set, &serial, &par)?;
-        }
+        check_full_builds(&set)?;
     }
 
     #[test]
     fn build_parallel_handles_x_heavy_inputs(set in x_heavy_set(5, 20)) {
-        let serial = GeneralizedSuffixArray::build(&set);
-        for threads in [1usize, 2, 3, 8] {
-            let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&set, &serial, &par)?;
-        }
+        check_full_builds(&set)?;
     }
 
     #[test]
     fn build_parallel_handles_identical_sequences(set in identical_set(8, 20)) {
-        let serial = GeneralizedSuffixArray::build(&set);
-        for threads in [1usize, 2, 3, 8] {
-            let par = GeneralizedSuffixArray::build_parallel(&set, threads);
-            assert_same_index(&set, &serial, &par)?;
-        }
+        check_full_builds(&set)?;
     }
 
     #[test]
@@ -132,7 +119,7 @@ proptest! {
         identical in identical_set(6, 15),
     ) {
         for set in [random, identical] {
-            let gsa = GeneralizedSuffixArray::build(&set);
+            let gsa = GeneralizedSuffixArray::build_cut(&set, 1, 0);
             let tree = pfam_suffix::SuffixTree::build(&gsa);
             for min_len in [2u32, 4] {
                 for dedup in [true, false] {
@@ -202,19 +189,20 @@ fn with_anchors(pairs: &[MatchPair]) -> Vec<(u32, u32, u32, u32, u32)> {
     pairs.iter().map(|p| (p.a.0, p.b.0, p.len, p.a_pos, p.b_pos)).collect()
 }
 
-/// `build_parallel` against the oracle at every thread count, and whether
-/// the bucket sort handed the text back to SA-IS.
+/// `build_parallel` against the oracle at one thread and against that
+/// index at every other thread count, and whether the bucket sort handed
+/// the text back to SA-IS.
 fn check_against_oracle(set: &SequenceSet, expect_fallback: bool) {
-    let oracle = GeneralizedSuffixArray::build(set);
-    check_index(set, &oracle).expect("the oracle is SA-IS + Kasai");
-    let oracle_lcp = lcp_of(&oracle);
-    for threads in [1usize, 2, 3, 8] {
-        let index = GeneralizedSuffixArray::build_parallel(set, threads);
-        assert_eq!(index.text(), oracle.text(), "threads={threads}");
-        assert_eq!(index.sa(), oracle.sa(), "threads={threads}");
-        assert_eq!(lcp_of(&index), oracle_lcp, "threads={threads}");
+    let index = GeneralizedSuffixArray::build_parallel(set, 1);
+    check_index(set, &index).expect("one thread builds SA-IS + Kasai");
+    let index_lcp = lcp_of(&index);
+    for threads in [2usize, 3, 8] {
+        let other = GeneralizedSuffixArray::build_parallel(set, threads);
+        assert_eq!(other.text(), index.text(), "threads={threads}");
+        assert_eq!(other.sa(), index.sa(), "threads={threads}");
+        assert_eq!(lcp_of(&other), index_lcp, "threads={threads}");
     }
-    let sorted = bucket_sort_index(oracle.text(), 2);
+    let sorted = bucket_sort_index(index.text(), 2);
     assert_eq!(sorted.is_none(), expect_fallback, "SA-IS fallback");
 }
 
@@ -296,9 +284,6 @@ fn repeat_corpus_match_longer_than_a_u16_lcp() {
     let config = MaximalMatchConfig { min_len: 15, ..Default::default() };
     let pairs = with_anchors(&parallel_pairs(&tree, config, 1).0);
     assert_eq!(pairs, vec![(7, 20, 70_000, 0, 0)]);
-    let oracle = GeneralizedSuffixArray::build(&set);
-    let oracle_tree = SuffixTree::build_pruned(&oracle, 15);
-    assert_eq!(with_anchors(&parallel_pairs(&oracle_tree, config, 1).0), pairs);
     assert_eq!(with_anchors(&parallel_pairs(&tree, config, 2).0), pairs);
 }
 
@@ -375,15 +360,15 @@ fn x_between_equal_flanks() {
     assert_eq!(index.left_residue(second + 1), Some(flank[0]));
     assert_eq!(index.left_residue(0), None);
 
-    // Mining: FLANK against FLANK, at most `flank.len()` long, and equal
-    // to the oracle's stream.
+    // Mining: FLANK against FLANK, at most `flank.len()` long, whole and
+    // from the index cut at 5.
     let config = MaximalMatchConfig { min_len: 5, ..Default::default() };
     let tree = SuffixTree::build_pruned(&index, 5);
     let (pairs, _) = parallel_pairs(&tree, config, 1);
     assert_eq!(pairs.len(), 100 * 99 / 2);
     assert!(pairs.iter().all(|p| p.len as usize == flank.len()));
-    let oracle = GeneralizedSuffixArray::build(&set);
-    let (expect, _) = parallel_pairs(&SuffixTree::build_pruned(&oracle, 5), config, 1);
+    let cut = GeneralizedSuffixArray::build_cut(&set, 2, 5);
+    let (expect, _) = parallel_pairs(&SuffixTree::build_pruned(&cut, 5), config, 1);
     assert_eq!(with_anchors(&pairs), with_anchors(&expect));
 }
 
@@ -491,8 +476,8 @@ fn check_cut(set: &SequenceSet, full: &GeneralizedSuffixArray, psi: u32, threads
         let loader = |r: std::ops::Range<u32>| set.subset(&r.map(SeqId).collect::<Vec<_>>()).0;
         let miner =
             PartitionedMiner::new(ChunkPlan::plan(&lens, 0), loader, config, threads, &budget);
-        assert!(miner.n_windows() >= 3, "{what}: {} windows", miner.n_windows());
-        let (pairs, stats, _) = miner.mine();
+        let (pairs, stats, held) = miner.mine();
+        assert!(held.windows >= 3, "{what}: {} windows", held.windows);
         assert_eq!((with_anchors(&pairs), stats), expect, "{what} dedup {dedup}: windowed");
     }
 }
@@ -555,13 +540,12 @@ fn a_cut_index_of_sparse_reads_keeps_a_few_per_cent() {
     assert_eq!(cut.cutoff(), 10);
     // Thousands of buckets to group per sort job: the fingerprint table
     // wraps many times over.
-    let full = GeneralizedSuffixArray::build(&set);
+    let full = GeneralizedSuffixArray::build_cut(&set, 1, 0);
     assert_eq!((cut.sa().to_vec(), lcp_of(&cut)), cut_by_hand(&full, 10));
     assert!(cut.sa().len() < cut.text_len() / 20, "{} of {}", cut.sa().len(), cut.text_len());
-    assert!(cut.heap_bytes() as u64 <= estimated_index_bytes(set.total_residues(), set.len()));
     // Below the bucket id's three symbols every suffix is kept.
     let uncut = GeneralizedSuffixArray::build_cut(&set, 2, 2);
-    assert_eq!((uncut.cutoff(), uncut.sa()), (0, GeneralizedSuffixArray::build(&set).sa()));
+    assert_eq!((uncut.cutoff(), uncut.sa()), (0, full.sa()));
 }
 
 #[test]

@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn gsa_suffixes_strictly_sorted(set in seq_set(6, 25)) {
-        let g = GeneralizedSuffixArray::build(&set);
+        let g = GeneralizedSuffixArray::build_cut(&set, 1, 0);
         let text = g.encoded_text();
         for r in 1..g.sa().len() {
             let a = &text[g.sa()[r - 1] as usize..];
@@ -36,7 +36,7 @@ proptest! {
 
     #[test]
     fn tree_nodes_have_correct_depth_and_branching(set in seq_set(5, 20)) {
-        let g = GeneralizedSuffixArray::build(&set);
+        let g = GeneralizedSuffixArray::build_cut(&set, 1, 0);
         let t = SuffixTree::build(&g);
         for node in 0..t.n_nodes() as u32 {
             let (l, r) = t.range(node);
@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn every_reported_pair_shares_a_substring(set in seq_set(5, 20)) {
-        let g = GeneralizedSuffixArray::build(&set);
+        let g = GeneralizedSuffixArray::build_cut(&set, 1, 0);
         let t = SuffixTree::build(&g);
         let (pairs, _) = parallel_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() }, 1);
         for MatchPair { a, b, len, .. } in pairs {
@@ -71,7 +71,7 @@ proptest! {
         set in seq_set(6, 20),
         p in 1usize..6,
     ) {
-        let g = GeneralizedSuffixArray::build(&set);
+        let g = GeneralizedSuffixArray::build_cut(&set, 1, 0);
         let t = SuffixTree::build(&g);
         let config = MaximalMatchConfig { min_len: 3, dedup: false, ..Default::default() };
         let global: std::collections::HashSet<MatchPair> =
@@ -87,7 +87,7 @@ proptest! {
 
     #[test]
     fn pairs_emitted_in_decreasing_length(set in seq_set(6, 22)) {
-        let g = GeneralizedSuffixArray::build(&set);
+        let g = GeneralizedSuffixArray::build_cut(&set, 1, 0);
         let t = SuffixTree::build(&g);
         let (pairs, _) = parallel_pairs(&t, MaximalMatchConfig { min_len: 2, ..Default::default() }, 1);
         for w in pairs.windows(2) {

@@ -1,49 +1,51 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, rustfmt check, lint wall, the repeat-corpus
-# index tests under a timeout, every test binary of the workspace once
-# (`cargo test --workspace`; the contract suites it holds are listed at
-# that step), the pfam-align suites in release mode (forced-path suite:
-# the batch kernel against the scalar twin, cell by cell), index-bench,
-# align-bench and index_oc_bench smoke passes
-# (bit-identity checks on tiny workloads), the outputs check (what pfam
-# prints on the benchmark workloads and one generated input, against
-# results/outputs.tsv), grep gates (no unwrap on
-# inter-rank communication, in the push loop and its transports or in the
-# parsers of outside input — FASTA, checkpoints; a listed file that does
-# not exist fails its gate; no
-# UnionFind mutation outside ClusterCore; none of the retired schedulers,
-# rank kernels, planes (sharded, sketch), pipeline entries (nor a
-# hand-built pipeline in an experiment binary or example), supervision
-# extras or the leased loop and its fault injection by name; none of the
-# retired `Bm` reduction's word graph, k-mer
-# scanner or example by name; no whole-file sequence reads outside pfam-seq's
-# SeqStore; no three-matrix fill on the alignment engine's hot path —
-# engine, single-pair fill, batch fill; `unsafe` only in the two alignment
-# kernels' files and the benches' one counting allocator; no per-component
-# suffix index in the pipeline; none of the retired aligners, Shingle
-# drivers (distributed, SPMD, rayon, arena), graph extras, the rank table,
-# the `_with` / `_reusing` constructor twins, the barrier executor, the
-# per-vertex Shingle kernel or the Criterion stand-in by name; no
-# `thread_local!` in pfam-core or pfam-shingle, no hash map in
-# pfam-shingle; none of the retired index-routing sites, the chunk-pair
-# miner, the plan pin or the chunk-size knob by name, and the window cap
-# derived in one place; one
-# pair miner — none of the lazy serial generator, its thread-count fork or
-# the explicit-stream source twin by name, one call site each for the
-# node-local miner and the node queue), the reachability ratchet (rustc's
-# dead-code analysis on a demoted copy: every `pub` item of a library
-# crate is reached by a non-test target or is on
-# scripts/reachability.allow with a reason) and its planted-item check
-# (a test-only `pub fn` fails it; the working tree is untouched), the
-# benchmark package's own tests, the known-quadratic input under a clock
-# (two 5 000-residue poly-A reads), and the CLI smokes: kill/resume (and
-# the `checkpoints:` line `run` prints, which `cluster` does not; a kill
-# after CCD and a kill in it),
-# `cluster` == `run`, resume under other parameters, older checkpoint
-# formats, an unwritable --out, removed flags (the cadence flags among
-# them: each finished unit is written once) and the removed `simulate`
-# command, a flag given twice, and counts that used to panic (`--procs 1`,
-# `--families 0`, a `--procs` count past memory).
+# Tier-1 gate. Its steps:
+# * release build, rustfmt check, clippy lint wall;
+# * grep gates: no UnionFind mutation outside ClusterCore; no unwrap on
+#   inter-rank communication, in the push loop and its transports or in
+#   the parsers of outside input — FASTA, checkpoints (a listed file that
+#   does not exist fails its gate); none of the retired schedulers, rank
+#   kernels, planes (sharded, sketch), pipeline entries (nor a hand-built
+#   pipeline in an experiment binary or example), micro-benches and the
+#   names only they kept, supervision extras or the leased loop and its
+#   fault injection by name; none of the retired aligners, Shingle
+#   drivers (distributed, SPMD, rayon, arena), graph extras, the rank
+#   table, the `_with` / `_reusing` constructor twins, the barrier
+#   executor, the per-vertex Shingle kernel or the Criterion stand-in by
+#   name; no `thread_local!` in pfam-core or pfam-shingle, no hash map in
+#   pfam-shingle; none of the retired index-routing sites, the chunk-pair
+#   miner, the plan pin or the chunk-size knob by name, and the window cap
+#   derived in one place; one pair miner — none of the lazy serial
+#   generator, its thread-count fork or the explicit-stream source twin by
+#   name, one call site each for the node-local miner and the node queue;
+#   none of the retired sequence stores or the `Bm` reduction's word
+#   graph, k-mer scanner or example by name; no whole-file sequence reads
+#   outside pfam-seq's SeqStore; no three-matrix fill on the alignment
+#   engine's hot path — engine, single-pair fill, batch fill; `unsafe`
+#   only in the two alignment kernels' files and the heap tests' one
+#   counting allocator; no per-component suffix index in the pipeline;
+# * the reachability ratchet (rustc's dead-code analysis on a demoted
+#   copy: every `pub` item of a library crate is reached by a non-test
+#   target or is on scripts/reachability.allow with a reason) and its
+#   planted-item check (a test-only `pub fn` fails it; the working tree
+#   is untouched);
+# * the repeat-corpus index tests under a timeout;
+# * every test binary of the workspace once (`cargo test --workspace`;
+#   the contract suites it holds, the two heap tests among them, are
+#   listed at that step);
+# * the pfam-align suites in release mode (forced-path suite: the batch
+#   kernel against the scalar twin, cell by cell);
+# * the benchmark package's own tests;
+# * the outputs check (what pfam prints on the benchmark workloads and one
+#   generated input, against results/outputs.tsv);
+# * the CLI smokes: kill/resume (and the `checkpoints:` line `run` prints,
+#   which `cluster` does not; a kill after CCD and a kill in it), `cluster`
+#   == `run`, the known-quadratic input under a clock (two 5 000-residue
+#   poly-A reads), resume under other parameters, older checkpoint
+#   formats, an unwritable --out, removed flags (the cadence flags among
+#   them: each finished unit is written once) and the removed `simulate`
+#   command, a flag given twice, and counts that used to panic (`--procs
+#   1`, `--families 0`, a `--procs` count past memory).
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -143,8 +145,12 @@ echo "== tier1: one CCD master, one exact pair supply, one pipeline entry =="
 # never runs (the explicit-list and SPMD CCD drivers; the per-component
 # mined supply), the entries only they called, and the two SPMD entries
 # that became one over the phase (`run_phase_spmd`): `pfam`'s `phases:`
-# line and `paper`'s runs table time the real run.
-if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher|cmd_simulate|all_component_graphs|scaling_study|ocean_sampling|distributed_pace|all_reduce_sum|run_ccd_from_pairs|run_front_half|run_ccd_spmd|run_rr_spmd|ccd_bench|bgg_dsd_bench" \
+# line and `paper`'s runs table time the real run. The three that timed
+# builds and engine widths `pfam` never selects followed (the alignment,
+# index and out-of-core index benches), with the stage clock only one of
+# them read and the name it left on the cut sort; their byte gates are
+# crates/bench/tests/index_heap.rs, on the build `pfam` runs.
+if grep -rnE "ShardParams|ShardForest|run_ccd_sharded|simulate_sharded|HybridSource|SketchBanding|PIN_SKETCH_HYBRID|run_pipeline_budgeted|run_pipeline_checkpointed|SketchSource|SketchParams|SketchMode|SketchParamError|PIN_SKETCH_APPROX|check_sketch_params|Sketcher|cmd_simulate|all_component_graphs|scaling_study|ocean_sampling|distributed_pace|all_reduce_sum|run_ccd_from_pairs|run_front_half|run_ccd_spmd|run_rr_spmd|ccd_bench|bgg_dsd_bench|align_bench|index_bench|index_oc_bench|SortStages|bucket_sort_index_staged" \
     crates src tests examples; then
     echo "tier1 FAIL: a retired plane or pipeline entry is named in the tree" >&2
     exit 1
@@ -355,19 +361,20 @@ for f in crates/align/src/engine.rs crates/align/src/onepass.rs crates/align/src
     fi
 done
 
-echo "== tier1: unsafe stays in the alignment kernels and the bench allocator =="
+echo "== tier1: unsafe stays in the alignment kernels and the heap tests' allocator =="
 # Every `unsafe` of the program is in the batch kernel's two files:
 # onepass.rs holds the calls into the two `target_feature` bodies, each
 # behind the CPU-feature detection that picked it (AVX-512BW, AVX2);
 # interpair.rs holds the bodies' vector loads and stores, each behind a
-# length assertion. The benches' counting allocator
-# wraps the system one. A new kernel goes into interpair.rs and through the
-# forced-path suite (crates/align/tests/engine_props.rs), not somewhere else.
+# length assertion. The heap tests' counting allocator
+# (crates/bench/src/alloc.rs) wraps the system one. A new kernel goes into
+# interpair.rs and through the forced-path suite
+# (crates/align/tests/engine_props.rs), not somewhere else.
 if grep -rnw "unsafe" crates/*/src src \
     | grep -v "^crates/align/src/onepass\.rs:" \
     | grep -v "^crates/align/src/interpair\.rs:" \
     | grep -v "^crates/bench/src/alloc\.rs:"; then
-    echo "tier1 FAIL: unsafe outside the alignment kernels and the bench allocator" >&2
+    echo "tier1 FAIL: unsafe outside the alignment kernels and the heap tests' allocator" >&2
     exit 1
 fi
 
@@ -424,81 +431,24 @@ echo "== tier1: cargo test --workspace -q (every test binary, once) =="
 #   238-vertex near-clique at the default parameters (and under 2.5 MB
 #   there), on graphs 1-95 % dense across five parameter sets and on
 #   empty graphs.
+# * index_heap: the index `pfam` builds (build_cut, full and at psi = 10,
+#   on one and two threads) holds at most 7.2 bytes per text position and
+#   peaks over its bucket tables at most 8.5 (full) or 4.5 (cut) per
+#   position; the estimate is what the full index holds, to 1 %; the
+#   windowed miner index_plan picks under 0.4 x the estimate holds its
+#   text within 1 % + 64 KiB of estimated_text_bytes and peaks within 2 %
+#   of what it reserved plus its tables (mined at psi = 15 with its pairs
+#   on top, and index alone on sparse and dense input). About 1 s in this
+#   (opt-level 1) profile on 2 cores.
 cargo test --workspace -q
 
 echo "== tier1: pfam-align suites in the release profile =="
 # Unsafe loads/stores and saturating/wrapping lane arithmetic: the debug
-# profile's overflow checks and debug_asserts are not what ships.
+# profile's overflow checks and debug_asserts are not what ships. Every
+# width the host runs — 32 lanes on AVX-512BW, 16 on AVX2, the scalar
+# twin — is held to the reference here (engine_props, and the forced
+# widths in src/engine.rs and src/onepass.rs).
 cargo test --release -q -p pfam-align
-
-echo "== tier1: index_bench --test (smoke + identity checks, front half included, bytes per position, the cut index's share) =="
-# The pass itself fails when an index holds more than 7.2 bytes per text
-# position or a bucket-sort build peaks, over its bucket tables, above 8.5
-# per position, or above 4.5 when it is cut at psi >= 3 (its windows share
-# one scatter buffer).
-INDEX_SMOKE=$(cargo run --release -p pfam-bench --bin index_bench -- --test)
-echo "$INDEX_SMOKE" | grep -q '"one_build_masked"' || {
-    echo "tier1 FAIL: index_bench smoke did not run its front_half rows" >&2
-    exit 1
-}
-for field in resident_bytes_per_position build_peak_bytes_per_position; do
-    echo "$INDEX_SMOKE" | grep -q "\"$field\"" || {
-        echo "tier1 FAIL: index_bench smoke did not weigh its builds ($field)" >&2
-        exit 1
-    }
-done
-# The index cut at psi = 10 keeps only the suffixes a node of depth >= 10
-# can hold: on the sparse corpus (about 2 % at full scale) at most a tenth
-# of them, at every thread count. A sort that keys every suffix again
-# fails here.
-SPARSE_KEPT=$(echo "$INDEX_SMOKE" | awk '
-    /^  "[a-z_]+": \{/ { sparse = ($0 ~ /"sparse"/) }
-    sparse && match($0, /"kept_share": [0-9.]+/) { print substr($0, RSTART + 14, RLENGTH - 14) }')
-[ -n "$SPARSE_KEPT" ] || {
-    echo "tier1 FAIL: index_bench smoke did not run its psi_10 rows on the sparse corpus" >&2
-    exit 1
-}
-for share in $SPARSE_KEPT; do
-    awk -v share="$share" 'BEGIN { exit !(share <= 0.1) }' || {
-        echo "tier1 FAIL: the sparse index cut at psi = 10 keeps $share of its suffixes (> 0.1)" >&2
-        exit 1
-    }
-done
-
-echo "== tier1: align_bench --test (smoke + verdict-identity check) =="
-ALIGN_SMOKE=$(cargo run --release -p pfam-bench --bin align_bench -- --test)
-echo "$ALIGN_SMOKE" | grep -q '"outputs_identical": true' || {
-    echo "tier1 FAIL: align_bench smoke did not report identical outputs" >&2
-    exit 1
-}
-# On a vector host every width it runs must have had its row (and been
-# compared): the 16-lane body on AVX2, both bodies on AVX-512BW.
-case "$ALIGN_SMOKE" in
-    *'"kernel": "avx512"'*) widths="avx2 avx512" ;;
-    *'"kernel": "avx2"'*) widths="avx2" ;;
-    *) widths="" ;;
-esac
-for width in $widths; do
-    echo "$ALIGN_SMOKE" | grep -q "\"engine\": \"interpair_$width\"" || {
-        echo "tier1 FAIL: align_bench smoke did not run the $width inter-pair kernel" >&2
-        exit 1
-    }
-done
-
-echo "== tier1: index_oc_bench --test (smoke + windowed-stream identity + the index held to its budget) =="
-# The pass itself fails when the windowed miner's text or peak exceeds
-# what it reserved — mining nothing, and mining at psi = 15 with its pairs
-# counted on top — past the tolerances written in the bench; and when the
-# same index-alone pass over dense input (half the suffixes kept) does.
-OC_SMOKE=$(cargo run --release -p pfam-bench --bin index_oc_bench -- --test)
-echo "$OC_SMOKE" | grep -q '"streams_identical": true' || {
-    echo "tier1 FAIL: index_oc_bench smoke did not report identical streams" >&2
-    exit 1
-}
-echo "$OC_SMOKE" | grep -q '"dense": { .*"index_alone": {' || {
-    echo "tier1 FAIL: index_oc_bench smoke did not hold the dense index to its budget" >&2
-    exit 1
-}
 
 echo "== tier1: the benchmark package's own tests (unit + smoke pass) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
